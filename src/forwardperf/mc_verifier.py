@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import RegularityError
 from .fields import conjugate_exponential, entropy_kernel
@@ -48,7 +48,7 @@ DEFAULT_CONFIDENCE = 0.997
 def z_critical(confidence: float) -> float:
     if not (0.0 < confidence < 1.0):
         raise ValueError("confidence must be in (0, 1)")
-    return float(norm.ppf(0.5 * (1.0 + confidence)))
+    return float(ndtri(0.5 * (1.0 + confidence)))
 
 
 @dataclass(frozen=True)

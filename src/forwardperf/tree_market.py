@@ -15,6 +15,13 @@ LP and is exact. Absolutely continuous martingale measures over a window
 are compositions of one-step choices; measures may put mass zero on whole
 subtrees, which the quotient convention (ratio = 1 on a vanished
 denominator) handles downstream.
+
+The set of those compositions is rectangular: each node picks its one-step
+measure independently of every other node. An extremum over it of a
+conditional expectation is therefore a backward recursion over the vertex
+sets, node by node (``vertex_recursion``), and costs O(nodes x vertices).
+Listing the products themselves (``enumerate_product_measures``) grows
+exponentially with depth and is kept for brute-force cross-checks only.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -640,10 +647,74 @@ def maximal_support(tree: EventTree, t: int = 0, T: int | None = None) -> set[st
     return out
 
 
+def vertex_recursion(
+    tree: EventTree,
+    t: int,
+    T: int,
+    terminal: Callable[[str], Any],
+    local: Callable[..., Any],
+) -> dict[str, dict[str, Any]]:
+    """Backward recursion over the one-step vertex sets of the window [t, T].
+
+    A product measure picks one restricted vertex per node, independently,
+    so the extremum over all of them of a conditional expectation is a
+    Bellman recursion over the vertex sets (Epstein & Schneider, "Recursive
+    multiple-priors", JET 2003), at cost O(nodes x vertices).
+
+    Per time-t start, the charged nodes are the start and every child that
+    some vertex of a charged parent gives mass above the vertex tolerance.
+    For each charged node with time < T, in reverse DFS order,
+    ``local(node, kids, verts, kid_values)`` returns its value from those of
+    its charged children ``kids``; ``verts`` are the node's vertices
+    restricted to feasible children, as tuples aligned with ``kids`` and
+    with masses at or below the tolerance set to zero. Time-T nodes take
+    ``terminal(node)``.
+
+    Returns {start: {node: value}} over the charged nodes with time < T,
+    start first, DFS order (just the start's terminal value when t == T).
+    Raises ArbitrageError when a start admits no martingale measure.
+    """
+    if not (0 <= t <= T <= tree.horizon):
+        raise ValueError(f"bad window [{t}, {T}]")
+    feasible = _feasible_map(tree, T)
+    out: dict[str, dict[str, Any]] = {}
+    for start in tree.nodes_at(t):
+        if tree.time_of(start) == T:
+            out[start] = {start: terminal(start)}
+            continue
+        if not feasible[start]:
+            raise ArbitrageError(f"no martingale measure below node {start!r}")
+        charged = {start}
+        steps: dict[str, tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]] = {}
+        for nid in tree.window_interior(start, T):
+            if nid not in charged:
+                continue
+            children = tree.children(nid)
+            verts = _restricted_vertices(tree, nid, {c for c in children if feasible[c]})
+            cols = [j for j in range(len(children)) if verts[:, j].max() > _VERTEX_TOL]
+            kids = tuple(children[j] for j in cols)
+            rows = tuple(
+                tuple(float(x) if x > _VERTEX_TOL else 0.0 for x in v[cols]) for v in verts
+            )
+            steps[nid] = (kids, rows)
+            charged.update(kids)
+        values: dict[str, Any] = {}
+        for nid in reversed(steps):
+            kids, rows = steps[nid]
+            kid_values = [values[c] if c in steps else terminal(c) for c in kids]
+            values[nid] = local(nid, kids, rows, kid_values)
+        out[start] = {nid: values[nid] for nid in steps}
+    return out
+
+
 def enumerate_product_measures(
     tree: EventTree, t: int = 0, T: int | None = None, max_count: int = 200000
 ) -> list[TreeMeasure]:
     """All products of one-step vertices on [t, T]: the extreme candidates.
+
+    A brute-force and diagnostic tool: the count grows exponentially with
+    the window depth and is refused above ``max_count``. The checks do not
+    use it; they run ``vertex_recursion`` over the same vertex sets.
 
     Nodes that a choice leaves with zero mass get reference conditionals
     (any choice there leaves the induced measure unchanged). Restricted to

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ArbitrageError, ConvergenceError
 from .fields import (
@@ -52,10 +51,10 @@ from .tree_market import (
     TreeMeasure,
     density_process,
     density_quotient,
-    enumerate_product_measures,
     measure_from_leaf_masses,
     node_polytope,
     reference_measure,
+    vertex_recursion,
 )
 
 _REPLICATION_TOL = 1e-10
@@ -220,6 +219,8 @@ def _exponential_factors(tree, field, t, T):
 
 def _grid_dp(tree, slices, t, T, grid):
     """Tabulated backward induction; returns per-node value arrays on the grid."""
+    from scipy.interpolate import PchipInterpolator  # generic path only: slow import
+
     gmin, gmax = grid[0], grid[-1]
     values: dict[str, np.ndarray] = {}
     for start in tree.nodes_at(t):
@@ -327,6 +328,8 @@ def primal_value(
             raise ValueError(
                 f"xi={x:g} at node {n!r} outside the wealth grid [{gmin:g}, {gmax:g}]"
             )
+
+    from scipy.interpolate import PchipInterpolator  # generic path only: slow import
 
     def run(npts):
         grid = np.linspace(gmin, gmax, npts)
@@ -828,6 +831,24 @@ def check_value_conjugacy(
     return report
 
 
+def _inverse_gamma_range(tree, gamma, t, T):
+    """Per start, per charged window node: (max, min) of E^Q[1/gamma_T | node]
+    over the product vertices Q of [t, T]."""
+
+    def local(_nid, _kids, verts, kid_values):
+        hi = max(sum(v * c_hi for v, (c_hi, _) in zip(vert, kid_values)) for vert in verts)
+        lo = min(sum(v * c_lo for v, (_, c_lo) in zip(vert, kid_values)) for vert in verts)
+        return hi, lo
+
+    return vertex_recursion(tree, t, T, lambda w: (1.0 / gamma[w],) * 2, local)
+
+
+def _inverse_gamma_gap(g, hi_lo):
+    """Largest |E^Q[1/gamma_T | node] - 1/g| over a (max, min) range."""
+    hi, lo = hi_lo
+    return max(hi - 1.0 / g, 1.0 / g - lo)
+
+
 def check_exponential_conditions(
     tree: EventTree,
     gamma: Mapping[str, float],
@@ -841,6 +862,11 @@ def check_exponential_conditions(
     finite tree), preservation of the conditional mean of 1/gamma by every
     product vertex of the measure polytope, and the entropy identity
     entropy_kernel(1/gamma) - a/gamma = min entropy, per time pair.
+
+    The product vertices are not listed: the largest and smallest
+    conditional means of 1/gamma_T over them come from one backward
+    recursion over the one-step vertex sets (``_inverse_gamma_range``), and
+    the gap at a start is the larger distance of either from 1/gamma there.
     """
     report = VerificationReport()
 
@@ -863,14 +889,10 @@ def check_exponential_conditions(
     for (t, T) in time_pairs:
         gap_b = 0.0
         node_b = None
-        for q in enumerate_product_measures(tree, t, T):
-            for n in tree.nodes_at(t):
-                mean = 0.0
-                for w in tree.descendants_at(n, T):
-                    mean += q.node_mass(tree, w, start=n) / gamma[w]
-                gap = abs(mean - 1.0 / gamma[n])
-                if gap > gap_b:
-                    gap_b, node_b = gap, n
+        for n, by_node in _inverse_gamma_range(tree, gamma, t, T).items():
+            gap = _inverse_gamma_gap(gamma[n], by_node[n])
+            if gap > gap_b:
+                gap_b, node_b = gap, n
         report.add(
             CheckRecord(
                 check_tag=f"exp-condition-inverse-gamma-martingale[t={t},T={T}]",
@@ -986,6 +1008,22 @@ def check_forward_supermartingale(
     avoids are skipped); the entropy-minimizing measure must achieve
     equality. Positivity and the inverse-gamma mean condition are verified
     first and raise when violated.
+
+    Both bounds run node by node, without listing the product vertices. A
+    window node is charged when every edge from its start to it gets mass
+    above the vertex tolerance at some vertex of its parent: exactly the
+    nodes some Q reaches. The inverse-gamma mean condition must hold at
+    every charged node for every choice below it, which the (max, min)
+    recursion of ``_inverse_gamma_range`` decides. Once it holds, the
+    reweighting is per edge, q~_c = (v_c / gamma_c) / sum_j (v_j / gamma_j)
+    at a vertex v, so the drift at a node depends only on the choices at
+    and below it, and its worst case over Q is the backward recursion
+
+        D(w) = a_w at time T,
+        D(m) = max over v of sum_c q~_c (D(c) - log(q~_c / p_c)),
+
+    with D(m) - a_m the worst drift at m; the record takes the largest over
+    the charged nodes.
     """
     if T is None:
         T = tree.horizon
@@ -995,64 +1033,62 @@ def check_forward_supermartingale(
         if not (gamma[n] > 0.0):
             raise ValueError(f"gamma must be positive, node {n!r}")
 
-    starts = tree.nodes_at(t)
-
-    def window_nodes(start):
-        return tree.window_interior(start, T)
-
     # vertex-level inverse-gamma mean precondition
-    for q in enumerate_product_measures(tree, t, T):
-        for start in starts:
-            for m in window_nodes(start):
-                if q.node_mass(tree, m, start=start) <= 0.0 and m != start:
-                    continue
-                mean = sum(
-                    q.node_mass(tree, w, start=m) / gamma[w]
-                    for w in tree.descendants_at(m, T)
+    for by_node in _inverse_gamma_range(tree, gamma, t, T).values():
+        for m, hi_lo in by_node.items():
+            if _inverse_gamma_gap(gamma[m], hi_lo) > 1e-9:
+                raise ValueError(
+                    f"inverse-gamma conditional mean fails at node {m!r}; "
+                    "forward measures are not probabilities"
                 )
-                if abs(mean - 1.0 / gamma[m]) > 1e-9:
-                    raise ValueError(
-                        f"inverse-gamma conditional mean fails at node {m!r}; "
-                        "forward measures are not probabilities"
-                    )
 
-    def drift_gaps(q: TreeMeasure, only_start: str | None = None):
-        """Per window node: E^{Q_gamma}[F_T | m] - F_m, skipping avoided nodes."""
-        gaps = {}
-        for start in starts:
-            if only_start is not None and start != only_start:
-                continue
-            # window-local forward reweighting of q
-            fw_masses = {}
-            for w in tree.descendants_at(start, T):
-                fw_masses[w] = (
-                    q.node_mass(tree, w, start=start) * gamma[start] / gamma[w]
-                )
-            qg = measure_from_leaf_masses(tree, start, T, fw_masses)
-            zg = density_process(tree, qg)
-            z_start = zg.at(start)
-            for m in window_nodes(start):
-                mass_m = qg.node_mass(tree, m, start=start)
-                if m != start and mass_m <= 0.0:
-                    continue
-                zeta_m = zg.at(m) / z_start if z_start > 0.0 else 1.0
-                f_m = a_shift[m] - (math.log(zeta_m) if zeta_m > 0.0 else 0.0)
-                exp_ft = 0.0
-                for w in tree.descendants_at(m, T):
-                    mw = qg.node_mass(tree, w, start=m)
-                    if mw <= 0.0:
-                        continue
-                    zeta_w = zg.at(w) / z_start if z_start > 0.0 else 1.0
-                    exp_ft += mw * (a_shift[w] - math.log(zeta_w))
-                gaps[m] = exp_ft - f_m
-        return gaps
+    def worst_drift(m, kids, verts, kid_values):
+        probs = [tree.branch_to(c).prob for c in kids]
+        best = -math.inf
+        for vert in verts:
+            weights = [v / gamma[c] for v, c in zip(vert, kids)]
+            total = sum(weights)
+            value = 0.0
+            for w, p, d in zip(weights, probs, kid_values):
+                if w > 0.0:
+                    q = w / total
+                    value += q * (d - math.log(q / p))
+            best = max(best, value)
+        return best
 
     worst_super = -math.inf
     worst_super_node = None
-    for q in enumerate_product_measures(tree, t, T):
-        for m, gap in drift_gaps(q).items():
-            if gap > worst_super:
-                worst_super, worst_super_node = gap, m
+    for by_node in vertex_recursion(tree, t, T, lambda w: a_shift[w], worst_drift).values():
+        for m, d in by_node.items():
+            if d - a_shift[m] > worst_super:
+                worst_super, worst_super_node = d - a_shift[m], m
+
+    def drift_gaps(q: TreeMeasure, start: str):
+        """Per node of start's window: E^{Q_gamma}[F_T | m] - F_m, skipping avoided nodes."""
+        gaps = {}
+        # window-local forward reweighting of q
+        fw_masses = {}
+        for w in tree.descendants_at(start, T):
+            fw_masses[w] = q.node_mass(tree, w, start=start) * gamma[start] / gamma[w]
+        qg = measure_from_leaf_masses(tree, start, T, fw_masses)
+        zg = density_process(tree, qg)
+        z_start = zg.at(start)
+        for m in tree.window_interior(start, T):
+            mass_m = qg.node_mass(tree, m, start=start)
+            if m != start and mass_m <= 0.0:
+                continue
+            zeta_m = zg.at(m) / z_start if z_start > 0.0 else 1.0
+            f_m = a_shift[m] - (math.log(zeta_m) if zeta_m > 0.0 else 0.0)
+            exp_ft = 0.0
+            for w in tree.descendants_at(m, T):
+                mw = qg.node_mass(tree, w, start=m)
+                if mw <= 0.0:
+                    continue
+                zeta_w = zg.at(w) / z_start if z_start > 0.0 else 1.0
+                exp_ft += mw * (a_shift[w] - math.log(zeta_w))
+            gaps[m] = exp_ft - f_m
+        return gaps
+
     report = VerificationReport()
     report.add(
         CheckRecord(
@@ -1069,10 +1105,10 @@ def check_forward_supermartingale(
     ent = min_entropy(tree, gamma, a_shift, t, T)
     worst_eq = 0.0
     worst_eq_node = None
-    for start in starts:
+    for start in tree.nodes_at(t):
         # each minimizer only describes its own subtree
         q_hat = ent.minimizer[start]
-        for m, gap in drift_gaps(q_hat, only_start=start).items():
+        for m, gap in drift_gaps(q_hat, start).items():
             if abs(gap) > worst_eq:
                 worst_eq, worst_eq_node = abs(gap), m
     report.add(

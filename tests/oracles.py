@@ -1,15 +1,24 @@
 """Independent oracles for cross-checking the package's solvers.
 
-Nothing here imports the package's DP or convex-program code paths: values
-come from closed forms, scipy one-dimensional minimization, or a direct
-joint optimization over all node portfolios. Deliberate duplication -- an
-oracle that shares code with the implementation checks nothing.
+Nothing here imports the package's DP, convex-program or vertex-recursion
+code paths: values come from closed forms, scipy one-dimensional
+minimization, a direct joint optimization over all node portfolios, or
+brute force over every product measure of a window. Deliberate duplication
+-- an oracle that shares code with the implementation checks nothing.
 """
 
 import math
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
+
+from forwardperf.tree_market import (
+    _feasible_map,
+    _restricted_vertices,
+    density_process,
+    enumerate_product_measures,
+    measure_from_leaf_masses,
+)
 
 
 def h(y):
@@ -137,3 +146,104 @@ def joint_primal(tree, gamma, a_shift, xi, T=None):
         options={"gtol": 1e-12, "maxiter": 500},
     )
     return -float(res.fun), {n: float(res.x[index[n]]) for n in interior}
+
+
+# -- brute force over the product measures of a window --------------------
+#
+# Each function lists every product of one-step vertices on [t, T] and
+# evaluates the measures one at a time. Exponential in the window depth, so
+# only for small trees (enumerate_product_measures refuses large ones).
+
+
+def inverse_gamma_gap_by_enumeration(tree, gamma, t, T):
+    """Largest |E^Q[1/gamma_T | n] - 1/gamma_n| over product measures Q and
+    time-t nodes n, with the first node reaching it. Returns (gap, node)."""
+    gap_b, node_b = 0.0, None
+    for q in enumerate_product_measures(tree, t, T):
+        for n in tree.nodes_at(t):
+            mean = 0.0
+            for w in tree.descendants_at(n, T):
+                mean += q.node_mass(tree, w, start=n) / gamma[w]
+            gap = abs(mean - 1.0 / gamma[n])
+            if gap > gap_b:
+                gap_b, node_b = gap, n
+    return gap_b, node_b
+
+
+def forward_precondition_by_enumeration(tree, gamma, t, T, tol=1e-9):
+    """Raise ValueError at the first window node that some product measure
+    charges and whose conditional mean of 1/gamma_T misses 1/gamma by more
+    than tol under that measure."""
+    for q in enumerate_product_measures(tree, t, T):
+        for start in tree.nodes_at(t):
+            for m in tree.window_interior(start, T):
+                if q.node_mass(tree, m, start=start) <= 0.0 and m != start:
+                    continue
+                mean = sum(
+                    q.node_mass(tree, w, start=m) / gamma[w]
+                    for w in tree.descendants_at(m, T)
+                )
+                if abs(mean - 1.0 / gamma[m]) > tol:
+                    raise ValueError(
+                        f"inverse-gamma conditional mean fails at node {m!r}; "
+                        "forward measures are not probabilities"
+                    )
+
+
+def worst_forward_drift_by_enumeration(tree, gamma, a_shift, t, T):
+    """Largest E^{Q_g}[a_T - log Z_T | m] - (a_m - log Z_m) over product
+    measures Q, with Q_g the window-local reweighting of Q by
+    gamma_start / gamma_T, and over the window nodes Q_g charges. Returns
+    (gap, node). Assumes the forward precondition holds."""
+    worst, worst_node = -math.inf, None
+    for q in enumerate_product_measures(tree, t, T):
+        for start in tree.nodes_at(t):
+            fw_masses = {
+                w: q.node_mass(tree, w, start=start) * gamma[start] / gamma[w]
+                for w in tree.descendants_at(start, T)
+            }
+            qg = measure_from_leaf_masses(tree, start, T, fw_masses)
+            zg = density_process(tree, qg)
+            z_start = zg.at(start)
+            for m in tree.window_interior(start, T):
+                if m != start and qg.node_mass(tree, m, start=start) <= 0.0:
+                    continue
+                zeta_m = zg.at(m) / z_start
+                f_m = a_shift[m] - math.log(zeta_m)
+                exp_ft = 0.0
+                for w in tree.descendants_at(m, T):
+                    mw = qg.node_mass(tree, w, start=m)
+                    if mw > 0.0:
+                        exp_ft += mw * (a_shift[w] - math.log(zg.at(w) / z_start))
+                if exp_ft - f_m > worst:
+                    worst, worst_node = exp_ft - f_m, m
+    return worst, worst_node
+
+
+def product_measure_count(tree, t, T):
+    """Number of product measures on [t, T], counted without listing them.
+
+    Mirrors the expansion of enumerate_product_measures: a node contributes
+    the sum over its vertices (restricted to children that admit a measure)
+    of the product of its charged children's counts.
+    """
+    feasible = _feasible_map(tree, T)
+
+    def count(nid):
+        if tree.time_of(nid) >= T:
+            return 1
+        children = tree.children(nid)
+        kids = {c: count(c) for c in children if feasible[c]}
+        total = 0
+        for v in _restricted_vertices(tree, nid, set(kids)):
+            n = 1
+            for x, c in zip(v, children):
+                if x > 1e-12:
+                    n *= kids[c]
+            total += n
+        return total
+
+    total = 1
+    for start in tree.nodes_at(t):
+        total *= count(start)
+    return total

@@ -1,11 +1,15 @@
 """Scenario loading, dispatch, exit codes, and output formats."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import forwardperf
 from forwardperf.cli import main
 from treegen import two_period_tree
 
@@ -376,6 +380,21 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_import_skips_slow_scipy_modules():
+    # scipy.stats and scipy.interpolate take about a second to import; only
+    # the tree engine's generic grid path needs one, and imports it there
+    code = (
+        "import sys, forwardperf.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(forwardperf.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(

@@ -37,6 +37,11 @@ def test_z_critical_pin():
             z_critical(bad)
 
 
+def test_z_critical_matches_normal_quantile_exactly():
+    for c in list(np.linspace(0.01, 0.99, 99)) + [0.9, 0.95, 0.99, 0.997, 0.999, 1 - 1e-9]:
+        assert z_critical(float(c)) == float(norm.ppf((1 + float(c)) / 2))
+
+
 def test_collapse_pairs():
     v = np.array([1.0, 3.0, 10.0, -4.0])
     np.testing.assert_array_equal(collapse_pairs(v, True), [2.0, 3.0])

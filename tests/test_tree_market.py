@@ -18,8 +18,16 @@ from forwardperf.tree_market import (
     one_step_vertices,
     reference_measure,
     validate_tree,
+    vertex_recursion,
 )
-from treegen import binomial_tree, trinomial_tree, two_period_tree, uniform_trinomial_tree
+from treegen import (
+    binomial_tree,
+    random_tree,
+    starved_tree,
+    trinomial_tree,
+    two_period_tree,
+    uniform_trinomial_tree,
+)
 
 
 def node(nid, t, branches=()):
@@ -371,6 +379,65 @@ def test_enumerate_product_measures_are_martingales():
 def test_enumerate_product_measures_cap():
     with pytest.raises(ValueError, match="too many"):
         enumerate_product_measures(trinomial_tree(), max_count=1)
+
+
+def test_vertex_recursion_charged_nodes_and_vertices():
+    tree = starved_tree()
+
+    def local(nid, kids, verts, kid_values):
+        return kids, verts, kid_values
+
+    out = vertex_recursion(tree, 0, 2, lambda w: w, local)
+    assert list(out) == ["r"]
+    assert list(out["r"]) == ["r", "m"]  # u is never charged
+    assert out["r"]["r"][:2] == (("m",), ((1.0,),))
+    kids, verts, kid_values = out["r"]["m"]
+    assert kids == ("m1", "m2") and kid_values == ["m1", "m2"]
+    assert verts == pytest.approx([(0.75, 0.25)], abs=1e-15)
+    # every start of a later window is charged, u included
+    out = vertex_recursion(tree, 1, 2, lambda w: w, local)
+    assert {s: list(v) for s, v in out.items()} == {"u": ["u"], "m": ["m"]}
+    # an empty window keeps the start's terminal value
+    assert vertex_recursion(tree, 2, 2, lambda w: w, local) == {
+        w: {w: w} for w in tree.nodes_at(2)
+    }
+
+
+def test_vertex_recursion_counts_the_enumerated_measures():
+    def count(nid, kids, verts, kid_values):
+        total = 0
+        for v in verts:
+            n = 1
+            for x, c in zip(v, kid_values):
+                n *= c if x > 0.0 else 1
+            total += n
+        return total
+
+    for seed in range(6):
+        tree = random_tree(seed, periods=3)
+        for t in range(3):
+            for T in range(t, 4):
+                got = 1
+                for start, by_node in vertex_recursion(tree, t, T, lambda w: 1, count).items():
+                    got *= by_node[start]
+                assert got == len(enumerate_product_measures(tree, t, T))
+
+
+def test_vertex_recursion_refusals():
+    tree = EventTree.from_dict(
+        {
+            "horizon": 1,
+            "nodes": [
+                node("r", 0, [br("a", 0.5, 1.0), br("b", 0.5, 2.0)]),
+                node("a", 1),
+                node("b", 1),
+            ],
+        }
+    )
+    with pytest.raises(ArbitrageError, match="below node 'r'"):
+        vertex_recursion(tree, 0, 1, lambda w: 0.0, lambda *args: 0.0)
+    with pytest.raises(ValueError, match="bad window"):
+        vertex_recursion(tree, 1, 0, lambda w: 0.0, lambda *args: 0.0)
 
 
 def test_leaf_mass_roundtrip():

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
+from forwardperf.errors import ArbitrageError
 from forwardperf.fields import ExponentialFieldParams, entropy_kernel, exponential_slice
 from forwardperf.tree_market import (
+    EventTree,
     TreeMeasure,
     density_process,
     enumerate_product_measures,
@@ -34,6 +36,7 @@ from treegen import (
     random_tree,
     replicable_gamma,
     solved_field,
+    starved_tree,
     trinomial_tree,
     two_period_tree,
     uniform_trinomial_tree,
@@ -591,3 +594,136 @@ def test_forward_supermartingale_guards():
         check_forward_supermartingale(
             trinomial_tree(), non2b, {n: 0.0 for n in non2b}, 0, 1
         )
+
+
+# -- per-node recursion against enumeration of the product measures --------
+
+
+def _window_pairs(tree):
+    return [(t, T) for t in range(tree.horizon) for T in range(t + 1, tree.horizon + 1)]
+
+
+def _oracle_cases():
+    """The criterion-3 suite (random_tree(seed) for seed < 50, solved field)
+    and three four-period trees whose windows have few enough product
+    measures (at most a few hundred each) for the oracle to list quickly."""
+    for seed in range(50):
+        tree = random_tree(seed)
+        yield tree, solved_field(tree, seed)
+    for seed in (4, 9, 11):
+        tree = random_tree(seed, periods=4)
+        yield tree, solved_field(tree, seed)
+
+
+def test_forward_checks_match_enumeration_oracle():
+    tol = 1e-6
+    rng = np.random.default_rng(4)
+    for tree, solved in _oracle_cases():
+        pairs = _window_pairs(tree)
+        # a gamma drawn at random is not replicable: wide (max, min) ranges
+        drawn = {n: float(rng.uniform(0.5, 2.0)) for n in tree._dfs_order}
+        for gamma in (solved.gamma, drawn):
+            rep_e = check_exponential_conditions(tree, gamma, solved.a_shift, pairs, tol=tol)
+            for (t, T) in pairs:
+                want, _ = oracles.inverse_gamma_gap_by_enumeration(tree, gamma, t, T)
+                rec = rep_e[f"exp-condition-inverse-gamma-martingale[t={t},T={T}]"]
+                assert rec.value == pytest.approx(want, abs=1e-12)
+                assert rec.verdict == (want <= tol)
+        for (t, T) in pairs:
+            # the bump below moves a, not gamma: one precondition run covers both
+            oracles.forward_precondition_by_enumeration(tree, solved.gamma, t, T)
+        for field in (solved, solved.with_offsets({"r": 0.1})):
+            for (t, T) in pairs:
+                want, _ = oracles.worst_forward_drift_by_enumeration(
+                    tree, field.gamma, field.a_shift, t, T
+                )
+                rep_f = check_forward_supermartingale(
+                    tree, field.gamma, field.a_shift, t, T, tol=tol
+                )
+                rec = rep_f[f"forward-supermartingale[t={t},T={T}]"]
+                assert rec.value == pytest.approx(want, abs=1e-12), (tree.horizon, t, T)
+                assert rec.verdict == (want <= tol)
+
+
+def _refusal(fn, *args):
+    try:
+        fn(*args)
+    except (ValueError, ArbitrageError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_forward_precondition_refusal_matches_enumeration_oracle():
+    # 1/gamma moved at one node strictly inside the tree: the inverse-gamma
+    # mean fails there and only there, whatever the vertex choices below it
+    refused = 0
+    for tree, solved in _oracle_cases():
+        node = tree.nodes_at(tree.horizon // 2)[-1]
+        gamma = dict(solved.gamma)
+        gamma[node] = 1.0 / (1.0 / gamma[node] + 0.05)
+        for (t, T) in _window_pairs(tree):
+            want = _refusal(oracles.forward_precondition_by_enumeration, tree, gamma, t, T)
+            got = _refusal(check_forward_supermartingale, tree, gamma, solved.a_shift, t, T)
+            if want is None:
+                assert got is None, (t, T, got)
+                continue
+            assert got == want, (t, T)
+            if t < tree.time_of(node) < T:
+                assert f"node {node!r}" in got[1]
+            refused += 1
+    assert refused > 100
+
+
+def test_forward_precondition_skips_uncharged_nodes():
+    # no martingale measure reaches u, so its broken 1/gamma mean is no
+    # refusal; the entropy minimiser then refuses the tree for its arbitrage
+    tree = starved_tree()
+    inv = {"u1": 1.0, "u2": 2.0, "u": 1.2, "m1": 0.8, "m2": 1.2, "m": 0.9, "r": 0.9}
+    gamma = {n: 1.0 / x for n, x in inv.items()}
+    a = const_map(tree, 0.0)
+    assert _refusal(oracles.forward_precondition_by_enumeration, tree, gamma, 0, 2) is None
+    with pytest.raises(ArbitrageError, match="no interior point"):
+        check_forward_supermartingale(tree, gamma, a, 0, 2)
+    want = _refusal(oracles.forward_precondition_by_enumeration, tree, gamma, 1, 2)
+    assert want is not None and "node 'u'" in want[1]
+    assert _refusal(check_forward_supermartingale, tree, gamma, a, 1, 2) == want
+
+
+def test_forward_checks_have_no_product_measure_cap():
+    tree = random_tree(7, periods=6)
+    with pytest.raises(ValueError, match="too many vertices"):
+        enumerate_product_measures(tree, 0, 6)
+    field = solved_field(tree, 7)
+    rep = check_exponential_conditions(tree, field.gamma, field.a_shift, [(0, 6)])
+    assert rep.all_passed, rep.to_text()
+    rep = check_forward_supermartingale(tree, field.gamma, field.a_shift, 0, 6)
+    assert rep.all_passed, rep.to_text()
+    bumped = field.with_offsets({"r": 0.1})
+    rep = check_forward_supermartingale(tree, bumped.gamma, bumped.a_shift, 0, 6)
+    assert rep["forward-martingale-at-optimum[t=0,T=6]"].value == pytest.approx(0.1, abs=1e-7)
+
+
+def test_forward_checks_refuse_infeasible_start():
+    # one-period tree whose increments are all positive: no martingale measure
+    tree = EventTree.from_dict(
+        {
+            "horizon": 1,
+            "nodes": [
+                {
+                    "id": "r",
+                    "time": 0,
+                    "branches": [
+                        {"child": "u", "prob": 0.5, "dprice": 1.0},
+                        {"child": "d", "prob": 0.5, "dprice": 0.5},
+                    ],
+                },
+                {"id": "u", "time": 1, "branches": []},
+                {"id": "d", "time": 1, "branches": []},
+            ],
+        }
+    )
+    gamma, a = const_map(tree, 1.0), const_map(tree, 0.0)
+    want = _refusal(oracles.inverse_gamma_gap_by_enumeration, tree, gamma, 0, 1)
+    assert want == (ArbitrageError, "no martingale measure below node 'r'")
+    assert _refusal(check_exponential_conditions, tree, gamma, a, [(0, 1)]) == want
+    assert _refusal(check_forward_supermartingale, tree, gamma, a, 0, 1) == want

@@ -99,6 +99,31 @@ def two_period_tree():
     )
 
 
+def starved_tree():
+    """Two periods; root increments (+1, 0), so the only one-step measure at
+    the root puts all mass on m and no martingale measure reaches u's
+    subtree (the tree admits arbitrage)."""
+
+    def node(nid, t, branches=()):
+        return {
+            "id": nid,
+            "time": t,
+            "branches": [{"child": c, "prob": p, "dprice": d} for c, p, d in branches],
+        }
+
+    return EventTree.from_dict(
+        {
+            "horizon": 2,
+            "nodes": [
+                node("r", 0, [("u", 0.5, 1.0), ("m", 0.5, 0.0)]),
+                node("u", 1, [("u1", 0.5, 1.0), ("u2", 0.5, -1.0)]),
+                node("m", 1, [("m1", 0.4, 0.5), ("m2", 0.6, -1.5)]),
+                *(node(w, 2) for w in ("u1", "u2", "m1", "m2")),
+            ],
+        }
+    )
+
+
 def random_tree(seed, periods=2, max_branching=3):
     """Random tree, <= max_branching branches, both-sign increments per node."""
     rng = np.random.default_rng(seed)
