@@ -391,7 +391,12 @@ def run_ito_scenario(doc, seed_override=None):
         _fail("$.antithetic", "expected true or false")
     n_chunks = _integer(doc.get("n_chunks", 1), "$.n_chunks", minimum=1)
     confidence = _number(doc.get("confidence", 0.997), "$.confidence", strict_min=0.0)
+    if confidence >= 1.0:
+        _fail("$.confidence", "must be < 1")
     eta_list = _number_list(doc.get("eta_list", [1.0, 2.0]), "$.eta_list")
+    for i, eta in enumerate(eta_list):
+        if eta < 0.0:
+            _fail(f"$.eta_list[{i}]", "dual arguments must be nonnegative")
     nu_family = _nu_family_from_scenario(doc, n_steps)
     time_indices = doc.get("time_indices")
     if time_indices is not None:
@@ -399,17 +404,18 @@ def run_ito_scenario(doc, seed_override=None):
             _integer(v, f"$.time_indices[{i}]", minimum=0)
             for i, v in enumerate(time_indices)
         ]
+        for i, t in enumerate(time_indices):
+            if t > n_steps:
+                _fail(f"$.time_indices[{i}]", f"must be <= n_steps ({n_steps})")
     explicit_checks = "checks" in doc
     checks = _checks_from_scenario(doc, ITO_CHECKS)
 
-    common = dict(
-        n_steps=n_steps,
-        n_paths=n_paths,
-        seed=seed,
-        confidence=confidence,
-        antithetic=antithetic,
-        n_chunks=n_chunks,
-    )
+    if any(name != "regularity" for name in checks):
+        # every Monte Carlo check reads this one simulation
+        bundle = simulate_paths(
+            spec, n_steps, n_paths, seed, antithetic=antithetic, n_chunks=n_chunks
+        )
+        fields = build_forward_exponential(spec, gamma0, a0, bundle)
     report = VerificationReport()
     for name in checks:
         if name == "regularity":
@@ -417,9 +423,9 @@ def run_ito_scenario(doc, seed_override=None):
         elif name == "dual-submartingale":
             report.merge(
                 check_dual_submartingale(
-                    spec, gamma0, a0,
+                    bundle, fields,
                     eta_list=eta_list, nu_family=nu_family,
-                    time_indices=time_indices, **common,
+                    time_indices=time_indices, confidence=confidence,
                 )
             )
         elif name == "dual-martingale-at-optimum":
@@ -439,20 +445,20 @@ def run_ito_scenario(doc, seed_override=None):
                 continue
             report.merge(
                 check_dual_martingale_at_optimum(
-                    spec, gamma0, a0,
-                    eta_list=eta_list, time_indices=time_indices, **common,
+                    bundle, fields,
+                    eta_list=eta_list, time_indices=time_indices, confidence=confidence,
                 )
             )
         elif name == "inverse-gamma-mean":
             report.merge(
                 check_inverse_gamma_mean_mc(
-                    spec, gamma0, nu_family=nu_family, **common,
+                    bundle, fields, nu_family=nu_family, confidence=confidence
                 )
             )
         elif name == "forward-drift":
             report.merge(
                 check_forward_drift_mc(
-                    spec, gamma0, a0, nu_family=nu_family, **common,
+                    bundle, fields, nu_family=nu_family, confidence=confidence
                 )
             )
     n_stat = sum(1 for rec in report.records() if rec.std_error is not None)
@@ -652,10 +658,9 @@ def main(argv=None) -> int:
             raise ScenarioError(f"$.kind: unknown kind {kind!r}")
         _emit(report, args)
         return 0 if report.all_passed else 1
-    except ForwardPerfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ForwardPerfError, OSError, ValueError) as exc:
+        # ValueError: an input the engines refuse (odd antithetic path
+        # count, too many chunks, too few samples, a non-replicable gamma)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

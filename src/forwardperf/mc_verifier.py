@@ -12,6 +12,20 @@ The dual-process checks consume the analytic regularity classification of
 the coefficient spec: a spec classified as failing is refused outright, an
 undetermined one runs with an explanatory note, and the equality check at
 the optimal load additionally insists on the provable case.
+
+All four checks read the same simulated data: a ``PathBundle`` from
+``simulate_paths`` and the ``FieldPaths`` that ``build_forward_exponential``
+builds on it. Simulate once and pass both to every check::
+
+    bundle = simulate_paths(spec, n_steps, n_paths, seed, n_chunks=n_chunks)
+    fields = build_forward_exponential(spec, gamma0, a0, bundle)
+    check_dual_submartingale(bundle, fields)
+    check_inverse_gamma_mean_mc(bundle, fields)
+
+The model spec, the step count and the antithetic pairing come from the
+bundle; gamma0 and a0 come from the fields. Both are read-only, so the
+checks cannot disturb one another and each one reports the same bytes as
+it would on a fresh simulation.
 """
 
 from __future__ import annotations
@@ -28,16 +42,13 @@ from .fields import conjugate_exponential, entropy_kernel
 from .ito_engine import (
     FAIL_ANALYTIC,
     PASS,
-    CoefficientSpec,
     FieldPaths,
     PathBundle,
-    build_forward_exponential,
     density_path,
     forward_weights,
     martingale_density,
     predicted_forward_drift,
     regularity_class,
-    simulate_paths,
 )
 from .kernels import pairwise_sum
 from .report import CheckRecord, VerificationReport
@@ -205,31 +216,26 @@ def _require_not_failing(spec, who):
 
 
 def check_dual_submartingale(
-    spec: CoefficientSpec,
-    gamma0: float,
-    a0: float,
-    n_steps: int,
-    n_paths: int,
-    seed: int,
+    bundle: PathBundle,
+    fields: FieldPaths,
     eta_list: Sequence[float] = (1.0, 2.0),
     nu_family: dict[str, np.ndarray] | None = None,
     time_indices: Sequence[int] | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
-    antithetic: bool = True,
-    n_chunks: int = 1,
 ) -> VerificationReport:
     """Upward drift of the dual process under every candidate measure.
 
     For each orthogonal load nu and dual argument eta: the mean of
     V(t2, eta Z_t2) - V(t1, eta Z_t1) must not sit significantly below
     zero, and at t1 = 0 the anchor value is the exact conjugate.
+    ``bundle`` and ``fields`` are the scenario's shared simulation (see
+    the module docstring); the spec is ``bundle.spec``.
     """
-    cls = _require_not_failing(spec, "check_dual_submartingale")
+    cls = _require_not_failing(bundle.spec, "check_dual_submartingale")
     base_notes = ("unconditional consequence at grid times; conditional dominance not tested",)
     if cls != PASS:
         base_notes += ("regularity undetermined for this spec; statistical evidence only",)
-    bundle = simulate_paths(spec, n_steps, n_paths, seed, antithetic=antithetic, n_chunks=n_chunks)
-    fields = build_forward_exponential(spec, gamma0, a0, bundle)
+    gamma0, a0, antithetic = fields.gamma0, fields.a0, bundle.antithetic
     if nu_family is None:
         nu_family = default_nu_family(bundle)
     idx = _time_indices(bundle, time_indices)
@@ -273,30 +279,24 @@ def check_dual_submartingale(
 
 
 def check_dual_martingale_at_optimum(
-    spec: CoefficientSpec,
-    gamma0: float,
-    a0: float,
-    n_steps: int,
-    n_paths: int,
-    seed: int,
+    bundle: PathBundle,
+    fields: FieldPaths,
     eta_list: Sequence[float] = (1.0, 2.0),
     time_indices: Sequence[int] | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
-    antithetic: bool = True,
-    n_chunks: int = 1,
 ) -> VerificationReport:
     """Flat dual process at the optimal orthogonal load nu = phi.
 
     Two-sided test of E[V(t, eta Z_t)] against the exact starting value at
     every selected grid time; only run for specs in the provable class.
+    Reads the scenario's shared ``bundle`` and ``fields``.
     """
-    if regularity_class(spec) != PASS:
+    if regularity_class(bundle.spec) != PASS:
         raise RegularityError(
             "check_dual_martingale_at_optimum: equality at the optimum is only "
             "asserted for specs with constant risk aversion (delta = 0)"
         )
-    bundle = simulate_paths(spec, n_steps, n_paths, seed, antithetic=antithetic, n_chunks=n_chunks)
-    fields = build_forward_exponential(spec, gamma0, a0, bundle)
+    gamma0, a0, antithetic = fields.gamma0, fields.a0, bundle.antithetic
     z = martingale_density(bundle, bundle.phi)
     idx = [i for i in _time_indices(bundle, time_indices) if i > 0]
     report = VerificationReport()
@@ -318,21 +318,16 @@ def check_dual_martingale_at_optimum(
 
 
 def check_inverse_gamma_mean_mc(
-    spec: CoefficientSpec,
-    gamma0: float,
-    n_steps: int,
-    n_paths: int,
-    seed: int,
+    bundle: PathBundle,
+    fields: FieldPaths,
     nu_family: dict[str, np.ndarray] | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
-    antithetic: bool = True,
-    n_chunks: int = 1,
 ) -> VerificationReport:
     """Preservation of the mean of 1/gamma by every candidate measure:
     E[Z_T / gamma_T] = 1/gamma_0, two-sided per load. Runs regardless of
-    the regularity classification."""
-    bundle = simulate_paths(spec, n_steps, n_paths, seed, antithetic=antithetic, n_chunks=n_chunks)
-    fields = build_forward_exponential(spec, gamma0, 0.0, bundle)
+    the regularity classification. Reads the scenario's shared ``bundle``
+    and ``fields``; 1/gamma does not depend on ``fields.a0``."""
+    gamma0, antithetic = fields.gamma0, bundle.antithetic
     if nu_family is None:
         nu_family = default_nu_family(bundle)
     report = VerificationReport()
@@ -353,16 +348,10 @@ def check_inverse_gamma_mean_mc(
 
 
 def check_forward_drift_mc(
-    spec: CoefficientSpec,
-    gamma0: float,
-    a0: float,
-    n_steps: int,
-    n_paths: int,
-    seed: int,
+    bundle: PathBundle,
+    fields: FieldPaths,
     nu_family: dict[str, np.ndarray] | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
-    antithetic: bool = True,
-    n_chunks: int = 1,
 ) -> VerificationReport:
     """Forward-measure drift of the performance statistic per candidate load.
 
@@ -373,10 +362,10 @@ def check_forward_drift_mc(
     computed through separate routes so the statistic cross-checks the
     reweighting identity instead of assuming it. The unit-mean condition
     for w is retested first for each load; a load failing it cannot define
-    a forward measure and aborts the check.
+    a forward measure and aborts the check. Reads the scenario's shared
+    ``bundle`` and ``fields``.
     """
-    bundle = simulate_paths(spec, n_steps, n_paths, seed, antithetic=antithetic, n_chunks=n_chunks)
-    fields = build_forward_exponential(spec, gamma0, a0, bundle)
+    a0, antithetic = fields.a0, bundle.antithetic
     if nu_family is None:
         nu_family = default_nu_family(bundle)
     theta_tilde = bundle.theta - bundle.delta
@@ -400,7 +389,7 @@ def check_forward_drift_mc(
         report.add(mass.to_record())
         z_tilde = density_path(bundle, theta_tilde, nu)[:, -1]
         f_term = fields.a_shift[:, -1] - np.log(z_tilde)
-        target = a0 + predicted_forward_drift(spec, n_steps, nu)
+        target = a0 + predicted_forward_drift(bundle.spec, bundle.n_steps, nu)
         res = mc_mean_test(
             collapse_pairs(w * f_term, antithetic),
             target,

@@ -20,7 +20,7 @@ from forwardperf.fields import (
     exponential_slice,
 )
 from forwardperf.cli import run_ito_scenario
-from forwardperf.ito_engine import CoefficientSpec
+from forwardperf.ito_engine import CoefficientSpec, build_forward_exponential, simulate_paths
 from forwardperf.mc_verifier import check_inverse_gamma_mean_mc, mc_mean_test
 from forwardperf.tree_market import check_nflvr
 from forwardperf.tree_verifier import (
@@ -240,9 +240,9 @@ def test_criterion_6_mc_suite():
         t0 = time.perf_counter()
         spec = CoefficientSpec.constant(1.0, theta=0.5, delta=0.2, phi=0.3, rho=0.1)
         fam = {"0": np.zeros(64), "0.4": np.full(64, 0.4)}
-        rep_c = check_inverse_gamma_mean_mc(
-            spec, 1.0, 64, 100_000, MC_SEED, nu_family=fam
-        )
+        bundle = simulate_paths(spec, 64, 100_000, MC_SEED)
+        fields = build_forward_exponential(spec, 1.0, 0.0, bundle)
+        rep_c = check_inverse_gamma_mean_mc(bundle, fields, nu_family=fam)
         for label in ("0", "0.4"):
             assert rep_c[f"inverse-gamma-mean[nu={label}]"].verdict, rep_c.to_text()
         budget(6, elapsed + (time.perf_counter() - t0), 60.0)

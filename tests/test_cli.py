@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import forwardperf
-from forwardperf.cli import main
+import forwardperf.cli as cli
+from forwardperf.cli import main, run_ito_scenario
 from treegen import two_period_tree
 
 BASE_TREE_DOC = {
@@ -239,6 +240,77 @@ def test_ito_explicit_optimum_outside_class_refused(tmp_path, capsys):
     path = write_scenario(tmp_path, doc)
     assert main(["run", path]) == 2
     assert "constant risk aversion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, json_path",
+    [
+        ({"time_indices": [0, 999]}, "$.time_indices[1]"),
+        ({"confidence": 1.0}, "$.confidence"),
+        ({"eta_list": [1.0, -0.5]}, "$.eta_list[1]"),
+    ],
+)
+def test_ito_bad_inputs_rejected_before_simulating(
+    tmp_path, capsys, monkeypatch, overrides, json_path
+):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before validating the scenario")
+
+    monkeypatch.setattr(cli, "simulate_paths", no_simulation)
+    doc = ito_doc(checks=["regularity", "dual-submartingale"], **overrides)
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {json_path}: ")
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"n_paths": 401}, "even n_paths"),
+        ({"n_chunks": 201}, "n_chunks must be in [1, 200]"),
+        ({"n_paths": 150}, "at least 100 samples"),
+    ],
+)
+def test_ito_refused_inputs_exit_2(tmp_path, capsys, overrides, message):
+    path = write_scenario(tmp_path, ito_doc(**overrides))
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_tree_non_replicable_gamma_exits_2(tmp_path, capsys):
+    doc = tree_doc(checks=["forward-supermartingale"])
+    doc["gamma"]["values"]["a"] = 2.0
+    zeros = {nid: 0.0 for nid in doc["gamma"]["values"]}
+    doc["a_shift"] = {"mode": "explicit", "values": zeros}
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "inverse-gamma conditional mean" in err
+
+
+@pytest.mark.parametrize("checks, n_sim", [(None, 1), (["regularity"], 0)])
+def test_ito_scenario_simulates_once(monkeypatch, checks, n_sim):
+    calls = {"simulate_paths": 0, "build_forward_exponential": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    doc = ito_doc(n_paths=2000, n_steps=16)
+    if checks is None:
+        del doc["checks"]
+    else:
+        doc["checks"] = checks
+    report = run_ito_scenario(doc)
+    assert report.all_passed, report.to_text()
+    assert calls == {"simulate_paths": n_sim, "build_forward_exponential": n_sim}
 
 
 def test_seed_precedence(tmp_path, capsys, monkeypatch):

@@ -215,6 +215,9 @@ def test_fields_deterministic_shift_pin():
     np.testing.assert_array_equal(fields.inv_gamma, np.full((6, 17), 0.5))
     want = 0.1 + 0.5 * c * c * bundle.grid
     np.testing.assert_allclose(fields.a_shift, np.broadcast_to(want, (6, 17)), atol=1e-14)
+    # every check of a scenario reads these arrays, so none may write them
+    assert not fields.inv_gamma.flags.writeable
+    assert not fields.a_shift.flags.writeable
 
 
 def test_fields_validation():

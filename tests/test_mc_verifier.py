@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from forwardperf.cli import run_ito_scenario
 from forwardperf.errors import RegularityError
-from forwardperf.ito_engine import CoefficientSpec
+from forwardperf.ito_engine import CoefficientSpec, build_forward_exponential, simulate_paths
+from forwardperf.ito_engine import validate_regularity
 from forwardperf.mc_verifier import (
     DEFAULT_CONFIDENCE,
     check_dual_martingale_at_optimum,
@@ -23,6 +25,12 @@ from forwardperf.mc_verifier import (
 CLEAN = CoefficientSpec.constant(1.0, theta=0.5, phi=0.3, rho=0.1)
 SHIFTED_GAMMA = CoefficientSpec.constant(1.0, theta=0.5, delta=0.2, phi=0.3, rho=0.1)
 FAILING = CoefficientSpec.constant(1.0, theta=0.5, delta=0.2)
+
+
+def simulated(spec, gamma0, a0, n_steps, n_paths, seed, n_chunks=1):
+    """The (bundle, fields) pair a scenario shares between its checks."""
+    bundle = simulate_paths(spec, n_steps, n_paths, seed, n_chunks=n_chunks)
+    return bundle, build_forward_exponential(spec, gamma0, a0, bundle)
 
 
 # -- band machinery ------------------------------------------------------
@@ -98,8 +106,6 @@ def test_mean_test_to_record(rng):
 
 
 def test_default_nu_family_labels():
-    from forwardperf.ito_engine import simulate_paths
-
     bundle = simulate_paths(CLEAN, 8, 4, seed=1)
     fam = default_nu_family(bundle)
     assert set(fam) == {"0", "phi", "phi+0.4", "phi-0.4", "0.8"}
@@ -111,7 +117,7 @@ def test_default_nu_family_labels():
 
 
 def test_submartingale_clean_spec_passes():
-    rep = check_dual_submartingale(CLEAN, 1.0, 0.0, 32, 4000, seed=101)
+    rep = check_dual_submartingale(*simulated(CLEAN, 1.0, 0.0, 32, 4000, seed=101))
     assert rep.all_passed, rep.to_text()
     rec = rep["dual-submartingale[nu=0,eta=1,t1=0,t2=1]"]
     assert rec.std_error is not None
@@ -122,7 +128,9 @@ def test_submartingale_clean_spec_passes():
 
 def test_submartingale_time_index_validation():
     with pytest.raises(ValueError, match="outside the grid"):
-        check_dual_submartingale(CLEAN, 1.0, 0.0, 32, 400, seed=1, time_indices=[999])
+        check_dual_submartingale(
+            *simulated(CLEAN, 1.0, 0.0, 32, 400, seed=1), time_indices=[999]
+        )
 
 
 def test_optimum_equality_and_chain_consistency():
@@ -130,11 +138,10 @@ def test_optimum_equality_and_chain_consistency():
     # two-sided equality test at the optimum share the same statistic:
     # with one seed the estimates agree bitwise and two-sided pass
     # implies one-sided pass
-    kw = dict(n_steps=32, n_paths=4000, seed=202, eta_list=(1.0, 2.0))
-    sub = check_dual_submartingale(
-        CLEAN, 1.0, 0.0, nu_family=None, time_indices=(16, 32), **kw
-    )
-    opt = check_dual_martingale_at_optimum(CLEAN, 1.0, 0.0, time_indices=(16, 32), **kw)
+    sim = simulated(CLEAN, 1.0, 0.0, n_steps=32, n_paths=4000, seed=202)
+    kw = dict(eta_list=(1.0, 2.0))
+    sub = check_dual_submartingale(*sim, nu_family=None, time_indices=(16, 32), **kw)
+    opt = check_dual_martingale_at_optimum(*sim, time_indices=(16, 32), **kw)
     assert opt.all_passed, opt.to_text()
     for eta in ("1", "2"):
         for t in ("0.5", "1"):
@@ -147,44 +154,46 @@ def test_optimum_equality_and_chain_consistency():
 
 def test_refusal_failing_class():
     with pytest.raises(RegularityError, match="refusing to certify"):
-        check_dual_submartingale(FAILING, 1.0, 0.0, 16, 400, seed=1)
+        check_dual_submartingale(*simulated(FAILING, 1.0, 0.0, 16, 400, seed=1))
     with pytest.raises(RegularityError, match="constant risk aversion"):
-        check_dual_martingale_at_optimum(FAILING, 1.0, 0.0, 16, 400, seed=1)
+        check_dual_martingale_at_optimum(*simulated(FAILING, 1.0, 0.0, 16, 400, seed=1))
 
 
 def test_undetermined_runs_with_disclosure():
-    rep = check_dual_submartingale(SHIFTED_GAMMA, 1.0, 0.0, 32, 2000, seed=303)
+    rep = check_dual_submartingale(*simulated(SHIFTED_GAMMA, 1.0, 0.0, 32, 2000, seed=303))
     recs = rep.records()
     assert recs
     for rec in recs:
         assert any("undetermined" in n for n in rec.notes)
     with pytest.raises(RegularityError):
-        check_dual_martingale_at_optimum(SHIFTED_GAMMA, 1.0, 0.0, 32, 2000, seed=303)
+        check_dual_martingale_at_optimum(
+            *simulated(SHIFTED_GAMMA, 1.0, 0.0, 32, 2000, seed=303)
+        )
 
 
 # -- terminal mean checks ------------------------------------------------
 
 
 def test_inverse_gamma_mean_constant_and_shifted():
-    rep = check_inverse_gamma_mean_mc(CLEAN, 2.0, 32, 2000, seed=404)
+    rep = check_inverse_gamma_mean_mc(*simulated(CLEAN, 2.0, 0.0, 32, 2000, seed=404))
     assert rep.all_passed, rep.to_text()
     assert set(rep["inverse-gamma-mean[nu=phi]"].notes) == {
         "terminal-time consequence of the conditional statement"
     }
     # with risk-aversion volatility the identity is an exact exponential
     # martingale fact, so it holds regardless of the regularity class
-    rep = check_inverse_gamma_mean_mc(SHIFTED_GAMMA, 2.0, 32, 2000, seed=405)
+    rep = check_inverse_gamma_mean_mc(*simulated(SHIFTED_GAMMA, 2.0, 0.0, 32, 2000, seed=405))
     assert rep.all_passed, rep.to_text()
 
 
 def test_forward_drift_clean_and_shifted():
-    rep = check_forward_drift_mc(CLEAN, 1.0, 0.1, 32, 4000, seed=506)
+    rep = check_forward_drift_mc(*simulated(CLEAN, 1.0, 0.1, 32, 4000, seed=506))
     assert rep.all_passed, rep.to_text()
     drift = rep["forward-drift[nu=phi]"]
     assert drift.target == pytest.approx(0.1, abs=1e-15)
     drift0 = rep["forward-drift[nu=0]"]
     assert drift0.target == pytest.approx(0.1 - 0.045, abs=1e-15)
-    rep = check_forward_drift_mc(SHIFTED_GAMMA, 1.0, 0.1, 32, 4000, seed=507)
+    rep = check_forward_drift_mc(*simulated(SHIFTED_GAMMA, 1.0, 0.1, 32, 4000, seed=507))
     assert rep.all_passed, rep.to_text()
 
 
@@ -193,21 +202,62 @@ def test_forward_mass_refusal_on_extreme_load():
     # so no forward measure can be certified and the check aborts
     fam = {"big": np.full(32, 10.0)}
     with pytest.raises(RegularityError, match="not a probability"):
-        check_forward_drift_mc(CLEAN, 1.0, 0.0, 32, 200, seed=608, nu_family=fam)
+        check_forward_drift_mc(*simulated(CLEAN, 1.0, 0.0, 32, 200, seed=608), nu_family=fam)
 
 
 # -- reproducibility -----------------------------------------------------
 
 
 def test_reports_chunk_invariant():
-    a = check_inverse_gamma_mean_mc(CLEAN, 1.0, 32, 2000, seed=709, n_chunks=1)
-    b = check_inverse_gamma_mean_mc(CLEAN, 1.0, 32, 2000, seed=709, n_chunks=4)
+    a = check_inverse_gamma_mean_mc(*simulated(CLEAN, 1.0, 0.0, 32, 2000, seed=709, n_chunks=1))
+    b = check_inverse_gamma_mean_mc(*simulated(CLEAN, 1.0, 0.0, 32, 2000, seed=709, n_chunks=4))
     assert a.to_json() == b.to_json()
 
 
 def test_reports_seed_deterministic():
-    a = check_forward_drift_mc(CLEAN, 1.0, 0.0, 32, 2000, seed=810)
-    b = check_forward_drift_mc(CLEAN, 1.0, 0.0, 32, 2000, seed=810)
-    c = check_forward_drift_mc(CLEAN, 1.0, 0.0, 32, 2000, seed=811)
+    a = check_forward_drift_mc(*simulated(CLEAN, 1.0, 0.0, 32, 2000, seed=810))
+    b = check_forward_drift_mc(*simulated(CLEAN, 1.0, 0.0, 32, 2000, seed=810))
+    c = check_forward_drift_mc(*simulated(CLEAN, 1.0, 0.0, 32, 2000, seed=811))
     assert a.to_json() == b.to_json()
     assert a.to_json() != c.to_json()
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize("n_chunks", [1, 4])
+def test_shared_simulation_matches_fresh_per_check(antithetic, n_chunks):
+    # a scenario hands one bundle and one set of field paths to every check;
+    # each check must report what it reports on a simulation of its own
+    doc = {
+        "schema_version": 1,
+        "kind": "ito-verify",
+        "model": {"horizon": 1.0, "theta": 0.5, "phi": 0.3, "rho": 0.1},
+        "gamma0": 1.5,
+        "a0": 0.1,
+        "n_steps": 8,
+        "n_paths": 800,
+        "seed": 912,
+        "antithetic": antithetic,
+        "n_chunks": n_chunks,
+        "checks": [
+            "regularity",
+            "dual-submartingale",
+            "dual-martingale-at-optimum",
+            "inverse-gamma-mean",
+            "forward-drift",
+        ],
+    }
+    shared = run_ito_scenario(doc)
+
+    def fresh():
+        bundle = simulate_paths(
+            CLEAN, 8, 800, seed=912, antithetic=antithetic, n_chunks=n_chunks
+        )
+        return bundle, build_forward_exponential(CLEAN, 1.5, 0.1, bundle)
+
+    separate = validate_regularity(CLEAN)
+    separate.merge(check_dual_submartingale(*fresh()))
+    separate.merge(check_dual_martingale_at_optimum(*fresh()))
+    separate.merge(check_inverse_gamma_mean_mc(*fresh()))
+    separate.merge(check_forward_drift_mc(*fresh()))
+    separate.add(shared["mc-expected-false-failures"])
+    assert shared.to_json() == separate.to_json()
