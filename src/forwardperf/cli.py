@@ -36,6 +36,8 @@ from .mc_verifier import (
     check_dual_submartingale,
     check_forward_drift_mc,
     check_inverse_gamma_mean_mc,
+    require_not_failing,
+    require_provable,
 )
 from .report import CheckRecord, VerificationReport
 from .tree_market import EventTree, check_nflvr, validate_tree
@@ -390,6 +392,14 @@ def run_ito_scenario(doc, seed_override=None):
     if not isinstance(antithetic, bool):
         _fail("$.antithetic", "expected true or false")
     n_chunks = _integer(doc.get("n_chunks", 1), "$.n_chunks", minimum=1)
+    if antithetic and n_paths % 2:
+        _fail("$.n_paths", "antithetic pairing needs an even n_paths")
+    # one Philox stream per antithetic pair, and one mean-test sample each
+    n_streams = n_paths // 2 if antithetic else n_paths
+    if n_chunks > n_streams:
+        _fail("$.n_chunks", f"must be <= the stream count ({n_streams})")
+    if n_streams < 100:
+        _fail("$.n_paths", f"mean tests need at least 100 samples, got {n_streams}")
     confidence = _number(doc.get("confidence", 0.997), "$.confidence", strict_min=0.0)
     if confidence >= 1.0:
         _fail("$.confidence", "must be < 1")
@@ -410,6 +420,12 @@ def run_ito_scenario(doc, seed_override=None):
     explicit_checks = "checks" in doc
     checks = _checks_from_scenario(doc, ITO_CHECKS)
 
+    for name in checks:
+        # refuse the model before paying for its simulation
+        if name == "dual-submartingale":
+            require_not_failing(spec)
+        elif name == "dual-martingale-at-optimum" and explicit_checks:
+            require_provable(spec)
     if any(name != "regularity" for name in checks):
         # every Monte Carlo check reads this one simulation
         bundle = simulate_paths(
@@ -658,9 +674,7 @@ def main(argv=None) -> int:
             raise ScenarioError(f"$.kind: unknown kind {kind!r}")
         _emit(report, args)
         return 0 if report.all_passed else 1
-    except (ForwardPerfError, OSError, ValueError) as exc:
-        # ValueError: an input the engines refuse (odd antithetic path
-        # count, too many chunks, too few samples, a non-replicable gamma)
+    except (ForwardPerfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

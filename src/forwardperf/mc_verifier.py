@@ -204,15 +204,29 @@ def _fmt_t(bundle, i):
     return f"{bundle.grid[i]:g}"
 
 
-def _require_not_failing(spec, who):
+def require_not_failing(spec):
+    """Refuse a spec classified as violating the dual submartingale
+    property; return its regularity class otherwise. Callers may run this
+    before simulating, so a refused model costs no paths."""
     cls = regularity_class(spec)
     if cls == FAIL_ANALYTIC:
         raise RegularityError(
-            f"{who}: coefficient spec is classified as violating the dual "
-            "submartingale property (risk-aversion volatility with no "
-            "compensating shift volatility); refusing to certify it by MC"
+            "check_dual_submartingale: coefficient spec is classified as "
+            "violating the dual submartingale property (risk-aversion "
+            "volatility with no compensating shift volatility); refusing to "
+            "certify it by MC"
         )
     return cls
+
+
+def require_provable(spec):
+    """Refuse a spec outside the class where the dual is provably flat at
+    the optimum (constant risk aversion)."""
+    if regularity_class(spec) != PASS:
+        raise RegularityError(
+            "check_dual_martingale_at_optimum: equality at the optimum is only "
+            "asserted for specs with constant risk aversion (delta = 0)"
+        )
 
 
 def check_dual_submartingale(
@@ -231,7 +245,7 @@ def check_dual_submartingale(
     ``bundle`` and ``fields`` are the scenario's shared simulation (see
     the module docstring); the spec is ``bundle.spec``.
     """
-    cls = _require_not_failing(bundle.spec, "check_dual_submartingale")
+    cls = require_not_failing(bundle.spec)
     base_notes = ("unconditional consequence at grid times; conditional dominance not tested",)
     if cls != PASS:
         base_notes += ("regularity undetermined for this spec; statistical evidence only",)
@@ -291,11 +305,7 @@ def check_dual_martingale_at_optimum(
     every selected grid time; only run for specs in the provable class.
     Reads the scenario's shared ``bundle`` and ``fields``.
     """
-    if regularity_class(bundle.spec) != PASS:
-        raise RegularityError(
-            "check_dual_martingale_at_optimum: equality at the optimum is only "
-            "asserted for specs with constant risk aversion (delta = 0)"
-        )
+    require_provable(bundle.spec)
     gamma0, a0, antithetic = fields.gamma0, fields.a0, bundle.antithetic
     z = martingale_density(bundle, bundle.phi)
     idx = [i for i in _time_indices(bundle, time_indices) if i > 0]

@@ -242,52 +242,55 @@ def test_ito_explicit_optimum_outside_class_refused(tmp_path, capsys):
     assert "constant risk aversion" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before validating the scenario")
+
+    monkeypatch.setattr(cli, "simulate_paths", refuse)
+
+
 @pytest.mark.parametrize(
-    "overrides, json_path",
+    "overrides, json_path, message",
     [
-        ({"time_indices": [0, 999]}, "$.time_indices[1]"),
-        ({"confidence": 1.0}, "$.confidence"),
-        ({"eta_list": [1.0, -0.5]}, "$.eta_list[1]"),
+        ({"time_indices": [0, 999]}, "$.time_indices[1]", "must be <= n_steps"),
+        ({"confidence": 1.0}, "$.confidence", "must be < 1"),
+        ({"eta_list": [1.0, -0.5]}, "$.eta_list[1]", "nonnegative"),
+        ({"n_paths": 401}, "$.n_paths", "even n_paths"),
+        ({"n_chunks": 201}, "$.n_chunks", "stream count (200)"),
+        ({"n_paths": 150}, "$.n_paths", "at least 100 samples, got 75"),
     ],
 )
 def test_ito_bad_inputs_rejected_before_simulating(
-    tmp_path, capsys, monkeypatch, overrides, json_path
+    tmp_path, capsys, no_simulation, overrides, json_path, message
 ):
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("simulated before validating the scenario")
-
-    monkeypatch.setattr(cli, "simulate_paths", no_simulation)
     doc = ito_doc(checks=["regularity", "dual-submartingale"], **overrides)
     path = write_scenario(tmp_path, doc)
     assert main(["run", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {json_path}: ")
+    assert err.startswith(f"error: {json_path}: ") and message in err
+
+
+FAILING_MODEL = {"horizon": 1.0, "theta": 0.5, "delta": 0.2}
+UNDETERMINED_MODEL = {"horizon": 1.0, "theta": 0.5, "delta": 0.2, "phi": 0.3}
 
 
 @pytest.mark.parametrize(
-    "overrides, message",
+    "model, checks, message",
     [
-        ({"n_paths": 401}, "even n_paths"),
-        ({"n_chunks": 201}, "n_chunks must be in [1, 200]"),
-        ({"n_paths": 150}, "at least 100 samples"),
+        (FAILING_MODEL, None, "check_dual_submartingale: coefficient spec"),
+        (UNDETERMINED_MODEL, ["dual-martingale-at-optimum"], "constant risk aversion"),
     ],
 )
-def test_ito_refused_inputs_exit_2(tmp_path, capsys, overrides, message):
-    path = write_scenario(tmp_path, ito_doc(**overrides))
-    assert main(["run", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-
-
-def test_tree_non_replicable_gamma_exits_2(tmp_path, capsys):
-    doc = tree_doc(checks=["forward-supermartingale"])
-    doc["gamma"]["values"]["a"] = 2.0
-    zeros = {nid: 0.0 for nid in doc["gamma"]["values"]}
-    doc["a_shift"] = {"mode": "explicit", "values": zeros}
+def test_ito_refused_model_costs_no_simulation(
+    tmp_path, capsys, no_simulation, model, checks, message
+):
+    doc = ito_doc(checks=checks, model=model)
+    if checks is None:
+        del doc["checks"]
     path = write_scenario(tmp_path, doc)
     assert main(["run", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "inverse-gamma conditional mean" in err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("checks, n_sim", [(None, 1), (["regularity"], 0)])
