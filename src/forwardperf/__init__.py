@@ -87,6 +87,7 @@ from .tree_verifier import (
     EntropyResult,
     PrimalResult,
     ReplicationResult,
+    WindowDuals,
     check_exponential_conditions,
     check_forward_supermartingale,
     check_self_generation_dual,

@@ -42,6 +42,7 @@ from .mc_verifier import (
 from .report import CheckRecord, VerificationReport
 from .tree_market import EventTree, check_nflvr, validate_tree
 from .tree_verifier import (
+    WindowDuals,
     check_exponential_conditions,
     check_forward_supermartingale,
     check_self_generation_dual,
@@ -280,6 +281,8 @@ def run_tree_scenario(doc, base_dir="."):
     eta_grid = _number_list(eta_grid, "$.eta_grid")
     tol = _number(doc.get("tolerance", 1e-6), "$.tolerance", strict_min=0.0)
 
+    # each (t, T, eta) dual program is solved once for all checks
+    duals = WindowDuals(tree, field)
     report = VerificationReport()
     for name in checks:
         if name == "tree-structure":
@@ -290,18 +293,26 @@ def run_tree_scenario(doc, base_dir="."):
         elif name == "primal-self-generation":
             report.merge(check_self_generation_primal(tree, field, pairs, xi_grid, tol))
         elif name == "dual-self-generation":
-            report.merge(check_self_generation_dual(tree, field, pairs, eta_grid, tol))
+            report.merge(
+                check_self_generation_dual(tree, field, pairs, eta_grid, tol, duals=duals)
+            )
         elif name == "conjugacy":
             t1, t2 = pairs[0]
             report.merge(
-                check_value_conjugacy(tree, field, t1, t2, xi_grid, eta_grid, tol)
+                check_value_conjugacy(
+                    tree, field, t1, t2, xi_grid, eta_grid, tol, duals=duals
+                )
             )
         elif name == "exponential-conditions":
-            report.merge(check_exponential_conditions(tree, gamma, a_shift, pairs, tol))
+            report.merge(
+                check_exponential_conditions(tree, gamma, a_shift, pairs, tol, duals=duals)
+            )
         elif name == "forward-supermartingale":
             for (t1, t2) in pairs:
                 report.merge(
-                    check_forward_supermartingale(tree, gamma, a_shift, t1, t2, tol)
+                    check_forward_supermartingale(
+                        tree, gamma, a_shift, t1, t2, tol, duals=duals
+                    )
                 )
     return report
 

@@ -26,6 +26,10 @@ interior node; solved by the log-barrier Newton method in ``solvers``. The
 conditional entropy functional is this same program at eta = 1 (the
 splitting identity for the entropy kernel kills the extra term), which also
 drives the backward construction of the consistent additive shift.
+
+Conjugacy u(xi) = inf over eta of v(eta) + xi eta is the same program in the
+unnormalised masses s = eta r, without the unit-mass row, plus xi sum(s):
+one solve per start node and wealth, no search over eta.
 """
 
 from __future__ import annotations
@@ -123,20 +127,17 @@ def _window_leaves(tree, start, T):
     return leaves, p
 
 
-def _constraint_system(tree, start, T, leaves):
-    """Unit-mass row plus one martingale row per interior window node."""
+def _martingale_rows(tree, start, T, leaves):
+    """One homogeneous martingale row per interior window node: the price
+    move of each branch, on every leaf below it."""
+    interior = tree.window_interior(start, T)
     index = {w: i for i, w in enumerate(leaves)}
-    rows = [np.ones(len(leaves))]
-    for m in tree.window_interior(start, T):
-        row = np.zeros(len(leaves))
+    A = np.zeros((len(interior), len(leaves)))
+    for row, m in zip(A, interior):
         for br in tree.branches_of(m):
             for w in tree.descendants_at(br.child, T):
                 row[index[w]] = br.dprice
-        rows.append(row)
-    A = np.vstack(rows)
-    b = np.zeros(A.shape[0])
-    b[0] = 1.0
-    return A, b
+    return A
 
 
 def _interior_start(tree, start, T, leaves):
@@ -358,7 +359,9 @@ def primal_value(
 def _dual_solve_node(tree, start, T, eta, leaf_phi, gap_tol=1e-10, max_newton=200):
     """Minimize sum_w phi_w(r_w) over the window's leaf-mass polytope."""
     leaves, p = _window_leaves(tree, start, T)
-    A, b = _constraint_system(tree, start, T, leaves)
+    A = np.vstack([np.ones(len(leaves)), _martingale_rows(tree, start, T, leaves)])
+    b = np.zeros(A.shape[0])
+    b[0] = 1.0
     r0 = _interior_start(tree, start, T, leaves)
     phi = leaf_phi(leaves, p)
     r, _, info = barrier_minimize(phi, A, b, r0, gap_tol=gap_tol, max_newton=max_newton)
@@ -383,6 +386,54 @@ def _exp_phi_factory(field, eta):
         return phi
 
     return make
+
+
+def _ray_scale(phi, s):
+    """The c > 0 minimising sum(phi(c s)), for a sum of entropy kernels plus
+    linear terms: along the ray g(c s) = g(s) + log(c) h(s) s, so
+    log c = -(s . g) / (s . h s)."""
+    _, g, h = phi(s)
+    return math.exp(-float(s @ g) / float(s @ (h * s)))
+
+
+def _conjugate_solve_node(tree, field, start, T, xi_values, gap_tol=1e-10, max_newton=200):
+    """u(xi) = inf over eta of v(eta) + xi eta at one start, one program per xi.
+
+    In the unnormalised leaf masses s = eta r the two minimisations merge
+    (the perspective of the dual objective): the unit-mass row drops out,
+    the martingale rows become homogeneous, and the leaf objective is the
+    eta = 1 dual objective p h(s / (p gamma)) - s a / gamma plus xi s. u is
+    the optimal value. The attaining dual argument is the optimal sum(s),
+    taken as sum(s) times the ray scale at the optimum: the Newton stop
+    leaves sum(s) off to first order along the flat scaling direction (up
+    to 1e-6 relative), the ray minimiser only to second order in the
+    measure s / sum(s) when 1/gamma is replicable.
+
+    Each solve starts from the previous optimum (the first from
+    ``_interior_start``) moved to the best point of its ray, which is the
+    next optimum exactly when gamma is constant on the window's leaves.
+    near_boundary flags the measure s / sum(s) below 1e-7 on some leaf, as
+    ``dual_value`` does. Returns one (u, eta_hat, info, near_boundary) per
+    xi, with ``info`` from ``barrier_minimize``.
+    """
+    leaves, p = _window_leaves(tree, start, T)
+    A = _martingale_rows(tree, start, T, leaves)
+    b = np.zeros(A.shape[0])
+    s = _interior_start(tree, start, T, leaves)
+    unit = _exp_phi_factory(field, 1.0)(leaves, p)
+    out = []
+    for x in xi_values:
+
+        def phi(s, x=x):
+            v, g, h = unit(s)
+            return v + x * s, g + x, h
+
+        s0 = s * _ray_scale(phi, s)
+        s, _, info = barrier_minimize(phi, A, b, s0, gap_tol=gap_tol, max_newton=max_newton)
+        mass = float(np.sum(s))
+        value = float(np.sum(phi(s)[0]))
+        out.append((value, mass * _ray_scale(phi, s), info, bool(np.min(s) < 1e-7 * mass)))
+    return out
 
 
 def _slice_phi_factory(slices, eta, foc_tol=1e-12):
@@ -471,6 +522,45 @@ def dual_value(
     return result
 
 
+class WindowDuals:
+    """``dual_value`` of one tree and field per (t, T, eta), each solved once.
+
+    The checks of one scenario probe the same windows at the same dual
+    arguments: the dual self-generation grid, the conjugacy eta grid, and
+    the eta = 1 entropy minimiser of the exponential-condition and forward
+    checks. Passing one instance to each of them shares those solves; the
+    results are the ones a fresh ``dual_value`` call returns.
+    """
+
+    def __init__(self, tree: EventTree, field: ExponentialFieldParams):
+        self.tree = tree
+        self.field = field
+        self._solved: dict[tuple[int, int, float], DualResult] = {}
+
+    def __call__(self, eta: float, t: int, T: int) -> DualResult:
+        key = (t, T, float(eta))
+        if key not in self._solved:
+            self._solved[key] = dual_value(self.tree, self.field, key[2], t, T)
+        return self._solved[key]
+
+    def require(self, tree, gamma, a_shift):
+        """Raise unless these duals were solved on ``tree`` for (gamma, a_shift)."""
+        if (
+            self.tree is not tree
+            or self.field.gamma != dict(gamma)
+            or self.field.a_shift != dict(a_shift)
+        ):
+            raise ValueError("window duals were solved for another tree or field")
+
+
+def _window_duals(duals, tree, field):
+    """The given shared duals, checked against (tree, field), or fresh ones."""
+    if duals is None:
+        return WindowDuals(tree, field)
+    duals.require(tree, field.gamma, field.a_shift)
+    return duals
+
+
 # -- entropy -------------------------------------------------------------
 
 
@@ -521,22 +611,29 @@ def min_entropy(
     t: int = 0,
     T: int | None = None,
     gap_tol: float = 1e-10,
+    duals: WindowDuals | None = None,
 ) -> EntropyResult:
     """Minimal conditional entropy over the measure polytope, with minimizer.
 
     This is the dual program at unit dual argument: the splitting identity
     entropy_kernel(a b) = a*entropy_kernel(b) + b*entropy_kernel(a) + a*b
     makes the terminal dual expectation at eta = 1 equal to the entropy.
+    Given ``duals`` of the field (gamma, a_shift), the eta = 1 program is
+    read from them (solved there at the default ``gap_tol``).
     """
     if T is None:
         T = tree.horizon
     starts = tree.nodes_at(t)
     _check_terminal_gamma(tree, gamma, starts, T)
-    field = ExponentialFieldParams(
-        gamma={n: gamma[n] for n in gamma},
-        a_shift={n: a_shift.get(n, 0.0) for n in gamma},
-    )
-    dual = dual_value(tree, field, 1.0, t, T, gap_tol=gap_tol)
+    if duals is not None:
+        duals.require(tree, gamma, a_shift)
+        dual = duals(1.0, t, T)
+    else:
+        field = ExponentialFieldParams(
+            gamma={n: gamma[n] for n in gamma},
+            a_shift={n: a_shift.get(n, 0.0) for n in gamma},
+        )
+        dual = dual_value(tree, field, 1.0, t, T, gap_tol=gap_tol)
     return EntropyResult(t=t, T=T, values=dict(dual.values), minimizer=dict(dual.minimizer))
 
 
@@ -657,13 +754,16 @@ def check_self_generation_dual(
     time_pairs,
     eta_grid,
     tol: float = 1e-6,
+    duals: WindowDuals | None = None,
 ) -> VerificationReport:
     """Per (t, T) and per eta: does the dual value reproduce the dual slice.
 
     Gaps are reported in shift units via the implied shift
     a_implied = (gamma/eta) (entropy_kernel(eta/gamma) - v), so a root
-    perturbation of the field shows up at exactly its own size.
+    perturbation of the field shows up at exactly its own size. ``duals``
+    shares the dual solves with the other checks of a scenario.
     """
+    duals = _window_duals(duals, tree, field)
     report = VerificationReport()
     overall_gap = 0.0
     overall_node = None
@@ -672,7 +772,7 @@ def check_self_generation_dual(
         value_gap = 0.0
         for e in eta_grid:
             e = float(e)
-            res = dual_value(tree, field, e, t, T)
+            res = duals(e, t, T)
             for n in tree.nodes_at(t):
                 g = field.gamma[n]
                 v = res.values[n]
@@ -709,10 +809,10 @@ def check_self_generation_dual(
     return report
 
 
-def _refined_min(f, pts, tol, positive_domain=False, max_expand=120):
+def _refined_min(f, pts, tol, max_expand=120):
     """Min of f seeded by a grid: golden-section between the argmin's
-    neighbors, first walking downhill past a boundary argmin (halving
-    toward zero on a positive domain, doubling steps otherwise)."""
+    neighbors, first walking downhill past a boundary argmin in doubling
+    steps."""
     vals = [f(p) for p in pts]
     i = int(np.argmin(vals))
     if 0 < i < len(pts) - 1:
@@ -722,10 +822,6 @@ def _refined_min(f, pts, tol, positive_domain=False, max_expand=120):
             inner = pts[i - 1] if len(pts) > 1 else pts[i] - 1.0
             step = max(pts[i] - inner, 1.0)
             advance = lambda x, s: (x + s, s * 2.0)
-        elif positive_domain:
-            inner = pts[1] if len(pts) > 1 else 2.0 * pts[0]
-            advance = lambda x, s: (x / 2.0, s)
-            step = 0.0
         else:
             inner = pts[1] if len(pts) > 1 else pts[0] + 1.0
             step = max(inner - pts[0], 1.0)
@@ -757,14 +853,28 @@ def check_value_conjugacy(
     xi_grid,
     eta_grid,
     tol: float = 1e-6,
+    duals: WindowDuals | None = None,
 ) -> VerificationReport:
     """Fenchel conjugacy between the computed value fields.
 
-    Per node: u(xi) against min over eta of (v(eta) + xi eta), and v(eta)
-    against max over xi of (u(xi) - xi eta), each refined from its grid by
-    golden-section around the best grid point (expanding past the grid
-    when the optimizer falls outside it). Also records the attaining dual
-    argument at the first grid wealth.
+    Per start node, both directions against the closed-form primal u of
+    the exponential fast path:
+
+    - primal from dual: u(xi) against inf over eta > 0 of (v(eta) + xi eta),
+      solved per xi as one joint barrier program over the unnormalised
+      leaf masses s = eta r (``_conjugate_solve_node``), with no search
+      over eta. The record carries the attaining dual argument eta_hat at
+      the first grid wealth and, worst over the xi grid, the joint solve's
+      Newton iterations, KKT residual (gap bound plus equality residual)
+      and near-boundary flag (the attaining measure s / sum(s) below 1e-7
+      on some leaf).
+    - dual from primal: v(eta) on the eta grid against max over xi of
+      (u(xi) - xi eta), refined from the xi grid by golden-section around
+      the best grid point (expanding past the grid when the maximiser
+      falls outside it).
+
+    ``duals`` shares the eta-grid dual solves with the other checks of a
+    scenario.
     """
     xi_grid = [float(x) for x in xi_grid]
     eta_grid = sorted(float(e) for e in eta_grid)
@@ -782,31 +892,28 @@ def check_value_conjugacy(
     def u_of(n, x):
         return -math.exp(-field.gamma[n] * x) * math.exp(base.log_factor[n])
 
-    v_cache: dict[float, DualResult] = {}
-
-    def v_of(n, e):
-        if e not in v_cache:
-            v_cache[e] = dual_value(tree, field, e, t, T)
-        return v_cache[e].values[n]
-
+    duals = _window_duals(duals, tree, field)
     worst_primal = 0.0
     worst_dual = 0.0
     worst_node = None
     eta_hat: dict[str, float] = {}
+    newton: dict[str, int] = {}
+    kkt: dict[str, float] = {}
+    near: dict[str, bool] = {}
     for n in starts:
-        for i_x, x in enumerate(xi_grid):
-            cand, e_best = _refined_min(
-                lambda e: v_of(n, e) + x * e, eta_grid, tol, positive_domain=True
-            )
+        solves = _conjugate_solve_node(tree, field, n, T, xi_grid)
+        for x, (cand, _, _, _) in zip(xi_grid, solves):
             gap = abs(cand - u_of(n, x))
             if gap > worst_primal:
                 worst_primal, worst_node = gap, n
-            if i_x == 0:
-                eta_hat[n] = e_best
+        eta_hat[n] = solves[0][1]
+        newton[n] = max(info["newton_iterations"] for _, _, info, _ in solves)
+        kkt[n] = max(info["gap_bound"] + info["eq_residual"] for _, _, info, _ in solves)
+        near[n] = any(flag for _, _, _, flag in solves)
         xs = sorted(xi_grid)
         for e in eta_grid:
             neg_best, _ = _refined_min(lambda x: -(u_of(n, x) - x * e), xs, tol)
-            gap = abs(-neg_best - v_of(n, e))
+            gap = abs(-neg_best - duals(e, t, T).values[n])
             worst_dual = max(worst_dual, gap)
     report.add(
         CheckRecord(
@@ -816,7 +923,12 @@ def check_value_conjugacy(
             target=0.0,
             tolerance=tol,
             worst_node=worst_node,
-            details={"eta_hat": eta_hat},
+            details={
+                "eta_hat": eta_hat,
+                "newton_iterations": newton,
+                "kkt_residual": kkt,
+                "near_boundary": near,
+            },
         )
     )
     report.add(
@@ -855,6 +967,7 @@ def check_exponential_conditions(
     a_shift: Mapping[str, float],
     time_pairs,
     tol: float = 1e-6,
+    duals: WindowDuals | None = None,
 ) -> VerificationReport:
     """The three-way characterization for exponential fields.
 
@@ -867,6 +980,7 @@ def check_exponential_conditions(
     conditional means of 1/gamma_T over them come from one backward
     recursion over the one-step vertex sets (``_inverse_gamma_range``), and
     the gap at a start is the larger distance of either from 1/gamma there.
+    ``duals`` of the field (gamma, a_shift) supplies the entropy minima.
     """
     report = VerificationReport()
 
@@ -906,7 +1020,7 @@ def check_exponential_conditions(
         if gap_b > worst_b:
             worst_b, worst_b_node = gap_b, node_b
 
-        ent = min_entropy(tree, gamma, a_shift, t, T)
+        ent = min_entropy(tree, gamma, a_shift, t, T, duals=duals)
         gap_c = 0.0
         node_c = None
         for n in tree.nodes_at(t):
@@ -999,6 +1113,7 @@ def check_forward_supermartingale(
     t: int = 0,
     T: int | None = None,
     tol: float = 1e-6,
+    duals: WindowDuals | None = None,
 ) -> VerificationReport:
     """Forward-measure drift of the shifted log density.
 
@@ -1023,7 +1138,8 @@ def check_forward_supermartingale(
         D(m) = max over v of sum_c q~_c (D(c) - log(q~_c / p_c)),
 
     with D(m) - a_m the worst drift at m; the record takes the largest over
-    the charged nodes.
+    the charged nodes. ``duals`` of the field (gamma, a_shift) supplies the
+    entropy minimiser.
     """
     if T is None:
         T = tree.horizon
@@ -1102,7 +1218,7 @@ def check_forward_supermartingale(
         )
     )
 
-    ent = min_entropy(tree, gamma, a_shift, t, T)
+    ent = min_entropy(tree, gamma, a_shift, t, T, duals=duals)
     worst_eq = 0.0
     worst_eq_node = None
     for start in tree.nodes_at(t):

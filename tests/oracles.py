@@ -1,10 +1,12 @@
 """Independent oracles for cross-checking the package's solvers.
 
-Nothing here imports the package's DP, convex-program or vertex-recursion
+Nothing here imports the package's DP, vertex-recursion or joint conjugacy
 code paths: values come from closed forms, scipy one-dimensional
-minimization, a direct joint optimization over all node portfolios, or
-brute force over every product measure of a window. Deliberate duplication
--- an oracle that shares code with the implementation checks nothing.
+minimization, a direct joint optimization over all node portfolios, brute
+force over every product measure of a window, or (for conjugacy) a
+one-dimensional search over the per-eta dual program. Deliberate
+duplication -- an oracle that shares code with the implementation checks
+nothing.
 """
 
 import math
@@ -12,6 +14,8 @@ import math
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
+from forwardperf.errors import ConvergenceError
+from forwardperf.solvers import golden_section_min
 from forwardperf.tree_market import (
     _feasible_map,
     _restricted_vertices,
@@ -19,6 +23,7 @@ from forwardperf.tree_market import (
     enumerate_product_measures,
     measure_from_leaf_masses,
 )
+from forwardperf.tree_verifier import dual_value
 
 
 def h(y):
@@ -146,6 +151,68 @@ def joint_primal(tree, gamma, a_shift, xi, T=None):
         options={"gtol": 1e-12, "maxiter": 500},
     )
     return -float(res.fun), {n: float(res.x[index[n]]) for n in interior}
+
+
+def _search_positive(f, pts, tol, max_expand=120):
+    """Min of f over eta > 0 seeded by the sorted grid pts: golden-section
+    between the argmin's neighbours, first walking downhill past a boundary
+    argmin (halving toward zero below the grid, doubling steps above it).
+    Returns (min, argmin)."""
+    vals = [f(p) for p in pts]
+    i = int(np.argmin(vals))
+    if 0 < i < len(pts) - 1:
+        lo, hi = pts[i - 1], pts[i + 1]
+    else:
+        if i == len(pts) - 1:
+            inner = pts[i - 1] if len(pts) > 1 else pts[i] - 1.0
+            step = max(pts[i] - inner, 1.0)
+            advance = lambda x, s: (x + s, s * 2.0)
+        else:
+            inner = pts[1] if len(pts) > 1 else 2.0 * pts[0]
+            advance = lambda x, s: (x / 2.0, s)
+            step = 0.0
+        a, b, fb = inner, pts[i], vals[i]
+        c, step = advance(b, step)
+        fc = f(c)
+        for _ in range(max_expand):
+            if fc > fb:
+                break
+            a, b, fb = b, c, fc
+            c, step = advance(c, step)
+            fc = f(c)
+        else:
+            raise ConvergenceError("eta search found no bracket")
+        lo, hi = min(a, c), max(a, c)
+    x_best, f_best = golden_section_min(f, lo, hi, tol=tol * (1.0 + abs(lo) + abs(hi)))
+    if vals[i] < f_best:
+        return vals[i], pts[i]
+    return f_best, x_best
+
+
+def conjugate_primal_by_eta_search(tree, field, t, T, xi_grid, eta_grid, tol=1e-6):
+    """u(xi) = inf over eta > 0 of v(eta) + xi eta, by a search over eta.
+
+    Every probe is a full ``dual_value`` solve at one eta (cached per eta),
+    refined from the eta grid by golden-section with span tolerance tol,
+    so the attaining eta is only known to about tol relative. This is the
+    route ``check_value_conjugacy`` took before its joint program. Returns,
+    per time-t node, one (u, eta_hat) per xi.
+    """
+    eta_grid = sorted(float(e) for e in eta_grid)
+    cache = {}
+
+    def v(n, e):
+        if e not in cache:
+            cache[e] = dual_value(tree, field, e, t, T)
+        return cache[e].values[n]
+
+    return {
+        n: [
+            _search_positive(lambda e: v(n, e) + float(x) * e, eta_grid, tol)
+            for x in xi_grid
+        ]
+        for n in tree.nodes_at(t)
+    }
 
 
 # -- brute force over the product measures of a window --------------------

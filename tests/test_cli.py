@@ -11,6 +11,7 @@ import pytest
 
 import forwardperf
 import forwardperf.cli as cli
+import forwardperf.tree_verifier as tree_verifier
 from forwardperf.cli import main, run_ito_scenario
 from treegen import two_period_tree
 
@@ -103,6 +104,38 @@ def test_tree_scenario_check_subset(tmp_path, capsys):
         "tree-price-increments-finite",
         "nflvr",
     }
+
+
+def test_tree_scenario_solves_each_window_dual_once(monkeypatch):
+    calls = []
+    original = tree_verifier.dual_value
+
+    def counted(tree, field, eta, t=0, T=None, **kwargs):
+        calls.append((t, T, float(eta)))
+        return original(tree, field, eta, t, T, **kwargs)
+
+    monkeypatch.setattr(tree_verifier, "dual_value", counted)
+    report = cli.run_tree_scenario(tree_doc())
+    assert report.all_passed, report.to_text()
+    # solve_entropy_shift's two eta = 1 programs to the horizon, then each
+    # of the 3 windows at each of the 5 grid etas once: the entropy minima
+    # of the exponential-condition and forward checks and the conjugacy eta
+    # grid are among them
+    assert calls[:2] == [(1, 2, 1.0), (0, 2, 1.0)]
+    assert sorted(calls[2:]) == sorted(
+        (t, T, eta) for (t, T) in ((0, 1), (0, 2), (1, 2)) for eta in (0.25, 0.5, 1.0, 2.0, 4.0)
+    )
+
+
+@pytest.mark.parametrize("offsets", [None, {"r": 0.1}])
+def test_tree_scenario_shared_duals_match_fresh_checks(monkeypatch, offsets):
+    doc = tree_doc()
+    if offsets is not None:
+        doc["a_shift"]["offsets"] = offsets
+    shared = cli.run_tree_scenario(doc).to_json()
+    # without shared duals every check solves its own programs
+    monkeypatch.setattr(cli, "WindowDuals", lambda tree, field: None)
+    assert cli.run_tree_scenario(doc).to_json() == shared
 
 
 def test_tree_file_reference(tmp_path, capsys):

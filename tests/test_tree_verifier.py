@@ -17,6 +17,7 @@ from forwardperf.tree_market import (
     reference_measure,
 )
 from forwardperf.tree_verifier import (
+    WindowDuals,
     check_exponential_conditions,
     check_forward_supermartingale,
     check_self_generation_dual,
@@ -37,6 +38,7 @@ from treegen import (
     replicable_gamma,
     solved_field,
     starved_tree,
+    suite_shaped_tree,
     trinomial_tree,
     two_period_tree,
     uniform_trinomial_tree,
@@ -463,6 +465,130 @@ def test_conjugacy_requires_fast_path():
     field = ExponentialFieldParams(gamma=gamma, a_shift=const_map(tree, 0.0))
     with pytest.raises(ValueError, match="fast path"):
         check_value_conjugacy(tree, field, 0, 1, [0.0], [1.0])
+
+
+# The conjugacy cases: the 50 trees of the acceptance criterion-3 suite with
+# its grids, solved, and every fifth with the root shift bumped (the check
+# never reads the root shift, so more bumped trees would repeat the solved
+# ones); trees in the shape of the tree-suite benchmark (default scenario
+# grids, a one-start and a three-start window); four-period random trees.
+SCENARIO_XI = [-2.0, -0.5, 0.0, 0.5, 2.0]
+SCENARIO_ETA = [0.25, 0.5, 1.0, 2.0, 4.0]
+CONJUGACY_CASES = [
+    *(("crit3-solved", seed) for seed in range(50)),
+    *(("crit3-bumped", seed) for seed in range(0, 50, 5)),
+    *((kind, seed) for seed in range(3) for kind in ("suite-root", "suite-t1")),
+    ("depth4", 1),
+    ("depth4", 2),
+]
+
+
+def conjugacy_case(kind, seed):
+    """(tree, field, window, xi grid, eta grid) for one conjugacy case."""
+    if kind.startswith("crit3"):
+        tree = random_tree(seed)
+        field = solved_field(tree, seed)
+        if kind == "crit3-bumped":
+            field = field.with_offsets({"r": 0.1})
+        return tree, field, (0, 2), [-1.0, 0.0, 1.0], [0.5, 1.0, 2.0]
+    if kind.startswith("suite"):
+        tree = suite_shaped_tree(seed)
+        window = (0, 1) if kind == "suite-root" else (1, 2)
+        return tree, solved_field(tree, seed), window, SCENARIO_XI, SCENARIO_ETA
+    tree = random_tree(seed, periods=4)
+    return tree, solved_field(tree, seed), (0, 4), SCENARIO_XI, SCENARIO_ETA
+
+
+@pytest.mark.parametrize("kind,seed", CONJUGACY_CASES)
+def test_conjugacy_joint_solve_matches_eta_search(kind, seed):
+    tree, field, (t, T), xi_grid, eta_grid = conjugacy_case(kind, seed)
+    tol = 1e-6
+    rep = check_value_conjugacy(tree, field, t, T, xi_grid, eta_grid, tol)
+    rec = rep[f"conjugacy-primal-from-dual[t={t},T={T}]"]
+    log_factor = primal_value(tree, field, 0.0, t, T).log_factor
+    searched = oracles.conjugate_primal_by_eta_search(tree, field, t, T, xi_grid, eta_grid, tol)
+    oracle_gap = max(
+        abs(u + math.exp(-field.gamma[n] * x + log_factor[n]))
+        for n, sols in searched.items()
+        for x, (u, _) in zip(xi_grid, sols)
+    )
+    assert rec.verdict == (oracle_gap <= tol)
+    assert rec.value <= tol and oracle_gap <= tol
+    assert set(rec.details["eta_hat"]) == set(searched)
+    for n, sols in searched.items():
+        assert rec.details["eta_hat"][n] == pytest.approx(sols[0][1], rel=1e-4)
+
+
+@pytest.mark.parametrize("xi", [-2.0, -0.5, 0.0, 0.7, 2.0])
+def test_conjugacy_eta_hat_is_primal_marginal(xi):
+    # on a solved field u(xi) = -exp(-gamma xi + a) at every start, so the
+    # attaining dual argument is u'(xi) = gamma exp(-gamma xi + a)
+    for tree, (t, T), seed in (
+        (two_period_tree(), (0, 2), 24),
+        (suite_shaped_tree(5), (1, 2), 5),
+        (random_tree(3, periods=3), (0, 3), 3),
+    ):
+        field = solved_field(tree, seed)
+        rep = check_value_conjugacy(tree, field, t, T, [xi], [0.5, 1.0, 2.0])
+        eta_hat = rep[f"conjugacy-primal-from-dual[t={t},T={T}]"].details["eta_hat"]
+        assert set(eta_hat) == set(tree.nodes_at(t))
+        for n, e in eta_hat.items():
+            g, a = field.gamma[n], field.a_shift[n]
+            assert e == pytest.approx(g * math.exp(-g * xi + a), rel=1e-8)
+
+
+def test_conjugacy_eta_hat_tight_pins():
+    tree = binomial_tree()
+    gamma = const_map(tree, 1.0)
+    field = ExponentialFieldParams(gamma=gamma, a_shift=solve_entropy_shift(tree, gamma, 0.0))
+    rep = check_value_conjugacy(tree, field, 0, 1, [0.0], [0.5, 1.0, 2.0])
+    assert rep["conjugacy-primal-from-dual[t=0,T=1]"].details["eta_hat"]["r"] == pytest.approx(
+        0.8, rel=1e-8
+    )
+    tree = uniform_trinomial_tree()
+    rep = check_value_conjugacy(tree, constant_field(tree), 0, 1, [0.0], [0.5, 1.0, 2.0])
+    assert rep["conjugacy-primal-from-dual[t=0,T=1]"].details["eta_hat"]["r"] == pytest.approx(
+        1.0, rel=1e-8
+    )
+
+
+def test_conjugacy_joint_solve_evidence():
+    tree = two_period_tree()
+    field = solved_field(tree, seed=23)
+    rep = check_value_conjugacy(tree, field, 1, 2, SCENARIO_XI, [0.5, 1.0, 2.0])
+    details = rep["conjugacy-primal-from-dual[t=1,T=2]"].details
+    for n in tree.nodes_at(1):
+        assert isinstance(details["newton_iterations"][n], int)
+        assert 1 <= details["newton_iterations"][n] < 200
+        assert 0.0 < details["kkt_residual"][n] <= 1e-9
+        assert details["near_boundary"][n] is False
+    # a very negative shift on the middle leaf starves it: the attaining
+    # measure puts about e^-20 there, at the polytope boundary
+    tree = uniform_trinomial_tree()
+    field = ExponentialFieldParams(
+        gamma=const_map(tree, 1.0),
+        a_shift={"r": 0.0, "u": 0.0, "m": -20.0, "d": 0.0},
+    )
+    rep = check_value_conjugacy(tree, field, 0, 1, [0.0], [1.0])
+    assert rep.all_passed, rep.to_text()
+    assert rep["conjugacy-primal-from-dual[t=0,T=1]"].details["near_boundary"]["r"] is True
+
+
+def test_window_duals_share_and_refuse_another_field():
+    tree = two_period_tree()
+    field = solved_field(tree, seed=23)
+    duals = WindowDuals(tree, field)
+    assert duals(1.0, 0, 2) is duals(1, 0, 2)
+    assert duals(2.0, 0, 2).values == dual_value(tree, field, 2.0, 0, 2).values
+    ent = min_entropy(tree, field.gamma, field.a_shift, 0, 2, duals=duals)
+    assert ent.values == duals(1.0, 0, 2).values
+    bumped = field.with_offsets({"a1": 0.1})
+    with pytest.raises(ValueError, match="another tree or field"):
+        check_self_generation_dual(tree, bumped, [(0, 2)], [1.0], duals=duals)
+    with pytest.raises(ValueError, match="another tree or field"):
+        min_entropy(tree, bumped.gamma, bumped.a_shift, 0, 2, duals=duals)
+    with pytest.raises(ValueError, match="another tree or field"):
+        check_value_conjugacy(two_period_tree(), field, 0, 2, [0.0], [1.0], duals=duals)
 
 
 def test_weak_duality_any_field():

@@ -124,8 +124,12 @@ def starved_tree():
     )
 
 
-def random_tree(seed, periods=2, max_branching=3):
-    """Random tree, <= max_branching branches, both-sign increments per node."""
+def random_tree(seed, periods=2, max_branching=3, branching=None):
+    """Random tree, <= max_branching branches, both-sign increments per node.
+
+    ``branching(t, path)``, with ``path`` the branch indices from the root,
+    fixes the branch counts instead: a fixed shape with random values.
+    """
     rng = np.random.default_rng(seed)
     nodes = []
     counter = [0]
@@ -134,11 +138,14 @@ def random_tree(seed, periods=2, max_branching=3):
         counter[0] += 1
         return f"n{counter[0]}"
 
-    def grow(nid, t):
+    def grow(nid, t, path):
         if t == periods:
             nodes.append({"id": nid, "time": t, "branches": []})
             return
-        k = int(rng.integers(2, max_branching + 1))
+        if branching is None:
+            k = int(rng.integers(2, max_branching + 1))
+        else:
+            k = branching(t, path)
         # one strictly negative, one strictly positive, rest anywhere
         d = [-float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0))]
         for _ in range(k - 2):
@@ -153,11 +160,16 @@ def random_tree(seed, periods=2, max_branching=3):
             kids.append(cid)
             branches.append({"child": cid, "prob": float(p[j]), "dprice": d[j]})
         nodes.append({"id": nid, "time": t, "branches": branches})
-        for cid in kids:
-            grow(cid, t + 1)
+        for j, cid in enumerate(kids):
+            grow(cid, t + 1, path + (j,))
 
-    grow("r", 0)
+    grow("r", 0, ())
     return EventTree.from_dict({"horizon": periods, "nodes": nodes})
+
+
+def suite_shaped_tree(seed):
+    """Depth 2 in one fixed shape: three root branches, then 2, 3 and 2."""
+    return random_tree(seed, branching=lambda t, path: 3 if t == 0 else (2, 3, 2)[path[0]])
 
 
 def replicable_gamma(tree, seed, gamma0=None):
