@@ -391,12 +391,15 @@ def _exp_phi_factory(field, eta):
 def _ray_scale(phi, s):
     """The c > 0 minimising sum(phi(c s)), for a sum of entropy kernels plus
     linear terms: along the ray g(c s) = g(s) + log(c) h(s) s, so
-    log c = -(s . g) / (s . h s)."""
+    log c = -(s . g) / (s . h s). Overflows to inf and underflows to 0."""
     _, g, h = phi(s)
-    return math.exp(-float(s @ g) / float(s @ (h * s)))
+    try:
+        return math.exp(-float(s @ g) / float(s @ (h * s)))
+    except OverflowError:
+        return math.inf
 
 
-def _conjugate_solve_node(tree, field, start, T, xi_values, gap_tol=1e-10, max_newton=200):
+def _conjugate_solve_node(tree, field, start, T, xi_values):
     """u(xi) = inf over eta of v(eta) + xi eta at one start, one program per xi.
 
     In the unnormalised leaf masses s = eta r the two minimisations merge
@@ -414,7 +417,10 @@ def _conjugate_solve_node(tree, field, start, T, xi_values, gap_tol=1e-10, max_n
     next optimum exactly when gamma is constant on the window's leaves.
     near_boundary flags the measure s / sum(s) below 1e-7 on some leaf, as
     ``dual_value`` does. Returns one (u, eta_hat, info, near_boundary) per
-    xi, with ``info`` from ``barrier_minimize``.
+    xi, with ``info`` from ``barrier_minimize``. Raises ConvergenceError
+    when the start of a solve, or the objective there, leaves the float
+    range (the optimal eta is about exp(-gamma xi), so |gamma xi| of a few
+    hundred).
     """
     leaves, p = _window_leaves(tree, start, T)
     A = _martingale_rows(tree, start, T, leaves)
@@ -428,8 +434,15 @@ def _conjugate_solve_node(tree, field, start, T, xi_values, gap_tol=1e-10, max_n
             v, g, h = unit(s)
             return v + x * s, g + x, h
 
-        s0 = s * _ray_scale(phi, s)
-        s, _, info = barrier_minimize(phi, A, b, s0, gap_tol=gap_tol, max_newton=max_newton)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s0 = s * _ray_scale(phi, s)
+            representable = np.all(s0 > 0.0) and all(np.all(np.isfinite(a)) for a in phi(s0))
+        if not representable:
+            raise ConvergenceError(
+                f"conjugacy at xi = {x:g}: the optimal dual argument at node {start!r} "
+                "is outside the float range"
+            )
+        s, _, info = barrier_minimize(phi, A, b, s0)
         mass = float(np.sum(s))
         value = float(np.sum(phi(s)[0]))
         out.append((value, mass * _ray_scale(phi, s), info, bool(np.min(s) < 1e-7 * mass)))
@@ -543,21 +556,17 @@ class WindowDuals:
             self._solved[key] = dual_value(self.tree, self.field, key[2], t, T)
         return self._solved[key]
 
-    def require(self, tree, gamma, a_shift):
-        """Raise unless these duals were solved on ``tree`` for (gamma, a_shift)."""
-        if (
-            self.tree is not tree
-            or self.field.gamma != dict(gamma)
-            or self.field.a_shift != dict(a_shift)
-        ):
-            raise ValueError("window duals were solved for another tree or field")
-
 
 def _window_duals(duals, tree, field):
     """The given shared duals, checked against (tree, field), or fresh ones."""
     if duals is None:
         return WindowDuals(tree, field)
-    duals.require(tree, field.gamma, field.a_shift)
+    if (
+        duals.tree is not tree
+        or duals.field.gamma != field.gamma
+        or duals.field.a_shift != field.a_shift
+    ):
+        raise ValueError("window duals were solved for another tree or field")
     return duals
 
 
@@ -611,29 +620,22 @@ def min_entropy(
     t: int = 0,
     T: int | None = None,
     gap_tol: float = 1e-10,
-    duals: WindowDuals | None = None,
 ) -> EntropyResult:
     """Minimal conditional entropy over the measure polytope, with minimizer.
 
     This is the dual program at unit dual argument: the splitting identity
     entropy_kernel(a b) = a*entropy_kernel(b) + b*entropy_kernel(a) + a*b
     makes the terminal dual expectation at eta = 1 equal to the entropy.
-    Given ``duals`` of the field (gamma, a_shift), the eta = 1 program is
-    read from them (solved there at the default ``gap_tol``).
     """
     if T is None:
         T = tree.horizon
     starts = tree.nodes_at(t)
     _check_terminal_gamma(tree, gamma, starts, T)
-    if duals is not None:
-        duals.require(tree, gamma, a_shift)
-        dual = duals(1.0, t, T)
-    else:
-        field = ExponentialFieldParams(
-            gamma={n: gamma[n] for n in gamma},
-            a_shift={n: a_shift.get(n, 0.0) for n in gamma},
-        )
-        dual = dual_value(tree, field, 1.0, t, T, gap_tol=gap_tol)
+    field = ExponentialFieldParams(
+        gamma={n: gamma[n] for n in gamma},
+        a_shift={n: a_shift.get(n, 0.0) for n in gamma},
+    )
+    dual = dual_value(tree, field, 1.0, t, T, gap_tol=gap_tol)
     return EntropyResult(t=t, T=T, values=dict(dual.values), minimizer=dict(dual.minimizer))
 
 
@@ -980,7 +982,8 @@ def check_exponential_conditions(
     conditional means of 1/gamma_T over them come from one backward
     recursion over the one-step vertex sets (``_inverse_gamma_range``), and
     the gap at a start is the larger distance of either from 1/gamma there.
-    ``duals`` of the field (gamma, a_shift) supplies the entropy minima.
+    The entropy minima are the eta = 1 window duals of the field (gamma,
+    a_shift), read from ``duals`` when given.
     """
     report = VerificationReport()
 
@@ -996,6 +999,10 @@ def check_exponential_conditions(
         )
     )
 
+    # without time pairs no field is built, so a non-positive gamma only
+    # fails the positivity record
+    if time_pairs:
+        duals = _window_duals(duals, tree, ExponentialFieldParams(gamma, a_shift))
     worst_b = 0.0
     worst_b_node = None
     worst_c = 0.0
@@ -1020,7 +1027,7 @@ def check_exponential_conditions(
         if gap_b > worst_b:
             worst_b, worst_b_node = gap_b, node_b
 
-        ent = min_entropy(tree, gamma, a_shift, t, T, duals=duals)
+        ent = duals(1.0, t, T)
         gap_c = 0.0
         node_c = None
         for n in tree.nodes_at(t):
@@ -1138,8 +1145,8 @@ def check_forward_supermartingale(
         D(m) = max over v of sum_c q~_c (D(c) - log(q~_c / p_c)),
 
     with D(m) - a_m the worst drift at m; the record takes the largest over
-    the charged nodes. ``duals`` of the field (gamma, a_shift) supplies the
-    entropy minimiser.
+    the charged nodes. The entropy minimiser is the eta = 1 window dual of
+    the field (gamma, a_shift), read from ``duals`` when given.
     """
     if T is None:
         T = tree.horizon
@@ -1218,7 +1225,8 @@ def check_forward_supermartingale(
         )
     )
 
-    ent = min_entropy(tree, gamma, a_shift, t, T, duals=duals)
+    field = ExponentialFieldParams(gamma, a_shift)
+    ent = _window_duals(duals, tree, field)(1.0, t, T)
     worst_eq = 0.0
     worst_eq_node = None
     for start in tree.nodes_at(t):

@@ -138,6 +138,13 @@ def test_tree_scenario_shared_duals_match_fresh_checks(monkeypatch, offsets):
     assert cli.run_tree_scenario(doc).to_json() == shared
 
 
+def test_tree_scenario_refuses_xi_beyond_float_range(tmp_path, capsys):
+    # at xi = 1000 the optimal dual argument underflows: exit 2, no traceback
+    path = write_scenario(tmp_path, tree_doc(xi_grid=[1000.0], checks=["conjugacy"]))
+    assert main(["run", path]) == 2
+    assert "outside the float range" in capsys.readouterr().err
+
+
 def test_tree_file_reference(tmp_path, capsys):
     tree = two_period_tree()
     (tmp_path / "tree.json").write_text(json.dumps(tree.to_dict()))

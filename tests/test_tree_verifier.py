@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from forwardperf.errors import ArbitrageError
+from forwardperf.errors import ArbitrageError, ConvergenceError
 from forwardperf.fields import ExponentialFieldParams, entropy_kernel, exponential_slice
 from forwardperf.tree_market import (
     EventTree,
@@ -435,6 +435,7 @@ def test_conjugacy_foc_pin_binomial():
     assert rep.all_passed
     eta_hat = rep["conjugacy-primal-from-dual[t=0,T=1]"].details["eta_hat"]["r"]
     assert eta_hat == pytest.approx(0.8, abs=1e-5)
+    assert eta_hat == pytest.approx(0.8, rel=1e-8)
 
 
 def test_conjugacy_foc_pin_uniform_trinomial():
@@ -444,6 +445,7 @@ def test_conjugacy_foc_pin_uniform_trinomial():
     assert rep.all_passed
     eta_hat = rep["conjugacy-primal-from-dual[t=0,T=1]"].details["eta_hat"]["r"]
     assert eta_hat == pytest.approx(1.0, abs=1e-5)
+    assert eta_hat == pytest.approx(1.0, rel=1e-8)
 
 
 def test_conjugacy_foc_matches_marginal():
@@ -457,6 +459,9 @@ def test_conjugacy_foc_matches_marginal():
     up = primal_value(tree, field, xi + eps).values["r"]
     dn = primal_value(tree, field, xi - eps).values["r"]
     assert eta_hat == pytest.approx((up - dn) / (2 * eps), rel=1e-3)
+    # and u'(xi) = gamma exp(-gamma xi + a) in closed form on a solved field
+    g, a = field.gamma["r"], field.a_shift["r"]
+    assert eta_hat == pytest.approx(g * math.exp(-g * xi + a), rel=1e-8)
 
 
 def test_conjugacy_requires_fast_path():
@@ -517,39 +522,19 @@ def test_conjugacy_joint_solve_matches_eta_search(kind, seed):
     assert set(rec.details["eta_hat"]) == set(searched)
     for n, sols in searched.items():
         assert rec.details["eta_hat"][n] == pytest.approx(sols[0][1], rel=1e-4)
+        # the attaining eta is u'(xi) = gamma exp(-gamma xi + log_factor)
+        g = field.gamma[n]
+        marginal = g * math.exp(-g * xi_grid[0] + log_factor[n])
+        assert rec.details["eta_hat"][n] == pytest.approx(marginal, rel=1e-8)
 
 
-@pytest.mark.parametrize("xi", [-2.0, -0.5, 0.0, 0.7, 2.0])
-def test_conjugacy_eta_hat_is_primal_marginal(xi):
-    # on a solved field u(xi) = -exp(-gamma xi + a) at every start, so the
-    # attaining dual argument is u'(xi) = gamma exp(-gamma xi + a)
-    for tree, (t, T), seed in (
-        (two_period_tree(), (0, 2), 24),
-        (suite_shaped_tree(5), (1, 2), 5),
-        (random_tree(3, periods=3), (0, 3), 3),
-    ):
-        field = solved_field(tree, seed)
-        rep = check_value_conjugacy(tree, field, t, T, [xi], [0.5, 1.0, 2.0])
-        eta_hat = rep[f"conjugacy-primal-from-dual[t={t},T={T}]"].details["eta_hat"]
-        assert set(eta_hat) == set(tree.nodes_at(t))
-        for n, e in eta_hat.items():
-            g, a = field.gamma[n], field.a_shift[n]
-            assert e == pytest.approx(g * math.exp(-g * xi + a), rel=1e-8)
-
-
-def test_conjugacy_eta_hat_tight_pins():
-    tree = binomial_tree()
-    gamma = const_map(tree, 1.0)
-    field = ExponentialFieldParams(gamma=gamma, a_shift=solve_entropy_shift(tree, gamma, 0.0))
-    rep = check_value_conjugacy(tree, field, 0, 1, [0.0], [0.5, 1.0, 2.0])
-    assert rep["conjugacy-primal-from-dual[t=0,T=1]"].details["eta_hat"]["r"] == pytest.approx(
-        0.8, rel=1e-8
-    )
-    tree = uniform_trinomial_tree()
-    rep = check_value_conjugacy(tree, constant_field(tree), 0, 1, [0.0], [0.5, 1.0, 2.0])
-    assert rep["conjugacy-primal-from-dual[t=0,T=1]"].details["eta_hat"]["r"] == pytest.approx(
-        1.0, rel=1e-8
-    )
+@pytest.mark.parametrize("xi", [-1000.0, 1000.0])
+def test_conjugacy_refuses_xi_beyond_float_range(xi):
+    # the optimal eta, about exp(-xi) here, over- or underflows: a refusal,
+    # not a solve from a zero or infinite start
+    tree = two_period_tree()
+    with pytest.raises(ConvergenceError, match="outside the float range"):
+        check_value_conjugacy(tree, solved_field(tree, seed=23), 0, 2, [xi], [1.0])
 
 
 def test_conjugacy_joint_solve_evidence():
@@ -580,13 +565,21 @@ def test_window_duals_share_and_refuse_another_field():
     duals = WindowDuals(tree, field)
     assert duals(1.0, 0, 2) is duals(1, 0, 2)
     assert duals(2.0, 0, 2).values == dual_value(tree, field, 2.0, 0, 2).values
-    ent = min_entropy(tree, field.gamma, field.a_shift, 0, 2, duals=duals)
-    assert ent.values == duals(1.0, 0, 2).values
+    # the exponential checks read the eta = 1 window duals they are given
+    pairs = [(0, 2)]
+    for check in (
+        lambda d: check_exponential_conditions(tree, field.gamma, field.a_shift, pairs, duals=d),
+        lambda d: check_forward_supermartingale(tree, field.gamma, field.a_shift, 0, 2, duals=d),
+    ):
+        assert check(duals).to_json() == check(None).to_json()
+    assert set(duals._solved) == {(0, 2, 1.0), (0, 2, 2.0)}
     bumped = field.with_offsets({"a1": 0.1})
     with pytest.raises(ValueError, match="another tree or field"):
-        check_self_generation_dual(tree, bumped, [(0, 2)], [1.0], duals=duals)
+        check_self_generation_dual(tree, bumped, pairs, [1.0], duals=duals)
     with pytest.raises(ValueError, match="another tree or field"):
-        min_entropy(tree, bumped.gamma, bumped.a_shift, 0, 2, duals=duals)
+        check_exponential_conditions(tree, bumped.gamma, bumped.a_shift, pairs, duals=duals)
+    with pytest.raises(ValueError, match="another tree or field"):
+        check_forward_supermartingale(tree, bumped.gamma, bumped.a_shift, 0, 2, duals=duals)
     with pytest.raises(ValueError, match="another tree or field"):
         check_value_conjugacy(two_period_tree(), field, 0, 2, [0.0], [1.0], duals=duals)
 
