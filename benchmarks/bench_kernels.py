@@ -1,65 +1,111 @@
-"""Compare the compiled and pure-Python kernel backends.
+"""Philox block generation: the package's generator against the oracle.
 
-Runs the counter-based generator and the pairwise reduction through both
-implementations on identical inputs, checks bit equality, and prints
-throughput. Usage:
+Draws 2**20 blocks (the blocks of ``2**20 / n_steps`` streams) for
+n_steps in 1, 4, 16, 64 and 256, with
 
-    python benchmarks/bench_kernels.py [--blocks N] [--reduce N] [--repeat K]
+- ``generator``: ``forwardperf.kernels.philox4x64``, one
+  ``numpy.random.Philox`` call per stream;
+- ``oracle``: the Philox rounds in numpy with 32-bit limbs over the same
+  counters (``tests/oracles.py``), computed for all blocks at once.
+
+Both outputs must be equal bit for bit. The generator pays a fixed cost per
+stream, so its lead over the oracle grows with n_steps. Writes the median
+and spread (min, max) of the repeats as JSON. Usage:
+
+    PYTHONPATH=src:tests python benchmarks/bench_kernels.py \\
+        [--repeat 5] [--out BENCH_kernels.json]
 """
 
 import argparse
+import datetime
+import json
+import os
+import platform
+import statistics
+import sys
 import time
 
 import numpy as np
 
-from forwardperf.kernels import reference
+import oracles
+from forwardperf import kernels
 
-try:
-    from forwardperf.kernels import _core
-except ImportError:
-    _core = None
+SEED = 1234
+BLOCKS = 2**20
+STEP_COUNTS = (1, 4, 16, 64, 256)
 
 
-def _time(fn, repeat):
-    best = float("inf")
+def _repeat(fn, repeat):
+    times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+        times.append(time.perf_counter() - t0)
+    return out, {
+        "median_s": statistics.median(times),
+        "min_s": min(times),
+        "max_s": max(times),
+        "repeats": repeat,
+        "mblocks_per_s": BLOCKS / statistics.median(times) / 1e6,
+    }
+
+
+def measure(n_steps, repeat):
+    n_streams = BLOCKS // n_steps
+    got, generator = _repeat(lambda: kernels.philox4x64(SEED, n_streams, n_steps), repeat)
+    want, oracle = _repeat(
+        lambda: oracles.philox_field_blocks(SEED, n_streams, n_steps), repeat
+    )
+    if not np.array_equal(got, want):
+        raise SystemExit(f"n_steps={n_steps}: generator and oracle blocks differ")
+    return {
+        "n_steps": n_steps,
+        "n_streams": n_streams,
+        "blocks": BLOCKS,
+        "bit_identical": True,
+        "generator": generator,
+        "oracle": oracle,
+        "speedup_median": oracle["median_s"] / generator["median_s"],
+    }
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--blocks", type=int, default=1_000_000, help="generator blocks")
-    parser.add_argument("--reduce", type=int, default=4_000_000, help="reduction length")
-    parser.add_argument("--repeat", type=int, default=5, help="timing repetitions")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=5, help="timing repetitions per side")
+    parser.add_argument("--out", default="BENCH_kernels.json", help="JSON output path")
     args = parser.parse_args()
 
-    if _core is None:
-        print("compiled backend not built; only timing the reference kernels")
-
-    n = args.blocks
-    c0 = np.arange(n, dtype=np.uint64)
-    c1 = np.zeros(n, dtype=np.uint64)
-
-    t_ref, blocks_ref = _time(lambda: reference.philox4x64(1234, 0, c0, c1), args.repeat)
-    print(f"generator  python   {n / t_ref / 1e6:8.1f} Mblock/s  ({t_ref * 1e3:.1f} ms)")
-    if _core is not None:
-        t_c, blocks_c = _time(lambda: _core.philox4x64(1234, 0, c0, c1), args.repeat)
-        assert np.array_equal(blocks_ref, blocks_c), "backend outputs differ"
-        print(f"generator  compiled {n / t_c / 1e6:8.1f} Mblock/s  ({t_c * 1e3:.1f} ms)")
-        print(f"generator  speedup  {t_ref / t_c:8.2f}x")
-
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(args.reduce)
-    t_ref, s_ref = _time(lambda: reference.pairwise_sum(x), args.repeat)
-    print(f"reduction  python   {args.reduce / t_ref / 1e6:8.1f} Melem/s  ({t_ref * 1e3:.1f} ms)")
-    if _core is not None:
-        t_c, s_c = _time(lambda: _core.pairwise_sum(x), args.repeat)
-        assert s_ref == s_c, "backend sums differ"
-        print(f"reduction  compiled {args.reduce / t_c / 1e6:8.1f} Melem/s  ({t_c * 1e3:.1f} ms)")
-        print(f"reduction  speedup  {t_ref / t_c:8.2f}x")
+    rows = []
+    for n_steps in STEP_COUNTS:
+        row = measure(n_steps, args.repeat)
+        print(
+            f"n_steps={n_steps:<4d} generator={row['generator']['median_s']:.3f}s "
+            f"oracle={row['oracle']['median_s']:.3f}s "
+            f"speedup={row['speedup_median']:.2f}x",
+            flush=True,
+        )
+        rows.append(row)
+    doc = {
+        "benchmark": "kernels",
+        "what": {
+            "generator": "forwardperf.kernels.philox4x64: numpy.random.Philox, "
+            "one random_raw call per stream",
+            "oracle": "tests/oracles.py philox_field_blocks: Philox rounds in numpy, "
+            "32-bit limbs, all counters at once",
+        },
+        "seed": SEED,
+        "date": datetime.date.today().isoformat(),
+        "nproc": os.cpu_count(),
+        "kernel_backend": kernels.BACKEND,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "rows": rows,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {args.out}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .ito_engine import (
     simulate_paths,
     validate_regularity,
 )
+from .kernels import U64_MAX
 from .mc_verifier import (
     check_dual_martingale_at_optimum,
     check_dual_submartingale,
@@ -101,12 +102,19 @@ def _number(obj, path, minimum=None, strict_min=None):
     return val
 
 
-def _integer(obj, path, minimum=None):
+def _integer(obj, path, minimum=None, maximum=None):
     if isinstance(obj, bool) or not isinstance(obj, int):
         _fail(path, f"expected an integer, got {type(obj).__name__}")
     if minimum is not None and obj < minimum:
         _fail(path, f"must be >= {minimum}")
+    if maximum is not None and obj > maximum:
+        _fail(path, f"must be <= {maximum}")
     return int(obj)
+
+
+def _seed(obj, source):
+    """A seed is the Philox key word, so it must fit in 64 unsigned bits."""
+    return _integer(obj, source, minimum=0, maximum=U64_MAX)
 
 
 def _number_list(obj, path, min_len=1):
@@ -396,7 +404,7 @@ def run_ito_scenario(doc, seed_override=None):
     a0 = _number(doc.get("a0", 0.0), "$.a0")
     n_steps = _integer(doc["n_steps"], "$.n_steps", minimum=1)
     n_paths = _integer(doc["n_paths"], "$.n_paths", minimum=2)
-    seed = _integer(doc["seed"], "$.seed", minimum=0)
+    seed = _seed(doc["seed"], "$.seed")
     if seed_override is not None:
         seed = seed_override
     antithetic = doc.get("antithetic", True)
@@ -568,7 +576,7 @@ def run_export_paths(doc, out_path, seed_override=None):
     a0 = _number(doc.get("a0", 0.0), "$.a0")
     n_steps = _integer(doc["n_steps"], "$.n_steps", minimum=1)
     n_paths = _integer(doc["n_paths"], "$.n_paths", minimum=1)
-    seed = _integer(doc["seed"], "$.seed", minimum=0)
+    seed = _seed(doc["seed"], "$.seed")
     if seed_override is not None:
         seed = seed_override
     antithetic = doc.get("antithetic", True)
@@ -639,13 +647,14 @@ def build_parser():
 
 def _seed_override(args):
     if getattr(args, "seed", None) is not None:
-        return args.seed
+        return _seed(args.seed, "--seed")
     env = os.environ.get("FORWARDPERF_SEED")
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise ScenarioError(f"FORWARDPERF_SEED must be an integer, got {env!r}") from exc
+        return _seed(value, "FORWARDPERF_SEED")
     return None
 
 

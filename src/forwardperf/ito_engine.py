@@ -24,7 +24,7 @@ expected drift of (shift - log density) under that reweighting is
 Reproducibility: every Gaussian increment is a fixed function of
 (seed, stream index, step index) through the counter-based generator in
 ``kernels``, and reductions over paths use a fixed pairwise order, so
-results are independent of chunking and backend.
+results are independent of chunking.
 """
 
 from __future__ import annotations

@@ -1,57 +1,73 @@
-"""Counter-based random kernels with interchangeable backends.
-
-Two backends implement the integer-exact core (Philox-4x64-10 block
-generation and the canonical pairwise reduction): a compiled Cython module
-and a pure-numpy reference. They are bit-identical by construction; the
-compiled one is picked when available. Set ``FORWARDPERF_KERNEL`` to
-``python`` or ``compiled`` to force a choice.
+"""Counter-based random kernels.
 
 Everything random in the package flows through ``gaussian_field``: the
 increment at (stream, step) is a fixed function of (seed, stream, step)
 alone, so results can never depend on execution order or on how work was
 chunked across workers.
-"""
 
-import os
+The blocks are Philox-4x64-10 (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11) at counter (step, stream, 0, 0) with key
+(seed, 0), drawn from ``numpy.random.Philox``. Means over paths use the
+canonical pairwise reduction tree below, which is fixed by the element
+indices alone.
+"""
 
 import numpy as np
 
-from . import reference
+# provenance only: the benchmarks record it next to their timings
+BACKEND = "numpy-philox"
 
-_FORCED = os.environ.get("FORWARDPERF_KERNEL", "").strip().lower()
-
-if _FORCED == "python":
-    _impl = reference
-    BACKEND = "python"
-elif _FORCED in ("", "compiled"):
-    try:
-        from . import _core as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        if _FORCED == "compiled":
-            raise ImportError(
-                "FORWARDPERF_KERNEL=compiled but the compiled kernel module "
-                "is not built; reinstall the package or drop the override"
-            )
-        _impl = reference
-        BACKEND = "python"
-else:
-    raise ValueError(
-        f"FORWARDPERF_KERNEL={_FORCED!r} not understood (use 'python' or 'compiled')"
-    )
+# seeds and stream indices are single 64-bit words of the key and counter
+U64_MAX = 2**64 - 1
 
 
-def philox4x64(key0, key1, c0, c1):
-    """Philox-4x64-10 blocks for counters (c0[i], c1[i], 0, 0); (n, 4) uint64."""
-    c0 = np.ascontiguousarray(c0, dtype=np.uint64)
-    c1 = np.ascontiguousarray(c1, dtype=np.uint64)
-    return _impl.philox4x64(key0, key1, c0, c1)
+def philox4x64(seed, n_streams, n_steps, stream_offset=0):
+    """Philox-4x64-10 blocks for streams ``stream_offset + i``, i < n_streams.
+
+    Returns an (n_streams * n_steps, 4) uint64 array whose row
+    ``i * n_steps + k`` is the block at counter (k, stream_offset + i, 0, 0)
+    under key (seed, 0).
+
+    numpy's Philox increments its 256-bit counter before each block, so a
+    stream s starts one step before (0, s, 0, 0): at (2**64-1, s-1, 0, 0),
+    or at all ones for s = 0, where the increment carries through every
+    word. With the buffer emptied, one ``random_raw`` call then yields the
+    stream's blocks in step order.
+    """
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    state = bitgen.state
+    state["buffer_pos"] = 4
+    counter = state["state"]["counter"]
+    out = np.empty((n_streams * n_steps, 4), dtype=np.uint64)
+    rows = out.reshape(n_streams, 4 * n_steps)
+    for i in range(n_streams):
+        s = stream_offset + i
+        counter[:] = (U64_MAX, s - 1, 0, 0) if s else U64_MAX
+        bitgen.state = state
+        rows[i] = bitgen.random_raw(4 * n_steps)
+    return out
 
 
 def pairwise_sum(x):
-    """Deterministic sum over the canonical power-of-two reduction tree."""
-    return _impl.pairwise_sum(np.ascontiguousarray(x, dtype=np.float64))
+    """Sum of a float64 vector over the canonical power-of-two reduction tree.
+
+    The tree is fixed by the element indices alone (zero-padded to the next
+    power of two, then halved level by level), so the result is a pure
+    function of the input vector, independent of any chunking upstream.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n = x.size
+    if n == 0:
+        return 0.0
+    m = 1
+    while m < n:
+        m <<= 1
+    buf = np.zeros(m, dtype=np.float64)
+    buf[:n] = x
+    while m > 1:
+        m >>= 1
+        buf = buf[0 : 2 * m : 2] + buf[1 : 2 * m : 2]
+    return float(buf[0])
 
 
 def pairwise_mean(x):
@@ -74,15 +90,17 @@ def gaussian_field(seed, n_streams, n_steps, stream_offset=0):
 
     Entry (i, k) depends only on (seed, stream_offset + i, k): one Philox
     block per (stream, step) yields four uniforms, turned into two normals
-    by Box-Muller. The transform runs through numpy ufuncs in both backends,
-    so the output is bit-identical regardless of backend or chunking.
+    by Box-Muller, so the output is bit-identical regardless of chunking.
+    ``seed`` and every stream index must fit in 64 bits.
     """
     if n_streams < 0 or n_steps <= 0:
         raise ValueError("need n_streams >= 0 and n_steps >= 1")
-    streams = np.arange(stream_offset, stream_offset + n_streams, dtype=np.uint64)
-    c0 = np.tile(np.arange(n_steps, dtype=np.uint64), n_streams)
-    c1 = np.repeat(streams, n_steps)
-    u = uniform_open(philox4x64(int(seed), 0, c0, c1))
+    seed = int(seed)
+    if not 0 <= seed <= U64_MAX:
+        raise ValueError(f"seed must be in [0, 2**64 - 1], got {seed}")
+    if stream_offset < 0 or stream_offset + n_streams - 1 > U64_MAX:
+        raise ValueError("stream indices must be in [0, 2**64 - 1]")
+    u = uniform_open(philox4x64(seed, n_streams, n_steps, int(stream_offset)))
     r1 = np.sqrt(-2.0 * np.log(u[:, 0]))
     r2 = np.sqrt(-2.0 * np.log(u[:, 2]))
     a1 = (2.0 * np.pi) * u[:, 1]

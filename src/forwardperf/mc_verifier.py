@@ -4,9 +4,9 @@ Every check reduces to testing the mean of a per-path statistic against a
 closed-form target inside a normal confidence band. Antithetic pairs are
 collapsed to pair means first so the samples entering the test are
 independent; means and variances are accumulated with the fixed pairwise
-reduction from ``kernels`` so results do not depend on chunking or
-backend. A statistic with zero sample variance passes only when it hits
-its target exactly.
+reduction from ``kernels`` so results do not depend on chunking. A
+statistic with zero sample variance passes only when it hits its target
+exactly.
 
 The dual-process checks consume the analytic regularity classification of
 the coefficient spec: a spec classified as failing is refused outright, an

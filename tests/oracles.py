@@ -3,10 +3,11 @@
 Nothing here imports the package's DP, vertex-recursion or joint conjugacy
 code paths: values come from closed forms, scipy one-dimensional
 minimization, a direct joint optimization over all node portfolios, brute
-force over every product measure of a window, or (for conjugacy) a
-one-dimensional search over the per-eta dual program. Deliberate
-duplication -- an oracle that shares code with the implementation checks
-nothing.
+force over every product measure of a window, (for conjugacy) a
+one-dimensional search over the per-eta dual program, or (for the random
+kernels) the Philox rounds and the reduction tree computed from their
+definitions. Deliberate duplication -- an oracle that shares code with the
+implementation checks nothing.
 """
 
 import math
@@ -314,3 +315,80 @@ def product_measure_count(tree, t, T):
     for start in tree.nodes_at(t):
         total *= count(start)
     return total
+
+
+# -- counter-based kernels -------------------------------------------------
+#
+# The package draws its Philox blocks from numpy.random.Philox; this oracle
+# computes the rounds itself, with 32-bit limbs, at any counter.
+
+PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+PHILOX_M1 = np.uint64(0xCA5A826395121157)
+WEYL0 = np.uint64(0x9E3779B97F4A7C15)
+WEYL1 = np.uint64(0xBB67AE8584CAA73B)
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(a, b):
+    # high and low 64 bits of the 128-bit product, via 32-bit limbs
+    lo = a * b
+    ah, al = a >> _S32, a & _MASK32
+    bh, bl = b >> _S32, b & _MASK32
+    t = ah * bl + ((al * bl) >> _S32)
+    u = al * bh + (t & _MASK32)
+    hi = ah * bh + (t >> _S32) + (u >> _S32)
+    return hi, lo
+
+
+def philox4x64(key0, key1, c0, c1):
+    """Philox-4x64-10 blocks for counters (c0[i], c1[i], 0, 0).
+
+    Returns an (n, 4) uint64 array, one block per counter pair.
+    """
+    c0 = np.ascontiguousarray(c0, dtype=np.uint64)
+    c1 = np.ascontiguousarray(c1, dtype=np.uint64)
+    if c0.shape != c1.shape or c0.ndim != 1:
+        raise ValueError("counter arrays must be equal-length 1-D")
+    n = c0.shape[0]
+    with np.errstate(over="ignore"):
+        k0 = np.uint64(key0)
+        k1 = np.uint64(key1)
+        x0 = c0.copy()
+        x1 = c1.copy()
+        x2 = np.zeros(n, dtype=np.uint64)
+        x3 = np.zeros(n, dtype=np.uint64)
+        for _ in range(10):
+            hi0, lo0 = _mulhilo(PHILOX_M0, x0)
+            hi1, lo1 = _mulhilo(PHILOX_M1, x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+            k0 = k0 + WEYL0
+            k1 = k1 + WEYL1
+    return np.stack([x0, x1, x2, x3], axis=1)
+
+
+def philox_field_blocks(seed, n_streams, n_steps, stream_offset=0):
+    """The blocks the Gaussian field reads: counter (step, stream), key (seed, 0),
+    one row per (stream, step) in stream-major order."""
+    streams = np.arange(stream_offset, stream_offset + n_streams, dtype=np.uint64)
+    c0 = np.tile(np.arange(n_steps, dtype=np.uint64), n_streams)
+    c1 = np.repeat(streams, n_steps)
+    return philox4x64(seed, 0, c0, c1)
+
+
+def pairwise_sum(x):
+    """The canonical reduction tree stated recursively: zero-pad to the next
+    power of two, then sum each half and add the two."""
+    x = [float(v) for v in np.ravel(x)]
+    m = 1
+    while m < len(x):
+        m <<= 1
+
+    def tree(lo, size):
+        if size == 1:
+            return x[lo] if lo < len(x) else 0.0
+        half = size // 2
+        return tree(lo, half) + tree(lo + half, half)
+
+    return tree(0, m) if x else 0.0

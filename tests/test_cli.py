@@ -378,6 +378,43 @@ def test_seed_precedence(tmp_path, capsys, monkeypatch):
     assert "FORWARDPERF_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "export-paths"])
+@pytest.mark.parametrize(
+    "doc_seed, flag, env, source",
+    [
+        (42, ["--seed", "-1"], None, "--seed"),
+        (42, ["--seed", str(2**64)], None, "--seed"),
+        (42, [], str(2**64), "FORWARDPERF_SEED"),
+        (42, [], "-5", "FORWARDPERF_SEED"),
+        (2**64, [], None, "$.seed"),
+    ],
+)
+def test_seed_outside_uint64_refused(
+    tmp_path, capsys, monkeypatch, no_simulation, command, doc_seed, flag, env, source
+):
+    # the seed is a 64-bit Philox key word; anything else is refused by name
+    if env is None:
+        monkeypatch.delenv("FORWARDPERF_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FORWARDPERF_SEED", env)
+    if command == "run":
+        argv = ["run", write_scenario(tmp_path, ito_doc(seed=doc_seed))]
+    else:
+        doc = export_doc(seed=doc_seed)
+        argv = ["export-paths", write_scenario(tmp_path, doc), "--out", str(tmp_path / "x.csv")]
+    assert main(argv + flag) == 2
+    assert capsys.readouterr().err.startswith(f"error: {source}: must be ")
+
+
+def test_seed_top_of_range_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FORWARDPERF_SEED", raising=False)
+    path = write_scenario(tmp_path, ito_doc(seed=2**64 - 1))
+    code, rep = run_json(capsys, ["run", path])
+    assert code == 0 and rep["all_passed"] is True
+    monkeypatch.setenv("FORWARDPERF_SEED", str(2**64 - 1))
+    assert run_json(capsys, ["run", path]) == (code, rep)
+
+
 def test_run_out_writes_file(tmp_path, capsys):
     path = write_scenario(tmp_path, ito_doc())
     out = tmp_path / "report.json"

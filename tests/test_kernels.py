@@ -1,45 +1,43 @@
-"""Counter-based kernels: bit-level oracle checks and backend equality."""
+"""Counter-based kernels: bit-level checks against the oracles in ``oracles``."""
 
-import importlib.util
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from forwardperf import kernels
+import oracles
 from forwardperf.kernels import (
-    BACKEND,
     gaussian_field,
     pairwise_mean,
     pairwise_sum,
     philox4x64,
     uniform_open,
 )
-from forwardperf.kernels import reference
 
-# the compiled extension exists only in a build that had Cython (or an
-# in-place compile of _core.c); an uninstalled checkout has the fallback only
-_CORE_BUILT = importlib.util.find_spec("forwardperf.kernels._core") is not None
+U64_MAX = 2**64 - 1
 
 
-# -- philox blocks vs the numpy implementation ---------------------------
+# -- the Philox oracle ------------------------------------------------------
+
+
+def test_philox_oracle_known_answer():
+    # Random123's known-answer block for philox4x64_10 at zero counter and key
+    got = oracles.philox4x64(0, 0, [0], [0])
+    want = [0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B]
+    np.testing.assert_array_equal(got[0], np.array(want, dtype=np.uint64))
 
 
 @pytest.mark.parametrize("key0,key1", [(0, 0), (12345, 0), (2**63 + 17, 99)])
 @pytest.mark.parametrize("c0,c1", [(0, 0), (7, 3), (2**62, 2**61 + 5)])
 def test_philox_matches_numpy(key0, key1, c0, c1):
     # numpy's random_raw returns the block for counter+1 (it pre-increments),
-    # so ask our kernel for c0 + 1 at the same (c1, 0, 0) tail
+    # so ask the oracle for c0 + 1 at the same (c1, 0, 0) tail
     bg = np.random.Philox(
         counter=np.array([c0, c1, 0, 0], dtype=np.uint64),
         key=np.array([key0, key1], dtype=np.uint64),
     )
     want = bg.random_raw(4)
-    got = philox4x64(key0, key1, np.array([c0 + 1], dtype=np.uint64),
-                     np.array([c1], dtype=np.uint64))
+    got = oracles.philox4x64(key0, key1, [c0 + 1], [c1])
     assert got.shape == (1, 4)
     assert got.dtype == np.uint64
     np.testing.assert_array_equal(got[0], want)
@@ -47,78 +45,52 @@ def test_philox_matches_numpy(key0, key1, c0, c1):
 
 def test_philox_counter_wraps():
     # numpy's 256-bit pre-increment carries word 0 into word 1, so counter
-    # [2**64-1, 5] advances to (0, 6); our kernel addresses words directly
+    # [2**64-1, 5] advances to (0, 6); the oracle addresses words directly
     bg = np.random.Philox(
-        counter=np.array([2**64 - 1, 5, 0, 0], dtype=np.uint64),
+        counter=np.array([U64_MAX, 5, 0, 0], dtype=np.uint64),
         key=np.array([42, 0], dtype=np.uint64),
     )
     want = bg.random_raw(4)
-    got = philox4x64(42, 0, np.array([0], dtype=np.uint64),
-                     np.array([6], dtype=np.uint64))
+    got = oracles.philox4x64(42, 0, [0], [6])
     np.testing.assert_array_equal(got[0], want)
 
 
+# -- the generator against the oracle --------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 704, 2**31 - 1, U64_MAX])
+@pytest.mark.parametrize("stream_offset", [0, 777, 6250])
+@pytest.mark.parametrize("n_steps", [1, 4, 64])
+def test_philox_blocks_match_oracle(seed, stream_offset, n_steps):
+    # offset 0 covers stream 0, whose start counter carries through all words
+    got = philox4x64(seed, 5, n_steps, stream_offset)
+    want = oracles.philox_field_blocks(seed, 5, n_steps, stream_offset)
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(got, want)
+
+
+def test_philox_blocks_top_streams():
+    # the last two stream indices a 64-bit counter word holds
+    got = philox4x64(9, 2, 3, U64_MAX - 1)
+    c0 = np.tile(np.arange(3, dtype=np.uint64), 2)
+    c1 = np.repeat(np.array([U64_MAX - 1, U64_MAX], dtype=np.uint64), 3)
+    np.testing.assert_array_equal(got, oracles.philox4x64(9, 0, c0, c1))
+
+
+@pytest.mark.parametrize("bounds", [[0, 37], [0, 1, 37], [0, 5, 6, 19, 37], [0, 18, 19, 36, 37]])
+def test_philox_blocks_chunk_boundaries(bounds):
+    # any chunking of the streams, even or not, gives the oracle's blocks
+    n_steps = 6
+    want = oracles.philox_field_blocks(31, bounds[-1], n_steps)
+    parts = [philox4x64(31, hi - lo, n_steps, lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    np.testing.assert_array_equal(np.vstack(parts), want)
+
+
 def test_philox_vectorized_consistent():
-    c0 = np.arange(1, 9, dtype=np.uint64)
-    c1 = np.full(8, 3, dtype=np.uint64)
-    block = philox4x64(7, 1, c0, c1)
+    block = philox4x64(7, 8, 5, 3)
     for i in range(8):
-        single = philox4x64(7, 1, c0[i : i + 1], c1[i : i + 1])
-        np.testing.assert_array_equal(block[i], single[0])
-
-
-def test_backends_bit_identical():
-    c0 = np.arange(0, 64, dtype=np.uint64)
-    c1 = (c0 * np.uint64(977)) % np.uint64(31)
-    a = reference.philox4x64(123, 456, c0, c1)
-    b = kernels._impl.philox4x64(123, 456, c0, c1)
-    np.testing.assert_array_equal(a, b)
-    x = np.sin(np.arange(1001, dtype=float))
-    assert reference.pairwise_sum(x) == kernels._impl.pairwise_sum(x)
-
-
-@pytest.mark.skipif(
-    not _CORE_BUILT, reason="compiled kernel extension forwardperf.kernels._core not built"
-)
-def test_backend_env_override_matches(tmp_path):
-    prog = (
-        "import numpy as np\n"
-        "from forwardperf import kernels\n"
-        "z1, z2 = kernels.gaussian_field(99, 5, 7)\n"
-        "print(kernels.BACKEND)\n"
-        "print(z1.tobytes().hex())\n"
-        "print(z2.tobytes().hex())\n"
-    )
-    outs = {}
-    for backend in ("python", "compiled"):
-        env = dict(os.environ, FORWARDPERF_KERNEL=backend)
-        res = subprocess.run(
-            [sys.executable, "-c", prog], capture_output=True, text=True, env=env
-        )
-        assert res.returncode == 0, res.stderr
-        lines = res.stdout.splitlines()
-        assert lines[0] == backend
-        outs[backend] = lines[1:]
-    assert outs["python"] == outs["compiled"]
-
-
-def test_backend_env_override_rejects_garbage():
-    env = dict(os.environ, FORWARDPERF_KERNEL="fortran")
-    res = subprocess.run(
-        [sys.executable, "-c", "import forwardperf.kernels"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert res.returncode != 0
-    assert "FORWARDPERF_KERNEL" in res.stderr
-
-
-def test_active_backend_matches_request():
-    # an explicit override wins; otherwise the compiled extension is picked
-    # exactly when it is built, and the pure-Python fallback when it is not
-    requested = os.environ.get("FORWARDPERF_KERNEL", "").strip().lower()
-    assert BACKEND == (requested or ("compiled" if _CORE_BUILT else "python"))
+        single = philox4x64(7, 1, 5, 3 + i)
+        np.testing.assert_array_equal(block[5 * i : 5 * (i + 1)], single)
 
 
 # -- uniform mapping -----------------------------------------------------
@@ -126,7 +98,7 @@ def test_active_backend_matches_request():
 
 def test_uniform_open_bounds_exact():
     lo = uniform_open(np.array([0], dtype=np.uint64))
-    hi = uniform_open(np.array([2**64 - 1], dtype=np.uint64))
+    hi = uniform_open(np.array([U64_MAX], dtype=np.uint64))
     assert lo[0] == 2.0**-54
     # 2**53 - 0.5 rounds to 2**53 in float64, so the top word maps to 1.0:
     # the range is (0, 1], never 0, and log() stays finite
@@ -135,9 +107,7 @@ def test_uniform_open_bounds_exact():
 
 
 def test_uniform_open_never_zero():
-    blocks = philox4x64(3, 0, np.arange(4096, dtype=np.uint64),
-                        np.zeros(4096, dtype=np.uint64))
-    u = uniform_open(blocks)
+    u = uniform_open(philox4x64(3, 64, 64))
     assert np.all(u > 0.0)
     assert np.all(u <= 1.0)
 
@@ -150,6 +120,8 @@ def test_pairwise_sum_accuracy(n):
     rng = np.random.default_rng(n)
     x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
     assert pairwise_sum(x) == pytest.approx(math.fsum(x), rel=1e-14, abs=1e-12)
+    # and bit for bit the canonical tree
+    assert pairwise_sum(x) == oracles.pairwise_sum(x)
 
 
 def test_pairwise_sum_empty():
@@ -201,3 +173,12 @@ def test_gaussian_field_rejects_bad_shapes():
         gaussian_field(0, -1, 4)
     with pytest.raises(ValueError):
         gaussian_field(0, 4, 0)
+
+
+@pytest.mark.parametrize(
+    "seed,n_streams,stream_offset",
+    [(-1, 4, 0), (2**64, 4, 0), (0, 4, -1), (0, 2, U64_MAX)],
+)
+def test_gaussian_field_rejects_out_of_range_words(seed, n_streams, stream_offset):
+    with pytest.raises(ValueError, match=r"2\*\*64 - 1"):
+        gaussian_field(seed, n_streams, 4, stream_offset=stream_offset)
