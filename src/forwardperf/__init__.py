@@ -44,7 +44,6 @@ from .ito_engine import (
     build_forward_exponential,
     density_path,
     export_paths,
-    forward_weights,
     martingale_density,
     predicted_forward_drift,
     regularity_class,

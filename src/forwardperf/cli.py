@@ -32,14 +32,7 @@ from .ito_engine import (
     validate_regularity,
 )
 from .kernels import U64_MAX
-from .mc_verifier import (
-    check_dual_martingale_at_optimum,
-    check_dual_submartingale,
-    check_forward_drift_mc,
-    check_inverse_gamma_mean_mc,
-    require_not_failing,
-    require_provable,
-)
+from .mc_verifier import MC_CHECKS, require_not_failing, require_provable, run_mc_checks
 from .report import CheckRecord, VerificationReport
 from .tree_market import EventTree, check_nflvr, validate_tree
 from .tree_verifier import (
@@ -64,13 +57,7 @@ TREE_CHECKS = (
     "exponential-conditions",
     "forward-supermartingale",
 )
-ITO_CHECKS = (
-    "regularity",
-    "dual-submartingale",
-    "dual-martingale-at-optimum",
-    "inverse-gamma-mean",
-    "forward-drift",
-)
+ITO_CHECKS = ("regularity", *MC_CHECKS)
 
 
 def _fail(path, msg):
@@ -241,6 +228,8 @@ def _checks_from_scenario(doc, allowed):
     for i, name in enumerate(checks):
         if name not in allowed:
             _fail(f"$.checks[{i}]", f"unknown check {name!r}; known: {', '.join(allowed)}")
+        if name in checks[:i]:
+            _fail(f"$.checks[{i}]", f"duplicate check {name!r}")
     return checks
 
 
@@ -383,6 +372,28 @@ def _nu_family_from_scenario(doc, n_steps):
     return fam
 
 
+def _simulation_inputs(doc, seed_override, min_paths):
+    """Model, field start and simulation size of an ito-verify or
+    export-paths document, checked before anything is simulated. Returns
+    (spec, gamma0, a0, n_steps, n_paths, seed, antithetic, n_chunks);
+    export-paths documents carry no ``n_chunks`` key, so theirs is 1."""
+    spec = _coefficient_spec(doc)
+    gamma0 = _number(doc["gamma0"], "$.gamma0", strict_min=0.0)
+    a0 = _number(doc.get("a0", 0.0), "$.a0")
+    n_steps = _integer(doc["n_steps"], "$.n_steps", minimum=1)
+    n_paths = _integer(doc["n_paths"], "$.n_paths", minimum=min_paths)
+    seed = _seed(doc["seed"], "$.seed")
+    if seed_override is not None:
+        seed = seed_override
+    antithetic = doc.get("antithetic", True)
+    if not isinstance(antithetic, bool):
+        _fail("$.antithetic", "expected true or false")
+    n_chunks = _integer(doc.get("n_chunks", 1), "$.n_chunks", minimum=1)
+    if antithetic and n_paths % 2:
+        _fail("$.n_paths", "antithetic pairing needs an even n_paths")
+    return spec, gamma0, a0, n_steps, n_paths, seed, antithetic, n_chunks
+
+
 def run_ito_scenario(doc, seed_override=None):
     _check_keys(
         doc,
@@ -399,20 +410,9 @@ def run_ito_scenario(doc, seed_override=None):
             "time_indices",
         ),
     )
-    spec = _coefficient_spec(doc)
-    gamma0 = _number(doc["gamma0"], "$.gamma0", strict_min=0.0)
-    a0 = _number(doc.get("a0", 0.0), "$.a0")
-    n_steps = _integer(doc["n_steps"], "$.n_steps", minimum=1)
-    n_paths = _integer(doc["n_paths"], "$.n_paths", minimum=2)
-    seed = _seed(doc["seed"], "$.seed")
-    if seed_override is not None:
-        seed = seed_override
-    antithetic = doc.get("antithetic", True)
-    if not isinstance(antithetic, bool):
-        _fail("$.antithetic", "expected true or false")
-    n_chunks = _integer(doc.get("n_chunks", 1), "$.n_chunks", minimum=1)
-    if antithetic and n_paths % 2:
-        _fail("$.n_paths", "antithetic pairing needs an even n_paths")
+    spec, gamma0, a0, n_steps, n_paths, seed, antithetic, n_chunks = _simulation_inputs(
+        doc, seed_override, min_paths=2
+    )
     # one Philox stream per antithetic pair, and one mean-test sample each
     n_streams = n_paths // 2 if antithetic else n_paths
     if n_chunks > n_streams:
@@ -439,63 +439,41 @@ def run_ito_scenario(doc, seed_override=None):
     explicit_checks = "checks" in doc
     checks = _checks_from_scenario(doc, ITO_CHECKS)
 
-    for name in checks:
+    report = VerificationReport()
+    if "regularity" in checks:
+        report.merge(validate_regularity(spec))
+    mc_checks = [name for name in checks if name != "regularity"]
+    if not explicit_checks and regularity_class(spec) != PASS:
+        # equality at the optimum is only provable for constant risk
+        # aversion; skip it in the default suite instead of refusing
+        mc_checks.remove("dual-martingale-at-optimum")
+        report.add(
+            CheckRecord(
+                check_tag="dual-martingale-at-optimum",
+                verdict=True,
+                notes=(
+                    "skipped: spec outside the provable class "
+                    "(request the check explicitly to force a refusal)",
+                ),
+            )
+        )
+    for name in mc_checks:
         # refuse the model before paying for its simulation
         if name == "dual-submartingale":
             require_not_failing(spec)
-        elif name == "dual-martingale-at-optimum" and explicit_checks:
+        elif name == "dual-martingale-at-optimum":
             require_provable(spec)
-    if any(name != "regularity" for name in checks):
+    if mc_checks:
         # every Monte Carlo check reads this one simulation
         bundle = simulate_paths(
             spec, n_steps, n_paths, seed, antithetic=antithetic, n_chunks=n_chunks
         )
         fields = build_forward_exponential(spec, gamma0, a0, bundle)
-    report = VerificationReport()
-    for name in checks:
-        if name == "regularity":
-            report.merge(validate_regularity(spec))
-        elif name == "dual-submartingale":
-            report.merge(
-                check_dual_submartingale(
-                    bundle, fields,
-                    eta_list=eta_list, nu_family=nu_family,
-                    time_indices=time_indices, confidence=confidence,
-                )
+        report.merge(
+            run_mc_checks(
+                bundle, fields, mc_checks, eta_list, nu_family, time_indices, confidence
             )
-        elif name == "dual-martingale-at-optimum":
-            if not explicit_checks and regularity_class(spec) != PASS:
-                # equality at the optimum is only provable for constant risk
-                # aversion; skip it in the default suite instead of refusing
-                report.add(
-                    CheckRecord(
-                        check_tag="dual-martingale-at-optimum",
-                        verdict=True,
-                        notes=(
-                            "skipped: spec outside the provable class "
-                            "(request the check explicitly to force a refusal)",
-                        ),
-                    )
-                )
-                continue
-            report.merge(
-                check_dual_martingale_at_optimum(
-                    bundle, fields,
-                    eta_list=eta_list, time_indices=time_indices, confidence=confidence,
-                )
-            )
-        elif name == "inverse-gamma-mean":
-            report.merge(
-                check_inverse_gamma_mean_mc(
-                    bundle, fields, nu_family=nu_family, confidence=confidence
-                )
-            )
-        elif name == "forward-drift":
-            report.merge(
-                check_forward_drift_mc(
-                    bundle, fields, nu_family=nu_family, confidence=confidence
-                )
-            )
+        )
     n_stat = sum(1 for rec in report.records() if rec.std_error is not None)
     if n_stat:
         report.add(
@@ -571,23 +549,12 @@ def run_export_paths(doc, out_path, seed_override=None):
     )
     if out_path is None:
         raise ScenarioError("export-paths needs --out for the CSV file")
-    spec = _coefficient_spec(doc)
-    gamma0 = _number(doc["gamma0"], "$.gamma0", strict_min=0.0)
-    a0 = _number(doc.get("a0", 0.0), "$.a0")
-    n_steps = _integer(doc["n_steps"], "$.n_steps", minimum=1)
-    n_paths = _integer(doc["n_paths"], "$.n_paths", minimum=1)
-    seed = _seed(doc["seed"], "$.seed")
-    if seed_override is not None:
-        seed = seed_override
-    antithetic = doc.get("antithetic", True)
-    if not isinstance(antithetic, bool):
-        _fail("$.antithetic", "expected true or false")
-    bundle = simulate_paths(spec, n_steps, n_paths, seed, antithetic=antithetic)
-    fields = build_forward_exponential(spec, gamma0, a0, bundle)
+    spec, gamma0, a0, n_steps, n_paths, seed, antithetic, _ = _simulation_inputs(
+        doc, seed_override, min_paths=1
+    )
     fam = _nu_family_from_scenario(doc, n_steps) or {
         "mart": np.zeros(n_steps),
     }
-    densities = {label: martingale_density(bundle, nu) for label, nu in fam.items()}
     indices = doc.get("paths")
     if indices is not None:
         indices = [
@@ -596,6 +563,9 @@ def run_export_paths(doc, out_path, seed_override=None):
         for i in indices:
             if i >= n_paths:
                 _fail("$.paths", f"path index {i} out of range")
+    bundle = simulate_paths(spec, n_steps, n_paths, seed, antithetic=antithetic)
+    fields = build_forward_exponential(spec, gamma0, a0, bundle)
+    densities = {label: martingale_density(bundle, nu) for label, nu in fam.items()}
     rows = export_paths(bundle, fields, densities, out_path, path_indices=indices)
     print(f"wrote {rows} rows to {out_path}", file=sys.stderr)
     return VerificationReport()

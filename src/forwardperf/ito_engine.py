@@ -296,18 +296,6 @@ def build_forward_exponential(
     return FieldPaths(gamma0=float(gamma0), a0=float(a0), inv_gamma=inv_gamma, a_shift=a_shift)
 
 
-def forward_weights(bundle: PathBundle, fields: FieldPaths, nu2) -> np.ndarray:
-    """Terminal weights gamma_0/gamma_T times the martingale density.
-
-    These reweight path averages into forward-measure expectations; by the
-    closed forms they coincide path by path with the density whose B-load
-    is theta - delta, which ``check_forward_drift_mc`` exploits as an
-    independent cross-check.
-    """
-    z = martingale_density(bundle, nu2)
-    return fields.inv_gamma[:, -1] * fields.gamma0 * z[:, -1]
-
-
 def predicted_forward_drift(spec: CoefficientSpec, n_steps: int, nu2) -> float:
     """Closed-form drift of (shift - log density) under the forward
     reweighting: -(1/2) integral (nu2 - phi)^2 dt."""

@@ -15,17 +15,17 @@ the optimal load additionally insists on the provable case.
 
 All four checks read the same simulated data: a ``PathBundle`` from
 ``simulate_paths`` and the ``FieldPaths`` that ``build_forward_exponential``
-builds on it. Simulate once and pass both to every check::
+builds on it. Simulate once and run the checks in one pass::
 
     bundle = simulate_paths(spec, n_steps, n_paths, seed, n_chunks=n_chunks)
     fields = build_forward_exponential(spec, gamma0, a0, bundle)
-    check_dual_submartingale(bundle, fields)
-    check_inverse_gamma_mean_mc(bundle, fields)
+    run_mc_checks(bundle, fields, ["dual-submartingale", "inverse-gamma-mean"])
 
-The model spec, the step count and the antithetic pairing come from the
-bundle; gamma0 and a0 come from the fields. Both are read-only, so the
-checks cannot disturb one another and each one reports the same bytes as
-it would on a fresh simulation.
+The pass builds each load's martingale density once for all the checks
+that read it. The model spec, the step count and the antithetic pairing
+come from the bundle; gamma0 and a0 come from the fields. Both are
+read-only, so the ``check_*`` wrappers, which run one check each, report
+the same bytes on a shared simulation as on a fresh one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .ito_engine import (
     FieldPaths,
     PathBundle,
     density_path,
-    forward_weights,
     martingale_density,
     predicted_forward_drift,
     regularity_class,
@@ -190,11 +189,19 @@ def _time_indices(bundle: PathBundle, time_indices) -> list[int]:
     return idx
 
 
-def _dual_path_values(bundle, fields, z, eta, idx):
-    """V(t, eta Z_t) per path at the chosen grid indices."""
+def _density_columns(bundle, nu, idx):
+    """Copies of the martingale density's columns at the grid indices
+    ``idx``; the full (n_paths, n_steps + 1) matrix is freed on return."""
+    z = martingale_density(bundle, nu)
+    return {i: z[:, i].copy() for i in idx}
+
+
+def _dual_path_values(fields, z, eta, idx):
+    """V(t, eta Z_t) per path at the chosen grid indices; ``z`` maps each
+    index to its density column."""
     out = {}
     for i in idx:
-        arg = eta * z[:, i] * fields.inv_gamma[:, i]
+        arg = eta * z[i] * fields.inv_gamma[:, i]
         a_t = fields.a_shift[:, i]
         out[i] = entropy_kernel(arg) - arg * a_t
     return out
@@ -229,6 +236,141 @@ def require_provable(spec):
         )
 
 
+MC_CHECKS = (
+    "dual-submartingale",
+    "dual-martingale-at-optimum",
+    "inverse-gamma-mean",
+    "forward-drift",
+)
+_TERMINAL_NOTE = ("terminal-time consequence of the conditional statement",)
+
+
+def run_mc_checks(
+    bundle: PathBundle,
+    fields: FieldPaths,
+    checks: Sequence[str],
+    eta_list: Sequence[float] = (1.0, 2.0),
+    nu_family: dict[str, np.ndarray] | None = None,
+    time_indices: Sequence[int] | None = None,
+    confidence: float = DEFAULT_CONFIDENCE,
+) -> VerificationReport:
+    """Run the named checks of ``MC_CHECKS`` in one pass over the loads.
+
+    Each load's martingale density is built once and only the columns the
+    checks read (``time_indices`` and the terminal time) are kept; the
+    optimum load ``bundle.phi`` gets a pass of its own. Every check turns
+    those columns into per-path statistics with a target, and one reducer
+    collapses antithetic pairs and runs ``mc_mean_test`` on each. The
+    checks:
+
+    - ``dual-submartingale``: for each load nu and dual argument eta, the
+      mean of V(t2, eta Z_t2) - V(t1, eta Z_t1) must not sit significantly
+      below zero, nor V(t, eta Z_t) below the exact conjugate at time 0.
+    - ``dual-martingale-at-optimum``: at nu = phi, two-sided equality of
+      E[V(t, eta Z_t)] with the starting value at every selected t > 0;
+      only for specs in the provable class.
+    - ``inverse-gamma-mean``: E[Z_T / gamma_T] = 1/gamma_0 per load,
+      whatever the regularity classification.
+    - ``forward-drift``: with weights w = (gamma_0/gamma_T) Z_T, first the
+      unit mass E[w] = 1, then E[w (a_T - log z~_T)] = a_0 - (1/2)
+      integral (nu - phi)^2 dt. Here z~ is the terminal density with the
+      shifted price of risk theta - delta; it equals w path by path, but
+      comes from ``density_path`` directly, so the statistic cross-checks
+      the reweighting identity instead of assuming it. A load whose mass
+      test fails cannot define a forward measure: the first such load, in
+      ``nu_family`` order, aborts the run.
+
+    ``bundle`` and ``fields`` are the scenario's shared simulation (see
+    the module docstring); the spec is ``bundle.spec``.
+    """
+    unknown = set(checks) - set(MC_CHECKS)
+    if unknown:
+        raise ValueError(f"unknown Monte Carlo checks {sorted(unknown)}")
+    submartingale = "dual-submartingale" in checks
+    at_optimum = "dual-martingale-at-optimum" in checks
+    inverse_gamma = "inverse-gamma-mean" in checks
+    forward = "forward-drift" in checks
+    if submartingale:
+        sub_notes = ("unconditional consequence at grid times; conditional dominance not tested",)
+        if require_not_failing(bundle.spec) != PASS:
+            sub_notes += ("regularity undetermined for this spec; statistical evidence only",)
+    if at_optimum:
+        require_provable(bundle.spec)
+    idx = _time_indices(bundle, time_indices) if submartingale or at_optimum else []
+    if nu_family is None:
+        nu_family = default_nu_family(bundle)
+    gamma0, a0 = fields.gamma0, fields.a0
+    terminal = bundle.n_steps
+    report = VerificationReport()
+
+    def reduce(tag, samples, target, sided, notes):
+        res = mc_mean_test(
+            collapse_pairs(samples, bundle.antithetic),
+            target,
+            check_tag=tag,
+            confidence=confidence,
+            sided=sided,
+            notes=notes,
+        )
+        report.add(res.to_record())
+        return res
+
+    per_load = submartingale or inverse_gamma or forward
+    for label, nu in nu_family.items() if per_load else ():
+        z = _density_columns(bundle, nu, sorted(set(idx) | {terminal}))
+        if submartingale:
+            for eta in map(float, eta_list):
+                vals = _dual_path_values(fields, z, eta, idx)
+                anchor = conjugate_exponential(gamma0, a0, eta)
+                for pos, i2 in enumerate(idx):
+                    t2 = _fmt_t(bundle, i2)
+                    for i1 in idx[:pos]:
+                        reduce(
+                            f"dual-submartingale[nu={label},eta={eta:g},"
+                            f"t1={_fmt_t(bundle, i1)},t2={t2}]",
+                            vals[i2] - vals[i1], 0.0, "lower", sub_notes,
+                        )
+                    if i2 > 0:
+                        reduce(
+                            f"dual-above-start[nu={label},eta={eta:g},t={t2}]",
+                            vals[i2], anchor, "lower", sub_notes,
+                        )
+        if inverse_gamma:
+            reduce(
+                f"inverse-gamma-mean[nu={label}]",
+                z[terminal] * fields.inv_gamma[:, -1], 1.0 / gamma0, "two", _TERMINAL_NOTE,
+            )
+        if forward:
+            w = fields.inv_gamma[:, -1] * gamma0 * z[terminal]
+            mass = reduce(f"forward-mass[nu={label}]", w, 1.0, "two", _TERMINAL_NOTE)
+            if not mass.verdict:
+                raise RegularityError(
+                    f"check_forward_drift_mc: reweighted mass for nu={label!r} is "
+                    f"{mass.estimate:.6g} (z={mass.z_score:.2f}); not a probability, "
+                    "drift target undefined"
+                )
+            log_z_tilde = np.log(density_path(bundle, bundle.theta - bundle.delta, nu)[:, -1])
+            reduce(
+                f"forward-drift[nu={label}]",
+                w * (fields.a_shift[:, -1] - log_z_tilde),
+                a0 + predicted_forward_drift(bundle.spec, bundle.n_steps, nu),
+                "two",
+                _TERMINAL_NOTE,
+            )
+    if at_optimum:
+        idx = [i for i in idx if i > 0]
+        z = _density_columns(bundle, bundle.phi, idx)
+        for eta in map(float, eta_list):
+            vals = _dual_path_values(fields, z, eta, idx)
+            target = conjugate_exponential(gamma0, a0, eta)
+            for i in idx:
+                reduce(
+                    f"dual-martingale-at-optimum[eta={eta:g},t={_fmt_t(bundle, i)}]",
+                    vals[i], target, "two", ("unconditional mean equality at grid times",),
+                )
+    return report
+
+
 def check_dual_submartingale(
     bundle: PathBundle,
     fields: FieldPaths,
@@ -237,59 +379,11 @@ def check_dual_submartingale(
     time_indices: Sequence[int] | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> VerificationReport:
-    """Upward drift of the dual process under every candidate measure.
-
-    For each orthogonal load nu and dual argument eta: the mean of
-    V(t2, eta Z_t2) - V(t1, eta Z_t1) must not sit significantly below
-    zero, and at t1 = 0 the anchor value is the exact conjugate.
-    ``bundle`` and ``fields`` are the scenario's shared simulation (see
-    the module docstring); the spec is ``bundle.spec``.
-    """
-    cls = require_not_failing(bundle.spec)
-    base_notes = ("unconditional consequence at grid times; conditional dominance not tested",)
-    if cls != PASS:
-        base_notes += ("regularity undetermined for this spec; statistical evidence only",)
-    gamma0, a0, antithetic = fields.gamma0, fields.a0, bundle.antithetic
-    if nu_family is None:
-        nu_family = default_nu_family(bundle)
-    idx = _time_indices(bundle, time_indices)
-    report = VerificationReport()
-    for label, nu in nu_family.items():
-        z = martingale_density(bundle, nu)
-        for eta in eta_list:
-            vals = _dual_path_values(bundle, fields, z, float(eta), idx)
-            anchor = conjugate_exponential(gamma0, a0, float(eta))
-            for pos, i2 in enumerate(idx):
-                for i1 in idx[:pos]:
-                    diff = collapse_pairs(vals[i2] - vals[i1], antithetic)
-                    res = mc_mean_test(
-                        diff,
-                        0.0,
-                        check_tag=(
-                            f"dual-submartingale[nu={label},eta={eta:g},"
-                            f"t1={_fmt_t(bundle, i1)},t2={_fmt_t(bundle, i2)}]"
-                        ),
-                        confidence=confidence,
-                        sided="lower",
-                        notes=base_notes,
-                    )
-                    report.add(res.to_record())
-                if i2 > 0:
-                    level = collapse_pairs(vals[i2], antithetic)
-                    res = mc_mean_test(
-                        level,
-                        anchor,
-                        check_tag=(
-                            f"dual-above-start[nu={label},eta={eta:g},"
-                            f"t={_fmt_t(bundle, i2)}]"
-                        ),
-                        confidence=confidence,
-                        sided="lower",
-                        notes=base_notes,
-                    )
-                    report.add(res.to_record())
-        del z
-    return report
+    """Upward drift of the dual process under every candidate measure;
+    ``run_mc_checks`` with ``dual-submartingale`` alone."""
+    return run_mc_checks(
+        bundle, fields, ["dual-submartingale"], eta_list, nu_family, time_indices, confidence
+    )
 
 
 def check_dual_martingale_at_optimum(
@@ -299,32 +393,12 @@ def check_dual_martingale_at_optimum(
     time_indices: Sequence[int] | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> VerificationReport:
-    """Flat dual process at the optimal orthogonal load nu = phi.
-
-    Two-sided test of E[V(t, eta Z_t)] against the exact starting value at
-    every selected grid time; only run for specs in the provable class.
-    Reads the scenario's shared ``bundle`` and ``fields``.
-    """
-    require_provable(bundle.spec)
-    gamma0, a0, antithetic = fields.gamma0, fields.a0, bundle.antithetic
-    z = martingale_density(bundle, bundle.phi)
-    idx = [i for i in _time_indices(bundle, time_indices) if i > 0]
-    report = VerificationReport()
-    for eta in eta_list:
-        vals = _dual_path_values(bundle, fields, z, float(eta), idx)
-        target = conjugate_exponential(gamma0, a0, float(eta))
-        for i in idx:
-            level = collapse_pairs(vals[i], antithetic)
-            res = mc_mean_test(
-                level,
-                target,
-                check_tag=f"dual-martingale-at-optimum[eta={eta:g},t={_fmt_t(bundle, i)}]",
-                confidence=confidence,
-                sided="two",
-                notes=("unconditional mean equality at grid times",),
-            )
-            report.add(res.to_record())
-    return report
+    """Flat dual process at the optimal orthogonal load nu = phi;
+    ``run_mc_checks`` with ``dual-martingale-at-optimum`` alone."""
+    return run_mc_checks(
+        bundle, fields, ["dual-martingale-at-optimum"], eta_list,
+        time_indices=time_indices, confidence=confidence,
+    )
 
 
 def check_inverse_gamma_mean_mc(
@@ -333,28 +407,11 @@ def check_inverse_gamma_mean_mc(
     nu_family: dict[str, np.ndarray] | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> VerificationReport:
-    """Preservation of the mean of 1/gamma by every candidate measure:
-    E[Z_T / gamma_T] = 1/gamma_0, two-sided per load. Runs regardless of
-    the regularity classification. Reads the scenario's shared ``bundle``
-    and ``fields``; 1/gamma does not depend on ``fields.a0``."""
-    gamma0, antithetic = fields.gamma0, bundle.antithetic
-    if nu_family is None:
-        nu_family = default_nu_family(bundle)
-    report = VerificationReport()
-    for label, nu in nu_family.items():
-        z = martingale_density(bundle, nu)
-        samples = collapse_pairs(z[:, -1] * fields.inv_gamma[:, -1], antithetic)
-        res = mc_mean_test(
-            samples,
-            1.0 / gamma0,
-            check_tag=f"inverse-gamma-mean[nu={label}]",
-            confidence=confidence,
-            sided="two",
-            notes=("terminal-time consequence of the conditional statement",),
-        )
-        report.add(res.to_record())
-        del z
-    return report
+    """Preservation of the mean of 1/gamma by every candidate measure;
+    ``run_mc_checks`` with ``inverse-gamma-mean`` alone."""
+    return run_mc_checks(
+        bundle, fields, ["inverse-gamma-mean"], nu_family=nu_family, confidence=confidence
+    )
 
 
 def check_forward_drift_mc(
@@ -363,51 +420,8 @@ def check_forward_drift_mc(
     nu_family: dict[str, np.ndarray] | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> VerificationReport:
-    """Forward-measure drift of the performance statistic per candidate load.
-
-    With weights w = (gamma_0/gamma_T) Z_T, the mean of w (a_T - log z~_T)
-    must equal a_0 - (1/2) integral (nu - phi)^2 dt, exactly zero drift at
-    nu = phi. Here z~ is the terminal density built from the shifted market
-    price of risk theta - delta; it equals w path by path, but the two are
-    computed through separate routes so the statistic cross-checks the
-    reweighting identity instead of assuming it. The unit-mean condition
-    for w is retested first for each load; a load failing it cannot define
-    a forward measure and aborts the check. Reads the scenario's shared
-    ``bundle`` and ``fields``.
-    """
-    a0, antithetic = fields.a0, bundle.antithetic
-    if nu_family is None:
-        nu_family = default_nu_family(bundle)
-    theta_tilde = bundle.theta - bundle.delta
-    report = VerificationReport()
-    for label, nu in nu_family.items():
-        w = forward_weights(bundle, fields, nu)
-        mass = mc_mean_test(
-            collapse_pairs(w, antithetic),
-            1.0,
-            check_tag=f"forward-mass[nu={label}]",
-            confidence=confidence,
-            sided="two",
-            notes=("terminal-time consequence of the conditional statement",),
-        )
-        if not mass.verdict:
-            raise RegularityError(
-                f"check_forward_drift_mc: reweighted mass for nu={label!r} is "
-                f"{mass.estimate:.6g} (z={mass.z_score:.2f}); not a probability, "
-                "drift target undefined"
-            )
-        report.add(mass.to_record())
-        z_tilde = density_path(bundle, theta_tilde, nu)[:, -1]
-        f_term = fields.a_shift[:, -1] - np.log(z_tilde)
-        target = a0 + predicted_forward_drift(bundle.spec, bundle.n_steps, nu)
-        res = mc_mean_test(
-            collapse_pairs(w * f_term, antithetic),
-            target,
-            check_tag=f"forward-drift[nu={label}]",
-            confidence=confidence,
-            sided="two",
-            notes=("terminal-time consequence of the conditional statement",),
-        )
-        report.add(res.to_record())
-        del w, z_tilde
-    return report
+    """Forward-measure drift of the performance statistic per candidate
+    load; ``run_mc_checks`` with ``forward-drift`` alone."""
+    return run_mc_checks(
+        bundle, fields, ["forward-drift"], nu_family=nu_family, confidence=confidence
+    )

@@ -811,42 +811,6 @@ def check_self_generation_dual(
     return report
 
 
-def _refined_min(f, pts, tol, max_expand=120):
-    """Min of f seeded by a grid: golden-section between the argmin's
-    neighbors, first walking downhill past a boundary argmin in doubling
-    steps."""
-    vals = [f(p) for p in pts]
-    i = int(np.argmin(vals))
-    if 0 < i < len(pts) - 1:
-        lo, hi = pts[i - 1], pts[i + 1]
-    else:
-        if i == len(pts) - 1:
-            inner = pts[i - 1] if len(pts) > 1 else pts[i] - 1.0
-            step = max(pts[i] - inner, 1.0)
-            advance = lambda x, s: (x + s, s * 2.0)
-        else:
-            inner = pts[1] if len(pts) > 1 else pts[0] + 1.0
-            step = max(inner - pts[0], 1.0)
-            advance = lambda x, s: (x - s, s * 2.0)
-        a, b, fb = inner, pts[i], vals[i]
-        c, step = advance(b, step)
-        fc = f(c)
-        for _ in range(max_expand):
-            if fc > fb:
-                break
-            a, b, fb = b, c, fc
-            c, step = advance(c, step)
-            fc = f(c)
-        else:
-            raise ConvergenceError("conjugacy refinement found no bracket")
-        lo, hi = min(a, c), max(a, c)
-    span_tol = tol * (1.0 + abs(lo) + abs(hi))
-    x_best, f_best = golden_section_min(f, lo, hi, tol=span_tol)
-    if vals[i] < f_best:
-        return vals[i], pts[i]
-    return f_best, x_best
-
-
 def check_value_conjugacy(
     tree: EventTree,
     field: ExponentialFieldParams,
@@ -871,9 +835,8 @@ def check_value_conjugacy(
       and near-boundary flag (the attaining measure s / sum(s) below 1e-7
       on some leaf).
     - dual from primal: v(eta) on the eta grid against max over xi of
-      (u(xi) - xi eta), refined from the xi grid by golden-section around
-      the best grid point (expanding past the grid when the maximiser
-      falls outside it).
+      (u(xi) - xi eta), which for u(xi) = -exp(-gamma xi + log_factor) is
+      ``conjugate_exponential(gamma, log_factor, eta)`` in closed form.
 
     ``duals`` shares the eta-grid dual solves with the other checks of a
     scenario.
@@ -912,11 +875,9 @@ def check_value_conjugacy(
         newton[n] = max(info["newton_iterations"] for _, _, info, _ in solves)
         kkt[n] = max(info["gap_bound"] + info["eq_residual"] for _, _, info, _ in solves)
         near[n] = any(flag for _, _, _, flag in solves)
-        xs = sorted(xi_grid)
         for e in eta_grid:
-            neg_best, _ = _refined_min(lambda x: -(u_of(n, x) - x * e), xs, tol)
-            gap = abs(-neg_best - duals(e, t, T).values[n])
-            worst_dual = max(worst_dual, gap)
+            v = conjugate_exponential(field.gamma[n], base.log_factor[n], e)
+            worst_dual = max(worst_dual, abs(v - duals(e, t, T).values[n]))
     report.add(
         CheckRecord(
             check_tag=f"conjugacy-primal-from-dual[t={t},T={T}]",

@@ -11,6 +11,8 @@ import pytest
 
 import forwardperf
 import forwardperf.cli as cli
+import forwardperf.ito_engine as ito_engine
+import forwardperf.mc_verifier as mc_verifier
 import forwardperf.tree_verifier as tree_verifier
 from forwardperf.cli import main, run_ito_scenario
 from treegen import two_period_tree
@@ -356,6 +358,31 @@ def test_ito_scenario_simulates_once(monkeypatch, checks, n_sim):
     assert calls == {"simulate_paths": n_sim, "build_forward_exponential": n_sim}
 
 
+def test_ito_scenario_builds_each_density_once(monkeypatch):
+    # one density per load of the default family (5), one at the optimum,
+    # and the forward check's own route per load (5)
+    calls = []
+    original = ito_engine.density_path
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (ito_engine, mc_verifier):
+        monkeypatch.setattr(module, "density_path", counted)
+    doc = ito_doc(n_paths=2000, n_steps=16)
+    del doc["checks"]
+    report = run_ito_scenario(doc)
+    assert report.all_passed, report.to_text()
+    assert len(calls) == 11
+
+
+def test_ito_duplicate_check_refused(tmp_path, capsys, no_simulation):
+    doc = ito_doc(checks=["regularity", "inverse-gamma-mean", "inverse-gamma-mean"])
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: $.checks[2]: duplicate check")
+
+
 def test_seed_precedence(tmp_path, capsys, monkeypatch):
     doc = ito_doc(checks=["inverse-gamma-mean"], nu={"0": 0.3})
     path = write_scenario(tmp_path, doc)
@@ -508,6 +535,22 @@ def test_export_paths_index_out_of_range(tmp_path, capsys):
     path = write_scenario(tmp_path, export_doc(paths=[99]))
     assert main(["export-paths", path, "--out", str(tmp_path / "x.csv")]) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, json_path, message",
+    [
+        ({"n_paths": 7}, "$.n_paths", "even n_paths"),
+        ({"paths": [0, 6]}, "$.paths", "path index 6 out of range"),
+    ],
+)
+def test_export_paths_bad_inputs_rejected_before_simulating(
+    tmp_path, capsys, no_simulation, overrides, json_path, message
+):
+    path = write_scenario(tmp_path, export_doc(**overrides))
+    assert main(["export-paths", path, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {json_path}: ") and message in err
 
 
 def test_export_paths_kind_mismatch(tmp_path, capsys):

@@ -15,7 +15,6 @@ from forwardperf.ito_engine import (
     build_forward_exponential,
     density_path,
     export_paths,
-    forward_weights,
     martingale_density,
     predicted_forward_drift,
     regularity_class,
@@ -232,7 +231,7 @@ def test_forward_weights_exact_identity():
     bundle = simulate_paths(PIECEWISE, 8, 32, seed=25)
     fields = build_forward_exponential(PIECEWISE, 1.3, 0.2, bundle)
     for nu in (0.0, 0.3, 0.8):
-        w = forward_weights(bundle, fields, nu)
+        w = fields.inv_gamma[:, -1] * fields.gamma0 * martingale_density(bundle, nu)[:, -1]
         direct = density_path(bundle, bundle.theta - bundle.delta, nu)[:, -1]
         np.testing.assert_allclose(w, direct, rtol=1e-12, atol=1e-13)
 

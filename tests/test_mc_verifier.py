@@ -21,6 +21,7 @@ from forwardperf.mc_verifier import (
     mc_mean_test,
     z_critical,
 )
+from forwardperf.report import VerificationReport
 
 CLEAN = CoefficientSpec.constant(1.0, theta=0.5, phi=0.3, rho=0.1)
 SHIFTED_GAMMA = CoefficientSpec.constant(1.0, theta=0.5, delta=0.2, phi=0.3, rho=0.1)
@@ -222,9 +223,38 @@ def test_reports_seed_deterministic():
     assert a.to_json() != c.to_json()
 
 
-@pytest.mark.parametrize("antithetic", [True, False])
-@pytest.mark.parametrize("n_chunks", [1, 4])
-def test_shared_simulation_matches_fresh_per_check(antithetic, n_chunks):
+ALL_ITO_CHECKS = [
+    "regularity",
+    "dual-submartingale",
+    "dual-martingale-at-optimum",
+    "inverse-gamma-mean",
+    "forward-drift",
+]
+CUSTOM_ARGS = {
+    "nu": {"flat": 0.2, "ramp": [0.1 * k for k in range(8)]},
+    "eta_list": [0.5, 3.0],
+    "time_indices": [2, 8, 5],
+}
+
+
+@pytest.mark.parametrize(
+    "n_chunks, antithetic, checks, custom",
+    [
+        *(
+            pytest.param(n_chunks, antithetic, ALL_ITO_CHECKS, {}, id=f"{n_chunks}-{antithetic}")
+            for n_chunks in (1, 4)
+            for antithetic in (True, False)
+        ),
+        pytest.param(
+            3,
+            False,
+            ["forward-drift", "dual-submartingale", "dual-martingale-at-optimum"],
+            CUSTOM_ARGS,
+            id="3-False-custom",
+        ),
+    ],
+)
+def test_shared_simulation_matches_fresh_per_check(n_chunks, antithetic, checks, custom):
     # a scenario hands one bundle and one set of field paths to every check;
     # each check must report what it reports on a simulation of its own
     doc = {
@@ -238,13 +268,8 @@ def test_shared_simulation_matches_fresh_per_check(antithetic, n_chunks):
         "seed": 912,
         "antithetic": antithetic,
         "n_chunks": n_chunks,
-        "checks": [
-            "regularity",
-            "dual-submartingale",
-            "dual-martingale-at-optimum",
-            "inverse-gamma-mean",
-            "forward-drift",
-        ],
+        "checks": checks,
+        **custom,
     }
     shared = run_ito_scenario(doc)
 
@@ -254,10 +279,18 @@ def test_shared_simulation_matches_fresh_per_check(antithetic, n_chunks):
         )
         return bundle, build_forward_exponential(CLEAN, 1.5, 0.1, bundle)
 
-    separate = validate_regularity(CLEAN)
-    separate.merge(check_dual_submartingale(*fresh()))
-    separate.merge(check_dual_martingale_at_optimum(*fresh()))
-    separate.merge(check_inverse_gamma_mean_mc(*fresh()))
-    separate.merge(check_forward_drift_mc(*fresh()))
+    nu = custom.get("nu")
+    family = nu and {k: np.full(8, v) if np.ndim(v) == 0 else np.asarray(v) for k, v in nu.items()}
+    dual = {"eta_list": custom.get("eta_list", (1.0, 2.0)), "time_indices": custom.get("time_indices")}
+    runs = {
+        "regularity": lambda: validate_regularity(CLEAN),
+        "dual-submartingale": lambda: check_dual_submartingale(*fresh(), nu_family=family, **dual),
+        "dual-martingale-at-optimum": lambda: check_dual_martingale_at_optimum(*fresh(), **dual),
+        "inverse-gamma-mean": lambda: check_inverse_gamma_mean_mc(*fresh(), nu_family=family),
+        "forward-drift": lambda: check_forward_drift_mc(*fresh(), nu_family=family),
+    }
+    separate = VerificationReport()
+    for name in checks:
+        separate.merge(runs[name]())
     separate.add(shared["mc-expected-false-failures"])
     assert shared.to_json() == separate.to_json()

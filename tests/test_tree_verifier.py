@@ -7,7 +7,12 @@ import pytest
 
 import oracles
 from forwardperf.errors import ArbitrageError, ConvergenceError
-from forwardperf.fields import ExponentialFieldParams, entropy_kernel, exponential_slice
+from forwardperf.fields import (
+    ExponentialFieldParams,
+    conjugate_exponential,
+    entropy_kernel,
+    exponential_slice,
+)
 from forwardperf.tree_market import (
     EventTree,
     TreeMeasure,
@@ -526,6 +531,24 @@ def test_conjugacy_joint_solve_matches_eta_search(kind, seed):
         g = field.gamma[n]
         marginal = g * math.exp(-g * xi_grid[0] + log_factor[n])
         assert rec.details["eta_hat"][n] == pytest.approx(marginal, rel=1e-8)
+
+
+@pytest.mark.parametrize("kind,seed", [("crit3-bumped", 5), ("suite-t1", 1), ("depth4", 2)])
+def test_conjugacy_dual_from_primal_is_the_closed_form_gap(kind, seed):
+    # the conjugate of u(xi) = -exp(-gamma xi + log_factor) is closed form,
+    # so the record is exactly its worst gap to the computed dual
+    tree, field, (t, T), xi_grid, eta_grid = conjugacy_case(kind, seed)
+    rep = check_value_conjugacy(tree, field, t, T, xi_grid, eta_grid)
+    log_factor = primal_value(tree, field, 0.0, t, T).log_factor
+    gap = max(
+        abs(
+            conjugate_exponential(field.gamma[n], log_factor[n], e)
+            - dual_value(tree, field, e, t, T).values[n]
+        )
+        for n in tree.nodes_at(t)
+        for e in eta_grid
+    )
+    assert rep[f"conjugacy-dual-from-primal[t={t},T={T}]"].value == gap
 
 
 @pytest.mark.parametrize("xi", [-1000.0, 1000.0])
