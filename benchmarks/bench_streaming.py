@@ -1,0 +1,160 @@
+"""Peak memory and wall time of a streamed ``ito-verify`` run over n_chunks.
+
+Runs one scenario, the README model with plain paths x 64 steps and the
+inverse-gamma-mean check alone, at 100k paths in 1, 4, 16 and 64 chunks
+and at 400k paths in 16 and 64 chunks. Every point runs in a fresh
+process, so its peak RSS is its own: the process imports forwardperf,
+records its RSS (the import baseline), then runs the scenario through
+``run_ito_scenario`` and records wall time and peak RSS (``ru_maxrss``).
+Each point also records the SHA-256 of its report, which must not depend
+on the chunk count.
+
+Writes the median and spread (min, max) of the repeats as JSON. Usage:
+
+    PYTHONPATH=src python benchmarks/bench_streaming.py \\
+        [--repeat 3] [--out BENCH_streaming.json]
+"""
+
+import argparse
+import datetime
+import hashlib
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+POINTS = [(100_000, c) for c in (1, 4, 16, 64)] + [(400_000, c) for c in (16, 64)]
+SEED = 77
+MODEL = {
+    "horizon": 1.0,
+    "breakpoints": [0.0, 0.5],
+    "theta": [0.5, 0.5],
+    "delta": 0.0,
+    "phi": [0.3, 0.0],
+    "rho": 0.1,
+}
+
+
+def scenario(n_paths, n_chunks):
+    return {
+        "schema_version": 1,
+        "kind": "ito-verify",
+        "model": MODEL,
+        "gamma0": 1.0,
+        "a0": 0.0,
+        "n_steps": 64,
+        "n_paths": n_paths,
+        "seed": SEED,
+        "antithetic": False,
+        "n_chunks": n_chunks,
+        "checks": ["inverse-gamma-mean"],
+    }
+
+
+def _rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def child(n_paths, n_chunks):
+    """One measurement, printed as a JSON line."""
+    from forwardperf.cli import run_ito_scenario
+
+    baseline = _rss_mb()
+    t0 = time.perf_counter()
+    report = run_ito_scenario(scenario(n_paths, n_chunks))
+    wall = time.perf_counter() - t0
+    text = report.to_json()
+    print(
+        json.dumps(
+            {
+                "wall_s": wall,
+                "peak_rss_mb": _rss_mb(),
+                "baseline_mb": baseline,
+                "report_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            }
+        )
+    )
+
+
+def _spread(values):
+    return {"median": statistics.median(values), "min": min(values), "max": max(values)}
+
+
+def measure(n_paths, n_chunks, repeat):
+    runs = []
+    for _ in range(repeat):
+        out = subprocess.run(
+            [sys.executable, __file__, "--child", str(n_paths), str(n_chunks)],
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        runs.append(json.loads(out.stdout))
+    digests = {r["report_sha256"] for r in runs}
+    if len(digests) != 1:
+        raise RuntimeError(f"reports differ between repeats at {n_paths} x {n_chunks}")
+    return {
+        "n_paths": n_paths,
+        "n_chunks": n_chunks,
+        "repeats": repeat,
+        "peak_rss_mb": _spread([r["peak_rss_mb"] for r in runs]),
+        "wall_s": _spread([r["wall_s"] for r in runs]),
+        "baseline_mb": _spread([r["baseline_mb"] for r in runs]),
+        "report_sha256": digests.pop(),
+    }
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=3, help="fresh processes per point")
+    parser.add_argument("--out", default="BENCH_streaming.json", help="JSON output path")
+    parser.add_argument("--child", nargs=2, type=int, metavar=("N_PATHS", "N_CHUNKS"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        child(*args.child)
+        return
+
+    from forwardperf import kernels
+
+    rows = []
+    for n_paths, n_chunks in POINTS:
+        row = measure(n_paths, n_chunks, args.repeat)
+        print(
+            f"n_paths={n_paths} n_chunks={n_chunks} "
+            f"peak_rss={row['peak_rss_mb']['median']:.1f}MB "
+            f"wall={row['wall_s']['median']:.2f}s",
+            flush=True,
+        )
+        rows.append(row)
+    for n_paths in {n for n, _ in POINTS}:
+        if len({r["report_sha256"] for r in rows if r["n_paths"] == n_paths}) != 1:
+            raise RuntimeError(f"report at {n_paths} paths depends on n_chunks")
+    doc = {
+        "benchmark": "streaming",
+        "scenario": "ito-verify, README model, plain paths x 64 steps, seed "
+        f"{SEED}, checks [inverse-gamma-mean]",
+        "what": "peak RSS (ru_maxrss) and wall time of run_ito_scenario in a fresh "
+        "process per repeat; baseline_mb is the RSS after importing forwardperf",
+        "date": datetime.date.today().isoformat(),
+        "nproc": os.cpu_count(),
+        "kernel_backend": kernels.BACKEND,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "rows": rows,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {args.out}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

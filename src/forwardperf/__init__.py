@@ -20,6 +20,7 @@ from .errors import (
     ForwardPerfError,
     InadaViolationError,
     RegularityError,
+    ReplicationError,
     ScenarioError,
     TreeStructureError,
 )

@@ -25,14 +25,16 @@ from .ito_engine import (
     PASS,
     CoefficientSpec,
     build_forward_exponential,
-    export_paths,
+    chunk_bounds,
     martingale_density,
+    path_rows,
     regularity_class,
     simulate_paths,
     validate_regularity,
+    write_paths_csv,
 )
 from .kernels import U64_MAX
-from .mc_verifier import MC_CHECKS, require_not_failing, require_provable, run_mc_checks
+from .mc_verifier import MC_CHECKS, MonteCarloPass
 from .report import CheckRecord, VerificationReport
 from .tree_market import EventTree, check_nflvr, validate_tree
 from .tree_verifier import (
@@ -457,23 +459,22 @@ def run_ito_scenario(doc, seed_override=None):
                 ),
             )
         )
-    for name in mc_checks:
-        # refuse the model before paying for its simulation
-        if name == "dual-submartingale":
-            require_not_failing(spec)
-        elif name == "dual-martingale-at-optimum":
-            require_provable(spec)
     if mc_checks:
-        # every Monte Carlo check reads this one simulation
-        bundle = simulate_paths(
-            spec, n_steps, n_paths, seed, antithetic=antithetic, n_chunks=n_chunks
+        # refuses the model before paying for its simulation
+        mc = MonteCarloPass(
+            spec, n_steps, antithetic, gamma0, a0,
+            mc_checks, eta_list, nu_family, time_indices, confidence,
         )
-        fields = build_forward_exponential(spec, gamma0, a0, bundle)
-        report.merge(
-            run_mc_checks(
-                bundle, fields, mc_checks, eta_list, nu_family, time_indices, confidence
+        # every Monte Carlo check reads this one simulation, held one chunk
+        # of streams at a time so that n_chunks bounds memory
+        for lo, hi in chunk_bounds(n_streams, n_chunks):
+            bundle = simulate_paths(
+                spec, n_steps, (n_paths // n_streams) * (hi - lo), seed,
+                antithetic=antithetic, stream_offset=lo,
             )
-        )
+            mc.gather(bundle, build_forward_exponential(spec, gamma0, a0, bundle))
+            del bundle
+        report.merge(mc.reduce())
     n_stat = sum(1 for rec in report.records() if rec.std_error is not None)
     if n_stat:
         report.add(
@@ -563,11 +564,25 @@ def run_export_paths(doc, out_path, seed_override=None):
         for i in indices:
             if i >= n_paths:
                 _fail("$.paths", f"path index {i} out of range")
-    bundle = simulate_paths(spec, n_steps, n_paths, seed, antithetic=antithetic)
-    fields = build_forward_exponential(spec, gamma0, a0, bundle)
-    densities = {label: martingale_density(bundle, nu) for label, nu in fam.items()}
-    rows = export_paths(bundle, fields, densities, out_path, path_indices=indices)
-    print(f"wrote {rows} rows to {out_path}", file=sys.stderr)
+    else:
+        indices = range(min(n_paths, 10))
+    # refuse a grid that misses a breakpoint even when no path is selected
+    spec.per_step_values(n_steps)
+    # simulate only the streams of the selected paths, one at a time
+    paths_per_stream = 2 if antithetic else 1
+    selected = set(indices)
+    rows = {}
+    for stream in sorted({i // paths_per_stream for i in selected}):
+        bundle = simulate_paths(
+            spec, n_steps, paths_per_stream, seed, antithetic=antithetic, stream_offset=stream
+        )
+        fields = build_forward_exponential(spec, gamma0, a0, bundle)
+        densities = {label: martingale_density(bundle, nu) for label, nu in fam.items()}
+        for i in range(bundle.first_path, bundle.first_path + paths_per_stream):
+            if i in selected:
+                rows[i] = path_rows(bundle, fields, densities, i)
+    n_rows = write_paths_csv(out_path, list(fam), (row for i in indices for row in rows[i]))
+    print(f"wrote {n_rows} rows to {out_path}", file=sys.stderr)
     return VerificationReport()
 
 

@@ -114,7 +114,9 @@ class PathBundle:
 
     ``dB``/``dW`` have shape (n_paths, n_steps); ``s`` has shape
     (n_paths, n_steps + 1) with s[:, 0] = s0. With antithetic pairing,
-    paths 2i and 2i+1 share a Gaussian stream with opposite signs.
+    paths 2i and 2i+1 share a Gaussian stream with opposite signs. Row 0
+    draws from stream ``stream_offset``, so it is path ``first_path`` of
+    the simulation that starts at stream 0.
     """
 
     spec: CoefficientSpec
@@ -130,14 +132,28 @@ class PathBundle:
     delta: np.ndarray
     phi: np.ndarray
     rho: np.ndarray
+    stream_offset: int
 
     @property
     def n_steps(self) -> int:
         return self.dB.shape[1]
 
     @property
+    def first_path(self) -> int:
+        return self.stream_offset * (2 if self.antithetic else 1)
+
+    @property
     def ds(self) -> np.ndarray:
         return self.theta * self.dt + self.dB
+
+
+def chunk_bounds(n_streams: int, n_chunks: int) -> list[tuple[int, int]]:
+    """Split streams 0 .. n_streams - 1 into ``n_chunks`` consecutive
+    ranges ``(lo, hi)`` whose sizes differ by at most one; each range is
+    nonempty when 1 <= n_chunks <= n_streams."""
+    return [
+        (i * n_streams // n_chunks, (i + 1) * n_streams // n_chunks) for i in range(n_chunks)
+    ]
 
 
 def simulate_paths(
@@ -148,12 +164,17 @@ def simulate_paths(
     antithetic: bool = True,
     n_chunks: int = 1,
     s0: float = 0.0,
+    stream_offset: int = 0,
 ) -> PathBundle:
     """Simulate (B, W) increments and the price path.
 
     Draws are a pure function of (seed, stream, step); chunked generation
     (``n_chunks`` > 1) covers the same stream indices in pieces and yields
-    bit-identical arrays.
+    bit-identical arrays. The bundle holds the streams from
+    ``stream_offset`` on (one per path, or one per antithetic pair), so
+    its rows equal, bit for bit, the matching rows of a simulation that
+    starts at stream 0: a large simulation can be run as consecutive
+    stream ranges, one bundle at a time.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -167,12 +188,10 @@ def simulate_paths(
 
     z1 = np.empty((n_streams, n_steps))
     z2 = np.empty((n_streams, n_steps))
-    bounds = np.linspace(0, n_streams, n_chunks + 1).astype(int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            a, b = gaussian_field(seed, hi - lo, n_steps, stream_offset=int(lo))
-            z1[lo:hi] = a
-            z2[lo:hi] = b
+    for lo, hi in chunk_bounds(n_streams, n_chunks):
+        a, b = gaussian_field(seed, hi - lo, n_steps, stream_offset=stream_offset + lo)
+        z1[lo:hi] = a
+        z2[lo:hi] = b
 
     sdt = math.sqrt(dt)
     if antithetic:
@@ -206,6 +225,7 @@ def simulate_paths(
         delta=coeffs["delta"],
         phi=coeffs["phi"],
         rho=coeffs["rho"],
+        stream_offset=int(stream_offset),
     )
     for arr in (bundle.grid, bundle.dB, bundle.dW, bundle.s, bundle.theta,
                 bundle.delta, bundle.phi, bundle.rho):
@@ -372,6 +392,41 @@ def validate_regularity(spec: CoefficientSpec) -> VerificationReport:
 # -- export --------------------------------------------------------------
 
 
+def path_rows(
+    bundle: PathBundle, fields: FieldPaths, densities: dict[str, np.ndarray], path_index: int
+) -> list[list]:
+    """CSV rows of one path, one per grid time: the price, the density
+    columns in label order, then the field columns. ``path_index`` counts
+    from the simulation's stream 0 (see ``PathBundle.first_path``)."""
+    i = path_index - bundle.first_path
+    if not 0 <= i < bundle.n_paths:
+        raise ValueError(
+            f"path {path_index} is not in this bundle (paths {bundle.first_path} to "
+            f"{bundle.first_path + bundle.n_paths - 1})"
+        )
+    return [
+        [path_index, f"{t:.12g}", f"{bundle.s[i, j]:.12g}"]
+        + [f"{z[i, j]:.12g}" for z in densities.values()]
+        + [f"{fields.inv_gamma[i, j]:.12g}", f"{fields.a_shift[i, j]:.12g}"]
+        for j, t in enumerate(bundle.grid)
+    ]
+
+
+def write_paths_csv(path: str, labels: Sequence[str], rows) -> int:
+    """Write ``path_rows`` output under its header, as long-format CSV;
+    returns the number of rows written."""
+    n = 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["path", "t", "s"] + [f"z_{lab}" for lab in labels] + ["inv_gamma", "a_shift"]
+        )
+        for row in rows:
+            writer.writerow(row)
+            n += 1
+    return n
+
+
 def export_paths(
     bundle: PathBundle,
     fields: FieldPaths,
@@ -385,25 +440,12 @@ def export_paths(
     field columns close each row. Returns the number of rows written.
     """
     if path_indices is None:
-        path_indices = range(min(bundle.s.shape[0], 10))
-    labels = list(densities)
-    for lab in labels:
-        if densities[lab].shape != bundle.s.shape:
+        path_indices = range(bundle.first_path, bundle.first_path + min(bundle.n_paths, 10))
+    for lab, z in densities.items():
+        if z.shape != bundle.s.shape:
             raise ValueError(f"density {lab!r} must be a full path matrix")
-    rows = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["path", "t", "s"]
-            + [f"z_{lab}" for lab in labels]
-            + ["inv_gamma", "a_shift"]
-        )
-        for i in path_indices:
-            for j, t in enumerate(bundle.grid):
-                writer.writerow(
-                    [i, f"{t:.12g}", f"{bundle.s[i, j]:.12g}"]
-                    + [f"{densities[lab][i, j]:.12g}" for lab in labels]
-                    + [f"{fields.inv_gamma[i, j]:.12g}", f"{fields.a_shift[i, j]:.12g}"]
-                )
-                rows += 1
-    return rows
+    return write_paths_csv(
+        path,
+        list(densities),
+        (row for i in path_indices for row in path_rows(bundle, fields, densities, i)),
+    )

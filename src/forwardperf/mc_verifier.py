@@ -26,6 +26,18 @@ that read it. The model spec, the step count and the antithetic pairing
 come from the bundle; gamma0 and a0 come from the fields. Both are
 read-only, so the ``check_*`` wrappers, which run one check each, report
 the same bytes on a shared simulation as on a fresh one.
+
+To bound memory, the same pass takes the simulation one stream range at a
+time and keeps only a few per-path columns of each::
+
+    mc = MonteCarloPass(spec, n_steps, antithetic, gamma0, a0, checks)
+    for lo, hi in chunk_bounds(n_streams, n_chunks):
+        # (hi - lo) streams: twice as many paths when antithetic
+        bundle = simulate_paths(spec, n_steps, 2 * (hi - lo), seed, stream_offset=lo)
+        mc.gather(bundle, build_forward_exponential(spec, gamma0, a0, bundle))
+    report = mc.reduce()
+
+The report is the one ``run_mc_checks`` gives on the whole simulation.
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ from .fields import conjugate_exponential, entropy_kernel
 from .ito_engine import (
     FAIL_ANALYTIC,
     PASS,
+    CoefficientSpec,
     FieldPaths,
     PathBundle,
     density_path,
@@ -164,27 +177,29 @@ def mc_mean_test(
 # -- candidate load families --------------------------------------------
 
 
-def default_nu_family(bundle: PathBundle) -> dict[str, np.ndarray]:
-    """Orthogonal loads to probe: zero, the optimizer phi, two offsets of
-    it, and a fixed constant."""
-    phi = bundle.phi
+def _nu_family(phi: np.ndarray) -> dict[str, np.ndarray]:
     return {
-        "0": np.zeros(bundle.n_steps),
+        "0": np.zeros(phi.shape[0]),
         "phi": phi.copy(),
         "phi+0.4": phi + 0.4,
         "phi-0.4": phi - 0.4,
-        "0.8": np.full(bundle.n_steps, 0.8),
+        "0.8": np.full(phi.shape[0], 0.8),
     }
 
 
-def _time_indices(bundle: PathBundle, time_indices) -> list[int]:
+def default_nu_family(bundle: PathBundle) -> dict[str, np.ndarray]:
+    """Orthogonal loads to probe: zero, the optimizer phi, two offsets of
+    it, and a fixed constant."""
+    return _nu_family(bundle.phi)
+
+
+def _time_indices(n_steps: int, time_indices) -> list[int]:
     if time_indices is None:
-        mid = bundle.n_steps // 2
-        idx = [0, mid, bundle.n_steps]
+        idx = [0, n_steps // 2, n_steps]
     else:
         idx = sorted(set(int(i) for i in time_indices))
     for i in idx:
-        if not (0 <= i <= bundle.n_steps):
+        if not (0 <= i <= n_steps):
             raise ValueError(f"time index {i} outside the grid")
     return idx
 
@@ -196,19 +211,14 @@ def _density_columns(bundle, nu, idx):
     return {i: z[:, i].copy() for i in idx}
 
 
-def _dual_path_values(fields, z, eta, idx):
+def _dual_path_values(cols, z, eta, idx):
     """V(t, eta Z_t) per path at the chosen grid indices; ``z`` maps each
-    index to its density column."""
+    index to its density column, ``cols`` holds the field columns."""
     out = {}
     for i in idx:
-        arg = eta * z[i] * fields.inv_gamma[:, i]
-        a_t = fields.a_shift[:, i]
-        out[i] = entropy_kernel(arg) - arg * a_t
+        arg = eta * z[i] * cols["inv_gamma", i]
+        out[i] = entropy_kernel(arg) - arg * cols["a_shift", i]
     return out
-
-
-def _fmt_t(bundle, i):
-    return f"{bundle.grid[i]:g}"
 
 
 def require_not_failing(spec):
@@ -245,6 +255,169 @@ MC_CHECKS = (
 _TERMINAL_NOTE = ("terminal-time consequence of the conditional statement",)
 
 
+class MonteCarloPass:
+    """The checks of ``run_mc_checks`` over one simulation that arrives in
+    chunks of consecutive streams.
+
+    The constructor validates the request and refuses a model the checks
+    cannot certify, so a refusal costs no paths. ``gather`` builds each
+    load's density on one chunk and keeps copies of only the per-path
+    columns the checks read; the chunk's matrices can then be dropped.
+    ``reduce`` joins the columns in stream order and runs every mean test
+    once, on exactly the samples one whole-simulation chunk would give,
+    so the report does not depend on the chunking. Chunks must arrive in
+    stream order; being stream ranges, they never split an antithetic pair.
+    """
+
+    def __init__(
+        self,
+        spec: CoefficientSpec,
+        n_steps: int,
+        antithetic: bool,
+        gamma0: float,
+        a0: float,
+        checks: Sequence[str],
+        eta_list: Sequence[float] = (1.0, 2.0),
+        nu_family: dict[str, np.ndarray] | None = None,
+        time_indices: Sequence[int] | None = None,
+        confidence: float = DEFAULT_CONFIDENCE,
+    ):
+        unknown = set(checks) - set(MC_CHECKS)
+        if unknown:
+            raise ValueError(f"unknown Monte Carlo checks {sorted(unknown)}")
+        self.submartingale = "dual-submartingale" in checks
+        self.at_optimum = "dual-martingale-at-optimum" in checks
+        self.inverse_gamma = "inverse-gamma-mean" in checks
+        self.forward = "forward-drift" in checks
+        self.sub_notes = ()
+        for name in checks:
+            # the first requested check that cannot certify the spec refuses it
+            if name == "dual-submartingale":
+                self.sub_notes = (
+                    "unconditional consequence at grid times; conditional dominance not tested",
+                )
+                if require_not_failing(spec) != PASS:
+                    self.sub_notes += (
+                        "regularity undetermined for this spec; statistical evidence only",
+                    )
+            elif name == "dual-martingale-at-optimum":
+                require_provable(spec)
+        self.idx = (
+            _time_indices(n_steps, time_indices) if self.submartingale or self.at_optimum else []
+        )
+        self.opt_idx = [i for i in self.idx if i > 0] if self.at_optimum else []
+        if nu_family is None:
+            nu_family = _nu_family(spec.per_step_values(n_steps)["phi"])
+        per_load = self.submartingale or self.inverse_gamma or self.forward
+        self.nu_family = nu_family if per_load else {}
+        self.spec, self.n_steps, self.antithetic = spec, n_steps, antithetic
+        self.gamma0, self.a0 = gamma0, a0
+        self.eta_list = [float(eta) for eta in eta_list]
+        self.confidence = confidence
+        self.grid = np.linspace(0.0, spec.horizon, n_steps + 1)
+        self._chunks: list[dict] = []
+
+    def gather(self, bundle: PathBundle, fields: FieldPaths) -> None:
+        """Keep this chunk's per-path columns: each load's density at the
+        time indices and the horizon, log z~_T per load for the forward
+        check, the optimum load's density, and the field columns."""
+        terminal = self.n_steps
+        load_idx = sorted(set(self.idx) | {terminal})
+        cols = {}
+        for label, nu in self.nu_family.items():
+            for i, col in _density_columns(bundle, nu, load_idx).items():
+                cols["z", label, i] = col
+            if self.forward:
+                cols["log_z_tilde", label] = np.log(
+                    density_path(bundle, bundle.theta - bundle.delta, nu)[:, -1]
+                )
+        if self.at_optimum:
+            for i, col in _density_columns(bundle, bundle.phi, self.opt_idx).items():
+                cols["z_opt", i] = col
+        for i in load_idx:
+            cols["inv_gamma", i] = fields.inv_gamma[:, i].copy()
+            cols["a_shift", i] = fields.a_shift[:, i].copy()
+        self._chunks.append(cols)
+
+    def reduce(self) -> VerificationReport:
+        """Join the gathered columns in stream order and run every check's
+        mean tests on them."""
+        chunks, self._chunks = self._chunks, []
+        # pop as we go, so each column is held about once while joining
+        cols = {key: np.concatenate([c.pop(key) for c in chunks]) for key in list(chunks[0])}
+        idx, terminal = self.idx, self.n_steps
+        gamma0, a0 = self.gamma0, self.a0
+        report = VerificationReport()
+
+        def add_test(tag, samples, target, sided, notes):
+            res = mc_mean_test(
+                collapse_pairs(samples, self.antithetic),
+                target,
+                check_tag=tag,
+                confidence=self.confidence,
+                sided=sided,
+                notes=notes,
+            )
+            report.add(res.to_record())
+            return res
+
+        def fmt_t(i):
+            return f"{self.grid[i]:g}"
+
+        for label, nu in self.nu_family.items():
+            z = {i: cols["z", label, i] for i in sorted(set(idx) | {terminal})}
+            if self.submartingale:
+                for eta in self.eta_list:
+                    vals = _dual_path_values(cols, z, eta, idx)
+                    anchor = conjugate_exponential(gamma0, a0, eta)
+                    for pos, i2 in enumerate(idx):
+                        t2 = fmt_t(i2)
+                        for i1 in idx[:pos]:
+                            add_test(
+                                f"dual-submartingale[nu={label},eta={eta:g},"
+                                f"t1={fmt_t(i1)},t2={t2}]",
+                                vals[i2] - vals[i1], 0.0, "lower", self.sub_notes,
+                            )
+                        if i2 > 0:
+                            add_test(
+                                f"dual-above-start[nu={label},eta={eta:g},t={t2}]",
+                                vals[i2], anchor, "lower", self.sub_notes,
+                            )
+            if self.inverse_gamma:
+                add_test(
+                    f"inverse-gamma-mean[nu={label}]",
+                    z[terminal] * cols["inv_gamma", terminal], 1.0 / gamma0, "two",
+                    _TERMINAL_NOTE,
+                )
+            if self.forward:
+                w = cols["inv_gamma", terminal] * gamma0 * z[terminal]
+                mass = add_test(f"forward-mass[nu={label}]", w, 1.0, "two", _TERMINAL_NOTE)
+                if not mass.verdict:
+                    raise RegularityError(
+                        f"check_forward_drift_mc: reweighted mass for nu={label!r} is "
+                        f"{mass.estimate:.6g} (z={mass.z_score:.2f}); not a probability, "
+                        "drift target undefined"
+                    )
+                add_test(
+                    f"forward-drift[nu={label}]",
+                    w * (cols["a_shift", terminal] - cols["log_z_tilde", label]),
+                    a0 + predicted_forward_drift(self.spec, self.n_steps, nu),
+                    "two",
+                    _TERMINAL_NOTE,
+                )
+        if self.at_optimum:
+            z = {i: cols["z_opt", i] for i in self.opt_idx}
+            for eta in self.eta_list:
+                vals = _dual_path_values(cols, z, eta, self.opt_idx)
+                target = conjugate_exponential(gamma0, a0, eta)
+                for i in self.opt_idx:
+                    add_test(
+                        f"dual-martingale-at-optimum[eta={eta:g},t={fmt_t(i)}]",
+                        vals[i], target, "two", ("unconditional mean equality at grid times",),
+                    )
+        return report
+
+
 def run_mc_checks(
     bundle: PathBundle,
     fields: FieldPaths,
@@ -260,8 +433,8 @@ def run_mc_checks(
     checks read (``time_indices`` and the terminal time) are kept; the
     optimum load ``bundle.phi`` gets a pass of its own. Every check turns
     those columns into per-path statistics with a target, and one reducer
-    collapses antithetic pairs and runs ``mc_mean_test`` on each. The
-    checks:
+    collapses antithetic pairs and runs ``mc_mean_test`` on each. This is
+    the one-chunk case of ``MonteCarloPass``. The checks:
 
     - ``dual-submartingale``: for each load nu and dual argument eta, the
       mean of V(t2, eta Z_t2) - V(t1, eta Z_t1) must not sit significantly
@@ -283,92 +456,12 @@ def run_mc_checks(
     ``bundle`` and ``fields`` are the scenario's shared simulation (see
     the module docstring); the spec is ``bundle.spec``.
     """
-    unknown = set(checks) - set(MC_CHECKS)
-    if unknown:
-        raise ValueError(f"unknown Monte Carlo checks {sorted(unknown)}")
-    submartingale = "dual-submartingale" in checks
-    at_optimum = "dual-martingale-at-optimum" in checks
-    inverse_gamma = "inverse-gamma-mean" in checks
-    forward = "forward-drift" in checks
-    if submartingale:
-        sub_notes = ("unconditional consequence at grid times; conditional dominance not tested",)
-        if require_not_failing(bundle.spec) != PASS:
-            sub_notes += ("regularity undetermined for this spec; statistical evidence only",)
-    if at_optimum:
-        require_provable(bundle.spec)
-    idx = _time_indices(bundle, time_indices) if submartingale or at_optimum else []
-    if nu_family is None:
-        nu_family = default_nu_family(bundle)
-    gamma0, a0 = fields.gamma0, fields.a0
-    terminal = bundle.n_steps
-    report = VerificationReport()
-
-    def reduce(tag, samples, target, sided, notes):
-        res = mc_mean_test(
-            collapse_pairs(samples, bundle.antithetic),
-            target,
-            check_tag=tag,
-            confidence=confidence,
-            sided=sided,
-            notes=notes,
-        )
-        report.add(res.to_record())
-        return res
-
-    per_load = submartingale or inverse_gamma or forward
-    for label, nu in nu_family.items() if per_load else ():
-        z = _density_columns(bundle, nu, sorted(set(idx) | {terminal}))
-        if submartingale:
-            for eta in map(float, eta_list):
-                vals = _dual_path_values(fields, z, eta, idx)
-                anchor = conjugate_exponential(gamma0, a0, eta)
-                for pos, i2 in enumerate(idx):
-                    t2 = _fmt_t(bundle, i2)
-                    for i1 in idx[:pos]:
-                        reduce(
-                            f"dual-submartingale[nu={label},eta={eta:g},"
-                            f"t1={_fmt_t(bundle, i1)},t2={t2}]",
-                            vals[i2] - vals[i1], 0.0, "lower", sub_notes,
-                        )
-                    if i2 > 0:
-                        reduce(
-                            f"dual-above-start[nu={label},eta={eta:g},t={t2}]",
-                            vals[i2], anchor, "lower", sub_notes,
-                        )
-        if inverse_gamma:
-            reduce(
-                f"inverse-gamma-mean[nu={label}]",
-                z[terminal] * fields.inv_gamma[:, -1], 1.0 / gamma0, "two", _TERMINAL_NOTE,
-            )
-        if forward:
-            w = fields.inv_gamma[:, -1] * gamma0 * z[terminal]
-            mass = reduce(f"forward-mass[nu={label}]", w, 1.0, "two", _TERMINAL_NOTE)
-            if not mass.verdict:
-                raise RegularityError(
-                    f"check_forward_drift_mc: reweighted mass for nu={label!r} is "
-                    f"{mass.estimate:.6g} (z={mass.z_score:.2f}); not a probability, "
-                    "drift target undefined"
-                )
-            log_z_tilde = np.log(density_path(bundle, bundle.theta - bundle.delta, nu)[:, -1])
-            reduce(
-                f"forward-drift[nu={label}]",
-                w * (fields.a_shift[:, -1] - log_z_tilde),
-                a0 + predicted_forward_drift(bundle.spec, bundle.n_steps, nu),
-                "two",
-                _TERMINAL_NOTE,
-            )
-    if at_optimum:
-        idx = [i for i in idx if i > 0]
-        z = _density_columns(bundle, bundle.phi, idx)
-        for eta in map(float, eta_list):
-            vals = _dual_path_values(fields, z, eta, idx)
-            target = conjugate_exponential(gamma0, a0, eta)
-            for i in idx:
-                reduce(
-                    f"dual-martingale-at-optimum[eta={eta:g},t={_fmt_t(bundle, i)}]",
-                    vals[i], target, "two", ("unconditional mean equality at grid times",),
-                )
-    return report
+    mc = MonteCarloPass(
+        bundle.spec, bundle.n_steps, bundle.antithetic, fields.gamma0, fields.a0,
+        checks, eta_list, nu_family, time_indices, confidence,
+    )
+    mc.gather(bundle, fields)
+    return mc.reduce()
 
 
 def check_dual_submartingale(

@@ -5,8 +5,10 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import forwardperf
@@ -194,6 +196,32 @@ def test_gamma_replicate_nonpositive(tmp_path, capsys):
     assert "nonpositive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "a_shift, checks",
+    [
+        ({"mode": "solve", "terminal": 0.0}, None),
+        ({"mode": "explicit", "values": {}}, ["forward-supermartingale"]),
+    ],
+)
+def test_gamma_no_portfolio_replicates_refused(tmp_path, capsys, a_shift, checks):
+    # 1/gamma jumps at the root's children, so its mean moves under every
+    # martingale measure: no entropy shift and no forward measure exist
+    tree = two_period_tree()
+    doc = tree_doc()
+    doc["gamma"]["values"]["a"] = 0.5
+    if a_shift["mode"] == "explicit":
+        a_shift["values"] = {nid: 0.0 for nid in tree._dfs_order}
+    doc["a_shift"] = a_shift
+    if checks is not None:
+        doc["checks"] = checks
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "inverse-gamma conditional mean" in lines[0] and "'r'" in lines[0]
+
+
 # -- scenario validation -------------------------------------------------
 
 
@@ -377,6 +405,76 @@ def test_ito_scenario_builds_each_density_once(monkeypatch):
     assert len(calls) == 11
 
 
+CHUNKED_DOCS = {
+    # 1003 and 601 streams split unevenly into 3 and 7 chunks
+    "antithetic": {"n_paths": 2006, "n_steps": 16},
+    "plain-custom": {
+        "n_paths": 1003,
+        "n_steps": 16,
+        "antithetic": False,
+        "eta_list": [0.5, 3.0],
+        "time_indices": [3, 8, 13],
+        "nu": {"flat": 0.2, "ramp": [0.05 * k for k in range(16)]},
+    },
+    # a huge load starves the forward weight mass: the run is refused
+    "mass-refusal": {
+        "n_paths": 1202,
+        "n_steps": 32,
+        "checks": ["forward-drift"],
+        "nu": {"0": 0.0, "big": 10.0},
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(CHUNKED_DOCS))
+def test_ito_output_independent_of_chunking(tmp_path, capsys, monkeypatch, case):
+    # the streamed pass holds one chunk of streams at a time, and its report
+    # (or refusal) is byte for byte the one of a single chunk
+    calls = []
+    original = cli.simulate_paths
+
+    def recorded(spec, n_steps, n_paths, seed, antithetic=True, **kwargs):
+        calls.append((kwargs.get("stream_offset", 0), n_paths // 2 if antithetic else n_paths))
+        return original(spec, n_steps, n_paths, seed, antithetic=antithetic, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_paths", recorded)
+    doc = ito_doc(**CHUNKED_DOCS[case])
+    if case == "antithetic":
+        del doc["checks"]
+    n_streams = doc["n_paths"] // 2 if doc.get("antithetic", True) else doc["n_paths"]
+    outputs = set()
+    for n_chunks in (1, 3, 7):
+        calls.clear()
+        path = write_scenario(tmp_path, {**doc, "n_chunks": n_chunks})
+        code = main(["run", path])
+        captured = capsys.readouterr()
+        outputs.add((code, captured.out, captured.err))
+        assert len(calls) == n_chunks
+        assert max(n for _, n in calls) <= -(-n_streams // n_chunks)
+        assert [off for off, _ in calls] == list(np.cumsum([0] + [n for _, n in calls[:-1]]))
+        assert sum(n for _, n in calls) == n_streams
+    (code, out, err), = outputs
+    if case == "mass-refusal":
+        assert code == 2 and out == ""
+        assert err.startswith("error: check_forward_drift_mc: reweighted mass for nu='big'")
+    else:
+        assert code == 0 and err == ""
+
+
+def test_ito_chunks_bound_memory():
+    doc = ito_doc(n_paths=20_000, n_steps=64)
+    peaks = {}
+    for n_chunks in (1, 8):
+        tracemalloc.start()
+        try:
+            report = run_ito_scenario({**doc, "n_chunks": n_chunks})
+            peaks[n_chunks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed, report.to_text()
+    assert peaks[8] < peaks[1] / 3, peaks
+
+
 def test_ito_duplicate_check_refused(tmp_path, capsys, no_simulation):
     doc = ito_doc(checks=["regularity", "inverse-gamma-mean", "inverse-gamma-mean"])
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
@@ -529,6 +627,40 @@ def test_export_paths_subcommand(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("path,t,s,z_mart")
     assert len(lines) == 11
+
+
+@pytest.mark.parametrize(
+    "antithetic, paths", [(True, [7, 0, 6, 7, 1]), (False, [9, 2, 3]), (True, None)]
+)
+def test_export_paths_simulates_only_selected_streams(
+    tmp_path, capsys, monkeypatch, antithetic, paths
+):
+    doc = export_doc(n_paths=40, antithetic=antithetic, nu={"0": 0.0, "up": 0.5})
+    if paths is not None:
+        doc["paths"] = paths
+    per = 2 if antithetic else 1
+    selected = range(10) if paths is None else paths
+    streams = []
+    original = cli.simulate_paths
+
+    def recorded(spec, n_steps, n_paths, *args, **kwargs):
+        streams.append(n_paths // per)
+        return original(spec, n_steps, n_paths, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_paths", recorded)
+    out = tmp_path / "paths.csv"
+    assert main(["export-paths", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
+    assert sum(streams) <= len({i // per for i in selected})
+    n_rows = 5 * len(selected)
+    assert capsys.readouterr().err == f"wrote {n_rows} rows to {out}\n"
+
+    # the same rows as an export from the whole simulation
+    spec = ito_engine.CoefficientSpec.constant(1.0, theta=0.5)
+    bundle = original(spec, 4, 40, 9, antithetic=antithetic)
+    fields = ito_engine.build_forward_exponential(spec, 1.0, 0.0, bundle)
+    dens = {lab: ito_engine.martingale_density(bundle, nu) for lab, nu in (("0", 0.0), ("up", 0.5))}
+    ito_engine.export_paths(bundle, fields, dens, str(tmp_path / "whole.csv"), list(selected))
+    assert out.read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_export_paths_index_out_of_range(tmp_path, capsys):

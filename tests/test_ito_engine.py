@@ -13,6 +13,7 @@ from forwardperf.ito_engine import (
     UNDETERMINED,
     CoefficientSpec,
     build_forward_exponential,
+    chunk_bounds,
     density_path,
     export_paths,
     martingale_density,
@@ -142,6 +143,37 @@ def test_simulate_chunk_invariance():
     np.testing.assert_array_equal(one.dB, three.dB)
     np.testing.assert_array_equal(one.dW, three.dW)
     np.testing.assert_array_equal(one.s, three.s)
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_simulate_stream_ranges_match_whole(antithetic):
+    # consecutive stream ranges, simulated one at a time from their offset,
+    # rebuild the whole simulation's paths, fields and densities bit for bit
+    n_streams = 11
+    per = 2 if antithetic else 1
+    whole = simulate_paths(PIECEWISE, 16, per * n_streams, seed=11, antithetic=antithetic)
+    ranges = chunk_bounds(n_streams, 4)
+    assert [hi - lo for lo, hi in ranges] == [2, 3, 3, 3]
+    parts = [
+        simulate_paths(
+            PIECEWISE, 16, per * (hi - lo), seed=11, antithetic=antithetic, stream_offset=lo
+        )
+        for lo, hi in ranges
+    ]
+    assert [p.first_path for p in parts] == [per * lo for lo, _ in ranges]
+
+    def stacked(fn):
+        return np.vstack([fn(p) for p in parts])
+
+    for name in ("dB", "dW", "s"):
+        np.testing.assert_array_equal(stacked(lambda p: getattr(p, name)), getattr(whole, name))
+    fields = build_forward_exponential(PIECEWISE, 1.5, 0.1, whole)
+    for name in ("inv_gamma", "a_shift"):
+        got = stacked(lambda p: getattr(build_forward_exponential(PIECEWISE, 1.5, 0.1, p), name))
+        np.testing.assert_array_equal(got, getattr(fields, name))
+    np.testing.assert_array_equal(
+        stacked(lambda p: martingale_density(p, 0.7)), martingale_density(whole, 0.7)
+    )
 
 
 def test_simulate_seed_determinism():
@@ -311,6 +343,17 @@ def test_export_paths_csv(tmp_path):
     assert table[1][0] == "0"
     assert float(table[1][2]) == bundle.s[0, 0]
     assert float(table[10][3]) == pytest.approx(dens["mart"][2, -1], rel=1e-11)
+
+
+def test_export_paths_labels_offset_bundle_by_global_path(tmp_path):
+    whole = simulate_paths(PIECEWISE, 4, 10, seed=27)
+    part = simulate_paths(PIECEWISE, 4, 4, seed=27, stream_offset=3)
+    out_whole, out_part = tmp_path / "whole.csv", tmp_path / "part.csv"
+    for bundle, out in ((whole, out_whole), (part, out_part)):
+        fields = build_forward_exponential(PIECEWISE, 1.0, 0.0, bundle)
+        dens = {"mart": martingale_density(bundle, 0.0)}
+        export_paths(bundle, fields, dens, str(out), path_indices=[7, 6, 9])
+    assert out_part.read_bytes() == out_whole.read_bytes()
 
 
 def test_export_paths_validates_density_shape(tmp_path):
