@@ -20,7 +20,6 @@ from .errors import (
     ForwardPerfError,
     InadaViolationError,
     RegularityError,
-    ReplicationError,
     ScenarioError,
     TreeStructureError,
 )

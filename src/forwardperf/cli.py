@@ -27,7 +27,7 @@ from .ito_engine import (
     build_forward_exponential,
     chunk_bounds,
     martingale_density,
-    path_rows,
+    path_table,
     regularity_class,
     simulate_paths,
     validate_regularity,
@@ -462,8 +462,7 @@ def run_ito_scenario(doc, seed_override=None):
     if mc_checks:
         # refuses the model before paying for its simulation
         mc = MonteCarloPass(
-            spec, n_steps, antithetic, gamma0, a0,
-            mc_checks, eta_list, nu_family, time_indices, confidence,
+            spec, n_steps, mc_checks, eta_list, nu_family, time_indices, confidence
         )
         # every Monte Carlo check reads this one simulation, held one chunk
         # of streams at a time so that n_chunks bounds memory
@@ -541,6 +540,52 @@ def run_conjugate_table(doc, out_path):
     return VerificationReport()
 
 
+# streams per export-paths simulation call: bounds the matrices held at once
+EXPORT_CHUNK_STREAMS = 1024
+
+
+def _stream_runs(streams, cap):
+    """Ranges (lo, hi) of consecutive streams that cover the sorted,
+    distinct ``streams`` exactly, none longer than ``cap``."""
+    runs = []
+    for s in streams:
+        if runs and runs[-1][1] == s:
+            runs[-1][1] = s + 1
+        else:
+            runs.append([s, s + 1])
+    return [
+        (lo + a, lo + b)
+        for lo, hi in runs
+        for a, b in chunk_bounds(hi - lo, -(-(hi - lo) // cap))
+    ]
+
+
+def _selected_path_tables(spec, gamma0, a0, n_steps, seed, antithetic, fam, indices):
+    """Yield ``(i, path_table)`` for each path index of ``indices`` in
+    order. Only the selected paths' streams are simulated, in runs of at
+    most ``EXPORT_CHUNK_STREAMS``; a path's table is held from its run
+    until its last selection is written, so sorted indices hold one run."""
+    per = 2 if antithetic else 1
+    last_pos = {i: pos for pos, i in enumerate(indices)}
+    held, pos = {}, 0
+    for lo, hi in _stream_runs(sorted({i // per for i in last_pos}), EXPORT_CHUNK_STREAMS):
+        bundle = simulate_paths(
+            spec, n_steps, per * (hi - lo), seed, antithetic=antithetic, stream_offset=lo
+        )
+        fields = build_forward_exponential(spec, gamma0, a0, bundle)
+        densities = {label: martingale_density(bundle, nu) for label, nu in fam.items()}
+        for i in range(per * lo, per * hi):
+            if i in last_pos:
+                held[i] = path_table(bundle, fields, densities, i)
+        del bundle, fields, densities
+        while pos < len(indices) and indices[pos] in held:
+            i = indices[pos]
+            yield i, held[i]
+            if last_pos[i] == pos:
+                del held[i]
+            pos += 1
+
+
 def run_export_paths(doc, out_path, seed_override=None):
     _check_keys(
         doc,
@@ -568,20 +613,8 @@ def run_export_paths(doc, out_path, seed_override=None):
         indices = range(min(n_paths, 10))
     # refuse a grid that misses a breakpoint even when no path is selected
     spec.per_step_values(n_steps)
-    # simulate only the streams of the selected paths, one at a time
-    paths_per_stream = 2 if antithetic else 1
-    selected = set(indices)
-    rows = {}
-    for stream in sorted({i // paths_per_stream for i in selected}):
-        bundle = simulate_paths(
-            spec, n_steps, paths_per_stream, seed, antithetic=antithetic, stream_offset=stream
-        )
-        fields = build_forward_exponential(spec, gamma0, a0, bundle)
-        densities = {label: martingale_density(bundle, nu) for label, nu in fam.items()}
-        for i in range(bundle.first_path, bundle.first_path + paths_per_stream):
-            if i in selected:
-                rows[i] = path_rows(bundle, fields, densities, i)
-    n_rows = write_paths_csv(out_path, list(fam), (row for i in indices for row in rows[i]))
+    tables = _selected_path_tables(spec, gamma0, a0, n_steps, seed, antithetic, fam, indices)
+    n_rows = write_paths_csv(out_path, list(fam), tables)
     print(f"wrote {n_rows} rows to {out_path}", file=sys.stderr)
     return VerificationReport()
 

@@ -34,11 +34,5 @@ class RegularityError(ForwardPerfError):
     integrability needed for the statistic to be meaningful."""
 
 
-class ReplicationError(ForwardPerfError, ValueError):
-    """A risk-aversion field that no portfolio replicates: some martingale
-    measure moves the conditional mean of 1/gamma, so forward measures are
-    not probabilities and the entropy shift is undefined."""
-
-
 class ScenarioError(ForwardPerfError):
     """Scenario or input file failed to parse or validate."""

@@ -162,19 +162,16 @@ def simulate_paths(
     n_paths: int,
     seed: int,
     antithetic: bool = True,
-    n_chunks: int = 1,
     s0: float = 0.0,
     stream_offset: int = 0,
 ) -> PathBundle:
     """Simulate (B, W) increments and the price path.
 
-    Draws are a pure function of (seed, stream, step); chunked generation
-    (``n_chunks`` > 1) covers the same stream indices in pieces and yields
-    bit-identical arrays. The bundle holds the streams from
-    ``stream_offset`` on (one per path, or one per antithetic pair), so
-    its rows equal, bit for bit, the matching rows of a simulation that
-    starts at stream 0: a large simulation can be run as consecutive
-    stream ranges, one bundle at a time.
+    Draws are a pure function of (seed, stream, step). The bundle holds
+    the streams from ``stream_offset`` on (one per path, or one per
+    antithetic pair), so its rows equal, bit for bit, the matching rows of
+    a simulation that starts at stream 0: a large simulation can be run as
+    consecutive stream ranges (see ``chunk_bounds``), one bundle at a time.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -183,15 +180,7 @@ def simulate_paths(
     coeffs = spec.per_step_values(n_steps)
     dt = spec.horizon / n_steps
     n_streams = n_paths // 2 if antithetic else n_paths
-    if not (1 <= n_chunks <= n_streams):
-        raise ValueError(f"n_chunks must be in [1, {n_streams}]")
-
-    z1 = np.empty((n_streams, n_steps))
-    z2 = np.empty((n_streams, n_steps))
-    for lo, hi in chunk_bounds(n_streams, n_chunks):
-        a, b = gaussian_field(seed, hi - lo, n_steps, stream_offset=stream_offset + lo)
-        z1[lo:hi] = a
-        z2[lo:hi] = b
+    z1, z2 = gaussian_field(seed, n_streams, n_steps, stream_offset=stream_offset)
 
     sdt = math.sqrt(dt)
     if antithetic:
@@ -392,38 +381,38 @@ def validate_regularity(spec: CoefficientSpec) -> VerificationReport:
 # -- export --------------------------------------------------------------
 
 
-def path_rows(
+def path_table(
     bundle: PathBundle, fields: FieldPaths, densities: dict[str, np.ndarray], path_index: int
-) -> list[list]:
-    """CSV rows of one path, one per grid time: the price, the density
-    columns in label order, then the field columns. ``path_index`` counts
-    from the simulation's stream 0 (see ``PathBundle.first_path``)."""
+) -> np.ndarray:
+    """One path's CSV columns as a (n_steps + 1, 4 + len(densities))
+    matrix, one row per grid time: the time, the price, the densities in
+    label order, then the field columns. ``path_index`` counts from the
+    simulation's stream 0 (see ``PathBundle.first_path``)."""
     i = path_index - bundle.first_path
     if not 0 <= i < bundle.n_paths:
         raise ValueError(
             f"path {path_index} is not in this bundle (paths {bundle.first_path} to "
             f"{bundle.first_path + bundle.n_paths - 1})"
         )
-    return [
-        [path_index, f"{t:.12g}", f"{bundle.s[i, j]:.12g}"]
-        + [f"{z[i, j]:.12g}" for z in densities.values()]
-        + [f"{fields.inv_gamma[i, j]:.12g}", f"{fields.a_shift[i, j]:.12g}"]
-        for j, t in enumerate(bundle.grid)
-    ]
+    return np.column_stack(
+        [bundle.grid, bundle.s[i]]
+        + [z[i] for z in densities.values()]
+        + [fields.inv_gamma[i], fields.a_shift[i]]
+    )
 
 
-def write_paths_csv(path: str, labels: Sequence[str], rows) -> int:
-    """Write ``path_rows`` output under its header, as long-format CSV;
-    returns the number of rows written."""
+def write_paths_csv(path: str, labels: Sequence[str], tables) -> int:
+    """Write ``(path_index, path_table)`` pairs as long-format CSV, in the
+    order given, under one header; returns the number of rows written."""
     n = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["path", "t", "s"] + [f"z_{lab}" for lab in labels] + ["inv_gamma", "a_shift"]
         )
-        for row in rows:
-            writer.writerow(row)
-            n += 1
+        for path_index, table in tables:
+            writer.writerows([path_index] + [f"{v:.12g}" for v in row] for row in table.tolist())
+            n += table.shape[0]
     return n
 
 
@@ -447,5 +436,5 @@ def export_paths(
     return write_paths_csv(
         path,
         list(densities),
-        (row for i in path_indices for row in path_rows(bundle, fields, densities, i)),
+        ((i, path_table(bundle, fields, densities, i)) for i in path_indices),
     )

@@ -17,7 +17,7 @@ All four checks read the same simulated data: a ``PathBundle`` from
 ``simulate_paths`` and the ``FieldPaths`` that ``build_forward_exponential``
 builds on it. Simulate once and run the checks in one pass::
 
-    bundle = simulate_paths(spec, n_steps, n_paths, seed, n_chunks=n_chunks)
+    bundle = simulate_paths(spec, n_steps, n_paths, seed)
     fields = build_forward_exponential(spec, gamma0, a0, bundle)
     run_mc_checks(bundle, fields, ["dual-submartingale", "inverse-gamma-mean"])
 
@@ -30,7 +30,7 @@ the same bytes on a shared simulation as on a fresh one.
 To bound memory, the same pass takes the simulation one stream range at a
 time and keeps only a few per-path columns of each::
 
-    mc = MonteCarloPass(spec, n_steps, antithetic, gamma0, a0, checks)
+    mc = MonteCarloPass(spec, n_steps, checks)
     for lo, hi in chunk_bounds(n_streams, n_chunks):
         # (hi - lo) streams: twice as many paths when antithetic
         bundle = simulate_paths(spec, n_steps, 2 * (hi - lo), seed, stream_offset=lo)
@@ -38,6 +38,9 @@ time and keeps only a few per-path columns of each::
     report = mc.reduce()
 
 The report is the one ``run_mc_checks`` gives on the whole simulation.
+``gather`` refuses a chunk that does not continue the simulation: one
+whose streams do not follow the previous chunk's, or whose grid, pairing,
+gamma0 or a0 differ from the first chunk's.
 """
 
 from __future__ import annotations
@@ -265,17 +268,16 @@ class MonteCarloPass:
     columns the checks read; the chunk's matrices can then be dropped.
     ``reduce`` joins the columns in stream order and runs every mean test
     once, on exactly the samples one whole-simulation chunk would give,
-    so the report does not depend on the chunking. Chunks must arrive in
-    stream order; being stream ranges, they never split an antithetic pair.
+    so the report does not depend on the chunking. The antithetic pairing,
+    gamma0 and a0 are those of the first chunk; later chunks must continue
+    its streams with the same settings. Being stream ranges, chunks never
+    split an antithetic pair.
     """
 
     def __init__(
         self,
         spec: CoefficientSpec,
         n_steps: int,
-        antithetic: bool,
-        gamma0: float,
-        a0: float,
         checks: Sequence[str],
         eta_list: Sequence[float] = (1.0, 2.0),
         nu_family: dict[str, np.ndarray] | None = None,
@@ -310,17 +312,40 @@ class MonteCarloPass:
             nu_family = _nu_family(spec.per_step_values(n_steps)["phi"])
         per_load = self.submartingale or self.inverse_gamma or self.forward
         self.nu_family = nu_family if per_load else {}
-        self.spec, self.n_steps, self.antithetic = spec, n_steps, antithetic
-        self.gamma0, self.a0 = gamma0, a0
+        self.spec, self.n_steps = spec, n_steps
         self.eta_list = [float(eta) for eta in eta_list]
         self.confidence = confidence
         self.grid = np.linspace(0.0, spec.horizon, n_steps + 1)
         self._chunks: list[dict] = []
+        # (antithetic, gamma0, a0) of the first chunk, and its next stream
+        self._layout = None
+        self._next_stream = None
 
     def gather(self, bundle: PathBundle, fields: FieldPaths) -> None:
         """Keep this chunk's per-path columns: each load's density at the
         time indices and the horizon, log z~_T per load for the forward
         check, the optimum load's density, and the field columns."""
+        layout = (bundle.antithetic, fields.gamma0, fields.a0)
+        if bundle.n_steps != self.n_steps or fields.inv_gamma.shape != bundle.s.shape:
+            raise ValueError(
+                f"chunk has {bundle.n_steps} steps and fields of shape "
+                f"{fields.inv_gamma.shape}; the pass needs {self.n_steps} steps and "
+                f"fields shaped like the paths {bundle.s.shape}"
+            )
+        if self._layout is not None and layout != self._layout:
+            raise ValueError(
+                f"chunk has (antithetic, gamma0, a0) = {layout}; the first chunk "
+                f"had {self._layout}"
+            )
+        if self._next_stream is not None and bundle.stream_offset != self._next_stream:
+            raise ValueError(
+                f"chunk starts at stream {bundle.stream_offset}; the pass expects "
+                f"stream {self._next_stream}"
+            )
+        self._layout = layout
+        self._next_stream = bundle.stream_offset + bundle.n_paths // (
+            2 if bundle.antithetic else 1
+        )
         terminal = self.n_steps
         load_idx = sorted(set(self.idx) | {terminal})
         cols = {}
@@ -342,16 +367,19 @@ class MonteCarloPass:
     def reduce(self) -> VerificationReport:
         """Join the gathered columns in stream order and run every check's
         mean tests on them."""
+        if not self._chunks:
+            raise ValueError("no chunk gathered")
+        antithetic, gamma0, a0 = self._layout
         chunks, self._chunks = self._chunks, []
+        self._layout = self._next_stream = None
         # pop as we go, so each column is held about once while joining
         cols = {key: np.concatenate([c.pop(key) for c in chunks]) for key in list(chunks[0])}
         idx, terminal = self.idx, self.n_steps
-        gamma0, a0 = self.gamma0, self.a0
         report = VerificationReport()
 
         def add_test(tag, samples, target, sided, notes):
             res = mc_mean_test(
-                collapse_pairs(samples, self.antithetic),
+                collapse_pairs(samples, antithetic),
                 target,
                 check_tag=tag,
                 confidence=self.confidence,
@@ -457,8 +485,7 @@ def run_mc_checks(
     the module docstring); the spec is ``bundle.spec``.
     """
     mc = MonteCarloPass(
-        bundle.spec, bundle.n_steps, bundle.antithetic, fields.gamma0, fields.a0,
-        checks, eta_list, nu_family, time_indices, confidence,
+        bundle.spec, bundle.n_steps, checks, eta_list, nu_family, time_indices, confidence
     )
     mc.gather(bundle, fields)
     return mc.reduce()

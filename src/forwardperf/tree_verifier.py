@@ -40,7 +40,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ArbitrageError, ConvergenceError, ReplicationError
+from .errors import ArbitrageError, ConvergenceError
 from .fields import (
     ExponentialFieldParams,
     UtilitySlice,
@@ -671,7 +671,7 @@ def solve_entropy_shift(
         for v in poly.vertices:
             got = float(v @ inv_children)
             if abs(got - 1.0 / gamma[nid]) > tol_2b:
-                raise ReplicationError(
+                raise ValueError(
                     f"inverse-gamma conditional mean violated at node {nid!r}: "
                     f"vertex gives {got:.12g}, field has {1.0 / gamma[nid]:.12g}"
                 )
@@ -1058,7 +1058,7 @@ def forward_measure(
         for w in tree.descendants_at(nid, T):
             mean += q.node_mass(tree, w, start=nid) / gamma[w]
         if abs(mean - 1.0 / gamma[nid]) > tol_2b:
-            raise ReplicationError(
+            raise ValueError(
                 f"forward measure undefined: inverse-gamma conditional mean fails "
                 f"at node {nid!r} ({mean:.10g} vs {1.0 / gamma[nid]:.10g})"
             )
@@ -1121,7 +1121,7 @@ def check_forward_supermartingale(
     for by_node in _inverse_gamma_range(tree, gamma, t, T).values():
         for m, hi_lo in by_node.items():
             if _inverse_gamma_gap(gamma[m], hi_lo) > 1e-9:
-                raise ReplicationError(
+                raise ValueError(
                     f"inverse-gamma conditional mean fails at node {m!r}; "
                     "forward measures are not probabilities"
                 )

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from forwardperf.errors import ConvergenceError, ReplicationError
+from forwardperf.errors import ConvergenceError
 from forwardperf.solvers import golden_section_min
 from forwardperf.tree_market import (
     _feasible_map,
@@ -239,9 +239,9 @@ def inverse_gamma_gap_by_enumeration(tree, gamma, t, T):
 
 
 def forward_precondition_by_enumeration(tree, gamma, t, T, tol=1e-9):
-    """Raise ReplicationError at the first window node that some product
-    measure charges and whose conditional mean of 1/gamma_T misses 1/gamma
-    by more than tol under that measure."""
+    """Raise ValueError at the first window node that some product measure
+    charges and whose conditional mean of 1/gamma_T misses 1/gamma by more
+    than tol under that measure."""
     for q in enumerate_product_measures(tree, t, T):
         for start in tree.nodes_at(t):
             for m in tree.window_interior(start, T):
@@ -252,7 +252,7 @@ def forward_precondition_by_enumeration(tree, gamma, t, T, tol=1e-9):
                     for w in tree.descendants_at(m, T)
                 )
                 if abs(mean - 1.0 / gamma[m]) > tol:
-                    raise ReplicationError(
+                    raise ValueError(
                         f"inverse-gamma conditional mean fails at node {m!r}; "
                         "forward measures are not probabilities"
                     )

@@ -196,32 +196,6 @@ def test_gamma_replicate_nonpositive(tmp_path, capsys):
     assert "nonpositive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "a_shift, checks",
-    [
-        ({"mode": "solve", "terminal": 0.0}, None),
-        ({"mode": "explicit", "values": {}}, ["forward-supermartingale"]),
-    ],
-)
-def test_gamma_no_portfolio_replicates_refused(tmp_path, capsys, a_shift, checks):
-    # 1/gamma jumps at the root's children, so its mean moves under every
-    # martingale measure: no entropy shift and no forward measure exist
-    tree = two_period_tree()
-    doc = tree_doc()
-    doc["gamma"]["values"]["a"] = 0.5
-    if a_shift["mode"] == "explicit":
-        a_shift["values"] = {nid: 0.0 for nid in tree._dfs_order}
-    doc["a_shift"] = a_shift
-    if checks is not None:
-        doc["checks"] = checks
-    assert main(["run", write_scenario(tmp_path, doc)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "inverse-gamma conditional mean" in lines[0] and "'r'" in lines[0]
-
-
 # -- scenario validation -------------------------------------------------
 
 
@@ -630,10 +604,18 @@ def test_export_paths_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "antithetic, paths", [(True, [7, 0, 6, 7, 1]), (False, [9, 2, 3]), (True, None)]
+    "antithetic, paths, cap",
+    [
+        (True, [7, 0, 6, 7, 1], 1024),
+        (False, [9, 2, 3], 1024),
+        (True, None, 1024),
+        # runs of consecutive streams split into calls of at most 3 streams
+        (False, [*range(30, 40), 3, *range(12, 20), 35], 3),
+        (True, None, 2),
+    ],
 )
 def test_export_paths_simulates_only_selected_streams(
-    tmp_path, capsys, monkeypatch, antithetic, paths
+    tmp_path, capsys, monkeypatch, antithetic, paths, cap
 ):
     doc = export_doc(n_paths=40, antithetic=antithetic, nu={"0": 0.0, "up": 0.5})
     if paths is not None:
@@ -648,9 +630,11 @@ def test_export_paths_simulates_only_selected_streams(
         return original(spec, n_steps, n_paths, *args, **kwargs)
 
     monkeypatch.setattr(cli, "simulate_paths", recorded)
+    monkeypatch.setattr(cli, "EXPORT_CHUNK_STREAMS", cap)
     out = tmp_path / "paths.csv"
     assert main(["export-paths", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
     assert sum(streams) <= len({i // per for i in selected})
+    assert max(streams) <= cap
     n_rows = 5 * len(selected)
     assert capsys.readouterr().err == f"wrote {n_rows} rows to {out}\n"
 

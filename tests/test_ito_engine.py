@@ -102,8 +102,8 @@ def test_simulate_validation():
     spec = CoefficientSpec.constant(1.0, theta=0.5)
     with pytest.raises(ValueError, match="even"):
         simulate_paths(spec, 8, 7, seed=1)
-    with pytest.raises(ValueError, match="n_chunks"):
-        simulate_paths(spec, 8, 4, seed=1, n_chunks=3)
+    with pytest.raises(ValueError, match="stream indices"):
+        simulate_paths(spec, 8, 4, seed=1, stream_offset=-1)
     with pytest.raises(ValueError, match="positive"):
         simulate_paths(spec, 8, 0, seed=1)
 
@@ -138,42 +138,38 @@ def test_simulate_price_recursion():
 
 
 def test_simulate_chunk_invariance():
-    one = simulate_paths(PIECEWISE, 16, 12, seed=11, n_chunks=1)
-    three = simulate_paths(PIECEWISE, 16, 12, seed=11, n_chunks=3)
-    np.testing.assert_array_equal(one.dB, three.dB)
-    np.testing.assert_array_equal(one.dW, three.dW)
-    np.testing.assert_array_equal(one.s, three.s)
-
-
-@pytest.mark.parametrize("antithetic", [True, False])
-def test_simulate_stream_ranges_match_whole(antithetic):
     # consecutive stream ranges, simulated one at a time from their offset,
     # rebuild the whole simulation's paths, fields and densities bit for bit
     n_streams = 11
-    per = 2 if antithetic else 1
-    whole = simulate_paths(PIECEWISE, 16, per * n_streams, seed=11, antithetic=antithetic)
     ranges = chunk_bounds(n_streams, 4)
     assert [hi - lo for lo, hi in ranges] == [2, 3, 3, 3]
-    parts = [
-        simulate_paths(
-            PIECEWISE, 16, per * (hi - lo), seed=11, antithetic=antithetic, stream_offset=lo
+    for antithetic in (True, False):
+        per = 2 if antithetic else 1
+        whole = simulate_paths(PIECEWISE, 16, per * n_streams, seed=11, antithetic=antithetic)
+        parts = [
+            simulate_paths(
+                PIECEWISE, 16, per * (hi - lo), seed=11, antithetic=antithetic, stream_offset=lo
+            )
+            for lo, hi in ranges
+        ]
+        assert [p.first_path for p in parts] == [per * lo for lo, _ in ranges]
+
+        def stacked(fn):
+            return np.vstack([fn(p) for p in parts])
+
+        for name in ("dB", "dW", "s"):
+            np.testing.assert_array_equal(
+                stacked(lambda p: getattr(p, name)), getattr(whole, name)
+            )
+        fields = build_forward_exponential(PIECEWISE, 1.5, 0.1, whole)
+        for name in ("inv_gamma", "a_shift"):
+            got = stacked(
+                lambda p: getattr(build_forward_exponential(PIECEWISE, 1.5, 0.1, p), name)
+            )
+            np.testing.assert_array_equal(got, getattr(fields, name))
+        np.testing.assert_array_equal(
+            stacked(lambda p: martingale_density(p, 0.7)), martingale_density(whole, 0.7)
         )
-        for lo, hi in ranges
-    ]
-    assert [p.first_path for p in parts] == [per * lo for lo, _ in ranges]
-
-    def stacked(fn):
-        return np.vstack([fn(p) for p in parts])
-
-    for name in ("dB", "dW", "s"):
-        np.testing.assert_array_equal(stacked(lambda p: getattr(p, name)), getattr(whole, name))
-    fields = build_forward_exponential(PIECEWISE, 1.5, 0.1, whole)
-    for name in ("inv_gamma", "a_shift"):
-        got = stacked(lambda p: getattr(build_forward_exponential(PIECEWISE, 1.5, 0.1, p), name))
-        np.testing.assert_array_equal(got, getattr(fields, name))
-    np.testing.assert_array_equal(
-        stacked(lambda p: martingale_density(p, 0.7)), martingale_density(whole, 0.7)
-    )
 
 
 def test_simulate_seed_determinism():

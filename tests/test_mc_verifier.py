@@ -8,10 +8,17 @@ from scipy.stats import norm
 
 from forwardperf.cli import run_ito_scenario
 from forwardperf.errors import RegularityError
-from forwardperf.ito_engine import CoefficientSpec, build_forward_exponential, simulate_paths
+from forwardperf.ito_engine import (
+    CoefficientSpec,
+    build_forward_exponential,
+    chunk_bounds,
+    simulate_paths,
+)
 from forwardperf.ito_engine import validate_regularity
 from forwardperf.mc_verifier import (
     DEFAULT_CONFIDENCE,
+    MC_CHECKS,
+    MonteCarloPass,
     check_dual_martingale_at_optimum,
     check_dual_submartingale,
     check_forward_drift_mc,
@@ -19,6 +26,7 @@ from forwardperf.mc_verifier import (
     collapse_pairs,
     default_nu_family,
     mc_mean_test,
+    run_mc_checks,
     z_critical,
 )
 from forwardperf.report import VerificationReport
@@ -28,9 +36,9 @@ SHIFTED_GAMMA = CoefficientSpec.constant(1.0, theta=0.5, delta=0.2, phi=0.3, rho
 FAILING = CoefficientSpec.constant(1.0, theta=0.5, delta=0.2)
 
 
-def simulated(spec, gamma0, a0, n_steps, n_paths, seed, n_chunks=1):
+def simulated(spec, gamma0, a0, n_steps, n_paths, seed, **kwargs):
     """The (bundle, fields) pair a scenario shares between its checks."""
-    bundle = simulate_paths(spec, n_steps, n_paths, seed, n_chunks=n_chunks)
+    bundle = simulate_paths(spec, n_steps, n_paths, seed, **kwargs)
     return bundle, build_forward_exponential(spec, gamma0, a0, bundle)
 
 
@@ -210,9 +218,40 @@ def test_forward_mass_refusal_on_extreme_load():
 
 
 def test_reports_chunk_invariant():
-    a = check_inverse_gamma_mean_mc(*simulated(CLEAN, 1.0, 0.0, 32, 2000, seed=709, n_chunks=1))
-    b = check_inverse_gamma_mean_mc(*simulated(CLEAN, 1.0, 0.0, 32, 2000, seed=709, n_chunks=4))
-    assert a.to_json() == b.to_json()
+    # the pass fed four uneven stream ranges reports what it reports on the
+    # whole simulation
+    checks = list(MC_CHECKS)
+    whole = run_mc_checks(*simulated(CLEAN, 1.0, 0.0, 32, 2002, seed=709), checks)
+    mc = MonteCarloPass(CLEAN, 32, checks)
+    for lo, hi in chunk_bounds(1001, 4):
+        mc.gather(*simulated(CLEAN, 1.0, 0.0, 32, 2 * (hi - lo), seed=709, stream_offset=lo))
+    assert mc.reduce().to_json() == whole.to_json()
+
+
+def test_pass_refuses_chunks_that_do_not_continue_the_simulation():
+    mc = MonteCarloPass(CLEAN, 8, ["inverse-gamma-mean"])
+    with pytest.raises(ValueError, match="no chunk gathered"):
+        mc.reduce()
+    mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 100, seed=5))
+    refused = [
+        # skips streams 50 .. 59
+        ({"stream_offset": 60}, (1.0, 0.0), "expects stream 50"),
+        # repeats the first chunk
+        ({}, (1.0, 0.0), "expects stream 50"),
+        ({"stream_offset": 50, "antithetic": False}, (1.0, 0.0), "the first chunk had"),
+        ({"stream_offset": 50}, (2.0, 0.0), "the first chunk had"),
+        ({"stream_offset": 50}, (1.0, 0.5), "the first chunk had"),
+    ]
+    for kwargs, (gamma0, a0), match in refused:
+        with pytest.raises(ValueError, match=match):
+            mc.gather(*simulated(CLEAN, gamma0, a0, 8, 100, seed=5, **kwargs))
+    bundle, _ = simulated(CLEAN, 1.0, 0.0, 16, 100, seed=5, stream_offset=50)
+    with pytest.raises(ValueError, match="needs 8 steps"):
+        mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle))
+    # the refused chunks left the pass as it was
+    mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 100, seed=5, stream_offset=50))
+    whole = run_mc_checks(*simulated(CLEAN, 1.0, 0.0, 8, 200, seed=5), ["inverse-gamma-mean"])
+    assert mc.reduce().to_json() == whole.to_json()
 
 
 def test_reports_seed_deterministic():
@@ -274,9 +313,7 @@ def test_shared_simulation_matches_fresh_per_check(n_chunks, antithetic, checks,
     shared = run_ito_scenario(doc)
 
     def fresh():
-        bundle = simulate_paths(
-            CLEAN, 8, 800, seed=912, antithetic=antithetic, n_chunks=n_chunks
-        )
+        bundle = simulate_paths(CLEAN, 8, 800, seed=912, antithetic=antithetic)
         return bundle, build_forward_exponential(CLEAN, 1.5, 0.1, bundle)
 
     nu = custom.get("nu")
