@@ -471,7 +471,8 @@ def run_ito_scenario(doc, seed_override=None):
                 spec, n_steps, (n_paths // n_streams) * (hi - lo), seed,
                 antithetic=antithetic, stream_offset=lo,
             )
-            mc.gather(bundle, build_forward_exponential(spec, gamma0, a0, bundle))
+            # the fields and densities are built at the pass's columns only
+            mc.gather(bundle, build_forward_exponential(spec, gamma0, a0, bundle, mc.columns))
             del bundle
         report.merge(mc.reduce())
     n_stat = sum(1 for rec in report.records() if rec.std_error is not None)

@@ -80,9 +80,15 @@ def pairwise_mean(x):
 def uniform_open(blocks):
     """Map uint64 words to float64 in (0, 1]: ((w >> 11) + 0.5) * 2**-53.
 
-    Never returns 0, so log() downstream is always finite.
+    Never returns 0, so log() downstream is always finite. The shifted
+    words are written straight into the one float64 result (exact, being
+    below 2**53), which is then finished in place; ``blocks`` is unchanged.
     """
-    return ((blocks >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = np.empty(blocks.shape, dtype=np.float64)
+    np.right_shift(blocks, np.uint64(11), out=u, casting="unsafe")
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def gaussian_field(seed, n_streams, n_steps, stream_offset=0):

@@ -34,7 +34,7 @@ time and keeps only a few per-path columns of each::
     for lo, hi in chunk_bounds(n_streams, n_chunks):
         # (hi - lo) streams: twice as many paths when antithetic
         bundle = simulate_paths(spec, n_steps, 2 * (hi - lo), seed, stream_offset=lo)
-        mc.gather(bundle, build_forward_exponential(spec, gamma0, a0, bundle))
+        mc.gather(bundle, build_forward_exponential(spec, gamma0, a0, bundle, mc.columns))
     report = mc.reduce()
 
 The report is the one ``run_mc_checks`` gives on the whole simulation.
@@ -208,10 +208,10 @@ def _time_indices(n_steps: int, time_indices) -> list[int]:
 
 
 def _density_columns(bundle, nu, idx):
-    """Copies of the martingale density's columns at the grid indices
-    ``idx``; the full (n_paths, n_steps + 1) matrix is freed on return."""
-    z = martingale_density(bundle, nu)
-    return {i: z[:, i].copy() for i in idx}
+    """The martingale density's columns at the grid indices ``idx``, each
+    a contiguous copy; only those columns are ever built."""
+    z = martingale_density(bundle, nu, idx)
+    return {i: z[:, k].copy() for k, i in enumerate(idx)}
 
 
 def _dual_path_values(cols, z, eta, idx):
@@ -263,9 +263,12 @@ class MonteCarloPass:
     chunks of consecutive streams.
 
     The constructor validates the request and refuses a model the checks
-    cannot certify, so a refusal costs no paths. ``gather`` builds each
-    load's density on one chunk and keeps copies of only the per-path
-    columns the checks read; the chunk's matrices can then be dropped.
+    cannot certify, so a refusal costs no paths. ``columns`` lists the
+    grid indices the checks read: ``time_indices`` and the horizon (the
+    optimum's indices are among them). ``gather`` builds each load's
+    density on one chunk at those columns only, and keeps copies of them
+    and of the field columns; the chunk can then be dropped, and its
+    fields need hold no other column.
     ``reduce`` joins the columns in stream order and runs every mean test
     once, on exactly the samples one whole-simulation chunk would give,
     so the report does not depend on the chunking. The antithetic pairing,
@@ -308,6 +311,7 @@ class MonteCarloPass:
             _time_indices(n_steps, time_indices) if self.submartingale or self.at_optimum else []
         )
         self.opt_idx = [i for i in self.idx if i > 0] if self.at_optimum else []
+        self.columns = sorted(set(self.idx) | {n_steps})
         if nu_family is None:
             nu_family = _nu_family(spec.per_step_values(n_steps)["phi"])
         per_load = self.submartingale or self.inverse_gamma or self.forward
@@ -326,12 +330,21 @@ class MonteCarloPass:
         time indices and the horizon, log z~_T per load for the forward
         check, the optimum load's density, and the field columns."""
         layout = (bundle.antithetic, fields.gamma0, fields.a0)
-        if bundle.n_steps != self.n_steps or fields.inv_gamma.shape != bundle.s.shape:
+        last_col = max(fields.columns, default=0)
+        if (
+            bundle.n_steps != self.n_steps
+            or fields.inv_gamma.shape[0] != bundle.n_paths
+            or last_col > self.n_steps
+        ):
             raise ValueError(
-                f"chunk has {bundle.n_steps} steps and fields of shape "
-                f"{fields.inv_gamma.shape}; the pass needs {self.n_steps} steps and "
-                f"fields shaped like the paths {bundle.s.shape}"
+                f"chunk has {bundle.n_steps} steps and fields for "
+                f"{fields.inv_gamma.shape[0]} paths up to grid column {last_col}; the pass "
+                f"needs {self.n_steps} steps and fields for the chunk's {bundle.n_paths} paths"
             )
+        field_pos = {c: k for k, c in enumerate(fields.columns)}
+        missing = [i for i in self.columns if i not in field_pos]
+        if missing:
+            raise ValueError(f"fields lack the grid columns {missing} the checks read")
         if self._layout is not None and layout != self._layout:
             raise ValueError(
                 f"chunk has (antithetic, gamma0, a0) = {layout}; the first chunk "
@@ -346,22 +359,19 @@ class MonteCarloPass:
         self._next_stream = bundle.stream_offset + bundle.n_paths // (
             2 if bundle.antithetic else 1
         )
-        terminal = self.n_steps
-        load_idx = sorted(set(self.idx) | {terminal})
         cols = {}
         for label, nu in self.nu_family.items():
-            for i, col in _density_columns(bundle, nu, load_idx).items():
+            for i, col in _density_columns(bundle, nu, self.columns).items():
                 cols["z", label, i] = col
             if self.forward:
-                cols["log_z_tilde", label] = np.log(
-                    density_path(bundle, bundle.theta - bundle.delta, nu)[:, -1]
-                )
+                z_tilde = density_path(bundle, bundle.theta - bundle.delta, nu, [self.n_steps])
+                cols["log_z_tilde", label] = np.log(z_tilde[:, 0])
         if self.at_optimum:
             for i, col in _density_columns(bundle, bundle.phi, self.opt_idx).items():
                 cols["z_opt", i] = col
-        for i in load_idx:
-            cols["inv_gamma", i] = fields.inv_gamma[:, i].copy()
-            cols["a_shift", i] = fields.a_shift[:, i].copy()
+        for i in self.columns:
+            cols["inv_gamma", i] = fields.inv_gamma[:, field_pos[i]].copy()
+            cols["a_shift", i] = fields.a_shift[:, field_pos[i]].copy()
         self._chunks.append(cols)
 
     def reduce(self) -> VerificationReport:
@@ -393,7 +403,7 @@ class MonteCarloPass:
             return f"{self.grid[i]:g}"
 
         for label, nu in self.nu_family.items():
-            z = {i: cols["z", label, i] for i in sorted(set(idx) | {terminal})}
+            z = {i: cols["z", label, i] for i in self.columns}
             if self.submartingale:
                 for eta in self.eta_list:
                     vals = _dual_path_values(cols, z, eta, idx)
@@ -457,9 +467,9 @@ def run_mc_checks(
 ) -> VerificationReport:
     """Run the named checks of ``MC_CHECKS`` in one pass over the loads.
 
-    Each load's martingale density is built once and only the columns the
-    checks read (``time_indices`` and the terminal time) are kept; the
-    optimum load ``bundle.phi`` gets a pass of its own. Every check turns
+    Each load's martingale density is built once, and only at the columns
+    the checks read (``time_indices`` and the terminal time); the optimum
+    load ``bundle.phi`` gets a pass of its own. Every check turns
     those columns into per-path statistics with a target, and one reducer
     collapses antithetic pairs and runs ``mc_mean_test`` on each. This is
     the one-chunk case of ``MonteCarloPass``. The checks:

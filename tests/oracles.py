@@ -4,9 +4,10 @@ Nothing here imports the package's DP, vertex-recursion or joint conjugacy
 code paths: values come from closed forms, scipy one-dimensional
 minimization, a direct joint optimization over all node portfolios, brute
 force over every product measure of a window, (for conjugacy) a
-one-dimensional search over the per-eta dual program, or (for the random
+one-dimensional search over the per-eta dual program, (for the random
 kernels) the Philox rounds and the reduction tree computed from their
-definitions. Deliberate duplication -- an oracle that shares code with the
+definitions, or (for the density and field paths) one whole-matrix numpy
+expression per quantity. Deliberate duplication -- an oracle that shares code with the
 implementation checks nothing.
 """
 
@@ -392,3 +393,52 @@ def pairwise_sum(x):
         return tree(lo, half) + tree(lo + half, half)
 
     return tree(0, m) if x else 0.0
+
+
+# -- density and field paths -------------------------------------------------
+#
+# The package builds these one block of paths at a time, and only at the grid
+# columns asked for; these are the whole-matrix formulas, one numpy expression
+# per quantity over every path and grid time.
+
+
+def density_path_full(bundle, nu1, nu2):
+    """Full (n_paths, n_steps + 1) exponential density with loads nu1 on B
+    and nu2 on W (scalars or one value per step), column 0 equal to 1."""
+    nu1 = np.broadcast_to(np.asarray(nu1, dtype=float), (bundle.n_steps,))
+    nu2 = np.broadcast_to(np.asarray(nu2, dtype=float), (bundle.n_steps,))
+    incr = (
+        -nu1 * bundle.dB
+        - nu2 * bundle.dW
+        - 0.5 * (nu1**2 + nu2**2) * bundle.dt
+    )
+    out = np.empty((bundle.dB.shape[0], bundle.n_steps + 1))
+    out[:, 0] = 0.0
+    np.cumsum(incr, axis=1, out=out[:, 1:])
+    return np.exp(out)
+
+
+def forward_exponential_full(gamma0, a0, bundle):
+    """Full (n_paths, n_steps + 1) paths of 1/gamma and the shift."""
+    dt = bundle.dt
+    ds = bundle.theta * dt + bundle.dB
+    n_paths = ds.shape[0]
+
+    log_inv = np.empty((n_paths, bundle.n_steps + 1))
+    log_inv[:, 0] = 0.0
+    np.cumsum(bundle.delta * ds - 0.5 * bundle.delta**2 * dt, axis=1, out=log_inv[:, 1:])
+    inv_gamma = np.exp(log_inv) / gamma0
+
+    drift = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (bundle.theta - bundle.delta) ** 2 * dt))
+    )
+    phi_cost = np.concatenate(([0.0], np.cumsum(0.5 * bundle.phi**2 * dt)))
+    rho_s = np.empty((n_paths, bundle.n_steps + 1))
+    rho_s[:, 0] = 0.0
+    np.cumsum(bundle.rho * ds, axis=1, out=rho_s[:, 1:])
+    phi_w = np.empty((n_paths, bundle.n_steps + 1))
+    phi_w[:, 0] = 0.0
+    np.cumsum(bundle.phi * bundle.dW, axis=1, out=phi_w[:, 1:])
+
+    a_shift = a0 + drift[None, :] + rho_s / inv_gamma - phi_cost[None, :] - phi_w
+    return inv_gamma, a_shift

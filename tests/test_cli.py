@@ -1,5 +1,6 @@
 """Scenario loading, dispatch, exit codes, and output formats."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -377,6 +378,19 @@ def test_ito_scenario_builds_each_density_once(monkeypatch):
     report = run_ito_scenario(doc)
     assert report.all_passed, report.to_text()
     assert len(calls) == 11
+
+
+# SHA-256 of the default-suite report of ito_doc(n_paths=2000, n_steps=16),
+# taken before the density and field kernels were built in row blocks at the
+# checks' columns: later kernel work must not move a byte of it
+PINNED_ITO_REPORT_SHA256 = "990660f576e66bf4b115f070a85312cd0653e91129fc4d800e40b74c01f0b363"
+
+
+def test_ito_report_bytes_pinned():
+    doc = ito_doc(n_paths=2000, n_steps=16)
+    del doc["checks"]
+    text = run_ito_scenario(doc).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ITO_REPORT_SHA256
 
 
 CHUNKED_DOCS = {

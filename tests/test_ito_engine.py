@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from forwardperf.errors import AlignmentError
 from forwardperf.ito_engine import (
+    BLOCK_ROWS,
     FAIL_ANALYTIC,
     PASS,
     UNDETERMINED,
@@ -230,6 +232,67 @@ def test_martingale_density_pins_price_load():
     )
 
 
+# -- blocked kernels -----------------------------------------------------
+
+# a piecewise model with every coefficient active, on a grid that hits its
+# breakpoints
+KERNEL_SPEC = CoefficientSpec(
+    horizon=1.0,
+    breakpoints=(0.0, 0.25, 0.75),
+    theta=(0.5, 0.3, 0.6),
+    delta=(0.2, 0.0, -0.1),
+    phi=(0.3, 0.1, 0.2),
+    rho=(0.1, -0.2, 0.05),
+)
+# None asks for the full matrices; the last set names every column
+COLUMN_SETS = [None, [0], [16], [11, 3, 16, 7], list(range(17))]
+B = BLOCK_ROWS
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "n_paths, antithetic",
+    [(n, False) for n in (1, B - 1, B, B + 1, 2 * B + 3)]
+    + [(n, True) for n in (2, B - 2, B, B + 2, 2 * B + 4)],
+)
+def test_blocked_kernels_match_whole_matrix_oracles(n_paths, antithetic):
+    # every block size, remainder and column request gives the whole-matrix
+    # formulas' values bit for bit
+    bundle = simulate_paths(KERNEL_SPEC, 16, n_paths, seed=31, antithetic=antithetic)
+    ramp = np.linspace(-0.4, 0.6, 16)
+    want_inv, want_shift = oracles.forward_exponential_full(1.3, 0.2, bundle)
+    for cols in COLUMN_SETS:
+        keep = slice(None) if cols is None else cols
+        for nu1, nu2 in ((bundle.theta, ramp), (bundle.theta - bundle.delta, 0.25), (0.3, ramp)):
+            got = density_path(bundle, nu1, nu2, cols)
+            want = oracles.density_path_full(bundle, nu1, nu2)[:, keep]
+            np.testing.assert_array_equal(bits(got), bits(want))
+        np.testing.assert_array_equal(
+            bits(martingale_density(bundle, ramp, cols)),
+            bits(oracles.density_path_full(bundle, bundle.theta, ramp)[:, keep]),
+        )
+        fields = build_forward_exponential(KERNEL_SPEC, 1.3, 0.2, bundle, cols)
+        np.testing.assert_array_equal(bits(fields.inv_gamma), bits(want_inv[:, keep]))
+        np.testing.assert_array_equal(bits(fields.a_shift), bits(want_shift[:, keep]))
+        assert fields.columns == tuple(range(17) if cols is None else cols)
+        assert not fields.inv_gamma.flags.writeable
+        assert not fields.a_shift.flags.writeable
+
+
+def test_kernels_refuse_columns_off_the_grid():
+    bundle = simulate_paths(KERNEL_SPEC, 16, 4, seed=31)
+    for cols in ([17], [0, -1], [3, 40]):
+        with pytest.raises(ValueError, match="grid columns must lie in 0..16"):
+            density_path(bundle, 0.1, 0.2, cols)
+        with pytest.raises(ValueError, match="grid columns must lie in 0..16"):
+            build_forward_exponential(KERNEL_SPEC, 1.0, 0.0, bundle, cols)
+    with pytest.raises(TypeError):
+        density_path(bundle, 0.1, 0.2, [2.5])
+
+
 # -- field paths ---------------------------------------------------------
 
 
@@ -357,3 +420,7 @@ def test_export_paths_validates_density_shape(tmp_path):
     fields = build_forward_exponential(PIECEWISE, 1.0, 0.0, bundle)
     with pytest.raises(ValueError, match="full path matrix"):
         export_paths(bundle, fields, {"bad": bundle.dB}, str(tmp_path / "x.csv"))
+    partial = build_forward_exponential(PIECEWISE, 1.0, 0.0, bundle, [0, 4])
+    dens = {"mart": martingale_density(bundle, 0.0)}
+    with pytest.raises(ValueError, match="field paths must hold every grid column"):
+        export_paths(bundle, partial, dens, str(tmp_path / "x.csv"))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from forwardperf import ito_engine, mc_verifier
 from forwardperf.cli import run_ito_scenario
 from forwardperf.errors import RegularityError
 from forwardperf.ito_engine import (
@@ -252,6 +253,45 @@ def test_pass_refuses_chunks_that_do_not_continue_the_simulation():
     mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 100, seed=5, stream_offset=50))
     whole = run_mc_checks(*simulated(CLEAN, 1.0, 0.0, 8, 200, seed=5), ["inverse-gamma-mean"])
     assert mc.reduce().to_json() == whole.to_json()
+
+
+def test_pass_builds_only_its_columns(monkeypatch):
+    # densities and fields are built at the columns the checks read: the
+    # time indices and the horizon, and the horizon alone for the forward
+    # check's own route; fields without one of them are refused
+    calls = []
+    original = ito_engine.density_path
+
+    def recorded(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    for module in (ito_engine, mc_verifier):
+        monkeypatch.setattr(module, "density_path", recorded)
+    mc = MonteCarloPass(CLEAN, 8, list(MC_CHECKS), time_indices=[6, 0, 2])
+    assert mc.columns == [0, 2, 6, 8]
+    assert MonteCarloPass(CLEAN, 8, ["inverse-gamma-mean"]).columns == [8]
+    bundle = simulate_paths(CLEAN, 8, 400, seed=5)
+    other_grid = simulate_paths(CLEAN, 16, 400, seed=5)
+    with pytest.raises(ValueError, match="needs 8 steps"):
+        mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, other_grid))
+    for cols in ([0, 2, 8], [6, 2, 0], [1, 3, 5, 7]):
+        with pytest.raises(ValueError, match="fields lack the grid columns"):
+            mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle, cols))
+    assert calls == []
+    mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle, [8, 0, 6, 5, 2]))
+    # five loads, each with its forward route, and the optimum at the times > 0
+    assert sorted(cols for _, _, cols in calls) == sorted(
+        [[0, 2, 6, 8]] * 5 + [[8]] * 5 + [[2, 6]]
+    )
+    columns = mc.reduce()
+    whole = run_mc_checks(
+        bundle,
+        build_forward_exponential(CLEAN, 1.0, 0.0, bundle),
+        list(MC_CHECKS),
+        time_indices=[6, 0, 2],
+    )
+    assert columns.to_json() == whole.to_json()
 
 
 def test_reports_seed_deterministic():
