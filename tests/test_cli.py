@@ -661,6 +661,54 @@ def test_export_paths_simulates_only_selected_streams(
     assert out.read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
+PIECEWISE_MODEL = {
+    "horizon": 1.0,
+    "breakpoints": [0.0, 0.5],
+    "theta": [0.5, 0.2],
+    "delta": [0.1, -0.1],
+    "phi": [0.3, 0.0],
+    "rho": [0.0, 0.2],
+}
+EXPORT_DOCS = {
+    "antithetic": {
+        "model": {"horizon": 1.0, "theta": 0.5, "phi": 0.3, "rho": 0.1},
+        "gamma0": 2.0,
+        "a0": 0.25,
+        "n_steps": 8,
+        "n_paths": 40,
+        "paths": [7, 0, 6, 7, 1, 30, 31],
+        "nu": {"0": 0.0, "up": 0.5},
+    },
+    "plain-piecewise": {
+        "model": PIECEWISE_MODEL,
+        "n_steps": 8,
+        "n_paths": 30,
+        "antithetic": False,
+        "nu": {"flat": 0.2, "ramp": [0.1 * k for k in range(8)]},
+    },
+}
+# SHA-256 of the CSVs of EXPORT_DOCS, taken while simulate_paths still built
+# the price matrix itself: moving that work must not move a byte
+PINNED_EXPORT_SHA256 = {
+    "antithetic": "cd6a59995299bce9a7b31bc0685ef9b5a8fa396b96d18a85a2abcb53abd8bbb2",
+    "plain-piecewise": "62372705ec0bbc8b28c739bb1f43c166982a5c968f62e611ac2449e766f87842",
+}
+
+
+def export_csv(tmp_path, case):
+    out = tmp_path / f"{case}.csv"
+    path = write_scenario(tmp_path, export_doc(**EXPORT_DOCS[case]))
+    assert main(["export-paths", path, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("case", list(EXPORT_DOCS))
+def test_export_paths_bytes_pinned(tmp_path, capsys, case):
+    data = export_csv(tmp_path, case)
+    capsys.readouterr()
+    assert hashlib.sha256(data).hexdigest() == PINNED_EXPORT_SHA256[case]
+
+
 def test_export_paths_index_out_of_range(tmp_path, capsys):
     path = write_scenario(tmp_path, export_doc(paths=[99]))
     assert main(["export-paths", path, "--out", str(tmp_path / "x.csv")]) == 2
