@@ -5,7 +5,9 @@ inverse-gamma-mean check alone, at 100k paths in 1, 4, 16 and 64 chunks
 and at 400k paths in 16 and 64 chunks. Every point runs in a fresh
 process, so its peak RSS is its own: the process imports forwardperf,
 records its RSS (the import baseline), then runs the scenario through
-``run_ito_scenario`` and records wall time and peak RSS (``ru_maxrss``).
+``run_ito_scenario`` and records wall time, peak RSS (``ru_maxrss``) and
+the minor page faults the run took (``ru_minflt``, read with
+``getrusage`` in the same process before and after it).
 Each point also records the SHA-256 of its report, which must not depend
 on the chunk count.
 
@@ -57,25 +59,27 @@ def scenario(n_paths, n_chunks):
     }
 
 
-def _rss_mb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def _usage():
+    return resource.getrusage(resource.RUSAGE_SELF)
 
 
 def child(n_paths, n_chunks):
     """One measurement, printed as a JSON line."""
     from forwardperf.cli import run_ito_scenario
 
-    baseline = _rss_mb()
+    before = _usage()
     t0 = time.perf_counter()
     report = run_ito_scenario(scenario(n_paths, n_chunks))
     wall = time.perf_counter() - t0
+    after = _usage()
     text = report.to_json()
     print(
         json.dumps(
             {
                 "wall_s": wall,
-                "peak_rss_mb": _rss_mb(),
-                "baseline_mb": baseline,
+                "peak_rss_mb": after.ru_maxrss / 1024.0,
+                "minflt": after.ru_minflt - before.ru_minflt,
+                "baseline_mb": before.ru_maxrss / 1024.0,
                 "report_sha256": hashlib.sha256(text.encode()).hexdigest(),
             }
         )
@@ -105,6 +109,7 @@ def measure(n_paths, n_chunks, repeat):
         "repeats": repeat,
         "peak_rss_mb": _spread([r["peak_rss_mb"] for r in runs]),
         "wall_s": _spread([r["wall_s"] for r in runs]),
+        "minflt": _spread([r["minflt"] for r in runs]),
         "baseline_mb": _spread([r["baseline_mb"] for r in runs]),
         "report_sha256": digests.pop(),
     }
@@ -129,7 +134,8 @@ def main():
         print(
             f"n_paths={n_paths} n_chunks={n_chunks} "
             f"peak_rss={row['peak_rss_mb']['median']:.1f}MB "
-            f"wall={row['wall_s']['median']:.2f}s",
+            f"wall={row['wall_s']['median']:.2f}s "
+            f"minflt={row['minflt']['median']}",
             flush=True,
         )
         rows.append(row)
@@ -140,8 +146,9 @@ def main():
         "benchmark": "streaming",
         "scenario": "ito-verify, README model, plain paths x 64 steps, seed "
         f"{SEED}, checks [inverse-gamma-mean]",
-        "what": "peak RSS (ru_maxrss) and wall time of run_ito_scenario in a fresh "
-        "process per repeat; baseline_mb is the RSS after importing forwardperf",
+        "what": "peak RSS (ru_maxrss), wall time and minor page faults (ru_minflt) "
+        "of run_ito_scenario in a fresh process per repeat; baseline_mb is the RSS "
+        "after importing forwardperf",
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),
         "kernel_backend": kernels.BACKEND,

@@ -33,7 +33,7 @@ from .ito_engine import (
     validate_regularity,
     write_paths_csv,
 )
-from .kernels import U64_MAX
+from .kernels import U64_MAX, Workspace
 from .mc_verifier import MC_CHECKS, MonteCarloPass
 from .report import CheckRecord, VerificationReport
 from .tree_market import EventTree, check_nflvr, validate_tree
@@ -396,6 +396,22 @@ def _simulation_inputs(doc, seed_override, min_paths):
     return spec, gamma0, a0, n_steps, n_paths, seed, antithetic, n_chunks
 
 
+# streams simulated at once by ito-verify and export-paths alike: it bounds
+# the draws, increments and scratch held at a time, whatever n_chunks is
+STREAM_BUDGET = 1024
+
+
+def _stream_runs(ranges):
+    """Split each range ``(lo, hi)`` of consecutive streams into runs of at
+    most ``STREAM_BUDGET`` streams, in order, whose sizes within a range
+    differ by at most one."""
+    return [
+        (lo + a, lo + b)
+        for lo, hi in ranges
+        for a, b in chunk_bounds(hi - lo, -(-(hi - lo) // STREAM_BUDGET))
+    ]
+
+
 def run_ito_scenario(doc, seed_override=None):
     _check_keys(
         doc,
@@ -464,16 +480,17 @@ def run_ito_scenario(doc, seed_override=None):
         mc = MonteCarloPass(
             spec, n_steps, mc_checks, eta_list, nu_family, time_indices, confidence
         )
-        # every Monte Carlo check reads this one simulation, held one chunk
-        # of streams at a time so that n_chunks bounds memory
-        for lo, hi in chunk_bounds(n_streams, n_chunks):
+        # every Monte Carlo check reads this one simulation, held one run of
+        # at most STREAM_BUDGET streams at a time, on buffers the runs share
+        work = Workspace()
+        for lo, hi in _stream_runs(chunk_bounds(n_streams, n_chunks)):
             bundle = simulate_paths(
                 spec, n_steps, (n_paths // n_streams) * (hi - lo), seed,
-                antithetic=antithetic, stream_offset=lo,
+                antithetic=antithetic, stream_offset=lo, work=work,
             )
             # the fields and densities are built at the pass's columns only
             mc.gather(bundle, build_forward_exponential(spec, gamma0, a0, bundle, mc.columns))
-            del bundle
+        del bundle, work  # reduce reads only the gathered columns
         report.merge(mc.reduce())
     n_stat = sum(1 for rec in report.records() if rec.std_error is not None)
     if n_stat:
@@ -541,35 +558,27 @@ def run_conjugate_table(doc, out_path):
     return VerificationReport()
 
 
-# streams per export-paths simulation call: bounds the matrices held at once
-EXPORT_CHUNK_STREAMS = 1024
-
-
-def _stream_runs(streams, cap):
-    """Ranges (lo, hi) of consecutive streams that cover the sorted,
-    distinct ``streams`` exactly, none longer than ``cap``."""
-    runs = []
+def _consecutive_ranges(streams):
+    """The ranges ``(lo, hi)`` of consecutive streams that cover the sorted,
+    distinct ``streams`` exactly."""
+    ranges = []
     for s in streams:
-        if runs and runs[-1][1] == s:
-            runs[-1][1] = s + 1
+        if ranges and ranges[-1][1] == s:
+            ranges[-1][1] = s + 1
         else:
-            runs.append([s, s + 1])
-    return [
-        (lo + a, lo + b)
-        for lo, hi in runs
-        for a, b in chunk_bounds(hi - lo, -(-(hi - lo) // cap))
-    ]
+            ranges.append([s, s + 1])
+    return ranges
 
 
 def _selected_path_tables(spec, gamma0, a0, n_steps, seed, antithetic, fam, indices):
     """Yield ``(i, path_table)`` for each path index of ``indices`` in
     order. Only the selected paths' streams are simulated, in runs of at
-    most ``EXPORT_CHUNK_STREAMS``; a path's table is held from its run
-    until its last selection is written, so sorted indices hold one run."""
+    most ``STREAM_BUDGET``; a path's table is held from its run until its
+    last selection is written, so sorted indices hold one run."""
     per = 2 if antithetic else 1
     last_pos = {i: pos for pos, i in enumerate(indices)}
     held, pos = {}, 0
-    for lo, hi in _stream_runs(sorted({i // per for i in last_pos}), EXPORT_CHUNK_STREAMS):
+    for lo, hi in _stream_runs(_consecutive_ranges(sorted({i // per for i in last_pos}))):
         bundle = simulate_paths(
             spec, n_steps, per * (hi - lo), seed, antithetic=antithetic, stream_offset=lo
         )

@@ -32,13 +32,13 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import AlignmentError
-from .kernels import gaussian_field
+from .kernels import Workspace, gaussian_field
 from .report import CheckRecord, VerificationReport
 
 _ALIGN_TOL = 1e-12
@@ -115,10 +115,12 @@ class CoefficientSpec:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated increments and price paths on a uniform grid.
+    """Simulated increments on a uniform grid, and the price paths they
+    drive.
 
-    ``dB``/``dW`` have shape (n_paths, n_steps); ``s`` has shape
-    (n_paths, n_steps + 1) with s[:, 0] = s0. With antithetic pairing,
+    ``dB``/``dW`` have shape (n_paths, n_steps). The price ``s``, shape
+    (n_paths, n_steps + 1) with s[:, 0] = s0, is summed from them each
+    time it is read; no check reads it. With antithetic pairing,
     paths 2i and 2i+1 share a Gaussian stream with opposite signs. Row 0
     draws from stream ``stream_offset``, so it is path ``first_path`` of
     the simulation that starts at stream 0.
@@ -129,7 +131,7 @@ class PathBundle:
     dt: float
     dB: np.ndarray
     dW: np.ndarray
-    s: np.ndarray
+    s0: float
     seed: int
     n_paths: int
     antithetic: bool
@@ -138,6 +140,8 @@ class PathBundle:
     phi: np.ndarray
     rho: np.ndarray
     stream_offset: int
+    # scratch of the simulation, reused by the density and field kernels
+    work: Workspace = field(repr=False, compare=False)
 
     @property
     def n_steps(self) -> int:
@@ -150,6 +154,21 @@ class PathBundle:
     @property
     def ds(self) -> np.ndarray:
         return self.theta * self.dt + self.dB
+
+    @property
+    def s(self) -> np.ndarray:
+        return _price_paths(self.s0, self.ds)
+
+
+def _price_paths(s0: float, ds: np.ndarray) -> np.ndarray:
+    """Read-only running sums of the price increments ``ds`` (one row per
+    path) from ``s0`` at column 0."""
+    s = np.empty((ds.shape[0], ds.shape[1] + 1))
+    s[:, 0] = s0
+    np.cumsum(ds, axis=1, out=s[:, 1:])
+    s[:, 1:] += s0
+    s.setflags(write=False)
+    return s
 
 
 def chunk_bounds(n_streams: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -169,49 +188,52 @@ def simulate_paths(
     antithetic: bool = True,
     s0: float = 0.0,
     stream_offset: int = 0,
+    work: Workspace | None = None,
 ) -> PathBundle:
-    """Simulate (B, W) increments and the price path.
+    """Simulate the (B, W) increments that drive the price path.
 
     Draws are a pure function of (seed, stream, step). The bundle holds
     the streams from ``stream_offset`` on (one per path, or one per
     antithetic pair), so its rows equal, bit for bit, the matching rows of
     a simulation that starts at stream 0: a large simulation can be run as
     consecutive stream ranges (see ``chunk_bounds``), one bundle at a time.
+
+    The draws and increments live in the ``Workspace`` ``work`` (a fresh
+    one by default). Runs over one workspace allocate them once, and each
+    run's bundle holds memory that the next run overwrites: read a bundle
+    before simulating the next one on the same workspace.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     if antithetic and n_paths % 2 != 0:
         raise ValueError("antithetic pairing needs an even n_paths")
+    if work is None:
+        work = Workspace()
     coeffs = spec.per_step_values(n_steps)
     dt = spec.horizon / n_steps
     n_streams = n_paths // 2 if antithetic else n_paths
-    z1, z2 = gaussian_field(seed, n_streams, n_steps, stream_offset=stream_offset)
-
+    # the normals land in the even rows of dB and dW (all rows without
+    # pairing) and are scaled there; odd rows are their antithetic partners
+    per = 2 if antithetic else 1
+    dB = work.take("dB", (n_paths, n_steps))
+    dW = work.take("dW", (n_paths, n_steps))
+    gaussian_field(
+        seed, n_streams, n_steps, stream_offset=stream_offset,
+        out=(dB[0::per], dW[0::per]), work=work,
+    )
     sdt = math.sqrt(dt)
-    if antithetic:
-        dB = np.empty((n_paths, n_steps))
-        dW = np.empty((n_paths, n_steps))
-        dB[0::2] = sdt * z1
-        dB[1::2] = -sdt * z1
-        dW[0::2] = sdt * z2
-        dW[1::2] = -sdt * z2
-    else:
-        dB = sdt * z1
-        dW = sdt * z2
-
-    grid = np.linspace(0.0, spec.horizon, n_steps + 1)
-    s = np.empty((n_paths, n_steps + 1))
-    s[:, 0] = s0
-    np.cumsum(coeffs["theta"] * dt + dB, axis=1, out=s[:, 1:])
-    s[:, 1:] += s0
+    for d in (dB, dW):
+        d[0::per] *= sdt
+        if antithetic:
+            np.negative(d[0::2], out=d[1::2])
 
     bundle = PathBundle(
         spec=spec,
-        grid=grid,
+        grid=np.linspace(0.0, spec.horizon, n_steps + 1),
         dt=dt,
         dB=dB,
         dW=dW,
-        s=s,
+        s0=float(s0),
         seed=int(seed),
         n_paths=n_paths,
         antithetic=antithetic,
@@ -220,8 +242,9 @@ def simulate_paths(
         phi=coeffs["phi"],
         rho=coeffs["rho"],
         stream_offset=int(stream_offset),
+        work=work,
     )
-    for arr in (bundle.grid, bundle.dB, bundle.dW, bundle.s, bundle.theta,
+    for arr in (bundle.grid, bundle.dB, bundle.dW, bundle.theta,
                 bundle.delta, bundle.phi, bundle.rho):
         arr.setflags(write=False)
     return bundle
@@ -248,7 +271,9 @@ def _grid_columns(n_steps: int, columns) -> np.ndarray | None:
     return cols
 
 
-def _running_sums(n_paths: int, n_steps: int, cols, n_sums: int, fill) -> list[np.ndarray]:
+def _running_sums(
+    n_paths: int, n_steps: int, cols, n_sums: int, fill, work: Workspace
+) -> list[np.ndarray]:
     """Running sums over the grid of ``n_sums`` per-step increment fields,
     built one block of ``BLOCK_ROWS`` paths at a time.
 
@@ -258,14 +283,14 @@ def _running_sums(n_paths: int, n_steps: int, cols, n_sums: int, fill) -> list[n
     the ``np.cumsum`` a whole matrix would get, so every value is the same
     whatever the block. Returns one (n_paths, n_steps + 1) array per sum
     when ``cols`` is None, else one (n_paths, len(cols)) array holding the
-    grid columns ``cols`` only.
+    grid columns ``cols`` only. The block buffers come from ``work``.
     """
     keep = slice(None) if cols is None else cols
     width = n_steps + 1 if cols is None else cols.size
     outs = [np.empty((n_paths, width)) for _ in range(n_sums)]
     block = min(BLOCK_ROWS, n_paths)
-    incs = [np.empty((block, n_steps)) for _ in range(n_sums)]
-    sums = np.empty((block, n_steps + 1))
+    incs = [work.take(f"incs{k}", (block, n_steps)) for k in range(n_sums)]
+    sums = work.take("sums", (block, n_steps + 1))
     sums[:, 0] = 0.0
     for r0 in range(0, n_paths, BLOCK_ROWS):
         rows = slice(r0, min(r0 + BLOCK_ROWS, n_paths))
@@ -291,7 +316,7 @@ def density_path(bundle: PathBundle, nu1, nu2, columns=None) -> np.ndarray:
     neg_nu1 = -nu1
     drift = 0.5 * (nu1**2 + nu2**2) * bundle.dt
     n_paths = bundle.dB.shape[0]
-    w_load = np.empty((min(BLOCK_ROWS, n_paths), bundle.n_steps))
+    w_load = bundle.work.take("aux", (min(BLOCK_ROWS, n_paths), bundle.n_steps))
 
     def fill(rows, incs):
         (incr,) = incs
@@ -302,7 +327,7 @@ def density_path(bundle: PathBundle, nu1, nu2, columns=None) -> np.ndarray:
         incr -= w
         incr -= drift
 
-    (log_z,) = _running_sums(n_paths, bundle.n_steps, cols, 1, fill)
+    (log_z,) = _running_sums(n_paths, bundle.n_steps, cols, 1, fill, bundle.work)
     return np.exp(log_z, out=log_z)
 
 
@@ -347,7 +372,7 @@ def build_forward_exponential(
     n_paths = bundle.dB.shape[0]
     theta_dt = bundle.theta * dt
     log_inv_drift = 0.5 * bundle.delta**2 * dt
-    ds = np.empty((min(BLOCK_ROWS, n_paths), bundle.n_steps))
+    ds = bundle.work.take("aux", (min(BLOCK_ROWS, n_paths), bundle.n_steps))
 
     def fill(rows, incs):
         log_inv, rho_s, phi_w = incs
@@ -358,7 +383,9 @@ def build_forward_exponential(
         np.multiply(bundle.rho, d, out=rho_s)
         np.multiply(bundle.phi, bundle.dW[rows], out=phi_w)
 
-    inv_gamma, a_shift, phi_w = _running_sums(n_paths, bundle.n_steps, cols, 3, fill)
+    inv_gamma, a_shift, phi_w = _running_sums(
+        n_paths, bundle.n_steps, cols, 3, fill, bundle.work
+    )
     np.exp(inv_gamma, out=inv_gamma)
     inv_gamma /= gamma0
 
@@ -472,8 +499,10 @@ def path_table(
             f"path {path_index} is not in this bundle (paths {bundle.first_path} to "
             f"{bundle.first_path + bundle.n_paths - 1})"
         )
+    # the price row alone, summed as the whole matrix ``bundle.s`` sums it
+    s = _price_paths(bundle.s0, bundle.theta * bundle.dt + bundle.dB[i : i + 1])
     return np.column_stack(
-        [bundle.grid, bundle.s[i]]
+        [bundle.grid, s[0]]
         + [z[i] for z in densities.values()]
         + [fields.inv_gamma[i], fields.a_shift[i]]
     )
@@ -508,10 +537,11 @@ def export_paths(
     """
     if path_indices is None:
         path_indices = range(bundle.first_path, bundle.first_path + min(bundle.n_paths, 10))
+    full = (bundle.n_paths, bundle.n_steps + 1)
     for lab, z in densities.items():
-        if z.shape != bundle.s.shape:
+        if z.shape != full:
             raise ValueError(f"density {lab!r} must be a full path matrix")
-    if fields.inv_gamma.shape != bundle.s.shape:
+    if fields.inv_gamma.shape != full:
         raise ValueError("the field paths must hold every grid column of the bundle")
     return write_paths_csv(
         path,

@@ -12,6 +12,8 @@ canonical pairwise reduction tree below, which is fixed by the element
 indices alone.
 """
 
+import math
+
 import numpy as np
 
 # provenance only: the benchmarks record it next to their timings
@@ -20,13 +22,44 @@ BACKEND = "numpy-philox"
 # seeds and stream indices are single 64-bit words of the key and counter
 U64_MAX = 2**64 - 1
 
+# Philox blocks per tile of gaussian_field: a tile's blocks and uniforms
+# (256 KB each) stay in L2 cache from their draw to their normals
+TILE_BLOCKS = 8192
 
-def philox4x64(seed, n_streams, n_steps, stream_offset=0):
+
+class Workspace:
+    """Named scratch arrays that successive calls reuse instead of
+    allocating afresh.
+
+    ``take(name, shape, dtype)`` returns a C-contiguous array of that
+    shape over the buffer kept under ``name``, which is replaced only when
+    a call needs more elements than it holds. The next ``take`` of the
+    same name hands out the same memory, so whatever was computed there
+    is valid only until then.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name, shape, dtype=np.float64):
+        n = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.dtype != dtype or buf.size < n:
+            buf = self._buffers[name] = np.empty(n, dtype=dtype)
+        return buf[:n].reshape(shape)
+
+
+def _check_out(out, shape, dtype):
+    if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {np.dtype(dtype)} array of shape {shape}")
+
+
+def philox4x64(seed, n_streams, n_steps, stream_offset=0, out=None):
     """Philox-4x64-10 blocks for streams ``stream_offset + i``, i < n_streams.
 
     Returns an (n_streams * n_steps, 4) uint64 array whose row
     ``i * n_steps + k`` is the block at counter (k, stream_offset + i, 0, 0)
-    under key (seed, 0).
+    under key (seed, 0): ``out`` when given, which must be that array.
 
     numpy's Philox increments its 256-bit counter before each block, so a
     stream s starts one step before (0, s, 0, 0): at (2**64-1, s-1, 0, 0),
@@ -38,7 +71,10 @@ def philox4x64(seed, n_streams, n_steps, stream_offset=0):
     state = bitgen.state
     state["buffer_pos"] = 4
     counter = state["state"]["counter"]
-    out = np.empty((n_streams * n_steps, 4), dtype=np.uint64)
+    shape = (n_streams * n_steps, 4)
+    if out is None:
+        out = np.empty(shape, dtype=np.uint64)
+    _check_out(out, shape, np.uint64)
     rows = out.reshape(n_streams, 4 * n_steps)
     for i in range(n_streams):
         s = stream_offset + i
@@ -77,27 +113,36 @@ def pairwise_mean(x):
     return pairwise_sum(x) / x.size
 
 
-def uniform_open(blocks):
+def uniform_open(blocks, out=None):
     """Map uint64 words to float64 in (0, 1]: ((w >> 11) + 0.5) * 2**-53.
 
     Never returns 0, so log() downstream is always finite. The shifted
     words are written straight into the one float64 result (exact, being
-    below 2**53), which is then finished in place; ``blocks`` is unchanged.
+    below 2**53), ``out`` when given, which is then finished in place;
+    ``blocks`` is unchanged.
     """
-    u = np.empty(blocks.shape, dtype=np.float64)
+    u = np.empty(blocks.shape, dtype=np.float64) if out is None else out
+    _check_out(u, blocks.shape, np.float64)
     np.right_shift(blocks, np.uint64(11), out=u, casting="unsafe")
     u += 0.5
     u *= 2.0**-53
     return u
 
 
-def gaussian_field(seed, n_streams, n_steps, stream_offset=0):
+def gaussian_field(seed, n_streams, n_steps, stream_offset=0, out=None, work=None):
     """Two independent standard-normal fields, each (n_streams, n_steps).
 
     Entry (i, k) depends only on (seed, stream_offset + i, k): one Philox
     block per (stream, step) yields four uniforms, turned into two normals
     by Box-Muller, so the output is bit-identical regardless of chunking.
     ``seed`` and every stream index must fit in 64 bits.
+
+    The fields are written into ``out``, a pair of (n_streams, n_steps)
+    float64 arrays whose rows are contiguous (fresh arrays by default),
+    and returned. The streams are drawn a tile of about ``TILE_BLOCKS``
+    blocks at a time, and Box-Muller runs in place in the fields; the
+    tile's blocks and uniforms live in the ``Workspace`` ``work`` (a fresh
+    one by default), so repeated calls on one workspace allocate nothing.
     """
     if n_streams < 0 or n_steps <= 0:
         raise ValueError("need n_streams >= 0 and n_steps >= 1")
@@ -106,11 +151,28 @@ def gaussian_field(seed, n_streams, n_steps, stream_offset=0):
         raise ValueError(f"seed must be in [0, 2**64 - 1], got {seed}")
     if stream_offset < 0 or stream_offset + n_streams - 1 > U64_MAX:
         raise ValueError("stream indices must be in [0, 2**64 - 1]")
-    u = uniform_open(philox4x64(seed, n_streams, n_steps, int(stream_offset)))
-    r1 = np.sqrt(-2.0 * np.log(u[:, 0]))
-    r2 = np.sqrt(-2.0 * np.log(u[:, 2]))
-    a1 = (2.0 * np.pi) * u[:, 1]
-    a2 = (2.0 * np.pi) * u[:, 3]
-    z1 = (r1 * np.cos(a1)).reshape(n_streams, n_steps)
-    z2 = (r2 * np.cos(a2)).reshape(n_streams, n_steps)
-    return z1, z2
+    if out is None:
+        out = (np.empty((n_streams, n_steps)), np.empty((n_streams, n_steps)))
+    if work is None:
+        work = Workspace()
+    tile = max(1, TILE_BLOCKS // n_steps)
+    for i0 in range(0, n_streams, tile):
+        rows = slice(i0, min(i0 + tile, n_streams))
+        m = rows.stop - i0
+        blocks = philox4x64(
+            seed, m, n_steps, int(stream_offset) + i0,
+            out=work.take("blocks", (m * n_steps, 4), np.uint64),
+        )
+        u = uniform_open(blocks, out=work.take("uniforms", (m * n_steps, 4)))
+        u = u.reshape(m, n_steps, 4)
+        angle = work.take("angle", (m, n_steps))
+        for z, r_col, a_col in ((out[0], 0, 1), (out[1], 2, 3)):
+            # sqrt(-2 log u_r) cos(2 pi u_a), in place of the field's rows
+            r = z[rows]
+            np.log(u[..., r_col], out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            np.multiply(2.0 * np.pi, u[..., a_col], out=angle)
+            np.cos(angle, out=angle)
+            r *= angle
+    return out

@@ -28,12 +28,17 @@ read-only, so the ``check_*`` wrappers, which run one check each, report
 the same bytes on a shared simulation as on a fresh one.
 
 To bound memory, the same pass takes the simulation one stream range at a
-time and keeps only a few per-path columns of each::
+time and keeps only a few per-path columns of each. ``gather`` copies what
+it keeps, so the ranges can share one ``Workspace``, each overwriting the
+last::
 
     mc = MonteCarloPass(spec, n_steps, checks)
+    work = Workspace()
     for lo, hi in chunk_bounds(n_streams, n_chunks):
         # (hi - lo) streams: twice as many paths when antithetic
-        bundle = simulate_paths(spec, n_steps, 2 * (hi - lo), seed, stream_offset=lo)
+        bundle = simulate_paths(
+            spec, n_steps, 2 * (hi - lo), seed, stream_offset=lo, work=work
+        )
         mc.gather(bundle, build_forward_exponential(spec, gamma0, a0, bundle, mc.columns))
     report = mc.reduce()
 

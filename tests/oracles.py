@@ -378,6 +378,18 @@ def philox_field_blocks(seed, n_streams, n_steps, stream_offset=0):
     return philox4x64(seed, 0, c0, c1)
 
 
+def gaussian_field_whole(seed, n_streams, n_steps, stream_offset=0):
+    """Box-Muller on the oracle's blocks, over whole arrays and out of
+    place: the formula the tiled, in-place kernel must match bit for bit."""
+    blocks = philox_field_blocks(seed, n_streams, n_steps, stream_offset)
+    u = ((blocks >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    r1 = np.sqrt(-2.0 * np.log(u[:, 0]))
+    r2 = np.sqrt(-2.0 * np.log(u[:, 2]))
+    z1 = r1 * np.cos((2.0 * np.pi) * u[:, 1])
+    z2 = r2 * np.cos((2.0 * np.pi) * u[:, 3])
+    return z1.reshape(n_streams, n_steps), z2.reshape(n_streams, n_steps)
+
+
 def pairwise_sum(x):
     """The canonical reduction tree stated recursively: zero-pad to the next
     power of two, then sum each half and add the two."""

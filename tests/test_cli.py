@@ -449,7 +449,14 @@ def test_ito_output_independent_of_chunking(tmp_path, capsys, monkeypatch, case)
         assert code == 0 and err == ""
 
 
+# 7.14 MiB, the 8-chunk peak when n_chunks alone bounded memory (the 1-chunk
+# peak was 49.06 MiB), plus a margin of 0.86 MiB
+ITO_PEAK_BOUND = 8 * 2**20
+
+
 def test_ito_chunks_bound_memory():
+    # the simulation runs in at most STREAM_BUDGET streams at a time, on
+    # reused buffers, so the peak stays bounded whatever n_chunks is
     doc = ito_doc(n_paths=20_000, n_steps=64)
     peaks = {}
     for n_chunks in (1, 8):
@@ -460,7 +467,7 @@ def test_ito_chunks_bound_memory():
         finally:
             tracemalloc.stop()
         assert report.all_passed, report.to_text()
-    assert peaks[8] < peaks[1] / 3, peaks
+    assert max(peaks.values()) < ITO_PEAK_BOUND, peaks
 
 
 def test_ito_duplicate_check_refused(tmp_path, capsys, no_simulation):
@@ -644,7 +651,7 @@ def test_export_paths_simulates_only_selected_streams(
         return original(spec, n_steps, n_paths, *args, **kwargs)
 
     monkeypatch.setattr(cli, "simulate_paths", recorded)
-    monkeypatch.setattr(cli, "EXPORT_CHUNK_STREAMS", cap)
+    monkeypatch.setattr(cli, "STREAM_BUDGET", cap)
     out = tmp_path / "paths.csv"
     assert main(["export-paths", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
     assert sum(streams) <= len({i // per for i in selected})
@@ -695,18 +702,55 @@ PINNED_EXPORT_SHA256 = {
 }
 
 
-def export_csv(tmp_path, case):
-    out = tmp_path / f"{case}.csv"
-    path = write_scenario(tmp_path, export_doc(**EXPORT_DOCS[case]))
+def export_csv(tmp_path, overrides):
+    out = tmp_path / "export.csv"
+    path = write_scenario(tmp_path, export_doc(**overrides))
     assert main(["export-paths", path, "--out", str(out)]) == 0
     return out.read_bytes()
 
 
 @pytest.mark.parametrize("case", list(EXPORT_DOCS))
 def test_export_paths_bytes_pinned(tmp_path, capsys, case):
-    data = export_csv(tmp_path, case)
+    data = export_csv(tmp_path, EXPORT_DOCS[case])
     capsys.readouterr()
     assert hashlib.sha256(data).hexdigest() == PINNED_EXPORT_SHA256[case]
+
+
+def test_small_stream_budget_keeps_every_byte(tmp_path, capsys, monkeypatch):
+    # runs of at most 7 streams split every chunk and every export; the ito
+    # runs share one workspace, so no bundle may be read after the next run
+    # overwrote it
+    def ito_outputs(doc, n_chunks):
+        code = main(["run", write_scenario(tmp_path, {**doc, "n_chunks": n_chunks})])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    docs = {case: ito_doc(**over) for case, over in CHUNKED_DOCS.items()}
+    del docs["antithetic"]["checks"]
+    exports = dict(EXPORT_DOCS, whole={"n_paths": 40, "paths": list(range(40))})
+    want_ito = {case: ito_outputs(doc, 1) for case, doc in docs.items()}
+    want_csv = {case: export_csv(tmp_path, over) for case, over in exports.items()}
+    capsys.readouterr()
+
+    runs = []
+    original = cli.simulate_paths
+
+    def recorded(spec, n_steps, n_paths, seed, antithetic=True, **kwargs):
+        runs.append(n_paths // 2 if antithetic else n_paths)
+        return original(spec, n_steps, n_paths, seed, antithetic=antithetic, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_paths", recorded)
+    monkeypatch.setattr(cli, "STREAM_BUDGET", 7)
+    for case, doc in docs.items():
+        for n_chunks in (1, 3, 7):
+            runs.clear()
+            assert ito_outputs(doc, n_chunks) == want_ito[case], (case, n_chunks)
+            assert max(runs) <= 7 and len(runs) > n_chunks
+    for case, over in exports.items():
+        runs.clear()
+        assert export_csv(tmp_path, over) == want_csv[case], case
+        assert max(runs) <= 7
+    capsys.readouterr()
 
 
 def test_export_paths_index_out_of_range(tmp_path, capsys):

@@ -24,6 +24,7 @@ from forwardperf.ito_engine import (
     simulate_paths,
     validate_regularity,
 )
+from forwardperf.kernels import Workspace
 
 PIECEWISE = CoefficientSpec(
     horizon=1.0,
@@ -137,6 +138,35 @@ def test_simulate_price_recursion():
         np.diff(bundle.s, axis=1), bundle.theta * bundle.dt + bundle.dB, atol=1e-15
     )
     np.testing.assert_array_equal(bundle.ds, bundle.theta * bundle.dt + bundle.dB)
+    # the price is summed when read, by the one row-wise cumsum
+    s = np.empty((4, 9))
+    s[:, 0] = 1.5
+    np.cumsum(bundle.theta * bundle.dt + bundle.dB, axis=1, out=s[:, 1:])
+    s[:, 1:] += 1.5
+    np.testing.assert_array_equal(bundle.s, s)
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_simulate_runs_share_a_workspace(antithetic):
+    # runs on one workspace reuse its memory, and each run's bundle holds
+    # the rows of the whole simulation until the next run overwrites them
+    per = 2 if antithetic else 1
+    whole = simulate_paths(PIECEWISE, 8, per * 13, seed=21, antithetic=antithetic, s0=0.5)
+    z_whole = martingale_density(whole, 0.3)
+    work = Workspace()
+    first = None
+    for lo, hi in [(0, 7), (7, 12), (12, 13)]:
+        bundle = simulate_paths(
+            PIECEWISE, 8, per * (hi - lo), seed=21, antithetic=antithetic, s0=0.5,
+            stream_offset=lo, work=work,
+        )
+        assert bundle.work is work
+        first = bundle.dB if first is None else first
+        assert np.shares_memory(bundle.dB, first)
+        rows = slice(per * lo, per * hi)
+        for name in ("dB", "dW", "s"):
+            np.testing.assert_array_equal(getattr(bundle, name), getattr(whole, name)[rows])
+        np.testing.assert_array_equal(martingale_density(bundle, 0.3), z_whole[rows])
 
 
 def test_simulate_chunk_invariance():

@@ -7,6 +7,8 @@ import pytest
 
 import oracles
 from forwardperf.kernels import (
+    TILE_BLOCKS,
+    Workspace,
     gaussian_field,
     pairwise_mean,
     pairwise_sum,
@@ -93,7 +95,27 @@ def test_philox_vectorized_consistent():
         np.testing.assert_array_equal(block[5 * i : 5 * (i + 1)], single)
 
 
+def test_philox_fills_out():
+    want = philox4x64(7, 3, 5, 2)
+    out = np.zeros((15, 4), dtype=np.uint64)
+    assert philox4x64(7, 3, 5, 2, out=out) is out
+    np.testing.assert_array_equal(out, want)
+    for bad in (np.zeros((14, 4), dtype=np.uint64), np.zeros((15, 4)),
+                np.zeros((4, 15), dtype=np.uint64).T):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            philox4x64(7, 3, 5, 2, out=bad)
+
+
 # -- uniform mapping -----------------------------------------------------
+
+
+def test_uniform_open_fills_out():
+    blocks = philox4x64(3, 4, 6)
+    out = np.empty((24, 4))
+    assert uniform_open(blocks, out=out) is out
+    np.testing.assert_array_equal(out, uniform_open(blocks))
+    with pytest.raises(ValueError, match="shape"):
+        uniform_open(blocks, out=np.empty((24, 3)))
 
 
 def test_uniform_open_bounds_exact():
@@ -145,6 +167,48 @@ def test_gaussian_field_deterministic():
     np.testing.assert_array_equal(a2, b2)
     c1, _ = gaussian_field(2025, 8, 16)
     assert not np.array_equal(a1, c1)
+
+
+@pytest.mark.parametrize(
+    "n_streams, n_steps, stream_offset",
+    [
+        (7, 5, 11),
+        # tiles of 8, 1 and 1 streams: a partial last tile, and tiles
+        # narrower than one stream's blocks
+        (20, TILE_BLOCKS // 8, 3),
+        (3, TILE_BLOCKS, 0),
+        (2, TILE_BLOCKS + 5, 9),
+    ],
+)
+def test_gaussian_field_matches_whole_array_oracle(n_streams, n_steps, stream_offset):
+    want = oracles.gaussian_field_whole(41, n_streams, n_steps, stream_offset)
+    got = gaussian_field(41, n_streams, n_steps, stream_offset)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    # a shared workspace, after a larger call, and row-strided outputs
+    work = Workspace()
+    gaussian_field(5, n_streams + 3, n_steps, work=work)
+    pairs = (np.full((2 * n_streams, n_steps), 7.0), np.full((2 * n_streams, n_steps), 7.0))
+    out = gaussian_field(
+        41, n_streams, n_steps, stream_offset, out=(pairs[0][0::2], pairs[1][0::2]), work=work
+    )
+    for o, p, w in zip(out, pairs, want):
+        assert np.shares_memory(o, p)
+        np.testing.assert_array_equal(p[0::2], w)
+        assert np.all(p[1::2] == 7.0)
+
+
+def test_workspace_reuses_buffers():
+    work = Workspace()
+    a = work.take("x", (4, 5))
+    assert a.shape == (4, 5) and a.flags.c_contiguous
+    b = work.take("x", (3, 2))
+    assert np.shares_memory(a, b) and b.flags.c_contiguous
+    assert not np.shares_memory(a, work.take("y", (4, 5)))
+    # more elements or another dtype replace the buffer
+    assert not np.shares_memory(a, work.take("x", (5, 5)))
+    c = work.take("x", (2,), np.uint64)
+    assert c.dtype == np.uint64 and not np.shares_memory(a, c)
 
 
 def test_gaussian_field_chunk_invariance():
