@@ -22,6 +22,7 @@ from .errors import (
     RegularityError,
     ScenarioError,
     TreeStructureError,
+    WealthRangeError,
 )
 from .fields import (
     DualSlice,

@@ -106,10 +106,10 @@ def _seed(obj, source):
     return _integer(obj, source, minimum=0, maximum=U64_MAX)
 
 
-def _number_list(obj, path, min_len=1):
+def _number_list(obj, path, min_len=1, strict_min=None):
     if not isinstance(obj, list) or len(obj) < min_len:
         _fail(path, f"expected a list of at least {min_len} numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+    return [_number(v, f"{path}[{i}]", strict_min=strict_min) for i, v in enumerate(obj)]
 
 
 def _number_map(obj, path):
@@ -277,7 +277,7 @@ def run_tree_scenario(doc, base_dir="."):
     xi_grid = doc.get("xi_grid", [-2.0, -0.5, 0.0, 0.5, 2.0])
     eta_grid = doc.get("eta_grid", [0.25, 0.5, 1.0, 2.0, 4.0])
     xi_grid = _number_list(xi_grid, "$.xi_grid")
-    eta_grid = _number_list(eta_grid, "$.eta_grid")
+    eta_grid = _number_list(eta_grid, "$.eta_grid", strict_min=0)
     tol = _number(doc.get("tolerance", 1e-6), "$.tolerance", strict_min=0.0)
 
     # each (t, T, eta) dual program is solved once for all checks

@@ -34,5 +34,9 @@ class RegularityError(ForwardPerfError):
     integrability needed for the statistic to be meaningful."""
 
 
+class WealthRangeError(ForwardPerfError, ValueError):
+    """A wealth lies outside the grid the generic primal path tabulates."""
+
+
 class ScenarioError(ForwardPerfError):
     """Scenario or input file failed to parse or validate."""

@@ -262,9 +262,6 @@ class ExponentialFieldParams:
     def slice_at(self, node: str) -> UtilitySlice:
         return exponential_slice(self.gamma[node], self.a_shift[node], label=str(node))
 
-    def dual_slice_at(self, node: str) -> DualSlice:
-        return exponential_dual_slice(self.gamma[node], self.a_shift[node], label=str(node))
-
     def with_offsets(self, offsets: Mapping[str, float]) -> "ExponentialFieldParams":
         """Copy with a_shift[node] += offset for each given node."""
         a = dict(self.a_shift)

@@ -37,6 +37,7 @@ from .errors import ArbitrageError, ScenarioError, TreeStructureError
 from .report import CheckRecord, VerificationReport
 
 _VERTEX_TOL = 1e-12
+_MASS_TOL = 1e-15  # window nodes at or below this mass keep reference conditionals
 
 
 @dataclass(frozen=True)
@@ -421,9 +422,6 @@ class MeasurePolytope:
     T: int
     node_polytopes: Mapping[str, NodePolytope]
 
-    def vertices_at(self, nid: str) -> np.ndarray:
-        return self.node_polytopes[nid].vertices
-
 
 def measure_polytope(tree: EventTree, t: int, T: int | None = None) -> MeasurePolytope:
     """One-step polytopes for every nonterminal node in the window [t, T]."""
@@ -772,7 +770,7 @@ def enumerate_product_measures(
 
 
 def measure_from_leaf_masses(
-    tree: EventTree, start: str, T: int, masses: Mapping[str, float], mass_tol: float = 1e-15
+    tree: EventTree, start: str, T: int, masses: Mapping[str, float]
 ) -> TreeMeasure:
     """Rebuild one-step conditionals on [time(start), T] from terminal masses.
 
@@ -791,7 +789,7 @@ def measure_from_leaf_masses(
     cond = dict(pref.cond)
     for nid in tree.window_interior(start, T):
         total = node_mass.get(nid, 0.0)
-        if total <= mass_tol:
+        if total <= _MASS_TOL:
             continue
         qs = []
         for child in tree.children(nid):

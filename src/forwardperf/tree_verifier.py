@@ -35,12 +35,12 @@ one solve per start node and wealth, no search over eta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Mapping
+from dataclasses import dataclass, field as dc_field, replace
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ArbitrageError, ConvergenceError
+from .errors import ArbitrageError, ConvergenceError, WealthRangeError
 from .fields import (
     ExponentialFieldParams,
     UtilitySlice,
@@ -62,6 +62,11 @@ from .tree_market import (
 )
 
 _REPLICATION_TOL = 1e-10
+_INVERSE_GAMMA_TOL = 1e-9  # conditional mean of 1/gamma, per node
+_FORWARD_MASS_TOL = 1e-12
+_FOC_TOL = 1e-12  # bisection width of the numeric conjugate
+_GRID_POINTS = 257  # the coarse grid for the error estimate has 129
+_GRID_SPAN = (-10.0, 10.0)
 
 
 # -- results -------------------------------------------------------------
@@ -78,6 +83,16 @@ class PrimalResult:
     policy: dict[str, float] | None = None
     replication: dict[str, float] | None = None
     grid_error: float | None = None
+    # per-node wealth -> (values, grid_error), from the window's one program
+    _read: Callable[[dict], tuple] | None = dc_field(default=None, repr=False, compare=False)
+
+    def at(self, xi) -> PrimalResult:
+        """The same window at wealth xi (scalar or per-node), read from the
+        program this result was solved with, without solving it again;
+        ``primal_value`` returns its result through this too."""
+        xi_by_node = _per_node(xi, self.xi, "xi")
+        values, grid_error = self._read(xi_by_node)
+        return replace(self, values=values, xi=xi_by_node, grid_error=grid_error)
 
 
 @dataclass
@@ -264,20 +279,14 @@ def _grid_dp(tree, slices, t, T, grid):
     return values
 
 
-def primal_value(
-    tree: EventTree,
-    field,
-    xi,
-    t: int = 0,
-    T: int | None = None,
-    grid_points: int = 257,
-    grid_span: tuple[float, float] = (-10.0, 10.0),
-) -> PrimalResult:
+def primal_value(tree: EventTree, field, xi, t: int = 0, T: int | None = None) -> PrimalResult:
     """Primal value field on [t, T] at wealth xi (scalar or per-node).
 
     Exponential fields with replicable 1/gamma use the exact factor
-    recursion; otherwise values are tabulated on a wealth grid and the
-    result carries a grid-halving error estimate.
+    recursion C, and u(xi) = -exp(-gamma xi) C; otherwise values are
+    tabulated on a wealth grid in [-10, 10] and the result carries a
+    grid-halving error estimate. Either program depends on the window
+    only, so ``PrimalResult.at`` reads it at any other wealth.
     """
     if T is None:
         T = tree.horizon
@@ -298,19 +307,21 @@ def primal_value(
         rep = replicate_inverse_gamma(tree, field.gamma)
         if rep.feasible:
             C, policy = _exponential_factors(tree, field, t, T)
-            values = {
-                n: -math.exp(-field.gamma[n] * xi_by_node[n]) * C[n] for n in starts
-            }
+
+            def read_exponential(xi):
+                return {n: -math.exp(-field.gamma[n] * xi[n]) * C[n] for n in starts}, None
+
             return PrimalResult(
                 t=t,
                 T=T,
-                values=values,
+                values={},
                 xi=xi_by_node,
                 method="exponential",
                 log_factor={n: math.log(C[n]) for n in starts},
                 policy=policy,
                 replication=rep.psi,
-            )
+                _read=read_exponential,
+            ).at(xi_by_node)
         slices = {
             w: field.slice_at(w)
             for s in starts
@@ -323,40 +334,36 @@ def primal_value(
                 if w not in slices:
                     raise KeyError(f"no utility slice for terminal node {w!r}")
 
-    gmin, gmax = grid_span
-    for n, x in xi_by_node.items():
-        if not (gmin <= x <= gmax):
-            raise ValueError(
-                f"xi={x:g} at node {n!r} outside the wealth grid [{gmin:g}, {gmax:g}]"
-            )
-
     from scipy.interpolate import PchipInterpolator  # generic path only: slow import
 
-    def run(npts):
+    gmin, gmax = _GRID_SPAN
+
+    def interpolants(npts):
         grid = np.linspace(gmin, gmax, npts)
         tab = _grid_dp(tree, slices, t, T, grid)
-        vals = {}
-        for n in starts:
-            vals[n] = float(PchipInterpolator(grid, tab[n])(xi_by_node[n]))
-        return vals
+        return {n: PchipInterpolator(grid, tab[n]) for n in starts}
 
-    values = run(grid_points)
-    coarse = run(grid_points // 2 + 1)
-    grid_error = max(abs(values[n] - coarse[n]) for n in starts)
+    fine = interpolants(_GRID_POINTS)
+    coarse = interpolants(_GRID_POINTS // 2 + 1)
+
+    def read_grid(xi):
+        for n, x in xi.items():
+            if not (gmin <= x <= gmax):
+                raise WealthRangeError(
+                    f"xi={x:g} at node {n!r} outside the wealth grid [{gmin:g}, {gmax:g}]"
+                )
+        values = {n: float(fine[n](xi[n])) for n in starts}
+        return values, max(abs(values[n] - float(coarse[n](xi[n]))) for n in starts)
+
     return PrimalResult(
-        t=t,
-        T=T,
-        values=values,
-        xi=xi_by_node,
-        method="grid",
-        grid_error=grid_error,
-    )
+        t=t, T=T, values={}, xi=xi_by_node, method="grid", _read=read_grid
+    ).at(xi_by_node)
 
 
 # -- dual ----------------------------------------------------------------
 
 
-def _dual_solve_node(tree, start, T, eta, leaf_phi, gap_tol=1e-10, max_newton=200):
+def _dual_solve_node(tree, start, T, leaf_phi):
     """Minimize sum_w phi_w(r_w) over the window's leaf-mass polytope."""
     leaves, p = _window_leaves(tree, start, T)
     A = np.vstack([np.ones(len(leaves)), _martingale_rows(tree, start, T, leaves)])
@@ -364,7 +371,7 @@ def _dual_solve_node(tree, start, T, eta, leaf_phi, gap_tol=1e-10, max_newton=20
     b[0] = 1.0
     r0 = _interior_start(tree, start, T, leaves)
     phi = leaf_phi(leaves, p)
-    r, _, info = barrier_minimize(phi, A, b, r0, gap_tol=gap_tol, max_newton=max_newton)
+    r, _, info = barrier_minimize(phi, A, b, r0)
     vals, _, _ = phi(r)
     value = float(np.sum(vals))
     return value, r, leaves, p, info
@@ -449,7 +456,7 @@ def _conjugate_solve_node(tree, field, start, T, xi_values):
     return out
 
 
-def _slice_phi_factory(slices, eta, foc_tol=1e-12):
+def _slice_phi_factory(slices, eta):
     def make(leaves, p):
         duals = [slices[w] for w in leaves]
 
@@ -459,12 +466,12 @@ def _slice_phi_factory(slices, eta, foc_tol=1e-12):
             g = np.empty_like(r)
             h = np.empty_like(r)
             for i, (u, yi) in enumerate(zip(duals, y)):
-                val, x_star = conjugate_numeric(u, float(yi), tol=foc_tol)
+                val, x_star = conjugate_numeric(u, float(yi), tol=_FOC_TOL)
                 v[i] = p[i] * val
                 g[i] = -eta * x_star
                 step = 1e-6 * yi
-                _, x_hi = conjugate_numeric(u, float(yi + step), tol=foc_tol)
-                _, x_lo = conjugate_numeric(u, float(yi - step), tol=foc_tol)
+                _, x_hi = conjugate_numeric(u, float(yi + step), tol=_FOC_TOL)
+                _, x_lo = conjugate_numeric(u, float(yi - step), tol=_FOC_TOL)
                 h[i] = -eta * eta / p[i] * (x_hi - x_lo) / (2.0 * step)
             return v, g, h
 
@@ -473,15 +480,7 @@ def _slice_phi_factory(slices, eta, foc_tol=1e-12):
     return make
 
 
-def dual_value(
-    tree: EventTree,
-    field,
-    eta,
-    t: int = 0,
-    T: int | None = None,
-    gap_tol: float = 1e-10,
-    max_newton: int = 200,
-) -> DualResult:
+def dual_value(tree: EventTree, field, eta, t: int = 0, T: int | None = None) -> DualResult:
     """Dual value field on [t, T] at dual argument eta (scalar or per-node).
 
     Minimizes the terminal dual expectation over all absolutely continuous
@@ -524,9 +523,7 @@ def dual_value(
             factory = _exp_phi_factory(field, e)
         else:
             factory = _slice_phi_factory(field, e)
-        value, r, leaves, p, info = _dual_solve_node(
-            tree, start, T, e, factory, gap_tol=gap_tol, max_newton=max_newton
-        )
+        value, r, leaves, p, info = _dual_solve_node(tree, start, T, factory)
         result.values[start] = value
         masses = {w: float(ri) for w, ri in zip(leaves, r)}
         result.minimizer[start] = measure_from_leaf_masses(tree, start, T, masses)
@@ -619,7 +616,6 @@ def min_entropy(
     a_shift: Mapping[str, float],
     t: int = 0,
     T: int | None = None,
-    gap_tol: float = 1e-10,
 ) -> EntropyResult:
     """Minimal conditional entropy over the measure polytope, with minimizer.
 
@@ -635,16 +631,11 @@ def min_entropy(
         gamma={n: gamma[n] for n in gamma},
         a_shift={n: a_shift.get(n, 0.0) for n in gamma},
     )
-    dual = dual_value(tree, field, 1.0, t, T, gap_tol=gap_tol)
+    dual = dual_value(tree, field, 1.0, t, T)
     return EntropyResult(t=t, T=T, values=dict(dual.values), minimizer=dict(dual.minimizer))
 
 
-def solve_entropy_shift(
-    tree: EventTree,
-    gamma: Mapping[str, float],
-    terminal_a,
-    tol_2b: float = 1e-9,
-) -> dict[str, float]:
+def solve_entropy_shift(tree: EventTree, gamma: Mapping[str, float], terminal_a) -> dict[str, float]:
     """Backward construction of the additive shift from the entropy identity.
 
     Verifies first that every one-step polytope vertex preserves the
@@ -670,7 +661,7 @@ def solve_entropy_shift(
         inv_children = np.array([1.0 / gamma[c] for c in poly.children])
         for v in poly.vertices:
             got = float(v @ inv_children)
-            if abs(got - 1.0 / gamma[nid]) > tol_2b:
+            if abs(got - 1.0 / gamma[nid]) > _INVERSE_GAMMA_TOL:
                 raise ValueError(
                     f"inverse-gamma conditional mean violated at node {nid!r}: "
                     f"vertex gives {got:.12g}, field has {1.0 / gamma[nid]:.12g}"
@@ -696,9 +687,11 @@ def check_self_generation_primal(
 ) -> VerificationReport:
     """Per (t, T) and per xi: does the computed value reproduce the slice.
 
-    For the exponential fast path the gap is reported in shift units
-    (|log C - a|), which is independent of the wealth argument; the worst
-    raw value difference over the grid is recorded alongside.
+    Each window's primal program is solved once, at xi = 0, and read at
+    every wealth of the grid. For the exponential fast path the gap is
+    reported in shift units (|log C - a|), which is independent of the
+    wealth argument; the worst raw value difference over the grid is
+    recorded alongside.
     """
     report = VerificationReport()
     overall_gap = 0.0
@@ -711,7 +704,7 @@ def check_self_generation_primal(
                 gaps[n] = abs(res.log_factor[n] - field.a_shift[n])
         value_gap = 0.0
         for x in xi_grid:
-            resx = primal_value(tree, field, float(x), t, T)
+            resx = res.at(float(x))
             for n in tree.nodes_at(t):
                 ux = resx.values[n]
                 Ux = -math.exp(-field.gamma[n] * float(x) + field.a_shift[n])
@@ -1038,8 +1031,6 @@ def forward_measure(
     q: TreeMeasure,
     gamma: Mapping[str, float],
     T: int | None = None,
-    tol_2b: float = 1e-9,
-    mass_tol: float = 1e-12,
 ) -> TreeMeasure:
     """Reweight q by gamma_0 / gamma_T and renormalize into conditionals.
 
@@ -1057,7 +1048,7 @@ def forward_measure(
         mean = 0.0
         for w in tree.descendants_at(nid, T):
             mean += q.node_mass(tree, w, start=nid) / gamma[w]
-        if abs(mean - 1.0 / gamma[nid]) > tol_2b:
+        if abs(mean - 1.0 / gamma[nid]) > _INVERSE_GAMMA_TOL:
             raise ValueError(
                 f"forward measure undefined: inverse-gamma conditional mean fails "
                 f"at node {nid!r} ({mean:.10g} vs {1.0 / gamma[nid]:.10g})"
@@ -1069,7 +1060,7 @@ def forward_measure(
         mass = q.node_mass(tree, w) * g0 / gamma[w]
         weights[w] = mass
         total += mass
-    if abs(total - 1.0) > mass_tol:
+    if abs(total - 1.0) > _FORWARD_MASS_TOL:
         raise ValueError(f"forward measure mass {total:.15g} differs from 1")
     return measure_from_leaf_masses(tree, tree.root, T, weights)
 
@@ -1120,7 +1111,7 @@ def check_forward_supermartingale(
     # vertex-level inverse-gamma mean precondition
     for by_node in _inverse_gamma_range(tree, gamma, t, T).values():
         for m, hi_lo in by_node.items():
-            if _inverse_gamma_gap(gamma[m], hi_lo) > 1e-9:
+            if _inverse_gamma_gap(gamma[m], hi_lo) > _INVERSE_GAMMA_TOL:
                 raise ValueError(
                     f"inverse-gamma conditional mean fails at node {m!r}; "
                     "forward measures are not probabilities"

@@ -4,7 +4,10 @@ Nothing here imports the package's DP, vertex-recursion or joint conjugacy
 code paths: values come from closed forms, scipy one-dimensional
 minimization, a direct joint optimization over all node portfolios, brute
 force over every product measure of a window, (for conjugacy) a
-one-dimensional search over the per-eta dual program, (for the random
+one-dimensional search over the per-eta dual program, (for primal
+self-generation) a fresh ``primal_value`` solve per wealth -- the package's
+own program, so it checks only that one program per window reads the same
+at every wealth -- (for the random
 kernels) the Philox rounds and the reduction tree computed from their
 definitions, or (for the density and field paths) one whole-matrix numpy
 expression per quantity. Deliberate duplication -- an oracle that shares code with the
@@ -17,6 +20,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from forwardperf.errors import ConvergenceError
+from forwardperf.report import CheckRecord, VerificationReport
 from forwardperf.solvers import golden_section_min
 from forwardperf.tree_market import (
     _feasible_map,
@@ -25,7 +29,7 @@ from forwardperf.tree_market import (
     enumerate_product_measures,
     measure_from_leaf_masses,
 )
-from forwardperf.tree_verifier import dual_value
+from forwardperf.tree_verifier import dual_value, primal_value
 
 
 def h(y):
@@ -215,6 +219,60 @@ def conjugate_primal_by_eta_search(tree, field, t, T, xi_grid, eta_grid, tol=1e-
         ]
         for n in tree.nodes_at(t)
     }
+
+
+def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6):
+    """``check_self_generation_primal`` as it ran before one primal program
+    per window was read at every wealth: a fresh ``primal_value`` solve at
+    xi = 0 and at each xi of the grid, per window. Returns the report."""
+    report = VerificationReport()
+    overall_gap = 0.0
+    overall_node = None
+    for (t, T) in time_pairs:
+        res = primal_value(tree, field, 0.0, t, T)
+        gaps = {}
+        if res.method == "exponential":
+            for n in tree.nodes_at(t):
+                gaps[n] = abs(res.log_factor[n] - field.a_shift[n])
+        value_gap = 0.0
+        for x in xi_grid:
+            resx = primal_value(tree, field, float(x), t, T)
+            for n in tree.nodes_at(t):
+                ux = resx.values[n]
+                Ux = -math.exp(-field.gamma[n] * float(x) + field.a_shift[n])
+                value_gap = max(value_gap, abs(ux - Ux))
+                if res.method != "exponential":
+                    gaps[n] = max(gaps.get(n, 0.0), abs(ux - Ux))
+        worst_node = max(gaps, key=gaps.get)
+        worst = gaps[worst_node]
+        if worst > overall_gap:
+            overall_gap, overall_node = worst, worst_node
+        notes = ()
+        if res.method == "grid":
+            notes = (f"generic grid path, grid error estimate {res.grid_error:.3g}",)
+        report.add(
+            CheckRecord(
+                check_tag=f"primal-self-generation[t={t},T={T}]",
+                verdict=worst <= tol,
+                value=worst,
+                target=0.0,
+                tolerance=tol,
+                worst_node=worst_node,
+                notes=notes,
+                details={"value_gap": value_gap, "method": res.method},
+            )
+        )
+    report.add(
+        CheckRecord(
+            check_tag="primal-self-generation",
+            verdict=overall_gap <= tol,
+            value=overall_gap,
+            target=0.0,
+            tolerance=tol,
+            worst_node=overall_node,
+        )
+    )
+    return report
 
 
 # -- brute force over the product measures of a window --------------------

@@ -18,7 +18,7 @@ import forwardperf.ito_engine as ito_engine
 import forwardperf.mc_verifier as mc_verifier
 import forwardperf.tree_verifier as tree_verifier
 from forwardperf.cli import main, run_ito_scenario
-from treegen import two_period_tree
+from treegen import trinomial_tree, two_period_tree
 
 BASE_TREE_DOC = {
     "schema_version": 1,
@@ -148,6 +148,38 @@ def test_tree_scenario_refuses_xi_beyond_float_range(tmp_path, capsys):
     path = write_scenario(tmp_path, tree_doc(xi_grid=[1000.0], checks=["conjugacy"]))
     assert main(["run", path]) == 2
     assert "outside the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "eta_grid, checks, bad",
+    [
+        ([0.0], ["dual-self-generation"], 0),
+        ([-1.0, 1.0], None, 0),
+        ([0.0, 1.0], None, 0),
+        ([1.0, 2.0, -0.5], None, 2),
+    ],
+)
+def test_tree_scenario_refuses_nonpositive_eta(tmp_path, capsys, eta_grid, checks, bad):
+    doc = tree_doc(eta_grid=eta_grid)
+    if checks is not None:
+        doc["checks"] = checks
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    assert f"$.eta_grid[{bad}]: must be > 0" in capsys.readouterr().err
+
+
+def test_tree_scenario_refuses_wealth_off_the_primal_grid(tmp_path, capsys):
+    # 1/gamma is not replicable here, so the primal value takes the generic
+    # grid path, which tabulates wealth on [-10, 10] only
+    tree = trinomial_tree()
+    doc = tree_doc(
+        tree=tree.to_dict(),
+        gamma={"mode": "explicit", "values": {"r": 0.5, "u": 0.4, "m": 1 / 2.2, "d": 1 / 1.5}},
+        a_shift={"mode": "explicit", "values": {n: 0.0 for n in tree._dfs_order}},
+        xi_grid=[25.0],
+        checks=["primal-self-generation"],
+    )
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    assert "xi=25 at node 'r' outside the wealth grid [-10, 10]" in capsys.readouterr().err
 
 
 def test_tree_file_reference(tmp_path, capsys):

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import forwardperf.tree_verifier as tree_verifier
 import oracles
-from forwardperf.errors import ArbitrageError, ConvergenceError
+from forwardperf.errors import ArbitrageError, ConvergenceError, ForwardPerfError, WealthRangeError
 from forwardperf.fields import (
     ExponentialFieldParams,
     conjugate_exponential,
@@ -193,6 +194,87 @@ def test_primal_exponential_separation():
         ratios.append(res.values["r"] / u_slice)
     ratios = np.array(ratios)
     assert np.max(np.abs(ratios - ratios[0])) <= 1e-9 * abs(ratios[0])
+
+
+def nonreplicable_trinomial_field():
+    # the 1/gamma increments (0.5, 0.2, -0.5) are not spanned by dS = (1, 0, -1)
+    tree = trinomial_tree()
+    gamma = {"r": 0.5, "u": 1.0 / 2.5, "m": 1.0 / 2.2, "d": 1.0 / 1.5}
+    return tree, ExponentialFieldParams(gamma, {"r": 0.1, "u": 0.0, "m": -0.2, "d": 0.3})
+
+
+def test_primal_at_reads_the_window_at_other_wealths():
+    tree = two_period_tree()
+    field = solved_field(tree, seed=6)
+    base = primal_value(tree, field, 0.0, 1, 2)
+    for x in (-2.0, 0.5, {"a": 1.5, "b": -0.25}):
+        got, want = base.at(x), primal_value(tree, field, x, 1, 2)
+        assert (got.values, got.xi, got.log_factor) == (want.values, want.xi, want.log_factor)
+        assert (got.policy, got.replication, got.method) == (want.policy, want.replication, want.method)
+
+
+def test_primal_grid_at_reads_both_grids_and_refuses_offgrid_wealth():
+    tree, field = nonreplicable_trinomial_field()
+    base = primal_value(tree, field, 0.0)
+    assert base.method == "grid"
+    got, want = base.at(0.4), primal_value(tree, field, 0.4)
+    assert (got.values, got.grid_error) == (want.values, want.grid_error)
+    assert got.grid_error != base.grid_error
+    # refused where the wealth is read, as a package error that is a ValueError
+    with pytest.raises(WealthRangeError, match="outside the wealth grid"):
+        base.at(25.0)
+    assert issubclass(WealthRangeError, ForwardPerfError)
+    assert issubclass(WealthRangeError, ValueError)
+
+
+PRIMAL_CHECK_CASES = {
+    "solved": lambda: (two_period_tree(), solved_field(two_period_tree(), seed=21), None),
+    "root-bumped": lambda: (
+        two_period_tree(),
+        solved_field(two_period_tree(), seed=21).with_offsets({"r": 0.1}),
+        None,
+    ),
+    "time-pairs": lambda: (
+        random_tree(7, periods=3),
+        solved_field(random_tree(7, periods=3), 7),
+        [(1, 3), (0, 2), (2, 3)],
+    ),
+    "grid": lambda: (*nonreplicable_trinomial_field(), [(0, 1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRIMAL_CHECK_CASES))
+def test_primal_check_matches_per_wealth_oracle(case):
+    tree, field, pairs = PRIMAL_CHECK_CASES[case]()
+    if pairs is None:
+        pairs = [(0, 1), (0, 2), (1, 2)]
+    xi = [-0.5, 1.5] if case == "grid" else [-2.0, -0.5, 0.0, 0.5, 2.0]
+    got = check_self_generation_primal(tree, field, pairs, xi)
+    want = oracles.self_generation_primal_per_wealth(tree, field, pairs, xi)
+    assert got.to_json() == want.to_json()
+    if case != "grid":  # an arbitrary non-replicable field need not self-generate
+        assert got.all_passed == (case != "root-bumped")
+
+
+def test_primal_check_solves_each_window_once(monkeypatch):
+    calls = []
+    for name in ("_exponential_factors", "_grid_dp"):
+
+        def counted(tree, field, t, T, *rest, _name=name, _run=getattr(tree_verifier, name)):
+            calls.append((_name, t, T))
+            return _run(tree, field, t, T, *rest)
+
+        monkeypatch.setattr(tree_verifier, name, counted)
+    xi = [-2.0, -0.5, 0.0, 0.5, 2.0]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    tree = two_period_tree()
+    check_self_generation_primal(tree, solved_field(tree, seed=21), pairs, xi)
+    assert sorted(calls) == [("_exponential_factors", t, T) for t, T in pairs]
+    calls.clear()
+    # the generic path tabulates on the fine and the coarse grid, once each
+    tree, field = nonreplicable_trinomial_field()
+    check_self_generation_primal(tree, field, [(0, 1)], xi)
+    assert calls == [("_grid_dp", 0, 1)] * 2
 
 
 # -- dual values ---------------------------------------------------------
