@@ -1,8 +1,7 @@
-"""Depth scaling of the tree engine: the forward checks against enumeration,
-and the full default ``tree-verify`` scenario.
+"""Depth scaling of the forward checks: per-node recursion against enumeration.
 
-Part ``forward``: for ``random_tree(7, periods=d)``, d = 2..6, with its
-solved field, times at the window (0, d):
+For ``random_tree(7, periods=d)``, d = 2..6, with its solved field, times
+at the window (0, d):
 
 - ``recursion``: ``check_exponential_conditions`` plus
   ``check_forward_supermartingale``, as the package runs them;
@@ -14,33 +13,18 @@ solved field, times at the window (0, d):
   ``enumerate_product_measures`` accepts, it is recorded as refused.
 
 Both sides are measured in one process, one after the other per depth.
-
-Part ``full``: the whole default ``tree-verify`` scenario (all seven
-checks, every (t, T) window, the default xi and eta grids) on
-``random_tree(7, periods=d)`` with its solved field given explicitly, for
-d = 2..7 (at most 3 repeats at d = 7, the slowest depth), timed
-around ``cli.run_tree_scenario``. Each source tree runs in a fresh child
-process; with ``--baseline-src`` a second source tree (say, a checkout of
-the parent commit) is timed too, alternating with this one depth by
-depth, and each row records the SHA-256 of the report so the two can be
-seen to agree byte for byte.
-
-Writes the median and spread (min, max) of the repeats as JSON; a part not
-measured keeps its entry from the existing output file. Usage:
+Writes the median and spread (min, max) of the repeats as JSON. Usage:
 
     PYTHONPATH=src:tests python benchmarks/bench_tree_depth.py \\
-        [--repeat 5] [--parts forward full] [--baseline-src OTHER/src] \\
-        [--baseline-label TEXT] [--out BENCH_tree_depth.json]
+        [--repeat 5] [--out BENCH_tree_depth.json]
 """
 
 import argparse
 import datetime
-import hashlib
 import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import time
 
@@ -53,10 +37,7 @@ from treegen import random_tree, solved_field
 
 SEED = 7
 DEPTHS = range(2, 7)
-FULL_DEPTHS = range(2, 8)
-FULL_REPEAT_CAP = {7: 3}
 ENUMERATION_CAP = 200000  # enumerate_product_measures' default max_count
-HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def _repeat(fn, repeat):
@@ -101,46 +82,12 @@ def measure(depth, repeat):
     return row
 
 
-def full_scenario(depth, repeat):
-    """Time the full default scenario at one depth, in this process."""
-    from forwardperf.cli import run_tree_scenario
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=5, help="timing repetitions per side")
+    parser.add_argument("--out", default="BENCH_tree_depth.json", help="JSON output path")
+    args = parser.parse_args()
 
-    tree = random_tree(SEED, periods=depth)
-    field = solved_field(tree, SEED)
-    doc = {
-        "schema_version": 1,
-        "kind": "tree-verify",
-        "tree": tree.to_dict(),
-        "gamma": {"mode": "explicit", "values": field.gamma},
-        "a_shift": {"mode": "explicit", "values": field.a_shift},
-    }
-    reports = []
-    stats = _repeat(lambda: reports.append(run_tree_scenario(doc).to_json()), repeat)
-    return {
-        "depth": depth,
-        "nodes": len(tree.nodes),
-        "windows": depth * (depth + 1) // 2,
-        **stats,
-        "all_passed": json.loads(reports[0])["all_passed"],
-        "report_sha256": hashlib.sha256(reports[0].encode()).hexdigest(),
-        "reports_equal": len(set(reports)) == 1,
-    }
-
-
-def full_scenario_child(src, depth, repeat):
-    """``full_scenario`` in a fresh process importing the package from src."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.join(HERE, "..", "tests")]))
-    out = subprocess.run(
-        [sys.executable, __file__, "--full-child", str(depth), str(repeat)],
-        env=env,
-        check=True,
-        capture_output=True,
-        text=True,
-    ).stdout
-    return json.loads(out)
-
-
-def forward_part(repeat):
     rows = []
     for depth in DEPTHS:
         row = measure(depth, args.repeat)
@@ -152,80 +99,22 @@ def forward_part(repeat):
             flush=True,
         )
         rows.append(row)
-    return {
+    doc = {
+        "benchmark": "tree_depth",
         "tree": f"random_tree({SEED}, periods=d), solved_field(tree, {SEED}), window (0, d)",
         "what": {
             "recursion": "check_exponential_conditions + check_forward_supermartingale",
             "enumeration": "the product-measure loops those checks ran before, "
             "from tests/oracles.py, without the shared entropy-minimiser parts",
         },
-        **_provenance(),
-        "rows": rows,
-    }
-
-
-def full_part(repeat, baseline_src, baseline_label):
-    sides = {"this": os.path.join(HERE, "..", "src")}
-    if baseline_src:
-        sides["baseline"] = baseline_src
-    rows = {side: [] for side in sides}
-    for depth in FULL_DEPTHS:
-        n = min(repeat, FULL_REPEAT_CAP.get(depth, repeat))
-        order = list(sides) if depth % 2 else list(sides)[::-1]
-        for side in order:
-            row = full_scenario_child(sides[side], depth, n)
-            print(
-                f"full d={depth} nodes={row['nodes']} {side}={row['median_s']:.3f}s "
-                f"[{row['min_s']:.3f}, {row['max_s']:.3f}] sha256={row['report_sha256'][:12]}",
-                flush=True,
-            )
-            rows[side].append(row)
-    part = {
-        "tree": f"random_tree({SEED}, periods=d), solved_field(tree, {SEED}) given explicitly",
-        "what": "cli.run_tree_scenario on the default scenario: 7 checks, every window",
-        **_provenance(),
-        "rows": rows["this"],
-    }
-    if baseline_src:
-        part["baseline"] = baseline_label
-        part["baseline_rows"] = rows["baseline"]
-    return part
-
-
-def _provenance():
-    return {
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),
         "kernel_backend": kernels.BACKEND,
         "numpy": np.__version__,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "rows": rows,
     }
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=5, help="timing repetitions per side")
-    parser.add_argument(
-        "--parts", nargs="+", choices=("forward", "full"), default=["forward", "full"]
-    )
-    parser.add_argument("--baseline-src", help="another source tree to time the full part on")
-    parser.add_argument("--baseline-label", default="baseline", help="what --baseline-src is")
-    parser.add_argument("--out", default="BENCH_tree_depth.json", help="JSON output path")
-    parser.add_argument("--full-child", nargs=2, type=int, help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.full_child:
-        print(json.dumps(full_scenario(*args.full_child)))
-        return
-
-    doc = {"benchmark": "tree_depth"}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            doc = json.load(fh)
-    if "forward" in args.parts:
-        doc["forward"] = forward_part(args.repeat)
-    if "full" in args.parts:
-        doc["full_scenario"] = full_part(args.repeat, args.baseline_src, args.baseline_label)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -1,0 +1,130 @@
+"""Depth scaling of the full default ``tree-verify`` scenario.
+
+For ``random_tree(7, periods=d)``, d = 2..7, with its solved field given
+explicitly, times ``cli.run_tree_scenario`` on the default scenario: all
+seven checks, every (t, T) window, the default xi and eta grids. Depth 7
+(1292 nodes) is the slowest and runs at most 3 repeats.
+
+Each source tree runs in a fresh child process. With ``--baseline-src`` a
+second source tree (say, the ``src`` of a checkout of the parent commit)
+is timed too, alternating with this one depth by depth; each row records
+the SHA-256 of the report, so the two can be seen to agree byte for byte.
+
+Writes the median and spread (min, max) of the repeats as JSON. Usage:
+
+    PYTHONPATH=src:tests python benchmarks/bench_tree_scenario.py \\
+        [--repeat 5] [--baseline-src OTHER/src] [--out BENCH_tree_scenario.json]
+"""
+
+import argparse
+import datetime
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+SEED = 7
+DEPTHS = range(2, 8)
+REPEAT_CAP = {7: 3}
+HERE = os.path.dirname(os.path.abspath(__file__))
+TESTS = os.path.join(HERE, "..", "tests")
+
+
+def measure(depth, repeat):
+    """Time the default scenario at one depth, in this process."""
+    from forwardperf.cli import run_tree_scenario
+    from treegen import random_tree, solved_field
+
+    tree = random_tree(SEED, periods=depth)
+    field = solved_field(tree, SEED)
+    doc = {
+        "schema_version": 1,
+        "kind": "tree-verify",
+        "tree": tree.to_dict(),
+        "gamma": {"mode": "explicit", "values": field.gamma},
+        "a_shift": {"mode": "explicit", "values": field.a_shift},
+    }
+    reports, times = [], []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        reports.append(run_tree_scenario(doc).to_json())
+        times.append(time.perf_counter() - t0)
+    return {
+        "depth": depth,
+        "nodes": len(tree.nodes),
+        "windows": depth * (depth + 1) // 2,
+        "median_s": statistics.median(times),
+        "min_s": min(times),
+        "max_s": max(times),
+        "repeats": repeat,
+        "all_passed": json.loads(reports[0])["all_passed"],
+        "report_sha256": hashlib.sha256(reports[0].encode()).hexdigest(),
+        "reports_equal": len(set(reports)) == 1,
+    }
+
+
+def measure_in_child(src, depth, repeat):
+    """``measure`` in a fresh process that imports the package from src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.abspath(src), TESTS]))
+    out = subprocess.run(
+        [sys.executable, __file__, "--child", str(depth), str(repeat)],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    return json.loads(out)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=5, help="timing repetitions per side")
+    parser.add_argument("--baseline-src", help="a second source tree to time beside this one")
+    parser.add_argument("--out", default="BENCH_tree_scenario.json", help="JSON output path")
+    parser.add_argument("--child", nargs=2, type=int, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        print(json.dumps(measure(*args.child)))
+        return
+
+    import numpy as np
+
+    sides = {"rows": os.path.join(HERE, "..", "src")}
+    if args.baseline_src:
+        sides["baseline_rows"] = args.baseline_src
+    rows = {side: [] for side in sides}
+    for depth in DEPTHS:
+        repeat = min(args.repeat, REPEAT_CAP.get(depth, args.repeat))
+        order = list(sides) if depth % 2 else list(sides)[::-1]
+        for side in order:
+            row = measure_in_child(sides[side], depth, repeat)
+            print(
+                f"d={depth} nodes={row['nodes']} {side}={row['median_s']:.3f}s "
+                f"[{row['min_s']:.3f}, {row['max_s']:.3f}] sha256={row['report_sha256'][:12]}",
+                flush=True,
+            )
+            rows[side].append(row)
+    doc = {
+        "benchmark": "tree_scenario",
+        "tree": f"random_tree({SEED}, periods=d), solved_field(tree, {SEED}) given explicitly",
+        "what": "cli.run_tree_scenario on the default scenario: 7 checks, every window",
+        "baseline_src": args.baseline_src,
+        "date": datetime.date.today().isoformat(),
+        "nproc": os.cpu_count(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        **rows,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {args.out}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -88,8 +88,8 @@ class PrimalResult:
 
     def at(self, xi) -> PrimalResult:
         """The same window at wealth xi (scalar or per-node), read from the
-        program this result was solved with, without solving it again;
-        ``primal_value`` returns its result through this too."""
+        program ``primal_value`` solved for this result, without solving it
+        again. Only results returned by ``primal_value`` carry that program."""
         xi_by_node = _per_node(xi, self.xi, "xi")
         values, grid_error = self._read(xi_by_node)
         return replace(self, values=values, xi=xi_by_node, grid_error=grid_error)
@@ -314,14 +314,14 @@ def primal_value(tree: EventTree, field, xi, t: int = 0, T: int | None = None) -
             return PrimalResult(
                 t=t,
                 T=T,
-                values={},
+                values=read_exponential(xi_by_node)[0],
                 xi=xi_by_node,
                 method="exponential",
                 log_factor={n: math.log(C[n]) for n in starts},
                 policy=policy,
                 replication=rep.psi,
                 _read=read_exponential,
-            ).at(xi_by_node)
+            )
         slices = {
             w: field.slice_at(w)
             for s in starts
@@ -334,12 +334,11 @@ def primal_value(tree: EventTree, field, xi, t: int = 0, T: int | None = None) -
                 if w not in slices:
                     raise KeyError(f"no utility slice for terminal node {w!r}")
 
+    _check_on_grid(xi_by_node)  # before the grid DPs, the slow part
     from scipy.interpolate import PchipInterpolator  # generic path only: slow import
 
-    gmin, gmax = _GRID_SPAN
-
     def interpolants(npts):
-        grid = np.linspace(gmin, gmax, npts)
+        grid = np.linspace(*_GRID_SPAN, npts)
         tab = _grid_dp(tree, slices, t, T, grid)
         return {n: PchipInterpolator(grid, tab[n]) for n in starts}
 
@@ -347,17 +346,24 @@ def primal_value(tree: EventTree, field, xi, t: int = 0, T: int | None = None) -
     coarse = interpolants(_GRID_POINTS // 2 + 1)
 
     def read_grid(xi):
-        for n, x in xi.items():
-            if not (gmin <= x <= gmax):
-                raise WealthRangeError(
-                    f"xi={x:g} at node {n!r} outside the wealth grid [{gmin:g}, {gmax:g}]"
-                )
+        _check_on_grid(xi)
         values = {n: float(fine[n](xi[n])) for n in starts}
         return values, max(abs(values[n] - float(coarse[n](xi[n]))) for n in starts)
 
+    values, grid_error = read_grid(xi_by_node)
     return PrimalResult(
-        t=t, T=T, values={}, xi=xi_by_node, method="grid", _read=read_grid
-    ).at(xi_by_node)
+        t=t, T=T, values=values, xi=xi_by_node, method="grid", grid_error=grid_error,
+        _read=read_grid,
+    )
+
+
+def _check_on_grid(xi_by_node):
+    gmin, gmax = _GRID_SPAN
+    for n, x in xi_by_node.items():
+        if not (gmin <= x <= gmax):
+            raise WealthRangeError(
+                f"xi={x:g} at node {n!r} outside the wealth grid [{gmin:g}, {gmax:g}]"
+            )
 
 
 # -- dual ----------------------------------------------------------------

@@ -227,6 +227,17 @@ def test_primal_grid_at_reads_both_grids_and_refuses_offgrid_wealth():
     assert issubclass(WealthRangeError, ValueError)
 
 
+def test_primal_grid_refuses_offgrid_wealth_before_tabulating(monkeypatch):
+    tree, field = nonreplicable_trinomial_field()
+
+    def tabulated(*args):
+        raise AssertionError("the grid DP ran for a wealth off the grid")
+
+    monkeypatch.setattr(tree_verifier, "_grid_dp", tabulated)
+    with pytest.raises(WealthRangeError, match="xi=25 at node 'r' outside the wealth grid"):
+        primal_value(tree, field, 25.0)
+
+
 PRIMAL_CHECK_CASES = {
     "solved": lambda: (two_period_tree(), solved_field(two_period_tree(), seed=21), None),
     "root-bumped": lambda: (
