@@ -20,23 +20,18 @@ from .errors import (
     ForwardPerfError,
     InadaViolationError,
     RegularityError,
+    ReplicationError,
     ScenarioError,
     TreeStructureError,
     WealthRangeError,
 )
 from .fields import (
-    DualSlice,
     ExponentialFieldParams,
     UtilitySlice,
-    bidual,
     conjugate_exponential,
     conjugate_numeric,
-    conjugate_slice,
     entropy_kernel,
-    eval_exponential,
-    exponential_dual_slice,
     exponential_slice,
-    validate_utility_slice,
 )
 from .ito_engine import (
     CoefficientSpec,
@@ -44,7 +39,6 @@ from .ito_engine import (
     PathBundle,
     build_forward_exponential,
     density_path,
-    export_paths,
     martingale_density,
     predicted_forward_drift,
     regularity_class,
@@ -66,16 +60,11 @@ from .tree_market import (
     Branch,
     DensityPath,
     EventTree,
-    MeasurePolytope,
     NodePolytope,
     TreeMeasure,
     TreeNode,
     check_nflvr,
     density_process,
-    density_quotient,
-    enumerate_product_measures,
-    maximal_support,
-    measure_polytope,
     measure_from_leaf_masses,
     node_polytope,
     one_step_vertices,
@@ -94,8 +83,6 @@ from .tree_verifier import (
     check_self_generation_primal,
     check_value_conjugacy,
     dual_value,
-    entropy,
-    forward_measure,
     min_entropy,
     primal_value,
     replicate_inverse_gamma,

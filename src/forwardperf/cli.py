@@ -44,7 +44,6 @@ from .tree_verifier import (
     check_self_generation_dual,
     check_self_generation_primal,
     check_value_conjugacy,
-    replicate_inverse_gamma,
     solve_entropy_shift,
 )
 

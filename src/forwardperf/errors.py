@@ -38,5 +38,10 @@ class WealthRangeError(ForwardPerfError, ValueError):
     """A wealth lies outside the grid the generic primal path tabulates."""
 
 
+class ReplicationError(ForwardPerfError, ValueError):
+    """No portfolio replicates the increments of 1/gamma at some node, so
+    the exponential fast path a check needs does not exist."""
+
+
 class ScenarioError(ForwardPerfError):
     """Scenario or input file failed to parse or validate."""

@@ -29,7 +29,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import InadaViolationError
-from .solvers import golden_section_min
 
 
 def entropy_kernel(y):
@@ -57,19 +56,6 @@ class UtilitySlice:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class DualSlice:
-    """Convex dual of a utility slice.
-
-    ``value`` maps y >= 0 to V(y); ``argmax_x`` maps y > 0 to the wealth
-    attaining the sup in the conjugation.
-    """
-
-    value: Callable[[float], float]
-    argmax_x: Callable[[float], float]
-    label: str = ""
-
-
 def exponential_slice(gamma: float, a: float, label: str = "") -> UtilitySlice:
     """U(x) = -exp(-gamma x + a) as a UtilitySlice."""
     if gamma <= 0:
@@ -79,18 +65,6 @@ def exponential_slice(gamma: float, a: float, label: str = "") -> UtilitySlice:
         value=lambda x: -math.exp(-g * x + s),
         deriv=lambda x: g * math.exp(-g * x + s),
         label=label or f"exp(gamma={g:g}, a={s:g})",
-    )
-
-
-def exponential_dual_slice(gamma: float, a: float, label: str = "") -> DualSlice:
-    """Closed-form dual of the exponential slice."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    g, s = float(gamma), float(a)
-    return DualSlice(
-        value=lambda y: conjugate_exponential(g, s, y),
-        argmax_x=lambda y: (s - math.log(y / g)) / g,
-        label=label or f"exp-dual(gamma={g:g}, a={s:g})",
     )
 
 
@@ -173,68 +147,6 @@ def conjugate_numeric(
     return u.value(x_star) - x_star * y, x_star
 
 
-def conjugate_slice(u: UtilitySlice, tol: float = 1e-10) -> DualSlice:
-    """Numeric DualSlice wrapping conjugate_numeric."""
-    return DualSlice(
-        value=lambda y: conjugate_numeric(u, y, tol)[0],
-        argmax_x=lambda y: conjugate_numeric(u, y, tol)[1],
-        label=f"numeric-dual({u.label})" if u.label else "numeric-dual",
-    )
-
-
-def bidual(dual: DualSlice, x: float, y_grid, refine_tol: float = 1e-12) -> float:
-    """min over y of (V(y) + x y), grid plus golden-section refinement.
-
-    Recovers U(x) for a convex dual when the grid brackets the minimizer.
-    """
-    ys = np.asarray(list(y_grid), dtype=float)
-    if ys.size == 0:
-        raise ValueError("bidual: empty y grid")
-    if np.any(ys <= 0.0):
-        raise ValueError("bidual: grid entries must be positive")
-    ys = np.sort(ys)
-
-    def f(y):
-        return dual.value(y) + x * y
-
-    vals = np.array([f(y) for y in ys])
-    i = int(np.argmin(vals))
-    lo = ys[max(i - 1, 0)]
-    hi = ys[min(i + 1, ys.size - 1)]
-    if lo == hi:
-        return float(vals[i])
-    y_best, v_best = golden_section_min(f, float(lo), float(hi), tol=refine_tol)
-    return float(min(v_best, vals[i]))
-
-
-def validate_utility_slice(u: UtilitySlice, grid=None) -> list[str]:
-    """Sampled invariant check: increasing, concave, positive decreasing
-    marginal, and the marginal sweeping (0, inf) along a probe sequence.
-
-    Returns a list of violation messages, empty when all checks pass.
-    """
-    if grid is None:
-        grid = np.linspace(-5.0, 5.0, 41)
-    grid = np.asarray(grid, dtype=float)
-    problems = []
-    vals = np.array([u.value(x) for x in grid])
-    ders = np.array([u.deriv(x) for x in grid])
-    if not np.all(np.diff(vals) > 0):
-        problems.append("value not strictly increasing on probe grid")
-    if not np.all(np.diff(vals, 2) < 0):
-        problems.append("value not strictly concave on probe grid")
-    if not np.all(ders > 0):
-        problems.append("marginal not strictly positive on probe grid")
-    if not np.all(np.diff(ders) < 0):
-        problems.append("marginal not strictly decreasing on probe grid")
-    # documented probe sequence for the limit behavior
-    if not u.deriv(-64.0) > u.deriv(0.0) * 4.0:
-        problems.append("marginal does not grow towards -inf (probe x=-64)")
-    if not u.deriv(64.0) < u.deriv(0.0) / 4.0:
-        problems.append("marginal does not vanish towards +inf (probe x=64)")
-    return problems
-
-
 class ExponentialFieldParams:
     """Exponential field on an event tree: per-node (gamma, a) pairs.
 
@@ -253,9 +165,6 @@ class ExponentialFieldParams:
             if not math.isfinite(a):
                 raise ValueError(f"a_shift must be finite at node {node!r}, got {a}")
 
-    def nodes(self):
-        return set(self.gamma) & set(self.a_shift)
-
     def defined_at(self, node: str) -> bool:
         return node in self.gamma and node in self.a_shift
 
@@ -272,12 +181,3 @@ class ExponentialFieldParams:
     def __repr__(self):
         return f"ExponentialFieldParams(nodes={len(self.gamma)})"
 
-
-def eval_exponential(params: ExponentialFieldParams, node: str, x) -> float:
-    """U(node, x) = -exp(-gamma_node x + a_node); KeyError on unknown node."""
-    g = params.gamma[node]
-    a = params.a_shift[node]
-    out = -np.exp(-g * np.asarray(x, dtype=float) + a)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out

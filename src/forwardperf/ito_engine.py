@@ -521,30 +521,3 @@ def write_paths_csv(path: str, labels: Sequence[str], tables) -> int:
             writer.writerows([path_index] + [f"{v:.12g}" for v in row] for row in table.tolist())
             n += table.shape[0]
     return n
-
-
-def export_paths(
-    bundle: PathBundle,
-    fields: FieldPaths,
-    densities: dict[str, np.ndarray],
-    path: str,
-    path_indices: Sequence[int] | None = None,
-) -> int:
-    """Write selected paths as long-format CSV, one row per (path, time).
-
-    Density columns appear in the given label order after the price; the
-    field columns close each row. Returns the number of rows written.
-    """
-    if path_indices is None:
-        path_indices = range(bundle.first_path, bundle.first_path + min(bundle.n_paths, 10))
-    full = (bundle.n_paths, bundle.n_steps + 1)
-    for lab, z in densities.items():
-        if z.shape != full:
-            raise ValueError(f"density {lab!r} must be a full path matrix")
-    if fields.inv_gamma.shape != full:
-        raise ValueError("the field paths must hold every grid column of the bundle")
-    return write_paths_csv(
-        path,
-        list(densities),
-        ((i, path_table(bundle, fields, densities, i)) for i in path_indices),
-    )

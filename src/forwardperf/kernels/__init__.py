@@ -106,13 +106,6 @@ def pairwise_sum(x):
     return float(buf[0])
 
 
-def pairwise_mean(x):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("mean of empty vector")
-    return pairwise_sum(x) / x.size
-
-
 def uniform_open(blocks, out=None):
     """Map uint64 words to float64 in (0, 1]: ((w >> 11) + 0.5) * 2**-53.
 

@@ -195,12 +195,6 @@ def _nu_family(phi: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def default_nu_family(bundle: PathBundle) -> dict[str, np.ndarray]:
-    """Orthogonal loads to probe: zero, the optimizer phi, two offsets of
-    it, and a fixed constant."""
-    return _nu_family(bundle.phi)
-
-
 def _time_indices(n_steps: int, time_indices) -> list[int]:
     if time_indices is None:
         idx = [0, n_steps // 2, n_steps]

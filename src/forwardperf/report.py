@@ -115,11 +115,6 @@ class VerificationReport:
         # sort_keys plus repr-roundtrip floats make the output byte-stable
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True, allow_nan=False)
 
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
-
     def to_text(self) -> str:
         lines = []
         for rec in self.records():

@@ -12,16 +12,17 @@ One-step martingale measures at a node form the polytope
 described exactly by its vertices: basic feasible solutions have support of
 size <= 2, so closed-form enumeration over singletons and pairs replaces an
 LP and is exact. Absolutely continuous martingale measures over a window
-are compositions of one-step choices; measures may put mass zero on whole
-subtrees, which the quotient convention (ratio = 1 on a vanished
-denominator) handles downstream.
+are compositions of one-step choices, and may put mass zero on whole
+subtrees.
 
 The set of those compositions is rectangular: each node picks its one-step
 measure independently of every other node. An extremum over it of a
 conditional expectation is therefore a backward recursion over the vertex
 sets, node by node (``vertex_recursion``), and costs O(nodes x vertices).
 Listing the products themselves (``enumerate_product_measures``) grows
-exponentially with depth and is kept for brute-force cross-checks only.
+exponentially with depth. No check uses it: it stays, outside the package
+namespace, for the brute-force oracles of the tests and for perfbench's
+trace.
 """
 
 from __future__ import annotations
@@ -197,10 +198,6 @@ class EventTree:
         for child in path[start + 1 :]:
             p *= self.branch_to(child).prob
         return p
-
-    def price(self, nid: str) -> float:
-        """Cumulative price increment from the root (root price normalized to 0)."""
-        return sum(self.branch_to(c).dprice for c in self.path_from_root(nid)[1:])
 
     # -- serialization ---------------------------------------------------
 
@@ -414,28 +411,6 @@ def node_polytope(tree: EventTree, nid: str) -> NodePolytope:
     )
 
 
-@dataclass(frozen=True)
-class MeasurePolytope:
-    """Per-node one-step descriptions for a time window [t, T]."""
-
-    t: int
-    T: int
-    node_polytopes: Mapping[str, NodePolytope]
-
-
-def measure_polytope(tree: EventTree, t: int, T: int | None = None) -> MeasurePolytope:
-    """One-step polytopes for every nonterminal node in the window [t, T]."""
-    if T is None:
-        T = tree.horizon
-    if not (0 <= t <= T <= tree.horizon):
-        raise ValueError(f"bad window [{t}, {T}] for horizon {tree.horizon}")
-    polys = {}
-    for start in tree.nodes_at(t):
-        for nid in tree.window_interior(start, T):
-            polys[nid] = node_polytope(tree, nid)
-    return MeasurePolytope(t=t, T=T, node_polytopes=polys)
-
-
 def check_nflvr(tree: EventTree) -> tuple[bool, VerificationReport]:
     """Existence of an equivalent one-step martingale measure at every node.
 
@@ -513,17 +488,6 @@ class TreeMeasure:
             if abs(sum(qs) - 1.0) > tol:
                 raise ValueError(f"measure at node {nid!r} sums to {sum(qs):.6g}")
 
-    def martingale_residual(self, tree: EventTree, nodes: Iterable[str]) -> float:
-        """Worst |sum q*dS| over the given nodes with positive mass on the path."""
-        worst = 0.0
-        for nid in nodes:
-            if self.node_mass(tree, nid) <= 0.0 and nid != tree.root:
-                continue
-            branches = tree.branches_of(nid)
-            resid = abs(sum(q * br.dprice for q, br in zip(self.cond[nid], branches)))
-            worst = max(worst, resid)
-        return worst
-
 
 def reference_measure(tree: EventTree) -> TreeMeasure:
     """P itself as a TreeMeasure."""
@@ -559,20 +523,7 @@ def density_process(tree: EventTree, q: TreeMeasure) -> DensityPath:
     return DensityPath(z=z)
 
 
-def density_quotient(tree: EventTree, z: DensityPath, s: int, t: int, nid: str) -> float:
-    """z(node at t) / z(ancestor at s), with the convention 1 on a zero denominator."""
-    if not 0 <= s <= t:
-        raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
-    if tree.time_of(nid) != t:
-        raise ValueError(f"node {nid!r} is at time {tree.time_of(nid)}, not {t}")
-    ancestor = tree.path_from_root(nid)[s]
-    zs = z.at(ancestor)
-    if zs == 0.0:
-        return 1.0
-    return z.at(nid) / zs
-
-
-# -- feasibility, support, and extreme measures --------------------------
+# -- feasibility and extreme measures -----------------------------------
 
 
 def _restricted_vertices(tree: EventTree, nid: str, allowed: set[str]) -> np.ndarray:
@@ -605,44 +556,6 @@ def _feasible_map(tree: EventTree, T: int) -> dict[str, bool]:
         allowed = {c for c in tree.children(nid) if feasible.get(c, False)}
         feasible[nid] = _restricted_vertices(tree, nid, allowed).shape[0] > 0
     return feasible
-
-
-def maximal_support(tree: EventTree, t: int = 0, T: int | None = None) -> set[str]:
-    """Union of supports over all absolutely continuous martingale measures.
-
-    Returns the set of time-T nodes that some measure on [t, T] charges. A
-    node is supported iff every edge on its path from its time-t ancestor
-    admits a restricted one-step vertex with positive mass on that edge
-    (a product of such vertices then charges the whole path).
-
-    Raises ArbitrageError when some time-t subtree admits no measure at all.
-    """
-    if T is None:
-        T = tree.horizon
-    if not (0 <= t <= T <= tree.horizon):
-        raise ValueError(f"bad window [{t}, {T}]")
-    feasible = _feasible_map(tree, T)
-    usable_edge: dict[str, bool] = {}
-    for start in tree.nodes_at(t):
-        if not feasible[start]:
-            raise ArbitrageError(
-                f"no martingale measure on the subtree of {start!r} up to time {T}"
-            )
-        for nid in tree.window_interior(start, T):
-            allowed = {c for c in tree.children(nid) if feasible.get(c, False)}
-            verts = _restricted_vertices(tree, nid, allowed)
-            for j, child in enumerate(tree.children(nid)):
-                usable_edge[child] = bool(
-                    verts.shape[0] > 0 and verts[:, j].max(initial=0.0) > _VERTEX_TOL
-                )
-    out = set()
-    for start in tree.nodes_at(t):
-        for target in tree.descendants_at(start, T):
-            path = tree.path_from_root(target)
-            segment = path[path.index(start) + 1 :]
-            if all(usable_edge.get(child, False) for child in segment):
-                out.add(target)
-    return out
 
 
 def vertex_recursion(

@@ -40,10 +40,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ArbitrageError, ConvergenceError, WealthRangeError
+from .errors import ArbitrageError, ConvergenceError, ReplicationError, WealthRangeError
 from .fields import (
     ExponentialFieldParams,
-    UtilitySlice,
     conjugate_exponential,
     conjugate_numeric,
     entropy_kernel,
@@ -54,7 +53,6 @@ from .tree_market import (
     EventTree,
     TreeMeasure,
     density_process,
-    density_quotient,
     measure_from_leaf_masses,
     node_polytope,
     reference_measure,
@@ -63,7 +61,6 @@ from .tree_market import (
 
 _REPLICATION_TOL = 1e-10
 _INVERSE_GAMMA_TOL = 1e-9  # conditional mean of 1/gamma, per node
-_FORWARD_MASS_TOL = 1e-12
 _FOC_TOL = 1e-12  # bisection width of the numeric conjugate
 _GRID_POINTS = 257  # the coarse grid for the error estimate has 129
 _GRID_SPAN = (-10.0, 10.0)
@@ -583,39 +580,6 @@ def _check_terminal_gamma(tree, gamma, starts, T):
                 raise ValueError(f"gamma must be positive at terminal node {w!r}")
 
 
-def entropy(
-    tree: EventTree,
-    gamma: Mapping[str, float],
-    a_shift: Mapping[str, float],
-    q: TreeMeasure,
-    t: int = 0,
-    T: int | None = None,
-) -> EntropyResult:
-    """Conditional entropy of the measure q over [t, T], exactly.
-
-    E[ entropy_kernel(zeta / gamma_T) - zeta * a_T / gamma_T | t-node ] with
-    zeta the density quotient of q (ratio 1 on a vanished denominator).
-    """
-    if T is None:
-        T = tree.horizon
-    if not (0 <= t <= T <= tree.horizon):
-        raise ValueError(f"bad window [{t}, {T}]")
-    starts = tree.nodes_at(t)
-    _check_terminal_gamma(tree, gamma, starts, T)
-    z = density_process(tree, q)
-    values = {}
-    for start in starts:
-        leaves, p = _window_leaves(tree, start, T)
-        total = 0.0
-        for w, pw in zip(leaves, p):
-            zeta = density_quotient(tree, z, t, T, w)
-            total += pw * (
-                entropy_kernel(zeta / gamma[w]) - zeta * a_shift[w] / gamma[w]
-            )
-        values[start] = total
-    return EntropyResult(t=t, T=T, values=values)
-
-
 def min_entropy(
     tree: EventTree,
     gamma: Mapping[str, float],
@@ -838,7 +802,8 @@ def check_value_conjugacy(
       ``conjugate_exponential(gamma, log_factor, eta)`` in closed form.
 
     ``duals`` shares the eta-grid dual solves with the other checks of a
-    scenario.
+    scenario. A gamma whose reciprocal no portfolio replicates has no fast
+    path, and is refused with ``ReplicationError`` before anything is solved.
     """
     xi_grid = [float(x) for x in xi_grid]
     eta_grid = sorted(float(e) for e in eta_grid)
@@ -849,9 +814,13 @@ def check_value_conjugacy(
     report = VerificationReport()
     starts = tree.nodes_at(t)
 
+    rep = replicate_inverse_gamma(tree, field.gamma)
+    if not rep.feasible:
+        raise ReplicationError(
+            "conjugacy check requires the exponential fast path: no portfolio "
+            f"replicates 1/gamma at node {rep.failed_node!r} (residual {rep.residual:.3g})"
+        )
     base = primal_value(tree, field, 0.0, t, T)
-    if base.method != "exponential":
-        raise ValueError("conjugacy check requires the exponential fast path")
 
     def u_of(n, x):
         return -math.exp(-field.gamma[n] * x) * math.exp(base.log_factor[n])
@@ -1030,45 +999,6 @@ def check_exponential_conditions(
         )
     )
     return report
-
-
-def forward_measure(
-    tree: EventTree,
-    q: TreeMeasure,
-    gamma: Mapping[str, float],
-    T: int | None = None,
-) -> TreeMeasure:
-    """Reweight q by gamma_0 / gamma_T and renormalize into conditionals.
-
-    Requires the conditional mean of 1/gamma to be preserved by q (checked
-    node by node); the reweighted total mass is then verified to be one.
-    """
-    if T is None:
-        T = tree.horizon
-    q.validate(tree)
-    for nid in tree._dfs_order:
-        if tree.is_leaf(nid) or tree.time_of(nid) >= T:
-            continue
-        if q.node_mass(tree, nid) <= 0.0 and nid != tree.root:
-            continue
-        mean = 0.0
-        for w in tree.descendants_at(nid, T):
-            mean += q.node_mass(tree, w, start=nid) / gamma[w]
-        if abs(mean - 1.0 / gamma[nid]) > _INVERSE_GAMMA_TOL:
-            raise ValueError(
-                f"forward measure undefined: inverse-gamma conditional mean fails "
-                f"at node {nid!r} ({mean:.10g} vs {1.0 / gamma[nid]:.10g})"
-            )
-    g0 = gamma[tree.root]
-    weights = {}
-    total = 0.0
-    for w in tree.descendants_at(tree.root, T):
-        mass = q.node_mass(tree, w) * g0 / gamma[w]
-        weights[w] = mass
-        total += mass
-    if abs(total - 1.0) > _FORWARD_MASS_TOL:
-        raise ValueError(f"forward measure mass {total:.15g} differs from 1")
-    return measure_from_leaf_masses(tree, tree.root, T, weights)
 
 
 def check_forward_supermartingale(

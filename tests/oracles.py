@@ -7,13 +7,17 @@ force over every product measure of a window, (for conjugacy) a
 one-dimensional search over the per-eta dual program, (for primal
 self-generation) a fresh ``primal_value`` solve per wealth -- the package's
 own program, so it checks only that one program per window reads the same
-at every wealth -- (for the random
-kernels) the Philox rounds and the reduction tree computed from their
-definitions, or (for the density and field paths) one whole-matrix numpy
-expression per quantity. Deliberate duplication -- an oracle that shares code with the
+at every wealth -- (for the conditional entropy and the martingale
+property of a tree measure) sums over leaves and nodes from their
+definitions, (for the random kernels) the Philox rounds and the reduction
+tree computed from their definitions, (for the density and field paths)
+one whole-matrix numpy expression per quantity, or (for the path export)
+the CSV written row by row from the whole simulation's matrices.
+Deliberate duplication -- an oracle that shares code with the
 implementation checks nothing.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -29,7 +33,7 @@ from forwardperf.tree_market import (
     enumerate_product_measures,
     measure_from_leaf_masses,
 )
-from forwardperf.tree_verifier import dual_value, primal_value
+from forwardperf.tree_verifier import EntropyResult, dual_value, primal_value
 
 
 def h(y):
@@ -376,6 +380,45 @@ def product_measure_count(tree, t, T):
     return total
 
 
+# -- tree measures --------------------------------------------------------
+
+
+def entropy(tree, gamma, a_shift, q, t=0, T=None):
+    """Conditional entropy of the measure q over [t, T] given each time-t
+    node: the sum over the window's leaves w of
+    p_w (h(zeta_w / gamma_w) - zeta_w a_w / gamma_w), with p_w the reference
+    probability of w from its start and zeta_w = q_w / p_w, the product of
+    q_edge / p_edge along the path."""
+    if T is None:
+        T = tree.horizon
+    values = {}
+    for start in tree.nodes_at(t):
+        total = 0.0
+        for w in tree.descendants_at(start, T):
+            path = tree.path_from_root(w)
+            zeta = 1.0
+            for par, child in zip(path[t:], path[t + 1 :]):
+                idx = tree.children(par).index(child)
+                zeta = zeta * (q.cond[par][idx] / tree.branches_of(par)[idx].prob)
+            total += tree.cond_prob(start, w) * (
+                h(zeta / gamma[w]) - zeta * a_shift[w] / gamma[w]
+            )
+        values[start] = total
+    return EntropyResult(t=t, T=T, values=values)
+
+
+def martingale_residual(tree, q, nodes):
+    """Worst |sum_c q_c dS_c| over the given nodes that q reaches from the
+    root (the root always counts)."""
+    worst = 0.0
+    for nid in nodes:
+        if nid != tree.root and q.node_mass(tree, nid) <= 0.0:
+            continue
+        dprices = [br.dprice for br in tree.branches_of(nid)]
+        worst = max(worst, abs(sum(qc * d for qc, d in zip(q.cond[nid], dprices))))
+    return worst
+
+
 # -- counter-based kernels -------------------------------------------------
 #
 # The package draws its Philox blocks from numpy.random.Philox; this oracle
@@ -512,3 +555,28 @@ def forward_exponential_full(gamma0, a0, bundle):
 
     a_shift = a0 + drift[None, :] + rho_s / inv_gamma - phi_cost[None, :] - phi_w
     return inv_gamma, a_shift
+
+
+def export_paths(bundle, fields, densities, path, path_indices):
+    """The export CSV of the paths ``path_indices`` of the whole simulation
+    ``bundle``, written row by row from its full matrices (``bundle.s`` and
+    every density and field matrix). Returns the number of rows."""
+    labels = list(densities)
+    s = bundle.s
+    n = 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["path", "t", "s"] + [f"z_{lab}" for lab in labels] + ["inv_gamma", "a_shift"]
+        )
+        for i in path_indices:
+            k = i - bundle.first_path
+            columns = (
+                [bundle.grid, s[k]]
+                + [densities[lab][k] for lab in labels]
+                + [fields.inv_gamma[k], fields.a_shift[k]]
+            )
+            for row in zip(*columns):
+                writer.writerow([i] + [f"{float(v):.12g}" for v in row])
+                n += 1
+    return n

@@ -17,6 +17,7 @@ import forwardperf.cli as cli
 import forwardperf.ito_engine as ito_engine
 import forwardperf.mc_verifier as mc_verifier
 import forwardperf.tree_verifier as tree_verifier
+import oracles
 from forwardperf.cli import main, run_ito_scenario
 from treegen import trinomial_tree, two_period_tree
 
@@ -167,19 +168,37 @@ def test_tree_scenario_refuses_nonpositive_eta(tmp_path, capsys, eta_grid, check
     assert f"$.eta_grid[{bad}]: must be > 0" in capsys.readouterr().err
 
 
-def test_tree_scenario_refuses_wealth_off_the_primal_grid(tmp_path, capsys):
-    # 1/gamma is not replicable here, so the primal value takes the generic
-    # grid path, which tabulates wealth on [-10, 10] only
+def nonreplicable_doc(**overrides):
+    """A one-period trinomial scenario whose 1/gamma no portfolio replicates."""
     tree = trinomial_tree()
-    doc = tree_doc(
+    return tree_doc(
         tree=tree.to_dict(),
         gamma={"mode": "explicit", "values": {"r": 0.5, "u": 0.4, "m": 1 / 2.2, "d": 1 / 1.5}},
         a_shift={"mode": "explicit", "values": {n: 0.0 for n in tree._dfs_order}},
-        xi_grid=[25.0],
-        checks=["primal-self-generation"],
+        **overrides,
     )
+
+
+def test_tree_scenario_refuses_wealth_off_the_primal_grid(tmp_path, capsys):
+    # 1/gamma is not replicable here, so the primal value takes the generic
+    # grid path, which tabulates wealth on [-10, 10] only
+    doc = nonreplicable_doc(xi_grid=[25.0], checks=["primal-self-generation"])
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
     assert "xi=25 at node 'r' outside the wealth grid [-10, 10]" in capsys.readouterr().err
+
+
+def test_tree_scenario_refuses_conjugacy_without_replication(tmp_path, capsys, monkeypatch):
+    # 1/gamma is not replicable, so there is no exponential fast path: the
+    # check refuses before the generic grid is tabulated
+    def fail(*args, **kwargs):
+        raise AssertionError("the generic primal grid was tabulated")
+
+    monkeypatch.setattr(tree_verifier, "_grid_dp", fail)
+    doc = nonreplicable_doc(checks=["conjugacy"])
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "replicates 1/gamma at node 'r'" in err
 
 
 def test_tree_file_reference(tmp_path, capsys):
@@ -696,7 +715,7 @@ def test_export_paths_simulates_only_selected_streams(
     bundle = original(spec, 4, 40, 9, antithetic=antithetic)
     fields = ito_engine.build_forward_exponential(spec, 1.0, 0.0, bundle)
     dens = {lab: ito_engine.martingale_density(bundle, nu) for lab, nu in (("0", 0.0), ("up", 0.5))}
-    ito_engine.export_paths(bundle, fields, dens, str(tmp_path / "whole.csv"), list(selected))
+    oracles.export_paths(bundle, fields, dens, str(tmp_path / "whole.csv"), selected)
     assert out.read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 

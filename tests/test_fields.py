@@ -9,16 +9,12 @@ from forwardperf.errors import InadaViolationError
 from forwardperf.fields import (
     ExponentialFieldParams,
     UtilitySlice,
-    bidual,
     conjugate_exponential,
     conjugate_numeric,
-    conjugate_slice,
     entropy_kernel,
-    eval_exponential,
-    exponential_dual_slice,
     exponential_slice,
-    validate_utility_slice,
 )
+from forwardperf.solvers import golden_section_min
 
 
 # -- entropy kernel ------------------------------------------------------
@@ -55,18 +51,28 @@ def test_entropy_kernel_convex_min_at_one():
 
 def test_eval_exponential_pin():
     field = ExponentialFieldParams(gamma={"n": 2.0}, a_shift={"n": 1.0})
-    assert eval_exponential(field, "n", 0.0) == pytest.approx(-math.e, rel=1e-15)
+    assert field.slice_at("n").value(0.0) == pytest.approx(-math.e, rel=1e-15)
     with pytest.raises(KeyError):
-        eval_exponential(field, "missing", 0.0)
+        field.slice_at("missing")
 
 
 def test_exponential_slice_is_valid_utility():
-    assert validate_utility_slice(exponential_slice(1.3, 0.4)) == []
+    # increasing and concave, with a positive decreasing marginal that
+    # grows towards -inf and vanishes towards +inf
+    u = exponential_slice(1.3, 0.4)
+    grid = np.linspace(-5.0, 5.0, 41)
+    vals = np.array([u.value(x) for x in grid])
+    ders = np.array([u.deriv(x) for x in grid])
+    assert np.all(np.diff(vals) > 0) and np.all(np.diff(vals, 2) < 0)
+    assert np.all(ders > 0) and np.all(np.diff(ders) < 0)
+    assert u.deriv(-64.0) > 4.0 * u.deriv(0.0) and u.deriv(64.0) < u.deriv(0.0) / 4.0
 
 
 def test_validate_catches_broken_slice():
+    # a convex "utility" has an increasing marginal: no bracket, refused
     convex = UtilitySlice(value=lambda x: x * x, deriv=lambda x: 2 * x)
-    assert validate_utility_slice(convex) != []
+    with pytest.raises(InadaViolationError):
+        conjugate_numeric(convex, 1.0)
 
 
 def test_field_params_validation():
@@ -158,36 +164,40 @@ def test_fenchel_identity_along_marginal():
 
 
 def test_bidual_recovers_utility():
+    # U(x) = min over y > 0 of (V(y) + x y) for the closed-form dual V
     gamma, a = 0.8, -0.3
     u = exponential_slice(gamma, a)
-    dual = exponential_dual_slice(gamma, a)
+
+    def bidual_at(x):
+        def f(log_y):
+            y = math.exp(log_y)
+            return conjugate_exponential(gamma, a, y) + x * y
+
+        return golden_section_min(f, math.log(1e-4), math.log(1e4), tol=1e-12)[1]
+
     for x in (-2.0, -0.5, 0.0, 1.0, 3.0):
-        grid = np.logspace(-4, 4, 81)
-        assert abs(bidual(dual, x, grid) - u.value(x)) <= 1e-6
+        assert abs(bidual_at(x) - u.value(x)) <= 1e-6
 
 
 def test_dual_slice_midpoint_convexity():
-    dual = conjugate_slice(exponential_slice(1.7, 0.6))
+    u = exponential_slice(1.7, 0.6)
+
+    def v(y):
+        return conjugate_numeric(u, y)[0]
+
     ys = np.logspace(-2, 2, 25)
     for y1 in ys[::4]:
         for y2 in ys[::4]:
-            mid = dual.value(0.5 * (y1 + y2))
-            defect = 0.5 * (dual.value(y1) + dual.value(y2)) - mid
+            mid = v(0.5 * (y1 + y2))
+            defect = 0.5 * (v(y1) + v(y2)) - mid
             assert defect >= -1e-10
 
 
 def test_dual_argmax_consistency():
-    # argmax_x of the numeric route agrees with the closed form
+    # the numeric argmax agrees with the closed form (a - log(y / gamma)) / gamma
     gamma, a = 2.0, 1.0
-    dual_exact = exponential_dual_slice(gamma, a)
-    dual_num = conjugate_slice(exponential_slice(gamma, a))
+    u = exponential_slice(gamma, a)
     for y in (0.3, 1.0, 4.0):
-        assert dual_num.argmax_x(y) == pytest.approx(dual_exact.argmax_x(y), abs=1e-8)
-
-
-def test_bidual_input_validation():
-    dual = exponential_dual_slice(1.0, 0.0)
-    with pytest.raises(ValueError):
-        bidual(dual, 0.0, [])
-    with pytest.raises(ValueError):
-        bidual(dual, 0.0, [0.0, 1.0])
+        assert conjugate_numeric(u, y)[1] == pytest.approx(
+            (a - math.log(y / gamma)) / gamma, abs=1e-8
+        )

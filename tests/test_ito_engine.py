@@ -17,12 +17,13 @@ from forwardperf.ito_engine import (
     build_forward_exponential,
     chunk_bounds,
     density_path,
-    export_paths,
     martingale_density,
+    path_table,
     predicted_forward_drift,
     regularity_class,
     simulate_paths,
     validate_regularity,
+    write_paths_csv,
 )
 from forwardperf.kernels import Workspace
 
@@ -423,7 +424,8 @@ def test_export_paths_csv(tmp_path):
     fields = build_forward_exponential(PIECEWISE, 1.0, 0.0, bundle)
     dens = {"mart": martingale_density(bundle, 0.0)}
     out = tmp_path / "paths.csv"
-    rows = export_paths(bundle, fields, dens, str(out), path_indices=[0, 2])
+    tables = ((i, path_table(bundle, fields, dens, i)) for i in (0, 2))
+    rows = write_paths_csv(str(out), list(dens), tables)
     assert rows == 10
     with open(out, newline="") as fh:
         table = list(csv.reader(fh))
@@ -434,23 +436,16 @@ def test_export_paths_csv(tmp_path):
     assert float(table[10][3]) == pytest.approx(dens["mart"][2, -1], rel=1e-11)
 
 
-def test_export_paths_labels_offset_bundle_by_global_path(tmp_path):
-    whole = simulate_paths(PIECEWISE, 4, 10, seed=27)
-    part = simulate_paths(PIECEWISE, 4, 4, seed=27, stream_offset=3)
-    out_whole, out_part = tmp_path / "whole.csv", tmp_path / "part.csv"
-    for bundle, out in ((whole, out_whole), (part, out_part)):
+def test_export_paths_labels_offset_bundle_by_global_path():
+    def tables(bundle, paths):
         fields = build_forward_exponential(PIECEWISE, 1.0, 0.0, bundle)
         dens = {"mart": martingale_density(bundle, 0.0)}
-        export_paths(bundle, fields, dens, str(out), path_indices=[7, 6, 9])
-    assert out_part.read_bytes() == out_whole.read_bytes()
+        return [path_table(bundle, fields, dens, i) for i in paths]
 
-
-def test_export_paths_validates_density_shape(tmp_path):
-    bundle = simulate_paths(PIECEWISE, 4, 6, seed=27)
-    fields = build_forward_exponential(PIECEWISE, 1.0, 0.0, bundle)
-    with pytest.raises(ValueError, match="full path matrix"):
-        export_paths(bundle, fields, {"bad": bundle.dB}, str(tmp_path / "x.csv"))
-    partial = build_forward_exponential(PIECEWISE, 1.0, 0.0, bundle, [0, 4])
-    dens = {"mart": martingale_density(bundle, 0.0)}
-    with pytest.raises(ValueError, match="field paths must hold every grid column"):
-        export_paths(bundle, partial, dens, str(tmp_path / "x.csv"))
+    whole = simulate_paths(PIECEWISE, 4, 10, seed=27)
+    part = simulate_paths(PIECEWISE, 4, 4, seed=27, stream_offset=3)  # paths 6 to 9
+    for got, want in zip(tables(part, [7, 6, 9]), tables(whole, [7, 6, 9])):
+        np.testing.assert_array_equal(got, want)
+    for outside in (5, 10):
+        with pytest.raises(ValueError, match="not in this bundle"):
+            tables(part, [outside])

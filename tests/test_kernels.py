@@ -10,7 +10,6 @@ from forwardperf.kernels import (
     TILE_BLOCKS,
     Workspace,
     gaussian_field,
-    pairwise_mean,
     pairwise_sum,
     philox4x64,
     uniform_open,
@@ -148,13 +147,6 @@ def test_pairwise_sum_accuracy(n):
 
 def test_pairwise_sum_empty():
     assert pairwise_sum(np.array([])) == 0.0
-    with pytest.raises(ValueError):
-        pairwise_mean(np.array([]))
-
-
-def test_pairwise_mean():
-    x = np.arange(10, dtype=float)
-    assert pairwise_mean(x) == 4.5
 
 
 # -- gaussian field ------------------------------------------------------

@@ -25,7 +25,6 @@ from forwardperf.mc_verifier import (
     check_forward_drift_mc,
     check_inverse_gamma_mean_mc,
     collapse_pairs,
-    default_nu_family,
     mc_mean_test,
     run_mc_checks,
     z_critical,
@@ -116,8 +115,7 @@ def test_mean_test_to_record(rng):
 
 
 def test_default_nu_family_labels():
-    bundle = simulate_paths(CLEAN, 8, 4, seed=1)
-    fam = default_nu_family(bundle)
+    fam = MonteCarloPass(CLEAN, 8, ["inverse-gamma-mean"]).nu_family
     assert set(fam) == {"0", "phi", "phi+0.4", "phi-0.4", "0.8"}
     np.testing.assert_array_equal(fam["phi"], np.full(8, 0.3))
     np.testing.assert_array_equal(fam["phi+0.4"], np.full(8, 0.7))

@@ -70,15 +70,6 @@ def test_nan_refused_in_json():
         r.to_json()
 
 
-def test_write_roundtrip(tmp_path):
-    r = VerificationReport([rec("a", value=1.0, target=1.0, tolerance=1e-6)])
-    path = tmp_path / "report.json"
-    r.write(path)
-    parsed = json.loads(path.read_text())
-    assert parsed["all_passed"] is True
-    assert parsed["checks"]["a"]["tolerance"] == 1e-6
-
-
 def test_text_rendering():
     r = VerificationReport(
         [

@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
+import oracles
 from forwardperf.errors import ArbitrageError, ScenarioError, TreeStructureError
 from forwardperf.tree_market import (
     EventTree,
     TreeMeasure,
     check_nflvr,
     density_process,
-    density_quotient,
     enumerate_product_measures,
-    maximal_support,
     measure_from_leaf_masses,
-    measure_polytope,
     node_polytope,
     one_step_vertices,
     reference_measure,
@@ -167,8 +165,6 @@ def test_queries_on_two_period_tree():
     assert tree.path_from_root("b2") == ("r", "b", "b2")
     assert tree.cond_prob("r", "a1") == pytest.approx(0.3)
     assert tree.cond_prob("b", "b2") == pytest.approx(0.45)
-    assert tree.price("a1") == pytest.approx(2.0)
-    assert tree.price("b2") == pytest.approx(-2.5)
 
 
 # -- one-step vertices and NFLVR -----------------------------------------
@@ -257,15 +253,6 @@ def test_node_polytope_centroid():
     assert float(cen @ np.array(poly.dprices)) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_measure_polytope_window():
-    tree = two_period_tree()
-    poly = measure_polytope(tree, 0, 2)
-    assert set(poly.node_polytopes) == {"r", "a", "b"}
-    assert measure_polytope(tree, 1, 2).node_polytopes.keys() == {"a", "b"}
-    with pytest.raises(ValueError):
-        measure_polytope(tree, 2, 1)
-
-
 # -- measures and densities ----------------------------------------------
 
 
@@ -293,9 +280,9 @@ def test_measure_validate_rejects_malformed():
 def test_martingale_residual():
     tree = binomial_tree()  # p = (0.8, 0.2), d = (+1, -1)
     p = reference_measure(tree)
-    assert p.martingale_residual(tree, ["r"]) == pytest.approx(0.6)
+    assert oracles.martingale_residual(tree, p, ["r"]) == pytest.approx(0.6)
     q = TreeMeasure(cond={"r": (0.5, 0.5)})
-    assert q.martingale_residual(tree, ["r"]) == 0.0
+    assert oracles.martingale_residual(tree, q, ["r"]) == 0.0
 
 
 def test_density_process_values():
@@ -305,23 +292,25 @@ def test_density_process_values():
     assert z.at("r") == 1.0
     assert z.at("u") == pytest.approx(0.5 / 0.8)
     assert z.at("d") == pytest.approx(0.5 / 0.2)
-
-
-def test_density_quotient_zero_denominator_convention():
+    # absorbing at zero: a branch the measure kills keeps density 0 below it
     tree = two_period_tree()
-    # kill the branch to "a" at the root; below "a" the quotient reads 1
     q = TreeMeasure(cond={"r": (0.0, 1.0), "a": (0.5, 0.5), "b": (0.75, 0.25)})
     z = density_process(tree, q)
-    assert z.at("a") == 0.0
-    assert density_quotient(tree, z, 1, 2, "a1") == 1.0
-    assert density_quotient(tree, z, 0, 2, "a1") == 0.0
-    with pytest.raises(ValueError):
-        density_quotient(tree, z, 2, 1, "a1")
-    with pytest.raises(ValueError):
-        density_quotient(tree, z, 0, 1, "a1")
+    assert z.at("a") == 0.0 and z.at("a1") == 0.0
 
 
 # -- supports and extreme measures ---------------------------------------
+
+
+def maximal_support(tree, t, T):
+    """Time-T nodes that some martingale measure on [t, T] charges: the
+    terminal nodes ``vertex_recursion`` charges."""
+
+    def local(nid, kids, verts, kid_values):
+        return set().union(*kid_values)
+
+    by_start = vertex_recursion(tree, t, T, lambda w: {w}, local)
+    return set().union(*(values[start] for start, values in by_start.items()))
 
 
 def test_maximal_support_full_on_nflvr_tree():
@@ -371,7 +360,7 @@ def test_enumerate_product_measures_are_martingales():
     interior = [n for n in tree._dfs_order if not tree.is_leaf(n)]
     for q in enumerate_product_measures(tree):
         q.validate(tree)
-        assert q.martingale_residual(tree, interior) <= 1e-12
+        assert oracles.martingale_residual(tree, q, interior) <= 1e-12
         total = sum(q.node_mass(tree, w) for w in tree.leaves())
         assert total == pytest.approx(1.0, abs=1e-12)
 
