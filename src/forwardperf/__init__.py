@@ -18,21 +18,13 @@ from .errors import (
     ArbitrageError,
     ConvergenceError,
     ForwardPerfError,
-    InadaViolationError,
     RegularityError,
     ReplicationError,
     ScenarioError,
     TreeStructureError,
     WealthRangeError,
 )
-from .fields import (
-    ExponentialFieldParams,
-    UtilitySlice,
-    conjugate_exponential,
-    conjugate_numeric,
-    entropy_kernel,
-    exponential_slice,
-)
+from .fields import ExponentialFieldParams, conjugate_exponential, entropy_kernel
 from .ito_engine import (
     CoefficientSpec,
     FieldPaths,

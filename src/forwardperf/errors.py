@@ -13,14 +13,6 @@ class ArbitrageError(ForwardPerfError):
     """The market admits no (equivalent) martingale measure where one is required."""
 
 
-class InadaViolationError(ForwardPerfError):
-    """Bracket expansion for the conjugate exceeded its width cap.
-
-    The marginal utility failed to sweep past the requested level, so the
-    slice does not satisfy the full-range marginal condition.
-    """
-
-
 class AlignmentError(ForwardPerfError):
     """A time grid does not refine the coefficient breakpoints."""
 
@@ -35,12 +27,13 @@ class RegularityError(ForwardPerfError):
 
 
 class WealthRangeError(ForwardPerfError, ValueError):
-    """A wealth lies outside the grid the generic primal path tabulates."""
+    """A wealth at which an exponential utility leaves the float range."""
 
 
 class ReplicationError(ForwardPerfError, ValueError):
     """No portfolio replicates the increments of 1/gamma at some node, so
-    the exponential fast path a check needs does not exist."""
+    the primal value has no factor recursion and the field cannot
+    self-generate."""
 
 
 class ScenarioError(ForwardPerfError):

@@ -1,4 +1,4 @@
-"""Utility slices, exponential fields, and Fenchel-Legendre conjugation.
+"""Exponential utility fields and their closed-form Fenchel-Legendre conjugate.
 
 A utility slice is one dated utility function x -> U(x): strictly
 increasing, strictly concave, C1, with marginal utility sweeping all of
@@ -23,12 +23,9 @@ form gives V(0) = 0, matching sup_x U(x) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
-
-from .errors import InadaViolationError
 
 
 def entropy_kernel(y):
@@ -41,31 +38,6 @@ def entropy_kernel(y):
     if np.ndim(y) == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class UtilitySlice:
-    """One dated utility function with its marginal, both plain callables.
-
-    Evaluation-based on purpose: conjugation must work for slices the
-    library did not construct.
-    """
-
-    value: Callable[[float], float]
-    deriv: Callable[[float], float]
-    label: str = ""
-
-
-def exponential_slice(gamma: float, a: float, label: str = "") -> UtilitySlice:
-    """U(x) = -exp(-gamma x + a) as a UtilitySlice."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    g, s = float(gamma), float(a)
-    return UtilitySlice(
-        value=lambda x: -math.exp(-g * x + s),
-        deriv=lambda x: g * math.exp(-g * x + s),
-        label=label or f"exp(gamma={g:g}, a={s:g})",
-    )
 
 
 def conjugate_exponential(gamma_t, a_t, y):
@@ -84,67 +56,6 @@ def conjugate_exponential(gamma_t, a_t, y):
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-def conjugate_numeric(
-    u: UtilitySlice,
-    y: float,
-    tol: float = 1e-10,
-    max_width: float = 1e6,
-) -> tuple[float, float]:
-    """Evaluate V(y) = sup_x (U(x) - x y) by solving deriv(x*) = y.
-
-    Geometric bracket expansion from [-1, 1] (the marginal is decreasing,
-    so a sign change brackets the root), then bisection to width ``tol``.
-    Returns (V(y), x*). The value error is second order in ``tol`` because
-    the objective is stationary at x*.
-
-    Raises InadaViolationError when no bracket is found within
-    ``max_width``, and ValueError for y <= 0.
-    """
-    if y <= 0.0:
-        raise ValueError(f"conjugate_numeric: y must be positive, got {y}")
-    if tol <= 0.0:
-        raise ValueError("conjugate_numeric: tol must be positive")
-
-    def g(x):
-        return u.deriv(x) - y
-
-    lo, hi = -1.0, 1.0
-    glo, ghi = g(lo), g(hi)
-    # deriv decreasing: need g(lo) >= 0 >= g(hi)
-    while glo < 0.0:
-        lo *= 2.0
-        if -lo > max_width:
-            raise InadaViolationError(
-                f"marginal utility never reaches {y:g} on [{lo:g}, 0]"
-            )
-        glo = g(lo)
-    while ghi > 0.0:
-        hi *= 2.0
-        if hi > max_width:
-            raise InadaViolationError(
-                f"marginal utility never falls below {y:g} on [0, {hi:g}]"
-            )
-        ghi = g(hi)
-    if glo == 0.0:
-        x_star = lo
-    elif ghi == 0.0:
-        x_star = hi
-    else:
-        for _ in range(200):
-            if hi - lo < tol:
-                break
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            if gm > 0.0:
-                lo = mid
-            elif gm < 0.0:
-                hi = mid
-            else:
-                lo = hi = mid
-        x_star = 0.5 * (lo + hi)
-    return u.value(x_star) - x_star * y, x_star
 
 
 class ExponentialFieldParams:
@@ -167,9 +78,6 @@ class ExponentialFieldParams:
 
     def defined_at(self, node: str) -> bool:
         return node in self.gamma and node in self.a_shift
-
-    def slice_at(self, node: str) -> UtilitySlice:
-        return exponential_slice(self.gamma[node], self.a_shift[node], label=str(node))
 
     def with_offsets(self, offsets: Mapping[str, float]) -> "ExponentialFieldParams":
         """Copy with a_shift[node] += offset for each given node."""

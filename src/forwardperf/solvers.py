@@ -12,31 +12,6 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_min(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200):
-    """Minimize a unimodal f on [a, b]; returns (x, f(x))."""
-    if not b >= a:
-        raise ValueError("golden_section_min: need a <= b")
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < tol * (1.0 + abs(a) + abs(b)):
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    if fc <= fd:
-        return c, fc
-    return d, fd
-
 
 def minimize_exp_sum(weights, slopes, tol: float = 1e-13, max_iter: int = 200):
     """Minimize g(p) = sum_i w_i exp(s_i p) for w_i > 0; returns (p*, g(p*)).

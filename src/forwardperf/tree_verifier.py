@@ -12,9 +12,11 @@ multiplicatively and the DP collapses to a scalar factor recursion
 
 with u(xi) = -exp(-gamma xi) C(node); the log-factor equals the additive
 shift a self-generation demands, so gaps are reported in those units and do
-not depend on the wealth argument. Without replicability the generic path
-tabulates value functions on a wealth grid with monotone cubic
-interpolation and reports its own discretization error estimate.
+not depend on the wealth argument. Without replicability there is no such
+recursion, and 1/gamma cannot keep its conditional mean under every
+martingale measure, so the field cannot self-generate: the primal value
+refuses it. Exponential fields are the only field type either value
+accepts.
 
 Dual value as one convex program per conditioning node:
 
@@ -36,19 +38,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ArbitrageError, ConvergenceError, ReplicationError, WealthRangeError
-from .fields import (
-    ExponentialFieldParams,
-    conjugate_exponential,
-    conjugate_numeric,
-    entropy_kernel,
-)
+from .fields import ExponentialFieldParams, conjugate_exponential, entropy_kernel
 from .report import CheckRecord, VerificationReport
-from .solvers import barrier_minimize, golden_section_min, minimize_exp_sum
+from .solvers import barrier_minimize, minimize_exp_sum
 from .tree_market import (
     EventTree,
     TreeMeasure,
@@ -61,9 +58,6 @@ from .tree_market import (
 
 _REPLICATION_TOL = 1e-10
 _INVERSE_GAMMA_TOL = 1e-9  # conditional mean of 1/gamma, per node
-_FOC_TOL = 1e-12  # bisection width of the numeric conjugate
-_GRID_POINTS = 257  # the coarse grid for the error estimate has 129
-_GRID_SPAN = (-10.0, 10.0)
 
 
 # -- results -------------------------------------------------------------
@@ -75,21 +69,19 @@ class PrimalResult:
     T: int
     values: dict[str, float]
     xi: Mapping[str, float]
-    method: str  # "exponential" or "grid"
-    log_factor: dict[str, float] | None = None
-    policy: dict[str, float] | None = None
-    replication: dict[str, float] | None = None
-    grid_error: float | None = None
-    # per-node wealth -> (values, grid_error), from the window's one program
-    _read: Callable[[dict], tuple] | None = dc_field(default=None, repr=False, compare=False)
+    log_factor: dict[str, float]
+    policy: dict[str, float]
+    replication: dict[str, float]
+    # per start: u(xi) = -exp(-gamma xi) factor
+    gamma: dict[str, float]
+    factor: dict[str, float]
 
     def at(self, xi) -> PrimalResult:
-        """The same window at wealth xi (scalar or per-node), read from the
-        program ``primal_value`` solved for this result, without solving it
-        again. Only results returned by ``primal_value`` carry that program."""
+        """The same window at wealth xi (scalar or per-node), read from its
+        factors without solving the window again."""
         xi_by_node = _per_node(xi, self.xi, "xi")
-        values, grid_error = self._read(xi_by_node)
-        return replace(self, values=values, xi=xi_by_node, grid_error=grid_error)
+        values = _primal_values(self.gamma, self.factor, xi_by_node)
+        return replace(self, values=values, xi=xi_by_node)
 
 
 @dataclass
@@ -168,14 +160,6 @@ def _interior_start(tree, start, T, leaves):
     return np.array([mass[w] for w in leaves])
 
 
-def _field_kind(field) -> str:
-    if isinstance(field, ExponentialFieldParams):
-        return "exponential"
-    if isinstance(field, Mapping):
-        return "slices"
-    raise TypeError(f"unsupported field specification {type(field)!r}")
-
-
 # -- primal --------------------------------------------------------------
 
 
@@ -230,137 +214,74 @@ def _exponential_factors(tree, field, t, T):
     return C, policy
 
 
-def _grid_dp(tree, slices, t, T, grid):
-    """Tabulated backward induction; returns per-node value arrays on the grid."""
-    from scipy.interpolate import PchipInterpolator  # generic path only: slow import
-
-    gmin, gmax = grid[0], grid[-1]
-    values: dict[str, np.ndarray] = {}
-    for start in tree.nodes_at(t):
-        for w in tree.descendants_at(start, T):
-            u = slices[w]
-            values[w] = np.array([u.value(x) for x in grid])
-    order = []
-    for start in tree.nodes_at(t):
-        order.extend(tree.window_interior(start, T))
-    for nid in sorted(order, key=lambda n: -tree.time_of(n)):
-        branches = tree.branches_of(nid)
-        interps = [PchipInterpolator(grid, values[br.child], extrapolate=False) for br in branches]
-        probs = np.array([br.prob for br in branches])
-        dps = np.array([br.dprice for br in branches])
-        out = np.empty_like(grid)
-        for i, x in enumerate(grid):
-            # portfolio range keeping every child argument on the grid
-            plo, phi = -math.inf, math.inf
-            for dp in dps:
-                if dp > 0:
-                    plo = max(plo, (gmin - x) / dp)
-                    phi = min(phi, (gmax - x) / dp)
-                elif dp < 0:
-                    plo = max(plo, (gmax - x) / dp)
-                    phi = min(phi, (gmin - x) / dp)
-            if not np.any(dps != 0.0):
-                out[i] = float(probs @ [f(x) for f in interps])
-                continue
-
-            def objective(pi):
-                total = 0.0
-                for p, f, dp in zip(probs, interps, dps):
-                    # clamp float dust at the interval ends back onto the grid
-                    total += p * float(f(min(max(x + pi * dp, gmin), gmax)))
-                return -total
-
-            pi_star, neg = golden_section_min(objective, plo, phi, tol=1e-11)
-            out[i] = -neg
-        values[nid] = out
-    return values
+def _check_field_type(field):
+    if not isinstance(field, ExponentialFieldParams):
+        raise TypeError(f"field must be ExponentialFieldParams, got {type(field).__name__}")
 
 
-def primal_value(tree: EventTree, field, xi, t: int = 0, T: int | None = None) -> PrimalResult:
+def _utility(node, xi, exponent, factor=1.0):
+    """-exp(exponent) * factor, an exponential utility at wealth xi; a wealth
+    at which it leaves the float range is refused."""
+    try:
+        u = -math.exp(exponent) * factor
+    except OverflowError:
+        u = -math.inf
+    if u == -math.inf:
+        raise WealthRangeError(f"xi={xi:g} at node {node!r}: the utility is outside the float range")
+    return u
+
+
+def _primal_values(gamma, factor, xi_by_node):
+    return {n: _utility(n, x, -gamma[n] * x, factor[n]) for n, x in xi_by_node.items()}
+
+
+def primal_value(
+    tree: EventTree, field: ExponentialFieldParams, xi, t: int = 0, T: int | None = None
+) -> PrimalResult:
     """Primal value field on [t, T] at wealth xi (scalar or per-node).
 
-    Exponential fields with replicable 1/gamma use the exact factor
-    recursion C, and u(xi) = -exp(-gamma xi) C; otherwise values are
-    tabulated on a wealth grid in [-10, 10] and the result carries a
-    grid-halving error estimate. Either program depends on the window
-    only, so ``PrimalResult.at`` reads it at any other wealth.
+    The exact factor recursion C gives u(xi) = -exp(-gamma xi) C. It needs
+    a portfolio replicating the increments of 1/gamma at every node; a
+    gamma without one is refused with ``ReplicationError`` before anything
+    is solved, naming the first such node. The program depends on the
+    window only, so ``PrimalResult.at`` reads it at any other wealth. A
+    wealth at which u leaves the float range is refused with
+    ``WealthRangeError``.
     """
+    _check_field_type(field)
     if T is None:
         T = tree.horizon
     if not (0 <= t <= T <= tree.horizon):
         raise ValueError(f"bad window [{t}, {T}] for horizon {tree.horizon}")
     starts = tree.nodes_at(t)
     xi_by_node = _per_node(xi, starts, "xi")
-    kind = _field_kind(field)
-
-    if kind == "exponential":
-        needed = set(starts)
-        for s in starts:
-            needed.update(tree.window_interior(s, T))
-            needed.update(tree.descendants_at(s, T))
-        for nid in needed:
-            if not field.defined_at(nid):
-                raise KeyError(f"field has no data at node {nid!r}")
-        rep = replicate_inverse_gamma(tree, field.gamma)
-        if rep.feasible:
-            C, policy = _exponential_factors(tree, field, t, T)
-
-            def read_exponential(xi):
-                return {n: -math.exp(-field.gamma[n] * xi[n]) * C[n] for n in starts}, None
-
-            return PrimalResult(
-                t=t,
-                T=T,
-                values=read_exponential(xi_by_node)[0],
-                xi=xi_by_node,
-                method="exponential",
-                log_factor={n: math.log(C[n]) for n in starts},
-                policy=policy,
-                replication=rep.psi,
-                _read=read_exponential,
-            )
-        slices = {
-            w: field.slice_at(w)
-            for s in starts
-            for w in tree.descendants_at(s, T)
-        }
-    else:
-        slices = dict(field)
-        for s in starts:
-            for w in tree.descendants_at(s, T):
-                if w not in slices:
-                    raise KeyError(f"no utility slice for terminal node {w!r}")
-
-    _check_on_grid(xi_by_node)  # before the grid DPs, the slow part
-    from scipy.interpolate import PchipInterpolator  # generic path only: slow import
-
-    def interpolants(npts):
-        grid = np.linspace(*_GRID_SPAN, npts)
-        tab = _grid_dp(tree, slices, t, T, grid)
-        return {n: PchipInterpolator(grid, tab[n]) for n in starts}
-
-    fine = interpolants(_GRID_POINTS)
-    coarse = interpolants(_GRID_POINTS // 2 + 1)
-
-    def read_grid(xi):
-        _check_on_grid(xi)
-        values = {n: float(fine[n](xi[n])) for n in starts}
-        return values, max(abs(values[n] - float(coarse[n](xi[n]))) for n in starts)
-
-    values, grid_error = read_grid(xi_by_node)
+    needed = set(starts)
+    for s in starts:
+        needed.update(tree.window_interior(s, T))
+        needed.update(tree.descendants_at(s, T))
+    for nid in needed:
+        if not field.defined_at(nid):
+            raise KeyError(f"field has no data at node {nid!r}")
+    rep = replicate_inverse_gamma(tree, field.gamma)
+    if not rep.feasible:
+        raise ReplicationError(
+            "primal value requires the exponential fast path: no portfolio "
+            f"replicates 1/gamma at node {rep.failed_node!r} (residual {rep.residual:.3g})"
+        )
+    C, policy = _exponential_factors(tree, field, t, T)
+    gamma = {n: field.gamma[n] for n in starts}
+    factor = {n: C[n] for n in starts}
     return PrimalResult(
-        t=t, T=T, values=values, xi=xi_by_node, method="grid", grid_error=grid_error,
-        _read=read_grid,
+        t=t,
+        T=T,
+        values=_primal_values(gamma, factor, xi_by_node),
+        xi=xi_by_node,
+        log_factor={n: math.log(C[n]) for n in starts},
+        policy=policy,
+        replication=rep.psi,
+        gamma=gamma,
+        factor=factor,
     )
-
-
-def _check_on_grid(xi_by_node):
-    gmin, gmax = _GRID_SPAN
-    for n, x in xi_by_node.items():
-        if not (gmin <= x <= gmax):
-            raise WealthRangeError(
-                f"xi={x:g} at node {n!r} outside the wealth grid [{gmin:g}, {gmax:g}]"
-            )
 
 
 # -- dual ----------------------------------------------------------------
@@ -459,37 +380,16 @@ def _conjugate_solve_node(tree, field, start, T, xi_values):
     return out
 
 
-def _slice_phi_factory(slices, eta):
-    def make(leaves, p):
-        duals = [slices[w] for w in leaves]
-
-        def phi(r):
-            y = eta * r / p
-            v = np.empty_like(r)
-            g = np.empty_like(r)
-            h = np.empty_like(r)
-            for i, (u, yi) in enumerate(zip(duals, y)):
-                val, x_star = conjugate_numeric(u, float(yi), tol=_FOC_TOL)
-                v[i] = p[i] * val
-                g[i] = -eta * x_star
-                step = 1e-6 * yi
-                _, x_hi = conjugate_numeric(u, float(yi + step), tol=_FOC_TOL)
-                _, x_lo = conjugate_numeric(u, float(yi - step), tol=_FOC_TOL)
-                h[i] = -eta * eta / p[i] * (x_hi - x_lo) / (2.0 * step)
-            return v, g, h
-
-        return phi
-
-    return make
-
-
-def dual_value(tree: EventTree, field, eta, t: int = 0, T: int | None = None) -> DualResult:
+def dual_value(
+    tree: EventTree, field: ExponentialFieldParams, eta, t: int = 0, T: int | None = None
+) -> DualResult:
     """Dual value field on [t, T] at dual argument eta (scalar or per-node).
 
     Minimizes the terminal dual expectation over all absolutely continuous
     martingale measures of the window; the reported minimizer includes a
     near-boundary flag rather than an interiority assumption.
     """
+    _check_field_type(field)
     if T is None:
         T = tree.horizon
     if not (0 <= t <= T <= tree.horizon):
@@ -498,35 +398,23 @@ def dual_value(tree: EventTree, field, eta, t: int = 0, T: int | None = None) ->
     eta_by_node = _per_node(eta, starts, "eta")
     if any(e < 0.0 for e in eta_by_node.values()):
         raise ValueError("eta must be nonnegative")
-    kind = _field_kind(field)
 
     result = DualResult(t=t, T=T, values={}, eta=eta_by_node)
     for start in starts:
         e = eta_by_node[start]
         if t == T:
-            if kind == "exponential":
-                result.values[start] = conjugate_exponential(
-                    field.gamma[start], field.a_shift[start], e
-                )
-            else:
-                raise ValueError("t == T dual evaluation needs an exponential field")
+            result.values[start] = conjugate_exponential(
+                field.gamma[start], field.a_shift[start], e
+            )
             continue
         if e == 0.0:
-            if kind != "exponential":
-                raise ValueError(
-                    "eta = 0 for a generic field is outside the validated regime"
-                )
             # V(T, 0) = 0 identically, so any measure attains the value
             result.values[start] = 0.0
             result.minimizer[start] = reference_measure(tree)
             result.kkt_residual[start] = 0.0
             result.near_boundary[start] = False
             continue
-        if kind == "exponential":
-            factory = _exp_phi_factory(field, e)
-        else:
-            factory = _slice_phi_factory(field, e)
-        value, r, leaves, p, info = _dual_solve_node(tree, start, T, factory)
+        value, r, leaves, p, info = _dual_solve_node(tree, start, T, _exp_phi_factory(field, e))
         result.values[start] = value
         masses = {w: float(ri) for w, ri in zip(leaves, r)}
         result.minimizer[start] = measure_from_leaf_masses(tree, start, T, masses)
@@ -658,36 +546,28 @@ def check_self_generation_primal(
     """Per (t, T) and per xi: does the computed value reproduce the slice.
 
     Each window's primal program is solved once, at xi = 0, and read at
-    every wealth of the grid. For the exponential fast path the gap is
-    reported in shift units (|log C - a|), which is independent of the
-    wealth argument; the worst raw value difference over the grid is
-    recorded alongside.
+    every wealth of the grid. The gap is reported in shift units
+    (|log C - a|), which is independent of the wealth argument; the worst
+    raw value difference over the grid is recorded alongside. A gamma that
+    no portfolio replicates is refused by ``primal_value``.
     """
     report = VerificationReport()
     overall_gap = 0.0
     overall_node = None
     for (t, T) in time_pairs:
         res = primal_value(tree, field, 0.0, t, T)
-        gaps = {}
-        if res.method == "exponential":
-            for n in tree.nodes_at(t):
-                gaps[n] = abs(res.log_factor[n] - field.a_shift[n])
+        gaps = {n: abs(res.log_factor[n] - field.a_shift[n]) for n in tree.nodes_at(t)}
         value_gap = 0.0
         for x in xi_grid:
-            resx = res.at(float(x))
+            x = float(x)
+            resx = res.at(x)
             for n in tree.nodes_at(t):
-                ux = resx.values[n]
-                Ux = -math.exp(-field.gamma[n] * float(x) + field.a_shift[n])
-                value_gap = max(value_gap, abs(ux - Ux))
-                if res.method != "exponential":
-                    gaps[n] = max(gaps.get(n, 0.0), abs(ux - Ux))
+                Ux = _utility(n, x, -field.gamma[n] * x + field.a_shift[n])
+                value_gap = max(value_gap, abs(resx.values[n] - Ux))
         worst_node = max(gaps, key=gaps.get)
         worst = gaps[worst_node]
         if worst > overall_gap:
             overall_gap, overall_node = worst, worst_node
-        notes = ()
-        if res.method == "grid":
-            notes = (f"generic grid path, grid error estimate {res.grid_error:.3g}",)
         report.add(
             CheckRecord(
                 check_tag=f"primal-self-generation[t={t},T={T}]",
@@ -696,8 +576,7 @@ def check_self_generation_primal(
                 target=0.0,
                 tolerance=tol,
                 worst_node=worst_node,
-                notes=notes,
-                details={"value_gap": value_gap, "method": res.method},
+                details={"value_gap": value_gap, "method": "exponential"},
             )
         )
     report.add(
@@ -786,8 +665,8 @@ def check_value_conjugacy(
 ) -> VerificationReport:
     """Fenchel conjugacy between the computed value fields.
 
-    Per start node, both directions against the closed-form primal u of
-    the exponential fast path:
+    Per start node, both directions against the closed-form primal
+    u(xi) = -exp(-gamma xi) C of the factor recursion:
 
     - primal from dual: u(xi) against inf over eta > 0 of (v(eta) + xi eta),
       solved per xi as one joint barrier program over the unnormalised
@@ -802,8 +681,8 @@ def check_value_conjugacy(
       ``conjugate_exponential(gamma, log_factor, eta)`` in closed form.
 
     ``duals`` shares the eta-grid dual solves with the other checks of a
-    scenario. A gamma whose reciprocal no portfolio replicates has no fast
-    path, and is refused with ``ReplicationError`` before anything is solved.
+    scenario. A gamma whose reciprocal no portfolio replicates is refused
+    by ``primal_value`` before anything is solved.
     """
     xi_grid = [float(x) for x in xi_grid]
     eta_grid = sorted(float(e) for e in eta_grid)
@@ -814,12 +693,6 @@ def check_value_conjugacy(
     report = VerificationReport()
     starts = tree.nodes_at(t)
 
-    rep = replicate_inverse_gamma(tree, field.gamma)
-    if not rep.feasible:
-        raise ReplicationError(
-            "conjugacy check requires the exponential fast path: no portfolio "
-            f"replicates 1/gamma at node {rep.failed_node!r} (residual {rep.residual:.3g})"
-        )
     base = primal_value(tree, field, 0.0, t, T)
 
     def u_of(n, x):

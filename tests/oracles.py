@@ -11,21 +11,24 @@ at every wealth -- (for the conditional entropy and the martingale
 property of a tree measure) sums over leaves and nodes from their
 definitions, (for the random kernels) the Philox rounds and the reduction
 tree computed from their definitions, (for the density and field paths)
-one whole-matrix numpy expression per quantity, or (for the path export)
-the CSV written row by row from the whole simulation's matrices.
+one whole-matrix numpy expression per quantity, (for the path export)
+the CSV written row by row from the whole simulation's matrices, or (for
+the closed-form conjugate of an exponential utility) bracketing and
+bisection on the marginal of a utility given only as callables.
 Deliberate duplication -- an oracle that shares code with the
 implementation checks nothing.
 """
 
 import csv
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from forwardperf.errors import ConvergenceError
 from forwardperf.report import CheckRecord, VerificationReport
-from forwardperf.solvers import golden_section_min
 from forwardperf.tree_market import (
     _feasible_map,
     _restricted_vertices,
@@ -41,6 +44,116 @@ def h(y):
     if y == 0.0:
         return 0.0
     return y * math.log(y) - y
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_min(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200):
+    """Minimize a unimodal f on [a, b]; returns (x, f(x))."""
+    if not b >= a:
+        raise ValueError("golden_section_min: need a <= b")
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if b - a < tol * (1.0 + abs(a) + abs(b)):
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    if fc <= fd:
+        return c, fc
+    return d, fd
+
+
+@dataclass(frozen=True)
+class UtilitySlice:
+    """One dated utility function with its marginal, both plain callables,
+    so that conjugation sees nothing but evaluations."""
+
+    value: Callable[[float], float]
+    deriv: Callable[[float], float]
+    label: str = ""
+
+
+def exponential_slice(gamma: float, a: float, label: str = "") -> UtilitySlice:
+    """U(x) = -exp(-gamma x + a) as a UtilitySlice."""
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    g, s = float(gamma), float(a)
+    return UtilitySlice(
+        value=lambda x: -math.exp(-g * x + s),
+        deriv=lambda x: g * math.exp(-g * x + s),
+        label=label or f"exp(gamma={g:g}, a={s:g})",
+    )
+
+
+class InadaViolation(Exception):
+    """The marginal utility never sweeps past the requested level within
+    the bracket cap, so the slice has no conjugate maximiser there."""
+
+
+def conjugate_numeric(
+    u: UtilitySlice,
+    y: float,
+    tol: float = 1e-10,
+    max_width: float = 1e6,
+) -> tuple[float, float]:
+    """Evaluate V(y) = sup_x (U(x) - x y) by solving deriv(x*) = y.
+
+    Geometric bracket expansion from [-1, 1] (the marginal is decreasing,
+    so a sign change brackets the root), then bisection to width ``tol``.
+    Returns (V(y), x*). The value error is second order in ``tol`` because
+    the objective is stationary at x*.
+
+    Raises InadaViolation when no bracket is found within ``max_width``,
+    and ValueError for y <= 0.
+    """
+    if y <= 0.0:
+        raise ValueError(f"conjugate_numeric: y must be positive, got {y}")
+    if tol <= 0.0:
+        raise ValueError("conjugate_numeric: tol must be positive")
+
+    def g(x):
+        return u.deriv(x) - y
+
+    lo, hi = -1.0, 1.0
+    glo, ghi = g(lo), g(hi)
+    # deriv decreasing: need g(lo) >= 0 >= g(hi)
+    while glo < 0.0:
+        lo *= 2.0
+        if -lo > max_width:
+            raise InadaViolation(f"marginal utility never reaches {y:g} on [{lo:g}, 0]")
+        glo = g(lo)
+    while ghi > 0.0:
+        hi *= 2.0
+        if hi > max_width:
+            raise InadaViolation(f"marginal utility never falls below {y:g} on [0, {hi:g}]")
+        ghi = g(hi)
+    if glo == 0.0:
+        x_star = lo
+    elif ghi == 0.0:
+        x_star = hi
+    else:
+        for _ in range(200):
+            if hi - lo < tol:
+                break
+            mid = 0.5 * (lo + hi)
+            gm = g(mid)
+            if gm > 0.0:
+                lo = mid
+            elif gm < 0.0:
+                hi = mid
+            else:
+                lo = hi = mid
+        x_star = 0.5 * (lo + hi)
+    return u.value(x_star) - x_star * y, x_star
 
 
 def one_step_factor(probs, dprices, gammas, a_children):
@@ -235,9 +348,8 @@ def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6
     for (t, T) in time_pairs:
         res = primal_value(tree, field, 0.0, t, T)
         gaps = {}
-        if res.method == "exponential":
-            for n in tree.nodes_at(t):
-                gaps[n] = abs(res.log_factor[n] - field.a_shift[n])
+        for n in tree.nodes_at(t):
+            gaps[n] = abs(res.log_factor[n] - field.a_shift[n])
         value_gap = 0.0
         for x in xi_grid:
             resx = primal_value(tree, field, float(x), t, T)
@@ -245,15 +357,10 @@ def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6
                 ux = resx.values[n]
                 Ux = -math.exp(-field.gamma[n] * float(x) + field.a_shift[n])
                 value_gap = max(value_gap, abs(ux - Ux))
-                if res.method != "exponential":
-                    gaps[n] = max(gaps.get(n, 0.0), abs(ux - Ux))
         worst_node = max(gaps, key=gaps.get)
         worst = gaps[worst_node]
         if worst > overall_gap:
             overall_gap, overall_node = worst, worst_node
-        notes = ()
-        if res.method == "grid":
-            notes = (f"generic grid path, grid error estimate {res.grid_error:.3g}",)
         report.add(
             CheckRecord(
                 check_tag=f"primal-self-generation[t={t},T={T}]",
@@ -262,8 +369,7 @@ def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6
                 target=0.0,
                 tolerance=tol,
                 worst_node=worst_node,
-                notes=notes,
-                details={"value_gap": value_gap, "method": res.method},
+                details={"value_gap": value_gap, "method": "exponential"},
             )
         )
     report.add(

@@ -19,7 +19,7 @@ import forwardperf.mc_verifier as mc_verifier
 import forwardperf.tree_verifier as tree_verifier
 import oracles
 from forwardperf.cli import main, run_ito_scenario
-from treegen import trinomial_tree, two_period_tree
+from treegen import binomial_tree, trinomial_tree, two_period_tree
 
 BASE_TREE_DOC = {
     "schema_version": 1,
@@ -179,26 +179,41 @@ def nonreplicable_doc(**overrides):
     )
 
 
-def test_tree_scenario_refuses_wealth_off_the_primal_grid(tmp_path, capsys):
-    # 1/gamma is not replicable here, so the primal value takes the generic
-    # grid path, which tabulates wealth on [-10, 10] only
-    doc = nonreplicable_doc(xi_grid=[25.0], checks=["primal-self-generation"])
+def test_tree_scenario_refuses_wealth_outside_the_float_range(tmp_path, capsys):
+    # u(-800) = -exp(800 gamma) C overflows a float
+    doc = tree_doc(
+        tree=binomial_tree().to_dict(),
+        gamma={"mode": "replicate", "gamma0": 1.0, "psi": {"r": 0.1}},
+        xi_grid=[-800.0],
+        checks=["primal-self-generation"],
+    )
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
-    assert "xi=25 at node 'r' outside the wealth grid [-10, 10]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: xi=-800 at node 'r'")
+    assert "outside the float range" in err
 
 
-def test_tree_scenario_refuses_conjugacy_without_replication(tmp_path, capsys, monkeypatch):
-    # 1/gamma is not replicable, so there is no exponential fast path: the
-    # check refuses before the generic grid is tabulated
+def refuses_without_replication(tmp_path, capsys, monkeypatch, check):
+    # 1/gamma is not replicable, so the primal value has no factor
+    # recursion: the check is refused before anything is solved
     def fail(*args, **kwargs):
-        raise AssertionError("the generic primal grid was tabulated")
+        raise AssertionError("the primal factor recursion ran")
 
-    monkeypatch.setattr(tree_verifier, "_grid_dp", fail)
-    doc = nonreplicable_doc(checks=["conjugacy"])
+    monkeypatch.setattr(tree_verifier, "_exponential_factors", fail)
+    monkeypatch.setattr(tree_verifier, "barrier_minimize", fail)
+    doc = nonreplicable_doc(checks=[check])
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "replicates 1/gamma at node 'r'" in err
+
+
+def test_tree_scenario_refuses_conjugacy_without_replication(tmp_path, capsys, monkeypatch):
+    refuses_without_replication(tmp_path, capsys, monkeypatch, "conjugacy")
+
+
+def test_tree_scenario_refuses_primal_without_replication(tmp_path, capsys, monkeypatch):
+    refuses_without_replication(tmp_path, capsys, monkeypatch, "primal-self-generation")
 
 
 def test_tree_file_reference(tmp_path, capsys):
@@ -850,19 +865,27 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
-def test_cli_import_skips_slow_scipy_modules():
-    # scipy.stats and scipy.interpolate take about a second to import; only
-    # the tree engine's generic grid path needs one, and imports it there
+def test_cli_import_skips_slow_scipy_modules(tmp_path):
+    # scipy.stats and scipy.interpolate take about a second to import; no
+    # code path needs either, not even a full tree-verify run
+    path = write_scenario(tmp_path, tree_doc())
     code = (
         "import sys, forwardperf.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules])"
+        "slow = ('scipy.stats', 'scipy.interpolate'); "
+        "print([m for m in slow if m in sys.modules]); "
+        "code = forwardperf.cli.main(['run', sys.argv[1], '--out', sys.argv[2]]); "
+        "print(code, [m for m in slow if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(forwardperf.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, path, str(tmp_path / "report.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "0 []"]
 
 
 @pytest.mark.skipif(

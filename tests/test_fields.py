@@ -1,20 +1,19 @@
-"""Utility slices, the entropy kernel, and numeric vs closed-form conjugation."""
+"""The entropy kernel, exponential fields, and the closed-form conjugate
+against the numeric one of ``oracles``."""
 
 import math
 
 import numpy as np
 import pytest
 
-from forwardperf.errors import InadaViolationError
-from forwardperf.fields import (
-    ExponentialFieldParams,
+from forwardperf.fields import ExponentialFieldParams, conjugate_exponential, entropy_kernel
+from oracles import (
+    InadaViolation,
     UtilitySlice,
-    conjugate_exponential,
     conjugate_numeric,
-    entropy_kernel,
     exponential_slice,
+    golden_section_min,
 )
-from forwardperf.solvers import golden_section_min
 
 
 # -- entropy kernel ------------------------------------------------------
@@ -51,9 +50,11 @@ def test_entropy_kernel_convex_min_at_one():
 
 def test_eval_exponential_pin():
     field = ExponentialFieldParams(gamma={"n": 2.0}, a_shift={"n": 1.0})
-    assert field.slice_at("n").value(0.0) == pytest.approx(-math.e, rel=1e-15)
+    u = exponential_slice(field.gamma["n"], field.a_shift["n"])
+    assert u.value(0.0) == pytest.approx(-math.e, rel=1e-15)
+    assert not field.defined_at("missing")
     with pytest.raises(KeyError):
-        field.slice_at("missing")
+        field.gamma["missing"]
 
 
 def test_exponential_slice_is_valid_utility():
@@ -71,7 +72,7 @@ def test_exponential_slice_is_valid_utility():
 def test_validate_catches_broken_slice():
     # a convex "utility" has an increasing marginal: no bracket, refused
     convex = UtilitySlice(value=lambda x: x * x, deriv=lambda x: 2 * x)
-    with pytest.raises(InadaViolationError):
+    with pytest.raises(InadaViolation):
         conjugate_numeric(convex, 1.0)
 
 
@@ -137,7 +138,7 @@ def test_conjugate_numeric_inada_violation():
         value=lambda x: x - math.exp(-x),
         deriv=lambda x: 1.0 + math.exp(-x),
     )
-    with pytest.raises(InadaViolationError):
+    with pytest.raises(InadaViolation):
         conjugate_numeric(flat, 0.5)
 
 

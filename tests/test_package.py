@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "ExponentialFieldParams",
     "FieldPaths",
     "ForwardPerfError",
-    "InadaViolationError",
     "NodePolytope",
     "PathBundle",
     "PrimalResult",
@@ -37,7 +36,6 @@ PUBLIC_NAMES = [
     "TreeMeasure",
     "TreeNode",
     "TreeStructureError",
-    "UtilitySlice",
     "VerificationReport",
     "WealthRangeError",
     "WindowDuals",
@@ -54,12 +52,10 @@ PUBLIC_NAMES = [
     "check_value_conjugacy",
     "collapse_pairs",
     "conjugate_exponential",
-    "conjugate_numeric",
     "density_path",
     "density_process",
     "dual_value",
     "entropy_kernel",
-    "exponential_slice",
     "martingale_density",
     "mc_mean_test",
     "measure_from_leaf_masses",

@@ -1,11 +1,13 @@
-"""Deterministic solver components: golden section, exp-sum, log-barrier."""
+"""Deterministic solver components: exp-sum and log-barrier, plus the
+golden-section search the oracles use."""
 
 import math
 
 import numpy as np
 import pytest
 
-from forwardperf.solvers import barrier_minimize, golden_section_min, minimize_exp_sum
+from forwardperf.solvers import barrier_minimize, minimize_exp_sum
+from oracles import golden_section_min
 
 
 def test_golden_section_quadratic():

@@ -7,13 +7,14 @@ import pytest
 
 import forwardperf.tree_verifier as tree_verifier
 import oracles
-from forwardperf.errors import ArbitrageError, ConvergenceError, ForwardPerfError, WealthRangeError
-from forwardperf.fields import (
-    ExponentialFieldParams,
-    conjugate_exponential,
-    entropy_kernel,
-    exponential_slice,
+from forwardperf.errors import (
+    ArbitrageError,
+    ConvergenceError,
+    ForwardPerfError,
+    ReplicationError,
+    WealthRangeError,
 )
+from forwardperf.fields import ExponentialFieldParams, conjugate_exponential, entropy_kernel
 from forwardperf.tree_market import (
     EventTree,
     TreeMeasure,
@@ -106,7 +107,6 @@ def test_primal_symmetric_binomial():
     tree = binomial_tree(p_up=0.5)
     field = constant_field(tree)
     res = primal_value(tree, field, 0.7)
-    assert res.method == "exponential"
     assert res.values["r"] == pytest.approx(-math.exp(-0.7), rel=1e-12)
     assert res.policy["r"] == pytest.approx(0.0, abs=1e-9)
 
@@ -141,25 +141,39 @@ def test_primal_factor_matches_scipy_oracle():
     assert math.exp(res.log_factor["r"]) == pytest.approx(want, abs=1e-10)
 
 
-def test_primal_grid_route_matches_exponential():
-    tree = two_period_tree()
-    field = solved_field(tree, seed=3)
-    fast = primal_value(tree, field, 0.4)
-    slices = {nid: field.slice_at(nid) for nid in tree._dfs_order}
-    grid = primal_value(tree, slices, 0.4)
-    assert fast.method == "exponential"
-    assert grid.method == "grid"
-    assert grid.grid_error is not None
-    for n in ("r",):
-        assert grid.values[n] == pytest.approx(fast.values[n], abs=5e-7)
-        assert abs(grid.values[n] - fast.values[n]) <= 20.0 * max(grid.grid_error, 1e-9)
-
-
-def test_primal_grid_rejects_offgrid_wealth():
+def test_primal_refuses_wealth_outside_the_float_range():
+    # exp(800) overflows: refused where the window is solved and where it is
+    # read, as a package error that is a ValueError too; exp(-800) underflows
+    # to a value of -0.0, which is no refusal
     tree = binomial_tree()
-    slices = {nid: exponential_slice(1.0, 0.0) for nid in tree._dfs_order}
-    with pytest.raises(ValueError):
-        primal_value(tree, slices, 25.0)
+    field = constant_field(tree)
+    base = primal_value(tree, field, 0.0)
+    with pytest.raises(WealthRangeError, match="xi=-800 at node 'r'"):
+        primal_value(tree, field, -800.0)
+    with pytest.raises(WealthRangeError, match="xi=-800 at node 'r'"):
+        base.at(-800.0)
+    assert base.at(800.0).values["r"] == 0.0
+    assert issubclass(WealthRangeError, ForwardPerfError)
+    assert issubclass(WealthRangeError, ValueError)
+
+
+def test_primal_check_refuses_a_slice_outside_the_float_range():
+    # with the root shift raised by 1, u(-709.5) is finite but the slice
+    # U(-709.5) = -exp(709.5 + a) it is compared with is not
+    tree = binomial_tree()
+    bumped = constant_field(tree).with_offsets({"r": 1.0})
+    assert math.isfinite(primal_value(tree, bumped, -709.5).values["r"])
+    with pytest.raises(WealthRangeError, match="xi=-709.5 at node 'r'"):
+        check_self_generation_primal(tree, bumped, [(0, 1)], [-709.5])
+
+
+@pytest.mark.parametrize("value", [primal_value, dual_value], ids=["primal", "dual"])
+def test_values_accept_only_exponential_fields(value):
+    tree = binomial_tree()
+    field = constant_field(tree)
+    pairs = {nid: (field.gamma[nid], field.a_shift[nid]) for nid in tree._dfs_order}
+    with pytest.raises(TypeError, match="must be ExponentialFieldParams, got dict"):
+        value(tree, pairs, 1.0)
 
 
 def test_primal_per_node_wealth():
@@ -208,32 +222,22 @@ def test_primal_at_reads_the_window_at_other_wealths():
     for x in (-2.0, 0.5, {"a": 1.5, "b": -0.25}):
         got, want = base.at(x), primal_value(tree, field, x, 1, 2)
         assert (got.values, got.xi, got.log_factor) == (want.values, want.xi, want.log_factor)
-        assert (got.policy, got.replication, got.method) == (want.policy, want.replication, want.method)
+        assert (got.policy, got.replication) == (want.policy, want.replication)
 
 
-def test_primal_grid_at_reads_both_grids_and_refuses_offgrid_wealth():
-    tree, field = nonreplicable_trinomial_field()
-    base = primal_value(tree, field, 0.0)
-    assert base.method == "grid"
-    got, want = base.at(0.4), primal_value(tree, field, 0.4)
-    assert (got.values, got.grid_error) == (want.values, want.grid_error)
-    assert got.grid_error != base.grid_error
-    # refused where the wealth is read, as a package error that is a ValueError
-    with pytest.raises(WealthRangeError, match="outside the wealth grid"):
-        base.at(25.0)
-    assert issubclass(WealthRangeError, ForwardPerfError)
-    assert issubclass(WealthRangeError, ValueError)
-
-
-def test_primal_grid_refuses_offgrid_wealth_before_tabulating(monkeypatch):
+def test_primal_refuses_nonreplicable_gamma_before_solving(monkeypatch):
     tree, field = nonreplicable_trinomial_field()
 
-    def tabulated(*args):
-        raise AssertionError("the grid DP ran for a wealth off the grid")
+    def solved(*args):
+        raise AssertionError("the factor recursion ran for a non-replicable gamma")
 
-    monkeypatch.setattr(tree_verifier, "_grid_dp", tabulated)
-    with pytest.raises(WealthRangeError, match="xi=25 at node 'r' outside the wealth grid"):
-        primal_value(tree, field, 25.0)
+    monkeypatch.setattr(tree_verifier, "_exponential_factors", solved)
+    for run in (
+        lambda: primal_value(tree, field, 0.0),
+        lambda: check_self_generation_primal(tree, field, [(0, 1)], [0.0]),
+    ):
+        with pytest.raises(ReplicationError, match="replicates 1/gamma at node 'r'"):
+            run()
 
 
 PRIMAL_CHECK_CASES = {
@@ -248,7 +252,6 @@ PRIMAL_CHECK_CASES = {
         solved_field(random_tree(7, periods=3), 7),
         [(1, 3), (0, 2), (2, 3)],
     ),
-    "grid": lambda: (*nonreplicable_trinomial_field(), [(0, 1)]),
 }
 
 
@@ -257,33 +260,27 @@ def test_primal_check_matches_per_wealth_oracle(case):
     tree, field, pairs = PRIMAL_CHECK_CASES[case]()
     if pairs is None:
         pairs = [(0, 1), (0, 2), (1, 2)]
-    xi = [-0.5, 1.5] if case == "grid" else [-2.0, -0.5, 0.0, 0.5, 2.0]
+    xi = [-2.0, -0.5, 0.0, 0.5, 2.0]
     got = check_self_generation_primal(tree, field, pairs, xi)
     want = oracles.self_generation_primal_per_wealth(tree, field, pairs, xi)
     assert got.to_json() == want.to_json()
-    if case != "grid":  # an arbitrary non-replicable field need not self-generate
-        assert got.all_passed == (case != "root-bumped")
+    assert got.all_passed == (case != "root-bumped")
 
 
 def test_primal_check_solves_each_window_once(monkeypatch):
     calls = []
-    for name in ("_exponential_factors", "_grid_dp"):
+    run = tree_verifier._exponential_factors
 
-        def counted(tree, field, t, T, *rest, _name=name, _run=getattr(tree_verifier, name)):
-            calls.append((_name, t, T))
-            return _run(tree, field, t, T, *rest)
+    def counted(tree, field, t, T):
+        calls.append((t, T))
+        return run(tree, field, t, T)
 
-        monkeypatch.setattr(tree_verifier, name, counted)
+    monkeypatch.setattr(tree_verifier, "_exponential_factors", counted)
     xi = [-2.0, -0.5, 0.0, 0.5, 2.0]
     pairs = [(0, 1), (0, 2), (1, 2)]
     tree = two_period_tree()
     check_self_generation_primal(tree, solved_field(tree, seed=21), pairs, xi)
-    assert sorted(calls) == [("_exponential_factors", t, T) for t, T in pairs]
-    calls.clear()
-    # the generic path tabulates on the fine and the coarse grid, once each
-    tree, field = nonreplicable_trinomial_field()
-    check_self_generation_primal(tree, field, [(0, 1)], xi)
-    assert calls == [("_grid_dp", 0, 1)] * 2
+    assert sorted(calls) == pairs
 
 
 # -- dual values ---------------------------------------------------------
@@ -320,16 +317,6 @@ def test_dual_trinomial_matches_1d_oracle():
     assert res.minimizer["r"].at("r")[0] == pytest.approx(b_star, abs=1e-6)
 
 
-def test_dual_generic_field_matches_exponential():
-    # the slice-based route must agree with the closed-form route
-    tree = trinomial_tree()
-    field = solved_field(tree, seed=6)
-    slices = {nid: field.slice_at(nid) for nid in tree._dfs_order}
-    a = dual_value(tree, field, 1.5)
-    b = dual_value(tree, slices, 1.5)
-    assert b.values["r"] == pytest.approx(a.values["r"], abs=1e-6)
-
-
 def test_dual_terminal_window_is_conjugate():
     tree = binomial_tree()
     field = solved_field(tree, seed=7)
@@ -343,9 +330,6 @@ def test_dual_eta_zero_paths():
     tree = binomial_tree()
     res = dual_value(tree, constant_field(tree), 0.0)
     assert res.values["r"] == 0.0
-    slices = {nid: exponential_slice(1.0, 0.0) for nid in tree._dfs_order}
-    with pytest.raises(ValueError, match="outside the validated regime"):
-        dual_value(tree, slices, 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         dual_value(tree, constant_field(tree), -1.0)
 
