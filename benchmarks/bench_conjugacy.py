@@ -35,7 +35,7 @@ import numpy as np
 
 import oracles
 from forwardperf import kernels
-from forwardperf.tree_verifier import _conjugate_solve_node, primal_value
+from forwardperf.tree_verifier import WindowDuals, _conjugate_solve_node, primal_value
 from treegen import random_tree, solved_field
 
 SEED = 7
@@ -69,7 +69,12 @@ def measure(depth, repeat):
     def gap(u, x):
         return abs(u + math.exp(-g * x + log_factor))
 
-    joint_t, joint = _repeat(lambda: _conjugate_solve_node(tree, field, root, depth, XI_GRID), repeat)
+    def joint_solve():
+        # a fresh context, so each repeat builds the window data too
+        duals = WindowDuals(tree, field.gamma)
+        return _conjugate_solve_node(duals, field, root, depth, XI_GRID)
+
+    joint_t, joint = _repeat(joint_solve, repeat)
     search_t, search = _repeat(
         lambda: oracles.conjugate_primal_by_eta_search(tree, field, 0, depth, XI_GRID, ETA_GRID)[root],
         repeat,

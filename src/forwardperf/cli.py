@@ -193,7 +193,7 @@ def _gamma_from_scenario(tree, spec):
     _fail("$.gamma.mode", f"unknown mode {mode!r}")
 
 
-def _a_shift_from_scenario(tree, gamma, spec):
+def _a_shift_from_scenario(tree, gamma, spec, duals):
     _check_keys(spec, "$.a_shift", ("mode",), ("values", "terminal", "offsets"))
     mode = spec["mode"]
     if mode == "explicit":
@@ -212,7 +212,7 @@ def _a_shift_from_scenario(tree, gamma, spec):
             terminal = _number_map(term, "$.a_shift.terminal")
         else:
             terminal = _number(term, "$.a_shift.terminal")
-        a = solve_entropy_shift(tree, gamma, terminal)
+        a = solve_entropy_shift(tree, gamma, terminal, duals=duals)
         if "offsets" in spec:
             for nid, off in _number_map(spec["offsets"], "$.a_shift.offsets").items():
                 if nid not in a:
@@ -269,7 +269,10 @@ def run_tree_scenario(doc, base_dir="."):
     )
     tree = _tree_from_scenario(doc, base_dir)
     gamma = _gamma_from_scenario(tree, doc["gamma"])
-    a_shift = _a_shift_from_scenario(tree, gamma, doc["a_shift"])
+    # one context for the scenario: node data, factor recursions and each
+    # (t, T, eta) dual program are built once, for the shift and all checks
+    duals = WindowDuals(tree, gamma)
+    a_shift = _a_shift_from_scenario(tree, gamma, doc["a_shift"], duals)
     field = ExponentialFieldParams(gamma=gamma, a_shift=a_shift)
     checks = _checks_from_scenario(doc, TREE_CHECKS)
     pairs = _time_pairs_from_scenario(doc, tree.horizon)
@@ -279,8 +282,6 @@ def run_tree_scenario(doc, base_dir="."):
     eta_grid = _number_list(eta_grid, "$.eta_grid", strict_min=0)
     tol = _number(doc.get("tolerance", 1e-6), "$.tolerance", strict_min=0.0)
 
-    # each (t, T, eta) dual program is solved once for all checks
-    duals = WindowDuals(tree, field)
     report = VerificationReport()
     for name in checks:
         if name == "tree-structure":
@@ -289,7 +290,9 @@ def run_tree_scenario(doc, base_dir="."):
             _, rep = check_nflvr(tree)
             report.merge(rep)
         elif name == "primal-self-generation":
-            report.merge(check_self_generation_primal(tree, field, pairs, xi_grid, tol))
+            report.merge(
+                check_self_generation_primal(tree, field, pairs, xi_grid, tol, duals=duals)
+            )
         elif name == "dual-self-generation":
             report.merge(
                 check_self_generation_dual(tree, field, pairs, eta_grid, tol, duals=duals)

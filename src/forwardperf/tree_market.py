@@ -564,6 +564,7 @@ def vertex_recursion(
     T: int,
     terminal: Callable[[str], Any],
     local: Callable[..., Any],
+    feasible: Mapping[str, bool] | None = None,
 ) -> dict[str, dict[str, Any]]:
     """Backward recursion over the one-step vertex sets of the window [t, T].
 
@@ -584,10 +585,12 @@ def vertex_recursion(
     Returns {start: {node: value}} over the charged nodes with time < T,
     start first, DFS order (just the start's terminal value when t == T).
     Raises ArbitrageError when a start admits no martingale measure.
+    ``feasible`` is ``_feasible_map(tree, T)``, built here when not given.
     """
     if not (0 <= t <= T <= tree.horizon):
         raise ValueError(f"bad window [{t}, {T}]")
-    feasible = _feasible_map(tree, T)
+    if feasible is None:
+        feasible = _feasible_map(tree, T)
     out: dict[str, dict[str, Any]] = {}
     for start in tree.nodes_at(t):
         if tree.time_of(start) == T:
@@ -683,7 +686,11 @@ def enumerate_product_measures(
 
 
 def measure_from_leaf_masses(
-    tree: EventTree, start: str, T: int, masses: Mapping[str, float]
+    tree: EventTree,
+    start: str,
+    T: int,
+    masses: Mapping[str, float],
+    reference: TreeMeasure | None = None,
 ) -> TreeMeasure:
     """Rebuild one-step conditionals on [time(start), T] from terminal masses.
 
@@ -691,8 +698,9 @@ def measure_from_leaf_masses(
     measure given ``start``. Nodes with (numerically) zero mass get
     reference conditionals; everything outside the window also falls back
     to the reference measure so the result is a complete TreeMeasure.
+    ``reference`` is ``reference_measure(tree)``, built here when not given.
     """
-    pref = reference_measure(tree)
+    pref = reference_measure(tree) if reference is None else reference
     node_mass: dict[str, float] = {}
     for target in tree.descendants_at(start, T):
         m = float(masses[target])

@@ -42,13 +42,21 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ArbitrageError, ConvergenceError, ReplicationError, WealthRangeError
+from .errors import (
+    ArbitrageError,
+    ConvergenceError,
+    ForwardPerfError,
+    ReplicationError,
+    WealthRangeError,
+)
 from .fields import ExponentialFieldParams, conjugate_exponential, entropy_kernel
 from .report import CheckRecord, VerificationReport
 from .solvers import barrier_minimize, minimize_exp_sum
 from .tree_market import (
     EventTree,
+    NodePolytope,
     TreeMeasure,
+    _feasible_map,
     density_process,
     measure_from_leaf_masses,
     node_polytope,
@@ -144,20 +152,152 @@ def _martingale_rows(tree, start, T, leaves):
     return A
 
 
-def _interior_start(tree, start, T, leaves):
+def _interior_start(duals, start, T, leaves):
     """Strictly positive feasible point: product of one-step vertex centroids."""
     mass = {start: 1.0}
-    for m in tree.window_interior(start, T):
-        poly = node_polytope(tree, m)
-        if poly.empty or not poly.has_equivalent_point():
-            raise ArbitrageError(
-                f"node {m!r}: no equivalent one-step martingale measure; "
-                "dual program has no interior point"
-            )
-        center = poly.centroid()
-        for j, child in enumerate(poly.children):
+    for m in duals.tree.window_interior(start, T):
+        center = duals.centroid(m)
+        for j, child in enumerate(duals.tree.children(m)):
             mass[child] = mass[m] * float(center[j])
     return np.array([mass[w] for w in leaves])
+
+
+# -- the per-scenario context --------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Window:
+    """The program data of the window [time(start), T] below one start."""
+
+    leaves: tuple[str, ...]
+    p: np.ndarray  # reference mass of each leaf given the start
+    rows: np.ndarray  # one homogeneous martingale row per interior node
+    interior: np.ndarray  # strictly positive feasible leaf masses
+
+
+class WindowDuals:
+    """The tree engine's per-scenario context: one tree and one gamma, and
+    what the checks of a scenario read more than once, each built on first
+    use and kept.
+
+    A scenario probes the same windows again and again: the shift
+    construction's eta = 1 programs to the horizon, the dual
+    self-generation grid, the conjugacy eta grid, the eta = 1 entropy
+    minimiser of the exponential-condition and forward checks, and the
+    primal factor recursion of every window. The entries, by their keys:
+
+    - per tree: each node's one-step polytope (``polytope``) and its vertex
+      centroid, refused when the node has no equivalent one-step measure
+      (``centroid``); the reference conditionals (``reference``); and the
+      replication of 1/gamma (``replication``);
+    - per T: the feasibility map (``feasible``); and, keyed also by the
+      bits of a_shift at the time-T nodes, the factor C(node) of each node
+      some window ending at T has needed (``factors``), since C(node)
+      depends on the window's end and not on its start;
+    - per (t, T): the (max, min) range of E^Q[1/gamma_T | node] over the
+      product vertices (``inverse_gamma_range``);
+    - per (start, T): the window's leaves, their reference masses, its
+      martingale rows and its interior starting point (``window``);
+    - per (t, T, eta), keyed also by the bits of a_shift at the time-T
+      nodes: the ``dual_value`` result (``dual``). A window's program reads
+      the field only through gamma and a_shift at its time-T nodes, so a
+      shift moved before T (a perturbed root) reads the solves of the
+      shift construction, and one moved at a time-T node solves afresh.
+
+    Every entry is what a fresh call returns, bit for bit. The gamma is
+    fixed: a check given the context of another tree or gamma refuses it.
+    """
+
+    def __init__(self, tree: EventTree, gamma: Mapping[str, float]):
+        self.tree = tree
+        self.gamma = dict(gamma)
+        self._polytopes: dict[str, NodePolytope] = {}
+        self._centroids: dict[str, np.ndarray | None] = {}
+        self._reference: TreeMeasure | None = None
+        self._replication: ReplicationResult | None = None
+        self._feasible: dict[int, dict[str, bool]] = {}
+        self._factors: dict[tuple[int, bytes], tuple[dict, dict]] = {}
+        self._inverse_gamma: dict[tuple[int, int], dict] = {}
+        self._windows: dict[tuple[str, int], _Window] = {}
+        self._solved: dict[tuple[int, int, float, bytes], DualResult] = {}
+
+    def _shift_key(self, a_shift, T):
+        """The bits of a_shift at the time-T nodes: all of the shift that a
+        window ending at T reads."""
+        return np.array([a_shift[w] for w in self.tree.nodes_at(T)], dtype=float).tobytes()
+
+    def polytope(self, nid: str) -> NodePolytope:
+        if nid not in self._polytopes:
+            self._polytopes[nid] = node_polytope(self.tree, nid)
+        return self._polytopes[nid]
+
+    def centroid(self, nid: str) -> np.ndarray:
+        """The vertex centroid of a node's one-step polytope, a strictly
+        positive measure; ArbitrageError when the node has none."""
+        if nid not in self._centroids:
+            poly = self.polytope(nid)
+            equivalent = not poly.empty and poly.has_equivalent_point()
+            self._centroids[nid] = poly.centroid() if equivalent else None
+        center = self._centroids[nid]
+        if center is None:
+            raise ArbitrageError(
+                f"node {nid!r}: no equivalent one-step martingale measure; "
+                "dual program has no interior point"
+            )
+        return center
+
+    @property
+    def reference(self) -> TreeMeasure:
+        if self._reference is None:
+            self._reference = reference_measure(self.tree)
+        return self._reference
+
+    def replication(self) -> ReplicationResult:
+        if self._replication is None:
+            self._replication = replicate_inverse_gamma(self.tree, self.gamma)
+        return self._replication
+
+    def feasible(self, T: int) -> dict[str, bool]:
+        if T not in self._feasible:
+            self._feasible[T] = _feasible_map(self.tree, T)
+        return self._feasible[T]
+
+    def factors(self, a_shift: Mapping[str, float], T: int) -> tuple[dict, dict]:
+        """The (C, policy) maps of the factor recursion to T that
+        ``_exponential_factors`` fills, for this a_shift at the time-T nodes."""
+        key = (T, self._shift_key(a_shift, T))
+        if key not in self._factors:
+            self._factors[key] = ({}, {})
+        return self._factors[key]
+
+    def inverse_gamma_range(self, t: int, T: int) -> dict[str, dict]:
+        if (t, T) not in self._inverse_gamma:
+            self._inverse_gamma[(t, T)] = _inverse_gamma_range(self, t, T)
+        return self._inverse_gamma[(t, T)]
+
+    def window(self, start: str, T: int) -> _Window:
+        if (start, T) not in self._windows:
+            leaves, p = _window_leaves(self.tree, start, T)
+            rows = _martingale_rows(self.tree, start, T, leaves)
+            interior = _interior_start(self, start, T, leaves)
+            self._windows[(start, T)] = _Window(leaves, p, rows, interior)
+        return self._windows[(start, T)]
+
+    def dual(self, field: ExponentialFieldParams, eta: float, t: int, T: int) -> DualResult:
+        """``dual_value(tree, field, eta, t, T)``, solved once per key."""
+        key = (t, T, float(eta), self._shift_key(field.a_shift, T))
+        if key not in self._solved:
+            self._solved[key] = dual_value(self.tree, field, key[2], t, T, duals=self)
+        return self._solved[key]
+
+
+def _window_duals(duals, tree, gamma):
+    """The given context, checked against (tree, gamma), or a fresh one."""
+    if duals is None:
+        return WindowDuals(tree, gamma)
+    if duals.tree is not tree or duals.gamma != dict(gamma):
+        raise ValueError("window duals were built for another tree or gamma")
+    return duals
 
 
 # -- primal --------------------------------------------------------------
@@ -192,16 +332,36 @@ def replicate_inverse_gamma(tree: EventTree, gamma: Mapping[str, float]) -> Repl
     return ReplicationResult(feasible=True, psi=psi, failed_node=None, residual=worst)
 
 
-def _exponential_factors(tree, field, t, T):
-    """Scalar factor recursion C plus the one-step base policy per node."""
-    C: dict[str, float] = {}
-    policy: dict[str, float] = {}
+def _leaf_factor(node, a):
+    """C = e^a at a window leaf; a shift whose factor leaves the float
+    range (a above about 709.78 or below about -745.13) is refused."""
+    try:
+        c = math.exp(a)
+    except OverflowError:
+        c = math.inf
+    if not 0.0 < c < math.inf:
+        raise ForwardPerfError(
+            f"a_shift={a:g} at node {node!r}: the factor exp(a) is outside the float range"
+        )
+    return c
+
+
+def _exponential_factors(duals, field, t, T):
+    """Scalar factor recursion C plus the one-step base policy per node of
+    the window [t, T]. C(node) depends on T and not on t, so the nodes an
+    earlier window to T solved are read from the context ``duals``."""
+    tree = duals.tree
+    C, policy = duals.factors(field.a_shift, T)
     order = []
     for start in tree.nodes_at(t):
         order.extend(tree.window_interior(start, T))
         for w in tree.descendants_at(start, T):
-            C[w] = math.exp(field.a_shift[w])
-    for nid in sorted(order, key=lambda n: -tree.time_of(n)):
+            if w not in C:
+                C[w] = _leaf_factor(w, field.a_shift[w])
+    order.sort(key=lambda n: -tree.time_of(n))
+    for nid in order:
+        if nid in C:
+            continue
         branches = tree.branches_of(nid)
         weights = np.array([br.prob * C[br.child] for br in branches])
         slopes = np.array([-field.gamma[br.child] * br.dprice for br in branches])
@@ -211,7 +371,7 @@ def _exponential_factors(tree, field, t, T):
             raise ArbitrageError(f"node {nid!r}: {exc}") from exc
         C[nid] = value
         policy[nid] = pi0
-    return C, policy
+    return C, {n: policy[n] for n in order}
 
 
 def _check_field_type(field):
@@ -236,7 +396,12 @@ def _primal_values(gamma, factor, xi_by_node):
 
 
 def primal_value(
-    tree: EventTree, field: ExponentialFieldParams, xi, t: int = 0, T: int | None = None
+    tree: EventTree,
+    field: ExponentialFieldParams,
+    xi,
+    t: int = 0,
+    T: int | None = None,
+    duals: WindowDuals | None = None,
 ) -> PrimalResult:
     """Primal value field on [t, T] at wealth xi (scalar or per-node).
 
@@ -246,7 +411,9 @@ def primal_value(
     is solved, naming the first such node. The program depends on the
     window only, so ``PrimalResult.at`` reads it at any other wealth. A
     wealth at which u leaves the float range is refused with
-    ``WealthRangeError``.
+    ``WealthRangeError``, and a leaf shift whose factor e^a does with
+    ``ForwardPerfError``. ``duals`` shares the replication and the factor
+    recursion with the other windows of a scenario.
     """
     _check_field_type(field)
     if T is None:
@@ -262,13 +429,14 @@ def primal_value(
     for nid in needed:
         if not field.defined_at(nid):
             raise KeyError(f"field has no data at node {nid!r}")
-    rep = replicate_inverse_gamma(tree, field.gamma)
+    duals = _window_duals(duals, tree, field.gamma)
+    rep = duals.replication()
     if not rep.feasible:
         raise ReplicationError(
             "primal value requires the exponential fast path: no portfolio "
             f"replicates 1/gamma at node {rep.failed_node!r} (residual {rep.residual:.3g})"
         )
-    C, policy = _exponential_factors(tree, field, t, T)
+    C, policy = _exponential_factors(duals, field, t, T)
     gamma = {n: field.gamma[n] for n in starts}
     factor = {n: C[n] for n in starts}
     return PrimalResult(
@@ -287,18 +455,17 @@ def primal_value(
 # -- dual ----------------------------------------------------------------
 
 
-def _dual_solve_node(tree, start, T, leaf_phi):
+def _dual_solve_node(duals, start, T, leaf_phi):
     """Minimize sum_w phi_w(r_w) over the window's leaf-mass polytope."""
-    leaves, p = _window_leaves(tree, start, T)
-    A = np.vstack([np.ones(len(leaves)), _martingale_rows(tree, start, T, leaves)])
+    win = duals.window(start, T)
+    A = np.vstack([np.ones(len(win.leaves)), win.rows])
     b = np.zeros(A.shape[0])
     b[0] = 1.0
-    r0 = _interior_start(tree, start, T, leaves)
-    phi = leaf_phi(leaves, p)
-    r, _, info = barrier_minimize(phi, A, b, r0)
+    phi = leaf_phi(win.leaves, win.p)
+    r, _, info = barrier_minimize(phi, A, b, win.interior)
     vals, _, _ = phi(r)
     value = float(np.sum(vals))
-    return value, r, leaves, p, info
+    return value, r, win.leaves, info
 
 
 def _exp_phi_factory(field, eta):
@@ -307,10 +474,15 @@ def _exp_phi_factory(field, eta):
         ash = np.array([field.a_shift[w] for w in leaves])
         kappa = eta / (p * gam)
         lin = eta * ash / gam
+        slope = eta / gam
 
         def phi(r):
-            v = p * entropy_kernel(kappa * r) - lin * r
-            g = (eta / gam) * (np.log(kappa * r)) - lin
+            # entropy_kernel(y) = y log y - y, extended by 0 at y = 0, with
+            # the logarithm taken once for the value and the gradient
+            y = kappa * r
+            log_y = np.log(y)
+            v = p * np.where(y > 0.0, y * log_y - y, 0.0) - lin * r
+            g = slope * log_y - lin
             h = eta / (gam * r)
             return v, g, h
 
@@ -330,7 +502,7 @@ def _ray_scale(phi, s):
         return math.inf
 
 
-def _conjugate_solve_node(tree, field, start, T, xi_values):
+def _conjugate_solve_node(duals, field, start, T, xi_values):
     """u(xi) = inf over eta of v(eta) + xi eta at one start, one program per xi.
 
     In the unnormalised leaf masses s = eta r the two minimisations merge
@@ -353,11 +525,11 @@ def _conjugate_solve_node(tree, field, start, T, xi_values):
     range (the optimal eta is about exp(-gamma xi), so |gamma xi| of a few
     hundred).
     """
-    leaves, p = _window_leaves(tree, start, T)
-    A = _martingale_rows(tree, start, T, leaves)
+    win = duals.window(start, T)
+    A = win.rows
     b = np.zeros(A.shape[0])
-    s = _interior_start(tree, start, T, leaves)
-    unit = _exp_phi_factory(field, 1.0)(leaves, p)
+    s = win.interior
+    unit = _exp_phi_factory(field, 1.0)(win.leaves, win.p)
     out = []
     for x in xi_values:
 
@@ -381,13 +553,20 @@ def _conjugate_solve_node(tree, field, start, T, xi_values):
 
 
 def dual_value(
-    tree: EventTree, field: ExponentialFieldParams, eta, t: int = 0, T: int | None = None
+    tree: EventTree,
+    field: ExponentialFieldParams,
+    eta,
+    t: int = 0,
+    T: int | None = None,
+    duals: WindowDuals | None = None,
 ) -> DualResult:
     """Dual value field on [t, T] at dual argument eta (scalar or per-node).
 
     Minimizes the terminal dual expectation over all absolutely continuous
     martingale measures of the window; the reported minimizer includes a
-    near-boundary flag rather than an interiority assumption.
+    near-boundary flag rather than an interiority assumption. ``duals``
+    shares the window data and the reference measure with the other
+    programs of a scenario.
     """
     _check_field_type(field)
     if T is None:
@@ -398,6 +577,7 @@ def dual_value(
     eta_by_node = _per_node(eta, starts, "eta")
     if any(e < 0.0 for e in eta_by_node.values()):
         raise ValueError("eta must be nonnegative")
+    duals = _window_duals(duals, tree, field.gamma)
 
     result = DualResult(t=t, T=T, values={}, eta=eta_by_node)
     for start in starts:
@@ -410,52 +590,17 @@ def dual_value(
         if e == 0.0:
             # V(T, 0) = 0 identically, so any measure attains the value
             result.values[start] = 0.0
-            result.minimizer[start] = reference_measure(tree)
+            result.minimizer[start] = duals.reference
             result.kkt_residual[start] = 0.0
             result.near_boundary[start] = False
             continue
-        value, r, leaves, p, info = _dual_solve_node(tree, start, T, _exp_phi_factory(field, e))
+        value, r, leaves, info = _dual_solve_node(duals, start, T, _exp_phi_factory(field, e))
         result.values[start] = value
         masses = {w: float(ri) for w, ri in zip(leaves, r)}
-        result.minimizer[start] = measure_from_leaf_masses(tree, start, T, masses)
+        result.minimizer[start] = measure_from_leaf_masses(tree, start, T, masses, duals.reference)
         result.kkt_residual[start] = float(info["gap_bound"] + info["eq_residual"])
         result.near_boundary[start] = bool(np.min(r) < 1e-7)
     return result
-
-
-class WindowDuals:
-    """``dual_value`` of one tree and field per (t, T, eta), each solved once.
-
-    The checks of one scenario probe the same windows at the same dual
-    arguments: the dual self-generation grid, the conjugacy eta grid, and
-    the eta = 1 entropy minimiser of the exponential-condition and forward
-    checks. Passing one instance to each of them shares those solves; the
-    results are the ones a fresh ``dual_value`` call returns.
-    """
-
-    def __init__(self, tree: EventTree, field: ExponentialFieldParams):
-        self.tree = tree
-        self.field = field
-        self._solved: dict[tuple[int, int, float], DualResult] = {}
-
-    def __call__(self, eta: float, t: int, T: int) -> DualResult:
-        key = (t, T, float(eta))
-        if key not in self._solved:
-            self._solved[key] = dual_value(self.tree, self.field, key[2], t, T)
-        return self._solved[key]
-
-
-def _window_duals(duals, tree, field):
-    """The given shared duals, checked against (tree, field), or fresh ones."""
-    if duals is None:
-        return WindowDuals(tree, field)
-    if (
-        duals.tree is not tree
-        or duals.field.gamma != field.gamma
-        or duals.field.a_shift != field.a_shift
-    ):
-        raise ValueError("window duals were solved for another tree or field")
-    return duals
 
 
 # -- entropy -------------------------------------------------------------
@@ -474,12 +619,14 @@ def min_entropy(
     a_shift: Mapping[str, float],
     t: int = 0,
     T: int | None = None,
+    duals: WindowDuals | None = None,
 ) -> EntropyResult:
     """Minimal conditional entropy over the measure polytope, with minimizer.
 
     This is the dual program at unit dual argument: the splitting identity
     entropy_kernel(a b) = a*entropy_kernel(b) + b*entropy_kernel(a) + a*b
     makes the terminal dual expectation at eta = 1 equal to the entropy.
+    ``duals`` shares the program with the other checks of a scenario.
     """
     if T is None:
         T = tree.horizon
@@ -489,11 +636,16 @@ def min_entropy(
         gamma={n: gamma[n] for n in gamma},
         a_shift={n: a_shift.get(n, 0.0) for n in gamma},
     )
-    dual = dual_value(tree, field, 1.0, t, T)
+    dual = _window_duals(duals, tree, gamma).dual(field, 1.0, t, T)
     return EntropyResult(t=t, T=T, values=dict(dual.values), minimizer=dict(dual.minimizer))
 
 
-def solve_entropy_shift(tree: EventTree, gamma: Mapping[str, float], terminal_a) -> dict[str, float]:
+def solve_entropy_shift(
+    tree: EventTree,
+    gamma: Mapping[str, float],
+    terminal_a,
+    duals: WindowDuals | None = None,
+) -> dict[str, float]:
     """Backward construction of the additive shift from the entropy identity.
 
     Verifies first that every one-step polytope vertex preserves the
@@ -504,16 +656,19 @@ def solve_entropy_shift(tree: EventTree, gamma: Mapping[str, float], terminal_a)
 
     The dynamic-programming principle of the entropy minimum makes the
     resulting shift consistent over every window, not just to the horizon.
+    The eta = 1 programs to the horizon read only the terminal shift, so
+    through ``duals`` the checks of the scenario read them too.
     """
     leaves = tree.leaves()
     a_term = _per_node(terminal_a, leaves, "terminal_a")
     for nid in tree._dfs_order:
         if not (gamma[nid] > 0.0):
             raise ValueError(f"gamma must be positive, node {nid!r}")
+    duals = _window_duals(duals, tree, gamma)
     for nid in tree._dfs_order:
         if tree.is_leaf(nid):
             continue
-        poly = node_polytope(tree, nid)
+        poly = duals.polytope(nid)
         if poly.empty:
             raise ArbitrageError(f"node {nid!r}: empty one-step polytope")
         inv_children = np.array([1.0 / gamma[c] for c in poly.children])
@@ -526,7 +681,7 @@ def solve_entropy_shift(tree: EventTree, gamma: Mapping[str, float], terminal_a)
                 )
     a_out: dict[str, float] = dict(a_term)
     for t in range(tree.horizon - 1, -1, -1):
-        ent = min_entropy(tree, gamma, a_out, t, tree.horizon)
+        ent = min_entropy(tree, gamma, a_out, t, tree.horizon, duals=duals)
         for nid in tree.nodes_at(t):
             g = gamma[nid]
             a_out[nid] = g * (entropy_kernel(1.0 / g) - ent.values[nid])
@@ -542,6 +697,7 @@ def check_self_generation_primal(
     time_pairs,
     xi_grid,
     tol: float = 1e-6,
+    duals: WindowDuals | None = None,
 ) -> VerificationReport:
     """Per (t, T) and per xi: does the computed value reproduce the slice.
 
@@ -549,13 +705,15 @@ def check_self_generation_primal(
     every wealth of the grid. The gap is reported in shift units
     (|log C - a|), which is independent of the wealth argument; the worst
     raw value difference over the grid is recorded alongside. A gamma that
-    no portfolio replicates is refused by ``primal_value``.
+    no portfolio replicates is refused by ``primal_value``. ``duals``
+    shares the factor recursion to each T with the other checks.
     """
+    duals = _window_duals(duals, tree, field.gamma)
     report = VerificationReport()
     overall_gap = 0.0
     overall_node = None
     for (t, T) in time_pairs:
-        res = primal_value(tree, field, 0.0, t, T)
+        res = primal_value(tree, field, 0.0, t, T, duals=duals)
         gaps = {n: abs(res.log_factor[n] - field.a_shift[n]) for n in tree.nodes_at(t)}
         value_gap = 0.0
         for x in xi_grid:
@@ -607,7 +765,7 @@ def check_self_generation_dual(
     perturbation of the field shows up at exactly its own size. ``duals``
     shares the dual solves with the other checks of a scenario.
     """
-    duals = _window_duals(duals, tree, field)
+    duals = _window_duals(duals, tree, field.gamma)
     report = VerificationReport()
     overall_gap = 0.0
     overall_node = None
@@ -616,7 +774,7 @@ def check_self_generation_dual(
         value_gap = 0.0
         for e in eta_grid:
             e = float(e)
-            res = duals(e, t, T)
+            res = duals.dual(field, e, t, T)
             for n in tree.nodes_at(t):
                 g = field.gamma[n]
                 v = res.values[n]
@@ -680,9 +838,10 @@ def check_value_conjugacy(
       (u(xi) - xi eta), which for u(xi) = -exp(-gamma xi + log_factor) is
       ``conjugate_exponential(gamma, log_factor, eta)`` in closed form.
 
-    ``duals`` shares the eta-grid dual solves with the other checks of a
-    scenario. A gamma whose reciprocal no portfolio replicates is refused
-    by ``primal_value`` before anything is solved.
+    ``duals`` shares the eta-grid dual solves, the window data and the
+    factor recursion with the other checks of a scenario. A gamma whose
+    reciprocal no portfolio replicates is refused by ``primal_value``
+    before anything is solved.
     """
     xi_grid = [float(x) for x in xi_grid]
     eta_grid = sorted(float(e) for e in eta_grid)
@@ -693,12 +852,12 @@ def check_value_conjugacy(
     report = VerificationReport()
     starts = tree.nodes_at(t)
 
-    base = primal_value(tree, field, 0.0, t, T)
+    duals = _window_duals(duals, tree, field.gamma)
+    base = primal_value(tree, field, 0.0, t, T, duals=duals)
 
     def u_of(n, x):
         return -math.exp(-field.gamma[n] * x) * math.exp(base.log_factor[n])
 
-    duals = _window_duals(duals, tree, field)
     worst_primal = 0.0
     worst_dual = 0.0
     worst_node = None
@@ -707,7 +866,7 @@ def check_value_conjugacy(
     kkt: dict[str, float] = {}
     near: dict[str, bool] = {}
     for n in starts:
-        solves = _conjugate_solve_node(tree, field, n, T, xi_grid)
+        solves = _conjugate_solve_node(duals, field, n, T, xi_grid)
         for x, (cand, _, _, _) in zip(xi_grid, solves):
             gap = abs(cand - u_of(n, x))
             if gap > worst_primal:
@@ -718,7 +877,7 @@ def check_value_conjugacy(
         near[n] = any(flag for _, _, _, flag in solves)
         for e in eta_grid:
             v = conjugate_exponential(field.gamma[n], base.log_factor[n], e)
-            worst_dual = max(worst_dual, abs(v - duals(e, t, T).values[n]))
+            worst_dual = max(worst_dual, abs(v - duals.dual(field, e, t, T).values[n]))
     report.add(
         CheckRecord(
             check_tag=f"conjugacy-primal-from-dual[t={t},T={T}]",
@@ -747,16 +906,19 @@ def check_value_conjugacy(
     return report
 
 
-def _inverse_gamma_range(tree, gamma, t, T):
+def _inverse_gamma_range(duals, t, T):
     """Per start, per charged window node: (max, min) of E^Q[1/gamma_T | node]
     over the product vertices Q of [t, T]."""
+    gamma = duals.gamma
 
     def local(_nid, _kids, verts, kid_values):
         hi = max(sum(v * c_hi for v, (c_hi, _) in zip(vert, kid_values)) for vert in verts)
         lo = min(sum(v * c_lo for v, (_, c_lo) in zip(vert, kid_values)) for vert in verts)
         return hi, lo
 
-    return vertex_recursion(tree, t, T, lambda w: (1.0 / gamma[w],) * 2, local)
+    return vertex_recursion(
+        duals.tree, t, T, lambda w: (1.0 / gamma[w],) * 2, local, duals.feasible(T)
+    )
 
 
 def _inverse_gamma_gap(g, hi_lo):
@@ -785,7 +947,8 @@ def check_exponential_conditions(
     recursion over the one-step vertex sets (``_inverse_gamma_range``), and
     the gap at a start is the larger distance of either from 1/gamma there.
     The entropy minima are the eta = 1 window duals of the field (gamma,
-    a_shift), read from ``duals`` when given.
+    a_shift); they and the (max, min) ranges are read from ``duals`` when
+    given.
     """
     report = VerificationReport()
 
@@ -804,7 +967,8 @@ def check_exponential_conditions(
     # without time pairs no field is built, so a non-positive gamma only
     # fails the positivity record
     if time_pairs:
-        duals = _window_duals(duals, tree, ExponentialFieldParams(gamma, a_shift))
+        field = ExponentialFieldParams(gamma, a_shift)
+        duals = _window_duals(duals, tree, gamma)
     worst_b = 0.0
     worst_b_node = None
     worst_c = 0.0
@@ -812,7 +976,7 @@ def check_exponential_conditions(
     for (t, T) in time_pairs:
         gap_b = 0.0
         node_b = None
-        for n, by_node in _inverse_gamma_range(tree, gamma, t, T).items():
+        for n, by_node in duals.inverse_gamma_range(t, T).items():
             gap = _inverse_gamma_gap(gamma[n], by_node[n])
             if gap > gap_b:
                 gap_b, node_b = gap, n
@@ -829,7 +993,7 @@ def check_exponential_conditions(
         if gap_b > worst_b:
             worst_b, worst_b_node = gap_b, node_b
 
-        ent = duals(1.0, t, T)
+        ent = duals.dual(field, 1.0, t, T)
         gap_c = 0.0
         node_c = None
         for n in tree.nodes_at(t):
@@ -907,7 +1071,8 @@ def check_forward_supermartingale(
 
     with D(m) - a_m the worst drift at m; the record takes the largest over
     the charged nodes. The entropy minimiser is the eta = 1 window dual of
-    the field (gamma, a_shift), read from ``duals`` when given.
+    the field (gamma, a_shift); it, the (max, min) range and the window's
+    feasibility map are read from ``duals`` when given.
     """
     if T is None:
         T = tree.horizon
@@ -916,9 +1081,10 @@ def check_forward_supermartingale(
     for n in tree._dfs_order:
         if not (gamma[n] > 0.0):
             raise ValueError(f"gamma must be positive, node {n!r}")
+    duals = _window_duals(duals, tree, gamma)
 
     # vertex-level inverse-gamma mean precondition
-    for by_node in _inverse_gamma_range(tree, gamma, t, T).values():
+    for by_node in duals.inverse_gamma_range(t, T).values():
         for m, hi_lo in by_node.items():
             if _inverse_gamma_gap(gamma[m], hi_lo) > _INVERSE_GAMMA_TOL:
                 raise ValueError(
@@ -942,7 +1108,8 @@ def check_forward_supermartingale(
 
     worst_super = -math.inf
     worst_super_node = None
-    for by_node in vertex_recursion(tree, t, T, lambda w: a_shift[w], worst_drift).values():
+    drifts = vertex_recursion(tree, t, T, lambda w: a_shift[w], worst_drift, duals.feasible(T))
+    for by_node in drifts.values():
         for m, d in by_node.items():
             if d - a_shift[m] > worst_super:
                 worst_super, worst_super_node = d - a_shift[m], m
@@ -954,7 +1121,7 @@ def check_forward_supermartingale(
         fw_masses = {}
         for w in tree.descendants_at(start, T):
             fw_masses[w] = q.node_mass(tree, w, start=start) * gamma[start] / gamma[w]
-        qg = measure_from_leaf_masses(tree, start, T, fw_masses)
+        qg = measure_from_leaf_masses(tree, start, T, fw_masses, duals.reference)
         zg = density_process(tree, qg)
         z_start = zg.at(start)
         for m in tree.window_interior(start, T):
@@ -986,8 +1153,7 @@ def check_forward_supermartingale(
         )
     )
 
-    field = ExponentialFieldParams(gamma, a_shift)
-    ent = _window_duals(duals, tree, field)(1.0, t, T)
+    ent = duals.dual(ExponentialFieldParams(gamma, a_shift), 1.0, t, T)
     worst_eq = 0.0
     worst_eq_node = None
     for start in tree.nodes_at(t):

@@ -7,7 +7,9 @@ force over every product measure of a window, (for conjugacy) a
 one-dimensional search over the per-eta dual program, (for primal
 self-generation) a fresh ``primal_value`` solve per wealth -- the package's
 own program, so it checks only that one program per window reads the same
-at every wealth -- (for the conditional entropy and the martingale
+at every wealth -- (for the per-scenario context of the tree engine) each
+window's primal and dual programs rebuilt by a fresh call, (for the
+conditional entropy and the martingale
 property of a tree measure) sums over leaves and nodes from their
 definitions, (for the random kernels) the Philox rounds and the reduction
 tree computed from their definitions, (for the density and field paths)
@@ -383,6 +385,17 @@ def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6
         )
     )
     return report
+
+
+def window_programs_rebuilt(tree, field, windows, eta_grid):
+    """Every window's programs as they were solved before one context per
+    scenario shared them: per (t, T) the log factors of a fresh
+    ``primal_value`` at xi = 0, and per (t, T, eta) a fresh ``dual_value``,
+    each call building its own node data, factor recursion and window data.
+    Returns ({(t, T): log_factor}, {(t, T, eta): DualResult})."""
+    log_factor = {(t, T): primal_value(tree, field, 0.0, t, T).log_factor for t, T in windows}
+    duals = {(t, T, e): dual_value(tree, field, e, t, T) for t, T in windows for e in eta_grid}
+    return log_factor, duals
 
 
 # -- brute force over the product measures of a window --------------------

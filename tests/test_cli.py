@@ -19,7 +19,7 @@ import forwardperf.mc_verifier as mc_verifier
 import forwardperf.tree_verifier as tree_verifier
 import oracles
 from forwardperf.cli import main, run_ito_scenario
-from treegen import binomial_tree, trinomial_tree, two_period_tree
+from treegen import binomial_tree, random_tree, solved_field, trinomial_tree, two_period_tree
 
 BASE_TREE_DOC = {
     "schema_version": 1,
@@ -123,12 +123,13 @@ def test_tree_scenario_solves_each_window_dual_once(monkeypatch):
     monkeypatch.setattr(tree_verifier, "dual_value", counted)
     report = cli.run_tree_scenario(tree_doc())
     assert report.all_passed, report.to_text()
-    # solve_entropy_shift's two eta = 1 programs to the horizon, then each
-    # of the 3 windows at each of the 5 grid etas once: the entropy minima
-    # of the exponential-condition and forward checks and the conjugacy eta
-    # grid are among them
+    # each of the 3 windows at each of the 5 grid etas once, across the
+    # shift and the checks: solve_entropy_shift's two eta = 1 programs to
+    # the horizon come first, and the checks read them again; the entropy
+    # minima of the exponential-condition and forward checks and the
+    # conjugacy eta grid are among the 15 too
     assert calls[:2] == [(1, 2, 1.0), (0, 2, 1.0)]
-    assert sorted(calls[2:]) == sorted(
+    assert sorted(calls) == sorted(
         (t, T, eta) for (t, T) in ((0, 1), (0, 2), (1, 2)) for eta in (0.25, 0.5, 1.0, 2.0, 4.0)
     )
 
@@ -139,9 +140,70 @@ def test_tree_scenario_shared_duals_match_fresh_checks(monkeypatch, offsets):
     if offsets is not None:
         doc["a_shift"]["offsets"] = offsets
     shared = cli.run_tree_scenario(doc).to_json()
-    # without shared duals every check solves its own programs
-    monkeypatch.setattr(cli, "WindowDuals", lambda tree, field: None)
+    # without a shared context the shift and every check build their own
+    monkeypatch.setattr(cli, "WindowDuals", lambda tree, gamma: None)
     assert cli.run_tree_scenario(doc).to_json() == shared
+
+
+def random_tree_doc(a_shift, periods=4):
+    """The default scenario on random_tree(7, periods) with the gamma of
+    solved_field(tree, 7) given explicitly and the shift ``a_shift(tree,
+    field)`` makes."""
+    tree = random_tree(7, periods=periods)
+    field = solved_field(tree, 7)
+    doc = {
+        "schema_version": 1,
+        "kind": "tree-verify",
+        "tree": tree.to_dict(),
+        "gamma": {"mode": "explicit", "values": field.gamma},
+        "a_shift": a_shift(tree, field),
+    }
+    return doc
+
+
+# SHA-256 of two tree-verify reports, taken before the tree engine shared
+# its node data, factor recursions and shift solves across a scenario:
+# "explicit" is the scenario of BENCH_tree_scenario.json at d = 4, "solve"
+# builds the shift from the same terminal values and moves the root by 0.1
+PINNED_TREE_REPORT_SHA256 = {
+    "explicit": "53140caa81354b8abf68b416ba763eead07c74e9f4fff193815333802f212d3a",
+    "solve": "c958867093435394a071df8f5e2e951694cbc922489e298595a4b18536c56503",
+}
+PINNED_TREE_SHIFTS = {
+    "explicit": lambda tree, field: {"mode": "explicit", "values": field.a_shift},
+    "solve": lambda tree, field: {
+        "mode": "solve",
+        "terminal": {w: field.a_shift[w] for w in tree.leaves()},
+        "offsets": {"r": 0.1},
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TREE_REPORT_SHA256))
+def test_tree_report_bytes_pinned(case):
+    text = cli.run_tree_scenario(random_tree_doc(PINNED_TREE_SHIFTS[case])).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TREE_REPORT_SHA256[case]
+
+
+def test_tree_scenario_runs_each_factor_recursion_once(monkeypatch):
+    calls = []
+    original = tree_verifier.minimize_exp_sum
+
+    def counted(weights, slopes, *args, **kwargs):
+        calls.append(1)
+        return original(weights, slopes, *args, **kwargs)
+
+    monkeypatch.setattr(tree_verifier, "minimize_exp_sum", counted)
+    doc = random_tree_doc(PINNED_TREE_SHIFTS["explicit"], periods=3)
+    assert cli.run_tree_scenario(doc).all_passed
+    tree = random_tree(7, periods=3)
+    # C(node) of a window ending at T does not depend on the window's
+    # start: one minimisation per interior node and distinct T, across
+    # both primal checks and all six windows
+    interior = [n for n in tree._dfs_order if not tree.is_leaf(n)]
+    assert len(calls) == sum(
+        1 for T in range(1, 4) for n in interior if tree.time_of(n) < T
+    )
 
 
 def test_tree_scenario_refuses_xi_beyond_float_range(tmp_path, capsys):
@@ -190,6 +252,22 @@ def test_tree_scenario_refuses_wealth_outside_the_float_range(tmp_path, capsys):
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: xi=-800 at node 'r'")
+    assert "outside the float range" in err
+
+
+@pytest.mark.parametrize("check", ["primal-self-generation", "conjugacy"])
+def test_tree_scenario_refuses_leaf_shift_outside_the_float_range(tmp_path, capsys, check):
+    # the factor e^a at leaf u overflows a float
+    tree = binomial_tree()
+    doc = tree_doc(
+        tree=tree.to_dict(),
+        gamma={"mode": "replicate", "gamma0": 1.0, "psi": {"r": 0.1}},
+        a_shift={"mode": "explicit", "values": {"r": 0.0, "u": 800.0, "d": 0.0}},
+        checks=[check],
+    )
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a_shift=800 at node 'u'")
     assert "outside the float range" in err
 
 

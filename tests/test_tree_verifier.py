@@ -157,6 +157,18 @@ def test_primal_refuses_wealth_outside_the_float_range():
     assert issubclass(WealthRangeError, ValueError)
 
 
+@pytest.mark.parametrize("a", [800.0, -800.0])
+def test_primal_refuses_leaf_shift_outside_the_float_range(a):
+    # the factor e^a at leaf u overflows (or underflows to 0): a package
+    # error naming the node, before any minimisation runs
+    tree = binomial_tree()
+    field = ExponentialFieldParams(const_map(tree, 1.0), {"r": 0.0, "u": a, "d": 0.0})
+    with pytest.raises(ForwardPerfError, match=f"a_shift={a:g} at node 'u'"):
+        primal_value(tree, field, 0.0)
+    # 709 is inside the range
+    primal_value(tree, field.with_offsets({"u": 709.0 - a}), 0.0)
+
+
 def test_primal_check_refuses_a_slice_outside_the_float_range():
     # with the root shift raised by 1, u(-709.5) is finite but the slice
     # U(-709.5) = -exp(709.5 + a) it is compared with is not
@@ -271,9 +283,9 @@ def test_primal_check_solves_each_window_once(monkeypatch):
     calls = []
     run = tree_verifier._exponential_factors
 
-    def counted(tree, field, t, T):
+    def counted(duals, field, t, T):
         calls.append((t, T))
-        return run(tree, field, t, T)
+        return run(duals, field, t, T)
 
     monkeypatch.setattr(tree_verifier, "_exponential_factors", counted)
     xi = [-2.0, -0.5, 0.0, 0.5, 2.0]
@@ -662,9 +674,9 @@ def test_conjugacy_joint_solve_evidence():
 def test_window_duals_share_and_refuse_another_field():
     tree = two_period_tree()
     field = solved_field(tree, seed=23)
-    duals = WindowDuals(tree, field)
-    assert duals(1.0, 0, 2) is duals(1, 0, 2)
-    assert duals(2.0, 0, 2).values == dual_value(tree, field, 2.0, 0, 2).values
+    duals = WindowDuals(tree, field.gamma)
+    assert duals.dual(field, 1.0, 0, 2) is duals.dual(field, 1, 0, 2)
+    assert duals.dual(field, 2.0, 0, 2).values == dual_value(tree, field, 2.0, 0, 2).values
     # the exponential checks read the eta = 1 window duals they are given
     pairs = [(0, 2)]
     for check in (
@@ -672,16 +684,80 @@ def test_window_duals_share_and_refuse_another_field():
         lambda d: check_forward_supermartingale(tree, field.gamma, field.a_shift, 0, 2, duals=d),
     ):
         assert check(duals).to_json() == check(None).to_json()
-    assert set(duals._solved) == {(0, 2, 1.0), (0, 2, 2.0)}
-    bumped = field.with_offsets({"a1": 0.1})
-    with pytest.raises(ValueError, match="another tree or field"):
-        check_self_generation_dual(tree, bumped, pairs, [1.0], duals=duals)
-    with pytest.raises(ValueError, match="another tree or field"):
-        check_exponential_conditions(tree, bumped.gamma, bumped.a_shift, pairs, duals=duals)
-    with pytest.raises(ValueError, match="another tree or field"):
-        check_forward_supermartingale(tree, bumped.gamma, bumped.a_shift, 0, 2, duals=duals)
-    with pytest.raises(ValueError, match="another tree or field"):
+    assert [key[:3] for key in duals._solved] == [(0, 2, 1.0), (0, 2, 2.0)]
+    # the window [0, 2] reads the shift at time 2 only: a shift moved at
+    # time 1 reads the same entry, one moved at a leaf gets its own
+    moved_before = field.with_offsets({"a": 0.1})
+    assert duals.dual(moved_before, 1.0, 0, 2) is duals.dual(field, 1.0, 0, 2)
+    moved_leaf = field.with_offsets({"a1": 0.1})
+    fresh = dual_value(tree, moved_leaf, 1.0, 0, 2)
+    assert duals.dual(moved_leaf, 1.0, 0, 2).values == fresh.values
+    assert fresh.values != duals.dual(field, 1.0, 0, 2).values
+    assert len(duals._solved) == 3
+    # a context belongs to one tree and one gamma
+    other = ExponentialFieldParams({n: 2.0 * g for n, g in field.gamma.items()}, field.a_shift)
+    with pytest.raises(ValueError, match="another tree or gamma"):
+        check_self_generation_dual(tree, other, pairs, [1.0], duals=duals)
+    with pytest.raises(ValueError, match="another tree or gamma"):
+        check_self_generation_primal(tree, other, pairs, [0.0], duals=duals)
+    with pytest.raises(ValueError, match="another tree or gamma"):
+        check_exponential_conditions(tree, other.gamma, other.a_shift, pairs, duals=duals)
+    with pytest.raises(ValueError, match="another tree or gamma"):
+        check_forward_supermartingale(tree, other.gamma, other.a_shift, 0, 2, duals=duals)
+    with pytest.raises(ValueError, match="another tree or gamma"):
         check_value_conjugacy(two_period_tree(), field, 0, 2, [0.0], [1.0], duals=duals)
+
+
+def shifted_context(tree, seed, offsets):
+    """A context that solved the entropy shift of solved_field(tree, seed)'s
+    terminal values, and that shift moved by ``offsets``."""
+    solved = solved_field(tree, seed)
+    gamma = solved.gamma
+    terminal = {w: solved.a_shift[w] for w in tree.leaves()}
+    duals = WindowDuals(tree, gamma)
+    a_shift = solve_entropy_shift(tree, gamma, terminal, duals=duals)
+    return duals, ExponentialFieldParams(gamma, a_shift).with_offsets(offsets)
+
+
+def test_window_duals_resolve_a_window_whose_leaf_shift_moved():
+    tree = random_tree(7, periods=3)
+    duals, field = shifted_context(tree, 7, {tree.leaves()[0]: 0.1})
+    stale = {key[0]: res for key, res in duals._solved.items()}
+    assert [key[:3] for key in duals._solved] == [(2, 3, 1.0), (1, 3, 1.0), (0, 3, 1.0)]
+    for t in (0, 1, 2):
+        # not the shift construction's solve, which read the unmoved leaf,
+        # but the one a fresh dual_value returns
+        got = duals.dual(field, 1.0, t, 3)
+        fresh = dual_value(tree, field, 1.0, t, 3)
+        assert got is not stale[t] and got.values != stale[t].values
+        assert (got.values, got.minimizer) == (fresh.values, fresh.minimizer)
+    assert len(duals._solved) == 6
+    # moved at the root instead, the windows to the horizon read the shift's solves
+    duals, field = shifted_context(tree, 7, {tree.root: 0.1})
+    stale = {key[0]: res for key, res in duals._solved.items()}
+    assert all(duals.dual(field, 1.0, t, 3) is stale[t] for t in (0, 1, 2))
+
+
+@pytest.mark.parametrize("offsets", [{}, {"r": 0.1}, {"leaf": 0.1}])
+def test_shared_context_matches_per_window_rebuild(offsets):
+    tree = random_tree(7, periods=3)
+    offsets = {tree.leaves()[-1] if n == "leaf" else n: off for n, off in offsets.items()}
+    duals, solved = shifted_context(tree, 7, {})
+    windows = _window_pairs(tree)
+    etas = [0.5, 1.0, 2.0]
+    # one context serves the solved field, then the moved one
+    for field in (solved, solved.with_offsets(offsets)):
+        log_factor, rebuilt = oracles.window_programs_rebuilt(tree, field, windows, etas)
+        for (t, T) in windows:
+            primal = primal_value(tree, field, 0.0, t, T, duals=duals)
+            assert primal.log_factor == log_factor[(t, T)]
+            for e in etas:
+                got, want = duals.dual(field, e, t, T), rebuilt[(t, T, e)]
+                assert (got.values, got.minimizer) == (want.values, want.minimizer)
+                assert (got.kkt_residual, got.near_boundary) == (
+                    want.kkt_residual,
+                    want.near_boundary,
+                )
 
 
 def test_weak_duality_any_field():
