@@ -4,13 +4,15 @@ Draws 2**20 blocks (the blocks of ``2**20 / n_steps`` streams) for
 n_steps in 1, 4, 16, 64 and 256, with
 
 - ``generator``: ``forwardperf.kernels.philox4x64``, one
-  ``numpy.random.Philox`` call per stream;
+  ``numpy.random.Philox`` call per step, each drawing that step's block
+  for every stream;
 - ``oracle``: the Philox rounds in numpy with 32-bit limbs over the same
   counters (``tests/oracles.py``), computed for all blocks at once.
 
 Both outputs must be equal bit for bit. The generator pays a fixed cost per
-stream, so its lead over the oracle grows with n_steps. Writes the median
-and spread (min, max) of the repeats as JSON. Usage:
+step, so at a fixed block count its lead over the oracle shrinks as
+n_steps grows (fewer streams share each call). Writes the median and
+spread (min, max) of the repeats as JSON. Usage:
 
     PYTHONPATH=src:tests python benchmarks/bench_kernels.py \\
         [--repeat 5] [--out BENCH_kernels.json]
@@ -89,7 +91,7 @@ def main():
         "benchmark": "kernels",
         "what": {
             "generator": "forwardperf.kernels.philox4x64: numpy.random.Philox, "
-            "one random_raw call per stream",
+            "one random_raw call per step",
             "oracle": "tests/oracles.py philox_field_blocks: Philox rounds in numpy, "
             "32-bit limbs, all counters at once",
         },

@@ -7,9 +7,8 @@ Simulates the README model (antithetic paths x 64 steps) at 10k, 50k and
   (n_paths, 65) matrices and at the columns ``MonteCarloPass`` reads for
   the default checks (``time_indices`` 0, 32, 64 and the horizon);
 - ``build_forward_exponential``: the same two requests;
-- ``oracle``: the whole-matrix formulas of ``tests/oracles.py`` (one numpy
-  expression per quantity over every path), the route the package took
-  before its kernels were built in row blocks.
+- ``oracle``: the whole-matrix statements of ``tests/oracles.py``, the
+  same running-sum construction over every path, column by column.
 
 Every column request must equal the oracle's columns bit for bit. Each
 route also records its tracemalloc peak in one untimed call. Writes the
@@ -34,7 +33,6 @@ import numpy as np
 import oracles
 from forwardperf import kernels
 from forwardperf.ito_engine import (
-    BLOCK_ROWS,
     CoefficientSpec,
     build_forward_exponential,
     martingale_density,
@@ -131,14 +129,13 @@ def main():
     doc = {
         "benchmark": "mc_columns",
         "what": {
-            "oracle": "tests/oracles.py whole-matrix formulas (density_path_full, "
+            "oracle": "tests/oracles.py whole-matrix statements (density_path_full, "
             "forward_exponential_full)",
             "full": "the package kernel asked for every grid column",
             "columns": "the package kernel asked for MonteCarloPass.columns",
         },
         "model": "README model, antithetic paths",
         "columns": cols,
-        "block_rows": BLOCK_ROWS,
         "seed": SEED,
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),

@@ -25,6 +25,14 @@ Reproducibility: every Gaussian increment is a fixed function of
 (seed, stream index, step index) through the counter-based generator in
 ``kernels``, and reductions over paths use a fixed pairwise order, so
 results are independent of chunking.
+
+Densities and field paths are read from two running sums per simulation,
+S_B and S_W, the sums of dB and dW along each path. A piecewise-constant
+coefficient v makes its stochastic integral at a grid column c a fixed
+function of the path: V(0) = 0, V(e) = V(s) + v (S(e) - S(s)) over each
+constant run [s, e) in time order, and V(s) + v (S(c) - S(s)) at a column c
+inside a run. A value at c is therefore the same whichever other columns
+are built, and a scenario's loads all share the two sums.
 """
 
 from __future__ import annotations
@@ -42,11 +50,6 @@ from .kernels import Workspace, gaussian_field
 from .report import CheckRecord, VerificationReport
 
 _ALIGN_TOL = 1e-12
-
-# paths per block of the density and field kernels: a block's increments
-# and running sums (about 0.26 MB each at 64 steps) stay in L2 cache
-BLOCK_ROWS = 512
-
 
 @dataclass(frozen=True)
 class CoefficientSpec:
@@ -115,11 +118,17 @@ class CoefficientSpec:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated increments on a uniform grid, and the price paths they
-    drive.
+    """Simulated increments on a uniform grid, their running sums, and the
+    price paths they drive.
 
-    ``dB``/``dW`` have shape (n_paths, n_steps). The price ``s``, shape
-    (n_paths, n_steps + 1) with s[:, 0] = s0, is summed from them each
+    ``dB``/``dW`` have shape (n_paths, n_steps). ``sum_dB``/``sum_dW`` hold
+    the running sums of their drawn rows along each path, 0 in column 0 and
+    np.cumsum's sequential sums after it, shape (n_streams, n_steps + 1):
+    every row without pairing, the even rows with it (an odd row's sums are
+    the negated sums of its partner, bit for bit). The density and field
+    kernels read every value from these. All four are stored time-major, so
+    a grid column is contiguous. The price ``s``, shape
+    (n_paths, n_steps + 1) with s[:, 0] = s0, is summed from ``dB`` each
     time it is read; no check reads it. With antithetic pairing,
     paths 2i and 2i+1 share a Gaussian stream with opposite signs. Row 0
     draws from stream ``stream_offset``, so it is path ``first_path`` of
@@ -140,7 +149,9 @@ class PathBundle:
     phi: np.ndarray
     rho: np.ndarray
     stream_offset: int
-    # scratch of the simulation, reused by the density and field kernels
+    sum_dB: np.ndarray
+    sum_dW: np.ndarray
+    # scratch of the simulation: the draws' tiles and the buffers above
     work: Workspace = field(repr=False, compare=False)
 
     @property
@@ -198,10 +209,11 @@ def simulate_paths(
     a simulation that starts at stream 0: a large simulation can be run as
     consecutive stream ranges (see ``chunk_bounds``), one bundle at a time.
 
-    The draws and increments live in the ``Workspace`` ``work`` (a fresh
-    one by default). Runs over one workspace allocate them once, and each
-    run's bundle holds memory that the next run overwrites: read a bundle
-    before simulating the next one on the same workspace.
+    The draws, the increments and their running sums live in the
+    ``Workspace`` ``work`` (a fresh one by default). Runs over one
+    workspace allocate them once, and each run's bundle holds memory that
+    the next run overwrites: read a bundle before simulating the next one
+    on the same workspace.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -215,8 +227,8 @@ def simulate_paths(
     # the normals land in the even rows of dB and dW (all rows without
     # pairing) and are scaled there; odd rows are their antithetic partners
     per = 2 if antithetic else 1
-    dB = work.take("dB", (n_paths, n_steps))
-    dW = work.take("dW", (n_paths, n_steps))
+    dB = work.take("dB", (n_steps, n_paths)).T
+    dW = work.take("dW", (n_steps, n_paths)).T
     gaussian_field(
         seed, n_streams, n_steps, stream_offset=stream_offset,
         out=(dB[0::per], dW[0::per]), work=work,
@@ -226,6 +238,8 @@ def simulate_paths(
         d[0::per] *= sdt
         if antithetic:
             np.negative(d[0::2], out=d[1::2])
+    sum_dB = _running_sums(dB[0::per].T, work.take("sum_dB", (n_steps + 1, n_streams))).T
+    sum_dW = _running_sums(dW[0::per].T, work.take("sum_dW", (n_steps + 1, n_streams))).T
 
     bundle = PathBundle(
         spec=spec,
@@ -242,10 +256,12 @@ def simulate_paths(
         phi=coeffs["phi"],
         rho=coeffs["rho"],
         stream_offset=int(stream_offset),
+        sum_dB=sum_dB,
+        sum_dW=sum_dW,
         work=work,
     )
-    for arr in (bundle.grid, bundle.dB, bundle.dW, bundle.theta,
-                bundle.delta, bundle.phi, bundle.rho):
+    for arr in (bundle.grid, bundle.dB, bundle.dW, bundle.sum_dB, bundle.sum_dW,
+                bundle.theta, bundle.delta, bundle.phi, bundle.rho):
         arr.setflags(write=False)
     return bundle
 
@@ -259,11 +275,11 @@ def _per_step(bundle: PathBundle, value, name: str) -> np.ndarray:
     return arr
 
 
-def _grid_columns(n_steps: int, columns) -> np.ndarray | None:
+def _grid_columns(n_steps: int, columns) -> np.ndarray:
     """The grid indices 0 .. n_steps a kernel keeps, in the order given;
-    None keeps the full grid."""
+    None is the full grid."""
     if columns is None:
-        return None
+        return np.arange(n_steps + 1)
     cols = np.array([operator.index(c) for c in columns], dtype=np.intp)
     bad = cols[(cols < 0) | (cols > n_steps)]
     if bad.size:
@@ -271,35 +287,55 @@ def _grid_columns(n_steps: int, columns) -> np.ndarray | None:
     return cols
 
 
-def _running_sums(
-    n_paths: int, n_steps: int, cols, n_sums: int, fill, work: Workspace
-) -> list[np.ndarray]:
-    """Running sums over the grid of ``n_sums`` per-step increment fields,
-    built one block of ``BLOCK_ROWS`` paths at a time.
+def _running_sums(d, out):
+    """Running sums of the time-major increments ``d`` (n_steps, n_rows)
+    into ``out`` (n_steps + 1, n_rows): 0 in row 0, then the sequential
+    sums np.cumsum gives, one vector add per grid step."""
+    out[0] = 0.0
+    out[1] = d[0]
+    for k in range(1, d.shape[0]):
+        np.add(out[k], d[k], out=out[k + 1])
+    return out
 
-    ``fill(rows, incs)`` writes the increments of the paths in the slice
-    ``rows`` into the ``n_sums`` contiguous arrays ``incs``, each
-    (rows, n_steps). Each is summed along its rows, from 0 at column 0, by
-    the ``np.cumsum`` a whole matrix would get, so every value is the same
-    whatever the block. Returns one (n_paths, n_steps + 1) array per sum
-    when ``cols`` is None, else one (n_paths, len(cols)) array holding the
-    grid columns ``cols`` only. The block buffers come from ``work``.
+
+def _cumulative(per_step: np.ndarray) -> np.ndarray:
+    """Deterministic running sum over the grid, 0 at column 0."""
+    return np.concatenate(([0.0], np.cumsum(per_step)))
+
+
+def _integral(bundle: PathBundle, sums: np.ndarray, v: np.ndarray, cols: np.ndarray):
+    """Integral of the per-step coefficients ``v`` against the increments
+    whose running sums are ``sums`` (``bundle.sum_dB`` or ``sum_dW``), at
+    the grid columns ``cols``: a time-major (len(cols), n_paths) array.
+
+    ``v`` is split into maximal constant runs [s, e). The value at each run
+    boundary is fixed in time order, V(0) = 0 and
+    V(e) = V(s) + v_run (S(e) - S(s)), and a column c of the run with
+    s < c <= e (column 0 in the first run) reads
+    V(s) + v_run (S(c) - S(s)). So the value at c is the same whatever
+    other columns are asked for, and the work is one vector operation
+    per run and per column. With antithetic pairing the drawn rows' values
+    are negated into their partners' rows: every operation is odd in the
+    sums, so that is what the partners' own sums would give.
     """
-    keep = slice(None) if cols is None else cols
-    width = n_steps + 1 if cols is None else cols.size
-    outs = [np.empty((n_paths, width)) for _ in range(n_sums)]
-    block = min(BLOCK_ROWS, n_paths)
-    incs = [work.take(f"incs{k}", (block, n_steps)) for k in range(n_sums)]
-    sums = work.take("sums", (block, n_steps + 1))
-    sums[:, 0] = 0.0
-    for r0 in range(0, n_paths, BLOCK_ROWS):
-        rows = slice(r0, min(r0 + BLOCK_ROWS, n_paths))
-        m = rows.stop - r0
-        fill(rows, [inc[:m] for inc in incs])
-        for inc, out in zip(incs, outs):
-            np.cumsum(inc[:m], axis=1, out=sums[:m, 1:])
-            out[rows] = sums[:m, keep]
-    return outs
+    sums = sums.T  # time-major: a grid column is a contiguous row
+    starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
+    ends = np.append(starts[1:], v.size)
+    run = np.searchsorted(ends, cols)
+    at_start = np.zeros((run.max(initial=0) + 1, sums.shape[1]))
+    for j in range(at_start.shape[0] - 1):
+        at_start[j + 1] = at_start[j] + v[starts[j]] * (sums[ends[j]] - sums[starts[j]])
+    first = starts[run]
+    x = sums[cols]
+    x -= sums[first]
+    x *= v[first][:, None]
+    x += at_start[run]
+    if not bundle.antithetic:
+        return x
+    out = np.empty((x.shape[0], 2 * x.shape[1]))
+    out[:, 0::2] = x
+    np.negative(x, out=out[:, 1::2])
+    return out
 
 
 def density_path(bundle: PathBundle, nu1, nu2, columns=None) -> np.ndarray:
@@ -308,27 +344,19 @@ def density_path(bundle: PathBundle, nu1, nu2, columns=None) -> np.ndarray:
     Returns the full path, shape (n_paths, n_steps + 1), column 0 equal
     to 1; with ``columns``, only those grid columns, shape
     (n_paths, len(columns)), bit for bit the same values. Piecewise-constant
-    loads make this the exact stochastic exponential at grid times.
+    loads make this the exact stochastic exponential at grid times:
+    log z = integral(-nu1 dB) + integral(-nu2 dW) - (1/2) integral
+    (nu1^2 + nu2^2) dt, each stochastic integral read from the bundle's
+    running sums (see ``_integral``).
     """
     nu1 = _per_step(bundle, nu1, "nu1")
     nu2 = _per_step(bundle, nu2, "nu2")
     cols = _grid_columns(bundle.n_steps, columns)
-    neg_nu1 = -nu1
-    drift = 0.5 * (nu1**2 + nu2**2) * bundle.dt
-    n_paths = bundle.dB.shape[0]
-    w_load = bundle.work.take("aux", (min(BLOCK_ROWS, n_paths), bundle.n_steps))
-
-    def fill(rows, incs):
-        (incr,) = incs
-        w = w_load[: incr.shape[0]]
-        # -nu1 dB - nu2 dW - (1/2)(nu1^2 + nu2^2) dt, in that order
-        np.multiply(neg_nu1, bundle.dB[rows], out=incr)
-        np.multiply(nu2, bundle.dW[rows], out=w)
-        incr -= w
-        incr -= drift
-
-    (log_z,) = _running_sums(n_paths, bundle.n_steps, cols, 1, fill, bundle.work)
-    return np.exp(log_z, out=log_z)
+    drift = _cumulative(0.5 * (nu1**2 + nu2**2) * bundle.dt)
+    log_z = _integral(bundle, bundle.sum_dB, -nu1, cols)
+    log_z += _integral(bundle, bundle.sum_dW, -nu2, cols)
+    log_z -= drift[cols][:, None]
+    return np.exp(log_z, out=log_z).T
 
 
 def martingale_density(bundle: PathBundle, nu2, columns=None) -> np.ndarray:
@@ -369,44 +397,28 @@ def build_forward_exponential(
         raise ValueError("gamma0 must be positive")
     cols = _grid_columns(bundle.n_steps, columns)
     dt = bundle.dt
-    n_paths = bundle.dB.shape[0]
-    theta_dt = bundle.theta * dt
-    log_inv_drift = 0.5 * bundle.delta**2 * dt
-    ds = bundle.work.take("aux", (min(BLOCK_ROWS, n_paths), bundle.n_steps))
-
-    def fill(rows, incs):
-        log_inv, rho_s, phi_w = incs
-        d = ds[: log_inv.shape[0]]
-        np.add(theta_dt, bundle.dB[rows], out=d)  # rows of bundle.ds
-        np.multiply(bundle.delta, d, out=log_inv)
-        log_inv -= log_inv_drift
-        np.multiply(bundle.rho, d, out=rho_s)
-        np.multiply(bundle.phi, bundle.dW[rows], out=phi_w)
-
-    inv_gamma, a_shift, phi_w = _running_sums(
-        n_paths, bundle.n_steps, cols, 3, fill, bundle.work
-    )
+    theta, delta, phi, rho = bundle.theta, bundle.delta, bundle.phi, bundle.rho
+    # log(1/gamma) = integral delta dS - (1/2) integral delta^2 dt
+    inv_gamma = _integral(bundle, bundle.sum_dB, delta, cols)
+    inv_gamma += _cumulative(delta * theta * dt - 0.5 * delta**2 * dt)[cols][:, None]
     np.exp(inv_gamma, out=inv_gamma)
     inv_gamma /= gamma0
-
-    keep = slice(None) if cols is None else cols
-    drift = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (bundle.theta - bundle.delta) ** 2 * dt))
-    )[keep]
-    phi_cost = np.concatenate(([0.0], np.cumsum(0.5 * bundle.phi**2 * dt)))[keep]
-    # a0 + drift + rho_s / inv_gamma - phi_cost - phi_w, in place of rho_s
-    np.divide(a_shift, inv_gamma, out=a_shift)
-    np.add(a0 + drift[None, :], a_shift, out=a_shift)
-    a_shift -= phi_cost[None, :]
-    a_shift -= phi_w
+    # integral rho dS / inv_gamma, then the deterministic drift
+    # a0 + (1/2) integral ((theta - delta)^2 - phi^2) dt, then - integral phi dW
+    a_shift = _integral(bundle, bundle.sum_dB, rho, cols)
+    a_shift += _cumulative(rho * theta * dt)[cols][:, None]
+    a_shift /= inv_gamma
+    drift = a0 + _cumulative(0.5 * (theta - delta) ** 2 * dt - 0.5 * phi**2 * dt)
+    a_shift += drift[cols][:, None]
+    a_shift -= _integral(bundle, bundle.sum_dW, phi, cols)
     inv_gamma.setflags(write=False)
     a_shift.setflags(write=False)
     return FieldPaths(
         gamma0=float(gamma0),
         a0=float(a0),
-        inv_gamma=inv_gamma,
-        a_shift=a_shift,
-        columns=None if cols is None else tuple(cols.tolist()),
+        inv_gamma=inv_gamma.T,
+        a_shift=a_shift.T,
+        columns=tuple(cols.tolist()),
     )
 
 

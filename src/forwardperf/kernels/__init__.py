@@ -6,9 +6,12 @@ alone, so results can never depend on execution order or on how work was
 chunked across workers.
 
 The blocks are Philox-4x64-10 (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11) at counter (step, stream, 0, 0) with key
-(seed, 0), drawn from ``numpy.random.Philox``. Means over paths use the
-canonical pairwise reduction tree below, which is fixed by the element
+easy as 1, 2, 3", SC'11) at counter (stream, step, 0, 0) with key
+(seed, 0), drawn from ``numpy.random.Philox``. numpy increments the
+counter word 0 first, so the blocks of one step for a run of consecutive
+streams are consecutive counters: one ``random_raw`` call per step draws
+them all, and the cost is per step, not per stream. Means over paths use
+the canonical pairwise reduction tree below, which is fixed by the element
 indices alone.
 """
 
@@ -54,33 +57,39 @@ def _check_out(out, shape, dtype):
         raise ValueError(f"out must be a C-contiguous {np.dtype(dtype)} array of shape {shape}")
 
 
-def philox4x64(seed, n_streams, n_steps, stream_offset=0, out=None):
-    """Philox-4x64-10 blocks for streams ``stream_offset + i``, i < n_streams.
+def philox4x64(seed, n_streams, n_steps, stream_offset=0, step_offset=0, out=None):
+    """Philox-4x64-10 blocks for streams ``stream_offset + i``, i < n_streams,
+    at steps ``step_offset + k``, k < n_steps.
 
-    Returns an (n_streams * n_steps, 4) uint64 array whose row
-    ``i * n_steps + k`` is the block at counter (k, stream_offset + i, 0, 0)
-    under key (seed, 0): ``out`` when given, which must be that array.
+    Returns an (n_steps * n_streams, 4) uint64 array whose row
+    ``k * n_streams + i`` is the block at counter
+    (stream_offset + i, step_offset + k, 0, 0) under key (seed, 0): ``out``
+    when given, which must be that array.
 
-    numpy's Philox increments its 256-bit counter before each block, so a
-    stream s starts one step before (0, s, 0, 0): at (2**64-1, s-1, 0, 0),
-    or at all ones for s = 0, where the increment carries through every
-    word. With the buffer emptied, one ``random_raw`` call then yields the
-    stream's blocks in step order.
+    numpy's Philox increments its 256-bit counter, word 0 first, before
+    each block, so a step k starts one stream before (s, k, 0, 0): at
+    (s-1, k, 0, 0), or for s = 0 at (2**64-1, k-1, 0, 0), or at all ones
+    for s = k = 0, where the increment carries through every word. With
+    the buffer emptied, one ``random_raw`` call then yields the step's
+    blocks in stream order.
     """
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     state = bitgen.state
     state["buffer_pos"] = 4
     counter = state["state"]["counter"]
-    shape = (n_streams * n_steps, 4)
+    shape = (n_steps * n_streams, 4)
     if out is None:
         out = np.empty(shape, dtype=np.uint64)
     _check_out(out, shape, np.uint64)
-    rows = out.reshape(n_streams, 4 * n_steps)
-    for i in range(n_streams):
-        s = stream_offset + i
-        counter[:] = (U64_MAX, s - 1, 0, 0) if s else U64_MAX
+    rows = out.reshape(n_steps, 4 * n_streams)
+    for j in range(n_steps):
+        k = step_offset + j
+        if stream_offset:
+            counter[:] = (stream_offset - 1, k, 0, 0)
+        else:
+            counter[:] = (U64_MAX, k - 1, 0, 0) if k else U64_MAX
         bitgen.state = state
-        rows[i] = bitgen.random_raw(4 * n_steps)
+        rows[j] = bitgen.random_raw(4 * n_streams)
     return out
 
 
@@ -131,11 +140,14 @@ def gaussian_field(seed, n_streams, n_steps, stream_offset=0, out=None, work=Non
     ``seed`` and every stream index must fit in 64 bits.
 
     The fields are written into ``out``, a pair of (n_streams, n_steps)
-    float64 arrays whose rows are contiguous (fresh arrays by default),
-    and returned. The streams are drawn a tile of about ``TILE_BLOCKS``
-    blocks at a time, and Box-Muller runs in place in the fields; the
-    tile's blocks and uniforms live in the ``Workspace`` ``work`` (a fresh
-    one by default), so repeated calls on one workspace allocate nothing.
+    float64 arrays (fresh arrays by default), and returned. They are drawn
+    a tile of at most ``TILE_BLOCKS`` blocks at a time: up to that many
+    consecutive streams, at as many steps as fit. Box-Muller runs in place
+    in the tile's uniforms, and writes the normals into the fields through
+    a transposed (step-major) view, which is contiguous when the fields are
+    time-major. The tile's blocks and uniforms live in the ``Workspace``
+    ``work`` (a fresh one by default), so repeated calls on one workspace
+    allocate nothing.
     """
     if n_streams < 0 or n_steps <= 0:
         raise ValueError("need n_streams >= 0 and n_steps >= 1")
@@ -148,24 +160,28 @@ def gaussian_field(seed, n_streams, n_steps, stream_offset=0, out=None, work=Non
         out = (np.empty((n_streams, n_steps)), np.empty((n_streams, n_steps)))
     if work is None:
         work = Workspace()
-    tile = max(1, TILE_BLOCKS // n_steps)
-    for i0 in range(0, n_streams, tile):
-        rows = slice(i0, min(i0 + tile, n_streams))
-        m = rows.stop - i0
-        blocks = philox4x64(
-            seed, m, n_steps, int(stream_offset) + i0,
-            out=work.take("blocks", (m * n_steps, 4), np.uint64),
-        )
-        u = uniform_open(blocks, out=work.take("uniforms", (m * n_steps, 4)))
-        u = u.reshape(m, n_steps, 4)
-        angle = work.take("angle", (m, n_steps))
-        for z, r_col, a_col in ((out[0], 0, 1), (out[1], 2, 3)):
-            # sqrt(-2 log u_r) cos(2 pi u_a), in place of the field's rows
-            r = z[rows]
-            np.log(u[..., r_col], out=r)
-            r *= -2.0
-            np.sqrt(r, out=r)
-            np.multiply(2.0 * np.pi, u[..., a_col], out=angle)
-            np.cos(angle, out=angle)
-            r *= angle
+    width = max(1, min(n_streams, TILE_BLOCKS))
+    depth = max(1, TILE_BLOCKS // width)
+    for i0 in range(0, n_streams, width):
+        i1 = min(i0 + width, n_streams)
+        m = i1 - i0
+        for k0 in range(0, n_steps, depth):
+            k1 = min(k0 + depth, n_steps)
+            nk = k1 - k0
+            blocks = philox4x64(
+                seed, m, nk, int(stream_offset) + i0, k0,
+                out=work.take("blocks", (nk * m, 4), np.uint64),
+            )
+            # word w of every block in row w: contiguous inputs for Box-Muller
+            u = uniform_open(blocks.T, out=work.take("uniforms", (4, nk * m)))
+            u = u.reshape(4, nk, m)
+            for z, (r, a) in zip(out, (u[:2], u[2:])):
+                # sqrt(-2 log u_r) cos(2 pi u_a), in place of the uniforms,
+                # the product written through a transposed view of the tile
+                np.log(r, out=r)
+                r *= -2.0
+                np.sqrt(r, out=r)
+                a *= 2.0 * np.pi
+                np.cos(a, out=a)
+                np.multiply(r, a, out=z[i0:i1, k0:k1].T)
     return out

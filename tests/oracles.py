@@ -589,12 +589,14 @@ def philox4x64(key0, key1, c0, c1):
     return np.stack([x0, x1, x2, x3], axis=1)
 
 
-def philox_field_blocks(seed, n_streams, n_steps, stream_offset=0):
-    """The blocks the Gaussian field reads: counter (step, stream), key (seed, 0),
-    one row per (stream, step) in stream-major order."""
-    streams = np.arange(stream_offset, stream_offset + n_streams, dtype=np.uint64)
-    c0 = np.tile(np.arange(n_steps, dtype=np.uint64), n_streams)
-    c1 = np.repeat(streams, n_steps)
+def philox_field_blocks(seed, n_streams, n_steps, stream_offset=0, step_offset=0):
+    """The blocks the Gaussian field reads: counter (stream, step), key
+    (seed, 0), one row per (step, stream) in step-major order, the streams
+    from ``stream_offset`` and the steps from ``step_offset`` on."""
+    streams = np.arange(n_streams, dtype=np.uint64) + np.uint64(stream_offset)
+    steps = np.arange(n_steps, dtype=np.uint64) + np.uint64(step_offset)
+    c0 = np.tile(streams, n_steps)
+    c1 = np.repeat(steps, n_streams)
     return philox4x64(seed, 0, c0, c1)
 
 
@@ -607,7 +609,7 @@ def gaussian_field_whole(seed, n_streams, n_steps, stream_offset=0):
     r2 = np.sqrt(-2.0 * np.log(u[:, 2]))
     z1 = r1 * np.cos((2.0 * np.pi) * u[:, 1])
     z2 = r2 * np.cos((2.0 * np.pi) * u[:, 3])
-    return z1.reshape(n_streams, n_steps), z2.reshape(n_streams, n_steps)
+    return z1.reshape(n_steps, n_streams).T, z2.reshape(n_steps, n_streams).T
 
 
 def pairwise_sum(x):
@@ -629,9 +631,42 @@ def pairwise_sum(x):
 
 # -- density and field paths -------------------------------------------------
 #
-# The package builds these one block of paths at a time, and only at the grid
-# columns asked for; these are the whole-matrix formulas, one numpy expression
-# per quantity over every path and grid time.
+# The package reads every value from two running sums per simulation, one
+# vector operation per constant run of a coefficient and per grid column
+# asked for. The first oracles state that construction over whole matrices,
+# column by column, for the bit-for-bit comparison; the ``*_per_step``
+# oracles are the earlier formulas, one cumsum of per-step increments per
+# quantity, which agree with it to rounding.
+
+
+def running_sums(d):
+    """(n_paths, n_steps + 1) running sums of the increments ``d`` along each
+    row, 0 in column 0."""
+    out = np.zeros((d.shape[0], d.shape[1] + 1))
+    np.cumsum(d, axis=1, out=out[:, 1:])
+    return out
+
+
+def _cumulative(per_step):
+    return np.concatenate(([0.0], np.cumsum(per_step)))
+
+
+def integral_from_sums(sums, v):
+    """Every grid column of the integral of the per-step coefficients ``v``
+    against the increments whose running sums are ``sums``.
+
+    A constant run of ``v`` that starts at step s carries the value at
+    column s forward: column c of that run is V(s) + v[s] (S(c) - S(s)),
+    with V(0) = 0.
+    """
+    v = np.broadcast_to(np.asarray(v, dtype=float), (sums.shape[1] - 1,))
+    out = np.zeros(sums.shape)
+    s = 0
+    for c in range(1, sums.shape[1]):
+        if v[c - 1] != v[s]:
+            s = c - 1
+        out[:, c] = out[:, s] + v[s] * (sums[:, c] - sums[:, s])
+    return out
 
 
 def density_path_full(bundle, nu1, nu2):
@@ -639,39 +674,51 @@ def density_path_full(bundle, nu1, nu2):
     and nu2 on W (scalars or one value per step), column 0 equal to 1."""
     nu1 = np.broadcast_to(np.asarray(nu1, dtype=float), (bundle.n_steps,))
     nu2 = np.broadcast_to(np.asarray(nu2, dtype=float), (bundle.n_steps,))
-    incr = (
-        -nu1 * bundle.dB
-        - nu2 * bundle.dW
-        - 0.5 * (nu1**2 + nu2**2) * bundle.dt
+    log_z = (
+        integral_from_sums(running_sums(bundle.dB), -nu1)
+        + integral_from_sums(running_sums(bundle.dW), -nu2)
+        - _cumulative(0.5 * (nu1**2 + nu2**2) * bundle.dt)[None, :]
     )
-    out = np.empty((bundle.dB.shape[0], bundle.n_steps + 1))
-    out[:, 0] = 0.0
-    np.cumsum(incr, axis=1, out=out[:, 1:])
-    return np.exp(out)
+    return np.exp(log_z)
 
 
 def forward_exponential_full(gamma0, a0, bundle):
     """Full (n_paths, n_steps + 1) paths of 1/gamma and the shift."""
     dt = bundle.dt
-    ds = bundle.theta * dt + bundle.dB
-    n_paths = ds.shape[0]
-
-    log_inv = np.empty((n_paths, bundle.n_steps + 1))
-    log_inv[:, 0] = 0.0
-    np.cumsum(bundle.delta * ds - 0.5 * bundle.delta**2 * dt, axis=1, out=log_inv[:, 1:])
+    theta, delta, phi, rho = bundle.theta, bundle.delta, bundle.phi, bundle.rho
+    sum_db = running_sums(bundle.dB)
+    log_inv = integral_from_sums(sum_db, delta) + _cumulative(
+        delta * theta * dt - 0.5 * delta**2 * dt
+    )[None, :]
     inv_gamma = np.exp(log_inv) / gamma0
+    rho_s = integral_from_sums(sum_db, rho) + _cumulative(rho * theta * dt)[None, :]
+    drift = a0 + _cumulative(0.5 * (theta - delta) ** 2 * dt - 0.5 * phi**2 * dt)
+    phi_w = integral_from_sums(running_sums(bundle.dW), phi)
+    a_shift = rho_s / inv_gamma + drift[None, :] - phi_w
+    return inv_gamma, a_shift
 
-    drift = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (bundle.theta - bundle.delta) ** 2 * dt))
+
+def density_path_per_step(bundle, nu1, nu2):
+    """``density_path_full`` by one cumsum of the per-step log increments."""
+    nu1 = np.broadcast_to(np.asarray(nu1, dtype=float), (bundle.n_steps,))
+    nu2 = np.broadcast_to(np.asarray(nu2, dtype=float), (bundle.n_steps,))
+    incr = (
+        -nu1 * bundle.dB
+        - nu2 * bundle.dW
+        - 0.5 * (nu1**2 + nu2**2) * bundle.dt
     )
-    phi_cost = np.concatenate(([0.0], np.cumsum(0.5 * bundle.phi**2 * dt)))
-    rho_s = np.empty((n_paths, bundle.n_steps + 1))
-    rho_s[:, 0] = 0.0
-    np.cumsum(bundle.rho * ds, axis=1, out=rho_s[:, 1:])
-    phi_w = np.empty((n_paths, bundle.n_steps + 1))
-    phi_w[:, 0] = 0.0
-    np.cumsum(bundle.phi * bundle.dW, axis=1, out=phi_w[:, 1:])
+    return np.exp(running_sums(incr))
 
+
+def forward_exponential_per_step(gamma0, a0, bundle):
+    """``forward_exponential_full`` by one cumsum per stochastic quantity."""
+    dt = bundle.dt
+    ds = bundle.theta * dt + bundle.dB
+    inv_gamma = np.exp(running_sums(bundle.delta * ds - 0.5 * bundle.delta**2 * dt)) / gamma0
+    drift = _cumulative(0.5 * (bundle.theta - bundle.delta) ** 2 * dt)
+    phi_cost = _cumulative(0.5 * bundle.phi**2 * dt)
+    rho_s = running_sums(bundle.rho * ds)
+    phi_w = running_sums(bundle.phi * bundle.dW)
     a_shift = a0 + drift[None, :] + rho_s / inv_gamma - phi_cost[None, :] - phi_w
     return inv_gamma, a_shift
 

@@ -9,7 +9,6 @@ import pytest
 import oracles
 from forwardperf.errors import AlignmentError
 from forwardperf.ito_engine import (
-    BLOCK_ROWS,
     FAIL_ANALYTIC,
     PASS,
     UNDETERMINED,
@@ -263,7 +262,7 @@ def test_martingale_density_pins_price_load():
     )
 
 
-# -- blocked kernels -----------------------------------------------------
+# -- density and field kernels -------------------------------------------
 
 # a piecewise model with every coefficient active, on a grid that hits its
 # breakpoints
@@ -277,33 +276,46 @@ KERNEL_SPEC = CoefficientSpec(
 )
 # None asks for the full matrices; the last set names every column
 COLUMN_SETS = [None, [0], [16], [11, 3, 16, 7], list(range(17))]
-B = BLOCK_ROWS
 
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def assert_close_to_per_step(got, want):
+    # the per-step cumsums sum in another order: equal to rounding
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
 @pytest.mark.parametrize(
     "n_paths, antithetic",
-    [(n, False) for n in (1, B - 1, B, B + 1, 2 * B + 3)]
-    + [(n, True) for n in (2, B - 2, B, B + 2, 2 * B + 4)],
+    [(n, False) for n in (1, 511, 512, 513, 1027)]
+    + [(n, True) for n in (2, 510, 512, 514, 1028)],
 )
 def test_blocked_kernels_match_whole_matrix_oracles(n_paths, antithetic):
-    # every block size, remainder and column request gives the whole-matrix
-    # formulas' values bit for bit
+    # every path count and column request gives the whole-matrix statement
+    # of the running-sum construction bit for bit, with constant, piecewise
+    # and per-step loads (the ramp changes at every step)
     bundle = simulate_paths(KERNEL_SPEC, 16, n_paths, seed=31, antithetic=antithetic)
+    # the running sums of the drawn rows: the even rows with pairing
+    drawn = slice(None, None, 2 if antithetic else 1)
+    np.testing.assert_array_equal(
+        bits(bundle.sum_dB), bits(oracles.running_sums(bundle.dB)[drawn])
+    )
+    np.testing.assert_array_equal(
+        bits(bundle.sum_dW), bits(oracles.running_sums(bundle.dW)[drawn])
+    )
     ramp = np.linspace(-0.4, 0.6, 16)
+    loads = ((bundle.theta, ramp), (bundle.theta - bundle.delta, 0.25), (0.3, ramp))
+    want_z = [oracles.density_path_full(bundle, nu1, nu2) for nu1, nu2 in loads]
     want_inv, want_shift = oracles.forward_exponential_full(1.3, 0.2, bundle)
     for cols in COLUMN_SETS:
         keep = slice(None) if cols is None else cols
-        for nu1, nu2 in ((bundle.theta, ramp), (bundle.theta - bundle.delta, 0.25), (0.3, ramp)):
+        for (nu1, nu2), want in zip(loads, want_z):
             got = density_path(bundle, nu1, nu2, cols)
-            want = oracles.density_path_full(bundle, nu1, nu2)[:, keep]
-            np.testing.assert_array_equal(bits(got), bits(want))
+            np.testing.assert_array_equal(bits(got), bits(want[:, keep]))
         np.testing.assert_array_equal(
-            bits(martingale_density(bundle, ramp, cols)),
-            bits(oracles.density_path_full(bundle, bundle.theta, ramp)[:, keep]),
+            bits(martingale_density(bundle, ramp, cols)), bits(want_z[0][:, keep])
         )
         fields = build_forward_exponential(KERNEL_SPEC, 1.3, 0.2, bundle, cols)
         np.testing.assert_array_equal(bits(fields.inv_gamma), bits(want_inv[:, keep]))
@@ -311,6 +323,11 @@ def test_blocked_kernels_match_whole_matrix_oracles(n_paths, antithetic):
         assert fields.columns == tuple(range(17) if cols is None else cols)
         assert not fields.inv_gamma.flags.writeable
         assert not fields.a_shift.flags.writeable
+    for (nu1, nu2), want in zip(loads, want_z):
+        assert_close_to_per_step(want, oracles.density_path_per_step(bundle, nu1, nu2))
+    per_step_inv, per_step_shift = oracles.forward_exponential_per_step(1.3, 0.2, bundle)
+    assert_close_to_per_step(want_inv, per_step_inv)
+    assert_close_to_per_step(want_shift, per_step_shift)
 
 
 def test_kernels_refuse_columns_off_the_grid():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from forwardperf import cli
 from forwardperf.kernels import (
     TILE_BLOCKS,
     Workspace,
@@ -63,19 +64,33 @@ def test_philox_counter_wraps():
 @pytest.mark.parametrize("stream_offset", [0, 777, 6250])
 @pytest.mark.parametrize("n_steps", [1, 4, 64])
 def test_philox_blocks_match_oracle(seed, stream_offset, n_steps):
-    # offset 0 covers stream 0, whose start counter carries through all words
+    # offset 0 covers stream 0, whose start counters carry from word 0 into
+    # word 1, and at step 0 through all four words
     got = philox4x64(seed, 5, n_steps, stream_offset)
     want = oracles.philox_field_blocks(seed, 5, n_steps, stream_offset)
     assert got.dtype == np.uint64
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("stream_offset", [0, 1, 777])
+@pytest.mark.parametrize("step_offset", [0, 1, 63])
+def test_philox_blocks_at_step_offset(stream_offset, step_offset):
+    got = philox4x64(12, 6, 3, stream_offset, step_offset)
+    want = oracles.philox_field_blocks(12, 6, 3, stream_offset, step_offset)
+    np.testing.assert_array_equal(got, want)
+
+
 def test_philox_blocks_top_streams():
-    # the last two stream indices a 64-bit counter word holds
-    got = philox4x64(9, 2, 3, U64_MAX - 1)
-    c0 = np.tile(np.arange(3, dtype=np.uint64), 2)
-    c1 = np.repeat(np.array([U64_MAX - 1, U64_MAX], dtype=np.uint64), 3)
+    # a range that ends at the last stream index a 64-bit counter word holds
+    got = philox4x64(9, 3, 4, U64_MAX - 2)
+    c0 = np.tile(np.array([U64_MAX - 2, U64_MAX - 1, U64_MAX], dtype=np.uint64), 4)
+    c1 = np.repeat(np.arange(4, dtype=np.uint64), 3)
     np.testing.assert_array_equal(got, oracles.philox4x64(9, 0, c0, c1))
+
+
+def by_stream(blocks, n_steps):
+    """(n_streams, n_steps, 4) view of step-major blocks."""
+    return blocks.reshape(n_steps, -1, 4).transpose(1, 0, 2)
 
 
 @pytest.mark.parametrize("bounds", [[0, 37], [0, 1, 37], [0, 5, 6, 19, 37], [0, 18, 19, 36, 37]])
@@ -84,14 +99,15 @@ def test_philox_blocks_chunk_boundaries(bounds):
     n_steps = 6
     want = oracles.philox_field_blocks(31, bounds[-1], n_steps)
     parts = [philox4x64(31, hi - lo, n_steps, lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    np.testing.assert_array_equal(np.vstack(parts), want)
+    np.testing.assert_array_equal(
+        np.concatenate([by_stream(p, n_steps) for p in parts]), by_stream(want, n_steps)
+    )
 
 
 def test_philox_vectorized_consistent():
-    block = philox4x64(7, 8, 5, 3)
+    block = by_stream(philox4x64(7, 8, 5, 3), 5)
     for i in range(8):
-        single = philox4x64(7, 1, 5, 3 + i)
-        np.testing.assert_array_equal(block[5 * i : 5 * (i + 1)], single)
+        np.testing.assert_array_equal(block[i], philox4x64(7, 1, 5, 3 + i))
 
 
 def test_philox_fills_out():
@@ -165,11 +181,16 @@ def test_gaussian_field_deterministic():
     "n_streams, n_steps, stream_offset",
     [
         (7, 5, 11),
-        # tiles of 8, 1 and 1 streams: a partial last tile, and tiles
-        # narrower than one stream's blocks
+        # a tile spans every stream and TILE_BLOCKS // n_streams steps:
+        # partial last tiles, and (with more steps than TILE_BLOCKS) tiles
+        # of one step count shared across calls
         (20, TILE_BLOCKS // 8, 3),
         (3, TILE_BLOCKS, 0),
         (2, TILE_BLOCKS + 5, 9),
+        # more streams than TILE_BLOCKS: tiles of one step over part of them
+        (TILE_BLOCKS + 3, 2, 5),
+        # a range that ends at the last stream index
+        (4, 3, U64_MAX - 3),
     ],
 )
 def test_gaussian_field_matches_whole_array_oracle(n_streams, n_steps, stream_offset):
@@ -211,6 +232,20 @@ def test_gaussian_field_chunk_invariance():
                         gaussian_field(17, 6, 6, stream_offset=4)[1]])
     np.testing.assert_array_equal(full1, parts1)
     np.testing.assert_array_equal(full2, parts2)
+
+
+def test_gaussian_field_runs_split_by_the_stream_budget():
+    # a range longer than cli.STREAM_BUDGET, drawn in the runs ito-verify
+    # splits it into, gives the whole-array oracle's fields
+    n_streams = 2 * cli.STREAM_BUDGET + 5
+    runs = cli._stream_runs([(3, 3 + n_streams)])
+    assert len(runs) == 3
+    want = oracles.gaussian_field_whole(23, n_streams, 4, 3)
+    work = Workspace()
+    for lo, hi in runs:
+        got = gaussian_field(23, hi - lo, 4, lo, work=work)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w[lo - 3 : hi - 3])
 
 
 def test_gaussian_field_moments():

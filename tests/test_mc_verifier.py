@@ -205,12 +205,20 @@ def test_forward_drift_clean_and_shifted():
     assert rep.all_passed, rep.to_text()
 
 
-def test_forward_mass_refusal_on_extreme_load():
-    # a huge orthogonal load starves the weight mass at this sample size,
-    # so no forward measure can be certified and the check aborts
+def test_forward_mass_band_miss_on_extreme_load():
+    # a huge orthogonal load starves the weight mass at this sample size:
+    # the mass record misses its band, the load's drift record is still
+    # reported, and both count as statistical records
     fam = {"big": np.full(32, 10.0)}
-    with pytest.raises(RegularityError, match="not a probability"):
-        check_forward_drift_mc(*simulated(CLEAN, 1.0, 0.0, 32, 200, seed=608), nu_family=fam)
+    rep = check_forward_drift_mc(*simulated(CLEAN, 1.0, 0.0, 32, 200, seed=608), nu_family=fam)
+    assert {rec.check_tag for rec in rep.records()} == {
+        "forward-mass[nu=big]",
+        "forward-drift[nu=big]",
+    }
+    mass = rep["forward-mass[nu=big]"]
+    assert not mass.verdict and mass.std_error is not None
+    assert abs(mass.value - 1.0) > mass.tolerance
+    assert rep["forward-drift[nu=big]"].std_error is not None
 
 
 # -- reproducibility -----------------------------------------------------
