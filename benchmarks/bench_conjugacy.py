@@ -8,8 +8,8 @@ root window (0, d), the default scenario xi grid and eta grid:
   per xi over the unnormalised leaf masses, as ``check_value_conjugacy``
   runs it;
 - ``eta_search``: the golden-section search over eta that the check ran
-  before, every probe a full ``dual_value`` solve
-  (``oracles.conjugate_primal_by_eta_search``).
+  before, every probe a full barrier solve of the dual program at that eta
+  (``oracles.conjugate_primal_by_eta_search`` over ``oracles.dual_by_eta``).
 
 Each row also records, per route, the largest gap to the closed-form u over
 the xi grid, the largest relative difference of the attaining eta between
@@ -122,8 +122,8 @@ def main():
         "eta_grid": ETA_GRID,
         "what": {
             "joint": "one joint barrier program per xi (tree_verifier._conjugate_solve_node)",
-            "eta_search": "golden-section search over eta, one dual_value solve per probe "
-            "(oracles.conjugate_primal_by_eta_search in tests/oracles.py)",
+            "eta_search": "golden-section search over eta, one per-eta dual solve per probe "
+            "(oracles.conjugate_primal_by_eta_search over oracles.dual_by_eta in tests/oracles.py)",
         },
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),

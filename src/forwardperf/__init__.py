@@ -65,7 +65,6 @@ from .tree_market import (
 )
 from .tree_verifier import (
     DualResult,
-    EntropyResult,
     PrimalResult,
     ReplicationResult,
     WindowDuals,
@@ -75,7 +74,6 @@ from .tree_verifier import (
     check_self_generation_primal,
     check_value_conjugacy,
     dual_value,
-    min_entropy,
     primal_value,
     replicate_inverse_gamma,
     solve_entropy_shift,

@@ -24,10 +24,15 @@ Dual value as one convex program per conditioning node:
                    sum_w p_w V(w, eta r_w / p_w)
 
 subject to r >= 0, sum r = 1, and one linear martingale constraint per
-interior node; solved by the log-barrier Newton method in ``solvers``. The
-conditional entropy functional is this same program at eta = 1 (the
-splitting identity for the entropy kernel kills the extra term), which also
-drives the backward construction of the consistent additive shift.
+interior node; solved by the log-barrier Newton method in ``solvers``, at
+eta = 1 only. The objective is eta log(eta) m(r) + eta J(r), with J free
+of eta and m(r) = sum_w r_w / gamma_w, which is 1/gamma at the start for
+every measure of the window when 1/gamma is replicable. So the minimiser
+(the minimal-entropy martingale measure) serves every eta, read as
+v(eta) = eta v(1) + eta log(eta) m; without replicability the read is
+refused. v(1) is the conditional entropy functional (the splitting
+identity for the entropy kernel kills the extra term), which also drives
+the backward construction of the consistent additive shift.
 
 Conjugacy u(xi) = inf over eta of v(eta) + xi eta is the same program in the
 unnormalised masses s = eta r, without the unit-mass row, plus xi sum(s):
@@ -66,6 +71,7 @@ from .tree_market import (
 
 _REPLICATION_TOL = 1e-10
 _INVERSE_GAMMA_TOL = 1e-9  # conditional mean of 1/gamma, per node
+_DUAL_READ = "a dual value at eta other than 1 is read from the eta = 1 program"
 
 
 # -- results -------------------------------------------------------------
@@ -98,17 +104,29 @@ class DualResult:
     T: int
     values: dict[str, float]
     eta: Mapping[str, float]
+    replication: ReplicationResult
+    # per start, from the window's eta = 1 program that .at reads: its
+    # value (the minimal conditional entropy) and m = sum_w r*_w / gamma_w
+    # at its minimiser r*
+    entropy: dict[str, float] = dc_field(default_factory=dict)
+    inverse_gamma_mean: dict[str, float] = dc_field(default_factory=dict)
     minimizer: dict[str, TreeMeasure] = dc_field(default_factory=dict)
     kkt_residual: dict[str, float] = dc_field(default_factory=dict)
     near_boundary: dict[str, bool] = dc_field(default_factory=dict)
+    newton_iterations: dict[str, int] = dc_field(default_factory=dict)
 
-
-@dataclass
-class EntropyResult:
-    t: int
-    T: int
-    values: dict[str, float]
-    minimizer: dict[str, TreeMeasure] | None = None
+    def at(self, eta) -> DualResult:
+        """The same window at dual argument eta (scalar or per-node), read
+        from its eta = 1 program: v(eta) = eta v(1) + eta log(eta) m, and 0
+        at eta = 0. The minimiser and the solver evidence are the eta = 1
+        program's. The read is exact only when 1/gamma is replicable, so
+        without replication an eta other than 1 is refused."""
+        eta_by_node = _eta_by_node(eta, self.eta, self.replication)
+        values = {}
+        for n, e in eta_by_node.items():
+            e_log_e = e * math.log(e) if e > 0.0 else 0.0
+            values[n] = e * self.entropy[n] + e_log_e * self.inverse_gamma_mean[n]
+        return replace(self, values=values, eta=eta_by_node)
 
 
 @dataclass
@@ -133,10 +151,23 @@ def _per_node(arg, nodes, name):
     return {n: val for n in nodes}
 
 
-def _window_leaves(tree, start, T):
-    leaves = tree.descendants_at(start, T)
-    p = np.array([tree.cond_prob(start, w) for w in leaves])
-    return leaves, p
+def _require_replication(rep, what):
+    """ReplicationError for ``what`` when ``rep`` replicates no 1/gamma."""
+    if not rep.feasible:
+        raise ReplicationError(
+            f"{what}: no portfolio replicates 1/gamma at node {rep.failed_node!r} "
+            f"(residual {rep.residual:.3g})"
+        )
+
+
+def _eta_by_node(eta, nodes, rep):
+    """Nonnegative eta per node; one other than 1 needs replication."""
+    eta_by_node = _per_node(eta, nodes, "eta")
+    if any(e < 0.0 for e in eta_by_node.values()):
+        raise ValueError("eta must be nonnegative")
+    if any(e != 1.0 for e in eta_by_node.values()):
+        _require_replication(rep, _DUAL_READ)
+    return eta_by_node
 
 
 def _martingale_rows(tree, start, T, leaves):
@@ -198,11 +229,12 @@ class WindowDuals:
       product vertices (``inverse_gamma_range``);
     - per (start, T): the window's leaves, their reference masses, its
       martingale rows and its interior starting point (``window``);
-    - per (t, T, eta), keyed also by the bits of a_shift at the time-T
-      nodes: the ``dual_value`` result (``dual``). A window's program reads
-      the field only through gamma and a_shift at its time-T nodes, so a
-      shift moved before T (a perturbed root) reads the solves of the
-      shift construction, and one moved at a time-T node solves afresh.
+    - per (t, T), keyed also by the bits of a_shift at the time-T nodes:
+      the window's one dual program, solved at eta = 1 by ``dual_value``
+      and read at every eta (``dual``). A window's program reads the field
+      only through gamma and a_shift at its time-T nodes, so a shift moved
+      before T (a perturbed root) reads the solves of the shift
+      construction, and one moved at a time-T node solves afresh.
 
     Every entry is what a fresh call returns, bit for bit. The gamma is
     fixed: a check given the context of another tree or gamma refuses it.
@@ -219,7 +251,7 @@ class WindowDuals:
         self._factors: dict[tuple[int, bytes], tuple[dict, dict]] = {}
         self._inverse_gamma: dict[tuple[int, int], dict] = {}
         self._windows: dict[tuple[str, int], _Window] = {}
-        self._solved: dict[tuple[int, int, float, bytes], DualResult] = {}
+        self._solved: dict[tuple[int, int, bytes], DualResult] = {}
 
     def _shift_key(self, a_shift, T):
         """The bits of a_shift at the time-T nodes: all of the shift that a
@@ -277,18 +309,21 @@ class WindowDuals:
 
     def window(self, start: str, T: int) -> _Window:
         if (start, T) not in self._windows:
-            leaves, p = _window_leaves(self.tree, start, T)
+            leaves = self.tree.descendants_at(start, T)
+            p = np.array([self.tree.cond_prob(start, w) for w in leaves])
             rows = _martingale_rows(self.tree, start, T, leaves)
             interior = _interior_start(self, start, T, leaves)
             self._windows[(start, T)] = _Window(leaves, p, rows, interior)
         return self._windows[(start, T)]
 
     def dual(self, field: ExponentialFieldParams, eta: float, t: int, T: int) -> DualResult:
-        """``dual_value(tree, field, eta, t, T)``, solved once per key."""
-        key = (t, T, float(eta), self._shift_key(field.a_shift, T))
+        """``dual_value(tree, field, eta, t, T)``: the window's program,
+        solved once at eta = 1 and read at eta (``DualResult.at``)."""
+        key = (t, T, self._shift_key(field.a_shift, T))
         if key not in self._solved:
-            self._solved[key] = dual_value(self.tree, field, key[2], t, T, duals=self)
-        return self._solved[key]
+            self._solved[key] = dual_value(self.tree, field, 1.0, t, T, duals=self)
+        unit = self._solved[key]
+        return unit if eta == 1.0 else unit.at(eta)
 
 
 def _window_duals(duals, tree, gamma):
@@ -431,11 +466,7 @@ def primal_value(
             raise KeyError(f"field has no data at node {nid!r}")
     duals = _window_duals(duals, tree, field.gamma)
     rep = duals.replication()
-    if not rep.feasible:
-        raise ReplicationError(
-            "primal value requires the exponential fast path: no portfolio "
-            f"replicates 1/gamma at node {rep.failed_node!r} (residual {rep.residual:.3g})"
-        )
+    _require_replication(rep, "primal value requires the exponential fast path")
     C, policy = _exponential_factors(duals, field, t, T)
     gamma = {n: field.gamma[n] for n in starts}
     factor = {n: C[n] for n in starts}
@@ -455,40 +486,26 @@ def primal_value(
 # -- dual ----------------------------------------------------------------
 
 
-def _dual_solve_node(duals, start, T, leaf_phi):
-    """Minimize sum_w phi_w(r_w) over the window's leaf-mass polytope."""
-    win = duals.window(start, T)
-    A = np.vstack([np.ones(len(win.leaves)), win.rows])
-    b = np.zeros(A.shape[0])
-    b[0] = 1.0
-    phi = leaf_phi(win.leaves, win.p)
-    r, _, info = barrier_minimize(phi, A, b, win.interior)
-    vals, _, _ = phi(r)
-    value = float(np.sum(vals))
-    return value, r, win.leaves, info
+def _exp_phi(field, leaves, p):
+    """The eta = 1 dual objective of each leaf, p h(r / (p gamma)) - r a / gamma,
+    as (values, gradients, second derivatives)."""
+    gam = np.array([field.gamma[w] for w in leaves])
+    ash = np.array([field.a_shift[w] for w in leaves])
+    kappa = 1.0 / (p * gam)
+    lin = ash / gam
+    slope = 1.0 / gam
 
+    def phi(r):
+        # entropy_kernel(y) = y log y - y, extended by 0 at y = 0, with
+        # the logarithm taken once for the value and the gradient
+        y = kappa * r
+        log_y = np.log(y)
+        v = p * np.where(y > 0.0, y * log_y - y, 0.0) - lin * r
+        g = slope * log_y - lin
+        h = 1.0 / (gam * r)
+        return v, g, h
 
-def _exp_phi_factory(field, eta):
-    def make(leaves, p):
-        gam = np.array([field.gamma[w] for w in leaves])
-        ash = np.array([field.a_shift[w] for w in leaves])
-        kappa = eta / (p * gam)
-        lin = eta * ash / gam
-        slope = eta / gam
-
-        def phi(r):
-            # entropy_kernel(y) = y log y - y, extended by 0 at y = 0, with
-            # the logarithm taken once for the value and the gradient
-            y = kappa * r
-            log_y = np.log(y)
-            v = p * np.where(y > 0.0, y * log_y - y, 0.0) - lin * r
-            g = slope * log_y - lin
-            h = eta / (gam * r)
-            return v, g, h
-
-        return phi
-
-    return make
+    return phi
 
 
 def _ray_scale(phi, s):
@@ -529,7 +546,7 @@ def _conjugate_solve_node(duals, field, start, T, xi_values):
     A = win.rows
     b = np.zeros(A.shape[0])
     s = win.interior
-    unit = _exp_phi_factory(field, 1.0)(win.leaves, win.p)
+    unit = _exp_phi(field, win.leaves, win.p)
     out = []
     for x in xi_values:
 
@@ -563,9 +580,12 @@ def dual_value(
     """Dual value field on [t, T] at dual argument eta (scalar or per-node).
 
     Minimizes the terminal dual expectation over all absolutely continuous
-    martingale measures of the window; the reported minimizer includes a
-    near-boundary flag rather than an interiority assumption. ``duals``
-    shares the window data and the reference measure with the other
+    martingale measures of the window at eta = 1, per start, and reads eta
+    from that program (``DualResult.at``); the reported minimizer includes
+    a near-boundary flag rather than an interiority assumption. Without a
+    portfolio replicating 1/gamma, an eta other than 1 is refused with
+    ``ReplicationError`` before anything is solved. ``duals`` shares the
+    window data, the reference measure and the replication with the other
     programs of a scenario.
     """
     _check_field_type(field)
@@ -574,70 +594,29 @@ def dual_value(
     if not (0 <= t <= T <= tree.horizon):
         raise ValueError(f"bad window [{t}, {T}] for horizon {tree.horizon}")
     starts = tree.nodes_at(t)
-    eta_by_node = _per_node(eta, starts, "eta")
-    if any(e < 0.0 for e in eta_by_node.values()):
-        raise ValueError("eta must be nonnegative")
     duals = _window_duals(duals, tree, field.gamma)
-
-    result = DualResult(t=t, T=T, values={}, eta=eta_by_node)
+    rep = duals.replication()
+    eta_by_node = _eta_by_node(eta, starts, rep)
+    unit = DualResult(t=t, T=T, values={}, eta=dict.fromkeys(starts, 1.0), replication=rep)
     for start in starts:
-        e = eta_by_node[start]
-        if t == T:
-            result.values[start] = conjugate_exponential(
-                field.gamma[start], field.a_shift[start], e
-            )
-            continue
-        if e == 0.0:
-            # V(T, 0) = 0 identically, so any measure attains the value
-            result.values[start] = 0.0
-            result.minimizer[start] = duals.reference
-            result.kkt_residual[start] = 0.0
-            result.near_boundary[start] = False
-            continue
-        value, r, leaves, info = _dual_solve_node(duals, start, T, _exp_phi_factory(field, e))
-        result.values[start] = value
-        masses = {w: float(ri) for w, ri in zip(leaves, r)}
-        result.minimizer[start] = measure_from_leaf_masses(tree, start, T, masses, duals.reference)
-        result.kkt_residual[start] = float(info["gap_bound"] + info["eq_residual"])
-        result.near_boundary[start] = bool(np.min(r) < 1e-7)
-    return result
+        win = duals.window(start, T)
+        A = np.vstack([np.ones(len(win.leaves)), win.rows])
+        b = np.zeros(A.shape[0])
+        b[0] = 1.0
+        phi = _exp_phi(field, win.leaves, win.p)
+        r, _, info = barrier_minimize(phi, A, b, win.interior)
+        unit.entropy[start] = float(np.sum(phi(r)[0]))
+        gam = np.array([field.gamma[w] for w in win.leaves])
+        unit.inverse_gamma_mean[start] = float(np.sum(r / gam))
+        masses = {w: float(ri) for w, ri in zip(win.leaves, r)}
+        unit.minimizer[start] = measure_from_leaf_masses(tree, start, T, masses, duals.reference)
+        unit.kkt_residual[start] = float(info["gap_bound"] + info["eq_residual"])
+        unit.near_boundary[start] = bool(np.min(r) < 1e-7)
+        unit.newton_iterations[start] = info["newton_iterations"]
+    return unit.at(eta_by_node)
 
 
 # -- entropy -------------------------------------------------------------
-
-
-def _check_terminal_gamma(tree, gamma, starts, T):
-    for s in starts:
-        for w in tree.descendants_at(s, T):
-            if gamma[w] <= 0.0:
-                raise ValueError(f"gamma must be positive at terminal node {w!r}")
-
-
-def min_entropy(
-    tree: EventTree,
-    gamma: Mapping[str, float],
-    a_shift: Mapping[str, float],
-    t: int = 0,
-    T: int | None = None,
-    duals: WindowDuals | None = None,
-) -> EntropyResult:
-    """Minimal conditional entropy over the measure polytope, with minimizer.
-
-    This is the dual program at unit dual argument: the splitting identity
-    entropy_kernel(a b) = a*entropy_kernel(b) + b*entropy_kernel(a) + a*b
-    makes the terminal dual expectation at eta = 1 equal to the entropy.
-    ``duals`` shares the program with the other checks of a scenario.
-    """
-    if T is None:
-        T = tree.horizon
-    starts = tree.nodes_at(t)
-    _check_terminal_gamma(tree, gamma, starts, T)
-    field = ExponentialFieldParams(
-        gamma={n: gamma[n] for n in gamma},
-        a_shift={n: a_shift.get(n, 0.0) for n in gamma},
-    )
-    dual = _window_duals(duals, tree, gamma).dual(field, 1.0, t, T)
-    return EntropyResult(t=t, T=T, values=dict(dual.values), minimizer=dict(dual.minimizer))
 
 
 def solve_entropy_shift(
@@ -679,9 +658,11 @@ def solve_entropy_shift(
                     f"inverse-gamma conditional mean violated at node {nid!r}: "
                     f"vertex gives {got:.12g}, field has {1.0 / gamma[nid]:.12g}"
                 )
+    # the programs to the horizon read only the leaf shifts
+    terminal = ExponentialFieldParams(gamma, {n: a_term.get(n, 0.0) for n in gamma})
     a_out: dict[str, float] = dict(a_term)
     for t in range(tree.horizon - 1, -1, -1):
-        ent = min_entropy(tree, gamma, a_out, t, tree.horizon, duals=duals)
+        ent = duals.dual(terminal, 1.0, t, tree.horizon)
         for nid in tree.nodes_at(t):
             g = gamma[nid]
             a_out[nid] = g * (entropy_kernel(1.0 / g) - ent.values[nid])
@@ -762,19 +743,27 @@ def check_self_generation_dual(
 
     Gaps are reported in shift units via the implied shift
     a_implied = (gamma/eta) (entropy_kernel(eta/gamma) - v), so a root
-    perturbation of the field shows up at exactly its own size. ``duals``
-    shares the dual solves with the other checks of a scenario.
+    perturbation of the field shows up at exactly its own size. Each
+    window's eta = 1 program is read at every eta of the grid, so without
+    replication of 1/gamma a grid with an eta other than 1 is refused
+    before anything is solved. The record carries the read's certificate,
+    max over starts of |m - 1/gamma| (``DualResult.at``), and per start the
+    program's Newton iterations, KKT residual and near-boundary flag.
+    ``duals`` shares the dual solves with the other checks of a scenario.
     """
     duals = _window_duals(duals, tree, field.gamma)
+    eta_grid = [float(e) for e in eta_grid]
+    if any(e != 1.0 for e in eta_grid):
+        _require_replication(duals.replication(), _DUAL_READ)
     report = VerificationReport()
     overall_gap = 0.0
     overall_node = None
     for (t, T) in time_pairs:
+        unit = duals.dual(field, 1.0, t, T)
         gaps = {}
         value_gap = 0.0
         for e in eta_grid:
-            e = float(e)
-            res = duals.dual(field, e, t, T)
+            res = unit.at(e)
             for n in tree.nodes_at(t):
                 g = field.gamma[n]
                 v = res.values[n]
@@ -787,6 +776,7 @@ def check_self_generation_dual(
         worst = gaps[worst_node]
         if worst > overall_gap:
             overall_gap, overall_node = worst, worst_node
+        m = unit.inverse_gamma_mean
         report.add(
             CheckRecord(
                 check_tag=f"dual-self-generation[t={t},T={T}]",
@@ -795,7 +785,13 @@ def check_self_generation_dual(
                 target=0.0,
                 tolerance=tol,
                 worst_node=worst_node,
-                details={"value_gap": value_gap},
+                details={
+                    "value_gap": value_gap,
+                    "read_certificate": max(abs(m[n] - 1.0 / field.gamma[n]) for n in m),
+                    "newton_iterations": unit.newton_iterations,
+                    "kkt_residual": unit.kkt_residual,
+                    "near_boundary": unit.near_boundary,
+                },
             )
         )
     report.add(
@@ -838,8 +834,9 @@ def check_value_conjugacy(
       (u(xi) - xi eta), which for u(xi) = -exp(-gamma xi + log_factor) is
       ``conjugate_exponential(gamma, log_factor, eta)`` in closed form.
 
-    ``duals`` shares the eta-grid dual solves, the window data and the
-    factor recursion with the other checks of a scenario. A gamma whose
+    The dual side reads the window's eta = 1 program at every eta of the
+    grid. ``duals`` shares that program, the window data and the factor
+    recursion with the other checks of a scenario. A gamma whose
     reciprocal no portfolio replicates is refused by ``primal_value``
     before anything is solved.
     """
@@ -854,6 +851,8 @@ def check_value_conjugacy(
 
     duals = _window_duals(duals, tree, field.gamma)
     base = primal_value(tree, field, 0.0, t, T, duals=duals)
+    unit = duals.dual(field, 1.0, t, T)
+    reads = [unit.at(e) for e in eta_grid]
 
     def u_of(n, x):
         return -math.exp(-field.gamma[n] * x) * math.exp(base.log_factor[n])
@@ -875,9 +874,9 @@ def check_value_conjugacy(
         newton[n] = max(info["newton_iterations"] for _, _, info, _ in solves)
         kkt[n] = max(info["gap_bound"] + info["eq_residual"] for _, _, info, _ in solves)
         near[n] = any(flag for _, _, _, flag in solves)
-        for e in eta_grid:
+        for e, dual in zip(eta_grid, reads):
             v = conjugate_exponential(field.gamma[n], base.log_factor[n], e)
-            worst_dual = max(worst_dual, abs(v - duals.dual(field, e, t, T).values[n]))
+            worst_dual = max(worst_dual, abs(v - dual.values[n]))
     report.add(
         CheckRecord(
             check_tag=f"conjugacy-primal-from-dual[t={t},T={T}]",

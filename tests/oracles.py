@@ -3,8 +3,10 @@
 Nothing here imports the package's DP, vertex-recursion or joint conjugacy
 code paths: values come from closed forms, scipy one-dimensional
 minimization, a direct joint optimization over all node portfolios, brute
-force over every product measure of a window, (for conjugacy) a
-one-dimensional search over the per-eta dual program, (for primal
+force over every product measure of a window, (for the dual value at
+each eta) the per-eta dual program the package solved before it read
+every eta from one eta = 1 program, (for conjugacy) a one-dimensional
+search over that per-eta program, (for primal
 self-generation) a fresh ``primal_value`` solve per wealth -- the package's
 own program, so it checks only that one program per window reads the same
 at every wealth -- (for the per-scenario context of the tree engine) each
@@ -23,7 +25,7 @@ implementation checks nothing.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
@@ -31,14 +33,16 @@ from scipy.optimize import minimize, minimize_scalar
 
 from forwardperf.errors import ConvergenceError
 from forwardperf.report import CheckRecord, VerificationReport
+from forwardperf.solvers import barrier_minimize
 from forwardperf.tree_market import (
     _feasible_map,
     _restricted_vertices,
     density_process,
     enumerate_product_measures,
     measure_from_leaf_masses,
+    node_polytope,
 )
-from forwardperf.tree_verifier import EntropyResult, dual_value, primal_value
+from forwardperf.tree_verifier import primal_value
 
 
 def h(y):
@@ -314,10 +318,71 @@ def _search_positive(f, pts, tol, max_expand=120):
     return f_best, x_best
 
 
+@dataclass
+class DualSolve:
+    """Per start: the value of one per-eta dual program, its minimiser and
+    the solver's evidence, under the names ``DualResult`` uses."""
+
+    values: dict = dc_field(default_factory=dict)
+    minimizer: dict = dc_field(default_factory=dict)
+    kkt_residual: dict = dc_field(default_factory=dict)
+    near_boundary: dict = dc_field(default_factory=dict)
+
+
+def dual_by_eta(tree, field, eta, t, T):
+    """The dual value on [t, T] at one eta > 0, solved at that eta: per
+    time-t start, ``barrier_minimize`` on the leaf objective
+    p h(eta r / (p gamma)) - eta r a / gamma over the window's leaf masses
+    r, with the unit-mass row and one martingale row per interior node,
+    from the product of the one-step vertex centroids. This is how the
+    package solved every (window, eta) before it read every eta from one
+    eta = 1 program; with the same rows, start and objective, its eta = 1
+    solve has the package's bits. Returns a ``DualSolve``."""
+    if not eta > 0.0:
+        raise ValueError(f"dual_by_eta: eta must be positive, got {eta}")
+    out = DualSolve()
+    for start in tree.nodes_at(t):
+        leaves = tree.descendants_at(start, T)
+        index = {w: i for i, w in enumerate(leaves)}
+        p = np.array([tree.cond_prob(start, w) for w in leaves])
+        interior = tree.window_interior(start, T)
+        A = np.zeros((1 + len(interior), len(leaves)))
+        A[0] = 1.0
+        mass = {start: 1.0}
+        for row, m in zip(A[1:], interior):
+            for br in tree.branches_of(m):
+                for w in tree.descendants_at(br.child, T):
+                    row[index[w]] = br.dprice
+            center = node_polytope(tree, m).centroid()
+            for j, child in enumerate(tree.children(m)):
+                mass[child] = mass[m] * float(center[j])
+        b = np.zeros(A.shape[0])
+        b[0] = 1.0
+        gam = np.array([field.gamma[w] for w in leaves])
+        ash = np.array([field.a_shift[w] for w in leaves])
+        kappa = eta / (p * gam)
+        lin = eta * ash / gam
+        slope = eta / gam
+
+        def phi(r):
+            y = kappa * r
+            log_y = np.log(y)
+            v = p * np.where(y > 0.0, y * log_y - y, 0.0) - lin * r
+            return v, slope * log_y - lin, eta / (gam * r)
+
+        r, _, info = barrier_minimize(phi, A, b, np.array([mass[w] for w in leaves]))
+        out.values[start] = float(np.sum(phi(r)[0]))
+        masses = {w: float(ri) for w, ri in zip(leaves, r)}
+        out.minimizer[start] = measure_from_leaf_masses(tree, start, T, masses)
+        out.kkt_residual[start] = float(info["gap_bound"] + info["eq_residual"])
+        out.near_boundary[start] = bool(np.min(r) < 1e-7)
+    return out
+
+
 def conjugate_primal_by_eta_search(tree, field, t, T, xi_grid, eta_grid, tol=1e-6):
     """u(xi) = inf over eta > 0 of v(eta) + xi eta, by a search over eta.
 
-    Every probe is a full ``dual_value`` solve at one eta (cached per eta),
+    Every probe is a full per-eta solve (``dual_by_eta``, cached per eta),
     refined from the eta grid by golden-section with span tolerance tol,
     so the attaining eta is only known to about tol relative. This is the
     route ``check_value_conjugacy`` took before its joint program. Returns,
@@ -328,7 +393,7 @@ def conjugate_primal_by_eta_search(tree, field, t, T, xi_grid, eta_grid, tol=1e-
 
     def v(n, e):
         if e not in cache:
-            cache[e] = dual_value(tree, field, e, t, T)
+            cache[e] = dual_by_eta(tree, field, e, t, T)
         return cache[e].values[n]
 
     return {
@@ -390,11 +455,11 @@ def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6
 def window_programs_rebuilt(tree, field, windows, eta_grid):
     """Every window's programs as they were solved before one context per
     scenario shared them: per (t, T) the log factors of a fresh
-    ``primal_value`` at xi = 0, and per (t, T, eta) a fresh ``dual_value``,
-    each call building its own node data, factor recursion and window data.
-    Returns ({(t, T): log_factor}, {(t, T, eta): DualResult})."""
+    ``primal_value`` at xi = 0, and per (t, T, eta) a per-eta dual solve
+    (``dual_by_eta``), each building its own node data, factor recursion and
+    window data. Returns ({(t, T): log_factor}, {(t, T, eta): DualSolve})."""
     log_factor = {(t, T): primal_value(tree, field, 0.0, t, T).log_factor for t, T in windows}
-    duals = {(t, T, e): dual_value(tree, field, e, t, T) for t, T in windows for e in eta_grid}
+    duals = {(t, T, e): dual_by_eta(tree, field, e, t, T) for t, T in windows for e in eta_grid}
     return log_factor, duals
 
 
@@ -504,7 +569,7 @@ def product_measure_count(tree, t, T):
 
 def entropy(tree, gamma, a_shift, q, t=0, T=None):
     """Conditional entropy of the measure q over [t, T] given each time-t
-    node: the sum over the window's leaves w of
+    node, as a dict by node: the sum over the window's leaves w of
     p_w (h(zeta_w / gamma_w) - zeta_w a_w / gamma_w), with p_w the reference
     probability of w from its start and zeta_w = q_w / p_w, the product of
     q_edge / p_edge along the path."""
@@ -523,7 +588,7 @@ def entropy(tree, gamma, a_shift, q, t=0, T=None):
                 h(zeta / gamma[w]) - zeta * a_shift[w] / gamma[w]
             )
         values[start] = total
-    return EntropyResult(t=t, T=T, values=values)
+    return values
 
 
 def martingale_residual(tree, q, nodes):

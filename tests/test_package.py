@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "ConvergenceError",
     "DensityPath",
     "DualResult",
-    "EntropyResult",
     "EventTree",
     "ExponentialFieldParams",
     "FieldPaths",
@@ -59,7 +58,6 @@ PUBLIC_NAMES = [
     "martingale_density",
     "mc_mean_test",
     "measure_from_leaf_masses",
-    "min_entropy",
     "node_polytope",
     "one_step_vertices",
     "predicted_forward_drift",

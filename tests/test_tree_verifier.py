@@ -31,7 +31,6 @@ from forwardperf.tree_verifier import (
     check_self_generation_primal,
     check_value_conjugacy,
     dual_value,
-    min_entropy,
     primal_value,
     replicate_inverse_gamma,
     solve_entropy_shift,
@@ -241,15 +240,31 @@ def test_primal_refuses_nonreplicable_gamma_before_solving(monkeypatch):
     tree, field = nonreplicable_trinomial_field()
 
     def solved(*args):
-        raise AssertionError("the factor recursion ran for a non-replicable gamma")
+        raise AssertionError("a program was solved for a non-replicable gamma")
 
     monkeypatch.setattr(tree_verifier, "_exponential_factors", solved)
+    monkeypatch.setattr(tree_verifier, "barrier_minimize", solved)
+    # the dual value at eta other than 1 is read from the eta = 1 program,
+    # which is exact only when 1/gamma is replicable
     for run in (
         lambda: primal_value(tree, field, 0.0),
         lambda: check_self_generation_primal(tree, field, [(0, 1)], [0.0]),
+        lambda: dual_value(tree, field, 2.0),
+        lambda: check_self_generation_dual(tree, field, [(0, 1)], [1.0, 2.0]),
     ):
         with pytest.raises(ReplicationError, match="replicates 1/gamma at node 'r'"):
             run()
+
+
+def test_nonreplicable_gamma_is_a_failing_record_of_the_exponential_conditions():
+    # the eta = 1 program is never refused, so the conditions report the
+    # failure instead of raising
+    tree, field = nonreplicable_trinomial_field()
+    rep = check_exponential_conditions(tree, field.gamma, field.a_shift, [(0, 1)])
+    rec = rep["exp-condition-inverse-gamma-martingale"]
+    assert not rec.verdict and rec.worst_node == "r"
+    with pytest.raises(ReplicationError, match="replicates 1/gamma at node 'r'"):
+        dual_value(tree, field, 1.0).at(0.5)
 
 
 PRIMAL_CHECK_CASES = {
@@ -382,11 +397,36 @@ def test_dual_scaling_consistency():
     gamma = const_map(tree, 1.6)
     a = solve_entropy_shift(tree, gamma, 0.0)
     field = ExponentialFieldParams(gamma=gamma, a_shift=a)
-    ent = min_entropy(tree, gamma, a)
+    ent = dual_value(tree, field, 1.0)
     for e in (0.5, 1.0, 2.0):
         res = dual_value(tree, field, e)
         want = (e + entropy_kernel(e)) / 1.6 + e * ent.values["r"]
         assert res.values["r"] == pytest.approx(want, abs=1e-8)
+
+
+READ_ETAS = [1e-3, 0.25, 0.5, 2.0, 4.0, 50.0]
+
+
+@pytest.mark.parametrize("bumped", [False, True], ids=["solved", "root-bumped"])
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_dual_read_matches_the_per_eta_program(seed, bumped):
+    # every window's eta = 1 program, read at other etas, against the
+    # program solved at each eta
+    tree = random_tree(seed, periods=3)
+    field = solved_field(tree, seed)
+    if bumped:
+        field = field.with_offsets({tree.root: 0.1})
+    for (t, T) in _window_pairs(tree):
+        unit = dual_value(tree, field, 1.0, t, T)
+        solved = oracles.dual_by_eta(tree, field, 1.0, t, T)
+        assert (unit.values, unit.minimizer) == (solved.values, solved.minimizer)
+        assert unit.at(1.0).values == unit.values
+        assert all(v == 0.0 for v in unit.at(0.0).values.values())
+        for e in READ_ETAS:
+            got = unit.at(e).values
+            want = oracles.dual_by_eta(tree, field, e, t, T).values
+            for n, v in got.items():
+                assert abs(v - want[n]) <= 1e-10 * max(1.0, abs(v)), (t, T, e, n)
 
 
 # -- entropy -------------------------------------------------------------
@@ -396,14 +436,14 @@ def test_entropy_reference_measure_pin():
     tree = uniform_trinomial_tree()
     p = reference_measure(tree)
     res = oracles.entropy(tree, const_map(tree, 1.0), const_map(tree, 0.0), p)
-    assert res.values["r"] == pytest.approx(-1.0, rel=1e-14)
+    assert res["r"] == pytest.approx(-1.0, rel=1e-14)
 
 
 def test_entropy_vertex_pin():
     tree = uniform_trinomial_tree()
     q = TreeMeasure(cond={"r": (0.5, 0.0, 0.5)})
     res = oracles.entropy(tree, const_map(tree, 1.0), const_map(tree, 0.0), q)
-    assert res.values["r"] == pytest.approx((2.0 / 3.0) * entropy_kernel(1.5), rel=1e-12)
+    assert res["r"] == pytest.approx((2.0 / 3.0) * entropy_kernel(1.5), rel=1e-12)
 
 
 def test_entropy_constant_shift_pin():
@@ -411,25 +451,26 @@ def test_entropy_constant_shift_pin():
     c = 0.7
     p = reference_measure(tree)
     res = oracles.entropy(tree, const_map(tree, 1.0), const_map(tree, c), p)
-    assert res.values["r"] == pytest.approx(-1.0 - c, rel=1e-12)
+    assert res["r"] == pytest.approx(-1.0 - c, rel=1e-12)
 
 
 def test_min_entropy_equals_dual_at_unit_argument():
+    # the dual value at eta = 1 is the conditional entropy of its minimiser
     tree = two_period_tree()
     field = solved_field(tree, seed=9)
-    ent = min_entropy(tree, field.gamma, field.a_shift)
     dual = dual_value(tree, field, 1.0)
-    assert ent.values["r"] == pytest.approx(dual.values["r"], abs=1e-12)
+    ent = oracles.entropy(tree, field.gamma, field.a_shift, dual.minimizer["r"])
+    assert ent["r"] == pytest.approx(dual.values["r"], abs=1e-12)
 
 
 def test_min_entropy_below_any_vertex():
     tree = trinomial_tree()
     gamma = const_map(tree, 1.0)
     a = const_map(tree, 0.0)
-    ent = min_entropy(tree, gamma, a)
+    ent = dual_value(tree, ExponentialFieldParams(gamma, a), 1.0)
     for q in enumerate_product_measures(tree):
         res = oracles.entropy(tree, gamma, a, q)
-        assert ent.values["r"] <= res.values["r"] + 1e-9
+        assert ent.values["r"] <= res["r"] + 1e-9
 
 
 # -- entropy shift construction ------------------------------------------
@@ -676,7 +717,15 @@ def test_window_duals_share_and_refuse_another_field():
     field = solved_field(tree, seed=23)
     duals = WindowDuals(tree, field.gamma)
     assert duals.dual(field, 1.0, 0, 2) is duals.dual(field, 1, 0, 2)
-    assert duals.dual(field, 2.0, 0, 2).values == dual_value(tree, field, 2.0, 0, 2).values
+    # eta = 1 is the window's one program, bit for bit; eta = 2 is read
+    # from it, as dual_value reads it, and matches the program at eta = 2
+    unit, read = duals.dual(field, 1.0, 0, 2), duals.dual(field, 2.0, 0, 2)
+    assert unit.values == dual_value(tree, field, 1.0, 0, 2).values
+    assert read.values == dual_value(tree, field, 2.0, 0, 2).values
+    assert read.minimizer is unit.minimizer
+    per_eta = oracles.dual_by_eta(tree, field, 2.0, 0, 2)
+    for n, v in read.values.items():
+        assert abs(v - per_eta.values[n]) <= 1e-10 * max(1.0, abs(v))
     # the exponential checks read the eta = 1 window duals they are given
     pairs = [(0, 2)]
     for check in (
@@ -684,7 +733,7 @@ def test_window_duals_share_and_refuse_another_field():
         lambda d: check_forward_supermartingale(tree, field.gamma, field.a_shift, 0, 2, duals=d),
     ):
         assert check(duals).to_json() == check(None).to_json()
-    assert [key[:3] for key in duals._solved] == [(0, 2, 1.0), (0, 2, 2.0)]
+    assert [key[:2] for key in duals._solved] == [(0, 2)]
     # the window [0, 2] reads the shift at time 2 only: a shift moved at
     # time 1 reads the same entry, one moved at a leaf gets its own
     moved_before = field.with_offsets({"a": 0.1})
@@ -693,7 +742,7 @@ def test_window_duals_share_and_refuse_another_field():
     fresh = dual_value(tree, moved_leaf, 1.0, 0, 2)
     assert duals.dual(moved_leaf, 1.0, 0, 2).values == fresh.values
     assert fresh.values != duals.dual(field, 1.0, 0, 2).values
-    assert len(duals._solved) == 3
+    assert len(duals._solved) == 2
     # a context belongs to one tree and one gamma
     other = ExponentialFieldParams({n: 2.0 * g for n, g in field.gamma.items()}, field.a_shift)
     with pytest.raises(ValueError, match="another tree or gamma"):
@@ -723,7 +772,7 @@ def test_window_duals_resolve_a_window_whose_leaf_shift_moved():
     tree = random_tree(7, periods=3)
     duals, field = shifted_context(tree, 7, {tree.leaves()[0]: 0.1})
     stale = {key[0]: res for key, res in duals._solved.items()}
-    assert [key[:3] for key in duals._solved] == [(2, 3, 1.0), (1, 3, 1.0), (0, 3, 1.0)]
+    assert [key[:2] for key in duals._solved] == [(2, 3), (1, 3), (0, 3)]
     for t in (0, 1, 2):
         # not the shift construction's solve, which read the unmoved leaf,
         # but the one a fresh dual_value returns
@@ -753,11 +802,18 @@ def test_shared_context_matches_per_window_rebuild(offsets):
             assert primal.log_factor == log_factor[(t, T)]
             for e in etas:
                 got, want = duals.dual(field, e, t, T), rebuilt[(t, T, e)]
-                assert (got.values, got.minimizer) == (want.values, want.minimizer)
-                assert (got.kkt_residual, got.near_boundary) == (
-                    want.kkt_residual,
-                    want.near_boundary,
-                )
+                assert got.near_boundary == want.near_boundary
+                if e == 1.0:
+                    assert (got.values, got.minimizer) == (want.values, want.minimizer)
+                    assert got.kkt_residual == want.kkt_residual
+                    continue
+                # read from the eta = 1 program, against the program at eta
+                assert got.values.keys() == want.values.keys()
+                for n, v in got.values.items():
+                    assert abs(v - want.values[n]) <= 1e-10 * max(1.0, abs(v))
+        if field is solved:
+            # one program per window, whatever the eta
+            assert sorted(key[:2] for key in duals._solved) == sorted(windows)
 
 
 def test_weak_duality_any_field():
