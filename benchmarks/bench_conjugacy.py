@@ -1,21 +1,26 @@
-"""The primal-from-dual side of the conjugacy check over tree depth: one joint
-program per xi against the search over eta.
+"""The primal-from-dual side of the conjugacy check over tree depth: the read
+of the window's eta = 1 program against one joint program per xi and
+against the search over eta.
 
 For ``random_tree(7, periods=d)``, d = 2..6, with its solved field, at the
 root window (0, d), the default scenario xi grid and eta grid:
 
-- ``joint``: u(xi) = inf over eta of v(eta) + xi eta as one barrier program
-  per xi over the unnormalised leaf masses, as ``check_value_conjugacy``
-  runs it;
+- ``read``: u(xi) = inf over eta of v(eta) + xi eta read in closed form
+  from the window's eta = 1 dual program, as ``check_value_conjugacy``
+  does; each repeat builds a fresh context, so it times the eta = 1 solve
+  and the reads;
+- ``joint``: one barrier program per xi over the unnormalised leaf masses,
+  as the check solved it before (``oracles.conjugate_primal_joint``);
 - ``eta_search``: the golden-section search over eta that the check ran
-  before, every probe a full barrier solve of the dual program at that eta
-  (``oracles.conjugate_primal_by_eta_search`` over ``oracles.dual_by_eta``).
+  before that, every probe a full barrier solve of the dual program at
+  that eta (``oracles.conjugate_primal_by_eta_search`` over
+  ``oracles.dual_by_eta``).
 
 Each row also records, per route, the largest gap to the closed-form u over
-the xi grid, the largest relative difference of the attaining eta between
-the routes, and the joint solve's largest Newton iteration count. Both
-sides are measured in one process, one after the other per depth. Writes
-the median and spread (min, max) of the repeats as JSON. Usage:
+the xi grid, and, per other route, the largest relative difference of the
+attaining eta from the read's. The routes are measured in one process, one
+after the other per depth. Writes the median and spread (min, max) of the
+repeats as JSON. Usage:
 
     PYTHONPATH=src:tests python benchmarks/bench_conjugacy.py \\
         [--repeat 5] [--out BENCH_conjugacy.json]
@@ -35,7 +40,7 @@ import numpy as np
 
 import oracles
 from forwardperf import kernels
-from forwardperf.tree_verifier import WindowDuals, _conjugate_solve_node, primal_value
+from forwardperf.tree_verifier import WindowDuals, _conjugate_read, primal_value
 from treegen import random_tree, solved_field
 
 SEED = 7
@@ -69,34 +74,32 @@ def measure(depth, repeat):
     def gap(u, x):
         return abs(u + math.exp(-g * x + log_factor))
 
-    def joint_solve():
-        # a fresh context, so each repeat builds the window data too
-        duals = WindowDuals(tree, field.gamma)
-        return _conjugate_solve_node(duals, field, root, depth, XI_GRID)
+    def read():
+        # a fresh context, so each repeat solves the eta = 1 program too
+        unit = WindowDuals(tree, field.gamma).dual(field, 1.0, 0, depth)
+        return [_conjugate_read(unit, root, x) for x in XI_GRID]
 
-    joint_t, joint = _repeat(joint_solve, repeat)
+    read_t, reads = _repeat(read, repeat)
+    joint_t, joint = _repeat(
+        lambda: oracles.conjugate_primal_joint(tree, field, 0, depth, XI_GRID)[root], repeat
+    )
     search_t, search = _repeat(
         lambda: oracles.conjugate_primal_by_eta_search(tree, field, 0, depth, XI_GRID, ETA_GRID)[root],
         repeat,
     )
-    return {
+    routes = {"read": (read_t, reads), "joint": (joint_t, joint), "eta_search": (search_t, search)}
+    row = {
         "depth": depth,
         "nodes": len(tree.nodes),
         "leaves": len(tree.descendants_at(root, depth)),
-        "joint": {
-            **joint_t,
-            "max_gap": max(gap(u, x) for x, (u, _, _, _) in zip(XI_GRID, joint)),
-            "max_newton_iterations": max(info["newton_iterations"] for _, _, info, _ in joint),
-        },
-        "eta_search": {
-            **search_t,
-            "max_gap": max(gap(u, x) for x, (u, _) in zip(XI_GRID, search)),
-        },
-        "eta_hat_max_rel_diff": max(
-            abs(e_joint - e_search) / e_joint
-            for (_, e_joint, _, _), (_, e_search) in zip(joint, search)
-        ),
     }
+    for name, (stats, sols) in routes.items():
+        row[name] = {**stats, "max_gap": max(gap(u, x) for x, (u, _) in zip(XI_GRID, sols))}
+        if name != "read":
+            row[name]["eta_hat_max_rel_diff_to_read"] = max(
+                abs(e - e_read) / e_read for (_, e), (_, e_read) in zip(sols, reads)
+            )
+    return row
 
 
 def main():
@@ -109,9 +112,11 @@ def main():
     for depth in DEPTHS:
         row = measure(depth, args.repeat)
         print(
-            f"d={depth} leaves={row['leaves']} joint={row['joint']['median_s']:.4f}s "
+            f"d={depth} leaves={row['leaves']} read={row['read']['median_s']:.4f}s "
+            f"joint={row['joint']['median_s']:.4f}s "
             f"eta_search={row['eta_search']['median_s']:.4f}s "
-            f"gaps={row['joint']['max_gap']:.1e}/{row['eta_search']['max_gap']:.1e}",
+            f"gaps={row['read']['max_gap']:.1e}/{row['joint']['max_gap']:.1e}"
+            f"/{row['eta_search']['max_gap']:.1e}",
             flush=True,
         )
         rows.append(row)
@@ -121,7 +126,10 @@ def main():
         "xi_grid": XI_GRID,
         "eta_grid": ETA_GRID,
         "what": {
-            "joint": "one joint barrier program per xi (tree_verifier._conjugate_solve_node)",
+            "read": "the eta = 1 dual program in a fresh context, read per xi "
+            "(tree_verifier._conjugate_read)",
+            "joint": "one joint barrier program per xi (oracles.conjugate_primal_joint "
+            "in tests/oracles.py)",
             "eta_search": "golden-section search over eta, one per-eta dual solve per probe "
             "(oracles.conjugate_primal_by_eta_search over oracles.dual_by_eta in tests/oracles.py)",
         },

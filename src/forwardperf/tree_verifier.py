@@ -34,9 +34,10 @@ refused. v(1) is the conditional entropy functional (the splitting
 identity for the entropy kernel kills the extra term), which also drives
 the backward construction of the consistent additive shift.
 
-Conjugacy u(xi) = inf over eta of v(eta) + xi eta is the same program in the
-unnormalised masses s = eta r, without the unit-mass row, plus xi sum(s):
-one solve per start node and wealth, no search over eta.
+Conjugacy u(xi) = inf over eta of v(eta) + xi eta is read from the same
+eta = 1 program in closed form: the infimum of eta (v(1) + xi) +
+eta log(eta) m is -m e^E, attained at eta = e^E with E = -(v(1) + xi)/m - 1.
+It needs no solve beyond the window's one program.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import numpy as np
 
 from .errors import (
     ArbitrageError,
-    ConvergenceError,
     ForwardPerfError,
     ReplicationError,
     WealthRangeError,
@@ -508,67 +508,6 @@ def _exp_phi(field, leaves, p):
     return phi
 
 
-def _ray_scale(phi, s):
-    """The c > 0 minimising sum(phi(c s)), for a sum of entropy kernels plus
-    linear terms: along the ray g(c s) = g(s) + log(c) h(s) s, so
-    log c = -(s . g) / (s . h s). Overflows to inf and underflows to 0."""
-    _, g, h = phi(s)
-    try:
-        return math.exp(-float(s @ g) / float(s @ (h * s)))
-    except OverflowError:
-        return math.inf
-
-
-def _conjugate_solve_node(duals, field, start, T, xi_values):
-    """u(xi) = inf over eta of v(eta) + xi eta at one start, one program per xi.
-
-    In the unnormalised leaf masses s = eta r the two minimisations merge
-    (the perspective of the dual objective): the unit-mass row drops out,
-    the martingale rows become homogeneous, and the leaf objective is the
-    eta = 1 dual objective p h(s / (p gamma)) - s a / gamma plus xi s. u is
-    the optimal value. The attaining dual argument is the optimal sum(s),
-    taken as sum(s) times the ray scale at the optimum: the Newton stop
-    leaves sum(s) off to first order along the flat scaling direction (up
-    to 1e-6 relative), the ray minimiser only to second order in the
-    measure s / sum(s) when 1/gamma is replicable.
-
-    Each solve starts from the previous optimum (the first from
-    ``_interior_start``) moved to the best point of its ray, which is the
-    next optimum exactly when gamma is constant on the window's leaves.
-    near_boundary flags the measure s / sum(s) below 1e-7 on some leaf, as
-    ``dual_value`` does. Returns one (u, eta_hat, info, near_boundary) per
-    xi, with ``info`` from ``barrier_minimize``. Raises ConvergenceError
-    when the start of a solve, or the objective there, leaves the float
-    range (the optimal eta is about exp(-gamma xi), so |gamma xi| of a few
-    hundred).
-    """
-    win = duals.window(start, T)
-    A = win.rows
-    b = np.zeros(A.shape[0])
-    s = win.interior
-    unit = _exp_phi(field, win.leaves, win.p)
-    out = []
-    for x in xi_values:
-
-        def phi(s, x=x):
-            v, g, h = unit(s)
-            return v + x * s, g + x, h
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            s0 = s * _ray_scale(phi, s)
-            representable = np.all(s0 > 0.0) and all(np.all(np.isfinite(a)) for a in phi(s0))
-        if not representable:
-            raise ConvergenceError(
-                f"conjugacy at xi = {x:g}: the optimal dual argument at node {start!r} "
-                "is outside the float range"
-            )
-        s, _, info = barrier_minimize(phi, A, b, s0)
-        mass = float(np.sum(s))
-        value = float(np.sum(phi(s)[0]))
-        out.append((value, mass * _ray_scale(phi, s), info, bool(np.min(s) < 1e-7 * mass)))
-    return out
-
-
 def dual_value(
     tree: EventTree,
     field: ExponentialFieldParams,
@@ -807,6 +746,32 @@ def check_self_generation_dual(
     return report
 
 
+def _conjugate_read(unit, n, xi):
+    """(u, eta_hat) at start n and wealth xi, read from the window's eta = 1
+    program ``unit``: v(eta) + xi eta = eta (v(1) + xi) + eta log(eta) m is
+    least at eta_hat = e^E, E = -(v(1) + xi) / m - 1, where it equals
+    -m eta_hat. A wealth at which eta_hat or u leaves the float range is
+    refused."""
+    m = unit.inverse_gamma_mean[n]
+    try:
+        eta_hat = math.exp(-(unit.entropy[n] + xi) / m - 1.0)
+    except OverflowError:
+        eta_hat = math.inf
+    u = -m * eta_hat
+    if not (0.0 < eta_hat < math.inf and -math.inf < u < 0.0):
+        raise WealthRangeError(
+            f"xi={xi:g} at node {n!r}: the optimal dual argument or the value "
+            "is outside the float range"
+        )
+    return u, eta_hat
+
+
+def _scaled_gap(value, target):
+    """|value - target| / max(1, |target|): absolute for values of order
+    one, relative for larger ones (Higham 2002)."""
+    return abs(value - target) / max(1.0, abs(target))
+
+
 def check_value_conjugacy(
     tree: EventTree,
     field: ExponentialFieldParams,
@@ -819,26 +784,30 @@ def check_value_conjugacy(
 ) -> VerificationReport:
     """Fenchel conjugacy between the computed value fields.
 
-    Per start node, both directions against the closed-form primal
-    u(xi) = -exp(-gamma xi) C of the factor recursion:
+    Per start node, both directions between the window's eta = 1 dual
+    program, read as v(eta) = eta v(1) + eta log(eta) m (``DualResult.at``),
+    and the primal u(xi) = -exp(-gamma xi) C of the factor recursion
+    (``PrimalResult.at``):
 
     - primal from dual: u(xi) against inf over eta > 0 of (v(eta) + xi eta),
-      solved per xi as one joint barrier program over the unnormalised
-      leaf masses s = eta r (``_conjugate_solve_node``), with no search
-      over eta. The record carries the attaining dual argument eta_hat at
-      the first grid wealth and, worst over the xi grid, the joint solve's
+      which for that read is -m eta_hat at eta_hat = e^E,
+      E = -(v(1) + xi) / m - 1, in closed form. The record carries eta_hat
+      at the first grid wealth and, per start, the eta = 1 program's
       Newton iterations, KKT residual (gap bound plus equality residual)
-      and near-boundary flag (the attaining measure s / sum(s) below 1e-7
-      on some leaf).
+      and near-boundary flag, as the dual-self-generation records do.
     - dual from primal: v(eta) on the eta grid against max over xi of
       (u(xi) - xi eta), which for u(xi) = -exp(-gamma xi + log_factor) is
       ``conjugate_exponential(gamma, log_factor, eta)`` in closed form.
 
-    The dual side reads the window's eta = 1 program at every eta of the
-    grid. ``duals`` shares that program, the window data and the factor
-    recursion with the other checks of a scenario. A gamma whose
-    reciprocal no portfolio replicates is refused by ``primal_value``
-    before anything is solved.
+    Each gap is scaled by max(1, |target|), the target being u(xi) on one
+    side and the closed-form conjugate on the other, since both sides
+    carry the relative rounding error of v(1) and |u| grows with e^a; each
+    record's value is its worst scaled gap. A wealth at which eta_hat or
+    u leaves the float range is refused with ``WealthRangeError`` before
+    the primal is read there. ``duals`` shares the eta = 1 program, the
+    window data and the factor recursion with the other checks of a
+    scenario. A gamma whose reciprocal no portfolio replicates is refused
+    by ``primal_value`` before anything is solved.
     """
     xi_grid = [float(x) for x in xi_grid]
     eta_grid = sorted(float(e) for e in eta_grid)
@@ -852,31 +821,21 @@ def check_value_conjugacy(
     duals = _window_duals(duals, tree, field.gamma)
     base = primal_value(tree, field, 0.0, t, T, duals=duals)
     unit = duals.dual(field, 1.0, t, T)
+    conjugates = [{n: _conjugate_read(unit, n, x) for n in starts} for x in xi_grid]
+    primals = [base.at(x).values for x in xi_grid]
     reads = [unit.at(e) for e in eta_grid]
-
-    def u_of(n, x):
-        return -math.exp(-field.gamma[n] * x) * math.exp(base.log_factor[n])
 
     worst_primal = 0.0
     worst_dual = 0.0
     worst_node = None
-    eta_hat: dict[str, float] = {}
-    newton: dict[str, int] = {}
-    kkt: dict[str, float] = {}
-    near: dict[str, bool] = {}
     for n in starts:
-        solves = _conjugate_solve_node(duals, field, n, T, xi_grid)
-        for x, (cand, _, _, _) in zip(xi_grid, solves):
-            gap = abs(cand - u_of(n, x))
+        for conjugate, u in zip(conjugates, primals):
+            gap = _scaled_gap(conjugate[n][0], u[n])
             if gap > worst_primal:
                 worst_primal, worst_node = gap, n
-        eta_hat[n] = solves[0][1]
-        newton[n] = max(info["newton_iterations"] for _, _, info, _ in solves)
-        kkt[n] = max(info["gap_bound"] + info["eq_residual"] for _, _, info, _ in solves)
-        near[n] = any(flag for _, _, _, flag in solves)
         for e, dual in zip(eta_grid, reads):
             v = conjugate_exponential(field.gamma[n], base.log_factor[n], e)
-            worst_dual = max(worst_dual, abs(v - dual.values[n]))
+            worst_dual = max(worst_dual, _scaled_gap(dual.values[n], v))
     report.add(
         CheckRecord(
             check_tag=f"conjugacy-primal-from-dual[t={t},T={T}]",
@@ -886,10 +845,10 @@ def check_value_conjugacy(
             tolerance=tol,
             worst_node=worst_node,
             details={
-                "eta_hat": eta_hat,
-                "newton_iterations": newton,
-                "kkt_residual": kkt,
-                "near_boundary": near,
+                "eta_hat": {n: eta_hat for n, (_, eta_hat) in conjugates[0].items()},
+                "newton_iterations": unit.newton_iterations,
+                "kkt_residual": unit.kkt_residual,
+                "near_boundary": unit.near_boundary,
             },
         )
     )

@@ -1,12 +1,14 @@
 """Independent oracles for cross-checking the package's solvers.
 
-Nothing here imports the package's DP, vertex-recursion or joint conjugacy
+Nothing here imports the package's DP, vertex-recursion or conjugacy
 code paths: values come from closed forms, scipy one-dimensional
 minimization, a direct joint optimization over all node portfolios, brute
 force over every product measure of a window, (for the dual value at
 each eta) the per-eta dual program the package solved before it read
 every eta from one eta = 1 program, (for conjugacy) a one-dimensional
-search over that per-eta program, (for primal
+search over that per-eta program and the joint program over unnormalised
+leaf masses the package solved per wealth before it read the infimum from
+the eta = 1 program, (for primal
 self-generation) a fresh ``primal_value`` solve per wealth -- the package's
 own program, so it checks only that one program per window reads the same
 at every wealth -- (for the per-scenario context of the tree engine) each
@@ -329,6 +331,28 @@ class DualSolve:
     near_boundary: dict = dc_field(default_factory=dict)
 
 
+def _window_program(tree, start, T):
+    """The constraint data of the window [time(start), T] below one start:
+    its leaves, their reference masses given the start, one homogeneous
+    martingale row per interior node (the price move of each branch, on
+    every leaf below it), and the product of the one-step vertex centroids
+    as leaf masses, a strictly positive feasible point."""
+    leaves = tree.descendants_at(start, T)
+    index = {w: i for i, w in enumerate(leaves)}
+    p = np.array([tree.cond_prob(start, w) for w in leaves])
+    interior = tree.window_interior(start, T)
+    rows = np.zeros((len(interior), len(leaves)))
+    mass = {start: 1.0}
+    for row, m in zip(rows, interior):
+        for br in tree.branches_of(m):
+            for w in tree.descendants_at(br.child, T):
+                row[index[w]] = br.dprice
+        center = node_polytope(tree, m).centroid()
+        for j, child in enumerate(tree.children(m)):
+            mass[child] = mass[m] * float(center[j])
+    return leaves, p, rows, np.array([mass[w] for w in leaves])
+
+
 def dual_by_eta(tree, field, eta, t, T):
     """The dual value on [t, T] at one eta > 0, solved at that eta: per
     time-t start, ``barrier_minimize`` on the leaf objective
@@ -342,20 +366,8 @@ def dual_by_eta(tree, field, eta, t, T):
         raise ValueError(f"dual_by_eta: eta must be positive, got {eta}")
     out = DualSolve()
     for start in tree.nodes_at(t):
-        leaves = tree.descendants_at(start, T)
-        index = {w: i for i, w in enumerate(leaves)}
-        p = np.array([tree.cond_prob(start, w) for w in leaves])
-        interior = tree.window_interior(start, T)
-        A = np.zeros((1 + len(interior), len(leaves)))
-        A[0] = 1.0
-        mass = {start: 1.0}
-        for row, m in zip(A[1:], interior):
-            for br in tree.branches_of(m):
-                for w in tree.descendants_at(br.child, T):
-                    row[index[w]] = br.dprice
-            center = node_polytope(tree, m).centroid()
-            for j, child in enumerate(tree.children(m)):
-                mass[child] = mass[m] * float(center[j])
+        leaves, p, rows, interior = _window_program(tree, start, T)
+        A = np.vstack([np.ones(len(leaves)), rows])
         b = np.zeros(A.shape[0])
         b[0] = 1.0
         gam = np.array([field.gamma[w] for w in leaves])
@@ -370,12 +382,69 @@ def dual_by_eta(tree, field, eta, t, T):
             v = p * np.where(y > 0.0, y * log_y - y, 0.0) - lin * r
             return v, slope * log_y - lin, eta / (gam * r)
 
-        r, _, info = barrier_minimize(phi, A, b, np.array([mass[w] for w in leaves]))
+        r, _, info = barrier_minimize(phi, A, b, interior)
         out.values[start] = float(np.sum(phi(r)[0]))
         masses = {w: float(ri) for w, ri in zip(leaves, r)}
         out.minimizer[start] = measure_from_leaf_masses(tree, start, T, masses)
         out.kkt_residual[start] = float(info["gap_bound"] + info["eq_residual"])
         out.near_boundary[start] = bool(np.min(r) < 1e-7)
+    return out
+
+
+def _ray_scale(phi, s):
+    """The c > 0 minimising sum(phi(c s)), for a sum of entropy kernels plus
+    linear terms: along the ray g(c s) = g(s) + log(c) h(s) s, so
+    log c = -(s . g) / (s . h s). Overflows to inf and underflows to 0."""
+    _, g, h = phi(s)
+    try:
+        return math.exp(-float(s @ g) / float(s @ (h * s)))
+    except OverflowError:
+        return math.inf
+
+
+def conjugate_primal_joint(tree, field, t, T, xi_grid):
+    """u(xi) = inf over eta > 0 of v(eta) + xi eta as one barrier program
+    per start and xi, with no eta and no read of an eta = 1 program.
+
+    In the unnormalised leaf masses s = eta r the two minimisations merge:
+    the unit-mass row drops out, the martingale rows stay homogeneous, and
+    the leaf objective is p h(s / (p gamma)) - s a / gamma + xi s. u is the
+    optimal value; the attaining eta is sum(s) times the ray scale at the
+    optimum, since the Newton stop leaves sum(s) off to first order along
+    the flat scaling direction. Each solve starts from the previous optimum
+    (the first from the product of the one-step vertex centroids) moved to
+    the best point of its ray. This is how the package's conjugacy check
+    solved each wealth before it read the infimum from the window's eta = 1
+    program. Returns, per time-t node, one (u, eta_hat) per xi; raises
+    ConvergenceError when a start, or the objective there, leaves the
+    float range.
+    """
+    out = {}
+    for start in tree.nodes_at(t):
+        leaves, p, rows, s = _window_program(tree, start, T)
+        b = np.zeros(rows.shape[0])
+        gam = np.array([field.gamma[w] for w in leaves])
+        ash = np.array([field.a_shift[w] for w in leaves])
+        kappa = 1.0 / (p * gam)
+        lin = ash / gam
+        slope = 1.0 / gam
+        solves = []
+        for x in xi_grid:
+
+            def phi(s, x=float(x)):
+                y = kappa * s
+                log_y = np.log(y)
+                v = p * np.where(y > 0.0, y * log_y - y, 0.0) - lin * s + x * s
+                return v, slope * log_y - lin + x, 1.0 / (gam * s)
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                s0 = s * _ray_scale(phi, s)
+                representable = np.all(s0 > 0.0) and all(np.all(np.isfinite(a)) for a in phi(s0))
+            if not representable:
+                raise ConvergenceError(f"conjugate_primal_joint: xi = {x:g} is outside the float range")
+            s, _, _ = barrier_minimize(phi, rows, b, s0)
+            solves.append((float(np.sum(phi(s)[0])), float(np.sum(s)) * _ray_scale(phi, s)))
+        out[start] = solves
     return out
 
 

@@ -132,6 +132,23 @@ def test_tree_scenario_solves_each_window_dual_once(monkeypatch):
     assert sorted(calls) == [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 
 
+def test_tree_scenario_conjugacy_adds_no_solve(monkeypatch):
+    calls = []
+    original = tree_verifier.barrier_minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tree_verifier, "barrier_minimize", counted)
+    report = cli.run_tree_scenario(tree_doc())
+    assert report.all_passed, report.to_text()
+    # one barrier program per (window, start), at eta = 1: the conjugacy
+    # check reads both of its directions from the program of its window
+    tree = two_period_tree()
+    assert len(calls) == sum(len(tree.nodes_at(t)) for t, T in [(0, 1), (0, 2), (1, 2)])
+
+
 @pytest.mark.parametrize("offsets", [None, {"r": 0.1}])
 def test_tree_scenario_shared_duals_match_fresh_checks(monkeypatch, offsets):
     doc = tree_doc()
@@ -167,9 +184,14 @@ def random_tree_doc(a_shift, periods=4):
 # values moved in their last digits (at most 3.6e-13), some passing
 # records' worst_node flipped, and the dual-self-generation records gained
 # the read's certificate and the solver evidence; no verdict moved.
+# Re-pinned on purpose again when the conjugacy check came to read both of
+# its directions from that eta = 1 program, with each gap scaled by
+# max(1, |target|): only the two conjugacy records moved (their values,
+# and eta_hat and the solver evidence of the primal-from-dual record), and
+# no verdict.
 PINNED_TREE_REPORT_SHA256 = {
-    "explicit": "08fc4dd003c08afcbc9f98ae45d9aef676e0b914e5b1b51fdad1e4f9a053b2f6",
-    "solve": "73c7757af28b30028dd87c2d45b1c15f334f41ff864f5652aa2e9fc016fc6af1",
+    "explicit": "eaafc608a4d5f23deb070b0002b38eaf21954077b95f16a1cf7e56854bf9348f",
+    "solve": "2d97764e6d06bd8216e2c15baaf765444624241265b1fe61925c4e96e8ed2590",
 }
 PINNED_TREE_SHIFTS = {
     "explicit": lambda tree, field: {"mode": "explicit", "values": field.a_shift},

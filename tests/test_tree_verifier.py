@@ -9,7 +9,6 @@ import forwardperf.tree_verifier as tree_verifier
 import oracles
 from forwardperf.errors import (
     ArbitrageError,
-    ConvergenceError,
     ForwardPerfError,
     ReplicationError,
     WealthRangeError,
@@ -645,6 +644,17 @@ def test_conjugacy_joint_solve_matches_eta_search(kind, seed):
     tol = 1e-6
     rep = check_value_conjugacy(tree, field, t, T, xi_grid, eta_grid, tol)
     rec = rep[f"conjugacy-primal-from-dual[t={t},T={T}]"]
+    # the check's reads of the eta = 1 program against the joint program
+    # over the unnormalised leaf masses, one solve per start and wealth
+    unit = dual_value(tree, field, 1.0, t, T)
+    joint = oracles.conjugate_primal_joint(tree, field, t, T, xi_grid)
+    assert set(rec.details["eta_hat"]) == set(joint)
+    for n, sols in joint.items():
+        reads = [tree_verifier._conjugate_read(unit, n, x) for x in xi_grid]
+        assert rec.details["eta_hat"][n] == reads[0][1]
+        for (u_read, eta_read), (u, eta_hat) in zip(reads, sols):
+            assert abs(u_read - u) <= 1e-10 * max(1.0, abs(u))
+            assert eta_read == pytest.approx(eta_hat, rel=1e-10)
     log_factor = primal_value(tree, field, 0.0, t, T).log_factor
     searched = oracles.conjugate_primal_by_eta_search(tree, field, t, T, xi_grid, eta_grid, tol)
     oracle_gap = max(
@@ -666,35 +676,53 @@ def test_conjugacy_joint_solve_matches_eta_search(kind, seed):
 @pytest.mark.parametrize("kind,seed", [("crit3-bumped", 5), ("suite-t1", 1), ("depth4", 2)])
 def test_conjugacy_dual_from_primal_is_the_closed_form_gap(kind, seed):
     # the conjugate of u(xi) = -exp(-gamma xi + log_factor) is closed form,
-    # so the record is exactly its worst gap to the computed dual
+    # so the record is exactly its worst gap to the computed dual, scaled
+    # by max(1, |conjugate|)
     tree, field, (t, T), xi_grid, eta_grid = conjugacy_case(kind, seed)
     rep = check_value_conjugacy(tree, field, t, T, xi_grid, eta_grid)
     log_factor = primal_value(tree, field, 0.0, t, T).log_factor
-    gap = max(
-        abs(
-            conjugate_exponential(field.gamma[n], log_factor[n], e)
-            - dual_value(tree, field, e, t, T).values[n]
-        )
-        for n in tree.nodes_at(t)
-        for e in eta_grid
-    )
-    assert rep[f"conjugacy-dual-from-primal[t={t},T={T}]"].value == gap
+    gaps = []
+    for n in tree.nodes_at(t):
+        for e in eta_grid:
+            V = conjugate_exponential(field.gamma[n], log_factor[n], e)
+            gaps.append(abs(V - dual_value(tree, field, e, t, T).values[n]) / max(1.0, abs(V)))
+    assert rep[f"conjugacy-dual-from-primal[t={t},T={T}]"].value == max(gaps)
 
 
 @pytest.mark.parametrize("xi", [-1000.0, 1000.0])
 def test_conjugacy_refuses_xi_beyond_float_range(xi):
-    # the optimal eta, about exp(-xi) here, over- or underflows: a refusal,
-    # not a solve from a zero or infinite start
+    # the optimal eta, about exp(-xi) here, over- or underflows: a refusal
+    # of the wealth, before the primal is read there
     tree = two_period_tree()
-    with pytest.raises(ConvergenceError, match="outside the float range"):
+    with pytest.raises(WealthRangeError, match=f"xi={xi:g} at node 'r': .* outside the float range"):
         check_value_conjugacy(tree, solved_field(tree, seed=23), 0, 2, [xi], [1.0])
 
 
+def test_conjugacy_scales_the_gap_with_the_value():
+    # leaf shifts of 20 make |u(-2)| about 2.4e9, where the rounding of a
+    # consistent pair of fields is an absolute gap of several 1e-6; scaled
+    # by max(1, |u|) it sits at the rounding floor
+    tree = uniform_trinomial_tree()
+    field = ExponentialFieldParams(
+        gamma=const_map(tree, 1.0),
+        a_shift={"r": 0.0, "u": 20.0, "m": 0.0, "d": 20.0},
+    )
+    rep = check_value_conjugacy(tree, field, 0, 1, SCENARIO_XI, SCENARIO_ETA)
+    assert rep.all_passed, rep.to_text()
+    assert abs(primal_value(tree, field, -2.0, 0, 1).values["r"]) > 1e9
+    assert rep["conjugacy-primal-from-dual[t=0,T=1]"].value <= 1e-12
+
+
 def test_conjugacy_joint_solve_evidence():
+    # the evidence is the window's eta = 1 program's, as on the
+    # dual-self-generation records
     tree = two_period_tree()
     field = solved_field(tree, seed=23)
     rep = check_value_conjugacy(tree, field, 1, 2, SCENARIO_XI, [0.5, 1.0, 2.0])
     details = rep["conjugacy-primal-from-dual[t=1,T=2]"].details
+    unit = dual_value(tree, field, 1.0, 1, 2)
+    for key in ("newton_iterations", "kkt_residual", "near_boundary"):
+        assert details[key] == getattr(unit, key)
     for n in tree.nodes_at(1):
         assert isinstance(details["newton_iterations"][n], int)
         assert 1 <= details["newton_iterations"][n] < 200
