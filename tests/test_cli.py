@@ -1007,6 +1007,52 @@ def test_cli_import_skips_slow_scipy_modules(tmp_path):
     assert proc.stdout.splitlines() == ["[]", "0 []"]
 
 
+# Every CLI command in a child in which no scipy module can be imported.
+NO_SCIPY_CHILD = """
+import json, sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"no module named {name!r} in this test")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import forwardperf.cli as cli
+
+tree, ito, export, out = sys.argv[1:]
+codes = [
+    cli.main(["run", tree, "--out", out]),
+    cli.main(["run", ito, "--out", out]),
+    cli.main(["conjugate", "--gamma", "2", "--a", "1", "--eta", "0", "2", "--out", out]),
+    cli.main(["export-paths", export, "--out", out]),
+]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    ito = ito_doc(n_paths=2000, n_steps=16, checks=["regularity", *mc_verifier.MC_CHECKS])
+    args = [
+        write_scenario(tmp_path, tree_doc(), "tree.json"),
+        write_scenario(tmp_path, ito, "ito.json"),
+        write_scenario(tmp_path, export_doc(), "export.json"),
+        str(tmp_path / "out"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(forwardperf.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHILD, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "scipy": []}
+
+
 @pytest.mark.skipif(
     shutil.which("forwardperf") is None,
     reason="forwardperf console script not on PATH (package not installed)",

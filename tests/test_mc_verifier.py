@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from forwardperf import ito_engine, mc_verifier
@@ -55,8 +56,26 @@ def test_z_critical_pin():
 
 
 def test_z_critical_matches_normal_quantile_exactly():
-    for c in list(np.linspace(0.01, 0.99, 99)) + [0.9, 0.95, 0.99, 0.997, 0.999, 1 - 1e-9]:
-        assert z_critical(float(c)) == float(norm.ppf((1 + float(c)) / 2))
+    # the last two reach the x >= 8 tail branch
+    fixed = [0.9, 0.95, 0.99, 0.997, 0.999, 1 - 1e-9, 1 - 1e-15, 1 - 2**-52]
+    rng = np.random.default_rng(19)
+    uniform = rng.uniform(0.0, 1.0, 6000)
+    near_one = 1.0 - 10.0 ** -rng.uniform(0.0, 15.5, 6000)
+    sweep = [float(c) for c in [*np.linspace(0.01, 0.99, 99), *fixed, *uniform, *near_one]]
+    for c in sweep:
+        assert z_critical(c) == float(norm.ppf((1 + c) / 2)), c
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-20, 0.5, 1 - 2**-53])
+def test_private_ndtri_is_scipys_bit_for_bit(p):
+    # all but 0.5 (the central branch) take the x >= 8 tail branch, the
+    # last one from above
+    assert mc_verifier._ndtri(p) == float(ndtri(p))
+
+
+def test_private_ndtri_endpoints():
+    assert mc_verifier._ndtri(0.0) == -math.inf
+    assert mc_verifier._ndtri(1.0) == math.inf
 
 
 def test_collapse_pairs():
