@@ -23,6 +23,11 @@ Listing the products themselves (``enumerate_product_measures``) grows
 exponentially with depth. No check uses it: it stays, outside the package
 namespace, for the brute-force oracles of the tests and for perfbench's
 trace.
+
+No check builds a measure on the whole tree either: both forward records
+run a drift recursion over the window's nodes. ``TreeMeasure``,
+``density_process`` and ``measure_from_leaf_masses`` serve only the tests'
+oracles and perfbench's trace.
 """
 
 from __future__ import annotations
@@ -690,7 +695,6 @@ def measure_from_leaf_masses(
     start: str,
     T: int,
     masses: Mapping[str, float],
-    reference: TreeMeasure | None = None,
 ) -> TreeMeasure:
     """Rebuild one-step conditionals on [time(start), T] from terminal masses.
 
@@ -698,9 +702,8 @@ def measure_from_leaf_masses(
     measure given ``start``. Nodes with (numerically) zero mass get
     reference conditionals; everything outside the window also falls back
     to the reference measure so the result is a complete TreeMeasure.
-    ``reference`` is ``reference_measure(tree)``, built here when not given.
     """
-    pref = reference_measure(tree) if reference is None else reference
+    pref = reference_measure(tree)
     node_mass: dict[str, float] = {}
     for target in tree.descendants_at(start, T):
         m = float(masses[target])

@@ -60,12 +60,8 @@ from .solvers import barrier_minimize, minimize_exp_sum
 from .tree_market import (
     EventTree,
     NodePolytope,
-    TreeMeasure,
     _feasible_map,
-    density_process,
-    measure_from_leaf_masses,
     node_polytope,
-    reference_measure,
     vertex_recursion,
 )
 
@@ -106,11 +102,11 @@ class DualResult:
     eta: Mapping[str, float]
     replication: ReplicationResult
     # per start, from the window's eta = 1 program that .at reads: its
-    # value (the minimal conditional entropy) and m = sum_w r*_w / gamma_w
-    # at its minimiser r*
+    # value (the minimal conditional entropy), m = sum_w r*_w / gamma_w at
+    # its minimiser r*, and r* itself as {time-T node: mass given the start}
     entropy: dict[str, float] = dc_field(default_factory=dict)
     inverse_gamma_mean: dict[str, float] = dc_field(default_factory=dict)
-    minimizer: dict[str, TreeMeasure] = dc_field(default_factory=dict)
+    leaf_masses: dict[str, dict[str, float]] = dc_field(default_factory=dict)
     kkt_residual: dict[str, float] = dc_field(default_factory=dict)
     near_boundary: dict[str, bool] = dc_field(default_factory=dict)
     newton_iterations: dict[str, int] = dc_field(default_factory=dict)
@@ -219,8 +215,7 @@ class WindowDuals:
 
     - per tree: each node's one-step polytope (``polytope``) and its vertex
       centroid, refused when the node has no equivalent one-step measure
-      (``centroid``); the reference conditionals (``reference``); and the
-      replication of 1/gamma (``replication``);
+      (``centroid``); and the replication of 1/gamma (``replication``);
     - per T: the feasibility map (``feasible``); and, keyed also by the
       bits of a_shift at the time-T nodes, the factor C(node) of each node
       some window ending at T has needed (``factors``), since C(node)
@@ -245,7 +240,6 @@ class WindowDuals:
         self.gamma = dict(gamma)
         self._polytopes: dict[str, NodePolytope] = {}
         self._centroids: dict[str, np.ndarray | None] = {}
-        self._reference: TreeMeasure | None = None
         self._replication: ReplicationResult | None = None
         self._feasible: dict[int, dict[str, bool]] = {}
         self._factors: dict[tuple[int, bytes], tuple[dict, dict]] = {}
@@ -277,12 +271,6 @@ class WindowDuals:
                 "dual program has no interior point"
             )
         return center
-
-    @property
-    def reference(self) -> TreeMeasure:
-        if self._reference is None:
-            self._reference = reference_measure(self.tree)
-        return self._reference
 
     def replication(self) -> ReplicationResult:
         if self._replication is None:
@@ -520,12 +508,12 @@ def dual_value(
 
     Minimizes the terminal dual expectation over all absolutely continuous
     martingale measures of the window at eta = 1, per start, and reads eta
-    from that program (``DualResult.at``); the reported minimizer includes
-    a near-boundary flag rather than an interiority assumption. Without a
-    portfolio replicating 1/gamma, an eta other than 1 is refused with
-    ``ReplicationError`` before anything is solved. ``duals`` shares the
-    window data, the reference measure and the replication with the other
-    programs of a scenario.
+    from that program (``DualResult.at``); the minimiser is reported as its
+    leaf masses (``leaf_masses``), with a near-boundary flag rather than an
+    interiority assumption. Without a portfolio replicating 1/gamma, an eta
+    other than 1 is refused with ``ReplicationError`` before anything is
+    solved. ``duals`` shares the window data and the replication with the
+    other programs of a scenario.
     """
     _check_field_type(field)
     if T is None:
@@ -547,8 +535,7 @@ def dual_value(
         unit.entropy[start] = float(np.sum(phi(r)[0]))
         gam = np.array([field.gamma[w] for w in win.leaves])
         unit.inverse_gamma_mean[start] = float(np.sum(r / gam))
-        masses = {w: float(ri) for w, ri in zip(win.leaves, r)}
-        unit.minimizer[start] = measure_from_leaf_masses(tree, start, T, masses, duals.reference)
+        unit.leaf_masses[start] = {w: float(ri) for w, ri in zip(win.leaves, r)}
         unit.kkt_residual[start] = float(info["gap_bound"] + info["eq_residual"])
         unit.near_boundary[start] = bool(np.min(r) < 1e-7)
         unit.newton_iterations[start] = info["newton_iterations"]
@@ -996,6 +983,20 @@ def check_exponential_conditions(
     return report
 
 
+def _forward_drift(weights, probs, kid_values):
+    """One step of the forward drift recursion at a node:
+    sum_c q~_c (D(c) - log(q~_c / p_c)) over the children c of positive
+    weight, with q~ the weights normalised, p the reference conditionals
+    and D(c) in ``kid_values``."""
+    total = sum(weights)
+    value = 0.0
+    for w, p, d in zip(weights, probs, kid_values):
+        if w > 0.0:
+            q = w / total
+            value += q * (d - math.log(q / p))
+    return value
+
+
 def check_forward_supermartingale(
     tree: EventTree,
     gamma: Mapping[str, float],
@@ -1014,23 +1015,27 @@ def check_forward_supermartingale(
     equality. Positivity and the inverse-gamma mean condition are verified
     first and raise when violated.
 
-    Both bounds run node by node, without listing the product vertices. A
-    window node is charged when every edge from its start to it gets mass
-    above the vertex tolerance at some vertex of its parent: exactly the
-    nodes some Q reaches. The inverse-gamma mean condition must hold at
-    every charged node for every choice below it, which the (max, min)
-    recursion of ``_inverse_gamma_range`` decides. Once it holds, the
-    reweighting is per edge, q~_c = (v_c / gamma_c) / sum_j (v_j / gamma_j)
-    at a vertex v, so the drift at a node depends only on the choices at
-    and below it, and its worst case over Q is the backward recursion
+    Both records run node by node, without listing the product vertices or
+    building a measure on the tree. A window node is charged when every
+    edge from its start to it gets mass above the vertex tolerance at some
+    vertex of its parent: exactly the nodes some Q reaches. The
+    inverse-gamma mean condition must hold at every charged node for every
+    choice below it, which the (max, min) recursion of
+    ``_inverse_gamma_range`` decides. Once it holds, the reweighting is per
+    edge, q~_c = (v_c / gamma_c) / sum_j (v_j / gamma_j) at a vertex v, so
+    the drift at a node depends only on the choices at and below it, and
+    its worst case over Q is the backward recursion
 
         D(w) = a_w at time T,
         D(m) = max over v of sum_c q~_c (D(c) - log(q~_c / p_c)),
 
     with D(m) - a_m the worst drift at m; the record takes the largest over
-    the charged nodes. The entropy minimiser is the eta = 1 window dual of
-    the field (gamma, a_shift); it, the (max, min) range and the window's
-    feasibility map are read from ``duals`` when given.
+    the charged nodes. At the entropy minimiser r* (the eta = 1 window dual
+    of the field) the same step (``_forward_drift``) runs at that one
+    measure: q~_c is the share of c's time-T descendants w in the sum of
+    r*_w gamma_start / gamma_w, and |D(m) - a_m| must vanish at every node
+    the minimiser reaches. The minimiser, the (max, min) range and the
+    window's feasibility map are read from ``duals`` when given.
     """
     if T is None:
         T = tree.horizon
@@ -1055,13 +1060,7 @@ def check_forward_supermartingale(
         best = -math.inf
         for vert in verts:
             weights = [v / gamma[c] for v, c in zip(vert, kids)]
-            total = sum(weights)
-            value = 0.0
-            for w, p, d in zip(weights, probs, kid_values):
-                if w > 0.0:
-                    q = w / total
-                    value += q * (d - math.log(q / p))
-            best = max(best, value)
+            best = max(best, _forward_drift(weights, probs, kid_values))
         return best
 
     worst_super = -math.inf
@@ -1072,31 +1071,22 @@ def check_forward_supermartingale(
             if d - a_shift[m] > worst_super:
                 worst_super, worst_super_node = d - a_shift[m], m
 
-    def drift_gaps(q: TreeMeasure, start: str):
-        """Per node of start's window: E^{Q_gamma}[F_T | m] - F_m, skipping avoided nodes."""
-        gaps = {}
-        # window-local forward reweighting of q
-        fw_masses = {}
-        for w in tree.descendants_at(start, T):
-            fw_masses[w] = q.node_mass(tree, w, start=start) * gamma[start] / gamma[w]
-        qg = measure_from_leaf_masses(tree, start, T, fw_masses, duals.reference)
-        zg = density_process(tree, qg)
-        z_start = zg.at(start)
-        for m in tree.window_interior(start, T):
-            mass_m = qg.node_mass(tree, m, start=start)
-            if m != start and mass_m <= 0.0:
-                continue
-            zeta_m = zg.at(m) / z_start if z_start > 0.0 else 1.0
-            f_m = a_shift[m] - (math.log(zeta_m) if zeta_m > 0.0 else 0.0)
-            exp_ft = 0.0
-            for w in tree.descendants_at(m, T):
-                mw = qg.node_mass(tree, w, start=m)
-                if mw <= 0.0:
-                    continue
-                zeta_w = zg.at(w) / z_start if z_start > 0.0 else 1.0
-                exp_ft += mw * (a_shift[w] - math.log(zeta_w))
-            gaps[m] = exp_ft - f_m
-        return gaps
+    def optimum_gaps(start, masses):
+        """D(m) - a_m at the minimiser with leaf masses ``masses``, per
+        window node it reaches, start first, in DFS order."""
+        weight = {w: masses[w] * gamma[start] / gamma[w] for w in masses}
+        drift = {}
+        interior = tree.window_interior(start, T)
+        for m in reversed(interior):
+            kids = tree.children(m)
+            weights = [weight[c] for c in kids]
+            weight[m] = sum(weights)
+            probs = [br.prob for br in tree.branches_of(m)]
+            kid_values = [drift[c] if c in drift else a_shift[c] for c in kids]
+            drift[m] = _forward_drift(weights, probs, kid_values)
+        return {
+            m: drift[m] - a_shift[m] for m in interior if m == start or weight[m] > 0.0
+        }
 
     report = VerificationReport()
     report.add(
@@ -1115,9 +1105,7 @@ def check_forward_supermartingale(
     worst_eq = 0.0
     worst_eq_node = None
     for start in tree.nodes_at(t):
-        # each minimizer only describes its own subtree
-        q_hat = ent.minimizer[start]
-        for m, gap in drift_gaps(q_hat, start).items():
+        for m, gap in optimum_gaps(start, ent.leaf_masses[start]).items():
             if abs(gap) > worst_eq:
                 worst_eq, worst_eq_node = abs(gap), m
     report.add(

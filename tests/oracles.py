@@ -322,11 +322,12 @@ def _search_positive(f, pts, tol, max_expand=120):
 
 @dataclass
 class DualSolve:
-    """Per start: the value of one per-eta dual program, its minimiser and
-    the solver's evidence, under the names ``DualResult`` uses."""
+    """Per start: the value of one per-eta dual program, its minimiser's
+    leaf masses and the solver's evidence, under the names ``DualResult``
+    uses."""
 
     values: dict = dc_field(default_factory=dict)
-    minimizer: dict = dc_field(default_factory=dict)
+    leaf_masses: dict = dc_field(default_factory=dict)
     kkt_residual: dict = dc_field(default_factory=dict)
     near_boundary: dict = dc_field(default_factory=dict)
 
@@ -384,8 +385,7 @@ def dual_by_eta(tree, field, eta, t, T):
 
         r, _, info = barrier_minimize(phi, A, b, interior)
         out.values[start] = float(np.sum(phi(r)[0]))
-        masses = {w: float(ri) for w, ri in zip(leaves, r)}
-        out.minimizer[start] = measure_from_leaf_masses(tree, start, T, masses)
+        out.leaf_masses[start] = {w: float(ri) for w, ri in zip(leaves, r)}
         out.kkt_residual[start] = float(info["gap_bound"] + info["eq_residual"])
         out.near_boundary[start] = bool(np.min(r) < 1e-7)
     return out
@@ -574,33 +574,48 @@ def forward_precondition_by_enumeration(tree, gamma, t, T, tol=1e-9):
                     )
 
 
+def forward_gaps_by_density(tree, gamma, a_shift, q, start, T):
+    """E^{Q_g}[a_T - log Z_T | m] - (a_m - log Z_m) per node m of start's
+    window that Q_g reaches, start first, in DFS order: Q_g is the
+    window-local reweighting of the measure q by gamma_start / gamma_T, Z
+    its density process over the whole tree, and every conditional mass a
+    product along the path. This is how the package read the forward
+    equality at the entropy minimiser before it ran the drift recursion at
+    that one measure."""
+    fw_masses = {
+        w: q.node_mass(tree, w, start=start) * gamma[start] / gamma[w]
+        for w in tree.descendants_at(start, T)
+    }
+    qg = measure_from_leaf_masses(tree, start, T, fw_masses)
+    zg = density_process(tree, qg)
+    z_start = zg.at(start)
+    gaps = {}
+    for m in tree.window_interior(start, T):
+        if m != start and qg.node_mass(tree, m, start=start) <= 0.0:
+            continue
+        zeta_m = zg.at(m) / z_start
+        f_m = a_shift[m] - math.log(zeta_m)
+        exp_ft = 0.0
+        for w in tree.descendants_at(m, T):
+            mw = qg.node_mass(tree, w, start=m)
+            if mw > 0.0:
+                exp_ft += mw * (a_shift[w] - math.log(zg.at(w) / z_start))
+        gaps[m] = exp_ft - f_m
+    return gaps
+
+
 def worst_forward_drift_by_enumeration(tree, gamma, a_shift, t, T):
     """Largest E^{Q_g}[a_T - log Z_T | m] - (a_m - log Z_m) over product
     measures Q, with Q_g the window-local reweighting of Q by
-    gamma_start / gamma_T, and over the window nodes Q_g charges. Returns
-    (gap, node). Assumes the forward precondition holds."""
+    gamma_start / gamma_T, and over the window nodes Q_g charges
+    (``forward_gaps_by_density``). Returns (gap, node). Assumes the forward
+    precondition holds."""
     worst, worst_node = -math.inf, None
     for q in enumerate_product_measures(tree, t, T):
         for start in tree.nodes_at(t):
-            fw_masses = {
-                w: q.node_mass(tree, w, start=start) * gamma[start] / gamma[w]
-                for w in tree.descendants_at(start, T)
-            }
-            qg = measure_from_leaf_masses(tree, start, T, fw_masses)
-            zg = density_process(tree, qg)
-            z_start = zg.at(start)
-            for m in tree.window_interior(start, T):
-                if m != start and qg.node_mass(tree, m, start=start) <= 0.0:
-                    continue
-                zeta_m = zg.at(m) / z_start
-                f_m = a_shift[m] - math.log(zeta_m)
-                exp_ft = 0.0
-                for w in tree.descendants_at(m, T):
-                    mw = qg.node_mass(tree, w, start=m)
-                    if mw > 0.0:
-                        exp_ft += mw * (a_shift[w] - math.log(zg.at(w) / z_start))
-                if exp_ft - f_m > worst:
-                    worst, worst_node = exp_ft - f_m, m
+            for m, gap in forward_gaps_by_density(tree, gamma, a_shift, q, start, T).items():
+                if gap > worst:
+                    worst, worst_node = gap, m
     return worst, worst_node
 
 

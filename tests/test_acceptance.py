@@ -17,7 +17,7 @@ from forwardperf.fields import conjugate_exponential, entropy_kernel
 from forwardperf.cli import run_ito_scenario
 from forwardperf.ito_engine import CoefficientSpec, build_forward_exponential, simulate_paths
 from forwardperf.mc_verifier import check_inverse_gamma_mean_mc, mc_mean_test
-from forwardperf.tree_market import check_nflvr
+from forwardperf.tree_market import check_nflvr, measure_from_leaf_masses
 from forwardperf.tree_verifier import (
     check_exponential_conditions,
     check_forward_supermartingale,
@@ -129,7 +129,7 @@ def test_criterion_2_one_period_oracles():
         assert abs(factor - oracles.trinomial_factor_closed_form((0.5, 0.3, 0.2))) <= 1e-8
 
         dual = dual_value(tree, field, 1.0)
-        q = dual.minimizer["r"]
+        q = measure_from_leaf_masses(tree, "r", 1, dual.leaf_masses["r"])
         p = (0.5, 0.3, 0.2)
         kl = sum(
             qm * math.log(qm / pm)

@@ -16,6 +16,7 @@ import forwardperf
 import forwardperf.cli as cli
 import forwardperf.ito_engine as ito_engine
 import forwardperf.mc_verifier as mc_verifier
+import forwardperf.tree_market as tree_market
 import forwardperf.tree_verifier as tree_verifier
 import oracles
 from forwardperf.cli import main, run_ito_scenario
@@ -189,9 +190,15 @@ def random_tree_doc(a_shift, periods=4):
 # max(1, |target|): only the two conjugacy records moved (their values,
 # and eta_hat and the solver evidence of the primal-from-dual record), and
 # no verdict.
+# Re-pinned on purpose again when the forward check at the entropy
+# minimiser came to run the drift recursion at that one measure, reading
+# its conditionals from subtree sums of the minimiser's reweighted leaf
+# masses instead of a density process over the whole tree: only the
+# forward-martingale-at-optimum values moved (at most 3.4e-16 here), and
+# no verdict or worst_node.
 PINNED_TREE_REPORT_SHA256 = {
-    "explicit": "eaafc608a4d5f23deb070b0002b38eaf21954077b95f16a1cf7e56854bf9348f",
-    "solve": "2d97764e6d06bd8216e2c15baaf765444624241265b1fe61925c4e96e8ed2590",
+    "explicit": "0957c1aa0629e5bd0c725f86b447685f41a3519780810fd365b49560a5d24da5",
+    "solve": "75ece787d3c955180ece8ad592e2545e5e259309c702af577f250d645bec94ed",
 }
 PINNED_TREE_SHIFTS = {
     "explicit": lambda tree, field: {"mode": "explicit", "values": field.a_shift},
@@ -228,6 +235,34 @@ def test_tree_scenario_runs_each_factor_recursion_once(monkeypatch):
     assert len(calls) == sum(
         1 for T in range(1, 4) for n in interior if tree.time_of(n) < T
     )
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TREE_SHIFTS))
+def test_tree_scenario_builds_no_whole_tree_measure(monkeypatch, case):
+    # both forward records run the drift recursion over the window's
+    # nodes: no check builds a measure on the tree, its density, or a
+    # node's mass along a path
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("density_process", "measure_from_leaf_masses"):
+        original = getattr(tree_market, name)
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "") or "").startswith("forwardperf") and (
+                getattr(mod, name, None) is original
+            ):
+                monkeypatch.setattr(mod, name, counting(name, original))
+    node_mass = tree_market.TreeMeasure.node_mass
+    monkeypatch.setattr(tree_market.TreeMeasure, "node_mass", counting("node_mass", node_mass))
+    report = cli.run_tree_scenario(random_tree_doc(PINNED_TREE_SHIFTS[case], periods=3))
+    assert "forward-martingale-at-optimum[t=0,T=3]" in report
+    assert calls == []
 
 
 def test_tree_scenario_refuses_xi_beyond_float_range(tmp_path, capsys):
@@ -982,29 +1017,6 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-
-
-def test_cli_import_skips_slow_scipy_modules(tmp_path):
-    # scipy.stats and scipy.interpolate take about a second to import; no
-    # code path needs either, not even a full tree-verify run
-    path = write_scenario(tmp_path, tree_doc())
-    code = (
-        "import sys, forwardperf.cli; "
-        "slow = ('scipy.stats', 'scipy.interpolate'); "
-        "print([m for m in slow if m in sys.modules]); "
-        "code = forwardperf.cli.main(['run', sys.argv[1], '--out', sys.argv[2]]); "
-        "print(code, [m for m in slow if m in sys.modules])"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(forwardperf.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, path, str(tmp_path / "report.json")],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0 []"]
 
 
 # Every CLI command in a child in which no scipy module can be imported.

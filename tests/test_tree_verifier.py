@@ -52,6 +52,12 @@ def const_map(tree, val):
     return {nid: val for nid in tree._dfs_order}
 
 
+def minimiser(tree, res, start="r"):
+    """The entropy minimiser of a dual result, as a measure on the tree
+    rebuilt from its leaf masses given ``start``."""
+    return measure_from_leaf_masses(tree, start, res.T, res.leaf_masses[start])
+
+
 # -- replication of 1/gamma ----------------------------------------------
 
 
@@ -319,7 +325,7 @@ def test_dual_binomial_pin():
     want = 0.8 * entropy_kernel(0.625) + 0.2 * entropy_kernel(2.5)
     assert want == pytest.approx(-1.0 - math.log(0.8), abs=1e-12)
     assert res.values["r"] == pytest.approx(want, abs=1e-8)
-    q = res.minimizer["r"]
+    q = minimiser(tree, res)
     assert q.at("r")[0] == pytest.approx(0.5, abs=1e-7)
     assert res.kkt_residual["r"] <= 1e-8
     assert not res.near_boundary["r"]
@@ -331,7 +337,7 @@ def test_dual_uniform_trinomial_pin():
     res = dual_value(tree, field, 1.0)
     assert res.values["r"] == pytest.approx(-1.0, abs=1e-8)
     # minimizer is P itself: alpha = 2/3 on the (1/2, 0, 1/2) vertex
-    np.testing.assert_allclose(res.minimizer["r"].at("r"), [1/3, 1/3, 1/3], atol=1e-6)
+    np.testing.assert_allclose(minimiser(tree, res).at("r"), [1/3, 1/3, 1/3], atol=1e-6)
 
 
 def test_dual_trinomial_matches_1d_oracle():
@@ -340,7 +346,7 @@ def test_dual_trinomial_matches_1d_oracle():
     res = dual_value(tree, field, 1.0)
     b_star, want = oracles.symmetric_trinomial_dual_min((0.5, 0.3, 0.2))
     assert res.values["r"] == pytest.approx(want, abs=1e-8)
-    assert res.minimizer["r"].at("r")[0] == pytest.approx(b_star, abs=1e-6)
+    assert minimiser(tree, res).at("r")[0] == pytest.approx(b_star, abs=1e-6)
 
 
 def test_dual_terminal_window_is_conjugate():
@@ -369,8 +375,8 @@ def test_dual_near_boundary_flag():
     )
     res = dual_value(tree, field, 1.0)
     assert res.near_boundary["r"]
-    assert res.minimizer["r"].at("r")[1] == pytest.approx(0.0, abs=1e-5)
-    assert res.minimizer["r"].at("r")[0] == pytest.approx(0.5, abs=1e-5)
+    assert minimiser(tree, res).at("r")[1] == pytest.approx(0.0, abs=1e-5)
+    assert minimiser(tree, res).at("r")[0] == pytest.approx(0.5, abs=1e-5)
 
 
 def test_dual_minimizer_roundtrip():
@@ -378,7 +384,7 @@ def test_dual_minimizer_roundtrip():
     tree = two_period_tree()
     field = solved_field(tree, seed=8)
     res = dual_value(tree, field, 1.0)
-    q = res.minimizer["r"]
+    q = minimiser(tree, res)
     interior = [n for n in tree._dfs_order if not tree.is_leaf(n)]
     assert oracles.martingale_residual(tree, q, interior) <= 1e-8
     masses = {w: q.node_mass(tree, w) for w in tree.leaves()}
@@ -418,7 +424,7 @@ def test_dual_read_matches_the_per_eta_program(seed, bumped):
     for (t, T) in _window_pairs(tree):
         unit = dual_value(tree, field, 1.0, t, T)
         solved = oracles.dual_by_eta(tree, field, 1.0, t, T)
-        assert (unit.values, unit.minimizer) == (solved.values, solved.minimizer)
+        assert (unit.values, unit.leaf_masses) == (solved.values, solved.leaf_masses)
         assert unit.at(1.0).values == unit.values
         assert all(v == 0.0 for v in unit.at(0.0).values.values())
         for e in READ_ETAS:
@@ -458,7 +464,7 @@ def test_min_entropy_equals_dual_at_unit_argument():
     tree = two_period_tree()
     field = solved_field(tree, seed=9)
     dual = dual_value(tree, field, 1.0)
-    ent = oracles.entropy(tree, field.gamma, field.a_shift, dual.minimizer["r"])
+    ent = oracles.entropy(tree, field.gamma, field.a_shift, minimiser(tree, dual))
     assert ent["r"] == pytest.approx(dual.values["r"], abs=1e-12)
 
 
@@ -750,7 +756,7 @@ def test_window_duals_share_and_refuse_another_field():
     unit, read = duals.dual(field, 1.0, 0, 2), duals.dual(field, 2.0, 0, 2)
     assert unit.values == dual_value(tree, field, 1.0, 0, 2).values
     assert read.values == dual_value(tree, field, 2.0, 0, 2).values
-    assert read.minimizer is unit.minimizer
+    assert read.leaf_masses is unit.leaf_masses
     per_eta = oracles.dual_by_eta(tree, field, 2.0, 0, 2)
     for n, v in read.values.items():
         assert abs(v - per_eta.values[n]) <= 1e-10 * max(1.0, abs(v))
@@ -807,7 +813,7 @@ def test_window_duals_resolve_a_window_whose_leaf_shift_moved():
         got = duals.dual(field, 1.0, t, 3)
         fresh = dual_value(tree, field, 1.0, t, 3)
         assert got is not stale[t] and got.values != stale[t].values
-        assert (got.values, got.minimizer) == (fresh.values, fresh.minimizer)
+        assert (got.values, got.leaf_masses) == (fresh.values, fresh.leaf_masses)
     assert len(duals._solved) == 6
     # moved at the root instead, the windows to the horizon read the shift's solves
     duals, field = shifted_context(tree, 7, {tree.root: 0.1})
@@ -832,7 +838,7 @@ def test_shared_context_matches_per_window_rebuild(offsets):
                 got, want = duals.dual(field, e, t, T), rebuilt[(t, T, e)]
                 assert got.near_boundary == want.near_boundary
                 if e == 1.0:
-                    assert (got.values, got.minimizer) == (want.values, want.minimizer)
+                    assert (got.values, got.leaf_masses) == (want.values, want.leaf_masses)
                     assert got.kkt_residual == want.kkt_residual
                     continue
                 # read from the eta = 1 program, against the program at eta
@@ -994,6 +1000,31 @@ def test_forward_checks_match_enumeration_oracle():
                 rec = rep_f[f"forward-supermartingale[t={t},T={T}]"]
                 assert rec.value == pytest.approx(want, abs=1e-12), (tree.horizon, t, T)
                 assert rec.verdict == (want <= tol)
+
+
+@pytest.mark.parametrize("bumped", [False, True], ids=["solved", "root-bumped"])
+@pytest.mark.parametrize("periods", [2, 3, 4, 5])
+def test_forward_optimum_matches_density_oracle(periods, bumped):
+    # the drift recursion at the entropy minimiser against the gaps read
+    # from the whole-tree density process of its forward reweighting
+    tree = random_tree(7, periods=periods)
+    field = solved_field(tree, 7)
+    if bumped:
+        field = field.with_offsets({tree.root: 0.1})
+    duals = WindowDuals(tree, field.gamma)
+    for (t, T) in _window_pairs(tree):
+        rep = check_forward_supermartingale(tree, field.gamma, field.a_shift, t, T, duals=duals)
+        rec = rep[f"forward-martingale-at-optimum[t={t},T={T}]"]
+        res = duals.dual(field, 1.0, t, T)
+        want, want_node = 0.0, None
+        for start in tree.nodes_at(t):
+            q = measure_from_leaf_masses(tree, start, T, res.leaf_masses[start])
+            gaps = oracles.forward_gaps_by_density(tree, field.gamma, field.a_shift, q, start, T)
+            for m, gap in gaps.items():
+                if abs(gap) > want:
+                    want, want_node = abs(gap), m
+        assert abs(rec.value - want) <= 1e-12, (t, T)
+        assert rec.worst_node == want_node, (t, T)
 
 
 def _refusal(fn, *args):
