@@ -8,7 +8,9 @@ seven checks, every (t, T) window, the default xi and eta grids. Depth 7
 Each source tree runs in a fresh child process. With ``--baseline-src`` a
 second source tree (say, the ``src`` of a checkout of the parent commit)
 is timed too, alternating with this one depth by depth; each row records
-the SHA-256 of the report, so the two can be seen to agree byte for byte.
+the SHA-256 of the report, and ``reports_identical`` says whether the two
+sides agree byte for byte at every depth. A mismatch at any depth is
+named on stderr and exits 1, after the JSON is written.
 
 Writes the median and spread (min, max) of the repeats as JSON. Usage:
 
@@ -120,10 +122,19 @@ def main():
         "machine": platform.machine(),
         **rows,
     }
+    mismatched = []
+    if args.baseline_src:
+        for row, base in zip(rows["rows"], rows["baseline_rows"]):
+            if row["report_sha256"] != base["report_sha256"]:
+                mismatched.append(row["depth"])
+        doc["reports_identical"] = not mismatched
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(f"wrote {args.out}", file=sys.stderr)
+    if mismatched:
+        print(f"reports differ from the baseline at depths {mismatched}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

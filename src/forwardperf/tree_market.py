@@ -16,9 +16,10 @@ are compositions of one-step choices, and may put mass zero on whole
 subtrees.
 
 The set of those compositions is rectangular: each node picks its one-step
-measure independently of every other node. An extremum over it of a
-conditional expectation is therefore a backward recursion over the vertex
-sets, node by node (``vertex_recursion``), and costs O(nodes x vertices).
+measure independently of every other node, so its restricted vertices
+depend only on the node and the window's end T (``_window_vertices``), and
+an extremum over it of a conditional expectation is a backward recursion
+over them, node by node (``vertex_recursion``), at O(nodes x vertices).
 Listing the products themselves (``enumerate_product_measures``) grows
 exponentially with depth. No check uses it: it stays, outside the package
 namespace, for the brute-force oracles of the tests and for perfbench's
@@ -122,6 +123,10 @@ class EventTree:
                 raise TreeStructureError(f"leaf {nid!r} at time {node.time} != horizon")
             if node.branches and node.time >= self.horizon:
                 raise TreeStructureError(f"node {nid!r} at the horizon has children")
+        levels: list[list[str]] = [[] for _ in range(self.horizon + 1)]
+        for nid in order:
+            levels[self.nodes[nid].time].append(nid)
+        self._levels = tuple(tuple(level) for level in levels)
 
         self._path_cache: dict[str, tuple[str, ...]] = {}
 
@@ -140,7 +145,8 @@ class EventTree:
         return tuple(br.child for br in self.nodes[nid].branches)
 
     def nodes_at(self, t: int) -> tuple[str, ...]:
-        return tuple(n for n in self._dfs_order if self.nodes[n].time == t)
+        """Nodes at time t, in canonical DFS order; () outside 0..horizon."""
+        return self._levels[t] if 0 <= t <= self.horizon else ()
 
     def leaves(self) -> tuple[str, ...]:
         return self.nodes_at(self.horizon)
@@ -535,8 +541,6 @@ def _restricted_vertices(tree: EventTree, nid: str, allowed: set[str]) -> np.nda
     """Vertices of the node polytope with mass confined to ``allowed`` children."""
     branches = tree.branches_of(nid)
     idx = [i for i, br in enumerate(branches) if br.child in allowed]
-    if not idx:
-        return np.empty((0, len(branches)))
     sub = one_step_vertices([branches[i].dprice for i in idx])
     out = np.zeros((sub.shape[0], len(branches)))
     for col, i in enumerate(idx):
@@ -544,23 +548,31 @@ def _restricted_vertices(tree: EventTree, nid: str, allowed: set[str]) -> np.nda
     return out
 
 
-def _feasible_map(tree: EventTree, T: int) -> dict[str, bool]:
-    """Per node: can any measure on [time(node), T] give this node full mass.
+def _window_vertices(tree: EventTree, T: int) -> dict[str, tuple]:
+    """The vertex table of the windows ending at T, built deepest level first.
 
-    A node is feasible iff it is terminal in the window or its one-step
-    polytope restricted to feasible children is nonempty.
+    Maps each node before T that some measure on [time(node), T] gives full
+    mass (a feasible node) to ``(kids, rows)``: its one-step vertices
+    restricted to feasible children, as tuples aligned with ``kids``, the
+    children some vertex gives mass above the vertex tolerance, with masses
+    at or below it set to zero. Time-T nodes are feasible.
     """
-    feasible: dict[str, bool] = {}
-    # process deepest first
-    for nid in sorted(tree._dfs_order, key=lambda n: -tree.time_of(n)):
-        if tree.time_of(nid) > T:
-            continue
-        if tree.time_of(nid) == T or tree.is_leaf(nid):
-            feasible[nid] = True
-            continue
-        allowed = {c for c in tree.children(nid) if feasible.get(c, False)}
-        feasible[nid] = _restricted_vertices(tree, nid, allowed).shape[0] > 0
-    return feasible
+    table: dict[str, tuple] = {}
+    for s in range(T - 1, -1, -1):
+        for nid in tree.nodes_at(s):
+            children = tree.children(nid)
+            allowed = {c for c in children if s + 1 == T or c in table}
+            verts = _restricted_vertices(tree, nid, allowed)
+            if verts.shape[0] == 0:
+                continue
+            cols = [j for j in range(len(children)) if verts[:, j].max() > _VERTEX_TOL]
+            table[nid] = (
+                tuple(children[j] for j in cols),
+                tuple(
+                    tuple(float(x) if x > _VERTEX_TOL else 0.0 for x in v[cols]) for v in verts
+                ),
+            )
+    return table
 
 
 def vertex_recursion(
@@ -569,7 +581,7 @@ def vertex_recursion(
     T: int,
     terminal: Callable[[str], Any],
     local: Callable[..., Any],
-    feasible: Mapping[str, bool] | None = None,
+    vertices: Mapping[str, tuple] | None = None,
 ) -> dict[str, dict[str, Any]]:
     """Backward recursion over the one-step vertex sets of the window [t, T].
 
@@ -582,41 +594,31 @@ def vertex_recursion(
     some vertex of a charged parent gives mass above the vertex tolerance.
     For each charged node with time < T, in reverse DFS order,
     ``local(node, kids, verts, kid_values)`` returns its value from those of
-    its charged children ``kids``; ``verts`` are the node's vertices
-    restricted to feasible children, as tuples aligned with ``kids`` and
-    with masses at or below the tolerance set to zero. Time-T nodes take
-    ``terminal(node)``.
+    its charged children ``kids``; ``(kids, verts)`` is the node's entry of
+    the vertex table ``vertices`` (``_window_vertices(tree, T)``, built
+    here when not given). Time-T nodes take ``terminal(node)``.
 
     Returns {start: {node: value}} over the charged nodes with time < T,
     start first, DFS order (just the start's terminal value when t == T).
     Raises ArbitrageError when a start admits no martingale measure.
-    ``feasible`` is ``_feasible_map(tree, T)``, built here when not given.
     """
     if not (0 <= t <= T <= tree.horizon):
         raise ValueError(f"bad window [{t}, {T}]")
-    if feasible is None:
-        feasible = _feasible_map(tree, T)
+    if vertices is None:
+        vertices = _window_vertices(tree, T)
     out: dict[str, dict[str, Any]] = {}
     for start in tree.nodes_at(t):
-        if tree.time_of(start) == T:
+        if t == T:
             out[start] = {start: terminal(start)}
             continue
-        if not feasible[start]:
+        if start not in vertices:
             raise ArbitrageError(f"no martingale measure below node {start!r}")
-        charged = {start}
-        steps: dict[str, tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]] = {}
-        for nid in tree.window_interior(start, T):
-            if nid not in charged:
-                continue
-            children = tree.children(nid)
-            verts = _restricted_vertices(tree, nid, {c for c in children if feasible[c]})
-            cols = [j for j in range(len(children)) if verts[:, j].max() > _VERTEX_TOL]
-            kids = tuple(children[j] for j in cols)
-            rows = tuple(
-                tuple(float(x) if x > _VERTEX_TOL else 0.0 for x in v[cols]) for v in verts
-            )
-            steps[nid] = (kids, rows)
-            charged.update(kids)
+        steps: dict[str, tuple] = {}
+        stack = [start]
+        while stack:
+            nid = stack.pop()
+            steps[nid] = vertices[nid]
+            stack.extend(c for c in reversed(steps[nid][0]) if tree.time_of(c) < T)
         values: dict[str, Any] = {}
         for nid in reversed(steps):
             kids, rows = steps[nid]
@@ -644,18 +646,18 @@ def enumerate_product_measures(
         T = tree.horizon
     if not (0 <= t <= T <= tree.horizon):
         raise ValueError(f"bad window [{t}, {T}]")
-    feasible = _feasible_map(tree, T)
+    feasible = _window_vertices(tree, T)  # its keys: the feasible nodes before T
     pref = reference_measure(tree)
 
     def expand(nid: str) -> list[dict[str, tuple[float, ...]]]:
-        if tree.time_of(nid) >= T or tree.is_leaf(nid):
+        if tree.time_of(nid) >= T:
             return [{}]
-        allowed = {c for c in tree.children(nid) if feasible.get(c, False)}
-        verts = _restricted_vertices(tree, nid, allowed)
-        if verts.shape[0] == 0:
+        if nid not in feasible:
             raise ArbitrageError(f"no martingale measure below node {nid!r}")
-        out: list[dict[str, tuple[float, ...]]] = []
         children = tree.children(nid)
+        allowed = {c for c in children if c in feasible or tree.time_of(c) == T}
+        verts = _restricted_vertices(tree, nid, allowed)
+        out: list[dict[str, tuple[float, ...]]] = []
         for v in verts:
             partials: list[dict[str, tuple[float, ...]]] = [{nid: tuple(float(x) for x in v)}]
             for j, child in enumerate(children):

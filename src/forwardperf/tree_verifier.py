@@ -18,7 +18,7 @@ martingale measure, so the field cannot self-generate: the primal value
 refuses it. Exponential fields are the only field type either value
 accepts.
 
-Dual value as one convex program per conditioning node:
+Dual value as one convex program per (window, start):
 
     v(eta; t, T) = min over terminal conditional masses r of
                    sum_w p_w V(w, eta r_w / p_w)
@@ -60,7 +60,7 @@ from .solvers import barrier_minimize, minimize_exp_sum
 from .tree_market import (
     EventTree,
     NodePolytope,
-    _feasible_map,
+    _window_vertices,
     node_polytope,
     vertex_recursion,
 )
@@ -166,29 +166,6 @@ def _eta_by_node(eta, nodes, rep):
     return eta_by_node
 
 
-def _martingale_rows(tree, start, T, leaves):
-    """One homogeneous martingale row per interior window node: the price
-    move of each branch, on every leaf below it."""
-    interior = tree.window_interior(start, T)
-    index = {w: i for i, w in enumerate(leaves)}
-    A = np.zeros((len(interior), len(leaves)))
-    for row, m in zip(A, interior):
-        for br in tree.branches_of(m):
-            for w in tree.descendants_at(br.child, T):
-                row[index[w]] = br.dprice
-    return A
-
-
-def _interior_start(duals, start, T, leaves):
-    """Strictly positive feasible point: product of one-step vertex centroids."""
-    mass = {start: 1.0}
-    for m in duals.tree.window_interior(start, T):
-        center = duals.centroid(m)
-        for j, child in enumerate(duals.tree.children(m)):
-            mass[child] = mass[m] * float(center[j])
-    return np.array([mass[w] for w in leaves])
-
-
 # -- the per-scenario context --------------------------------------------
 
 
@@ -198,8 +175,35 @@ class _Window:
 
     leaves: tuple[str, ...]
     p: np.ndarray  # reference mass of each leaf given the start
-    rows: np.ndarray  # one homogeneous martingale row per interior node
+    A: np.ndarray  # the unit-mass row, then one martingale row per interior node
     interior: np.ndarray  # strictly positive feasible leaf masses
+
+
+def _walk_window(duals, start, T):
+    """The ``_Window`` below ``start`` from one walk down it, in DFS order.
+    A martingale row puts the price move of each branch on every leaf below
+    it; the interior point is the product of the one-step vertex centroids."""
+    tree = duals.tree
+    found = []  # per leaf: (leaf, reference mass, centroid mass, moves above it)
+    n_rows = 1
+    stack = [(start, 1.0, 1.0, ())]
+    while stack:
+        nid, prob, mass, moves = stack.pop()
+        if tree.time_of(nid) == T:
+            found.append((nid, prob, mass, moves))
+            continue
+        center = duals.centroid(nid)
+        for j, br in reversed(tuple(enumerate(tree.branches_of(nid)))):
+            move = moves + ((n_rows, br.dprice),)
+            stack.append((br.child, prob * br.prob, mass * float(center[j]), move))
+        n_rows += 1
+    leaves, p, masses, moves = zip(*found)
+    A = np.zeros((n_rows, len(leaves)))
+    A[0] = 1.0
+    for col, above in enumerate(moves):
+        for row, dprice in above:
+            A[row, col] = dprice
+    return _Window(leaves, np.array(p), A, np.array(masses))
 
 
 class WindowDuals:
@@ -216,10 +220,10 @@ class WindowDuals:
     - per tree: each node's one-step polytope (``polytope``) and its vertex
       centroid, refused when the node has no equivalent one-step measure
       (``centroid``); and the replication of 1/gamma (``replication``);
-    - per T: the feasibility map (``feasible``); and, keyed also by the
+    - per T: the vertex table (``vertices``); and, keyed also by the
       bits of a_shift at the time-T nodes, the factor C(node) of each node
-      some window ending at T has needed (``factors``), since C(node)
-      depends on the window's end and not on its start;
+      some window ending at T has needed (``factors``): both depend on the
+      window's end and not on its start;
     - per (t, T): the (max, min) range of E^Q[1/gamma_T | node] over the
       product vertices (``inverse_gamma_range``);
     - per (start, T): the window's leaves, their reference masses, its
@@ -241,7 +245,7 @@ class WindowDuals:
         self._polytopes: dict[str, NodePolytope] = {}
         self._centroids: dict[str, np.ndarray | None] = {}
         self._replication: ReplicationResult | None = None
-        self._feasible: dict[int, dict[str, bool]] = {}
+        self._vertices: dict[int, dict[str, tuple]] = {}
         self._factors: dict[tuple[int, bytes], tuple[dict, dict]] = {}
         self._inverse_gamma: dict[tuple[int, int], dict] = {}
         self._windows: dict[tuple[str, int], _Window] = {}
@@ -277,10 +281,10 @@ class WindowDuals:
             self._replication = replicate_inverse_gamma(self.tree, self.gamma)
         return self._replication
 
-    def feasible(self, T: int) -> dict[str, bool]:
-        if T not in self._feasible:
-            self._feasible[T] = _feasible_map(self.tree, T)
-        return self._feasible[T]
+    def vertices(self, T: int) -> dict[str, tuple]:
+        if T not in self._vertices:
+            self._vertices[T] = _window_vertices(self.tree, T)
+        return self._vertices[T]
 
     def factors(self, a_shift: Mapping[str, float], T: int) -> tuple[dict, dict]:
         """The (C, policy) maps of the factor recursion to T that
@@ -297,11 +301,7 @@ class WindowDuals:
 
     def window(self, start: str, T: int) -> _Window:
         if (start, T) not in self._windows:
-            leaves = self.tree.descendants_at(start, T)
-            p = np.array([self.tree.cond_prob(start, w) for w in leaves])
-            rows = _martingale_rows(self.tree, start, T, leaves)
-            interior = _interior_start(self, start, T, leaves)
-            self._windows[(start, T)] = _Window(leaves, p, rows, interior)
+            self._windows[(start, T)] = _walk_window(self, start, T)
         return self._windows[(start, T)]
 
     def dual(self, field: ExponentialFieldParams, eta: float, t: int, T: int) -> DualResult:
@@ -371,17 +371,14 @@ def _leaf_factor(node, a):
 
 def _exponential_factors(duals, field, t, T):
     """Scalar factor recursion C plus the one-step base policy per node of
-    the window [t, T]. C(node) depends on T and not on t, so the nodes an
-    earlier window to T solved are read from the context ``duals``."""
+    the window [t, T], levels t..T. C(node) depends on T and not on t, so
+    the nodes an earlier window to T solved are read from ``duals``."""
     tree = duals.tree
     C, policy = duals.factors(field.a_shift, T)
-    order = []
-    for start in tree.nodes_at(t):
-        order.extend(tree.window_interior(start, T))
-        for w in tree.descendants_at(start, T):
-            if w not in C:
-                C[w] = _leaf_factor(w, field.a_shift[w])
-    order.sort(key=lambda n: -tree.time_of(n))
+    for w in tree.nodes_at(T):
+        if w not in C:
+            C[w] = _leaf_factor(w, field.a_shift[w])
+    order = [n for s in range(T - 1, t - 1, -1) for n in tree.nodes_at(s)]
     for nid in order:
         if nid in C:
             continue
@@ -435,8 +432,10 @@ def primal_value(
     window only, so ``PrimalResult.at`` reads it at any other wealth. A
     wealth at which u leaves the float range is refused with
     ``WealthRangeError``, and a leaf shift whose factor e^a does with
-    ``ForwardPerfError``. ``duals`` shares the replication and the factor
-    recursion with the other windows of a scenario.
+    ``ForwardPerfError``. A field with no data at levels t..T raises
+    ``KeyError`` naming the first such node, by level, then in DFS order.
+    ``duals`` shares the replication and the factor recursion with the
+    other windows of a scenario.
     """
     _check_field_type(field)
     if T is None:
@@ -445,13 +444,10 @@ def primal_value(
         raise ValueError(f"bad window [{t}, {T}] for horizon {tree.horizon}")
     starts = tree.nodes_at(t)
     xi_by_node = _per_node(xi, starts, "xi")
-    needed = set(starts)
-    for s in starts:
-        needed.update(tree.window_interior(s, T))
-        needed.update(tree.descendants_at(s, T))
-    for nid in needed:
-        if not field.defined_at(nid):
-            raise KeyError(f"field has no data at node {nid!r}")
+    for s in range(t, T + 1):
+        for nid in tree.nodes_at(s):
+            if not field.defined_at(nid):
+                raise KeyError(f"field has no data at node {nid!r}")
     duals = _window_duals(duals, tree, field.gamma)
     rep = duals.replication()
     _require_replication(rep, "primal value requires the exponential fast path")
@@ -527,11 +523,10 @@ def dual_value(
     unit = DualResult(t=t, T=T, values={}, eta=dict.fromkeys(starts, 1.0), replication=rep)
     for start in starts:
         win = duals.window(start, T)
-        A = np.vstack([np.ones(len(win.leaves)), win.rows])
-        b = np.zeros(A.shape[0])
+        b = np.zeros(win.A.shape[0])
         b[0] = 1.0
         phi = _exp_phi(field, win.leaves, win.p)
-        r, _, info = barrier_minimize(phi, A, b, win.interior)
+        r, _, info = barrier_minimize(phi, win.A, b, win.interior)
         unit.entropy[start] = float(np.sum(phi(r)[0]))
         gam = np.array([field.gamma[w] for w in win.leaves])
         unit.inverse_gamma_mean[start] = float(np.sum(r / gam))
@@ -862,7 +857,7 @@ def _inverse_gamma_range(duals, t, T):
         return hi, lo
 
     return vertex_recursion(
-        duals.tree, t, T, lambda w: (1.0 / gamma[w],) * 2, local, duals.feasible(T)
+        duals.tree, t, T, lambda w: (1.0 / gamma[w],) * 2, local, duals.vertices(T)
     )
 
 
@@ -1035,7 +1030,7 @@ def check_forward_supermartingale(
     measure: q~_c is the share of c's time-T descendants w in the sum of
     r*_w gamma_start / gamma_w, and |D(m) - a_m| must vanish at every node
     the minimiser reaches. The minimiser, the (max, min) range and the
-    window's feasibility map are read from ``duals`` when given.
+    vertex table to T are read from ``duals`` when given.
     """
     if T is None:
         T = tree.horizon
@@ -1065,7 +1060,7 @@ def check_forward_supermartingale(
 
     worst_super = -math.inf
     worst_super_node = None
-    drifts = vertex_recursion(tree, t, T, lambda w: a_shift[w], worst_drift, duals.feasible(T))
+    drifts = vertex_recursion(tree, t, T, lambda w: a_shift[w], worst_drift, duals.vertices(T))
     for by_node in drifts.values():
         for m, d in by_node.items():
             if d - a_shift[m] > worst_super:

@@ -37,7 +37,6 @@ from forwardperf.errors import ConvergenceError
 from forwardperf.report import CheckRecord, VerificationReport
 from forwardperf.solvers import barrier_minimize
 from forwardperf.tree_market import (
-    _feasible_map,
     _restricted_vertices,
     density_process,
     enumerate_product_measures,
@@ -619,32 +618,35 @@ def worst_forward_drift_by_enumeration(tree, gamma, a_shift, t, T):
     return worst, worst_node
 
 
-def product_measure_count(tree, t, T):
-    """Number of product measures on [t, T], counted without listing them.
+def measures_below(tree, nid, T):
+    """Number of product measures on [time(nid), T] below one node.
 
-    Mirrors the expansion of enumerate_product_measures: a node contributes
-    the sum over its vertices (restricted to children that admit a measure)
-    of the product of its charged children's counts.
+    Mirrors the expansion of enumerate_product_measures: a node before T
+    contributes the sum over its vertices, restricted to the children that
+    admit a measure, of the product of its charged children's counts. A
+    child admits a measure exactly when its own count is positive, so
+    feasibility is decided here, not read from the package.
     """
-    feasible = _feasible_map(tree, T)
+    if tree.time_of(nid) >= T:
+        return 1
+    children = tree.children(nid)
+    kids = {c: n for c in children if (n := measures_below(tree, c, T)) > 0}
+    total = 0
+    for v in _restricted_vertices(tree, nid, set(kids)):
+        n = 1
+        for x, c in zip(v, children):
+            if x > 1e-12:
+                n *= kids[c]
+        total += n
+    return total
 
-    def count(nid):
-        if tree.time_of(nid) >= T:
-            return 1
-        children = tree.children(nid)
-        kids = {c: count(c) for c in children if feasible[c]}
-        total = 0
-        for v in _restricted_vertices(tree, nid, set(kids)):
-            n = 1
-            for x, c in zip(v, children):
-                if x > 1e-12:
-                    n *= kids[c]
-            total += n
-        return total
 
+def product_measure_count(tree, t, T):
+    """Number of product measures on [t, T], counted without listing them:
+    the product over the time-t starts of ``measures_below``."""
     total = 1
     for start in tree.nodes_at(t):
-        total *= count(start)
+        total *= measures_below(tree, start, T)
     return total
 
 

@@ -237,6 +237,25 @@ def test_tree_scenario_runs_each_factor_recursion_once(monkeypatch):
     )
 
 
+def test_tree_scenario_builds_each_vertex_row_once(monkeypatch):
+    calls = []
+    original = tree_market._restricted_vertices
+
+    def counted(tree, nid, allowed):
+        calls.append(nid)
+        return original(tree, nid, allowed)
+
+    monkeypatch.setattr(tree_market, "_restricted_vertices", counted)
+    doc = random_tree_doc(PINNED_TREE_SHIFTS["explicit"], periods=3)
+    assert cli.run_tree_scenario(doc).all_passed
+    tree = random_tree(7, periods=3)
+    # a node's restricted vertex rows depend on the window's end T and not
+    # on its start: one build per (node, T) with time(node) < T, across
+    # both vertex recursions and all six windows
+    expected = [n for T in range(1, 4) for n in tree._dfs_order if tree.time_of(n) < T]
+    assert sorted(calls) == sorted(expected)
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_TREE_SHIFTS))
 def test_tree_scenario_builds_no_whole_tree_measure(monkeypatch, case):
     # both forward records run the drift recursion over the window's

@@ -8,6 +8,7 @@ from forwardperf.errors import ArbitrageError, ScenarioError, TreeStructureError
 from forwardperf.tree_market import (
     EventTree,
     TreeMeasure,
+    _window_vertices,
     check_nflvr,
     density_process,
     enumerate_product_measures,
@@ -158,6 +159,8 @@ def test_queries_on_two_period_tree():
     tree = two_period_tree()
     assert tree.root == "r"
     assert tree.nodes_at(1) == ("a", "b")
+    assert tree.nodes_at(-1) == ()
+    assert tree.nodes_at(tree.horizon + 1) == ()
     assert tree.leaves() == ("a1", "a2", "b1", "b2")
     assert tree.descendants_at("a", 2) == ("a1", "a2")
     assert tree.window_interior("r", 2) == ("r", "a", "b")
@@ -390,6 +393,51 @@ def test_vertex_recursion_charged_nodes_and_vertices():
     assert vertex_recursion(tree, 2, 2, lambda w: w, local) == {
         w: {w: w} for w in tree.nodes_at(2)
     }
+
+
+def mid_arbitrage_tree():
+    """Two periods; node a's increments (+1, +2) admit no martingale
+    measure, so the root's measures are confined to b and c."""
+    return EventTree.from_dict(
+        {
+            "horizon": 2,
+            "nodes": [
+                node("r", 0, [br("a", 0.3, 1.0), br("b", 0.3, -1.0), br("c", 0.4, 0.5)]),
+                node("a", 1, [br("a1", 0.5, 1.0), br("a2", 0.5, 2.0)]),
+                node("b", 1, [br("b1", 0.5, 1.0), br("b2", 0.5, -1.0)]),
+                node("c", 1, [br("c1", 0.4, 1.5), br("c2", 0.6, -1.0)]),
+                *(node(w, 2) for w in ("a1", "a2", "b1", "b2", "c1", "c2")),
+            ],
+        }
+    )
+
+
+def test_window_vertices_table():
+    trees = [random_tree(seed, periods=3) for seed in range(6)]
+    trees += [starved_tree(), mid_arbitrage_tree()]
+    for tree in trees:
+        for T in range(tree.horizon + 1):
+            table = _window_vertices(tree, T)
+            feasible = {
+                n
+                for n in tree._dfs_order
+                if tree.time_of(n) <= T and oracles.measures_below(tree, n, T) > 0
+            }
+            assert set(table) == {n for n in feasible if tree.time_of(n) < T}
+            for nid, (kids, rows) in table.items():
+                children = tree.children(nid)
+                allowed = [j for j, c in enumerate(children) if c in feasible]
+                verts = one_step_vertices([tree.branches_of(nid)[j].dprice for j in allowed])
+                cols = [k for k in range(len(allowed)) if verts[:, k].max() > 1e-12]
+                assert kids == tuple(children[allowed[k]] for k in cols)
+                assert rows == tuple(
+                    tuple(float(v[k]) if v[k] > 1e-12 else 0.0 for k in cols) for v in verts
+                )
+    # u is feasible though no measure from the root reaches it
+    assert _window_vertices(starved_tree(), 2)["r"] == (("m",), ((1.0,),))
+    assert "u" in _window_vertices(starved_tree(), 2)
+    table = _window_vertices(mid_arbitrage_tree(), 2)
+    assert "a" not in table and table["r"][0] == ("b", "c")
 
 
 def test_vertex_recursion_counts_the_enumerated_measures():

@@ -1,6 +1,10 @@
 """Exact verification engine on trees: pins, cross-routes, and failure modes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +212,46 @@ def test_primal_window_validation():
         primal_value(tree, field, 0.0, t=2, T=1)
     with pytest.raises(ValueError):
         primal_value(tree, field, 0.0, t=0, T=5)
+
+
+# primal_value on random_tree(7, periods=2) with the first three leaves'
+# field data dropped; prints the KeyError's message
+MISSING_FIELD_CHILD = """
+from forwardperf.fields import ExponentialFieldParams
+from forwardperf.tree_verifier import primal_value
+from treegen import random_tree, solved_field
+
+tree = random_tree(7, periods=2)
+field = solved_field(tree, 7)
+dropped = set(tree.leaves()[:3])
+kept = [n for n in field.gamma if n not in dropped]
+field = ExponentialFieldParams(
+    {n: field.gamma[n] for n in kept}, {n: field.a_shift[n] for n in kept}
+)
+try:
+    primal_value(tree, field, 0.0)
+except KeyError as exc:
+    print(exc.args[0])
+"""
+
+
+def test_primal_names_the_first_node_without_field_data():
+    # the node named must not depend on string hashing
+    path = [str(Path(tree_verifier.__file__).parents[1]), str(Path(__file__).parent)]
+    messages = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run(
+            [sys.executable, "-c", MISSING_FIELD_CHILD],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        messages.add(proc.stdout)
+    first = random_tree(7, periods=2).leaves()[0]
+    assert messages == {f"field has no data at node {first!r}\n"}
 
 
 def test_primal_exponential_separation():
