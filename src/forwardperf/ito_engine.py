@@ -38,6 +38,7 @@ are built, and a scenario's loads all share the two sums.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -314,9 +315,10 @@ def _integral(bundle: PathBundle, sums: np.ndarray, v: np.ndarray, cols: np.ndar
     s < c <= e (column 0 in the first run) reads
     V(s) + v_run (S(c) - S(s)). So the value at c is the same whatever
     other columns are asked for, and the work is one vector operation
-    per run and per column. With antithetic pairing the drawn rows' values
-    are negated into their partners' rows: every operation is odd in the
-    sums, so that is what the partners' own sums would give.
+    per run and per column, applied in place to each stretch of requested
+    columns that share a run. With antithetic pairing the drawn rows'
+    values are negated into their partners' rows: every operation is odd
+    in the sums, so that is what the partners' own sums would give.
     """
     sums = sums.T  # time-major: a grid column is a contiguous row
     starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
@@ -325,11 +327,15 @@ def _integral(bundle: PathBundle, sums: np.ndarray, v: np.ndarray, cols: np.ndar
     at_start = np.zeros((run.max(initial=0) + 1, sums.shape[1]))
     for j in range(at_start.shape[0] - 1):
         at_start[j + 1] = at_start[j] + v[starts[j]] * (sums[ends[j]] - sums[starts[j]])
-    first = starts[run]
     x = sums[cols]
-    x -= sums[first]
-    x *= v[first][:, None]
-    x += at_start[run]
+    lo = 0
+    for j, same_run in itertools.groupby(run.tolist()):
+        hi = lo + len(tuple(same_run))
+        stretch = x[lo:hi]
+        stretch -= sums[starts[j]]
+        stretch *= v[starts[j]]
+        stretch += at_start[j]
+        lo = hi
     if not bundle.antithetic:
         return x
     out = np.empty((x.shape[0], 2 * x.shape[1]))

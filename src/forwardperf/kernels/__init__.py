@@ -6,13 +6,15 @@ alone, so results can never depend on execution order or on how work was
 chunked across workers.
 
 The blocks are Philox-4x64-10 (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11) at counter (stream, step, 0, 0) with key
-(seed, 0), drawn from ``numpy.random.Philox``. numpy increments the
-counter word 0 first, so the blocks of one step for a run of consecutive
-streams are consecutive counters: one ``random_raw`` call per step draws
-them all, and the cost is per step, not per stream. Means over paths use
-the canonical pairwise reduction tree below, which is fixed by the element
-indices alone.
+easy as 1, 2, 3", SC'11) at counter (stream, j, 0, 0) with key (seed, 0),
+drawn from ``numpy.random.Philox``. Each block's four uniforms give four
+normals by the full Box-Muller transform (Box and Muller, Ann. Math.
+Stat. 29, 1958): steps 2j and 2j + 1 of both fields. numpy increments the
+counter word 0 first, so the blocks of one j for a run of consecutive
+streams are consecutive counters: one ``random_raw`` call per j draws
+them all, and the cost is per step pair, not per stream. Means over
+paths use the canonical pairwise reduction tree below, which is fixed by
+the element indices alone.
 """
 
 import math
@@ -134,20 +136,28 @@ def uniform_open(blocks, out=None):
 def gaussian_field(seed, n_streams, n_steps, stream_offset=0, out=None, work=None):
     """Two independent standard-normal fields, each (n_streams, n_steps).
 
-    Entry (i, k) depends only on (seed, stream_offset + i, k): one Philox
-    block per (stream, step) yields four uniforms, turned into two normals
-    by Box-Muller, so the output is bit-identical regardless of chunking.
-    ``seed`` and every stream index must fit in 64 bits.
+    Entry (i, k) depends only on (seed, stream_offset + i, k), so the output
+    is bit-identical regardless of chunking, and a field of n_steps is the
+    prefix of one of n_steps + 1. ``seed`` and every stream index must fit
+    in 64 bits.
+
+    The block (s, j) at counter (s, j, 0, 0) under key (seed, 0) serves
+    steps 2j and 2j + 1 of stream s: its four uniforms make one Box-Muller
+    pair per field. Field 1 takes the radius r = sqrt(-2 log u) from word 0
+    and the angle 2 pi u from word 1, and field 2 words 2 and 3; r cos is
+    the normal at step 2j and r sin the one at step 2j + 1. With an odd
+    n_steps, the last step reads only the cos legs of its block.
 
     The fields are written into ``out``, a pair of (n_streams, n_steps)
     float64 arrays (fresh arrays by default), and returned. They are drawn
     a tile of at most ``TILE_BLOCKS`` blocks at a time: up to that many
-    consecutive streams, at as many steps as fit. Box-Muller runs in place
-    in the tile's uniforms, and writes the normals into the fields through
-    a transposed (step-major) view, which is contiguous when the fields are
-    time-major. The tile's blocks and uniforms live in the ``Workspace``
-    ``work`` (a fresh one by default), so repeated calls on one workspace
-    allocate nothing.
+    consecutive streams, at as many step pairs as fit. Box-Muller runs in
+    place in the tile's uniforms, and writes the normals into the fields
+    through a transposed (step-major) view, whose rows are contiguous when
+    the fields are time-major: sin lands in the odd-step rows and is scaled
+    there, then r cos in the even-step rows. The tile's blocks and uniforms
+    live in the ``Workspace`` ``work`` (a fresh one by default), so
+    repeated calls on one workspace allocate nothing.
     """
     if n_streams < 0 or n_steps <= 0:
         raise ValueError("need n_streams >= 0 and n_steps >= 1")
@@ -160,28 +170,32 @@ def gaussian_field(seed, n_streams, n_steps, stream_offset=0, out=None, work=Non
         out = (np.empty((n_streams, n_steps)), np.empty((n_streams, n_steps)))
     if work is None:
         work = Workspace()
+    n_pairs = (n_steps + 1) // 2
     width = max(1, min(n_streams, TILE_BLOCKS))
     depth = max(1, TILE_BLOCKS // width)
     for i0 in range(0, n_streams, width):
         i1 = min(i0 + width, n_streams)
         m = i1 - i0
-        for k0 in range(0, n_steps, depth):
-            k1 = min(k0 + depth, n_steps)
-            nk = k1 - k0
+        for j0 in range(0, n_pairs, depth):
+            j1 = min(j0 + depth, n_pairs)
+            nj = j1 - j0
             blocks = philox4x64(
-                seed, m, nk, int(stream_offset) + i0, k0,
-                out=work.take("blocks", (nk * m, 4), np.uint64),
+                seed, m, nj, int(stream_offset) + i0, j0,
+                out=work.take("blocks", (nj * m, 4), np.uint64),
             )
             # word w of every block in row w: contiguous inputs for Box-Muller
-            u = uniform_open(blocks.T, out=work.take("uniforms", (4, nk * m)))
-            u = u.reshape(4, nk, m)
+            u = uniform_open(blocks.T, out=work.take("uniforms", (4, nj * m)))
+            u = u.reshape(4, nj, m)
             for z, (r, a) in zip(out, (u[:2], u[2:])):
-                # sqrt(-2 log u_r) cos(2 pi u_a), in place of the uniforms,
-                # the product written through a transposed view of the tile
+                # r = sqrt(-2 log u_r) and 2 pi u_a, in place of the uniforms
                 np.log(r, out=r)
                 r *= -2.0
                 np.sqrt(r, out=r)
                 a *= 2.0 * np.pi
+                steps = z[i0:i1, 2 * j0 : min(2 * j1, n_steps)].T
+                odd = steps[1::2]
+                np.sin(a[: len(odd)], out=odd)
+                odd *= r[: len(odd)]
                 np.cos(a, out=a)
-                np.multiply(r, a, out=z[i0:i1, k0:k1].T)
+                np.multiply(r, a, out=steps[0::2])
     return out

@@ -177,6 +177,7 @@ class _Window:
     p: np.ndarray  # reference mass of each leaf given the start
     A: np.ndarray  # the unit-mass row, then one martingale row per interior node
     interior: np.ndarray  # strictly positive feasible leaf masses
+    nodes: tuple[str, ...]  # the nodes before T, start first, in DFS order
 
 
 def _walk_window(duals, start, T):
@@ -185,25 +186,25 @@ def _walk_window(duals, start, T):
     it; the interior point is the product of the one-step vertex centroids."""
     tree = duals.tree
     found = []  # per leaf: (leaf, reference mass, centroid mass, moves above it)
-    n_rows = 1
+    nodes = []
     stack = [(start, 1.0, 1.0, ())]
     while stack:
         nid, prob, mass, moves = stack.pop()
         if tree.time_of(nid) == T:
             found.append((nid, prob, mass, moves))
             continue
+        nodes.append(nid)  # its martingale row is row len(nodes)
         center = duals.centroid(nid)
         for j, br in reversed(tuple(enumerate(tree.branches_of(nid)))):
-            move = moves + ((n_rows, br.dprice),)
+            move = moves + ((len(nodes), br.dprice),)
             stack.append((br.child, prob * br.prob, mass * float(center[j]), move))
-        n_rows += 1
     leaves, p, masses, moves = zip(*found)
-    A = np.zeros((n_rows, len(leaves)))
+    A = np.zeros((len(nodes) + 1, len(leaves)))
     A[0] = 1.0
     for col, above in enumerate(moves):
         for row, dprice in above:
             A[row, col] = dprice
-    return _Window(leaves, np.array(p), A, np.array(masses))
+    return _Window(leaves, np.array(p), A, np.array(masses), tuple(nodes))
 
 
 class WindowDuals:
@@ -227,7 +228,8 @@ class WindowDuals:
     - per (t, T): the (max, min) range of E^Q[1/gamma_T | node] over the
       product vertices (``inverse_gamma_range``);
     - per (start, T): the window's leaves, their reference masses, its
-      martingale rows and its interior starting point (``window``);
+      martingale rows, its interior starting point and its nodes before T
+      (``window``);
     - per (t, T), keyed also by the bits of a_shift at the time-T nodes:
       the window's one dual program, solved at eta = 1 by ``dual_value``
       and read at every eta (``dual``). A window's program reads the field
@@ -1071,7 +1073,7 @@ def check_forward_supermartingale(
         window node it reaches, start first, in DFS order."""
         weight = {w: masses[w] * gamma[start] / gamma[w] for w in masses}
         drift = {}
-        interior = tree.window_interior(start, T)
+        interior = duals.window(start, T).nodes
         for m in reversed(interior):
             kids = tree.children(m)
             weights = [weight[c] for c in kids]

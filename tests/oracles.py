@@ -16,7 +16,8 @@ window's primal and dual programs rebuilt by a fresh call, (for the
 conditional entropy and the martingale
 property of a tree measure) sums over leaves and nodes from their
 definitions, (for the random kernels) the Philox rounds and the reduction
-tree computed from their definitions, (for the density and field paths)
+tree computed from their definitions, with the replaced two-normal
+Gaussian kernel kept beside them as it was, (for the density and field paths)
 one whole-matrix numpy expression per quantity, (for the path export)
 the CSV written row by row from the whole simulation's matrices, or (for
 the closed-form conjugate of an exponential utility) bracketing and
@@ -33,6 +34,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
+from forwardperf import kernels
 from forwardperf.errors import ConvergenceError
 from forwardperf.report import CheckRecord, VerificationReport
 from forwardperf.solvers import barrier_minimize
@@ -752,15 +754,57 @@ def philox_field_blocks(seed, n_streams, n_steps, stream_offset=0, step_offset=0
 
 
 def gaussian_field_whole(seed, n_streams, n_steps, stream_offset=0):
-    """Box-Muller on the oracle's blocks, over whole arrays and out of
-    place: the formula the tiled, in-place kernel must match bit for bit."""
-    blocks = philox_field_blocks(seed, n_streams, n_steps, stream_offset)
+    """Full Box-Muller on the oracle's blocks, over whole arrays and out of
+    place: the formula the tiled, in-place kernel must match bit for bit.
+    The block at step j serves steps 2j (r cos) and 2j + 1 (r sin); an odd
+    last step keeps only the cos legs."""
+    n_pairs = (n_steps + 1) // 2
+    blocks = philox_field_blocks(seed, n_streams, n_pairs, stream_offset)
     u = ((blocks >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    r1 = np.sqrt(-2.0 * np.log(u[:, 0]))
-    r2 = np.sqrt(-2.0 * np.log(u[:, 2]))
-    z1 = r1 * np.cos((2.0 * np.pi) * u[:, 1])
-    z2 = r2 * np.cos((2.0 * np.pi) * u[:, 3])
-    return z1.reshape(n_steps, n_streams).T, z2.reshape(n_steps, n_streams).T
+    fields = []
+    for w in (0, 2):
+        r = np.sqrt(-2.0 * np.log(u[:, w]))
+        angle = (2.0 * np.pi) * u[:, w + 1]
+        legs = np.stack([r * np.cos(angle), r * np.sin(angle)])
+        # (pair, leg, stream) -> step 2 * pair + leg
+        steps = legs.reshape(2, n_pairs, n_streams).transpose(1, 0, 2)
+        fields.append(steps.reshape(2 * n_pairs, n_streams)[:n_steps].T)
+    return tuple(fields)
+
+
+def gaussian_field_two_normals(seed, n_streams, n_steps, stream_offset=0, out=None, work=None):
+    """The replaced kernel, kept as it was: one block per (stream, step) at
+    counter (stream, step, 0, 0), turned into two normals by the cos legs
+    of Box-Muller alone, tiled and in place. Field 1 reads words 0 and 1,
+    field 2 words 2 and 3, so its step k equals step 2k of
+    ``gaussian_field``. ``benchmarks/bench_kernels.py`` times
+    ``gaussian_field`` against it."""
+    if out is None:
+        out = (np.empty((n_streams, n_steps)), np.empty((n_streams, n_steps)))
+    if work is None:
+        work = kernels.Workspace()
+    width = max(1, min(n_streams, kernels.TILE_BLOCKS))
+    depth = max(1, kernels.TILE_BLOCKS // width)
+    for i0 in range(0, n_streams, width):
+        i1 = min(i0 + width, n_streams)
+        m = i1 - i0
+        for k0 in range(0, n_steps, depth):
+            k1 = min(k0 + depth, n_steps)
+            nk = k1 - k0
+            blocks = kernels.philox4x64(
+                seed, m, nk, int(stream_offset) + i0, k0,
+                out=work.take("blocks", (nk * m, 4), np.uint64),
+            )
+            u = kernels.uniform_open(blocks.T, out=work.take("uniforms", (4, nk * m)))
+            u = u.reshape(4, nk, m)
+            for z, (r, a) in zip(out, (u[:2], u[2:])):
+                np.log(r, out=r)
+                r *= -2.0
+                np.sqrt(r, out=r)
+                a *= 2.0 * np.pi
+                np.cos(a, out=a)
+                np.multiply(r, a, out=z[i0:i1, k0:k1].T)
+    return out
 
 
 def pairwise_sum(x):

@@ -610,10 +610,11 @@ def test_ito_scenario_builds_each_density_once(monkeypatch):
 
 
 # SHA-256 of the default-suite report of ito_doc(n_paths=2000, n_steps=16),
-# taken when the draws became step-major (counter (stream, step)) and the
-# densities and fields were first read from the running sums of dB and dW:
-# later work must not move a byte of it, whatever the chunking
-PINNED_ITO_REPORT_SHA256 = "b693205eb4ec5d5287bfab9873a5b751d71dab2d98803b0268347e99d9a7ef6d"
+# taken when each Philox block (counter (stream, j)) began to serve steps
+# 2j and 2j + 1 through the full Box-Muller pair, with the densities and
+# fields read from the running sums of dB and dW: later work must not move
+# a byte of it, whatever the chunking
+PINNED_ITO_REPORT_SHA256 = "74137299c85c02a95e977b1592e2682b563dd7d2ef030abc667f72404ba656c0"
 
 
 def test_ito_report_bytes_pinned():
@@ -933,11 +934,11 @@ EXPORT_DOCS = {
         "nu": {"flat": 0.2, "ramp": [0.1 * k for k in range(8)]},
     },
 }
-# SHA-256 of the CSVs of EXPORT_DOCS, taken with the step-major draws and
+# SHA-256 of the CSVs of EXPORT_DOCS, taken with the four-normal blocks and
 # the running-sum densities and fields of PINNED_ITO_REPORT_SHA256
 PINNED_EXPORT_SHA256 = {
-    "antithetic": "5dae4bf8834314fb8dd167ad4fc1d5534d16b8b901993846ec0d244be94a2d51",
-    "plain-piecewise": "a4a42c6b2f796c0d4f8fd6e8fecbdc3d35444123549eb6f9aeb83b54cb638f9e",
+    "antithetic": "cddf706218140282c12741fb38a16f2649af980ef92dad64819d0c1097287693",
+    "plain-piecewise": "d2cc9dbeb54dde659cfefd74948a3c52951b3dc74364c47005c33ed65a5878f4",
 }
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from forwardperf import cli
+from forwardperf import cli, kernels
 from forwardperf.kernels import (
     TILE_BLOCKS,
     Workspace,
@@ -257,6 +257,64 @@ def test_gaussian_field_moments():
     # the two fields come from disjoint words of the same blocks
     corr = float(np.corrcoef(z1.ravel(), z2.ravel())[0, 1])
     assert abs(corr) < 4.0 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, TILE_BLOCKS // 6])
+def test_gaussian_field_shorter_grid_is_a_prefix(k):
+    # 2k + 1 steps are the prefix of 2k + 2, and 2k (when positive) of 2k + 1
+    n_streams = 6
+    longer = gaussian_field(8, n_streams, 2 * k + 2, 3)
+    for n_steps in (2 * k, 2 * k + 1):
+        if n_steps == 0:
+            continue
+        for z, whole in zip(gaussian_field(8, n_streams, n_steps, 3), longer):
+            np.testing.assert_array_equal(z, whole[:, :n_steps])
+
+
+@pytest.mark.parametrize("n_steps", [1, 7])
+def test_gaussian_field_odd_last_step_is_the_cos_legs(n_steps):
+    # block (s, j) serves steps 2j and 2j + 1; an odd grid's last step reads
+    # r cos theta of both fields from its block, words (0, 1) and (2, 3)
+    blocks = oracles.philox_field_blocks(13, 5, 1, 2, step_offset=n_steps // 2)
+    u = ((blocks >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    got = gaussian_field(13, 5, n_steps, 2)
+    for z, w in zip(got, (0, 2)):
+        want = np.sqrt(-2.0 * np.log(u[:, w])) * np.cos((2.0 * np.pi) * u[:, w + 1])
+        np.testing.assert_array_equal(z[:, -1], want)
+
+
+def test_gaussian_field_cos_legs_are_the_replaced_kernel():
+    # the even steps read the words the two-normal kernel read at half the step
+    new = gaussian_field(21, 9, 11, 4)
+    old = oracles.gaussian_field_two_normals(21, 9, 6, 4)
+    for z, z_old in zip(new, old):
+        np.testing.assert_array_equal(z[:, 0::2], z_old)
+
+
+def test_gaussian_field_four_legs_uncorrelated():
+    # the cos and sin legs of both fields: unit variance, pairwise uncorrelated
+    z1, z2 = gaussian_field(5, 2000, 32)
+    legs = np.stack([z1[:, 0::2].ravel(), z1[:, 1::2].ravel(),
+                     z2[:, 0::2].ravel(), z2[:, 1::2].ravel()])
+    n = legs.shape[1]
+    assert np.all(np.abs(legs.mean(axis=1)) < 4.0 / math.sqrt(n))
+    assert np.all(np.abs(legs.var(axis=1) - 1.0) < 6.0 / math.sqrt(n))
+    corr = np.corrcoef(legs)
+    assert np.all(np.abs(corr[np.triu_indices(4, 1)]) < 4.0 / math.sqrt(n))
+
+
+@pytest.mark.parametrize("n_streams, n_steps", [(5, 1), (5, 8), (7, 9), (TILE_BLOCKS + 3, 3)])
+def test_gaussian_field_draws_one_block_per_step_pair(monkeypatch, n_streams, n_steps):
+    rows = []
+
+    def counted(*args, **kwargs):
+        out = philox4x64(*args, **kwargs)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(kernels, "philox4x64", counted)
+    gaussian_field(3, n_streams, n_steps)
+    assert sum(rows) == n_streams * math.ceil(n_steps / 2)
 
 
 def test_gaussian_field_rejects_bad_shapes():
