@@ -199,17 +199,6 @@ class EventTree:
                 return br
         raise TreeStructureError(f"linkage broken at {child!r}")
 
-    def cond_prob(self, ancestor: str, nid: str) -> float:
-        """Reference-measure probability of reaching nid from its ancestor."""
-        path = self.path_from_root(nid)
-        if ancestor not in path:
-            raise ValueError(f"{ancestor!r} is not an ancestor of {nid!r}")
-        p = 1.0
-        start = path.index(ancestor)
-        for child in path[start + 1 :]:
-            p *= self.branch_to(child).prob
-        return p
-
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:

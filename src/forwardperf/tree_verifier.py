@@ -595,6 +595,27 @@ def solve_entropy_shift(
 # -- checks --------------------------------------------------------------
 
 
+def _gap_record(tag, gaps, tol, **extra):
+    """The record of the largest gap of ``gaps`` ({node: gap}, in scan
+    order) against 0 within ``tol``. Only a failing record names a node:
+    the first attaining that gap. A passing record's argmax sits at the
+    rounding floor and would name a node by noise."""
+    worst = max(gaps.values())
+    passed = worst <= tol
+    node = None if passed else next(n for n, g in gaps.items() if g == worst)
+    return CheckRecord(
+        tag, verdict=passed, value=worst, target=0.0, tolerance=tol, worst_node=node, **extra
+    )
+
+
+def _overall_record(tag, records, tol):
+    """The roll-up of per-window gap records: the first with the largest
+    value, under ``tag`` and without details; a pass at 0 with no windows."""
+    if not records:
+        return CheckRecord(tag, verdict=True, value=0.0, target=0.0, tolerance=tol)
+    return replace(max(records, key=lambda r: r.value), check_tag=tag, details={})
+
+
 def check_self_generation_primal(
     tree: EventTree,
     field: ExponentialFieldParams,
@@ -613,9 +634,7 @@ def check_self_generation_primal(
     shares the factor recursion to each T with the other checks.
     """
     duals = _window_duals(duals, tree, field.gamma)
-    report = VerificationReport()
-    overall_gap = 0.0
-    overall_node = None
+    windows = []
     for (t, T) in time_pairs:
         res = primal_value(tree, field, 0.0, t, T, duals=duals)
         gaps = {n: abs(res.log_factor[n] - field.a_shift[n]) for n in tree.nodes_at(t)}
@@ -626,32 +645,15 @@ def check_self_generation_primal(
             for n in tree.nodes_at(t):
                 Ux = _utility(n, x, -field.gamma[n] * x + field.a_shift[n])
                 value_gap = max(value_gap, abs(resx.values[n] - Ux))
-        worst_node = max(gaps, key=gaps.get)
-        worst = gaps[worst_node]
-        if worst > overall_gap:
-            overall_gap, overall_node = worst, worst_node
-        report.add(
-            CheckRecord(
-                check_tag=f"primal-self-generation[t={t},T={T}]",
-                verdict=worst <= tol,
-                value=worst,
-                target=0.0,
-                tolerance=tol,
-                worst_node=worst_node,
+        windows.append(
+            _gap_record(
+                f"primal-self-generation[t={t},T={T}]",
+                gaps,
+                tol,
                 details={"value_gap": value_gap, "method": "exponential"},
             )
         )
-    report.add(
-        CheckRecord(
-            check_tag="primal-self-generation",
-            verdict=overall_gap <= tol,
-            value=overall_gap,
-            target=0.0,
-            tolerance=tol,
-            worst_node=overall_node,
-        )
-    )
-    return report
+    return VerificationReport(windows + [_overall_record("primal-self-generation", windows, tol)])
 
 
 def check_self_generation_dual(
@@ -669,18 +671,19 @@ def check_self_generation_dual(
     perturbation of the field shows up at exactly its own size. Each
     window's eta = 1 program is read at every eta of the grid, so without
     replication of 1/gamma a grid with an eta other than 1 is refused
-    before anything is solved. The record carries the read's certificate,
+    before anything is solved, as is a grid with no positive eta (it
+    implies no shift). The record carries the read's certificate,
     max over starts of |m - 1/gamma| (``DualResult.at``), and per start the
     program's Newton iterations, KKT residual and near-boundary flag.
     ``duals`` shares the dual solves with the other checks of a scenario.
     """
-    duals = _window_duals(duals, tree, field.gamma)
     eta_grid = [float(e) for e in eta_grid]
+    if not any(e > 0.0 for e in eta_grid):
+        raise ValueError("dual self-generation needs a positive eta in the grid")
+    duals = _window_duals(duals, tree, field.gamma)
     if any(e != 1.0 for e in eta_grid):
         _require_replication(duals.replication(), _DUAL_READ)
-    report = VerificationReport()
-    overall_gap = 0.0
-    overall_node = None
+    windows = []
     for (t, T) in time_pairs:
         unit = duals.dual(field, 1.0, t, T)
         gaps = {}
@@ -695,19 +698,12 @@ def check_self_generation_dual(
                 if e > 0.0:
                     a_implied = (g / e) * (entropy_kernel(e / g) - v)
                     gaps[n] = max(gaps.get(n, 0.0), abs(a_implied - field.a_shift[n]))
-        worst_node = max(gaps, key=gaps.get)
-        worst = gaps[worst_node]
-        if worst > overall_gap:
-            overall_gap, overall_node = worst, worst_node
         m = unit.inverse_gamma_mean
-        report.add(
-            CheckRecord(
-                check_tag=f"dual-self-generation[t={t},T={T}]",
-                verdict=worst <= tol,
-                value=worst,
-                target=0.0,
-                tolerance=tol,
-                worst_node=worst_node,
+        windows.append(
+            _gap_record(
+                f"dual-self-generation[t={t},T={T}]",
+                gaps,
+                tol,
                 details={
                     "value_gap": value_gap,
                     "read_certificate": max(abs(m[n] - 1.0 / field.gamma[n]) for n in m),
@@ -717,17 +713,7 @@ def check_self_generation_dual(
                 },
             )
         )
-    report.add(
-        CheckRecord(
-            check_tag="dual-self-generation",
-            verdict=overall_gap <= tol,
-            value=overall_gap,
-            target=0.0,
-            tolerance=tol,
-            worst_node=overall_node,
-        )
-    )
-    return report
+    return VerificationReport(windows + [_overall_record("dual-self-generation", windows, tol)])
 
 
 def _conjugate_read(unit, n, xi):
@@ -799,7 +785,6 @@ def check_value_conjugacy(
         raise ValueError("conjugacy check needs nonempty grids")
     if any(e <= 0.0 for e in eta_grid):
         raise ValueError("eta grid entries must be positive")
-    report = VerificationReport()
     starts = tree.nodes_at(t)
 
     duals = _window_duals(duals, tree, field.gamma)
@@ -809,43 +794,33 @@ def check_value_conjugacy(
     primals = [base.at(x).values for x in xi_grid]
     reads = [unit.at(e) for e in eta_grid]
 
-    worst_primal = 0.0
-    worst_dual = 0.0
-    worst_node = None
-    for n in starts:
-        for conjugate, u in zip(conjugates, primals):
-            gap = _scaled_gap(conjugate[n][0], u[n])
-            if gap > worst_primal:
-                worst_primal, worst_node = gap, n
-        for e, dual in zip(eta_grid, reads):
-            v = conjugate_exponential(field.gamma[n], base.log_factor[n], e)
-            worst_dual = max(worst_dual, _scaled_gap(dual.values[n], v))
-    report.add(
-        CheckRecord(
-            check_tag=f"conjugacy-primal-from-dual[t={t},T={T}]",
-            verdict=worst_primal <= tol,
-            value=worst_primal,
-            target=0.0,
-            tolerance=tol,
-            worst_node=worst_node,
-            details={
-                "eta_hat": {n: eta_hat for n, (_, eta_hat) in conjugates[0].items()},
-                "newton_iterations": unit.newton_iterations,
-                "kkt_residual": unit.kkt_residual,
-                "near_boundary": unit.near_boundary,
-            },
+    primal_gaps = {
+        n: max(_scaled_gap(conjugate[n][0], u[n]) for conjugate, u in zip(conjugates, primals))
+        for n in starts
+    }
+    dual_gaps = {
+        n: max(
+            _scaled_gap(v.values[n], conjugate_exponential(field.gamma[n], base.log_factor[n], e))
+            for e, v in zip(eta_grid, reads)
         )
+        for n in starts
+    }
+    return VerificationReport(
+        [
+            _gap_record(
+                f"conjugacy-primal-from-dual[t={t},T={T}]",
+                primal_gaps,
+                tol,
+                details={
+                    "eta_hat": {n: eta_hat for n, (_, eta_hat) in conjugates[0].items()},
+                    "newton_iterations": unit.newton_iterations,
+                    "kkt_residual": unit.kkt_residual,
+                    "near_boundary": unit.near_boundary,
+                },
+            ),
+            _gap_record(f"conjugacy-dual-from-primal[t={t},T={T}]", dual_gaps, tol),
+        ]
     )
-    report.add(
-        CheckRecord(
-            check_tag=f"conjugacy-dual-from-primal[t={t},T={T}]",
-            verdict=worst_dual <= tol,
-            value=worst_dual,
-            target=0.0,
-            tolerance=tol,
-        )
-    )
-    return report
 
 
 def _inverse_gamma_range(duals, t, T):
@@ -911,72 +886,31 @@ def check_exponential_conditions(
     if time_pairs:
         field = ExponentialFieldParams(gamma, a_shift)
         duals = _window_duals(duals, tree, gamma)
-    worst_b = 0.0
-    worst_b_node = None
-    worst_c = 0.0
-    worst_c_node = None
+    inverse_gamma, entropy = [], []
     for (t, T) in time_pairs:
-        gap_b = 0.0
-        node_b = None
-        for n, by_node in duals.inverse_gamma_range(t, T).items():
-            gap = _inverse_gamma_gap(gamma[n], by_node[n])
-            if gap > gap_b:
-                gap_b, node_b = gap, n
-        report.add(
-            CheckRecord(
-                check_tag=f"exp-condition-inverse-gamma-martingale[t={t},T={T}]",
-                verdict=gap_b <= tol,
-                value=gap_b,
-                target=0.0,
-                tolerance=tol,
-                worst_node=node_b,
+        ranges = duals.inverse_gamma_range(t, T)
+        inverse_gamma.append(
+            _gap_record(
+                f"exp-condition-inverse-gamma-martingale[t={t},T={T}]",
+                {n: _inverse_gamma_gap(gamma[n], by_node[n]) for n, by_node in ranges.items()},
+                tol,
             )
         )
-        if gap_b > worst_b:
-            worst_b, worst_b_node = gap_b, node_b
-
         ent = duals.dual(field, 1.0, t, T)
-        gap_c = 0.0
-        node_c = None
-        for n in tree.nodes_at(t):
-            g = gamma[n]
-            implied_a = g * (entropy_kernel(1.0 / g) - ent.values[n])
-            gap = abs(implied_a - a_shift[n])
-            if gap > gap_c:
-                gap_c, node_c = gap, n
-        report.add(
-            CheckRecord(
-                check_tag=f"exp-condition-entropy-identity[t={t},T={T}]",
-                verdict=gap_c <= tol,
-                value=gap_c,
-                target=0.0,
-                tolerance=tol,
-                worst_node=node_c,
+        entropy.append(
+            _gap_record(
+                f"exp-condition-entropy-identity[t={t},T={T}]",
+                {
+                    n: abs(gamma[n] * (entropy_kernel(1.0 / gamma[n]) - ent.values[n]) - a_shift[n])
+                    for n in tree.nodes_at(t)
+                },
+                tol,
             )
         )
-        if gap_c > worst_c:
-            worst_c, worst_c_node = gap_c, node_c
-
-    report.add(
-        CheckRecord(
-            check_tag="exp-condition-inverse-gamma-martingale",
-            verdict=worst_b <= tol,
-            value=worst_b,
-            target=0.0,
-            tolerance=tol,
-            worst_node=worst_b_node,
-        )
-    )
-    report.add(
-        CheckRecord(
-            check_tag="exp-condition-entropy-identity",
-            verdict=worst_c <= tol,
-            value=worst_c,
-            target=0.0,
-            tolerance=tol,
-            worst_node=worst_c_node,
-        )
-    )
+    for rec in inverse_gamma + entropy:
+        report.add(rec)
+    report.add(_overall_record("exp-condition-inverse-gamma-martingale", inverse_gamma, tol))
+    report.add(_overall_record("exp-condition-entropy-identity", entropy, tol))
     return report
 
 
@@ -1060,16 +994,10 @@ def check_forward_supermartingale(
             best = max(best, _forward_drift(weights, probs, kid_values))
         return best
 
-    worst_super = -math.inf
-    worst_super_node = None
     drifts = vertex_recursion(tree, t, T, lambda w: a_shift[w], worst_drift, duals.vertices(T))
-    for by_node in drifts.values():
-        for m, d in by_node.items():
-            if d - a_shift[m] > worst_super:
-                worst_super, worst_super_node = d - a_shift[m], m
 
     def optimum_gaps(start, masses):
-        """D(m) - a_m at the minimiser with leaf masses ``masses``, per
+        """|D(m) - a_m| at the minimiser with leaf masses ``masses``, per
         window node it reaches, start first, in DFS order."""
         weight = {w: masses[w] * gamma[start] / gamma[w] for w in masses}
         drift = {}
@@ -1082,37 +1010,27 @@ def check_forward_supermartingale(
             kid_values = [drift[c] if c in drift else a_shift[c] for c in kids]
             drift[m] = _forward_drift(weights, probs, kid_values)
         return {
-            m: drift[m] - a_shift[m] for m in interior if m == start or weight[m] > 0.0
+            m: abs(drift[m] - a_shift[m]) for m in interior if m == start or weight[m] > 0.0
         }
 
-    report = VerificationReport()
-    report.add(
-        CheckRecord(
-            check_tag=f"forward-supermartingale[t={t},T={T}]",
-            verdict=worst_super <= tol,
-            value=worst_super,
-            target=0.0,
-            tolerance=tol,
-            worst_node=worst_super_node,
-            notes=("positive drift of the shifted log density violates the bound",),
-        )
-    )
-
     ent = duals.dual(ExponentialFieldParams(gamma, a_shift), 1.0, t, T)
-    worst_eq = 0.0
-    worst_eq_node = None
-    for start in tree.nodes_at(t):
-        for m, gap in optimum_gaps(start, ent.leaf_masses[start]).items():
-            if abs(gap) > worst_eq:
-                worst_eq, worst_eq_node = abs(gap), m
-    report.add(
-        CheckRecord(
-            check_tag=f"forward-martingale-at-optimum[t={t},T={T}]",
-            verdict=worst_eq <= tol,
-            value=worst_eq,
-            target=0.0,
-            tolerance=tol,
-            worst_node=worst_eq_node,
-        )
+    # the starts' subtrees are disjoint, so each record keys its gaps by node
+    return VerificationReport(
+        [
+            _gap_record(
+                f"forward-supermartingale[t={t},T={T}]",
+                {m: d - a_shift[m] for by_node in drifts.values() for m, d in by_node.items()},
+                tol,
+                notes=("positive drift of the shifted log density violates the bound",),
+            ),
+            _gap_record(
+                f"forward-martingale-at-optimum[t={t},T={T}]",
+                {
+                    m: gap
+                    for start in tree.nodes_at(t)
+                    for m, gap in optimum_gaps(start, ent.leaf_masses[start]).items()
+                },
+                tol,
+            ),
+        ]
     )
-    return report

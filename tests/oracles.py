@@ -48,6 +48,18 @@ from forwardperf.tree_market import (
 from forwardperf.tree_verifier import primal_value
 
 
+def cond_prob(tree, ancestor, nid):
+    """Reference-measure probability of reaching nid from its ancestor,
+    the product of the branch probabilities on the path between them."""
+    path = tree.path_from_root(nid)
+    if ancestor not in path:
+        raise ValueError(f"{ancestor!r} is not an ancestor of {nid!r}")
+    p = 1.0
+    for child in path[path.index(ancestor) + 1 :]:
+        p *= tree.branch_to(child).prob
+    return p
+
+
 def h(y):
     """y log y - y with h(0) = 0, re-derived here on purpose."""
     if y == 0.0:
@@ -262,7 +274,7 @@ def joint_primal(tree, gamma, a_shift, xi, T=None):
             par = tree.parent[child]
             if par in index:
                 steps.append((index[par], tree.branch_to(child).dprice))
-        legs.append((tree.cond_prob(tree.root, w), gamma[w], a_shift[w], steps))
+        legs.append((cond_prob(tree, tree.root, w), gamma[w], a_shift[w], steps))
 
     def value_and_grad(pi):
         val = 0.0
@@ -341,7 +353,7 @@ def _window_program(tree, start, T):
     as leaf masses, a strictly positive feasible point."""
     leaves = tree.descendants_at(start, T)
     index = {w: i for i, w in enumerate(leaves)}
-    p = np.array([tree.cond_prob(start, w) for w in leaves])
+    p = np.array([cond_prob(tree, start, w) for w in leaves])
     interior = tree.window_interior(start, T)
     rows = np.zeros((len(interior), len(leaves)))
     mass = {start: 1.0}
@@ -478,7 +490,8 @@ def conjugate_primal_by_eta_search(tree, field, t, T, xi_grid, eta_grid, tol=1e-
 def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6):
     """``check_self_generation_primal`` as it ran before one primal program
     per window was read at every wealth: a fresh ``primal_value`` solve at
-    xi = 0 and at each xi of the grid, per window. Returns the report."""
+    xi = 0 and at each xi of the grid, per window. A record names its worst
+    node only when it fails. Returns the report."""
     report = VerificationReport()
     overall_gap = 0.0
     overall_node = None
@@ -505,7 +518,7 @@ def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6
                 value=worst,
                 target=0.0,
                 tolerance=tol,
-                worst_node=worst_node,
+                worst_node=worst_node if worst > tol else None,
                 details={"value_gap": value_gap, "method": "exponential"},
             )
         )
@@ -516,7 +529,7 @@ def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6
             value=overall_gap,
             target=0.0,
             tolerance=tol,
-            worst_node=overall_node,
+            worst_node=overall_node if overall_gap > tol else None,
         )
     )
     return report
@@ -672,7 +685,7 @@ def entropy(tree, gamma, a_shift, q, t=0, T=None):
             for par, child in zip(path[t:], path[t + 1 :]):
                 idx = tree.children(par).index(child)
                 zeta = zeta * (q.cond[par][idx] / tree.branches_of(par)[idx].prob)
-            total += tree.cond_prob(start, w) * (
+            total += cond_prob(tree, start, w) * (
                 h(zeta / gamma[w]) - zeta * a_shift[w] / gamma[w]
             )
         values[start] = total

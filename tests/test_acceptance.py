@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import oracles
-from forwardperf.fields import conjugate_exponential, entropy_kernel
+from forwardperf.fields import conjugate_exponential
 from forwardperf.cli import run_ito_scenario
 from forwardperf.ito_engine import CoefficientSpec, build_forward_exponential, simulate_paths
 from forwardperf.mc_verifier import check_inverse_gamma_mean_mc, mc_mean_test

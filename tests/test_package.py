@@ -1,4 +1,5 @@
-"""The package surface: its public names, and no dead imports in its modules."""
+"""The package surface: its public names, and no dead imports in its
+modules, its tests or its benchmark scripts."""
 
 import ast
 import types
@@ -7,6 +8,8 @@ from pathlib import Path
 import forwardperf
 
 SRC = Path(forwardperf.__file__).parent
+TESTS = Path(__file__).parent
+BENCHMARKS = TESTS.parent / "benchmarks"
 
 # Every public name of the package namespace, submodules aside. A name
 # added to or dropped from ``forwardperf/__init__.py`` must change this
@@ -99,10 +102,11 @@ def unused_imports(source):
 
 def test_modules_import_only_what_they_use():
     # package __init__ files import to re-export, so they are not scanned
+    paths = [p for p in SRC.rglob("*.py") if p.name != "__init__.py"]
+    paths += [*TESTS.glob("*.py"), *BENCHMARKS.glob("*.py")]
     found = {
-        f"{path.relative_to(SRC)}:{line} {name}"
-        for path in sorted(SRC.rglob("*.py"))
-        if path.name != "__init__.py"
+        f"{path}:{line} {name}"
+        for path in sorted(paths)
         for line, name in unused_imports(path.read_text())
     }
     assert not found

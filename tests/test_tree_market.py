@@ -25,7 +25,6 @@ from treegen import (
     starved_tree,
     trinomial_tree,
     two_period_tree,
-    uniform_trinomial_tree,
 )
 
 
@@ -166,8 +165,8 @@ def test_queries_on_two_period_tree():
     assert tree.window_interior("r", 2) == ("r", "a", "b")
     assert tree.window_interior("r", 1) == ("r",)
     assert tree.path_from_root("b2") == ("r", "b", "b2")
-    assert tree.cond_prob("r", "a1") == pytest.approx(0.3)
-    assert tree.cond_prob("b", "b2") == pytest.approx(0.45)
+    assert oracles.cond_prob(tree, "r", "a1") == pytest.approx(0.3)
+    assert oracles.cond_prob(tree, "b", "b2") == pytest.approx(0.45)
 
 
 # -- one-step vertices and NFLVR -----------------------------------------

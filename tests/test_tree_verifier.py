@@ -436,7 +436,7 @@ def test_dual_minimizer_roundtrip():
     rebuilt = measure_from_leaf_masses(tree, "r", 2, masses)
     z = density_process(tree, rebuilt)
     for w in tree.leaves():
-        p_w = tree.cond_prob("r", w)
+        p_w = oracles.cond_prob(tree, "r", w)
         assert z.at(w) * p_w == pytest.approx(masses[w], abs=1e-10)
 
 
@@ -599,6 +599,20 @@ def test_self_generation_detects_root_perturbation():
     assert rep_d["dual-self-generation[t=1,T=2]"].verdict
 
 
+@pytest.mark.parametrize("eta_grid", [[0.0], []])
+def test_dual_check_refuses_a_grid_without_positive_eta(monkeypatch, eta_grid):
+    # no positive eta implies no shift: refused before any window is solved
+    tree = random_tree(7, periods=2)
+    field = solved_field(tree, 7)
+
+    def solved(*args, **kwargs):
+        raise AssertionError("a dual program was solved")
+
+    monkeypatch.setattr(tree_verifier, "barrier_minimize", solved)
+    with pytest.raises(ValueError, match="needs a positive eta"):
+        check_self_generation_dual(tree, field, _window_pairs(tree), eta_grid)
+
+
 # -- conjugacy between computed fields -----------------------------------
 
 
@@ -737,6 +751,26 @@ def test_conjugacy_dual_from_primal_is_the_closed_form_gap(kind, seed):
             V = conjugate_exponential(field.gamma[n], log_factor[n], e)
             gaps.append(abs(V - dual_value(tree, field, e, t, T).values[n]) / max(1.0, abs(V)))
     assert rep[f"conjugacy-dual-from-primal[t={t},T={T}]"].value == max(gaps)
+
+
+def test_failing_conjugacy_records_name_their_worst_start():
+    # below any gap's tolerance both directions fail; each record names the
+    # first start attaining its value
+    tree, field, (t, T), xi_grid, eta_grid = conjugacy_case("suite-t1", 1)
+    assert len(tree.nodes_at(t)) > 1
+    rep = check_value_conjugacy(tree, field, t, T, xi_grid, eta_grid, tol=-1.0)
+    assert not rep[f"conjugacy-primal-from-dual[t={t},T={T}]"].verdict
+    assert rep[f"conjugacy-primal-from-dual[t={t},T={T}]"].worst_node in tree.nodes_at(t)
+    rec = rep[f"conjugacy-dual-from-primal[t={t},T={T}]"]
+    assert not rec.verdict
+    log_factor = primal_value(tree, field, 0.0, t, T).log_factor
+    gaps = {}
+    for n in tree.nodes_at(t):
+        for e in eta_grid:
+            V = conjugate_exponential(field.gamma[n], log_factor[n], e)
+            gap = abs(V - dual_value(tree, field, e, t, T).values[n]) / max(1.0, abs(V))
+            gaps[n] = max(gaps.get(n, 0.0), gap)
+    assert rec.worst_node == next(n for n, g in gaps.items() if g == rec.value)
 
 
 @pytest.mark.parametrize("xi", [-1000.0, 1000.0])
@@ -949,6 +983,17 @@ def test_exponential_conditions_2b_example():
     assert not rec.verdict
     assert rec.value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
+def test_exponential_conditions_without_windows_pass_at_zero():
+    tree = two_period_tree()
+    field = solved_field(tree, seed=25)
+    rep = check_exponential_conditions(tree, field.gamma, field.a_shift, [])
+    assert len(rep) == 3
+    for tag in ("exp-condition-inverse-gamma-martingale", "exp-condition-entropy-identity"):
+        rec = rep[tag]
+        assert (rec.verdict, rec.value, rec.target, rec.worst_node) == (True, 0.0, 0.0, None)
+        assert rec.tolerance == 1e-6 and not rec.details
+
+
 def test_exponential_conditions_positivity():
     tree = binomial_tree()
     gamma = {"r": 1.0, "u": -1.0, "d": 1.0}
@@ -1068,7 +1113,8 @@ def test_forward_optimum_matches_density_oracle(periods, bumped):
                 if abs(gap) > want:
                     want, want_node = abs(gap), m
         assert abs(rec.value - want) <= 1e-12, (t, T)
-        assert rec.worst_node == want_node, (t, T)
+        # only a failing record names its worst node
+        assert rec.worst_node == (want_node if want > 1e-6 else None), (t, T)
 
 
 def _refusal(fn, *args):
