@@ -14,8 +14,9 @@ step, so at a fixed block count its lead over the oracle shrinks as
 n_steps grows (fewer streams share each call).
 
 Then draws both Gaussian fields for 100k streams x 64 steps into
-time-major arrays, in the 1024-stream runs ``ito-verify`` draws, on one
-workspace, with
+time-major arrays, in runs of 1024 streams, on one workspace: the runs
+``ito-verify`` draws when it simulates the full 64-step grid (its budget,
+``cli.DRAW_BUDGET``, is 1024 x 64 stream-intervals), with
 
 - ``kernel``: ``forwardperf.kernels.gaussian_field``, four normals per
   block (the full Box-Muller pair);

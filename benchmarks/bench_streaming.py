@@ -11,10 +11,14 @@ the minor page faults the run took (``ru_minflt``, read with
 Each point also records the SHA-256 of its report, which must not depend
 on the chunk count.
 
+With ``--baseline-src`` a second source tree (say, the ``src`` of a
+checkout of the parent commit) is measured too, alternating with this one
+point by point, into ``baseline_rows``.
+
 Writes the median and spread (min, max) of the repeats as JSON. Usage:
 
     PYTHONPATH=src python benchmarks/bench_streaming.py \\
-        [--repeat 3] [--out BENCH_streaming.json]
+        [--repeat 3] [--baseline-src OTHER/src] [--out BENCH_streaming.json]
 """
 
 import argparse
@@ -90,11 +94,15 @@ def _spread(values):
     return {"median": statistics.median(values), "min": min(values), "max": max(values)}
 
 
-def measure(n_paths, n_chunks, repeat):
+def measure(src, n_paths, n_chunks, repeat):
+    """One point in ``repeat`` fresh processes that import the package
+    from ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     runs = []
     for _ in range(repeat):
         out = subprocess.run(
             [sys.executable, __file__, "--child", str(n_paths), str(n_chunks)],
+            env=env,
             check=True,
             capture_output=True,
             text=True,
@@ -118,6 +126,7 @@ def measure(n_paths, n_chunks, repeat):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3, help="fresh processes per point")
+    parser.add_argument("--baseline-src", help="a second source tree to measure beside this one")
     parser.add_argument("--out", default="BENCH_streaming.json", help="JSON output path")
     parser.add_argument("--child", nargs=2, type=int, metavar=("N_PATHS", "N_CHUNKS"),
                         help=argparse.SUPPRESS)
@@ -128,20 +137,25 @@ def main():
 
     from forwardperf import kernels
 
-    rows = []
-    for n_paths, n_chunks in POINTS:
-        row = measure(n_paths, n_chunks, args.repeat)
-        print(
-            f"n_paths={n_paths} n_chunks={n_chunks} "
-            f"peak_rss={row['peak_rss_mb']['median']:.1f}MB "
-            f"wall={row['wall_s']['median']:.2f}s "
-            f"minflt={row['minflt']['median']}",
-            flush=True,
-        )
-        rows.append(row)
-    for n_paths in {n for n, _ in POINTS}:
-        if len({r["report_sha256"] for r in rows if r["n_paths"] == n_paths}) != 1:
-            raise RuntimeError(f"report at {n_paths} paths depends on n_chunks")
+    sides = {"rows": os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")}
+    if args.baseline_src:
+        sides["baseline_rows"] = args.baseline_src
+    rows = {side: [] for side in sides}
+    for k, (n_paths, n_chunks) in enumerate(POINTS):
+        for side in list(sides) if k % 2 else list(sides)[::-1]:
+            row = measure(sides[side], n_paths, n_chunks, args.repeat)
+            print(
+                f"{side} n_paths={n_paths} n_chunks={n_chunks} "
+                f"peak_rss={row['peak_rss_mb']['median']:.1f}MB "
+                f"wall={row['wall_s']['median']:.2f}s "
+                f"minflt={row['minflt']['median']}",
+                flush=True,
+            )
+            rows[side].append(row)
+    for side, side_rows in rows.items():
+        for n_paths in {n for n, _ in POINTS}:
+            if len({r["report_sha256"] for r in side_rows if r["n_paths"] == n_paths}) != 1:
+                raise RuntimeError(f"{side}: report at {n_paths} paths depends on n_chunks")
     doc = {
         "benchmark": "streaming",
         "scenario": "ito-verify, README model, plain paths x 64 steps, seed "
@@ -149,13 +163,14 @@ def main():
         "what": "peak RSS (ru_maxrss), wall time and minor page faults (ru_minflt) "
         "of run_ito_scenario in a fresh process per repeat; baseline_mb is the RSS "
         "after importing forwardperf",
+        "baseline_src": args.baseline_src,
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),
         "kernel_backend": kernels.BACKEND,
         "numpy": np.__version__,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "rows": rows,
+        **rows,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)

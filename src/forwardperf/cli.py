@@ -398,19 +398,22 @@ def _simulation_inputs(doc, seed_override, min_paths):
     return spec, gamma0, a0, n_steps, n_paths, seed, antithetic, n_chunks
 
 
-# streams simulated at once by ito-verify and export-paths alike: it bounds
-# the draws, increments and scratch held at a time, whatever n_chunks is
-STREAM_BUDGET = 1024
+# stream-intervals (a stream's dB and dW draws over one simulated interval)
+# held at once by ito-verify and export-paths alike: it bounds the draws,
+# increments and scratch of a run, whatever n_chunks is. 1024 streams of a
+# full 64-step grid, and more streams when fewer columns are simulated
+DRAW_BUDGET = 1024 * 64
 
 
-def _stream_runs(ranges):
+def _stream_runs(ranges, n_intervals):
     """Split each range ``(lo, hi)`` of consecutive streams into runs of at
-    most ``STREAM_BUDGET`` streams, in order, whose sizes within a range
-    differ by at most one."""
+    most ``DRAW_BUDGET // n_intervals`` streams (at least one), in order,
+    whose sizes within a range differ by at most one."""
+    cap = max(1, DRAW_BUDGET // n_intervals)
     return [
         (lo + a, lo + b)
         for lo, hi in ranges
-        for a, b in chunk_bounds(hi - lo, -(-(hi - lo) // STREAM_BUDGET))
+        for a, b in chunk_bounds(hi - lo, -(-(hi - lo) // cap))
     ]
 
 
@@ -482,13 +485,15 @@ def run_ito_scenario(doc, seed_override=None):
         mc = MonteCarloPass(
             spec, n_steps, mc_checks, eta_list, nu_family, time_indices, confidence
         )
-        # every Monte Carlo check reads this one simulation, held one run of
-        # at most STREAM_BUDGET streams at a time, on buffers the runs share
+        # every Monte Carlo check reads this one simulation, drawn only at
+        # the pass's simulated columns and held one run of at most
+        # DRAW_BUDGET stream-intervals at a time, on buffers the runs share
+        columns = mc.simulated_columns
         work = Workspace()
-        for lo, hi in _stream_runs(chunk_bounds(n_streams, n_chunks)):
+        for lo, hi in _stream_runs(chunk_bounds(n_streams, n_chunks), len(columns) - 1):
             bundle = simulate_paths(
                 spec, n_steps, (n_paths // n_streams) * (hi - lo), seed,
-                antithetic=antithetic, stream_offset=lo, work=work,
+                antithetic=antithetic, stream_offset=lo, work=work, columns=columns,
             )
             # the fields and densities are built at the pass's columns only
             mc.gather(bundle, build_forward_exponential(spec, gamma0, a0, bundle, mc.columns))
@@ -574,13 +579,15 @@ def _consecutive_ranges(streams):
 
 def _selected_path_tables(spec, gamma0, a0, n_steps, seed, antithetic, fam, indices):
     """Yield ``(i, path_table)`` for each path index of ``indices`` in
-    order. Only the selected paths' streams are simulated, in runs of at
-    most ``STREAM_BUDGET``; a path's table is held from its run until its
-    last selection is written, so sorted indices hold one run."""
+    order. Only the selected paths' streams are simulated, on the full
+    grid, in runs of at most ``DRAW_BUDGET // n_steps`` streams; a path's
+    table is held from its run until its last selection is written, so
+    sorted indices hold one run."""
     per = 2 if antithetic else 1
     last_pos = {i: pos for pos, i in enumerate(indices)}
     held, pos = {}, 0
-    for lo, hi in _stream_runs(_consecutive_ranges(sorted({i // per for i in last_pos}))):
+    streams = sorted({i // per for i in last_pos})
+    for lo, hi in _stream_runs(_consecutive_ranges(streams), n_steps):
         bundle = simulate_paths(
             spec, n_steps, per * (hi - lo), seed, antithetic=antithetic, stream_offset=lo
         )

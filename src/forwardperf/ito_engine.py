@@ -22,9 +22,10 @@ expected drift of (shift - log density) under that reweighting is
 -(1/2) integral (nu - phi)^2 dt, zero exactly at nu = phi.
 
 Reproducibility: every Gaussian increment is a fixed function of
-(seed, stream index, step index) through the counter-based generator in
-``kernels``, and reductions over paths use a fixed pairwise order, so
-results are independent of chunking.
+(seed, stream index, interval index, simulated columns) through the
+counter-based generator in ``kernels`` (interval k of the simulated
+columns reads step k of the stream), and reductions over paths use a
+fixed pairwise order, so results are independent of chunking.
 
 Densities and field paths are read from two running sums per simulation,
 S_B and S_W, the sums of dB and dW along each path. A piecewise-constant
@@ -33,6 +34,15 @@ function of the path: V(0) = 0, V(e) = V(s) + v (S(e) - S(s)) over each
 constant run [s, e) in time order, and V(s) + v (S(c) - S(s)) at a column c
 inside a run. A value at c is therefore the same whichever other columns
 are built, and a scenario's loads all share the two sums.
+
+So a simulation need only draw the sums at the grid columns it will read
+and at the change points of the coefficients it integrates: its
+simulated columns c_0 = 0 < c_1 < ... < c_K = n_steps. Between two of
+them the grid increments of a Brownian motion sum to one normal of
+variance (c_{k+1} - c_k) dt, so drawing that sum directly is exact in
+distribution (Glasserman, Monte Carlo Methods in Financial Engineering,
+2003, section 3.1). A value at a column that was not simulated is
+refused, never interpolated.
 """
 
 from __future__ import annotations
@@ -119,24 +129,30 @@ class CoefficientSpec:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated increments on a uniform grid, their running sums, and the
-    price paths they drive.
+    """Simulated increments at the simulated columns of a uniform grid,
+    their running sums, and the price paths they drive.
 
-    ``dB``/``dW`` have shape (n_paths, n_steps). ``sum_dB``/``sum_dW`` hold
-    the running sums of their drawn rows along each path, 0 in column 0 and
-    np.cumsum's sequential sums after it, shape (n_streams, n_steps + 1):
-    every row without pairing, the even rows with it (an odd row's sums are
-    the negated sums of its partner, bit for bit). The density and field
-    kernels read every value from these. All four are stored time-major, so
-    a grid column is contiguous. The price ``s``, shape
-    (n_paths, n_steps + 1) with s[:, 0] = s0, is summed from ``dB`` each
-    time it is read; no check reads it. With antithetic pairing,
+    ``columns`` holds the simulated grid columns c_0 = 0 < ... < c_K =
+    n_steps (every column 0 .. n_steps for the full grid) and ``grid``
+    their times. ``dB``/``dW`` have shape (n_paths, K): column k is the
+    increment over [c_k, c_{k+1}). ``sum_dB``/``sum_dW`` hold the running
+    sums of their drawn rows along each path, 0 in column 0 and np.cumsum's
+    sequential sums after it, shape (n_streams, K + 1), column k at grid
+    column c_k: every row without pairing, the even rows with it (an odd
+    row's sums are the negated sums of its partner, bit for bit). The
+    density and field kernels read every value from these. All four are
+    stored time-major, so a column is contiguous. The price ``s``, shape
+    (n_paths, K + 1) with s[:, 0] = s0, is summed from ``ds`` each time it
+    is read; no check reads it. The coefficients ``theta`` .. ``rho``
+    stay per grid step, shape (n_steps,). With antithetic pairing,
     paths 2i and 2i+1 share a Gaussian stream with opposite signs. Row 0
     draws from stream ``stream_offset``, so it is path ``first_path`` of
     the simulation that starts at stream 0.
     """
 
     spec: CoefficientSpec
+    n_steps: int
+    columns: np.ndarray
     grid: np.ndarray
     dt: float
     dB: np.ndarray
@@ -156,20 +172,22 @@ class PathBundle:
     work: Workspace = field(repr=False, compare=False)
 
     @property
-    def n_steps(self) -> int:
-        return self.dB.shape[1]
-
-    @property
     def first_path(self) -> int:
         return self.stream_offset * (2 if self.antithetic else 1)
 
     @property
     def ds(self) -> np.ndarray:
-        return self.theta * self.dt + self.dB
+        return _interval_drift(self) + self.dB
 
     @property
     def s(self) -> np.ndarray:
         return _price_paths(self.s0, self.ds)
+
+
+def _interval_drift(bundle: PathBundle) -> np.ndarray:
+    """theta dt summed over each simulated interval; on the full grid,
+    theta dt itself."""
+    return np.add.reduceat(bundle.theta * bundle.dt, bundle.columns[:-1])
 
 
 def _price_paths(s0: float, ds: np.ndarray) -> np.ndarray:
@@ -201,14 +219,25 @@ def simulate_paths(
     s0: float = 0.0,
     stream_offset: int = 0,
     work: Workspace | None = None,
+    columns: Sequence[int] | None = None,
 ) -> PathBundle:
     """Simulate the (B, W) increments that drive the price path.
 
-    Draws are a pure function of (seed, stream, step). The bundle holds
-    the streams from ``stream_offset`` on (one per path, or one per
+    ``columns`` lists the grid columns to simulate at; 0 and n_steps are
+    always among them, and None is the full grid 0 .. n_steps. With the
+    sorted columns c_0 < ... < c_K, increment k is
+    sqrt((c_{k+1} - c_k) dt) times step k of ``gaussian_field``: the sum
+    of the grid increments over [c_k, c_{k+1}), exact in distribution. On
+    the full grid every length is 1 and sqrt(1 * dt) == sqrt(dt), so those
+    are the full-grid draws bit for bit. Only the simulated columns can be
+    read from the bundle (see ``_integral``).
+
+    Draws are a pure function of (seed, stream, interval index). The bundle
+    holds the streams from ``stream_offset`` on (one per path, or one per
     antithetic pair), so its rows equal, bit for bit, the matching rows of
-    a simulation that starts at stream 0: a large simulation can be run as
-    consecutive stream ranges (see ``chunk_bounds``), one bundle at a time.
+    a simulation at the same columns that starts at stream 0: a large
+    simulation can be run as consecutive stream ranges (see
+    ``chunk_bounds``), one bundle at a time.
 
     The draws, the increments and their running sums live in the
     ``Workspace`` ``work`` (a fresh one by default). Runs over one
@@ -224,27 +253,31 @@ def simulate_paths(
         work = Workspace()
     coeffs = spec.per_step_values(n_steps)
     dt = spec.horizon / n_steps
+    cols = np.array(sorted({0, n_steps, *_grid_columns(n_steps, columns).tolist()}))
+    n_int = cols.size - 1
     n_streams = n_paths // 2 if antithetic else n_paths
     # the normals land in the even rows of dB and dW (all rows without
     # pairing) and are scaled there; odd rows are their antithetic partners
     per = 2 if antithetic else 1
-    dB = work.take("dB", (n_steps, n_paths)).T
-    dW = work.take("dW", (n_steps, n_paths)).T
+    dB = work.take("dB", (n_int, n_paths)).T
+    dW = work.take("dW", (n_int, n_paths)).T
     gaussian_field(
-        seed, n_streams, n_steps, stream_offset=stream_offset,
+        seed, n_streams, n_int, stream_offset=stream_offset,
         out=(dB[0::per], dW[0::per]), work=work,
     )
-    sdt = math.sqrt(dt)
+    scale = np.sqrt(np.diff(cols) * dt)
     for d in (dB, dW):
-        d[0::per] *= sdt
+        d[0::per] *= scale
         if antithetic:
             np.negative(d[0::2], out=d[1::2])
-    sum_dB = _running_sums(dB[0::per].T, work.take("sum_dB", (n_steps + 1, n_streams))).T
-    sum_dW = _running_sums(dW[0::per].T, work.take("sum_dW", (n_steps + 1, n_streams))).T
+    sum_dB = _running_sums(dB[0::per].T, work.take("sum_dB", (n_int + 1, n_streams))).T
+    sum_dW = _running_sums(dW[0::per].T, work.take("sum_dW", (n_int + 1, n_streams))).T
 
     bundle = PathBundle(
         spec=spec,
-        grid=np.linspace(0.0, spec.horizon, n_steps + 1),
+        n_steps=n_steps,
+        columns=cols,
+        grid=np.linspace(0.0, spec.horizon, n_steps + 1)[cols],
         dt=dt,
         dB=dB,
         dW=dW,
@@ -261,8 +294,8 @@ def simulate_paths(
         sum_dW=sum_dW,
         work=work,
     )
-    for arr in (bundle.grid, bundle.dB, bundle.dW, bundle.sum_dB, bundle.sum_dW,
-                bundle.theta, bundle.delta, bundle.phi, bundle.rho):
+    for arr in (bundle.columns, bundle.grid, bundle.dB, bundle.dW, bundle.sum_dB,
+                bundle.sum_dW, bundle.theta, bundle.delta, bundle.phi, bundle.rho):
         arr.setflags(write=False)
     return bundle
 
@@ -288,10 +321,29 @@ def _grid_columns(n_steps: int, columns) -> np.ndarray:
     return cols
 
 
+def _bundle_columns(bundle: PathBundle, columns) -> np.ndarray:
+    """The grid columns a kernel builds on ``bundle``, in the order given;
+    None is every simulated column."""
+    return bundle.columns if columns is None else _grid_columns(bundle.n_steps, columns)
+
+
+def _sum_rows(bundle: PathBundle, cols: np.ndarray) -> np.ndarray:
+    """The rows of the bundle's running sums at the grid columns ``cols``;
+    a column that was not simulated is refused, never interpolated."""
+    rows = np.searchsorted(bundle.columns, cols)
+    held = bundle.columns[np.minimum(rows, bundle.columns.size - 1)] == cols
+    if not held.all():
+        raise ValueError(
+            f"grid columns {sorted(set(cols[~held].tolist()))} were not simulated; "
+            "pass them to simulate_paths(columns=...)"
+        )
+    return rows
+
+
 def _running_sums(d, out):
-    """Running sums of the time-major increments ``d`` (n_steps, n_rows)
-    into ``out`` (n_steps + 1, n_rows): 0 in row 0, then the sequential
-    sums np.cumsum gives, one vector add per grid step."""
+    """Running sums of the time-major increments ``d`` (K, n_rows), one
+    row per simulated interval, into ``out`` (K + 1, n_rows): 0 in row 0,
+    then the sequential sums np.cumsum gives, one vector add per interval."""
     out[0] = 0.0
     out[1] = d[0]
     for k in range(1, d.shape[0]):
@@ -316,23 +368,27 @@ def _integral(bundle: PathBundle, sums: np.ndarray, v: np.ndarray, cols: np.ndar
     V(s) + v_run (S(c) - S(s)). So the value at c is the same whatever
     other columns are asked for, and the work is one vector operation
     per run and per column, applied in place to each stretch of requested
-    columns that share a run. With antithetic pairing the drawn rows'
+    columns that share a run. Every column asked for, and every run
+    boundary before the last of them, must be a simulated column
+    (``_sum_rows``). With antithetic pairing the drawn rows'
     values are negated into their partners' rows: every operation is odd
     in the sums, so that is what the partners' own sums would give.
     """
-    sums = sums.T  # time-major: a grid column is a contiguous row
+    sums = sums.T  # time-major: a simulated column is a contiguous row
     starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
-    ends = np.append(starts[1:], v.size)
-    run = np.searchsorted(ends, cols)
-    at_start = np.zeros((run.max(initial=0) + 1, sums.shape[1]))
-    for j in range(at_start.shape[0] - 1):
-        at_start[j + 1] = at_start[j] + v[starts[j]] * (sums[ends[j]] - sums[starts[j]])
-    x = sums[cols]
+    run = np.searchsorted(starts[1:], cols)
+    x = sums[_sum_rows(bundle, cols)]
+    # the rows at the starts of the runs up to the last one read; each run
+    # ends where the next starts
+    bounds = _sum_rows(bundle, starts[: run.max(initial=0) + 1])
+    at_start = np.zeros((bounds.size, sums.shape[1]))
+    for j in range(bounds.size - 1):
+        at_start[j + 1] = at_start[j] + v[starts[j]] * (sums[bounds[j + 1]] - sums[bounds[j]])
     lo = 0
     for j, same_run in itertools.groupby(run.tolist()):
         hi = lo + len(tuple(same_run))
         stretch = x[lo:hi]
-        stretch -= sums[starts[j]]
+        stretch -= sums[bounds[j]]
         stretch *= v[starts[j]]
         stretch += at_start[j]
         lo = hi
@@ -347,9 +403,10 @@ def _integral(bundle: PathBundle, sums: np.ndarray, v: np.ndarray, cols: np.ndar
 def density_path(bundle: PathBundle, nu1, nu2, columns=None) -> np.ndarray:
     """Exponential local-martingale density with loads (nu1 on B, nu2 on W).
 
-    Returns the full path, shape (n_paths, n_steps + 1), column 0 equal
-    to 1; with ``columns``, only those grid columns, shape
-    (n_paths, len(columns)), bit for bit the same values. Piecewise-constant
+    Returns the path at every simulated column, shape
+    (n_paths, len(bundle.columns)), column 0 equal to 1; with ``columns``,
+    only those grid columns, shape (n_paths, len(columns)), bit for bit
+    the same values. Piecewise-constant
     loads make this the exact stochastic exponential at grid times:
     log z = integral(-nu1 dB) + integral(-nu2 dW) - (1/2) integral
     (nu1^2 + nu2^2) dt, each stochastic integral read from the bundle's
@@ -357,7 +414,7 @@ def density_path(bundle: PathBundle, nu1, nu2, columns=None) -> np.ndarray:
     """
     nu1 = _per_step(bundle, nu1, "nu1")
     nu2 = _per_step(bundle, nu2, "nu2")
-    cols = _grid_columns(bundle.n_steps, columns)
+    cols = _bundle_columns(bundle, columns)
     drift = _cumulative(0.5 * (nu1**2 + nu2**2) * bundle.dt)
     log_z = _integral(bundle, bundle.sum_dB, -nu1, cols)
     log_z += _integral(bundle, bundle.sum_dW, -nu2, cols)
@@ -374,7 +431,7 @@ def martingale_density(bundle: PathBundle, nu2, columns=None) -> np.ndarray:
 @dataclass(frozen=True)
 class FieldPaths:
     """Exact grid-time paths of the exponential field parameters at the
-    grid indices ``columns``; by default the full grid 0 .. n_steps."""
+    grid indices ``columns``; by default 0 .. inv_gamma.shape[1] - 1."""
 
     gamma0: float
     a0: float
@@ -395,13 +452,13 @@ def build_forward_exponential(
     1/gamma is the stochastic exponential of delta dS; the shift collects
     a deterministic quadratic drift, the hedgeable rho dS part scaled by
     the current gamma, and the orthogonal phi dW martingale part. Both are
-    exact at grid times for piecewise-constant coefficients. With
-    ``columns``, the paths hold only those grid columns, bit for bit the
-    values of the full paths.
+    exact at grid times for piecewise-constant coefficients. The paths
+    hold every simulated column of ``bundle``; with ``columns``, only
+    those grid columns, bit for bit the same values.
     """
     if gamma0 <= 0.0:
         raise ValueError("gamma0 must be positive")
-    cols = _grid_columns(bundle.n_steps, columns)
+    cols = _bundle_columns(bundle, columns)
     dt = bundle.dt
     theta, delta, phi, rho = bundle.theta, bundle.delta, bundle.phi, bundle.rho
     # log(1/gamma) = integral delta dS - (1/2) integral delta^2 dt
@@ -507,10 +564,11 @@ def validate_regularity(spec: CoefficientSpec) -> VerificationReport:
 def path_table(
     bundle: PathBundle, fields: FieldPaths, densities: dict[str, np.ndarray], path_index: int
 ) -> np.ndarray:
-    """One path's CSV columns as a (n_steps + 1, 4 + len(densities))
-    matrix, one row per grid time: the time, the price, the densities in
-    label order, then the field columns. ``path_index`` counts from the
-    simulation's stream 0 (see ``PathBundle.first_path``)."""
+    """One path's CSV columns as a (len(bundle.columns), 4 + len(densities))
+    matrix, one row per simulated column (every grid time for the full
+    grid): the time, the price, the densities in label order, then the
+    field columns, all built at those columns. ``path_index`` counts from
+    the simulation's stream 0 (see ``PathBundle.first_path``)."""
     i = path_index - bundle.first_path
     if not 0 <= i < bundle.n_paths:
         raise ValueError(
@@ -518,7 +576,7 @@ def path_table(
             f"{bundle.first_path + bundle.n_paths - 1})"
         )
     # the price row alone, summed as the whole matrix ``bundle.s`` sums it
-    s = _price_paths(bundle.s0, bundle.theta * bundle.dt + bundle.dB[i : i + 1])
+    s = _price_paths(bundle.s0, _interval_drift(bundle) + bundle.dB[i : i + 1])
     return np.column_stack(
         [bundle.grid, s[0]]
         + [z[i] for z in densities.values()]

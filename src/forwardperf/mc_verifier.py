@@ -15,17 +15,25 @@ the optimal load additionally insists on the provable case.
 
 All four checks read the same simulated data: a ``PathBundle`` from
 ``simulate_paths`` and the ``FieldPaths`` that ``build_forward_exponential``
-builds on it. Simulate once and run the checks in one pass::
+builds on it. Every statistic is a function of the running sums S_B, S_W
+at a few grid columns, the pass's ``simulated_columns``: 0 and the
+horizon, the time indices, and every change point of the coefficients
+and loads the checks integrate. They depend on the scenario alone, not on
+the checks requested. Simulate once, at those columns, and run the checks
+in one pass::
 
-    bundle = simulate_paths(spec, n_steps, n_paths, seed)
+    mc = MonteCarloPass(spec, n_steps, checks)
+    bundle = simulate_paths(spec, n_steps, n_paths, seed, columns=mc.simulated_columns)
     fields = build_forward_exponential(spec, gamma0, a0, bundle)
     run_mc_checks(bundle, fields, ["dual-submartingale", "inverse-gamma-mean"])
 
-The pass builds each load's martingale density once for all the checks
-that read it. The model spec, the step count and the antithetic pairing
-come from the bundle; gamma0 and a0 come from the fields. Both are
-read-only, so the ``check_*`` wrappers, which run one check each, report
-the same bytes on a shared simulation as on a fresh one.
+A bundle of more columns (the full grid, say) is read the same way; one
+that lacks a simulated column is refused. The pass builds each load's
+martingale density once for all the checks that read it. The model spec,
+the step count and the antithetic pairing come from the bundle; gamma0
+and a0 come from the fields. Both are read-only, so the ``check_*``
+wrappers, which run one check each, report the same bytes on a shared
+simulation as on a fresh one at the same columns.
 
 To bound memory, the same pass takes the simulation one stream range at a
 time and keeps only a few per-path columns of each. ``gather`` copies what
@@ -37,7 +45,8 @@ last::
     for lo, hi in chunk_bounds(n_streams, n_chunks):
         # (hi - lo) streams: twice as many paths when antithetic
         bundle = simulate_paths(
-            spec, n_steps, 2 * (hi - lo), seed, stream_offset=lo, work=work
+            spec, n_steps, 2 * (hi - lo), seed, stream_offset=lo, work=work,
+            columns=mc.simulated_columns,
         )
         mc.gather(bundle, build_forward_exponential(spec, gamma0, a0, bundle, mc.columns))
     report = mc.reduce()
@@ -305,6 +314,11 @@ def _time_indices(n_steps: int, time_indices) -> list[int]:
     return idx
 
 
+def _change_points(v: np.ndarray) -> set[int]:
+    """The grid columns where the per-step values ``v`` change."""
+    return set((np.flatnonzero(v[1:] != v[:-1]) + 1).tolist())
+
+
 def _density_columns(bundle, nu, idx):
     """The martingale density's columns at the grid indices ``idx``, each
     a contiguous copy; only those columns are ever built."""
@@ -361,9 +375,16 @@ class MonteCarloPass:
     chunks of consecutive streams.
 
     The constructor validates the request and refuses a model the checks
-    cannot certify, so a refusal costs no paths. ``columns`` lists the
-    grid indices the checks read: ``time_indices`` and the horizon (the
-    optimum's indices are among them). ``gather`` builds each load's
+    cannot certify, so a refusal costs no paths. ``simulated_columns``
+    lists the grid columns any check can read on this scenario: 0, the
+    horizon, ``time_indices`` (by default 0, n_steps // 2 and n_steps),
+    and every change point of theta, delta, phi, rho, theta - delta and
+    of each load of the family. A chunk must be simulated at least there
+    (``simulate_paths(columns=...)``); the set does not depend on the
+    checks requested, so a check reads the same draws alone as in the
+    full suite. ``columns`` lists the grid indices the requested checks
+    read: ``time_indices`` and the horizon (the optimum's indices are
+    among them). ``gather`` builds each load's
     density on one chunk at those columns only, and keeps copies of them
     and of the field columns; the chunk can then be dropped, and its
     fields need hold no other column.
@@ -405,13 +426,18 @@ class MonteCarloPass:
                     )
             elif name == "dual-martingale-at-optimum":
                 require_provable(spec)
-        self.idx = (
-            _time_indices(n_steps, time_indices) if self.submartingale or self.at_optimum else []
-        )
+        all_idx = _time_indices(n_steps, time_indices)
+        self.idx = all_idx if self.submartingale or self.at_optimum else []
         self.opt_idx = [i for i in self.idx if i > 0] if self.at_optimum else []
         self.columns = sorted(set(self.idx) | {n_steps})
+        coeffs = spec.per_step_values(n_steps)
         if nu_family is None:
-            nu_family = _nu_family(spec.per_step_values(n_steps)["phi"])
+            nu_family = _nu_family(coeffs["phi"])
+        loads = [np.broadcast_to(nu, (n_steps,)) for nu in nu_family.values()]
+        integrated = [*coeffs.values(), coeffs["theta"] - coeffs["delta"], *loads]
+        self.simulated_columns = sorted(
+            set(all_idx).union({0, n_steps}, *map(_change_points, integrated))
+        )
         per_load = self.submartingale or self.inverse_gamma or self.forward
         self.nu_family = nu_family if per_load else {}
         self.spec, self.n_steps = spec, n_steps
@@ -426,7 +452,9 @@ class MonteCarloPass:
     def gather(self, bundle: PathBundle, fields: FieldPaths) -> None:
         """Keep this chunk's per-path columns: each load's density at the
         time indices and the horizon, log z~_T per load for the forward
-        check, the optimum load's density, and the field columns."""
+        check, the optimum load's density, and the field columns. A
+        bundle not simulated at every one of ``simulated_columns`` is
+        refused."""
         layout = (bundle.antithetic, fields.gamma0, fields.a0)
         last_col = max(fields.columns, default=0)
         if (
@@ -438,6 +466,11 @@ class MonteCarloPass:
                 f"chunk has {bundle.n_steps} steps and fields for "
                 f"{fields.inv_gamma.shape[0]} paths up to grid column {last_col}; the pass "
                 f"needs {self.n_steps} steps and fields for the chunk's {bundle.n_paths} paths"
+            )
+        unsimulated = sorted(set(self.simulated_columns) - set(bundle.columns.tolist()))
+        if unsimulated:
+            raise ValueError(
+                f"bundle was not simulated at the grid columns {unsimulated} the checks read"
             )
         field_pos = {c: k for k, c in enumerate(fields.columns)}
         missing = [i for i in self.columns if i not in field_pos]

@@ -855,6 +855,16 @@ def running_sums(d):
     return out
 
 
+def grid_sums(bundle, d):
+    """(n_paths, n_steps + 1) running sums of the bundle's increments ``d``
+    at its simulated columns, NaN at every other grid column: a value
+    computed from them at a simulated column is finite only if it read no
+    other column. On the full grid, ``running_sums(d)``."""
+    out = np.full((d.shape[0], bundle.n_steps + 1), np.nan)
+    out[:, bundle.columns] = running_sums(d)
+    return out
+
+
 def _cumulative(per_step):
     return np.concatenate(([0.0], np.cumsum(per_step)))
 
@@ -879,29 +889,31 @@ def integral_from_sums(sums, v):
 
 def density_path_full(bundle, nu1, nu2):
     """Full (n_paths, n_steps + 1) exponential density with loads nu1 on B
-    and nu2 on W (scalars or one value per step), column 0 equal to 1."""
+    and nu2 on W (scalars or one value per step), column 0 equal to 1; NaN
+    at the grid columns the bundle did not simulate."""
     nu1 = np.broadcast_to(np.asarray(nu1, dtype=float), (bundle.n_steps,))
     nu2 = np.broadcast_to(np.asarray(nu2, dtype=float), (bundle.n_steps,))
     log_z = (
-        integral_from_sums(running_sums(bundle.dB), -nu1)
-        + integral_from_sums(running_sums(bundle.dW), -nu2)
+        integral_from_sums(grid_sums(bundle, bundle.dB), -nu1)
+        + integral_from_sums(grid_sums(bundle, bundle.dW), -nu2)
         - _cumulative(0.5 * (nu1**2 + nu2**2) * bundle.dt)[None, :]
     )
     return np.exp(log_z)
 
 
 def forward_exponential_full(gamma0, a0, bundle):
-    """Full (n_paths, n_steps + 1) paths of 1/gamma and the shift."""
+    """Full (n_paths, n_steps + 1) paths of 1/gamma and the shift; NaN at
+    the grid columns the bundle did not simulate."""
     dt = bundle.dt
     theta, delta, phi, rho = bundle.theta, bundle.delta, bundle.phi, bundle.rho
-    sum_db = running_sums(bundle.dB)
+    sum_db = grid_sums(bundle, bundle.dB)
     log_inv = integral_from_sums(sum_db, delta) + _cumulative(
         delta * theta * dt - 0.5 * delta**2 * dt
     )[None, :]
     inv_gamma = np.exp(log_inv) / gamma0
     rho_s = integral_from_sums(sum_db, rho) + _cumulative(rho * theta * dt)[None, :]
     drift = a0 + _cumulative(0.5 * (theta - delta) ** 2 * dt - 0.5 * phi**2 * dt)
-    phi_w = integral_from_sums(running_sums(bundle.dW), phi)
+    phi_w = integral_from_sums(grid_sums(bundle, bundle.dW), phi)
     a_shift = rho_s / inv_gamma + drift[None, :] - phi_w
     return inv_gamma, a_shift
 

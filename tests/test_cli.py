@@ -642,11 +642,14 @@ def test_ito_scenario_builds_each_density_once(monkeypatch):
 
 
 # SHA-256 of the default-suite report of ito_doc(n_paths=2000, n_steps=16),
-# taken when each Philox block (counter (stream, j)) began to serve steps
-# 2j and 2j + 1 through the full Box-Muller pair, with the densities and
-# fields read from the running sums of dB and dW: later work must not move
-# a byte of it, whatever the chunking
-PINNED_ITO_REPORT_SHA256 = "74137299c85c02a95e977b1592e2682b563dd7d2ef030abc667f72404ba656c0"
+# re-pinned when ito-verify began to simulate only the pass's simulated
+# columns (here 0, 8 and 16): each path draws the Brownian sums over
+# [0, 8) and [8, 16) directly, two Box-Muller steps of its stream instead
+# of sixteen, so its draws changed. Each Philox block (counter
+# (stream, j)) serves intervals 2j and 2j + 1 through the full Box-Muller
+# pair, and the densities and fields are read from the running sums of dB
+# and dW: later work must not move a byte of it, whatever the chunking
+PINNED_ITO_REPORT_SHA256 = "3434b20c3dfb05a9dc4160f2bf943de1e6b0f9e8f494c251153460c28cb89540"
 
 
 def test_ito_report_bytes_pinned():
@@ -655,6 +658,45 @@ def test_ito_report_bytes_pinned():
     for n_chunks in (1, 2, 16):
         text = run_ito_scenario({**doc, "n_chunks": n_chunks}).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ITO_REPORT_SHA256
+
+
+# Scenarios whose simulated columns are the whole grid: time indices on
+# every column, or a load that changes at every step. SHA-256 of their
+# default-suite reports, taken before ito-verify simulated fewer columns
+# than the grid: a full-grid run keeps its bytes
+FULL_GRID_DOCS = {
+    "every-time-index": {"n_paths": 2000, "n_steps": 8, "time_indices": list(range(9))},
+    "ramp-load": {
+        "n_paths": 1003,
+        "n_steps": 16,
+        "antithetic": False,
+        "eta_list": [0.5, 3.0],
+        "time_indices": [3, 8, 13],
+        "nu": {"flat": 0.2, "ramp": [0.05 * k for k in range(16)]},
+    },
+}
+PINNED_FULL_GRID_SHA256 = {
+    "every-time-index": "a868b92ec37b6b42b3ba3477d99d36e9a9cf3f44e338f0d0abca5cdac3c760fe",
+    "ramp-load": "5739fdd1d9ce7e60303052016c9c801569a2deb7b0e2822d7352af9298b5843b",
+}
+
+
+@pytest.mark.parametrize("case", list(FULL_GRID_DOCS))
+def test_ito_full_grid_report_bytes_pinned(monkeypatch, case):
+    columns = []
+    original = cli.simulate_paths
+
+    def recorded(*args, **kwargs):
+        columns.append(list(kwargs["columns"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_paths", recorded)
+    doc = ito_doc(**FULL_GRID_DOCS[case])
+    del doc["checks"]
+    for n_chunks in (1, 2, 16):
+        text = run_ito_scenario({**doc, "n_chunks": n_chunks}).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_FULL_GRID_SHA256[case]
+    assert columns and all(c == list(range(doc["n_steps"] + 1)) for c in columns)
 
 
 CHUNKED_DOCS = {
@@ -727,8 +769,8 @@ ITO_PEAK_BOUND = 8 * 2**20
 
 
 def test_ito_chunks_bound_memory():
-    # the simulation runs in at most STREAM_BUDGET streams at a time, on
-    # reused buffers, so the peak stays bounded whatever n_chunks is
+    # the simulation runs in at most DRAW_BUDGET stream-intervals at a time,
+    # on reused buffers, so the peak stays bounded whatever n_chunks is
     doc = ito_doc(n_paths=20_000, n_steps=64)
     peaks = {}
     for n_chunks in (1, 8):
@@ -923,7 +965,8 @@ def test_export_paths_simulates_only_selected_streams(
         return original(spec, n_steps, n_paths, *args, **kwargs)
 
     monkeypatch.setattr(cli, "simulate_paths", recorded)
-    monkeypatch.setattr(cli, "STREAM_BUDGET", cap)
+    # the export simulates the full 4-step grid: cap streams per run
+    monkeypatch.setattr(cli, "DRAW_BUDGET", 4 * cap)
     out = tmp_path / "paths.csv"
     assert main(["export-paths", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
     assert sum(streams) <= len({i // per for i in selected})
@@ -1012,13 +1055,18 @@ def test_small_stream_budget_keeps_every_byte(tmp_path, capsys, monkeypatch):
         return original(spec, n_steps, n_paths, seed, antithetic=antithetic, **kwargs)
 
     monkeypatch.setattr(cli, "simulate_paths", recorded)
-    monkeypatch.setattr(cli, "STREAM_BUDGET", 7)
+    # a budget of 7 streams' draws: the simulated intervals of each ito case
+    # (0, 8, 16; every step for the ramp load; 0, 16, 32), and the full grid
+    # of each export
+    intervals = {"antithetic": 2, "plain-custom": 16, "mass-miss": 2}
     for case, doc in docs.items():
+        monkeypatch.setattr(cli, "DRAW_BUDGET", 7 * intervals[case])
         for n_chunks in (1, 3, 7):
             runs.clear()
             assert ito_outputs(doc, n_chunks) == want_ito[case], (case, n_chunks)
             assert max(runs) <= 7 and len(runs) > n_chunks
     for case, over in exports.items():
+        monkeypatch.setattr(cli, "DRAW_BUDGET", 7 * export_doc(**over)["n_steps"])
         runs.clear()
         assert export_csv(tmp_path, over) == want_csv[case], case
         assert max(runs) <= 7

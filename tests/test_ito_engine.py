@@ -24,7 +24,7 @@ from forwardperf.ito_engine import (
     validate_regularity,
     write_paths_csv,
 )
-from forwardperf.kernels import Workspace
+from forwardperf.kernels import Workspace, gaussian_field
 
 PIECEWISE = CoefficientSpec(
     horizon=1.0,
@@ -339,6 +339,111 @@ def test_kernels_refuse_columns_off_the_grid():
             build_forward_exponential(KERNEL_SPEC, 1.0, 0.0, bundle, cols)
     with pytest.raises(TypeError):
         density_path(bundle, 0.1, 0.2, [2.5])
+
+
+# -- simulated columns ---------------------------------------------------
+
+# KERNEL_SPEC changes its coefficients at columns 4 and 12 of 16 steps
+SIMULATED = [0, 4, 7, 12, 16]
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_simulated_columns_draw_each_interval_sum(antithetic):
+    # increment k over [c_k, c_{k+1}) is sqrt((c_{k+1} - c_k) dt) times step
+    # k of the Gaussian field, bit for bit, and the sums run over intervals
+    per = 2 if antithetic else 1
+    bundle = simulate_paths(
+        KERNEL_SPEC, 16, 10, seed=31, antithetic=antithetic, s0=0.5, columns=[12, 7, 4, 12]
+    )
+    assert bundle.columns.tolist() == SIMULATED and bundle.n_steps == 16
+    np.testing.assert_array_equal(bundle.grid, np.linspace(0.0, 1.0, 17)[SIMULATED])
+    fields = gaussian_field(31, 10 // per, 4)
+    for d, z in zip((bundle.dB, bundle.dW), fields):
+        assert d.shape == (10, 4)
+        for k, length in enumerate(np.diff(SIMULATED)):
+            np.testing.assert_array_equal(
+                bits(d[0::per, k]), bits(z[:, k] * math.sqrt(length * bundle.dt))
+            )
+        if antithetic:
+            np.testing.assert_array_equal(d[1::2], -d[0::2])
+    drawn = slice(None, None, per)
+    np.testing.assert_array_equal(bits(bundle.sum_dB), bits(oracles.running_sums(bundle.dB)[drawn]))
+    np.testing.assert_array_equal(bits(bundle.sum_dW), bits(oracles.running_sums(bundle.dW)[drawn]))
+    # the price drifts by theta dt summed over each interval
+    drift = [np.sum(bundle.theta[a:b] * bundle.dt) for a, b in zip(SIMULATED, SIMULATED[1:])]
+    np.testing.assert_allclose(bundle.ds, np.asarray(drift) + bundle.dB, rtol=0, atol=1e-15)
+    assert bundle.s.shape == (10, 5) and np.all(bundle.s[:, 0] == 0.5)
+
+
+def test_simulated_columns_default_to_the_full_grid():
+    # the full grid as columns is the default simulation, bit for bit; no
+    # columns at all is the one interval [0, n_steps]
+    full = simulate_paths(KERNEL_SPEC, 16, 6, seed=8)
+    listed = simulate_paths(KERNEL_SPEC, 16, 6, seed=8, columns=range(17))
+    assert full.columns.tolist() == list(range(17))
+    for name in ("dB", "dW", "sum_dB", "sum_dW", "ds", "grid"):
+        np.testing.assert_array_equal(bits(getattr(listed, name)), bits(getattr(full, name)))
+    ends = simulate_paths(KERNEL_SPEC, 16, 6, seed=8, columns=[])
+    assert ends.columns.tolist() == [0, 16] and ends.dB.shape == (6, 1)
+    with pytest.raises(ValueError, match="grid columns must lie in 0..16"):
+        simulate_paths(KERNEL_SPEC, 16, 6, seed=8, columns=[3, 17])
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_kernels_on_simulated_columns_match_whole_matrix_oracles(antithetic):
+    # the oracles read the running sums at the simulated columns and NaN at
+    # every other column: the kernels match them bit for bit, so they read
+    # no column that was not simulated
+    bundle = simulate_paths(KERNEL_SPEC, 16, 14, seed=31, antithetic=antithetic, columns=[7, 4, 12])
+    loads = ((bundle.theta, 0.25), (bundle.theta - bundle.delta, bundle.phi), (0.3, -0.1))
+    want_z = [oracles.density_path_full(bundle, nu1, nu2) for nu1, nu2 in loads]
+    want_inv, want_shift = oracles.forward_exponential_full(1.3, 0.2, bundle)
+    for want in (*want_z, want_inv, want_shift):
+        assert np.isfinite(want[:, SIMULATED]).all()
+    for cols in (None, [16], [12, 0, 7], SIMULATED):
+        keep = SIMULATED if cols is None else cols
+        for (nu1, nu2), want in zip(loads, want_z):
+            got = density_path(bundle, nu1, nu2, cols)
+            np.testing.assert_array_equal(bits(got), bits(want[:, keep]))
+        fields = build_forward_exponential(KERNEL_SPEC, 1.3, 0.2, bundle, cols)
+        np.testing.assert_array_equal(bits(fields.inv_gamma), bits(want_inv[:, keep]))
+        np.testing.assert_array_equal(bits(fields.a_shift), bits(want_shift[:, keep]))
+        assert fields.columns == tuple(keep)
+
+
+def test_kernels_refuse_unsimulated_columns():
+    # a column asked for, or a change point of a load before it, that the
+    # bundle did not simulate is refused by name, never interpolated
+    bundle = simulate_paths(KERNEL_SPEC, 16, 4, seed=31, columns=[4, 7, 12])
+    for cols in ([5], [16, 3, 7]):
+        with pytest.raises(ValueError, match=r"grid columns \[\d+\] were not simulated"):
+            density_path(bundle, 0.1, 0.2, cols)
+        with pytest.raises(ValueError, match=r"grid columns \[\d+\] were not simulated"):
+            build_forward_exponential(KERNEL_SPEC, 1.0, 0.0, bundle, cols)
+    ramp = np.linspace(-0.4, 0.6, 16)
+    with pytest.raises(ValueError, match=r"grid columns \[1, 2, 3\] were not simulated"):
+        density_path(bundle, 0.1, ramp, [4])
+    # before the first change point no boundary is read
+    np.testing.assert_array_equal(density_path(bundle, ramp, 0.0, [0]), 1.0)
+    # a model that changes at a column the bundle lacks
+    ends = simulate_paths(KERNEL_SPEC, 16, 4, seed=31, columns=[])
+    with pytest.raises(ValueError, match=r"grid columns \[4, 12\] were not simulated"):
+        build_forward_exponential(KERNEL_SPEC, 1.0, 0.0, ends, [16])
+    with pytest.raises(ValueError, match=r"grid columns \[4, 12\] were not simulated"):
+        martingale_density(ends, 0.0, [16])
+
+
+def test_one_interval_sum_has_the_horizon_as_variance():
+    # one draw per stream over [0, horizon]: S_B(T) and S_W(T) are
+    # N(0, horizon), within four standard errors of the sample mean and
+    # of the sample variance
+    spec = CoefficientSpec.constant(2.0, theta=0.5)
+    bundle = simulate_paths(spec, 64, 40_000, seed=13, antithetic=False, columns=[])
+    n = bundle.n_paths
+    for sums in (bundle.sum_dB, bundle.sum_dW):
+        terminal = sums[:, -1]
+        assert abs(terminal.mean()) < 4.0 * math.sqrt(2.0 / n)
+        assert abs(terminal.var(ddof=1) - 2.0) < 4.0 * 2.0 * math.sqrt(2.0 / (n - 1))
 
 
 # -- field paths ---------------------------------------------------------

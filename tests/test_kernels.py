@@ -235,10 +235,11 @@ def test_gaussian_field_chunk_invariance():
 
 
 def test_gaussian_field_runs_split_by_the_stream_budget():
-    # a range longer than cli.STREAM_BUDGET, drawn in the runs ito-verify
-    # splits it into, gives the whole-array oracle's fields
-    n_streams = 2 * cli.STREAM_BUDGET + 5
-    runs = cli._stream_runs([(3, 3 + n_streams)])
+    # a range longer than a run's cli.DRAW_BUDGET allows at 4 intervals,
+    # drawn in the runs ito-verify splits it into, gives the whole-array
+    # oracle's fields
+    n_streams = 2 * (cli.DRAW_BUDGET // 4) + 5
+    runs = cli._stream_runs([(3, 3 + n_streams)], 4)
     assert len(runs) == 3
     want = oracles.gaussian_field_whole(23, n_streams, 4, 3)
     work = Workspace()

@@ -319,6 +319,57 @@ def test_pass_builds_only_its_columns(monkeypatch):
     assert columns.to_json() == whole.to_json()
 
 
+def test_pass_simulated_columns_depend_on_the_scenario_alone():
+    # 0, the horizon, the time indices and every change point of the
+    # coefficients and loads, whatever checks run; a bundle without one of
+    # them is refused before anything is kept
+    spec = CoefficientSpec(
+        horizon=1.0, breakpoints=(0.0, 0.25, 0.5), theta=(0.5, 0.5, 0.2),
+        delta=(0.0, 0.0, 0.0), phi=(0.3, 0.1, 0.1), rho=(0.1, 0.1, 0.1),
+    )
+    family = {"flat": np.full(8, 0.2), "step": np.array([0.0] * 3 + [0.5] * 5)}
+    for checks in ([], ["inverse-gamma-mean"], list(MC_CHECKS[:1]), ["forward-drift"]):
+        mc = MonteCarloPass(spec, 8, checks, nu_family=family, time_indices=[1])
+        assert mc.simulated_columns == [0, 1, 2, 3, 4, 8]
+    assert MonteCarloPass(CLEAN, 8, ["inverse-gamma-mean"]).simulated_columns == [0, 4, 8]
+    mc = MonteCarloPass(CLEAN, 8, ["inverse-gamma-mean"])
+    bundle = simulate_paths(CLEAN, 8, 200, seed=5, columns=[0, 8])
+    with pytest.raises(ValueError, match=r"not simulated at the grid columns \[4\]"):
+        mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle))
+    # at the simulated columns, or any superset of them, the pass reads it
+    for columns in (mc.simulated_columns, range(9), [4, 6]):
+        mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 200, seed=5, columns=columns))
+        assert len(mc.reduce().records()) == 5
+
+
+def test_simulated_columns_agree_with_the_full_grid():
+    # the scenario on its simulated columns (0, 4, 8) and on every column
+    # (time indices 0 .. 8, with another seed, so the draws are independent):
+    # every mean record of the first agrees with the second within four
+    # combined standard errors
+    doc = {
+        "schema_version": 1,
+        "kind": "ito-verify",
+        "model": {
+            "horizon": 1.0, "breakpoints": [0.0, 0.5], "theta": [0.5, 0.5],
+            "delta": 0.0, "phi": [0.3, 0.0], "rho": 0.1,
+        },
+        "gamma0": 1.0,
+        "a0": 0.0,
+        "n_steps": 8,
+        "n_paths": 20_000,
+        "seed": 61,
+    }
+    sparse = run_ito_scenario(doc)
+    full = run_ito_scenario({**doc, "seed": 62, "time_indices": list(range(9))})
+    means = [rec for rec in sparse.records() if rec.std_error is not None]
+    assert len(means) == 69
+    for rec in means:
+        other = full[rec.check_tag]
+        se = math.hypot(rec.std_error, other.std_error)
+        assert abs(rec.value - other.value) <= 4.0 * se, (rec.check_tag, rec.value, other.value, se)
+
+
 def test_reports_seed_deterministic():
     a = check_forward_drift_mc(*simulated(CLEAN, 1.0, 0.0, 32, 2000, seed=810))
     b = check_forward_drift_mc(*simulated(CLEAN, 1.0, 0.0, 32, 2000, seed=810))
@@ -376,14 +427,18 @@ def test_shared_simulation_matches_fresh_per_check(n_chunks, antithetic, checks,
         **custom,
     }
     shared = run_ito_scenario(doc)
-
-    def fresh():
-        bundle = simulate_paths(CLEAN, 8, 800, seed=912, antithetic=antithetic)
-        return bundle, build_forward_exponential(CLEAN, 1.5, 0.1, bundle)
-
     nu = custom.get("nu")
     family = nu and {k: np.full(8, v) if np.ndim(v) == 0 else np.asarray(v) for k, v in nu.items()}
     dual = {"eta_list": custom.get("eta_list", (1.0, 2.0)), "time_indices": custom.get("time_indices")}
+    # the scenario's simulated columns, whatever the checks
+    columns = MonteCarloPass(
+        CLEAN, 8, [], nu_family=family, time_indices=dual["time_indices"]
+    ).simulated_columns
+
+    def fresh():
+        bundle = simulate_paths(CLEAN, 8, 800, seed=912, antithetic=antithetic, columns=columns)
+        return bundle, build_forward_exponential(CLEAN, 1.5, 0.1, bundle)
+
     runs = {
         "regularity": lambda: validate_regularity(CLEAN),
         "dual-submartingale": lambda: check_dual_submartingale(*fresh(), nu_family=family, **dual),
