@@ -1,15 +1,15 @@
-"""Peak memory and wall time of a streamed ``ito-verify`` run over n_chunks.
+"""Peak memory and wall time of a streamed ``ito-verify`` run by path count.
 
 Runs one scenario, the README model with plain paths x 64 steps and the
-inverse-gamma-mean check alone, at 100k paths in 1, 4, 16 and 64 chunks
-and at 400k paths in 16 and 64 chunks. Every point runs in a fresh
-process, so its peak RSS is its own: the process imports forwardperf,
-records its RSS (the import baseline), then runs the scenario through
-``run_ito_scenario`` and records wall time, peak RSS (``ru_maxrss``) and
-the minor page faults the run took (``ru_minflt``, read with
-``getrusage`` in the same process before and after it).
-Each point also records the SHA-256 of its report, which must not depend
-on the chunk count.
+inverse-gamma-mean check alone, at 100k and 400k paths; the draw budget
+``cli.DRAW_BUDGET`` alone splits the streams into runs. Every point runs
+in a fresh process, so its peak RSS is its own: the process imports
+forwardperf, records its RSS (the import baseline), then runs the
+scenario through ``run_ito_scenario`` and records wall time, peak RSS
+(``ru_maxrss``), the minor page faults the run took (``ru_minflt``, read
+with ``getrusage`` in the same process before and after it) and the
+number of runs (``simulate_paths`` calls). Each point also records the
+SHA-256 of its report, which must not change between repeats.
 
 With ``--baseline-src`` a second source tree (say, the ``src`` of a
 checkout of the parent commit) is measured too, alternating with this one
@@ -35,7 +35,7 @@ import time
 
 import numpy as np
 
-POINTS = [(100_000, c) for c in (1, 4, 16, 64)] + [(400_000, c) for c in (16, 64)]
+POINTS = (100_000, 400_000)
 SEED = 77
 MODEL = {
     "horizon": 1.0,
@@ -47,7 +47,7 @@ MODEL = {
 }
 
 
-def scenario(n_paths, n_chunks):
+def scenario(n_paths):
     return {
         "schema_version": 1,
         "kind": "ito-verify",
@@ -58,7 +58,6 @@ def scenario(n_paths, n_chunks):
         "n_paths": n_paths,
         "seed": SEED,
         "antithetic": False,
-        "n_chunks": n_chunks,
         "checks": ["inverse-gamma-mean"],
     }
 
@@ -67,13 +66,22 @@ def _usage():
     return resource.getrusage(resource.RUSAGE_SELF)
 
 
-def child(n_paths, n_chunks):
+def child(n_paths):
     """One measurement, printed as a JSON line."""
-    from forwardperf.cli import run_ito_scenario
+    from forwardperf import cli
 
+    runs = 0
+    simulate = cli.simulate_paths
+
+    def counted(*args, **kwargs):
+        nonlocal runs
+        runs += 1
+        return simulate(*args, **kwargs)
+
+    cli.simulate_paths = counted
     before = _usage()
     t0 = time.perf_counter()
-    report = run_ito_scenario(scenario(n_paths, n_chunks))
+    report = cli.run_ito_scenario(scenario(n_paths))
     wall = time.perf_counter() - t0
     after = _usage()
     text = report.to_json()
@@ -84,6 +92,7 @@ def child(n_paths, n_chunks):
                 "peak_rss_mb": after.ru_maxrss / 1024.0,
                 "minflt": after.ru_minflt - before.ru_minflt,
                 "baseline_mb": before.ru_maxrss / 1024.0,
+                "runs": runs,
                 "report_sha256": hashlib.sha256(text.encode()).hexdigest(),
             }
         )
@@ -94,31 +103,31 @@ def _spread(values):
     return {"median": statistics.median(values), "min": min(values), "max": max(values)}
 
 
-def measure(src, n_paths, n_chunks, repeat):
+def measure(src, n_paths, repeat):
     """One point in ``repeat`` fresh processes that import the package
     from ``src``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    runs = []
+    samples = []
     for _ in range(repeat):
         out = subprocess.run(
-            [sys.executable, __file__, "--child", str(n_paths), str(n_chunks)],
+            [sys.executable, __file__, "--child", str(n_paths)],
             env=env,
             check=True,
             capture_output=True,
             text=True,
         )
-        runs.append(json.loads(out.stdout))
-    digests = {r["report_sha256"] for r in runs}
+        samples.append(json.loads(out.stdout))
+    digests = {r["report_sha256"] for r in samples}
     if len(digests) != 1:
-        raise RuntimeError(f"reports differ between repeats at {n_paths} x {n_chunks}")
+        raise RuntimeError(f"reports differ between repeats at {n_paths} paths")
     return {
         "n_paths": n_paths,
-        "n_chunks": n_chunks,
+        "runs": samples[0]["runs"],
         "repeats": repeat,
-        "peak_rss_mb": _spread([r["peak_rss_mb"] for r in runs]),
-        "wall_s": _spread([r["wall_s"] for r in runs]),
-        "minflt": _spread([r["minflt"] for r in runs]),
-        "baseline_mb": _spread([r["baseline_mb"] for r in runs]),
+        "peak_rss_mb": _spread([r["peak_rss_mb"] for r in samples]),
+        "wall_s": _spread([r["wall_s"] for r in samples]),
+        "minflt": _spread([r["minflt"] for r in samples]),
+        "baseline_mb": _spread([r["baseline_mb"] for r in samples]),
         "report_sha256": digests.pop(),
     }
 
@@ -128,11 +137,10 @@ def main():
     parser.add_argument("--repeat", type=int, default=3, help="fresh processes per point")
     parser.add_argument("--baseline-src", help="a second source tree to measure beside this one")
     parser.add_argument("--out", default="BENCH_streaming.json", help="JSON output path")
-    parser.add_argument("--child", nargs=2, type=int, metavar=("N_PATHS", "N_CHUNKS"),
-                        help=argparse.SUPPRESS)
+    parser.add_argument("--child", type=int, metavar="N_PATHS", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        child(*args.child)
+        child(args.child)
         return
 
     from forwardperf import kernels
@@ -141,28 +149,24 @@ def main():
     if args.baseline_src:
         sides["baseline_rows"] = args.baseline_src
     rows = {side: [] for side in sides}
-    for k, (n_paths, n_chunks) in enumerate(POINTS):
+    for k, n_paths in enumerate(POINTS):
         for side in list(sides) if k % 2 else list(sides)[::-1]:
-            row = measure(sides[side], n_paths, n_chunks, args.repeat)
+            row = measure(sides[side], n_paths, args.repeat)
             print(
-                f"{side} n_paths={n_paths} n_chunks={n_chunks} "
+                f"{side} n_paths={n_paths} runs={row['runs']} "
                 f"peak_rss={row['peak_rss_mb']['median']:.1f}MB "
                 f"wall={row['wall_s']['median']:.2f}s "
                 f"minflt={row['minflt']['median']}",
                 flush=True,
             )
             rows[side].append(row)
-    for side, side_rows in rows.items():
-        for n_paths in {n for n, _ in POINTS}:
-            if len({r["report_sha256"] for r in side_rows if r["n_paths"] == n_paths}) != 1:
-                raise RuntimeError(f"{side}: report at {n_paths} paths depends on n_chunks")
     doc = {
         "benchmark": "streaming",
         "scenario": "ito-verify, README model, plain paths x 64 steps, seed "
         f"{SEED}, checks [inverse-gamma-mean]",
         "what": "peak RSS (ru_maxrss), wall time and minor page faults (ru_minflt) "
         "of run_ito_scenario in a fresh process per repeat; baseline_mb is the RSS "
-        "after importing forwardperf",
+        "after importing forwardperf; runs counts its simulate_paths calls",
         "baseline_src": args.baseline_src,
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),

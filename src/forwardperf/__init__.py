@@ -8,7 +8,7 @@ Two complementary engines share one reporting layer:
 - Monte Carlo checks on a two-factor diffusion model with piecewise
   constant coefficients, built on a counter-based Gaussian generator and
   fixed-order reductions so every number is reproducible bit for bit
-  across chunk counts.
+  however the streams are split into runs.
 """
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .ito_engine import (
     write_paths_csv,
 )
 from .kernels import U64_MAX, Workspace
-from .mc_verifier import MC_CHECKS, MonteCarloPass
+from .mc_verifier import MC_CHECKS, MonteCarloPass, tag_number, time_labels
 from .report import CheckRecord, VerificationReport
 from .tree_market import EventTree, check_nflvr, validate_tree
 from .tree_verifier import (
@@ -248,6 +248,8 @@ def _time_pairs_from_scenario(doc, horizon):
         t2 = _integer(item[1], f"$.time_pairs[{i}][1]", minimum=0)
         if not (t1 < t2 <= horizon):
             _fail(f"$.time_pairs[{i}]", f"need t < T <= {horizon}")
+        if (t1, t2) in pairs:
+            _fail(f"$.time_pairs[{i}]", f"duplicate time pair [{t1}, {t2}]")
         pairs.append((t1, t2))
     return pairs
 
@@ -379,8 +381,9 @@ def _nu_family_from_scenario(doc, n_steps):
 def _simulation_inputs(doc, seed_override, min_paths):
     """Model, field start and simulation size of an ito-verify or
     export-paths document, checked before anything is simulated. Returns
-    (spec, gamma0, a0, n_steps, n_paths, seed, antithetic, n_chunks);
-    export-paths documents carry no ``n_chunks`` key, so theirs is 1."""
+    (spec, gamma0, a0, n_steps, n_paths, seed, antithetic). An ito-verify
+    ``n_chunks`` is validated here, in its place among the keys, and has
+    no other effect; export-paths documents carry no such key."""
     spec = _coefficient_spec(doc)
     gamma0 = _number(doc["gamma0"], "$.gamma0", strict_min=0.0)
     a0 = _number(doc.get("a0", 0.0), "$.a0")
@@ -392,16 +395,16 @@ def _simulation_inputs(doc, seed_override, min_paths):
     antithetic = doc.get("antithetic", True)
     if not isinstance(antithetic, bool):
         _fail("$.antithetic", "expected true or false")
-    n_chunks = _integer(doc.get("n_chunks", 1), "$.n_chunks", minimum=1)
+    _integer(doc.get("n_chunks", 1), "$.n_chunks", minimum=1)
     if antithetic and n_paths % 2:
         _fail("$.n_paths", "antithetic pairing needs an even n_paths")
-    return spec, gamma0, a0, n_steps, n_paths, seed, antithetic, n_chunks
+    return spec, gamma0, a0, n_steps, n_paths, seed, antithetic
 
 
 # stream-intervals (a stream's dB and dW draws over one simulated interval)
-# held at once by ito-verify and export-paths alike: it bounds the draws,
-# increments and scratch of a run, whatever n_chunks is. 1024 streams of a
-# full 64-step grid, and more streams when fewer columns are simulated
+# held at once by ito-verify and export-paths alike: it alone sizes a run,
+# and bounds its draws, increments and scratch. 1024 streams of a full
+# 64-step grid, and more streams when fewer columns are simulated
 DRAW_BUDGET = 1024 * 64
 
 
@@ -415,6 +418,18 @@ def _stream_runs(ranges, n_intervals):
         for lo, hi in ranges
         for a, b in chunk_bounds(hi - lo, -(-(hi - lo) // cap))
     ]
+
+
+def _distinct_tag_labels(values, labels, path, same_value_collapses=False):
+    """Refuse an entry of the list at ``path`` whose record-tag label
+    repeats an earlier entry's, so two records would share a tag; with
+    ``same_value_collapses``, an entry equal to the earlier one is the
+    same entry again and passes."""
+    first = {}
+    for i, (value, label) in enumerate(zip(values, labels)):
+        j = first.setdefault(label, i)
+        if j != i and not (same_value_collapses and values[j] == value):
+            _fail(f"{path}[{i}]", f"prints as {label!r} in record tags, as {path}[{j}] does")
 
 
 def run_ito_scenario(doc, seed_override=None):
@@ -433,12 +448,12 @@ def run_ito_scenario(doc, seed_override=None):
             "time_indices",
         ),
     )
-    spec, gamma0, a0, n_steps, n_paths, seed, antithetic, n_chunks = _simulation_inputs(
+    spec, gamma0, a0, n_steps, n_paths, seed, antithetic = _simulation_inputs(
         doc, seed_override, min_paths=2
     )
     # one Philox stream per antithetic pair, and one mean-test sample each
     n_streams = n_paths // 2 if antithetic else n_paths
-    if n_chunks > n_streams:
+    if doc.get("n_chunks", 1) > n_streams:
         _fail("$.n_chunks", f"must be <= the stream count ({n_streams})")
     if n_streams < 100:
         _fail("$.n_paths", f"mean tests need at least 100 samples, got {n_streams}")
@@ -449,6 +464,7 @@ def run_ito_scenario(doc, seed_override=None):
     for i, eta in enumerate(eta_list):
         if eta < 0.0:
             _fail(f"$.eta_list[{i}]", "dual arguments must be nonnegative")
+    _distinct_tag_labels(eta_list, [tag_number(eta) for eta in eta_list], "$.eta_list")
     nu_family = _nu_family_from_scenario(doc, n_steps)
     time_indices = doc.get("time_indices")
     if time_indices is not None:
@@ -459,6 +475,12 @@ def run_ito_scenario(doc, seed_override=None):
         for i, t in enumerate(time_indices):
             if t > n_steps:
                 _fail(f"$.time_indices[{i}]", f"must be <= n_steps ({n_steps})")
+        # equal indices are one time and collapse; distinct ones need their
+        # own tags
+        _distinct_tag_labels(
+            time_indices, time_labels(spec.horizon, n_steps, time_indices), "$.time_indices",
+            same_value_collapses=True,
+        )
     explicit_checks = "checks" in doc
     checks = _checks_from_scenario(doc, ITO_CHECKS)
 
@@ -490,7 +512,7 @@ def run_ito_scenario(doc, seed_override=None):
         # DRAW_BUDGET stream-intervals at a time, on buffers the runs share
         columns = mc.simulated_columns
         work = Workspace()
-        for lo, hi in _stream_runs(chunk_bounds(n_streams, n_chunks), len(columns) - 1):
+        for lo, hi in _stream_runs([(0, n_streams)], len(columns) - 1):
             bundle = simulate_paths(
                 spec, n_steps, (n_paths // n_streams) * (hi - lo), seed,
                 antithetic=antithetic, stream_offset=lo, work=work, columns=columns,
@@ -614,7 +636,7 @@ def run_export_paths(doc, out_path, seed_override=None):
     )
     if out_path is None:
         raise ScenarioError("export-paths needs --out for the CSV file")
-    spec, gamma0, a0, n_steps, n_paths, seed, antithetic, _ = _simulation_inputs(
+    spec, gamma0, a0, n_steps, n_paths, seed, antithetic = _simulation_inputs(
         doc, seed_override, min_paths=1
     )
     fam = _nu_family_from_scenario(doc, n_steps) or {

@@ -142,7 +142,7 @@ class PathBundle:
     row's sums are the negated sums of its partner, bit for bit). The
     density and field kernels read every value from these. All four are
     stored time-major, so a column is contiguous. The price ``s``, shape
-    (n_paths, K + 1) with s[:, 0] = s0, is summed from ``ds`` each time it
+    (n_paths, K + 1), starts at 0 and is summed from ``ds`` each time it
     is read; no check reads it. The coefficients ``theta`` .. ``rho``
     stay per grid step, shape (n_steps,). With antithetic pairing,
     paths 2i and 2i+1 share a Gaussian stream with opposite signs. Row 0
@@ -157,8 +157,6 @@ class PathBundle:
     dt: float
     dB: np.ndarray
     dW: np.ndarray
-    s0: float
-    seed: int
     n_paths: int
     antithetic: bool
     theta: np.ndarray
@@ -181,7 +179,7 @@ class PathBundle:
 
     @property
     def s(self) -> np.ndarray:
-        return _price_paths(self.s0, self.ds)
+        return _price_paths(self.ds)
 
 
 def _interval_drift(bundle: PathBundle) -> np.ndarray:
@@ -190,13 +188,12 @@ def _interval_drift(bundle: PathBundle) -> np.ndarray:
     return np.add.reduceat(bundle.theta * bundle.dt, bundle.columns[:-1])
 
 
-def _price_paths(s0: float, ds: np.ndarray) -> np.ndarray:
+def _price_paths(ds: np.ndarray) -> np.ndarray:
     """Read-only running sums of the price increments ``ds`` (one row per
-    path) from ``s0`` at column 0."""
+    path) from 0 at column 0."""
     s = np.empty((ds.shape[0], ds.shape[1] + 1))
-    s[:, 0] = s0
+    s[:, 0] = 0.0
     np.cumsum(ds, axis=1, out=s[:, 1:])
-    s[:, 1:] += s0
     s.setflags(write=False)
     return s
 
@@ -216,12 +213,12 @@ def simulate_paths(
     n_paths: int,
     seed: int,
     antithetic: bool = True,
-    s0: float = 0.0,
     stream_offset: int = 0,
     work: Workspace | None = None,
     columns: Sequence[int] | None = None,
 ) -> PathBundle:
-    """Simulate the (B, W) increments that drive the price path.
+    """Simulate the (B, W) increments that drive the price path, which
+    starts at 0.
 
     ``columns`` lists the grid columns to simulate at; 0 and n_steps are
     always among them, and None is the full grid 0 .. n_steps. With the
@@ -236,8 +233,10 @@ def simulate_paths(
     holds the streams from ``stream_offset`` on (one per path, or one per
     antithetic pair), so its rows equal, bit for bit, the matching rows of
     a simulation at the same columns that starts at stream 0: a large
-    simulation can be run as consecutive stream ranges (see
-    ``chunk_bounds``), one bundle at a time.
+    simulation can be run as consecutive stream ranges of any sizes, one
+    bundle at a time, and gives the same rows whatever the split.
+    ``ito-verify`` and ``export-paths`` size the ranges by the draw budget
+    ``cli.DRAW_BUDGET`` alone.
 
     The draws, the increments and their running sums live in the
     ``Workspace`` ``work`` (a fresh one by default). Runs over one
@@ -281,8 +280,6 @@ def simulate_paths(
         dt=dt,
         dB=dB,
         dW=dW,
-        s0=float(s0),
-        seed=int(seed),
         n_paths=n_paths,
         antithetic=antithetic,
         theta=coeffs["theta"],
@@ -431,17 +428,13 @@ def martingale_density(bundle: PathBundle, nu2, columns=None) -> np.ndarray:
 @dataclass(frozen=True)
 class FieldPaths:
     """Exact grid-time paths of the exponential field parameters at the
-    grid indices ``columns``; by default 0 .. inv_gamma.shape[1] - 1."""
+    grid indices ``columns``."""
 
     gamma0: float
     a0: float
     inv_gamma: np.ndarray  # (n_paths, len(columns))
     a_shift: np.ndarray  # (n_paths, len(columns))
-    columns: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.columns is None:
-            object.__setattr__(self, "columns", tuple(range(self.inv_gamma.shape[1])))
+    columns: tuple[int, ...]
 
 
 def build_forward_exponential(
@@ -576,7 +569,7 @@ def path_table(
             f"{bundle.first_path + bundle.n_paths - 1})"
         )
     # the price row alone, summed as the whole matrix ``bundle.s`` sums it
-    s = _price_paths(bundle.s0, _interval_drift(bundle) + bundle.dB[i : i + 1])
+    s = _price_paths(_interval_drift(bundle) + bundle.dB[i : i + 1])
     return np.column_stack(
         [bundle.grid, s[0]]
         + [z[i] for z in densities.values()]

@@ -38,11 +38,12 @@ simulation as on a fresh one at the same columns.
 To bound memory, the same pass takes the simulation one stream range at a
 time and keeps only a few per-path columns of each. ``gather`` copies what
 it keeps, so the ranges can share one ``Workspace``, each overwriting the
-last::
+last. ``cli.run_ito_scenario`` sizes the ranges by its draw budget alone;
+any split into consecutive ranges gives the same report::
 
     mc = MonteCarloPass(spec, n_steps, checks)
     work = Workspace()
-    for lo, hi in chunk_bounds(n_streams, n_chunks):
+    for lo, hi in ranges:  # consecutive stream ranges covering 0 .. n_streams
         # (hi - lo) streams: twice as many paths when antithetic
         bundle = simulate_paths(
             spec, n_steps, 2 * (hi - lo), seed, stream_offset=lo, work=work,
@@ -236,10 +237,10 @@ def mc_mean_test(
     """Normal test of a sample mean against a target.
 
     ``sided``: "two" requires the target inside the band, "lower" tolerates
-    estimates above the target (one-sided bound from below), "upper" the
-    reverse. Samples must already be independent.
+    estimates above the target (one-sided bound from below). Samples must
+    already be independent.
     """
-    if sided not in ("two", "lower", "upper"):
+    if sided not in ("two", "lower"):
         raise ValueError(f"unknown sidedness {sided!r}")
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[0]
@@ -252,12 +253,7 @@ def mc_mean_test(
     notes = tuple(notes)
     if se == 0.0:
         # degenerate statistic: exact or wrong, no band to hide in
-        if sided == "two":
-            ok = mean == target
-        elif sided == "lower":
-            ok = mean >= target
-        else:
-            ok = mean <= target
+        ok = mean == target if sided == "two" else mean >= target
         return TestResult(
             check_tag=check_tag,
             estimate=float(mean),
@@ -271,12 +267,7 @@ def mc_mean_test(
         )
     z = (mean - target) / se
     zc = z_critical(confidence)
-    if sided == "two":
-        ok = abs(z) <= zc
-    elif sided == "lower":
-        ok = z >= -zc
-    else:
-        ok = z <= zc
+    ok = abs(z) <= zc if sided == "two" else z >= -zc
     return TestResult(
         check_tag=check_tag,
         estimate=float(mean),
@@ -301,6 +292,18 @@ def _nu_family(phi: np.ndarray) -> dict[str, np.ndarray]:
         "phi-0.4": phi - 0.4,
         "0.8": np.full(phi.shape[0], 0.8),
     }
+
+
+def tag_number(x: float) -> str:
+    """A number as the record tags print it."""
+    return f"{x:g}"
+
+
+def time_labels(horizon: float, n_steps: int, indices) -> list[str]:
+    """The record-tag labels of the grid indices ``indices``: their times on
+    the uniform grid of ``n_steps`` steps over [0, horizon]."""
+    grid = np.linspace(0.0, horizon, n_steps + 1)
+    return [tag_number(grid[i]) for i in indices]
 
 
 def _time_indices(n_steps: int, time_indices) -> list[int]:
@@ -443,7 +446,7 @@ class MonteCarloPass:
         self.spec, self.n_steps = spec, n_steps
         self.eta_list = [float(eta) for eta in eta_list]
         self.confidence = confidence
-        self.grid = np.linspace(0.0, spec.horizon, n_steps + 1)
+        self.t_label = dict(zip(all_idx, time_labels(spec.horizon, n_steps, all_idx)))
         self._chunks: list[dict] = []
         # (antithetic, gamma0, a0) of the first chunk, and its next stream
         self._layout = None
@@ -529,9 +532,6 @@ class MonteCarloPass:
             )
             report.add(res.to_record())
 
-        def fmt_t(i):
-            return f"{self.grid[i]:g}"
-
         for label, nu in self.nu_family.items():
             z = {i: cols["z", label, i] for i in self.columns}
             if self.submartingale:
@@ -539,16 +539,16 @@ class MonteCarloPass:
                     vals = _dual_path_values(cols, z, eta, idx)
                     anchor = conjugate_exponential(gamma0, a0, eta)
                     for pos, i2 in enumerate(idx):
-                        t2 = fmt_t(i2)
+                        t2 = self.t_label[i2]
                         for i1 in idx[:pos]:
                             add_test(
-                                f"dual-submartingale[nu={label},eta={eta:g},"
-                                f"t1={fmt_t(i1)},t2={t2}]",
+                                f"dual-submartingale[nu={label},eta={tag_number(eta)},"
+                                f"t1={self.t_label[i1]},t2={t2}]",
                                 vals[i2] - vals[i1], 0.0, "lower", self.sub_notes,
                             )
                         if i2 > 0:
                             add_test(
-                                f"dual-above-start[nu={label},eta={eta:g},t={t2}]",
+                                f"dual-above-start[nu={label},eta={tag_number(eta)},t={t2}]",
                                 vals[i2], anchor, "lower", self.sub_notes,
                             )
             if self.inverse_gamma:
@@ -574,7 +574,7 @@ class MonteCarloPass:
                 target = conjugate_exponential(gamma0, a0, eta)
                 for i in self.opt_idx:
                     add_test(
-                        f"dual-martingale-at-optimum[eta={eta:g},t={fmt_t(i)}]",
+                        f"dual-martingale-at-optimum[eta={tag_number(eta)},t={self.t_label[i]}]",
                         vals[i], target, "two", ("unconditional mean equality at grid times",),
                     )
         return report

@@ -12,8 +12,17 @@ import numpy as np
 
 from .errors import ConvergenceError
 
+# minimize_exp_sum: relative width of the final derivative bracket, and the
+# cap on its safeguarded Newton steps (the loop ends there, without error)
+_EXP_SUM_TOL = 1e-13
+_EXP_SUM_MAX_ITER = 200
+# barrier_minimize: the duality-gap bound of its one barrier parameter, and
+# the cap on its Newton steps (reaching it raises)
+_BARRIER_GAP_TOL = 1e-10
+_BARRIER_MAX_NEWTON = 200
 
-def minimize_exp_sum(weights, slopes, tol: float = 1e-13, max_iter: int = 200):
+
+def minimize_exp_sum(weights, slopes):
     """Minimize g(p) = sum_i w_i exp(s_i p) for w_i > 0; returns (p*, g(p*)).
 
     Strictly convex whenever some s_i != 0; coercive iff the nonzero slopes
@@ -68,8 +77,8 @@ def minimize_exp_sum(weights, slopes, tol: float = 1e-13, max_iter: int = 200):
 
     # safeguarded Newton on the derivative
     p = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        if hi - lo < tol * (1.0 + abs(lo) + abs(hi)):
+    for _ in range(_EXP_SUM_MAX_ITER):
+        if hi - lo < _EXP_SUM_TOL * (1.0 + abs(lo) + abs(hi)):
             break
         with np.errstate(over="ignore"):
             e = w * np.exp(s * p)
@@ -90,7 +99,7 @@ def minimize_exp_sum(weights, slopes, tol: float = 1e-13, max_iter: int = 200):
     return float(p), value
 
 
-def barrier_minimize(phi, A, b, r0, gap_tol: float = 1e-10, max_newton: int = 200):
+def barrier_minimize(phi, A, b, r0):
     """Minimize sum_i phi_i(r_i) over {r > 0, A r = b} by a log-barrier method.
 
     ``phi(r)`` must return (values, gradients, second derivatives) as arrays
@@ -98,13 +107,13 @@ def barrier_minimize(phi, A, b, r0, gap_tol: float = 1e-10, max_newton: int = 20
     positive and feasible. Damped Newton steps, kept strictly inside the
     positive orthant by the line search, solve the equality-constrained
     barrier problem through the Schur complement at the single barrier
-    parameter mu = gap_tol / m. The duality-gap bound m*mu holds at the
+    parameter mu = _BARRIER_GAP_TOL / m. The duality-gap bound m*mu holds at the
     central point for any mu, so no continuation over a decreasing mu is
     needed (Boyd & Vandenberghe, Convex Optimization, 11.2.2).
 
     Returns (r, multipliers, info) where info carries the gap bound, the
     Newton iteration count, and the max equality residual. Raises
-    ConvergenceError at the iteration cap.
+    ConvergenceError at the iteration cap, ``_BARRIER_MAX_NEWTON``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -123,12 +132,12 @@ def barrier_minimize(phi, A, b, r0, gap_tol: float = 1e-10, max_newton: int = 20
         b = b[keep]
     k = A.shape[0]
     lam = np.zeros(k)
-    mu = gap_tol / m
+    mu = _BARRIER_GAP_TOL / m
 
     def barrier_val(rv, v):
         return float(np.sum(v)) - mu * float(np.sum(np.log(rv)))
 
-    for newton_used in range(1, max_newton + 1):
+    for newton_used in range(1, _BARRIER_MAX_NEWTON + 1):
         v, grad, hess = phi(r)
         f_cur = barrier_val(r, v)
         g = grad - mu / r
@@ -161,7 +170,7 @@ def barrier_minimize(phi, A, b, r0, gap_tol: float = 1e-10, max_newton: int = 20
         r = r + alpha * dr
     else:
         raise ConvergenceError(
-            f"barrier_minimize: {max_newton} Newton iterations exhausted "
+            f"barrier_minimize: {_BARRIER_MAX_NEWTON} Newton iterations exhausted "
             f"at gap bound {m * mu:.3e}"
         )
     eq_residual = float(np.max(np.abs(A @ r - b))) if k else 0.0

@@ -44,6 +44,7 @@ from .errors import ArbitrageError, ScenarioError, TreeStructureError
 from .report import CheckRecord, VerificationReport
 
 _VERTEX_TOL = 1e-12
+_PROB_SUM_TOL = 1e-9  # |sum of branch probabilities - 1| that validate_tree allows
 _MASS_TOL = 1e-15  # window nodes at or below this mass keep reference conditionals
 
 
@@ -278,9 +279,10 @@ class EventTree:
         return cls.from_dict(data, validate=validate)
 
 
-def validate_tree(tree: EventTree, tol: float = 1e-9) -> VerificationReport:
+def validate_tree(tree: EventTree) -> VerificationReport:
     """Numeric invariants: branch probabilities strictly positive summing to
-    one, finite increments. Structure is already enforced at construction.
+    one within ``_PROB_SUM_TOL``, finite increments. Structure is already
+    enforced at construction.
     """
     report = VerificationReport()
     bad_sums: dict[str, float] = {}
@@ -291,7 +293,7 @@ def validate_tree(tree: EventTree, tol: float = 1e-9) -> VerificationReport:
         if not node.branches:
             continue
         total = sum(br.prob for br in node.branches)
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > _PROB_SUM_TOL:
             bad_sums[nid] = total
         for br in node.branches:
             if not (br.prob > 0.0) or not math.isfinite(br.prob):
@@ -307,7 +309,7 @@ def validate_tree(tree: EventTree, tol: float = 1e-9) -> VerificationReport:
             verdict=not bad_sums,
             value=max((abs(v - 1.0) for v in bad_sums.values()), default=0.0),
             target=0.0,
-            tolerance=tol,
+            tolerance=_PROB_SUM_TOL,
             worst_node=next(iter(bad_sums), None),
             notes=tuple(f"node {n}: probabilities sum to {v:.6g}" for n, v in bad_sums.items()),
         )

@@ -542,6 +542,13 @@ def dual_value(
 # -- entropy -------------------------------------------------------------
 
 
+def _implied_shift(g, eta, v):
+    """The shift a whose exponential slice at risk aversion ``g`` has the
+    dual value ``v`` at ``eta`` > 0: v = entropy_kernel(eta/g) - (eta/g) a
+    solved for a, a = (g/eta) (entropy_kernel(eta/g) - v)."""
+    return (g / eta) * (entropy_kernel(eta / g) - v)
+
+
 def solve_entropy_shift(
     tree: EventTree,
     gamma: Mapping[str, float],
@@ -587,8 +594,7 @@ def solve_entropy_shift(
     for t in range(tree.horizon - 1, -1, -1):
         ent = duals.dual(terminal, 1.0, t, tree.horizon)
         for nid in tree.nodes_at(t):
-            g = gamma[nid]
-            a_out[nid] = g * (entropy_kernel(1.0 / g) - ent.values[nid])
+            a_out[nid] = _implied_shift(gamma[nid], 1.0, ent.values[nid])
     return a_out
 
 
@@ -696,7 +702,7 @@ def check_self_generation_dual(
                 V = conjugate_exponential(g, field.a_shift[n], e)
                 value_gap = max(value_gap, abs(v - V))
                 if e > 0.0:
-                    a_implied = (g / e) * (entropy_kernel(e / g) - v)
+                    a_implied = _implied_shift(g, e, v)
                     gaps[n] = max(gaps.get(n, 0.0), abs(a_implied - field.a_shift[n]))
         m = unit.inverse_gamma_mean
         windows.append(
@@ -901,7 +907,7 @@ def check_exponential_conditions(
             _gap_record(
                 f"exp-condition-entropy-identity[t={t},T={T}]",
                 {
-                    n: abs(gamma[n] * (entropy_kernel(1.0 / gamma[n]) - ent.values[n]) - a_shift[n])
+                    n: abs(_implied_shift(gamma[n], 1.0, ent.values[n]) - a_shift[n])
                     for n in tree.nodes_at(t)
                 },
                 tol,

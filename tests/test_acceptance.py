@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+import forwardperf.cli as cli
 import oracles
 from forwardperf.fields import conjugate_exponential
 from forwardperf.cli import run_ito_scenario
@@ -63,7 +64,7 @@ def randomized_suite():
     return _SUITE
 
 
-def _mc_doc(n_chunks):
+def _mc_doc():
     return {
         "schema_version": 1,
         "kind": "ito-verify",
@@ -77,14 +78,13 @@ def _mc_doc(n_chunks):
         "time_indices": [16, 32, 64],
         "nu": {"0": 0.0, "0.7": 0.7},
         "checks": ["dual-martingale-at-optimum", "forward-drift"],
-        "n_chunks": n_chunks,
     }
 
 
 def mc_base_report():
     if "report" not in _MC:
         t0 = time.perf_counter()
-        _MC["report"] = run_ito_scenario(_mc_doc(1))
+        _MC["report"] = run_ito_scenario(_mc_doc())
         _MC["elapsed"] = time.perf_counter() - t0
     return _MC["report"], _MC["elapsed"]
 
@@ -257,13 +257,26 @@ def test_criterion_7_band_calibration():
         budget(7, time.perf_counter() - t0, 30.0)
 
 
-def test_criterion_8_bitwise_reproducibility():
+def test_criterion_8_bitwise_reproducibility(monkeypatch):
     with criterion(8, "chunking does not change the report"):
         base, _ = mc_base_report()
-        chunked = run_ito_scenario(_mc_doc(4))
+        # 50k streams over 3 simulated intervals (columns 0, 16, 32, 64): 3
+        # runs of the default budget, and 8 runs of 6250 streams in a budget
+        # of 7001 streams a run
+        runs = []
+        original = cli.simulate_paths
+
+        def recorded(*args, **kwargs):
+            runs.append(kwargs["stream_offset"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_paths", recorded)
+        monkeypatch.setattr(cli, "DRAW_BUDGET", 3 * 7001)
+        chunked = run_ito_scenario(_mc_doc())
+        assert len(runs) == 8
         a = base.to_json().encode()
         b = chunked.to_json().encode()
-        assert a == b, "reports differ between 1 and 4 chunks"
+        assert a == b, "reports differ between the default and a smaller draw budget"
         # sanity: the comparison is not vacuous
         doc = json.loads(a)
         assert doc["all_passed"] is True

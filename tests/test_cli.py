@@ -510,6 +510,13 @@ def test_bad_time_pairs(tmp_path, capsys):
     assert "$.time_pairs[0]" in capsys.readouterr().err
 
 
+def test_duplicate_time_pair_refused(tmp_path, capsys):
+    # both pairs would tag their records [t=0,T=1]
+    doc = tree_doc(time_pairs=[[0, 1], [0, 1]])
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: $.time_pairs[1]: duplicate time pair")
+
+
 def test_unknown_kind(tmp_path, capsys):
     path = write_scenario(tmp_path, {"schema_version": 1, "kind": "mystery"})
     assert main(["run", path]) == 2
@@ -565,6 +572,14 @@ def no_simulation(monkeypatch):
         ({"n_paths": 401}, "$.n_paths", "even n_paths"),
         ({"n_chunks": 201}, "$.n_chunks", "stream count (200)"),
         ({"n_paths": 150}, "$.n_paths", "at least 100 samples, got 75"),
+        # values whose record tags would collide
+        ({"eta_list": [1.0, 1.0]}, "$.eta_list[1]", "prints as '1' in record tags"),
+        ({"eta_list": [2.0, 1.0, 1.00000000001]}, "$.eta_list[2]", "as $.eta_list[1] does"),
+        (
+            {"n_steps": 2_000_000, "time_indices": [1_000_000, 1_000_001]},
+            "$.time_indices[1]",
+            "prints as '0.5' in record tags",
+        ),
     ],
 )
 def test_ito_bad_inputs_rejected_before_simulating(
@@ -575,6 +590,14 @@ def test_ito_bad_inputs_rejected_before_simulating(
     assert main(["run", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {json_path}: ") and message in err
+
+
+def test_ito_repeated_time_index_collapses():
+    # an index given twice is one time with one set of records, not a
+    # collision of tags
+    doc = ito_doc(checks=["dual-submartingale"], time_indices=[4, 8])
+    once = run_ito_scenario(doc).to_json()
+    assert run_ito_scenario({**doc, "time_indices": [8, 4, 8]}).to_json() == once
 
 
 FAILING_MODEL = {"horizon": 1.0, "theta": 0.5, "delta": 0.2}
@@ -720,10 +743,16 @@ CHUNKED_DOCS = {
 }
 
 
+# the simulated intervals of each case: columns 0, 8 and 16; every step
+# for the ramp load; 0, 16 and 32
+CHUNKED_INTERVALS = {"antithetic": 2, "plain-custom": 16, "mass-miss": 2}
+
+
 @pytest.mark.parametrize("case", list(CHUNKED_DOCS))
 def test_ito_output_independent_of_chunking(tmp_path, capsys, monkeypatch, case):
-    # the streamed pass holds one chunk of streams at a time, and its report
-    # is byte for byte the one of a single chunk
+    # the streamed pass holds one run of streams at a time, and its report
+    # is byte for byte the one of a single run, however DRAW_BUDGET splits
+    # the streams
     calls = []
     original = cli.simulate_paths
 
@@ -736,15 +765,17 @@ def test_ito_output_independent_of_chunking(tmp_path, capsys, monkeypatch, case)
     if case == "antithetic":
         del doc["checks"]
     n_streams = doc["n_paths"] // 2 if doc.get("antithetic", True) else doc["n_paths"]
+    path = write_scenario(tmp_path, doc)
     outputs = set()
-    for n_chunks in (1, 3, 7):
+    for n_runs in (1, 3, 7):
+        cap = -(-n_streams // n_runs)
+        monkeypatch.setattr(cli, "DRAW_BUDGET", cap * CHUNKED_INTERVALS[case])
         calls.clear()
-        path = write_scenario(tmp_path, {**doc, "n_chunks": n_chunks})
         code = main(["run", path])
         captured = capsys.readouterr()
         outputs.add((code, captured.out, captured.err))
-        assert len(calls) == n_chunks
-        assert max(n for _, n in calls) <= -(-n_streams // n_chunks)
+        assert len(calls) == n_runs
+        assert max(n for _, n in calls) <= cap
         assert [off for off, _ in calls] == list(np.cumsum([0] + [n for _, n in calls[:-1]]))
         assert sum(n for _, n in calls) == n_streams
     (code, out, err), = outputs
@@ -770,18 +801,43 @@ ITO_PEAK_BOUND = 8 * 2**20
 
 def test_ito_chunks_bound_memory():
     # the simulation runs in at most DRAW_BUDGET stream-intervals at a time,
-    # on reused buffers, so the peak stays bounded whatever n_chunks is
-    doc = ito_doc(n_paths=20_000, n_steps=64)
-    peaks = {}
-    for n_chunks in (1, 8):
-        tracemalloc.start()
-        try:
-            report = run_ito_scenario({**doc, "n_chunks": n_chunks})
-            peaks[n_chunks] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.all_passed, report.to_text()
-    assert max(peaks.values()) < ITO_PEAK_BOUND, peaks
+    # on reused buffers, so the peak stays bounded
+    tracemalloc.start()
+    try:
+        report = run_ito_scenario(ito_doc(n_paths=20_000, n_steps=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed, report.to_text()
+    assert peak < ITO_PEAK_BOUND, peak
+
+
+def test_n_chunks_has_no_effect(tmp_path, capsys, monkeypatch):
+    # n_chunks is accepted and validated, and changes nothing: DRAW_BUDGET
+    # alone plans the runs, so every value gives the same runs, report
+    # bytes and exit code
+    runs = []
+    original = cli.simulate_paths
+
+    def recorded(spec, n_steps, n_paths, seed, **kwargs):
+        runs.append((n_paths, kwargs["stream_offset"], list(kwargs["columns"])))
+        return original(spec, n_steps, n_paths, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_paths", recorded)
+    # 1003 streams over 2 simulated intervals, in runs of at most 400
+    monkeypatch.setattr(cli, "DRAW_BUDGET", 2 * 400)
+    doc = ito_doc(n_paths=2006, n_steps=16)
+    del doc["checks"]
+    outcomes = set()
+    for n_chunks in (1, 3, 7, 16):
+        runs.clear()
+        code = main(["run", write_scenario(tmp_path, {**doc, "n_chunks": n_chunks})])
+        captured = capsys.readouterr()
+        outcomes.add((code, captured.out, captured.err, repr(runs)))
+    (code, out, err, plan), = outcomes
+    assert code == 0 and err == ""
+    ranges = [(0, 334), (334, 668), (668, 1003)]
+    assert plan == repr([(2 * (hi - lo), lo, [0, 8, 16]) for lo, hi in ranges])
 
 
 def test_ito_duplicate_check_refused(tmp_path, capsys, no_simulation):
@@ -1032,18 +1088,18 @@ def test_export_paths_bytes_pinned(tmp_path, capsys, case):
 
 
 def test_small_stream_budget_keeps_every_byte(tmp_path, capsys, monkeypatch):
-    # runs of at most 7 streams split every chunk and every export; the ito
-    # runs share one workspace, so no bundle may be read after the next run
-    # overwrote it
-    def ito_outputs(doc, n_chunks):
-        code = main(["run", write_scenario(tmp_path, {**doc, "n_chunks": n_chunks})])
+    # runs of at most 7 streams split every ito scenario and every export;
+    # the ito runs share one workspace, so no bundle may be read after the
+    # next run overwrote it
+    def ito_outputs(doc):
+        code = main(["run", write_scenario(tmp_path, doc)])
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
     docs = {case: ito_doc(**over) for case, over in CHUNKED_DOCS.items()}
     del docs["antithetic"]["checks"]
     exports = dict(EXPORT_DOCS, whole={"n_paths": 40, "paths": list(range(40))})
-    want_ito = {case: ito_outputs(doc, 1) for case, doc in docs.items()}
+    want_ito = {case: ito_outputs(doc) for case, doc in docs.items()}
     want_csv = {case: export_csv(tmp_path, over) for case, over in exports.items()}
     capsys.readouterr()
 
@@ -1055,16 +1111,13 @@ def test_small_stream_budget_keeps_every_byte(tmp_path, capsys, monkeypatch):
         return original(spec, n_steps, n_paths, seed, antithetic=antithetic, **kwargs)
 
     monkeypatch.setattr(cli, "simulate_paths", recorded)
-    # a budget of 7 streams' draws: the simulated intervals of each ito case
-    # (0, 8, 16; every step for the ramp load; 0, 16, 32), and the full grid
-    # of each export
-    intervals = {"antithetic": 2, "plain-custom": 16, "mass-miss": 2}
+    # a budget of 7 streams' draws over the simulated intervals of each ito
+    # case, and over the full grid of each export
     for case, doc in docs.items():
-        monkeypatch.setattr(cli, "DRAW_BUDGET", 7 * intervals[case])
-        for n_chunks in (1, 3, 7):
-            runs.clear()
-            assert ito_outputs(doc, n_chunks) == want_ito[case], (case, n_chunks)
-            assert max(runs) <= 7 and len(runs) > n_chunks
+        monkeypatch.setattr(cli, "DRAW_BUDGET", 7 * CHUNKED_INTERVALS[case])
+        runs.clear()
+        assert ito_outputs(doc) == want_ito[case], case
+        assert max(runs) <= 7
     for case, over in exports.items():
         monkeypatch.setattr(cli, "DRAW_BUDGET", 7 * export_doc(**over)["n_steps"])
         runs.clear()

@@ -132,17 +132,15 @@ def test_simulate_antithetic_pairing():
 
 
 def test_simulate_price_recursion():
-    bundle = simulate_paths(PIECEWISE, 8, 4, seed=5, s0=1.5)
-    assert np.all(bundle.s[:, 0] == 1.5)
+    bundle = simulate_paths(PIECEWISE, 8, 4, seed=5)
+    assert np.all(bundle.s[:, 0] == 0.0)
     np.testing.assert_allclose(
         np.diff(bundle.s, axis=1), bundle.theta * bundle.dt + bundle.dB, atol=1e-15
     )
     np.testing.assert_array_equal(bundle.ds, bundle.theta * bundle.dt + bundle.dB)
     # the price is summed when read, by the one row-wise cumsum
-    s = np.empty((4, 9))
-    s[:, 0] = 1.5
+    s = np.zeros((4, 9))
     np.cumsum(bundle.theta * bundle.dt + bundle.dB, axis=1, out=s[:, 1:])
-    s[:, 1:] += 1.5
     np.testing.assert_array_equal(bundle.s, s)
 
 
@@ -151,14 +149,14 @@ def test_simulate_runs_share_a_workspace(antithetic):
     # runs on one workspace reuse its memory, and each run's bundle holds
     # the rows of the whole simulation until the next run overwrites them
     per = 2 if antithetic else 1
-    whole = simulate_paths(PIECEWISE, 8, per * 13, seed=21, antithetic=antithetic, s0=0.5)
+    whole = simulate_paths(PIECEWISE, 8, per * 13, seed=21, antithetic=antithetic)
     z_whole = martingale_density(whole, 0.3)
     work = Workspace()
     first = None
     for lo, hi in [(0, 7), (7, 12), (12, 13)]:
         bundle = simulate_paths(
-            PIECEWISE, 8, per * (hi - lo), seed=21, antithetic=antithetic, s0=0.5,
-            stream_offset=lo, work=work,
+            PIECEWISE, 8, per * (hi - lo), seed=21, antithetic=antithetic, stream_offset=lo,
+            work=work,
         )
         assert bundle.work is work
         first = bundle.dB if first is None else first
@@ -353,7 +351,7 @@ def test_simulated_columns_draw_each_interval_sum(antithetic):
     # k of the Gaussian field, bit for bit, and the sums run over intervals
     per = 2 if antithetic else 1
     bundle = simulate_paths(
-        KERNEL_SPEC, 16, 10, seed=31, antithetic=antithetic, s0=0.5, columns=[12, 7, 4, 12]
+        KERNEL_SPEC, 16, 10, seed=31, antithetic=antithetic, columns=[12, 7, 4, 12]
     )
     assert bundle.columns.tolist() == SIMULATED and bundle.n_steps == 16
     np.testing.assert_array_equal(bundle.grid, np.linspace(0.0, 1.0, 17)[SIMULATED])
@@ -372,7 +370,7 @@ def test_simulated_columns_draw_each_interval_sum(antithetic):
     # the price drifts by theta dt summed over each interval
     drift = [np.sum(bundle.theta[a:b] * bundle.dt) for a, b in zip(SIMULATED, SIMULATED[1:])]
     np.testing.assert_allclose(bundle.ds, np.asarray(drift) + bundle.dB, rtol=0, atol=1e-15)
-    assert bundle.s.shape == (10, 5) and np.all(bundle.s[:, 0] == 0.5)
+    assert bundle.s.shape == (10, 5) and np.all(bundle.s[:, 0] == 0.0)
 
 
 def test_simulated_columns_default_to_the_full_grid():

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import forwardperf.solvers as solvers
+from forwardperf.errors import ConvergenceError
 from forwardperf.solvers import barrier_minimize, minimize_exp_sum
 from oracles import golden_section_min
 
@@ -108,6 +110,13 @@ def test_barrier_two_constraints():
     r, _, info = barrier_minimize(entropy_phi, A, b, np.array([0.3, 0.4, 0.3]))
     assert r[0] == pytest.approx(r[2], abs=1e-8)
     assert info["eq_residual"] <= 1e-9
+
+
+def test_barrier_iteration_cap_raises(monkeypatch):
+    # from this start the simplex entropy takes more than one Newton step
+    monkeypatch.setattr(solvers, "_BARRIER_MAX_NEWTON", 1)
+    with pytest.raises(ConvergenceError, match="1 Newton iterations exhausted"):
+        barrier_minimize(entropy_phi, np.ones((1, 3)), np.array([1.0]), np.array([0.8, 0.1, 0.1]))
 
 
 def test_barrier_rejects_bad_start():
