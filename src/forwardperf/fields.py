@@ -79,13 +79,6 @@ class ExponentialFieldParams:
     def defined_at(self, node: str) -> bool:
         return node in self.gamma and node in self.a_shift
 
-    def with_offsets(self, offsets: Mapping[str, float]) -> "ExponentialFieldParams":
-        """Copy with a_shift[node] += offset for each given node."""
-        a = dict(self.a_shift)
-        for node, off in offsets.items():
-            a[node] = a[node] + off
-        return ExponentialFieldParams(self.gamma, a)
-
     def __repr__(self):
         return f"ExponentialFieldParams(nodes={len(self.gamma)})"
 

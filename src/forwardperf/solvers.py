@@ -33,69 +33,71 @@ def minimize_exp_sum(weights, slopes):
     s = np.asarray(slopes, dtype=float)
     if w.shape != s.shape or w.ndim != 1 or w.size == 0:
         raise ValueError("minimize_exp_sum: need matching nonempty 1-D arrays")
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         raise ValueError("minimize_exp_sum: weights must be positive")
     nz = s != 0.0
-    if not np.any(nz):
-        return 0.0, float(np.sum(w))
-    if np.all(s[nz] > 0.0) or np.all(s[nz] < 0.0):
+    if not nz.any():
+        return 0.0, float(w.sum())
+    if (s[nz] > 0.0).all() or (s[nz] < 0.0).all():
         raise ValueError(
             "minimize_exp_sum: slopes are one-sided, infimum not attained "
             "(martingale-measure constraint violated upstream)"
         )
 
-    def val_grad(p):
-        with np.errstate(over="ignore"):
-            e = w * np.exp(s * p)
-            return float(np.sum(e)), float(np.sum(e * s))
+    # exp(s p) may overflow to inf on a bracket end; the bracket and the
+    # Newton safeguard handle it, so the warning is silenced for the call
+    with np.errstate(over="ignore"):
 
-    # expand to a sign-changing derivative bracket
-    lo = hi = 0.0
-    _, g0 = val_grad(0.0)
-    if g0 > 0.0:
-        step = 1.0
-        while True:
-            lo = lo - step
-            _, glo = val_grad(lo)
-            if glo <= 0.0:
-                break
-            step *= 2.0
-            if step > 2.0**60:
-                raise ConvergenceError("minimize_exp_sum: bracket expansion failed")
-    elif g0 < 0.0:
-        step = 1.0
-        while True:
-            hi = hi + step
-            _, ghi = val_grad(hi)
-            if ghi >= 0.0:
-                break
-            step *= 2.0
-            if step > 2.0**60:
-                raise ConvergenceError("minimize_exp_sum: bracket expansion failed")
-    else:
-        return 0.0, float(np.sum(w))
-
-    # safeguarded Newton on the derivative
-    p = 0.5 * (lo + hi)
-    for _ in range(_EXP_SUM_MAX_ITER):
-        if hi - lo < _EXP_SUM_TOL * (1.0 + abs(lo) + abs(hi)):
-            break
-        with np.errstate(over="ignore"):
+        def val_grad(p):
             e = w * np.exp(s * p)
-            g = float(np.sum(e * s))
-            h = float(np.sum(e * s * s))
-        if g > 0.0:
-            hi = p
-        elif g < 0.0:
-            lo = p
+            return float(e.sum()), float((e * s).sum())
+
+        # expand to a sign-changing derivative bracket
+        lo = hi = 0.0
+        _, g0 = val_grad(0.0)
+        if g0 > 0.0:
+            step = 1.0
+            while True:
+                lo = lo - step
+                _, glo = val_grad(lo)
+                if glo <= 0.0:
+                    break
+                step *= 2.0
+                if step > 2.0**60:
+                    raise ConvergenceError("minimize_exp_sum: bracket expansion failed")
+        elif g0 < 0.0:
+            step = 1.0
+            while True:
+                hi = hi + step
+                _, ghi = val_grad(hi)
+                if ghi >= 0.0:
+                    break
+                step *= 2.0
+                if step > 2.0**60:
+                    raise ConvergenceError("minimize_exp_sum: bracket expansion failed")
         else:
-            break
-        p_newton = p - g / h if h > 0.0 and math.isfinite(g) and math.isfinite(h) else math.nan
-        if math.isfinite(p_newton) and lo < p_newton < hi:
-            p = p_newton
-        else:
-            p = 0.5 * (lo + hi)
-    value, _ = val_grad(p)
+            return 0.0, float(w.sum())
+
+        # safeguarded Newton on the derivative
+        p = 0.5 * (lo + hi)
+        for _ in range(_EXP_SUM_MAX_ITER):
+            if hi - lo < _EXP_SUM_TOL * (1.0 + abs(lo) + abs(hi)):
+                break
+            e = w * np.exp(s * p)
+            g = float((e * s).sum())
+            h = float((e * s * s).sum())
+            if g > 0.0:
+                hi = p
+            elif g < 0.0:
+                lo = p
+            else:
+                break
+            p_newton = p - g / h if h > 0.0 and math.isfinite(g) and math.isfinite(h) else math.nan
+            if math.isfinite(p_newton) and lo < p_newton < hi:
+                p = p_newton
+            else:
+                p = 0.5 * (lo + hi)
+        value, _ = val_grad(p)
     return float(p), value
 
 
@@ -119,14 +121,14 @@ def barrier_minimize(phi, A, b, r0):
     b = np.asarray(b, dtype=float)
     r = np.asarray(r0, dtype=float).copy()
     m = r.size
-    if np.any(r <= 0.0):
+    if (r <= 0.0).any():
         raise ValueError("barrier_minimize: start must be strictly positive")
     if A.ndim != 2 or A.shape[1] != m or A.shape[0] != b.size:
         raise ValueError("barrier_minimize: constraint shape mismatch")
     # drop all-zero rows (vacuous constraints) once, keeping determinism
-    keep = np.any(A != 0.0, axis=1)
-    if not np.all(keep):
-        if np.any(np.abs(b[~keep]) > 1e-12):
+    keep = (A != 0.0).any(axis=1)
+    if not keep.all():
+        if (np.abs(b[~keep]) > 1e-12).any():
             raise ValueError("barrier_minimize: infeasible zero row")
         A = A[keep]
         b = b[keep]
@@ -135,7 +137,7 @@ def barrier_minimize(phi, A, b, r0):
     mu = _BARRIER_GAP_TOL / m
 
     def barrier_val(rv, v):
-        return float(np.sum(v)) - mu * float(np.sum(np.log(rv)))
+        return float(v.sum()) - mu * float(np.log(rv).sum())
 
     for newton_used in range(1, _BARRIER_MAX_NEWTON + 1):
         v, grad, hess = phi(r)
@@ -158,11 +160,11 @@ def barrier_minimize(phi, A, b, r0):
         # keep strictly inside the positive orthant
         neg = dr < 0.0
         alpha = 1.0
-        if np.any(neg):
-            alpha = min(1.0, 0.99 * float(np.min(-r[neg] / dr[neg])))
+        if neg.any():
+            alpha = min(1.0, 0.99 * float((-r[neg] / dr[neg]).min()))
         while alpha > 1e-14:
             r_new = r + alpha * dr
-            if np.all(r_new > 0.0) and barrier_val(r_new, phi(r_new)[0]) <= f_cur + 1e-4 * alpha * slope:
+            if (r_new > 0.0).all() and barrier_val(r_new, phi(r_new)[0]) <= f_cur + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
         if alpha <= 1e-14:
@@ -173,7 +175,7 @@ def barrier_minimize(phi, A, b, r0):
             f"barrier_minimize: {_BARRIER_MAX_NEWTON} Newton iterations exhausted "
             f"at gap bound {m * mu:.3e}"
         )
-    eq_residual = float(np.max(np.abs(A @ r - b))) if k else 0.0
+    eq_residual = float(np.abs(A @ r - b).max()) if k else 0.0
     info = {
         "gap_bound": m * mu,
         "newton_iterations": newton_used,

@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import (
     ArbitrageError,
+    ConvergenceError,
     ForwardPerfError,
     ReplicationError,
     WealthRangeError,
@@ -118,11 +119,9 @@ class DualResult:
         program's. The read is exact only when 1/gamma is replicable, so
         without replication an eta other than 1 is refused."""
         eta_by_node = _eta_by_node(eta, self.eta, self.replication)
-        values = {}
-        for n, e in eta_by_node.items():
-            e_log_e = e * math.log(e) if e > 0.0 else 0.0
-            values[n] = e * self.entropy[n] + e_log_e * self.inverse_gamma_mean[n]
-        return replace(self, values=values, eta=eta_by_node)
+        nodes = list(eta_by_node)
+        values = _dual_read(self, nodes, np.array(list(eta_by_node.values())))
+        return replace(self, values=dict(zip(nodes, values.tolist())), eta=eta_by_node)
 
 
 @dataclass
@@ -145,6 +144,30 @@ def _per_node(arg, nodes, name):
         return {n: float(arg[n]) for n in nodes}
     val = float(arg)
     return {n: val for n in nodes}
+
+
+def _at_nodes(mapping, nodes):
+    """The values of ``mapping`` at ``nodes``, in order, as a float array."""
+    return np.array([mapping[n] for n in nodes], dtype=float)
+
+
+def _dual_read(unit, nodes, eta):
+    """v(eta) = eta v(1) + eta log(eta) m at ``nodes`` from the eta = 1
+    program ``unit``, elementwise over an array ``eta`` that broadcasts
+    against them (one eta per node, or a column of grid points), with
+    eta log(eta) taken per eta by ``math.log`` and 0 at eta = 0."""
+    eta_log_eta = [e * math.log(e) if e > 0.0 else 0.0 for e in eta.ravel().tolist()]
+    m = _at_nodes(unit.inverse_gamma_mean, nodes)
+    return eta * _at_nodes(unit.entropy, nodes) + np.reshape(eta_log_eta, eta.shape) * m
+
+
+def _scan_max(rows, acc):
+    """Per column, Python's max over ``acc`` and then each of ``rows`` in
+    order: a value replaces the running maximum only when it is greater,
+    so a NaN never replaces one (``np.maximum`` would propagate it)."""
+    for row in rows:
+        acc = np.where(row > acc, row, acc)
+    return acc
 
 
 def _require_replication(rep, what):
@@ -529,12 +552,18 @@ def dual_value(
         b[0] = 1.0
         phi = _exp_phi(field, win.leaves, win.p)
         r, _, info = barrier_minimize(phi, win.A, b, win.interior)
-        unit.entropy[start] = float(np.sum(phi(r)[0]))
-        gam = np.array([field.gamma[w] for w in win.leaves])
-        unit.inverse_gamma_mean[start] = float(np.sum(r / gam))
+        entropy = float(phi(r)[0].sum())
+        m = float((r / _at_nodes(field.gamma, win.leaves)).sum())
+        if not (math.isfinite(entropy) and math.isfinite(m)):
+            raise ConvergenceError(
+                f"dual program below node {start!r} on [{t}, {T}] leaves the float "
+                f"range: entropy {entropy!r}, m {m!r}"
+            )
+        unit.entropy[start] = entropy
+        unit.inverse_gamma_mean[start] = m
         unit.leaf_masses[start] = {w: float(ri) for w, ri in zip(win.leaves, r)}
         unit.kkt_residual[start] = float(info["gap_bound"] + info["eq_residual"])
-        unit.near_boundary[start] = bool(np.min(r) < 1e-7)
+        unit.near_boundary[start] = bool(r.min() < 1e-7)
         unit.newton_iterations[start] = info["newton_iterations"]
     return unit.at(eta_by_node)
 
@@ -593,8 +622,9 @@ def solve_entropy_shift(
     a_out: dict[str, float] = dict(a_term)
     for t in range(tree.horizon - 1, -1, -1):
         ent = duals.dual(terminal, 1.0, t, tree.horizon)
-        for nid in tree.nodes_at(t):
-            a_out[nid] = _implied_shift(gamma[nid], 1.0, ent.values[nid])
+        nodes = tree.nodes_at(t)
+        shift = _implied_shift(_at_nodes(gamma, nodes), 1.0, _at_nodes(ent.values, nodes))
+        a_out.update(zip(nodes, shift.tolist()))
     return a_out
 
 
@@ -689,29 +719,29 @@ def check_self_generation_dual(
     duals = _window_duals(duals, tree, field.gamma)
     if any(e != 1.0 for e in eta_grid):
         _require_replication(duals.replication(), _DUAL_READ)
+    if any(e < 0.0 for e in eta_grid):
+        raise ValueError("eta must be nonnegative")
+    eta = np.array(eta_grid)[:, None]
+    positive = eta[:, 0] > 0.0
     windows = []
     for (t, T) in time_pairs:
         unit = duals.dual(field, 1.0, t, T)
-        gaps = {}
-        value_gap = 0.0
-        for e in eta_grid:
-            res = unit.at(e)
-            for n in tree.nodes_at(t):
-                g = field.gamma[n]
-                v = res.values[n]
-                V = conjugate_exponential(g, field.a_shift[n], e)
-                value_gap = max(value_gap, abs(v - V))
-                if e > 0.0:
-                    a_implied = _implied_shift(g, e, v)
-                    gaps[n] = max(gaps.get(n, 0.0), abs(a_implied - field.a_shift[n]))
+        starts = tree.nodes_at(t)
+        g = _at_nodes(field.gamma, starts)
+        a = _at_nodes(field.a_shift, starts)
+        # per (eta, start): the read, its gap to the slice's closed-form
+        # dual, and the gap of the shift it implies at a positive eta
+        v = _dual_read(unit, starts, eta)
+        value_gaps = _scan_max(np.abs(v - conjugate_exponential(g, a, eta)), 0.0)
+        shift_gaps = np.abs(_implied_shift(g, eta[positive], v[positive]) - a)
         m = unit.inverse_gamma_mean
         windows.append(
             _gap_record(
                 f"dual-self-generation[t={t},T={T}]",
-                gaps,
+                dict(zip(starts, _scan_max(shift_gaps, 0.0).tolist())),
                 tol,
                 details={
-                    "value_gap": value_gap,
+                    "value_gap": max(value_gaps.tolist()),
                     "read_certificate": max(abs(m[n] - 1.0 / field.gamma[n]) for n in m),
                     "newton_iterations": unit.newton_iterations,
                     "kkt_residual": unit.kkt_residual,
@@ -743,9 +773,11 @@ def _conjugate_read(unit, n, xi):
 
 
 def _scaled_gap(value, target):
-    """|value - target| / max(1, |target|): absolute for values of order
-    one, relative for larger ones (Higham 2002)."""
-    return abs(value - target) / max(1.0, abs(target))
+    """|value - target| / max(1, |target|), elementwise: absolute for
+    values of order one, relative for larger ones (Higham 2002). A NaN
+    |target| scales by 1, as Python's max(1, NaN) does."""
+    size = np.abs(target)
+    return np.abs(value - target) / np.where(size > 1.0, size, 1.0)
 
 
 def check_value_conjugacy(
@@ -796,35 +828,34 @@ def check_value_conjugacy(
     duals = _window_duals(duals, tree, field.gamma)
     base = primal_value(tree, field, 0.0, t, T, duals=duals)
     unit = duals.dual(field, 1.0, t, T)
-    conjugates = [{n: _conjugate_read(unit, n, x) for n in starts} for x in xi_grid]
-    primals = [base.at(x).values for x in xi_grid]
-    reads = [unit.at(e) for e in eta_grid]
-
-    primal_gaps = {
-        n: max(_scaled_gap(conjugate[n][0], u[n]) for conjugate, u in zip(conjugates, primals))
-        for n in starts
-    }
-    dual_gaps = {
-        n: max(
-            _scaled_gap(v.values[n], conjugate_exponential(field.gamma[n], base.log_factor[n], e))
-            for e, v in zip(eta_grid, reads)
-        )
-        for n in starts
-    }
+    conjugates = [[_conjugate_read(unit, n, x) for n in starts] for x in xi_grid]
+    primals = np.array([_at_nodes(base.at(x).values, starts) for x in xi_grid])
+    # per (wealth, start) and per (eta, start); each start's worst over
+    # its grid, in grid order
+    primal_gaps = _scaled_gap(np.array([[u for u, _ in row] for row in conjugates]), primals)
+    eta = np.array(eta_grid)[:, None]
+    dual_gaps = _scaled_gap(
+        _dual_read(unit, starts, eta),
+        conjugate_exponential(_at_nodes(field.gamma, starts), _at_nodes(base.log_factor, starts), eta),
+    )
     return VerificationReport(
         [
             _gap_record(
                 f"conjugacy-primal-from-dual[t={t},T={T}]",
-                primal_gaps,
+                dict(zip(starts, _scan_max(primal_gaps[1:], primal_gaps[0]).tolist())),
                 tol,
                 details={
-                    "eta_hat": {n: eta_hat for n, (_, eta_hat) in conjugates[0].items()},
+                    "eta_hat": {n: eta_hat for n, (_, eta_hat) in zip(starts, conjugates[0])},
                     "newton_iterations": unit.newton_iterations,
                     "kkt_residual": unit.kkt_residual,
                     "near_boundary": unit.near_boundary,
                 },
             ),
-            _gap_record(f"conjugacy-dual-from-primal[t={t},T={T}]", dual_gaps, tol),
+            _gap_record(
+                f"conjugacy-dual-from-primal[t={t},T={T}]",
+                dict(zip(starts, _scan_max(dual_gaps[1:], dual_gaps[0]).tolist())),
+                tol,
+            ),
         ]
     )
 
@@ -903,13 +934,15 @@ def check_exponential_conditions(
             )
         )
         ent = duals.dual(field, 1.0, t, T)
+        starts = tree.nodes_at(t)
+        gaps = np.abs(
+            _implied_shift(_at_nodes(gamma, starts), 1.0, _at_nodes(ent.values, starts))
+            - _at_nodes(a_shift, starts)
+        )
         entropy.append(
             _gap_record(
                 f"exp-condition-entropy-identity[t={t},T={T}]",
-                {
-                    n: abs(_implied_shift(gamma[n], 1.0, ent.values[n]) - a_shift[n])
-                    for n in tree.nodes_at(t)
-                },
+                dict(zip(starts, gaps.tolist())),
                 tol,
             )
         )

@@ -11,7 +11,10 @@ leaf masses the package solved per wealth before it read the infimum from
 the eta = 1 program, (for primal
 self-generation) a fresh ``primal_value`` solve per wealth -- the package's
 own program, so it checks only that one program per window reads the same
-at every wealth -- (for the per-scenario context of the tree engine) each
+at every wealth -- (for the tree checks' eta and wealth grids) the reads
+one start and one grid point at a time, in 0-d numpy calls and Python
+max, as the checks made them before each window's reads became one array
+expression -- (for the per-scenario context of the tree engine) each
 window's primal and dual programs rebuilt by a fresh call, (for the
 conditional entropy and the martingale
 property of a tree measure) sums over leaves and nodes from their
@@ -28,7 +31,7 @@ implementation checks nothing.
 
 import csv
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
 import numpy as np
@@ -36,6 +39,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from forwardperf import kernels
 from forwardperf.errors import ConvergenceError
+from forwardperf.fields import ExponentialFieldParams
 from forwardperf.report import CheckRecord, VerificationReport
 from forwardperf.solvers import barrier_minimize
 from forwardperf.tree_market import (
@@ -45,7 +49,7 @@ from forwardperf.tree_market import (
     measure_from_leaf_masses,
     node_polytope,
 )
-from forwardperf.tree_verifier import primal_value
+from forwardperf.tree_verifier import _conjugate_read, primal_value
 
 
 def cond_prob(tree, ancestor, nid):
@@ -533,6 +537,161 @@ def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6
         )
     )
     return report
+
+
+# -- the tree checks' grid reads, one start and one grid point at a time --
+#
+# How the package's checks read their eta and wealth grids before each
+# read became one array expression per window: 0-d numpy calls for the
+# entropy kernel (np.log, not math.log), math.log for eta log eta, and
+# Python's max, under which a NaN never replaces the running maximum. The
+# eta = 1 programs and the primal reads are the package's own; only the
+# grid arithmetic and the reductions are redone here.
+
+
+def _kernel_0d(y):
+    """y log y - y, 0 at y = 0, on one 0-d array."""
+    arr = np.asarray(y, dtype=float)
+    return float(np.where(arr > 0.0, arr * np.log(np.where(arr > 0.0, arr, 1.0)) - arr, 0.0))
+
+
+def _conjugate_0d(g, a, e):
+    ratio = np.asarray(e, dtype=float) / np.asarray(g, dtype=float)
+    return float(_kernel_0d(ratio) - ratio * np.asarray(a, dtype=float))
+
+
+def _implied_shift_0d(g, e, v):
+    return (g / e) * (_kernel_0d(e / g) - v)
+
+
+def _read_0d(unit, n, e):
+    """v(e) at start n from the eta = 1 program ``unit``."""
+    e_log_e = e * math.log(e) if e > 0.0 else 0.0
+    return e * unit.entropy[n] + e_log_e * unit.inverse_gamma_mean[n]
+
+
+def _scalar_gap_record(tag, gaps, tol, **extra):
+    worst = max(gaps.values())
+    passed = worst <= tol
+    node = None if passed else next(n for n, g in gaps.items() if g == worst)
+    return CheckRecord(
+        tag, verdict=passed, value=worst, target=0.0, tolerance=tol, worst_node=node, **extra
+    )
+
+
+def _scalar_overall(tag, records, tol):
+    if not records:
+        return CheckRecord(tag, verdict=True, value=0.0, target=0.0, tolerance=tol)
+    return replace(max(records, key=lambda r: r.value), check_tag=tag, details={})
+
+
+def entropy_shift_per_node(tree, gamma, terminal_a, duals):
+    """``solve_entropy_shift``'s levels node by node, from the eta = 1
+    programs to the horizon in ``duals``; ``terminal_a`` maps each leaf to
+    its shift."""
+    a_out = {w: float(terminal_a[w]) for w in tree.leaves()}
+    terminal = ExponentialFieldParams(gamma, {n: a_out.get(n, 0.0) for n in gamma})
+    for t in range(tree.horizon - 1, -1, -1):
+        ent = duals.dual(terminal, 1.0, t, tree.horizon)
+        for nid in tree.nodes_at(t):
+            a_out[nid] = _implied_shift_0d(gamma[nid], 1.0, ent.values[nid])
+    return a_out
+
+
+def self_generation_dual_per_point(tree, field, time_pairs, eta_grid, duals, tol=1e-6):
+    """``check_self_generation_dual``'s records, read per (eta, start)."""
+    windows = []
+    for (t, T) in time_pairs:
+        unit = duals.dual(field, 1.0, t, T)
+        gaps = {}
+        value_gap = 0.0
+        for e in eta_grid:
+            for n in tree.nodes_at(t):
+                g = field.gamma[n]
+                v = _read_0d(unit, n, e)
+                value_gap = max(value_gap, abs(v - _conjugate_0d(g, field.a_shift[n], e)))
+                if e > 0.0:
+                    a_implied = _implied_shift_0d(g, e, v)
+                    gaps[n] = max(gaps.get(n, 0.0), abs(a_implied - field.a_shift[n]))
+        m = unit.inverse_gamma_mean
+        windows.append(
+            _scalar_gap_record(
+                f"dual-self-generation[t={t},T={T}]",
+                gaps,
+                tol,
+                details={
+                    "value_gap": value_gap,
+                    "read_certificate": max(abs(m[n] - 1.0 / field.gamma[n]) for n in m),
+                    "newton_iterations": unit.newton_iterations,
+                    "kkt_residual": unit.kkt_residual,
+                    "near_boundary": unit.near_boundary,
+                },
+            )
+        )
+    return VerificationReport(windows + [_scalar_overall("dual-self-generation", windows, tol)])
+
+
+def value_conjugacy_per_point(tree, field, t, T, xi_grid, eta_grid, duals, tol=1e-6):
+    """``check_value_conjugacy``'s records, with each gap taken per (wealth,
+    start) and per (eta, start). The conjugate read and the primal read at
+    each wealth are the package's (``_conjugate_read``, ``PrimalResult.at``)."""
+    def scaled_gap(value, target):
+        return abs(value - target) / max(1.0, abs(target))
+
+    xi_grid = [float(x) for x in xi_grid]
+    eta_grid = sorted(float(e) for e in eta_grid)
+    starts = tree.nodes_at(t)
+    base = primal_value(tree, field, 0.0, t, T, duals=duals)
+    unit = duals.dual(field, 1.0, t, T)
+    conjugates = [{n: _conjugate_read(unit, n, x) for n in starts} for x in xi_grid]
+    primals = [base.at(x).values for x in xi_grid]
+    primal_gaps = {
+        n: max(scaled_gap(conjugate[n][0], u[n]) for conjugate, u in zip(conjugates, primals))
+        for n in starts
+    }
+    dual_gaps = {
+        n: max(
+            scaled_gap(_read_0d(unit, n, e), _conjugate_0d(field.gamma[n], base.log_factor[n], e))
+            for e in eta_grid
+        )
+        for n in starts
+    }
+    return VerificationReport(
+        [
+            _scalar_gap_record(
+                f"conjugacy-primal-from-dual[t={t},T={T}]",
+                primal_gaps,
+                tol,
+                details={
+                    "eta_hat": {n: eta_hat for n, (_, eta_hat) in conjugates[0].items()},
+                    "newton_iterations": unit.newton_iterations,
+                    "kkt_residual": unit.kkt_residual,
+                    "near_boundary": unit.near_boundary,
+                },
+            ),
+            _scalar_gap_record(f"conjugacy-dual-from-primal[t={t},T={T}]", dual_gaps, tol),
+        ]
+    )
+
+
+def entropy_identity_per_node(tree, gamma, a_shift, time_pairs, duals, tol=1e-6):
+    """``check_exponential_conditions``' entropy-identity records, per
+    window and the roll-up, with the gap taken per start."""
+    field = ExponentialFieldParams(gamma, a_shift)
+    records = []
+    for (t, T) in time_pairs:
+        ent = duals.dual(field, 1.0, t, T)
+        records.append(
+            _scalar_gap_record(
+                f"exp-condition-entropy-identity[t={t},T={T}]",
+                {
+                    n: abs(_implied_shift_0d(gamma[n], 1.0, ent.values[n]) - a_shift[n])
+                    for n in tree.nodes_at(t)
+                },
+                tol,
+            )
+        )
+    return records + [_scalar_overall("exp-condition-entropy-identity", records, tol)]
 
 
 def window_programs_rebuilt(tree, field, windows, eta_grid):

@@ -28,7 +28,14 @@ from forwardperf.tree_verifier import (
     primal_value,
     solve_entropy_shift,
 )
-from treegen import binomial_tree, constant_field, random_tree, solved_field, trinomial_tree
+from treegen import (
+    binomial_tree,
+    constant_field,
+    random_tree,
+    solved_field,
+    trinomial_tree,
+    with_offsets,
+)
 
 MC_SEED = 20250825
 N_SUITE = 50
@@ -171,7 +178,7 @@ def test_criterion_3_equivalence_suite():
                 )
                 assert rep_f.all_passed, f"tree {i}: {rep_f.to_text()}"
 
-            bumped = field.with_offsets({"r": 0.1})
+            bumped = with_offsets(field, {"r": 0.1})
             rep_p = check_self_generation_primal(tree, bumped, pairs, xi_grid, tol=1e-6)
             rep_d = check_self_generation_dual(tree, bumped, pairs, eta_grid, tol=1e-6)
             rep_e = check_exponential_conditions(

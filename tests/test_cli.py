@@ -381,6 +381,26 @@ def test_tree_scenario_refuses_leaf_shift_outside_the_float_range(tmp_path, caps
     assert "outside the float range" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_tree_scenario_refuses_a_dual_program_outside_the_float_range(tmp_path, capsys):
+    # gamma = 1e-306 is valid, but the eta = 1 program's objective
+    # overflows: its entropy is not finite, and the shift solve is refused
+    # with exit 2 where it used to end in a traceback
+    tree = binomial_tree()
+    doc = tree_doc(
+        tree=tree.to_dict(),
+        gamma={"mode": "explicit", "values": {n: 1e-306 for n in tree._dfs_order}},
+        a_shift={"mode": "solve", "terminal": 0.0},
+    )
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: dual program below node 'r' on [0, 1] leaves the float range: entropy inf"
+    )
+    assert "Traceback" not in captured.err
+
+
 def refuses_without_replication(tmp_path, capsys, monkeypatch, check):
     # 1/gamma is not replicable, so the primal value has no factor
     # recursion and the dual value no read at eta other than 1: the check
@@ -675,11 +695,36 @@ def test_ito_scenario_builds_each_density_once(monkeypatch):
 PINNED_ITO_REPORT_SHA256 = "3434b20c3dfb05a9dc4160f2bf943de1e6b0f9e8f494c251153460c28cb89540"
 
 
-def test_ito_report_bytes_pinned():
+def reports_in_runs(monkeypatch, doc):
+    """``doc``'s report JSON with its streams simulated in 1, 2 and 16
+    runs, the last two split through a smaller ``DRAW_BUDGET``; with the
+    columns each simulated run drew."""
+    columns = []
+    original = cli.simulate_paths
+
+    def recorded(*args, **kwargs):
+        columns.append(list(kwargs["columns"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_paths", recorded)
+    n_streams = doc["n_paths"] // 2 if doc.get("antithetic", True) else doc["n_paths"]
+    texts = []
+    for runs in (1, 2, 16):
+        if texts:
+            # streams per run, times the intervals a run draws
+            intervals = len(columns[-1]) - 1
+            monkeypatch.setattr(cli, "DRAW_BUDGET", -(-n_streams // runs) * intervals)
+        done = len(columns)
+        texts.append(run_ito_scenario(doc).to_json())
+        assert len(columns) - done == runs
+    return texts, columns
+
+
+def test_ito_report_bytes_pinned(monkeypatch):
     doc = ito_doc(n_paths=2000, n_steps=16)
     del doc["checks"]
-    for n_chunks in (1, 2, 16):
-        text = run_ito_scenario({**doc, "n_chunks": n_chunks}).to_json()
+    texts, _ = reports_in_runs(monkeypatch, doc)
+    for text in texts:
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ITO_REPORT_SHA256
 
 
@@ -706,20 +751,12 @@ PINNED_FULL_GRID_SHA256 = {
 
 @pytest.mark.parametrize("case", list(FULL_GRID_DOCS))
 def test_ito_full_grid_report_bytes_pinned(monkeypatch, case):
-    columns = []
-    original = cli.simulate_paths
-
-    def recorded(*args, **kwargs):
-        columns.append(list(kwargs["columns"]))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "simulate_paths", recorded)
     doc = ito_doc(**FULL_GRID_DOCS[case])
     del doc["checks"]
-    for n_chunks in (1, 2, 16):
-        text = run_ito_scenario({**doc, "n_chunks": n_chunks}).to_json()
+    texts, columns = reports_in_runs(monkeypatch, doc)
+    for text in texts:
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_FULL_GRID_SHA256[case]
-    assert columns and all(c == list(range(doc["n_steps"] + 1)) for c in columns)
+    assert all(c == list(range(doc["n_steps"] + 1)) for c in columns)
 
 
 CHUNKED_DOCS = {

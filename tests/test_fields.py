@@ -14,6 +14,7 @@ from oracles import (
     exponential_slice,
     golden_section_min,
 )
+from treegen import with_offsets
 
 
 # -- entropy kernel ------------------------------------------------------
@@ -84,10 +85,12 @@ def test_field_params_validation():
 
 
 def test_with_offsets():
+    # the tests' helper; the field class has no such method
     field = ExponentialFieldParams(gamma={"n": 1.0}, a_shift={"n": 0.5})
-    shifted = field.with_offsets({"n": 0.1})
+    shifted = with_offsets(field, {"n": 0.1})
     assert shifted.a_shift["n"] == pytest.approx(0.6)
     assert field.a_shift["n"] == 0.5
+    assert not hasattr(ExponentialFieldParams, "with_offsets")
 
 
 # -- conjugation pins ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,7 @@ from treegen import (
     trinomial_tree,
     two_period_tree,
     uniform_trinomial_tree,
+    with_offsets,
 )
 
 
@@ -174,14 +176,14 @@ def test_primal_refuses_leaf_shift_outside_the_float_range(a):
     with pytest.raises(ForwardPerfError, match=f"a_shift={a:g} at node 'u'"):
         primal_value(tree, field, 0.0)
     # 709 is inside the range
-    primal_value(tree, field.with_offsets({"u": 709.0 - a}), 0.0)
+    primal_value(tree, with_offsets(field, {"u": 709.0 - a}), 0.0)
 
 
 def test_primal_check_refuses_a_slice_outside_the_float_range():
     # with the root shift raised by 1, u(-709.5) is finite but the slice
     # U(-709.5) = -exp(709.5 + a) it is compared with is not
     tree = binomial_tree()
-    bumped = constant_field(tree).with_offsets({"r": 1.0})
+    bumped = with_offsets(constant_field(tree), {"r": 1.0})
     assert math.isfinite(primal_value(tree, bumped, -709.5).values["r"])
     with pytest.raises(WealthRangeError, match="xi=-709.5 at node 'r'"):
         check_self_generation_primal(tree, bumped, [(0, 1)], [-709.5])
@@ -320,7 +322,7 @@ PRIMAL_CHECK_CASES = {
     "solved": lambda: (two_period_tree(), solved_field(two_period_tree(), seed=21), None),
     "root-bumped": lambda: (
         two_period_tree(),
-        solved_field(two_period_tree(), seed=21).with_offsets({"r": 0.1}),
+        with_offsets(solved_field(two_period_tree(), seed=21), {"r": 0.1}),
         None,
     ),
     "time-pairs": lambda: (
@@ -464,7 +466,7 @@ def test_dual_read_matches_the_per_eta_program(seed, bumped):
     tree = random_tree(seed, periods=3)
     field = solved_field(tree, seed)
     if bumped:
-        field = field.with_offsets({tree.root: 0.1})
+        field = with_offsets(field, {tree.root: 0.1})
     for (t, T) in _window_pairs(tree):
         unit = dual_value(tree, field, 1.0, t, T)
         solved = oracles.dual_by_eta(tree, field, 1.0, t, T)
@@ -585,7 +587,7 @@ def test_self_generation_clean_field_passes():
 
 def test_self_generation_detects_root_perturbation():
     tree = two_period_tree()
-    field = solved_field(tree, seed=22).with_offsets({"r": 0.1})
+    field = with_offsets(solved_field(tree, seed=22), {"r": 0.1})
     pairs = [(0, 1), (0, 2), (1, 2)]
     rep_p = check_self_generation_primal(tree, field, pairs, [0.0])
     rep_d = check_self_generation_dual(tree, field, pairs, [1.0])
@@ -692,7 +694,7 @@ def conjugacy_case(kind, seed):
         tree = random_tree(seed)
         field = solved_field(tree, seed)
         if kind == "crit3-bumped":
-            field = field.with_offsets({"r": 0.1})
+            field = with_offsets(field, {"r": 0.1})
         return tree, field, (0, 2), [-1.0, 0.0, 1.0], [0.5, 1.0, 2.0]
     if kind.startswith("suite"):
         tree = suite_shaped_tree(seed)
@@ -848,9 +850,9 @@ def test_window_duals_share_and_refuse_another_field():
     assert [key[:2] for key in duals._solved] == [(0, 2)]
     # the window [0, 2] reads the shift at time 2 only: a shift moved at
     # time 1 reads the same entry, one moved at a leaf gets its own
-    moved_before = field.with_offsets({"a": 0.1})
+    moved_before = with_offsets(field, {"a": 0.1})
     assert duals.dual(moved_before, 1.0, 0, 2) is duals.dual(field, 1.0, 0, 2)
-    moved_leaf = field.with_offsets({"a1": 0.1})
+    moved_leaf = with_offsets(field, {"a1": 0.1})
     fresh = dual_value(tree, moved_leaf, 1.0, 0, 2)
     assert duals.dual(moved_leaf, 1.0, 0, 2).values == fresh.values
     assert fresh.values != duals.dual(field, 1.0, 0, 2).values
@@ -877,7 +879,7 @@ def shifted_context(tree, seed, offsets):
     terminal = {w: solved.a_shift[w] for w in tree.leaves()}
     duals = WindowDuals(tree, gamma)
     a_shift = solve_entropy_shift(tree, gamma, terminal, duals=duals)
-    return duals, ExponentialFieldParams(gamma, a_shift).with_offsets(offsets)
+    return duals, with_offsets(ExponentialFieldParams(gamma, a_shift), offsets)
 
 
 def test_window_duals_resolve_a_window_whose_leaf_shift_moved():
@@ -907,7 +909,7 @@ def test_shared_context_matches_per_window_rebuild(offsets):
     windows = _window_pairs(tree)
     etas = [0.5, 1.0, 2.0]
     # one context serves the solved field, then the moved one
-    for field in (solved, solved.with_offsets(offsets)):
+    for field in (solved, with_offsets(solved, offsets)):
         log_factor, rebuilt = oracles.window_programs_rebuilt(tree, field, windows, etas)
         for (t, T) in windows:
             primal = primal_value(tree, field, 0.0, t, T, duals=duals)
@@ -960,7 +962,7 @@ def test_exponential_conditions_clean():
 
 def test_exponential_conditions_flag_perturbation():
     tree = two_period_tree()
-    field = solved_field(tree, seed=26).with_offsets({"r": 0.1})
+    field = with_offsets(solved_field(tree, seed=26), {"r": 0.1})
     rep = check_exponential_conditions(tree, field.gamma, field.a_shift, [(0, 2)])
     assert not rep.all_passed
     rec = rep["exp-condition-entropy-identity[t=0,T=2]"]
@@ -1016,7 +1018,7 @@ def test_forward_supermartingale_clean():
 
 def test_forward_supermartingale_perturbation():
     tree = two_period_tree()
-    field = solved_field(tree, seed=28).with_offsets({"r": 0.1})
+    field = with_offsets(solved_field(tree, seed=28), {"r": 0.1})
     rep = check_forward_supermartingale(tree, field.gamma, field.a_shift, 0, 2)
     # the inequality direction still holds; only the equality at the
     # entropy minimizer breaks, by exactly the perturbation
@@ -1078,7 +1080,7 @@ def test_forward_checks_match_enumeration_oracle():
         for (t, T) in pairs:
             # the bump below moves a, not gamma: one precondition run covers both
             oracles.forward_precondition_by_enumeration(tree, solved.gamma, t, T)
-        for field in (solved, solved.with_offsets({"r": 0.1})):
+        for field in (solved, with_offsets(solved, {"r": 0.1})):
             for (t, T) in pairs:
                 want, _ = oracles.worst_forward_drift_by_enumeration(
                     tree, field.gamma, field.a_shift, t, T
@@ -1099,7 +1101,7 @@ def test_forward_optimum_matches_density_oracle(periods, bumped):
     tree = random_tree(7, periods=periods)
     field = solved_field(tree, 7)
     if bumped:
-        field = field.with_offsets({tree.root: 0.1})
+        field = with_offsets(field, {tree.root: 0.1})
     duals = WindowDuals(tree, field.gamma)
     for (t, T) in _window_pairs(tree):
         rep = check_forward_supermartingale(tree, field.gamma, field.a_shift, t, T, duals=duals)
@@ -1170,7 +1172,7 @@ def test_forward_checks_have_no_product_measure_cap():
     assert rep.all_passed, rep.to_text()
     rep = check_forward_supermartingale(tree, field.gamma, field.a_shift, 0, 6)
     assert rep.all_passed, rep.to_text()
-    bumped = field.with_offsets({"r": 0.1})
+    bumped = with_offsets(field, {"r": 0.1})
     rep = check_forward_supermartingale(tree, bumped.gamma, bumped.a_shift, 0, 6)
     assert rep["forward-martingale-at-optimum[t=0,T=6]"].value == pytest.approx(0.1, abs=1e-7)
 
@@ -1199,3 +1201,80 @@ def test_forward_checks_refuse_infeasible_start():
     assert want == (ArbitrageError, "no martingale measure below node 'r'")
     assert _refusal(check_exponential_conditions, tree, gamma, a, [(0, 1)]) == want
     assert _refusal(check_forward_supermartingale, tree, gamma, a, 0, 1) == want
+
+
+# -- grid reads as arrays, against the per-point oracles ------------------
+
+# eta grid points at which numpy 2.4's log and math.log differ in the last
+# bit on x86-64 (at the first two, y log y - y differs too), 0, and a point
+# at which the read and the closed-form dual overflow, so that their gap
+# is NaN, which Python's max skips
+LOG_SPLIT_ETAS = [1.235332518347858, 8.70834843767571, 0.9908371028420025]
+ORACLE_ETAS = [0.0, 0.5, 1.0, *LOG_SPLIT_ETAS, 1e307]
+# 1 / 0.8094986452209698 is such a point as well
+LOG_SPLIT_GAMMA = 0.8094986452209698
+
+
+def _constant_gamma_field(tree, g):
+    gamma = const_map(tree, g)
+    terminal = {w: 0.1 * k for k, w in enumerate(tree.leaves())}
+    return ExponentialFieldParams(gamma, solve_entropy_shift(tree, gamma, terminal))
+
+
+def _grid_read_cases():
+    two = two_period_tree()
+    suite = suite_shaped_tree(5)
+    deep = random_tree(3, periods=3)
+    wide = random_tree(4, periods=2)
+    solved = {
+        "two-period": (two, solved_field(two, seed=31)),
+        "suite-shaped": (suite, solved_field(suite, seed=5)),
+        "gamma0-one": (deep, solved_field(deep, 3, gamma0=1.0)),
+        "log-split-gamma": (wide, _constant_gamma_field(wide, LOG_SPLIT_GAMMA)),
+        "tiny-gamma": (two, _constant_gamma_field(two, 1e-300)),
+    }
+    for name, (tree, field) in solved.items():
+        yield pytest.param(tree, field, id=f"{name}-solved")
+        yield pytest.param(tree, with_offsets(field, {tree.root: 0.1}), id=f"{name}-root-bumped")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tree, field", list(_grid_read_cases()))
+def test_grid_reads_match_the_per_point_oracles(tree, field):
+    # every window, one start (t = 0) and several; bit for bit, NaN gaps
+    # skipped as the per-point reads skip them
+    pairs = _window_pairs(tree)
+    duals = WindowDuals(tree, field.gamma)
+    terminal = {w: field.a_shift[w] for w in tree.leaves()}
+    assert solve_entropy_shift(tree, field.gamma, terminal, duals=duals) == (
+        oracles.entropy_shift_per_node(tree, field.gamma, terminal, duals)
+    )
+    got = check_self_generation_dual(tree, field, pairs, ORACLE_ETAS, duals=duals)
+    want = oracles.self_generation_dual_per_point(tree, field, pairs, ORACLE_ETAS, duals)
+    assert repr(got.records()) == repr(want.records())
+    got = check_exponential_conditions(tree, field.gamma, field.a_shift, pairs, duals=duals)
+    want = oracles.entropy_identity_per_node(tree, field.gamma, field.a_shift, pairs, duals)
+    assert repr([r for r in got.records() if "entropy-identity" in r.check_tag]) == repr(
+        sorted(want, key=lambda r: r.check_tag)
+    )
+    for t, T in pairs:
+        args = (tree, field, t, T, [-1.0, 0.0, 2.0], ORACLE_ETAS[1:])
+        try:
+            want = oracles.value_conjugacy_per_point(*args, duals)
+        except ForwardPerfError as exc:
+            # a primal factor recursion that cannot bracket (gamma 1e-300)
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                check_value_conjugacy(*args, duals=duals)
+            continue
+        got = check_value_conjugacy(*args, duals=duals)
+        assert repr(got.records()) == repr(want.records())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_read_cases_reach_a_nan_gap():
+    # the largest oracle eta makes the read and the closed-form dual both
+    # overflow, so the per-point reads skip a NaN gap there
+    tree = two_period_tree()
+    field = solved_field(tree, seed=31)
+    v = dual_value(tree, field, 1.0, 0, 2).at(ORACLE_ETAS[-1]).values["r"]
+    assert math.isnan(v - conjugate_exponential(field.gamma["r"], field.a_shift["r"], ORACLE_ETAS[-1]))

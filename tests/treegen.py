@@ -209,3 +209,11 @@ def constant_field(tree, gamma=1.0, a=0.0):
         gamma={nid: gamma for nid in tree._dfs_order},
         a_shift={nid: a for nid in tree._dfs_order},
     )
+
+
+def with_offsets(field, offsets):
+    """A copy of ``field`` with a_shift[node] += offset for each given node."""
+    a_shift = dict(field.a_shift)
+    for node, off in offsets.items():
+        a_shift[node] = a_shift[node] + off
+    return ExponentialFieldParams(field.gamma, a_shift)
