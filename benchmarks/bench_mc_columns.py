@@ -81,8 +81,9 @@ def _same_bits(a, b):
 def measure(n_paths, cols, repeat):
     bundle = simulate_paths(SPEC, N_STEPS, n_paths, SEED)
     phi = bundle.phi
-    z_full = oracles.density_path_full(bundle, bundle.theta, phi)
-    inv_full, shift_full = oracles.forward_exponential_full(1.0, 0.0, bundle)
+    draws = oracles.increments(bundle, SEED)
+    z_full = oracles.density_path_full(bundle, draws, bundle.theta, phi)
+    inv_full, shift_full = oracles.forward_exponential_full(1.0, 0.0, bundle, draws)
     fields = build_forward_exponential(SPEC, 1.0, 0.0, bundle, cols)
     if not (
         _same_bits(martingale_density(bundle, phi), z_full)
@@ -94,12 +95,16 @@ def measure(n_paths, cols, repeat):
     del z_full, inv_full, shift_full, fields
     row = {"n_paths": n_paths, "n_steps": N_STEPS, "bit_identical": True}
     row["density_path"] = {
-        "oracle": _repeat(lambda: oracles.density_path_full(bundle, bundle.theta, phi), repeat),
+        "oracle": _repeat(
+            lambda: oracles.density_path_full(bundle, draws, bundle.theta, phi), repeat
+        ),
         "full": _repeat(lambda: martingale_density(bundle, phi), repeat),
         "columns": _repeat(lambda: martingale_density(bundle, phi, cols), repeat),
     }
     row["build_forward_exponential"] = {
-        "oracle": _repeat(lambda: oracles.forward_exponential_full(1.0, 0.0, bundle), repeat),
+        "oracle": _repeat(
+            lambda: oracles.forward_exponential_full(1.0, 0.0, bundle, draws), repeat
+        ),
         "full": _repeat(lambda: build_forward_exponential(SPEC, 1.0, 0.0, bundle), repeat),
         "columns": _repeat(
             lambda: build_forward_exponential(SPEC, 1.0, 0.0, bundle, cols), repeat

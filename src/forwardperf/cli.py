@@ -403,7 +403,7 @@ def _simulation_inputs(doc, seed_override, min_paths):
 
 # stream-intervals (a stream's dB and dW draws over one simulated interval)
 # held at once by ito-verify and export-paths alike: it alone sizes a run,
-# and bounds its draws, increments and scratch. 1024 streams of a full
+# and bounds its running sums and scratch. 1024 streams of a full
 # 64-step grid, and more streams when fewer columns are simulated
 DRAW_BUDGET = 1024 * 64
 

@@ -51,7 +51,7 @@ import csv
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -129,25 +129,22 @@ class CoefficientSpec:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated increments at the simulated columns of a uniform grid,
-    their running sums, and the price paths they drive.
+    """The running sums of the simulated Brownian draws at the simulated
+    columns of a uniform grid.
 
     ``columns`` holds the simulated grid columns c_0 = 0 < ... < c_K =
     n_steps (every column 0 .. n_steps for the full grid) and ``grid``
-    their times. ``dB``/``dW`` have shape (n_paths, K): column k is the
-    increment over [c_k, c_{k+1}). ``sum_dB``/``sum_dW`` hold the running
-    sums of their drawn rows along each path, 0 in column 0 and np.cumsum's
-    sequential sums after it, shape (n_streams, K + 1), column k at grid
-    column c_k: every row without pairing, the even rows with it (an odd
-    row's sums are the negated sums of its partner, bit for bit). The
-    density and field kernels read every value from these. All four are
-    stored time-major, so a column is contiguous. The price ``s``, shape
-    (n_paths, K + 1), starts at 0 and is summed from ``ds`` each time it
-    is read; no check reads it. The coefficients ``theta`` .. ``rho``
-    stay per grid step, shape (n_steps,). With antithetic pairing,
-    paths 2i and 2i+1 share a Gaussian stream with opposite signs. Row 0
-    draws from stream ``stream_offset``, so it is path ``first_path`` of
-    the simulation that starts at stream 0.
+    their times. ``sum_dB``/``sum_dW`` hold S_B and S_W, the running sums
+    of the drawn streams' increments, shape (n_streams, K + 1), column k
+    at grid column c_k: 0 in column 0, then the sequential sums of the
+    increments over [c_j, c_{j+1}), j < k. They are the only stored form
+    of the draws, held time-major so a column is contiguous, and the
+    density, field and price kernels read every value from them. With
+    antithetic pairing, paths 2i and 2i+1 share stream i with opposite
+    signs: path 2i+1's sums are the negated sums of row i. The
+    coefficients ``theta`` .. ``rho`` stay per grid step, shape
+    (n_steps,). Row 0 draws from stream ``stream_offset``, so it is path
+    ``first_path`` of the simulation that starts at stream 0.
     """
 
     spec: CoefficientSpec
@@ -155,8 +152,6 @@ class PathBundle:
     columns: np.ndarray
     grid: np.ndarray
     dt: float
-    dB: np.ndarray
-    dW: np.ndarray
     n_paths: int
     antithetic: bool
     theta: np.ndarray
@@ -166,36 +161,10 @@ class PathBundle:
     stream_offset: int
     sum_dB: np.ndarray
     sum_dW: np.ndarray
-    # scratch of the simulation: the draws' tiles and the buffers above
-    work: Workspace = field(repr=False, compare=False)
 
     @property
     def first_path(self) -> int:
         return self.stream_offset * (2 if self.antithetic else 1)
-
-    @property
-    def ds(self) -> np.ndarray:
-        return _interval_drift(self) + self.dB
-
-    @property
-    def s(self) -> np.ndarray:
-        return _price_paths(self.ds)
-
-
-def _interval_drift(bundle: PathBundle) -> np.ndarray:
-    """theta dt summed over each simulated interval; on the full grid,
-    theta dt itself."""
-    return np.add.reduceat(bundle.theta * bundle.dt, bundle.columns[:-1])
-
-
-def _price_paths(ds: np.ndarray) -> np.ndarray:
-    """Read-only running sums of the price increments ``ds`` (one row per
-    path) from 0 at column 0."""
-    s = np.empty((ds.shape[0], ds.shape[1] + 1))
-    s[:, 0] = 0.0
-    np.cumsum(ds, axis=1, out=s[:, 1:])
-    s.setflags(write=False)
-    return s
 
 
 def chunk_bounds(n_streams: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -217,17 +186,20 @@ def simulate_paths(
     work: Workspace | None = None,
     columns: Sequence[int] | None = None,
 ) -> PathBundle:
-    """Simulate the (B, W) increments that drive the price path, which
-    starts at 0.
+    """Simulate the running sums S_B and S_W of the (B, W) draws that
+    drive the price path, which starts at 0.
 
     ``columns`` lists the grid columns to simulate at; 0 and n_steps are
     always among them, and None is the full grid 0 .. n_steps. With the
-    sorted columns c_0 < ... < c_K, increment k is
-    sqrt((c_{k+1} - c_k) dt) times step k of ``gaussian_field``: the sum
-    of the grid increments over [c_k, c_{k+1}), exact in distribution. On
-    the full grid every length is 1 and sqrt(1 * dt) == sqrt(dt), so those
-    are the full-grid draws bit for bit. Only the simulated columns can be
-    read from the bundle (see ``_integral``).
+    sorted columns c_0 < ... < c_K, the increment over [c_k, c_{k+1}) is
+    sqrt((c_{k+1} - c_k) dt) times step k of ``gaussian_field``, exact in
+    distribution. On the full grid every length is 1 and
+    sqrt(1 * dt) == sqrt(dt), so those are the full-grid draws bit for
+    bit. The normals are written straight into rows 1 .. K of the
+    time-major sums, scaled there, and summed in place one interval at a
+    time, row k + 1 taking row k plus itself: the sequential sums
+    np.cumsum gives, since IEEE addition commutes. Only the simulated
+    columns can be read from the bundle (see ``_integral``).
 
     Draws are a pure function of (seed, stream, interval index). The bundle
     holds the streams from ``stream_offset`` on (one per path, or one per
@@ -238,11 +210,10 @@ def simulate_paths(
     ``ito-verify`` and ``export-paths`` size the ranges by the draw budget
     ``cli.DRAW_BUDGET`` alone.
 
-    The draws, the increments and their running sums live in the
-    ``Workspace`` ``work`` (a fresh one by default). Runs over one
-    workspace allocate them once, and each run's bundle holds memory that
-    the next run overwrites: read a bundle before simulating the next one
-    on the same workspace.
+    The two sums and the draws' tiles live in the ``Workspace`` ``work``
+    (a fresh one by default). Runs over one workspace allocate them once,
+    and each run's bundle holds memory that the next run overwrites: read
+    a bundle before simulating the next one on the same workspace.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -255,22 +226,17 @@ def simulate_paths(
     cols = np.array(sorted({0, n_steps, *_grid_columns(n_steps, columns).tolist()}))
     n_int = cols.size - 1
     n_streams = n_paths // 2 if antithetic else n_paths
-    # the normals land in the even rows of dB and dW (all rows without
-    # pairing) and are scaled there; odd rows are their antithetic partners
-    per = 2 if antithetic else 1
-    dB = work.take("dB", (n_int, n_paths)).T
-    dW = work.take("dW", (n_int, n_paths)).T
+    sums = [work.take(name, (n_int + 1, n_streams)) for name in ("sum_dB", "sum_dW")]
     gaussian_field(
         seed, n_streams, n_int, stream_offset=stream_offset,
-        out=(dB[0::per], dW[0::per]), work=work,
+        out=tuple(s[1:].T for s in sums), work=work,
     )
-    scale = np.sqrt(np.diff(cols) * dt)
-    for d in (dB, dW):
-        d[0::per] *= scale
-        if antithetic:
-            np.negative(d[0::2], out=d[1::2])
-    sum_dB = _running_sums(dB[0::per].T, work.take("sum_dB", (n_int + 1, n_streams))).T
-    sum_dW = _running_sums(dW[0::per].T, work.take("sum_dW", (n_int + 1, n_streams))).T
+    scale = np.sqrt(np.diff(cols) * dt)[:, None]
+    for s in sums:
+        s[0] = 0.0
+        s[1:] *= scale
+        for k in range(1, n_int):
+            np.add(s[k], s[k + 1], out=s[k + 1])
 
     bundle = PathBundle(
         spec=spec,
@@ -278,8 +244,6 @@ def simulate_paths(
         columns=cols,
         grid=np.linspace(0.0, spec.horizon, n_steps + 1)[cols],
         dt=dt,
-        dB=dB,
-        dW=dW,
         n_paths=n_paths,
         antithetic=antithetic,
         theta=coeffs["theta"],
@@ -287,12 +251,11 @@ def simulate_paths(
         phi=coeffs["phi"],
         rho=coeffs["rho"],
         stream_offset=int(stream_offset),
-        sum_dB=sum_dB,
-        sum_dW=sum_dW,
-        work=work,
+        sum_dB=sums[0].T,
+        sum_dW=sums[1].T,
     )
-    for arr in (bundle.columns, bundle.grid, bundle.dB, bundle.dW, bundle.sum_dB,
-                bundle.sum_dW, bundle.theta, bundle.delta, bundle.phi, bundle.rho):
+    for arr in (bundle.columns, bundle.grid, bundle.sum_dB, bundle.sum_dW,
+                bundle.theta, bundle.delta, bundle.phi, bundle.rho):
         arr.setflags(write=False)
     return bundle
 
@@ -335,17 +298,6 @@ def _sum_rows(bundle: PathBundle, cols: np.ndarray) -> np.ndarray:
             "pass them to simulate_paths(columns=...)"
         )
     return rows
-
-
-def _running_sums(d, out):
-    """Running sums of the time-major increments ``d`` (K, n_rows), one
-    row per simulated interval, into ``out`` (K + 1, n_rows): 0 in row 0,
-    then the sequential sums np.cumsum gives, one vector add per interval."""
-    out[0] = 0.0
-    out[1] = d[0]
-    for k in range(1, d.shape[0]):
-        np.add(out[k], d[k], out=out[k + 1])
-    return out
 
 
 def _cumulative(per_step: np.ndarray) -> np.ndarray:
@@ -568,10 +520,12 @@ def path_table(
             f"path {path_index} is not in this bundle (paths {bundle.first_path} to "
             f"{bundle.first_path + bundle.n_paths - 1})"
         )
-    # the price row alone, summed as the whole matrix ``bundle.s`` sums it
-    s = _price_paths(_interval_drift(bundle) + bundle.dB[i : i + 1])
+    # the price theta t + B(t) at the simulated columns
+    stream, odd = divmod(i, 2) if bundle.antithetic else (i, 0)
+    drift = _cumulative(bundle.theta * bundle.dt)[bundle.columns]
+    s = drift - bundle.sum_dB[stream] if odd else drift + bundle.sum_dB[stream]
     return np.column_stack(
-        [bundle.grid, s[0]]
+        [bundle.grid, s]
         + [z[i] for z in densities.values()]
         + [fields.inv_gamma[i], fields.a_shift[i]]
     )

@@ -46,6 +46,7 @@ from .report import CheckRecord, VerificationReport
 _VERTEX_TOL = 1e-12
 _PROB_SUM_TOL = 1e-9  # |sum of branch probabilities - 1| that validate_tree allows
 _MASS_TOL = 1e-15  # window nodes at or below this mass keep reference conditionals
+_MEASURE_TOL = 1e-9  # negative entries and |sum - 1| that TreeMeasure.validate allows
 
 
 @dataclass(frozen=True)
@@ -476,7 +477,7 @@ class TreeMeasure:
             mass *= self.edge_prob(tree, child)
         return mass
 
-    def validate(self, tree: EventTree, nodes: Iterable[str] | None = None, tol: float = 1e-9):
+    def validate(self, tree: EventTree, nodes: Iterable[str] | None = None):
         """Raise ValueError unless normalized nonnegative on the given nodes."""
         check = nodes if nodes is not None else [n for n in tree._dfs_order if not tree.is_leaf(n)]
         for nid in check:
@@ -485,9 +486,9 @@ class TreeMeasure:
             qs = self.cond[nid]
             if len(qs) != len(tree.branches_of(nid)):
                 raise ValueError(f"measure at node {nid!r} has wrong arity")
-            if any(q < -tol for q in qs):
+            if any(q < -_MEASURE_TOL for q in qs):
                 raise ValueError(f"measure at node {nid!r} has negative entries")
-            if abs(sum(qs) - 1.0) > tol:
+            if abs(sum(qs) - 1.0) > _MEASURE_TOL:
                 raise ValueError(f"measure at node {nid!r} sums to {sum(qs):.6g}")
 
 

@@ -414,6 +414,8 @@ def _exponential_factors(duals, field, t, T):
             pi0, value = minimize_exp_sum(weights, slopes)
         except ValueError as exc:
             raise ArbitrageError(f"node {nid!r}: {exc}") from exc
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"factor recursion at node {nid!r} on [{t}, {T}]: {exc}") from exc
         C[nid] = value
         policy[nid] = pi0
     return C, {n: policy[n] for n in order}
@@ -551,9 +553,12 @@ def dual_value(
         b = np.zeros(win.A.shape[0])
         b[0] = 1.0
         phi = _exp_phi(field, win.leaves, win.p)
-        r, _, info = barrier_minimize(phi, win.A, b, win.interior)
-        entropy = float(phi(r)[0].sum())
-        m = float((r / _at_nodes(field.gamma, win.leaves)).sum())
+        # an objective that leaves the float range is refused below, so
+        # its overflows print no warning on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, _, info = barrier_minimize(phi, win.A, b, win.interior)
+            entropy = float(phi(r)[0].sum())
+            m = float((r / _at_nodes(field.gamma, win.leaves)).sum())
         if not (math.isfinite(entropy) and math.isfinite(m)):
             raise ConvergenceError(
                 f"dual program below node {start!r} on [{t}, {T}] leaves the float "

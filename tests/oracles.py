@@ -21,7 +21,8 @@ property of a tree measure) sums over leaves and nodes from their
 definitions, (for the random kernels) the Philox rounds and the reduction
 tree computed from their definitions, with the replaced two-normal
 Gaussian kernel kept beside them as it was, (for the density and field paths)
-one whole-matrix numpy expression per quantity, (for the path export)
+one whole-matrix numpy expression per quantity, over increments drawn
+here rather than read from the simulation, (for the path export)
 the CSV written row by row from the whole simulation's matrices, or (for
 the closed-form conjugate of an exponential utility) bracketing and
 bisection on the marginal of a utility given only as callables.
@@ -998,12 +999,35 @@ def pairwise_sum(x):
 
 # -- density and field paths -------------------------------------------------
 #
-# The package reads every value from two running sums per simulation, one
-# vector operation per constant run of a coefficient and per grid column
-# asked for. The first oracles state that construction over whole matrices,
-# column by column, for the bit-for-bit comparison; the ``*_per_step``
-# oracles are the earlier formulas, one cumsum of per-step increments per
-# quantity, which agree with it to rounding.
+# The package keeps only the running sums of the drawn streams and reads
+# every value from them, one vector operation per constant run of a
+# coefficient and per grid column asked for. The oracles draw the
+# increments themselves, one row per path with the antithetic partners
+# negated, and state that construction over whole matrices, column by
+# column, for the bit-for-bit comparison; the ``*_per_step`` oracles are
+# the earlier formulas, one cumsum of per-step increments per quantity,
+# which agree with it to rounding.
+
+
+def increments(bundle, seed):
+    """(dB, dW), each (n_paths, len(bundle.columns) - 1): the increment of
+    path i over [c_k, c_{k+1}) is sqrt((c_{k+1} - c_k) dt) times step k of
+    its stream's ``kernels.gaussian_field``, negated on the odd paths with
+    antithetic pairing. Reads only the bundle's layout (columns, dt, path
+    count, pairing and first stream), none of its sums."""
+    per = 2 if bundle.antithetic else 1
+    normals = kernels.gaussian_field(
+        seed, bundle.n_paths // per, bundle.columns.size - 1,
+        stream_offset=bundle.stream_offset,
+    )
+    scale = np.sqrt(np.diff(bundle.columns) * bundle.dt)
+    draws = []
+    for z in normals:
+        d = np.repeat(z * scale, per, axis=0)
+        if bundle.antithetic:
+            d[1::2] *= -1.0
+        draws.append(d)
+    return tuple(draws)
 
 
 def running_sums(d):
@@ -1015,8 +1039,8 @@ def running_sums(d):
 
 
 def grid_sums(bundle, d):
-    """(n_paths, n_steps + 1) running sums of the bundle's increments ``d``
-    at its simulated columns, NaN at every other grid column: a value
+    """(n_paths, n_steps + 1) running sums of the increments ``d`` at the
+    bundle's simulated columns, NaN at every other grid column: a value
     computed from them at a simulated column is finite only if it read no
     other column. On the full grid, ``running_sums(d)``."""
     out = np.full((d.shape[0], bundle.n_steps + 1), np.nan)
@@ -1046,68 +1070,81 @@ def integral_from_sums(sums, v):
     return out
 
 
-def density_path_full(bundle, nu1, nu2):
+def price_paths(bundle, dB):
+    """(n_paths, len(bundle.columns)) price theta t + B(t) at the simulated
+    columns, from 0 at column 0: the deterministic drift summed over the
+    grid plus the running sums of ``dB``."""
+    drift = _cumulative(bundle.theta * bundle.dt)[bundle.columns]
+    return drift[None, :] + running_sums(dB)
+
+
+def density_path_full(bundle, draws, nu1, nu2):
     """Full (n_paths, n_steps + 1) exponential density with loads nu1 on B
-    and nu2 on W (scalars or one value per step), column 0 equal to 1; NaN
-    at the grid columns the bundle did not simulate."""
+    and nu2 on W (scalars or one value per step), column 0 equal to 1, from
+    the increments ``draws`` = (dB, dW); NaN at the grid columns the bundle
+    did not simulate."""
+    dB, dW = draws
     nu1 = np.broadcast_to(np.asarray(nu1, dtype=float), (bundle.n_steps,))
     nu2 = np.broadcast_to(np.asarray(nu2, dtype=float), (bundle.n_steps,))
     log_z = (
-        integral_from_sums(grid_sums(bundle, bundle.dB), -nu1)
-        + integral_from_sums(grid_sums(bundle, bundle.dW), -nu2)
+        integral_from_sums(grid_sums(bundle, dB), -nu1)
+        + integral_from_sums(grid_sums(bundle, dW), -nu2)
         - _cumulative(0.5 * (nu1**2 + nu2**2) * bundle.dt)[None, :]
     )
     return np.exp(log_z)
 
 
-def forward_exponential_full(gamma0, a0, bundle):
-    """Full (n_paths, n_steps + 1) paths of 1/gamma and the shift; NaN at
-    the grid columns the bundle did not simulate."""
+def forward_exponential_full(gamma0, a0, bundle, draws):
+    """Full (n_paths, n_steps + 1) paths of 1/gamma and the shift from the
+    increments ``draws`` = (dB, dW); NaN at the grid columns the bundle did
+    not simulate."""
+    dB, dW = draws
     dt = bundle.dt
     theta, delta, phi, rho = bundle.theta, bundle.delta, bundle.phi, bundle.rho
-    sum_db = grid_sums(bundle, bundle.dB)
+    sum_db = grid_sums(bundle, dB)
     log_inv = integral_from_sums(sum_db, delta) + _cumulative(
         delta * theta * dt - 0.5 * delta**2 * dt
     )[None, :]
     inv_gamma = np.exp(log_inv) / gamma0
     rho_s = integral_from_sums(sum_db, rho) + _cumulative(rho * theta * dt)[None, :]
     drift = a0 + _cumulative(0.5 * (theta - delta) ** 2 * dt - 0.5 * phi**2 * dt)
-    phi_w = integral_from_sums(grid_sums(bundle, bundle.dW), phi)
+    phi_w = integral_from_sums(grid_sums(bundle, dW), phi)
     a_shift = rho_s / inv_gamma + drift[None, :] - phi_w
     return inv_gamma, a_shift
 
 
-def density_path_per_step(bundle, nu1, nu2):
-    """``density_path_full`` by one cumsum of the per-step log increments."""
+def density_path_per_step(bundle, draws, nu1, nu2):
+    """``density_path_full`` on the full grid by one cumsum of the per-step
+    log increments."""
+    dB, dW = draws
     nu1 = np.broadcast_to(np.asarray(nu1, dtype=float), (bundle.n_steps,))
     nu2 = np.broadcast_to(np.asarray(nu2, dtype=float), (bundle.n_steps,))
-    incr = (
-        -nu1 * bundle.dB
-        - nu2 * bundle.dW
-        - 0.5 * (nu1**2 + nu2**2) * bundle.dt
-    )
+    incr = -nu1 * dB - nu2 * dW - 0.5 * (nu1**2 + nu2**2) * bundle.dt
     return np.exp(running_sums(incr))
 
 
-def forward_exponential_per_step(gamma0, a0, bundle):
-    """``forward_exponential_full`` by one cumsum per stochastic quantity."""
+def forward_exponential_per_step(gamma0, a0, bundle, draws):
+    """``forward_exponential_full`` on the full grid by one cumsum per
+    stochastic quantity."""
+    dB, dW = draws
     dt = bundle.dt
-    ds = bundle.theta * dt + bundle.dB
+    ds = bundle.theta * dt + dB
     inv_gamma = np.exp(running_sums(bundle.delta * ds - 0.5 * bundle.delta**2 * dt)) / gamma0
     drift = _cumulative(0.5 * (bundle.theta - bundle.delta) ** 2 * dt)
     phi_cost = _cumulative(0.5 * bundle.phi**2 * dt)
     rho_s = running_sums(bundle.rho * ds)
-    phi_w = running_sums(bundle.phi * bundle.dW)
+    phi_w = running_sums(bundle.phi * dW)
     a_shift = a0 + drift[None, :] + rho_s / inv_gamma - phi_cost[None, :] - phi_w
     return inv_gamma, a_shift
 
 
-def export_paths(bundle, fields, densities, path, path_indices):
+def export_paths(bundle, dB, fields, densities, path, path_indices):
     """The export CSV of the paths ``path_indices`` of the whole simulation
-    ``bundle``, written row by row from its full matrices (``bundle.s`` and
-    every density and field matrix). Returns the number of rows."""
+    ``bundle``, written row by row from its full matrices (the price from
+    the increments ``dB``, and every density and field matrix). Returns
+    the number of rows."""
     labels = list(densities)
-    s = bundle.s
+    s = price_paths(bundle, dB)
     n = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

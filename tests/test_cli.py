@@ -381,24 +381,64 @@ def test_tree_scenario_refuses_leaf_shift_outside_the_float_range(tmp_path, caps
     assert "outside the float range" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_tree_scenario_refuses_a_dual_program_outside_the_float_range(tmp_path, capsys):
+def overflowing_dual_doc():
     # gamma = 1e-306 is valid, but the eta = 1 program's objective
-    # overflows: its entropy is not finite, and the shift solve is refused
-    # with exit 2 where it used to end in a traceback
+    # overflows: its entropy is not finite
     tree = binomial_tree()
-    doc = tree_doc(
+    return tree_doc(
         tree=tree.to_dict(),
         gamma={"mode": "explicit", "values": {n: 1e-306 for n in tree._dfs_order}},
         a_shift={"mode": "solve", "terminal": 0.0},
     )
+
+
+OVERFLOWING_DUAL_ERROR = (
+    "error: dual program below node 'r' on [0, 1] leaves the float range: entropy inf, m 1e+306\n"
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tree_scenario_refuses_a_dual_program_outside_the_float_range(tmp_path, capsys):
+    # the shift solve is refused with exit 2 where it used to end in a
+    # traceback, and the program's overflows warn nothing
+    assert main(["run", write_scenario(tmp_path, overflowing_dual_doc())]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == OVERFLOWING_DUAL_ERROR
+
+
+def test_refused_dual_program_prints_only_its_error_line(tmp_path):
+    # in a process of its own, where warnings print to stderr
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(forwardperf.__file__).parents[1]),
+        PYTHONWARNINGS="default",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "forwardperf", "run", write_scenario(tmp_path, overflowing_dual_doc())],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == OVERFLOWING_DUAL_ERROR
+
+
+def test_tree_scenario_refuses_a_factor_recursion_outside_the_float_range(tmp_path, capsys):
+    # a constant gamma of 1e-300 makes the slopes of the primal factor
+    # recursion about 1e300, so exp(s p) overflows at its first bracket
+    # step: the refusal names the node and the window
+    tree = two_period_tree()
+    doc = tree_doc(gamma={"mode": "explicit", "values": {n: 1e-300 for n in tree._dfs_order}})
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        "error: dual program below node 'r' on [0, 1] leaves the float range: entropy inf"
+    assert captured.err == (
+        "error: factor recursion at node 'r' on [0, 1]: "
+        "minimize_exp_sum: bracket expansion failed\n"
     )
-    assert "Traceback" not in captured.err
 
 
 def refuses_without_replication(tmp_path, capsys, monkeypatch, check):
@@ -690,8 +730,8 @@ def test_ito_scenario_builds_each_density_once(monkeypatch):
 # [0, 8) and [8, 16) directly, two Box-Muller steps of its stream instead
 # of sixteen, so its draws changed. Each Philox block (counter
 # (stream, j)) serves intervals 2j and 2j + 1 through the full Box-Muller
-# pair, and the densities and fields are read from the running sums of dB
-# and dW: later work must not move a byte of it, whatever the chunking
+# pair, and the densities and fields are read from the running sums S_B
+# and S_W: later work must not move a byte of it, whatever the chunking
 PINNED_ITO_REPORT_SHA256 = "3434b20c3dfb05a9dc4160f2bf943de1e6b0f9e8f494c251153460c28cb89540"
 
 
@@ -1072,7 +1112,8 @@ def test_export_paths_simulates_only_selected_streams(
     bundle = original(spec, 4, 40, 9, antithetic=antithetic)
     fields = ito_engine.build_forward_exponential(spec, 1.0, 0.0, bundle)
     dens = {lab: ito_engine.martingale_density(bundle, nu) for lab, nu in (("0", 0.0), ("up", 0.5))}
-    oracles.export_paths(bundle, fields, dens, str(tmp_path / "whole.csv"), selected)
+    dB, _ = oracles.increments(bundle, 9)
+    oracles.export_paths(bundle, dB, fields, dens, str(tmp_path / "whole.csv"), selected)
     assert out.read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 

@@ -111,37 +111,53 @@ def test_simulate_validation():
         simulate_paths(spec, 8, 0, seed=1)
 
 
+def prices(bundle):
+    """The export's price column of every path of ``bundle``, one row each."""
+    fields = build_forward_exponential(bundle.spec, 1.0, 0.0, bundle)
+    return np.array(
+        [path_table(bundle, fields, {}, bundle.first_path + i)[:, 1] for i in range(bundle.n_paths)]
+    )
+
+
 def test_simulate_shapes_and_grid():
     bundle = simulate_paths(PIECEWISE, 8, 6, seed=7)
-    assert bundle.dB.shape == (6, 8)
-    assert bundle.s.shape == (6, 9)
+    # one row per stream: 3 antithetic pairs
+    assert bundle.sum_dB.shape == bundle.sum_dW.shape == (3, 9)
     assert bundle.dt == pytest.approx(0.125)
     np.testing.assert_allclose(bundle.grid, np.linspace(0, 1, 9))
     np.testing.assert_array_equal(bundle.theta, [0.5] * 8)
     np.testing.assert_array_equal(bundle.delta, [0.2] * 4 + [-0.1] * 4)
-    assert not bundle.dB.flags.writeable
-    assert not bundle.s.flags.writeable
+    assert not bundle.sum_dB.flags.writeable
+    assert not bundle.sum_dW.flags.writeable
+    # the running sums are the only stored form of the draws
+    for name in ("dB", "dW", "ds", "s", "work"):
+        assert not hasattr(bundle, name)
 
 
 def test_simulate_antithetic_pairing():
+    # stream i drives paths 2i and 2i + 1: the sums are the plain
+    # simulation's of the same streams, and path 2i + 1 reads them negated
     bundle = simulate_paths(PIECEWISE, 8, 10, seed=3)
-    np.testing.assert_array_equal(bundle.dB[1::2], -bundle.dB[0::2])
-    np.testing.assert_array_equal(bundle.dW[1::2], -bundle.dW[0::2])
     plain = simulate_paths(PIECEWISE, 8, 5, seed=3, antithetic=False)
-    np.testing.assert_array_equal(plain.dB, bundle.dB[0::2])
+    np.testing.assert_array_equal(bits(bundle.sum_dB), bits(plain.sum_dB))
+    np.testing.assert_array_equal(bits(bundle.sum_dW), bits(plain.sum_dW))
+    dB, _ = oracles.increments(bundle, 3)
+    np.testing.assert_array_equal(bits(prices(bundle)), bits(oracles.price_paths(bundle, dB)))
 
 
 def test_simulate_price_recursion():
     bundle = simulate_paths(PIECEWISE, 8, 4, seed=5)
-    assert np.all(bundle.s[:, 0] == 0.0)
+    dB, _ = oracles.increments(bundle, 5)
+    s = prices(bundle)
+    assert np.all(s[:, 0] == 0.0)
+    # theta t + B(t): the drift summed over the grid plus the running sums
+    # of dB, bit for bit
+    np.testing.assert_array_equal(bits(s), bits(oracles.price_paths(bundle, dB)))
+    # and, to rounding, the running sums of the increments theta dt + dB
+    np.testing.assert_allclose(np.diff(s, axis=1), bundle.theta * bundle.dt + dB, atol=1e-15)
     np.testing.assert_allclose(
-        np.diff(bundle.s, axis=1), bundle.theta * bundle.dt + bundle.dB, atol=1e-15
+        s, oracles.running_sums(bundle.theta * bundle.dt + dB), rtol=0, atol=1e-15
     )
-    np.testing.assert_array_equal(bundle.ds, bundle.theta * bundle.dt + bundle.dB)
-    # the price is summed when read, by the one row-wise cumsum
-    s = np.zeros((4, 9))
-    np.cumsum(bundle.theta * bundle.dt + bundle.dB, axis=1, out=s[:, 1:])
-    np.testing.assert_array_equal(bundle.s, s)
 
 
 @pytest.mark.parametrize("antithetic", [True, False])
@@ -151,6 +167,7 @@ def test_simulate_runs_share_a_workspace(antithetic):
     per = 2 if antithetic else 1
     whole = simulate_paths(PIECEWISE, 8, per * 13, seed=21, antithetic=antithetic)
     z_whole = martingale_density(whole, 0.3)
+    s_whole = prices(whole)
     work = Workspace()
     first = None
     for lo, hi in [(0, 7), (7, 12), (12, 13)]:
@@ -158,12 +175,14 @@ def test_simulate_runs_share_a_workspace(antithetic):
             PIECEWISE, 8, per * (hi - lo), seed=21, antithetic=antithetic, stream_offset=lo,
             work=work,
         )
-        assert bundle.work is work
-        first = bundle.dB if first is None else first
-        assert np.shares_memory(bundle.dB, first)
+        # a run holds the two running sums and gaussian_field's tiles
+        assert set(work._buffers) == {"sum_dB", "sum_dW", "blocks", "uniforms"}
+        first = bundle if first is None else first
+        for name in ("sum_dB", "sum_dW"):
+            assert np.shares_memory(getattr(bundle, name), getattr(first, name))
+            np.testing.assert_array_equal(getattr(bundle, name), getattr(whole, name)[lo:hi])
         rows = slice(per * lo, per * hi)
-        for name in ("dB", "dW", "s"):
-            np.testing.assert_array_equal(getattr(bundle, name), getattr(whole, name)[rows])
+        np.testing.assert_array_equal(prices(bundle), s_whole[rows])
         np.testing.assert_array_equal(martingale_density(bundle, 0.3), z_whole[rows])
 
 
@@ -187,10 +206,11 @@ def test_simulate_chunk_invariance():
         def stacked(fn):
             return np.vstack([fn(p) for p in parts])
 
-        for name in ("dB", "dW", "s"):
+        for name in ("sum_dB", "sum_dW"):
             np.testing.assert_array_equal(
                 stacked(lambda p: getattr(p, name)), getattr(whole, name)
             )
+        np.testing.assert_array_equal(stacked(prices), prices(whole))
         fields = build_forward_exponential(PIECEWISE, 1.5, 0.1, whole)
         for name in ("inv_gamma", "a_shift"):
             got = stacked(
@@ -206,20 +226,23 @@ def test_simulate_seed_determinism():
     a = simulate_paths(PIECEWISE, 8, 4, seed=9)
     b = simulate_paths(PIECEWISE, 8, 4, seed=9)
     c = simulate_paths(PIECEWISE, 8, 4, seed=10)
-    np.testing.assert_array_equal(a.dB, b.dB)
-    assert not np.array_equal(a.dB, c.dB)
+    np.testing.assert_array_equal(a.sum_dB, b.sum_dB)
+    assert not np.array_equal(a.sum_dB, c.sum_dB)
 
 
 def test_simulate_moments():
     spec = CoefficientSpec.constant(1.0, theta=0.5)
     bundle = simulate_paths(spec, 64, 20000, seed=13)
-    s_term = bundle.s[:, -1]
+    dB, dW = oracles.increments(bundle, 13)
+    # the draws the bundle summed
+    np.testing.assert_array_equal(bits(bundle.sum_dB), bits(oracles.running_sums(dB)[0::2]))
+    s_term = oracles.price_paths(bundle, dB)[:, -1]
     # antithetic pairing cancels the Gaussian part of the mean exactly
     assert np.mean(s_term) == pytest.approx(0.5, abs=1e-12)
     assert np.var(s_term) == pytest.approx(1.0, abs=0.05)
     # B and W stay uncorrelated
-    corr = np.corrcoef(bundle.dB.ravel(), bundle.dW.ravel())[0, 1]
-    assert abs(corr) <= 4.0 / math.sqrt(bundle.dB.size)
+    corr = np.corrcoef(dB.ravel(), dW.ravel())[0, 1]
+    assert abs(corr) <= 4.0 / math.sqrt(dB.size)
 
 
 # -- density processes ---------------------------------------------------
@@ -247,7 +270,7 @@ def test_density_unit_mean_and_price_martingale():
     pairs_z = 0.5 * (z[0::2] + z[1::2])
     se = np.std(pairs_z) / math.sqrt(pairs_z.size)
     assert abs(np.mean(pairs_z) - 1.0) <= 3.0 * se
-    zs = z * bundle.s[:, -1]
+    zs = z * oracles.price_paths(bundle, oracles.increments(bundle, 17)[0])[:, -1]
     pairs = 0.5 * (zs[0::2] + zs[1::2])
     se = np.std(pairs) / math.sqrt(pairs.size)
     assert abs(np.mean(pairs)) <= 3.0 * se
@@ -295,18 +318,15 @@ def test_blocked_kernels_match_whole_matrix_oracles(n_paths, antithetic):
     # of the running-sum construction bit for bit, with constant, piecewise
     # and per-step loads (the ramp changes at every step)
     bundle = simulate_paths(KERNEL_SPEC, 16, n_paths, seed=31, antithetic=antithetic)
+    draws = oracles.increments(bundle, 31)
     # the running sums of the drawn rows: the even rows with pairing
     drawn = slice(None, None, 2 if antithetic else 1)
-    np.testing.assert_array_equal(
-        bits(bundle.sum_dB), bits(oracles.running_sums(bundle.dB)[drawn])
-    )
-    np.testing.assert_array_equal(
-        bits(bundle.sum_dW), bits(oracles.running_sums(bundle.dW)[drawn])
-    )
+    for sums, d in zip((bundle.sum_dB, bundle.sum_dW), draws):
+        np.testing.assert_array_equal(bits(sums), bits(oracles.running_sums(d)[drawn]))
     ramp = np.linspace(-0.4, 0.6, 16)
     loads = ((bundle.theta, ramp), (bundle.theta - bundle.delta, 0.25), (0.3, ramp))
-    want_z = [oracles.density_path_full(bundle, nu1, nu2) for nu1, nu2 in loads]
-    want_inv, want_shift = oracles.forward_exponential_full(1.3, 0.2, bundle)
+    want_z = [oracles.density_path_full(bundle, draws, nu1, nu2) for nu1, nu2 in loads]
+    want_inv, want_shift = oracles.forward_exponential_full(1.3, 0.2, bundle, draws)
     for cols in COLUMN_SETS:
         keep = slice(None) if cols is None else cols
         for (nu1, nu2), want in zip(loads, want_z):
@@ -322,8 +342,8 @@ def test_blocked_kernels_match_whole_matrix_oracles(n_paths, antithetic):
         assert not fields.inv_gamma.flags.writeable
         assert not fields.a_shift.flags.writeable
     for (nu1, nu2), want in zip(loads, want_z):
-        assert_close_to_per_step(want, oracles.density_path_per_step(bundle, nu1, nu2))
-    per_step_inv, per_step_shift = oracles.forward_exponential_per_step(1.3, 0.2, bundle)
+        assert_close_to_per_step(want, oracles.density_path_per_step(bundle, draws, nu1, nu2))
+    per_step_inv, per_step_shift = oracles.forward_exponential_per_step(1.3, 0.2, bundle, draws)
     assert_close_to_per_step(want_inv, per_step_inv)
     assert_close_to_per_step(want_shift, per_step_shift)
 
@@ -348,7 +368,8 @@ SIMULATED = [0, 4, 7, 12, 16]
 @pytest.mark.parametrize("antithetic", [True, False])
 def test_simulated_columns_draw_each_interval_sum(antithetic):
     # increment k over [c_k, c_{k+1}) is sqrt((c_{k+1} - c_k) dt) times step
-    # k of the Gaussian field, bit for bit, and the sums run over intervals
+    # k of the Gaussian field, and the sums run over the intervals in
+    # order, bit for bit
     per = 2 if antithetic else 1
     bundle = simulate_paths(
         KERNEL_SPEC, 16, 10, seed=31, antithetic=antithetic, columns=[12, 7, 4, 12]
@@ -356,21 +377,19 @@ def test_simulated_columns_draw_each_interval_sum(antithetic):
     assert bundle.columns.tolist() == SIMULATED and bundle.n_steps == 16
     np.testing.assert_array_equal(bundle.grid, np.linspace(0.0, 1.0, 17)[SIMULATED])
     fields = gaussian_field(31, 10 // per, 4)
-    for d, z in zip((bundle.dB, bundle.dW), fields):
-        assert d.shape == (10, 4)
-        for k, length in enumerate(np.diff(SIMULATED)):
-            np.testing.assert_array_equal(
-                bits(d[0::per, k]), bits(z[:, k] * math.sqrt(length * bundle.dt))
-            )
-        if antithetic:
-            np.testing.assert_array_equal(d[1::2], -d[0::2])
-    drawn = slice(None, None, per)
-    np.testing.assert_array_equal(bits(bundle.sum_dB), bits(oracles.running_sums(bundle.dB)[drawn]))
-    np.testing.assert_array_equal(bits(bundle.sum_dW), bits(oracles.running_sums(bundle.dW)[drawn]))
+    scale = [math.sqrt(length * bundle.dt) for length in np.diff(SIMULATED)]
+    draws = oracles.increments(bundle, 31)
+    for sums, z, d in zip((bundle.sum_dB, bundle.sum_dW), fields, draws):
+        assert sums.shape == (10 // per, 5) and np.all(sums[:, 0] == 0.0)
+        np.testing.assert_array_equal(bits(sums[:, 1:]), bits(np.cumsum(z * scale, axis=1)))
+        np.testing.assert_array_equal(bits(sums), bits(oracles.running_sums(d)[0::per]))
     # the price drifts by theta dt summed over each interval
     drift = [np.sum(bundle.theta[a:b] * bundle.dt) for a, b in zip(SIMULATED, SIMULATED[1:])]
-    np.testing.assert_allclose(bundle.ds, np.asarray(drift) + bundle.dB, rtol=0, atol=1e-15)
-    assert bundle.s.shape == (10, 5) and np.all(bundle.s[:, 0] == 0.0)
+    s = prices(bundle)
+    assert s.shape == (10, 5) and np.all(s[:, 0] == 0.0)
+    np.testing.assert_allclose(
+        np.diff(s, axis=1), np.asarray(drift) + draws[0], rtol=0, atol=1e-15
+    )
 
 
 def test_simulated_columns_default_to_the_full_grid():
@@ -379,10 +398,11 @@ def test_simulated_columns_default_to_the_full_grid():
     full = simulate_paths(KERNEL_SPEC, 16, 6, seed=8)
     listed = simulate_paths(KERNEL_SPEC, 16, 6, seed=8, columns=range(17))
     assert full.columns.tolist() == list(range(17))
-    for name in ("dB", "dW", "sum_dB", "sum_dW", "ds", "grid"):
+    for name in ("sum_dB", "sum_dW", "grid"):
         np.testing.assert_array_equal(bits(getattr(listed, name)), bits(getattr(full, name)))
+    np.testing.assert_array_equal(bits(prices(listed)), bits(prices(full)))
     ends = simulate_paths(KERNEL_SPEC, 16, 6, seed=8, columns=[])
-    assert ends.columns.tolist() == [0, 16] and ends.dB.shape == (6, 1)
+    assert ends.columns.tolist() == [0, 16] and ends.sum_dB.shape == (3, 2)
     with pytest.raises(ValueError, match="grid columns must lie in 0..16"):
         simulate_paths(KERNEL_SPEC, 16, 6, seed=8, columns=[3, 17])
 
@@ -393,9 +413,10 @@ def test_kernels_on_simulated_columns_match_whole_matrix_oracles(antithetic):
     # every other column: the kernels match them bit for bit, so they read
     # no column that was not simulated
     bundle = simulate_paths(KERNEL_SPEC, 16, 14, seed=31, antithetic=antithetic, columns=[7, 4, 12])
+    draws = oracles.increments(bundle, 31)
     loads = ((bundle.theta, 0.25), (bundle.theta - bundle.delta, bundle.phi), (0.3, -0.1))
-    want_z = [oracles.density_path_full(bundle, nu1, nu2) for nu1, nu2 in loads]
-    want_inv, want_shift = oracles.forward_exponential_full(1.3, 0.2, bundle)
+    want_z = [oracles.density_path_full(bundle, draws, nu1, nu2) for nu1, nu2 in loads]
+    want_inv, want_shift = oracles.forward_exponential_full(1.3, 0.2, bundle, draws)
     for want in (*want_z, want_inv, want_shift):
         assert np.isfinite(want[:, SIMULATED]).all()
     for cols in (None, [16], [12, 0, 7], SIMULATED):
@@ -552,7 +573,9 @@ def test_export_paths_csv(tmp_path):
     assert table[0] == ["path", "t", "s", "z_mart", "inv_gamma", "a_shift"]
     assert len(table) == 11
     assert table[1][0] == "0"
-    assert float(table[1][2]) == bundle.s[0, 0]
+    assert float(table[1][2]) == 0.0
+    s = oracles.price_paths(bundle, oracles.increments(bundle, 27)[0])
+    assert float(table[10][2]) == pytest.approx(s[2, -1], rel=1e-11)
     assert float(table[10][3]) == pytest.approx(dens["mart"][2, -1], rel=1e-11)
 
 

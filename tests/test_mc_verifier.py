@@ -7,7 +7,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from forwardperf import ito_engine, mc_verifier
+from forwardperf import cli, ito_engine, mc_verifier
 from forwardperf.cli import run_ito_scenario
 from forwardperf.errors import RegularityError
 from forwardperf.ito_engine import (
@@ -391,11 +391,11 @@ CUSTOM_ARGS = {
 
 
 @pytest.mark.parametrize(
-    "n_chunks, antithetic, checks, custom",
+    "runs, antithetic, checks, custom",
     [
         *(
-            pytest.param(n_chunks, antithetic, ALL_ITO_CHECKS, {}, id=f"{n_chunks}-{antithetic}")
-            for n_chunks in (1, 4)
+            pytest.param(runs, antithetic, ALL_ITO_CHECKS, {}, id=f"{runs}-{antithetic}")
+            for runs in (1, 4)
             for antithetic in (True, False)
         ),
         pytest.param(
@@ -407,9 +407,12 @@ CUSTOM_ARGS = {
         ),
     ],
 )
-def test_shared_simulation_matches_fresh_per_check(n_chunks, antithetic, checks, custom):
-    # a scenario hands one bundle and one set of field paths to every check;
-    # each check must report what it reports on a simulation of its own
+def test_shared_simulation_matches_fresh_per_check(
+    monkeypatch, runs, antithetic, checks, custom
+):
+    # a scenario hands one bundle and one set of field paths to every check,
+    # one run of streams at a time; each check must report what it reports
+    # on a whole simulation of its own
     doc = {
         "schema_version": 1,
         "kind": "ito-verify",
@@ -420,11 +423,9 @@ def test_shared_simulation_matches_fresh_per_check(n_chunks, antithetic, checks,
         "n_paths": 800,
         "seed": 912,
         "antithetic": antithetic,
-        "n_chunks": n_chunks,
         "checks": checks,
         **custom,
     }
-    shared = run_ito_scenario(doc)
     nu = custom.get("nu")
     family = nu and {k: np.full(8, v) if np.ndim(v) == 0 else np.asarray(v) for k, v in nu.items()}
     dual = {"eta_list": custom.get("eta_list", (1.0, 2.0)), "time_indices": custom.get("time_indices")}
@@ -432,6 +433,19 @@ def test_shared_simulation_matches_fresh_per_check(n_chunks, antithetic, checks,
     columns = MonteCarloPass(
         CLEAN, 8, [], nu_family=family, time_indices=dual["time_indices"]
     ).simulated_columns
+    # a draw budget of that many streams' intervals splits the streams
+    n_streams = 400 if antithetic else 800
+    monkeypatch.setattr(cli, "DRAW_BUDGET", -(-n_streams // runs) * (len(columns) - 1))
+    calls = []
+    original = cli.simulate_paths
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["stream_offset"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_paths", counted)
+    shared = run_ito_scenario(doc)
+    assert len(calls) == runs
 
     def fresh():
         bundle = simulate_paths(CLEAN, 8, 800, seed=912, antithetic=antithetic, columns=columns)

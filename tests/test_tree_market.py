@@ -277,6 +277,10 @@ def test_measure_validate_rejects_malformed():
         TreeMeasure(cond={"r": (0.7, 0.7)}).validate(tree)
     with pytest.raises(ValueError, match="missing"):
         TreeMeasure(cond={}).validate(tree)
+    # rounding passes; the tolerance is a module constant, not a parameter
+    TreeMeasure(cond={"r": (1.0 + 1e-10, -1e-10)}).validate(tree)
+    with pytest.raises(TypeError):
+        TreeMeasure(cond={"r": (0.5, 0.5)}).validate(tree, tol=1e-3)
 
 
 def test_martingale_residual():
