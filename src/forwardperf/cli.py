@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -675,7 +676,12 @@ def _emit(report, args):
         print(text)
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: ``main`` runs
+    many times in one process (tests, the benchmark), and each parse
+    makes a fresh namespace, so the shared parser keeps no state between
+    calls. Callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="forwardperf",
         description="verify self-generating utility fields on trees and diffusion models",

@@ -28,13 +28,30 @@ from typing import Mapping
 import numpy as np
 
 
-def entropy_kernel(y):
-    """y log y - y, extended by 0 at y = 0. Scalar or array; requires y >= 0."""
+def entropy_kernel(y, out=None):
+    """y log y - y, extended by 0 at y = 0. Scalar or array; requires
+    y >= 0, and refuses NaN, which no order comparison would catch.
+
+    A scalar gives a float; an array gives an array of its shape, written
+    into ``out`` when given (a float64 array of that shape that does not
+    overlap ``y``), else a fresh one. The log is taken only where y > 0,
+    into zeros (with no mask when every y is positive), then multiplied by
+    y and y subtracted in place: y log y - y with the rounding of that
+    expression, and +0.0 at y = 0.
+    """
     arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("entropy_kernel: argument must be nonnegative")
-    safe = np.where(arr > 0.0, arr, 1.0)
-    out = np.where(arr > 0.0, arr * np.log(safe) - arr, 0.0)
+    low = arr.min(initial=math.inf)  # NaN if any entry is
+    if not low >= 0.0:
+        raise ValueError("entropy_kernel: argument must be nonnegative, not NaN")
+    if out is None:
+        out = np.empty(arr.shape)
+    if low > 0.0:
+        np.log(arr, out=out)
+    else:
+        out.fill(0.0)
+        np.log(arr, where=arr > 0.0, out=out)
+    out *= arr
+    out -= arr
     if np.ndim(y) == 0:
         return float(out)
     return out
@@ -44,13 +61,15 @@ def conjugate_exponential(gamma_t, a_t, y):
     """V(y) = entropy_kernel(y/gamma) - (y/gamma) a, vectorized over all three.
 
     Accepts scalars or arrays (broadcast together); y = 0 gives exactly 0.
+    A gamma that is not positive, a negative y, or a NaN in either is
+    refused.
     """
     g = np.asarray(gamma_t, dtype=float)
-    if np.any(g <= 0.0):
-        raise ValueError("conjugate_exponential: gamma must be positive")
+    if not (g > 0.0).all():
+        raise ValueError("conjugate_exponential: gamma must be positive, not NaN")
     yv = np.asarray(y, dtype=float)
-    if np.any(yv < 0.0):
-        raise ValueError("conjugate_exponential: y must be nonnegative")
+    if not (yv >= 0.0).all():
+        raise ValueError("conjugate_exponential: y must be nonnegative, not NaN")
     ratio = yv / g
     out = entropy_kernel(ratio) - ratio * np.asarray(a_t, dtype=float)
     if np.ndim(out) == 0:

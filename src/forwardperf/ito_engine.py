@@ -308,7 +308,8 @@ def _cumulative(per_step: np.ndarray) -> np.ndarray:
 def _integral(bundle: PathBundle, sums: np.ndarray, v: np.ndarray, cols: np.ndarray):
     """Integral of the per-step coefficients ``v`` against the increments
     whose running sums are ``sums`` (``bundle.sum_dB`` or ``sum_dW``), at
-    the grid columns ``cols``: a time-major (len(cols), n_paths) array.
+    the grid columns ``cols``: a time-major (len(cols), n_streams) array,
+    one value per drawn stream (``_paths`` gives one per path).
 
     ``v`` is split into maximal constant runs [s, e). The value at each run
     boundary is fixed in time order, V(0) = 0 and
@@ -319,9 +320,7 @@ def _integral(bundle: PathBundle, sums: np.ndarray, v: np.ndarray, cols: np.ndar
     per run and per column, applied in place to each stretch of requested
     columns that share a run. Every column asked for, and every run
     boundary before the last of them, must be a simulated column
-    (``_sum_rows``). With antithetic pairing the drawn rows'
-    values are negated into their partners' rows: every operation is odd
-    in the sums, so that is what the partners' own sums would give.
+    (``_sum_rows``).
     """
     sums = sums.T  # time-major: a simulated column is a contiguous row
     starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
@@ -341,6 +340,16 @@ def _integral(bundle: PathBundle, sums: np.ndarray, v: np.ndarray, cols: np.ndar
         stretch *= v[starts[j]]
         stretch += at_start[j]
         lo = hi
+    return x
+
+
+def _paths(bundle: PathBundle, x: np.ndarray) -> np.ndarray:
+    """Per-stream values ``x``, odd functions of the running sums such as
+    their integrals and sums of integrals, as a time-major
+    (len(cols), n_paths) array. With antithetic pairing the drawn rows'
+    values are negated into their partners' rows: being odd in the sums,
+    that is what the partners' own sums would give, bit for bit, since
+    rounding is symmetric under negation."""
     if not bundle.antithetic:
         return x
     out = np.empty((x.shape[0], 2 * x.shape[1]))
@@ -365,8 +374,10 @@ def density_path(bundle: PathBundle, nu1, nu2, columns=None) -> np.ndarray:
     nu2 = _per_step(bundle, nu2, "nu2")
     cols = _bundle_columns(bundle, columns)
     drift = _cumulative(0.5 * (nu1**2 + nu2**2) * bundle.dt)
+    # the two integrals are added per stream, then paired
     log_z = _integral(bundle, bundle.sum_dB, -nu1, cols)
     log_z += _integral(bundle, bundle.sum_dW, -nu2, cols)
+    log_z = _paths(bundle, log_z)
     log_z -= drift[cols][:, None]
     return np.exp(log_z, out=log_z).T
 
@@ -407,18 +418,18 @@ def build_forward_exponential(
     dt = bundle.dt
     theta, delta, phi, rho = bundle.theta, bundle.delta, bundle.phi, bundle.rho
     # log(1/gamma) = integral delta dS - (1/2) integral delta^2 dt
-    inv_gamma = _integral(bundle, bundle.sum_dB, delta, cols)
+    inv_gamma = _paths(bundle, _integral(bundle, bundle.sum_dB, delta, cols))
     inv_gamma += _cumulative(delta * theta * dt - 0.5 * delta**2 * dt)[cols][:, None]
     np.exp(inv_gamma, out=inv_gamma)
     inv_gamma /= gamma0
     # integral rho dS / inv_gamma, then the deterministic drift
     # a0 + (1/2) integral ((theta - delta)^2 - phi^2) dt, then - integral phi dW
-    a_shift = _integral(bundle, bundle.sum_dB, rho, cols)
+    a_shift = _paths(bundle, _integral(bundle, bundle.sum_dB, rho, cols))
     a_shift += _cumulative(rho * theta * dt)[cols][:, None]
     a_shift /= inv_gamma
     drift = a0 + _cumulative(0.5 * (theta - delta) ** 2 * dt - 0.5 * phi**2 * dt)
     a_shift += drift[cols][:, None]
-    a_shift -= _integral(bundle, bundle.sum_dW, phi, cols)
+    a_shift -= _paths(bundle, _integral(bundle, bundle.sum_dW, phi, cols))
     inv_gamma.setflags(write=False)
     a_shift.setflags(write=False)
     return FieldPaths(

@@ -95,26 +95,39 @@ def philox4x64(seed, n_streams, n_steps, stream_offset=0, step_offset=0, out=Non
     return out
 
 
-def pairwise_sum(x):
+def pairwise_sum(x, work=None):
     """Sum of a float64 vector over the canonical power-of-two reduction tree.
 
     The tree is fixed by the element indices alone (zero-padded to the next
     power of two, then halved level by level), so the result is a pure
     function of the input vector, independent of any chunking upstream.
+
+    The padding is never built. A level of L entries adds entry 2i + 1 to
+    entry 2i, and when L is odd its last entry meets a padding zero, so
+    it is added to +0.0: the padded tree's bits, -0.0 + 0.0 = +0.0
+    included. A single entry is the sum as it stands, -0.0 too. The levels
+    alternate between the two parts of one scratch buffer, ceil(n/2) and
+    ceil(n/4) entries, so every level reads and writes contiguous memory
+    that does not overlap. The buffer is the ``Workspace`` ``work``'s
+    "pairwise" (a fresh array by default); ``x`` is only read.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.ravel(np.asarray(x, dtype=np.float64))
     n = x.size
-    if n == 0:
-        return 0.0
-    m = 1
-    while m < n:
-        m <<= 1
-    buf = np.zeros(m, dtype=np.float64)
-    buf[:n] = x
-    while m > 1:
-        m >>= 1
-        buf = buf[0 : 2 * m : 2] + buf[1 : 2 * m : 2]
-    return float(buf[0])
+    if n <= 1:
+        return float(x[0]) if n else 0.0
+    h1 = (n + 1) // 2
+    h2 = (h1 + 1) // 2
+    buf = np.empty(h1 + h2) if work is None else work.take("pairwise", (h1 + h2,))
+    parts = (buf[h2:], buf[:h2])
+    src, size, level = x, n, 0
+    while size > 1:
+        half = size // 2
+        dst = parts[level % 2]
+        np.add(src[0 : 2 * half : 2], src[1 : 2 * half : 2], out=dst[:half])
+        if size % 2:
+            dst[half] = src[size - 1] + 0.0
+        src, size, level = dst, half + size % 2, level + 1
+    return float(src[0])
 
 
 def uniform_open(blocks, out=None):

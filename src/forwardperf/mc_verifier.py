@@ -36,10 +36,13 @@ wrappers, which run one check each, report the same bytes on a shared
 simulation as on a fresh one at the same columns.
 
 To bound memory, the same pass takes the simulation one stream range at a
-time and keeps only a few per-path columns of each. ``gather`` copies what
-it keeps, so the ranges can share one ``Workspace``, each overwriting the
-last. ``cli.run_ito_scenario`` sizes the ranges by its draw budget alone;
-any split into consecutive ranges gives the same report::
+time and keeps only a few per-path columns of each. What ``gather`` keeps
+is its own densities and the chunk's field columns, never the bundle's
+sums, so the ranges can share one ``Workspace``, each overwriting the
+last; each chunk's fields must be arrays of its own, as
+``build_forward_exponential`` makes them. ``cli.run_ito_scenario`` sizes
+the ranges by its draw budget alone; any split into consecutive ranges
+gives the same report::
 
     mc = MonteCarloPass(spec, n_steps, checks)
     work = Workspace()
@@ -79,7 +82,7 @@ from .ito_engine import (
     predicted_forward_drift,
     regularity_class,
 )
-from .kernels import pairwise_sum
+from .kernels import Workspace, pairwise_sum
 from .report import CheckRecord, VerificationReport
 
 DEFAULT_CONFIDENCE = 0.997
@@ -203,27 +206,37 @@ class TestResult:
     n_samples: int
     notes: tuple[str, ...] = ()
 
-    def to_record(self) -> CheckRecord:
+    def to_record(self, z_crit: float | None = None) -> CheckRecord:
+        """The test as a report record; ``z_crit`` is
+        ``z_critical(self.confidence)`` when the caller already has it."""
+        if z_crit is None:
+            z_crit = z_critical(self.confidence)
         return CheckRecord(
             check_tag=self.check_tag,
             verdict=self.verdict,
             value=self.estimate,
             target=self.target,
-            tolerance=z_critical(self.confidence) * self.std_error,
+            tolerance=z_crit * self.std_error,
             std_error=self.std_error,
             notes=self.notes,
             details={"z_score": self.z_score, "n_samples": self.n_samples},
         )
 
 
-def collapse_pairs(values: np.ndarray, antithetic: bool) -> np.ndarray:
-    """Average antithetic partners (paths 2i, 2i+1) into one sample each."""
-    if not antithetic:
-        return np.asarray(values, dtype=float)
+def collapse_pairs(values: np.ndarray, antithetic: bool, out=None) -> np.ndarray:
+    """Average antithetic partners (paths 2i, 2i+1) into one sample each,
+    0.5 * (v[2i] + v[2i+1]), written into ``out`` when given (a float64
+    array of half the paths, not overlapping ``values``), else a fresh
+    array. Without pairing the values are the samples, returned as they
+    are."""
     values = np.asarray(values, dtype=float)
+    if not antithetic:
+        return values
     if values.shape[0] % 2 != 0:
         raise ValueError("antithetic collapse needs an even number of paths")
-    return 0.5 * (values[0::2] + values[1::2])
+    out = np.add(values[0::2], values[1::2], out=out)
+    out *= 0.5
+    return out
 
 
 def mc_mean_test(
@@ -233,12 +246,20 @@ def mc_mean_test(
     confidence: float = DEFAULT_CONFIDENCE,
     sided: str = "two",
     notes: Sequence[str] = (),
+    work: Workspace | None = None,
+    z_crit: float | None = None,
 ) -> TestResult:
     """Normal test of a sample mean against a target.
 
     ``sided``: "two" requires the target inside the band, "lower" tolerates
     estimates above the target (one-sided bound from below). Samples must
     already be independent.
+
+    The squared deviations and the reduction's scratch are the
+    ``Workspace`` ``work``'s "deviations" and "pairwise" buffers (fresh
+    arrays by default), so ``samples`` must not be one of them.
+    ``z_crit`` is ``z_critical(confidence)`` when the caller already has
+    it.
     """
     if sided not in ("two", "lower"):
         raise ValueError(f"unknown sidedness {sided!r}")
@@ -247,8 +268,11 @@ def mc_mean_test(
     if n < 100:
         # below this the normal band is not trustworthy
         raise ValueError(f"mean test needs at least 100 samples, got {n}")
-    mean = pairwise_sum(samples) / n
-    var = pairwise_sum((samples - mean) ** 2) / (n - 1)
+    mean = pairwise_sum(samples, work=work) / n
+    dev = None if work is None else work.take("deviations", samples.shape)
+    dev = np.subtract(samples, mean, out=dev)
+    np.square(dev, out=dev)
+    var = pairwise_sum(dev, work=work) / (n - 1)
     se = math.sqrt(var / n)
     notes = tuple(notes)
     if se == 0.0:
@@ -266,7 +290,7 @@ def mc_mean_test(
             notes=notes + ("zero sample variance; exact comparison",),
         )
     z = (mean - target) / se
-    zc = z_critical(confidence)
+    zc = z_critical(confidence) if z_crit is None else z_crit
     ok = abs(z) <= zc if sided == "two" else z >= -zc
     return TestResult(
         check_tag=check_tag,
@@ -323,19 +347,26 @@ def _change_points(v: np.ndarray) -> set[int]:
 
 
 def _density_columns(bundle, nu, idx):
-    """The martingale density's columns at the grid indices ``idx``, each
-    a contiguous copy; only those columns are ever built."""
+    """The martingale density's columns at the grid indices ``idx``; only
+    those columns are ever built, each a contiguous row of the time-major
+    array ``density_path`` returns the transpose of."""
     z = martingale_density(bundle, nu, idx)
-    return {i: z[:, k].copy() for k, i in enumerate(idx)}
+    return {i: z[:, k] for k, i in enumerate(idx)}
 
 
-def _dual_path_values(cols, z, eta, idx):
-    """V(t, eta Z_t) per path at the chosen grid indices; ``z`` maps each
-    index to its density column, ``cols`` holds the field columns."""
+def _dual_path_values(cols, z, eta, idx, work):
+    """V(t, eta Z_t) per path at the chosen grid indices, the k-th in the
+    ``work`` buffer ("dual", k); ``z`` maps each index to its density
+    column, ``cols`` holds the field columns. Each value is
+    entropy_kernel(arg) - arg * a with arg = eta * z * (1/gamma), built in
+    place with that rounding."""
     out = {}
-    for i in idx:
-        arg = eta * z[i] * cols["inv_gamma", i]
-        out[i] = entropy_kernel(arg) - arg * cols["a_shift", i]
+    for k, i in enumerate(idx):
+        arg = np.multiply(z[i], eta, out=work.take("dual-arg", z[i].shape))
+        arg *= cols["inv_gamma", i]
+        vals = out[i] = entropy_kernel(arg, out=work.take(("dual", k), arg.shape))
+        arg *= cols["a_shift", i]
+        vals -= arg
     return out
 
 
@@ -387,16 +418,25 @@ class MonteCarloPass:
     checks requested, so a check reads the same draws alone as in the
     full suite. ``columns`` lists the grid indices the requested checks
     read: ``time_indices`` and the horizon (the optimum's indices are
-    among them). ``gather`` builds each load's
-    density on one chunk at those columns only, and keeps copies of them
-    and of the field columns; the chunk can then be dropped, and its
-    fields need hold no other column.
+    among them). ``gather`` builds each load's density on one chunk at
+    those columns only, and keeps each column as the contiguous row view
+    of the array it was built in, and the field columns as views of the
+    chunk's fields; the bundle can then be dropped or overwritten.
     ``reduce`` joins the columns in stream order and runs every mean test
     once, on exactly the samples one whole-simulation chunk would give,
     so the report does not depend on the chunking. The antithetic pairing,
     gamma0 and a0 are those of the first chunk; later chunks must continue
     its streams with the same settings. Being stream ranges, chunks never
     split an antithetic pair.
+
+    The pass owns one ``Workspace``, its scratch: the joined columns of a
+    pass of several chunks, each test's samples, their pair means and
+    squared deviations, the dual values and the reductions' buffers. It
+    is created with the pass and dropped when ``reduce`` returns, which
+    leaves the pass a fresh, empty one. So the scratch lives as long as
+    one reduction, no longer, and is never shared with another pass; the
+    report ``reduce`` returns holds plain numbers and none of it. The
+    normal quantile of ``confidence`` is computed once, here.
     """
 
     def __init__(
@@ -446,7 +486,9 @@ class MonteCarloPass:
         self.spec, self.n_steps = spec, n_steps
         self.eta_list = [float(eta) for eta in eta_list]
         self.confidence = confidence
+        self.z_crit = z_critical(confidence)
         self.t_label = dict(zip(all_idx, time_labels(spec.horizon, n_steps, all_idx)))
+        self._work = Workspace()
         self._chunks: list[dict] = []
         # (antithetic, gamma0, a0) of the first chunk, and its next stream
         self._layout = None
@@ -499,44 +541,52 @@ class MonteCarloPass:
                 cols["z", label, i] = col
             if self.forward:
                 z_tilde = density_path(bundle, bundle.theta - bundle.delta, nu, [self.n_steps])
-                cols["log_z_tilde", label] = np.log(z_tilde[:, 0])
+                z_tilde = z_tilde[:, 0]
+                cols["log_z_tilde", label] = np.log(z_tilde, out=z_tilde)
         if self.at_optimum:
             for i, col in _density_columns(bundle, bundle.phi, self.opt_idx).items():
                 cols["z_opt", i] = col
         for i in self.columns:
-            cols["inv_gamma", i] = fields.inv_gamma[:, field_pos[i]].copy()
-            cols["a_shift", i] = fields.a_shift[:, field_pos[i]].copy()
+            cols["inv_gamma", i] = fields.inv_gamma[:, field_pos[i]]
+            cols["a_shift", i] = fields.a_shift[:, field_pos[i]]
         self._chunks.append(cols)
 
     def reduce(self) -> VerificationReport:
         """Join the gathered columns in stream order and run every check's
-        mean tests on them."""
+        mean tests on them, on the pass's scratch; the scratch is dropped
+        on return."""
         if not self._chunks:
             raise ValueError("no chunk gathered")
         antithetic, gamma0, a0 = self._layout
         chunks, self._chunks = self._chunks, []
+        work, self._work = self._work, Workspace()
         self._layout = self._next_stream = None
-        # pop as we go, so each column is held about once while joining
-        cols = {key: np.concatenate([c.pop(key) for c in chunks]) for key in list(chunks[0])}
+        cols = chunks.pop() if len(chunks) == 1 else _join(chunks, work)
+        n = cols["inv_gamma", self.n_steps].shape[0]
+        sample, weight = work.take("sample", (n,)), work.take("weight", (n,))
+        pairs = work.take("pairs", (n // 2,)) if antithetic else None
+        zc = self.z_crit
         idx, terminal = self.idx, self.n_steps
         report = VerificationReport()
 
         def add_test(tag, samples, target, sided, notes):
             res = mc_mean_test(
-                collapse_pairs(samples, antithetic),
+                collapse_pairs(samples, antithetic, out=pairs),
                 target,
                 check_tag=tag,
                 confidence=self.confidence,
                 sided=sided,
                 notes=notes,
+                work=work,
+                z_crit=zc,
             )
-            report.add(res.to_record())
+            report.add(res.to_record(zc))
 
         for label, nu in self.nu_family.items():
             z = {i: cols["z", label, i] for i in self.columns}
             if self.submartingale:
                 for eta in self.eta_list:
-                    vals = _dual_path_values(cols, z, eta, idx)
+                    vals = _dual_path_values(cols, z, eta, idx, work)
                     anchor = conjugate_exponential(gamma0, a0, eta)
                     for pos, i2 in enumerate(idx):
                         t2 = self.t_label[i2]
@@ -544,7 +594,8 @@ class MonteCarloPass:
                             add_test(
                                 f"dual-submartingale[nu={label},eta={tag_number(eta)},"
                                 f"t1={self.t_label[i1]},t2={t2}]",
-                                vals[i2] - vals[i1], 0.0, "lower", self.sub_notes,
+                                np.subtract(vals[i2], vals[i1], out=sample), 0.0, "lower",
+                                self.sub_notes,
                             )
                         if i2 > 0:
                             add_test(
@@ -554,15 +605,22 @@ class MonteCarloPass:
             if self.inverse_gamma:
                 add_test(
                     f"inverse-gamma-mean[nu={label}]",
-                    z[terminal] * cols["inv_gamma", terminal], 1.0 / gamma0, "two",
-                    _TERMINAL_NOTE,
+                    np.multiply(z[terminal], cols["inv_gamma", terminal], out=sample),
+                    1.0 / gamma0, "two", _TERMINAL_NOTE,
                 )
             if self.forward:
-                w = cols["inv_gamma", terminal] * gamma0 * z[terminal]
+                # ((1/gamma_T) gamma0) z_T, then (a_T - log z~_T) w: the
+                # order of operations that fixes the statistics' rounding
+                w = np.multiply(cols["inv_gamma", terminal], gamma0, out=weight)
+                w *= z[terminal]
                 add_test(f"forward-mass[nu={label}]", w, 1.0, "two", _TERMINAL_NOTE)
+                drift = np.subtract(
+                    cols["a_shift", terminal], cols["log_z_tilde", label], out=sample
+                )
+                drift *= w
                 add_test(
                     f"forward-drift[nu={label}]",
-                    w * (cols["a_shift", terminal] - cols["log_z_tilde", label]),
+                    drift,
                     a0 + predicted_forward_drift(self.spec, self.n_steps, nu),
                     "two",
                     _TERMINAL_NOTE,
@@ -570,7 +628,7 @@ class MonteCarloPass:
         if self.at_optimum:
             z = {i: cols["z_opt", i] for i in self.opt_idx}
             for eta in self.eta_list:
-                vals = _dual_path_values(cols, z, eta, self.opt_idx)
+                vals = _dual_path_values(cols, z, eta, self.opt_idx, work)
                 target = conjugate_exponential(gamma0, a0, eta)
                 for i in self.opt_idx:
                     add_test(
@@ -578,6 +636,23 @@ class MonteCarloPass:
                         vals[i], target, "two", ("unconditional mean equality at grid times",),
                     )
         return report
+
+
+def _join(chunks, work):
+    """One column per key over all ``chunks``, in their order, each
+    written into the ``work`` buffer named by its key; a chunk's column is
+    dropped once copied, so its arrays are freed as the join goes."""
+    # every column of a chunk holds one value per path of the chunk
+    n = sum(next(iter(c.values())).shape[0] for c in chunks)
+    cols = {}
+    for key in list(chunks[0]):
+        full = cols[key] = work.take(key, (n,))
+        lo = 0
+        for c in chunks:
+            part = c.pop(key)
+            full[lo : lo + part.shape[0]] = part
+            lo += part.shape[0]
+    return cols
 
 
 def run_mc_checks(

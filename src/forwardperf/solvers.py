@@ -115,7 +115,9 @@ def barrier_minimize(phi, A, b, r0):
 
     Returns (r, multipliers, info) where info carries the gap bound, the
     Newton iteration count, and the max equality residual. Raises
-    ConvergenceError at the iteration cap, ``_BARRIER_MAX_NEWTON``.
+    ConvergenceError at the iteration cap, ``_BARRIER_MAX_NEWTON``, and
+    when a Newton step or its multipliers are not finite (an objective
+    whose derivatives leave the float range, say).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -153,6 +155,12 @@ def barrier_minimize(phi, A, b, r0):
         except np.linalg.LinAlgError:
             lam = np.linalg.lstsq(S, rhs, rcond=None)[0]
         dr = -hinv * (g + A.T @ lam)
+        if not (np.isfinite(lam).all() and np.isfinite(dr).all()):
+            # no line search can repair a NaN or infinite direction
+            raise ConvergenceError(
+                f"barrier_minimize: Newton step {newton_used} is not finite "
+                f"(barrier objective {f_cur!r})"
+            )
         # Newton decrement squared = dr' H dr = -(g + A'lam)' dr
         slope = float((g + A.T @ lam) @ dr)
         if -slope < 1e-13 * (1.0 + abs(f_cur)):

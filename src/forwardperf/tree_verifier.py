@@ -553,17 +553,26 @@ def dual_value(
         b = np.zeros(win.A.shape[0])
         b[0] = 1.0
         phi = _exp_phi(field, win.leaves, win.p)
-        # an objective that leaves the float range is refused below, so
-        # its overflows print no warning on the way
-        with np.errstate(over="ignore", invalid="ignore"):
-            r, _, info = barrier_minimize(phi, win.A, b, win.interior)
+        gam = _at_nodes(field.gamma, win.leaves)
+
+        def entropy_and_mass(r):
+            """sum(phi(r)) and sum(r / gamma), refused when either is not
+            finite: the objective has left the float range."""
             entropy = float(phi(r)[0].sum())
-            m = float((r / _at_nodes(field.gamma, win.leaves)).sum())
-        if not (math.isfinite(entropy) and math.isfinite(m)):
-            raise ConvergenceError(
-                f"dual program below node {start!r} on [{t}, {T}] leaves the float "
-                f"range: entropy {entropy!r}, m {m!r}"
-            )
+            m = float((r / gam).sum())
+            if not (math.isfinite(entropy) and math.isfinite(m)):
+                raise ConvergenceError(
+                    f"dual program below node {start!r} on [{t}, {T}] leaves the float "
+                    f"range: entropy {entropy!r}, m {m!r}"
+                )
+            return entropy, m
+
+        # checked at the start too, where the solver's Newton step would
+        # not be finite; the overflows on the way print no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            entropy_and_mass(win.interior)
+            r, _, info = barrier_minimize(phi, win.A, b, win.interior)
+            entropy, m = entropy_and_mass(r)
         unit.entropy[start] = entropy
         unit.inverse_gamma_mean[start] = m
         unit.leaf_masses[start] = {w: float(ri) for w, ri in zip(win.leaves, r)}

@@ -20,7 +20,9 @@ conditional entropy and the martingale
 property of a tree measure) sums over leaves and nodes from their
 definitions, (for the random kernels) the Philox rounds and the reduction
 tree computed from their definitions, with the replaced two-normal
-Gaussian kernel kept beside them as it was, (for the density and field paths)
+Gaussian kernel and zero-padded pairwise sum kept beside them as they
+were, (for the entropy kernel) the replaced ``np.where`` form, (for the
+density and field paths)
 one whole-matrix numpy expression per quantity, over increments drawn
 here rather than read from the simulation, (for the path export)
 the CSV written row by row from the whole simulation's matrices, or (for
@@ -540,6 +542,22 @@ def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6
     return report
 
 
+# -- the entropy kernel ------------------------------------------------------
+
+
+def entropy_kernel(y):
+    """The package's entropy kernel as it was: y log y - y through
+    ``np.where``, with the log taken of 1 where y is 0; refuses y < 0."""
+    arr = np.asarray(y, dtype=float)
+    if np.any(arr < 0.0):
+        raise ValueError("entropy_kernel: argument must be nonnegative")
+    safe = np.where(arr > 0.0, arr, 1.0)
+    out = np.where(arr > 0.0, arr * np.log(safe) - arr, 0.0)
+    if np.ndim(y) == 0:
+        return float(out)
+    return out
+
+
 # -- the tree checks' grid reads, one start and one grid point at a time --
 #
 # How the package's checks read their eta and wealth grids before each
@@ -550,19 +568,13 @@ def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6
 # grid arithmetic and the reductions are redone here.
 
 
-def _kernel_0d(y):
-    """y log y - y, 0 at y = 0, on one 0-d array."""
-    arr = np.asarray(y, dtype=float)
-    return float(np.where(arr > 0.0, arr * np.log(np.where(arr > 0.0, arr, 1.0)) - arr, 0.0))
-
-
 def _conjugate_0d(g, a, e):
     ratio = np.asarray(e, dtype=float) / np.asarray(g, dtype=float)
-    return float(_kernel_0d(ratio) - ratio * np.asarray(a, dtype=float))
+    return float(entropy_kernel(ratio) - ratio * np.asarray(a, dtype=float))
 
 
 def _implied_shift_0d(g, e, v):
-    return (g / e) * (_kernel_0d(e / g) - v)
+    return (g / e) * (entropy_kernel(e / g) - v)
 
 
 def _read_0d(unit, n, e):
@@ -978,6 +990,25 @@ def gaussian_field_two_normals(seed, n_streams, n_steps, stream_offset=0, out=No
                 np.cos(a, out=a)
                 np.multiply(r, a, out=z[i0:i1, k0:k1].T)
     return out
+
+
+def pairwise_sum_padded(x):
+    """The package's pairwise sum as it was: the input copied into zeros of
+    the next power-of-two length, then halved level by level, each level a
+    fresh array."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n = x.size
+    if n == 0:
+        return 0.0
+    m = 1
+    while m < n:
+        m <<= 1
+    buf = np.zeros(m, dtype=np.float64)
+    buf[:n] = x
+    while m > 1:
+        m >>= 1
+        buf = buf[0 : 2 * m : 2] + buf[1 : 2 * m : 2]
+    return float(buf[0])
 
 
 def pairwise_sum(x):

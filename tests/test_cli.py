@@ -1,6 +1,8 @@
 """Scenario loading, dispatch, exit codes, and output formats."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -1248,6 +1250,44 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _main_outcome(argv):
+    """(exit status, stdout, stderr) of ``main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_successive_main_calls_behave_as_fresh_processes(tmp_path):
+    # the parser is built once per process and shared by every main call;
+    # no call may see another's options or errors
+    assert cli.build_parser() is cli.build_parser()
+    seeded = ito_doc(n_paths=400, n_steps=4, checks=["inverse-gamma-mean"])
+    path = write_scenario(tmp_path, seeded)
+    calls = [
+        ["run", path, "--seed", "5", "--format", "text"],
+        ["conjugate", "--gamma", "2", "--a", "1", "--eta", "0", "2"],
+        ["conjugate", "--gamma", "two", "--eta", "1"],
+        ["run", path],
+        ["conjugate", "--gamma", "1", "--eta", "1"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(forwardperf.__file__).parents[1]))
+    env.pop("FORWARDPERF_SEED", None)
+    for argv in calls:
+        # bytes, so the CSV's line ends are compared as written
+        proc = subprocess.run(
+            [sys.executable, "-m", "forwardperf", *argv], capture_output=True, env=env, timeout=120
+        )
+        fresh = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+        assert _main_outcome(argv) == fresh, argv
+    # the bad argument was refused, and the seed override did not stick
+    assert _main_outcome(calls[2])[0] == 2
+    assert _main_outcome(calls[0])[1] != _main_outcome(calls[3])[1]
 
 
 # Every CLI command in a child in which no scipy module can be imported.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from forwardperf.fields import ExponentialFieldParams, conjugate_exponential, entropy_kernel
+import oracles
 from oracles import (
     InadaViolation,
     UtilitySlice,
@@ -37,6 +38,54 @@ def test_entropy_kernel_negative_rejected():
         entropy_kernel(-0.5)
     with pytest.raises(ValueError):
         entropy_kernel(np.array([0.5, -1e-12]))
+
+
+def test_entropy_kernel_refuses_nan():
+    # no order comparison catches NaN, so the kernel checks y >= 0 itself
+    with pytest.raises(ValueError, match="not NaN"):
+        entropy_kernel(math.nan)
+    with pytest.raises(ValueError, match="not NaN"):
+        entropy_kernel(np.array([0.5, math.nan, 0.0]))
+
+
+def test_conjugate_exponential_refuses_nan():
+    with pytest.raises(ValueError, match="gamma must be positive, not NaN"):
+        conjugate_exponential(math.nan, 0.0, 1.0)
+    with pytest.raises(ValueError, match="gamma must be positive, not NaN"):
+        conjugate_exponential(np.array([1.0, math.nan]), 0.0, 1.0)
+    with pytest.raises(ValueError, match="y must be nonnegative, not NaN"):
+        conjugate_exponential(1.0, 0.0, math.nan)
+    with pytest.raises(ValueError, match="y must be nonnegative, not NaN"):
+        conjugate_exponential(2.0, 0.0, np.array([0.0, math.nan]))
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        np.array([0.0, 1.0, math.e, 0.0, 1e-300, 5e-324, 3.7, 1e300, -0.0]),
+        np.random.default_rng(3).exponential(size=(4, 25)) * (np.arange(25) % 3 > 0),
+        np.random.default_rng(4).exponential(size=1000) + 5e-324,
+        np.array(0.0),
+        np.array(-0.0),
+        np.array(0.37),
+        0.0,
+        -0.0,
+        2.5,
+        1e-310,
+    ],
+)
+def test_entropy_kernel_bits_match_the_replaced_kernel(y):
+    # log into zeros where y > 0 (everywhere, unmasked, when all y > 0),
+    # then *= y and -= y in place: the bits of the replaced np.where form,
+    # +0.0 at y = +-0 included
+    want = oracles.entropy_kernel(y)
+    got = entropy_kernel(y)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if isinstance(y, np.ndarray) and y.ndim:
+        out = np.full(y.shape, np.nan)
+        assert entropy_kernel(y, out=out) is out
+        assert out.tobytes() == want.tobytes()
 
 
 def test_entropy_kernel_convex_min_at_one():

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from forwardperf import cli, kernels
+from forwardperf.fields import conjugate_exponential, entropy_kernel
 from forwardperf.kernels import (
     TILE_BLOCKS,
     Workspace,
@@ -15,6 +16,7 @@ from forwardperf.kernels import (
     philox4x64,
     uniform_open,
 )
+from forwardperf.mc_verifier import collapse_pairs
 
 U64_MAX = 2**64 - 1
 
@@ -163,6 +165,48 @@ def test_pairwise_sum_accuracy(n):
 
 def test_pairwise_sum_empty():
     assert pairwise_sum(np.array([])) == 0.0
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 33, 4097, 25000])
+def test_pairwise_sum_bits_match_the_padded_tree(n):
+    # the tree without its zero padding, on one scratch buffer: the padded
+    # tree's bits, on random values and on all -0.0, where a padding zero
+    # turns a lone -0.0 into +0.0 exactly as the padded tree does
+    x = np.random.default_rng(n).normal(size=n) * 1e3
+    given = x.copy()
+    work = Workspace()
+    for v in (x, -np.zeros(n)):
+        want = _bits(oracles.pairwise_sum(v))
+        assert _bits(pairwise_sum(v)) == want
+        assert _bits(pairwise_sum(v, work=work)) == want
+        assert _bits(oracles.pairwise_sum_padded(v)) == want
+    assert x.tobytes() == given.tobytes()
+
+
+def test_pairwise_sum_of_one_negative_zero_keeps_its_sign():
+    assert _bits(pairwise_sum(np.array([-0.0]))) == _bits(-0.0)
+    assert _bits(oracles.pairwise_sum([-0.0])) == _bits(-0.0)
+
+
+def test_public_kernels_return_fresh_arrays():
+    # without out=, two calls never hand back the same memory
+    x = np.linspace(0.0, 2.0, 8)
+    calls = [
+        lambda: entropy_kernel(x),
+        lambda: conjugate_exponential(1.5, 0.2, x),
+        lambda: collapse_pairs(x, True),
+        lambda: philox4x64(1, 4, 2),
+        lambda: uniform_open(philox4x64(1, 4, 2)),
+        lambda: gaussian_field(1, 4, 3)[0],
+    ]
+    for call in calls:
+        a, b = call(), call()
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, b)
 
 
 # -- gaussian field ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Statistical verification layer: band tests, refusal logic, reproducibility."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from forwardperf.mc_verifier import (
     run_mc_checks,
     z_critical,
 )
+from forwardperf.kernels import Workspace
 from forwardperf.report import VerificationReport
 
 CLEAN = CoefficientSpec.constant(1.0, theta=0.5, phi=0.3, rho=0.1)
@@ -82,6 +84,9 @@ def test_collapse_pairs():
     v = np.array([1.0, 3.0, 10.0, -4.0])
     np.testing.assert_array_equal(collapse_pairs(v, True), [2.0, 3.0])
     np.testing.assert_array_equal(collapse_pairs(v, False), v)
+    out = np.full(2, np.nan)
+    assert collapse_pairs(v, True, out=out) is out
+    np.testing.assert_array_equal(out, [2.0, 3.0])
     with pytest.raises(ValueError, match="even"):
         collapse_pairs(np.ones(3), True)
 
@@ -129,6 +134,14 @@ def test_mean_test_to_record(rng):
     assert rec.details["n_samples"] == 400
     assert rec.details["z_score"] == res.z_score
     assert "context" in rec.notes
+    # on a workspace, with the quantile given: the same record, bit for bit
+    work = Workspace()
+    for _ in range(2):
+        again = mc_mean_test(
+            samples, 0.0, "demo", notes=("context",), work=work, z_crit=z_critical(0.997)
+        )
+        assert again == res
+        assert again.to_record(z_critical(0.997)) == rec
 
 
 def test_default_nu_family_labels():
@@ -250,6 +263,81 @@ def test_reports_chunk_invariant():
     for lo, hi in chunk_bounds(1001, 4):
         mc.gather(*simulated(CLEAN, 1.0, 0.0, 32, 2 * (hi - lo), seed=709, stream_offset=lo))
     assert mc.reduce().to_json() == whole.to_json()
+
+
+def test_reduce_holds_only_its_scratch_above_the_gathered_columns():
+    # reduce reads the gathered columns where they are and builds every
+    # statistic in the pass's scratch, so what it allocates is bounded by
+    # that scratch, not by the columns: joining them into fresh arrays,
+    # or one fresh array per statistic, would exceed the bound
+    n = 20_000  # antithetic paths: n // 2 samples per test
+    mc = MonteCarloPass(CLEAN, 8, list(MC_CHECKS))
+    bundle = simulate_paths(CLEAN, 8, n, seed=31, columns=mc.simulated_columns)
+    mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle, mc.columns))
+    n_dual = max(len(mc.idx), len(mc.opt_idx))
+    # per load: a density column per pass column and log z~; the optimum's
+    # density at its times; 1/gamma and the shift per pass column
+    n_columns = len(mc.nu_family) * (len(mc.columns) + 1) + len(mc.opt_idx)
+    gathered = 8 * n * (n_columns + 2 * len(mc.columns))
+    scratch = 8 * (
+        n * (3 + n_dual)  # "sample", "weight", "dual-arg" and the ("dual", k) values
+        + 2 * (n // 2)  # "pairs" and "deviations"
+        + (n // 4 + n // 8)  # "pairwise": levels of the n // 2 pair means
+    )
+    masks = 2 * n  # entropy_kernel's y >= 0 and y > 0, one byte a path
+    bound = scratch + masks + 64 * 1024  # and the records' Python objects
+    assert bound < gathered / 3
+    tracemalloc.start()
+    try:
+        report = mc.reduce()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
+    assert report.all_passed
+
+
+@pytest.mark.parametrize(
+    "antithetic, checks", [(True, None), (False, ["inverse-gamma-mean"])], ids=["suite", "plain"]
+)
+def test_four_runs_report_the_bytes_of_one(monkeypatch, antithetic, checks):
+    # the README model, as the benchmark's Monte Carlo workloads run it:
+    # a pass of four runs joins their columns into one array per key and
+    # reports the bytes of a pass of one run
+    doc = {
+        "schema_version": 1,
+        "kind": "ito-verify",
+        "model": {
+            "horizon": 1.0,
+            "breakpoints": [0.0, 0.5],
+            "theta": [0.5, 0.5],
+            "delta": 0.0,
+            "phi": [0.3, 0.0],
+            "rho": 0.1,
+        },
+        "gamma0": 1.0,
+        "a0": 0.0,
+        "n_steps": 64,
+        "n_paths": 4002,
+        "seed": 1234,
+        "antithetic": antithetic,
+    }
+    if checks:
+        doc["checks"] = checks
+    calls = []
+    original = cli.simulate_paths
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["columns"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_paths", counted)
+    one = run_ito_scenario(doc).to_json()
+    assert len(calls) == 1
+    n_streams = 2001 if antithetic else 4002
+    monkeypatch.setattr(cli, "DRAW_BUDGET", -(-n_streams // 4) * (len(calls[0]) - 1))
+    assert run_ito_scenario(doc).to_json() == one
+    assert len(calls) == 5
 
 
 def test_pass_refuses_chunks_that_do_not_continue_the_simulation():

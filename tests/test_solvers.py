@@ -8,8 +8,11 @@ import pytest
 
 import forwardperf.solvers as solvers
 from forwardperf.errors import ConvergenceError
+from forwardperf.fields import ExponentialFieldParams
 from forwardperf.solvers import barrier_minimize, minimize_exp_sum
+from forwardperf.tree_verifier import WindowDuals, _exp_phi
 from oracles import golden_section_min
+from treegen import binomial_tree
 
 
 def test_golden_section_quadratic():
@@ -134,3 +137,18 @@ def test_barrier_drops_vacuous_rows():
     assert np.allclose(r, 0.5, atol=1e-6)
     with pytest.raises(ValueError, match="infeasible zero row"):
         barrier_minimize(entropy_phi, A, np.array([1.0, 0.5]), np.array([0.6, 0.4]))
+
+
+def test_barrier_refuses_a_step_that_is_not_finite():
+    # gamma 1e-306 on the one-step binomial tree: the dual objective
+    # overflows at the start, the Schur solve gives NaN multipliers, and the
+    # solver refuses instead of returning the start point unsolved
+    tree = binomial_tree()
+    gamma = dict.fromkeys(["r", "u", "d"], 1e-306)
+    field = ExponentialFieldParams(gamma, dict.fromkeys(gamma, 0.0))
+    win = WindowDuals(tree, gamma).window("r", 1)
+    b = np.zeros(win.A.shape[0])
+    b[0] = 1.0
+    phi = _exp_phi(field, win.leaves, win.p)
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
+        barrier_minimize(phi, win.A, b, win.interior)
