@@ -63,6 +63,7 @@ gamma0 or a0 differ from the first chunk's.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -188,6 +189,7 @@ def _ndtri(y0: float) -> float:
     return -x if negate else x
 
 
+@functools.cache
 def z_critical(confidence: float) -> float:
     if not (0.0 < confidence < 1.0):
         raise ValueError("confidence must be in (0, 1)")
@@ -206,17 +208,13 @@ class TestResult:
     n_samples: int
     notes: tuple[str, ...] = ()
 
-    def to_record(self, z_crit: float | None = None) -> CheckRecord:
-        """The test as a report record; ``z_crit`` is
-        ``z_critical(self.confidence)`` when the caller already has it."""
-        if z_crit is None:
-            z_crit = z_critical(self.confidence)
+    def to_record(self) -> CheckRecord:
         return CheckRecord(
             check_tag=self.check_tag,
             verdict=self.verdict,
             value=self.estimate,
             target=self.target,
-            tolerance=z_crit * self.std_error,
+            tolerance=z_critical(self.confidence) * self.std_error,
             std_error=self.std_error,
             notes=self.notes,
             details={"z_score": self.z_score, "n_samples": self.n_samples},
@@ -247,7 +245,6 @@ def mc_mean_test(
     sided: str = "two",
     notes: Sequence[str] = (),
     work: Workspace | None = None,
-    z_crit: float | None = None,
 ) -> TestResult:
     """Normal test of a sample mean against a target.
 
@@ -258,8 +255,6 @@ def mc_mean_test(
     The squared deviations and the reduction's scratch are the
     ``Workspace`` ``work``'s "deviations" and "pairwise" buffers (fresh
     arrays by default), so ``samples`` must not be one of them.
-    ``z_crit`` is ``z_critical(confidence)`` when the caller already has
-    it.
     """
     if sided not in ("two", "lower"):
         raise ValueError(f"unknown sidedness {sided!r}")
@@ -290,7 +285,7 @@ def mc_mean_test(
             notes=notes + ("zero sample variance; exact comparison",),
         )
     z = (mean - target) / se
-    zc = z_critical(confidence) if z_crit is None else z_crit
+    zc = z_critical(confidence)
     ok = abs(z) <= zc if sided == "two" else z >= -zc
     return TestResult(
         check_tag=check_tag,
@@ -429,14 +424,10 @@ class MonteCarloPass:
     its streams with the same settings. Being stream ranges, chunks never
     split an antithetic pair.
 
-    The pass owns one ``Workspace``, its scratch: the joined columns of a
-    pass of several chunks, each test's samples, their pair means and
-    squared deviations, the dual values and the reductions' buffers. It
-    is created with the pass and dropped when ``reduce`` returns, which
-    leaves the pass a fresh, empty one. So the scratch lives as long as
-    one reduction, no longer, and is never shared with another pass; the
-    report ``reduce`` returns holds plain numbers and none of it. The
-    normal quantile of ``confidence`` is computed once, here.
+    ``reduce`` builds each test's samples, their pair means and squared
+    deviations, the dual values and the reductions' buffers in one
+    ``Workspace`` local to the call, so the scratch lives for one
+    reduction; the report it returns holds plain numbers and none of it.
     """
 
     def __init__(
@@ -486,9 +477,7 @@ class MonteCarloPass:
         self.spec, self.n_steps = spec, n_steps
         self.eta_list = [float(eta) for eta in eta_list]
         self.confidence = confidence
-        self.z_crit = z_critical(confidence)
         self.t_label = dict(zip(all_idx, time_labels(spec.horizon, n_steps, all_idx)))
-        self._work = Workspace()
         self._chunks: list[dict] = []
         # (antithetic, gamma0, a0) of the first chunk, and its next stream
         self._layout = None
@@ -559,13 +548,15 @@ class MonteCarloPass:
             raise ValueError("no chunk gathered")
         antithetic, gamma0, a0 = self._layout
         chunks, self._chunks = self._chunks, []
-        work, self._work = self._work, Workspace()
+        work = Workspace()
         self._layout = self._next_stream = None
-        cols = chunks.pop() if len(chunks) == 1 else _join(chunks, work)
+        if len(chunks) == 1:
+            cols = chunks.pop()
+        else:
+            cols = {key: np.concatenate([c.pop(key) for c in chunks]) for key in list(chunks[0])}
         n = cols["inv_gamma", self.n_steps].shape[0]
         sample, weight = work.take("sample", (n,)), work.take("weight", (n,))
         pairs = work.take("pairs", (n // 2,)) if antithetic else None
-        zc = self.z_crit
         idx, terminal = self.idx, self.n_steps
         report = VerificationReport()
 
@@ -578,9 +569,8 @@ class MonteCarloPass:
                 sided=sided,
                 notes=notes,
                 work=work,
-                z_crit=zc,
             )
-            report.add(res.to_record(zc))
+            report.add(res.to_record())
 
         for label, nu in self.nu_family.items():
             z = {i: cols["z", label, i] for i in self.columns}
@@ -636,23 +626,6 @@ class MonteCarloPass:
                         vals[i], target, "two", ("unconditional mean equality at grid times",),
                     )
         return report
-
-
-def _join(chunks, work):
-    """One column per key over all ``chunks``, in their order, each
-    written into the ``work`` buffer named by its key; a chunk's column is
-    dropped once copied, so its arrays are freed as the join goes."""
-    # every column of a chunk holds one value per path of the chunk
-    n = sum(next(iter(c.values())).shape[0] for c in chunks)
-    cols = {}
-    for key in list(chunks[0]):
-        full = cols[key] = work.take(key, (n,))
-        lo = 0
-        for c in chunks:
-            part = c.pop(key)
-            full[lo : lo + part.shape[0]] = part
-            lo += part.shape[0]
-    return cols
 
 
 def run_mc_checks(

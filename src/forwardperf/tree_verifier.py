@@ -571,7 +571,12 @@ def dual_value(
         # not be finite; the overflows on the way print no warning
         with np.errstate(over="ignore", invalid="ignore"):
             entropy_and_mass(win.interior)
-            r, _, info = barrier_minimize(phi, win.A, b, win.interior)
+            try:
+                r, _, info = barrier_minimize(phi, win.A, b, win.interior)
+            except ConvergenceError as exc:
+                raise ConvergenceError(
+                    f"dual program below node {start!r} on [{t}, {T}]: {exc}"
+                ) from exc
             entropy, m = entropy_and_mass(r)
         unit.entropy[start] = entropy
         unit.inverse_gamma_mean[start] = m

@@ -14,6 +14,7 @@ import forwardperf.tree_verifier as tree_verifier
 import oracles
 from forwardperf.errors import (
     ArbitrageError,
+    ConvergenceError,
     ForwardPerfError,
     ReplicationError,
     WealthRangeError,
@@ -613,6 +614,22 @@ def test_dual_check_refuses_a_grid_without_positive_eta(monkeypatch, eta_grid):
     monkeypatch.setattr(tree_verifier, "barrier_minimize", solved)
     with pytest.raises(ValueError, match="needs a positive eta"):
         check_self_generation_dual(tree, field, _window_pairs(tree), eta_grid)
+
+
+def test_dual_value_names_the_window_of_a_solver_failure(monkeypatch):
+    # a Newton step that stops being finite after a finite start is
+    # reported with the node and window of the program that failed
+    tree = binomial_tree()
+
+    def diverged(*args):
+        raise ConvergenceError("barrier_minimize: Newton step 3 is not finite")
+
+    monkeypatch.setattr(tree_verifier, "barrier_minimize", diverged)
+    with pytest.raises(
+        ConvergenceError,
+        match=r"dual program below node 'r' on \[0, 1\]: barrier_minimize: Newton step 3",
+    ):
+        dual_value(tree, constant_field(tree), 1.0, 0, 1)
 
 
 # -- conjugacy between computed fields -----------------------------------
