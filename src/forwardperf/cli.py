@@ -518,7 +518,7 @@ def run_ito_scenario(doc, seed_override=None):
                 spec, n_steps, (n_paths // n_streams) * (hi - lo), seed,
                 antithetic=antithetic, stream_offset=lo, work=work, columns=columns,
             )
-            # the fields and densities are built at the pass's columns only
+            # the fields and densities are built at the pass's columns, all above 0
             mc.gather(bundle, build_forward_exponential(spec, gamma0, a0, bundle, mc.columns))
         del bundle, work  # reduce reads only the gathered columns
         report.merge(mc.reduce())

@@ -260,12 +260,14 @@ def simulate_paths(
     return bundle
 
 
-def _per_step(bundle: PathBundle, value, name: str) -> np.ndarray:
+def _per_step(n_steps: int, value, name: str) -> np.ndarray:
+    """A load's value per grid step: a scalar holds at every step, an array
+    must have one value per step."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
-        return np.full(bundle.n_steps, float(arr))
-    if arr.shape != (bundle.n_steps,):
-        raise ValueError(f"{name} must be scalar or shape ({bundle.n_steps},)")
+        return np.full(n_steps, float(arr))
+    if arr.shape != (n_steps,):
+        raise ValueError(f"{name} must be scalar or shape ({n_steps},)")
     return arr
 
 
@@ -370,8 +372,8 @@ def density_path(bundle: PathBundle, nu1, nu2, columns=None) -> np.ndarray:
     (nu1^2 + nu2^2) dt, each stochastic integral read from the bundle's
     running sums (see ``_integral``).
     """
-    nu1 = _per_step(bundle, nu1, "nu1")
-    nu2 = _per_step(bundle, nu2, "nu2")
+    nu1 = _per_step(bundle.n_steps, nu1, "nu1")
+    nu2 = _per_step(bundle.n_steps, nu2, "nu2")
     cols = _bundle_columns(bundle, columns)
     drift = _cumulative(0.5 * (nu1**2 + nu2**2) * bundle.dt)
     # the two integrals are added per stream, then paired
@@ -429,7 +431,14 @@ def build_forward_exponential(
     a_shift /= inv_gamma
     drift = a0 + _cumulative(0.5 * (theta - delta) ** 2 * dt - 0.5 * phi**2 * dt)
     a_shift += drift[cols][:, None]
-    a_shift -= _paths(bundle, _integral(bundle, bundle.sum_dW, phi, cols))
+    # - integral phi dW in place on each path's row; a partner's integral is
+    # the negated one, and x - (-y) is x + y exactly
+    phi_dw = _integral(bundle, bundle.sum_dW, phi, cols)
+    if bundle.antithetic:
+        a_shift[:, 0::2] -= phi_dw
+        a_shift[:, 1::2] += phi_dw
+    else:
+        a_shift -= phi_dw
     inv_gamma.setflags(write=False)
     a_shift.setflags(write=False)
     return FieldPaths(
@@ -446,11 +455,7 @@ def predicted_forward_drift(spec: CoefficientSpec, n_steps: int, nu2) -> float:
     reweighting: -(1/2) integral (nu2 - phi)^2 dt."""
     coeffs = spec.per_step_values(n_steps)
     dt = spec.horizon / n_steps
-    nu2 = np.asarray(nu2, dtype=float)
-    if nu2.ndim == 0:
-        nu2 = np.full(n_steps, float(nu2))
-    if nu2.shape != (n_steps,):
-        raise ValueError(f"nu2 must be scalar or shape ({n_steps},)")
+    nu2 = _per_step(n_steps, nu2, "nu2")
     return float(-0.5 * np.sum((nu2 - coeffs["phi"]) ** 2) * dt)
 
 

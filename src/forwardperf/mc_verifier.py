@@ -28,12 +28,18 @@ in one pass::
     run_mc_checks(bundle, fields, ["dual-submartingale", "inverse-gamma-mean"])
 
 A bundle of more columns (the full grid, say) is read the same way; one
-that lacks a simulated column is refused. The pass builds each load's
-martingale density once for all the checks that read it. The model spec,
-the step count and the antithetic pairing come from the bundle; gamma0
-and a0 come from the fields. Both are read-only, so the ``check_*``
-wrappers, which run one check each, report the same bytes on a shared
-simulation as on a fresh one at the same columns.
+that lacks a simulated column is refused. The pass plans one density per
+distinct pair of loads (nu1 on B, nu2 on W), compared bit for bit, and
+builds it once, at the union of the columns its readers need: the family's
+loads, the optimum load phi and the forward check's z~ (B-load
+theta - delta) share a density whenever their loads agree. Nothing is
+built at grid index 0, where every path is at its start (Z_0 = 1,
+1/gamma_0 = 1/gamma0, a_0 = a0); the statistics read those constants
+there, with the kernels' bits. The model spec, the step count and the
+antithetic pairing come from the bundle; gamma0 and a0 come from the
+fields. Both are read-only, so the ``check_*`` wrappers, which run one
+check each, report the same bytes on a shared simulation as on a fresh
+one at the same columns.
 
 To bound memory, the same pass takes the simulation one stream range at a
 time and keeps only a few per-path columns of each. What ``gather`` keeps
@@ -78,8 +84,8 @@ from .ito_engine import (
     CoefficientSpec,
     FieldPaths,
     PathBundle,
+    _per_step,
     density_path,
-    martingale_density,
     predicted_forward_drift,
     regularity_class,
 )
@@ -341,18 +347,11 @@ def _change_points(v: np.ndarray) -> set[int]:
     return set((np.flatnonzero(v[1:] != v[:-1]) + 1).tolist())
 
 
-def _density_columns(bundle, nu, idx):
-    """The martingale density's columns at the grid indices ``idx``; only
-    those columns are ever built, each a contiguous row of the time-major
-    array ``density_path`` returns the transpose of."""
-    z = martingale_density(bundle, nu, idx)
-    return {i: z[:, k] for k, i in enumerate(idx)}
-
-
 def _dual_path_values(cols, z, eta, idx, work):
     """V(t, eta Z_t) per path at the chosen grid indices, the k-th in the
     ``work`` buffer ("dual", k); ``z`` maps each index to its density
-    column, ``cols`` holds the field columns. Each value is
+    column, ``cols`` holds the field columns (at index 0, one entry that
+    holds for every path). Each value is
     entropy_kernel(arg) - arg * a with arg = eta * z * (1/gamma), built in
     place with that rounding."""
     out = {}
@@ -411,12 +410,22 @@ class MonteCarloPass:
     of each load of the family. A chunk must be simulated at least there
     (``simulate_paths(columns=...)``); the set does not depend on the
     checks requested, so a check reads the same draws alone as in the
-    full suite. ``columns`` lists the grid indices the requested checks
-    read: ``time_indices`` and the horizon (the optimum's indices are
-    among them). ``gather`` builds each load's density on one chunk at
-    those columns only, and keeps each column as the contiguous row view
-    of the array it was built in, and the field columns as views of the
-    chunk's fields; the bundle can then be dropped or overwritten.
+    full suite. ``columns`` lists the grid indices above 0 the requested
+    checks read: ``time_indices`` and the horizon (the optimum's indices
+    are among them); the fields must hold them. Index 0 is never built:
+    every path starts at Z_0 = 1, 1/gamma_0 = 1/gamma0 and a_0 = a0 + 0.0,
+    the kernels' bits there, and ``reduce`` reads those as one-entry
+    arrays that broadcast.
+
+    ``densities`` is the plan: one (nu1, nu2, columns) per distinct pair
+    of per-step loads, compared bit for bit, at the union of the columns
+    its readers need. The readers are each load of the family at
+    ``columns`` (nu1 = theta), the forward check's z~ of each load at the
+    horizon (nu1 = theta - delta, which is theta when delta = 0) and the
+    optimum load phi at its indices. ``gather`` builds each planned
+    density once per chunk and keeps each column as the contiguous row
+    view of the array it was built in, and the field columns as views of
+    the chunk's fields; the bundle can then be dropped or overwritten.
     ``reduce`` joins the columns in stream order and runs every mean test
     once, on exactly the samples one whole-simulation chunk would give,
     so the report does not depend on the chunking. The antithetic pairing,
@@ -463,17 +472,42 @@ class MonteCarloPass:
         all_idx = _time_indices(n_steps, time_indices)
         self.idx = all_idx if self.submartingale or self.at_optimum else []
         self.opt_idx = [i for i in self.idx if i > 0] if self.at_optimum else []
-        self.columns = sorted(set(self.idx) | {n_steps})
+        # reduce reads index 0 as the start values: nothing is built there
+        self.columns = sorted((set(self.idx) | {n_steps}) - {0})
         coeffs = spec.per_step_values(n_steps)
         if nu_family is None:
             nu_family = _nu_family(coeffs["phi"])
-        loads = [np.broadcast_to(nu, (n_steps,)) for nu in nu_family.values()]
-        integrated = [*coeffs.values(), coeffs["theta"] - coeffs["delta"], *loads]
+        loads = {
+            label: _per_step(n_steps, nu, f"load {label!r}") for label, nu in nu_family.items()
+        }
+        shifted = coeffs["theta"] - coeffs["delta"]
+        integrated = [*coeffs.values(), shifted, *loads.values()]
         self.simulated_columns = sorted(
             set(all_idx).union({0, n_steps}, *map(_change_points, integrated))
         )
         per_load = self.submartingale or self.inverse_gamma or self.forward
         self.nu_family = nu_family if per_load else {}
+        # one density per distinct pair (nu1 on B, nu2 on W) of per-step
+        # loads, compared bit for bit, at the union of its readers' columns
+        plans: list[tuple[np.ndarray, np.ndarray, set[int]]] = []
+        planned: dict[tuple[bytes, bytes], int] = {}
+        self._density_of: dict = {}  # reader -> index into self.densities
+
+        def plan(reader, nu1, nu2, columns):
+            key = (nu1.tobytes(), nu2.tobytes())
+            if key not in planned:
+                planned[key] = len(plans)
+                plans.append((nu1, nu2, set()))
+            plans[planned[key]][2].update(columns)
+            self._density_of[reader] = planned[key]
+
+        for label in self.nu_family:
+            plan(("z", label), coeffs["theta"], loads[label], self.columns)
+            if self.forward:
+                plan(("z_tilde", label), shifted, loads[label], [n_steps])
+        if self.at_optimum:
+            plan("z_opt", coeffs["theta"], coeffs["phi"], self.opt_idx)
+        self.densities = [(nu1, nu2, sorted(cols)) for nu1, nu2, cols in plans]
         self.spec, self.n_steps = spec, n_steps
         self.eta_list = [float(eta) for eta in eta_list]
         self.confidence = confidence
@@ -484,13 +518,13 @@ class MonteCarloPass:
         self._next_stream = None
 
     def gather(self, bundle: PathBundle, fields: FieldPaths) -> None:
-        """Keep this chunk's per-path columns: each load's density at the
-        time indices and the horizon, log z~_T per load for the forward
-        check, the optimum load's density, and the field columns. A
-        bundle not simulated at every one of ``simulated_columns`` is
-        refused."""
+        """Keep this chunk's per-path columns: each planned density at its
+        columns, and the field columns. A bundle of another model, or not
+        simulated at every one of ``simulated_columns``, is refused."""
         layout = (bundle.antithetic, fields.gamma0, fields.a0)
         last_col = max(fields.columns, default=0)
+        if bundle.spec != self.spec:
+            raise ValueError("chunk simulates another coefficient spec than the pass's")
         if (
             bundle.n_steps != self.n_steps
             or fields.inv_gamma.shape[0] != bundle.n_paths
@@ -525,16 +559,12 @@ class MonteCarloPass:
             2 if bundle.antithetic else 1
         )
         cols = {}
-        for label, nu in self.nu_family.items():
-            for i, col in _density_columns(bundle, nu, self.columns).items():
-                cols["z", label, i] = col
-            if self.forward:
-                z_tilde = density_path(bundle, bundle.theta - bundle.delta, nu, [self.n_steps])
-                z_tilde = z_tilde[:, 0]
-                cols["log_z_tilde", label] = np.log(z_tilde, out=z_tilde)
-        if self.at_optimum:
-            for i, col in _density_columns(bundle, bundle.phi, self.opt_idx).items():
-                cols["z_opt", i] = col
+        for d, (nu1, nu2, columns) in enumerate(self.densities):
+            # each column a contiguous row of the time-major array that
+            # density_path returns the transpose of
+            z = density_path(bundle, nu1, nu2, columns)
+            for k, i in enumerate(columns):
+                cols["z", d, i] = z[:, k]
         for i in self.columns:
             cols["inv_gamma", i] = fields.inv_gamma[:, field_pos[i]]
             cols["a_shift", i] = fields.a_shift[:, field_pos[i]]
@@ -555,6 +585,16 @@ class MonteCarloPass:
         else:
             cols = {key: np.concatenate([c.pop(key) for c in chunks]) for key in list(chunks[0])}
         n = cols["inv_gamma", self.n_steps].shape[0]
+        # grid index 0 as one entry for every path, the bits the kernels
+        # give there: S_B(0) = S_W(0) = 0, so exp(+-0) = 1 and the shift's
+        # partner -0 vanishes in a0 + 0.0
+        cols["inv_gamma", 0] = np.array([1.0 / gamma0])
+        cols["a_shift", 0] = np.array([a0 + 0.0])
+
+        def density(reader):
+            d = self._density_of[reader]
+            return {0: np.ones(1), **{i: cols["z", d, i] for i in self.densities[d][2]}}
+
         sample, weight = work.take("sample", (n,)), work.take("weight", (n,))
         pairs = work.take("pairs", (n // 2,)) if antithetic else None
         idx, terminal = self.idx, self.n_steps
@@ -573,7 +613,7 @@ class MonteCarloPass:
             report.add(res.to_record())
 
         for label, nu in self.nu_family.items():
-            z = {i: cols["z", label, i] for i in self.columns}
+            z = density(("z", label))
             if self.submartingale:
                 for eta in self.eta_list:
                     vals = _dual_path_values(cols, z, eta, idx, work)
@@ -604,9 +644,8 @@ class MonteCarloPass:
                 w = np.multiply(cols["inv_gamma", terminal], gamma0, out=weight)
                 w *= z[terminal]
                 add_test(f"forward-mass[nu={label}]", w, 1.0, "two", _TERMINAL_NOTE)
-                drift = np.subtract(
-                    cols["a_shift", terminal], cols["log_z_tilde", label], out=sample
-                )
+                drift = np.log(density(("z_tilde", label))[terminal], out=sample)
+                np.subtract(cols["a_shift", terminal], drift, out=drift)
                 drift *= w
                 add_test(
                     f"forward-drift[nu={label}]",
@@ -616,7 +655,7 @@ class MonteCarloPass:
                     _TERMINAL_NOTE,
                 )
         if self.at_optimum:
-            z = {i: cols["z_opt", i] for i in self.opt_idx}
+            z = density("z_opt")
             for eta in self.eta_list:
                 vals = _dual_path_values(cols, z, eta, self.opt_idx, work)
                 target = conjugate_exponential(gamma0, a0, eta)
@@ -639,9 +678,10 @@ def run_mc_checks(
 ) -> VerificationReport:
     """Run the named checks of ``MC_CHECKS`` in one pass over the loads.
 
-    Each load's martingale density is built once, and only at the columns
+    Each distinct density is built once, and only at the columns above 0
     the checks read (``time_indices`` and the terminal time); the optimum
-    load ``bundle.phi`` gets a pass of its own. Every check turns
+    load ``bundle.phi`` reads the family's density when phi is one of its
+    loads. Every check turns
     those columns into per-path statistics with a target, and one reducer
     collapses antithetic pairs and runs ``mc_mean_test`` on each. This is
     the one-chunk case of ``MonteCarloPass``. The checks:
@@ -659,7 +699,9 @@ def run_mc_checks(
       integral (nu - phi)^2 dt. Here z~ is the terminal density with the
       shifted price of risk theta - delta; it equals w path by path, but
       comes from ``density_path`` directly, so the statistic cross-checks
-      the reweighting identity instead of assuming it. With
+      the reweighting identity instead of assuming it. When delta = 0,
+      theta - delta is theta bit for bit, and z~ is the load's own
+      martingale density Z_T, read from the same column. With
       piecewise-constant loads Novikov's condition holds, so E[w] = 1
       exactly: a mass record outside its band is a band miss like any
       other, and the load's drift record is still reported.

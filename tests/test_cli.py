@@ -707,9 +707,8 @@ def test_ito_scenario_simulates_once(monkeypatch, checks, n_sim):
     assert calls == {"simulate_paths": n_sim, "build_forward_exponential": n_sim}
 
 
-def test_ito_scenario_builds_each_density_once(monkeypatch):
-    # one density per load of the default family (5), one at the optimum,
-    # and the forward check's own route per load (5)
+def density_builds(monkeypatch, doc):
+    """``doc``'s report and the number of densities its pass built."""
     calls = []
     original = ito_engine.density_path
 
@@ -719,11 +718,38 @@ def test_ito_scenario_builds_each_density_once(monkeypatch):
 
     for module in (ito_engine, mc_verifier):
         monkeypatch.setattr(module, "density_path", counted)
+    return run_ito_scenario(doc), len(calls)
+
+
+def test_ito_scenario_builds_each_density_once(monkeypatch):
+    # one density per load of the default family (5); the optimum's is the
+    # "phi" load's, and with delta = 0 the forward check's z~ (B-load
+    # theta - delta) is each load's own, so neither is built again (the
+    # pass built 11 when each reader built its own)
     doc = ito_doc(n_paths=2000, n_steps=16)
     del doc["checks"]
-    report = run_ito_scenario(doc)
+    report, builds = density_builds(monkeypatch, doc)
     assert report.all_passed, report.to_text()
-    assert len(calls) == 11
+    assert builds == 5
+
+
+@pytest.mark.parametrize(
+    "overrides, builds",
+    [
+        # theta - delta differs from theta: each load's z~ is built on its
+        # own (5 + 5); the default suite skips the optimum for delta != 0
+        ({"model": {"horizon": 1.0, "theta": 0.5, "delta": 0.2, "phi": 0.3}}, 10),
+        # no load of the family is phi: the optimum has a density of its own,
+        # and z~ is each load's density again (2 + 1)
+        ({"nu": {"a": 0.0, "b": 0.8}, "checks": list(mc_verifier.MC_CHECKS)}, 3),
+    ],
+    ids=["shifted-theta", "family-without-phi"],
+)
+def test_ito_scenario_builds_each_distinct_density_once(monkeypatch, overrides, builds):
+    doc = ito_doc(n_paths=2000, n_steps=16, **overrides)
+    if "checks" not in overrides:
+        del doc["checks"]  # the default suite
+    assert density_builds(monkeypatch, doc)[1] == builds
 
 
 # SHA-256 of the default-suite report of ito_doc(n_paths=2000, n_steps=16),

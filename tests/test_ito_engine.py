@@ -308,6 +308,36 @@ def assert_close_to_per_step(got, want):
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
+@pytest.mark.parametrize("a0", [0.0, -0.0, 0.1, -2.5])
+@pytest.mark.parametrize(
+    "spec",
+    [CoefficientSpec.constant(1.0, theta=0.5, delta=0.2, phi=-0.3, rho=-0.1), KERNEL_SPEC],
+    ids=["delta", "piecewise"],
+)
+@pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+def test_kernels_start_every_path_at_the_start_values(antithetic, spec, a0):
+    # at grid column 0 every path holds Z_0 = 1.0, 1/gamma_0 = 1/gamma0 and
+    # a_0 = a0 + 0.0, bit for bit: S_B(0) = S_W(0) = 0, exp(+-0) = 1, and a
+    # partner's -0 vanishes in + 0.0. MonteCarloPass reads these constants
+    # at index 0 instead of building the columns
+    bundle = simulate_paths(spec, 16, 514, seed=43, antithetic=antithetic)
+
+    def start(value):
+        return bits(np.full(bundle.n_paths, value))
+
+    loads = (
+        (bundle.theta, np.linspace(-0.4, 0.6, 16)),
+        (bundle.theta - bundle.delta, -0.25),
+        (-0.3, 0.0),
+    )
+    for nu1, nu2 in loads:
+        z = density_path(bundle, nu1, nu2, [0, 16])
+        np.testing.assert_array_equal(bits(z[:, 0]), start(1.0))
+    fields = build_forward_exponential(spec, 1.3, a0, bundle, [0, 16])
+    np.testing.assert_array_equal(bits(fields.inv_gamma[:, 0]), start(1.0 / 1.3))
+    np.testing.assert_array_equal(bits(fields.a_shift[:, 0]), start(a0 + 0.0))
+
+
 @pytest.mark.parametrize(
     "n_paths, antithetic",
     [(n, False) for n in (1, 511, 512, 513, 1027)]

@@ -169,6 +169,13 @@ def test_submartingale_time_index_validation():
         )
 
 
+def test_pass_refuses_a_malformed_load():
+    # when the pass is built, before any path is drawn
+    for load in (np.ones(7), np.ones(1), np.ones((8, 1))):
+        with pytest.raises(ValueError, match=r"load 'bad' must be scalar or shape \(8,\)"):
+            MonteCarloPass(CLEAN, 8, ["inverse-gamma-mean"], nu_family={"bad": load})
+
+
 def test_optimum_equality_and_chain_consistency():
     # the lower-sided level test in the submartingale suite and the
     # two-sided equality test at the optimum share the same statistic:
@@ -273,9 +280,9 @@ def test_reduce_holds_only_its_scratch_above_the_gathered_columns():
     bundle = simulate_paths(CLEAN, 8, n, seed=31, columns=mc.simulated_columns)
     mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle, mc.columns))
     n_dual = max(len(mc.idx), len(mc.opt_idx))
-    # per load: a density column per pass column and log z~; the optimum's
-    # density at its times; 1/gamma and the shift per pass column
-    n_columns = len(mc.nu_family) * (len(mc.columns) + 1) + len(mc.opt_idx)
+    # each planned density at its columns (here the loads', which the
+    # optimum and z~ share), and 1/gamma and the shift per pass column
+    n_columns = sum(len(cols) for _, _, cols in mc.densities)
     gathered = 8 * n * (n_columns + 2 * len(mc.columns))
     scratch = 8 * (
         n * (3 + n_dual)  # "sample", "weight", "dual-arg" and the ("dual", k) values
@@ -284,7 +291,8 @@ def test_reduce_holds_only_its_scratch_above_the_gathered_columns():
     )
     masks = 2 * n  # entropy_kernel's y >= 0 and y > 0, one byte a path
     bound = scratch + masks + 64 * 1024  # and the records' Python objects
-    assert bound < gathered / 3
+    # so a join of the kept columns into fresh arrays would break the bound
+    assert bound < gathered
     tracemalloc.start()
     try:
         report = mc.reduce()
@@ -293,6 +301,25 @@ def test_reduce_holds_only_its_scratch_above_the_gathered_columns():
         tracemalloc.stop()
     assert peak <= bound, (peak, bound)
     assert report.all_passed
+
+
+def test_gather_keeps_the_planned_densities_and_the_field_columns():
+    # one gather keeps each planned density at its columns and 1/gamma and
+    # the shift at each read index, all above 0: a density built once per
+    # reader, a column at t = 0 or a log z~ column would exceed the bound
+    n = 20_000
+    mc = MonteCarloPass(CLEAN, 8, list(MC_CHECKS))
+    assert mc.columns == [4, 8] and len(mc.densities) == len(mc.nu_family)
+    bundle = simulate_paths(CLEAN, 8, n, seed=31, columns=mc.simulated_columns)
+    n_columns = sum(len(cols) for _, _, cols in mc.densities) + 2 * len(mc.columns)
+    kept = 8 * n * n_columns
+    tracemalloc.start()
+    try:
+        mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle, mc.columns))
+        growth = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= growth <= kept + 64 * 1024, (growth, kept)
 
 
 @pytest.mark.parametrize(
@@ -358,6 +385,9 @@ def test_pass_refuses_chunks_that_do_not_continue_the_simulation():
     bundle, _ = simulated(CLEAN, 1.0, 0.0, 16, 100, seed=5, stream_offset=50)
     with pytest.raises(ValueError, match="needs 8 steps"):
         mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle))
+    # the pass plans its densities from its own model's coefficients
+    with pytest.raises(ValueError, match="another coefficient spec"):
+        mc.gather(*simulated(SHIFTED_GAMMA, 1.0, 0.0, 8, 100, seed=5, stream_offset=50))
     # the refused chunks left the pass as it was
     mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 100, seed=5, stream_offset=50))
     whole = run_mc_checks(*simulated(CLEAN, 1.0, 0.0, 8, 200, seed=5), ["inverse-gamma-mean"])
@@ -365,9 +395,11 @@ def test_pass_refuses_chunks_that_do_not_continue_the_simulation():
 
 
 def test_pass_builds_only_its_columns(monkeypatch):
-    # densities and fields are built at the columns the checks read: the
-    # time indices and the horizon, and the horizon alone for the forward
-    # check's own route; fields without one of them are refused
+    # densities and fields are built at the columns above 0 the checks
+    # read: the time indices and the horizon. Each distinct load's density
+    # is built once: with delta = 0 and phi a load of the family, the
+    # optimum and the forward check's z~ read the loads' columns. Fields
+    # without one of the columns are refused
     calls = []
     original = ito_engine.density_path
 
@@ -378,7 +410,7 @@ def test_pass_builds_only_its_columns(monkeypatch):
     for module in (ito_engine, mc_verifier):
         monkeypatch.setattr(module, "density_path", recorded)
     mc = MonteCarloPass(CLEAN, 8, list(MC_CHECKS), time_indices=[6, 0, 2])
-    assert mc.columns == [0, 2, 6, 8]
+    assert mc.columns == [2, 6, 8]
     assert MonteCarloPass(CLEAN, 8, ["inverse-gamma-mean"]).columns == [8]
     bundle = simulate_paths(CLEAN, 8, 400, seed=5)
     other_grid = simulate_paths(CLEAN, 16, 400, seed=5)
@@ -388,11 +420,9 @@ def test_pass_builds_only_its_columns(monkeypatch):
         with pytest.raises(ValueError, match="fields lack the grid columns"):
             mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle, cols))
     assert calls == []
-    mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle, [8, 0, 6, 5, 2]))
-    # five loads, each with its forward route, and the optimum at the times > 0
-    assert sorted(cols for _, _, cols in calls) == sorted(
-        [[0, 2, 6, 8]] * 5 + [[8]] * 5 + [[2, 6]]
-    )
+    mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle, [8, 6, 5, 2]))
+    # five loads, one density each, none at column 0
+    assert [cols for _, _, cols in calls] == [[2, 6, 8]] * 5
     columns = mc.reduce()
     whole = run_mc_checks(
         bundle,
