@@ -119,7 +119,8 @@ def main():
     parser.add_argument("--out", default="BENCH_mc_columns.json", help="JSON output path")
     args = parser.parse_args()
 
-    cols = MonteCarloPass(SPEC, N_STEPS, MC_CHECKS).columns
+    # the pass's columns do not depend on its path count
+    cols = MonteCarloPass(SPEC, N_STEPS, PATH_COUNTS[0], MC_CHECKS).columns
     rows = []
     for n_paths in PATH_COUNTS:
         row = measure(n_paths, cols, args.repeat)

@@ -30,6 +30,7 @@ Writes the median and spread (min, max) of the repeats as JSON. Usage:
 import argparse
 import datetime
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -70,7 +71,10 @@ def child(n_paths):
     from forwardperf.mc_verifier import MC_CHECKS, MonteCarloPass
 
     spec = CoefficientSpec(**MODEL)
-    mc = MonteCarloPass(spec, N_STEPS, MC_CHECKS)
+    if "n_paths" in inspect.signature(MonteCarloPass).parameters:
+        mc = MonteCarloPass(spec, N_STEPS, n_paths, MC_CHECKS)
+    else:  # a source tree from before the pass was told its path count
+        mc = MonteCarloPass(spec, N_STEPS, MC_CHECKS)
     columns = mc.simulated_columns
     work = Workspace()
     gather_s = 0.0

@@ -506,7 +506,7 @@ def run_ito_scenario(doc, seed_override=None):
     if mc_checks:
         # refuses the model before paying for its simulation
         mc = MonteCarloPass(
-            spec, n_steps, mc_checks, eta_list, nu_family, time_indices, confidence
+            spec, n_steps, n_paths, mc_checks, eta_list, nu_family, time_indices, confidence
         )
         # every Monte Carlo check reads this one simulation, drawn only at
         # the pass's simulated columns and held one run of at most
@@ -518,9 +518,13 @@ def run_ito_scenario(doc, seed_override=None):
                 spec, n_steps, (n_paths // n_streams) * (hi - lo), seed,
                 antithetic=antithetic, stream_offset=lo, work=work, columns=columns,
             )
-            # the fields and densities are built at the pass's columns, all above 0
-            mc.gather(bundle, build_forward_exponential(spec, gamma0, a0, bundle, mc.columns))
-        del bundle, work  # reduce reads only the gathered columns
+            # the fields and densities are built at the pass's columns, all
+            # above 0, and the shift only where a check reads it
+            fields = build_forward_exponential(
+                spec, gamma0, a0, bundle, mc.columns, mc.shift_columns
+            )
+            mc.gather(bundle, fields)
+        del bundle, fields, work  # reduce reads only the gathered columns
         report.merge(mc.reduce())
     n_stat = sum(1 for rec in report.records() if rec.std_error is not None)
     if n_stat:

@@ -48,10 +48,9 @@ refused, never interpolated.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -145,6 +144,10 @@ class PathBundle:
     coefficients ``theta`` .. ``rho`` stay per grid step, shape
     (n_steps,). Row 0 draws from stream ``stream_offset``, so it is path
     ``first_path`` of the simulation that starts at stream 0.
+
+    ``b_integrals`` is ``density_path``'s memo of the B integrals it has
+    built on this bundle, keyed by the bits of the B-load and the columns:
+    a scenario's densities all load theta on B, so they share one.
     """
 
     spec: CoefficientSpec
@@ -161,6 +164,7 @@ class PathBundle:
     stream_offset: int
     sum_dB: np.ndarray
     sum_dW: np.ndarray
+    b_integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def first_path(self) -> int:
@@ -307,41 +311,61 @@ def _cumulative(per_step: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(per_step)))
 
 
-def _integral(bundle: PathBundle, sums: np.ndarray, v: np.ndarray, cols: np.ndarray):
+def _integral(bundle: PathBundle, sums: np.ndarray, v: np.ndarray, cols: np.ndarray, out=None):
     """Integral of the per-step coefficients ``v`` against the increments
     whose running sums are ``sums`` (``bundle.sum_dB`` or ``sum_dW``), at
     the grid columns ``cols``: a time-major (len(cols), n_streams) array,
-    one value per drawn stream (``_paths`` gives one per path).
+    one value per drawn stream (``_paths`` gives one per path), written
+    into ``out`` (a float64 array of that shape) when given, else into a
+    fresh array.
 
     ``v`` is split into maximal constant runs [s, e). The value at each run
     boundary is fixed in time order, V(0) = 0 and
     V(e) = V(s) + v_run (S(e) - S(s)), and a column c of the run with
     s < c <= e (column 0 in the first run) reads
     V(s) + v_run (S(c) - S(s)). So the value at c is the same whatever
-    other columns are asked for, and the work is one vector operation
-    per run and per column, applied in place to each stretch of requested
-    columns that share a run. Every column asked for, and every run
+    other columns are asked for, and the work is a few vector operations
+    per run boundary and per column, each column's written in place into
+    its row of the result. Every column asked for, and every run
     boundary before the last of them, must be a simulated column
     (``_sum_rows``).
+
+    Runs are taken in time order. The first starts at the scalar 0.0, whose
+    add turns a -0.0 into +0.0 as a zero row would. A later run starts at
+    a requested column's row when one sits on its boundary; otherwise its
+    start is built in place in one row of scratch, the only array the call
+    allocates besides its result.
     """
     sums = sums.T  # time-major: a simulated column is a contiguous row
     starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
     run = np.searchsorted(starts[1:], cols)
-    x = sums[_sum_rows(bundle, cols)]
+    rows = _sum_rows(bundle, cols)
+    last = run.max(initial=0)
     # the rows at the starts of the runs up to the last one read; each run
     # ends where the next starts
-    bounds = _sum_rows(bundle, starts[: run.max(initial=0) + 1])
-    at_start = np.zeros((bounds.size, sums.shape[1]))
-    for j in range(bounds.size - 1):
-        at_start[j + 1] = at_start[j] + v[starts[j]] * (sums[bounds[j + 1]] - sums[bounds[j]])
-    lo = 0
-    for j, same_run in itertools.groupby(run.tolist()):
-        hi = lo + len(tuple(same_run))
-        stretch = x[lo:hi]
-        stretch -= sums[bounds[j]]
-        stretch *= v[starts[j]]
-        stretch += at_start[j]
-        lo = hi
+    bounds = _sum_rows(bundle, starts[: last + 1])
+    x = np.empty((cols.size, sums.shape[1])) if out is None else out
+    at_start, scratch = 0.0, None
+    for j in range(last + 1):
+        for k in np.flatnonzero(run == j):
+            np.subtract(sums[rows[k]], sums[bounds[j]], out=x[k])
+            x[k] *= v[starts[j]]
+            x[k] += at_start
+        if j == last:
+            break
+        on_bound = np.flatnonzero(cols == starts[j + 1])
+        if on_bound.size:
+            # V(e) of run j is that column's value, bit for bit
+            at_start = x[on_bound[0]]
+            continue
+        if scratch is None:
+            scratch = np.empty(sums.shape[1])
+        # V(s) + v_run (S(e) - S(s)); when V(s) is in the scratch, the
+        # product goes to a row of the last run, written after this
+        step = x[np.flatnonzero(run == last)[0]] if at_start is scratch else scratch
+        np.subtract(sums[bounds[j + 1]], sums[bounds[j]], out=step)
+        step *= v[starts[j]]
+        at_start = np.add(step, at_start, out=scratch)
     return x
 
 
@@ -360,28 +384,55 @@ def _paths(bundle: PathBundle, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def density_path(bundle: PathBundle, nu1, nu2, columns=None) -> np.ndarray:
+def _b_integral(bundle: PathBundle, nu1: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """integral(-nu1 dB) per drawn stream at ``cols``, read-only, built once
+    per bundle for each B-load and columns (``PathBundle.b_integrals``)."""
+    key = (nu1.tobytes(), tuple(cols.tolist()))
+    i_b = bundle.b_integrals.get(key)
+    if i_b is None:
+        i_b = bundle.b_integrals[key] = _integral(bundle, bundle.sum_dB, -nu1, cols)
+        i_b.setflags(write=False)
+    return i_b
+
+
+def density_path(bundle: PathBundle, nu1, nu2, columns=None, out=None) -> np.ndarray:
     """Exponential local-martingale density with loads (nu1 on B, nu2 on W).
 
     Returns the path at every simulated column, shape
     (n_paths, len(bundle.columns)), column 0 equal to 1; with ``columns``,
     only those grid columns, shape (n_paths, len(columns)), bit for bit
-    the same values. Piecewise-constant
+    the same values. With ``out``, a float64 array of that shape, the
+    density is written there and ``out`` is returned; a fresh one
+    otherwise. Piecewise-constant
     loads make this the exact stochastic exponential at grid times:
     log z = integral(-nu1 dB) + integral(-nu2 dW) - (1/2) integral
     (nu1^2 + nu2^2) dt, each stochastic integral read from the bundle's
-    running sums (see ``_integral``).
+    running sums (see ``_integral``). The B integral is built once per
+    bundle for each B-load and columns and shared by the densities that
+    load the same (``PathBundle.b_integrals``); each density adds its own
+    W integral to it, I_W + I_B being I_B + I_W bit for bit.
     """
     nu1 = _per_step(bundle.n_steps, nu1, "nu1")
     nu2 = _per_step(bundle.n_steps, nu2, "nu2")
     cols = _bundle_columns(bundle, columns)
+    shape = (bundle.n_paths, cols.size)
+    if out is None:
+        out = np.empty(shape[::-1]).T
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(
+            f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}"
+        )
+    log_z = out.T  # time-major
     drift = _cumulative(0.5 * (nu1**2 + nu2**2) * bundle.dt)
-    # the two integrals are added per stream, then paired
-    log_z = _integral(bundle, bundle.sum_dB, -nu1, cols)
-    log_z += _integral(bundle, bundle.sum_dW, -nu2, cols)
-    log_z = _paths(bundle, log_z)
+    # the two integrals are added per stream, then paired (see _paths)
+    drawn = log_z[:, 0::2] if bundle.antithetic else log_z
+    _integral(bundle, bundle.sum_dW, -nu2, cols, out=drawn)
+    drawn += _b_integral(bundle, nu1, cols)
+    if bundle.antithetic:
+        np.negative(drawn, out=log_z[:, 1::2])
     log_z -= drift[cols][:, None]
-    return np.exp(log_z, out=log_z).T
+    np.exp(log_z, out=log_z)
+    return out
 
 
 def martingale_density(bundle: PathBundle, nu2, columns=None) -> np.ndarray:
@@ -392,31 +443,48 @@ def martingale_density(bundle: PathBundle, nu2, columns=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldPaths:
-    """Exact grid-time paths of the exponential field parameters at the
-    grid indices ``columns``."""
+    """Exact grid-time paths of the exponential field parameters: 1/gamma at
+    the grid indices ``columns`` and the shift at ``shift_columns``."""
 
     gamma0: float
     a0: float
     inv_gamma: np.ndarray  # (n_paths, len(columns))
-    a_shift: np.ndarray  # (n_paths, len(columns))
+    a_shift: np.ndarray  # (n_paths, len(shift_columns))
     columns: tuple[int, ...]
+    shift_columns: tuple[int, ...]
 
 
 def build_forward_exponential(
-    spec: CoefficientSpec, gamma0: float, a0: float, bundle: PathBundle, columns=None
+    spec: CoefficientSpec,
+    gamma0: float,
+    a0: float,
+    bundle: PathBundle,
+    columns=None,
+    shift_columns=None,
 ) -> FieldPaths:
     """Field parameter paths for the self-generating exponential family.
 
     1/gamma is the stochastic exponential of delta dS; the shift collects
     a deterministic quadratic drift, the hedgeable rho dS part scaled by
     the current gamma, and the orthogonal phi dW martingale part. Both are
-    exact at grid times for piecewise-constant coefficients. The paths
-    hold every simulated column of ``bundle``; with ``columns``, only
-    those grid columns, bit for bit the same values.
+    exact at grid times for piecewise-constant coefficients. 1/gamma holds
+    every simulated column of ``bundle``; with ``columns``, only those
+    grid columns, bit for bit the same values. The shift holds the grid
+    columns ``shift_columns``, which must be among those (by default the
+    same columns); an empty list builds no shift.
     """
     if gamma0 <= 0.0:
         raise ValueError("gamma0 must be positive")
     cols = _bundle_columns(bundle, columns)
+    shift_cols = cols if shift_columns is None else _grid_columns(bundle.n_steps, shift_columns)
+    pos = {c: k for k, c in enumerate(cols.tolist())}
+    outside = sorted(set(shift_cols.tolist()) - set(pos))
+    if outside:
+        raise ValueError(f"shift columns {outside} are not among the columns {cols.tolist()}")
+    # the rows of 1/gamma the shift divides by: all of them, as a view, when
+    # the columns agree
+    same = np.array_equal(shift_cols, cols)
+    shift_rows = slice(None) if same else [pos[c] for c in shift_cols.tolist()]
     dt = bundle.dt
     theta, delta, phi, rho = bundle.theta, bundle.delta, bundle.phi, bundle.rho
     # log(1/gamma) = integral delta dS - (1/2) integral delta^2 dt
@@ -424,21 +492,24 @@ def build_forward_exponential(
     inv_gamma += _cumulative(delta * theta * dt - 0.5 * delta**2 * dt)[cols][:, None]
     np.exp(inv_gamma, out=inv_gamma)
     inv_gamma /= gamma0
-    # integral rho dS / inv_gamma, then the deterministic drift
-    # a0 + (1/2) integral ((theta - delta)^2 - phi^2) dt, then - integral phi dW
-    a_shift = _paths(bundle, _integral(bundle, bundle.sum_dB, rho, cols))
-    a_shift += _cumulative(rho * theta * dt)[cols][:, None]
-    a_shift /= inv_gamma
-    drift = a0 + _cumulative(0.5 * (theta - delta) ** 2 * dt - 0.5 * phi**2 * dt)
-    a_shift += drift[cols][:, None]
-    # - integral phi dW in place on each path's row; a partner's integral is
-    # the negated one, and x - (-y) is x + y exactly
-    phi_dw = _integral(bundle, bundle.sum_dW, phi, cols)
-    if bundle.antithetic:
-        a_shift[:, 0::2] -= phi_dw
-        a_shift[:, 1::2] += phi_dw
+    if shift_cols.size:
+        # integral rho dS / inv_gamma, then the deterministic drift
+        # a0 + (1/2) integral ((theta - delta)^2 - phi^2) dt, then - integral phi dW
+        a_shift = _paths(bundle, _integral(bundle, bundle.sum_dB, rho, shift_cols))
+        a_shift += _cumulative(rho * theta * dt)[shift_cols][:, None]
+        a_shift /= inv_gamma[shift_rows]
+        drift = a0 + _cumulative(0.5 * (theta - delta) ** 2 * dt - 0.5 * phi**2 * dt)
+        a_shift += drift[shift_cols][:, None]
+        # - integral phi dW in place on each path's row; a partner's integral is
+        # the negated one, and x - (-y) is x + y exactly
+        phi_dw = _integral(bundle, bundle.sum_dW, phi, shift_cols)
+        if bundle.antithetic:
+            a_shift[:, 0::2] -= phi_dw
+            a_shift[:, 1::2] += phi_dw
+        else:
+            a_shift -= phi_dw
     else:
-        a_shift -= phi_dw
+        a_shift = np.empty((0, bundle.n_paths))
     inv_gamma.setflags(write=False)
     a_shift.setflags(write=False)
     return FieldPaths(
@@ -447,6 +518,7 @@ def build_forward_exponential(
         inv_gamma=inv_gamma.T,
         a_shift=a_shift.T,
         columns=tuple(cols.tolist()),
+        shift_columns=tuple(shift_cols.tolist()),
     )
 
 

@@ -22,7 +22,7 @@ and loads the checks integrate. They depend on the scenario alone, not on
 the checks requested. Simulate once, at those columns, and run the checks
 in one pass::
 
-    mc = MonteCarloPass(spec, n_steps, checks)
+    mc = MonteCarloPass(spec, n_steps, n_paths, checks)
     bundle = simulate_paths(spec, n_steps, n_paths, seed, columns=mc.simulated_columns)
     fields = build_forward_exponential(spec, gamma0, a0, bundle)
     run_mc_checks(bundle, fields, ["dual-submartingale", "inverse-gamma-mean"])
@@ -32,7 +32,8 @@ that lacks a simulated column is refused. The pass plans one density per
 distinct pair of loads (nu1 on B, nu2 on W), compared bit for bit, and
 builds it once, at the union of the columns its readers need: the family's
 loads, the optimum load phi and the forward check's z~ (B-load
-theta - delta) share a density whenever their loads agree. Nothing is
+theta - delta) share a density whenever their loads agree, and the
+densities of a run share one B integral (``density_path``). Nothing is
 built at grid index 0, where every path is at its start (Z_0 = 1,
 1/gamma_0 = 1/gamma0, a_0 = a0); the statistics read those constants
 there, with the kernels' bits. The model spec, the step count and the
@@ -42,15 +43,18 @@ check each, report the same bytes on a shared simulation as on a fresh
 one at the same columns.
 
 To bound memory, the same pass takes the simulation one stream range at a
-time and keeps only a few per-path columns of each. What ``gather`` keeps
-is its own densities and the chunk's field columns, never the bundle's
-sums, so the ranges can share one ``Workspace``, each overwriting the
-last; each chunk's fields must be arrays of its own, as
-``build_forward_exponential`` makes them. ``cli.run_ito_scenario`` sizes
-the ranges by its draw budget alone; any split into consecutive ranges
-gives the same report::
+time and keeps only a few per-path columns of each. The pass is told its
+path count and owns its densities' arrays: ``gather`` writes each chunk's
+densities straight into the chunk's slice of them, and keeps views of
+the chunk's field columns, never the bundle's sums, so the ranges can
+share one ``Workspace``, each overwriting the last; each chunk's fields
+must be arrays of its own, as ``build_forward_exponential`` makes them.
+The fields need 1/gamma at ``mc.columns`` and the shift only at
+``mc.shift_columns``, where a requested check reads it.
+``cli.run_ito_scenario`` sizes the ranges by its draw budget alone; any
+split into consecutive ranges gives the same report::
 
-    mc = MonteCarloPass(spec, n_steps, checks)
+    mc = MonteCarloPass(spec, n_steps, n_paths, checks)
     work = Workspace()
     for lo, hi in ranges:  # consecutive stream ranges covering 0 .. n_streams
         # (hi - lo) streams: twice as many paths when antithetic
@@ -58,19 +62,24 @@ gives the same report::
             spec, n_steps, 2 * (hi - lo), seed, stream_offset=lo, work=work,
             columns=mc.simulated_columns,
         )
-        mc.gather(bundle, build_forward_exponential(spec, gamma0, a0, bundle, mc.columns))
+        fields = build_forward_exponential(
+            spec, gamma0, a0, bundle, mc.columns, mc.shift_columns
+        )
+        mc.gather(bundle, fields)
     report = mc.reduce()
 
 The report is the one ``run_mc_checks`` gives on the whole simulation.
 ``gather`` refuses a chunk that does not continue the simulation: one
-whose streams do not follow the previous chunk's, or whose grid, pairing,
-gamma0 or a0 differ from the first chunk's.
+whose streams do not follow the previous chunk's, whose grid, pairing,
+gamma0 or a0 differ from the first chunk's, or whose paths would go past
+``n_paths``; ``reduce`` refuses a pass short of ``n_paths``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -412,7 +421,11 @@ class MonteCarloPass:
     checks requested, so a check reads the same draws alone as in the
     full suite. ``columns`` lists the grid indices above 0 the requested
     checks read: ``time_indices`` and the horizon (the optimum's indices
-    are among them); the fields must hold them. Index 0 is never built:
+    are among them); the fields must hold 1/gamma there.
+    ``shift_columns`` lists those at which a check reads the shift: the
+    time indices above 0 for the dual checks and the horizon for the
+    forward drift, none for ``inverse-gamma-mean`` alone; the fields must
+    hold the shift there. Index 0 is never built:
     every path starts at Z_0 = 1, 1/gamma_0 = 1/gamma0 and a_0 = a0 + 0.0,
     the kernels' bits there, and ``reduce`` reads those as one-entry
     arrays that broadcast.
@@ -422,16 +435,21 @@ class MonteCarloPass:
     its readers need. The readers are each load of the family at
     ``columns`` (nu1 = theta), the forward check's z~ of each load at the
     horizon (nu1 = theta - delta, which is theta when delta = 0) and the
-    optimum load phi at its indices. ``gather`` builds each planned
-    density once per chunk and keeps each column as the contiguous row
-    view of the array it was built in, and the field columns as views of
-    the chunk's fields; the bundle can then be dropped or overwritten.
-    ``reduce`` joins the columns in stream order and runs every mean test
-    once, on exactly the samples one whole-simulation chunk would give,
-    so the report does not depend on the chunking. The antithetic pairing,
-    gamma0 and a0 are those of the first chunk; later chunks must continue
-    its streams with the same settings. Being stream ranges, chunks never
-    split an antithetic pair.
+    optimum load phi at its indices. On the first ``gather`` the pass
+    allocates one time-major (len(columns), n_paths) array per planned
+    density, and each chunk's ``density_path(..., out=)`` writes the
+    chunk's paths, the next ``bundle.n_paths`` of them, into that array
+    in place; a chunk that would go past ``n_paths`` is refused. The field
+    columns are kept as views of the chunk's fields; the bundle can then
+    be dropped or overwritten. ``reduce`` refuses a pass that holds fewer
+    than ``n_paths`` paths, reads each density column as a contiguous row
+    of the pass's array, joins the chunks' field columns in stream order
+    (when there are several) and runs every mean test once, on exactly
+    the samples one whole-simulation chunk would give, so the report does
+    not depend on the chunking. The antithetic pairing, gamma0 and a0 are
+    those of the first chunk; later chunks must continue its streams with
+    the same settings. Being stream ranges, chunks never split an
+    antithetic pair.
 
     ``reduce`` builds each test's samples, their pair means and squared
     deviations, the dual values and the reductions' buffers in one
@@ -443,12 +461,15 @@ class MonteCarloPass:
         self,
         spec: CoefficientSpec,
         n_steps: int,
+        n_paths: int,
         checks: Sequence[str],
         eta_list: Sequence[float] = (1.0, 2.0),
         nu_family: dict[str, np.ndarray] | None = None,
         time_indices: Sequence[int] | None = None,
         confidence: float = DEFAULT_CONFIDENCE,
     ):
+        if operator.index(n_paths) < 1:
+            raise ValueError(f"n_paths must be positive, got {n_paths}")
         unknown = set(checks) - set(MC_CHECKS)
         if unknown:
             raise ValueError(f"unknown Monte Carlo checks {sorted(unknown)}")
@@ -474,6 +495,10 @@ class MonteCarloPass:
         self.opt_idx = [i for i in self.idx if i > 0] if self.at_optimum else []
         # reduce reads index 0 as the start values: nothing is built there
         self.columns = sorted((set(self.idx) | {n_steps}) - {0})
+        # the shift is read by the dual values and by the forward drift
+        self.shift_columns = sorted(
+            (set(self.idx) | ({n_steps} if self.forward else set())) - {0}
+        )
         coeffs = spec.per_step_values(n_steps)
         if nu_family is None:
             nu_family = _nu_family(coeffs["phi"])
@@ -508,19 +533,24 @@ class MonteCarloPass:
         if self.at_optimum:
             plan("z_opt", coeffs["theta"], coeffs["phi"], self.opt_idx)
         self.densities = [(nu1, nu2, sorted(cols)) for nu1, nu2, cols in plans]
-        self.spec, self.n_steps = spec, n_steps
+        self.spec, self.n_steps, self.n_paths = spec, n_steps, int(n_paths)
         self.eta_list = [float(eta) for eta in eta_list]
         self.confidence = confidence
         self.t_label = dict(zip(all_idx, time_labels(spec.horizon, n_steps, all_idx)))
-        self._chunks: list[dict] = []
+        self._chunks: list[dict] = []  # each chunk's field columns
+        # the planned densities, one (len(columns), n_paths) array each,
+        # and the paths gathered into them
+        self._z: list[np.ndarray] | None = None
+        self._filled = 0
         # (antithetic, gamma0, a0) of the first chunk, and its next stream
         self._layout = None
         self._next_stream = None
 
     def gather(self, bundle: PathBundle, fields: FieldPaths) -> None:
-        """Keep this chunk's per-path columns: each planned density at its
-        columns, and the field columns. A bundle of another model, or not
-        simulated at every one of ``simulated_columns``, is refused."""
+        """Write this chunk's densities into the pass's arrays, at its
+        paths' slice, and keep its field columns. A bundle of another
+        model, not simulated at every one of ``simulated_columns``, or whose
+        paths would go past ``n_paths``, is refused."""
         layout = (bundle.antithetic, fields.gamma0, fields.a0)
         last_col = max(fields.columns, default=0)
         if bundle.spec != self.spec:
@@ -544,6 +574,12 @@ class MonteCarloPass:
         missing = [i for i in self.columns if i not in field_pos]
         if missing:
             raise ValueError(f"fields lack the grid columns {missing} the checks read")
+        shift_pos = {c: k for k, c in enumerate(fields.shift_columns)}
+        missing = [i for i in self.shift_columns if i not in shift_pos]
+        if missing:
+            raise ValueError(
+                f"fields lack the shift at the grid columns {missing} the checks read"
+            )
         if self._layout is not None and layout != self._layout:
             raise ValueError(
                 f"chunk has (antithetic, gamma0, a0) = {layout}; the first chunk "
@@ -554,37 +590,54 @@ class MonteCarloPass:
                 f"chunk starts at stream {bundle.stream_offset}; the pass expects "
                 f"stream {self._next_stream}"
             )
+        lo, hi = self._filled, self._filled + bundle.n_paths
+        if hi > self.n_paths:
+            raise ValueError(
+                f"chunk has {bundle.n_paths} paths after the {lo} gathered; the pass "
+                f"holds {self.n_paths}"
+            )
         self._layout = layout
         self._next_stream = bundle.stream_offset + bundle.n_paths // (
             2 if bundle.antithetic else 1
         )
+        if self._z is None:
+            self._z = [np.empty((len(columns), self.n_paths)) for _, _, columns in self.densities]
+        for (nu1, nu2, columns), z in zip(self.densities, self._z):
+            # the chunk's paths are a slice of each time-major array
+            density_path(bundle, nu1, nu2, columns, out=z[:, lo:hi].T)
+        self._filled = hi
         cols = {}
-        for d, (nu1, nu2, columns) in enumerate(self.densities):
-            # each column a contiguous row of the time-major array that
-            # density_path returns the transpose of
-            z = density_path(bundle, nu1, nu2, columns)
-            for k, i in enumerate(columns):
-                cols["z", d, i] = z[:, k]
         for i in self.columns:
             cols["inv_gamma", i] = fields.inv_gamma[:, field_pos[i]]
-            cols["a_shift", i] = fields.a_shift[:, field_pos[i]]
+        for i in self.shift_columns:
+            cols["a_shift", i] = fields.a_shift[:, shift_pos[i]]
         self._chunks.append(cols)
 
     def reduce(self) -> VerificationReport:
-        """Join the gathered columns in stream order and run every check's
-        mean tests on them, on the pass's scratch; the scratch is dropped
-        on return."""
+        """Run every check's mean tests on the pass's densities and the
+        gathered field columns, joined in stream order, on the pass's
+        scratch; the scratch is dropped on return. A pass that holds fewer
+        than ``n_paths`` paths is refused."""
         if not self._chunks:
             raise ValueError("no chunk gathered")
+        if self._filled < self.n_paths:
+            raise ValueError(
+                f"the pass gathered {self._filled} paths of the {self.n_paths} it holds"
+            )
         antithetic, gamma0, a0 = self._layout
         chunks, self._chunks = self._chunks, []
+        z_arrays, self._z = self._z, None
         work = Workspace()
         self._layout = self._next_stream = None
+        self._filled = 0
         if len(chunks) == 1:
             cols = chunks.pop()
         else:
             cols = {key: np.concatenate([c.pop(key) for c in chunks]) for key in list(chunks[0])}
-        n = cols["inv_gamma", self.n_steps].shape[0]
+        for d, (_, _, columns) in enumerate(self.densities):
+            for k, i in enumerate(columns):
+                cols["z", d, i] = z_arrays[d][k]
+        n = self.n_paths
         # grid index 0 as one entry for every path, the bits the kernels
         # give there: S_B(0) = S_W(0) = 0, so exp(+-0) = 1 and the shift's
         # partner -0 vanishes in a0 + 0.0
@@ -681,7 +734,9 @@ def run_mc_checks(
     Each distinct density is built once, and only at the columns above 0
     the checks read (``time_indices`` and the terminal time); the optimum
     load ``bundle.phi`` reads the family's density when phi is one of its
-    loads. Every check turns
+    loads. The densities share the bundle's B integral of each B-load,
+    and ``fields`` need hold the shift only at the pass's
+    ``shift_columns``. Every check turns
     those columns into per-path statistics with a target, and one reducer
     collapses antithetic pairs and runs ``mc_mean_test`` on each. This is
     the one-chunk case of ``MonteCarloPass``. The checks:
@@ -707,10 +762,12 @@ def run_mc_checks(
       other, and the load's drift record is still reported.
 
     ``bundle`` and ``fields`` are the scenario's shared simulation (see
-    the module docstring); the spec is ``bundle.spec``.
+    the module docstring); the spec is ``bundle.spec``, and the pass holds
+    ``bundle.n_paths`` paths.
     """
     mc = MonteCarloPass(
-        bundle.spec, bundle.n_steps, checks, eta_list, nu_family, time_indices, confidence
+        bundle.spec, bundle.n_steps, bundle.n_paths, checks, eta_list, nu_family, time_indices,
+        confidence,
     )
     mc.gather(bundle, fields)
     return mc.reduce()

@@ -712,9 +712,9 @@ def density_builds(monkeypatch, doc):
     calls = []
     original = ito_engine.density_path
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     for module in (ito_engine, mc_verifier):
         monkeypatch.setattr(module, "density_path", counted)

@@ -2,11 +2,13 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from forwardperf import ito_engine
 from forwardperf.errors import AlignmentError
 from forwardperf.ito_engine import (
     FAIL_ANALYTIC,
@@ -480,6 +482,87 @@ def test_kernels_refuse_unsimulated_columns():
         build_forward_exponential(KERNEL_SPEC, 1.0, 0.0, ends, [16])
     with pytest.raises(ValueError, match=r"grid columns \[4, 12\] were not simulated"):
         martingale_density(ends, 0.0, [16])
+
+
+# -- shared B integral, output buffers, shift columns ----------------------
+
+
+@pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+def test_shared_b_integral_keeps_each_density_bits(antithetic):
+    # the densities on one bundle share its B integral per B-load and
+    # columns; each equals, bit for bit, the density built alone on a fresh
+    # bundle of the same draws. KERNEL_SPEC is piecewise with delta != 0,
+    # so theta - delta is a second B-load, and the ramp changes every step
+    ramp = np.linspace(-0.4, 0.6, 16)
+    shared = simulate_paths(KERNEL_SPEC, 16, 514, seed=37, antithetic=antithetic)
+    b_loads = (shared.theta, shared.theta - shared.delta)
+    column_sets = (None, [16], [11, 3, 16, 7])
+    for cols in column_sets:
+        for nu1 in b_loads:
+            for nu2 in (shared.phi, ramp, 0.8):
+                fresh = simulate_paths(KERNEL_SPEC, 16, 514, seed=37, antithetic=antithetic)
+                want = density_path(fresh, nu1, nu2, cols)
+                got = density_path(shared, nu1, nu2, cols)
+                np.testing.assert_array_equal(bits(got), bits(want))
+    # one integral per distinct (B-load, columns), none per W-load
+    assert len(shared.b_integrals) == len(b_loads) * len(column_sets)
+    assert not any(i_b.flags.writeable for i_b in shared.b_integrals.values())
+
+
+@pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+def test_density_path_writes_into_out(antithetic):
+    # a run writes its paths' slice of a larger time-major array, as a
+    # Monte Carlo pass holds its densities; nothing else of it is touched
+    bundle = simulate_paths(KERNEL_SPEC, 16, 10, seed=41, antithetic=antithetic, stream_offset=3)
+    cols = [12, 4, 16]
+    want = density_path(bundle, bundle.theta, np.linspace(-0.4, 0.6, 16), cols)
+    held = np.full((len(cols), 30), np.nan)
+    out = held[:, 6:16].T
+    got = density_path(bundle, bundle.theta, np.linspace(-0.4, 0.6, 16), cols, out=out)
+    assert got is out
+    np.testing.assert_array_equal(bits(held[:, 6:16].T), bits(want))
+    assert np.isnan(held[:, :6]).all() and np.isnan(held[:, 16:]).all()
+    for bad in (np.empty((10, 2)), np.empty((3, 10)).T[:, :2], np.empty((10, 3), np.float32)):
+        with pytest.raises(ValueError, match=r"out must be a float64 array of shape \(10, 3\)"):
+            density_path(bundle, 0.1, 0.2, cols, out=bad)
+
+
+@pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+def test_fields_build_the_shift_only_at_its_columns(antithetic):
+    # the shift at shift_columns, among the columns, has the bits it has
+    # when built at every column; an empty list builds none
+    bundle = simulate_paths(KERNEL_SPEC, 16, 14, seed=31, antithetic=antithetic)
+    full = build_forward_exponential(KERNEL_SPEC, 1.3, 0.2, bundle)
+    cols = [11, 3, 16, 7]
+    for shift_cols in ([], [16], [7, 11], [3, 7, 11, 16], cols):
+        fields = build_forward_exponential(KERNEL_SPEC, 1.3, 0.2, bundle, cols, shift_cols)
+        np.testing.assert_array_equal(bits(fields.inv_gamma), bits(full.inv_gamma[:, cols]))
+        assert fields.a_shift.shape == (14, len(shift_cols))
+        np.testing.assert_array_equal(bits(fields.a_shift), bits(full.a_shift[:, shift_cols]))
+        assert fields.columns == tuple(cols) and fields.shift_columns == tuple(shift_cols)
+        assert not fields.a_shift.flags.writeable
+    assert full.shift_columns == full.columns == tuple(range(17))
+    with pytest.raises(ValueError, match=r"shift columns \[4, 12\] are not among the columns"):
+        build_forward_exponential(KERNEL_SPEC, 1.3, 0.2, bundle, cols, [12, 16, 4])
+
+
+def test_integral_allocates_its_result_and_at_most_one_row():
+    # runs are taken in time order: a run that starts on a column asked
+    # for reads that column's row, and a start that is not asked for is
+    # built in one row of scratch. KERNEL_SPEC's theta changes at columns
+    # 4 and 12 of 16
+    n = 4096
+    bundle = simulate_paths(KERNEL_SPEC, 16, n, seed=7, antithetic=False)
+    row = 8 * n
+    for cols, scratch in (([2, 3], 0), ([4, 12, 16], 0), ([16], row), ([3, 16, 7], row)):
+        cols = np.array(cols)
+        tracemalloc.start()
+        try:
+            x = ito_engine._integral(bundle, bundle.sum_dB, bundle.theta, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes + scratch <= peak <= x.nbytes + scratch + 4096, (cols, peak)
 
 
 def test_one_interval_sum_has_the_horizon_as_variance():

@@ -1,6 +1,7 @@
 """Statistical verification layer: band tests, refusal logic, reproducibility."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -143,7 +144,7 @@ def test_mean_test_to_record(rng):
 
 
 def test_default_nu_family_labels():
-    fam = MonteCarloPass(CLEAN, 8, ["inverse-gamma-mean"]).nu_family
+    fam = MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"]).nu_family
     assert set(fam) == {"0", "phi", "phi+0.4", "phi-0.4", "0.8"}
     np.testing.assert_array_equal(fam["phi"], np.full(8, 0.3))
     np.testing.assert_array_equal(fam["phi+0.4"], np.full(8, 0.7))
@@ -173,7 +174,7 @@ def test_pass_refuses_a_malformed_load():
     # when the pass is built, before any path is drawn
     for load in (np.ones(7), np.ones(1), np.ones((8, 1))):
         with pytest.raises(ValueError, match=r"load 'bad' must be scalar or shape \(8,\)"):
-            MonteCarloPass(CLEAN, 8, ["inverse-gamma-mean"], nu_family={"bad": load})
+            MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"], nu_family={"bad": load})
 
 
 def test_optimum_equality_and_chain_consistency():
@@ -264,7 +265,7 @@ def test_reports_chunk_invariant():
     # whole simulation
     checks = list(MC_CHECKS)
     whole = run_mc_checks(*simulated(CLEAN, 1.0, 0.0, 32, 2002, seed=709), checks)
-    mc = MonteCarloPass(CLEAN, 32, checks)
+    mc = MonteCarloPass(CLEAN, 32, 2002, checks)
     for lo, hi in chunk_bounds(1001, 4):
         mc.gather(*simulated(CLEAN, 1.0, 0.0, 32, 2 * (hi - lo), seed=709, stream_offset=lo))
     assert mc.reduce().to_json() == whole.to_json()
@@ -276,7 +277,7 @@ def test_reduce_holds_only_its_scratch_above_the_gathered_columns():
     # that scratch, not by the columns: joining them into fresh arrays,
     # or one fresh array per statistic, would exceed the bound
     n = 20_000  # antithetic paths: n // 2 samples per test
-    mc = MonteCarloPass(CLEAN, 8, list(MC_CHECKS))
+    mc = MonteCarloPass(CLEAN, 8, n, list(MC_CHECKS))
     bundle = simulate_paths(CLEAN, 8, n, seed=31, columns=mc.simulated_columns)
     mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle, mc.columns))
     n_dual = max(len(mc.idx), len(mc.opt_idx))
@@ -303,22 +304,49 @@ def test_reduce_holds_only_its_scratch_above_the_gathered_columns():
     assert report.all_passed
 
 
-def test_gather_keeps_the_planned_densities_and_the_field_columns():
-    # one gather keeps each planned density at its columns and 1/gamma and
-    # the shift at each read index, all above 0: a density built once per
-    # reader, a column at t = 0 or a log z~ column would exceed the bound
-    n = 20_000
-    mc = MonteCarloPass(CLEAN, 8, list(MC_CHECKS))
-    assert mc.columns == [4, 8] and len(mc.densities) == len(mc.nu_family)
+def gathered_growth(mc, n):
+    """The bytes one gather of ``n`` antithetic paths leaves allocated once
+    the run's bundle (and the B integral its densities share) is dropped,
+    as the next run's simulation drops it, and the bytes the pass keeps:
+    its density arrays (each planned density's columns x n_paths), 1/gamma
+    at each read index and the shift at each index a check reads it."""
     bundle = simulate_paths(CLEAN, 8, n, seed=31, columns=mc.simulated_columns)
-    n_columns = sum(len(cols) for _, _, cols in mc.densities) + 2 * len(mc.columns)
-    kept = 8 * n * n_columns
+    n_columns = sum(len(cols) for _, _, cols in mc.densities)
+    kept = 8 * n * (n_columns + len(mc.columns) + len(mc.shift_columns))
     tracemalloc.start()
     try:
-        mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle, mc.columns))
+        fields = build_forward_exponential(
+            CLEAN, 1.0, 0.0, bundle, mc.columns, mc.shift_columns
+        )
+        mc.gather(bundle, fields)
+        del bundle, fields
         growth = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    return growth, kept
+
+
+def test_gather_keeps_the_planned_densities_and_the_field_columns():
+    # one gather keeps the pass's density arrays and the field columns, all
+    # above 0: a density built once per reader, a column at t = 0 or a
+    # log z~ column would exceed the bound
+    n = 20_000
+    mc = MonteCarloPass(CLEAN, 8, n, list(MC_CHECKS))
+    assert mc.columns == mc.shift_columns == [4, 8]
+    assert len(mc.densities) == len(mc.nu_family)
+    growth, kept = gathered_growth(mc, n)
+    assert kept <= growth <= kept + 64 * 1024, (growth, kept)
+
+
+def test_gather_keeps_no_shift_for_inverse_gamma_mean_alone():
+    # no requested check reads the shift, so the fields hold none and the
+    # pass keeps each load's terminal density and 1/gamma at the horizon
+    n = 20_000
+    mc = MonteCarloPass(CLEAN, 8, n, ["inverse-gamma-mean"])
+    assert mc.columns == [8] and mc.shift_columns == []
+    assert [cols for _, _, cols in mc.densities] == [[8]] * 5
+    growth, kept = gathered_growth(mc, n)
+    assert kept == 8 * n * 6
     assert kept <= growth <= kept + 64 * 1024, (growth, kept)
 
 
@@ -327,8 +355,9 @@ def test_gather_keeps_the_planned_densities_and_the_field_columns():
 )
 def test_four_runs_report_the_bytes_of_one(monkeypatch, antithetic, checks):
     # the README model, as the benchmark's Monte Carlo workloads run it:
-    # a pass of four runs joins their columns into one array per key and
-    # reports the bytes of a pass of one run
+    # a pass of four runs writes each run's densities into its slice of
+    # the pass's arrays, joins the runs' field columns, and reports the
+    # bytes of a pass of one run
     doc = {
         "schema_version": 1,
         "kind": "ito-verify",
@@ -366,7 +395,7 @@ def test_four_runs_report_the_bytes_of_one(monkeypatch, antithetic, checks):
 
 
 def test_pass_refuses_chunks_that_do_not_continue_the_simulation():
-    mc = MonteCarloPass(CLEAN, 8, ["inverse-gamma-mean"])
+    mc = MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"])
     with pytest.raises(ValueError, match="no chunk gathered"):
         mc.reduce()
     mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 100, seed=5))
@@ -394,6 +423,88 @@ def test_pass_refuses_chunks_that_do_not_continue_the_simulation():
     assert mc.reduce().to_json() == whole.to_json()
 
 
+def test_pass_reads_the_shift_only_where_its_checks_do():
+    # the dual checks read the shift at their time indices above 0 and the
+    # forward drift at the horizon; inverse-gamma-mean alone reads none, so
+    # fields without a shift serve it with the bytes of full fields
+    bundle = simulate_paths(CLEAN, 8, 200, seed=5)
+    no_shift = build_forward_exponential(CLEAN, 1.0, 0.0, bundle, [4, 8], [])
+    for checks, missing in ((["forward-drift"], [8]), (["dual-submartingale"], [4, 8])):
+        mc = MonteCarloPass(CLEAN, 8, 200, checks)
+        refusal = re.escape(f"lack the shift at the grid columns {missing}")
+        with pytest.raises(ValueError, match=refusal):
+            mc.gather(bundle, no_shift)
+    mc = MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"])
+    mc.gather(bundle, no_shift)
+    full = build_forward_exponential(CLEAN, 1.0, 0.0, bundle)
+    assert mc.reduce().to_json() == run_mc_checks(bundle, full, ["inverse-gamma-mean"]).to_json()
+
+
+def test_pass_holds_exactly_its_path_count():
+    # the pass writes each run into its slice of arrays of n_paths paths:
+    # a run past them is refused and leaves the pass as it was, and a pass
+    # short of them is not reduced
+    with pytest.raises(ValueError, match="n_paths must be positive, got 0"):
+        MonteCarloPass(CLEAN, 8, 0, ["inverse-gamma-mean"])
+    mc = MonteCarloPass(CLEAN, 8, 300, ["inverse-gamma-mean"])
+    mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 200, seed=5))
+    with pytest.raises(ValueError, match="gathered 200 paths of the 300 it holds"):
+        mc.reduce()
+    past = "chunk has 200 paths after the 200 gathered; the pass holds 300"
+    with pytest.raises(ValueError, match=past):
+        mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 200, seed=5, stream_offset=100))
+    mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 100, seed=5, stream_offset=100))
+    whole = run_mc_checks(*simulated(CLEAN, 1.0, 0.0, 8, 300, seed=5), ["inverse-gamma-mean"])
+    assert mc.reduce().to_json() == whole.to_json()
+
+
+@pytest.mark.parametrize(
+    "checks, per_run", [(None, {"B": 3, "W": 6}), (["inverse-gamma-mean"], {"B": 2, "W": 5})],
+    ids=["suite", "inverse-gamma-mean"],
+)
+def test_each_run_builds_one_b_integral_for_its_densities(monkeypatch, checks, per_run):
+    # on the README model every density loads theta on B (delta = 0), so a
+    # run builds one B integral for its five densities, plus 1/gamma's; the
+    # shift's B and W integrals only when a check reads the shift. Each
+    # load's density has a W integral of its own
+    doc = {
+        "schema_version": 1,
+        "kind": "ito-verify",
+        "model": {
+            "horizon": 1.0,
+            "breakpoints": [0.0, 0.5],
+            "theta": [0.5, 0.5],
+            "delta": 0.0,
+            "phi": [0.3, 0.0],
+            "rho": 0.1,
+        },
+        "gamma0": 1.0,
+        "a0": 0.0,
+        "n_steps": 64,
+        "n_paths": 4000,
+        "seed": 1234,
+    }
+    if checks:
+        doc["checks"] = checks
+    counts = {"B": 0, "W": 0, "runs": 0}
+    integral, simulate = ito_engine._integral, cli.simulate_paths
+
+    def counted_integral(bundle, sums, *args, **kwargs):
+        counts["B" if sums is bundle.sum_dB else "W"] += 1
+        return integral(bundle, sums, *args, **kwargs)
+
+    def counted_simulate(*args, **kwargs):
+        counts["runs"] += 1
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(ito_engine, "_integral", counted_integral)
+    monkeypatch.setattr(cli, "simulate_paths", counted_simulate)
+    # two runs of 1000 streams over the two simulated intervals
+    monkeypatch.setattr(cli, "DRAW_BUDGET", 1000 * 2)
+    run_ito_scenario(doc)
+    assert counts == {"B": 2 * per_run["B"], "W": 2 * per_run["W"], "runs": 2}
+
+
 def test_pass_builds_only_its_columns(monkeypatch):
     # densities and fields are built at the columns above 0 the checks
     # read: the time indices and the horizon. Each distinct load's density
@@ -403,15 +514,15 @@ def test_pass_builds_only_its_columns(monkeypatch):
     calls = []
     original = ito_engine.density_path
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         calls.append(args[1:])
-        return original(*args)
+        return original(*args, **kwargs)
 
     for module in (ito_engine, mc_verifier):
         monkeypatch.setattr(module, "density_path", recorded)
-    mc = MonteCarloPass(CLEAN, 8, list(MC_CHECKS), time_indices=[6, 0, 2])
+    mc = MonteCarloPass(CLEAN, 8, 400, list(MC_CHECKS), time_indices=[6, 0, 2])
     assert mc.columns == [2, 6, 8]
-    assert MonteCarloPass(CLEAN, 8, ["inverse-gamma-mean"]).columns == [8]
+    assert MonteCarloPass(CLEAN, 8, 400, ["inverse-gamma-mean"]).columns == [8]
     bundle = simulate_paths(CLEAN, 8, 400, seed=5)
     other_grid = simulate_paths(CLEAN, 16, 400, seed=5)
     with pytest.raises(ValueError, match="needs 8 steps"):
@@ -443,10 +554,10 @@ def test_pass_simulated_columns_depend_on_the_scenario_alone():
     )
     family = {"flat": np.full(8, 0.2), "step": np.array([0.0] * 3 + [0.5] * 5)}
     for checks in ([], ["inverse-gamma-mean"], list(MC_CHECKS[:1]), ["forward-drift"]):
-        mc = MonteCarloPass(spec, 8, checks, nu_family=family, time_indices=[1])
+        mc = MonteCarloPass(spec, 8, 200, checks, nu_family=family, time_indices=[1])
         assert mc.simulated_columns == [0, 1, 2, 3, 4, 8]
-    assert MonteCarloPass(CLEAN, 8, ["inverse-gamma-mean"]).simulated_columns == [0, 4, 8]
-    mc = MonteCarloPass(CLEAN, 8, ["inverse-gamma-mean"])
+    assert MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"]).simulated_columns == [0, 4, 8]
+    mc = MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"])
     bundle = simulate_paths(CLEAN, 8, 200, seed=5, columns=[0, 8])
     with pytest.raises(ValueError, match=r"not simulated at the grid columns \[4\]"):
         mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle))
@@ -547,7 +658,7 @@ def test_shared_simulation_matches_fresh_per_check(
     dual = {"eta_list": custom.get("eta_list", (1.0, 2.0)), "time_indices": custom.get("time_indices")}
     # the scenario's simulated columns, whatever the checks
     columns = MonteCarloPass(
-        CLEAN, 8, [], nu_family=family, time_indices=dual["time_indices"]
+        CLEAN, 8, 800, [], nu_family=family, time_indices=dual["time_indices"]
     ).simulated_columns
     # a draw budget of that many streams' intervals splits the streams
     n_streams = 400 if antithetic else 800
