@@ -20,6 +20,7 @@ median and spread (min, max) of the repeats as JSON. Usage:
 
 import argparse
 import datetime
+import inspect
 import json
 import os
 import platform
@@ -120,7 +121,10 @@ def main():
     args = parser.parse_args()
 
     # the pass's columns do not depend on its path count
-    cols = MonteCarloPass(SPEC, N_STEPS, PATH_COUNTS[0], MC_CHECKS).columns
+    if "gamma0" in inspect.signature(MonteCarloPass).parameters:
+        cols = MonteCarloPass(SPEC, N_STEPS, PATH_COUNTS[0], MC_CHECKS, 1.0, 0.0, True).columns
+    else:  # a source tree from before the pass was told the field start
+        cols = MonteCarloPass(SPEC, N_STEPS, PATH_COUNTS[0], MC_CHECKS).columns
     rows = []
     for n_paths in PATH_COUNTS:
         row = measure(n_paths, cols, args.repeat)

@@ -7,9 +7,11 @@ one ``MonteCarloPass`` per point, simulated in runs of at most
 Every repeat runs in a fresh process, so the page faults are the ones a
 command-line run takes: it records the wall time and the minor page
 faults (``ru_minflt``, from ``getrusage`` in the same process) of the
-``gather`` calls (summed over the runs, without the simulation and the
-fields) and of ``reduce``, and the SHA-256 of the report, which must not
-change between repeats.
+``gather`` calls with the fields they read (summed over the runs, without
+the simulation) and of ``reduce``, and the SHA-256 of the report, which
+must not change between repeats. A pass that builds the fields itself
+does so inside ``gather``; for a source tree whose ``gather`` is handed
+them, the ``build_forward_exponential`` call is timed with it.
 
 With ``--baseline-src`` a second source tree (say, the ``src`` of a
 checkout of the parent commit) is measured too, alternating with this one
@@ -71,7 +73,11 @@ def child(n_paths):
     from forwardperf.mc_verifier import MC_CHECKS, MonteCarloPass
 
     spec = CoefficientSpec(**MODEL)
-    if "n_paths" in inspect.signature(MonteCarloPass).parameters:
+    params = inspect.signature(MonteCarloPass).parameters
+    builds_fields = "gamma0" in params
+    if builds_fields:
+        mc = MonteCarloPass(spec, N_STEPS, n_paths, MC_CHECKS, 1.0, 0.0, True)
+    elif "n_paths" in params:  # a source tree from before the pass built the fields
         mc = MonteCarloPass(spec, N_STEPS, n_paths, MC_CHECKS)
     else:  # a source tree from before the pass was told its path count
         mc = MonteCarloPass(spec, N_STEPS, MC_CHECKS)
@@ -84,13 +90,15 @@ def child(n_paths):
         bundle = simulate_paths(
             spec, N_STEPS, 2 * (hi - lo), SEED, stream_offset=lo, work=work, columns=columns
         )
-        fields = build_forward_exponential(spec, 1.0, 0.0, bundle, mc.columns)
         faults = _minflt()
         t0 = time.perf_counter()
-        mc.gather(bundle, fields)
+        if builds_fields:
+            mc.gather(bundle)
+        else:
+            mc.gather(bundle, build_forward_exponential(spec, 1.0, 0.0, bundle, mc.columns))
         gather_s += time.perf_counter() - t0
         gather_minflt += _minflt() - faults
-    del bundle, fields, work
+    del bundle, work
     faults = _minflt()
     t0 = time.perf_counter()
     report = mc.reduce()
@@ -220,9 +228,10 @@ def main():
         "scenario": "MonteCarloPass with every Monte Carlo check, README model, antithetic "
         f"paths x {N_STEPS} steps, seed {SEED}, runs of at most cli.DRAW_BUDGET "
         "stream-intervals",
-        "what": "wall time and minor page faults (ru_minflt) of gather (summed over the "
-        "runs) and of reduce, in a fresh process per repeat; kernels: the replaced "
-        "kernels of tests/oracles.py against the package's, seconds per call",
+        "what": "wall time and minor page faults (ru_minflt) of gather with the fields it "
+        "reads (summed over the runs) and of reduce, in a fresh process per repeat; "
+        "kernels: the replaced kernels of tests/oracles.py against the package's, seconds "
+        "per call",
         "baseline_src": args.baseline_src,
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),

@@ -112,6 +112,12 @@ def _number_list(obj, path, min_len=1, strict_min=None):
     return [_number(v, f"{path}[{i}]", strict_min=strict_min) for i, v in enumerate(obj)]
 
 
+def _integer_list(obj, path, minimum=None):
+    if not isinstance(obj, list):
+        _fail(path, f"expected a list of integers, got {type(obj).__name__}")
+    return [_integer(v, f"{path}[{i}]", minimum=minimum) for i, v in enumerate(obj)]
+
+
 def _number_map(obj, path):
     if not isinstance(obj, dict):
         _fail(path, "expected an object of node: number")
@@ -284,6 +290,9 @@ def run_tree_scenario(doc, base_dir="."):
     xi_grid = _number_list(xi_grid, "$.xi_grid")
     eta_grid = _number_list(eta_grid, "$.eta_grid", strict_min=0)
     tol = _number(doc.get("tolerance", 1e-6), "$.tolerance", strict_min=0.0)
+    windowed = [name for name in checks if name not in ("tree-structure", "nflvr")]
+    if windowed and not pairs:
+        _fail("$.checks", f"{windowed[0]!r} needs a time pair [t, T]; the tree's horizon is 0")
 
     report = VerificationReport()
     for name in checks:
@@ -469,10 +478,7 @@ def run_ito_scenario(doc, seed_override=None):
     nu_family = _nu_family_from_scenario(doc, n_steps)
     time_indices = doc.get("time_indices")
     if time_indices is not None:
-        time_indices = [
-            _integer(v, f"$.time_indices[{i}]", minimum=0)
-            for i, v in enumerate(time_indices)
-        ]
+        time_indices = _integer_list(time_indices, "$.time_indices", minimum=0)
         for i, t in enumerate(time_indices):
             if t > n_steps:
                 _fail(f"$.time_indices[{i}]", f"must be <= n_steps ({n_steps})")
@@ -484,6 +490,9 @@ def run_ito_scenario(doc, seed_override=None):
         )
     explicit_checks = "checks" in doc
     checks = _checks_from_scenario(doc, ITO_CHECKS)
+    dual = [name for name in checks if name in ("dual-submartingale", "dual-martingale-at-optimum")]
+    if dual and time_indices is not None and not any(time_indices):
+        _fail("$.time_indices", f"{dual[0]!r} needs a time index above 0")
 
     report = VerificationReport()
     if "regularity" in checks:
@@ -506,11 +515,13 @@ def run_ito_scenario(doc, seed_override=None):
     if mc_checks:
         # refuses the model before paying for its simulation
         mc = MonteCarloPass(
-            spec, n_steps, n_paths, mc_checks, eta_list, nu_family, time_indices, confidence
+            spec, n_steps, n_paths, mc_checks, gamma0, a0, antithetic, eta_list, nu_family,
+            time_indices, confidence,
         )
         # every Monte Carlo check reads this one simulation, drawn only at
         # the pass's simulated columns and held one run of at most
-        # DRAW_BUDGET stream-intervals at a time, on buffers the runs share
+        # DRAW_BUDGET stream-intervals at a time, on buffers the runs share;
+        # the pass builds what its checks read from each run
         columns = mc.simulated_columns
         work = Workspace()
         for lo, hi in _stream_runs([(0, n_streams)], len(columns) - 1):
@@ -518,13 +529,8 @@ def run_ito_scenario(doc, seed_override=None):
                 spec, n_steps, (n_paths // n_streams) * (hi - lo), seed,
                 antithetic=antithetic, stream_offset=lo, work=work, columns=columns,
             )
-            # the fields and densities are built at the pass's columns, all
-            # above 0, and the shift only where a check reads it
-            fields = build_forward_exponential(
-                spec, gamma0, a0, bundle, mc.columns, mc.shift_columns
-            )
-            mc.gather(bundle, fields)
-        del bundle, fields, work  # reduce reads only the gathered columns
+            mc.gather(bundle)
+        del bundle, work  # reduce reads only the pass's arrays
         report.merge(mc.reduce())
     n_stat = sum(1 for rec in report.records() if rec.std_error is not None)
     if n_stat:
@@ -649,9 +655,7 @@ def run_export_paths(doc, out_path, seed_override=None):
     }
     indices = doc.get("paths")
     if indices is not None:
-        indices = [
-            _integer(v, f"$.paths[{i}]", minimum=0) for i, v in enumerate(indices)
-        ]
+        indices = _integer_list(indices, "$.paths", minimum=0)
         for i in indices:
             if i >= n_paths:
                 _fail("$.paths", f"path index {i} out of range")

@@ -315,9 +315,8 @@ def _integral(bundle: PathBundle, sums: np.ndarray, v: np.ndarray, cols: np.ndar
     """Integral of the per-step coefficients ``v`` against the increments
     whose running sums are ``sums`` (``bundle.sum_dB`` or ``sum_dW``), at
     the grid columns ``cols``: a time-major (len(cols), n_streams) array,
-    one value per drawn stream (``_paths`` gives one per path), written
-    into ``out`` (a float64 array of that shape) when given, else into a
-    fresh array.
+    one value per drawn stream, written into ``out`` (a float64 array of
+    that shape) when given, else into a fresh array.
 
     ``v`` is split into maximal constant runs [s, e). The value at each run
     boundary is fixed in time order, V(0) = 0 and
@@ -369,21 +368,6 @@ def _integral(bundle: PathBundle, sums: np.ndarray, v: np.ndarray, cols: np.ndar
     return x
 
 
-def _paths(bundle: PathBundle, x: np.ndarray) -> np.ndarray:
-    """Per-stream values ``x``, odd functions of the running sums such as
-    their integrals and sums of integrals, as a time-major
-    (len(cols), n_paths) array. With antithetic pairing the drawn rows'
-    values are negated into their partners' rows: being odd in the sums,
-    that is what the partners' own sums would give, bit for bit, since
-    rounding is symmetric under negation."""
-    if not bundle.antithetic:
-        return x
-    out = np.empty((x.shape[0], 2 * x.shape[1]))
-    out[:, 0::2] = x
-    np.negative(x, out=out[:, 1::2])
-    return out
-
-
 def _b_integral(bundle: PathBundle, nu1: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """integral(-nu1 dB) per drawn stream at ``cols``, read-only, built once
     per bundle for each B-load and columns (``PathBundle.b_integrals``)."""
@@ -393,6 +377,18 @@ def _b_integral(bundle: PathBundle, nu1: np.ndarray, cols: np.ndarray) -> np.nda
         i_b = bundle.b_integrals[key] = _integral(bundle, bundle.sum_dB, -nu1, cols)
         i_b.setflags(write=False)
     return i_b
+
+
+def _out(out, shape) -> np.ndarray:
+    """``out``, refused unless a float64 array of ``shape``; when None, a
+    fresh path-major view of a time-major array of that shape."""
+    if out is None:
+        return np.empty(shape[::-1]).T
+    if out.shape != shape or out.dtype != np.float64:
+        raise ValueError(
+            f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}"
+        )
+    return out
 
 
 def density_path(bundle: PathBundle, nu1, nu2, columns=None, out=None) -> np.ndarray:
@@ -411,20 +407,19 @@ def density_path(bundle: PathBundle, nu1, nu2, columns=None, out=None) -> np.nda
     bundle for each B-load and columns and shared by the densities that
     load the same (``PathBundle.b_integrals``); each density adds its own
     W integral to it, I_W + I_B being I_B + I_W bit for bit.
+
+    The integrals are built per drawn stream, in the even paths with
+    antithetic pairing, and negated into the odd paths: being odd in the
+    sums, that is what the partners' own sums would give, bit for bit,
+    since rounding is symmetric under negation.
+    ``build_forward_exponential`` pairs its integrals the same way.
     """
     nu1 = _per_step(bundle.n_steps, nu1, "nu1")
     nu2 = _per_step(bundle.n_steps, nu2, "nu2")
     cols = _bundle_columns(bundle, columns)
-    shape = (bundle.n_paths, cols.size)
-    if out is None:
-        out = np.empty(shape[::-1]).T
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ValueError(
-            f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}"
-        )
+    out = _out(out, (bundle.n_paths, cols.size))
     log_z = out.T  # time-major
     drift = _cumulative(0.5 * (nu1**2 + nu2**2) * bundle.dt)
-    # the two integrals are added per stream, then paired (see _paths)
     drawn = log_z[:, 0::2] if bundle.antithetic else log_z
     _integral(bundle, bundle.sum_dW, -nu2, cols, out=drawn)
     drawn += _b_integral(bundle, nu1, cols)
@@ -461,6 +456,7 @@ def build_forward_exponential(
     bundle: PathBundle,
     columns=None,
     shift_columns=None,
+    out=None,
 ) -> FieldPaths:
     """Field parameter paths for the self-generating exponential family.
 
@@ -472,6 +468,12 @@ def build_forward_exponential(
     grid columns, bit for bit the same values. The shift holds the grid
     columns ``shift_columns``, which must be among those (by default the
     same columns); an empty list builds no shift.
+
+    With ``out``, a pair of float64 arrays of the shapes of ``inv_gamma``
+    and ``a_shift``, (n_paths, len(columns)) and
+    (n_paths, len(shift_columns)), the paths are written there, with the
+    same bits, as ``density_path(..., out=)`` writes a density, and the
+    fields hold them; fresh read-only arrays otherwise.
     """
     if gamma0 <= 0.0:
         raise ValueError("gamma0 must be positive")
@@ -481,21 +483,32 @@ def build_forward_exponential(
     outside = sorted(set(shift_cols.tolist()) - set(pos))
     if outside:
         raise ValueError(f"shift columns {outside} are not among the columns {cols.tolist()}")
+    out_inv, out_shift = (None, None) if out is None else out
+    out_inv = _out(out_inv, (bundle.n_paths, cols.size))
+    out_shift = _out(out_shift, (bundle.n_paths, shift_cols.size))
+    inv_gamma, a_shift = out_inv.T, out_shift.T  # time-major
     # the rows of 1/gamma the shift divides by: all of them, as a view, when
     # the columns agree
     same = np.array_equal(shift_cols, cols)
     shift_rows = slice(None) if same else [pos[c] for c in shift_cols.tolist()]
     dt = bundle.dt
     theta, delta, phi, rho = bundle.theta, bundle.delta, bundle.phi, bundle.rho
-    # log(1/gamma) = integral delta dS - (1/2) integral delta^2 dt
-    inv_gamma = _paths(bundle, _integral(bundle, bundle.sum_dB, delta, cols))
+    # log(1/gamma) = integral delta dS - (1/2) integral delta^2 dt; each
+    # integral is paired as in density_path
+    drawn = inv_gamma[:, 0::2] if bundle.antithetic else inv_gamma
+    _integral(bundle, bundle.sum_dB, delta, cols, out=drawn)
+    if bundle.antithetic:
+        np.negative(drawn, out=inv_gamma[:, 1::2])
     inv_gamma += _cumulative(delta * theta * dt - 0.5 * delta**2 * dt)[cols][:, None]
     np.exp(inv_gamma, out=inv_gamma)
     inv_gamma /= gamma0
     if shift_cols.size:
         # integral rho dS / inv_gamma, then the deterministic drift
         # a0 + (1/2) integral ((theta - delta)^2 - phi^2) dt, then - integral phi dW
-        a_shift = _paths(bundle, _integral(bundle, bundle.sum_dB, rho, shift_cols))
+        drawn = a_shift[:, 0::2] if bundle.antithetic else a_shift
+        _integral(bundle, bundle.sum_dB, rho, shift_cols, out=drawn)
+        if bundle.antithetic:
+            np.negative(drawn, out=a_shift[:, 1::2])
         a_shift += _cumulative(rho * theta * dt)[shift_cols][:, None]
         a_shift /= inv_gamma[shift_rows]
         drift = a0 + _cumulative(0.5 * (theta - delta) ** 2 * dt - 0.5 * phi**2 * dt)
@@ -508,15 +521,14 @@ def build_forward_exponential(
             a_shift[:, 1::2] += phi_dw
         else:
             a_shift -= phi_dw
-    else:
-        a_shift = np.empty((0, bundle.n_paths))
-    inv_gamma.setflags(write=False)
-    a_shift.setflags(write=False)
+    if out is None:
+        out_inv.setflags(write=False)
+        out_shift.setflags(write=False)
     return FieldPaths(
         gamma0=float(gamma0),
         a0=float(a0),
-        inv_gamma=inv_gamma.T,
-        a_shift=a_shift.T,
+        inv_gamma=out_inv,
+        a_shift=out_shift,
         columns=tuple(cols.tolist()),
         shift_columns=tuple(shift_cols.tolist()),
     )

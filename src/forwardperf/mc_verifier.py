@@ -13,65 +13,62 @@ the coefficient spec: a spec classified as failing is refused outright, an
 undetermined one runs with an explanatory note, and the equality check at
 the optimal load additionally insists on the provable case.
 
-All four checks read the same simulated data: a ``PathBundle`` from
-``simulate_paths`` and the ``FieldPaths`` that ``build_forward_exponential``
-builds on it. Every statistic is a function of the running sums S_B, S_W
-at a few grid columns, the pass's ``simulated_columns``: 0 and the
-horizon, the time indices, and every change point of the coefficients
-and loads the checks integrate. They depend on the scenario alone, not on
-the checks requested. Simulate once, at those columns, and run the checks
-in one pass::
+All four checks read one simulation, a ``PathBundle`` from
+``simulate_paths``, and build everything else from it: in the Ito
+setting the field paths and the densities are explicit functions of the
+coefficients, of (gamma0, a0) and of the Brownian paths. Every statistic
+is a function of the running sums S_B, S_W at a few grid columns, the
+pass's ``simulated_columns``: 0 and the horizon, the time indices, and
+every change point of the coefficients and loads the checks integrate.
+They depend on the scenario alone, not on the checks requested. Simulate
+once, at those columns, and run the checks in one pass::
 
-    mc = MonteCarloPass(spec, n_steps, n_paths, checks)
-    bundle = simulate_paths(spec, n_steps, n_paths, seed, columns=mc.simulated_columns)
-    fields = build_forward_exponential(spec, gamma0, a0, bundle)
-    run_mc_checks(bundle, fields, ["dual-submartingale", "inverse-gamma-mean"])
-
-A bundle of more columns (the full grid, say) is read the same way; one
-that lacks a simulated column is refused. The pass plans one density per
-distinct pair of loads (nu1 on B, nu2 on W), compared bit for bit, and
-builds it once, at the union of the columns its readers need: the family's
-loads, the optimum load phi and the forward check's z~ (B-load
-theta - delta) share a density whenever their loads agree, and the
-densities of a run share one B integral (``density_path``). Nothing is
-built at grid index 0, where every path is at its start (Z_0 = 1,
-1/gamma_0 = 1/gamma0, a_0 = a0); the statistics read those constants
-there, with the kernels' bits. The model spec, the step count and the
-antithetic pairing come from the bundle; gamma0 and a0 come from the
-fields. Both are read-only, so the ``check_*`` wrappers, which run one
-check each, report the same bytes on a shared simulation as on a fresh
-one at the same columns.
-
-To bound memory, the same pass takes the simulation one stream range at a
-time and keeps only a few per-path columns of each. The pass is told its
-path count and owns its densities' arrays: ``gather`` writes each chunk's
-densities straight into the chunk's slice of them, and keeps views of
-the chunk's field columns, never the bundle's sums, so the ranges can
-share one ``Workspace``, each overwriting the last; each chunk's fields
-must be arrays of its own, as ``build_forward_exponential`` makes them.
-The fields need 1/gamma at ``mc.columns`` and the shift only at
-``mc.shift_columns``, where a requested check reads it.
-``cli.run_ito_scenario`` sizes the ranges by its draw budget alone; any
-split into consecutive ranges gives the same report::
-
-    mc = MonteCarloPass(spec, n_steps, n_paths, checks)
-    work = Workspace()
-    for lo, hi in ranges:  # consecutive stream ranges covering 0 .. n_streams
-        # (hi - lo) streams: twice as many paths when antithetic
-        bundle = simulate_paths(
-            spec, n_steps, 2 * (hi - lo), seed, stream_offset=lo, work=work,
-            columns=mc.simulated_columns,
-        )
-        fields = build_forward_exponential(
-            spec, gamma0, a0, bundle, mc.columns, mc.shift_columns
-        )
-        mc.gather(bundle, fields)
+    mc = MonteCarloPass(spec, n_steps, n_paths, checks, gamma0, a0, antithetic)
+    bundle = simulate_paths(
+        spec, n_steps, n_paths, seed, antithetic, columns=mc.simulated_columns
+    )
+    mc.gather(bundle)
     report = mc.reduce()
 
-The report is the one ``run_mc_checks`` gives on the whole simulation.
-``gather`` refuses a chunk that does not continue the simulation: one
-whose streams do not follow the previous chunk's, whose grid, pairing,
-gamma0 or a0 differ from the first chunk's, or whose paths would go past
+which is ``run_mc_checks(bundle, gamma0, a0, checks)``. A bundle of more
+columns (the full grid, say) is read the same way; one that lacks a
+simulated column is refused. The pass plans one density per distinct
+pair of loads (nu1 on B, nu2 on W), compared bit for bit, and builds it
+once, at the union of the columns its readers need: the family's loads,
+the optimum load phi and the forward check's z~ (B-load theta - delta)
+share a density whenever their loads agree, and the densities of a run
+share one B integral (``density_path``). It builds 1/gamma at
+``mc.columns`` and the shift only at ``mc.shift_columns``, where a
+requested check reads it (``build_forward_exponential``). Nothing is
+built at grid index 0, where every path is at its start (Z_0 = 1,
+1/gamma_0 = 1/gamma0, a_0 = a0); the statistics read those constants
+there, with the kernels' bits. The bundle is read-only, so the
+``check_*`` wrappers, which run one check each, report the same bytes on
+a shared simulation as on a fresh one at the same columns.
+
+To bound memory, the same pass takes the simulation one stream range at a
+time, a run, and keeps only a few per-path columns of each. The pass is
+told its whole simulation and owns every array it reads: ``gather``
+builds each run's densities, 1/gamma and shift straight into the run's
+path slice of them and keeps nothing of the bundle, so the runs can share
+one ``Workspace``, each overwriting the last. ``cli.run_ito_scenario``
+sizes the runs by its draw budget alone; any split into consecutive
+ranges gives the same report::
+
+    mc = MonteCarloPass(spec, n_steps, n_paths, checks, gamma0, a0, antithetic)
+    work = Workspace()
+    per = 2 if antithetic else 1  # paths per stream
+    for lo, hi in ranges:  # consecutive stream ranges covering 0 .. n_streams
+        bundle = simulate_paths(
+            spec, n_steps, per * (hi - lo), seed, antithetic, stream_offset=lo,
+            work=work, columns=mc.simulated_columns,
+        )
+        mc.gather(bundle)
+    report = mc.reduce()
+
+``gather`` refuses a run of another spec, grid or pairing than the
+pass's, one not simulated at every one of ``simulated_columns``, and one
+that does not start at the next path to fill or would go past
 ``n_paths``; ``reduce`` refuses a pass short of ``n_paths``.
 """
 
@@ -91,9 +88,9 @@ from .ito_engine import (
     FAIL_ANALYTIC,
     PASS,
     CoefficientSpec,
-    FieldPaths,
     PathBundle,
     _per_step,
+    build_forward_exponential,
     density_path,
     predicted_forward_drift,
     regularity_class,
@@ -409,26 +406,28 @@ _TERMINAL_NOTE = ("terminal-time consequence of the conditional statement",)
 
 class MonteCarloPass:
     """The checks of ``run_mc_checks`` over one simulation that arrives in
-    chunks of consecutive streams.
+    runs of consecutive streams.
 
-    The constructor validates the request and refuses a model the checks
-    cannot certify, so a refusal costs no paths. ``simulated_columns``
+    The constructor is told the whole simulation but its seed: the model,
+    grid, path count, field start (gamma0, a0) and pairing. It validates
+    the request and refuses a model the checks cannot certify, so a
+    refusal costs no paths. ``simulated_columns``
     lists the grid columns any check can read on this scenario: 0, the
     horizon, ``time_indices`` (by default 0, n_steps // 2 and n_steps),
     and every change point of theta, delta, phi, rho, theta - delta and
-    of each load of the family. A chunk must be simulated at least there
+    of each load of the family. A run must be simulated at least there
     (``simulate_paths(columns=...)``); the set does not depend on the
     checks requested, so a check reads the same draws alone as in the
     full suite. ``columns`` lists the grid indices above 0 the requested
     checks read: ``time_indices`` and the horizon (the optimum's indices
-    are among them); the fields must hold 1/gamma there.
-    ``shift_columns`` lists those at which a check reads the shift: the
-    time indices above 0 for the dual checks and the horizon for the
-    forward drift, none for ``inverse-gamma-mean`` alone; the fields must
-    hold the shift there. Index 0 is never built:
-    every path starts at Z_0 = 1, 1/gamma_0 = 1/gamma0 and a_0 = a0 + 0.0,
-    the kernels' bits there, and ``reduce`` reads those as one-entry
-    arrays that broadcast.
+    are among them); the pass builds 1/gamma there. ``shift_columns``
+    lists those at which a check reads the shift: the time indices above
+    0 for the dual checks and the horizon for the forward drift, none for
+    ``inverse-gamma-mean`` alone. A dual check with no time index above 0
+    would test nothing and is refused. Index 0 is never built: every path
+    starts at Z_0 = 1, 1/gamma_0 = 1/gamma0 and a_0 = a0 + 0.0, the
+    kernels' bits there, and ``reduce`` reads those as one-entry arrays
+    that broadcast.
 
     ``densities`` is the plan: one (nu1, nu2, columns) per distinct pair
     of per-step loads, compared bit for bit, at the union of the columns
@@ -437,19 +436,16 @@ class MonteCarloPass:
     horizon (nu1 = theta - delta, which is theta when delta = 0) and the
     optimum load phi at its indices. On the first ``gather`` the pass
     allocates one time-major (len(columns), n_paths) array per planned
-    density, and each chunk's ``density_path(..., out=)`` writes the
-    chunk's paths, the next ``bundle.n_paths`` of them, into that array
-    in place; a chunk that would go past ``n_paths`` is refused. The field
-    columns are kept as views of the chunk's fields; the bundle can then
-    be dropped or overwritten. ``reduce`` refuses a pass that holds fewer
-    than ``n_paths`` paths, reads each density column as a contiguous row
-    of the pass's array, joins the chunks' field columns in stream order
-    (when there are several) and runs every mean test once, on exactly
-    the samples one whole-simulation chunk would give, so the report does
-    not depend on the chunking. The antithetic pairing, gamma0 and a0 are
-    those of the first chunk; later chunks must continue its streams with
-    the same settings. Being stream ranges, chunks never split an
-    antithetic pair.
+    density, for 1/gamma and for the shift, and each run writes its paths,
+    ``bundle.first_path`` onwards, into those arrays in place
+    (``density_path(..., out=)``, ``build_forward_exponential(..., out=)``);
+    the bundle can then be dropped or overwritten. A run that does not
+    start at the next path to fill, or that would go past ``n_paths``, is
+    refused; being stream ranges, runs never split an antithetic pair.
+    ``reduce`` refuses a pass that holds fewer than ``n_paths`` paths,
+    reads each column as a contiguous row of the pass's arrays and runs
+    every mean test once, on exactly the samples one whole-simulation run
+    would give, so the report does not depend on the runs.
 
     ``reduce`` builds each test's samples, their pair means and squared
     deviations, the dual values and the reductions' buffers in one
@@ -463,6 +459,9 @@ class MonteCarloPass:
         n_steps: int,
         n_paths: int,
         checks: Sequence[str],
+        gamma0: float,
+        a0: float,
+        antithetic: bool,
         eta_list: Sequence[float] = (1.0, 2.0),
         nu_family: dict[str, np.ndarray] | None = None,
         time_indices: Sequence[int] | None = None,
@@ -491,7 +490,10 @@ class MonteCarloPass:
             elif name == "dual-martingale-at-optimum":
                 require_provable(spec)
         all_idx = _time_indices(n_steps, time_indices)
-        self.idx = all_idx if self.submartingale or self.at_optimum else []
+        dual = self.submartingale or self.at_optimum
+        if dual and not any(all_idx):
+            raise ValueError(f"the dual checks need a time index above 0, got {all_idx}")
+        self.idx = all_idx if dual else []
         self.opt_idx = [i for i in self.idx if i > 0] if self.at_optimum else []
         # reduce reads index 0 as the start values: nothing is built there
         self.columns = sorted((set(self.idx) | {n_steps}) - {0})
@@ -534,115 +536,76 @@ class MonteCarloPass:
             plan("z_opt", coeffs["theta"], coeffs["phi"], self.opt_idx)
         self.densities = [(nu1, nu2, sorted(cols)) for nu1, nu2, cols in plans]
         self.spec, self.n_steps, self.n_paths = spec, n_steps, int(n_paths)
+        self.gamma0, self.a0, self.antithetic = float(gamma0), float(a0), bool(antithetic)
         self.eta_list = [float(eta) for eta in eta_list]
         self.confidence = confidence
         self.t_label = dict(zip(all_idx, time_labels(spec.horizon, n_steps, all_idx)))
-        self._chunks: list[dict] = []  # each chunk's field columns
-        # the planned densities, one (len(columns), n_paths) array each,
-        # and the paths gathered into them
-        self._z: list[np.ndarray] | None = None
+        # 1/gamma, the shift and each planned density, one time-major
+        # (len(columns), n_paths) array each, and the paths built into them
+        self._arrays: list[np.ndarray] | None = None
         self._filled = 0
-        # (antithetic, gamma0, a0) of the first chunk, and its next stream
-        self._layout = None
-        self._next_stream = None
 
-    def gather(self, bundle: PathBundle, fields: FieldPaths) -> None:
-        """Write this chunk's densities into the pass's arrays, at its
-        paths' slice, and keep its field columns. A bundle of another
-        model, not simulated at every one of ``simulated_columns``, or whose
-        paths would go past ``n_paths``, is refused."""
-        layout = (bundle.antithetic, fields.gamma0, fields.a0)
-        last_col = max(fields.columns, default=0)
-        if bundle.spec != self.spec:
-            raise ValueError("chunk simulates another coefficient spec than the pass's")
-        if (
-            bundle.n_steps != self.n_steps
-            or fields.inv_gamma.shape[0] != bundle.n_paths
-            or last_col > self.n_steps
+    def gather(self, bundle: PathBundle) -> None:
+        """Build this run's 1/gamma, shift and densities straight into the
+        pass's arrays, at its paths' slice. A run of another spec, grid or
+        pairing, not simulated at every one of ``simulated_columns``, or
+        that does not start at the next path to fill or would go past
+        ``n_paths``, is refused and leaves the pass as it was."""
+        if (bundle.spec, bundle.n_steps, bundle.antithetic) != (
+            self.spec, self.n_steps, self.antithetic
         ):
             raise ValueError(
-                f"chunk has {bundle.n_steps} steps and fields for "
-                f"{fields.inv_gamma.shape[0]} paths up to grid column {last_col}; the pass "
-                f"needs {self.n_steps} steps and fields for the chunk's {bundle.n_paths} paths"
+                f"chunk simulates another spec, grid or pairing than the pass's "
+                f"{self.n_steps} steps with antithetic={self.antithetic}"
             )
         unsimulated = sorted(set(self.simulated_columns) - set(bundle.columns.tolist()))
         if unsimulated:
             raise ValueError(
                 f"bundle was not simulated at the grid columns {unsimulated} the checks read"
             )
-        field_pos = {c: k for k, c in enumerate(fields.columns)}
-        missing = [i for i in self.columns if i not in field_pos]
-        if missing:
-            raise ValueError(f"fields lack the grid columns {missing} the checks read")
-        shift_pos = {c: k for k, c in enumerate(fields.shift_columns)}
-        missing = [i for i in self.shift_columns if i not in shift_pos]
-        if missing:
+        lo, hi = bundle.first_path, bundle.first_path + bundle.n_paths
+        if lo != self._filled or hi > self.n_paths:
             raise ValueError(
-                f"fields lack the shift at the grid columns {missing} the checks read"
+                f"chunk has {bundle.n_paths} paths after the {self._filled} gathered; the pass "
+                f"holds {self.n_paths}, and the chunk starts at path {lo}"
             )
-        if self._layout is not None and layout != self._layout:
-            raise ValueError(
-                f"chunk has (antithetic, gamma0, a0) = {layout}; the first chunk "
-                f"had {self._layout}"
-            )
-        if self._next_stream is not None and bundle.stream_offset != self._next_stream:
-            raise ValueError(
-                f"chunk starts at stream {bundle.stream_offset}; the pass expects "
-                f"stream {self._next_stream}"
-            )
-        lo, hi = self._filled, self._filled + bundle.n_paths
-        if hi > self.n_paths:
-            raise ValueError(
-                f"chunk has {bundle.n_paths} paths after the {lo} gathered; the pass "
-                f"holds {self.n_paths}"
-            )
-        self._layout = layout
-        self._next_stream = bundle.stream_offset + bundle.n_paths // (
-            2 if bundle.antithetic else 1
+        if self._arrays is None:
+            readers = [self.columns, self.shift_columns, *(c for _, _, c in self.densities)]
+            self._arrays = [np.empty((len(columns), self.n_paths)) for columns in readers]
+        # the run's paths are a slice of each time-major array
+        inv_gamma, a_shift, *z_arrays = [arr[:, lo:hi].T for arr in self._arrays]
+        build_forward_exponential(
+            self.spec, self.gamma0, self.a0, bundle, self.columns, self.shift_columns,
+            out=(inv_gamma, a_shift),
         )
-        if self._z is None:
-            self._z = [np.empty((len(columns), self.n_paths)) for _, _, columns in self.densities]
-        for (nu1, nu2, columns), z in zip(self.densities, self._z):
-            # the chunk's paths are a slice of each time-major array
-            density_path(bundle, nu1, nu2, columns, out=z[:, lo:hi].T)
+        for (nu1, nu2, columns), z in zip(self.densities, z_arrays):
+            density_path(bundle, nu1, nu2, columns, out=z)
         self._filled = hi
-        cols = {}
-        for i in self.columns:
-            cols["inv_gamma", i] = fields.inv_gamma[:, field_pos[i]]
-        for i in self.shift_columns:
-            cols["a_shift", i] = fields.a_shift[:, shift_pos[i]]
-        self._chunks.append(cols)
 
     def reduce(self) -> VerificationReport:
-        """Run every check's mean tests on the pass's densities and the
-        gathered field columns, joined in stream order, on the pass's
-        scratch; the scratch is dropped on return. A pass that holds fewer
-        than ``n_paths`` paths is refused."""
-        if not self._chunks:
-            raise ValueError("no chunk gathered")
+        """Run every check's mean tests on the pass's arrays, on the pass's
+        scratch; the scratch is dropped on return, and the pass is empty
+        again. A pass that holds fewer than ``n_paths`` paths is refused."""
         if self._filled < self.n_paths:
             raise ValueError(
                 f"the pass gathered {self._filled} paths of the {self.n_paths} it holds"
             )
-        antithetic, gamma0, a0 = self._layout
-        chunks, self._chunks = self._chunks, []
-        z_arrays, self._z = self._z, None
-        work = Workspace()
-        self._layout = self._next_stream = None
+        (inv_gamma, a_shift, *z_arrays), self._arrays = self._arrays, None
         self._filled = 0
-        if len(chunks) == 1:
-            cols = chunks.pop()
-        else:
-            cols = {key: np.concatenate([c.pop(key) for c in chunks]) for key in list(chunks[0])}
+        gamma0, a0, antithetic = self.gamma0, self.a0, self.antithetic
+        work = Workspace()
+        # grid index 0 as one entry for every path, the bits the kernels
+        # give there: S_B(0) = S_W(0) = 0, so exp(+-0) = 1 and the shift's
+        # partner -0 vanishes in a0 + 0.0
+        cols = {("inv_gamma", 0): np.array([1.0 / gamma0]), ("a_shift", 0): np.array([a0 + 0.0])}
+        for k, i in enumerate(self.columns):
+            cols["inv_gamma", i] = inv_gamma[k]
+        for k, i in enumerate(self.shift_columns):
+            cols["a_shift", i] = a_shift[k]
         for d, (_, _, columns) in enumerate(self.densities):
             for k, i in enumerate(columns):
                 cols["z", d, i] = z_arrays[d][k]
         n = self.n_paths
-        # grid index 0 as one entry for every path, the bits the kernels
-        # give there: S_B(0) = S_W(0) = 0, so exp(+-0) = 1 and the shift's
-        # partner -0 vanishes in a0 + 0.0
-        cols["inv_gamma", 0] = np.array([1.0 / gamma0])
-        cols["a_shift", 0] = np.array([a0 + 0.0])
 
         def density(reader):
             d = self._density_of[reader]
@@ -722,7 +685,8 @@ class MonteCarloPass:
 
 def run_mc_checks(
     bundle: PathBundle,
-    fields: FieldPaths,
+    gamma0: float,
+    a0: float,
     checks: Sequence[str],
     eta_list: Sequence[float] = (1.0, 2.0),
     nu_family: dict[str, np.ndarray] | None = None,
@@ -735,11 +699,10 @@ def run_mc_checks(
     the checks read (``time_indices`` and the terminal time); the optimum
     load ``bundle.phi`` reads the family's density when phi is one of its
     loads. The densities share the bundle's B integral of each B-load,
-    and ``fields`` need hold the shift only at the pass's
-    ``shift_columns``. Every check turns
-    those columns into per-path statistics with a target, and one reducer
-    collapses antithetic pairs and runs ``mc_mean_test`` on each. This is
-    the one-chunk case of ``MonteCarloPass``. The checks:
+    and the shift is built only at the pass's ``shift_columns``. Every
+    check turns those columns into per-path statistics with a target, and
+    one reducer collapses antithetic pairs and runs ``mc_mean_test`` on
+    each. This is the one-run case of ``MonteCarloPass``. The checks:
 
     - ``dual-submartingale``: for each load nu and dual argument eta, the
       mean of V(t2, eta Z_t2) - V(t1, eta Z_t1) must not sit significantly
@@ -761,21 +724,22 @@ def run_mc_checks(
       exactly: a mass record outside its band is a band miss like any
       other, and the load's drift record is still reported.
 
-    ``bundle`` and ``fields`` are the scenario's shared simulation (see
-    the module docstring); the spec is ``bundle.spec``, and the pass holds
-    ``bundle.n_paths`` paths.
+    ``bundle`` is the scenario's whole simulation, from stream 0 (see the
+    module docstring): the pass takes its spec, grid, path count and
+    pairing, and builds the fields from (gamma0, a0) on it.
     """
     mc = MonteCarloPass(
-        bundle.spec, bundle.n_steps, bundle.n_paths, checks, eta_list, nu_family, time_indices,
-        confidence,
+        bundle.spec, bundle.n_steps, bundle.n_paths, checks, gamma0, a0, bundle.antithetic,
+        eta_list, nu_family, time_indices, confidence,
     )
-    mc.gather(bundle, fields)
+    mc.gather(bundle)
     return mc.reduce()
 
 
 def check_dual_submartingale(
     bundle: PathBundle,
-    fields: FieldPaths,
+    gamma0: float,
+    a0: float,
     eta_list: Sequence[float] = (1.0, 2.0),
     nu_family: dict[str, np.ndarray] | None = None,
     time_indices: Sequence[int] | None = None,
@@ -784,13 +748,15 @@ def check_dual_submartingale(
     """Upward drift of the dual process under every candidate measure;
     ``run_mc_checks`` with ``dual-submartingale`` alone."""
     return run_mc_checks(
-        bundle, fields, ["dual-submartingale"], eta_list, nu_family, time_indices, confidence
+        bundle, gamma0, a0, ["dual-submartingale"], eta_list, nu_family, time_indices,
+        confidence,
     )
 
 
 def check_dual_martingale_at_optimum(
     bundle: PathBundle,
-    fields: FieldPaths,
+    gamma0: float,
+    a0: float,
     eta_list: Sequence[float] = (1.0, 2.0),
     time_indices: Sequence[int] | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
@@ -798,32 +764,35 @@ def check_dual_martingale_at_optimum(
     """Flat dual process at the optimal orthogonal load nu = phi;
     ``run_mc_checks`` with ``dual-martingale-at-optimum`` alone."""
     return run_mc_checks(
-        bundle, fields, ["dual-martingale-at-optimum"], eta_list,
+        bundle, gamma0, a0, ["dual-martingale-at-optimum"], eta_list,
         time_indices=time_indices, confidence=confidence,
     )
 
 
 def check_inverse_gamma_mean_mc(
     bundle: PathBundle,
-    fields: FieldPaths,
+    gamma0: float,
+    a0: float,
     nu_family: dict[str, np.ndarray] | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> VerificationReport:
     """Preservation of the mean of 1/gamma by every candidate measure;
     ``run_mc_checks`` with ``inverse-gamma-mean`` alone."""
     return run_mc_checks(
-        bundle, fields, ["inverse-gamma-mean"], nu_family=nu_family, confidence=confidence
+        bundle, gamma0, a0, ["inverse-gamma-mean"], nu_family=nu_family,
+        confidence=confidence,
     )
 
 
 def check_forward_drift_mc(
     bundle: PathBundle,
-    fields: FieldPaths,
+    gamma0: float,
+    a0: float,
     nu_family: dict[str, np.ndarray] | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> VerificationReport:
     """Forward-measure drift of the performance statistic per candidate
     load; ``run_mc_checks`` with ``forward-drift`` alone."""
     return run_mc_checks(
-        bundle, fields, ["forward-drift"], nu_family=nu_family, confidence=confidence
+        bundle, gamma0, a0, ["forward-drift"], nu_family=nu_family, confidence=confidence
     )

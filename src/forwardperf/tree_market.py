@@ -229,7 +229,8 @@ class EventTree:
         if "horizon" not in data or "nodes" not in data:
             raise ScenarioError("tree document needs 'horizon' and 'nodes'")
         nodes = []
-        for i, rec in enumerate(data["nodes"]):
+        for i, rec in enumerate(_typed(data["nodes"], "nodes", list)):
+            _typed(rec, f"nodes[{i}]", Mapping)
             bad = set(rec) - {"id", "time", "branches"}
             if bad:
                 raise ScenarioError(f"nodes[{i}]: unknown keys {sorted(bad)}")
@@ -238,25 +239,25 @@ class EventTree:
                 t = rec["time"]
             except KeyError as exc:
                 raise ScenarioError(f"nodes[{i}]: missing {exc}")
-            if not isinstance(nid, str):
-                raise ScenarioError(f"nodes[{i}]: id must be a string")
+            _typed(nid, f"nodes[{i}].id", str)
+            _typed(t, f"nodes[{i}].time", int)
             branches = []
-            for j, brec in enumerate(rec.get("branches", [])):
-                bad = set(brec) - {"child", "prob", "dprice"}
+            raw = _typed(rec.get("branches", []), f"nodes[{i}].branches", list)
+            for j, brec in enumerate(raw):
+                path = f"nodes[{i}].branches[{j}]"
+                bad = set(_typed(brec, path, Mapping)) - {"child", "prob", "dprice"}
                 if bad:
-                    raise ScenarioError(f"nodes[{i}].branches[{j}]: unknown keys {sorted(bad)}")
+                    raise ScenarioError(f"{path}: unknown keys {sorted(bad)}")
                 try:
-                    branches.append(
-                        Branch(
-                            child=brec["child"],
-                            prob=float(brec["prob"]),
-                            dprice=float(brec["dprice"]),
-                        )
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ScenarioError(f"nodes[{i}].branches[{j}]: {exc}")
-            nodes.append(TreeNode(id=nid, time=int(t), branches=tuple(branches)))
-        tree = cls(horizon=int(data["horizon"]), nodes=nodes)
+                    child, prob, dprice = brec["child"], brec["prob"], brec["dprice"]
+                except KeyError as exc:
+                    raise ScenarioError(f"{path}: {exc}")
+                _typed(child, f"{path}.child", str)
+                prob = float(_typed(prob, f"{path}.prob", (int, float)))
+                dprice = float(_typed(dprice, f"{path}.dprice", (int, float)))
+                branches.append(Branch(child=child, prob=prob, dprice=dprice))
+            nodes.append(TreeNode(id=nid, time=t, branches=tuple(branches)))
+        tree = cls(horizon=_typed(data["horizon"], "horizon", int), nodes=nodes)
         if validate:
             report = validate_tree(tree)
             if not report.all_passed:
@@ -278,6 +279,17 @@ class EventTree:
             except json.JSONDecodeError as exc:
                 raise ScenarioError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
         return cls.from_dict(data, validate=validate)
+
+
+def _typed(value, path, kind):
+    """``value`` when an instance of ``kind`` but not a bool; a tree
+    document's field of another type is refused with its path."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        names = {list: "a list", Mapping: "an object", int: "an integer", str: "a string"}
+        raise ScenarioError(
+            f"{path}: expected {names.get(kind, 'a number')}, got {type(value).__name__}"
+        )
+    return value
 
 
 def validate_tree(tree: EventTree) -> VerificationReport:

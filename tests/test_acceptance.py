@@ -16,7 +16,7 @@ import forwardperf.cli as cli
 import oracles
 from forwardperf.fields import conjugate_exponential
 from forwardperf.cli import run_ito_scenario
-from forwardperf.ito_engine import CoefficientSpec, build_forward_exponential, simulate_paths
+from forwardperf.ito_engine import CoefficientSpec, simulate_paths
 from forwardperf.mc_verifier import check_inverse_gamma_mean_mc, mc_mean_test
 from forwardperf.tree_market import check_nflvr, measure_from_leaf_masses
 from forwardperf.tree_verifier import (
@@ -243,8 +243,7 @@ def test_criterion_6_mc_suite():
         spec = CoefficientSpec.constant(1.0, theta=0.5, delta=0.2, phi=0.3, rho=0.1)
         fam = {"0": np.zeros(64), "0.4": np.full(64, 0.4)}
         bundle = simulate_paths(spec, 64, 100_000, MC_SEED)
-        fields = build_forward_exponential(spec, 1.0, 0.0, bundle)
-        rep_c = check_inverse_gamma_mean_mc(bundle, fields, nu_family=fam)
+        rep_c = check_inverse_gamma_mean_mc(bundle, 1.0, 0.0, nu_family=fam)
         for label in ("0", "0.4"):
             assert rep_c[f"inverse-gamma-mean[nu={label}]"].verdict, rep_c.to_text()
         budget(6, elapsed + (time.perf_counter() - t0), 60.0)

@@ -572,6 +572,75 @@ def test_bad_time_pairs(tmp_path, capsys):
     assert "$.time_pairs[0]" in capsys.readouterr().err
 
 
+def test_horizon_0_tree_refuses_checks_that_need_a_time_pair(tmp_path, capsys):
+    # a tree of horizon 0 has no time pair [t, T]: a check over windows would
+    # pass on none, and the conjugacy check reads the first
+    doc = tree_doc(
+        tree={"horizon": 0, "nodes": [{"id": "r", "time": 0}]},
+        gamma={"mode": "explicit", "values": {"r": 1.0}},
+    )
+    for checks, name in ((None, "primal-self-generation"), (["nflvr", "conjugacy"], "conjugacy")):
+        if checks:
+            doc["checks"] = checks
+        assert main(["run", write_scenario(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: $.checks: {name!r} needs a time pair [t, T]; the tree's horizon is 0\n"
+        )
+    doc["checks"] = ["tree-structure", "nflvr"]
+    code, rep = run_json(capsys, ["run", write_scenario(tmp_path, doc)])
+    assert code == 0 and rep["all_passed"]
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("horizon",), 2.9, "horizon: expected an integer, got float"),
+        (("horizon",), "2", "horizon: expected an integer, got str"),
+        (("nodes", 1, "time"), 1.7, "nodes[1].time: expected an integer, got float"),
+        (("nodes", 1, "time"), True, "nodes[1].time: expected an integer, got bool"),
+        (("nodes", 1, "time"), "1", "nodes[1].time: expected an integer, got str"),
+        (
+            ("nodes", 0, "branches", 0, "prob"),
+            "0.6",
+            "nodes[0].branches[0].prob: expected a number, got str",
+        ),
+        (
+            ("nodes", 0, "branches", 0, "prob"),
+            True,
+            "nodes[0].branches[0].prob: expected a number, got bool",
+        ),
+        (
+            ("nodes", 4, "branches", 1, "dprice"),
+            None,
+            "nodes[4].branches[1].dprice: expected a number, got NoneType",
+        ),
+        (("nodes", 0, "branches"), 5, "nodes[0].branches: expected a list, got int"),
+        (("nodes", 1, "id"), 7, "nodes[1].id: expected a string, got int"),
+        (
+            ("nodes", 4, "branches", 0, "child"),
+            ["b1"],
+            "nodes[4].branches[0].child: expected a string, got list",
+        ),
+        (
+            ("nodes", 0, "branches", 0),
+            ["a", 0.6, 1.0],
+            "nodes[0].branches[0]: expected an object, got list",
+        ),
+        (("nodes", 2), ["a1", 2], "nodes[2]: expected an object, got list"),
+        (("nodes",), {"r": {"time": 0}}, "nodes: expected a list, got dict"),
+    ],
+)
+def test_tree_document_of_the_wrong_types_refused(tmp_path, capsys, where, value, message):
+    # no field of a tree document is coerced: each is refused with its path
+    doc = tree_doc()
+    target = doc["tree"]
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_duplicate_time_pair_refused(tmp_path, capsys):
     # both pairs would tag their records [t=0,T=1]
     doc = tree_doc(time_pairs=[[0, 1], [0, 1]])
@@ -642,6 +711,11 @@ def no_simulation(monkeypatch):
             "$.time_indices[1]",
             "prints as '0.5' in record tags",
         ),
+        ({"time_indices": 5}, "$.time_indices", "expected a list of integers, got int"),
+        ({"time_indices": "48"}, "$.time_indices", "expected a list of integers, got str"),
+        # a dual check with no time above 0 has nothing to test
+        ({"time_indices": []}, "$.time_indices", "'dual-submartingale' needs a time index above 0"),
+        ({"time_indices": [0, 0]}, "$.time_indices", "needs a time index above 0"),
     ],
 )
 def test_ito_bad_inputs_rejected_before_simulating(
@@ -652,6 +726,14 @@ def test_ito_bad_inputs_rejected_before_simulating(
     assert main(["run", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {json_path}: ") and message in err
+
+
+def test_ito_optimum_without_a_time_above_0_refused(tmp_path, capsys, no_simulation):
+    doc = ito_doc(checks=["dual-martingale-at-optimum"], time_indices=[0])
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: $.time_indices: 'dual-martingale-at-optimum' needs a time index above 0\n"
+    )
 
 
 def test_ito_repeated_time_index_collapses():
@@ -695,8 +777,9 @@ def test_ito_scenario_simulates_once(monkeypatch, checks, n_sim):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    # the scenario simulates, and its pass builds the fields on each run
+    for module, name in zip((cli, mc_verifier), calls):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     doc = ito_doc(n_paths=2000, n_steps=16)
     if checks is None:
         del doc["checks"]
@@ -1243,6 +1326,8 @@ def test_export_paths_index_out_of_range(tmp_path, capsys):
     [
         ({"n_paths": 7}, "$.n_paths", "even n_paths"),
         ({"paths": [0, 6]}, "$.paths", "path index 6 out of range"),
+        ({"paths": 2}, "$.paths", "expected a list of integers, got int"),
+        ({"paths": "01"}, "$.paths", "expected a list of integers, got str"),
     ],
 )
 def test_export_paths_bad_inputs_rejected_before_simulating(

@@ -527,6 +527,32 @@ def test_density_path_writes_into_out(antithetic):
             density_path(bundle, 0.1, 0.2, cols, out=bad)
 
 
+@pytest.mark.parametrize("shift_cols", [[16, 4], []], ids=["shift", "no-shift"])
+@pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+def test_fields_write_into_out(antithetic, shift_cols):
+    # a run writes its paths' slice of larger time-major arrays, as a Monte
+    # Carlo pass holds 1/gamma and the shift: the bits of a fresh call, and
+    # nothing else of the arrays is touched
+    bundle = simulate_paths(KERNEL_SPEC, 16, 10, seed=41, antithetic=antithetic, stream_offset=3)
+    cols = [12, 4, 16]
+    want = build_forward_exponential(KERNEL_SPEC, 1.3, 0.2, bundle, cols, shift_cols)
+    held = [np.full((len(c), 30), np.nan) for c in (cols, shift_cols)]
+    out = tuple(arr[:, 6:16].T for arr in held)
+    got = build_forward_exponential(KERNEL_SPEC, 1.3, 0.2, bundle, cols, shift_cols, out=out)
+    assert got.inv_gamma is out[0] and got.a_shift is out[1]
+    assert (got.columns, got.shift_columns) == (want.columns, want.shift_columns)
+    np.testing.assert_array_equal(bits(held[0][:, 6:16].T), bits(want.inv_gamma))
+    np.testing.assert_array_equal(bits(held[1][:, 6:16].T), bits(want.a_shift))
+    for arr in held:
+        assert np.isnan(arr[:, :6]).all() and np.isnan(arr[:, 16:]).all()
+    good = np.empty((10, len(shift_cols)))
+    for bad in (np.empty((10, 2)), np.empty((3, 10)).T[:, :2], np.empty((10, 3), np.float32)):
+        with pytest.raises(ValueError, match=r"out must be a float64 array of shape \(10, 3\)"):
+            build_forward_exponential(
+                KERNEL_SPEC, 1.3, 0.2, bundle, cols, shift_cols, out=(bad, good)
+            )
+
+
 @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
 def test_fields_build_the_shift_only_at_its_columns(antithetic):
     # the shift at shift_columns, among the columns, has the bits it has

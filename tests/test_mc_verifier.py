@@ -14,7 +14,6 @@ from forwardperf.cli import run_ito_scenario
 from forwardperf.errors import RegularityError
 from forwardperf.ito_engine import (
     CoefficientSpec,
-    build_forward_exponential,
     chunk_bounds,
     simulate_paths,
 )
@@ -41,9 +40,9 @@ FAILING = CoefficientSpec.constant(1.0, theta=0.5, delta=0.2)
 
 
 def simulated(spec, gamma0, a0, n_steps, n_paths, seed, **kwargs):
-    """The (bundle, fields) pair a scenario shares between its checks."""
-    bundle = simulate_paths(spec, n_steps, n_paths, seed, **kwargs)
-    return bundle, build_forward_exponential(spec, gamma0, a0, bundle)
+    """The simulation a scenario shares between its checks, and the field
+    start (gamma0, a0) they build on it."""
+    return simulate_paths(spec, n_steps, n_paths, seed, **kwargs), gamma0, a0
 
 
 # -- band machinery ------------------------------------------------------
@@ -144,7 +143,7 @@ def test_mean_test_to_record(rng):
 
 
 def test_default_nu_family_labels():
-    fam = MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"]).nu_family
+    fam = MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"], 1.0, 0.0, True).nu_family
     assert set(fam) == {"0", "phi", "phi+0.4", "phi-0.4", "0.8"}
     np.testing.assert_array_equal(fam["phi"], np.full(8, 0.3))
     np.testing.assert_array_equal(fam["phi+0.4"], np.full(8, 0.7))
@@ -174,7 +173,20 @@ def test_pass_refuses_a_malformed_load():
     # when the pass is built, before any path is drawn
     for load in (np.ones(7), np.ones(1), np.ones((8, 1))):
         with pytest.raises(ValueError, match=r"load 'bad' must be scalar or shape \(8,\)"):
-            MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"], nu_family={"bad": load})
+            MonteCarloPass(
+                CLEAN, 8, 200, ["inverse-gamma-mean"], 1.0, 0.0, True, nu_family={"bad": load}
+            )
+
+
+@pytest.mark.parametrize("time_indices", [[], [0], [0, 0]])
+@pytest.mark.parametrize("check", ["dual-submartingale", "dual-martingale-at-optimum"])
+def test_dual_checks_refuse_time_indices_with_nothing_above_0(check, time_indices):
+    # with no time above 0 a dual check has no record to report, so a
+    # report of it would pass on nothing; other checks read the horizon
+    with pytest.raises(ValueError, match="the dual checks need a time index above 0"):
+        MonteCarloPass(CLEAN, 8, 200, [check], 1.0, 0.0, True, time_indices=time_indices)
+    mc = MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"], 1.0, 0.0, True, time_indices=[])
+    assert mc.columns == [8]
 
 
 def test_optimum_equality_and_chain_consistency():
@@ -265,9 +277,9 @@ def test_reports_chunk_invariant():
     # whole simulation
     checks = list(MC_CHECKS)
     whole = run_mc_checks(*simulated(CLEAN, 1.0, 0.0, 32, 2002, seed=709), checks)
-    mc = MonteCarloPass(CLEAN, 32, 2002, checks)
+    mc = MonteCarloPass(CLEAN, 32, 2002, checks, 1.0, 0.0, True)
     for lo, hi in chunk_bounds(1001, 4):
-        mc.gather(*simulated(CLEAN, 1.0, 0.0, 32, 2 * (hi - lo), seed=709, stream_offset=lo))
+        mc.gather(simulated(CLEAN, 1.0, 0.0, 32, 2 * (hi - lo), seed=709, stream_offset=lo)[0])
     assert mc.reduce().to_json() == whole.to_json()
 
 
@@ -277,9 +289,8 @@ def test_reduce_holds_only_its_scratch_above_the_gathered_columns():
     # that scratch, not by the columns: joining them into fresh arrays,
     # or one fresh array per statistic, would exceed the bound
     n = 20_000  # antithetic paths: n // 2 samples per test
-    mc = MonteCarloPass(CLEAN, 8, n, list(MC_CHECKS))
-    bundle = simulate_paths(CLEAN, 8, n, seed=31, columns=mc.simulated_columns)
-    mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle, mc.columns))
+    mc = MonteCarloPass(CLEAN, 8, n, list(MC_CHECKS), 1.0, 0.0, True)
+    mc.gather(simulate_paths(CLEAN, 8, n, seed=31, columns=mc.simulated_columns))
     n_dual = max(len(mc.idx), len(mc.opt_idx))
     # each planned density at its columns (here the loads', which the
     # optimum and z~ share), and 1/gamma and the shift per pass column
@@ -315,11 +326,8 @@ def gathered_growth(mc, n):
     kept = 8 * n * (n_columns + len(mc.columns) + len(mc.shift_columns))
     tracemalloc.start()
     try:
-        fields = build_forward_exponential(
-            CLEAN, 1.0, 0.0, bundle, mc.columns, mc.shift_columns
-        )
-        mc.gather(bundle, fields)
-        del bundle, fields
+        mc.gather(bundle)
+        del bundle
         growth = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -331,7 +339,7 @@ def test_gather_keeps_the_planned_densities_and_the_field_columns():
     # above 0: a density built once per reader, a column at t = 0 or a
     # log z~ column would exceed the bound
     n = 20_000
-    mc = MonteCarloPass(CLEAN, 8, n, list(MC_CHECKS))
+    mc = MonteCarloPass(CLEAN, 8, n, list(MC_CHECKS), 1.0, 0.0, True)
     assert mc.columns == mc.shift_columns == [4, 8]
     assert len(mc.densities) == len(mc.nu_family)
     growth, kept = gathered_growth(mc, n)
@@ -342,7 +350,7 @@ def test_gather_keeps_no_shift_for_inverse_gamma_mean_alone():
     # no requested check reads the shift, so the fields hold none and the
     # pass keeps each load's terminal density and 1/gamma at the horizon
     n = 20_000
-    mc = MonteCarloPass(CLEAN, 8, n, ["inverse-gamma-mean"])
+    mc = MonteCarloPass(CLEAN, 8, n, ["inverse-gamma-mean"], 1.0, 0.0, True)
     assert mc.columns == [8] and mc.shift_columns == []
     assert [cols for _, _, cols in mc.densities] == [[8]] * 5
     growth, kept = gathered_growth(mc, n)
@@ -395,49 +403,54 @@ def test_four_runs_report_the_bytes_of_one(monkeypatch, antithetic, checks):
 
 
 def test_pass_refuses_chunks_that_do_not_continue_the_simulation():
-    mc = MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"])
-    with pytest.raises(ValueError, match="no chunk gathered"):
-        mc.reduce()
-    mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 100, seed=5))
+    # the pass is told its simulation: a run of another spec, grid or
+    # pairing, or one that does not start at the next path to fill, is
+    # refused and leaves the pass as it was
+    mc = MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"], 1.0, 0.0, True)
+    mc.gather(simulate_paths(CLEAN, 8, 100, seed=5))
+    other = "another spec, grid or pairing than the pass's 8 steps with antithetic=True"
+    order = "after the 100 gathered; the pass holds 200, and the chunk starts at path {}"
     refused = [
-        # skips streams 50 .. 59
-        ({"stream_offset": 60}, (1.0, 0.0), "expects stream 50"),
+        # skips paths 100 .. 119 (streams 50 .. 59)
+        ((CLEAN, 8, 100), {"stream_offset": 60}, order.format(120)),
         # repeats the first chunk
-        ({}, (1.0, 0.0), "expects stream 50"),
-        ({"stream_offset": 50, "antithetic": False}, (1.0, 0.0), "the first chunk had"),
-        ({"stream_offset": 50}, (2.0, 0.0), "the first chunk had"),
-        ({"stream_offset": 50}, (1.0, 0.5), "the first chunk had"),
+        ((CLEAN, 8, 100), {}, order.format(0)),
+        # paths 100 .. 199 of a simulation without pairing
+        ((CLEAN, 8, 100), {"stream_offset": 100, "antithetic": False}, other),
+        ((CLEAN, 16, 100), {"stream_offset": 50}, other),
+        # the pass plans its densities from its own model's coefficients
+        ((SHIFTED_GAMMA, 8, 100), {"stream_offset": 50}, other),
     ]
-    for kwargs, (gamma0, a0), match in refused:
-        with pytest.raises(ValueError, match=match):
-            mc.gather(*simulated(CLEAN, gamma0, a0, 8, 100, seed=5, **kwargs))
-    bundle, _ = simulated(CLEAN, 1.0, 0.0, 16, 100, seed=5, stream_offset=50)
-    with pytest.raises(ValueError, match="needs 8 steps"):
-        mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle))
-    # the pass plans its densities from its own model's coefficients
-    with pytest.raises(ValueError, match="another coefficient spec"):
-        mc.gather(*simulated(SHIFTED_GAMMA, 1.0, 0.0, 8, 100, seed=5, stream_offset=50))
-    # the refused chunks left the pass as it was
-    mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 100, seed=5, stream_offset=50))
+    for args, kwargs, match in refused:
+        with pytest.raises(ValueError, match=re.escape(match)):
+            mc.gather(simulate_paths(*args, seed=5, **kwargs))
+    mc.gather(simulate_paths(CLEAN, 8, 100, seed=5, stream_offset=50))
     whole = run_mc_checks(*simulated(CLEAN, 1.0, 0.0, 8, 200, seed=5), ["inverse-gamma-mean"])
     assert mc.reduce().to_json() == whole.to_json()
 
 
-def test_pass_reads_the_shift_only_where_its_checks_do():
+def test_pass_reads_the_shift_only_where_its_checks_do(monkeypatch):
     # the dual checks read the shift at their time indices above 0 and the
     # forward drift at the horizon; inverse-gamma-mean alone reads none, so
-    # fields without a shift serve it with the bytes of full fields
+    # the pass builds none for it
+    built = []
+    original = mc_verifier.build_forward_exponential
+
+    def recorded(*args, **kwargs):
+        fields = original(*args, **kwargs)
+        built.append(fields.shift_columns)
+        return fields
+
+    monkeypatch.setattr(mc_verifier, "build_forward_exponential", recorded)
     bundle = simulate_paths(CLEAN, 8, 200, seed=5)
-    no_shift = build_forward_exponential(CLEAN, 1.0, 0.0, bundle, [4, 8], [])
-    for checks, missing in ((["forward-drift"], [8]), (["dual-submartingale"], [4, 8])):
-        mc = MonteCarloPass(CLEAN, 8, 200, checks)
-        refusal = re.escape(f"lack the shift at the grid columns {missing}")
-        with pytest.raises(ValueError, match=refusal):
-            mc.gather(bundle, no_shift)
-    mc = MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"])
-    mc.gather(bundle, no_shift)
-    full = build_forward_exponential(CLEAN, 1.0, 0.0, bundle)
-    assert mc.reduce().to_json() == run_mc_checks(bundle, full, ["inverse-gamma-mean"]).to_json()
+    shifts = (
+        (["forward-drift"], (8,)), (["dual-submartingale"], (4, 8)), (["inverse-gamma-mean"], ())
+    )
+    for checks, shift_columns in shifts:
+        mc = MonteCarloPass(CLEAN, 8, 200, checks, 1.0, 0.0, True)
+        assert mc.shift_columns == list(shift_columns)
+        run_mc_checks(bundle, 1.0, 0.0, checks)
+        assert built.pop() == shift_columns
 
 
 def test_pass_holds_exactly_its_path_count():
@@ -445,15 +458,15 @@ def test_pass_holds_exactly_its_path_count():
     # a run past them is refused and leaves the pass as it was, and a pass
     # short of them is not reduced
     with pytest.raises(ValueError, match="n_paths must be positive, got 0"):
-        MonteCarloPass(CLEAN, 8, 0, ["inverse-gamma-mean"])
-    mc = MonteCarloPass(CLEAN, 8, 300, ["inverse-gamma-mean"])
-    mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 200, seed=5))
+        MonteCarloPass(CLEAN, 8, 0, ["inverse-gamma-mean"], 1.0, 0.0, True)
+    mc = MonteCarloPass(CLEAN, 8, 300, ["inverse-gamma-mean"], 1.0, 0.0, True)
+    mc.gather(simulated(CLEAN, 1.0, 0.0, 8, 200, seed=5)[0])
     with pytest.raises(ValueError, match="gathered 200 paths of the 300 it holds"):
         mc.reduce()
     past = "chunk has 200 paths after the 200 gathered; the pass holds 300"
     with pytest.raises(ValueError, match=past):
-        mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 200, seed=5, stream_offset=100))
-    mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 100, seed=5, stream_offset=100))
+        mc.gather(simulated(CLEAN, 1.0, 0.0, 8, 200, seed=5, stream_offset=100)[0])
+    mc.gather(simulated(CLEAN, 1.0, 0.0, 8, 100, seed=5, stream_offset=100)[0])
     whole = run_mc_checks(*simulated(CLEAN, 1.0, 0.0, 8, 300, seed=5), ["inverse-gamma-mean"])
     assert mc.reduce().to_json() == whole.to_json()
 
@@ -509,8 +522,7 @@ def test_pass_builds_only_its_columns(monkeypatch):
     # densities and fields are built at the columns above 0 the checks
     # read: the time indices and the horizon. Each distinct load's density
     # is built once: with delta = 0 and phi a load of the family, the
-    # optimum and the forward check's z~ read the loads' columns. Fields
-    # without one of the columns are refused
+    # optimum and the forward check's z~ read the loads' columns
     calls = []
     original = ito_engine.density_path
 
@@ -520,27 +532,19 @@ def test_pass_builds_only_its_columns(monkeypatch):
 
     for module in (ito_engine, mc_verifier):
         monkeypatch.setattr(module, "density_path", recorded)
-    mc = MonteCarloPass(CLEAN, 8, 400, list(MC_CHECKS), time_indices=[6, 0, 2])
+    mc = MonteCarloPass(CLEAN, 8, 400, list(MC_CHECKS), 1.0, 0.0, True, time_indices=[6, 0, 2])
     assert mc.columns == [2, 6, 8]
-    assert MonteCarloPass(CLEAN, 8, 400, ["inverse-gamma-mean"]).columns == [8]
+    assert MonteCarloPass(CLEAN, 8, 400, ["inverse-gamma-mean"], 1.0, 0.0, True).columns == [8]
     bundle = simulate_paths(CLEAN, 8, 400, seed=5)
     other_grid = simulate_paths(CLEAN, 16, 400, seed=5)
-    with pytest.raises(ValueError, match="needs 8 steps"):
-        mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, other_grid))
-    for cols in ([0, 2, 8], [6, 2, 0], [1, 3, 5, 7]):
-        with pytest.raises(ValueError, match="fields lack the grid columns"):
-            mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle, cols))
+    with pytest.raises(ValueError, match="another spec, grid or pairing"):
+        mc.gather(other_grid)
     assert calls == []
-    mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle, [8, 6, 5, 2]))
+    mc.gather(bundle)
     # five loads, one density each, none at column 0
     assert [cols for _, _, cols in calls] == [[2, 6, 8]] * 5
     columns = mc.reduce()
-    whole = run_mc_checks(
-        bundle,
-        build_forward_exponential(CLEAN, 1.0, 0.0, bundle),
-        list(MC_CHECKS),
-        time_indices=[6, 0, 2],
-    )
+    whole = run_mc_checks(bundle, 1.0, 0.0, list(MC_CHECKS), time_indices=[6, 0, 2])
     assert columns.to_json() == whole.to_json()
 
 
@@ -554,16 +558,19 @@ def test_pass_simulated_columns_depend_on_the_scenario_alone():
     )
     family = {"flat": np.full(8, 0.2), "step": np.array([0.0] * 3 + [0.5] * 5)}
     for checks in ([], ["inverse-gamma-mean"], list(MC_CHECKS[:1]), ["forward-drift"]):
-        mc = MonteCarloPass(spec, 8, 200, checks, nu_family=family, time_indices=[1])
+        mc = MonteCarloPass(
+            spec, 8, 200, checks, 1.0, 0.0, True, nu_family=family, time_indices=[1]
+        )
         assert mc.simulated_columns == [0, 1, 2, 3, 4, 8]
-    assert MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"]).simulated_columns == [0, 4, 8]
-    mc = MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"])
+    igm = MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"], 1.0, 0.0, True)
+    assert igm.simulated_columns == [0, 4, 8]
+    mc = MonteCarloPass(CLEAN, 8, 200, ["inverse-gamma-mean"], 1.0, 0.0, True)
     bundle = simulate_paths(CLEAN, 8, 200, seed=5, columns=[0, 8])
     with pytest.raises(ValueError, match=r"not simulated at the grid columns \[4\]"):
-        mc.gather(bundle, build_forward_exponential(CLEAN, 1.0, 0.0, bundle))
+        mc.gather(bundle)
     # at the simulated columns, or any superset of them, the pass reads it
     for columns in (mc.simulated_columns, range(9), [4, 6]):
-        mc.gather(*simulated(CLEAN, 1.0, 0.0, 8, 200, seed=5, columns=columns))
+        mc.gather(simulated(CLEAN, 1.0, 0.0, 8, 200, seed=5, columns=columns)[0])
         assert len(mc.reduce().records()) == 5
 
 
@@ -658,7 +665,8 @@ def test_shared_simulation_matches_fresh_per_check(
     dual = {"eta_list": custom.get("eta_list", (1.0, 2.0)), "time_indices": custom.get("time_indices")}
     # the scenario's simulated columns, whatever the checks
     columns = MonteCarloPass(
-        CLEAN, 8, 800, [], nu_family=family, time_indices=dual["time_indices"]
+        CLEAN, 8, 800, [], 1.5, 0.1, antithetic, nu_family=family,
+        time_indices=dual["time_indices"],
     ).simulated_columns
     # a draw budget of that many streams' intervals splits the streams
     n_streams = 400 if antithetic else 800
@@ -676,7 +684,7 @@ def test_shared_simulation_matches_fresh_per_check(
 
     def fresh():
         bundle = simulate_paths(CLEAN, 8, 800, seed=912, antithetic=antithetic, columns=columns)
-        return bundle, build_forward_exponential(CLEAN, 1.5, 0.1, bundle)
+        return bundle, 1.5, 0.1
 
     runs = {
         "regularity": lambda: validate_regularity(CLEAN),
