@@ -153,10 +153,18 @@ def load_scenario(path: str) -> dict:
 
 
 def _tree_from_scenario(doc, base_dir):
+    """The scenario's event tree. A refused field of an inline tree is
+    named by its scenario path, ``$.tree.nodes[1].time``; one of a
+    ``tree_file`` by the file's path (``EventTree.from_json``)."""
     if ("tree" in doc) == ("tree_file" in doc):
         _fail("$", "give exactly one of 'tree' or 'tree_file'")
     if "tree" in doc:
-        return EventTree.from_dict(doc["tree"])
+        _check_keys(doc["tree"], "$.tree", ("horizon", "nodes"))
+        try:
+            return EventTree.from_dict(doc["tree"])
+        except ScenarioError as exc:
+            # past the keys, from_dict refuses fields by their path
+            raise ScenarioError(f"$.tree.{exc}") from None
     rel = doc["tree_file"]
     if not isinstance(rel, str):
         _fail("$.tree_file", "expected a path string")

@@ -441,8 +441,6 @@ class FieldPaths:
     """Exact grid-time paths of the exponential field parameters: 1/gamma at
     the grid indices ``columns`` and the shift at ``shift_columns``."""
 
-    gamma0: float
-    a0: float
     inv_gamma: np.ndarray  # (n_paths, len(columns))
     a_shift: np.ndarray  # (n_paths, len(shift_columns))
     columns: tuple[int, ...]
@@ -525,8 +523,6 @@ def build_forward_exponential(
         out_inv.setflags(write=False)
         out_shift.setflags(write=False)
     return FieldPaths(
-        gamma0=float(gamma0),
-        a0=float(a0),
         inv_gamma=out_inv,
         a_shift=out_shift,
         columns=tuple(cols.tolist()),

@@ -8,8 +8,9 @@ produce byte-identical serializations.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Iterable, Mapping
 
 
@@ -52,8 +53,71 @@ class CheckRecord:
         return out
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+# JSON kind of the exact built-in types; a literal's kind is bool
+_KINDS = {float: float, str: str, int: int, bool: bool, type(None): bool, dict: dict, list: list, tuple: list}
+
+
+def _json_kind(obj):
+    """The JSON kind of ``obj`` by ``json``'s isinstance tests, in
+    ``json``'s order: TypeError for a type ``json`` refuses."""
+    if isinstance(obj, str):
+        return str
+    if obj is None or obj is True or obj is False:
+        return bool
+    for kind, types in ((int, int), (float, float), (list, (list, tuple)), (dict, dict)):
+        if isinstance(obj, types):
+            return kind
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _write_json(obj, newline, out):
+    """Append the JSON of ``obj`` to ``out`` as ``json.dumps(obj, indent=2,
+    sort_keys=True, allow_nan=False)`` writes it, with ``newline`` (a line
+    break and the indent of the enclosing level) before its closing
+    bracket. Floats, numpy's float subclasses among them, print by
+    ``float.__repr__``, and a non-finite float is refused with ``json``'s
+    ValueError. Keys must be strings."""
+    kind = _KINDS.get(type(obj)) or _json_kind(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
+        out.append(float.__repr__(obj))
+    elif kind is str:
+        out.append(_encode_str(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is bool:
+        out.append(_LITERALS[obj])
+    elif not obj:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is dict:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+
+
+_PLAIN_LEAVES = frozenset((float, int, str, bool, type(None)))
+
+
 def _plain(obj):
     """Recursively convert mappings/sequences/numpy scalars to JSON-safe types."""
+    if type(obj) in _PLAIN_LEAVES:
+        return obj
     import numpy as np
 
     if isinstance(obj, Mapping):
@@ -111,9 +175,13 @@ class VerificationReport:
             "checks": {k: self._records[k].to_dict() for k in sorted(self._records)},
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        # sort_keys plus repr-roundtrip floats make the output byte-stable
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True, allow_nan=False)
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True,
+        allow_nan=False)``, byte for byte, written directly: sorted keys
+        plus repr-roundtrip floats make the output byte-stable."""
+        out: list[str] = []
+        _write_json(self.to_dict(), "\n", out)
+        return "".join(out)
 
     def to_text(self) -> str:
         lines = []

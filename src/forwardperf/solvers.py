@@ -102,91 +102,178 @@ def minimize_exp_sum(weights, slopes):
 
 
 def barrier_minimize(phi, A, b, r0):
-    """Minimize sum_i phi_i(r_i) over {r > 0, A r = b} by a log-barrier method.
+    """Minimize sum_i phi_i(r_i) over {r > 0, A r = b} by a log-barrier
+    method, for a stack of programs of one shape at once.
 
-    ``phi(r)`` must return (values, gradients, second derivatives) as arrays
-    for a positive vector r, each phi_i convex. ``r0`` must be strictly
-    positive and feasible. Damped Newton steps, kept strictly inside the
-    positive orthant by the line search, solve the equality-constrained
-    barrier problem through the Schur complement at the single barrier
-    parameter mu = _BARRIER_GAP_TOL / m. The duality-gap bound m*mu holds at the
-    central point for any mu, so no continuation over a decreasing mu is
-    needed (Boyd & Vandenberghe, Convex Optimization, 11.2.2).
+    Program j of the stack minimises over its own r_j, with A[j] r_j = b[j],
+    from the strictly positive feasible start r0[j]: ``A`` is (B, k, m),
+    ``b`` (B, k) and ``r0`` (B, m). ``phi(rows)`` returns the objective of
+    the programs ``rows`` (an index array into the stack): a function from
+    their iterates, a (len(rows), m) array, to their (values, gradients,
+    second derivatives) in that shape, each phi_i convex, computed row by
+    row. All-zero rows of A (vacuous constraints) are dropped per program,
+    and every program must keep as many rows. Damped Newton steps, kept
+    strictly inside the positive orthant by the line search, solve the
+    equality-constrained barrier problem through the Schur complement at
+    the single barrier parameter mu = _BARRIER_GAP_TOL / m. The duality-gap
+    bound m*mu holds at the central point for any mu, so no continuation
+    over a decreasing mu is needed (Boyd & Vandenberghe, Convex
+    Optimization, 11.2.2).
 
-    Returns (r, multipliers, info) where info carries the gap bound, the
-    Newton iteration count, and the max equality residual. Raises
+    Each program takes the iterates, line-search halvings, stop and
+    iteration count it takes alone, bit for bit, and leaves the stack when
+    it stops. Returns (r, multipliers, info): r is (B, m) and the
+    multipliers (B, k); info carries the gap bound, ``newton_iterations``
+    (the total over the stack, an int), ``iterations`` (per program) and
+    ``eq_residual`` (per program, the max equality residual). Raises
     ConvergenceError at the iteration cap, ``_BARRIER_MAX_NEWTON``, and
     when a Newton step or its multipliers are not finite (an objective
-    whose derivatives leave the float range, say).
+    whose derivatives leave the float range, say), for the first program
+    in the stack that fails at the earliest failing iteration; the error's
+    ``row`` is its index. A program before it may fail later: the stack
+    before ``row`` solved alone says whether one does.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    r = np.asarray(r0, dtype=float).copy()
-    m = r.size
+    r = np.array(r0, dtype=float)
+    if r.ndim != 2 or A.ndim != 3 or A.shape[::2] != r.shape or b.shape != A.shape[:2]:
+        raise ValueError("barrier_minimize: constraint shape mismatch")
+    n, m = r.shape
+    if not r.size:
+        raise ValueError("barrier_minimize: need a nonempty stack of nonempty programs")
     if (r <= 0.0).any():
         raise ValueError("barrier_minimize: start must be strictly positive")
-    if A.ndim != 2 or A.shape[1] != m or A.shape[0] != b.size:
-        raise ValueError("barrier_minimize: constraint shape mismatch")
     # drop all-zero rows (vacuous constraints) once, keeping determinism
-    keep = (A != 0.0).any(axis=1)
+    keep = (A != 0.0).any(axis=2)
     if not keep.all():
         if (np.abs(b[~keep]) > 1e-12).any():
             raise ValueError("barrier_minimize: infeasible zero row")
-        A = A[keep]
-        b = b[keep]
-    k = A.shape[0]
-    lam = np.zeros(k)
+        kept = keep.sum(axis=1)
+        if (kept != kept[0]).any():
+            raise ValueError("barrier_minimize: the programs keep different numbers of rows")
+        A = A[keep].reshape(n, int(kept[0]), m)
+        b = b[keep].reshape(n, int(kept[0]))
+    k = A.shape[1]
+    lam = np.zeros((n, k))
+    iterations = np.zeros(n, dtype=np.int64)
     mu = _BARRIER_GAP_TOL / m
 
     def barrier_val(rv, v):
-        return float(v.sum()) - mu * float(np.log(rv).sum())
+        return v.sum(axis=1) - mu * np.log(rv).sum(axis=1)
 
+    # the programs still iterating: their indices, objective, rows of A,
+    # iterates, and the objective's value, gradient and curvature there
+    rows = np.arange(n)
+    f, Ar, rr = phi(rows), A, r
+    AT = Ar.transpose(0, 2, 1)
+    v, grad, hess = f(rr)
+    f_cur = barrier_val(rr, v)
     for newton_used in range(1, _BARRIER_MAX_NEWTON + 1):
-        v, grad, hess = phi(r)
-        f_cur = barrier_val(r, v)
-        g = grad - mu / r
-        h = hess + mu / (r * r)
+        g = grad - mu / rr
+        h = hess + mu / (rr * rr)
         hinv = 1.0 / h
         # Schur system for the equality multipliers
-        S = (A * hinv) @ A.T
-        rhs = -(A * hinv) @ g
+        AH = Ar * hinv[:, None, :]
+        S = AH @ AT
+        rhs = -AH @ g[:, :, None]
         try:
-            lam = np.linalg.solve(S, rhs)
+            lr = np.linalg.solve(S, rhs)
         except np.linalg.LinAlgError:
-            lam = np.linalg.lstsq(S, rhs, rcond=None)[0]
-        dr = -hinv * (g + A.T @ lam)
-        if not (np.isfinite(lam).all() and np.isfinite(dr).all()):
+            lr = np.array([_schur_solve(Sj, rj[:, 0]) for Sj, rj in zip(S, rhs)])[:, :, None]
+        q = g + (AT @ lr)[:, :, 0]
+        dr = -hinv * q
+        if not (np.isfinite(lr).all() and np.isfinite(dr).all()):
             # no line search can repair a NaN or infinite direction
+            finite = np.isfinite(lr).all(axis=(1, 2)) & np.isfinite(dr).all(axis=1)
+            j = int(np.argmin(finite))
             raise ConvergenceError(
                 f"barrier_minimize: Newton step {newton_used} is not finite "
-                f"(barrier objective {f_cur!r})"
+                f"(barrier objective {float(f_cur[j])!r})",
+                row=int(rows[j]),
             )
-        # Newton decrement squared = dr' H dr = -(g + A'lam)' dr
-        slope = float((g + A.T @ lam) @ dr)
-        if -slope < 1e-13 * (1.0 + abs(f_cur)):
+        # Newton decrement squared = dr' H dr = -(g + A'lam)' dr. Each
+        # program's stop test and step length in Python floats, as alone
+        f_row = f_cur.tolist()
+        slope = (q[:, None, :] @ dr[:, :, None])[:, 0, 0].tolist()
+        searching = [j for j, (fc, s) in enumerate(zip(f_row, slope)) if not -s < 1e-13 * (1.0 + abs(fc))]
+        alpha = [1.0] * len(rows)
+        if searching:
+            # keep strictly inside the positive orthant
+            reach = np.divide(-rr, dr, out=np.full(dr.shape, np.inf), where=dr < 0.0).min(axis=1)
+            alpha = [min(1.0, 0.99 * x) for x in reach.tolist()]
+            searching = [j for j in searching if alpha[j] > 1e-14]
+        # each program's backtracking line search, one halving of all at a
+        # time; a program not searching is evaluated at its iterate, and
+        # ignored. The point a program accepts is its next iterate, so the
+        # evaluation there (iterate, gradient, curvature, barrier value)
+        # serves its next Newton step.
+        accepted = [False] * len(rows)
+        ahead = None
+        while searching:
+            r_new = rr + np.array(alpha)[:, None] * dr
+            inside = (r_new > 0.0).all(axis=1).tolist()
+            trial = [j for j in searching if inside[j]]
+            if len(trial) < len(rows):
+                hold = np.ones(len(rows), dtype=bool)
+                hold[trial] = False
+                r_new[hold] = rr[hold]
+            v, g_new, h_new = f(r_new)
+            val = barrier_val(r_new, v)
+            val_row = val.tolist()
+            took = np.zeros(len(rows), dtype=bool)
+            left = []
+            for j in searching:
+                if inside[j] and val_row[j] <= f_row[j] + 1e-4 * alpha[j] * slope[j]:
+                    accepted[j] = took[j] = True
+                    continue
+                alpha[j] *= 0.5
+                if alpha[j] > 1e-14:
+                    left.append(j)
+            point = (r_new, g_new, h_new, val)
+            if ahead is None:
+                ahead = point
+            elif took.any():
+                ahead = tuple(np.where(took[:, None] if x.ndim == 2 else took, x, y) for x, y in zip(point, ahead))
+            searching = left
+        # a program stops at its stop test or at the line-search floor
+        if not any(accepted):
+            iterations[rows] = newton_used
+            r[rows] = rr
+            lam[rows] = lr[:, :, 0]
             break
-        # keep strictly inside the positive orthant
-        neg = dr < 0.0
-        alpha = 1.0
-        if neg.any():
-            alpha = min(1.0, 0.99 * float((-r[neg] / dr[neg]).min()))
-        while alpha > 1e-14:
-            r_new = r + alpha * dr
-            if (r_new > 0.0).all() and barrier_val(r_new, phi(r_new)[0]) <= f_cur + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        if alpha <= 1e-14:
-            break
-        r = r + alpha * dr
+        if not all(accepted):
+            keep = np.array(accepted)
+            done = rows[~keep]
+            iterations[done] = newton_used
+            r[done] = rr[~keep]
+            lam[done] = lr[~keep, :, 0]
+            rows = rows[keep]
+            f, Ar = phi(rows), Ar[keep]
+            AT = Ar.transpose(0, 2, 1)
+            ahead = tuple(x[keep] for x in ahead)
+        rr, grad, hess, f_cur = ahead
     else:
         raise ConvergenceError(
             f"barrier_minimize: {_BARRIER_MAX_NEWTON} Newton iterations exhausted "
-            f"at gap bound {m * mu:.3e}"
+            f"at gap bound {m * mu:.3e}",
+            row=int(rows[0]),
         )
-    eq_residual = float(np.abs(A @ r - b).max()) if k else 0.0
+    if k:
+        eq_residual = np.abs((A @ r[:, :, None])[:, :, 0] - b).max(axis=1)
+    else:
+        eq_residual = np.zeros(n)
     info = {
         "gap_bound": m * mu,
-        "newton_iterations": newton_used,
+        "newton_iterations": int(iterations.sum()),
+        "iterations": iterations,
         "eq_residual": eq_residual,
     }
     return r, lam, info
+
+
+def _schur_solve(S, rhs):
+    """One program's Schur system, by least squares when it is singular."""
+    try:
+        return np.linalg.solve(S, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(S, rhs, rcond=None)[0]

@@ -270,15 +270,21 @@ class EventTree:
 
     @classmethod
     def from_json(cls, path, validate: bool = True) -> "EventTree":
+        """``from_dict`` on a JSON file; each refusal of the document
+        begins with the file's path."""
+
         def _reject_const(token):
-            raise ScenarioError(f"non-finite number {token!r} in tree file")
+            raise ScenarioError(f"{path}: non-finite number {token!r} in tree file")
 
         with open(path) as fh:
             try:
                 data = json.load(fh, parse_constant=_reject_const)
             except json.JSONDecodeError as exc:
                 raise ScenarioError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
-        return cls.from_dict(data, validate=validate)
+        try:
+            return cls.from_dict(data, validate=validate)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{path}: {exc}") from None
 
 
 def _typed(value, path, kind):

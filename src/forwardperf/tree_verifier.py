@@ -24,8 +24,9 @@ Dual value as one convex program per (window, start):
                    sum_w p_w V(w, eta r_w / p_w)
 
 subject to r >= 0, sum r = 1, and one linear martingale constraint per
-interior node; solved by the log-barrier Newton method in ``solvers``, at
-eta = 1 only. The objective is eta log(eta) m(r) + eta J(r), with J free
+interior node (``window_programs``); solved by the log-barrier Newton
+method in ``solvers``, at eta = 1 only, the programs of a window's starts
+with one constraint shape as one stack. The objective is eta log(eta) m(r) + eta J(r), with J free
 of eta and m(r) = sum_w r_w / gamma_w, which is 1/gamma at the start for
 every measure of the window when 1/gamma is replicable. So the minimiser
 (the minimal-entropy martingale measure) serves every eta, read as
@@ -65,6 +66,7 @@ from .tree_market import (
     node_polytope,
     vertex_recursion,
 )
+from .window_programs import WindowProgram, dual_objective, walk_window
 
 _REPLICATION_TOL = 1e-10
 _INVERSE_GAMMA_TOL = 1e-9  # conditional mean of 1/gamma, per node
@@ -192,44 +194,6 @@ def _eta_by_node(eta, nodes, rep):
 # -- the per-scenario context --------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Window:
-    """The program data of the window [time(start), T] below one start."""
-
-    leaves: tuple[str, ...]
-    p: np.ndarray  # reference mass of each leaf given the start
-    A: np.ndarray  # the unit-mass row, then one martingale row per interior node
-    interior: np.ndarray  # strictly positive feasible leaf masses
-    nodes: tuple[str, ...]  # the nodes before T, start first, in DFS order
-
-
-def _walk_window(duals, start, T):
-    """The ``_Window`` below ``start`` from one walk down it, in DFS order.
-    A martingale row puts the price move of each branch on every leaf below
-    it; the interior point is the product of the one-step vertex centroids."""
-    tree = duals.tree
-    found = []  # per leaf: (leaf, reference mass, centroid mass, moves above it)
-    nodes = []
-    stack = [(start, 1.0, 1.0, ())]
-    while stack:
-        nid, prob, mass, moves = stack.pop()
-        if tree.time_of(nid) == T:
-            found.append((nid, prob, mass, moves))
-            continue
-        nodes.append(nid)  # its martingale row is row len(nodes)
-        center = duals.centroid(nid)
-        for j, br in reversed(tuple(enumerate(tree.branches_of(nid)))):
-            move = moves + ((len(nodes), br.dprice),)
-            stack.append((br.child, prob * br.prob, mass * float(center[j]), move))
-    leaves, p, masses, moves = zip(*found)
-    A = np.zeros((len(nodes) + 1, len(leaves)))
-    A[0] = 1.0
-    for col, above in enumerate(moves):
-        for row, dprice in above:
-            A[row, col] = dprice
-    return _Window(leaves, np.array(p), A, np.array(masses), tuple(nodes))
-
-
 class WindowDuals:
     """The tree engine's per-scenario context: one tree and one gamma, and
     what the checks of a scenario read more than once, each built on first
@@ -273,7 +237,7 @@ class WindowDuals:
         self._vertices: dict[int, dict[str, tuple]] = {}
         self._factors: dict[tuple[int, bytes], tuple[dict, dict]] = {}
         self._inverse_gamma: dict[tuple[int, int], dict] = {}
-        self._windows: dict[tuple[str, int], _Window] = {}
+        self._windows: dict[tuple[str, int], WindowProgram] = {}
         self._solved: dict[tuple[int, int, bytes], DualResult] = {}
 
     def _shift_key(self, a_shift, T):
@@ -324,9 +288,9 @@ class WindowDuals:
             self._inverse_gamma[(t, T)] = _inverse_gamma_range(self, t, T)
         return self._inverse_gamma[(t, T)]
 
-    def window(self, start: str, T: int) -> _Window:
+    def window(self, start: str, T: int) -> WindowProgram:
         if (start, T) not in self._windows:
-            self._windows[(start, T)] = _walk_window(self, start, T)
+            self._windows[(start, T)] = walk_window(self, start, T)
         return self._windows[(start, T)]
 
     def dual(self, field: ExponentialFieldParams, eta: float, t: int, T: int) -> DualResult:
@@ -497,26 +461,63 @@ def primal_value(
 # -- dual ----------------------------------------------------------------
 
 
-def _exp_phi(field, leaves, p):
-    """The eta = 1 dual objective of each leaf, p h(r / (p gamma)) - r a / gamma,
-    as (values, gradients, second derivatives)."""
-    gam = np.array([field.gamma[w] for w in leaves])
-    ash = np.array([field.a_shift[w] for w in leaves])
-    kappa = 1.0 / (p * gam)
-    lin = ash / gam
-    slope = 1.0 / gam
+def _solve_windows(duals, field, starts, t, T):
+    """The eta = 1 programs below ``starts``, one ``barrier_minimize`` call
+    per window shape. Returns, per start, (entropy, m, leaf masses, kkt
+    residual, near-boundary flag, Newton iterations), and None; or the
+    results so far and the (index in ``starts``, error) of the first
+    failing start found, before which another start may still fail."""
+    wins = [duals.window(start, T) for start in starts]
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, win in enumerate(wins):
+        groups.setdefault(win.shape, []).append(i)
+    solved = {}
+    for members in groups.values():
+        group = [wins[i] for i in members]
+        phi, gam = dual_objective(field, group)
+        objective = phi(np.arange(len(group)))
 
-    def phi(r):
-        # entropy_kernel(y) = y log y - y, extended by 0 at y = 0, with
-        # the logarithm taken once for the value and the gradient
-        y = kappa * r
-        log_y = np.log(y)
-        v = p * np.where(y > 0.0, y * log_y - y, 0.0) - lin * r
-        g = slope * log_y - lin
-        h = 1.0 / (gam * r)
-        return v, g, h
+        def entropy_and_mass(r):
+            """sum(phi(r)) and sum(r / gamma) per window, as lists, and the
+            (index, error) of the first window where either is not finite:
+            its objective has left the float range."""
+            entropy = objective(r)[0].sum(axis=1).tolist()
+            m = (r / gam).sum(axis=1).tolist()
+            for j, (e, mj) in enumerate(zip(entropy, m)):
+                if not (math.isfinite(e) and math.isfinite(mj)):
+                    return entropy, m, (members[j], ConvergenceError(
+                        f"dual program below node {starts[members[j]]!r} on [{t}, {T}] leaves "
+                        f"the float range: entropy {e!r}, m {mj!r}"
+                    ))
+            return entropy, m, None
 
-    return phi
+        # checked at the start too, where the solver's Newton step would
+        # not be finite; the overflows on the way print no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            interior = np.array([win.interior for win in group])
+            failed = entropy_and_mass(interior)[2]
+            if failed is not None:
+                return solved, failed
+            A = np.array([win.A for win in group])
+            b = np.zeros(A.shape[:2])
+            b[:, 0] = 1.0
+            try:
+                r, _, info = barrier_minimize(phi, A, b, interior)
+            except ConvergenceError as exc:
+                start = starts[members[exc.row]]
+                error = ConvergenceError(f"dual program below node {start!r} on [{t}, {T}]: {exc}")
+                error.__cause__ = exc
+                return solved, (members[exc.row], error)
+            entropy, m, failed = entropy_and_mass(r)
+            if failed is not None:
+                return solved, failed
+        kkt = (info["gap_bound"] + info["eq_residual"]).tolist()
+        near = (r.min(axis=1) < 1e-7).tolist()
+        iterations = info["iterations"].tolist()
+        for j, (win, masses) in enumerate(zip(group, r.tolist())):
+            leaf_masses = dict(zip(win.leaves, masses))
+            solved[starts[members[j]]] = (entropy[j], m[j], leaf_masses, kkt[j], near[j], iterations[j])
+    return solved, None
 
 
 def dual_value(
@@ -533,10 +534,12 @@ def dual_value(
     martingale measures of the window at eta = 1, per start, and reads eta
     from that program (``DualResult.at``); the minimiser is reported as its
     leaf masses (``leaf_masses``), with a near-boundary flag rather than an
-    interiority assumption. Without a portfolio replicating 1/gamma, an eta
-    other than 1 is refused with ``ReplicationError`` before anything is
-    solved. ``duals`` shares the window data and the replication with the
-    other programs of a scenario.
+    interiority assumption. The programs of starts whose windows have one
+    shape are solved as one stack; a refusal names the first start, in
+    tree order, whose program fails. Without a portfolio replicating
+    1/gamma, an eta other than 1 is refused with ``ReplicationError``
+    before anything is solved. ``duals`` shares the window data and the
+    replication with the other programs of a scenario.
     """
     _check_field_type(field)
     if T is None:
@@ -547,43 +550,23 @@ def dual_value(
     duals = _window_duals(duals, tree, field.gamma)
     rep = duals.replication()
     eta_by_node = _eta_by_node(eta, starts, rep)
+    solved, failed = _solve_windows(duals, field, starts, t, T)
+    while failed is not None:
+        # each program solves alone as it does in its stack, so the starts
+        # before the failing one, solved again, say whether one fails first
+        index, error = failed
+        _, failed = _solve_windows(duals, field, starts[:index], t, T)
+        if failed is None:
+            raise error
     unit = DualResult(t=t, T=T, values={}, eta=dict.fromkeys(starts, 1.0), replication=rep)
     for start in starts:
-        win = duals.window(start, T)
-        b = np.zeros(win.A.shape[0])
-        b[0] = 1.0
-        phi = _exp_phi(field, win.leaves, win.p)
-        gam = _at_nodes(field.gamma, win.leaves)
-
-        def entropy_and_mass(r):
-            """sum(phi(r)) and sum(r / gamma), refused when either is not
-            finite: the objective has left the float range."""
-            entropy = float(phi(r)[0].sum())
-            m = float((r / gam).sum())
-            if not (math.isfinite(entropy) and math.isfinite(m)):
-                raise ConvergenceError(
-                    f"dual program below node {start!r} on [{t}, {T}] leaves the float "
-                    f"range: entropy {entropy!r}, m {m!r}"
-                )
-            return entropy, m
-
-        # checked at the start too, where the solver's Newton step would
-        # not be finite; the overflows on the way print no warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            entropy_and_mass(win.interior)
-            try:
-                r, _, info = barrier_minimize(phi, win.A, b, win.interior)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"dual program below node {start!r} on [{t}, {T}]: {exc}"
-                ) from exc
-            entropy, m = entropy_and_mass(r)
+        entropy, m, leaf_masses, kkt, near, iterations = solved[start]
         unit.entropy[start] = entropy
         unit.inverse_gamma_mean[start] = m
-        unit.leaf_masses[start] = {w: float(ri) for w, ri in zip(win.leaves, r)}
-        unit.kkt_residual[start] = float(info["gap_bound"] + info["eq_residual"])
-        unit.near_boundary[start] = bool(r.min() < 1e-7)
-        unit.newton_iterations[start] = info["newton_iterations"]
+        unit.leaf_masses[start] = leaf_masses
+        unit.kkt_residual[start] = kkt
+        unit.near_boundary[start] = near
+        unit.newton_iterations[start] = iterations
     return unit.at(eta_by_node)
 
 

@@ -5,7 +5,9 @@ code paths: values come from closed forms, scipy one-dimensional
 minimization, a direct joint optimization over all node portfolios, brute
 force over every product measure of a window, (for the dual value at
 each eta) the per-eta dual program the package solved before it read
-every eta from one eta = 1 program, (for conjugacy) a one-dimensional
+every eta from one eta = 1 program, solved one program at a time by the
+barrier solver as it was before it took stacks of programs, (for
+conjugacy) a one-dimensional
 search over that per-eta program and the joint program over unnormalised
 leaf masses the package solved per wealth before it read the infimum from
 the eta = 1 program, (for primal
@@ -40,11 +42,10 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from forwardperf import kernels
+from forwardperf import kernels, solvers
 from forwardperf.errors import ConvergenceError
 from forwardperf.fields import ExponentialFieldParams
 from forwardperf.report import CheckRecord, VerificationReport
-from forwardperf.solvers import barrier_minimize
 from forwardperf.tree_market import (
     _restricted_vertices,
     density_process,
@@ -340,6 +341,86 @@ def _search_positive(f, pts, tol, max_expand=120):
     return f_best, x_best
 
 
+# -- the barrier solver, one program at a time ------------------------------
+
+
+def scalar_barrier_minimize(phi, A, b, r0):
+    """``solvers.barrier_minimize`` for one program, as the package solved
+    each (window, start) before it solved a window's programs as one stack:
+    ``A`` (k, m), ``b`` (k,), ``r0`` (m,), and ``phi(r)`` on one iterate.
+    The same damped Newton steps at mu = gap tol / m, line search, stop
+    test and refusals, with the solver's module constants read at the
+    call. Returns (r, multipliers, info) with a scalar ``eq_residual`` and
+    the program's ``newton_iterations``."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    r = np.asarray(r0, dtype=float).copy()
+    m = r.size
+    if (r <= 0.0).any():
+        raise ValueError("barrier_minimize: start must be strictly positive")
+    if A.ndim != 2 or A.shape[1] != m or A.shape[0] != b.size:
+        raise ValueError("barrier_minimize: constraint shape mismatch")
+    keep = (A != 0.0).any(axis=1)
+    if not keep.all():
+        if (np.abs(b[~keep]) > 1e-12).any():
+            raise ValueError("barrier_minimize: infeasible zero row")
+        A = A[keep]
+        b = b[keep]
+    k = A.shape[0]
+    lam = np.zeros(k)
+    mu = solvers._BARRIER_GAP_TOL / m
+    max_newton = solvers._BARRIER_MAX_NEWTON
+
+    def barrier_val(rv, v):
+        return float(v.sum()) - mu * float(np.log(rv).sum())
+
+    for newton_used in range(1, max_newton + 1):
+        v, grad, hess = phi(r)
+        f_cur = barrier_val(r, v)
+        g = grad - mu / r
+        h = hess + mu / (r * r)
+        hinv = 1.0 / h
+        S = (A * hinv) @ A.T
+        rhs = -(A * hinv) @ g
+        try:
+            lam = np.linalg.solve(S, rhs)
+        except np.linalg.LinAlgError:
+            lam = np.linalg.lstsq(S, rhs, rcond=None)[0]
+        dr = -hinv * (g + A.T @ lam)
+        if not (np.isfinite(lam).all() and np.isfinite(dr).all()):
+            raise ConvergenceError(
+                f"barrier_minimize: Newton step {newton_used} is not finite "
+                f"(barrier objective {f_cur!r})"
+            )
+        slope = float((g + A.T @ lam) @ dr)
+        if -slope < 1e-13 * (1.0 + abs(f_cur)):
+            break
+        neg = dr < 0.0
+        alpha = 1.0
+        if neg.any():
+            alpha = min(1.0, 0.99 * float((-r[neg] / dr[neg]).min()))
+        while alpha > 1e-14:
+            r_new = r + alpha * dr
+            if (r_new > 0.0).all() and barrier_val(r_new, phi(r_new)[0]) <= f_cur + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        if alpha <= 1e-14:
+            break
+        r = r + alpha * dr
+    else:
+        raise ConvergenceError(
+            f"barrier_minimize: {max_newton} Newton iterations exhausted "
+            f"at gap bound {m * mu:.3e}"
+        )
+    eq_residual = float(np.abs(A @ r - b).max()) if k else 0.0
+    info = {
+        "gap_bound": m * mu,
+        "newton_iterations": newton_used,
+        "eq_residual": eq_residual,
+    }
+    return r, lam, info
+
+
 @dataclass
 class DualSolve:
     """Per start: the value of one per-eta dual program, its minimiser's
@@ -350,6 +431,8 @@ class DualSolve:
     leaf_masses: dict = dc_field(default_factory=dict)
     kkt_residual: dict = dc_field(default_factory=dict)
     near_boundary: dict = dc_field(default_factory=dict)
+    newton_iterations: dict = dc_field(default_factory=dict)
+    eq_residual: dict = dc_field(default_factory=dict)
 
 
 def _window_program(tree, start, T):
@@ -376,7 +459,7 @@ def _window_program(tree, start, T):
 
 def dual_by_eta(tree, field, eta, t, T):
     """The dual value on [t, T] at one eta > 0, solved at that eta: per
-    time-t start, ``barrier_minimize`` on the leaf objective
+    time-t start, ``scalar_barrier_minimize`` on the leaf objective
     p h(eta r / (p gamma)) - eta r a / gamma over the window's leaf masses
     r, with the unit-mass row and one martingale row per interior node,
     from the product of the one-step vertex centroids. This is how the
@@ -403,11 +486,13 @@ def dual_by_eta(tree, field, eta, t, T):
             v = p * np.where(y > 0.0, y * log_y - y, 0.0) - lin * r
             return v, slope * log_y - lin, eta / (gam * r)
 
-        r, _, info = barrier_minimize(phi, A, b, interior)
+        r, _, info = scalar_barrier_minimize(phi, A, b, interior)
         out.values[start] = float(np.sum(phi(r)[0]))
         out.leaf_masses[start] = {w: float(ri) for w, ri in zip(leaves, r)}
         out.kkt_residual[start] = float(info["gap_bound"] + info["eq_residual"])
         out.near_boundary[start] = bool(np.min(r) < 1e-7)
+        out.newton_iterations[start] = info["newton_iterations"]
+        out.eq_residual[start] = info["eq_residual"]
     return out
 
 
@@ -462,7 +547,7 @@ def conjugate_primal_joint(tree, field, t, T, xi_grid):
                 representable = np.all(s0 > 0.0) and all(np.all(np.isfinite(a)) for a in phi(s0))
             if not representable:
                 raise ConvergenceError(f"conjugate_primal_joint: xi = {x:g} is outside the float range")
-            s, _, _ = barrier_minimize(phi, rows, b, s0)
+            s, _, _ = scalar_barrier_minimize(phi, rows, b, s0)
             solves.append((float(np.sum(phi(s)[0])), float(np.sum(s)) * _ray_scale(phi, s)))
         out[start] = solves
     return out

@@ -136,20 +136,21 @@ def test_tree_scenario_solves_each_window_dual_once(monkeypatch):
 
 
 def test_tree_scenario_conjugacy_adds_no_solve(monkeypatch):
-    calls = []
+    programs = []
     original = tree_verifier.barrier_minimize
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(phi, A, b, r0):
+        programs.append(len(r0))
+        return original(phi, A, b, r0)
 
     monkeypatch.setattr(tree_verifier, "barrier_minimize", counted)
     report = cli.run_tree_scenario(tree_doc())
     assert report.all_passed, report.to_text()
-    # one barrier program per (window, start), at eta = 1: the conjugacy
-    # check reads both of its directions from the program of its window
+    # one barrier program per (window, start), at eta = 1, each a row of a
+    # stack: the conjugacy check reads both of its directions from the
+    # programs of its window
     tree = two_period_tree()
-    assert len(calls) == sum(len(tree.nodes_at(t)) for t, T in [(0, 1), (0, 2), (1, 2)])
+    assert sum(programs) == sum(len(tree.nodes_at(t)) for t, T in [(0, 1), (0, 2), (1, 2)])
 
 
 @pytest.mark.parametrize("offsets", [None, {"r": 0.1}])
@@ -631,12 +632,34 @@ def test_horizon_0_tree_refuses_checks_that_need_a_time_pair(tmp_path, capsys):
     ],
 )
 def test_tree_document_of_the_wrong_types_refused(tmp_path, capsys, where, value, message):
-    # no field of a tree document is coerced: each is refused with its path
+    # no field of a tree document is coerced: each is refused with its
+    # scenario path, or with the tree file's path and its path in the file
     doc = tree_doc()
-    target = doc["tree"]
+    tree = doc["tree"]
+    target = tree
     for key in where[:-1]:
         target = target[key]
     target[where[-1]] = value
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"error: $.tree.{message}\n"
+    (tmp_path / "tree.json").write_text(json.dumps(tree))
+    del doc["tree"]
+    doc["tree_file"] = "tree.json"
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'tree.json'}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        ([], "$.tree: expected an object, got list"),
+        ({"horizon": 1}, "$.tree: missing required key 'nodes'"),
+        ({"horizon": 1, "nodes": [], "color": "red"}, "$.tree.color: unknown key"),
+    ],
+)
+def test_tree_document_keys_refused_with_their_path(tmp_path, capsys, tree, message):
+    doc = tree_doc()
+    doc["tree"] = tree
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

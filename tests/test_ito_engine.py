@@ -631,9 +631,10 @@ def test_forward_weights_exact_identity():
     # gamma_0/gamma_T times the theta-load density equals the density with
     # B-load theta - delta, path by path
     bundle = simulate_paths(PIECEWISE, 8, 32, seed=25)
-    fields = build_forward_exponential(PIECEWISE, 1.3, 0.2, bundle)
+    gamma0 = 1.3
+    fields = build_forward_exponential(PIECEWISE, gamma0, 0.2, bundle)
     for nu in (0.0, 0.3, 0.8):
-        w = fields.inv_gamma[:, -1] * fields.gamma0 * martingale_density(bundle, nu)[:, -1]
+        w = fields.inv_gamma[:, -1] * gamma0 * martingale_density(bundle, nu)[:, -1]
         direct = density_path(bundle, bundle.theta - bundle.delta, nu)[:, -1]
         np.testing.assert_allclose(w, direct, rtol=1e-12, atol=1e-13)
 

@@ -82,3 +82,50 @@ def test_text_rendering():
     assert "[FAIL] bad" in text
     assert "note: why it failed" in text
     assert text.strip().endswith("overall: FAIL")
+
+
+def dumps(report):
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+
+
+def test_json_writer_matches_json_dumps_on_edge_cases():
+    # the report writer emits json.dumps's indent-2, sorted-key bytes
+    tags = ["tab\there", 'quote " and \\\\ backslash', "line\nbreak", "\x00\x1f\x7f", "é ∑ 🙂", ""]
+    floats = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-7, 0.1, 1.0 / 3.0]
+    records = [
+        rec(
+            tag,
+            verdict=i % 2 == 0,
+            value=floats[i],
+            target=np.float64(floats[-1 - i]),
+            tolerance=1e-6,
+            worst_node=tag,
+            notes=(tag, "plain"),
+            details={tag: {"nested": [[], {}, [1, [2.5, None, True, False]], 10**30, -3]}},
+        )
+        for i, tag in enumerate(tags)
+    ]
+    records.append(rec("empty", details={"list": [], "map": {}, "tuple": ()}))
+    records.append(rec("subclass", value=np.float64(-0.0), std_error=np.float64(5e-324)))
+    report = VerificationReport(records)
+    assert report.to_json() == dumps(report)
+    assert VerificationReport().to_json() == dumps(VerificationReport()) == '{\n  "all_passed": true,\n  "checks": {}\n}'
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_json_writer_refuses_non_finite_numbers_as_json_dumps_does(bad):
+    report = VerificationReport([rec("bad", value=1.0, details={"x": [bad]})])
+    with pytest.raises(ValueError) as got:
+        report.to_json()
+    with pytest.raises(ValueError) as want:
+        dumps(report)
+    assert str(got.value) == str(want.value)
+
+
+def test_json_writer_refuses_what_json_dumps_refuses():
+    report = VerificationReport([rec("int64", value=np.int64(3))])
+    with pytest.raises(TypeError) as got:
+        report.to_json()
+    with pytest.raises(TypeError) as want:
+        dumps(report)
+    assert str(got.value) == str(want.value)

@@ -10,7 +10,9 @@ import forwardperf.solvers as solvers
 from forwardperf.errors import ConvergenceError
 from forwardperf.fields import ExponentialFieldParams
 from forwardperf.solvers import barrier_minimize, minimize_exp_sum
-from forwardperf.tree_verifier import WindowDuals, _exp_phi
+from forwardperf.tree_verifier import WindowDuals
+from forwardperf.window_programs import dual_objective
+import oracles
 from oracles import golden_section_min
 from treegen import binomial_tree
 
@@ -77,15 +79,49 @@ def test_minimize_exp_sum_asymmetric():
 # -- barrier solver ------------------------------------------------------
 
 
+def stacked(phi_one):
+    """A stack objective for ``barrier_minimize`` from one program's
+    ``phi(r)``: the same function on every row."""
+
+    def phi(rows):
+        return lambda r: tuple(np.stack(x) for x in zip(*(phi_one(ri) for ri in r)))
+
+    return phi
+
+
 def entropy_phi(r):
     return r * np.log(r) - r, np.log(r), 1.0 / r
+
+
+def solve_one(phi_one, A, b, r0):
+    """``barrier_minimize`` on a stack of one program, as one program's
+    (r, multipliers, info)."""
+    r, lam, info = barrier_minimize(stacked(phi_one), A[None], b[None], r0[None])
+    return r[0], lam[0], {**info, "eq_residual": float(info["eq_residual"][0])}
+
+
+def assert_rows_match_the_scalar_oracle(phi, phi_rows, A, b, r0):
+    """Every program of the stack, solved as one, has the scalar solver's
+    minimiser, multipliers, Newton count and equality residual, bit for
+    bit; returns the stack's info."""
+    r, lam, info = barrier_minimize(phi, A, b, r0)
+    assert info["newton_iterations"] == int(info["iterations"].sum())
+    assert isinstance(info["newton_iterations"], int)
+    for j in range(len(r0)):
+        r1, lam1, info1 = oracles.scalar_barrier_minimize(phi_rows[j], A[j], b[j], r0[j])
+        assert r[j].tobytes() == r1.tobytes(), j
+        assert lam[j].tobytes() == lam1.tobytes(), j
+        assert int(info["iterations"][j]) == info1["newton_iterations"], j
+        assert float(info["eq_residual"][j]) == info1["eq_residual"], j
+        assert info["gap_bound"] == info1["gap_bound"]
+    return info
 
 
 def test_barrier_entropy_over_simplex():
     # min sum h(r_i) over the simplex: uniform by symmetry
     A = np.ones((1, 3))
     b = np.array([1.0])
-    r, lam, info = barrier_minimize(entropy_phi, A, b, np.array([0.5, 0.3, 0.2]))
+    r, lam, info = solve_one(entropy_phi, A, b, np.array([0.5, 0.3, 0.2]))
     assert np.allclose(r, 1.0 / 3.0, atol=1e-6)
     assert info["eq_residual"] <= 1e-9
     assert info["gap_bound"] <= 1e-10
@@ -101,7 +137,7 @@ def test_barrier_weighted_target():
         return c * r + r * np.log(r) - r, c + np.log(r), 1.0 / r
 
     A = np.ones((1, 3))
-    r, _, _ = barrier_minimize(phi, A, np.array([1.0]), np.full(3, 1.0 / 3.0))
+    r, _, _ = solve_one(phi, A, np.array([1.0]), np.full(3, 1.0 / 3.0))
     want = np.exp(-c) / np.exp(-c).sum()
     assert np.allclose(r, want, atol=1e-7)
 
@@ -110,33 +146,53 @@ def test_barrier_two_constraints():
     # add a mean-zero constraint: min entropy over {sum r = 1, r1 - r3 = 0}
     A = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]])
     b = np.array([1.0, 0.0])
-    r, _, info = barrier_minimize(entropy_phi, A, b, np.array([0.3, 0.4, 0.3]))
+    r, _, info = solve_one(entropy_phi, A, b, np.array([0.3, 0.4, 0.3]))
     assert r[0] == pytest.approx(r[2], abs=1e-8)
     assert info["eq_residual"] <= 1e-9
 
 
 def test_barrier_iteration_cap_raises(monkeypatch):
-    # from this start the simplex entropy takes more than one Newton step
+    # from this start the simplex entropy takes more than one Newton step;
+    # the program at the optimum stops at its first, so the second fails
     monkeypatch.setattr(solvers, "_BARRIER_MAX_NEWTON", 1)
-    with pytest.raises(ConvergenceError, match="1 Newton iterations exhausted"):
-        barrier_minimize(entropy_phi, np.ones((1, 3)), np.array([1.0]), np.array([0.8, 0.1, 0.1]))
+    with pytest.raises(ConvergenceError, match="1 Newton iterations exhausted") as exc:
+        solve_one(entropy_phi, np.ones((1, 3)), np.array([1.0]), np.array([0.8, 0.1, 0.1]))
+    assert exc.value.row == 0
+    r0 = np.array([np.full(3, 1.0 / 3.0), [0.8, 0.1, 0.1]])
+    with pytest.raises(ConvergenceError, match="1 Newton iterations exhausted") as exc:
+        barrier_minimize(stacked(entropy_phi), np.ones((2, 1, 3)), np.ones((2, 1)), r0)
+    assert exc.value.row == 1
 
 
 def test_barrier_rejects_bad_start():
     A = np.ones((1, 2))
     with pytest.raises(ValueError):
-        barrier_minimize(entropy_phi, A, np.array([1.0]), np.array([0.5, -0.5]))
+        solve_one(entropy_phi, A, np.array([1.0]), np.array([0.5, -0.5]))
     with pytest.raises(ValueError):
-        barrier_minimize(entropy_phi, np.ones((1, 3)), np.array([1.0]), np.array([0.5, 0.5]))
+        solve_one(entropy_phi, np.ones((1, 3)), np.array([1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        barrier_minimize(stacked(entropy_phi), A, np.array([1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="nonempty"):
+        barrier_minimize(stacked(entropy_phi), np.ones((0, 1, 2)), np.ones((0, 1)), np.ones((0, 2)))
 
 
 def test_barrier_drops_vacuous_rows():
     A = np.array([[1.0, 1.0], [0.0, 0.0]])
     b = np.array([1.0, 0.0])
-    r, _, _ = barrier_minimize(entropy_phi, A, b, np.array([0.6, 0.4]))
+    r, _, _ = solve_one(entropy_phi, A, b, np.array([0.6, 0.4]))
     assert np.allclose(r, 0.5, atol=1e-6)
     with pytest.raises(ValueError, match="infeasible zero row"):
-        barrier_minimize(entropy_phi, A, np.array([1.0, 0.5]), np.array([0.6, 0.4]))
+        solve_one(entropy_phi, A, np.array([1.0, 0.5]), np.array([0.6, 0.4]))
+    # each program drops its own zero rows; the stack keeps as many per program
+    two = np.array([A, A[::-1]])
+    r0 = np.array([[0.6, 0.4], [0.3, 0.7]])
+    info = assert_rows_match_the_scalar_oracle(
+        stacked(entropy_phi), [entropy_phi] * 2, two, np.array([b, b[::-1]]), r0
+    )
+    assert info["eq_residual"].shape == (2,)
+    uneven = np.array([A, np.ones((2, 2))])
+    with pytest.raises(ValueError, match="different numbers of rows"):
+        barrier_minimize(stacked(entropy_phi), uneven, np.array([b, [1.0, 1.0]]), r0)
 
 
 def test_barrier_refuses_a_step_that_is_not_finite():
@@ -147,8 +203,147 @@ def test_barrier_refuses_a_step_that_is_not_finite():
     gamma = dict.fromkeys(["r", "u", "d"], 1e-306)
     field = ExponentialFieldParams(gamma, dict.fromkeys(gamma, 0.0))
     win = WindowDuals(tree, gamma).window("r", 1)
-    b = np.zeros(win.A.shape[0])
-    b[0] = 1.0
-    phi = _exp_phi(field, win.leaves, win.p)
-    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
-        barrier_minimize(phi, win.A, b, win.interior)
+    b = np.zeros((1, win.A.shape[0]))
+    b[0, 0] = 1.0
+    phi, _ = dual_objective(field, [win])
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="Newton step 1 is not finite") as exc:
+        barrier_minimize(phi, win.A[None], b, win.interior[None])
+    assert exc.value.row == 0
+
+
+# -- stacks of programs, against the scalar oracle --------------------------
+
+
+def weighted_entropy(c, w):
+    """One program's objective sum w (r log r - r) + c r, and its
+    stack form, one (c, w) per row."""
+
+    def one(r):
+        return w * (r * np.log(r) - r) + c * r, w * np.log(r) + c, w / r
+
+    return one
+
+
+def stack_of(objectives):
+    """The stack objective whose row j is ``objectives[j]``."""
+
+    def phi(rows):
+        return lambda r: tuple(np.stack(x) for x in zip(*(objectives[j](ri) for j, ri in zip(rows, r))))
+
+    return phi
+
+
+def test_barrier_stack_rows_stop_at_their_own_iterations():
+    # the same simplex program from starts near and far from its optimum,
+    # and a weighted one: each row takes the iterations it takes alone
+    c = np.array([0.3, -0.1, 1.2, 0.0])
+    ones = [weighted_entropy(np.zeros(4), np.ones(4))] * 3 + [weighted_entropy(c, np.full(4, 0.5))]
+    r0 = np.array([np.full(4, 0.25), [0.7, 0.1, 0.1, 0.1], [0.97, 0.01, 0.01, 0.01], np.full(4, 0.25)])
+    A = np.array([[[1.0, 1.0, 1.0, 1.0], [1.0, 0.0, -1.0, 0.0]]] * 4)
+    b = np.array([[1.0, 0.0]] * 4)
+    info = assert_rows_match_the_scalar_oracle(stack_of(ones), ones, A, b, r0)
+    assert len(set(info["iterations"].tolist())) >= 3
+
+
+def test_barrier_stack_row_at_the_line_search_floor():
+    # a program whose derivatives are those of minus its values finds no
+    # sufficient decrease: it stops at the 1e-14 floor of its line search
+    # at its start, while its neighbours solve
+    good = weighted_entropy(np.zeros(3), np.ones(3))
+
+    def misleading(r):
+        return 1e6 * (r - r * np.log(r)), np.log(r), 1.0 / r
+
+    # the misleading start is far from the minimum of its model, the
+    # uniform point, so its Newton decrement does not stop it
+    objectives = [good, misleading, good]
+    r0 = np.array([[0.3, 0.4, 0.3], [0.5, 0.3, 0.2], [0.2, 0.2, 0.6]])
+    A, b = np.ones((3, 1, 3)), np.ones((3, 1))
+    info = assert_rows_match_the_scalar_oracle(stack_of(objectives), objectives, A, b, r0)
+    r, _, _ = barrier_minimize(stack_of(objectives), A, b, r0)
+    assert r[1].tobytes() == r0[1].tobytes()
+    assert info["iterations"][1] == 1 and info["iterations"][0] > 1
+
+
+def test_barrier_stack_row_with_a_singular_schur_system():
+    # twice the unit-mass row: the Schur matrix of the second program is
+    # singular and its multipliers come from least squares; the first
+    # program's system is solved alone, with the bits a batched solve gives
+    A = np.array([[[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]])
+    b = np.array([[1.0, 0.0], [1.0, 2.0]])
+    r0 = np.array([[0.3, 0.4, 0.3], [0.5, 0.3, 0.2]])
+    objectives = [entropy_phi, entropy_phi]
+    calls = []
+    original = np.linalg.lstsq
+
+    def lstsq(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    assert_rows_match_the_scalar_oracle(stack_of(objectives), objectives, A, b, r0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "lstsq", lstsq)
+        r, _, info = barrier_minimize(stack_of(objectives), A, b, r0)
+    # one least-squares solve per Newton step of the singular program
+    assert len(calls) == info["iterations"][1] > 1
+    assert np.allclose(r[1], 1.0 / 3.0, atol=1e-6)
+
+
+def test_barrier_stack_refuses_the_first_row_that_fails():
+    # a row whose Newton step is not finite fails the stack, naming its
+    # index; rows before it that fail later are found by solving them alone
+    good = weighted_entropy(np.zeros(3), np.ones(3))
+
+    def nan_gradient(r):
+        v, g, h = good(r)
+        return v, g * np.nan, h
+
+    def nan_away_from_start(r):
+        v, g, h = good(r)
+        return v, (g if r[0] == 0.5 else g * np.nan), h
+
+    objectives = [good, nan_away_from_start, nan_gradient]
+    r0 = np.array([[0.5, 0.3, 0.2]] * 3)
+    A, b = np.ones((3, 1, 3)), np.ones((3, 1))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="Newton step 1 is not finite") as exc:
+            barrier_minimize(stack_of(objectives), A, b, r0)
+        assert exc.value.row == 2
+        with pytest.raises(ConvergenceError) as exc:
+            barrier_minimize(stack_of(objectives[:2]), A[:2], b[:2], r0[:2])
+        assert exc.value.row == 1
+        with pytest.raises(ConvergenceError) as want:
+            oracles.scalar_barrier_minimize(nan_away_from_start, A[1], b[1], r0[1])
+    assert str(exc.value) == str(want.value)
+    assert str(exc.value).startswith("barrier_minimize: Newton step 2 is not finite")
+
+
+def test_barrier_stack_rows_accept_steps_after_different_halvings():
+    # a program whose curvature is a tenth of its objective's overshoots
+    # with every full Newton step and backtracks, while its neighbours take
+    # theirs at once: each keeps its own step lengths and next iterates
+    def good(r):
+        return r * np.log(r) - r, np.log(r), 1.0 / r
+
+    def flat(r):
+        return r * np.log(r) - r, np.log(r), 0.1 / r
+
+    objectives = [good, flat, good]
+    evaluations = []
+
+    def phi(rows):
+        objective = stack_of(objectives)(rows)
+
+        def counted(r):
+            evaluations.append(len(r))
+            return objective(r)
+
+        return counted
+
+    A = np.array([[[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]]] * 3)
+    b = np.array([[1.0, 0.1]] * 3)
+    r0 = np.array([[0.45, 0.2, 0.35], [0.5, 0.1, 0.4], [0.3, 0.5, 0.2]])
+    info = assert_rows_match_the_scalar_oracle(phi, objectives, A, b, r0)
+    assert info["iterations"].tolist() == [4, 14, 4]
+    # one evaluation at the start and one per Newton step would be 15
+    assert len(evaluations) > 2 * 15

@@ -621,8 +621,8 @@ def test_dual_value_names_the_window_of_a_solver_failure(monkeypatch):
     # reported with the node and window of the program that failed
     tree = binomial_tree()
 
-    def diverged(*args):
-        raise ConvergenceError("barrier_minimize: Newton step 3 is not finite")
+    def diverged(phi, A, b, r0):
+        raise ConvergenceError("barrier_minimize: Newton step 3 is not finite", row=0)
 
     monkeypatch.setattr(tree_verifier, "barrier_minimize", diverged)
     with pytest.raises(
@@ -630,6 +630,205 @@ def test_dual_value_names_the_window_of_a_solver_failure(monkeypatch):
         match=r"dual program below node 'r' on \[0, 1\]: barrier_minimize: Newton step 3",
     ):
         dual_value(tree, constant_field(tree), 1.0, 0, 1)
+
+
+def _poison(monkeypatch, modes, duals, T):
+    """Make the dual program on [time(start), T] below each start named in
+    ``modes`` fail:
+    ``pre``, objective values infinite everywhere (the check at the start
+    refuses it); ``step1``, a NaN gradient everywhere (its first Newton
+    step is not finite); ``step2``, a NaN gradient away from its start
+    (its second step); ``post``, its minimiser turned to NaN on the way
+    out of the solver (the check after the solve refuses it)."""
+    objective_of = tree_verifier.dual_objective
+    barrier_minimize = tree_verifier.barrier_minimize
+
+    def poisoned_objective_of(field, wins):
+        phi, gam = objective_of(field, wins)
+
+        def poisoned_phi(rows):
+            objective = phi(rows)
+
+            def poisoned(r):
+                v, g, h = (x.copy() for x in objective(r))
+                for j, row in enumerate(rows):
+                    win = wins[row]
+                    mode = modes.get(win.nodes[0])
+                    if mode == "pre":
+                        v[j] = np.inf
+                    moved = r[j].tobytes() != win.interior.tobytes()
+                    if mode == "step1" or (mode == "step2" and moved):
+                        g[j] = np.nan
+                return v, g, h
+
+            return poisoned
+
+        return poisoned_phi, gam
+
+    posts = {duals.window(start, T).interior.tobytes() for start, mode in modes.items() if mode == "post"}
+
+    def poisoned_barrier_minimize(phi, A, b, r0):
+        r, lam, info = barrier_minimize(phi, A, b, r0)
+        for j, start in enumerate(r0):
+            if start.tobytes() in posts:
+                r[j] = np.nan
+        return r, lam, info
+
+    monkeypatch.setattr(tree_verifier, "dual_objective", poisoned_objective_of)
+    monkeypatch.setattr(tree_verifier, "barrier_minimize", poisoned_barrier_minimize)
+
+
+def _refusal_one_start_at_a_time(tree, field, t, T, modes):
+    """The refusal of ``dual_value`` as it was when each start's program
+    was solved alone, in tree order: the check at the start, the scalar
+    solver, the check after the solve; None when no program fails."""
+    duals = WindowDuals(tree, field.gamma)
+    for start in tree.nodes_at(t):
+        win = duals.window(start, T)
+        phi, gam = tree_verifier.dual_objective(field, [win])
+        objective = phi(np.arange(1))
+
+        def one(r):
+            return tuple(x[0] for x in objective(r[None]))
+
+        def float_range(r):
+            entropy, m = float(one(r)[0].sum()), float((r / gam[0]).sum())
+            if not (math.isfinite(entropy) and math.isfinite(m)):
+                return (
+                    f"dual program below node {start!r} on [{t}, {T}] leaves the float "
+                    f"range: entropy {entropy!r}, m {m!r}"
+                )
+
+        with np.errstate(all="ignore"):
+            refused = float_range(win.interior)
+            if refused:
+                return refused
+            b = np.zeros(win.A.shape[0])
+            b[0] = 1.0
+            try:
+                r, _, _ = oracles.scalar_barrier_minimize(one, win.A, b, win.interior)
+            except ConvergenceError as exc:
+                return f"dual program below node {start!r} on [{t}, {T}]: {exc}"
+            if modes.get(start) == "post":
+                r = np.full_like(r, np.nan)
+            refused = float_range(r)
+            if refused:
+                return refused
+    return None
+
+
+@pytest.mark.parametrize(
+    "tree, T, modes, first",
+    [
+        # random_tree(7, periods=3) on [1, 3]: n1, n2, n3 in one stack,
+        # solved in 3, 3 and 6 Newton steps
+        ("random", 3, {"n3": "step1", "n1": "step2"}, "n1"),
+        ("random", 3, {"n2": "pre", "n1": "post"}, "n1"),
+        ("random", 3, {"n3": "pre"}, "n3"),
+        ("random", 3, {"n2": "step2", "n3": "step2"}, "n2"),
+        ("random", 3, {"n3": "post", "n2": "step1"}, "n2"),
+        # suite_shaped_tree(7) on [1, 2]: n1 and n3 in one stack, solved
+        # first, and n2 in a stack of its own
+        ("suite", 2, {"n3": "step1", "n2": "pre"}, "n2"),
+        ("suite", 2, {"n3": "pre", "n2": "post"}, "n2"),
+        ("suite", 2, {"n3": "post", "n2": "step2"}, "n2"),
+        ("suite", 2, {"n2": "step1", "n1": "pre"}, "n1"),
+    ],
+)
+def test_dual_value_refuses_the_first_failing_start(monkeypatch, tree, T, modes, first):
+    # whatever stack a program is solved in and whenever its stack fails,
+    # the refusal names the first start in tree order whose program fails,
+    # with the message the start-by-start loop gave
+    tree = random_tree(7, periods=3) if tree == "random" else suite_shaped_tree(7)
+    field = solved_field(tree, 7)
+    duals = WindowDuals(tree, field.gamma)
+    _poison(monkeypatch, modes, duals, T)
+    want = _refusal_one_start_at_a_time(tree, field, 1, T, modes)
+    assert want.startswith(f"dual program below node {first!r} on [1, {T}]")
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
+        dual_value(tree, field, 1.0, 1, T, duals=duals)
+    assert str(exc.value) == want
+
+
+def test_windows_with_a_node_that_moves_no_price():
+    # u's branches move no price, so its martingale row is all zero and the
+    # solver drops it: windows with one A shape but different rows kept
+    # are solved in different stacks, each as the scalar solver solves it
+    def node(nid, t, branches=()):
+        return {"id": nid, "time": t, "branches": [{"child": c, "prob": p, "dprice": d} for c, p, d in branches]}
+
+    tree = EventTree.from_dict(
+        {
+            "horizon": 2,
+            "nodes": [
+                node("r", 0, [("u", 0.5, 1.0), ("d", 0.5, -1.0)]),
+                node("u", 1, [("uu", 0.4, 0.0), ("ud", 0.6, 0.0)]),
+                node("d", 1, [("du", 0.3, 1.0), ("dd", 0.7, -2.0)]),
+                *(node(leaf, 2) for leaf in ("uu", "ud", "du", "dd")),
+            ],
+        }
+    )
+    field = with_offsets(constant_field(tree), {"uu": 0.3, "ud": -0.2, "du": 0.1})
+    duals = WindowDuals(tree, field.gamma)
+    assert [duals.window(n, 2).shape for n in ("u", "d", "r")] == [(2, 2, 1), (2, 2, 2), (4, 4, 3)]
+    for t, T in _window_pairs(tree):
+        got = dual_value(tree, field, 1.0, t, T, duals=duals)
+        want = oracles.dual_by_eta(tree, field, 1.0, t, T)
+        assert (got.leaf_masses, got.kkt_residual) == (want.leaf_masses, want.kkt_residual)
+        assert (got.newton_iterations, got.values) == (want.newton_iterations, want.values)
+
+
+def _perturbed(field, seed):
+    """``field`` with every a_shift moved by a seeded normal draw, sd 0.3."""
+    rng = np.random.default_rng(seed)
+    return ExponentialFieldParams(
+        field.gamma, {n: a + float(rng.normal(0.0, 0.3)) for n, a in field.a_shift.items()}
+    )
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_stacked_dual_programs_match_the_scalar_oracle(monkeypatch, seed):
+    # every window's programs, solved one stack per window shape, against
+    # the scalar solver on the oracle's own window data, program by
+    # program and bit for bit: depths 1-6, solved and perturbed fields
+    stacks = []
+    original = tree_verifier.barrier_minimize
+
+    def recorded(phi, A, b, r0):
+        out = original(phi, A, b, r0)
+        stacks.append((A, r0, out[2]))
+        return out
+
+    monkeypatch.setattr(tree_verifier, "barrier_minimize", recorded)
+    mixed = 0
+    for depth in range(1, 7):
+        tree = random_tree(seed, periods=depth)
+        solved = solved_field(tree, seed)
+        for field in (solved, _perturbed(solved, 10 * seed + depth)):
+            duals = WindowDuals(tree, field.gamma)
+            for t, T in _window_pairs(tree):
+                stacks.clear()
+                got = dual_value(tree, field, 1.0, t, T, duals=duals)
+                want = oracles.dual_by_eta(tree, field, 1.0, t, T)
+                assert got.leaf_masses == want.leaf_masses, (depth, t, T)
+                assert got.newton_iterations == want.newton_iterations, (depth, t, T)
+                assert got.kkt_residual == want.kkt_residual, (depth, t, T)
+                assert got.values == want.values, (depth, t, T)
+                # each row's equality residual, its program found by its data
+                program = {}
+                for start in tree.nodes_at(t):
+                    win = duals.window(start, T)
+                    program[win.A.tobytes() + win.interior.tobytes()] = start
+                rows = 0
+                for A, r0, info in stacks:
+                    mixed += len(set(info["iterations"].tolist())) > 1
+                    for j in range(len(r0)):
+                        start = program[A[j].tobytes() + r0[j].tobytes()]
+                        assert float(info["eq_residual"][j]) == want.eq_residual[start]
+                        rows += 1
+                assert rows == len(program) == len(tree.nodes_at(t))
+    # some stacks hold programs that stop at different Newton steps
+    assert mixed > 0
 
 
 # -- conjugacy between computed fields -----------------------------------
