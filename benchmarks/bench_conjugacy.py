@@ -76,7 +76,7 @@ def measure(depth, repeat):
 
     def read():
         # a fresh context, so each repeat solves the eta = 1 program too
-        unit = WindowDuals(tree, field.gamma).dual(field, 1.0, 0, depth)
+        unit = WindowDuals(tree, field.gamma).dual(field, 0, depth)
         return [_conjugate_read(unit, root, x) for x in XI_GRID]
 
     read_t, reads = _repeat(read, repeat)

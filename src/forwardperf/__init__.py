@@ -38,7 +38,6 @@ from .ito_engine import (
     validate_regularity,
 )
 from .mc_verifier import (
-    TestResult,
     check_dual_martingale_at_optimum,
     check_dual_submartingale,
     check_forward_drift_mc,

@@ -18,13 +18,7 @@ class AlignmentError(ForwardPerfError):
 
 
 class ConvergenceError(ForwardPerfError):
-    """An iterative solver hit its iteration cap before its gap target.
-    ``row`` is the failing program's index when a solver ran a stack of
-    them, and None otherwise."""
-
-    def __init__(self, *args, row=None):
-        super().__init__(*args)
-        self.row = row
+    """An iterative solver hit its iteration cap before its gap target."""
 
 
 class RegularityError(ForwardPerfError):

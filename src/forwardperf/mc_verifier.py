@@ -77,7 +77,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -208,31 +207,6 @@ def z_critical(confidence: float) -> float:
     return _ndtri(0.5 * (1.0 + confidence))
 
 
-@dataclass(frozen=True)
-class TestResult:
-    check_tag: str
-    estimate: float
-    target: float
-    std_error: float
-    z_score: float
-    confidence: float
-    verdict: bool
-    n_samples: int
-    notes: tuple[str, ...] = ()
-
-    def to_record(self) -> CheckRecord:
-        return CheckRecord(
-            check_tag=self.check_tag,
-            verdict=self.verdict,
-            value=self.estimate,
-            target=self.target,
-            tolerance=z_critical(self.confidence) * self.std_error,
-            std_error=self.std_error,
-            notes=self.notes,
-            details={"z_score": self.z_score, "n_samples": self.n_samples},
-        )
-
-
 def collapse_pairs(values: np.ndarray, antithetic: bool, out=None) -> np.ndarray:
     """Average antithetic partners (paths 2i, 2i+1) into one sample each,
     0.5 * (v[2i] + v[2i+1]), written into ``out`` when given (a float64
@@ -257,8 +231,8 @@ def mc_mean_test(
     sided: str = "two",
     notes: Sequence[str] = (),
     work: Workspace | None = None,
-) -> TestResult:
-    """Normal test of a sample mean against a target.
+) -> CheckRecord:
+    """Normal test of a sample mean against a target, as its check record.
 
     ``sided``: "two" requires the target inside the band, "lower" tolerates
     estimates above the target (one-sided bound from below). Samples must
@@ -282,33 +256,24 @@ def mc_mean_test(
     var = pairwise_sum(dev, work=work) / (n - 1)
     se = math.sqrt(var / n)
     notes = tuple(notes)
+    zc = z_critical(confidence)
     if se == 0.0:
         # degenerate statistic: exact or wrong, no band to hide in
         ok = mean == target if sided == "two" else mean >= target
-        return TestResult(
-            check_tag=check_tag,
-            estimate=float(mean),
-            target=float(target),
-            std_error=0.0,
-            z_score=0.0 if ok else math.inf,
-            confidence=confidence,
-            verdict=bool(ok),
-            n_samples=n,
-            notes=notes + ("zero sample variance; exact comparison",),
-        )
-    z = (mean - target) / se
-    zc = z_critical(confidence)
-    ok = abs(z) <= zc if sided == "two" else z >= -zc
-    return TestResult(
+        z = 0.0 if ok else math.inf
+        notes += ("zero sample variance; exact comparison",)
+    else:
+        z = float((mean - target) / se)
+        ok = abs(z) <= zc if sided == "two" else z >= -zc
+    return CheckRecord(
         check_tag=check_tag,
-        estimate=float(mean),
-        target=float(target),
-        std_error=se,
-        z_score=float(z),
-        confidence=confidence,
         verdict=bool(ok),
-        n_samples=n,
+        value=float(mean),
+        target=float(target),
+        tolerance=zc * se,
+        std_error=se,
         notes=notes,
+        details={"z_score": z, "n_samples": n},
     )
 
 
@@ -617,16 +582,17 @@ class MonteCarloPass:
         report = VerificationReport()
 
         def add_test(tag, samples, target, sided, notes):
-            res = mc_mean_test(
-                collapse_pairs(samples, antithetic, out=pairs),
-                target,
-                check_tag=tag,
-                confidence=self.confidence,
-                sided=sided,
-                notes=notes,
-                work=work,
+            report.add(
+                mc_mean_test(
+                    collapse_pairs(samples, antithetic, out=pairs),
+                    target,
+                    check_tag=tag,
+                    confidence=self.confidence,
+                    sided=sided,
+                    notes=notes,
+                    work=work,
+                )
             )
-            report.add(res.to_record())
 
         for label, nu in self.nu_family.items():
             z = density(("z", label))

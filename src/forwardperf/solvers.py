@@ -1,7 +1,8 @@
 """Small deterministic solvers used by the exact verification paths.
 
 Everything here is dense, derivative-driven, and iteration-capped: failures
-raise instead of returning a silently degraded answer.
+raise, or are reported per program of a stack, instead of returning a
+silently degraded answer.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import ConvergenceError
 _EXP_SUM_TOL = 1e-13
 _EXP_SUM_MAX_ITER = 200
 # barrier_minimize: the duality-gap bound of its one barrier parameter, and
-# the cap on its Newton steps (reaching it raises)
+# the cap on its Newton steps (a program that reaches it fails)
 _BARRIER_GAP_TOL = 1e-10
 _BARRIER_MAX_NEWTON = 200
 
@@ -122,16 +123,14 @@ def barrier_minimize(phi, A, b, r0):
 
     Each program takes the iterates, line-search halvings, stop and
     iteration count it takes alone, bit for bit, and leaves the stack when
-    it stops. Returns (r, multipliers, info): r is (B, m) and the
-    multipliers (B, k); info carries the gap bound, ``newton_iterations``
-    (the total over the stack, an int), ``iterations`` (per program) and
-    ``eq_residual`` (per program, the max equality residual). Raises
-    ConvergenceError at the iteration cap, ``_BARRIER_MAX_NEWTON``, and
-    when a Newton step or its multipliers are not finite (an objective
-    whose derivatives leave the float range, say), for the first program
-    in the stack that fails at the earliest failing iteration; the error's
-    ``row`` is its index. A program before it may fail later: the stack
-    before ``row`` solved alone says whether one does.
+    it stops or fails: at a start where its objective is not finite
+    (before any Schur solve), at a Newton step or multipliers that are not
+    finite, or at the iteration cap, ``_BARRIER_MAX_NEWTON``. Returns (r,
+    multipliers, info): r (B, m) holds each program's iterate when it
+    left; info carries the gap bound, ``newton_iterations`` (the stack's
+    total, an int) and per program ``iterations`` (0 for a failure at the
+    start), ``eq_residual`` (the max equality residual), ``value`` (the
+    objective's sum at r) and ``failure`` (None, or why it failed).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -156,19 +155,45 @@ def barrier_minimize(phi, A, b, r0):
     k = A.shape[1]
     lam = np.zeros((n, k))
     iterations = np.zeros(n, dtype=np.int64)
+    value = np.zeros(n)
     mu = _BARRIER_GAP_TOL / m
 
     def barrier_val(rv, v):
         return v.sum(axis=1) - mu * np.log(rv).sum(axis=1)
 
-    # the programs still iterating: their indices, objective, rows of A,
-    # iterates, and the objective's value, gradient and curvature there
+    # the programs still iterating: their indices, objective and rows of A,
+    # and (iterate, gradient, curvature, barrier value, objective values)
+    # at their current iterate and at their next
     rows = np.arange(n)
-    f, Ar, rr = phi(rows), A, r
+    f, Ar = phi(rows), A
     AT = Ar.transpose(0, 2, 1)
-    v, grad, hess = f(rr)
-    f_cur = barrier_val(rr, v)
-    for newton_used in range(1, _BARRIER_MAX_NEWTON + 1):
+    v, grad, hess = f(r)
+    here = ahead = (r, grad, hess, barrier_val(r, v), v)
+    go = np.isfinite(here[3]).tolist()
+    failure = [
+        None if ok else f"barrier_minimize: the objective is not finite at the start (barrier objective {x!r})"
+        for ok, x in zip(go, here[3].tolist())
+    ]
+    lr = np.zeros((n, k, 1))
+    newton_used = 0
+    while True:
+        # programs whose outcome is decided leave, at their current iterate
+        if not all(go):
+            keep = np.array(go)
+            out = ~keep
+            done = rows[out]
+            iterations[done] = newton_used
+            r[done], lam[done] = here[0][out], lr[out, :, 0]
+            value[done] = here[4][out].sum(axis=1)
+            rows = rows[keep]
+            if not rows.size:
+                break
+            f, Ar = phi(rows), Ar[keep]
+            AT = Ar.transpose(0, 2, 1)
+            ahead = tuple(x[keep] for x in ahead)
+        here = ahead
+        rr, grad, hess, f_cur, _ = here
+        newton_used += 1
         g = grad - mu / rr
         h = hess + mu / (rr * rr)
         hinv = 1.0 / h
@@ -182,20 +207,19 @@ def barrier_minimize(phi, A, b, r0):
             lr = np.array([_schur_solve(Sj, rj[:, 0]) for Sj, rj in zip(S, rhs)])[:, :, None]
         q = g + (AT @ lr)[:, :, 0]
         dr = -hinv * q
-        if not (np.isfinite(lr).all() and np.isfinite(dr).all()):
-            # no line search can repair a NaN or infinite direction
-            finite = np.isfinite(lr).all(axis=(1, 2)) & np.isfinite(dr).all(axis=1)
-            j = int(np.argmin(finite))
-            raise ConvergenceError(
-                f"barrier_minimize: Newton step {newton_used} is not finite "
-                f"(barrier objective {float(f_cur[j])!r})",
-                row=int(rows[j]),
-            )
         # Newton decrement squared = dr' H dr = -(g + A'lam)' dr. Each
         # program's stop test and step length in Python floats, as alone
         f_row = f_cur.tolist()
         slope = (q[:, None, :] @ dr[:, :, None])[:, 0, 0].tolist()
         searching = [j for j, (fc, s) in enumerate(zip(f_row, slope)) if not -s < 1e-13 * (1.0 + abs(fc))]
+        if not (np.isfinite(lr).all() and np.isfinite(dr).all()):
+            # no line search can repair a NaN or infinite direction
+            finite = np.isfinite(lr).all(axis=(1, 2)) & np.isfinite(dr).all(axis=1)
+            for j in np.flatnonzero(~finite).tolist():
+                failure[rows[j]] = (
+                    f"barrier_minimize: Newton step {newton_used} is not finite (barrier objective {f_row[j]!r})"
+                )
+            searching = [j for j in searching if finite[j]]
         alpha = [1.0] * len(rows)
         if searching:
             # keep strictly inside the positive orthant
@@ -205,10 +229,9 @@ def barrier_minimize(phi, A, b, r0):
         # each program's backtracking line search, one halving of all at a
         # time; a program not searching is evaluated at its iterate, and
         # ignored. The point a program accepts is its next iterate, so the
-        # evaluation there (iterate, gradient, curvature, barrier value)
-        # serves its next Newton step.
-        accepted = [False] * len(rows)
-        ahead = None
+        # evaluation there serves its next Newton step; a program that
+        # accepts none stops, at its stop test or the line-search floor.
+        go = [False] * len(rows)
         while searching:
             r_new = rr + np.array(alpha)[:, None] * dr
             inside = (r_new > 0.0).all(axis=1).tolist()
@@ -224,40 +247,24 @@ def barrier_minimize(phi, A, b, r0):
             left = []
             for j in searching:
                 if inside[j] and val_row[j] <= f_row[j] + 1e-4 * alpha[j] * slope[j]:
-                    accepted[j] = took[j] = True
+                    go[j] = took[j] = True
                     continue
                 alpha[j] *= 0.5
                 if alpha[j] > 1e-14:
                     left.append(j)
-            point = (r_new, g_new, h_new, val)
-            if ahead is None:
+            point = (r_new, g_new, h_new, val, v)
+            if ahead is here:
                 ahead = point
             elif took.any():
                 ahead = tuple(np.where(took[:, None] if x.ndim == 2 else took, x, y) for x, y in zip(point, ahead))
             searching = left
-        # a program stops at its stop test or at the line-search floor
-        if not any(accepted):
-            iterations[rows] = newton_used
-            r[rows] = rr
-            lam[rows] = lr[:, :, 0]
-            break
-        if not all(accepted):
-            keep = np.array(accepted)
-            done = rows[~keep]
-            iterations[done] = newton_used
-            r[done] = rr[~keep]
-            lam[done] = lr[~keep, :, 0]
-            rows = rows[keep]
-            f, Ar = phi(rows), Ar[keep]
-            AT = Ar.transpose(0, 2, 1)
-            ahead = tuple(x[keep] for x in ahead)
-        rr, grad, hess, f_cur = ahead
-    else:
-        raise ConvergenceError(
-            f"barrier_minimize: {_BARRIER_MAX_NEWTON} Newton iterations exhausted "
-            f"at gap bound {m * mu:.3e}",
-            row=int(rows[0]),
-        )
+        if newton_used == _BARRIER_MAX_NEWTON:
+            for j in rows[go].tolist():
+                failure[j] = (
+                    f"barrier_minimize: {_BARRIER_MAX_NEWTON} Newton iterations exhausted "
+                    f"at gap bound {m * mu:.3e}"
+                )
+            go = [False] * len(rows)
     if k:
         eq_residual = np.abs((A @ r[:, :, None])[:, :, 0] - b).max(axis=1)
     else:
@@ -267,6 +274,8 @@ def barrier_minimize(phi, A, b, r0):
         "newton_iterations": int(iterations.sum()),
         "iterations": iterations,
         "eq_residual": eq_residual,
+        "value": value,
+        "failure": failure,
     }
     return r, lam, info
 

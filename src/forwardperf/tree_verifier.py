@@ -219,10 +219,11 @@ class WindowDuals:
       (``window``);
     - per (t, T), keyed also by the bits of a_shift at the time-T nodes:
       the window's one dual program, solved at eta = 1 by ``dual_value``
-      and read at every eta (``dual``). A window's program reads the field
-      only through gamma and a_shift at its time-T nodes, so a shift moved
-      before T (a perturbed root) reads the solves of the shift
-      construction, and one moved at a time-T node solves afresh.
+      (``dual``) and read at every eta by ``DualResult.at``. A window's
+      program reads the field only through gamma and a_shift at its time-T
+      nodes, so a shift moved before T (a perturbed root) reads the solves
+      of the shift construction, and one moved at a time-T node solves
+      afresh.
 
     Every entry is what a fresh call returns, bit for bit. The gamma is
     fixed: a check given the context of another tree or gamma refuses it.
@@ -293,14 +294,13 @@ class WindowDuals:
             self._windows[(start, T)] = walk_window(self, start, T)
         return self._windows[(start, T)]
 
-    def dual(self, field: ExponentialFieldParams, eta: float, t: int, T: int) -> DualResult:
-        """``dual_value(tree, field, eta, t, T)``: the window's program,
-        solved once at eta = 1 and read at eta (``DualResult.at``)."""
+    def dual(self, field: ExponentialFieldParams, t: int, T: int) -> DualResult:
+        """``dual_value(tree, field, 1.0, t, T)``, the window's program,
+        solved once; ``.at(eta)`` reads it at another eta."""
         key = (t, T, self._shift_key(field.a_shift, T))
         if key not in self._solved:
             self._solved[key] = dual_value(self.tree, field, 1.0, t, T, duals=self)
-        unit = self._solved[key]
-        return unit if eta == 1.0 else unit.at(eta)
+        return self._solved[key]
 
 
 def _window_duals(duals, tree, gamma):
@@ -461,12 +461,12 @@ def primal_value(
 # -- dual ----------------------------------------------------------------
 
 
-def _solve_windows(duals, field, starts, t, T):
-    """The eta = 1 programs below ``starts``, one ``barrier_minimize`` call
-    per window shape. Returns, per start, (entropy, m, leaf masses, kkt
-    residual, near-boundary flag, Newton iterations), and None; or the
-    results so far and the (index in ``starts``, error) of the first
-    failing start found, before which another start may still fail."""
+def _solve_windows(duals, field, unit, starts, t, T):
+    """Fill ``unit`` with the eta = 1 programs below ``starts``, one
+    ``barrier_minimize`` call per window shape. Refuses the first start in
+    tree order whose program fails: its objective out of the float range
+    at its start, the solver's failure, or its entropy or m out of the
+    float range at the result."""
     wins = [duals.window(start, T) for start in starts]
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, win in enumerate(wins):
@@ -475,49 +475,33 @@ def _solve_windows(duals, field, starts, t, T):
     for members in groups.values():
         group = [wins[i] for i in members]
         phi, gam = dual_objective(field, group)
-        objective = phi(np.arange(len(group)))
-
-        def entropy_and_mass(r):
-            """sum(phi(r)) and sum(r / gamma) per window, as lists, and the
-            (index, error) of the first window where either is not finite:
-            its objective has left the float range."""
-            entropy = objective(r)[0].sum(axis=1).tolist()
-            m = (r / gam).sum(axis=1).tolist()
-            for j, (e, mj) in enumerate(zip(entropy, m)):
-                if not (math.isfinite(e) and math.isfinite(mj)):
-                    return entropy, m, (members[j], ConvergenceError(
-                        f"dual program below node {starts[members[j]]!r} on [{t}, {T}] leaves "
-                        f"the float range: entropy {e!r}, m {mj!r}"
-                    ))
-            return entropy, m, None
-
-        # checked at the start too, where the solver's Newton step would
-        # not be finite; the overflows on the way print no warning
+        A = np.array([win.A for win in group])
+        b = np.zeros(A.shape[:2])
+        b[:, 0] = 1.0
+        # the overflows on the way print no warning
         with np.errstate(over="ignore", invalid="ignore"):
-            interior = np.array([win.interior for win in group])
-            failed = entropy_and_mass(interior)[2]
-            if failed is not None:
-                return solved, failed
-            A = np.array([win.A for win in group])
-            b = np.zeros(A.shape[:2])
-            b[:, 0] = 1.0
-            try:
-                r, _, info = barrier_minimize(phi, A, b, interior)
-            except ConvergenceError as exc:
-                start = starts[members[exc.row]]
-                error = ConvergenceError(f"dual program below node {start!r} on [{t}, {T}]: {exc}")
-                error.__cause__ = exc
-                return solved, (members[exc.row], error)
-            entropy, m, failed = entropy_and_mass(r)
-            if failed is not None:
-                return solved, failed
+            r, _, info = barrier_minimize(phi, A, b, np.array([win.interior for win in group]))
+            m = (r / gam).sum(axis=1).tolist()
         kkt = (info["gap_bound"] + info["eq_residual"]).tolist()
         near = (r.min(axis=1) < 1e-7).tolist()
-        iterations = info["iterations"].tolist()
-        for j, (win, masses) in enumerate(zip(group, r.tolist())):
-            leaf_masses = dict(zip(win.leaves, masses))
-            solved[starts[members[j]]] = (entropy[j], m[j], leaf_masses, kkt[j], near[j], iterations[j])
-    return solved, None
+        outcome = zip(
+            info["value"].tolist(), m, r.tolist(), kkt, near, info["iterations"].tolist(), info["failure"]
+        )
+        solved.update(zip(members, outcome))
+    for i, (start, win) in enumerate(zip(starts, wins)):
+        entropy, m, masses, kkt, near, iterations, failure = solved[i]
+        where = f"dual program below node {start!r} on [{t}, {T}]"
+        if failure is not None and iterations:
+            raise ConvergenceError(f"{where}: {failure}")
+        if failure is not None or not (math.isfinite(entropy) and math.isfinite(m)):
+            # a failure at the start is an objective out of the float range
+            raise ConvergenceError(f"{where} leaves the float range: entropy {entropy!r}, m {m!r}")
+        unit.entropy[start] = entropy
+        unit.inverse_gamma_mean[start] = m
+        unit.leaf_masses[start] = dict(zip(win.leaves, masses))
+        unit.kkt_residual[start] = kkt
+        unit.near_boundary[start] = near
+        unit.newton_iterations[start] = iterations
 
 
 def dual_value(
@@ -550,23 +534,8 @@ def dual_value(
     duals = _window_duals(duals, tree, field.gamma)
     rep = duals.replication()
     eta_by_node = _eta_by_node(eta, starts, rep)
-    solved, failed = _solve_windows(duals, field, starts, t, T)
-    while failed is not None:
-        # each program solves alone as it does in its stack, so the starts
-        # before the failing one, solved again, say whether one fails first
-        index, error = failed
-        _, failed = _solve_windows(duals, field, starts[:index], t, T)
-        if failed is None:
-            raise error
     unit = DualResult(t=t, T=T, values={}, eta=dict.fromkeys(starts, 1.0), replication=rep)
-    for start in starts:
-        entropy, m, leaf_masses, kkt, near, iterations = solved[start]
-        unit.entropy[start] = entropy
-        unit.inverse_gamma_mean[start] = m
-        unit.leaf_masses[start] = leaf_masses
-        unit.kkt_residual[start] = kkt
-        unit.near_boundary[start] = near
-        unit.newton_iterations[start] = iterations
+    _solve_windows(duals, field, unit, starts, t, T)
     return unit.at(eta_by_node)
 
 
@@ -623,7 +592,7 @@ def solve_entropy_shift(
     terminal = ExponentialFieldParams(gamma, {n: a_term.get(n, 0.0) for n in gamma})
     a_out: dict[str, float] = dict(a_term)
     for t in range(tree.horizon - 1, -1, -1):
-        ent = duals.dual(terminal, 1.0, t, tree.horizon)
+        ent = duals.dual(terminal, t, tree.horizon)
         nodes = tree.nodes_at(t)
         shift = _implied_shift(_at_nodes(gamma, nodes), 1.0, _at_nodes(ent.values, nodes))
         a_out.update(zip(nodes, shift.tolist()))
@@ -727,7 +696,7 @@ def check_self_generation_dual(
     positive = eta[:, 0] > 0.0
     windows = []
     for (t, T) in time_pairs:
-        unit = duals.dual(field, 1.0, t, T)
+        unit = duals.dual(field, t, T)
         starts = tree.nodes_at(t)
         g = _at_nodes(field.gamma, starts)
         a = _at_nodes(field.a_shift, starts)
@@ -829,7 +798,7 @@ def check_value_conjugacy(
 
     duals = _window_duals(duals, tree, field.gamma)
     base = primal_value(tree, field, 0.0, t, T, duals=duals)
-    unit = duals.dual(field, 1.0, t, T)
+    unit = duals.dual(field, t, T)
     conjugates = [[_conjugate_read(unit, n, x) for n in starts] for x in xi_grid]
     primals = np.array([_at_nodes(base.at(x).values, starts) for x in xi_grid])
     # per (wealth, start) and per (eta, start); each start's worst over
@@ -935,7 +904,7 @@ def check_exponential_conditions(
                 tol,
             )
         )
-        ent = duals.dual(field, 1.0, t, T)
+        ent = duals.dual(field, t, T)
         starts = tree.nodes_at(t)
         gaps = np.abs(
             _implied_shift(_at_nodes(gamma, starts), 1.0, _at_nodes(ent.values, starts))
@@ -1054,7 +1023,7 @@ def check_forward_supermartingale(
             m: abs(drift[m] - a_shift[m]) for m in interior if m == start or weight[m] > 0.0
         }
 
-    ent = duals.dual(ExponentialFieldParams(gamma, a_shift), 1.0, t, T)
+    ent = duals.dual(ExponentialFieldParams(gamma, a_shift), t, T)
     # the starts' subtrees are disjoint, so each record keys its gaps by node
     return VerificationReport(
         [

@@ -349,9 +349,9 @@ def scalar_barrier_minimize(phi, A, b, r0):
     each (window, start) before it solved a window's programs as one stack:
     ``A`` (k, m), ``b`` (k,), ``r0`` (m,), and ``phi(r)`` on one iterate.
     The same damped Newton steps at mu = gap tol / m, line search, stop
-    test and refusals, with the solver's module constants read at the
-    call. Returns (r, multipliers, info) with a scalar ``eq_residual`` and
-    the program's ``newton_iterations``."""
+    test and failures, raised here, with the solver's module constants
+    read at the call. Returns (r, multipliers, info) with a scalar
+    ``eq_residual`` and the program's ``newton_iterations``."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     r = np.asarray(r0, dtype=float).copy()
@@ -377,6 +377,11 @@ def scalar_barrier_minimize(phi, A, b, r0):
     for newton_used in range(1, max_newton + 1):
         v, grad, hess = phi(r)
         f_cur = barrier_val(r, v)
+        if newton_used == 1 and not math.isfinite(f_cur):
+            raise ConvergenceError(
+                f"barrier_minimize: the objective is not finite at the start "
+                f"(barrier objective {f_cur!r})"
+            )
         g = grad - mu / r
         h = hess + mu / (r * r)
         hinv = 1.0 / h
@@ -690,7 +695,7 @@ def entropy_shift_per_node(tree, gamma, terminal_a, duals):
     a_out = {w: float(terminal_a[w]) for w in tree.leaves()}
     terminal = ExponentialFieldParams(gamma, {n: a_out.get(n, 0.0) for n in gamma})
     for t in range(tree.horizon - 1, -1, -1):
-        ent = duals.dual(terminal, 1.0, t, tree.horizon)
+        ent = duals.dual(terminal, t, tree.horizon)
         for nid in tree.nodes_at(t):
             a_out[nid] = _implied_shift_0d(gamma[nid], 1.0, ent.values[nid])
     return a_out
@@ -700,7 +705,7 @@ def self_generation_dual_per_point(tree, field, time_pairs, eta_grid, duals, tol
     """``check_self_generation_dual``'s records, read per (eta, start)."""
     windows = []
     for (t, T) in time_pairs:
-        unit = duals.dual(field, 1.0, t, T)
+        unit = duals.dual(field, t, T)
         gaps = {}
         value_gap = 0.0
         for e in eta_grid:
@@ -740,7 +745,7 @@ def value_conjugacy_per_point(tree, field, t, T, xi_grid, eta_grid, duals, tol=1
     eta_grid = sorted(float(e) for e in eta_grid)
     starts = tree.nodes_at(t)
     base = primal_value(tree, field, 0.0, t, T, duals=duals)
-    unit = duals.dual(field, 1.0, t, T)
+    unit = duals.dual(field, t, T)
     conjugates = [{n: _conjugate_read(unit, n, x) for n in starts} for x in xi_grid]
     primals = [base.at(x).values for x in xi_grid]
     primal_gaps = {
@@ -778,7 +783,7 @@ def entropy_identity_per_node(tree, gamma, a_shift, time_pairs, duals, tol=1e-6)
     field = ExponentialFieldParams(gamma, a_shift)
     records = []
     for (t, T) in time_pairs:
-        ent = duals.dual(field, 1.0, t, T)
+        ent = duals.dual(field, t, T)
         records.append(
             _scalar_gap_record(
                 f"exp-condition-entropy-identity[t={t},T={T}]",

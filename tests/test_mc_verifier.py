@@ -94,8 +94,8 @@ def test_collapse_pairs():
 def test_mean_test_two_sided(rng):
     samples = rng.normal(0.5, 1.0, size=5000)
     ok = mc_mean_test(samples, 0.5, "demo")
-    assert ok.verdict and abs(ok.z_score) <= z_critical(0.997)
-    assert ok.n_samples == 5000
+    assert ok.verdict and abs(ok.details["z_score"]) <= z_critical(0.997)
+    assert ok.details["n_samples"] == 5000
     bad = mc_mean_test(samples, 0.7, "demo")
     assert not bad.verdict
 
@@ -115,7 +115,8 @@ def test_mean_test_degenerate_exact():
     assert "zero sample variance; exact comparison" in res.notes
     res = mc_mean_test(np.full(200, 0.25), 0.2500001, "demo")
     assert not res.verdict
-    assert res.z_score == math.inf
+    assert res.details["z_score"] == math.inf
+    assert res.tolerance == 0.0
     # one-sided degenerate still honors direction
     assert mc_mean_test(np.full(200, 0.3), 0.25, "demo", sided="lower").verdict
 
@@ -126,20 +127,21 @@ def test_mean_test_refuses_small_samples():
 
 
 def test_mean_test_to_record(rng):
+    # the test is its check record: the estimate, the band's half-width
+    # and the z-score over it
     samples = rng.normal(0.0, 1.0, size=400)
-    res = mc_mean_test(samples, 0.0, "demo", notes=("context",))
-    rec = res.to_record()
+    rec = mc_mean_test(samples, 0.0, "demo", notes=("context",))
     assert rec.check_tag == "demo"
-    assert rec.tolerance == pytest.approx(z_critical(0.997) * res.std_error, rel=1e-14)
+    assert rec.value == pytest.approx(float(samples.mean()), rel=1e-12)
+    assert rec.tolerance == z_critical(0.997) * rec.std_error
     assert rec.details["n_samples"] == 400
-    assert rec.details["z_score"] == res.z_score
-    assert "context" in rec.notes
+    assert rec.details["z_score"] == (rec.value - rec.target) / rec.std_error
+    assert rec.notes == ("context",)
     # on a workspace: the same record, bit for bit
     work = Workspace()
     for _ in range(2):
         again = mc_mean_test(samples, 0.0, "demo", notes=("context",), work=work)
-        assert again == res
-        assert again.to_record() == rec
+        assert again == rec
 
 
 def test_default_nu_family_labels():

@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "ReplicationError",
     "ReplicationResult",
     "ScenarioError",
-    "TestResult",
     "TreeMeasure",
     "TreeNode",
     "TreeStructureError",

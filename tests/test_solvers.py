@@ -102,17 +102,19 @@ def solve_one(phi_one, A, b, r0):
 
 def assert_rows_match_the_scalar_oracle(phi, phi_rows, A, b, r0):
     """Every program of the stack, solved as one, has the scalar solver's
-    minimiser, multipliers, Newton count and equality residual, bit for
-    bit; returns the stack's info."""
+    minimiser, multipliers, Newton count and equality residual, and its
+    objective's sum there, bit for bit; returns the stack's info."""
     r, lam, info = barrier_minimize(phi, A, b, r0)
     assert info["newton_iterations"] == int(info["iterations"].sum())
     assert isinstance(info["newton_iterations"], int)
     for j in range(len(r0)):
         r1, lam1, info1 = oracles.scalar_barrier_minimize(phi_rows[j], A[j], b[j], r0[j])
+        assert info["failure"][j] is None, j
         assert r[j].tobytes() == r1.tobytes(), j
         assert lam[j].tobytes() == lam1.tobytes(), j
         assert int(info["iterations"][j]) == info1["newton_iterations"], j
         assert float(info["eq_residual"][j]) == info1["eq_residual"], j
+        assert info["value"][j] == phi_rows[j](r1)[0].sum(), j
         assert info["gap_bound"] == info1["gap_bound"]
     return info
 
@@ -151,17 +153,15 @@ def test_barrier_two_constraints():
     assert info["eq_residual"] <= 1e-9
 
 
-def test_barrier_iteration_cap_raises(monkeypatch):
+def test_barrier_iteration_cap_fails_the_programs_still_iterating(monkeypatch):
     # from this start the simplex entropy takes more than one Newton step;
-    # the program at the optimum stops at its first, so the second fails
+    # the program at the optimum stops at its first, so only the second fails
     monkeypatch.setattr(solvers, "_BARRIER_MAX_NEWTON", 1)
-    with pytest.raises(ConvergenceError, match="1 Newton iterations exhausted") as exc:
-        solve_one(entropy_phi, np.ones((1, 3)), np.array([1.0]), np.array([0.8, 0.1, 0.1]))
-    assert exc.value.row == 0
     r0 = np.array([np.full(3, 1.0 / 3.0), [0.8, 0.1, 0.1]])
-    with pytest.raises(ConvergenceError, match="1 Newton iterations exhausted") as exc:
-        barrier_minimize(stacked(entropy_phi), np.ones((2, 1, 3)), np.ones((2, 1)), r0)
-    assert exc.value.row == 1
+    _, _, info = barrier_minimize(stacked(entropy_phi), np.ones((2, 1, 3)), np.ones((2, 1)), r0)
+    assert info["failure"][0] is None
+    assert info["failure"][1].startswith("barrier_minimize: 1 Newton iterations exhausted")
+    assert info["iterations"].tolist() == [1, 1]
 
 
 def test_barrier_rejects_bad_start():
@@ -195,10 +195,10 @@ def test_barrier_drops_vacuous_rows():
         barrier_minimize(stacked(entropy_phi), uneven, np.array([b, [1.0, 1.0]]), r0)
 
 
-def test_barrier_refuses_a_step_that_is_not_finite():
+def test_barrier_fails_a_program_whose_start_is_not_finite(monkeypatch):
     # gamma 1e-306 on the one-step binomial tree: the dual objective
-    # overflows at the start, the Schur solve gives NaN multipliers, and the
-    # solver refuses instead of returning the start point unsolved
+    # overflows at the start, so the program fails there, at its start and
+    # before any Schur solve, instead of returning the start point unsolved
     tree = binomial_tree()
     gamma = dict.fromkeys(["r", "u", "d"], 1e-306)
     field = ExponentialFieldParams(gamma, dict.fromkeys(gamma, 0.0))
@@ -206,9 +206,17 @@ def test_barrier_refuses_a_step_that_is_not_finite():
     b = np.zeros((1, win.A.shape[0]))
     b[0, 0] = 1.0
     phi, _ = dual_objective(field, [win])
-    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="Newton step 1 is not finite") as exc:
-        barrier_minimize(phi, win.A[None], b, win.interior[None])
-    assert exc.value.row == 0
+
+    def solve(*args):
+        raise AssertionError("a Schur system was solved")
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with np.errstate(all="ignore"):
+        r, _, info = barrier_minimize(phi, win.A[None], b, win.interior[None])
+    assert info["failure"][0].startswith("barrier_minimize: the objective is not finite at the start")
+    assert info["iterations"].tolist() == [0]
+    assert r[0].tobytes() == win.interior.tobytes()
+    assert not np.isfinite(info["value"][0])
 
 
 # -- stacks of programs, against the scalar oracle --------------------------
@@ -289,33 +297,48 @@ def test_barrier_stack_row_with_a_singular_schur_system():
     assert np.allclose(r[1], 1.0 / 3.0, atol=1e-6)
 
 
-def test_barrier_stack_refuses_the_first_row_that_fails():
-    # a row whose Newton step is not finite fails the stack, naming its
-    # index; rows before it that fail later are found by solving them alone
+def test_barrier_stack_reports_each_programs_outcome(monkeypatch):
+    # programs that fail at their start, at their second Newton step and
+    # at the iteration cap sit between programs that solve, one of them at
+    # the cap's step: each solving program keeps the scalar solver's bits
+    # and Newton count, and each failing one reports the error the scalar
+    # solver raises, at the iterate where it failed
+    monkeypatch.setattr(solvers, "_BARRIER_MAX_NEWTON", 5)
     good = weighted_entropy(np.zeros(3), np.ones(3))
 
-    def nan_gradient(r):
+    def infinite(r):
         v, g, h = good(r)
-        return v, g * np.nan, h
+        return np.full_like(v, np.inf), g, h
 
     def nan_away_from_start(r):
         v, g, h = good(r)
         return v, (g if r[0] == 0.5 else g * np.nan), h
 
-    objectives = [good, nan_away_from_start, nan_gradient]
-    r0 = np.array([[0.5, 0.3, 0.2]] * 3)
-    A, b = np.ones((3, 1, 3)), np.ones((3, 1))
+    # alone: good solves in 3, 4 and 5 Newton steps from these starts and
+    # needs 6 from [0.98, 0.01, 0.01]
+    objectives = [good, infinite, good, nan_away_from_start, good, good]
+    r0 = np.array([[0.34, 0.33, 0.33], *[[0.5, 0.3, 0.2]] * 3, [0.98, 0.01, 0.01], [0.6, 0.3, 0.1]])
+    A, b = np.ones((6, 1, 3)), np.ones((6, 1))
     with np.errstate(invalid="ignore"):
-        with pytest.raises(ConvergenceError, match="Newton step 1 is not finite") as exc:
-            barrier_minimize(stack_of(objectives), A, b, r0)
-        assert exc.value.row == 2
-        with pytest.raises(ConvergenceError) as exc:
-            barrier_minimize(stack_of(objectives[:2]), A[:2], b[:2], r0[:2])
-        assert exc.value.row == 1
-        with pytest.raises(ConvergenceError) as want:
-            oracles.scalar_barrier_minimize(nan_away_from_start, A[1], b[1], r0[1])
-    assert str(exc.value) == str(want.value)
-    assert str(exc.value).startswith("barrier_minimize: Newton step 2 is not finite")
+        r, lam, info = barrier_minimize(stack_of(objectives), A, b, r0)
+    failed = {1: 0, 3: 2, 4: 5}  # program: the Newton steps it took
+    for j, objective in enumerate(objectives):
+        assert info["value"][j].tobytes() == objective(r[j])[0].sum().tobytes(), j
+        if j in failed:
+            with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError) as want:
+                oracles.scalar_barrier_minimize(objective, A[j], b[j], r0[j])
+            assert (info["failure"][j], info["iterations"][j]) == (str(want.value), failed[j])
+            continue
+        r1, lam1, info1 = oracles.scalar_barrier_minimize(objective, A[j], b[j], r0[j])
+        assert info["failure"][j] is None
+        assert (r[j].tobytes(), lam[j].tobytes()) == (r1.tobytes(), lam1.tobytes()), j
+        assert info["iterations"][j] == info1["newton_iterations"], j
+        assert info["eq_residual"][j] == info1["eq_residual"], j
+    assert info["iterations"].tolist() == [3, 0, 4, 2, 5, 5]
+    assert info["failure"][1].startswith("barrier_minimize: the objective is not finite at the start")
+    assert info["failure"][3].startswith("barrier_minimize: Newton step 2 is not finite")
+    assert info["failure"][4].startswith("barrier_minimize: 5 Newton iterations exhausted")
+    assert r[1].tobytes() == r0[1].tobytes()
 
 
 def test_barrier_stack_rows_accept_steps_after_different_halvings():

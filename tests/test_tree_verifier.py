@@ -616,30 +616,14 @@ def test_dual_check_refuses_a_grid_without_positive_eta(monkeypatch, eta_grid):
         check_self_generation_dual(tree, field, _window_pairs(tree), eta_grid)
 
 
-def test_dual_value_names_the_window_of_a_solver_failure(monkeypatch):
-    # a Newton step that stops being finite after a finite start is
-    # reported with the node and window of the program that failed
-    tree = binomial_tree()
-
-    def diverged(phi, A, b, r0):
-        raise ConvergenceError("barrier_minimize: Newton step 3 is not finite", row=0)
-
-    monkeypatch.setattr(tree_verifier, "barrier_minimize", diverged)
-    with pytest.raises(
-        ConvergenceError,
-        match=r"dual program below node 'r' on \[0, 1\]: barrier_minimize: Newton step 3",
-    ):
-        dual_value(tree, constant_field(tree), 1.0, 0, 1)
-
-
 def _poison(monkeypatch, modes, duals, T):
     """Make the dual program on [time(start), T] below each start named in
     ``modes`` fail:
-    ``pre``, objective values infinite everywhere (the check at the start
-    refuses it); ``step1``, a NaN gradient everywhere (its first Newton
+    ``pre``, objective values infinite everywhere (the solver fails it at
+    its start); ``step1``, a NaN gradient everywhere (its first Newton
     step is not finite); ``step2``, a NaN gradient away from its start
-    (its second step); ``post``, its minimiser turned to NaN on the way
-    out of the solver (the check after the solve refuses it)."""
+    (its second step); ``post``, its minimiser and its value turned to NaN
+    on the way out of the solver (the check after the solve refuses it)."""
     objective_of = tree_verifier.dual_objective
     barrier_minimize = tree_verifier.barrier_minimize
 
@@ -671,7 +655,7 @@ def _poison(monkeypatch, modes, duals, T):
         r, lam, info = barrier_minimize(phi, A, b, r0)
         for j, start in enumerate(r0):
             if start.tobytes() in posts:
-                r[j] = np.nan
+                r[j] = info["value"][j] = np.nan
         return r, lam, info
 
     monkeypatch.setattr(tree_verifier, "dual_objective", poisoned_objective_of)
@@ -748,6 +732,33 @@ def test_dual_value_refuses_the_first_failing_start(monkeypatch, tree, T, modes,
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
         dual_value(tree, field, 1.0, 1, T, duals=duals)
     assert str(exc.value) == want
+
+
+def test_dual_value_refuses_from_one_solve_per_shape(monkeypatch):
+    # suite_shaped_tree(7) on [1, 2]: n1 and n3 in one stack, n2 in its
+    # own. A refused window is solved once, one barrier_minimize call per
+    # shape, and the refusal names the node and window of the first start
+    # whose program fails, though a later one in the first stack fails first
+    tree = suite_shaped_tree(7)
+    field = solved_field(tree, 7)
+    duals = WindowDuals(tree, field.gamma)
+    modes = {"n3": "step1", "n2": "step2"}
+    _poison(monkeypatch, modes, duals, 2)
+    poisoned = tree_verifier.barrier_minimize
+    stacks = []
+
+    def counted(phi, A, b, r0):
+        stacks.append(len(r0))
+        return poisoned(phi, A, b, r0)
+
+    monkeypatch.setattr(tree_verifier, "barrier_minimize", counted)
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
+        dual_value(tree, field, 1.0, 1, 2, duals=duals)
+    assert str(exc.value).startswith(
+        "dual program below node 'n2' on [1, 2]: barrier_minimize: Newton step 2 is not finite"
+    )
+    assert str(exc.value) == _refusal_one_start_at_a_time(tree, field, 1, 2, modes)
+    assert stacks == [2, 1]
 
 
 def test_windows_with_a_node_that_moves_no_price():
@@ -829,6 +840,36 @@ def test_stacked_dual_programs_match_the_scalar_oracle(monkeypatch, seed):
                 assert rows == len(program) == len(tree.nodes_at(t))
     # some stacks hold programs that stop at different Newton steps
     assert mixed > 0
+
+
+def test_stack_value_is_the_dual_objective_at_the_result(monkeypatch):
+    # the value the solver reports per program is the objective's sum at
+    # its result, bit for bit, as the whole stack's objective or the
+    # program's alone gives it: the entropy dual_value reads
+    stacks = []
+    original = tree_verifier.barrier_minimize
+
+    def recorded(phi, A, b, r0):
+        out = original(phi, A, b, r0)
+        stacks.append((phi, out[0], out[2]["value"]))
+        return out
+
+    monkeypatch.setattr(tree_verifier, "barrier_minimize", recorded)
+    tree = random_tree(7, periods=4)
+    solved = solved_field(tree, 7)
+    for field in (solved, _perturbed(solved, 74)):
+        duals = WindowDuals(tree, field.gamma)
+        for t, T in _window_pairs(tree):
+            stacks.clear()
+            got = dual_value(tree, field, 1.0, t, T, duals=duals)
+            values = []
+            for phi, r, value in stacks:
+                rows = np.arange(len(r))
+                assert value.tobytes() == phi(rows)(r)[0].sum(axis=1).tobytes()
+                for j in rows:
+                    assert value[j].tobytes() == phi(rows[j:j + 1])(r[j:j + 1])[0].sum(axis=1).tobytes()
+                values += value.tolist()
+            assert sorted(got.entropy.values()) == sorted(values)
 
 
 # -- conjugacy between computed fields -----------------------------------
@@ -1046,10 +1087,11 @@ def test_window_duals_share_and_refuse_another_field():
     tree = two_period_tree()
     field = solved_field(tree, seed=23)
     duals = WindowDuals(tree, field.gamma)
-    assert duals.dual(field, 1.0, 0, 2) is duals.dual(field, 1, 0, 2)
+    unit = duals.dual(field, 0, 2)
+    assert duals.dual(field, 0, 2) is unit
     # eta = 1 is the window's one program, bit for bit; eta = 2 is read
     # from it, as dual_value reads it, and matches the program at eta = 2
-    unit, read = duals.dual(field, 1.0, 0, 2), duals.dual(field, 2.0, 0, 2)
+    read = unit.at(2.0)
     assert unit.values == dual_value(tree, field, 1.0, 0, 2).values
     assert read.values == dual_value(tree, field, 2.0, 0, 2).values
     assert read.leaf_masses is unit.leaf_masses
@@ -1067,11 +1109,11 @@ def test_window_duals_share_and_refuse_another_field():
     # the window [0, 2] reads the shift at time 2 only: a shift moved at
     # time 1 reads the same entry, one moved at a leaf gets its own
     moved_before = with_offsets(field, {"a": 0.1})
-    assert duals.dual(moved_before, 1.0, 0, 2) is duals.dual(field, 1.0, 0, 2)
+    assert duals.dual(moved_before, 0, 2) is duals.dual(field, 0, 2)
     moved_leaf = with_offsets(field, {"a1": 0.1})
     fresh = dual_value(tree, moved_leaf, 1.0, 0, 2)
-    assert duals.dual(moved_leaf, 1.0, 0, 2).values == fresh.values
-    assert fresh.values != duals.dual(field, 1.0, 0, 2).values
+    assert duals.dual(moved_leaf, 0, 2).values == fresh.values
+    assert fresh.values != duals.dual(field, 0, 2).values
     assert len(duals._solved) == 2
     # a context belongs to one tree and one gamma
     other = ExponentialFieldParams({n: 2.0 * g for n, g in field.gamma.items()}, field.a_shift)
@@ -1106,7 +1148,7 @@ def test_window_duals_resolve_a_window_whose_leaf_shift_moved():
     for t in (0, 1, 2):
         # not the shift construction's solve, which read the unmoved leaf,
         # but the one a fresh dual_value returns
-        got = duals.dual(field, 1.0, t, 3)
+        got = duals.dual(field, t, 3)
         fresh = dual_value(tree, field, 1.0, t, 3)
         assert got is not stale[t] and got.values != stale[t].values
         assert (got.values, got.leaf_masses) == (fresh.values, fresh.leaf_masses)
@@ -1114,7 +1156,7 @@ def test_window_duals_resolve_a_window_whose_leaf_shift_moved():
     # moved at the root instead, the windows to the horizon read the shift's solves
     duals, field = shifted_context(tree, 7, {tree.root: 0.1})
     stale = {key[0]: res for key, res in duals._solved.items()}
-    assert all(duals.dual(field, 1.0, t, 3) is stale[t] for t in (0, 1, 2))
+    assert all(duals.dual(field, t, 3) is stale[t] for t in (0, 1, 2))
 
 
 @pytest.mark.parametrize("offsets", [{}, {"r": 0.1}, {"leaf": 0.1}])
@@ -1131,7 +1173,7 @@ def test_shared_context_matches_per_window_rebuild(offsets):
             primal = primal_value(tree, field, 0.0, t, T, duals=duals)
             assert primal.log_factor == log_factor[(t, T)]
             for e in etas:
-                got, want = duals.dual(field, e, t, T), rebuilt[(t, T, e)]
+                got, want = duals.dual(field, t, T).at(e), rebuilt[(t, T, e)]
                 assert got.near_boundary == want.near_boundary
                 if e == 1.0:
                     assert (got.values, got.leaf_masses) == (want.values, want.leaf_masses)
@@ -1322,7 +1364,7 @@ def test_forward_optimum_matches_density_oracle(periods, bumped):
     for (t, T) in _window_pairs(tree):
         rep = check_forward_supermartingale(tree, field.gamma, field.a_shift, t, T, duals=duals)
         rec = rep[f"forward-martingale-at-optimum[t={t},T={T}]"]
-        res = duals.dual(field, 1.0, t, T)
+        res = duals.dual(field, t, T)
         want, want_node = 0.0, None
         for start in tree.nodes_at(t):
             q = measure_from_leaf_masses(tree, start, T, res.leaf_masses[start])
