@@ -12,7 +12,10 @@ the SHA-256 of the report, and ``reports_identical`` says whether the two
 sides agree byte for byte at every depth. A mismatch at any depth is
 named on stderr and exits 1, after the JSON is written.
 
-Writes the median and spread (min, max) of the repeats as JSON. Usage:
+Writes the median and spread (min, max) of the repeats as JSON, and per
+depth the calls per scenario and microseconds per call of the factor
+solve (``minimize_exp_sum``) and of the one-step vertex builds
+(``one_step_vertices``). Usage:
 
     PYTHONPATH=src:tests python benchmarks/bench_tree_scenario.py \\
         [--repeat 5] [--baseline-src OTHER/src] [--out BENCH_tree_scenario.json]
@@ -34,6 +37,44 @@ DEPTHS = range(2, 8)
 REPEAT_CAP = {7: 3}
 HERE = os.path.dirname(os.path.abspath(__file__))
 TESTS = os.path.join(HERE, "..", "tests")
+
+
+# the per-node kernels counted and timed per call, by the module attribute
+# each caller resolves
+KERNELS = {
+    "minimize_exp_sum": ("forwardperf.tree_verifier", "minimize_exp_sum"),
+    "one_step_vertices": ("forwardperf.tree_market", "one_step_vertices"),
+}
+
+
+def kernel_calls(run, repeat):
+    """Calls per scenario and microseconds per call (median over the
+    repeats) of each of ``KERNELS`` while ``run()`` runs one scenario."""
+    import importlib
+
+    out = {}
+    for name, (module, attr) in KERNELS.items():
+        mod = importlib.import_module(module)
+        original = getattr(mod, attr)
+        calls, per_call = [], []
+
+        def timed(*args, _original=original):
+            t0 = time.perf_counter()
+            try:
+                return _original(*args)
+            finally:
+                calls[-1].append(time.perf_counter() - t0)
+
+        setattr(mod, attr, timed)
+        try:
+            for _ in range(repeat):
+                calls.append([])
+                run()
+                per_call.append(sum(calls[-1]) / max(1, len(calls[-1])))
+        finally:
+            setattr(mod, attr, original)
+        out[name] = {"calls": len(calls[0]), "us_per_call": statistics.median(per_call) * 1e6}
+    return out
 
 
 def measure(depth, repeat):
@@ -66,6 +107,7 @@ def measure(depth, repeat):
         "all_passed": json.loads(reports[0])["all_passed"],
         "report_sha256": hashlib.sha256(reports[0].encode()).hexdigest(),
         "reports_equal": len(set(reports)) == 1,
+        "kernels": kernel_calls(lambda: run_tree_scenario(doc), repeat),
     }
 
 
@@ -94,6 +136,7 @@ def main():
         return
 
     import numpy as np
+    from forwardperf import kernels
 
     sides = {"rows": os.path.join(HERE, "..", "src")}
     if args.baseline_src:
@@ -117,6 +160,7 @@ def main():
         "baseline_src": args.baseline_src,
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),
+        "kernel_backend": kernels.BACKEND,
         "numpy": np.__version__,
         "python": platform.python_version(),
         "machine": platform.machine(),

@@ -37,7 +37,7 @@ from .ito_engine import (
 from .kernels import U64_MAX, Workspace
 from .mc_verifier import MC_CHECKS, MonteCarloPass, tag_number, time_labels
 from .report import CheckRecord, VerificationReport
-from .tree_market import EventTree, check_nflvr, validate_tree
+from .tree_market import EventTree, check_nflvr, json_float, validate_tree
 from .tree_verifier import (
     WindowDuals,
     check_exponential_conditions,
@@ -79,9 +79,7 @@ def _check_keys(obj, path, required, optional=()):
 
 
 def _number(obj, path, minimum=None, strict_min=None):
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        _fail(path, f"expected a number, got {type(obj).__name__}")
-    val = float(obj)
+    val = json_float(obj, path)
     if not math.isfinite(val):
         _fail(path, "must be finite")
     if minimum is not None and val < minimum:

@@ -9,9 +9,9 @@ produce byte-identical serializations.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Iterable, Mapping
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,10 @@ class CheckRecord:
     std_error: float | None = None
     worst_node: str | None = None
     notes: tuple[str, ...] = ()
-    details: Mapping[str, Any] = field(default_factory=dict)
+    details: Mapping[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out: dict[str, Any] = {
+        out: dict[str, object] = {
             "check_tag": self.check_tag,
             "verdict": "pass" if self.verdict else "fail",
             "value": self.value,
@@ -115,7 +115,7 @@ _PLAIN_LEAVES = frozenset((float, int, str, bool, type(None)))
 
 
 def _plain(obj):
-    """Recursively convert mappings/sequences/numpy scalars to JSON-safe types."""
+    """Mappings, sequences and numpy scalars as JSON-safe types."""
     if type(obj) in _PLAIN_LEAVES:
         return obj
     import numpy as np

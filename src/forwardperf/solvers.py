@@ -29,6 +29,8 @@ def minimize_exp_sum(weights, slopes):
     Strictly convex whenever some s_i != 0; coercive iff the nonzero slopes
     take both signs. One-sided slopes mean the infimum is only approached at
     infinity; that configuration signals an arbitrage upstream, so it raises.
+    Below 8 terms, which numpy sums in turn, the steps run on Python
+    floats with exponentials from ``np.exp``: numpy's bits, at less cost.
     """
     w = np.asarray(weights, dtype=float)
     s = np.asarray(slopes, dtype=float)
@@ -36,70 +38,61 @@ def minimize_exp_sum(weights, slopes):
         raise ValueError("minimize_exp_sum: need matching nonempty 1-D arrays")
     if (w <= 0.0).any():
         raise ValueError("minimize_exp_sum: weights must be positive")
-    nz = s != 0.0
-    if not nz.any():
-        return 0.0, float(w.sum())
-    if (s[nz] > 0.0).all() or (s[nz] < 0.0).all():
+    nz = s[s != 0.0]
+    if nz.size and ((nz > 0.0).all() or (nz < 0.0).all()):
         raise ValueError(
             "minimize_exp_sum: slopes are one-sided, infimum not attained "
             "(martingale-measure constraint violated upstream)"
         )
 
+    wl, sl = w.tolist(), s.tolist()
     # exp(s p) may overflow to inf on a bracket end; the bracket and the
     # Newton safeguard handle it, so the warning is silenced for the call
     with np.errstate(over="ignore"):
 
-        def val_grad(p):
-            e = w * np.exp(s * p)
-            return float(e.sum()), float((e * s).sum())
+        def sums(p):  # g(p) and its first two derivatives
+            ex = np.exp(s * p)
+            if len(wl) >= 8:
+                e = w * ex
+                return tuple(float(x.sum()) for x in (e, e * s, e * s * s))
+            v = g = h = 0.0
+            for a, x, sv in zip(wl, ex.tolist(), sl):
+                x *= a
+                v += x
+                x *= sv
+                g += x
+                h += x * sv
+            return v, g, h
 
-        # expand to a sign-changing derivative bracket
-        lo = hi = 0.0
-        _, g0 = val_grad(0.0)
-        if g0 > 0.0:
-            step = 1.0
-            while True:
-                lo = lo - step
-                _, glo = val_grad(lo)
-                if glo <= 0.0:
-                    break
-                step *= 2.0
-                if step > 2.0**60:
-                    raise ConvergenceError("minimize_exp_sum: bracket expansion failed")
-        elif g0 < 0.0:
-            step = 1.0
-            while True:
-                hi = hi + step
-                _, ghi = val_grad(hi)
-                if ghi >= 0.0:
-                    break
-                step *= 2.0
-                if step > 2.0**60:
-                    raise ConvergenceError("minimize_exp_sum: bracket expansion failed")
-        else:
+        # expand to a sign-changing derivative bracket, downhill from 0
+        g0 = sums(0.0)[1]
+        if not (g0 > 0.0 or g0 < 0.0):
             return 0.0, float(w.sum())
+        down, edge, step = 1.0 if g0 > 0.0 else -1.0, 0.0, 1.0
+        while True:
+            edge -= down * step
+            if down * sums(edge)[1] <= 0.0:
+                break
+            step *= 2.0
+            if step > 2.0**60:
+                raise ConvergenceError("minimize_exp_sum: bracket expansion failed")
+        lo, hi = (edge, 0.0) if down > 0.0 else (0.0, edge)
 
         # safeguarded Newton on the derivative
         p = 0.5 * (lo + hi)
         for _ in range(_EXP_SUM_MAX_ITER):
             if hi - lo < _EXP_SUM_TOL * (1.0 + abs(lo) + abs(hi)):
                 break
-            e = w * np.exp(s * p)
-            g = float((e * s).sum())
-            h = float((e * s * s).sum())
+            _, g, h = sums(p)
             if g > 0.0:
                 hi = p
             elif g < 0.0:
                 lo = p
             else:
                 break
-            p_newton = p - g / h if h > 0.0 and math.isfinite(g) and math.isfinite(h) else math.nan
-            if math.isfinite(p_newton) and lo < p_newton < hi:
-                p = p_newton
-            else:
-                p = 0.5 * (lo + hi)
-        value, _ = val_grad(p)
-    return float(p), value
+            p_newton = p - g / h if 0.0 < h < math.inf else math.nan
+            p = p_newton if lo < p_newton < hi else 0.5 * (lo + hi)
+        return p, sums(p)[0]
 
 
 def barrier_minimize(phi, A, b, r0):
@@ -123,14 +116,14 @@ def barrier_minimize(phi, A, b, r0):
 
     Each program takes the iterates, line-search halvings, stop and
     iteration count it takes alone, bit for bit, and leaves the stack when
-    it stops or fails: at a start where its objective is not finite
-    (before any Schur solve), at a Newton step or multipliers that are not
-    finite, or at the iteration cap, ``_BARRIER_MAX_NEWTON``. Returns (r,
-    multipliers, info): r (B, m) holds each program's iterate when it
-    left; info carries the gap bound, ``newton_iterations`` (the stack's
-    total, an int) and per program ``iterations`` (0 for a failure at the
-    start), ``eq_residual`` (the max equality residual), ``value`` (the
-    objective's sum at r) and ``failure`` (None, or why it failed).
+    it stops or fails: at a start where its objective is not finite, at a
+    Newton step that is not finite, or at the iteration cap,
+    ``_BARRIER_MAX_NEWTON``. Returns (r, multipliers, info): r (B, m)
+    holds each program's iterate when it left; info carries the gap
+    bound, ``newton_iterations`` (the stack's total, an int) and per
+    program ``iterations`` (0 for a failure at the start), ``eq_residual``
+    (the max equality residual), ``value`` (the objective's sum at r) and
+    ``failure`` (None, or why it failed).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -153,9 +146,7 @@ def barrier_minimize(phi, A, b, r0):
         A = A[keep].reshape(n, int(kept[0]), m)
         b = b[keep].reshape(n, int(kept[0]))
     k = A.shape[1]
-    lam = np.zeros((n, k))
-    iterations = np.zeros(n, dtype=np.int64)
-    value = np.zeros(n)
+    lam, iterations, value = np.zeros((n, k)), np.zeros(n, dtype=np.int64), np.zeros(n)
     mu = _BARRIER_GAP_TOL / m
 
     def barrier_val(rv, v):
@@ -174,11 +165,14 @@ def barrier_minimize(phi, A, b, r0):
         None if ok else f"barrier_minimize: the objective is not finite at the start (barrier objective {x!r})"
         for ok, x in zip(go, here[3].tolist())
     ]
-    lr = np.zeros((n, k, 1))
+    lr = lam[:, :, None]  # multipliers, 0 before any step
     newton_used = 0
     while True:
         # programs whose outcome is decided leave, at their current iterate
         if not all(go):
+            if len(rows) == n and not any(go):  # the whole stack leaves at once
+                iterations[:], r, lam, value = newton_used, here[0], lr[:, :, 0], here[4].sum(axis=1)
+                break
             keep = np.array(go)
             out = ~keep
             done = rows[out]
@@ -204,7 +198,7 @@ def barrier_minimize(phi, A, b, r0):
         try:
             lr = np.linalg.solve(S, rhs)
         except np.linalg.LinAlgError:
-            lr = np.array([_schur_solve(Sj, rj[:, 0]) for Sj, rj in zip(S, rhs)])[:, :, None]
+            lr = np.array([_schur_solve(Sj, rj) for Sj, rj in zip(S, rhs)])
         q = g + (AT @ lr)[:, :, 0]
         dr = -hinv * q
         # Newton decrement squared = dr' H dr = -(g + A'lam)' dr. Each
@@ -212,19 +206,21 @@ def barrier_minimize(phi, A, b, r0):
         f_row = f_cur.tolist()
         slope = (q[:, None, :] @ dr[:, :, None])[:, 0, 0].tolist()
         searching = [j for j, (fc, s) in enumerate(zip(f_row, slope)) if not -s < 1e-13 * (1.0 + abs(fc))]
-        if not (np.isfinite(lr).all() and np.isfinite(dr).all()):
-            # no line search can repair a NaN or infinite direction
-            finite = np.isfinite(lr).all(axis=(1, 2)) & np.isfinite(dr).all(axis=1)
+        # no line search repairs a step that is not finite; its slope, a
+        # sum of -q_i^2 / h_i, is not finite either
+        if not all(map(math.isfinite, slope)):
+            finite = np.isfinite(dr).all(axis=1)
             for j in np.flatnonzero(~finite).tolist():
                 failure[rows[j]] = (
                     f"barrier_minimize: Newton step {newton_used} is not finite (barrier objective {f_row[j]!r})"
                 )
             searching = [j for j in searching if finite[j]]
-        alpha = [1.0] * len(rows)
         if searching:
             # keep strictly inside the positive orthant
-            reach = np.divide(-rr, dr, out=np.full(dr.shape, np.inf), where=dr < 0.0).min(axis=1)
-            alpha = [min(1.0, 0.99 * x) for x in reach.tolist()]
+            alpha = [
+                min([1.0] + [0.99 * (-x / d) for x, d in zip(xs, ds) if d < 0.0])
+                for xs, ds in zip(rr.tolist(), dr.tolist())
+            ]
             searching = [j for j in searching if alpha[j] > 1e-14]
         # each program's backtracking line search, one halving of all at a
         # time; a program not searching is evaluated at its iterate, and
@@ -265,15 +261,12 @@ def barrier_minimize(phi, A, b, r0):
                     f"at gap bound {m * mu:.3e}"
                 )
             go = [False] * len(rows)
-    if k:
-        eq_residual = np.abs((A @ r[:, :, None])[:, :, 0] - b).max(axis=1)
-    else:
-        eq_residual = np.zeros(n)
     info = {
         "gap_bound": m * mu,
         "newton_iterations": int(iterations.sum()),
         "iterations": iterations,
-        "eq_residual": eq_residual,
+        # 0 with no rows
+        "eq_residual": np.abs((A @ r[:, :, None])[:, :, 0] - b).max(axis=1, initial=0.0),
         "value": value,
         "failure": failure,
     }

@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from functools import cached_property
 
 import numpy as np
 
@@ -131,6 +132,7 @@ class EventTree:
         self._levels = tuple(tuple(level) for level in levels)
 
         self._path_cache: dict[str, tuple[str, ...]] = {}
+        self._polytopes = {}  # node_polytope's, by (node, allowed children)
 
     # -- basic queries ---------------------------------------------------
 
@@ -253,8 +255,8 @@ class EventTree:
                 except KeyError as exc:
                     raise ScenarioError(f"{path}: {exc}")
                 _typed(child, f"{path}.child", str)
-                prob = float(_typed(prob, f"{path}.prob", (int, float)))
-                dprice = float(_typed(dprice, f"{path}.dprice", (int, float)))
+                prob = json_float(prob, f"{path}.prob")
+                dprice = json_float(dprice, f"{path}.dprice")
                 branches.append(Branch(child=child, prob=prob, dprice=dprice))
             nodes.append(TreeNode(id=nid, time=t, branches=tuple(branches)))
         tree = cls(horizon=_typed(data["horizon"], "horizon", int), nodes=nodes)
@@ -298,15 +300,22 @@ def _typed(value, path, kind):
     return value
 
 
+def json_float(value, path):
+    """A document's JSON number as a float, refused with its path when
+    of another type or too large."""
+    try:
+        return float(_typed(value, path, (int, float)))
+    except OverflowError:
+        raise ScenarioError(f"{path}: too large for a float") from None
+
+
 def validate_tree(tree: EventTree) -> VerificationReport:
     """Numeric invariants: branch probabilities strictly positive summing to
     one within ``_PROB_SUM_TOL``, finite increments. Structure is already
     enforced at construction.
     """
     report = VerificationReport()
-    bad_sums: dict[str, float] = {}
-    bad_probs: list[str] = []
-    bad_prices: list[str] = []
+    bad_sums, bad_probs, bad_prices = {}, [], []
     for nid in tree._dfs_order:
         node = tree.nodes[nid]
         if not node.branches:
@@ -360,22 +369,20 @@ def one_step_vertices(dprices) -> np.ndarray:
 
     Basic feasible solutions have support <= 2 (two equality constraints):
     singletons need d = 0, pairs need increments of opposite sign. Exact
-    closed forms, deterministic order (singletons by index, then pairs
-    lexicographically), duplicates dropped.
+    closed forms on Python floats, deterministic order (singletons by
+    index, then pairs lexicographically), duplicates dropped.
     """
-    d = np.asarray(dprices, dtype=float)
-    m = d.size
-    verts: list[np.ndarray] = []
+    d = [float(x) for x in dprices]
+    m = len(d)
+    verts = []
 
     def _push(v):
-        for seen in verts:
-            if np.max(np.abs(seen - v)) <= _VERTEX_TOL:
-                return
-        verts.append(v)
+        if not any(all(abs(x - y) <= _VERTEX_TOL for x, y in zip(seen, v)) for seen in verts):
+            verts.append(v)
 
     for j in range(m):
         if d[j] == 0.0:
-            v = np.zeros(m)
+            v = [0.0] * m
             v[j] = 1.0
             _push(v)
     for i in range(m):
@@ -387,13 +394,11 @@ def one_step_vertices(dprices) -> np.ndarray:
             qj = -d[i] / den
             if qi < 0.0 or qj < 0.0:
                 continue
-            v = np.zeros(m)
+            v = [0.0] * m
             v[i] = qi
             v[j] = qj
             _push(v)
-    if not verts:
-        return np.empty((0, m))
-    return np.vstack(verts)
+    return np.array(verts) if verts else np.empty((0, m))
 
 
 @dataclass(frozen=True)
@@ -403,7 +408,7 @@ class NodePolytope:
     node: str
     children: tuple[str, ...]
     dprices: tuple[float, ...]
-    vertices: np.ndarray  # (n_vertices, n_children)
+    vertices: np.ndarray  # (n_vertices, n_children), zero off the allowed children
 
     @property
     def empty(self) -> bool:
@@ -416,20 +421,33 @@ class NodePolytope:
 
     def has_equivalent_point(self) -> bool:
         """True iff some strictly positive measure exists (then the centroid is one)."""
-        if self.empty:
-            return False
-        return bool(np.all(self.vertices.max(axis=0) > _VERTEX_TOL))
+        return not self.empty and len(self.charged[0]) == len(self.children)
+
+    @cached_property
+    def charged(self):
+        """``(kids, rows)``: the children some vertex gives mass above the
+        vertex tolerance, and the vertices' masses on them, zero at or below it."""
+        rows = self.vertices.tolist()
+        cols = [j for j in range(len(self.children)) if max(v[j] for v in rows) > _VERTEX_TOL]
+        return (
+            tuple(self.children[j] for j in cols),
+            tuple(tuple(v[j] if v[j] > _VERTEX_TOL else 0.0 for j in cols) for v in rows),
+        )
 
 
-def node_polytope(tree: EventTree, nid: str) -> NodePolytope:
+def node_polytope(tree: EventTree, nid: str, allowed=None) -> NodePolytope:
+    """The polytope with mass on the ``allowed`` children only (default
+    all), built once per tree and set of allowed children."""
     branches = tree.branches_of(nid)
-    d = tuple(br.dprice for br in branches)
-    return NodePolytope(
-        node=nid,
-        children=tuple(br.child for br in branches),
-        dprices=d,
-        vertices=one_step_vertices(d),
-    )
+    on = [allowed is None or br.child in allowed for br in branches]
+    key = (nid, tuple(on))
+    if key not in tree._polytopes:
+        sub = one_step_vertices([br.dprice for br, x in zip(branches, on) if x])
+        verts = np.zeros((sub.shape[0], len(branches)))
+        verts[:, on] = sub
+        d = tuple(br.dprice for br in branches)
+        tree._polytopes[key] = NodePolytope(nid, tree.children(nid), d, verts)
+    return tree._polytopes[key]
 
 
 def check_nflvr(tree: EventTree) -> tuple[bool, VerificationReport]:
@@ -439,7 +457,7 @@ def check_nflvr(tree: EventTree) -> tuple[bool, VerificationReport]:
     passes iff its vertex set is nonempty and every child carries positive
     mass at some vertex; the vertex centroid is then strictly positive.
     """
-    failing: dict[str, str] = {}
+    failing = {}
     for nid in tree._dfs_order:
         if tree.is_leaf(nid):
             continue
@@ -447,11 +465,7 @@ def check_nflvr(tree: EventTree) -> tuple[bool, VerificationReport]:
         if poly.empty:
             failing[nid] = "no one-step martingale measure (arbitrage)"
         elif not poly.has_equivalent_point():
-            starved = [
-                poly.children[j]
-                for j in range(len(poly.children))
-                if poly.vertices[:, j].max() <= _VERTEX_TOL
-            ]
+            starved = [c for c in poly.children if c not in poly.charged[0]]
             failing[nid] = f"no equivalent measure: children {starved} get zero mass"
     ok = not failing
     report = VerificationReport(
@@ -547,17 +561,6 @@ def density_process(tree: EventTree, q: TreeMeasure) -> DensityPath:
 # -- feasibility and extreme measures -----------------------------------
 
 
-def _restricted_vertices(tree: EventTree, nid: str, allowed: set[str]) -> np.ndarray:
-    """Vertices of the node polytope with mass confined to ``allowed`` children."""
-    branches = tree.branches_of(nid)
-    idx = [i for i, br in enumerate(branches) if br.child in allowed]
-    sub = one_step_vertices([branches[i].dprice for i in idx])
-    out = np.zeros((sub.shape[0], len(branches)))
-    for col, i in enumerate(idx):
-        out[:, i] = sub[:, col]
-    return out
-
-
 def _window_vertices(tree: EventTree, T: int) -> dict[str, tuple]:
     """The vertex table of the windows ending at T, built deepest level first.
 
@@ -570,18 +573,9 @@ def _window_vertices(tree: EventTree, T: int) -> dict[str, tuple]:
     table: dict[str, tuple] = {}
     for s in range(T - 1, -1, -1):
         for nid in tree.nodes_at(s):
-            children = tree.children(nid)
-            allowed = {c for c in children if s + 1 == T or c in table}
-            verts = _restricted_vertices(tree, nid, allowed)
-            if verts.shape[0] == 0:
-                continue
-            cols = [j for j in range(len(children)) if verts[:, j].max() > _VERTEX_TOL]
-            table[nid] = (
-                tuple(children[j] for j in cols),
-                tuple(
-                    tuple(float(x) if x > _VERTEX_TOL else 0.0 for x in v[cols]) for v in verts
-                ),
-            )
+            poly = node_polytope(tree, nid, {c for c in tree.children(nid) if s + 1 == T or c in table})
+            if not poly.empty:
+                table[nid] = poly.charged
     return table
 
 
@@ -589,10 +583,10 @@ def vertex_recursion(
     tree: EventTree,
     t: int,
     T: int,
-    terminal: Callable[[str], Any],
-    local: Callable[..., Any],
+    terminal: Callable[[str], object],
+    local: Callable[..., object],
     vertices: Mapping[str, tuple] | None = None,
-) -> dict[str, dict[str, Any]]:
+) -> dict[str, dict[str, object]]:
     """Backward recursion over the one-step vertex sets of the window [t, T].
 
     A product measure picks one restricted vertex per node, independently,
@@ -616,7 +610,7 @@ def vertex_recursion(
         raise ValueError(f"bad window [{t}, {T}]")
     if vertices is None:
         vertices = _window_vertices(tree, T)
-    out: dict[str, dict[str, Any]] = {}
+    out: dict[str, dict[str, object]] = {}
     for start in tree.nodes_at(t):
         if t == T:
             out[start] = {start: terminal(start)}
@@ -629,7 +623,7 @@ def vertex_recursion(
             nid = stack.pop()
             steps[nid] = vertices[nid]
             stack.extend(c for c in reversed(steps[nid][0]) if tree.time_of(c) < T)
-        values: dict[str, Any] = {}
+        values: dict[str, object] = {}
         for nid in reversed(steps):
             kids, rows = steps[nid]
             kid_values = [values[c] if c in steps else terminal(c) for c in kids]
@@ -666,7 +660,7 @@ def enumerate_product_measures(
             raise ArbitrageError(f"no martingale measure below node {nid!r}")
         children = tree.children(nid)
         allowed = {c for c in children if c in feasible or tree.time_of(c) == T}
-        verts = _restricted_vertices(tree, nid, allowed)
+        verts = node_polytope(tree, nid, allowed).vertices
         out: list[dict[str, tuple[float, ...]]] = []
         for v in verts:
             partials: list[dict[str, tuple[float, ...]]] = [{nid: tuple(float(x) for x in v)}]

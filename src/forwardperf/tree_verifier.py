@@ -44,8 +44,8 @@ It needs no solve beyond the window's one program.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
-from typing import Mapping
+from collections.abc import Mapping
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -61,7 +61,6 @@ from .report import CheckRecord, VerificationReport
 from .solvers import barrier_minimize, minimize_exp_sum
 from .tree_market import (
     EventTree,
-    NodePolytope,
     _window_vertices,
     node_polytope,
     vertex_recursion,
@@ -94,7 +93,9 @@ class PrimalResult:
         factors without solving the window again."""
         xi_by_node = _per_node(xi, self.xi, "xi")
         values = _primal_values(self.gamma, self.factor, xi_by_node)
-        return replace(self, values=values, xi=xi_by_node)
+        return PrimalResult(
+            self.t, self.T, values, xi_by_node, self.log_factor, self.policy, self.replication, self.gamma, self.factor
+        )
 
 
 @dataclass
@@ -123,7 +124,10 @@ class DualResult:
         eta_by_node = _eta_by_node(eta, self.eta, self.replication)
         nodes = list(eta_by_node)
         values = _dual_read(self, nodes, np.array(list(eta_by_node.values())))
-        return replace(self, values=dict(zip(nodes, values.tolist())), eta=eta_by_node)
+        return DualResult(
+            self.t, self.T, dict(zip(nodes, values.tolist())), eta_by_node, self.replication, self.entropy,
+            self.inverse_gamma_mean, self.leaf_masses, self.kkt_residual, self.near_boundary, self.newton_iterations,
+        )
 
 
 @dataclass
@@ -205,9 +209,10 @@ class WindowDuals:
     minimiser of the exponential-condition and forward checks, and the
     primal factor recursion of every window. The entries, by their keys:
 
-    - per tree: each node's one-step polytope (``polytope``) and its vertex
-      centroid, refused when the node has no equivalent one-step measure
-      (``centroid``); and the replication of 1/gamma (``replication``);
+    - per tree: each node's vertex centroid, refused when the node has no
+      equivalent one-step measure (``centroid``), from its one-step
+      polytope, which the tree keeps (``node_polytope``); and the
+      replication of 1/gamma (``replication``);
     - per T: the vertex table (``vertices``); and, keyed also by the
       bits of a_shift at the time-T nodes, the factor C(node) of each node
       some window ending at T has needed (``factors``): both depend on the
@@ -232,7 +237,6 @@ class WindowDuals:
     def __init__(self, tree: EventTree, gamma: Mapping[str, float]):
         self.tree = tree
         self.gamma = dict(gamma)
-        self._polytopes: dict[str, NodePolytope] = {}
         self._centroids: dict[str, np.ndarray | None] = {}
         self._replication: ReplicationResult | None = None
         self._vertices: dict[int, dict[str, tuple]] = {}
@@ -246,16 +250,11 @@ class WindowDuals:
         window ending at T reads."""
         return np.array([a_shift[w] for w in self.tree.nodes_at(T)], dtype=float).tobytes()
 
-    def polytope(self, nid: str) -> NodePolytope:
-        if nid not in self._polytopes:
-            self._polytopes[nid] = node_polytope(self.tree, nid)
-        return self._polytopes[nid]
-
     def centroid(self, nid: str) -> np.ndarray:
         """The vertex centroid of a node's one-step polytope, a strictly
         positive measure; ArbitrageError when the node has none."""
         if nid not in self._centroids:
-            poly = self.polytope(nid)
+            poly = node_polytope(self.tree, nid)
             equivalent = not poly.empty and poly.has_equivalent_point()
             self._centroids[nid] = poly.centroid() if equivalent else None
         center = self._centroids[nid]
@@ -372,8 +371,8 @@ def _exponential_factors(duals, field, t, T):
         if nid in C:
             continue
         branches = tree.branches_of(nid)
-        weights = np.array([br.prob * C[br.child] for br in branches])
-        slopes = np.array([-field.gamma[br.child] * br.dprice for br in branches])
+        weights = [br.prob * C[br.child] for br in branches]
+        slopes = [-field.gamma[br.child] * br.dprice for br in branches]
         try:
             pi0, value = minimize_exp_sum(weights, slopes)
         except ValueError as exc:
@@ -468,7 +467,7 @@ def _solve_windows(duals, field, unit, starts, t, T):
     at its start, the solver's failure, or its entropy or m out of the
     float range at the result."""
     wins = [duals.window(start, T) for start in starts]
-    groups: dict[tuple[int, int, int], list[int]] = {}
+    groups = {}
     for i, win in enumerate(wins):
         groups.setdefault(win.shape, []).append(i)
     solved = {}
@@ -483,10 +482,9 @@ def _solve_windows(duals, field, unit, starts, t, T):
             r, _, info = barrier_minimize(phi, A, b, np.array([win.interior for win in group]))
             m = (r / gam).sum(axis=1).tolist()
         kkt = (info["gap_bound"] + info["eq_residual"]).tolist()
-        near = (r.min(axis=1) < 1e-7).tolist()
-        outcome = zip(
-            info["value"].tolist(), m, r.tolist(), kkt, near, info["iterations"].tolist(), info["failure"]
-        )
+        masses = r.tolist()
+        near = [min(x) < 1e-7 for x in masses]
+        outcome = zip(info["value"].tolist(), m, masses, kkt, near, info["iterations"].tolist(), info["failure"])
         solved.update(zip(members, outcome))
     for i, (start, win) in enumerate(zip(starts, wins)):
         entropy, m, masses, kkt, near, iterations, failure = solved[i]
@@ -577,7 +575,7 @@ def solve_entropy_shift(
     for nid in tree._dfs_order:
         if tree.is_leaf(nid):
             continue
-        poly = duals.polytope(nid)
+        poly = node_polytope(tree, nid)
         if poly.empty:
             raise ArbitrageError(f"node {nid!r}: empty one-step polytope")
         inv_children = np.array([1.0 / gamma[c] for c in poly.children])
@@ -620,7 +618,8 @@ def _overall_record(tag, records, tol):
     value, under ``tag`` and without details; a pass at 0 with no windows."""
     if not records:
         return CheckRecord(tag, verdict=True, value=0.0, target=0.0, tolerance=tol)
-    return replace(max(records, key=lambda r: r.value), check_tag=tag, details={})
+    r = max(records, key=lambda r: r.value)
+    return CheckRecord(tag, r.verdict, r.value, r.target, r.tolerance, r.std_error, r.worst_node, r.notes)
 
 
 def check_self_generation_primal(

@@ -24,7 +24,9 @@ definitions, (for the random kernels) the Philox rounds and the reduction
 tree computed from their definitions, with the replaced two-normal
 Gaussian kernel and zero-padded pairwise sum kept beside them as they
 were, (for the entropy kernel) the replaced ``np.where`` form, (for the
-density and field paths)
+factor solve and the one-step vertices, which the window programs' interior
+points and the product-measure count also read here) the replaced forms on
+numpy arrays, (for the density and field paths)
 one whole-matrix numpy expression per quantity, over increments drawn
 here rather than read from the simulation, (for the path export)
 the CSV written row by row from the whole simulation's matrices, or (for
@@ -47,11 +49,9 @@ from forwardperf.errors import ConvergenceError
 from forwardperf.fields import ExponentialFieldParams
 from forwardperf.report import CheckRecord, VerificationReport
 from forwardperf.tree_market import (
-    _restricted_vertices,
     density_process,
     enumerate_product_measures,
     measure_from_leaf_masses,
-    node_polytope,
 )
 from forwardperf.tree_verifier import _conjugate_read, primal_value
 
@@ -341,6 +341,117 @@ def _search_positive(f, pts, tol, max_expand=120):
     return f_best, x_best
 
 
+# -- the factor solve and one-step vertices on numpy arrays ------------------
+
+
+def numpy_minimize_exp_sum(weights, slopes):
+    """``solvers.minimize_exp_sum`` as the package ran it on numpy arrays,
+    before its steps moved to Python floats: the same bracket, safeguarded
+    Newton steps, errors and their order, with each sum by ``ndarray.sum``."""
+    w = np.asarray(weights, dtype=float)
+    s = np.asarray(slopes, dtype=float)
+    if w.shape != s.shape or w.ndim != 1 or w.size == 0:
+        raise ValueError("minimize_exp_sum: need matching nonempty 1-D arrays")
+    if (w <= 0.0).any():
+        raise ValueError("minimize_exp_sum: weights must be positive")
+    nz = s != 0.0
+    if not nz.any():
+        return 0.0, float(w.sum())
+    if (s[nz] > 0.0).all() or (s[nz] < 0.0).all():
+        raise ValueError(
+            "minimize_exp_sum: slopes are one-sided, infimum not attained "
+            "(martingale-measure constraint violated upstream)"
+        )
+    with np.errstate(over="ignore"):
+
+        def val_grad(p):
+            e = w * np.exp(s * p)
+            return float(e.sum()), float((e * s).sum())
+
+        lo = hi = 0.0
+        _, g0 = val_grad(0.0)
+        if g0 > 0.0:
+            step = 1.0
+            while True:
+                lo = lo - step
+                _, glo = val_grad(lo)
+                if glo <= 0.0:
+                    break
+                step *= 2.0
+                if step > 2.0**60:
+                    raise ConvergenceError("minimize_exp_sum: bracket expansion failed")
+        elif g0 < 0.0:
+            step = 1.0
+            while True:
+                hi = hi + step
+                _, ghi = val_grad(hi)
+                if ghi >= 0.0:
+                    break
+                step *= 2.0
+                if step > 2.0**60:
+                    raise ConvergenceError("minimize_exp_sum: bracket expansion failed")
+        else:
+            return 0.0, float(w.sum())
+
+        p = 0.5 * (lo + hi)
+        for _ in range(solvers._EXP_SUM_MAX_ITER):
+            if hi - lo < solvers._EXP_SUM_TOL * (1.0 + abs(lo) + abs(hi)):
+                break
+            e = w * np.exp(s * p)
+            g = float((e * s).sum())
+            h = float((e * s * s).sum())
+            if g > 0.0:
+                hi = p
+            elif g < 0.0:
+                lo = p
+            else:
+                break
+            p_newton = p - g / h if h > 0.0 and math.isfinite(g) and math.isfinite(h) else math.nan
+            if math.isfinite(p_newton) and lo < p_newton < hi:
+                p = p_newton
+            else:
+                p = 0.5 * (lo + hi)
+        value, _ = val_grad(p)
+    return float(p), value
+
+
+def numpy_one_step_vertices(dprices):
+    """``tree_market.one_step_vertices`` as the package built it on numpy
+    arrays: singletons at zero increments, then pairs of opposite sign,
+    each row dropped when within 1e-12 of an earlier one in every entry."""
+    d = np.asarray(dprices, dtype=float)
+    m = d.size
+    verts = []
+
+    def _push(v):
+        for seen in verts:
+            if np.max(np.abs(seen - v)) <= 1e-12:
+                return
+        verts.append(v)
+
+    for j in range(m):
+        if d[j] == 0.0:
+            v = np.zeros(m)
+            v[j] = 1.0
+            _push(v)
+    for i in range(m):
+        for j in range(i + 1, m):
+            den = d[j] - d[i]
+            if den == 0.0:
+                continue
+            qi = d[j] / den
+            qj = -d[i] / den
+            if qi < 0.0 or qj < 0.0:
+                continue
+            v = np.zeros(m)
+            v[i] = qi
+            v[j] = qj
+            _push(v)
+    if not verts:
+        return np.empty((0, m))
+    return np.vstack(verts)
+
+
 # -- the barrier solver, one program at a time ------------------------------
 
 
@@ -456,7 +567,7 @@ def _window_program(tree, start, T):
         for br in tree.branches_of(m):
             for w in tree.descendants_at(br.child, T):
                 row[index[w]] = br.dprice
-        center = node_polytope(tree, m).centroid()
+        center = numpy_one_step_vertices([br.dprice for br in tree.branches_of(m)]).mean(axis=0)
         for j, child in enumerate(tree.children(m)):
             mass[child] = mass[m] * float(center[j])
     return leaves, p, rows, np.array([mass[w] for w in leaves])
@@ -909,9 +1020,10 @@ def measures_below(tree, nid, T):
     children = tree.children(nid)
     kids = {c: n for c in children if (n := measures_below(tree, c, T)) > 0}
     total = 0
-    for v in _restricted_vertices(tree, nid, set(kids)):
+    allowed = [c for c in children if c in kids]
+    for v in numpy_one_step_vertices([tree.branch_to(c).dprice for c in allowed]):
         n = 1
-        for x, c in zip(v, children):
+        for x, c in zip(v, allowed):
             if x > 1e-12:
                 n *= kids[c]
         total += n

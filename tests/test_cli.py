@@ -273,22 +273,26 @@ def test_tree_scenario_runs_each_factor_recursion_once(monkeypatch):
 
 
 def test_tree_scenario_builds_each_vertex_row_once(monkeypatch):
-    calls = []
-    original = tree_market._restricted_vertices
-
-    def counted(tree, nid, allowed):
-        calls.append(nid)
-        return original(tree, nid, allowed)
-
-    monkeypatch.setattr(tree_market, "_restricted_vertices", counted)
     doc = random_tree_doc(PINNED_TREE_SHIFTS["explicit"], periods=3)
+    calls = []
+    original = tree_market.one_step_vertices
+
+    def counted(dprices):
+        calls.append(tuple(dprices))
+        return original(dprices)
+
+    monkeypatch.setattr(tree_market, "one_step_vertices", counted)
+    assert "nflvr" in cli.TREE_CHECKS
     assert cli.run_tree_scenario(doc).all_passed
     tree = random_tree(7, periods=3)
-    # a node's restricted vertex rows depend on the window's end T and not
-    # on its start: one build per (node, T) with time(node) < T, across
-    # both vertex recursions and all six windows
-    expected = [n for T in range(1, 4) for n in tree._dfs_order if tree.time_of(n) < T]
-    assert sorted(calls) == sorted(expected)
+    # a node's one-step vertices depend on which of its children may carry
+    # mass, not on the window or the check: one build per node and set of
+    # allowed children, shared by nflvr, the dual programs' interior
+    # points, the shift construction and both vertex recursions over all
+    # six windows. Every child of this tree admits a measure, so each node
+    # is built once, over all of its children
+    interior = [n for n in tree._dfs_order if not tree.is_leaf(n)]
+    assert sorted(calls) == sorted(tuple(br.dprice for br in tree.branches_of(n)) for n in interior)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_TREE_SHIFTS))
@@ -552,6 +556,21 @@ def test_nonfinite_constant_rejected(tmp_path, capsys):
     p.write_text('{"schema_version": 1, "kind": "tree-verify", "tolerance": NaN}')
     assert main(["run", str(p)]) == 2
     assert "non-finite constant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", ["$.tolerance", "$.gamma0", "$.tree.nodes[0].branches[0].dprice"])
+def test_integer_too_large_for_a_float_is_refused(tmp_path, capsys, path):
+    # json reads a 401-digit integer exactly; float() of it overflows
+    big = 10**400
+    if path == "$.gamma0":
+        doc = ito_doc(gamma0=big)
+    elif path == "$.tolerance":
+        doc = tree_doc(tolerance=big)
+    else:
+        doc = tree_doc()
+        doc["tree"]["nodes"][0]["branches"][0]["dprice"] = big
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    assert f"{path}: too large for a float" in capsys.readouterr().err
 
 
 def test_missing_scenario_file(tmp_path, capsys):

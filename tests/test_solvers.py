@@ -76,6 +76,56 @@ def test_minimize_exp_sum_asymmetric():
     assert v == pytest.approx(float(np.sum(w * np.exp(s * p))), rel=1e-14)
 
 
+def _outcome(fn, w, s):
+    """The result of a solve, or the type and text of its error."""
+    try:
+        return fn(w, s)
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_minimize_exp_sum_matches_numpy_oracle_bit_for_bit():
+    # random programs on 1 to 20 branches (8 or more sum pairwise), with
+    # zero and -0.0 slopes, one-sided slopes and brackets whose ends
+    # overflow exp
+    rng = np.random.default_rng(3)
+    seen = set()
+    for trial in range(1000):
+        k = int(rng.integers(1, 21))
+        w = 10.0 ** rng.uniform(-200 if trial % 10 == 0 else -4, 3, size=k)
+        s = rng.uniform(-1.0, 1.0, size=k) * 10.0 ** rng.uniform(-6, 4 if trial % 5 else 300, size=k)
+        s[rng.random(k) < 0.15] = rng.choice([0.0, -0.0])
+        if trial % 9 == 0:
+            s = np.abs(s)
+        got = _outcome(minimize_exp_sum, w.tolist(), s.tolist())
+        want = _outcome(oracles.numpy_minimize_exp_sum, w, s)
+        assert repr(got) == repr(want), (w, s)
+        seen.add((k >= 8, isinstance(got[0], str)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize(
+    "w, s",
+    [
+        ([1.0], [1.0, -1.0]),  # shape before weights
+        ([[1.0, 1.0]], [[1.0, -1.0]]),
+        ([], []),
+        ([-1.0, 1.0], [1.0, 2.0]),  # weights before one-sided slopes
+        ([0.0, 1.0], [0.0, 0.0]),  # weights before the zero-slope answer
+        ([0.4, 0.6], [0.0, -0.0]),
+        ([0.5, 0.5], [0.0, -1.0]),
+        ([1.0, 2.0], [1e-30, -1e-30]),  # the bracket outgrows 2**60
+        ([1e-200, 1.0], [1e3, -1.0]),  # exp overflows at the bracket's end
+        ([float("nan"), 1.0], [1.0, -1.0]),
+        ([1.0, 1.0], [float("nan"), -1.0]),
+        ([1.0, 1.0], [1.0, float("nan")]),
+        ([1.0] * 9, [-1.0] + [0.0] * 7 + [2.0]),
+    ],
+)
+def test_minimize_exp_sum_errors_and_edges_match_numpy_oracle(w, s):
+    assert repr(_outcome(minimize_exp_sum, w, s)) == repr(_outcome(oracles.numpy_minimize_exp_sum, w, s))
+
+
 # -- barrier solver ------------------------------------------------------
 
 

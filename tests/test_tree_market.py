@@ -201,6 +201,37 @@ def test_vertices_zero_singleton():
     np.testing.assert_allclose(v, [[1.0]])
 
 
+def _vertex_increments(rng):
+    """Increments with zeros of both signs, opposite-sign pairs, and
+    near-duplicates that make pairs land within the vertex tolerance."""
+    kind = rng.integers(4)
+    m = int(rng.integers(1, 7))
+    d = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3, size=m)
+    if kind == 1:
+        d[rng.random(m) < 0.4] = rng.choice([0.0, -0.0])
+    elif kind == 2:
+        # a tiny increment against others of one sign: the pairs through
+        # it are all near the singleton at it, and only the first stays
+        d = np.concatenate([[1e-14 * rng.choice([-1.0, 1.0])], -np.abs(d), np.abs(d[:2])])
+    elif kind == 3:
+        d = np.concatenate([d, d + 1e-13, -d])
+    return d.tolist()
+
+
+def test_vertices_match_numpy_oracle_bit_for_bit():
+    rng = np.random.default_rng(12)
+    near = 0
+    for _ in range(800):
+        d = _vertex_increments(rng)
+        got, want = one_step_vertices(d), oracles.numpy_one_step_vertices(d)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), d
+        # without zeros, each opposite-sign pair is a vertex; fewer rows
+        # means near-duplicates were dropped
+        near += 0.0 not in d and got.shape[0] < sum(x * y < 0.0 for i, x in enumerate(d) for y in d[i + 1 :])
+    assert near > 50
+
+
 def test_nflvr_passes_on_standard_trees():
     for tree in (binomial_tree(), trinomial_tree(), two_period_tree()):
         ok, report = check_nflvr(tree)
