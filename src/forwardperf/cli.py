@@ -138,6 +138,8 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(
             f"scenario {path!r} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer longer than Python's int-string conversion limit
+        raise ScenarioError(f"scenario {path!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("$: scenario must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:

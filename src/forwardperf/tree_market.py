@@ -283,6 +283,8 @@ class EventTree:
                 data = json.load(fh, parse_constant=_reject_const)
             except json.JSONDecodeError as exc:
                 raise ScenarioError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
+            except ValueError as exc:  # an integer longer than Python's int-string conversion limit
+                raise ScenarioError(f"{path}: {exc}") from None
         try:
             return cls.from_dict(data, validate=validate)
         except ScenarioError as exc:

@@ -18,34 +18,51 @@ martingale measure, so the field cannot self-generate: the primal value
 refuses it. Exponential fields are the only field type either value
 accepts.
 
-Dual value as one convex program per (window, start):
+Dual value of the window [t, T] at a time-t start: the minimum of
+sum_w p_w V(w, eta r_w / p_w) over the window's martingale measures, with r
+their terminal conditional masses. It is solved at eta = 1 only: the
+objective is eta log(eta) m(r) + eta J(r), with J free of eta and
+m(r) = sum_w r_w / gamma_w, which is 1/gamma at the start for every
+measure of the window when 1/gamma is replicable, so v(eta) =
+eta v(1) + eta log(eta) m. v(1) is the conditional entropy functional,
+which also drives the backward construction of the shift.
 
-    v(eta; t, T) = min over terminal conditional masses r of
-                   sum_w p_w V(w, eta r_w / p_w)
+The eta = 1 program splits into one-step programs. With m_w = 1/gamma_w and
+c_w = h(m_w) - a_w m_w (h the entropy kernel), its objective is
+sum_w r_w (m_w log(r_w / p_w) + c_w). Let f_n(z) be its minimum over the
+masses below node n that sum to z; at a time-T node f_w(z) = z (m_w log z
++ c_w). If f_k(z) = z (m_k log z + c_k) at every child k of n, then over
+the one-step conditionals q of n
 
-subject to r >= 0, sum r = 1, and one linear martingale constraint per
-interior node (``window_programs``); solved by the log-barrier Newton
-method in ``solvers``, at eta = 1 only, the programs of a window's starts
-with one constraint shape as one stack. The objective is eta log(eta) m(r) + eta J(r), with J free
-of eta and m(r) = sum_w r_w / gamma_w, which is 1/gamma at the start for
-every measure of the window when 1/gamma is replicable. So the minimiser
-(the minimal-entropy martingale measure) serves every eta, read as
-v(eta) = eta v(1) + eta log(eta) m; without replicability the read is
-refused. v(1) is the conditional entropy functional (the splitting
-identity for the entropy kernel kills the extra term), which also drives
-the backward construction of the consistent additive shift.
+    f_n(z) = min over q of z [log z sum_k q_k m_k
+                              + sum_k q_k (m_k log(q_k / p_k) + c_k)].
+
+Replicability makes sum_k q_k m_k = m_n for every one-step martingale
+measure q, so the minimising q does not depend on z, and
+f_n(z) = z (m_n log z + c_n) with c_n the one-step program's value. That
+program is the leaf objective p h(q / (p gamma)) - q a / gamma over the
+children, each child's a its implied shift (c_k = h(m_k) - a m_k). A
+window's value at its start is c_start, and its minimiser is the product
+of the one-step minimisers along each path. So every window ending at T
+is read from one sweep of the one-step programs before T
+(``WindowDuals.sweep``). Error bound: a child's value enters its parent's
+objective as sum_k q_k c_k, a convex combination, so errors of at most e_k
+in the c_k move the parent's minimum by at most max_k e_k: a window's
+entropy is within the largest sum of node bounds (gap bound plus equality
+residual) along a path from its start (``kkt_residual``). Without
+replicability the field cannot self-generate: the dual value refuses it,
+and the dual records fail with the replication certificate.
 
 Conjugacy u(xi) = inf over eta of v(eta) + xi eta is read from the same
-eta = 1 program in closed form: the infimum of eta (v(1) + xi) +
+eta = 1 value in closed form: the infimum of eta (v(1) + xi) +
 eta log(eta) m is -m e^E, attained at eta = e^E with E = -(v(1) + xi)/m - 1.
-It needs no solve beyond the window's one program.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,11 +82,11 @@ from .tree_market import (
     node_polytope,
     vertex_recursion,
 )
-from .window_programs import WindowProgram, dual_objective, walk_window
 
 _REPLICATION_TOL = 1e-10
 _INVERSE_GAMMA_TOL = 1e-9  # conditional mean of 1/gamma, per node
-_DUAL_READ = "a dual value at eta other than 1 is read from the eta = 1 program"
+_DUAL_SPLIT = "the dual value is composed from one-step programs"
+_UNREPLICATED = "no portfolio replicates 1/gamma: the dual program does not split, and is not solved"
 
 
 # -- results -------------------------------------------------------------
@@ -104,28 +121,26 @@ class DualResult:
     T: int
     values: dict[str, float]
     eta: Mapping[str, float]
-    replication: ReplicationResult
-    # per start, from the window's eta = 1 program that .at reads: its
-    # value (the minimal conditional entropy), m = sum_w r*_w / gamma_w at
-    # its minimiser r*, and r* itself as {time-T node: mass given the start}
-    entropy: dict[str, float] = dc_field(default_factory=dict)
-    inverse_gamma_mean: dict[str, float] = dc_field(default_factory=dict)
-    leaf_masses: dict[str, dict[str, float]] = dc_field(default_factory=dict)
-    kkt_residual: dict[str, float] = dc_field(default_factory=dict)
-    near_boundary: dict[str, bool] = dc_field(default_factory=dict)
-    newton_iterations: dict[str, int] = dc_field(default_factory=dict)
+    # per start, the window's eta = 1 value that .at reads (the minimal
+    # conditional entropy), m = sum_w r*_w / gamma_w at its minimiser r*, r*
+    # as {time-T node: mass given the start}, and the sweep's evidence
+    entropy: dict[str, float]
+    inverse_gamma_mean: dict[str, float]
+    leaf_masses: dict[str, dict[str, float]]
+    kkt_residual: dict[str, float]
+    near_boundary: dict[str, bool]
+    newton_iterations: dict[str, int]
 
     def at(self, eta) -> DualResult:
         """The same window at dual argument eta (scalar or per-node), read
         from its eta = 1 program: v(eta) = eta v(1) + eta log(eta) m, and 0
         at eta = 0. The minimiser and the solver evidence are the eta = 1
-        program's. The read is exact only when 1/gamma is replicable, so
-        without replication an eta other than 1 is refused."""
-        eta_by_node = _eta_by_node(eta, self.eta, self.replication)
+        program's."""
+        eta_by_node = _eta_by_node(eta, self.eta)
         nodes = list(eta_by_node)
         values = _dual_read(self, nodes, np.array(list(eta_by_node.values())))
         return DualResult(
-            self.t, self.T, dict(zip(nodes, values.tolist())), eta_by_node, self.replication, self.entropy,
+            self.t, self.T, dict(zip(nodes, values.tolist())), eta_by_node, self.entropy,
             self.inverse_gamma_mean, self.leaf_masses, self.kkt_residual, self.near_boundary, self.newton_iterations,
         )
 
@@ -185,13 +200,11 @@ def _require_replication(rep, what):
         )
 
 
-def _eta_by_node(eta, nodes, rep):
-    """Nonnegative eta per node; one other than 1 needs replication."""
+def _eta_by_node(eta, nodes):
+    """Nonnegative eta per node."""
     eta_by_node = _per_node(eta, nodes, "eta")
     if any(e < 0.0 for e in eta_by_node.values()):
         raise ValueError("eta must be nonnegative")
-    if any(e != 1.0 for e in eta_by_node.values()):
-        _require_replication(rep, _DUAL_READ)
     return eta_by_node
 
 
@@ -203,32 +216,24 @@ class WindowDuals:
     what the checks of a scenario read more than once, each built on first
     use and kept.
 
-    A scenario probes the same windows again and again: the shift
-    construction's eta = 1 programs to the horizon, the dual
-    self-generation grid, the conjugacy eta grid, the eta = 1 entropy
-    minimiser of the exponential-condition and forward checks, and the
-    primal factor recursion of every window. The entries, by their keys:
+    The entries, by their keys:
 
     - per tree: each node's vertex centroid, refused when the node has no
       equivalent one-step measure (``centroid``), from its one-step
       polytope, which the tree keeps (``node_polytope``); and the
       replication of 1/gamma (``replication``);
-    - per T: the vertex table (``vertices``); and, keyed also by the
-      bits of a_shift at the time-T nodes, the factor C(node) of each node
-      some window ending at T has needed (``factors``): both depend on the
-      window's end and not on its start;
+    - per T: the vertex table (``vertices``); and, keyed also by the bits
+      of a_shift at the time-T nodes, the factor C(node) of each node some
+      window ending at T has needed (``factors``) and the sweep of one-step
+      dual programs to T (``sweep``), which depend on the window's end and
+      not on its start;
     - per (t, T): the (max, min) range of E^Q[1/gamma_T | node] over the
       product vertices (``inverse_gamma_range``);
-    - per (start, T): the window's leaves, their reference masses, its
-      martingale rows, its interior starting point and its nodes before T
-      (``window``);
     - per (t, T), keyed also by the bits of a_shift at the time-T nodes:
-      the window's one dual program, solved at eta = 1 by ``dual_value``
-      (``dual``) and read at every eta by ``DualResult.at``. A window's
-      program reads the field only through gamma and a_shift at its time-T
-      nodes, so a shift moved before T (a perturbed root) reads the solves
-      of the shift construction, and one moved at a time-T node solves
-      afresh.
+      the window's eta = 1 dual value (``dual``), which ``DualResult.at``
+      reads at every eta. A shift moved before T (a perturbed root) reads
+      the sweeps of the shift construction; one moved at a time-T node
+      solves afresh.
 
     Every entry is what a fresh call returns, bit for bit. The gamma is
     fixed: a check given the context of another tree or gamma refuses it.
@@ -242,7 +247,7 @@ class WindowDuals:
         self._vertices: dict[int, dict[str, tuple]] = {}
         self._factors: dict[tuple[int, bytes], tuple[dict, dict]] = {}
         self._inverse_gamma: dict[tuple[int, int], dict] = {}
-        self._windows: dict[tuple[str, int], WindowProgram] = {}
+        self._sweeps: dict[tuple[int, bytes], _Sweep] = {}
         self._solved: dict[tuple[int, int, bytes], DualResult] = {}
 
     def _shift_key(self, a_shift, T):
@@ -288,14 +293,18 @@ class WindowDuals:
             self._inverse_gamma[(t, T)] = _inverse_gamma_range(self, t, T)
         return self._inverse_gamma[(t, T)]
 
-    def window(self, start: str, T: int) -> WindowProgram:
-        if (start, T) not in self._windows:
-            self._windows[(start, T)] = walk_window(self, start, T)
-        return self._windows[(start, T)]
+    def sweep(self, a_shift: Mapping[str, float], t: int, T: int) -> _Sweep:
+        """The sweep to T for this a_shift at the time-T nodes, solved down
+        to level t (``_Sweep.extend``)."""
+        key = (T, self._shift_key(a_shift, T))
+        if key not in self._sweeps:
+            self._sweeps[key] = _Sweep(self, a_shift, T)
+        self._sweeps[key].extend(t)
+        return self._sweeps[key]
 
     def dual(self, field: ExponentialFieldParams, t: int, T: int) -> DualResult:
-        """``dual_value(tree, field, 1.0, t, T)``, the window's program,
-        solved once; ``.at(eta)`` reads it at another eta."""
+        """``dual_value(tree, field, 1.0, t, T)``, read once; ``.at(eta)``
+        reads it at another eta."""
         key = (t, T, self._shift_key(field.a_shift, T))
         if key not in self._solved:
             self._solved[key] = dual_value(self.tree, field, 1.0, t, T, duals=self)
@@ -460,46 +469,119 @@ def primal_value(
 # -- dual ----------------------------------------------------------------
 
 
-def _solve_windows(duals, field, unit, starts, t, T):
-    """Fill ``unit`` with the eta = 1 programs below ``starts``, one
-    ``barrier_minimize`` call per window shape. Refuses the first start in
-    tree order whose program fails: its objective out of the float range
-    at its start, the solver's failure, or its entropy or m out of the
-    float range at the result."""
-    wins = [duals.window(start, T) for start in starts]
-    groups = {}
-    for i, win in enumerate(wins):
-        groups.setdefault(win.shape, []).append(i)
-    solved = {}
-    for members in groups.values():
-        group = [wins[i] for i in members]
-        phi, gam = dual_objective(field, group)
-        A = np.array([win.A for win in group])
-        b = np.zeros(A.shape[:2])
+def _one_step_objective(p, gam, ash):
+    """The eta = 1 dual objective p h(q / (p gamma)) - q a / gamma per child
+    (branch probability, gamma, shift) of a stack of one-step programs, as
+    ``phi(rows)``: the objective of the programs ``rows`` (increasing
+    indices), a map from their iterates q to (values, gradients, second
+    derivatives)."""
+    kappa = 1.0 / (p * gam)
+    lin = ash / gam
+    slope = 1.0 / gam
+
+    def phi(rows):
+        kappa_r, p_r, lin_r, slope_r, gam_r = (x if len(rows) == len(p) else x[rows] for x in (kappa, p, lin, slope, gam))
+
+        def objective(q):
+            # entropy_kernel(y) = y log y - y, extended by 0 at y = 0, with
+            # the logarithm taken once for the value and the gradient
+            y = kappa_r * q
+            log_y = np.log(y)
+            v = p_r * np.where(y > 0.0, y * log_y - y, 0.0) - lin_r * q
+            g = slope_r * log_y - lin_r
+            h = 1.0 / (gam_r * q)
+            return v, g, h
+
+        return objective
+
+    return phi
+
+
+class _Sweep:
+    """The one-step dual programs before T for one a_shift at the time-T
+    nodes, solved level by level from T - 1 down (``extend``). Per solved
+    node: its minimiser ``q`` as (child, mass) pairs; the ``entropy`` and m
+    (sum_k q_k m_k) of the window [time(node), T] at it; the ``shift`` its
+    parent reads (implied by that entropy; a_shift at time T); the largest
+    sum of node bounds along a path below it (``kkt``) and the Newton
+    iterations summed below it (``newton``)."""
+
+    def __init__(self, duals, a_shift, T):
+        self.duals, self.T, self.level = duals, T, T
+        ends = duals.tree.nodes_at(T)
+        self.shift = {w: float(a_shift[w]) for w in ends}
+        self.inverse_gamma_mean = {w: 1.0 / duals.gamma[w] for w in ends}
+        self.kkt, self.newton = dict.fromkeys(ends, 0.0), dict.fromkeys(ends, 0)
+        self.q, self.entropy = {}, {}
+
+    def extend(self, t):
+        """Solve the levels below the lowest solved one down to t, each
+        level's programs of one shape (children, and whether a price moves)
+        as one ``barrier_minimize`` stack; at t = T, the windows of no step
+        read h(m) - a m. A level with a failing program is refused with
+        ConvergenceError, naming the first in tree order."""
+        tree = self.duals.tree
+        if t == self.T:
+            ends = tree.nodes_at(t)
+            m, a = _at_nodes(self.inverse_gamma_mean, ends), _at_nodes(self.shift, ends)
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.entropy.update(zip(ends, (entropy_kernel(m) - a * m).tolist()))
+        for s in range(self.level - 1, t - 1, -1):
+            level, groups, failures = tree.nodes_at(s), {}, {}
+            for n in level:
+                branches = tree.branches_of(n)
+                groups.setdefault((len(branches), any(br.dprice != 0.0 for br in branches)), []).append(n)
+            for nodes in groups.values():
+                failures.update(self._solve(s, nodes))
+            failed = [failures[n] for n in level if n in failures]
+            if failed:
+                raise ConvergenceError(failed[0])
+            shift = _implied_shift(_at_nodes(self.duals.gamma, level), 1.0, _at_nodes(self.entropy, level))
+            self.shift.update(zip(level, shift.tolist()))
+            self.level = s
+
+    def _solve(self, s, nodes):
+        """One stack from the nodes' vertex centroids, with rows [1; dprice];
+        returns the refusal of each program that fails."""
+        tree, gamma = self.duals.tree, self.duals.gamma
+        data = [[(br.prob, gamma[br.child], self.shift[br.child], br.dprice) for br in tree.branches_of(n)] for n in nodes]
+        p, gam, ash, dprice = np.array(data).transpose(2, 0, 1)
+        A = np.ones((len(nodes), 2, dprice.shape[1]))
+        A[:, 1] = dprice
+        b = np.zeros((len(nodes), 2))
         b[:, 0] = 1.0
+        r0 = np.array([self.duals.centroid(n) for n in nodes])
         # the overflows on the way print no warning
         with np.errstate(over="ignore", invalid="ignore"):
-            r, _, info = barrier_minimize(phi, A, b, np.array([win.interior for win in group]))
-            m = (r / gam).sum(axis=1).tolist()
+            q, _, info = barrier_minimize(_one_step_objective(p, gam, ash), A, b, r0)
         kkt = (info["gap_bound"] + info["eq_residual"]).tolist()
-        masses = r.tolist()
-        near = [min(x) < 1e-7 for x in masses]
-        outcome = zip(info["value"].tolist(), m, masses, kkt, near, info["iterations"].tolist(), info["failure"])
-        solved.update(zip(members, outcome))
-    for i, (start, win) in enumerate(zip(starts, wins)):
-        entropy, m, masses, kkt, near, iterations, failure = solved[i]
-        where = f"dual program below node {start!r} on [{t}, {T}]"
-        if failure is not None and iterations:
-            raise ConvergenceError(f"{where}: {failure}")
-        if failure is not None or not (math.isfinite(entropy) and math.isfinite(m)):
-            # a failure at the start is an objective out of the float range
-            raise ConvergenceError(f"{where} leaves the float range: entropy {entropy!r}, m {m!r}")
-        unit.entropy[start] = entropy
-        unit.inverse_gamma_mean[start] = m
-        unit.leaf_masses[start] = dict(zip(win.leaves, masses))
-        unit.kkt_residual[start] = kkt
-        unit.near_boundary[start] = near
-        unit.newton_iterations[start] = iterations
+        failures = {}
+        outcome = zip(nodes, q.tolist(), info["value"].tolist(), kkt, info["iterations"].tolist(), info["failure"])
+        for n, qn, value, bound, iterations, failure in outcome:
+            pairs = [(br.child, x) for br, x in zip(tree.branches_of(n), qn)]
+            m = sum(x * self.inverse_gamma_mean[k] for k, x in pairs)
+            where = f"dual program below node {n!r} on [{s}, {self.T}]"
+            if failure is not None and iterations:
+                failures[n] = f"{where}: {failure}"
+            elif failure is not None or not (math.isfinite(value) and math.isfinite(m)):
+                # a failure at the start is an objective out of the float range
+                failures[n] = f"{where} leaves the float range: entropy {value!r}, m {m!r}"
+            self.q[n], self.entropy[n], self.inverse_gamma_mean[n] = pairs, value, m
+            self.kkt[n] = bound + max(self.kkt[k] for k, _ in pairs)
+            self.newton[n] = iterations + sum(self.newton[k] for k, _ in pairs)
+        return failures
+
+    def leaf_masses(self, start):
+        """The minimiser's mass on each time-T node below ``start``, in DFS
+        order: the product of the one-step minimisers along its path."""
+        out, stack = {}, [(start, 1.0)]
+        while stack:
+            n, mass = stack.pop()
+            if n in self.q:
+                stack.extend([(k, mass * x) for k, x in reversed(self.q[n])])
+            else:
+                out[n] = mass
+        return out
 
 
 def dual_value(
@@ -512,16 +594,15 @@ def dual_value(
 ) -> DualResult:
     """Dual value field on [t, T] at dual argument eta (scalar or per-node).
 
-    Minimizes the terminal dual expectation over all absolutely continuous
-    martingale measures of the window at eta = 1, per start, and reads eta
-    from that program (``DualResult.at``); the minimiser is reported as its
-    leaf masses (``leaf_masses``), with a near-boundary flag rather than an
-    interiority assumption. The programs of starts whose windows have one
-    shape are solved as one stack; a refusal names the first start, in
-    tree order, whose program fails. Without a portfolio replicating
-    1/gamma, an eta other than 1 is refused with ``ReplicationError``
-    before anything is solved. ``duals`` shares the window data and the
-    replication with the other programs of a scenario.
+    The minimum over the window's martingale measures at eta = 1, per
+    start, composed from the sweep to T (``WindowDuals.sweep``), read at
+    eta by ``DualResult.at``. The minimiser is reported as its leaf masses,
+    with a near-boundary flag rather than an interiority assumption. A
+    refusal names the first failing one-step program, by its node and
+    window [time(node), T], of the first level solved that has one. Without
+    a portfolio replicating 1/gamma every eta is refused with
+    ``ReplicationError`` before anything is solved. ``duals`` shares the
+    sweeps with the other windows of a scenario.
     """
     _check_field_type(field)
     if T is None:
@@ -530,11 +611,15 @@ def dual_value(
         raise ValueError(f"bad window [{t}, {T}] for horizon {tree.horizon}")
     starts = tree.nodes_at(t)
     duals = _window_duals(duals, tree, field.gamma)
-    rep = duals.replication()
-    eta_by_node = _eta_by_node(eta, starts, rep)
-    unit = DualResult(t=t, T=T, values={}, eta=dict.fromkeys(starts, 1.0), replication=rep)
-    _solve_windows(duals, field, unit, starts, t, T)
-    return unit.at(eta_by_node)
+    eta_by_node = _eta_by_node(eta, starts)
+    _require_replication(duals.replication(), _DUAL_SPLIT)
+    sweep = duals.sweep(field.a_shift, t, T)
+    masses = {s: sweep.leaf_masses(s) for s in starts}
+    entropy, m, kkt, newton = (
+        {s: x[s] for s in starts} for x in (sweep.entropy, sweep.inverse_gamma_mean, sweep.kkt, sweep.newton)
+    )
+    near = {s: min(x.values()) < 1e-7 for s, x in masses.items()}
+    return DualResult(t, T, {}, dict.fromkeys(starts, 1.0), entropy, m, masses, kkt, near, newton).at(eta_by_node)
 
 
 # -- entropy -------------------------------------------------------------
@@ -561,10 +646,10 @@ def solve_entropy_shift(
 
         a[node] = gamma * (entropy_kernel(1/gamma) - min entropy to horizon).
 
-    The dynamic-programming principle of the entropy minimum makes the
-    resulting shift consistent over every window, not just to the horizon.
-    The eta = 1 programs to the horizon read only the terminal shift, so
-    through ``duals`` the checks of the scenario read them too.
+    That is the sweep to the horizon (``WindowDuals.sweep``), whose implied
+    shifts are consistent over every window by the dynamic-programming
+    principle of the entropy minimum. Through ``duals`` the checks of the
+    scenario read that sweep too.
     """
     leaves = tree.leaves()
     a_term = _per_node(terminal_a, leaves, "terminal_a")
@@ -586,14 +671,10 @@ def solve_entropy_shift(
                     f"inverse-gamma conditional mean violated at node {nid!r}: "
                     f"vertex gives {got:.12g}, field has {1.0 / gamma[nid]:.12g}"
                 )
-    # the programs to the horizon read only the leaf shifts
-    terminal = ExponentialFieldParams(gamma, {n: a_term.get(n, 0.0) for n in gamma})
+    sweep = duals.sweep(a_term, 0, tree.horizon)
     a_out: dict[str, float] = dict(a_term)
     for t in range(tree.horizon - 1, -1, -1):
-        ent = duals.dual(terminal, t, tree.horizon)
-        nodes = tree.nodes_at(t)
-        shift = _implied_shift(_at_nodes(gamma, nodes), 1.0, _at_nodes(ent.values, nodes))
-        a_out.update(zip(nodes, shift.tolist()))
+        a_out.update((n, sweep.shift[n]) for n in tree.nodes_at(t))
     return a_out
 
 
@@ -610,6 +691,16 @@ def _gap_record(tag, gaps, tol, **extra):
     node = None if passed else next(n for n, g in gaps.items() if g == worst)
     return CheckRecord(
         tag, verdict=passed, value=worst, target=0.0, tolerance=tol, worst_node=node, **extra
+    )
+
+
+def _unreplicated_record(tag, rep):
+    """The failing record of a window whose dual program is not solved:
+    no portfolio replicates 1/gamma, with the replication's residual at
+    its failing node as the evidence."""
+    return CheckRecord(
+        tag, verdict=False, value=rep.residual, target=0.0, tolerance=_REPLICATION_TOL,
+        worst_node=rep.failed_node, notes=(_UNREPLICATED,),
     )
 
 
@@ -651,14 +742,8 @@ def check_self_generation_primal(
             for n in tree.nodes_at(t):
                 Ux = _utility(n, x, -field.gamma[n] * x + field.a_shift[n])
                 value_gap = max(value_gap, abs(resx.values[n] - Ux))
-        windows.append(
-            _gap_record(
-                f"primal-self-generation[t={t},T={T}]",
-                gaps,
-                tol,
-                details={"value_gap": value_gap, "method": "exponential"},
-            )
-        )
+        details = {"value_gap": value_gap, "method": "exponential"}
+        windows.append(_gap_record(f"primal-self-generation[t={t},T={T}]", gaps, tol, details=details))
     return VerificationReport(windows + [_overall_record("primal-self-generation", windows, tol)])
 
 
@@ -675,26 +760,32 @@ def check_self_generation_dual(
     Gaps are reported in shift units via the implied shift
     a_implied = (gamma/eta) (entropy_kernel(eta/gamma) - v), so a root
     perturbation of the field shows up at exactly its own size. Each
-    window's eta = 1 program is read at every eta of the grid, so without
-    replication of 1/gamma a grid with an eta other than 1 is refused
-    before anything is solved, as is a grid with no positive eta (it
-    implies no shift). The record carries the read's certificate,
-    max over starts of |m - 1/gamma| (``DualResult.at``), and per start the
-    program's Newton iterations, KKT residual and near-boundary flag.
-    ``duals`` shares the dual solves with the other checks of a scenario.
+    window's eta = 1 value is read at every eta of the grid. A grid with
+    no positive eta (it implies no shift) is refused before anything is
+    solved; without replication of 1/gamma, so is a grid with an eta other
+    than 1, and on the grid of eta = 1 every record fails with the
+    replication certificate. A record carries the read's certificate,
+    max over starts of |m - 1/gamma|, and per start the window's Newton
+    iterations, KKT residual and near-boundary flag. ``duals`` shares the
+    dual solves with the other checks of a scenario.
     """
     eta_grid = [float(e) for e in eta_grid]
     if not any(e > 0.0 for e in eta_grid):
         raise ValueError("dual self-generation needs a positive eta in the grid")
     duals = _window_duals(duals, tree, field.gamma)
+    rep = duals.replication()
     if any(e != 1.0 for e in eta_grid):
-        _require_replication(duals.replication(), _DUAL_READ)
+        _require_replication(rep, _DUAL_SPLIT)
     if any(e < 0.0 for e in eta_grid):
         raise ValueError("eta must be nonnegative")
     eta = np.array(eta_grid)[:, None]
     positive = eta[:, 0] > 0.0
     windows = []
     for (t, T) in time_pairs:
+        tag = f"dual-self-generation[t={t},T={T}]"
+        if not rep.feasible:
+            windows.append(_unreplicated_record(tag, rep))
+            continue
         unit = duals.dual(field, t, T)
         starts = tree.nodes_at(t)
         g = _at_nodes(field.gamma, starts)
@@ -707,7 +798,7 @@ def check_self_generation_dual(
         m = unit.inverse_gamma_mean
         windows.append(
             _gap_record(
-                f"dual-self-generation[t={t},T={T}]",
+                tag,
                 dict(zip(starts, _scan_max(shift_gaps, 0.0).tolist())),
                 tol,
                 details={
@@ -770,9 +861,8 @@ def check_value_conjugacy(
     - primal from dual: u(xi) against inf over eta > 0 of (v(eta) + xi eta),
       which for that read is -m eta_hat at eta_hat = e^E,
       E = -(v(1) + xi) / m - 1, in closed form. The record carries eta_hat
-      at the first grid wealth and, per start, the eta = 1 program's
-      Newton iterations, KKT residual (gap bound plus equality residual)
-      and near-boundary flag, as the dual-self-generation records do.
+      at the first grid wealth and the solver evidence of the
+      dual-self-generation records.
     - dual from primal: v(eta) on the eta grid against max over xi of
       (u(xi) - xi eta), which for u(xi) = -exp(-gamma xi + log_factor) is
       ``conjugate_exponential(gamma, log_factor, eta)`` in closed form.
@@ -782,10 +872,9 @@ def check_value_conjugacy(
     carry the relative rounding error of v(1) and |u| grows with e^a; each
     record's value is its worst scaled gap. A wealth at which eta_hat or
     u leaves the float range is refused with ``WealthRangeError`` before
-    the primal is read there. ``duals`` shares the eta = 1 program, the
-    window data and the factor recursion with the other checks of a
-    scenario. A gamma whose reciprocal no portfolio replicates is refused
-    by ``primal_value`` before anything is solved.
+    the primal is read there. ``duals`` shares the dual value and the
+    factor recursion with the other checks of a scenario. A gamma whose
+    reciprocal no portfolio replicates is refused before anything is solved.
     """
     xi_grid = [float(x) for x in xi_grid]
     eta_grid = sorted(float(e) for e in eta_grid)
@@ -879,12 +968,8 @@ def check_exponential_conditions(
     bad_gamma = [n for n in tree._dfs_order if not (gamma[n] > 0.0)]
     report.add(
         CheckRecord(
-            check_tag="exp-condition-positivity",
-            verdict=not bad_gamma,
-            worst_node=bad_gamma[0] if bad_gamma else None,
-            notes=(
-                "adaptedness and integrability hold by construction on a finite tree",
-            ),
+            "exp-condition-positivity", verdict=not bad_gamma, worst_node=bad_gamma[0] if bad_gamma else None,
+            notes=("adaptedness and integrability hold by construction on a finite tree",),
         )
     )
 
@@ -903,19 +988,15 @@ def check_exponential_conditions(
                 tol,
             )
         )
+        tag = f"exp-condition-entropy-identity[t={t},T={T}]"
+        if not duals.replication().feasible:
+            entropy.append(_unreplicated_record(tag, duals.replication()))
+            continue
         ent = duals.dual(field, t, T)
         starts = tree.nodes_at(t)
-        gaps = np.abs(
-            _implied_shift(_at_nodes(gamma, starts), 1.0, _at_nodes(ent.values, starts))
-            - _at_nodes(a_shift, starts)
-        )
-        entropy.append(
-            _gap_record(
-                f"exp-condition-entropy-identity[t={t},T={T}]",
-                dict(zip(starts, gaps.tolist())),
-                tol,
-            )
-        )
+        implied = _implied_shift(_at_nodes(gamma, starts), 1.0, _at_nodes(ent.values, starts))
+        gaps = np.abs(implied - _at_nodes(a_shift, starts))
+        entropy.append(_gap_record(tag, dict(zip(starts, gaps.tolist())), tol))
     for rec in inverse_gamma + entropy:
         report.add(rec)
     report.add(_overall_record("exp-condition-inverse-gamma-martingale", inverse_gamma, tol))
@@ -953,15 +1034,13 @@ def check_forward_supermartingale(
     drift up between any window node and the terminal time (nodes Q_g
     avoids are skipped); the entropy-minimizing measure must achieve
     equality. Positivity and the inverse-gamma mean condition are verified
-    first and raise when violated.
+    first and raise when violated, the latter with ``ReplicationError``.
 
-    Both records run node by node, without listing the product vertices or
-    building a measure on the tree. A window node is charged when every
-    edge from its start to it gets mass above the vertex tolerance at some
-    vertex of its parent: exactly the nodes some Q reaches. The
-    inverse-gamma mean condition must hold at every charged node for every
-    choice below it, which the (max, min) recursion of
-    ``_inverse_gamma_range`` decides. Once it holds, the reweighting is per
+    Both records run node by node, without listing the product vertices. A
+    window node is charged when every edge from its start to it gets mass
+    above the vertex tolerance at some vertex of its parent: exactly the
+    nodes some Q reaches. The inverse-gamma mean condition must hold at
+    every charged node for every choice below it (``_inverse_gamma_range``). Once it holds, the reweighting is per
     edge, q~_c = (v_c / gamma_c) / sum_j (v_j / gamma_j) at a vertex v, so
     the drift at a node depends only on the choices at and below it, and
     its worst case over Q is the backward recursion
@@ -974,8 +1053,9 @@ def check_forward_supermartingale(
     of the field) the same step (``_forward_drift``) runs at that one
     measure: q~_c is the share of c's time-T descendants w in the sum of
     r*_w gamma_start / gamma_w, and |D(m) - a_m| must vanish at every node
-    the minimiser reaches. The minimiser, the (max, min) range and the
-    vertex table to T are read from ``duals`` when given.
+    the minimiser reaches; composed from one-step programs, that gap at m is
+    the entropy-identity gap of [time(m), T] at m, a consistency check. The
+    minimiser, the ranges and the vertex table are read from ``duals``.
     """
     if T is None:
         T = tree.horizon
@@ -990,7 +1070,7 @@ def check_forward_supermartingale(
     for by_node in duals.inverse_gamma_range(t, T).values():
         for m, hi_lo in by_node.items():
             if _inverse_gamma_gap(gamma[m], hi_lo) > _INVERSE_GAMMA_TOL:
-                raise ValueError(
+                raise ReplicationError(
                     f"inverse-gamma conditional mean fails at node {m!r}; "
                     "forward measures are not probabilities"
                 )
@@ -1010,7 +1090,7 @@ def check_forward_supermartingale(
         window node it reaches, start first, in DFS order."""
         weight = {w: masses[w] * gamma[start] / gamma[w] for w in masses}
         drift = {}
-        interior = duals.window(start, T).nodes
+        interior = tree.window_interior(start, T)
         for m in reversed(interior):
             kids = tree.children(m)
             weights = [weight[c] for c in kids]

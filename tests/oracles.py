@@ -45,7 +45,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from forwardperf import kernels, solvers
-from forwardperf.errors import ConvergenceError
+from forwardperf.errors import ConvergenceError, ReplicationError
 from forwardperf.fields import ExponentialFieldParams
 from forwardperf.report import CheckRecord, VerificationReport
 from forwardperf.tree_market import (
@@ -548,7 +548,6 @@ class DualSolve:
     kkt_residual: dict = dc_field(default_factory=dict)
     near_boundary: dict = dc_field(default_factory=dict)
     newton_iterations: dict = dc_field(default_factory=dict)
-    eq_residual: dict = dc_field(default_factory=dict)
 
 
 def _window_program(tree, start, T):
@@ -580,8 +579,9 @@ def dual_by_eta(tree, field, eta, t, T):
     r, with the unit-mass row and one martingale row per interior node,
     from the product of the one-step vertex centroids. This is how the
     package solved every (window, eta) before it read every eta from one
-    eta = 1 program; with the same rows, start and objective, its eta = 1
-    solve has the package's bits. Returns a ``DualSolve``."""
+    eta = 1 program, and every window before it composed that program from
+    one-step programs: the joint program its composed values are tested
+    against. Returns a ``DualSolve``."""
     if not eta > 0.0:
         raise ValueError(f"dual_by_eta: eta must be positive, got {eta}")
     out = DualSolve()
@@ -608,7 +608,6 @@ def dual_by_eta(tree, field, eta, t, T):
         out.kkt_residual[start] = float(info["gap_bound"] + info["eq_residual"])
         out.near_boundary[start] = bool(np.min(r) < 1e-7)
         out.newton_iterations[start] = info["newton_iterations"]
-        out.eq_residual[start] = info["eq_residual"]
     return out
 
 
@@ -942,9 +941,9 @@ def inverse_gamma_gap_by_enumeration(tree, gamma, t, T):
 
 
 def forward_precondition_by_enumeration(tree, gamma, t, T, tol=1e-9):
-    """Raise ValueError at the first window node that some product measure
-    charges and whose conditional mean of 1/gamma_T misses 1/gamma by more
-    than tol under that measure."""
+    """Raise ReplicationError at the first window node that some product
+    measure charges and whose conditional mean of 1/gamma_T misses 1/gamma
+    by more than tol under that measure."""
     for q in enumerate_product_measures(tree, t, T):
         for start in tree.nodes_at(t):
             for m in tree.window_interior(start, T):
@@ -955,7 +954,7 @@ def forward_precondition_by_enumeration(tree, gamma, t, T, tol=1e-9):
                     for w in tree.descendants_at(m, T)
                 )
                 if abs(mean - 1.0 / gamma[m]) > tol:
-                    raise ValueError(
+                    raise ReplicationError(
                         f"inverse-gamma conditional mean fails at node {m!r}; "
                         "forward measures are not probabilities"
                     )

@@ -127,12 +127,11 @@ def test_tree_scenario_solves_each_window_dual_once(monkeypatch):
     report = cli.run_tree_scenario(tree_doc())
     assert report.all_passed, report.to_text()
     # each of the 3 windows once, at eta = 1, across the shift and the
-    # checks: solve_entropy_shift's two programs to the horizon come first,
-    # and the checks read them again; the dual self-generation and
-    # conjugacy eta grids and the entropy minima of the exponential-condition
-    # and forward checks all read these 3
-    assert calls[:2] == [(1, 2, 1.0), (0, 2, 1.0)]
-    assert sorted(calls) == [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
+    # checks: solve_entropy_shift reads the sweep to the horizon and no
+    # window, so the dual self-generation check reads the 3 first, in its
+    # order, and the conjugacy eta grid and the entropy minima of the
+    # exponential-condition and forward checks read them again
+    assert calls == [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 
 
 def test_tree_scenario_conjugacy_adds_no_solve(monkeypatch):
@@ -146,9 +145,9 @@ def test_tree_scenario_conjugacy_adds_no_solve(monkeypatch):
     monkeypatch.setattr(tree_verifier, "barrier_minimize", counted)
     report = cli.run_tree_scenario(tree_doc())
     assert report.all_passed, report.to_text()
-    # one barrier program per (window, start), at eta = 1, each a row of a
-    # stack: the conjugacy check reads both of its directions from the
-    # programs of its window
+    # one one-step program per window end and node before it, each a row
+    # of a stack, as many as the (window, start) pairs: the conjugacy check
+    # reads both of its directions from the sweep of its window
     tree = two_period_tree()
     assert sum(programs) == sum(len(tree.nodes_at(t)) for t, T in [(0, 1), (0, 2), (1, 2)])
 
@@ -203,9 +202,17 @@ def random_tree_doc(a_shift, periods=4):
 # gap records: a passing record's argmax sits at the rounding floor, so the
 # node it named was noise. Every passing tree gap record lost its
 # worst_node; no value, verdict, tolerance, note or detail moved.
+# Re-pinned on purpose again when each window's dual program came to be
+# composed from one-step programs, one backward sweep per window end:
+# the entropies moved in their last digits (the dual-self-generation and
+# exp-condition-entropy-identity values by at most 2.2e-13 on the same
+# field, forward-martingale-at-optimum by at most 4.1e-12), the solved
+# shift with them, and newton_iterations and kkt_residual took their
+# composed meaning (summed over the window's one-step programs; the
+# largest sum of node bounds along a path); no verdict or worst_node.
 PINNED_TREE_REPORT_SHA256 = {
-    "explicit": "9f3e7248f8b4942c9891d70a129f17c6c95ba4700a1d9a9ce33cf46593bd46c6",
-    "solve": "95ad5950ca4160f568cfe6e7ae4545c35f96b645c1014f68e642c12f4143f499",
+    "explicit": "a0b3000bb2d262736b6b5d1611bf784b04457d9d69bb4ed4426be80bc0de4450",
+    "solve": "1e967a7ae70d56f698c70b99a221104f11eae38c72c68af5ba0148739795a058",
 }
 PINNED_TREE_SHIFTS = {
     "explicit": lambda tree, field: {"mode": "explicit", "values": field.a_shift},
@@ -571,6 +578,40 @@ def test_integer_too_large_for_a_float_is_refused(tmp_path, capsys, path):
         doc["tree"]["nodes"][0]["branches"][0]["dprice"] = big
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
     assert f"{path}: too large for a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["scenario", "tree_file"])
+def test_integer_too_long_to_read_is_refused(tmp_path, capsys, where):
+    # json.loads raises a plain ValueError on an integer of more than
+    # sys.get_int_max_str_digits() (4,300) digits; the refusal names the file
+    doc = tree_doc()
+    doc["tree"]["nodes"][0]["branches"][0]["dprice"] = "BIG"
+    if where == "tree_file":
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(json.dumps(doc.pop("tree")).replace('"BIG"', "1" * 5001))
+        doc["tree_file"] = "tree.json"
+        named = str(tree_path)
+    path = write_scenario(tmp_path, doc)
+    if where == "scenario":
+        Path(path).write_text(Path(path).read_text().replace('"BIG"', "1" * 5001))
+        named = path
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err and "4300" in captured.err
+
+
+def test_tree_scenario_refuses_forward_check_without_replication(tmp_path, capsys):
+    # the forward check's precondition, the inverse-gamma mean at every
+    # charged node, is refused with ReplicationError (exit 2), not raised
+    doc = nonreplicable_doc(checks=["forward-supermartingale"])
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: inverse-gamma conditional mean fails at node 'r'; forward measures are not probabilities\n"
+    )
 
 
 def test_missing_scenario_file(tmp_path, capsys):

@@ -8,10 +8,8 @@ import pytest
 
 import forwardperf.solvers as solvers
 from forwardperf.errors import ConvergenceError
-from forwardperf.fields import ExponentialFieldParams
 from forwardperf.solvers import barrier_minimize, minimize_exp_sum
-from forwardperf.tree_verifier import WindowDuals
-from forwardperf.window_programs import dual_objective
+from forwardperf.tree_verifier import WindowDuals, _one_step_objective
 import oracles
 from oracles import golden_section_min
 from treegen import binomial_tree
@@ -251,21 +249,21 @@ def test_barrier_fails_a_program_whose_start_is_not_finite(monkeypatch):
     # before any Schur solve, instead of returning the start point unsolved
     tree = binomial_tree()
     gamma = dict.fromkeys(["r", "u", "d"], 1e-306)
-    field = ExponentialFieldParams(gamma, dict.fromkeys(gamma, 0.0))
-    win = WindowDuals(tree, gamma).window("r", 1)
-    b = np.zeros((1, win.A.shape[0]))
-    b[0, 0] = 1.0
-    phi, _ = dual_objective(field, [win])
+    start = WindowDuals(tree, gamma).centroid("r")
+    A = np.array([[[1.0, 1.0], [br.dprice for br in tree.branches_of("r")]]])
+    b = np.array([[1.0, 0.0]])
+    p = np.array([[br.prob for br in tree.branches_of("r")]])
+    phi = _one_step_objective(p, np.full((1, 2), 1e-306), np.zeros((1, 2)))
 
     def solve(*args):
         raise AssertionError("a Schur system was solved")
 
     monkeypatch.setattr(np.linalg, "solve", solve)
     with np.errstate(all="ignore"):
-        r, _, info = barrier_minimize(phi, win.A[None], b, win.interior[None])
+        r, _, info = barrier_minimize(phi, A, b, start[None])
     assert info["failure"][0].startswith("barrier_minimize: the objective is not finite at the start")
     assert info["iterations"].tolist() == [0]
-    assert r[0].tobytes() == win.interior.tobytes()
+    assert r[0].tobytes() == start.tobytes()
     assert not np.isfinite(info["value"][0])
 
 

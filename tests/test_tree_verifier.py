@@ -43,6 +43,7 @@ from forwardperf.tree_verifier import (
 from treegen import (
     binomial_tree,
     constant_field,
+    ito_tree,
     random_tree,
     replicable_gamma,
     solved_field,
@@ -63,6 +64,30 @@ def minimiser(tree, res, start="r"):
     """The entropy minimiser of a dual result, as a measure on the tree
     rebuilt from its leaf masses given ``start``."""
     return measure_from_leaf_masses(tree, start, res.T, res.leaf_masses[start])
+
+
+def within_the_joint_bound(tree, field, got):
+    """``got``, a dual value at eta = 1 composed from one-step programs,
+    against the window's joint program (``oracles.dual_by_eta``), within
+    the composition's derived bound. Each entropy is within the two
+    results' KKT bounds, e_got + e_joint: a value's error reaches its
+    parent through a convex combination. The objective's curvature
+    1/(gamma r) is at least 1/gamma_max where r <= 1, so an e-suboptimal
+    point lies within sqrt(2 gamma_max e) of the minimiser: that bounds
+    the distance of the leaf masses, and m moves by at most their L1
+    distance over gamma_min. Returns the joint program's result."""
+    want = oracles.dual_by_eta(tree, field, 1.0, got.t, got.T)
+    for n in tree.nodes_at(got.t):
+        masses, joint = got.leaf_masses[n], want.leaf_masses[n]
+        assert list(masses) == list(joint)
+        e_got, e_joint, value = got.kkt_residual[n], want.kkt_residual[n], want.values[n]
+        assert abs(got.entropy[n] - value) <= e_got + e_joint + 1e-13 * max(1.0, abs(value)), n
+        gam = [field.gamma[w] for w in masses]
+        radius = math.sqrt(2.0 * max(gam) * e_got) + math.sqrt(2.0 * max(gam) * e_joint)
+        assert math.dist(list(masses.values()), list(joint.values())) <= radius, n
+        m_joint = sum(r / g for r, g in zip(joint.values(), gam))
+        assert abs(got.inverse_gamma_mean[n] - m_joint) <= math.sqrt(len(gam)) * radius / min(gam), n
+    return want
 
 
 # -- replication of 1/gamma ----------------------------------------------
@@ -296,11 +321,12 @@ def test_primal_refuses_nonreplicable_gamma_before_solving(monkeypatch):
 
     monkeypatch.setattr(tree_verifier, "_exponential_factors", solved)
     monkeypatch.setattr(tree_verifier, "barrier_minimize", solved)
-    # the dual value at eta other than 1 is read from the eta = 1 program,
-    # which is exact only when 1/gamma is replicable
+    # the dual program splits into one-step programs only when 1/gamma is
+    # replicable, so the dual value is refused at every eta
     for run in (
         lambda: primal_value(tree, field, 0.0),
         lambda: check_self_generation_primal(tree, field, [(0, 1)], [0.0]),
+        lambda: dual_value(tree, field, 1.0),
         lambda: dual_value(tree, field, 2.0),
         lambda: check_self_generation_dual(tree, field, [(0, 1)], [1.0, 2.0]),
     ):
@@ -308,15 +334,30 @@ def test_primal_refuses_nonreplicable_gamma_before_solving(monkeypatch):
             run()
 
 
-def test_nonreplicable_gamma_is_a_failing_record_of_the_exponential_conditions():
-    # the eta = 1 program is never refused, so the conditions report the
-    # failure instead of raising
+def test_nonreplicable_gamma_is_a_failing_record_of_the_exponential_conditions(monkeypatch):
+    # the conditions, and the dual check on the grid of eta = 1 alone,
+    # report the failure instead of raising: the window records carry the
+    # replication certificate, and no program is solved
     tree, field = nonreplicable_trinomial_field()
+
+    def solved(*args):
+        raise AssertionError("a dual program was solved for a non-replicable gamma")
+
+    monkeypatch.setattr(tree_verifier, "barrier_minimize", solved)
     rep = check_exponential_conditions(tree, field.gamma, field.a_shift, [(0, 1)])
     rec = rep["exp-condition-inverse-gamma-martingale"]
     assert not rec.verdict and rec.worst_node == "r"
-    with pytest.raises(ReplicationError, match="replicates 1/gamma at node 'r'"):
-        dual_value(tree, field, 1.0).at(0.5)
+    certificate = replicate_inverse_gamma(tree, field.gamma)
+    dual = check_self_generation_dual(tree, field, [(0, 1)], [1.0])
+    for rec in (
+        rep["exp-condition-entropy-identity[t=0,T=1]"],
+        rep["exp-condition-entropy-identity"],
+        dual["dual-self-generation[t=0,T=1]"],
+        dual["dual-self-generation"],
+    ):
+        assert (rec.verdict, rec.value, rec.target) == (False, certificate.residual, 0.0)
+        assert (rec.tolerance, rec.worst_node) == (tree_verifier._REPLICATION_TOL, "r")
+        assert rec.notes == (tree_verifier._UNREPLICATED,)
 
 
 PRIMAL_CHECK_CASES = {
@@ -462,7 +503,7 @@ READ_ETAS = [1e-3, 0.25, 0.5, 2.0, 4.0, 50.0]
 @pytest.mark.parametrize("bumped", [False, True], ids=["solved", "root-bumped"])
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_dual_read_matches_the_per_eta_program(seed, bumped):
-    # every window's eta = 1 program, read at other etas, against the
+    # every window's eta = 1 value, read at other etas, against the joint
     # program solved at each eta
     tree = random_tree(seed, periods=3)
     field = solved_field(tree, seed)
@@ -470,8 +511,7 @@ def test_dual_read_matches_the_per_eta_program(seed, bumped):
         field = with_offsets(field, {tree.root: 0.1})
     for (t, T) in _window_pairs(tree):
         unit = dual_value(tree, field, 1.0, t, T)
-        solved = oracles.dual_by_eta(tree, field, 1.0, t, T)
-        assert (unit.values, unit.leaf_masses) == (solved.values, solved.leaf_masses)
+        within_the_joint_bound(tree, field, unit)
         assert unit.at(1.0).values == unit.values
         assert all(v == 0.0 for v in unit.at(0.0).values.values())
         for e in READ_ETAS:
@@ -479,6 +519,35 @@ def test_dual_read_matches_the_per_eta_program(seed, bumped):
             want = oracles.dual_by_eta(tree, field, e, t, T).values
             for n, v in got.items():
                 assert abs(v - want[n]) <= 1e-10 * max(1.0, abs(v)), (t, T, e, n)
+
+
+def test_tree_engine_reproduces_the_ito_parametrization():
+    # the tree is a discretization of the diffusion, whose field
+    # self-generates, so at constant (theta, delta, phi, rho) the worst dual
+    # gap falls with dt = 1 / depth, at first order: depth x gap stays below
+    # its depth-1 value. The primal and the entropy identity see the same
+    # gap. Without the gamma on rho the field does not self-generate, and
+    # the gap does not fall
+    def worst_gaps(depth, rho, gamma_on_rho):
+        tree, field = ito_tree(depth, 0.5, 0.4, 0.3, rho, gamma_on_rho)
+        pairs = _window_pairs(tree)
+        duals = WindowDuals(tree, field.gamma)
+        return (
+            check_self_generation_dual(tree, field, pairs, [0.5, 1.0, 2.0], duals=duals)["dual-self-generation"].value,
+            check_self_generation_primal(tree, field, pairs, [0.0], duals=duals)["primal-self-generation"].value,
+            check_exponential_conditions(tree, field.gamma, field.a_shift, pairs, duals=duals)[
+                "exp-condition-entropy-identity"
+            ].value,
+        )
+
+    gaps = [worst_gaps(depth, 0.2, True) for depth in range(1, 6)]
+    for dual, primal, identity in gaps:
+        assert abs(primal - dual) <= 1e-12 and abs(identity - dual) <= 1e-12
+    dual = [g[0] for g in gaps]
+    assert all(later < earlier for earlier, later in zip(dual, dual[1:])), dual
+    assert all(depth * gap <= dual[0] for depth, gap in enumerate(dual, 1)), dual
+    mutant = [worst_gaps(depth, 0.6, False)[0] for depth in (1, 5)]
+    assert mutant[1] >= mutant[0] and mutant[1] > 0.15, mutant
 
 
 # -- entropy -------------------------------------------------------------
@@ -616,19 +685,28 @@ def test_dual_check_refuses_a_grid_without_positive_eta(monkeypatch, eta_grid):
         check_self_generation_dual(tree, field, _window_pairs(tree), eta_grid)
 
 
-def _poison(monkeypatch, modes, duals, T):
-    """Make the dual program on [time(start), T] below each start named in
-    ``modes`` fail:
+def _poison(monkeypatch, modes, tree, gamma):
+    """Make the one-step dual program of each node named in ``modes`` fail:
     ``pre``, objective values infinite everywhere (the solver fails it at
     its start); ``step1``, a NaN gradient everywhere (its first Newton
     step is not finite); ``step2``, a NaN gradient away from its start
     (its second step); ``post``, its minimiser and its value turned to NaN
-    on the way out of the solver (the check after the solve refuses it)."""
-    objective_of = tree_verifier.dual_objective
+    on the way out of the solver (the check after the solve refuses it).
+    A program's node is known by its children's probabilities and gammas."""
+    duals = WindowDuals(tree, gamma)
+    node_of = {
+        tuple((br.prob, gamma[br.child]) for br in tree.branches_of(n)): n
+        for n in tree._dfs_order
+        if not tree.is_leaf(n)
+    }
+    objective_of = tree_verifier._one_step_objective
     barrier_minimize = tree_verifier.barrier_minimize
+    stacks = []
 
-    def poisoned_objective_of(field, wins):
-        phi, gam = objective_of(field, wins)
+    def poisoned_objective_of(p, gam, ash):
+        nodes = [node_of[tuple(zip(pr.tolist(), gr.tolist()))] for pr, gr in zip(p, gam)]
+        stacks.append(nodes)
+        phi = objective_of(p, gam, ash)
 
         def poisoned_phi(rows):
             objective = phi(rows)
@@ -636,66 +714,62 @@ def _poison(monkeypatch, modes, duals, T):
             def poisoned(r):
                 v, g, h = (x.copy() for x in objective(r))
                 for j, row in enumerate(rows):
-                    win = wins[row]
-                    mode = modes.get(win.nodes[0])
+                    mode = modes.get(nodes[row])
                     if mode == "pre":
                         v[j] = np.inf
-                    moved = r[j].tobytes() != win.interior.tobytes()
+                    moved = r[j].tobytes() != duals.centroid(nodes[row]).tobytes()
                     if mode == "step1" or (mode == "step2" and moved):
                         g[j] = np.nan
                 return v, g, h
 
             return poisoned
 
-        return poisoned_phi, gam
-
-    posts = {duals.window(start, T).interior.tobytes() for start, mode in modes.items() if mode == "post"}
+        return poisoned_phi
 
     def poisoned_barrier_minimize(phi, A, b, r0):
         r, lam, info = barrier_minimize(phi, A, b, r0)
-        for j, start in enumerate(r0):
-            if start.tobytes() in posts:
+        for j, n in enumerate(stacks[-1]):
+            if modes.get(n) == "post":
                 r[j] = info["value"][j] = np.nan
         return r, lam, info
 
-    monkeypatch.setattr(tree_verifier, "dual_objective", poisoned_objective_of)
+    monkeypatch.setattr(tree_verifier, "_one_step_objective", poisoned_objective_of)
     monkeypatch.setattr(tree_verifier, "barrier_minimize", poisoned_barrier_minimize)
 
 
-def _refusal_one_start_at_a_time(tree, field, t, T, modes):
-    """The refusal of ``dual_value`` as it was when each start's program
-    was solved alone, in tree order: the check at the start, the scalar
-    solver, the check after the solve; None when no program fails."""
-    duals = WindowDuals(tree, field.gamma)
-    for start in tree.nodes_at(t):
-        win = duals.window(start, T)
-        phi, gam = tree_verifier.dual_objective(field, [win])
-        objective = phi(np.arange(1))
+def _refusal_one_program_at_a_time(tree, clean, t, modes):
+    """The refusal ``dual_value`` on [t, clean.T] owes under ``_poison``:
+    level by level from clean.T - 1 down to t, each poisoned node's
+    one-step program in tree order, solved alone by the scalar solver from
+    the child shifts of the unpoisoned sweep ``clean`` (the check at its
+    start, the solver, the check after the solve); the first that fails.
+    None when no program fails."""
+    for s in range(clean.T - 1, t - 1, -1):
+        for n in (n for n in tree.nodes_at(s) if n in modes):
+            branches = tree.branches_of(n)
+            data = [[(br.prob, clean.duals.gamma[br.child], clean.shift[br.child]) for br in branches]]
+            objective = tree_verifier._one_step_objective(*np.array(data).transpose(2, 0, 1))(np.arange(1))
+            where = f"dual program below node {n!r} on [{s}, {clean.T}]"
 
-        def one(r):
-            return tuple(x[0] for x in objective(r[None]))
+            def one(q):
+                return tuple(x[0] for x in objective(q[None]))
 
-        def float_range(r):
-            entropy, m = float(one(r)[0].sum()), float((r / gam[0]).sum())
-            if not (math.isfinite(entropy) and math.isfinite(m)):
-                return (
-                    f"dual program below node {start!r} on [{t}, {T}] leaves the float "
-                    f"range: entropy {entropy!r}, m {m!r}"
-                )
+            def float_range(q):
+                entropy = float(one(q)[0].sum())
+                m = sum(x * clean.inverse_gamma_mean[br.child] for x, br in zip(q.tolist(), branches))
+                if not (math.isfinite(entropy) and math.isfinite(m)):
+                    return f"{where} leaves the float range: entropy {entropy!r}, m {m!r}"
 
-        with np.errstate(all="ignore"):
-            refused = float_range(win.interior)
-            if refused:
-                return refused
-            b = np.zeros(win.A.shape[0])
-            b[0] = 1.0
-            try:
-                r, _, _ = oracles.scalar_barrier_minimize(one, win.A, b, win.interior)
-            except ConvergenceError as exc:
-                return f"dual program below node {start!r} on [{t}, {T}]: {exc}"
-            if modes.get(start) == "post":
-                r = np.full_like(r, np.nan)
-            refused = float_range(r)
+            A = np.array([[1.0] * len(branches), [br.dprice for br in branches]])
+            q0 = clean.duals.centroid(n)
+            with np.errstate(all="ignore"):
+                refused = float_range(q0)
+                if not refused:
+                    try:
+                        q, _, _ = oracles.scalar_barrier_minimize(one, A, np.array([1.0, 0.0]), q0)
+                        refused = float_range(np.full_like(q, np.nan) if modes[n] == "post" else q)
+                    except ConvergenceError as exc:
+                        refused = f"{where}: {exc}"
             if refused:
                 return refused
     return None
@@ -704,12 +778,14 @@ def _refusal_one_start_at_a_time(tree, field, t, T, modes):
 @pytest.mark.parametrize(
     "tree, T, modes, first",
     [
-        # random_tree(7, periods=3) on [1, 3]: n1, n2, n3 in one stack,
-        # solved in 3, 3 and 6 Newton steps
-        ("random", 3, {"n3": "step1", "n1": "step2"}, "n1"),
+        # random_tree(7, periods=3) on [1, 3]: level 2 first, in a stack
+        # of n4, n11, n19 and one of n5, n12, n18, then n1, n2, n3 in one.
+        # Those three are binomial: their one martingale measure is the
+        # start, so no second Newton step is taken and "step2" never fails
+        ("random", 3, {"n3": "step1", "n1": "step1"}, "n1"),
         ("random", 3, {"n2": "pre", "n1": "post"}, "n1"),
         ("random", 3, {"n3": "pre"}, "n3"),
-        ("random", 3, {"n2": "step2", "n3": "step2"}, "n2"),
+        ("random", 3, {"n2": "pre", "n3": "step2"}, "n2"),
         ("random", 3, {"n3": "post", "n2": "step1"}, "n2"),
         # suite_shaped_tree(7) on [1, 2]: n1 and n3 in one stack, solved
         # first, and n2 in a stack of its own
@@ -717,33 +793,39 @@ def _refusal_one_start_at_a_time(tree, field, t, T, modes):
         ("suite", 2, {"n3": "pre", "n2": "post"}, "n2"),
         ("suite", 2, {"n3": "post", "n2": "step2"}, "n2"),
         ("suite", 2, {"n2": "step1", "n1": "pre"}, "n1"),
+        # a program on the level below the starts fails first, whatever
+        # fails above it: n12 is n2's child
+        ("random", 3, {"n1": "pre", "n12": "step1"}, "n12"),
+        ("random", 3, {"n18": "post", "n5": "step2"}, "n5"),
     ],
 )
 def test_dual_value_refuses_the_first_failing_start(monkeypatch, tree, T, modes, first):
     # whatever stack a program is solved in and whenever its stack fails,
-    # the refusal names the first start in tree order whose program fails,
-    # with the message the start-by-start loop gave
+    # the refusal names the first failing program, in tree order, of the
+    # first level of the sweep that has one, with the message that program
+    # gives alone
     tree = random_tree(7, periods=3) if tree == "random" else suite_shaped_tree(7)
     field = solved_field(tree, 7)
-    duals = WindowDuals(tree, field.gamma)
-    _poison(monkeypatch, modes, duals, T)
-    want = _refusal_one_start_at_a_time(tree, field, 1, T, modes)
-    assert want.startswith(f"dual program below node {first!r} on [1, {T}]")
+    clean = WindowDuals(tree, field.gamma).sweep(field.a_shift, 1, T)
+    _poison(monkeypatch, modes, tree, field.gamma)
+    want = _refusal_one_program_at_a_time(tree, clean, 1, modes)
+    assert want.startswith(f"dual program below node {first!r} on [{tree.time_of(first)}, {T}]")
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
-        dual_value(tree, field, 1.0, 1, T, duals=duals)
+        dual_value(tree, field, 1.0, 1, T)
     assert str(exc.value) == want
 
 
 def test_dual_value_refuses_from_one_solve_per_shape(monkeypatch):
     # suite_shaped_tree(7) on [1, 2]: n1 and n3 in one stack, n2 in its
-    # own. A refused window is solved once, one barrier_minimize call per
-    # shape, and the refusal names the node and window of the first start
-    # whose program fails, though a later one in the first stack fails first
+    # own. A refused level is solved once, one barrier_minimize call per
+    # shape, and the refusal names the node and window of the first program
+    # in tree order that fails, though a later one in the first stack fails
+    # first
     tree = suite_shaped_tree(7)
     field = solved_field(tree, 7)
-    duals = WindowDuals(tree, field.gamma)
+    clean = WindowDuals(tree, field.gamma).sweep(field.a_shift, 1, 2)
     modes = {"n3": "step1", "n2": "step2"}
-    _poison(monkeypatch, modes, duals, 2)
+    _poison(monkeypatch, modes, tree, field.gamma)
     poisoned = tree_verifier.barrier_minimize
     stacks = []
 
@@ -753,18 +835,18 @@ def test_dual_value_refuses_from_one_solve_per_shape(monkeypatch):
 
     monkeypatch.setattr(tree_verifier, "barrier_minimize", counted)
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
-        dual_value(tree, field, 1.0, 1, 2, duals=duals)
+        dual_value(tree, field, 1.0, 1, 2)
     assert str(exc.value).startswith(
         "dual program below node 'n2' on [1, 2]: barrier_minimize: Newton step 2 is not finite"
     )
-    assert str(exc.value) == _refusal_one_start_at_a_time(tree, field, 1, 2, modes)
     assert stacks == [2, 1]
+    assert str(exc.value) == _refusal_one_program_at_a_time(tree, clean, 1, modes)
 
 
-def test_windows_with_a_node_that_moves_no_price():
+def test_windows_with_a_node_that_moves_no_price(monkeypatch):
     # u's branches move no price, so its martingale row is all zero and the
-    # solver drops it: windows with one A shape but different rows kept
-    # are solved in different stacks, each as the scalar solver solves it
+    # solver drops it: u and d, two children each, are solved in different
+    # stacks, and every window is within its joint program's bound
     def node(nid, t, branches=()):
         return {"id": nid, "time": t, "branches": [{"child": c, "prob": p, "dprice": d} for c, p, d in branches]}
 
@@ -780,13 +862,19 @@ def test_windows_with_a_node_that_moves_no_price():
         }
     )
     field = with_offsets(constant_field(tree), {"uu": 0.3, "ud": -0.2, "du": 0.1})
+    stacks = []
+    original = tree_verifier.barrier_minimize
+
+    def recorded(phi, A, b, r0):
+        stacks.append((len(r0), A[0, 1].tolist()))
+        return original(phi, A, b, r0)
+
+    monkeypatch.setattr(tree_verifier, "barrier_minimize", recorded)
     duals = WindowDuals(tree, field.gamma)
-    assert [duals.window(n, 2).shape for n in ("u", "d", "r")] == [(2, 2, 1), (2, 2, 2), (4, 4, 3)]
     for t, T in _window_pairs(tree):
-        got = dual_value(tree, field, 1.0, t, T, duals=duals)
-        want = oracles.dual_by_eta(tree, field, 1.0, t, T)
-        assert (got.leaf_masses, got.kkt_residual) == (want.leaf_masses, want.kkt_residual)
-        assert (got.newton_iterations, got.values) == (want.newton_iterations, want.values)
+        within_the_joint_bound(tree, field, dual_value(tree, field, 1.0, t, T, duals=duals))
+    # to T = 1, the root; to T = 2, u, then d, then the root
+    assert stacks == [(1, [1.0, -1.0]), (1, [0.0, 0.0]), (1, [1.0, -2.0]), (1, [1.0, -1.0])]
 
 
 def _perturbed(field, seed):
@@ -798,54 +886,28 @@ def _perturbed(field, seed):
 
 
 @pytest.mark.parametrize("seed", [3, 7, 11])
-def test_stacked_dual_programs_match_the_scalar_oracle(monkeypatch, seed):
-    # every window's programs, solved one stack per window shape, against
-    # the scalar solver on the oracle's own window data, program by
-    # program and bit for bit: depths 1-6, solved and perturbed fields
-    stacks = []
-    original = tree_verifier.barrier_minimize
-
-    def recorded(phi, A, b, r0):
-        out = original(phi, A, b, r0)
-        stacks.append((A, r0, out[2]))
-        return out
-
-    monkeypatch.setattr(tree_verifier, "barrier_minimize", recorded)
-    mixed = 0
-    for depth in range(1, 7):
-        tree = random_tree(seed, periods=depth)
+def test_stacked_dual_programs_match_the_scalar_oracle(seed):
+    # every window's dual value, composed from one-step programs solved in
+    # stacks, against its joint program solved by the scalar solver
+    # (oracles.dual_by_eta), within the derived bound: depths 1-5 and the
+    # 2, 3, 2, 3, 2, 3 shape, with solved, root-perturbed and randomly
+    # shifted fields (the shift at every node moved)
+    trees = [random_tree(seed, periods=depth) for depth in range(1, 6)]
+    trees.append(random_tree(seed, periods=6, branching=lambda t, path: (2, 3)[t % 2]))
+    for tree in trees:
         solved = solved_field(tree, seed)
-        for field in (solved, _perturbed(solved, 10 * seed + depth)):
+        for field in (solved, with_offsets(solved, {tree.root: 0.1}), _perturbed(solved, 10 * seed + tree.horizon)):
             duals = WindowDuals(tree, field.gamma)
             for t, T in _window_pairs(tree):
-                stacks.clear()
-                got = dual_value(tree, field, 1.0, t, T, duals=duals)
-                want = oracles.dual_by_eta(tree, field, 1.0, t, T)
-                assert got.leaf_masses == want.leaf_masses, (depth, t, T)
-                assert got.newton_iterations == want.newton_iterations, (depth, t, T)
-                assert got.kkt_residual == want.kkt_residual, (depth, t, T)
-                assert got.values == want.values, (depth, t, T)
-                # each row's equality residual, its program found by its data
-                program = {}
-                for start in tree.nodes_at(t):
-                    win = duals.window(start, T)
-                    program[win.A.tobytes() + win.interior.tobytes()] = start
-                rows = 0
-                for A, r0, info in stacks:
-                    mixed += len(set(info["iterations"].tolist())) > 1
-                    for j in range(len(r0)):
-                        start = program[A[j].tobytes() + r0[j].tobytes()]
-                        assert float(info["eq_residual"][j]) == want.eq_residual[start]
-                        rows += 1
-                assert rows == len(program) == len(tree.nodes_at(t))
-    # some stacks hold programs that stop at different Newton steps
-    assert mixed > 0
+                within_the_joint_bound(tree, field, dual_value(tree, field, 1.0, t, T, duals=duals))
 
 
 def test_stack_value_is_the_dual_objective_at_the_result(monkeypatch):
     # the value the solver reports per program is the objective's sum at
     # its result, bit for bit, as the whole stack's objective or the
-    # program's alone gives it: the entropy dual_value reads
+    # program's alone gives it; each window's entropy at a start is the
+    # value of the start's one-step program in the sweep to its end, so
+    # over all windows the entropies are the stacks' values
     stacks = []
     original = tree_verifier.barrier_minimize
 
@@ -858,18 +920,57 @@ def test_stack_value_is_the_dual_objective_at_the_result(monkeypatch):
     tree = random_tree(7, periods=4)
     solved = solved_field(tree, 7)
     for field in (solved, _perturbed(solved, 74)):
+        stacks.clear()
         duals = WindowDuals(tree, field.gamma)
-        for t, T in _window_pairs(tree):
-            stacks.clear()
-            got = dual_value(tree, field, 1.0, t, T, duals=duals)
-            values = []
-            for phi, r, value in stacks:
-                rows = np.arange(len(r))
-                assert value.tobytes() == phi(rows)(r)[0].sum(axis=1).tobytes()
-                for j in rows:
-                    assert value[j].tobytes() == phi(rows[j:j + 1])(r[j:j + 1])[0].sum(axis=1).tobytes()
-                values += value.tolist()
-            assert sorted(got.entropy.values()) == sorted(values)
+        got = [dual_value(tree, field, 1.0, t, T, duals=duals) for t, T in _window_pairs(tree)]
+        values = []
+        for phi, r, value in stacks:
+            rows = np.arange(len(r))
+            assert value.tobytes() == phi(rows)(r)[0].sum(axis=1).tobytes()
+            for j in rows:
+                assert value[j].tobytes() == phi(rows[j:j + 1])(r[j:j + 1])[0].sum(axis=1).tobytes()
+            values += value.tolist()
+        assert sorted(e for res in got for e in res.entropy.values()) == sorted(values)
+
+
+def test_one_stack_per_window_end_level_and_shape(monkeypatch):
+    # a solved scenario on random_tree(3, periods=4): the shift and every
+    # dual-reading check share one sweep per window end T, which solves one
+    # barrier stack per (T, level, shape), a row per node before T; the
+    # root-perturbed twin reads the same sweeps and solves nothing
+    tree = random_tree(3, periods=4)
+    solved = solved_field(tree, 3)
+    stacks = []
+    original = tree_verifier.barrier_minimize
+
+    def counted(phi, A, b, r0):
+        stacks.append(len(r0))
+        return original(phi, A, b, r0)
+
+    monkeypatch.setattr(tree_verifier, "barrier_minimize", counted)
+    duals = WindowDuals(tree, solved.gamma)
+    terminal = {w: solved.a_shift[w] for w in tree.leaves()}
+    field = ExponentialFieldParams(solved.gamma, solve_entropy_shift(tree, solved.gamma, terminal, duals=duals))
+    pairs = _window_pairs(tree)
+
+    def checks(field):
+        check_self_generation_dual(tree, field, pairs, [0.5, 1.0, 2.0], duals=duals)
+        check_value_conjugacy(tree, field, 0, 4, [0.0], [1.0], duals=duals)
+        check_exponential_conditions(tree, field.gamma, field.a_shift, pairs, duals=duals)
+        for t, T in pairs:
+            check_forward_supermartingale(tree, field.gamma, field.a_shift, t, T, duals=duals)
+
+    checks(field)
+    shapes = {
+        (T, s, len(tree.children(n)), any(br.dprice != 0.0 for br in tree.branches_of(n)))
+        for T in range(1, 5)
+        for s in range(T)
+        for n in tree.nodes_at(s)
+    }
+    assert len(stacks) == len(shapes)
+    assert sum(stacks) == sum(len(tree.nodes_at(s)) for T in range(1, 5) for s in range(T))
+    checks(with_offsets(field, {tree.root: 0.1}))
+    assert len(stacks) == len(shapes)
 
 
 # -- conjugacy between computed fields -----------------------------------
@@ -1143,20 +1244,23 @@ def shifted_context(tree, seed, offsets):
 def test_window_duals_resolve_a_window_whose_leaf_shift_moved():
     tree = random_tree(7, periods=3)
     duals, field = shifted_context(tree, 7, {tree.leaves()[0]: 0.1})
-    stale = {key[0]: res for key, res in duals._solved.items()}
-    assert [key[:2] for key in duals._solved] == [(2, 3), (1, 3), (0, 3)]
+    # the shift construction solved one sweep, to the horizon, and no window
+    (stale,) = duals._sweeps.values()
+    assert (stale.T, stale.level, duals._solved) == (3, 0, {})
     for t in (0, 1, 2):
-        # not the shift construction's solve, which read the unmoved leaf,
-        # but the one a fresh dual_value returns
+        # not the shift construction's sweep, which read the unmoved leaf,
+        # but the one a fresh dual_value reads
         got = duals.dual(field, t, 3)
         fresh = dual_value(tree, field, 1.0, t, 3)
-        assert got is not stale[t] and got.values != stale[t].values
+        assert got.entropy != {n: stale.entropy[n] for n in tree.nodes_at(t)}
         assert (got.values, got.leaf_masses) == (fresh.values, fresh.leaf_masses)
-    assert len(duals._solved) == 6
-    # moved at the root instead, the windows to the horizon read the shift's solves
+    assert len(duals._sweeps) == 2 and len(duals._solved) == 3
+    # moved at the root instead, the windows to the horizon read the shift's sweep
     duals, field = shifted_context(tree, 7, {tree.root: 0.1})
-    stale = {key[0]: res for key, res in duals._solved.items()}
-    assert all(duals.dual(field, t, 3) is stale[t] for t in (0, 1, 2))
+    (stale,) = duals._sweeps.values()
+    for t in (0, 1, 2):
+        assert duals.dual(field, t, 3).entropy == {n: stale.entropy[n] for n in tree.nodes_at(t)}
+    assert list(duals._sweeps.values()) == [stale]
 
 
 @pytest.mark.parametrize("offsets", [{}, {"r": 0.1}, {"leaf": 0.1}])
@@ -1172,14 +1276,18 @@ def test_shared_context_matches_per_window_rebuild(offsets):
         for (t, T) in windows:
             primal = primal_value(tree, field, 0.0, t, T, duals=duals)
             assert primal.log_factor == log_factor[(t, T)]
+            fresh = dual_value(tree, field, 1.0, t, T)
             for e in etas:
                 got, want = duals.dual(field, t, T).at(e), rebuilt[(t, T, e)]
                 assert got.near_boundary == want.near_boundary
                 if e == 1.0:
-                    assert (got.values, got.leaf_masses) == (want.values, want.leaf_masses)
-                    assert got.kkt_residual == want.kkt_residual
+                    # the shared sweep is a fresh one, bit for bit, and
+                    # within the joint program's bound
+                    assert (got.values, got.leaf_masses) == (fresh.values, fresh.leaf_masses)
+                    assert (got.kkt_residual, got.newton_iterations) == (fresh.kkt_residual, fresh.newton_iterations)
+                    within_the_joint_bound(tree, field, got)
                     continue
-                # read from the eta = 1 program, against the program at eta
+                # read from the eta = 1 value, against the program at eta
                 assert got.values.keys() == want.values.keys()
                 for n, v in got.values.items():
                     assert abs(v - want.values[n]) <= 1e-10 * max(1.0, abs(v))
@@ -1397,7 +1505,11 @@ def test_forward_precondition_refusal_matches_enumeration_oracle():
             want = _refusal(oracles.forward_precondition_by_enumeration, tree, gamma, t, T)
             got = _refusal(check_forward_supermartingale, tree, gamma, solved.a_shift, t, T)
             if want is None:
-                assert got is None, (t, T, got)
+                # the window keeps the mean, but the dual value refuses a
+                # gamma that no portfolio replicates anywhere in the tree:
+                # first at the parent of the moved node, in tree order
+                assert got[0] is ReplicationError, (t, T, got)
+                assert f"replicates 1/gamma at node {tree.parent[node]!r}" in got[1]
                 continue
             assert got == want, (t, T)
             if t < tree.time_of(node) < T:
@@ -1408,14 +1520,18 @@ def test_forward_precondition_refusal_matches_enumeration_oracle():
 
 def test_forward_precondition_skips_uncharged_nodes():
     # no martingale measure reaches u, so its broken 1/gamma mean is no
-    # refusal; the entropy minimiser then refuses the tree for its arbitrage
+    # refusal of the precondition; the entropy minimiser then refuses the
+    # gamma, which no portfolio replicates at u, and with a replicable
+    # gamma refuses the tree for its arbitrage
     tree = starved_tree()
     inv = {"u1": 1.0, "u2": 2.0, "u": 1.2, "m1": 0.8, "m2": 1.2, "m": 0.9, "r": 0.9}
     gamma = {n: 1.0 / x for n, x in inv.items()}
     a = const_map(tree, 0.0)
     assert _refusal(oracles.forward_precondition_by_enumeration, tree, gamma, 0, 2) is None
-    with pytest.raises(ArbitrageError, match="no interior point"):
+    with pytest.raises(ReplicationError, match="replicates 1/gamma at node 'u'"):
         check_forward_supermartingale(tree, gamma, a, 0, 2)
+    with pytest.raises(ArbitrageError, match="node 'r': .* no interior point"):
+        check_forward_supermartingale(tree, const_map(tree, 1.0), a, 0, 2)
     want = _refusal(oracles.forward_precondition_by_enumeration, tree, gamma, 1, 2)
     assert want is not None and "node 'u'" in want[1]
     assert _refusal(check_forward_supermartingale, tree, gamma, a, 1, 2) == want

@@ -6,6 +6,8 @@ always exists) and a risk aversion whose reciprocal is replicable by a
 per-node portfolio (so entropy shifts are solvable without further checks).
 """
 
+import math
+
 import numpy as np
 
 from forwardperf.fields import ExponentialFieldParams
@@ -217,3 +219,34 @@ def with_offsets(field, offsets):
     for node, off in offsets.items():
         a_shift[node] = a_shift[node] + off
     return ExponentialFieldParams(field.gamma, a_shift)
+
+
+def ito_tree(depth, theta, delta, phi, rho, gamma_on_rho=True):
+    """The Ito parametrization on a tree: ``depth`` periods of
+    dt = 1 / depth, four branches per node with (dB, dW) = (+-sqrt(dt),
+    +-sqrt(dt)) and probability 1/4 each, and dS = theta dt + dB. 1/gamma
+    is replicated with psi = delta / gamma, so 1/gamma_child =
+    (1/gamma)(1 + delta dS) from gamma = 1 at the root, and the shift is
+    the closed form of ``ito_engine.build_forward_exponential`` along each
+    path, at constant coefficients:
+
+        a = gamma rho S + (1/2) t ((theta - delta)^2 - phi^2) - phi W.
+
+    ``gamma_on_rho=False`` drops the gamma on the hedgeable part, a = rho S
+    + ..., a field that does not self-generate. Returns (tree, field)."""
+    dt = 1.0 / depth
+    moves = [(db, dw) for db in (math.sqrt(dt), -math.sqrt(dt)) for dw in (math.sqrt(dt), -math.sqrt(dt))]
+    nodes, inv_gamma, a_shift = [], {}, {}
+
+    def grow(nid, t, inv, s, w):
+        inv_gamma[nid] = inv
+        hedge = rho * s / inv if gamma_on_rho else rho * s
+        a_shift[nid] = hedge + 0.5 * t * dt * ((theta - delta) ** 2 - phi**2) - phi * w
+        kids = [(f"{nid}{j}", theta * dt + db, dw) for j, (db, dw) in enumerate(moves)] if t < depth else []
+        nodes.append({"id": nid, "time": t, "branches": [{"child": c, "prob": 0.25, "dprice": ds} for c, ds, _ in kids]})
+        for c, ds, dw in kids:
+            grow(c, t + 1, inv * (1.0 + delta * ds), s + ds, w + dw)
+
+    grow("r", 0, 1.0, 0.0, 0.0)
+    tree = EventTree.from_dict({"horizon": depth, "nodes": nodes})
+    return tree, ExponentialFieldParams({n: 1.0 / x for n, x in inv_gamma.items()}, a_shift)
