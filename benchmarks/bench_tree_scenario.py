@@ -14,8 +14,9 @@ named on stderr and exits 1, after the JSON is written.
 
 Writes the median and spread (min, max) of the repeats as JSON, and per
 depth the calls per scenario and microseconds per call of the factor
-solve (``minimize_exp_sum``) and of the one-step vertex builds
-(``one_step_vertices``). Usage:
+solve (``minimize_exp_sum``), of the one-step vertex builds
+(``one_step_vertices``) and of the forward check's drift step
+(``_forward_drift``). Usage:
 
     PYTHONPATH=src:tests python benchmarks/bench_tree_scenario.py \\
         [--repeat 5] [--baseline-src OTHER/src] [--out BENCH_tree_scenario.json]
@@ -44,6 +45,7 @@ TESTS = os.path.join(HERE, "..", "tests")
 KERNELS = {
     "minimize_exp_sum": ("forwardperf.tree_verifier", "minimize_exp_sum"),
     "one_step_vertices": ("forwardperf.tree_market", "one_step_vertices"),
+    "_forward_drift": ("forwardperf.tree_verifier", "_forward_drift"),
 }
 
 

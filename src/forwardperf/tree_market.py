@@ -20,15 +20,19 @@ measure independently of every other node, so its restricted vertices
 depend only on the node and the window's end T (``_window_vertices``), and
 an extremum over it of a conditional expectation is a backward recursion
 over them, node by node (``vertex_recursion``), at O(nodes x vertices).
-Listing the products themselves (``enumerate_product_measures``) grows
-exponentially with depth. No check uses it: it stays, outside the package
-namespace, for the brute-force oracles of the tests and for perfbench's
-trace.
+A node's value depends on T and not on the window's start, so the
+recursion runs once per window end, each node once, for every window
+ending there. Listing the products themselves
+(``enumerate_product_measures``) grows exponentially with depth. No check
+uses it: it stays, outside the package namespace, for the brute-force
+oracles of the tests and for perfbench's trace.
 
-No check builds a measure on the whole tree either: both forward records
-run a drift recursion over the window's nodes. ``TreeMeasure``,
-``density_process`` and ``measure_from_leaf_masses`` serve only the tests'
-oracles and perfbench's trace.
+No check builds a measure on the whole tree either: the forward records
+read a drift recursion per window end, the worst case by
+``vertex_recursion`` and the one at the entropy minimiser from the sweep
+of one-step dual programs. ``TreeMeasure``, ``density_process`` and
+``measure_from_leaf_masses`` serve only the tests' oracles and
+perfbench's trace.
 """
 
 from __future__ import annotations
@@ -585,53 +589,38 @@ def vertex_recursion(
     tree: EventTree,
     t: int,
     T: int,
-    terminal: Callable[[str], object],
     local: Callable[..., object],
-    vertices: Mapping[str, tuple] | None = None,
-) -> dict[str, dict[str, object]]:
-    """Backward recursion over the one-step vertex sets of the window [t, T].
+    vertices: Mapping[str, tuple],
+    values: dict[str, object],
+) -> dict[str, object]:
+    """Backward recursion over the one-step vertex sets of the windows ending at T.
 
     A product measure picks one restricted vertex per node, independently,
     so the extremum over all of them of a conditional expectation is a
     Bellman recursion over the vertex sets (Epstein & Schneider, "Recursive
-    multiple-priors", JET 2003), at cost O(nodes x vertices).
+    multiple-priors", JET 2003), at cost O(nodes x vertices). A node's value
+    depends on T and on the vertices below it, not on the window's start,
+    so one table ``values`` serves every window ending at T: it holds the
+    time-T nodes' values and whatever earlier calls filled.
 
-    Per time-t start, the charged nodes are the start and every child that
-    some vertex of a charged parent gives mass above the vertex tolerance.
-    For each charged node with time < T, in reverse DFS order,
-    ``local(node, kids, verts, kid_values)`` returns its value from those of
-    its charged children ``kids``; ``(kids, verts)`` is the node's entry of
-    the vertex table ``vertices`` (``_window_vertices(tree, T)``, built
-    here when not given). Time-T nodes take ``terminal(node)``.
-
-    Returns {start: {node: value}} over the charged nodes with time < T,
-    start first, DFS order (just the start's terminal value when t == T).
-    Raises ArbitrageError when a start admits no martingale measure.
+    Each node of levels t..T-1 in the vertex table ``vertices``
+    (``_window_vertices(tree, T)``: the feasible nodes) that ``values``
+    lacks gets ``local(node, kids, verts, kid_values)``, from the values of
+    its charged children ``kids``, level by level from T - 1 down. Returns
+    ``values``. Raises ArbitrageError, before filling anything, when a
+    time-t start admits no martingale measure.
     """
     if not (0 <= t <= T <= tree.horizon):
         raise ValueError(f"bad window [{t}, {T}]")
-    if vertices is None:
-        vertices = _window_vertices(tree, T)
-    out: dict[str, dict[str, object]] = {}
     for start in tree.nodes_at(t):
-        if t == T:
-            out[start] = {start: terminal(start)}
-            continue
-        if start not in vertices:
+        if t < T and start not in vertices:
             raise ArbitrageError(f"no martingale measure below node {start!r}")
-        steps: dict[str, tuple] = {}
-        stack = [start]
-        while stack:
-            nid = stack.pop()
-            steps[nid] = vertices[nid]
-            stack.extend(c for c in reversed(steps[nid][0]) if tree.time_of(c) < T)
-        values: dict[str, object] = {}
-        for nid in reversed(steps):
-            kids, rows = steps[nid]
-            kid_values = [values[c] if c in steps else terminal(c) for c in kids]
-            values[nid] = local(nid, kids, rows, kid_values)
-        out[start] = {nid: values[nid] for nid in steps}
-    return out
+    for s in range(T - 1, t - 1, -1):
+        for nid in tree.nodes_at(s):
+            if nid in vertices and nid not in values:
+                kids, rows = vertices[nid]
+                values[nid] = local(nid, kids, rows, [values[c] for c in kids])
+    return values
 
 
 def enumerate_product_measures(

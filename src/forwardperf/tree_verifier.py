@@ -53,6 +53,17 @@ residual) along a path from its start (``kkt_residual``). Without
 replicability the field cannot self-generate: the dual value refuses it,
 and the dual records fail with the replication certificate.
 
+The forward check's equality runs the drift step
+D(n) = sum_k q~_k (D(k) - log(q~_k / p_k)), D = a at time T, at the
+minimiser r* of a window [t, T] reweighted by gamma_start / gamma_w: a
+node c of the window gets the weight sum_w r*_w gamma_start / gamma_w over
+its time-T descendants w, and q~ at a node is its children's weights
+normalised. With r*_w the product of the one-step minimisers q along the
+path, that weight is (prod of q along start -> c) gamma_start m_c, m_c the
+sweep's nested sum_k q_k m_k below c. So q~_k = q_k m_k / m_n at every
+node n, whatever the start, and D(n) is one more value per node of the
+sweep to T (``_Sweep.drift``).
+
 Conjugacy u(xi) = inf over eta of v(eta) + xi eta is read from the same
 eta = 1 value in closed form: the infimum of eta (v(1) + xi) +
 eta log(eta) m is -m e^E, attained at eta = e^E with E = -(v(1) + xi)/m - 1.
@@ -87,6 +98,7 @@ _REPLICATION_TOL = 1e-10
 _INVERSE_GAMMA_TOL = 1e-9  # conditional mean of 1/gamma, per node
 _DUAL_SPLIT = "the dual value is composed from one-step programs"
 _UNREPLICATED = "no portfolio replicates 1/gamma: the dual program does not split, and is not solved"
+_FORWARD = "forward measures need a replicable 1/gamma"
 
 
 # -- results -------------------------------------------------------------
@@ -222,13 +234,13 @@ class WindowDuals:
       equivalent one-step measure (``centroid``), from its one-step
       polytope, which the tree keeps (``node_polytope``); and the
       replication of 1/gamma (``replication``);
-    - per T: the vertex table (``vertices``); and, keyed also by the bits
-      of a_shift at the time-T nodes, the factor C(node) of each node some
-      window ending at T has needed (``factors``) and the sweep of one-step
-      dual programs to T (``sweep``), which depend on the window's end and
-      not on its start;
-    - per (t, T): the (max, min) range of E^Q[1/gamma_T | node] over the
-      product vertices (``inverse_gamma_range``);
+    - per T: the vertex table (``vertices``) and the (max, min) range of
+      E^Q[1/gamma_T | node] over the product vertices
+      (``inverse_gamma_range``); and, keyed also by the bits of a_shift at
+      the time-T nodes, the factor C(node) (``factors``), the worst forward
+      drift D(node) (``worst_drift``) and the sweep of one-step dual
+      programs to T (``sweep``). Each holds the nodes some window ending at
+      T has needed; they depend on the window's end and not on its start;
     - per (t, T), keyed also by the bits of a_shift at the time-T nodes:
       the window's eta = 1 dual value (``dual``), which ``DualResult.at``
       reads at every eta. A shift moved before T (a perturbed root) reads
@@ -246,7 +258,8 @@ class WindowDuals:
         self._replication: ReplicationResult | None = None
         self._vertices: dict[int, dict[str, tuple]] = {}
         self._factors: dict[tuple[int, bytes], tuple[dict, dict]] = {}
-        self._inverse_gamma: dict[tuple[int, int], dict] = {}
+        self._inverse_gamma: dict[int, dict] = {}
+        self._drifts: dict[tuple[int, bytes], dict] = {}
         self._sweeps: dict[tuple[int, bytes], _Sweep] = {}
         self._solved: dict[tuple[int, int, bytes], DualResult] = {}
 
@@ -288,10 +301,31 @@ class WindowDuals:
             self._factors[key] = ({}, {})
         return self._factors[key]
 
-    def inverse_gamma_range(self, t: int, T: int) -> dict[str, dict]:
-        if (t, T) not in self._inverse_gamma:
-            self._inverse_gamma[(t, T)] = _inverse_gamma_range(self, t, T)
-        return self._inverse_gamma[(t, T)]
+    def inverse_gamma_range(self, t: int, T: int) -> dict[str, tuple]:
+        """Per feasible node of levels t..T, the (max, min) of
+        E^Q[1/gamma_T | node] over the product vertices Q of its window to
+        T (``vertex_recursion``)."""
+        if T not in self._inverse_gamma:
+            self._inverse_gamma[T] = {w: (1.0 / self.gamma[w],) * 2 for w in self.tree.nodes_at(T)}
+        return vertex_recursion(self.tree, t, T, _inverse_gamma_step, self.vertices(T), self._inverse_gamma[T])
+
+    def worst_drift(self, a_shift: Mapping[str, float], t: int, T: int) -> dict[str, float]:
+        """Per feasible node of levels t..T, its worst forward drift D to T
+        for this a_shift at the time-T nodes (``_worst_drift_step``)."""
+        key = (T, self._shift_key(a_shift, T))
+        if key not in self._drifts:
+            self._drifts[key] = {w: a_shift[w] for w in self.tree.nodes_at(T)}
+        return vertex_recursion(self.tree, t, T, self._worst_drift_step, self.vertices(T), self._drifts[key])
+
+    def _worst_drift_step(self, _nid, kids, verts, kid_values):
+        """max over the vertices v of the forward drift step at weights
+        v_c / gamma_c."""
+        probs = [self.tree.branch_to(c).prob for c in kids]
+        best = -math.inf
+        for vert in verts:
+            weights = [v / self.gamma[c] for v, c in zip(vert, kids)]
+            best = max(best, _forward_drift(weights, probs, kid_values))
+        return best
 
     def sweep(self, a_shift: Mapping[str, float], t: int, T: int) -> _Sweep:
         """The sweep to T for this a_shift at the time-T nodes, solved down
@@ -502,14 +536,16 @@ class _Sweep:
     nodes, solved level by level from T - 1 down (``extend``). Per solved
     node: its minimiser ``q`` as (child, mass) pairs; the ``entropy`` and m
     (sum_k q_k m_k) of the window [time(node), T] at it; the ``shift`` its
-    parent reads (implied by that entropy; a_shift at time T); the largest
-    sum of node bounds along a path below it (``kkt``) and the Newton
-    iterations summed below it (``newton``)."""
+    parent reads (implied by that entropy; a_shift at time T); the forward
+    ``drift`` D at the minimiser (``_forward_drift`` at weights q_k m_k;
+    a_shift at time T); the largest sum of node bounds along a path below
+    it (``kkt``) and the Newton iterations summed below it (``newton``)."""
 
     def __init__(self, duals, a_shift, T):
         self.duals, self.T, self.level = duals, T, T
         ends = duals.tree.nodes_at(T)
         self.shift = {w: float(a_shift[w]) for w in ends}
+        self.drift = dict(self.shift)
         self.inverse_gamma_mean = {w: 1.0 / duals.gamma[w] for w in ends}
         self.kkt, self.newton = dict.fromkeys(ends, 0.0), dict.fromkeys(ends, 0)
         self.q, self.entropy = {}, {}
@@ -558,14 +594,19 @@ class _Sweep:
         failures = {}
         outcome = zip(nodes, q.tolist(), info["value"].tolist(), kkt, info["iterations"].tolist(), info["failure"])
         for n, qn, value, bound, iterations, failure in outcome:
-            pairs = [(br.child, x) for br, x in zip(tree.branches_of(n), qn)]
-            m = sum(x * self.inverse_gamma_mean[k] for k, x in pairs)
+            branches = tree.branches_of(n)
+            pairs = [(br.child, x) for br, x in zip(branches, qn)]
+            weights = [x * self.inverse_gamma_mean[k] for k, x in pairs]
+            m = sum(weights)
             where = f"dual program below node {n!r} on [{s}, {self.T}]"
             if failure is not None and iterations:
                 failures[n] = f"{where}: {failure}"
             elif failure is not None or not (math.isfinite(value) and math.isfinite(m)):
                 # a failure at the start is an objective out of the float range
                 failures[n] = f"{where} leaves the float range: entropy {value!r}, m {m!r}"
+            else:
+                kid_drifts = [self.drift[k] for k, _ in pairs]
+                self.drift[n] = _forward_drift(weights, [br.prob for br in branches], kid_drifts)
             self.q[n], self.entropy[n], self.inverse_gamma_mean[n] = pairs, value, m
             self.kkt[n] = bound + max(self.kkt[k] for k, _ in pairs)
             self.newton[n] = iterations + sum(self.newton[k] for k, _ in pairs)
@@ -919,19 +960,12 @@ def check_value_conjugacy(
     )
 
 
-def _inverse_gamma_range(duals, t, T):
-    """Per start, per charged window node: (max, min) of E^Q[1/gamma_T | node]
-    over the product vertices Q of [t, T]."""
-    gamma = duals.gamma
-
-    def local(_nid, _kids, verts, kid_values):
-        hi = max(sum(v * c_hi for v, (c_hi, _) in zip(vert, kid_values)) for vert in verts)
-        lo = min(sum(v * c_lo for v, (_, c_lo) in zip(vert, kid_values)) for vert in verts)
-        return hi, lo
-
-    return vertex_recursion(
-        duals.tree, t, T, lambda w: (1.0 / gamma[w],) * 2, local, duals.vertices(T)
-    )
+def _inverse_gamma_step(_nid, _kids, verts, kid_values):
+    """(max, min) over the vertices of the conditional means of the
+    children's (max, min) ranges."""
+    hi = max(sum(v * c_hi for v, (c_hi, _) in zip(vert, kid_values)) for vert in verts)
+    lo = min(sum(v * c_lo for v, (_, c_lo) in zip(vert, kid_values)) for vert in verts)
+    return hi, lo
 
 
 def _inverse_gamma_gap(g, hi_lo):
@@ -957,8 +991,9 @@ def check_exponential_conditions(
 
     The product vertices are not listed: the largest and smallest
     conditional means of 1/gamma_T over them come from one backward
-    recursion over the one-step vertex sets (``_inverse_gamma_range``), and
-    the gap at a start is the larger distance of either from 1/gamma there.
+    recursion over the one-step vertex sets per window end
+    (``WindowDuals.inverse_gamma_range``), and the gap at a start is the
+    larger distance of either from 1/gamma there.
     The entropy minima are the eta = 1 window duals of the field (gamma,
     a_shift); they and the (max, min) ranges are read from ``duals`` when
     given.
@@ -984,7 +1019,7 @@ def check_exponential_conditions(
         inverse_gamma.append(
             _gap_record(
                 f"exp-condition-inverse-gamma-martingale[t={t},T={T}]",
-                {n: _inverse_gamma_gap(gamma[n], by_node[n]) for n, by_node in ranges.items()},
+                {n: _inverse_gamma_gap(gamma[n], ranges[n]) for n in tree.nodes_at(t)},
                 tol,
             )
         )
@@ -1031,31 +1066,34 @@ def check_forward_supermartingale(
 
     For every product vertex Q of the window polytope, with Q_g its
     reweighting by gamma_0/gamma_T, the process a - log Z^{Q_g} must not
-    drift up between any window node and the terminal time (nodes Q_g
-    avoids are skipped); the entropy-minimizing measure must achieve
-    equality. Positivity and the inverse-gamma mean condition are verified
-    first and raise when violated, the latter with ``ReplicationError``.
+    drift up between any window node and the terminal time; the
+    entropy-minimizing measure must achieve equality. Q_g is a probability
+    for every Q only when 1/gamma keeps its conditional mean under every
+    martingale measure, so a gamma that no portfolio replicates is refused
+    with ``ReplicationError`` before anything is computed, as the dual value
+    refuses it. So are a gamma that is not positive, and a shift or gamma
+    that is not finite, with ``ValueError``.
 
-    Both records run node by node, without listing the product vertices. A
-    window node is charged when every edge from its start to it gets mass
-    above the vertex tolerance at some vertex of its parent: exactly the
-    nodes some Q reaches. The inverse-gamma mean condition must hold at
-    every charged node for every choice below it (``_inverse_gamma_range``). Once it holds, the reweighting is per
-    edge, q~_c = (v_c / gamma_c) / sum_j (v_j / gamma_j) at a vertex v, so
-    the drift at a node depends only on the choices at and below it, and
-    its worst case over Q is the backward recursion
+    Both records run node by node, without listing the product vertices.
+    With 1/gamma replicable, the reweighting is per edge,
+    q~_c = (v_c / gamma_c) / sum_j (v_j / gamma_j) at a vertex v, so the
+    drift at a node depends only on the choices at and below it, and its
+    worst case over Q is the backward recursion
 
         D(w) = a_w at time T,
         D(m) = max over v of sum_c q~_c (D(c) - log(q~_c / p_c)),
 
-    with D(m) - a_m the worst drift at m; the record takes the largest over
-    the charged nodes. At the entropy minimiser r* (the eta = 1 window dual
-    of the field) the same step (``_forward_drift``) runs at that one
-    measure: q~_c is the share of c's time-T descendants w in the sum of
-    r*_w gamma_start / gamma_w, and |D(m) - a_m| must vanish at every node
-    the minimiser reaches; composed from one-step programs, that gap at m is
-    the entropy-identity gap of [time(m), T] at m, a consistency check. The
-    minimiser, the ranges and the vertex table are read from ``duals``.
+    with D(m) - a_m the worst drift at m (``WindowDuals.worst_drift``, one
+    table per window end). At the entropy minimiser the same step
+    (``_forward_drift``) runs at that one measure, q~_k = q_k m_k / m_n (see
+    the module docstring), and |D(m) - a_m| must vanish; composed from
+    one-step programs, that gap at m is the entropy-identity gap of
+    [time(m), T] at m, a consistency check. It is the sweep's ``drift``.
+
+    Each record takes the largest gap over the window's nodes, start by
+    start, in DFS order (``tree.window_interior``). Every one of them is
+    charged: the sweep refuses a node of levels t..T-1 with no equivalent
+    one-step measure, so every vertex table entry there keeps all children.
     """
     if T is None:
         T = tree.horizon
@@ -1064,61 +1102,24 @@ def check_forward_supermartingale(
     for n in tree._dfs_order:
         if not (gamma[n] > 0.0):
             raise ValueError(f"gamma must be positive, node {n!r}")
+    ExponentialFieldParams(gamma, a_shift)  # refuses a shift or gamma that is not finite
     duals = _window_duals(duals, tree, gamma)
-
-    # vertex-level inverse-gamma mean precondition
-    for by_node in duals.inverse_gamma_range(t, T).values():
-        for m, hi_lo in by_node.items():
-            if _inverse_gamma_gap(gamma[m], hi_lo) > _INVERSE_GAMMA_TOL:
-                raise ReplicationError(
-                    f"inverse-gamma conditional mean fails at node {m!r}; "
-                    "forward measures are not probabilities"
-                )
-
-    def worst_drift(m, kids, verts, kid_values):
-        probs = [tree.branch_to(c).prob for c in kids]
-        best = -math.inf
-        for vert in verts:
-            weights = [v / gamma[c] for v, c in zip(vert, kids)]
-            best = max(best, _forward_drift(weights, probs, kid_values))
-        return best
-
-    drifts = vertex_recursion(tree, t, T, lambda w: a_shift[w], worst_drift, duals.vertices(T))
-
-    def optimum_gaps(start, masses):
-        """|D(m) - a_m| at the minimiser with leaf masses ``masses``, per
-        window node it reaches, start first, in DFS order."""
-        weight = {w: masses[w] * gamma[start] / gamma[w] for w in masses}
-        drift = {}
-        interior = tree.window_interior(start, T)
-        for m in reversed(interior):
-            kids = tree.children(m)
-            weights = [weight[c] for c in kids]
-            weight[m] = sum(weights)
-            probs = [br.prob for br in tree.branches_of(m)]
-            kid_values = [drift[c] if c in drift else a_shift[c] for c in kids]
-            drift[m] = _forward_drift(weights, probs, kid_values)
-        return {
-            m: abs(drift[m] - a_shift[m]) for m in interior if m == start or weight[m] > 0.0
-        }
-
-    ent = duals.dual(ExponentialFieldParams(gamma, a_shift), t, T)
+    _require_replication(duals.replication(), _FORWARD)
+    worst = duals.worst_drift(a_shift, t, T)
+    sweep = duals.sweep(a_shift, t, T)
     # the starts' subtrees are disjoint, so each record keys its gaps by node
+    window = [m for start in tree.nodes_at(t) for m in tree.window_interior(start, T)]
     return VerificationReport(
         [
             _gap_record(
                 f"forward-supermartingale[t={t},T={T}]",
-                {m: d - a_shift[m] for by_node in drifts.values() for m, d in by_node.items()},
+                {m: worst[m] - a_shift[m] for m in window},
                 tol,
                 notes=("positive drift of the shifted log density violates the bound",),
             ),
             _gap_record(
                 f"forward-martingale-at-optimum[t={t},T={T}]",
-                {
-                    m: gap
-                    for start in tree.nodes_at(t)
-                    for m, gap in optimum_gaps(start, ent.leaf_masses[start]).items()
-                },
+                {m: abs(sweep.drift[m] - a_shift[m]) for m in window},
                 tol,
             ),
         ]

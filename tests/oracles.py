@@ -26,7 +26,9 @@ Gaussian kernel and zero-padded pairwise sum kept beside them as they
 were, (for the entropy kernel) the replaced ``np.where`` form, (for the
 factor solve and the one-step vertices, which the window programs' interior
 points and the product-measure count also read here) the replaced forms on
-numpy arrays, (for the density and field paths)
+numpy arrays, (for the forward check's tables per window end) the walk per
+window and start over the charged nodes and the drift at the minimiser read
+from its leaf masses, as the package ran them before, (for the density and field paths)
 one whole-matrix numpy expression per quantity, over increments drawn
 here rather than read from the simulation, (for the path export)
 the CSV written row by row from the whole simulation's matrices, or (for
@@ -45,7 +47,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from forwardperf import kernels, solvers
-from forwardperf.errors import ConvergenceError, ReplicationError
+from forwardperf.errors import ArbitrageError, ConvergenceError, ReplicationError
 from forwardperf.fields import ExponentialFieldParams
 from forwardperf.report import CheckRecord, VerificationReport
 from forwardperf.tree_market import (
@@ -1003,6 +1005,65 @@ def worst_forward_drift_by_enumeration(tree, gamma, a_shift, t, T):
                 if gap > worst:
                     worst, worst_node = gap, m
     return worst, worst_node
+
+
+# -- the forward check's walks per window and start -------------------------
+#
+# As the package ran them before it kept one table per window end: the
+# Bellman walk over the charged nodes below each start, and the drift at
+# the entropy minimiser from its reweighted leaf masses.
+
+
+def vertex_recursion(tree, t, T, terminal, local, vertices):
+    """{start: {node: value}} over the charged nodes before T below each
+    time-t start, start first, in DFS order (just the start's terminal
+    value when t == T): the start, and every child that the vertex table
+    ``vertices`` (``_window_vertices(tree, T)``) gives a charged node.
+    ``local(node, kids, verts, kid_values)`` gives a node's value from its
+    charged children's, ``terminal(node)`` a time-T node's. ArbitrageError
+    when a start admits no martingale measure."""
+    out = {}
+    for start in tree.nodes_at(t):
+        if t == T:
+            out[start] = {start: terminal(start)}
+            continue
+        if start not in vertices:
+            raise ArbitrageError(f"no martingale measure below node {start!r}")
+        steps = {}
+        stack = [start]
+        while stack:
+            nid = stack.pop()
+            steps[nid] = vertices[nid]
+            stack.extend(c for c in reversed(steps[nid][0]) if tree.time_of(c) < T)
+        values = {}
+        for nid in reversed(steps):
+            kids, rows = steps[nid]
+            kid_values = [values[c] if c in steps else terminal(c) for c in kids]
+            values[nid] = local(nid, kids, rows, kid_values)
+        out[start] = {nid: values[nid] for nid in steps}
+    return out
+
+
+def optimum_gaps(tree, gamma, a_shift, start, T, masses):
+    """|D(m) - a_m| per window node m that the minimiser with leaf masses
+    ``masses`` reaches, start first, in DFS order: D the forward drift
+    recursion at that one measure reweighted by gamma_start / gamma_w, its
+    conditionals read from subtree sums of the reweighted leaf masses."""
+    weight = {w: masses[w] * gamma[start] / gamma[w] for w in masses}
+    drift = {}
+    interior = tree.window_interior(start, T)
+    for m in reversed(interior):
+        kids = tree.children(m)
+        weights = [weight[c] for c in kids]
+        weight[m] = total = sum(weights)
+        value = 0.0
+        for w, br in zip(weights, tree.branches_of(m)):
+            if w > 0.0:
+                q = w / total
+                d = drift[br.child] if br.child in drift else a_shift[br.child]
+                value += q * (d - math.log(q / br.prob))
+        drift[m] = value
+    return {m: abs(drift[m] - a_shift[m]) for m in interior if m == start or weight[m] > 0.0}
 
 
 def measures_below(tree, nid, T):

@@ -210,9 +210,14 @@ def random_tree_doc(a_shift, periods=4):
 # shift with them, and newton_iterations and kkt_residual took their
 # composed meaning (summed over the window's one-step programs; the
 # largest sum of node bounds along a path); no verdict or worst_node.
+# Re-pinned on purpose again when the drift at the entropy minimiser came
+# to be one value per node of the sweep to T, at weights q_k m_k, instead
+# of a recursion per start over the minimiser's reweighted leaf masses:
+# only the forward-martingale-at-optimum values moved (at most 5.6e-16
+# here), and no verdict or worst_node.
 PINNED_TREE_REPORT_SHA256 = {
-    "explicit": "a0b3000bb2d262736b6b5d1611bf784b04457d9d69bb4ed4426be80bc0de4450",
-    "solve": "1e967a7ae70d56f698c70b99a221104f11eae38c72c68af5ba0148739795a058",
+    "explicit": "33d75752d1acf182e6fecd9561d0a2f6019484e4a6e7d65907b6bf7d24c769eb",
+    "solve": "e8d494b662550667d9e2cee3182e6ac41247406992633258ec9a518bf85f718f",
 }
 PINNED_TREE_SHIFTS = {
     "explicit": lambda tree, field: {"mode": "explicit", "values": field.a_shift},
@@ -603,14 +608,16 @@ def test_integer_too_long_to_read_is_refused(tmp_path, capsys, where):
 
 
 def test_tree_scenario_refuses_forward_check_without_replication(tmp_path, capsys):
-    # the forward check's precondition, the inverse-gamma mean at every
-    # charged node, is refused with ReplicationError (exit 2), not raised
+    # a gamma that no portfolio replicates is refused by the forward check
+    # before anything is computed, with ReplicationError (exit 2), as the
+    # primal and dual values refuse it
     doc = nonreplicable_doc(checks=["forward-supermartingale"])
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: inverse-gamma conditional mean fails at node 'r'; forward measures are not probabilities\n"
+        "error: forward measures need a replicable 1/gamma: no portfolio replicates 1/gamma "
+        "at node 'r' (residual 0.2)\n"
     )
 
 

@@ -21,6 +21,7 @@ from forwardperf.tree_market import (
 )
 from treegen import (
     binomial_tree,
+    mid_arbitrage_tree,
     random_tree,
     starved_tree,
     trinomial_tree,
@@ -341,13 +342,13 @@ def test_density_process_values():
 
 def maximal_support(tree, t, T):
     """Time-T nodes that some martingale measure on [t, T] charges: the
-    terminal nodes ``vertex_recursion`` charges."""
+    terminal nodes below the starts in ``vertex_recursion``'s table."""
 
     def local(nid, kids, verts, kid_values):
         return set().union(*kid_values)
 
-    by_start = vertex_recursion(tree, t, T, lambda w: {w}, local)
-    return set().union(*(values[start] for start, values in by_start.items()))
+    values = vertex_recursion(tree, t, T, local, _window_vertices(tree, T), {w: {w} for w in tree.nodes_at(T)})
+    return set().union(*(values[start] for start in tree.nodes_at(t)))
 
 
 def test_maximal_support_full_on_nflvr_tree():
@@ -409,41 +410,34 @@ def test_enumerate_product_measures_cap():
 
 def test_vertex_recursion_charged_nodes_and_vertices():
     tree = starved_tree()
+    calls = []
 
     def local(nid, kids, verts, kid_values):
+        calls.append(nid)
         return kids, verts, kid_values
 
-    out = vertex_recursion(tree, 0, 2, lambda w: w, local)
-    assert list(out) == ["r"]
-    assert list(out["r"]) == ["r", "m"]  # u is never charged
-    assert out["r"]["r"][:2] == (("m",), ((1.0,),))
-    kids, verts, kid_values = out["r"]["m"]
+    table = _window_vertices(tree, 2)
+    values = {w: w for w in tree.nodes_at(2)}
+    # the window [1, 2] fills level 1 only: u too, though no measure from
+    # the root reaches it
+    assert vertex_recursion(tree, 1, 2, local, table, values) is values
+    assert calls == ["u", "m"]
+    # [0, 2] adds the root, from the level-1 values already there
+    vertex_recursion(tree, 0, 2, local, table, values)
+    assert calls == ["u", "m", "r"]
+    assert values["r"][:2] == (("m",), ((1.0,),))
+    kids, verts, kid_values = values["m"]
     assert kids == ("m1", "m2") and kid_values == ["m1", "m2"]
     assert verts == pytest.approx([(0.75, 0.25)], abs=1e-15)
-    # every start of a later window is charged, u included
-    out = vertex_recursion(tree, 1, 2, lambda w: w, local)
-    assert {s: list(v) for s, v in out.items()} == {"u": ["u"], "m": ["m"]}
-    # an empty window keeps the start's terminal value
-    assert vertex_recursion(tree, 2, 2, lambda w: w, local) == {
-        w: {w: w} for w in tree.nodes_at(2)
-    }
-
-
-def mid_arbitrage_tree():
-    """Two periods; node a's increments (+1, +2) admit no martingale
-    measure, so the root's measures are confined to b and c."""
-    return EventTree.from_dict(
-        {
-            "horizon": 2,
-            "nodes": [
-                node("r", 0, [br("a", 0.3, 1.0), br("b", 0.3, -1.0), br("c", 0.4, 0.5)]),
-                node("a", 1, [br("a1", 0.5, 1.0), br("a2", 0.5, 2.0)]),
-                node("b", 1, [br("b1", 0.5, 1.0), br("b2", 0.5, -1.0)]),
-                node("c", 1, [br("c1", 0.4, 1.5), br("c2", 0.6, -1.0)]),
-                *(node(w, 2) for w in ("a1", "a2", "b1", "b2", "c1", "c2")),
-            ],
-        }
-    )
+    assert values["r"][2] == [values["m"]]
+    # a window read again, or one of no step, evaluates nothing
+    vertex_recursion(tree, 0, 2, local, table, values)
+    vertex_recursion(tree, 2, 2, local, table, values)
+    assert calls == ["u", "m", "r"]
+    # an infeasible node is never evaluated
+    tree = mid_arbitrage_tree()
+    values = vertex_recursion(tree, 0, 2, local, _window_vertices(tree, 2), {w: w for w in tree.nodes_at(2)})
+    assert "a" not in values and values["r"][0] == ("b", "c")
 
 
 def test_window_vertices_table():
@@ -486,11 +480,13 @@ def test_vertex_recursion_counts_the_enumerated_measures():
 
     for seed in range(6):
         tree = random_tree(seed, periods=3)
-        for t in range(3):
-            for T in range(t, 4):
+        for T in range(4):
+            values = {w: 1 for w in tree.nodes_at(T)}
+            for t in range(T, -1, -1):
+                vertex_recursion(tree, t, T, count, _window_vertices(tree, T), values)
                 got = 1
-                for start, by_node in vertex_recursion(tree, t, T, lambda w: 1, count).items():
-                    got *= by_node[start]
+                for start in tree.nodes_at(t):
+                    got *= values[start]
                 assert got == len(enumerate_product_measures(tree, t, T))
 
 
@@ -505,10 +501,12 @@ def test_vertex_recursion_refusals():
             ],
         }
     )
+    values = {"a": 0.0, "b": 0.0}
     with pytest.raises(ArbitrageError, match="below node 'r'"):
-        vertex_recursion(tree, 0, 1, lambda w: 0.0, lambda *args: 0.0)
+        vertex_recursion(tree, 0, 1, lambda *args: 0.0, _window_vertices(tree, 1), values)
+    assert values == {"a": 0.0, "b": 0.0}
     with pytest.raises(ValueError, match="bad window"):
-        vertex_recursion(tree, 1, 0, lambda w: 0.0, lambda *args: 0.0)
+        vertex_recursion(tree, 1, 0, lambda *args: 0.0, {}, {})
 
 
 def test_leaf_mass_roundtrip():

@@ -23,6 +23,7 @@ from forwardperf.fields import ExponentialFieldParams, conjugate_exponential, en
 from forwardperf.tree_market import (
     EventTree,
     TreeMeasure,
+    _window_vertices,
     density_process,
     enumerate_product_measures,
     measure_from_leaf_masses,
@@ -44,6 +45,7 @@ from treegen import (
     binomial_tree,
     constant_field,
     ito_tree,
+    mid_arbitrage_tree,
     random_tree,
     replicable_gamma,
     solved_field,
@@ -1408,6 +1410,17 @@ def test_forward_supermartingale_guards():
         check_forward_supermartingale(
             trinomial_tree(), non2b, {n: 0.0 for n in non2b}, 0, 1
         )
+    # a shift or gamma that is not finite, at a window node or outside the
+    # window, is refused, not read into a passing report
+    for node in ("a", "a1", "r"):
+        nan_shift = dict(field.a_shift)
+        nan_shift[node] = math.nan
+        with pytest.raises(ValueError, match=f"a_shift must be finite at node {node!r}"):
+            check_forward_supermartingale(tree, field.gamma, nan_shift, 1, 2)
+    inf_gamma = dict(field.gamma)
+    inf_gamma["a1"] = math.inf
+    with pytest.raises(ValueError, match="gamma must be positive and finite at node 'a1'"):
+        check_forward_supermartingale(tree, inf_gamma, field.a_shift, 0, 2)
 
 
 # -- per-node recursion against enumeration of the product measures --------
@@ -1485,6 +1498,107 @@ def test_forward_optimum_matches_density_oracle(periods, bumped):
         assert rec.worst_node == (want_node if want > 1e-6 else None), (t, T)
 
 
+def _table_cases():
+    """Random trees of 2-5 periods with a replicable gamma and a drawn one,
+    and the two trees with arbitrage, where some node before T is
+    infeasible (mid_arbitrage_tree) or feasible but reached by no measure
+    from the root (starved_tree)."""
+    rng = np.random.default_rng(37)
+    trees = [random_tree(seed, periods=d) for d in (2, 3, 4, 5) for seed in (1, 7)]
+    for tree in trees + [starved_tree(), mid_arbitrage_tree()]:
+        drawn = {n: float(rng.uniform(0.5, 2.0)) for n in tree._dfs_order}
+        shift = {n: float(rng.uniform(-1.0, 1.0)) for n in tree._dfs_order}
+        yield tree, drawn, shift
+        yield tree, replicable_gamma(tree, 5)[0], shift
+
+
+def test_per_window_end_tables_match_the_per_start_walk():
+    # the worst forward drift and the inverse-gamma range, one table per
+    # window end filled down to each window's start level, read bit for bit
+    # as the walk per window and start reads them, at every start and every
+    # charged node; the windows come latest start first, so each fills one
+    # more level, and then earliest first, so each reads a filled table
+    for tree, gamma, a_shift in _table_cases():
+        windows = [(t, T) for T in range(1, tree.horizon + 1) for t in range(T - 1, -1, -1)]
+        for order in (windows, sorted(windows)):
+            duals = WindowDuals(tree, gamma)
+            for t, T in order:
+                table = _window_vertices(tree, T)
+                want = _refusal(oracles.vertex_recursion, tree, t, T, lambda w: 0.0, lambda *args: 0.0, table)
+                if want is not None:
+                    assert _refusal(duals.worst_drift, a_shift, t, T) == want
+                    assert _refusal(duals.inverse_gamma_range, t, T) == want
+                    continue
+                worst = duals.worst_drift(a_shift, t, T)
+                ranges = duals.inverse_gamma_range(t, T)
+                by_start = oracles.vertex_recursion(
+                    tree, t, T, lambda w: a_shift[w], duals._worst_drift_step, table
+                )
+                for values in by_start.values():
+                    assert all(worst[m] == d for m, d in values.items()), (t, T)
+                by_start = oracles.vertex_recursion(
+                    tree, t, T, lambda w: (1.0 / gamma[w],) * 2, tree_verifier._inverse_gamma_step, table
+                )
+                for values in by_start.values():
+                    assert all(ranges[m] == hi_lo for m, hi_lo in values.items()), (t, T)
+
+
+@pytest.mark.parametrize("periods", [2, 3, 4, 5])
+def test_sweep_drift_matches_the_leaf_mass_oracle(periods):
+    # the drift at the entropy minimiser, one value per node of the sweep
+    # (weights q_k m_k), against the recursion read from the minimiser's
+    # reweighted leaf masses per window and start: solved, root-bumped and
+    # random shifts, every window; the minimiser reaches every window node
+    rng = np.random.default_rng(periods)
+    for seed in (3, 7):
+        tree = random_tree(seed, periods=periods)
+        solved = solved_field(tree, seed)
+        drawn = {n: float(rng.uniform(-1.0, 1.0)) for n in tree._dfs_order}
+        for field in (solved, with_offsets(solved, {tree.root: 0.1}), ExponentialFieldParams(solved.gamma, drawn)):
+            duals = WindowDuals(tree, field.gamma)
+            for t, T in _window_pairs(tree):
+                res = duals.dual(field, t, T)
+                sweep = duals.sweep(field.a_shift, t, T)
+                for start in tree.nodes_at(t):
+                    want = oracles.optimum_gaps(
+                        tree, field.gamma, field.a_shift, start, T, res.leaf_masses[start]
+                    )
+                    assert list(want) == list(tree.window_interior(start, T))
+                    for m, gap in want.items():
+                        assert abs(abs(sweep.drift[m] - field.a_shift[m]) - gap) <= 1e-12, (t, T, m)
+
+
+def test_forward_drift_once_per_node_and_window_end(monkeypatch):
+    # a solved scenario on random_tree(3, periods=4), every window: the
+    # worst drift evaluates each feasible node before T once per window end
+    # T, one drift step per vertex, and the sweep to T adds one step per
+    # node at the minimiser; the root-perturbed twin evaluates nothing more
+    tree = random_tree(3, periods=4)
+    solved = solved_field(tree, 3)
+    evaluated, steps = [], []
+    original_step, original_drift = WindowDuals._worst_drift_step, tree_verifier._forward_drift
+
+    def counted_step(self, nid, kids, verts, kid_values):
+        evaluated.append(nid)
+        return original_step(self, nid, kids, verts, kid_values)
+
+    def counted_drift(*args):
+        steps.append(1)
+        return original_drift(*args)
+
+    monkeypatch.setattr(WindowDuals, "_worst_drift_step", counted_step)
+    monkeypatch.setattr(tree_verifier, "_forward_drift", counted_drift)
+    duals = WindowDuals(tree, solved.gamma)
+    tables = {T: _window_vertices(tree, T) for T in range(1, 5)}
+    feasible = sum(len(table) for table in tables.values())
+    vertices = sum(len(rows) for table in tables.values() for _, rows in table.values())
+    for field in (solved, with_offsets(solved, {tree.root: 0.1})):
+        for t, T in _window_pairs(tree):
+            check_forward_supermartingale(tree, field.gamma, field.a_shift, t, T, duals=duals)
+        assert len(evaluated) == feasible == sum(len(tree.nodes_at(s)) for T in range(1, 5) for s in range(T))
+        assert len(steps) == vertices + feasible
+
+
 def _refusal(fn, *args):
     try:
         fn(*args)
@@ -1493,48 +1607,72 @@ def _refusal(fn, *args):
     return None
 
 
-def test_forward_precondition_refusal_matches_enumeration_oracle():
-    # 1/gamma moved at one node strictly inside the tree: the inverse-gamma
-    # mean fails there and only there, whatever the vertex choices below it
-    refused = 0
-    for tree, solved in _oracle_cases():
+def _no_pass(monkeypatch):
+    """Make a vertex pass or a sweep of the forward check fail the test."""
+
+    def ran(*args):
+        raise AssertionError("a vertex pass or a sweep ran")
+
+    monkeypatch.setattr(tree_verifier, "vertex_recursion", ran)
+    monkeypatch.setattr(tree_verifier, "_Sweep", ran)
+
+
+def _forward_replication_refusal(tree, gamma):
+    rep = replicate_inverse_gamma(tree, gamma)
+    return (
+        f"forward measures need a replicable 1/gamma: no portfolio replicates 1/gamma "
+        f"at node {rep.failed_node!r} (residual {rep.residual:.3g})"
+    )
+
+
+def test_forward_precondition_refusal_matches_enumeration_oracle(monkeypatch):
+    # 1/gamma moved at one node strictly inside the tree. The enumeration
+    # oracle refuses the windows where some product measure charges a node
+    # that misses the inverse-gamma mean; the check refuses every window,
+    # since no portfolio replicates 1/gamma at the moved node's parent,
+    # before any vertex pass or sweep runs
+    cases = list(_oracle_cases())
+    _no_pass(monkeypatch)
+    refused = kept = 0
+    for tree, solved in cases:
         node = tree.nodes_at(tree.horizon // 2)[-1]
         gamma = dict(solved.gamma)
         gamma[node] = 1.0 / (1.0 / gamma[node] + 0.05)
+        assert replicate_inverse_gamma(tree, gamma).failed_node == tree.parent[node]
+        want = _forward_replication_refusal(tree, gamma)
         for (t, T) in _window_pairs(tree):
-            want = _refusal(oracles.forward_precondition_by_enumeration, tree, gamma, t, T)
-            got = _refusal(check_forward_supermartingale, tree, gamma, solved.a_shift, t, T)
-            if want is None:
-                # the window keeps the mean, but the dual value refuses a
-                # gamma that no portfolio replicates anywhere in the tree:
-                # first at the parent of the moved node, in tree order
-                assert got[0] is ReplicationError, (t, T, got)
-                assert f"replicates 1/gamma at node {tree.parent[node]!r}" in got[1]
-                continue
-            assert got == want, (t, T)
-            if t < tree.time_of(node) < T:
-                assert f"node {node!r}" in got[1]
-            refused += 1
-    assert refused > 100
+            oracle = _refusal(oracles.forward_precondition_by_enumeration, tree, gamma, t, T)
+            assert _refusal(check_forward_supermartingale, tree, gamma, solved.a_shift, t, T) == (
+                ReplicationError, want
+            ), (t, T)
+            if oracle is None:
+                kept += 1
+            else:
+                assert oracle[0] is ReplicationError
+                refused += 1
+    assert refused > 100 and kept > 0
 
 
-def test_forward_precondition_skips_uncharged_nodes():
-    # no martingale measure reaches u, so its broken 1/gamma mean is no
-    # refusal of the precondition; the entropy minimiser then refuses the
-    # gamma, which no portfolio replicates at u, and with a replicable
-    # gamma refuses the tree for its arbitrage
+def test_forward_precondition_skips_uncharged_nodes(monkeypatch):
+    # no martingale measure reaches u, so the enumeration oracle does not
+    # refuse its broken 1/gamma mean on [0, 2]; the check refuses the gamma
+    # on every window, since no portfolio replicates 1/gamma at u, before
+    # any vertex pass or sweep. With a replicable gamma the sweep refuses
+    # the tree for its arbitrage at the root.
     tree = starved_tree()
     inv = {"u1": 1.0, "u2": 2.0, "u": 1.2, "m1": 0.8, "m2": 1.2, "m": 0.9, "r": 0.9}
     gamma = {n: 1.0 / x for n, x in inv.items()}
     a = const_map(tree, 0.0)
     assert _refusal(oracles.forward_precondition_by_enumeration, tree, gamma, 0, 2) is None
-    with pytest.raises(ReplicationError, match="replicates 1/gamma at node 'u'"):
-        check_forward_supermartingale(tree, gamma, a, 0, 2)
-    with pytest.raises(ArbitrageError, match="node 'r': .* no interior point"):
-        check_forward_supermartingale(tree, const_map(tree, 1.0), a, 0, 2)
     want = _refusal(oracles.forward_precondition_by_enumeration, tree, gamma, 1, 2)
     assert want is not None and "node 'u'" in want[1]
-    assert _refusal(check_forward_supermartingale, tree, gamma, a, 1, 2) == want
+    with pytest.raises(ArbitrageError, match="node 'r': .* no interior point"):
+        check_forward_supermartingale(tree, const_map(tree, 1.0), a, 0, 2)
+    _no_pass(monkeypatch)
+    assert replicate_inverse_gamma(tree, gamma).failed_node == "u"
+    for t, T in _window_pairs(tree):
+        got = _refusal(check_forward_supermartingale, tree, gamma, a, t, T)
+        assert got == (ReplicationError, _forward_replication_refusal(tree, gamma))
 
 
 def test_forward_checks_have_no_product_measure_cap():

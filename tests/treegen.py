@@ -126,6 +126,31 @@ def starved_tree():
     )
 
 
+def mid_arbitrage_tree():
+    """Two periods; node a's increments (+1, +2) admit no martingale
+    measure, so the root's measures are confined to b and c."""
+
+    def node(nid, t, branches=()):
+        return {
+            "id": nid,
+            "time": t,
+            "branches": [{"child": c, "prob": p, "dprice": d} for c, p, d in branches],
+        }
+
+    return EventTree.from_dict(
+        {
+            "horizon": 2,
+            "nodes": [
+                node("r", 0, [("a", 0.3, 1.0), ("b", 0.3, -1.0), ("c", 0.4, 0.5)]),
+                node("a", 1, [("a1", 0.5, 1.0), ("a2", 0.5, 2.0)]),
+                node("b", 1, [("b1", 0.5, 1.0), ("b2", 0.5, -1.0)]),
+                node("c", 1, [("c1", 0.4, 1.5), ("c2", 0.6, -1.0)]),
+                *(node(w, 2) for w in ("a1", "a2", "b1", "b2", "c1", "c2")),
+            ],
+        }
+    )
+
+
 def random_tree(seed, periods=2, max_branching=3, branching=None):
     """Random tree, <= max_branching branches, both-sign increments per node.
 
