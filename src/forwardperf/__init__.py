@@ -18,7 +18,6 @@ from .errors import (
     ArbitrageError,
     ConvergenceError,
     ForwardPerfError,
-    RegularityError,
     ReplicationError,
     ScenarioError,
     TreeStructureError,
@@ -33,7 +32,6 @@ from .ito_engine import (
     density_path,
     martingale_density,
     predicted_forward_drift,
-    regularity_class,
     simulate_paths,
     validate_regularity,
 )

@@ -4,7 +4,9 @@ Scenarios are JSON documents with a ``schema_version`` and a ``kind``;
 unknown keys anywhere are rejected with their JSON path so typos fail
 loudly instead of silently running a different experiment. Exit status: 0
 when every requested check passes, 1 when any check fails, 2 for bad
-usage, bad scenarios, or refused models.
+usage, bad scenarios, or refused tree fields. An ``ito-verify`` model is
+never refused for its coefficients: every Monte Carlo check has a
+closed-form mean for every delta, phi and rho (``mc_verifier``).
 """
 
 from __future__ import annotations
@@ -23,13 +25,11 @@ from . import __version__
 from .errors import ForwardPerfError, ScenarioError
 from .fields import ExponentialFieldParams, conjugate_exponential
 from .ito_engine import (
-    PASS,
     CoefficientSpec,
     build_forward_exponential,
     chunk_bounds,
     martingale_density,
     path_table,
-    regularity_class,
     simulate_paths,
     validate_regularity,
     write_paths_csv,
@@ -496,7 +496,6 @@ def run_ito_scenario(doc, seed_override=None):
             time_indices, time_labels(spec.horizon, n_steps, time_indices), "$.time_indices",
             same_value_collapses=True,
         )
-    explicit_checks = "checks" in doc
     checks = _checks_from_scenario(doc, ITO_CHECKS)
     dual = [name for name in checks if name in ("dual-submartingale", "dual-martingale-at-optimum")]
     if dual and time_indices is not None and not any(time_indices):
@@ -506,22 +505,7 @@ def run_ito_scenario(doc, seed_override=None):
     if "regularity" in checks:
         report.merge(validate_regularity(spec))
     mc_checks = [name for name in checks if name != "regularity"]
-    if not explicit_checks and regularity_class(spec) != PASS:
-        # equality at the optimum is only provable for constant risk
-        # aversion; skip it in the default suite instead of refusing
-        mc_checks.remove("dual-martingale-at-optimum")
-        report.add(
-            CheckRecord(
-                check_tag="dual-martingale-at-optimum",
-                verdict=True,
-                notes=(
-                    "skipped: spec outside the provable class "
-                    "(request the check explicitly to force a refusal)",
-                ),
-            )
-        )
     if mc_checks:
-        # refuses the model before paying for its simulation
         mc = MonteCarloPass(
             spec, n_steps, n_paths, mc_checks, gamma0, a0, antithetic, eta_list, nu_family,
             time_indices, confidence,

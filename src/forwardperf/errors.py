@@ -21,11 +21,6 @@ class ConvergenceError(ForwardPerfError):
     """An iterative solver hit its iteration cap before its gap target."""
 
 
-class RegularityError(ForwardPerfError):
-    """Check refused: the field fails (or cannot be shown to meet) the
-    integrability needed for the statistic to be meaningful."""
-
-
 class WealthRangeError(ForwardPerfError, ValueError):
     """A wealth at which an exponential utility leaves the float range."""
 

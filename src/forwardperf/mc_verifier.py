@@ -1,17 +1,22 @@
 """Monte Carlo checks for the simulated exponential forward model.
 
-Every check reduces to testing the mean of a per-path statistic against a
-closed-form target inside a normal confidence band. Antithetic pairs are
+Every check reduces to one two-sided test of the mean of a per-path
+statistic against its closed-form mean, inside a normal confidence band
+widened by a rounding floor (``mc_mean_test``). Antithetic pairs are
 collapsed to pair means first so the samples entering the test are
 independent; means and variances are accumulated with the fixed pairwise
-reduction from ``kernels`` so results do not depend on chunking. A
-statistic with zero sample variance passes only when it hits its target
-exactly.
+reduction from ``kernels`` so results do not depend on chunking.
 
-The dual-process checks consume the analytic regularity classification of
-the coefficient spec: a spec classified as failing is refused outright, an
-undetermined one runs with an explanatory note, and the equality check at
-the optimal load additionally insists on the provable case.
+The dual targets hold for every delta, phi and rho. With dS = theta dt +
+dB, the fields solve d(1/gamma) = delta (1/gamma) dS and da = beta dB -
+phi dW + (beta (theta - delta) + ((theta - delta)^2 - phi^2) / 2) dt,
+beta = gamma (rho - delta integral rho dS). For Z with loads (theta on
+B, nu on W), R = eta Z / gamma solves dR = R ((delta - theta) dB - nu
+dW), so E[R_t] = eta / gamma0, and Ito's formula on Y = V(t, eta Z) =
+R (log R - 1 - a) leaves the drift R (nu - phi)^2 / 2. Bounded piecewise
+constant coefficients give R, gamma, 1/gamma and a moments of every
+order, so the local martingale part is a true one, and E[Y_t2 - Y_t1] =
+(eta / gamma0) integral_t1^t2 (nu - phi)^2 ds / 2.
 
 All four checks read one simulation, a ``PathBundle`` from
 ``simulate_paths``, and build everything else from it: in the Ito
@@ -74,6 +79,7 @@ that does not start at the next path to fill or would go past
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import operator
@@ -81,18 +87,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RegularityError
 from .fields import conjugate_exponential, entropy_kernel
 from .ito_engine import (
-    FAIL_ANALYTIC,
-    PASS,
     CoefficientSpec,
     PathBundle,
     _per_step,
     build_forward_exponential,
     density_path,
-    predicted_forward_drift,
-    regularity_class,
+    load_gap_integral,
 )
 from .kernels import Workspace, pairwise_sum
 from .report import CheckRecord, VerificationReport
@@ -223,28 +225,47 @@ def collapse_pairs(values: np.ndarray, antithetic: bool, out=None) -> np.ndarray
     return out
 
 
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def largest_size(values: np.ndarray) -> float:
+    """max |v| over ``values``: exact, so it does not depend on the order
+    the values come in."""
+    return float(max(values.max(), -values.min()))
+
+
 def mc_mean_test(
     samples: np.ndarray,
     target: float,
     check_tag: str,
     confidence: float = DEFAULT_CONFIDENCE,
-    sided: str = "two",
     notes: Sequence[str] = (),
     work: Workspace | None = None,
+    scale: float | None = None,
+    roundings: int = 0,
 ) -> CheckRecord:
-    """Normal test of a sample mean against a target, as its check record.
+    """Two-sided normal test of a sample mean against a target, as its
+    check record. Samples must already be independent.
 
-    ``sided``: "two" requires the target inside the band, "lower" tolerates
-    estimates above the target (one-sided bound from below). Samples must
-    already be independent.
+    The band is z se + c u S, the normal band plus a rounding floor, so a
+    statistic that the model makes constant, whose standard error can sit
+    far below the rounding of its mean, is judged by the rounding it can
+    carry. u = 2**-53; S is ``scale``, which bounds the mean size of the
+    terms each sample is a difference of (by default the samples' root
+    mean square, which needs no pass of its own); c = ``roundings`` +
+    ceil(log2 n) + 1. To first order a rounded
+    operation moves a value by at most u times the size of what it is
+    built from, so a sample built from exact inputs by ``roundings``
+    operations is off by at most ``roundings`` u times the size of its
+    terms (0 for data taken as given), and the pairwise mean adds each
+    sample into at most ceil(log2 n) sums and divides once. With zero
+    variance the band is the floor alone. The floor is in ``details``.
 
     The squared deviations and the reduction's scratch are the
     ``Workspace`` ``work``'s "deviations" and "pairwise" buffers (fresh
     arrays by default), so ``samples`` must not be one of them.
     """
-    if sided not in ("two", "lower"):
-        raise ValueError(f"unknown sidedness {sided!r}")
-    samples = np.asarray(samples, dtype=float)
+    samples, target = np.asarray(samples, dtype=float), float(target)
     n = samples.shape[0]
     if n < 100:
         # below this the normal band is not trustworthy
@@ -255,25 +276,24 @@ def mc_mean_test(
     np.square(dev, out=dev)
     var = pairwise_sum(dev, work=work) / (n - 1)
     se = math.sqrt(var / n)
-    notes = tuple(notes)
+    if scale is None:
+        scale = math.sqrt(mean * mean + var * (n - 1) / n)
+    floor = (roundings + (n - 1).bit_length() + 1) * UNIT_ROUNDOFF * scale
     zc = z_critical(confidence)
-    if se == 0.0:
-        # degenerate statistic: exact or wrong, no band to hide in
-        ok = mean == target if sided == "two" else mean >= target
-        z = 0.0 if ok else math.inf
-        notes += ("zero sample variance; exact comparison",)
+    miss = mean - target
+    if se > 0.0:
+        z = miss / se
     else:
-        z = float((mean - target) / se)
-        ok = abs(z) <= zc if sided == "two" else z >= -zc
+        z = math.copysign(math.inf, miss) if miss else 0.0
     return CheckRecord(
         check_tag=check_tag,
-        verdict=bool(ok),
-        value=float(mean),
-        target=float(target),
-        tolerance=zc * se,
+        verdict=abs(miss) <= zc * se + floor,
+        value=mean,
+        target=target,
+        tolerance=zc * se + floor,
         std_error=se,
-        notes=notes,
-        details={"z_score": z, "n_samples": n},
+        notes=tuple(notes),
+        details={"z_score": z, "n_samples": n, "rounding_floor": floor},
     )
 
 
@@ -335,31 +355,6 @@ def _dual_path_values(cols, z, eta, idx, work):
     return out
 
 
-def require_not_failing(spec):
-    """Refuse a spec classified as violating the dual submartingale
-    property; return its regularity class otherwise. Callers may run this
-    before simulating, so a refused model costs no paths."""
-    cls = regularity_class(spec)
-    if cls == FAIL_ANALYTIC:
-        raise RegularityError(
-            "check_dual_submartingale: coefficient spec is classified as "
-            "violating the dual submartingale property (risk-aversion "
-            "volatility with no compensating shift volatility); refusing to "
-            "certify it by MC"
-        )
-    return cls
-
-
-def require_provable(spec):
-    """Refuse a spec outside the class where the dual is provably flat at
-    the optimum (constant risk aversion)."""
-    if regularity_class(spec) != PASS:
-        raise RegularityError(
-            "check_dual_martingale_at_optimum: equality at the optimum is only "
-            "asserted for specs with constant risk aversion (delta = 0)"
-        )
-
-
 MC_CHECKS = (
     "dual-submartingale",
     "dual-martingale-at-optimum",
@@ -367,6 +362,8 @@ MC_CHECKS = (
     "forward-drift",
 )
 _TERMINAL_NOTE = ("terminal-time consequence of the conditional statement",)
+_DUAL_NOTE = ("unconditional mean at grid times; conditional drift not tested",)
+_OPTIMUM_NOTE = ("unconditional mean equality at grid times",)
 
 
 class MonteCarloPass:
@@ -375,8 +372,7 @@ class MonteCarloPass:
 
     The constructor is told the whole simulation but its seed: the model,
     grid, path count, field start (gamma0, a0) and pairing. It validates
-    the request and refuses a model the checks cannot certify, so a
-    refusal costs no paths. ``simulated_columns``
+    the request, so a refusal costs no paths. ``simulated_columns``
     lists the grid columns any check can read on this scenario: 0, the
     horizon, ``time_indices`` (by default 0, n_steps // 2 and n_steps),
     and every change point of theta, delta, phi, rho, theta - delta and
@@ -416,6 +412,23 @@ class MonteCarloPass:
     deviations, the dual values and the reductions' buffers in one
     ``Workspace`` local to the call, so the scratch lives for one
     reduction; the report it returns holds plain numbers and none of it.
+
+    ``roundings`` bounds the rounded operations that build a sample from
+    the running sums, for ``mc_mean_test``'s rounding floor. On m grid
+    steps, a cumulative drift is a sequential sum of m step values of at
+    most 8 operations each (m + 8), a stochastic integral takes 3 per
+    constant run of its coefficient (at most 3m), and every other add,
+    product, exp and log counts 1. The longest chain is the forward
+    statistic w (a_T - log z~_T): w has two drifts, three integrals and 8
+    more; a_T three drifts, three integrals and 8 more (1/gamma's among
+    them); log z~_T one drift, two integrals and 4 more; 2 combine them
+    and 1 takes the pair mean. That is 6 (m + 8) + 24 m + 23 = 30 m + 71;
+    a dual value (5 drifts, 6 integrals, 21 more, and 2 for an increment
+    and its pair mean) and the terminal means take fewer. Exp and log
+    turn an absolute error of their argument (a log-density,
+    log(gamma0 / gamma), a shift) into a relative one, so the count takes
+    those arguments at the size of the term they build: of order one for
+    coefficients and horizons of order one.
     """
 
     def __init__(
@@ -441,19 +454,6 @@ class MonteCarloPass:
         self.at_optimum = "dual-martingale-at-optimum" in checks
         self.inverse_gamma = "inverse-gamma-mean" in checks
         self.forward = "forward-drift" in checks
-        self.sub_notes = ()
-        for name in checks:
-            # the first requested check that cannot certify the spec refuses it
-            if name == "dual-submartingale":
-                self.sub_notes = (
-                    "unconditional consequence at grid times; conditional dominance not tested",
-                )
-                if require_not_failing(spec) != PASS:
-                    self.sub_notes += (
-                        "regularity undetermined for this spec; statistical evidence only",
-                    )
-            elif name == "dual-martingale-at-optimum":
-                require_provable(spec)
         all_idx = _time_indices(n_steps, time_indices)
         dual = self.submartingale or self.at_optimum
         if dual and not any(all_idx):
@@ -479,6 +479,12 @@ class MonteCarloPass:
         )
         per_load = self.submartingale or self.inverse_gamma or self.forward
         self.nu_family = nu_family if per_load else {}
+        # integral_0^t (nu - phi)^2 per load, at every grid column
+        dt = spec.horizon / n_steps
+        self.gaps = {
+            label: load_gap_integral(coeffs["phi"], nu, dt) for label, nu in loads.items()
+        }
+        self.roundings = 30 * n_steps + 71
         # one density per distinct pair (nu1 on B, nu2 on W) of per-step
         # loads, compared bit for bit, at the union of its readers' columns
         plans: list[tuple[np.ndarray, np.ndarray, set[int]]] = []
@@ -581,70 +587,100 @@ class MonteCarloPass:
         idx, terminal = self.idx, self.n_steps
         report = VerificationReport()
 
-        def add_test(tag, samples, target, sided, notes):
-            report.add(
-                mc_mean_test(
-                    collapse_pairs(samples, antithetic, out=pairs),
-                    target,
-                    check_tag=tag,
-                    confidence=self.confidence,
-                    sided=sided,
-                    notes=notes,
-                    work=work,
-                )
+        def add_test(tag, samples, target, notes, scale=None):
+            record = mc_mean_test(
+                collapse_pairs(samples, antithetic, out=pairs),
+                target,
+                check_tag=tag,
+                confidence=self.confidence,
+                notes=notes,
+                work=work,
+                scale=scale,
+                roundings=self.roundings,
             )
+            report.add(record)
+            return record
 
-        for label, nu in self.nu_family.items():
+        # (density, eta) -> {index: record of the level test there}
+        levels: dict[tuple[int, float], dict[int, CheckRecord]] = {}
+
+        def dual_tests(reader, eta, gap, indices, level_tag, step_tag, notes):
+            """Tests of the dual value V(t, eta Z_t) on ``reader``'s density
+            against its closed-form mean: its level at each index above 0
+            (tag ``level_tag(t)``) and, with a ``step_tag(t1, t2)``, its
+            increments between the indices. ``gap`` is the load's
+            integral_0^t (nu - phi)^2."""
+            vals = _dual_path_values(cols, density(reader), eta, indices, work)
+            level = levels[self._density_of[reader], eta] = {}
+            size = {i: largest_size(v) for i, v in vals.items()}
+            rate = 0.5 * eta / gamma0
+            start = conjugate_exponential(gamma0, a0, eta)
+            label = self.t_label
+            for pos, i2 in enumerate(indices):
+                for i1 in indices[:pos] if step_tag else ():
+                    add_test(
+                        step_tag(label[i1], label[i2]),
+                        np.subtract(vals[i2], vals[i1], out=sample),
+                        rate * (gap[i2] - gap[i1]), notes, size[i1] + size[i2],
+                    )
+                if i2 > 0:
+                    level[i2] = add_test(
+                        level_tag(label[i2]), vals[i2], start + rate * gap[i2], notes, size[i2]
+                    )
+
+        for label in self.nu_family:
             z = density(("z", label))
+            gap = self.gaps[label]
             if self.submartingale:
                 for eta in self.eta_list:
-                    vals = _dual_path_values(cols, z, eta, idx, work)
-                    anchor = conjugate_exponential(gamma0, a0, eta)
-                    for pos, i2 in enumerate(idx):
-                        t2 = self.t_label[i2]
-                        for i1 in idx[:pos]:
-                            add_test(
-                                f"dual-submartingale[nu={label},eta={tag_number(eta)},"
-                                f"t1={self.t_label[i1]},t2={t2}]",
-                                np.subtract(vals[i2], vals[i1], out=sample), 0.0, "lower",
-                                self.sub_notes,
-                            )
-                        if i2 > 0:
-                            add_test(
-                                f"dual-above-start[nu={label},eta={tag_number(eta)},t={t2}]",
-                                vals[i2], anchor, "lower", self.sub_notes,
-                            )
+                    head = f"nu={label},eta={tag_number(eta)}"
+                    dual_tests(
+                        ("z", label), eta, gap, idx,
+                        lambda t: f"dual-above-start[{head},t={t}]",
+                        lambda t1, t2: f"dual-submartingale[{head},t1={t1},t2={t2}]",
+                        _DUAL_NOTE,
+                    )
             if self.inverse_gamma:
                 add_test(
                     f"inverse-gamma-mean[nu={label}]",
                     np.multiply(z[terminal], cols["inv_gamma", terminal], out=sample),
-                    1.0 / gamma0, "two", _TERMINAL_NOTE,
+                    1.0 / gamma0, _TERMINAL_NOTE,
                 )
             if self.forward:
                 # ((1/gamma_T) gamma0) z_T, then (a_T - log z~_T) w: the
                 # order of operations that fixes the statistics' rounding
                 w = np.multiply(cols["inv_gamma", terminal], gamma0, out=weight)
                 w *= z[terminal]
-                add_test(f"forward-mass[nu={label}]", w, 1.0, "two", _TERMINAL_NOTE)
+                add_test(f"forward-mass[nu={label}]", w, 1.0, _TERMINAL_NOTE)
+                a_t = cols["a_shift", terminal]
                 drift = np.log(density(("z_tilde", label))[terminal], out=sample)
-                np.subtract(cols["a_shift", terminal], drift, out=drift)
+                # the sizes of the terms w a_T and w log z~_T
+                scratch = work.take("dual-arg", w.shape)
+                scale = largest_size(np.multiply(a_t, w, out=scratch))
+                scale += largest_size(np.multiply(drift, w, out=scratch))
+                np.subtract(a_t, drift, out=drift)
                 drift *= w
                 add_test(
-                    f"forward-drift[nu={label}]",
-                    drift,
-                    a0 + predicted_forward_drift(self.spec, self.n_steps, nu),
-                    "two",
-                    _TERMINAL_NOTE,
+                    f"forward-drift[nu={label}]", drift, a0 - 0.5 * gap[terminal],
+                    _TERMINAL_NOTE, scale,
                 )
         if self.at_optimum:
-            z = density("z_opt")
+            # nu = phi: the gap is 0 at every column, so on the density of a
+            # load of the family the optimum's tests are its level tests
             for eta in self.eta_list:
-                vals = _dual_path_values(cols, z, eta, self.opt_idx, work)
-                target = conjugate_exponential(gamma0, a0, eta)
+                head = f"dual-martingale-at-optimum[eta={tag_number(eta)}"
+                known = levels.get((self._density_of["z_opt"], eta))
+                if known is None:
+                    dual_tests(
+                        "z_opt", eta, np.zeros(terminal + 1), self.opt_idx,
+                        lambda t: f"{head},t={t}]", None, _OPTIMUM_NOTE,
+                    )
+                    continue
                 for i in self.opt_idx:
-                    add_test(
-                        f"dual-martingale-at-optimum[eta={tag_number(eta)},t={self.t_label[i]}]",
-                        vals[i], target, "two", ("unconditional mean equality at grid times",),
+                    report.add(
+                        dataclasses.replace(
+                            known[i], check_tag=f"{head},t={self.t_label[i]}]", notes=_OPTIMUM_NOTE
+                        )
                     )
         return report
 
@@ -671,13 +707,15 @@ def run_mc_checks(
     each. This is the one-run case of ``MonteCarloPass``. The checks:
 
     - ``dual-submartingale``: for each load nu and dual argument eta, the
-      mean of V(t2, eta Z_t2) - V(t1, eta Z_t1) must not sit significantly
-      below zero, nor V(t, eta Z_t) below the exact conjugate at time 0.
-    - ``dual-martingale-at-optimum``: at nu = phi, two-sided equality of
-      E[V(t, eta Z_t)] with the starting value at every selected t > 0;
-      only for specs in the provable class.
-    - ``inverse-gamma-mean``: E[Z_T / gamma_T] = 1/gamma_0 per load,
-      whatever the regularity classification.
+      mean of V(t2, eta Z_t2) - V(t1, eta Z_t1) against (1/2)(eta /
+      gamma0) integral_t1^t2 (nu - phi)^2 ds (``dual-submartingale``
+      records), and of V(t, eta Z_t) against V(0, eta) + (1/2)(eta /
+      gamma0) integral_0^t (nu - phi)^2 ds (``dual-above-start``), for
+      every delta, phi and rho (module docstring).
+    - ``dual-martingale-at-optimum``: at nu = phi, E[V(t, eta Z_t)] =
+      V(0, eta) at every selected t > 0; on the density of a load of the
+      family these are that load's ``dual-above-start`` tests.
+    - ``inverse-gamma-mean``: E[Z_T / gamma_T] = 1/gamma_0 per load.
     - ``forward-drift``: with weights w = (gamma_0/gamma_T) Z_T, first the
       unit mass E[w] = 1, then E[w (a_T - log z~_T)] = a_0 - (1/2)
       integral (nu - phi)^2 dt. Here z~ is the terminal density with the

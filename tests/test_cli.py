@@ -757,23 +757,58 @@ def test_ito_scenario_runs(tmp_path, capsys):
     assert "mc-expected-false-failures" in tags
 
 
-def test_ito_default_suite_skips_optimum_outside_class(tmp_path, capsys):
-    doc = ito_doc(n_paths=2000, n_steps=16)
-    doc["model"]["delta"] = 0.2
-    del doc["checks"]
-    path = write_scenario(tmp_path, doc)
-    code, rep = run_json(capsys, ["run", path])
-    assert code == 0, rep
-    skip = rep["checks"]["dual-martingale-at-optimum"]
-    assert any("skipped" in n for n in skip["notes"])
+# models with risk-aversion volatility (theta, delta, phi, rho), by the
+# default suite or with the optimum asked for alone: delta with and
+# without phi, and the degenerate delta = theta with neither phi nor rho,
+# where the dual value is constant up to rounding
+DELTA_SCENARIOS = {
+    "delta-default": ({"horizon": 1.0, "theta": 0.5, "delta": 0.2}, None),
+    "delta-optimum": (
+        {"horizon": 1.0, "theta": 0.5, "delta": 0.2},
+        ["dual-martingale-at-optimum"],
+    ),
+    "delta-phi-default": ({"horizon": 1.0, "theta": 0.5, "delta": 0.2, "phi": 0.3}, None),
+    "delta-phi-optimum": (
+        {"horizon": 1.0, "theta": 0.5, "delta": 0.2, "phi": 0.3},
+        ["dual-martingale-at-optimum"],
+    ),
+    "degenerate-default": ({"horizon": 1.0, "theta": 0.5, "delta": 0.5}, None),
+}
 
 
-def test_ito_explicit_optimum_outside_class_refused(tmp_path, capsys):
-    doc = ito_doc(checks=["dual-martingale-at-optimum"])
-    doc["model"]["delta"] = 0.2
-    path = write_scenario(tmp_path, doc)
-    assert main(["run", path]) == 2
-    assert "constant risk aversion" in capsys.readouterr().err
+@pytest.mark.parametrize("case", list(DELTA_SCENARIOS))
+def test_ito_delta_models_run_and_pass(tmp_path, capsys, case):
+    # the dual drift's closed form holds for every delta, so every
+    # requested check runs, the optimum included, and passes: nothing is
+    # refused or skipped. A default suite holds 69 mean records; at
+    # confidence 0.9999 one of them misses its band once in 145 runs
+    model, checks = DELTA_SCENARIOS[case]
+    doc = ito_doc(model=model, n_paths=2000, n_steps=16, checks=checks, confidence=0.9999)
+    if checks is None:
+        del doc["checks"]
+    code, rep = run_json(capsys, ["run", write_scenario(tmp_path, doc)])
+    assert code == 0, [tag for tag, rec in rep["checks"].items() if rec["verdict"] != "pass"]
+    optimum = [rec for tag, rec in rep["checks"].items() if "at-optimum" in tag]
+    assert len(optimum) == 4 and all(rec["std_error"] is not None for rec in optimum)
+    assert not any("skipped" in note for rec in rep["checks"].values() for note in rec["notes"])
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_ito_statistic_constant_up_to_rounding_passes(tmp_path, capsys, seed):
+    # theta = delta, rho = 0 and nu = phi make a_T - log z~_T = a0 on every
+    # path up to rounding: the forward-drift record of the load phi reads a
+    # mean of about 6e-18 with a standard error of about 4e-19. Its band
+    # carries the rounding floor, so rounding noise is not a failure
+    doc = ito_doc(
+        model={"horizon": 1.0, "theta": 0.5, "delta": 0.5, "phi": 0.3, "rho": 0.0},
+        a0=0.0, n_steps=16, n_paths=20_000, antithetic=False, seed=seed,
+        checks=["inverse-gamma-mean", "forward-drift"],
+    )
+    code, rep = run_json(capsys, ["run", write_scenario(tmp_path, doc)])
+    assert code == 0, [tag for tag, rec in rep["checks"].items() if rec["verdict"] != "pass"]
+    rec = rep["checks"]["forward-drift[nu=phi]"]
+    assert rec["std_error"] < 1e-17
+    assert abs(rec["value"] - rec["target"]) <= rec["details"]["rounding_floor"]
 
 
 @pytest.fixture
@@ -834,28 +869,6 @@ def test_ito_repeated_time_index_collapses():
     assert run_ito_scenario({**doc, "time_indices": [8, 4, 8]}).to_json() == once
 
 
-FAILING_MODEL = {"horizon": 1.0, "theta": 0.5, "delta": 0.2}
-UNDETERMINED_MODEL = {"horizon": 1.0, "theta": 0.5, "delta": 0.2, "phi": 0.3}
-
-
-@pytest.mark.parametrize(
-    "model, checks, message",
-    [
-        (FAILING_MODEL, None, "check_dual_submartingale: coefficient spec"),
-        (UNDETERMINED_MODEL, ["dual-martingale-at-optimum"], "constant risk aversion"),
-    ],
-)
-def test_ito_refused_model_costs_no_simulation(
-    tmp_path, capsys, no_simulation, model, checks, message
-):
-    doc = ito_doc(checks=checks, model=model)
-    if checks is None:
-        del doc["checks"]
-    path = write_scenario(tmp_path, doc)
-    assert main(["run", path]) == 2
-    assert message in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("checks, n_sim", [(None, 1), (["regularity"], 0)])
 def test_ito_scenario_simulates_once(monkeypatch, checks, n_sim):
     calls = {"simulate_paths": 0, "build_forward_exponential": 0}
@@ -910,7 +923,7 @@ def test_ito_scenario_builds_each_density_once(monkeypatch):
     "overrides, builds",
     [
         # theta - delta differs from theta: each load's z~ is built on its
-        # own (5 + 5); the default suite skips the optimum for delta != 0
+        # own (5 + 5); the optimum reads the "phi" load's density
         ({"model": {"horizon": 1.0, "theta": 0.5, "delta": 0.2, "phi": 0.3}}, 10),
         # no load of the family is phi: the optimum has a density of its own,
         # and z~ is each load's density again (2 + 1)
@@ -932,8 +945,13 @@ def test_ito_scenario_builds_each_distinct_density_once(monkeypatch, overrides, 
 # of sixteen, so its draws changed. Each Philox block (counter
 # (stream, j)) serves intervals 2j and 2j + 1 through the full Box-Muller
 # pair, and the densities and fields are read from the running sums S_B
-# and S_W: later work must not move a byte of it, whatever the chunking
-PINNED_ITO_REPORT_SHA256 = "3434b20c3dfb05a9dc4160f2bf943de1e6b0f9e8f494c251153460c28cb89540"
+# and S_W: later work must not move a byte of it, whatever the chunking.
+# Re-pinned once more when every mean record became a two-sided test
+# against its closed-form mean: the dual records' targets took the drift
+# (1/2)(eta / gamma0) integral (nu - phi)^2, each band its rounding floor
+# (details "rounding_floor"), and ito-regularity-class left the report;
+# no estimate, standard error or verdict moved
+PINNED_ITO_REPORT_SHA256 = "3292f7e4f609fcec2940de2c91404c4129de98973ffa9d032f7577e0f8461786"
 
 
 def reports_in_runs(monkeypatch, doc):
@@ -972,7 +990,9 @@ def test_ito_report_bytes_pinned(monkeypatch):
 # Scenarios whose simulated columns are the whole grid: time indices on
 # every column, or a load that changes at every step. SHA-256 of their
 # default-suite reports, taken before ito-verify simulated fewer columns
-# than the grid: a full-grid run keeps its bytes
+# than the grid: a full-grid run keeps its bytes. Re-pinned with the
+# report above, when the mean records became two-sided against their
+# closed-form means, for the same reasons
 FULL_GRID_DOCS = {
     "every-time-index": {"n_paths": 2000, "n_steps": 8, "time_indices": list(range(9))},
     "ramp-load": {
@@ -985,8 +1005,8 @@ FULL_GRID_DOCS = {
     },
 }
 PINNED_FULL_GRID_SHA256 = {
-    "every-time-index": "a868b92ec37b6b42b3ba3477d99d36e9a9cf3f44e338f0d0abca5cdac3c760fe",
-    "ramp-load": "5739fdd1d9ce7e60303052016c9c801569a2deb7b0e2822d7352af9298b5843b",
+    "every-time-index": "de15c12b704479b172bf4786e76e3ca9f42186ccf8136e195b66c892c7916078",
+    "ramp-load": "f9f8d6f14331ccc0b9980fcb21c3a7982a41e29656472351d779c0fb23d6d717",
 }
 
 

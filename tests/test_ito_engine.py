@@ -11,17 +11,14 @@ import oracles
 from forwardperf import ito_engine
 from forwardperf.errors import AlignmentError
 from forwardperf.ito_engine import (
-    FAIL_ANALYTIC,
-    PASS,
-    UNDETERMINED,
     CoefficientSpec,
     build_forward_exponential,
     chunk_bounds,
     density_path,
+    load_gap_integral,
     martingale_density,
     path_table,
     predicted_forward_drift,
-    regularity_class,
     simulate_paths,
     validate_regularity,
     write_paths_csv,
@@ -659,29 +656,32 @@ def test_predicted_drift_additivity():
     assert predicted_forward_drift(spec, 8, 0.0) == pytest.approx(-0.04, abs=1e-15)
     with pytest.raises(ValueError, match="nu2"):
         predicted_forward_drift(spec, 8, np.ones(5))
+    # the forward drift reads the integral the dual targets read, at the
+    # horizon: 0.16 per unit time on [0, 1/2], nothing afterwards
+    gap = load_gap_integral(spec.per_step_values(8)["phi"], np.zeros(8), 1 / 8)
+    assert gap.shape == (9,) and gap[0] == 0.0
+    np.testing.assert_allclose(gap, [0.02 * min(k, 4) for k in range(9)], rtol=0, atol=1e-15)
+    assert predicted_forward_drift(spec, 8, 0.0) == -0.5 * gap[-1]
 
 
-# -- regularity ----------------------------------------------------------
-
-
-def test_regularity_class_three_way():
-    assert regularity_class(CoefficientSpec.constant(1.0, theta=0.5)) == PASS
-    assert regularity_class(CoefficientSpec.constant(1.0, delta=0.2)) == FAIL_ANALYTIC
-    assert regularity_class(CoefficientSpec.constant(1.0, delta=0.2, phi=0.3)) == UNDETERMINED
-    assert regularity_class(CoefficientSpec.constant(1.0, delta=0.2, rho=0.1)) == UNDETERMINED
-    assert regularity_class(PIECEWISE) == UNDETERMINED
+# -- integrability --------------------------------------------------------
 
 
 def test_validate_regularity_report():
+    # the integrability facts alone: a spec with risk-aversion volatility
+    # and no shift volatility reports them as any other does
     spec = CoefficientSpec.constant(1.0, theta=0.5)
     rep = validate_regularity(spec)
     assert rep.all_passed
-    assert rep["ito-regularity-class"].details["classification"] == PASS
+    assert {rec.check_tag for rec in rep.records()} == {
+        "ito-coefficients-bounded",
+        "ito-novikov-exponent",
+    }
     assert rep["ito-coefficients-bounded"].value == 0.5
     assert rep["ito-novikov-exponent"].value == pytest.approx(0.125, abs=1e-15)
-    rep = validate_regularity(CoefficientSpec.constant(1.0, delta=0.2))
-    assert not rep["ito-regularity-class"].verdict
-    assert not rep.all_passed
+    rep = validate_regularity(CoefficientSpec.constant(1.0, theta=0.5, delta=0.2))
+    assert rep.all_passed
+    assert rep["ito-coefficients-bounded"].value == 0.5
 
 
 def test_novikov_piecewise():

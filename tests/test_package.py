@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "NodePolytope",
     "PathBundle",
     "PrimalResult",
-    "RegularityError",
     "ReplicationError",
     "ReplicationResult",
     "ScenarioError",
@@ -65,7 +64,6 @@ PUBLIC_NAMES = [
     "predicted_forward_drift",
     "primal_value",
     "reference_measure",
-    "regularity_class",
     "replicate_inverse_gamma",
     "simulate_paths",
     "solve_entropy_shift",
