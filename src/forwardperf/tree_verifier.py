@@ -53,6 +53,19 @@ residual) along a path from its start (``kkt_residual``). Without
 replicability the field cannot self-generate: the dual value refuses it,
 and the dual records fail with the replication certificate.
 
+A one-step program's other inputs (its node's branch probabilities,
+price moves and children's gammas, and the node's vertex centroid where
+the solve starts) are fixed for the scenario, so the program is fixed by
+its node and the bits of its children's shifts: every sweep that meets
+those bits shares one solve (``WindowDuals``), and adds its own sums
+over it (m, D and the bounds along paths to its T). ``barrier_minimize``
+solves each program of a stack as it would alone, so a shared outcome
+has the bits of a fresh one. For the shift ``solve_entropy_shift``
+builds, the shift at a time-T node is, bit for bit, the one the sweep to
+the horizon implies there; by induction up the levels, the sweep to T
+then meets the horizon sweep's children's shifts at every node and reads
+its programs, so the scenario solves one program per internal node.
+
 The forward check's equality runs the drift step
 D(n) = sum_k q~_k (D(k) - log(q~_k / p_k)), D = a at time T, at the
 minimiser r* of a window [t, T] reweighted by gamma_start / gamma_w: a
@@ -245,7 +258,12 @@ class WindowDuals:
       the window's eta = 1 dual value (``dual``), which ``DualResult.at``
       reads at every eta. A shift moved before T (a perturbed root) reads
       the sweeps of the shift construction; one moved at a time-T node
-      solves afresh.
+      builds a new sweep;
+    - per node, keyed also by the bits of its children's shifts: the
+      outcome of its one-step dual program (minimiser, value, gap bound
+      plus equality residual, iterations and failure), which every sweep
+      meeting those shifts reads (``_Sweep.extend``). A sweep with a
+      moved shift solves only the programs above the move.
 
     Every entry is what a fresh call returns, bit for bit. The gamma is
     fixed: a check given the context of another tree or gamma refuses it.
@@ -262,6 +280,7 @@ class WindowDuals:
         self._drifts: dict[tuple[int, bytes], dict] = {}
         self._sweeps: dict[tuple[int, bytes], _Sweep] = {}
         self._solved: dict[tuple[int, int, bytes], DualResult] = {}
+        self._programs: dict[tuple[str, bytes], tuple] = {}
 
     def _shift_key(self, a_shift, T):
         """The bits of a_shift at the time-T nodes: all of the shift that a
@@ -551,34 +570,57 @@ class _Sweep:
         self.q, self.entropy = {}, {}
 
     def extend(self, t):
-        """Solve the levels below the lowest solved one down to t, each
-        level's programs of one shape (children, and whether a price moves)
-        as one ``barrier_minimize`` stack; at t = T, the windows of no step
-        read h(m) - a m. A level with a failing program is refused with
-        ConvergenceError, naming the first in tree order."""
-        tree = self.duals.tree
+        """Solve the levels below the lowest solved one down to t; at t = T,
+        the windows of no step read h(m) - a m. A level's programs that the
+        scenario has not solved for their node and children's shifts
+        (``WindowDuals``) are solved as one ``barrier_minimize`` stack per
+        shape (children, and whether a price moves) and kept; then each
+        node's sums are read from its program. A level with a failing
+        program is refused with ConvergenceError, naming the first in tree
+        order."""
+        tree, programs = self.duals.tree, self.duals._programs
         if t == self.T:
             ends = tree.nodes_at(t)
             m, a = _at_nodes(self.inverse_gamma_mean, ends), _at_nodes(self.shift, ends)
             with np.errstate(over="ignore", invalid="ignore"):
                 self.entropy.update(zip(ends, (entropy_kernel(m) - a * m).tolist()))
         for s in range(self.level - 1, t - 1, -1):
-            level, groups, failures = tree.nodes_at(s), {}, {}
+            level, groups, failed = tree.nodes_at(s), {}, []
+            keys = {n: (n, _at_nodes(self.shift, tree.children(n)).tobytes()) for n in level}
             for n in level:
                 branches = tree.branches_of(n)
-                groups.setdefault((len(branches), any(br.dprice != 0.0 for br in branches)), []).append(n)
+                if keys[n] not in programs:
+                    groups.setdefault((len(branches), any(br.dprice != 0.0 for br in branches)), []).append(n)
             for nodes in groups.values():
-                failures.update(self._solve(s, nodes))
-            failed = [failures[n] for n in level if n in failures]
+                programs.update(zip([keys[n] for n in nodes], self._solve(nodes)))
+            for n in level:
+                qn, value, bound, iterations, failure = programs[keys[n]]
+                branches = tree.branches_of(n)
+                pairs = [(br.child, x) for br, x in zip(branches, qn)]
+                weights = [x * self.inverse_gamma_mean[k] for k, x in pairs]
+                m = sum(weights)
+                where = f"dual program below node {n!r} on [{s}, {self.T}]"
+                if failure is not None and iterations:
+                    failed.append(f"{where}: {failure}")
+                elif failure is not None or not (math.isfinite(value) and math.isfinite(m)):
+                    # a failure at the start is an objective out of the float range
+                    failed.append(f"{where} leaves the float range: entropy {value!r}, m {m!r}")
+                else:
+                    kid_drifts = [self.drift[k] for k, _ in pairs]
+                    self.drift[n] = _forward_drift(weights, [br.prob for br in branches], kid_drifts)
+                self.q[n], self.entropy[n], self.inverse_gamma_mean[n] = pairs, value, m
+                self.kkt[n] = bound + max(self.kkt[k] for k, _ in pairs)
+                self.newton[n] = iterations + sum(self.newton[k] for k, _ in pairs)
             if failed:
                 raise ConvergenceError(failed[0])
             shift = _implied_shift(_at_nodes(self.duals.gamma, level), 1.0, _at_nodes(self.entropy, level))
             self.shift.update(zip(level, shift.tolist()))
             self.level = s
 
-    def _solve(self, s, nodes):
+    def _solve(self, nodes):
         """One stack from the nodes' vertex centroids, with rows [1; dprice];
-        returns the refusal of each program that fails."""
+        per program, its minimiser, value, gap bound plus equality residual,
+        iterations and failure."""
         tree, gamma = self.duals.tree, self.duals.gamma
         data = [[(br.prob, gamma[br.child], self.shift[br.child], br.dprice) for br in tree.branches_of(n)] for n in nodes]
         p, gam, ash, dprice = np.array(data).transpose(2, 0, 1)
@@ -591,26 +633,7 @@ class _Sweep:
         with np.errstate(over="ignore", invalid="ignore"):
             q, _, info = barrier_minimize(_one_step_objective(p, gam, ash), A, b, r0)
         kkt = (info["gap_bound"] + info["eq_residual"]).tolist()
-        failures = {}
-        outcome = zip(nodes, q.tolist(), info["value"].tolist(), kkt, info["iterations"].tolist(), info["failure"])
-        for n, qn, value, bound, iterations, failure in outcome:
-            branches = tree.branches_of(n)
-            pairs = [(br.child, x) for br, x in zip(branches, qn)]
-            weights = [x * self.inverse_gamma_mean[k] for k, x in pairs]
-            m = sum(weights)
-            where = f"dual program below node {n!r} on [{s}, {self.T}]"
-            if failure is not None and iterations:
-                failures[n] = f"{where}: {failure}"
-            elif failure is not None or not (math.isfinite(value) and math.isfinite(m)):
-                # a failure at the start is an objective out of the float range
-                failures[n] = f"{where} leaves the float range: entropy {value!r}, m {m!r}"
-            else:
-                kid_drifts = [self.drift[k] for k, _ in pairs]
-                self.drift[n] = _forward_drift(weights, [br.prob for br in branches], kid_drifts)
-            self.q[n], self.entropy[n], self.inverse_gamma_mean[n] = pairs, value, m
-            self.kkt[n] = bound + max(self.kkt[k] for k, _ in pairs)
-            self.newton[n] = iterations + sum(self.newton[k] for k, _ in pairs)
-        return failures
+        return zip(q.tolist(), info["value"].tolist(), kkt, info["iterations"].tolist(), info["failure"])
 
     def leaf_masses(self, start):
         """The minimiser's mass on each time-T node below ``start``, in DFS
@@ -712,11 +735,7 @@ def solve_entropy_shift(
                     f"inverse-gamma conditional mean violated at node {nid!r}: "
                     f"vertex gives {got:.12g}, field has {1.0 / gamma[nid]:.12g}"
                 )
-    sweep = duals.sweep(a_term, 0, tree.horizon)
-    a_out: dict[str, float] = dict(a_term)
-    for t in range(tree.horizon - 1, -1, -1):
-        a_out.update((n, sweep.shift[n]) for n in tree.nodes_at(t))
-    return a_out
+    return dict(duals.sweep(a_term, 0, tree.horizon).shift)
 
 
 # -- checks --------------------------------------------------------------

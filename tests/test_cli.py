@@ -22,7 +22,7 @@ import forwardperf.tree_market as tree_market
 import forwardperf.tree_verifier as tree_verifier
 import oracles
 from forwardperf.cli import main, run_ito_scenario
-from treegen import binomial_tree, random_tree, solved_field, trinomial_tree, two_period_tree
+from treegen import binomial_tree, random_tree, solved_field, trinomial_tree, two_period_tree, unshared_duals
 
 BASE_TREE_DOC = {
     "schema_version": 1,
@@ -143,13 +143,19 @@ def test_tree_scenario_conjugacy_adds_no_solve(monkeypatch):
         return original(phi, A, b, r0)
 
     monkeypatch.setattr(tree_verifier, "barrier_minimize", counted)
-    report = cli.run_tree_scenario(tree_doc())
-    assert report.all_passed, report.to_text()
-    # one one-step program per window end and node before it, each a row
-    # of a stack, as many as the (window, start) pairs: the conjugacy check
-    # reads both of its directions from the sweep of its window
     tree = two_period_tree()
-    assert sum(programs) == sum(len(tree.nodes_at(t)) for t, T in [(0, 1), (0, 2), (1, 2)])
+    internal = sum(len(tree.nodes_at(t)) for t in range(tree.horizon))
+    # on the solved field each one-step program is solved once for the
+    # whole scenario, a row of a stack: the sweep to the horizon solves one
+    # per internal node, and every sweep to an earlier T reads them, as its
+    # shifts at T are the horizon sweep's implied shifts; the conjugacy
+    # check reads both of its directions from the sweep of its window. The
+    # root-perturbed twin moves no shift a sweep reads, so it adds none
+    for doc in (tree_doc(), tree_doc(a_shift={"mode": "solve", "terminal": 0.0, "offsets": {"r": 0.1}})):
+        programs.clear()
+        report = cli.run_tree_scenario(doc)
+        assert report.all_passed == ("offsets" not in doc["a_shift"]), report.to_text()
+        assert sum(programs) == internal
 
 
 @pytest.mark.parametrize("offsets", [None, {"r": 0.1}])
@@ -233,6 +239,21 @@ PINNED_TREE_SHIFTS = {
 def test_tree_report_bytes_pinned(case):
     text = cli.run_tree_scenario(random_tree_doc(PINNED_TREE_SHIFTS[case])).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TREE_REPORT_SHA256[case]
+
+
+def _randomly_shifted(tree, field):
+    rng = np.random.default_rng(74)
+    return {"mode": "explicit", "values": {n: a + float(rng.normal(0.0, 0.3)) for n, a in field.a_shift.items()}}
+
+
+@pytest.mark.parametrize("a_shift", [*PINNED_TREE_SHIFTS.values(), _randomly_shifted], ids=[*PINNED_TREE_SHIFTS, "random"])
+def test_tree_report_bytes_match_programs_solved_afresh(monkeypatch, a_shift):
+    # each one-step program solved once per scenario and read by every
+    # sweep that needs it, or solved afresh by each sweep: the same bytes
+    doc = random_tree_doc(a_shift)
+    shared = cli.run_tree_scenario(doc).to_json()
+    monkeypatch.setattr(cli, "WindowDuals", unshared_duals)
+    assert cli.run_tree_scenario(doc).to_json() == shared
 
 
 def test_tree_report_names_a_node_only_on_failing_gap_records():

@@ -54,6 +54,7 @@ from treegen import (
     trinomial_tree,
     two_period_tree,
     uniform_trinomial_tree,
+    unshared_duals,
     with_offsets,
 )
 
@@ -904,12 +905,35 @@ def test_stacked_dual_programs_match_the_scalar_oracle(seed):
                 within_the_joint_bound(tree, field, dual_value(tree, field, 1.0, t, T, duals=duals))
 
 
+def _program_keys(tree, field, got):
+    """The (node, bits of its children's shifts) of every one-step program
+    the windows ``got`` (every (t, T) with t < T, in ``_window_pairs``
+    order) read: at a node of level s < T - 1, a child's shift is the one
+    the entropy of its window [s + 1, T] implies; at level T - 1, it is
+    a_shift."""
+    entropy = {(r.t, r.T): r.entropy for r in got}
+    keys = set()
+    for T in range(1, tree.horizon + 1):
+        for s in range(T):
+            for n in tree.nodes_at(s):
+                kids = tree.children(n)
+                if s + 1 == T:
+                    shifts = [field.a_shift[k] for k in kids]
+                else:
+                    v = [entropy[(s + 1, T)][k] for k in kids]
+                    shifts = tree_verifier._implied_shift(np.array([field.gamma[k] for k in kids]), 1.0, np.array(v))
+                keys.add((n, np.array(shifts, dtype=float).tobytes()))
+    return keys
+
+
 def test_stack_value_is_the_dual_objective_at_the_result(monkeypatch):
     # the value the solver reports per program is the objective's sum at
     # its result, bit for bit, as the whole stack's objective or the
     # program's alone gives it; each window's entropy at a start is the
     # value of the start's one-step program in the sweep to its end, so
-    # over all windows the entropies are the stacks' values
+    # every entropy is a value of some stack; and each program, a node
+    # with its children's shifts, is solved once: one per internal node
+    # on the solved field, where every sweep reads the horizon's programs
     stacks = []
     original = tree_verifier.barrier_minimize
 
@@ -921,6 +945,7 @@ def test_stack_value_is_the_dual_objective_at_the_result(monkeypatch):
     monkeypatch.setattr(tree_verifier, "barrier_minimize", recorded)
     tree = random_tree(7, periods=4)
     solved = solved_field(tree, 7)
+    internal = sum(len(tree.nodes_at(t)) for t in range(tree.horizon))
     for field in (solved, _perturbed(solved, 74)):
         stacks.clear()
         duals = WindowDuals(tree, field.gamma)
@@ -932,14 +957,16 @@ def test_stack_value_is_the_dual_objective_at_the_result(monkeypatch):
             for j in rows:
                 assert value[j].tobytes() == phi(rows[j:j + 1])(r[j:j + 1])[0].sum(axis=1).tobytes()
             values += value.tolist()
-        assert sorted(e for res in got for e in res.entropy.values()) == sorted(values)
+        assert {e for res in got for e in res.entropy.values()} <= set(values)
+        assert len(values) == len(_program_keys(tree, field, got))
+        assert (len(values) == internal) == (field is solved)
 
 
 def test_one_stack_per_window_end_level_and_shape(monkeypatch):
-    # a solved scenario on random_tree(3, periods=4): the shift and every
-    # dual-reading check share one sweep per window end T, which solves one
-    # barrier stack per (T, level, shape), a row per node before T; the
-    # root-perturbed twin reads the same sweeps and solves nothing
+    # a solved scenario on random_tree(3, periods=4): the shift solves the
+    # sweep to the horizon, one barrier stack per (level, shape), a row per
+    # internal node; every dual-reading check's sweep to an earlier T reads
+    # those programs and solves nothing, and so does the root-perturbed twin
     tree = random_tree(3, periods=4)
     solved = solved_field(tree, 3)
     stacks = []
@@ -954,6 +981,13 @@ def test_one_stack_per_window_end_level_and_shape(monkeypatch):
     terminal = {w: solved.a_shift[w] for w in tree.leaves()}
     field = ExponentialFieldParams(solved.gamma, solve_entropy_shift(tree, solved.gamma, terminal, duals=duals))
     pairs = _window_pairs(tree)
+    shapes = {
+        (s, len(tree.children(n)), any(br.dprice != 0.0 for br in tree.branches_of(n)))
+        for s in range(4)
+        for n in tree.nodes_at(s)
+    }
+    assert len(stacks) == len(shapes)
+    assert sum(stacks) == sum(len(tree.nodes_at(s)) for s in range(4))
 
     def checks(field):
         check_self_generation_dual(tree, field, pairs, [0.5, 1.0, 2.0], duals=duals)
@@ -963,16 +997,64 @@ def test_one_stack_per_window_end_level_and_shape(monkeypatch):
             check_forward_supermartingale(tree, field.gamma, field.a_shift, t, T, duals=duals)
 
     checks(field)
-    shapes = {
-        (T, s, len(tree.children(n)), any(br.dprice != 0.0 for br in tree.branches_of(n)))
-        for T in range(1, 5)
-        for s in range(T)
-        for n in tree.nodes_at(s)
-    }
-    assert len(stacks) == len(shapes)
-    assert sum(stacks) == sum(len(tree.nodes_at(s)) for T in range(1, 5) for s in range(T))
     checks(with_offsets(field, {tree.root: 0.1}))
     assert len(stacks) == len(shapes)
+
+
+def _nudged_at_time_2(tree, field):
+    """``field`` with the shift of the last child of the first time-1 node
+    moved up by one ulp, and the moved node's ancestors."""
+    parent = tree.nodes_at(1)[0]
+    w = tree.children(parent)[-1]
+    a_shift = dict(field.a_shift)
+    a_shift[w] = math.nextafter(a_shift[w], math.inf)
+    return ExponentialFieldParams(field.gamma, a_shift), [tree.root, parent]
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
+def test_shared_programs_match_programs_solved_afresh(depth):
+    # every window's dual value, with each one-step program solved once per
+    # scenario and read by every sweep that needs it, against the same
+    # window with every program solved afresh: each DualResult field equal,
+    # bit for bit (repr keeps a float's bits, the sign of a zero included),
+    # on solved, root-perturbed, randomly shifted and nudged fields
+    tree = random_tree(depth, periods=depth)
+    solved = solved_field(tree, depth)
+    fields = [solved, with_offsets(solved, {tree.root: 0.1}), _perturbed(solved, 20 + depth)]
+    fields.append(_nudged_at_time_2(tree, solved)[0])
+    pairs = [(t, T) for T in range(tree.horizon + 1) for t in range(T + 1)]
+    for field in fields:
+        shared, fresh = WindowDuals(tree, field.gamma), unshared_duals(tree, field.gamma)
+        for t, T in pairs:
+            got = dual_value(tree, field, 1.0, t, T, duals=shared)
+            assert repr(got) == repr(dual_value(tree, field, 1.0, t, T, duals=fresh))
+
+
+def test_a_nudged_shift_solves_only_the_programs_above_it(monkeypatch):
+    # on a solved field each program is solved once for every window; a
+    # time-2 shift moved by one ulp changes the children's shifts of its
+    # parent's program in the sweep to T = 2, and through its implied shift
+    # the root's: those two are solved again, nothing else
+    tree = random_tree(3, periods=3)
+    solved = solved_field(tree, 3)
+    internal = sum(len(tree.nodes_at(t)) for t in range(tree.horizon))
+    programs = []
+    original = tree_verifier.barrier_minimize
+
+    def counted(phi, A, b, r0):
+        programs.append(len(r0))
+        return original(phi, A, b, r0)
+
+    monkeypatch.setattr(tree_verifier, "barrier_minimize", counted)
+    nudged, above = _nudged_at_time_2(tree, solved)
+    for field, again in ((solved, []), (nudged, above)):
+        programs.clear()
+        duals = WindowDuals(tree, field.gamma)
+        for t, T in _window_pairs(tree):
+            dual_value(tree, field, 1.0, t, T, duals=duals)
+        assert sum(programs) == internal + len(again)
+        solved_twice = [n for n in tree._dfs_order if sum(key[0] == n for key in duals._programs) > 1]
+        assert solved_twice == again
 
 
 # -- conjugacy between computed fields -----------------------------------

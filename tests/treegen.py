@@ -12,7 +12,7 @@ import numpy as np
 
 from forwardperf.fields import ExponentialFieldParams
 from forwardperf.tree_market import EventTree
-from forwardperf.tree_verifier import solve_entropy_shift
+from forwardperf.tree_verifier import WindowDuals, solve_entropy_shift
 
 
 def binomial_tree(p_up=0.8, d=(1.0, -1.0)):
@@ -275,3 +275,18 @@ def ito_tree(depth, theta, delta, phi, rho, gamma_on_rho=True):
     grow("r", 0, 1.0, 0.0, 0.0)
     tree = EventTree.from_dict({"horizon": depth, "nodes": nodes})
     return tree, ExponentialFieldParams({n: 1.0 / x for n, x in inv_gamma.items()}, a_shift)
+
+
+class _NeverHits(dict):
+    """A program store in which no outcome is ever found."""
+
+    def __contains__(self, key):
+        return False
+
+
+def unshared_duals(tree, gamma):
+    """A ``WindowDuals`` that solves every one-step program afresh, as if
+    no other sweep of the scenario had solved it."""
+    duals = WindowDuals(tree, gamma)
+    duals._programs = _NeverHits()
+    return duals
