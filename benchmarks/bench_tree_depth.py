@@ -61,7 +61,7 @@ def measure(depth, repeat):
 
     def recursion():
         check_exponential_conditions(tree, gamma, a_shift, [(0, depth)])
-        check_forward_supermartingale(tree, gamma, a_shift, 0, depth)
+        check_forward_supermartingale(tree, field, [(0, depth)])
 
     def enumeration():
         oracles.inverse_gamma_gap_by_enumeration(tree, gamma, 0, depth)

@@ -329,12 +329,7 @@ def run_tree_scenario(doc, base_dir="."):
                 check_exponential_conditions(tree, gamma, a_shift, pairs, tol, duals=duals)
             )
         elif name == "forward-supermartingale":
-            for (t1, t2) in pairs:
-                report.merge(
-                    check_forward_supermartingale(
-                        tree, gamma, a_shift, t1, t2, tol, duals=duals
-                    )
-                )
+            report.merge(check_forward_supermartingale(tree, field, pairs, tol, duals=duals))
     return report
 
 

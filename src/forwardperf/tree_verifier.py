@@ -108,7 +108,6 @@ from .tree_market import (
 )
 
 _REPLICATION_TOL = 1e-10
-_INVERSE_GAMMA_TOL = 1e-9  # conditional mean of 1/gamma, per node
 _DUAL_SPLIT = "the dual value is composed from one-step programs"
 _UNREPLICATED = "no portfolio replicates 1/gamma: the dual program does not split, and is not solved"
 _FORWARD = "forward measures need a replicable 1/gamma"
@@ -207,13 +206,18 @@ def _dual_read(unit, nodes, eta):
     return eta * _at_nodes(unit.entropy, nodes) + np.reshape(eta_log_eta, eta.shape) * m
 
 
-def _scan_max(rows, acc):
-    """Per column, Python's max over ``acc`` and then each of ``rows`` in
-    order: a value replaces the running maximum only when it is greater,
-    so a NaN never replaces one (``np.maximum`` would propagate it)."""
-    for row in rows:
-        acc = np.where(row > acc, row, acc)
-    return acc
+def _require_finite(eta, starts, gaps):
+    """WealthRangeError at the first eta of the column ``eta``, then the
+    first start, where ``gaps`` (a row per eta, a column per start) is not
+    finite: the read there, its target or the shift it implies is outside
+    the float range."""
+    bad = np.argwhere(~np.isfinite(gaps))
+    if len(bad):
+        i, j = bad[0]
+        raise WealthRangeError(
+            f"eta={eta[i, 0]:g} at node {starts[j]!r}: the dual value, its "
+            "closed-form target or the shift it implies is outside the float range"
+        )
 
 
 def _require_replication(rep, what):
@@ -704,37 +708,30 @@ def solve_entropy_shift(
 ) -> dict[str, float]:
     """Backward construction of the additive shift from the entropy identity.
 
-    Verifies first that every one-step polytope vertex preserves the
-    conditional mean of 1/gamma (else the construction is refused, citing
-    the failing node), then sets, level by level,
+    Requires first that a portfolio replicates 1/gamma (the context's
+    ``replication``: then every one-step martingale measure keeps the
+    conditional mean of 1/gamma); else the construction is refused with a
+    ``ValueError`` naming the node and the residual. Then sets, level by level,
 
         a[node] = gamma * (entropy_kernel(1/gamma) - min entropy to horizon).
 
     That is the sweep to the horizon (``WindowDuals.sweep``), whose implied
     shifts are consistent over every window by the dynamic-programming
-    principle of the entropy minimum. Through ``duals`` the checks of the
-    scenario read that sweep too.
+    principle of the entropy minimum; it refuses a node with no equivalent
+    one-step measure with ``ArbitrageError``. Through ``duals`` the checks
+    of the scenario read that sweep too.
     """
-    leaves = tree.leaves()
-    a_term = _per_node(terminal_a, leaves, "terminal_a")
+    a_term = _per_node(terminal_a, tree.leaves(), "terminal_a")
     for nid in tree._dfs_order:
         if not (gamma[nid] > 0.0):
             raise ValueError(f"gamma must be positive, node {nid!r}")
     duals = _window_duals(duals, tree, gamma)
-    for nid in tree._dfs_order:
-        if tree.is_leaf(nid):
-            continue
-        poly = node_polytope(tree, nid)
-        if poly.empty:
-            raise ArbitrageError(f"node {nid!r}: empty one-step polytope")
-        inv_children = np.array([1.0 / gamma[c] for c in poly.children])
-        for v in poly.vertices:
-            got = float(v @ inv_children)
-            if abs(got - 1.0 / gamma[nid]) > _INVERSE_GAMMA_TOL:
-                raise ValueError(
-                    f"inverse-gamma conditional mean violated at node {nid!r}: "
-                    f"vertex gives {got:.12g}, field has {1.0 / gamma[nid]:.12g}"
-                )
+    rep = duals.replication()
+    if not rep.feasible:
+        raise ValueError(
+            f"inverse-gamma conditional mean violated at node {rep.failed_node!r} "
+            f"(replication residual {rep.residual:.3g})"
+        )
     return dict(duals.sweep(a_term, 0, tree.horizon).shift)
 
 
@@ -824,7 +821,9 @@ def check_self_generation_dual(
     no positive eta (it implies no shift) is refused before anything is
     solved; without replication of 1/gamma, so is a grid with an eta other
     than 1, and on the grid of eta = 1 every record fails with the
-    replication certificate. A record carries the read's certificate,
+    replication certificate. An eta at which a gap is not finite (the
+    read, the closed-form dual or the implied shift leaves the float
+    range) is refused with ``WealthRangeError``. A record carries the read's certificate,
     max over starts of |m - 1/gamma|, and per start the window's Newton
     iterations, KKT residual and near-boundary flag. ``duals`` shares the
     dual solves with the other checks of a scenario.
@@ -852,17 +851,20 @@ def check_self_generation_dual(
         a = _at_nodes(field.a_shift, starts)
         # per (eta, start): the read, its gap to the slice's closed-form
         # dual, and the gap of the shift it implies at a positive eta
-        v = _dual_read(unit, starts, eta)
-        value_gaps = _scan_max(np.abs(v - conjugate_exponential(g, a, eta)), 0.0)
-        shift_gaps = np.abs(_implied_shift(g, eta[positive], v[positive]) - a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = _dual_read(unit, starts, eta)
+            value_gaps = np.abs(v - conjugate_exponential(g, a, eta))
+            shift_gaps = np.abs(_implied_shift(g, eta[positive], v[positive]) - a)
+        _require_finite(eta, starts, value_gaps)
+        _require_finite(eta[positive], starts, shift_gaps)
         m = unit.inverse_gamma_mean
         windows.append(
             _gap_record(
                 tag,
-                dict(zip(starts, _scan_max(shift_gaps, 0.0).tolist())),
+                dict(zip(starts, shift_gaps.max(axis=0).tolist())),
                 tol,
                 details={
-                    "value_gap": max(value_gaps.tolist()),
+                    "value_gap": float(value_gaps.max()),
                     "read_certificate": max(abs(m[n] - 1.0 / field.gamma[n]) for n in m),
                     "newton_iterations": unit.newton_iterations,
                     "kkt_residual": unit.kkt_residual,
@@ -895,8 +897,7 @@ def _conjugate_read(unit, n, xi):
 
 def _scaled_gap(value, target):
     """|value - target| / max(1, |target|), elementwise: absolute for
-    values of order one, relative for larger ones (Higham 2002). A NaN
-    |target| scales by 1, as Python's max(1, NaN) does."""
+    values of order one, relative for larger ones (Higham 2002)."""
     size = np.abs(target)
     return np.abs(value - target) / np.where(size > 1.0, size, 1.0)
 
@@ -932,7 +933,8 @@ def check_value_conjugacy(
     carry the relative rounding error of v(1) and |u| grows with e^a; each
     record's value is its worst scaled gap. A wealth at which eta_hat or
     u leaves the float range is refused with ``WealthRangeError`` before
-    the primal is read there. ``duals`` shares the dual value and the
+    the primal is read there, and so is an eta at which the dual gap is
+    not finite. ``duals`` shares the dual value and the
     factor recursion with the other checks of a scenario. A gamma whose
     reciprocal no portfolio replicates is refused before anything is solved.
     """
@@ -949,19 +951,20 @@ def check_value_conjugacy(
     unit = duals.dual(field, t, T)
     conjugates = [[_conjugate_read(unit, n, x) for n in starts] for x in xi_grid]
     primals = np.array([_at_nodes(base.at(x).values, starts) for x in xi_grid])
-    # per (wealth, start) and per (eta, start); each start's worst over
-    # its grid, in grid order
+    # per (wealth, start) and per (eta, start); each start's worst over its grid
     primal_gaps = _scaled_gap(np.array([[u for u, _ in row] for row in conjugates]), primals)
     eta = np.array(eta_grid)[:, None]
-    dual_gaps = _scaled_gap(
-        _dual_read(unit, starts, eta),
-        conjugate_exponential(_at_nodes(field.gamma, starts), _at_nodes(base.log_factor, starts), eta),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        dual_gaps = _scaled_gap(
+            _dual_read(unit, starts, eta),
+            conjugate_exponential(_at_nodes(field.gamma, starts), _at_nodes(base.log_factor, starts), eta),
+        )
+    _require_finite(eta, starts, dual_gaps)
     return VerificationReport(
         [
             _gap_record(
                 f"conjugacy-primal-from-dual[t={t},T={T}]",
-                dict(zip(starts, _scan_max(primal_gaps[1:], primal_gaps[0]).tolist())),
+                dict(zip(starts, primal_gaps.max(axis=0).tolist())),
                 tol,
                 details={
                     "eta_hat": {n: eta_hat for n, (_, eta_hat) in zip(starts, conjugates[0])},
@@ -972,7 +975,7 @@ def check_value_conjugacy(
             ),
             _gap_record(
                 f"conjugacy-dual-from-primal[t={t},T={T}]",
-                dict(zip(starts, _scan_max(dual_gaps[1:], dual_gaps[0]).tolist())),
+                dict(zip(starts, dual_gaps.max(axis=0).tolist())),
                 tol,
             ),
         ]
@@ -1074,24 +1077,23 @@ def _forward_drift(weights, probs, kid_values):
 
 def check_forward_supermartingale(
     tree: EventTree,
-    gamma: Mapping[str, float],
-    a_shift: Mapping[str, float],
-    t: int = 0,
-    T: int | None = None,
+    field: ExponentialFieldParams,
+    time_pairs,
     tol: float = 1e-6,
     duals: WindowDuals | None = None,
 ) -> VerificationReport:
-    """Forward-measure drift of the shifted log density.
+    """Forward-measure drift of the shifted log density, per (t, T).
 
     For every product vertex Q of the window polytope, with Q_g its
     reweighting by gamma_0/gamma_T, the process a - log Z^{Q_g} must not
     drift up between any window node and the terminal time; the
     entropy-minimizing measure must achieve equality. Q_g is a probability
     for every Q only when 1/gamma keeps its conditional mean under every
-    martingale measure, so a gamma that no portfolio replicates is refused
-    with ``ReplicationError`` before anything is computed, as the dual value
-    refuses it. So are a gamma that is not positive, and a shift or gamma
-    that is not finite, with ``ValueError``.
+    martingale measure. So, before anything is computed, a field that is
+    not an ``ExponentialFieldParams`` is refused with ``TypeError``, a
+    window that is not 0 <= t < T <= horizon with ``ValueError``, and a
+    gamma that no portfolio replicates with ``ReplicationError``, as the
+    dual value refuses it.
 
     Both records run node by node, without listing the product vertices.
     With 1/gamma replicable, the reweighting is per edge,
@@ -1114,22 +1116,19 @@ def check_forward_supermartingale(
     charged: the sweep refuses a node of levels t..T-1 with no equivalent
     one-step measure, so every vertex table entry there keeps all children.
     """
-    if T is None:
-        T = tree.horizon
-    if not (0 <= t < T <= tree.horizon):
-        raise ValueError(f"need a nondegenerate window, got [{t}, {T}]")
-    for n in tree._dfs_order:
-        if not (gamma[n] > 0.0):
-            raise ValueError(f"gamma must be positive, node {n!r}")
-    ExponentialFieldParams(gamma, a_shift)  # refuses a shift or gamma that is not finite
-    duals = _window_duals(duals, tree, gamma)
+    _check_field_type(field)
+    for (t, T) in time_pairs:
+        if not (0 <= t < T <= tree.horizon):
+            raise ValueError(f"need a nondegenerate window, got [{t}, {T}]")
+    duals = _window_duals(duals, tree, field.gamma)
     _require_replication(duals.replication(), _FORWARD)
-    worst = duals.worst_drift(a_shift, t, T)
-    sweep = duals.sweep(a_shift, t, T)
-    # the starts' subtrees are disjoint, so each record keys its gaps by node
-    window = [m for start in tree.nodes_at(t) for m in tree.window_interior(start, T)]
-    return VerificationReport(
-        [
+    a_shift, records = field.a_shift, []
+    for (t, T) in time_pairs:
+        worst = duals.worst_drift(a_shift, t, T)
+        sweep = duals.sweep(a_shift, t, T)
+        # the starts' subtrees are disjoint, so each record keys its gaps by node
+        window = [m for start in tree.nodes_at(t) for m in tree.window_interior(start, T)]
+        records += [
             _gap_record(
                 f"forward-supermartingale[t={t},T={T}]",
                 {m: worst[m] - a_shift[m] for m in window},
@@ -1142,4 +1141,4 @@ def check_forward_supermartingale(
                 tol,
             ),
         ]
-    )
+    return VerificationReport(records)

@@ -172,11 +172,8 @@ def test_criterion_3_equivalence_suite():
             assert rep_p.all_passed, f"tree {i}: {rep_p.to_text()}"
             assert rep_d.all_passed, f"tree {i}: {rep_d.to_text()}"
             assert rep_e.all_passed, f"tree {i}: {rep_e.to_text()}"
-            for (t1, t2) in pairs:
-                rep_f = check_forward_supermartingale(
-                    tree, field.gamma, field.a_shift, t1, t2, tol=1e-6
-                )
-                assert rep_f.all_passed, f"tree {i}: {rep_f.to_text()}"
+            rep_f = check_forward_supermartingale(tree, field, pairs, tol=1e-6)
+            assert rep_f.all_passed, f"tree {i}: {rep_f.to_text()}"
 
             bumped = with_offsets(field, {"r": 0.1})
             rep_p = check_self_generation_primal(tree, bumped, pairs, xi_grid, tol=1e-6)
@@ -184,9 +181,7 @@ def test_criterion_3_equivalence_suite():
             rep_e = check_exponential_conditions(
                 tree, bumped.gamma, bumped.a_shift, pairs, tol=1e-6
             )
-            rep_f = check_forward_supermartingale(
-                tree, bumped.gamma, bumped.a_shift, 0, tree.horizon, tol=1e-6
-            )
+            rep_f = check_forward_supermartingale(tree, bumped, [(0, tree.horizon)], tol=1e-6)
             assert not rep_p.all_passed, f"tree {i}: perturbation missed (primal)"
             assert not rep_d.all_passed, f"tree {i}: perturbation missed (dual)"
             assert not rep_e.all_passed, f"tree {i}: perturbation missed (conditions)"

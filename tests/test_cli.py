@@ -185,6 +185,33 @@ def random_tree_doc(a_shift, periods=4):
     return doc
 
 
+def test_tree_scenario_builds_the_field_once_for_the_forward_check(monkeypatch):
+    # the default scenario at d = 4 (every window): one forward call over
+    # all windows, and two fields built, the scenario's and the one
+    # check_exponential_conditions builds from its (gamma, a_shift) maps
+    builds, forward = [], []
+    original = cli.check_forward_supermartingale
+
+    class Counted(cli.ExponentialFieldParams):
+        def __init__(self, gamma, a_shift):
+            builds.append(1)
+            super().__init__(gamma, a_shift)
+
+    def counted(*args, **kwargs):
+        forward.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ExponentialFieldParams", Counted)
+    monkeypatch.setattr(tree_verifier, "ExponentialFieldParams", Counted)
+    monkeypatch.setattr(cli, "check_forward_supermartingale", counted)
+    doc = random_tree_doc(lambda tree, field: {"mode": "explicit", "values": field.a_shift})
+    report = cli.run_tree_scenario(doc)
+    assert report.all_passed, report.to_text()
+    assert sum(r.check_tag.startswith("forward-supermartingale[") for r in report.records()) == 10
+    assert len(forward) == 1
+    assert len(builds) <= 2
+
+
 # SHA-256 of two tree-verify reports: "explicit" is the scenario of
 # BENCH_tree_scenario.json at d = 4, "solve" builds the shift from the same
 # terminal values and moves the root by 0.1. Re-pinned on purpose when each
@@ -378,6 +405,36 @@ def test_tree_scenario_refuses_nonpositive_eta(tmp_path, capsys, eta_grid, check
         doc["checks"] = checks
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
     assert f"$.eta_grid[{bad}]: must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "eta, offsets, checks",
+    [
+        # passed with value 0: the NaN gaps of the dual reads were skipped
+        (1e308, {"r": 0.1}, ["dual-self-generation"]),
+        # a traceback: the dual self-generation check passed, and the
+        # conjugacy record met a NaN gap
+        (1e308, None, None),
+        (1e308, None, ["conjugacy"]),
+        # a traceback: the implied shift is infinite, and the report writer
+        # refused the record
+        (5e-324, None, None),
+    ],
+)
+def test_tree_scenario_refuses_an_eta_outside_the_float_range(tmp_path, capsys, eta, offsets, checks):
+    doc = tree_doc(eta_grid=[eta])
+    if offsets is not None:
+        doc["a_shift"]["offsets"] = offsets
+    if checks is not None:
+        doc["checks"] = checks
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: eta={eta:g} at node 'r': the dual value, its closed-form target "
+        "or the shift it implies is outside the float range\n"
+    )
 
 
 def nonreplicable_doc(**overrides):

@@ -637,6 +637,25 @@ def test_solve_shift_refuses_2b_violation():
         solve_entropy_shift(tree, gamma, 0.0)
 
 
+def test_solve_shift_refuses_the_replication_certificate():
+    # 1/gamma off a replicable one by 1e-9 at d: the replication residual
+    # is 5e-10, above its 1e-10 tolerance though the binomial vertex keeps
+    # the inverse-gamma mean within 1e-9, so the shift is refused with the
+    # certificate's node and residual, before any program is solved
+    tree = binomial_tree()
+    gamma = {"r": 1.0, "u": 1.0 / 1.1, "d": 1.0 / (0.9 + 1e-9)}
+    rep = replicate_inverse_gamma(tree, gamma)
+    assert not rep.feasible and 1e-10 < rep.residual <= 1e-9
+    duals = WindowDuals(tree, gamma)
+    with pytest.raises(ValueError) as info:
+        solve_entropy_shift(tree, gamma, 0.0, duals=duals)
+    assert type(info.value) is ValueError
+    assert str(info.value) == (
+        f"inverse-gamma conditional mean violated at node 'r' (replication residual {rep.residual:.3g})"
+    )
+    assert duals._programs == {}
+
+
 def test_solve_shift_rejects_bad_gamma():
     tree = binomial_tree()
     with pytest.raises(ValueError, match="positive"):
@@ -993,8 +1012,7 @@ def test_one_stack_per_window_end_level_and_shape(monkeypatch):
         check_self_generation_dual(tree, field, pairs, [0.5, 1.0, 2.0], duals=duals)
         check_value_conjugacy(tree, field, 0, 4, [0.0], [1.0], duals=duals)
         check_exponential_conditions(tree, field.gamma, field.a_shift, pairs, duals=duals)
-        for t, T in pairs:
-            check_forward_supermartingale(tree, field.gamma, field.a_shift, t, T, duals=duals)
+        check_forward_supermartingale(tree, field, pairs, duals=duals)
 
     checks(field)
     checks(with_offsets(field, {tree.root: 0.1}))
@@ -1287,7 +1305,7 @@ def test_window_duals_share_and_refuse_another_field():
     pairs = [(0, 2)]
     for check in (
         lambda d: check_exponential_conditions(tree, field.gamma, field.a_shift, pairs, duals=d),
-        lambda d: check_forward_supermartingale(tree, field.gamma, field.a_shift, 0, 2, duals=d),
+        lambda d: check_forward_supermartingale(tree, field, pairs, duals=d),
     ):
         assert check(duals).to_json() == check(None).to_json()
     assert [key[:2] for key in duals._solved] == [(0, 2)]
@@ -1309,7 +1327,7 @@ def test_window_duals_share_and_refuse_another_field():
     with pytest.raises(ValueError, match="another tree or gamma"):
         check_exponential_conditions(tree, other.gamma, other.a_shift, pairs, duals=duals)
     with pytest.raises(ValueError, match="another tree or gamma"):
-        check_forward_supermartingale(tree, other.gamma, other.a_shift, 0, 2, duals=duals)
+        check_forward_supermartingale(tree, other, pairs, duals=duals)
     with pytest.raises(ValueError, match="another tree or gamma"):
         check_value_conjugacy(two_period_tree(), field, 0, 2, [0.0], [1.0], duals=duals)
 
@@ -1460,16 +1478,18 @@ def test_exponential_conditions_positivity():
 def test_forward_supermartingale_clean():
     tree = two_period_tree()
     field = solved_field(tree, seed=27)
-    for (t, T) in ((0, 1), (0, 2), (1, 2)):
-        rep = check_forward_supermartingale(tree, field.gamma, field.a_shift, t, T)
-        assert rep.all_passed, rep.to_text()
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    rep = check_forward_supermartingale(tree, field, pairs)
+    assert rep.all_passed, rep.to_text()
+    assert len(rep) == 2 * len(pairs)
+    for (t, T) in pairs:
         assert rep[f"forward-martingale-at-optimum[t={t},T={T}]"].value <= 1e-8
 
 
 def test_forward_supermartingale_perturbation():
     tree = two_period_tree()
     field = with_offsets(solved_field(tree, seed=28), {"r": 0.1})
-    rep = check_forward_supermartingale(tree, field.gamma, field.a_shift, 0, 2)
+    rep = check_forward_supermartingale(tree, field, [(0, 2)])
     # the inequality direction still holds; only the equality at the
     # entropy minimizer breaks, by exactly the perturbation
     assert rep["forward-supermartingale[t=0,T=2]"].verdict
@@ -1478,31 +1498,36 @@ def test_forward_supermartingale_perturbation():
     assert rec.value == pytest.approx(0.1, abs=1e-7)
 
 
-def test_forward_supermartingale_guards():
+def test_forward_supermartingale_guards(monkeypatch):
     tree = two_period_tree()
     field = solved_field(tree, seed=29)
-    with pytest.raises(ValueError, match="nondegenerate"):
-        check_forward_supermartingale(tree, field.gamma, field.a_shift, 1, 1)
+    non2b = {"r": 0.5, "u": 1.0 / 2.5, "m": 1.0 / 2.2, "d": 1.0 / 1.5}
+    unreplicated = ExponentialFieldParams(non2b, dict.fromkeys(non2b, 0.0))
+    with pytest.raises(ReplicationError, match="forward measures need a replicable 1/gamma"):
+        check_forward_supermartingale(trinomial_tree(), unreplicated, [(0, 1)])
+    # the field type and every window are refused before any pass or sweep
+    _no_pass(monkeypatch)
+    with pytest.raises(TypeError, match="ExponentialFieldParams"):
+        check_forward_supermartingale(tree, field.gamma, [(0, 2)])
+    for pairs in ([(1, 1)], [(0, 2), (1, 1)], [(0, 3)]):
+        with pytest.raises(ValueError, match="nondegenerate"):
+            check_forward_supermartingale(tree, field, pairs)
+    # a gamma that is not positive, or a shift or gamma that is not finite,
+    # at a window node or outside the window, is refused where the field
+    # is built, not read into a passing report
     bad = dict(field.gamma)
     bad["a1"] = -1.0
     with pytest.raises(ValueError, match="positive"):
-        check_forward_supermartingale(tree, bad, field.a_shift, 0, 2)
-    non2b = {"r": 0.5, "u": 1.0 / 2.5, "m": 1.0 / 2.2, "d": 1.0 / 1.5}
-    with pytest.raises(ValueError):
-        check_forward_supermartingale(
-            trinomial_tree(), non2b, {n: 0.0 for n in non2b}, 0, 1
-        )
-    # a shift or gamma that is not finite, at a window node or outside the
-    # window, is refused, not read into a passing report
+        ExponentialFieldParams(bad, field.a_shift)
     for node in ("a", "a1", "r"):
         nan_shift = dict(field.a_shift)
         nan_shift[node] = math.nan
         with pytest.raises(ValueError, match=f"a_shift must be finite at node {node!r}"):
-            check_forward_supermartingale(tree, field.gamma, nan_shift, 1, 2)
+            ExponentialFieldParams(field.gamma, nan_shift)
     inf_gamma = dict(field.gamma)
     inf_gamma["a1"] = math.inf
     with pytest.raises(ValueError, match="gamma must be positive and finite at node 'a1'"):
-        check_forward_supermartingale(tree, inf_gamma, field.a_shift, 0, 2)
+        ExponentialFieldParams(inf_gamma, field.a_shift)
 
 
 # -- per-node recursion against enumeration of the product measures --------
@@ -1542,12 +1567,10 @@ def test_forward_checks_match_enumeration_oracle():
             # the bump below moves a, not gamma: one precondition run covers both
             oracles.forward_precondition_by_enumeration(tree, solved.gamma, t, T)
         for field in (solved, with_offsets(solved, {"r": 0.1})):
+            rep_f = check_forward_supermartingale(tree, field, pairs, tol=tol)
             for (t, T) in pairs:
                 want, _ = oracles.worst_forward_drift_by_enumeration(
                     tree, field.gamma, field.a_shift, t, T
-                )
-                rep_f = check_forward_supermartingale(
-                    tree, field.gamma, field.a_shift, t, T, tol=tol
                 )
                 rec = rep_f[f"forward-supermartingale[t={t},T={T}]"]
                 assert rec.value == pytest.approx(want, abs=1e-12), (tree.horizon, t, T)
@@ -1564,8 +1587,8 @@ def test_forward_optimum_matches_density_oracle(periods, bumped):
     if bumped:
         field = with_offsets(field, {tree.root: 0.1})
     duals = WindowDuals(tree, field.gamma)
+    rep = check_forward_supermartingale(tree, field, _window_pairs(tree), duals=duals)
     for (t, T) in _window_pairs(tree):
-        rep = check_forward_supermartingale(tree, field.gamma, field.a_shift, t, T, duals=duals)
         rec = rep[f"forward-martingale-at-optimum[t={t},T={T}]"]
         res = duals.dual(field, t, T)
         want, want_node = 0.0, None
@@ -1675,8 +1698,7 @@ def test_forward_drift_once_per_node_and_window_end(monkeypatch):
     feasible = sum(len(table) for table in tables.values())
     vertices = sum(len(rows) for table in tables.values() for _, rows in table.values())
     for field in (solved, with_offsets(solved, {tree.root: 0.1})):
-        for t, T in _window_pairs(tree):
-            check_forward_supermartingale(tree, field.gamma, field.a_shift, t, T, duals=duals)
+        check_forward_supermartingale(tree, field, _window_pairs(tree), duals=duals)
         assert len(evaluated) == feasible == sum(len(tree.nodes_at(s)) for T in range(1, 5) for s in range(T))
         assert len(steps) == vertices + feasible
 
@@ -1722,9 +1744,10 @@ def test_forward_precondition_refusal_matches_enumeration_oracle(monkeypatch):
         gamma[node] = 1.0 / (1.0 / gamma[node] + 0.05)
         assert replicate_inverse_gamma(tree, gamma).failed_node == tree.parent[node]
         want = _forward_replication_refusal(tree, gamma)
+        field = ExponentialFieldParams(gamma, solved.a_shift)
         for (t, T) in _window_pairs(tree):
             oracle = _refusal(oracles.forward_precondition_by_enumeration, tree, gamma, t, T)
-            assert _refusal(check_forward_supermartingale, tree, gamma, solved.a_shift, t, T) == (
+            assert _refusal(check_forward_supermartingale, tree, field, [(t, T)]) == (
                 ReplicationError, want
             ), (t, T)
             if oracle is None:
@@ -1749,11 +1772,11 @@ def test_forward_precondition_skips_uncharged_nodes(monkeypatch):
     want = _refusal(oracles.forward_precondition_by_enumeration, tree, gamma, 1, 2)
     assert want is not None and "node 'u'" in want[1]
     with pytest.raises(ArbitrageError, match="node 'r': .* no interior point"):
-        check_forward_supermartingale(tree, const_map(tree, 1.0), a, 0, 2)
+        check_forward_supermartingale(tree, ExponentialFieldParams(const_map(tree, 1.0), a), [(0, 2)])
     _no_pass(monkeypatch)
     assert replicate_inverse_gamma(tree, gamma).failed_node == "u"
     for t, T in _window_pairs(tree):
-        got = _refusal(check_forward_supermartingale, tree, gamma, a, t, T)
+        got = _refusal(check_forward_supermartingale, tree, ExponentialFieldParams(gamma, a), [(t, T)])
         assert got == (ReplicationError, _forward_replication_refusal(tree, gamma))
 
 
@@ -1764,10 +1787,10 @@ def test_forward_checks_have_no_product_measure_cap():
     field = solved_field(tree, 7)
     rep = check_exponential_conditions(tree, field.gamma, field.a_shift, [(0, 6)])
     assert rep.all_passed, rep.to_text()
-    rep = check_forward_supermartingale(tree, field.gamma, field.a_shift, 0, 6)
+    rep = check_forward_supermartingale(tree, field, [(0, 6)])
     assert rep.all_passed, rep.to_text()
     bumped = with_offsets(field, {"r": 0.1})
-    rep = check_forward_supermartingale(tree, bumped.gamma, bumped.a_shift, 0, 6)
+    rep = check_forward_supermartingale(tree, bumped, [(0, 6)])
     assert rep["forward-martingale-at-optimum[t=0,T=6]"].value == pytest.approx(0.1, abs=1e-7)
 
 
@@ -1794,17 +1817,15 @@ def test_forward_checks_refuse_infeasible_start():
     want = _refusal(oracles.inverse_gamma_gap_by_enumeration, tree, gamma, 0, 1)
     assert want == (ArbitrageError, "no martingale measure below node 'r'")
     assert _refusal(check_exponential_conditions, tree, gamma, a, [(0, 1)]) == want
-    assert _refusal(check_forward_supermartingale, tree, gamma, a, 0, 1) == want
+    assert _refusal(check_forward_supermartingale, tree, ExponentialFieldParams(gamma, a), [(0, 1)]) == want
 
 
 # -- grid reads as arrays, against the per-point oracles ------------------
 
 # eta grid points at which numpy 2.4's log and math.log differ in the last
-# bit on x86-64 (at the first two, y log y - y differs too), 0, and a point
-# at which the read and the closed-form dual overflow, so that their gap
-# is NaN, which Python's max skips
+# bit on x86-64 (at the first two, y log y - y differs too), and 0
 LOG_SPLIT_ETAS = [1.235332518347858, 8.70834843767571, 0.9908371028420025]
-ORACLE_ETAS = [0.0, 0.5, 1.0, *LOG_SPLIT_ETAS, 1e307]
+ORACLE_ETAS = [0.0, 0.5, 1.0, *LOG_SPLIT_ETAS]
 # 1 / 0.8094986452209698 is such a point as well
 LOG_SPLIT_GAMMA = 0.8094986452209698
 
@@ -1865,10 +1886,24 @@ def test_grid_reads_match_the_per_point_oracles(tree, field):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_grid_read_cases_reach_a_nan_gap():
-    # the largest oracle eta makes the read and the closed-form dual both
-    # overflow, so the per-point reads skip a NaN gap there
+@pytest.mark.parametrize("eta", [1e307, 1e308, 5e-324])
+def test_dual_reads_refuse_an_eta_outside_the_float_range(eta):
+    # at 1e307 and 1e308 the read and the closed-form dual overflow, so
+    # that their gap is NaN; at 5e-324 gamma / eta, and with it the implied
+    # shift, does. Such an eta is refused, naming it and the start, not
+    # skipped or read into a record; the root-perturbed field used to pass
+    # at 1e308, with value 0
     tree = two_period_tree()
     field = solved_field(tree, seed=31)
-    v = dual_value(tree, field, 1.0, 0, 2).at(ORACLE_ETAS[-1]).values["r"]
-    assert math.isnan(v - conjugate_exponential(field.gamma["r"], field.a_shift["r"], ORACLE_ETAS[-1]))
+    g = field.gamma["r"]
+    v = dual_value(tree, field, 1.0, 0, 2).at(eta).values["r"]
+    assert math.isnan(v - conjugate_exponential(g, field.a_shift["r"], eta)) or g / eta == math.inf
+    message = re.escape(f"eta={eta:g} at node 'r': ") + ".* outside the float range"
+    for f in (field, with_offsets(field, {"r": 0.1})):
+        with pytest.raises(WealthRangeError, match=message):
+            check_self_generation_dual(tree, f, [(0, 2)], [1.0, eta])
+    if eta > 1.0:
+        with pytest.raises(WealthRangeError, match=message):
+            check_value_conjugacy(tree, field, 0, 2, [0.0], [1.0, eta])
+    else:
+        assert check_value_conjugacy(tree, field, 0, 2, [0.0], [1.0, eta]).all_passed
