@@ -60,7 +60,7 @@ def measure(depth, repeat):
     gamma, a_shift = field.gamma, field.a_shift
 
     def recursion():
-        check_exponential_conditions(tree, gamma, a_shift, [(0, depth)])
+        check_exponential_conditions(tree, field, [(0, depth)])
         check_forward_supermartingale(tree, field, [(0, depth)])
 
     def enumeration():

@@ -2,7 +2,7 @@
 
 For ``random_tree(7, periods=d)``, d = 2..7, with its solved field given
 explicitly, times ``cli.run_tree_scenario`` on the default scenario: all
-seven checks, every (t, T) window, the default xi and eta grids. Depth 7
+six checks, every (t, T) window, the default xi and eta grids. Depth 7
 (1292 nodes) is the slowest and runs at most 3 repeats.
 
 Each source tree runs in a fresh child process. With ``--baseline-src`` a
@@ -160,7 +160,7 @@ def main():
     doc = {
         "benchmark": "tree_scenario",
         "tree": f"random_tree({SEED}, periods=d), solved_field(tree, {SEED}) given explicitly",
-        "what": "cli.run_tree_scenario on the default scenario: 7 checks, every window",
+        "what": "cli.run_tree_scenario on the default scenario: 6 checks, every window",
         "baseline_src": args.baseline_src,
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),

@@ -37,7 +37,7 @@ from .ito_engine import (
 from .kernels import U64_MAX, Workspace
 from .mc_verifier import MC_CHECKS, MonteCarloPass, tag_number, time_labels
 from .report import CheckRecord, VerificationReport
-from .tree_market import EventTree, check_nflvr, json_float, validate_tree
+from .tree_market import EventTree, check_nflvr, json_float
 from .tree_verifier import (
     WindowDuals,
     check_exponential_conditions,
@@ -51,7 +51,6 @@ from .tree_verifier import (
 SCHEMA_VERSION = 1
 
 TREE_CHECKS = (
-    "tree-structure",
     "nflvr",
     "primal-self-generation",
     "dual-self-generation",
@@ -298,15 +297,13 @@ def run_tree_scenario(doc, base_dir="."):
     xi_grid = _number_list(xi_grid, "$.xi_grid")
     eta_grid = _number_list(eta_grid, "$.eta_grid", strict_min=0)
     tol = _number(doc.get("tolerance", 1e-6), "$.tolerance", strict_min=0.0)
-    windowed = [name for name in checks if name not in ("tree-structure", "nflvr")]
+    windowed = [name for name in checks if name != "nflvr"]
     if windowed and not pairs:
         _fail("$.checks", f"{windowed[0]!r} needs a time pair [t, T]; the tree's horizon is 0")
 
     report = VerificationReport()
     for name in checks:
-        if name == "tree-structure":
-            report.merge(validate_tree(tree))
-        elif name == "nflvr":
+        if name == "nflvr":
             _, rep = check_nflvr(tree)
             report.merge(rep)
         elif name == "primal-self-generation":
@@ -325,9 +322,7 @@ def run_tree_scenario(doc, base_dir="."):
                 )
             )
         elif name == "exponential-conditions":
-            report.merge(
-                check_exponential_conditions(tree, gamma, a_shift, pairs, tol, duals=duals)
-            )
+            report.merge(check_exponential_conditions(tree, field, pairs, tol, duals=duals))
         elif name == "forward-supermartingale":
             report.merge(check_forward_supermartingale(tree, field, pairs, tol, duals=duals))
     return report

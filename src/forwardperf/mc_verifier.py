@@ -87,6 +87,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import WealthRangeError
 from .fields import conjugate_exponential, entropy_kernel
 from .ito_engine import (
     CoefficientSpec,
@@ -355,6 +356,20 @@ def _dual_path_values(cols, z, eta, idx, work):
     return out
 
 
+def _require_finite(eta, record):
+    """``record``, a test of the dual value at ``eta``; WealthRangeError
+    when its mean, target, band or z-score is outside the float range: eta
+    Z / gamma overflows (the values are NaN), or is so small that the
+    values are subnormal and the band underflows to 0."""
+    stats = (record.value, record.target, record.tolerance, record.std_error, record.details["z_score"])
+    if not all(math.isfinite(x) for x in stats):
+        raise WealthRangeError(
+            f"eta={eta:g} at {record.check_tag}: the dual value's mean, its "
+            "closed-form target or its band is outside the float range"
+        )
+    return record
+
+
 MC_CHECKS = (
     "dual-submartingale",
     "dual-martingale-at-optimum",
@@ -604,6 +619,9 @@ class MonteCarloPass:
         # (density, eta) -> {index: record of the level test there}
         levels: dict[tuple[int, float], dict[int, CheckRecord]] = {}
 
+        # an eta that takes the values out of the float range is refused
+        # at its first record (``_require_finite``), without warnings
+        @np.errstate(over="ignore", invalid="ignore")
         def dual_tests(reader, eta, gap, indices, level_tag, step_tag, notes):
             """Tests of the dual value V(t, eta Z_t) on ``reader``'s density
             against its closed-form mean: its level at each index above 0
@@ -618,15 +636,15 @@ class MonteCarloPass:
             label = self.t_label
             for pos, i2 in enumerate(indices):
                 for i1 in indices[:pos] if step_tag else ():
-                    add_test(
+                    _require_finite(eta, add_test(
                         step_tag(label[i1], label[i2]),
                         np.subtract(vals[i2], vals[i1], out=sample),
                         rate * (gap[i2] - gap[i1]), notes, size[i1] + size[i2],
-                    )
+                    ))
                 if i2 > 0:
-                    level[i2] = add_test(
+                    level[i2] = _require_finite(eta, add_test(
                         level_tag(label[i2]), vals[i2], start + rate * gap[i2], notes, size[i2]
-                    )
+                    ))
 
         for label in self.nu_family:
             z = density(("z", label))
@@ -727,6 +745,10 @@ def run_mc_checks(
       piecewise-constant loads Novikov's condition holds, so E[w] = 1
       exactly: a mass record outside its band is a band miss like any
       other, and the load's drift record is still reported.
+
+    An eta at which a record of either dual check has a mean, target,
+    band or z-score outside the float range is refused with
+    ``WealthRangeError``, naming eta and the record.
 
     ``bundle`` is the scenario's whole simulation, from stream 0 (see the
     module docstring): the pass takes its spec, grid, path count and

@@ -74,7 +74,7 @@ class EventTree:
     Structural problems (duplicate ids, broken linkage, wrong times, leaves
     off the horizon) raise TreeStructureError at construction; numeric
     policy (probabilities positive and summing to one, finite increments)
-    is checked by validate_tree, which reports rather than raises.
+    is refused by validate_tree, which ``from_dict`` calls by default.
     """
 
     def __init__(self, horizon: int, nodes: Iterable[TreeNode]):
@@ -265,13 +265,7 @@ class EventTree:
             nodes.append(TreeNode(id=nid, time=t, branches=tuple(branches)))
         tree = cls(horizon=_typed(data["horizon"], "horizon", int), nodes=nodes)
         if validate:
-            report = validate_tree(tree)
-            if not report.all_passed:
-                msgs = "; ".join(
-                    f"{r.check_tag}: {r.notes[0] if r.notes else 'failed'}"
-                    for r in report.failures()
-                )
-                raise TreeStructureError(f"tree fails validation: {msgs}")
+            validate_tree(tree)
         return tree
 
     @classmethod
@@ -315,56 +309,32 @@ def json_float(value, path):
         raise ScenarioError(f"{path}: too large for a float") from None
 
 
-def validate_tree(tree: EventTree) -> VerificationReport:
-    """Numeric invariants: branch probabilities strictly positive summing to
-    one within ``_PROB_SUM_TOL``, finite increments. Structure is already
+def validate_tree(tree: EventTree) -> None:
+    """Refuse a tree whose numbers the model cannot take: branch
+    probabilities strictly positive and summing to one within
+    ``_PROB_SUM_TOL``, and finite price increments. Structure is already
     enforced at construction.
+
+    Raises TreeStructureError naming each family of fault the tree has,
+    in the order of their names, with its first node in DFS order.
     """
-    report = VerificationReport()
-    bad_sums, bad_probs, bad_prices = {}, [], []
+    faults = {}
     for nid in tree._dfs_order:
-        node = tree.nodes[nid]
-        if not node.branches:
+        branches = tree.nodes[nid].branches
+        if not branches:
             continue
-        total = sum(br.prob for br in node.branches)
+        total = sum(br.prob for br in branches)
         if abs(total - 1.0) > _PROB_SUM_TOL:
-            bad_sums[nid] = total
-        for br in node.branches:
-            if not (br.prob > 0.0) or not math.isfinite(br.prob):
-                bad_probs.append(nid)
-                break
-        for br in node.branches:
-            if not math.isfinite(br.dprice):
-                bad_prices.append(nid)
-                break
-    report.add(
-        CheckRecord(
-            check_tag="tree-branch-prob-sums",
-            verdict=not bad_sums,
-            value=max((abs(v - 1.0) for v in bad_sums.values()), default=0.0),
-            target=0.0,
-            tolerance=_PROB_SUM_TOL,
-            worst_node=next(iter(bad_sums), None),
-            notes=tuple(f"node {n}: probabilities sum to {v:.6g}" for n, v in bad_sums.items()),
-        )
-    )
-    report.add(
-        CheckRecord(
-            check_tag="tree-branch-prob-positive",
-            verdict=not bad_probs,
-            worst_node=bad_probs[0] if bad_probs else None,
-            notes=tuple(f"node {n}: nonpositive or nonfinite branch probability" for n in bad_probs),
-        )
-    )
-    report.add(
-        CheckRecord(
-            check_tag="tree-price-increments-finite",
-            verdict=not bad_prices,
-            worst_node=bad_prices[0] if bad_prices else None,
-            notes=tuple(f"node {n}: nonfinite price increment" for n in bad_prices),
-        )
-    )
-    return report
+            faults.setdefault("tree-branch-prob-sums", f"node {nid}: probabilities sum to {total:.6g}")
+        if not all(0.0 < br.prob < math.inf for br in branches):
+            faults.setdefault(
+                "tree-branch-prob-positive", f"node {nid}: nonpositive or nonfinite branch probability"
+            )
+        if not all(math.isfinite(br.dprice) for br in branches):
+            faults.setdefault("tree-price-increments-finite", f"node {nid}: nonfinite price increment")
+    if faults:
+        msgs = "; ".join(f"{family}: {faults[family]}" for family in sorted(faults))
+        raise TreeStructureError(f"tree fails validation: {msgs}")
 
 
 # -- one-step polytopes -------------------------------------------------

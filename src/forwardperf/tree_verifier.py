@@ -80,6 +80,15 @@ sweep to T (``_Sweep.drift``).
 Conjugacy u(xi) = inf over eta of v(eta) + xi eta is read from the same
 eta = 1 value in closed form: the infimum of eta (v(1) + xi) +
 eta log(eta) m is -m e^E, attained at eta = e^E with E = -(v(1) + xi)/m - 1.
+
+The paper characterizes an exponential field that self-generates by three
+conditions. The first, gamma > 0 adapted and integrable, holds for every
+field a check accepts: values attach to nodes, so the field is adapted;
+every random variable on a finite tree is integrable; and
+``ExponentialFieldParams`` refuses a gamma that is not positive and
+finite. ``check_exponential_conditions`` reports the two that such a
+field can fail: 1/gamma keeps its conditional mean under every martingale
+measure, and the entropy identity.
 """
 
 from __future__ import annotations
@@ -998,43 +1007,28 @@ def _inverse_gamma_gap(g, hi_lo):
 
 def check_exponential_conditions(
     tree: EventTree,
-    gamma: Mapping[str, float],
-    a_shift: Mapping[str, float],
+    field: ExponentialFieldParams,
     time_pairs,
     tol: float = 1e-6,
     duals: WindowDuals | None = None,
 ) -> VerificationReport:
-    """The three-way characterization for exponential fields.
-
-    Positivity of gamma (adaptedness and integrability are automatic on a
-    finite tree), preservation of the conditional mean of 1/gamma by every
-    product vertex of the measure polytope, and the entropy identity
-    entropy_kernel(1/gamma) - a/gamma = min entropy, per time pair.
+    """The two conditions of the characterization that a validated field
+    can fail (see the module docstring), per time pair: preservation of
+    the conditional mean of 1/gamma by every product vertex of the
+    measure polytope, and the entropy identity
+    entropy_kernel(1/gamma) - a/gamma = min entropy.
 
     The product vertices are not listed: the largest and smallest
     conditional means of 1/gamma_T over them come from one backward
     recursion over the one-step vertex sets per window end
     (``WindowDuals.inverse_gamma_range``), and the gap at a start is the
     larger distance of either from 1/gamma there.
-    The entropy minima are the eta = 1 window duals of the field (gamma,
-    a_shift); they and the (max, min) ranges are read from ``duals`` when
-    given.
+    The entropy minima are the eta = 1 window duals of the field; they and
+    the (max, min) ranges are read from ``duals`` when given.
     """
-    report = VerificationReport()
-
-    bad_gamma = [n for n in tree._dfs_order if not (gamma[n] > 0.0)]
-    report.add(
-        CheckRecord(
-            "exp-condition-positivity", verdict=not bad_gamma, worst_node=bad_gamma[0] if bad_gamma else None,
-            notes=("adaptedness and integrability hold by construction on a finite tree",),
-        )
-    )
-
-    # without time pairs no field is built, so a non-positive gamma only
-    # fails the positivity record
-    if time_pairs:
-        field = ExponentialFieldParams(gamma, a_shift)
-        duals = _window_duals(duals, tree, gamma)
+    _check_field_type(field)
+    duals = _window_duals(duals, tree, field.gamma)
+    gamma, a_shift = field.gamma, field.a_shift
     inverse_gamma, entropy = [], []
     for (t, T) in time_pairs:
         ranges = duals.inverse_gamma_range(t, T)
@@ -1054,11 +1048,14 @@ def check_exponential_conditions(
         implied = _implied_shift(_at_nodes(gamma, starts), 1.0, _at_nodes(ent.values, starts))
         gaps = np.abs(implied - _at_nodes(a_shift, starts))
         entropy.append(_gap_record(tag, dict(zip(starts, gaps.tolist())), tol))
-    for rec in inverse_gamma + entropy:
-        report.add(rec)
-    report.add(_overall_record("exp-condition-inverse-gamma-martingale", inverse_gamma, tol))
-    report.add(_overall_record("exp-condition-entropy-identity", entropy, tol))
-    return report
+    return VerificationReport(
+        inverse_gamma
+        + entropy
+        + [
+            _overall_record("exp-condition-inverse-gamma-martingale", inverse_gamma, tol),
+            _overall_record("exp-condition-entropy-identity", entropy, tol),
+        ]
+    )
 
 
 def _forward_drift(weights, probs, kid_values):

@@ -166,9 +166,7 @@ def test_criterion_3_equivalence_suite():
             ]
             rep_p = check_self_generation_primal(tree, field, pairs, xi_grid, tol=1e-6)
             rep_d = check_self_generation_dual(tree, field, pairs, eta_grid, tol=1e-6)
-            rep_e = check_exponential_conditions(
-                tree, field.gamma, field.a_shift, pairs, tol=1e-6
-            )
+            rep_e = check_exponential_conditions(tree, field, pairs, tol=1e-6)
             assert rep_p.all_passed, f"tree {i}: {rep_p.to_text()}"
             assert rep_d.all_passed, f"tree {i}: {rep_d.to_text()}"
             assert rep_e.all_passed, f"tree {i}: {rep_e.to_text()}"
@@ -178,9 +176,7 @@ def test_criterion_3_equivalence_suite():
             bumped = with_offsets(field, {"r": 0.1})
             rep_p = check_self_generation_primal(tree, bumped, pairs, xi_grid, tol=1e-6)
             rep_d = check_self_generation_dual(tree, bumped, pairs, eta_grid, tol=1e-6)
-            rep_e = check_exponential_conditions(
-                tree, bumped.gamma, bumped.a_shift, pairs, tol=1e-6
-            )
+            rep_e = check_exponential_conditions(tree, bumped, pairs, tol=1e-6)
             rep_f = check_forward_supermartingale(tree, bumped, [(0, tree.horizon)], tol=1e-6)
             assert not rep_p.all_passed, f"tree {i}: perturbation missed (primal)"
             assert not rep_d.all_passed, f"tree {i}: perturbation missed (dual)"

@@ -22,7 +22,15 @@ import forwardperf.tree_market as tree_market
 import forwardperf.tree_verifier as tree_verifier
 import oracles
 from forwardperf.cli import main, run_ito_scenario
-from treegen import binomial_tree, random_tree, solved_field, trinomial_tree, two_period_tree, unshared_duals
+from treegen import (
+    binomial_tree,
+    mid_arbitrage_tree,
+    random_tree,
+    solved_field,
+    trinomial_tree,
+    two_period_tree,
+    unshared_duals,
+)
 
 BASE_TREE_DOC = {
     "schema_version": 1,
@@ -92,7 +100,7 @@ def test_tree_scenario_perturbation_fails(tmp_path, capsys):
 
 
 def test_tree_scenario_text_format(tmp_path, capsys):
-    doc = tree_doc(checks=["tree-structure", "nflvr"])
+    doc = tree_doc(checks=["nflvr"])
     path = write_scenario(tmp_path, doc)
     code = main(["run", path, "--format", "text"])
     out = capsys.readouterr().out
@@ -102,17 +110,26 @@ def test_tree_scenario_text_format(tmp_path, capsys):
 
 
 def test_tree_scenario_check_subset(tmp_path, capsys):
-    doc = tree_doc(checks=["tree-structure", "nflvr"])
+    doc = tree_doc(checks=["nflvr"])
     path = write_scenario(tmp_path, doc)
     code, rep = run_json(capsys, ["run", path])
     assert code == 0
-    tags = set(rep["checks"])
-    assert tags == {
-        "tree-branch-prob-sums",
-        "tree-branch-prob-positive",
-        "tree-price-increments-finite",
-        "nflvr",
-    }
+    assert set(rep["checks"]) == {"nflvr"}
+
+
+def test_tree_structure_is_not_a_check(tmp_path, capsys):
+    # the boundary refuses a tree with bad branches before any check runs,
+    # so a record of them could never fail: the name is unknown
+    assert main(["run", write_scenario(tmp_path, tree_doc(checks=["tree-structure"]))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: $.checks[0]: unknown check 'tree-structure'; known: nflvr, ")
+    doc = tree_doc()
+    doc["tree"]["nodes"][0]["branches"][0]["prob"] += 0.4
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tree fails validation: tree-branch-prob-sums: node r: probabilities sum to 1.4")
 
 
 def test_tree_scenario_solves_each_window_dual_once(monkeypatch):
@@ -187,8 +204,8 @@ def random_tree_doc(a_shift, periods=4):
 
 def test_tree_scenario_builds_the_field_once_for_the_forward_check(monkeypatch):
     # the default scenario at d = 4 (every window): one forward call over
-    # all windows, and two fields built, the scenario's and the one
-    # check_exponential_conditions builds from its (gamma, a_shift) maps
+    # all windows, and one field built, the scenario's, which every check
+    # is given
     builds, forward = [], []
     original = cli.check_forward_supermartingale
 
@@ -209,7 +226,7 @@ def test_tree_scenario_builds_the_field_once_for_the_forward_check(monkeypatch):
     assert report.all_passed, report.to_text()
     assert sum(r.check_tag.startswith("forward-supermartingale[") for r in report.records()) == 10
     assert len(forward) == 1
-    assert len(builds) <= 2
+    assert len(builds) == 1
 
 
 # SHA-256 of two tree-verify reports: "explicit" is the scenario of
@@ -248,9 +265,15 @@ def test_tree_scenario_builds_the_field_once_for_the_forward_check(monkeypatch):
 # of a recursion per start over the minimiser's reweighted leaf masses:
 # only the forward-martingale-at-optimum values moved (at most 5.6e-16
 # here), and no verdict or worst_node.
+# Re-pinned on purpose again when the records that could never fail left
+# the report: the tree-structure check (tree-branch-prob-sums,
+# tree-branch-prob-positive, tree-price-increments-finite), whose
+# conditions the tree parser refuses first, and exp-condition-positivity,
+# whose gamma > 0 the field refuses first. Every other record kept its
+# bytes.
 PINNED_TREE_REPORT_SHA256 = {
-    "explicit": "33d75752d1acf182e6fecd9561d0a2f6019484e4a6e7d65907b6bf7d24c769eb",
-    "solve": "e8d494b662550667d9e2cee3182e6ac41247406992633258ec9a518bf85f718f",
+    "explicit": "4c55a67cb4201e0910e648b1632f797a44a3ed647b74063fcb2e82059946d58f",
+    "solve": "2e8d81f901fd39f1afe6c404880df965c3cedb8876e4b9c740571f81a2028850",
 }
 PINNED_TREE_SHIFTS = {
     "explicit": lambda tree, field: {"mode": "explicit", "values": field.a_shift},
@@ -309,6 +332,43 @@ def test_tree_report_names_a_node_only_on_failing_gap_records():
             worst.value,
             worst.worst_node,
         ), rollup.check_tag
+
+
+def _family(tag):
+    return tag.split("[")[0]
+
+
+def test_every_tree_record_family_fails_in_some_scenario():
+    # a record that no scenario can fail is evidence of nothing: each family
+    # of the solved default report at d = 4 fails in one of these scenarios
+    solved = random_tree_doc(PINNED_TREE_SHIFTS["explicit"])
+    report = cli.run_tree_scenario(solved)
+    assert report.all_passed, report.to_text()
+    families = {_family(rec.check_tag) for rec in report.records()}
+    arbitrage = mid_arbitrage_tree()
+    scenarios = [
+        # the root's shift moved by 0.1
+        random_tree_doc(PINNED_TREE_SHIFTS["solve"]),
+        # every shift moved at random: the forward drift goes up somewhere
+        random_tree_doc(_randomly_shifted),
+        nonreplicable_doc(checks=["exponential-conditions"]),
+        tree_doc(
+            tree=arbitrage.to_dict(),
+            gamma={"mode": "explicit", "values": dict.fromkeys(arbitrage._dfs_order, 1.0)},
+            a_shift={"mode": "explicit", "values": dict.fromkeys(arbitrage._dfs_order, 0.0)},
+            checks=["nflvr"],
+        ),
+        # the conjugacy records compare two computations of one value: they
+        # fail at a tolerance below the rounding between them
+        {**solved, "checks": ["conjugacy"], "tolerance": 1e-300},
+    ]
+    failing = {
+        _family(rec.check_tag)
+        for doc in scenarios
+        for rec in cli.run_tree_scenario(doc).records()
+        if not rec.verdict
+    }
+    assert failing == families, families - failing
 
 
 def test_tree_scenario_runs_each_factor_recursion_once(monkeypatch):
@@ -434,6 +494,34 @@ def test_tree_scenario_refuses_an_eta_outside_the_float_range(tmp_path, capsys, 
     assert captured.err == (
         f"error: eta={eta:g} at node 'r': the dual value, its closed-form target "
         "or the shift it implies is outside the float range\n"
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "eta, checks, record",
+    [
+        # eta Z / gamma overflows: the dual values are NaN
+        (1e308, None, "dual-submartingale[nu=0,eta=1e+308,t1=0,t2=0.5]"),
+        (1e308, ["dual-martingale-at-optimum"], "dual-martingale-at-optimum[eta=1e+308,t=0.5]"),
+        # subnormal dual values: the standard error and the rounding floor
+        # underflow to 0, and the z-score is infinite
+        (5e-324, None, "dual-submartingale[nu=0,eta=4.94066e-324,t1=0,t2=0.5]"),
+    ],
+)
+def test_ito_scenario_refuses_an_eta_outside_the_float_range(tmp_path, capsys, eta, checks, record):
+    # both exited 1 with a traceback: the report writer met a NaN or an inf
+    doc = ito_doc(eta_list=[eta])
+    if checks is None:
+        del doc["checks"]
+    else:
+        doc["checks"] = checks
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: eta={eta:g} at {record}: the dual value's mean, its closed-form "
+        "target or its band is outside the float range\n"
     )
 
 
@@ -732,7 +820,7 @@ def test_horizon_0_tree_refuses_checks_that_need_a_time_pair(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: $.checks: {name!r} needs a time pair [t, T]; the tree's horizon is 0\n"
         )
-    doc["checks"] = ["tree-structure", "nflvr"]
+    doc["checks"] = ["nflvr"]
     code, rep = run_json(capsys, ["run", write_scenario(tmp_path, doc)])
     assert code == 0 and rep["all_passed"]
 

@@ -1,5 +1,7 @@
 """Event trees: structure, polytopes, measures, densities, and supports."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -135,24 +137,56 @@ def test_from_json_rejects_nonfinite(tmp_path):
         EventTree.from_json(path)
 
 
-def test_validate_tree_flags_bad_probabilities():
-    bad = EventTree.from_dict(
-        {
-            "horizon": 1,
-            "nodes": [
-                node("r", 0, [br("u", 0.7, 1.0), br("d", 0.7, -1.0)]),
-                node("u", 1),
-                node("d", 1),
-            ],
-        },
-        validate=False,
-    )
-    report = validate_tree(bad)
-    assert not report.all_passed
-    assert not report["tree-branch-prob-sums"].verdict
-    # from_dict with validation on refuses the same tree
-    with pytest.raises(TreeStructureError, match="fails validation"):
-        EventTree.from_dict(bad.to_dict())
+def test_validate_tree_refuses_bad_branches():
+    # each family of fault is named with its first node in DFS order, the
+    # families in the order of their names
+    def tree(r_branches, u_branches):
+        return EventTree.from_dict(
+            {
+                "horizon": 2,
+                "nodes": [
+                    node("r", 0, r_branches),
+                    node("u", 1, u_branches),
+                    node("d", 1, [br("dd", 1.0, 0.0)]),
+                    node("uu", 2),
+                    node("ud", 2),
+                    node("dd", 2),
+                ],
+            },
+            validate=False,
+        )
+
+    fine = [br("uu", 0.5, 1.0), br("ud", 0.5, -1.0)]
+    cases = [
+        (
+            tree([br("u", 0.7, 1.0), br("d", 0.7, -1.0)], fine),
+            "tree-branch-prob-sums: node r: probabilities sum to 1.4",
+        ),
+        (
+            tree([br("u", 1.0, 1.0), br("d", 0.0, -1.0)], fine),
+            "tree-branch-prob-positive: node r: nonpositive or nonfinite branch probability",
+        ),
+        (
+            tree([br("u", 0.5, 1.0), br("d", 0.5, -1.0)], [br("uu", 0.5, math.inf), br("ud", 0.5, -1.0)]),
+            "tree-price-increments-finite: node u: nonfinite price increment",
+        ),
+        (
+            tree([br("u", 0.5, math.nan), br("d", 0.5, -1.0)], [br("uu", 1.5, 1.0), br("ud", -0.7, -1.0)]),
+            "tree-branch-prob-positive: node u: nonpositive or nonfinite branch probability; "
+            "tree-branch-prob-sums: node u: probabilities sum to 0.8; "
+            "tree-price-increments-finite: node r: nonfinite price increment",
+        ),
+    ]
+    for bad, message in cases:
+        want = f"tree fails validation: {message}"
+        with pytest.raises(TreeStructureError) as raised:
+            validate_tree(bad)
+        assert str(raised.value) == want
+        # from_dict with validation on refuses the same tree
+        with pytest.raises(TreeStructureError) as raised:
+            EventTree.from_dict(bad.to_dict())
+        assert str(raised.value) == want
+    assert validate_tree(tree([br("u", 0.5, 1.0), br("d", 0.5, -1.0)], fine)) is None
 
 
 def test_queries_on_two_period_tree():

@@ -347,7 +347,7 @@ def test_nonreplicable_gamma_is_a_failing_record_of_the_exponential_conditions(m
         raise AssertionError("a dual program was solved for a non-replicable gamma")
 
     monkeypatch.setattr(tree_verifier, "barrier_minimize", solved)
-    rep = check_exponential_conditions(tree, field.gamma, field.a_shift, [(0, 1)])
+    rep = check_exponential_conditions(tree, field, [(0, 1)])
     rec = rep["exp-condition-inverse-gamma-martingale"]
     assert not rec.verdict and rec.worst_node == "r"
     certificate = replicate_inverse_gamma(tree, field.gamma)
@@ -538,7 +538,7 @@ def test_tree_engine_reproduces_the_ito_parametrization():
         return (
             check_self_generation_dual(tree, field, pairs, [0.5, 1.0, 2.0], duals=duals)["dual-self-generation"].value,
             check_self_generation_primal(tree, field, pairs, [0.0], duals=duals)["primal-self-generation"].value,
-            check_exponential_conditions(tree, field.gamma, field.a_shift, pairs, duals=duals)[
+            check_exponential_conditions(tree, field, pairs, duals=duals)[
                 "exp-condition-entropy-identity"
             ].value,
         )
@@ -626,7 +626,7 @@ def test_solve_shift_consistent_over_windows():
         tree = random_tree(seed)
         field = solved_field(tree, seed)
         pairs = [(t, T) for t in range(tree.horizon) for T in range(t + 1, tree.horizon + 1)]
-        rep = check_exponential_conditions(tree, field.gamma, field.a_shift, pairs, tol=1e-9)
+        rep = check_exponential_conditions(tree, field, pairs, tol=1e-9)
         assert rep.all_passed, rep.to_text()
 
 
@@ -1011,7 +1011,7 @@ def test_one_stack_per_window_end_level_and_shape(monkeypatch):
     def checks(field):
         check_self_generation_dual(tree, field, pairs, [0.5, 1.0, 2.0], duals=duals)
         check_value_conjugacy(tree, field, 0, 4, [0.0], [1.0], duals=duals)
-        check_exponential_conditions(tree, field.gamma, field.a_shift, pairs, duals=duals)
+        check_exponential_conditions(tree, field, pairs, duals=duals)
         check_forward_supermartingale(tree, field, pairs, duals=duals)
 
     checks(field)
@@ -1304,7 +1304,7 @@ def test_window_duals_share_and_refuse_another_field():
     # the exponential checks read the eta = 1 window duals they are given
     pairs = [(0, 2)]
     for check in (
-        lambda d: check_exponential_conditions(tree, field.gamma, field.a_shift, pairs, duals=d),
+        lambda d: check_exponential_conditions(tree, field, pairs, duals=d),
         lambda d: check_forward_supermartingale(tree, field, pairs, duals=d),
     ):
         assert check(duals).to_json() == check(None).to_json()
@@ -1325,7 +1325,7 @@ def test_window_duals_share_and_refuse_another_field():
     with pytest.raises(ValueError, match="another tree or gamma"):
         check_self_generation_primal(tree, other, pairs, [0.0], duals=duals)
     with pytest.raises(ValueError, match="another tree or gamma"):
-        check_exponential_conditions(tree, other.gamma, other.a_shift, pairs, duals=duals)
+        check_exponential_conditions(tree, other, pairs, duals=duals)
     with pytest.raises(ValueError, match="another tree or gamma"):
         check_forward_supermartingale(tree, other, pairs, duals=duals)
     with pytest.raises(ValueError, match="another tree or gamma"):
@@ -1422,7 +1422,7 @@ def test_exponential_conditions_clean():
     tree = two_period_tree()
     field = solved_field(tree, seed=25)
     pairs = [(0, 1), (0, 2), (1, 2)]
-    rep = check_exponential_conditions(tree, field.gamma, field.a_shift, pairs)
+    rep = check_exponential_conditions(tree, field, pairs)
     assert rep.all_passed, rep.to_text()
     assert rep["exp-condition-inverse-gamma-martingale"].value <= 1e-10
     assert rep["exp-condition-entropy-identity"].value <= 1e-8
@@ -1431,7 +1431,7 @@ def test_exponential_conditions_clean():
 def test_exponential_conditions_flag_perturbation():
     tree = two_period_tree()
     field = with_offsets(solved_field(tree, seed=26), {"r": 0.1})
-    rep = check_exponential_conditions(tree, field.gamma, field.a_shift, [(0, 2)])
+    rep = check_exponential_conditions(tree, field, [(0, 2)])
     assert not rep.all_passed
     rec = rep["exp-condition-entropy-identity[t=0,T=2]"]
     assert not rec.verdict
@@ -1444,11 +1444,12 @@ def test_exponential_conditions_2b_example():
     # unique martingale measure is (1/2, 1/2); leaves 1/gamma = (2.5, 1.5)
     # average to 2.0, so root 1/gamma = 2 passes and 4/3 fails by 2/3
     tree = binomial_tree(p_up=0.5)
+    zero = const_map(tree, 0.0)
     ok_gamma = {"r": 0.5, "u": 1.0 / 2.5, "d": 1.0 / 1.5}
-    rep = check_exponential_conditions(tree, ok_gamma, const_map(tree, 0.0), [(0, 1)])
+    rep = check_exponential_conditions(tree, ExponentialFieldParams(ok_gamma, zero), [(0, 1)])
     assert rep["exp-condition-inverse-gamma-martingale[t=0,T=1]"].verdict
     bad_gamma = {"r": 0.75, "u": 1.0 / 2.5, "d": 1.0 / 1.5}
-    rep = check_exponential_conditions(tree, bad_gamma, const_map(tree, 0.0), [(0, 1)])
+    rep = check_exponential_conditions(tree, ExponentialFieldParams(bad_gamma, zero), [(0, 1)])
     rec = rep["exp-condition-inverse-gamma-martingale[t=0,T=1]"]
     assert not rec.verdict
     assert rec.value == pytest.approx(2.0 / 3.0, abs=1e-9)
@@ -1456,20 +1457,12 @@ def test_exponential_conditions_2b_example():
 def test_exponential_conditions_without_windows_pass_at_zero():
     tree = two_period_tree()
     field = solved_field(tree, seed=25)
-    rep = check_exponential_conditions(tree, field.gamma, field.a_shift, [])
-    assert len(rep) == 3
+    rep = check_exponential_conditions(tree, field, [])
+    assert len(rep) == 2
     for tag in ("exp-condition-inverse-gamma-martingale", "exp-condition-entropy-identity"):
         rec = rep[tag]
         assert (rec.verdict, rec.value, rec.target, rec.worst_node) == (True, 0.0, 0.0, None)
         assert rec.tolerance == 1e-6 and not rec.details
-
-
-def test_exponential_conditions_positivity():
-    tree = binomial_tree()
-    gamma = {"r": 1.0, "u": -1.0, "d": 1.0}
-    rep = check_exponential_conditions(tree, gamma, const_map(tree, 0.0), [])
-    assert not rep["exp-condition-positivity"].verdict
-    assert rep["exp-condition-positivity"].worst_node == "u"
 
 
 # -- forward supermartingale ---------------------------------------------
@@ -1557,7 +1550,8 @@ def test_forward_checks_match_enumeration_oracle():
         # a gamma drawn at random is not replicable: wide (max, min) ranges
         drawn = {n: float(rng.uniform(0.5, 2.0)) for n in tree._dfs_order}
         for gamma in (solved.gamma, drawn):
-            rep_e = check_exponential_conditions(tree, gamma, solved.a_shift, pairs, tol=tol)
+            field = ExponentialFieldParams(gamma, solved.a_shift)
+            rep_e = check_exponential_conditions(tree, field, pairs, tol=tol)
             for (t, T) in pairs:
                 want, _ = oracles.inverse_gamma_gap_by_enumeration(tree, gamma, t, T)
                 rec = rep_e[f"exp-condition-inverse-gamma-martingale[t={t},T={T}]"]
@@ -1785,7 +1779,7 @@ def test_forward_checks_have_no_product_measure_cap():
     with pytest.raises(ValueError, match="too many vertices"):
         enumerate_product_measures(tree, 0, 6)
     field = solved_field(tree, 7)
-    rep = check_exponential_conditions(tree, field.gamma, field.a_shift, [(0, 6)])
+    rep = check_exponential_conditions(tree, field, [(0, 6)])
     assert rep.all_passed, rep.to_text()
     rep = check_forward_supermartingale(tree, field, [(0, 6)])
     assert rep.all_passed, rep.to_text()
@@ -1816,7 +1810,7 @@ def test_forward_checks_refuse_infeasible_start():
     gamma, a = const_map(tree, 1.0), const_map(tree, 0.0)
     want = _refusal(oracles.inverse_gamma_gap_by_enumeration, tree, gamma, 0, 1)
     assert want == (ArbitrageError, "no martingale measure below node 'r'")
-    assert _refusal(check_exponential_conditions, tree, gamma, a, [(0, 1)]) == want
+    assert _refusal(check_exponential_conditions, tree, ExponentialFieldParams(gamma, a), [(0, 1)]) == want
     assert _refusal(check_forward_supermartingale, tree, ExponentialFieldParams(gamma, a), [(0, 1)]) == want
 
 
@@ -1867,7 +1861,7 @@ def test_grid_reads_match_the_per_point_oracles(tree, field):
     got = check_self_generation_dual(tree, field, pairs, ORACLE_ETAS, duals=duals)
     want = oracles.self_generation_dual_per_point(tree, field, pairs, ORACLE_ETAS, duals)
     assert repr(got.records()) == repr(want.records())
-    got = check_exponential_conditions(tree, field.gamma, field.a_shift, pairs, duals=duals)
+    got = check_exponential_conditions(tree, field, pairs, duals=duals)
     want = oracles.entropy_identity_per_node(tree, field.gamma, field.a_shift, pairs, duals)
     assert repr([r for r in got.records() if "entropy-identity" in r.check_tag]) == repr(
         sorted(want, key=lambda r: r.check_tag)
