@@ -31,9 +31,7 @@ from .ito_engine import (
     build_forward_exponential,
     density_path,
     martingale_density,
-    predicted_forward_drift,
     simulate_paths,
-    validate_regularity,
 )
 from .mc_verifier import (
     check_dual_martingale_at_optimum,

@@ -57,7 +57,6 @@ import numpy as np
 
 from .errors import AlignmentError
 from .kernels import Workspace, gaussian_field
-from .report import CheckRecord, VerificationReport
 
 _ALIGN_TOL = 1e-12
 
@@ -536,45 +535,6 @@ def load_gap_integral(phi: np.ndarray, nu2: np.ndarray, dt: float) -> np.ndarray
     of phi: the one integral behind the forward drift and the dual drift
     of the load (``mc_verifier``)."""
     return _cumulative((nu2 - phi) ** 2 * dt)
-
-
-def predicted_forward_drift(spec: CoefficientSpec, n_steps: int, nu2) -> float:
-    """Closed-form drift of (shift - log density) under the forward
-    reweighting: -(1/2) integral (nu2 - phi)^2 dt."""
-    phi = spec.per_step_values(n_steps)["phi"]
-    nu2 = _per_step(n_steps, nu2, "nu2")
-    return float(-0.5 * load_gap_integral(phi, nu2, spec.horizon / n_steps)[-1])
-
-
-def validate_regularity(spec: CoefficientSpec) -> VerificationReport:
-    """Report the integrability facts the Monte Carlo checks rest on:
-    bounded coefficients, and a finite Novikov exponent for the densities.
-    Both hold by construction for piecewise-constant coefficients; the
-    ``mc_verifier`` module docstring says why they make the dual drift's
-    closed form exact."""
-    report = VerificationReport()
-    bound = max(
-        max(abs(v) for v in getattr(spec, name)) for name in ("theta", "delta", "phi", "rho")
-    )
-    report.add(
-        CheckRecord(
-            check_tag="ito-coefficients-bounded",
-            verdict=math.isfinite(bound),
-            value=bound,
-            notes=("piecewise-constant coefficients are bounded by construction",),
-        )
-    )
-    pieces = np.diff(list(spec.breakpoints) + [spec.horizon])
-    novikov = 0.5 * float(np.sum(np.asarray(spec.theta) ** 2 * pieces))
-    report.add(
-        CheckRecord(
-            check_tag="ito-novikov-exponent",
-            verdict=math.isfinite(novikov),
-            value=novikov,
-            notes=("(1/2) integral of theta^2; finiteness gives true densities",),
-        )
-    )
-    return report
 
 
 # -- export --------------------------------------------------------------

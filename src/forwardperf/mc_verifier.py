@@ -18,6 +18,15 @@ constant coefficients give R, gamma, 1/gamma and a moments of every
 order, so the local martingale part is a true one, and E[Y_t2 - Y_t1] =
 (eta / gamma0) integral_t1^t2 (nu - phi)^2 ds / 2.
 
+These integrability facts hold by construction, so no record reports
+them: every coefficient and load is a finite float on finitely many
+pieces (``CoefficientSpec`` and the scenario parser refuse anything
+else), so each is bounded, and the Novikov exponent of every density,
+(1/2) integral (nu1^2 + nu2^2) dt, is finite. Each density Z is then a
+true martingale, and so is the forward weight w = (gamma0 / gamma_T) Z_T
+of a load: E[w] = 1, which is E[Z_T / gamma_T] = 1 / gamma0 in units of
+gamma0.
+
 All four checks read one simulation, a ``PathBundle`` from
 ``simulate_paths``, and build everything else from it: in the Ito
 setting the field paths and the densities are explicit functions of the
@@ -260,7 +269,8 @@ def mc_mean_test(
     operations is off by at most ``roundings`` u times the size of its
     terms (0 for data taken as given), and the pairwise mean adds each
     sample into at most ceil(log2 n) sums and divides once. With zero
-    variance the band is the floor alone. The floor is in ``details``.
+    variance the band is the floor alone, and the z-score, the miss over
+    a standard error of 0, is None. The floor is in ``details``.
 
     The squared deviations and the reduction's scratch are the
     ``Workspace`` ``work``'s "deviations" and "pairwise" buffers (fresh
@@ -282,10 +292,6 @@ def mc_mean_test(
     floor = (roundings + (n - 1).bit_length() + 1) * UNIT_ROUNDOFF * scale
     zc = z_critical(confidence)
     miss = mean - target
-    if se > 0.0:
-        z = miss / se
-    else:
-        z = math.copysign(math.inf, miss) if miss else 0.0
     return CheckRecord(
         check_tag=check_tag,
         verdict=abs(miss) <= zc * se + floor,
@@ -294,7 +300,7 @@ def mc_mean_test(
         tolerance=zc * se + floor,
         std_error=se,
         notes=tuple(notes),
-        details={"z_score": z, "n_samples": n, "rounding_floor": floor},
+        details={"z_score": miss / se if se else None, "n_samples": n, "rounding_floor": floor},
     )
 
 
@@ -356,18 +362,22 @@ def _dual_path_values(cols, z, eta, idx, work):
     return out
 
 
-def _require_finite(eta, record):
-    """``record``, a test of the dual value at ``eta``; WealthRangeError
-    when its mean, target, band or z-score is outside the float range: eta
-    Z / gamma overflows (the values are NaN), or is so small that the
-    values are subnormal and the band underflows to 0."""
+def _require_finite(record, samples, gamma0, eta=None):
+    """``record``, the mean test of ``samples`` on the field started at
+    ``gamma0`` (and, for a dual record, at ``eta``); WealthRangeError when
+    its mean, target, band, standard error or z-score is outside the float
+    range (gamma0 or eta takes the statistic past it: its values are
+    infinite or NaN), or when its variance underflowed: a standard error of
+    0 on samples that are not all equal, whose band says nothing."""
     stats = (record.value, record.target, record.tolerance, record.std_error, record.details["z_score"])
-    if not all(math.isfinite(x) for x in stats):
-        raise WealthRangeError(
-            f"eta={eta:g} at {record.check_tag}: the dual value's mean, its "
-            "closed-form target or its band is outside the float range"
-        )
-    return record
+    if not all(x is None or math.isfinite(x) for x in stats):
+        reason = "its mean, closed-form target or band is outside the float range"
+    elif record.std_error == 0.0 and samples.min() != samples.max():
+        reason = "its variance underflows on samples that differ"
+    else:
+        return record
+    at = f"gamma0={gamma0:g}" if eta is None else f"gamma0={gamma0:g}, eta={eta:g}"
+    raise WealthRangeError(f"{at} at {record.check_tag}: {reason}")
 
 
 MC_CHECKS = (
@@ -531,6 +541,9 @@ class MonteCarloPass:
         self._arrays: list[np.ndarray] | None = None
         self._filled = 0
 
+    # a field start or an eta that takes a statistic out of the float range
+    # is refused at its first record (``_require_finite``), without warnings
+    @np.errstate(all="ignore")
     def gather(self, bundle: PathBundle) -> None:
         """Build this run's 1/gamma, shift and densities straight into the
         pass's arrays, at its paths' slice. A run of another spec, grid or
@@ -568,6 +581,7 @@ class MonteCarloPass:
             density_path(bundle, nu1, nu2, columns, out=z)
         self._filled = hi
 
+    @np.errstate(all="ignore")
     def reduce(self) -> VerificationReport:
         """Run every check's mean tests on the pass's arrays, on the pass's
         scratch; the scratch is dropped on return, and the pass is empty
@@ -602,9 +616,10 @@ class MonteCarloPass:
         idx, terminal = self.idx, self.n_steps
         report = VerificationReport()
 
-        def add_test(tag, samples, target, notes, scale=None):
+        def add_test(tag, samples, target, notes, scale=None, eta=None):
+            samples = collapse_pairs(samples, antithetic, out=pairs)
             record = mc_mean_test(
-                collapse_pairs(samples, antithetic, out=pairs),
+                samples,
                 target,
                 check_tag=tag,
                 confidence=self.confidence,
@@ -613,15 +628,12 @@ class MonteCarloPass:
                 scale=scale,
                 roundings=self.roundings,
             )
-            report.add(record)
+            report.add(_require_finite(record, samples, gamma0, eta))
             return record
 
         # (density, eta) -> {index: record of the level test there}
         levels: dict[tuple[int, float], dict[int, CheckRecord]] = {}
 
-        # an eta that takes the values out of the float range is refused
-        # at its first record (``_require_finite``), without warnings
-        @np.errstate(over="ignore", invalid="ignore")
         def dual_tests(reader, eta, gap, indices, level_tag, step_tag, notes):
             """Tests of the dual value V(t, eta Z_t) on ``reader``'s density
             against its closed-form mean: its level at each index above 0
@@ -636,15 +648,16 @@ class MonteCarloPass:
             label = self.t_label
             for pos, i2 in enumerate(indices):
                 for i1 in indices[:pos] if step_tag else ():
-                    _require_finite(eta, add_test(
+                    add_test(
                         step_tag(label[i1], label[i2]),
                         np.subtract(vals[i2], vals[i1], out=sample),
-                        rate * (gap[i2] - gap[i1]), notes, size[i1] + size[i2],
-                    ))
+                        rate * (gap[i2] - gap[i1]), notes, size[i1] + size[i2], eta,
+                    )
                 if i2 > 0:
-                    level[i2] = _require_finite(eta, add_test(
-                        level_tag(label[i2]), vals[i2], start + rate * gap[i2], notes, size[i2]
-                    ))
+                    level[i2] = add_test(
+                        level_tag(label[i2]), vals[i2], start + rate * gap[i2], notes, size[i2],
+                        eta,
+                    )
 
         for label in self.nu_family:
             z = density(("z", label))
@@ -658,18 +671,16 @@ class MonteCarloPass:
                         lambda t1, t2: f"dual-submartingale[{head},t1={t1},t2={t2}]",
                         _DUAL_NOTE,
                     )
-            if self.inverse_gamma:
-                add_test(
-                    f"inverse-gamma-mean[nu={label}]",
-                    np.multiply(z[terminal], cols["inv_gamma", terminal], out=sample),
-                    1.0 / gamma0, _TERMINAL_NOTE,
-                )
-            if self.forward:
-                # ((1/gamma_T) gamma0) z_T, then (a_T - log z~_T) w: the
-                # order of operations that fixes the statistics' rounding
+            if self.inverse_gamma or self.forward:
+                # the forward weight ((1/gamma_T) gamma0) z_T, then (a_T -
+                # log z~_T) w: the order of operations that fixes the
+                # statistics' rounding
                 w = np.multiply(cols["inv_gamma", terminal], gamma0, out=weight)
                 w *= z[terminal]
-                add_test(f"forward-mass[nu={label}]", w, 1.0, _TERMINAL_NOTE)
+            if self.inverse_gamma:
+                # E[Z_T / gamma_T] = 1 / gamma0 in units of gamma0
+                add_test(f"inverse-gamma-mean[nu={label}]", w, 1.0, _TERMINAL_NOTE)
+            if self.forward:
                 a_t = cols["a_shift", terminal]
                 drift = np.log(density(("z_tilde", label))[terminal], out=sample)
                 # the sizes of the terms w a_T and w log z~_T
@@ -733,22 +744,22 @@ def run_mc_checks(
     - ``dual-martingale-at-optimum``: at nu = phi, E[V(t, eta Z_t)] =
       V(0, eta) at every selected t > 0; on the density of a load of the
       family these are that load's ``dual-above-start`` tests.
-    - ``inverse-gamma-mean``: E[Z_T / gamma_T] = 1/gamma_0 per load.
-    - ``forward-drift``: with weights w = (gamma_0/gamma_T) Z_T, first the
-      unit mass E[w] = 1, then E[w (a_T - log z~_T)] = a_0 - (1/2)
-      integral (nu - phi)^2 dt. Here z~ is the terminal density with the
-      shifted price of risk theta - delta; it equals w path by path, but
-      comes from ``density_path`` directly, so the statistic cross-checks
-      the reweighting identity instead of assuming it. When delta = 0,
-      theta - delta is theta bit for bit, and z~ is the load's own
-      martingale density Z_T, read from the same column. With
-      piecewise-constant loads Novikov's condition holds, so E[w] = 1
-      exactly: a mass record outside its band is a band miss like any
-      other, and the load's drift record is still reported.
+    - ``inverse-gamma-mean``: E[Z_T / gamma_T] = 1/gamma_0 per load, in
+      units of gamma_0: the forward weight w = (gamma_0/gamma_T) Z_T has
+      unit mass, E[w] = 1 (module docstring), so the record reads the
+      same on every scale of the field.
+    - ``forward-drift``: with the same weights w, E[w (a_T - log z~_T)] =
+      a_0 - (1/2) integral (nu - phi)^2 dt. Here z~ is the terminal
+      density with the shifted price of risk theta - delta; it equals w
+      path by path, but comes from ``density_path`` directly, so the
+      statistic cross-checks the reweighting identity instead of assuming
+      it. When delta = 0, theta - delta is theta bit for bit, and z~ is
+      the load's own martingale density Z_T, read from the same column.
 
-    An eta at which a record of either dual check has a mean, target,
-    band or z-score outside the float range is refused with
-    ``WealthRangeError``, naming eta and the record.
+    A record whose mean, target, band, standard error or z-score is
+    outside the float range, or whose variance underflows to 0 on samples
+    that differ, is refused with ``WealthRangeError``, naming the record,
+    gamma0 and, for a dual record, eta.
 
     ``bundle`` is the scenario's whole simulation, from stream 0 (see the
     module docstring): the pass takes its spec, grid, path count and

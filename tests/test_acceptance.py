@@ -84,7 +84,7 @@ def _mc_doc():
         "eta_list": [1.0, 2.0],
         "time_indices": [16, 32, 64],
         "nu": {"0": 0.0, "0.7": 0.7},
-        "checks": ["dual-martingale-at-optimum", "forward-drift"],
+        "checks": ["dual-martingale-at-optimum", "inverse-gamma-mean", "forward-drift"],
     }
 
 
@@ -224,7 +224,8 @@ def test_criterion_6_mc_suite():
                 assert rec.verdict, report.to_text()
         # (b) forward drift targets hit within three standard errors
         for label, target in (("0", -0.045), ("0.7", -0.08)):
-            assert report[f"forward-mass[nu={label}]"].verdict
+            # the forward weight's unit mass
+            assert report[f"inverse-gamma-mean[nu={label}]"].verdict
             rec = report[f"forward-drift[nu={label}]"]
             assert abs(rec.target - target) <= 1e-12
             assert rec.verdict

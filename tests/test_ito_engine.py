@@ -18,9 +18,7 @@ from forwardperf.ito_engine import (
     load_gap_integral,
     martingale_density,
     path_table,
-    predicted_forward_drift,
     simulate_paths,
-    validate_regularity,
     write_paths_csv,
 )
 from forwardperf.kernels import Workspace, gaussian_field
@@ -636,11 +634,18 @@ def test_forward_weights_exact_identity():
         np.testing.assert_allclose(w, direct, rtol=1e-12, atol=1e-13)
 
 
+def forward_drift_target(spec, n_steps, nu2):
+    """-(1/2) integral (nu2 - phi)^2 dt, the forward-drift record's target
+    less a0, at a constant load nu2."""
+    phi = spec.per_step_values(n_steps)["phi"]
+    return -0.5 * load_gap_integral(phi, np.full(n_steps, nu2), spec.horizon / n_steps)[-1]
+
+
 def test_predicted_drift_pins():
     spec = CoefficientSpec.constant(1.0, theta=0.5, phi=0.3)
-    assert predicted_forward_drift(spec, 64, 0.0) == pytest.approx(-0.045, abs=1e-15)
-    assert predicted_forward_drift(spec, 64, 0.7) == pytest.approx(-0.08, abs=1e-15)
-    assert predicted_forward_drift(spec, 64, 0.3) == 0.0
+    assert forward_drift_target(spec, 64, 0.0) == pytest.approx(-0.045, abs=1e-15)
+    assert forward_drift_target(spec, 64, 0.7) == pytest.approx(-0.08, abs=1e-15)
+    assert forward_drift_target(spec, 64, 0.3) == 0.0
 
 
 def test_predicted_drift_additivity():
@@ -653,48 +658,13 @@ def test_predicted_drift_additivity():
         phi=(0.4, 0.0),
         rho=(0.0, 0.0),
     )
-    assert predicted_forward_drift(spec, 8, 0.0) == pytest.approx(-0.04, abs=1e-15)
-    with pytest.raises(ValueError, match="nu2"):
-        predicted_forward_drift(spec, 8, np.ones(5))
+    assert forward_drift_target(spec, 8, 0.0) == pytest.approx(-0.04, abs=1e-15)
     # the forward drift reads the integral the dual targets read, at the
     # horizon: 0.16 per unit time on [0, 1/2], nothing afterwards
     gap = load_gap_integral(spec.per_step_values(8)["phi"], np.zeros(8), 1 / 8)
     assert gap.shape == (9,) and gap[0] == 0.0
     np.testing.assert_allclose(gap, [0.02 * min(k, 4) for k in range(9)], rtol=0, atol=1e-15)
-    assert predicted_forward_drift(spec, 8, 0.0) == -0.5 * gap[-1]
-
-
-# -- integrability --------------------------------------------------------
-
-
-def test_validate_regularity_report():
-    # the integrability facts alone: a spec with risk-aversion volatility
-    # and no shift volatility reports them as any other does
-    spec = CoefficientSpec.constant(1.0, theta=0.5)
-    rep = validate_regularity(spec)
-    assert rep.all_passed
-    assert {rec.check_tag for rec in rep.records()} == {
-        "ito-coefficients-bounded",
-        "ito-novikov-exponent",
-    }
-    assert rep["ito-coefficients-bounded"].value == 0.5
-    assert rep["ito-novikov-exponent"].value == pytest.approx(0.125, abs=1e-15)
-    rep = validate_regularity(CoefficientSpec.constant(1.0, theta=0.5, delta=0.2))
-    assert rep.all_passed
-    assert rep["ito-coefficients-bounded"].value == 0.5
-
-
-def test_novikov_piecewise():
-    spec = CoefficientSpec(
-        horizon=1.0,
-        breakpoints=(0.0, 0.5),
-        theta=(1.0, 0.0),
-        delta=(0.0, 0.0),
-        phi=(0.0, 0.0),
-        rho=(0.0, 0.0),
-    )
-    rep = validate_regularity(spec)
-    assert rep["ito-novikov-exponent"].value == pytest.approx(0.25, abs=1e-15)
+    assert forward_drift_target(spec, 8, 0.0) == -0.5 * gap[-1]
 
 
 # -- export --------------------------------------------------------------

@@ -17,7 +17,6 @@ from forwardperf.ito_engine import (
     chunk_bounds,
     simulate_paths,
 )
-from forwardperf.ito_engine import validate_regularity
 from forwardperf.mc_verifier import (
     DEFAULT_CONFIDENCE,
     MC_CHECKS,
@@ -134,14 +133,15 @@ def test_mean_test_rounding_floor():
 
 
 def test_mean_test_degenerate_exact():
-    # zero variance: the band is the rounding floor alone
+    # zero variance: the band is the rounding floor alone, and there is no
+    # z-score, hit or miss
     res = mc_mean_test(np.full(200, 0.25), 0.25, "demo")
     assert res.verdict
     assert res.std_error == 0.0
-    assert res.details["z_score"] == 0.0
+    assert res.details["z_score"] is None
     res = mc_mean_test(np.full(200, 0.25), 0.2500001, "demo")
     assert not res.verdict
-    assert res.details["z_score"] == -math.inf
+    assert res.details["z_score"] is None
     assert res.tolerance == res.details["rounding_floor"] == 9 * 2.0**-53 * 0.25
     res = mc_mean_test(np.zeros(200), 0.0, "demo")
     assert res.verdict and res.tolerance == 0.0
@@ -264,13 +264,13 @@ DELTA_MODELS = {
 def test_dual_records_hold_for_every_delta(model):
     # the dual drift (1/2) R (nu - phi)^2 holds for every delta, phi and rho:
     # every record passes two-sided against its closed-form mean, with no
-    # refusal and no disclosure. 69 records: at confidence 0.9999 a band
-    # miss is expected once in 145 runs
+    # refusal and no disclosure. 64 records: at confidence 0.9999 a band
+    # miss is expected once in 156 runs
     spec = DELTA_MODELS[model]
     rep = run_mc_checks(
         *simulated(spec, 1.5, 0.1, 16, 20_000, seed=1), list(MC_CHECKS), confidence=0.9999
     )
-    assert len(rep.records()) == 69
+    assert len(rep.records()) == 64
     assert rep.all_passed, [r.check_tag for r in rep.records() if not r.verdict]
     # (1/2)(eta / gamma0) integral_0^1 (0.8 - phi)^2 dt, piece by piece
     pieces = np.diff([*spec.breakpoints, spec.horizon])
@@ -300,6 +300,21 @@ def test_inverse_gamma_mean_constant_and_shifted():
     assert rep.all_passed, rep.to_text()
 
 
+def test_inverse_gamma_mean_is_invariant_under_gamma_scaling():
+    # the record tests w = ((1/gamma_T) gamma0) Z_T against 1: scaling gamma
+    # by a constant moves each sample by a rounding or two and moves no
+    # verdict; a power of two scales exactly and moves no bit
+    bundle, _, _ = simulated(SHIFTED_GAMMA, 1.0, 0.0, 32, 2000, seed=405)
+    base = check_inverse_gamma_mean_mc(bundle, 1.0, 0.0)
+    assert check_inverse_gamma_mean_mc(bundle, 2.0, 0.0).to_json() == base.to_json()
+    for gamma0 in (1.5, 1e-200, 1e200):
+        for rec in check_inverse_gamma_mean_mc(bundle, gamma0, 0.0).records():
+            want = base[rec.check_tag]
+            assert rec.target == 1.0 and rec.verdict == want.verdict
+            assert rec.value == pytest.approx(want.value, rel=1e-14, abs=0)
+            assert rec.std_error == pytest.approx(want.std_error, rel=1e-12, abs=0)
+
+
 def test_forward_drift_clean_and_shifted():
     rep = check_forward_drift_mc(*simulated(CLEAN, 1.0, 0.1, 32, 4000, seed=506))
     assert rep.all_passed, rep.to_text()
@@ -312,16 +327,21 @@ def test_forward_drift_clean_and_shifted():
 
 
 def test_forward_mass_band_miss_on_extreme_load():
-    # a huge orthogonal load starves the weight mass at this sample size:
-    # the mass record misses its band, the load's drift record is still
-    # reported, and both count as statistical records
+    # a huge orthogonal load starves the forward weight's mass at this
+    # sample size: the inverse-gamma-mean record, which tests that mass,
+    # misses its band, the load's drift record is still reported, and both
+    # count as statistical records
     fam = {"big": np.full(32, 10.0)}
-    rep = check_forward_drift_mc(*simulated(CLEAN, 1.0, 0.0, 32, 200, seed=608), nu_family=fam)
+    rep = run_mc_checks(
+        *simulated(CLEAN, 1.0, 0.0, 32, 200, seed=608),
+        ["inverse-gamma-mean", "forward-drift"],
+        nu_family=fam,
+    )
     assert {rec.check_tag for rec in rep.records()} == {
-        "forward-mass[nu=big]",
+        "inverse-gamma-mean[nu=big]",
         "forward-drift[nu=big]",
     }
-    mass = rep["forward-mass[nu=big]"]
+    mass = rep["inverse-gamma-mean[nu=big]"]
     assert not mass.verdict and mass.std_error is not None
     assert abs(mass.value - 1.0) > mass.tolerance
     assert rep["forward-drift[nu=big]"].std_error is not None
@@ -653,7 +673,7 @@ def test_simulated_columns_agree_with_the_full_grid():
     sparse = run_ito_scenario(doc)
     full = run_ito_scenario({**doc, "seed": 62, "time_indices": list(range(9))})
     means = [rec for rec in sparse.records() if rec.std_error is not None]
-    assert len(means) == 69
+    assert len(means) == 64
     for rec in means:
         other = full[rec.check_tag]
         se = math.hypot(rec.std_error, other.std_error)
@@ -669,7 +689,6 @@ def test_reports_seed_deterministic():
 
 
 ALL_ITO_CHECKS = [
-    "regularity",
     "dual-submartingale",
     "dual-martingale-at-optimum",
     "inverse-gamma-mean",
@@ -745,7 +764,6 @@ def test_shared_simulation_matches_fresh_per_check(
         return bundle, 1.5, 0.1
 
     runs = {
-        "regularity": lambda: validate_regularity(CLEAN),
         "dual-submartingale": lambda: check_dual_submartingale(*fresh(), nu_family=family, **dual),
         "dual-martingale-at-optimum": lambda: check_dual_martingale_at_optimum(*fresh(), **dual),
         "inverse-gamma-mean": lambda: check_inverse_gamma_mean_mc(*fresh(), nu_family=family),

@@ -61,13 +61,11 @@ PUBLIC_NAMES = [
     "measure_from_leaf_masses",
     "node_polytope",
     "one_step_vertices",
-    "predicted_forward_drift",
     "primal_value",
     "reference_measure",
     "replicate_inverse_gamma",
     "simulate_paths",
     "solve_entropy_shift",
-    "validate_regularity",
     "validate_tree",
     "z_critical",
 ]
