@@ -13,8 +13,9 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-# minimize_exp_sum: relative width of the final derivative bracket, and the
-# cap on its safeguarded Newton steps (the loop ends there, without error)
+# minimize_exp_sum: relative width of the final bracket, or of the last
+# Newton step, in the scaled variable, and the cap on its safeguarded Newton
+# steps (a solve that reaches it fails)
 _EXP_SUM_TOL = 1e-13
 _EXP_SUM_MAX_ITER = 200
 # barrier_minimize: the duality-gap bound of its one barrier parameter, and
@@ -23,76 +24,82 @@ _BARRIER_GAP_TOL = 1e-10
 _BARRIER_MAX_NEWTON = 200
 
 
-def minimize_exp_sum(weights, slopes):
-    """Minimize g(p) = sum_i w_i exp(s_i p) for w_i > 0; returns (p*, g(p*)).
+def minimize_exp_sum(log_weights, slopes):
+    """Minimize g(p) = sum_i exp(l_i + s_i p) over p, for finite log
+    weights l_i and slopes s_i; returns (p*, log g(p*)).
 
     Strictly convex whenever some s_i != 0; coercive iff the nonzero slopes
     take both signs. One-sided slopes mean the infimum is only approached at
     infinity; that configuration signals an arbitrage upstream, so it raises.
-    Below 8 terms, which numpy sums in turn, the steps run on Python
-    floats with exponentials from ``np.exp``: numpy's bits, at less cost.
+    The solve owns the problem's scale, so a constant added to every l_i
+    or a common factor of the slopes changes the answer only by rounding:
+    it runs in y = p max|s|, on Python floats, with each sum taken relative
+    to its largest term. A solve still unconverged after
+    ``_EXP_SUM_MAX_ITER`` Newton steps raises ``ConvergenceError``.
     """
-    w = np.asarray(weights, dtype=float)
+    lw = np.asarray(log_weights, dtype=float)
     s = np.asarray(slopes, dtype=float)
-    if w.shape != s.shape or w.ndim != 1 or w.size == 0:
+    if lw.shape != s.shape or lw.ndim != 1 or lw.size == 0:
         raise ValueError("minimize_exp_sum: need matching nonempty 1-D arrays")
-    if (w <= 0.0).any():
-        raise ValueError("minimize_exp_sum: weights must be positive")
+    if not (np.isfinite(lw).all() and np.isfinite(s).all()):
+        raise ValueError("minimize_exp_sum: log weights and slopes must be finite")
     nz = s[s != 0.0]
     if nz.size and ((nz > 0.0).all() or (nz < 0.0).all()):
         raise ValueError(
             "minimize_exp_sum: slopes are one-sided, infimum not attained "
             "(martingale-measure constraint violated upstream)"
         )
+    scale = float(np.abs(s).max()) or 1.0
+    ll, sl = lw.tolist(), (s / scale).tolist()
 
-    wl, sl = w.tolist(), s.tolist()
-    # exp(s p) may overflow to inf on a bracket end; the bracket and the
-    # Newton safeguard handle it, so the warning is silenced for the call
-    with np.errstate(over="ignore"):
+    def sums(y):  # g, g' and g'' in y, each over g's largest term, and its log
+        e = [x + sv * y for x, sv in zip(ll, sl)]
+        top = max(e)
+        v = g = h = 0.0
+        for x, sv in zip(e, sl):
+            x = math.exp(x - top)
+            v += x
+            x *= sv
+            g += x
+            h += x * sv
+        return v, g, h, top
 
-        def sums(p):  # g(p) and its first two derivatives
-            ex = np.exp(s * p)
-            if len(wl) >= 8:
-                e = w * ex
-                return tuple(float(x.sum()) for x in (e, e * s, e * s * s))
-            v = g = h = 0.0
-            for a, x, sv in zip(wl, ex.tolist(), sl):
-                x *= a
-                v += x
-                x *= sv
-                g += x
-                h += x * sv
-            return v, g, h
-
-        # expand to a sign-changing derivative bracket, downhill from 0
-        g0 = sums(0.0)[1]
-        if not (g0 > 0.0 or g0 < 0.0):
-            return 0.0, float(w.sum())
+    # expand to a sign-changing derivative bracket, downhill from 0
+    lo = hi = 0.0
+    g0 = sums(0.0)[1]
+    if g0 != 0.0:
         down, edge, step = 1.0 if g0 > 0.0 else -1.0, 0.0, 1.0
-        while True:
-            edge -= down * step
-            if down * sums(edge)[1] <= 0.0:
-                break
+        while down * sums(edge := edge - down * step)[1] > 0.0:
             step *= 2.0
-            if step > 2.0**60:
+            if math.isinf(edge):
                 raise ConvergenceError("minimize_exp_sum: bracket expansion failed")
         lo, hi = (edge, 0.0) if down > 0.0 else (0.0, edge)
 
-        # safeguarded Newton on the derivative
-        p = 0.5 * (lo + hi)
-        for _ in range(_EXP_SUM_MAX_ITER):
-            if hi - lo < _EXP_SUM_TOL * (1.0 + abs(lo) + abs(hi)):
-                break
-            _, g, h = sums(p)
-            if g > 0.0:
-                hi = p
-            elif g < 0.0:
-                lo = p
-            else:
-                break
-            p_newton = p - g / h if 0.0 < h < math.inf else math.nan
-            p = p_newton if lo < p_newton < hi else 0.5 * (lo + hi)
-        return p, sums(p)[0]
+    # Newton on the derivative of log g, safeguarded by the bracket: a step
+    # that leaves it, or is not half as long as the one before, bisects
+    y, steps, last = 0.5 * (lo + hi), 0, hi - lo
+    while hi - lo >= _EXP_SUM_TOL * (1.0 + abs(lo) + abs(hi)):
+        if steps == _EXP_SUM_MAX_ITER:
+            raise ConvergenceError(
+                f"minimize_exp_sum: {_EXP_SUM_MAX_ITER} iterations exhausted at bracket width {hi - lo:.3e}"
+            )
+        steps += 1
+        v, g, h, _ = sums(y)
+        if g == 0.0:
+            break
+        lo, hi = (lo, y) if g > 0.0 else (y, hi)
+        # the slope of (log g)' is the variance of s under the tilt
+        curvature = h * v - g * g
+        y_newton = y - g * v / curvature if curvature > 0.0 else math.nan
+        step = abs(y_newton - y)
+        if step <= _EXP_SUM_TOL * (1.0 + abs(y)):
+            break
+        if lo < y_newton < hi and step < 0.5 * last:
+            y, last = y_newton, step
+        else:
+            y, last = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    v, _, _, top = sums(y)
+    return y / scale, top + math.log(v)
 
 
 def barrier_minimize(phi, A, b, r0):

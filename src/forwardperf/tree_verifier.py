@@ -6,17 +6,26 @@ Primal value by backward dynamic programming:
 
 For exponential fields with a replicable inverse risk aversion
 (1/gamma_child = 1/gamma_node + psi * dS on every branch), wealth separates
-multiplicatively and the DP collapses to a scalar factor recursion
+multiplicatively and the DP collapses to a scalar factor recursion in logs
 
-    C(node) = inf_pi sum_c p_c C(c) exp(-gamma_c pi dS_c),   C(T-node) = e^a,
+    log C(n) = log inf_pi sum_c exp(log p_c + log C(c) - gamma_c pi dS_c),
 
-with u(xi) = -exp(-gamma xi) C(node); the log-factor equals the additive
-shift a self-generation demands, so gaps are reported in those units and do
-not depend on the wealth argument. Without replicability there is no such
-recursion, and 1/gamma cannot keep its conditional mean under every
-martingale measure, so the field cannot self-generate: the primal value
-refuses it. Exponential fields are the only field type either value
-accepts.
+log C = a at time T, with u(xi) = -exp(-gamma xi + log C(node)); the
+log-factor equals the additive shift a self-generation demands, so gaps
+are reported in those units and do not depend on the wealth argument.
+Without replicability there is no such recursion, and 1/gamma cannot keep
+its conditional mean under every martingale measure, so the field cannot
+self-generate: the primal value refuses it. Exponential fields are the
+only field type either value accepts.
+
+Two symmetries leave every gap unchanged. A constant c added to a
+everywhere multiplies U by e^c and moves log C, and every shift the dual
+implies, by c. Scaling gamma by lambda, with pi -> pi / lambda, leaves C
+unchanged, so u at xi / lambda is the unscaled u at xi, and the dual
+slice V(y) = entropy_kernel(y / gamma) - (y / gamma) a at lambda eta is
+the unscaled one at eta. So no solver carries a scale of its own
+(``minimize_exp_sum``, ``_Sweep._solve``), the replication residual is
+relative to 1/gamma and the inverse-gamma gaps are in its units.
 
 Dual value of the window [t, T] at a time-t start: the minimum of
 sum_w p_w V(w, eta r_w / p_w) over the window's martingale measures, with r
@@ -95,17 +104,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ArbitrageError,
-    ConvergenceError,
-    ForwardPerfError,
-    ReplicationError,
-    WealthRangeError,
-)
+from .errors import ArbitrageError, ConvergenceError, ReplicationError, WealthRangeError
 from .fields import ExponentialFieldParams, conjugate_exponential, entropy_kernel
 from .report import CheckRecord, VerificationReport
 from .solvers import barrier_minimize, minimize_exp_sum
@@ -116,7 +119,6 @@ from .tree_market import (
     vertex_recursion,
 )
 
-_REPLICATION_TOL = 1e-10
 _DUAL_SPLIT = "the dual value is composed from one-step programs"
 _UNREPLICATED = "no portfolio replicates 1/gamma: the dual program does not split, and is not solved"
 _FORWARD = "forward measures need a replicable 1/gamma"
@@ -134,18 +136,14 @@ class PrimalResult:
     log_factor: dict[str, float]
     policy: dict[str, float]
     replication: dict[str, float]
-    # per start: u(xi) = -exp(-gamma xi) factor
+    # per start: u(xi) = -exp(-gamma xi + log_factor)
     gamma: dict[str, float]
-    factor: dict[str, float]
 
     def at(self, xi) -> PrimalResult:
         """The same window at wealth xi (scalar or per-node), read from its
-        factors without solving the window again."""
+        log factors without solving the window again."""
         xi_by_node = _per_node(xi, self.xi, "xi")
-        values = _primal_values(self.gamma, self.factor, xi_by_node)
-        return PrimalResult(
-            self.t, self.T, values, xi_by_node, self.log_factor, self.policy, self.replication, self.gamma, self.factor
-        )
+        return replace(self, values=_primal_values(self.gamma, self.log_factor, xi_by_node), xi=xi_by_node)
 
 
 @dataclass
@@ -183,7 +181,9 @@ class ReplicationResult:
     feasible: bool
     psi: dict[str, float] | None
     failed_node: str | None
+    # in units of a node's largest 1/gamma: the worst, or the failed node's
     residual: float
+    tolerance: float | None = None
 
 
 # -- small helpers -------------------------------------------------------
@@ -263,7 +263,7 @@ class WindowDuals:
     - per T: the vertex table (``vertices``) and the (max, min) range of
       E^Q[1/gamma_T | node] over the product vertices
       (``inverse_gamma_range``); and, keyed also by the bits of a_shift at
-      the time-T nodes, the factor C(node) (``factors``), the worst forward
+      the time-T nodes, the log factor (``factors``), the worst forward
       drift D(node) (``worst_drift``) and the sweep of one-step dual
       programs to T (``sweep``). Each holds the nodes some window ending at
       T has needed; they depend on the window's end and not on its start;
@@ -326,7 +326,7 @@ class WindowDuals:
         return self._vertices[T]
 
     def factors(self, a_shift: Mapping[str, float], T: int) -> tuple[dict, dict]:
-        """The (C, policy) maps of the factor recursion to T that
+        """The (log C, policy) maps of the factor recursion to T that
         ``_exponential_factors`` fills, for this a_shift at the time-T nodes."""
         key = (T, self._shift_key(a_shift, T))
         if key not in self._factors:
@@ -389,12 +389,27 @@ def _window_duals(duals, tree, gamma):
 # -- primal --------------------------------------------------------------
 
 
+def _replication_tol(k):
+    """The replication residual's rounding bound at a node of k children,
+    in units of u = 2^-53 and of M, the largest 1/gamma there. Each 1/gamma
+    read is within 5u M of a replicable value (four roundings build a gamma,
+    as the replicate mode's product, sum and reciprocal do, and one takes
+    its reciprocal here), so each right-hand side is within 11u M of one;
+    the residual map I - d d'/(d'd), of infinity norm at most 1 + sqrt(k),
+    carries that to 11 (1 + sqrt(k)) u M. The dot products of length k and
+    their quotient move the projection, at most sqrt(k) M, by (2k + 1) u,
+    and the product coefficient * d_c rounds once more."""
+    root = math.sqrt(k)
+    return (11.0 * (1.0 + root) + (2 * k + 2) * root) * 2.0**-53
+
+
 def replicate_inverse_gamma(tree: EventTree, gamma: Mapping[str, float]) -> ReplicationResult:
     """Per-node portfolio replicating 1/gamma increments, or the first
     inconsistent node.
 
     Solves psi * dS_c = 1/gamma_c - 1/gamma_node across children in least
-    squares; a residual above 1e-10 is an infeasibility certificate.
+    squares; a residual, in units of the largest 1/gamma over the node and
+    its children, above its rounding bound is an infeasibility certificate.
     """
     psi: dict[str, float] = {}
     worst = 0.0
@@ -405,58 +420,42 @@ def replicate_inverse_gamma(tree: EventTree, gamma: Mapping[str, float]) -> Repl
             raise ValueError(f"gamma must be positive, node {nid!r}")
         branches = tree.branches_of(nid)
         d = np.array([br.dprice for br in branches])
-        rhs = np.array([1.0 / gamma[br.child] - 1.0 / gamma[nid] for br in branches])
+        inv = np.array([1.0 / gamma[br.child] for br in branches])
+        rhs = inv - 1.0 / gamma[nid]
         denom = float(d @ d)
         coeff = float(d @ rhs) / denom if denom > 0.0 else 0.0
-        residual = float(np.max(np.abs(coeff * d - rhs)))
+        residual = float(np.max(np.abs(coeff * d - rhs))) / max(float(inv.max()), 1.0 / gamma[nid])
         worst = max(worst, residual)
-        if residual > _REPLICATION_TOL:
-            return ReplicationResult(
-                feasible=False, psi=None, failed_node=nid, residual=residual
-            )
+        tol = _replication_tol(len(branches))
+        if residual > tol:
+            return ReplicationResult(feasible=False, psi=None, failed_node=nid, residual=residual, tolerance=tol)
         psi[nid] = coeff
     return ReplicationResult(feasible=True, psi=psi, failed_node=None, residual=worst)
 
 
-def _leaf_factor(node, a):
-    """C = e^a at a window leaf; a shift whose factor leaves the float
-    range (a above about 709.78 or below about -745.13) is refused."""
-    try:
-        c = math.exp(a)
-    except OverflowError:
-        c = math.inf
-    if not 0.0 < c < math.inf:
-        raise ForwardPerfError(
-            f"a_shift={a:g} at node {node!r}: the factor exp(a) is outside the float range"
-        )
-    return c
-
-
 def _exponential_factors(duals, field, t, T):
-    """Scalar factor recursion C plus the one-step base policy per node of
-    the window [t, T], levels t..T. C(node) depends on T and not on t, so
-    the nodes an earlier window to T solved are read from ``duals``."""
+    """The factor recursion in log units, log C, plus the one-step base
+    policy per node of the window [t, T], levels t..T (see the module
+    docstring). log C(node) depends on T and not on t, so the nodes an
+    earlier window to T solved are read from ``duals``."""
     tree = duals.tree
-    C, policy = duals.factors(field.a_shift, T)
+    log_c, policy = duals.factors(field.a_shift, T)
     for w in tree.nodes_at(T):
-        if w not in C:
-            C[w] = _leaf_factor(w, field.a_shift[w])
+        log_c.setdefault(w, float(field.a_shift[w]))
     order = [n for s in range(T - 1, t - 1, -1) for n in tree.nodes_at(s)]
     for nid in order:
-        if nid in C:
+        if nid in log_c:
             continue
         branches = tree.branches_of(nid)
-        weights = [br.prob * C[br.child] for br in branches]
+        log_weights = [math.log(br.prob) + log_c[br.child] for br in branches]
         slopes = [-field.gamma[br.child] * br.dprice for br in branches]
         try:
-            pi0, value = minimize_exp_sum(weights, slopes)
+            policy[nid], log_c[nid] = minimize_exp_sum(log_weights, slopes)
         except ValueError as exc:
             raise ArbitrageError(f"node {nid!r}: {exc}") from exc
         except ConvergenceError as exc:
             raise ConvergenceError(f"factor recursion at node {nid!r} on [{t}, {T}]: {exc}") from exc
-        C[nid] = value
-        policy[nid] = pi0
-    return C, {n: policy[n] for n in order}
+    return log_c, {n: policy[n] for n in order}
 
 
 def _check_field_type(field):
@@ -464,20 +463,17 @@ def _check_field_type(field):
         raise TypeError(f"field must be ExponentialFieldParams, got {type(field).__name__}")
 
 
-def _utility(node, xi, exponent, factor=1.0):
-    """-exp(exponent) * factor, an exponential utility at wealth xi; a wealth
-    at which it leaves the float range is refused."""
+def _utility(node, xi, exponent):
+    """-exp(exponent), an exponential utility at wealth xi; a wealth at
+    which it leaves the float range is refused."""
     try:
-        u = -math.exp(exponent) * factor
+        return -math.exp(exponent)
     except OverflowError:
-        u = -math.inf
-    if u == -math.inf:
-        raise WealthRangeError(f"xi={xi:g} at node {node!r}: the utility is outside the float range")
-    return u
+        raise WealthRangeError(f"xi={xi:g} at node {node!r}: the utility is outside the float range") from None
 
 
-def _primal_values(gamma, factor, xi_by_node):
-    return {n: _utility(n, x, -gamma[n] * x, factor[n]) for n, x in xi_by_node.items()}
+def _primal_values(gamma, log_factor, xi_by_node):
+    return {n: _utility(n, x, -gamma[n] * x + log_factor[n]) for n, x in xi_by_node.items()}
 
 
 def primal_value(
@@ -490,15 +486,15 @@ def primal_value(
 ) -> PrimalResult:
     """Primal value field on [t, T] at wealth xi (scalar or per-node).
 
-    The exact factor recursion C gives u(xi) = -exp(-gamma xi) C. It needs
-    a portfolio replicating the increments of 1/gamma at every node; a
-    gamma without one is refused with ``ReplicationError`` before anything
-    is solved, naming the first such node. The program depends on the
-    window only, so ``PrimalResult.at`` reads it at any other wealth. A
-    wealth at which u leaves the float range is refused with
-    ``WealthRangeError``, and a leaf shift whose factor e^a does with
-    ``ForwardPerfError``. A field with no data at levels t..T raises
-    ``KeyError`` naming the first such node, by level, then in DFS order.
+    The exact factor recursion, in log units, gives
+    u(xi) = -exp(-gamma xi + log C). It needs a portfolio replicating the
+    increments of 1/gamma at every node; a gamma without one is refused
+    with ``ReplicationError`` before anything is solved, naming the first
+    such node. The program depends on the window only, so
+    ``PrimalResult.at`` reads it at any other wealth. A wealth at which u
+    leaves the float range is refused with ``WealthRangeError``. A field
+    with no data at levels t..T raises ``KeyError`` naming the first such
+    node, by level, then in DFS order.
     ``duals`` shares the replication and the factor recursion with the
     other windows of a scenario.
     """
@@ -516,19 +512,18 @@ def primal_value(
     duals = _window_duals(duals, tree, field.gamma)
     rep = duals.replication()
     _require_replication(rep, "primal value requires the exponential fast path")
-    C, policy = _exponential_factors(duals, field, t, T)
+    log_c, policy = _exponential_factors(duals, field, t, T)
     gamma = {n: field.gamma[n] for n in starts}
-    factor = {n: C[n] for n in starts}
+    log_factor = {n: log_c[n] for n in starts}
     return PrimalResult(
         t=t,
         T=T,
-        values=_primal_values(gamma, factor, xi_by_node),
+        values=_primal_values(gamma, log_factor, xi_by_node),
         xi=xi_by_node,
-        log_factor={n: math.log(C[n]) for n in starts},
+        log_factor=log_factor,
         policy=policy,
         replication=rep.psi,
         gamma=gamma,
-        factor=factor,
     )
 
 
@@ -633,10 +628,16 @@ class _Sweep:
     def _solve(self, nodes):
         """One stack from the nodes' vertex centroids, with rows [1; dprice];
         per program, its minimiser, value, gap bound plus equality residual,
-        iterations and failure."""
+        iterations and failure. Each program runs in its node's own scale,
+        at gammas gamma / g (g = gamma_node) and shifts a - top (top their
+        largest): as sum_k q_k g / gamma_k = 1 on the feasible set, that
+        objective is the node's times g, plus log g + top. So it does not
+        change when gamma is scaled or a constant is added to a, and the
+        gap bound is relative to the objective's size, 1/gamma."""
         tree, gamma = self.duals.tree, self.duals.gamma
         data = [[(br.prob, gamma[br.child], self.shift[br.child], br.dprice) for br in tree.branches_of(n)] for n in nodes]
         p, gam, ash, dprice = np.array(data).transpose(2, 0, 1)
+        g_node, top = _at_nodes(gamma, nodes), ash.max(axis=1)
         A = np.ones((len(nodes), 2, dprice.shape[1]))
         A[:, 1] = dprice
         b = np.zeros((len(nodes), 2))
@@ -644,9 +645,10 @@ class _Sweep:
         r0 = np.array([self.duals.centroid(n) for n in nodes])
         # the overflows on the way print no warning
         with np.errstate(over="ignore", invalid="ignore"):
-            q, _, info = barrier_minimize(_one_step_objective(p, gam, ash), A, b, r0)
-        kkt = (info["gap_bound"] + info["eq_residual"]).tolist()
-        return zip(q.tolist(), info["value"].tolist(), kkt, info["iterations"].tolist(), info["failure"])
+            q, _, info = barrier_minimize(_one_step_objective(p, gam / g_node[:, None], ash - top[:, None]), A, b, r0)
+            value = (info["value"] - top - np.log(g_node)) / g_node
+        kkt = (info["gap_bound"] / g_node + info["eq_residual"]).tolist()
+        return zip(q.tolist(), value.tolist(), kkt, info["iterations"].tolist(), info["failure"])
 
     def leaf_masses(self, start):
         """The minimiser's mass on each time-T node below ``start``, in DFS
@@ -765,7 +767,7 @@ def _unreplicated_record(tag, rep):
     no portfolio replicates 1/gamma, with the replication's residual at
     its failing node as the evidence."""
     return CheckRecord(
-        tag, verdict=False, value=rep.residual, target=0.0, tolerance=_REPLICATION_TOL,
+        tag, verdict=False, value=rep.residual, target=0.0, tolerance=rep.tolerance,
         worst_node=rep.failed_node, notes=(_UNREPLICATED,),
     )
 
@@ -925,7 +927,7 @@ def check_value_conjugacy(
 
     Per start node, both directions between the window's eta = 1 dual
     program, read as v(eta) = eta v(1) + eta log(eta) m (``DualResult.at``),
-    and the primal u(xi) = -exp(-gamma xi) C of the factor recursion
+    and the primal u(xi) = -exp(-gamma xi + log C) of the factor recursion
     (``PrimalResult.at``):
 
     - primal from dual: u(xi) against inf over eta > 0 of (v(eta) + xi eta),
@@ -999,12 +1001,6 @@ def _inverse_gamma_step(_nid, _kids, verts, kid_values):
     return hi, lo
 
 
-def _inverse_gamma_gap(g, hi_lo):
-    """Largest |E^Q[1/gamma_T | node] - 1/g| over a (max, min) range."""
-    hi, lo = hi_lo
-    return max(hi - 1.0 / g, 1.0 / g - lo)
-
-
 def check_exponential_conditions(
     tree: EventTree,
     field: ExponentialFieldParams,
@@ -1022,7 +1018,7 @@ def check_exponential_conditions(
     conditional means of 1/gamma_T over them come from one backward
     recursion over the one-step vertex sets per window end
     (``WindowDuals.inverse_gamma_range``), and the gap at a start is the
-    larger distance of either from 1/gamma there.
+    larger distance of either from 1/gamma there, in units of 1/gamma.
     The entropy minima are the eta = 1 window duals of the field; they and
     the (max, min) ranges are read from ``duals`` when given.
     """
@@ -1032,13 +1028,8 @@ def check_exponential_conditions(
     inverse_gamma, entropy = [], []
     for (t, T) in time_pairs:
         ranges = duals.inverse_gamma_range(t, T)
-        inverse_gamma.append(
-            _gap_record(
-                f"exp-condition-inverse-gamma-martingale[t={t},T={T}]",
-                {n: _inverse_gamma_gap(gamma[n], ranges[n]) for n in tree.nodes_at(t)},
-                tol,
-            )
-        )
+        gaps = {n: gamma[n] * max(ranges[n][0] - 1.0 / gamma[n], 1.0 / gamma[n] - ranges[n][1]) for n in tree.nodes_at(t)}
+        inverse_gamma.append(_gap_record(f"exp-condition-inverse-gamma-martingale[t={t},T={T}]", gaps, tol))
         tag = f"exp-condition-entropy-identity[t={t},T={T}]"
         if not duals.replication().feasible:
             entropy.append(_unreplicated_record(tag, duals.replication()))

@@ -928,15 +928,16 @@ def window_programs_rebuilt(tree, field, windows, eta_grid):
 
 
 def inverse_gamma_gap_by_enumeration(tree, gamma, t, T):
-    """Largest |E^Q[1/gamma_T | n] - 1/gamma_n| over product measures Q and
-    time-t nodes n, with the first node reaching it. Returns (gap, node)."""
+    """Largest |E^Q[1/gamma_T | n] - 1/gamma_n|, in units of 1/gamma_n, over
+    product measures Q and time-t nodes n, with the first node reaching it.
+    Returns (gap, node)."""
     gap_b, node_b = 0.0, None
     for q in enumerate_product_measures(tree, t, T):
         for n in tree.nodes_at(t):
             mean = 0.0
             for w in tree.descendants_at(n, T):
                 mean += q.node_mass(tree, w, start=n) / gamma[w]
-            gap = abs(mean - 1.0 / gamma[n])
+            gap = gamma[n] * abs(mean - 1.0 / gamma[n])
             if gap > gap_b:
                 gap_b, node_b = gap, n
     return gap_b, node_b

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -272,9 +273,17 @@ def test_tree_scenario_builds_the_field_once_for_the_forward_check(monkeypatch):
 # conditions the tree parser refuses first, and exp-condition-positivity,
 # whose gamma > 0 the field refuses first. Every other record kept its
 # bytes.
+# Re-pinned on purpose again when the tree engine came to carry no scale of
+# its own: the primal factor recursion runs in log units at the exp-sum's
+# own scale, each one-step dual program is solved in units of its node's
+# gamma at its children's shifts less their largest, and the
+# inverse-gamma gaps are in units of 1/gamma. The values moved by at most
+# 5.9e-14 (primal-self-generation) and 6.5e-16 (every other record), the
+# solved shift with them, and the solver evidence in the details; no
+# verdict or worst_node.
 PINNED_TREE_REPORT_SHA256 = {
-    "explicit": "4c55a67cb4201e0910e648b1632f797a44a3ed647b74063fcb2e82059946d58f",
-    "solve": "2e8d81f901fd39f1afe6c404880df965c3cedb8876e4b9c740571f81a2028850",
+    "explicit": "e75ee5f72eec56c5db0cd85b4a4b05a606d7180994f964d4948bfa2410015637",
+    "solve": "ff0bb5d9eb676c2da61aba3f131582e87acb6ddedc7cbc6be1523dfba4403630",
 }
 PINNED_TREE_SHIFTS = {
     "explicit": lambda tree, field: {"mode": "explicit", "values": field.a_shift},
@@ -612,18 +621,34 @@ def test_tree_scenario_refuses_wealth_outside_the_float_range(tmp_path, capsys):
 
 @pytest.mark.parametrize("check", ["primal-self-generation", "conjugacy"])
 def test_tree_scenario_refuses_leaf_shift_outside_the_float_range(tmp_path, capsys, check):
-    # the factor e^a at leaf u overflows a float
+    # a shift of 800 at every node, the leaves' included: the factor e^800
+    # overflows a float, but the factor recursion runs in log units. What
+    # leaves the float range is the utility at the grid's wealth 0,
+    # -exp(800 + ...), and the refusal names that wealth. At -800 the
+    # utility underflows to -0.0, which is no refusal: the primal check
+    # reports this constant shift's gap, and the conjugacy check refuses
+    # its optimal dual argument, about e^800
     tree = binomial_tree()
-    doc = tree_doc(
-        tree=tree.to_dict(),
-        gamma={"mode": "replicate", "gamma0": 1.0, "psi": {"r": 0.1}},
-        a_shift={"mode": "explicit", "values": {"r": 0.0, "u": 800.0, "d": 0.0}},
-        checks=[check],
-    )
-    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+
+    def doc(a):
+        return tree_doc(
+            tree=tree.to_dict(),
+            gamma={"mode": "replicate", "gamma0": 1.0, "psi": {"r": 0.1}},
+            a_shift={"mode": "explicit", "values": dict.fromkeys(tree._dfs_order, a)},
+            checks=[check],
+        )
+
+    assert main(["run", write_scenario(tmp_path, doc(800.0))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: xi=0 at node 'r': the utility is outside the float range\n"
+    code = main(["run", write_scenario(tmp_path, doc(-800.0))])
     err = capsys.readouterr().err
-    assert err.startswith("error: a_shift=800 at node 'u'")
-    assert "outside the float range" in err
+    if check == "conjugacy":
+        assert code == 2
+        assert err.startswith("error: xi=-2 at node 'r': the optimal dual argument or the value is outside")
+    else:
+        assert (code, err) == (1, "")
 
 
 def overflowing_dual_doc():
@@ -671,19 +696,16 @@ def test_refused_dual_program_prints_only_its_error_line(tmp_path):
     assert proc.stderr == OVERFLOWING_DUAL_ERROR
 
 
-def test_tree_scenario_refuses_a_factor_recursion_outside_the_float_range(tmp_path, capsys):
+def test_tree_scenario_runs_a_factor_recursion_at_a_gamma_of_1e_300(tmp_path, capsys):
     # a constant gamma of 1e-300 makes the slopes of the primal factor
-    # recursion about 1e300, so exp(s p) overflows at its first bracket
-    # step: the refusal names the node and the window
+    # recursion about 1e-300, where a bracket step of 1 in pi could not
+    # bracket the minimiser: the solve runs at its problem's own scale, and
+    # the constant field passes every check, as it does at gamma 1
     tree = two_period_tree()
     doc = tree_doc(gamma={"mode": "explicit", "values": {n: 1e-300 for n in tree._dfs_order}})
-    assert main(["run", write_scenario(tmp_path, doc)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: factor recursion at node 'r' on [0, 1]: "
-        "minimize_exp_sum: bracket expansion failed\n"
-    )
+    code, report = run_json(capsys, ["run", write_scenario(tmp_path, doc)])
+    assert (code, report["all_passed"]) == (0, True)
+    assert report["checks"].keys() == run_json(capsys, ["run", write_scenario(tmp_path, tree_doc())])[1]["checks"].keys()
 
 
 def refuses_without_replication(tmp_path, capsys, monkeypatch, check):
@@ -843,7 +865,7 @@ def test_tree_scenario_refuses_forward_check_without_replication(tmp_path, capsy
     assert captured.out == ""
     assert captured.err == (
         "error: forward measures need a replicable 1/gamma: no portfolio replicates 1/gamma "
-        "at node 'r' (residual 0.2)\n"
+        "at node 'r' (residual 0.08)\n"
     )
 
 
@@ -1837,3 +1859,64 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("eta,dual_value,argmax_x")
+
+
+# -- symmetries of the field ---------------------------------------------
+
+SYMMETRY_XI = [-2.0, -0.5, 0.0, 0.5, 2.0]
+SYMMETRY_ETA = [0.25, 0.5, 1.0, 2.0, 4.0]
+
+
+def _symmetry_run(tmp_path, capsys, tree, gamma, a_shift, lam=1.0, c=0.0):
+    """The default scenario with gamma times lam, every shift plus c, the
+    xi grid over lam and the eta grid times lam: its exit code and
+    {tag: (verdict, worst_node, value)}."""
+    doc = {
+        "schema_version": 1,
+        "kind": "tree-verify",
+        "tree": tree.to_dict(),
+        "gamma": {"mode": "explicit", "values": {n: g * lam for n, g in gamma.items()}},
+        "a_shift": {"mode": "explicit", "values": {n: a + c for n, a in a_shift.items()}},
+        "xi_grid": [x / lam for x in SYMMETRY_XI],
+        "eta_grid": [e * lam for e in SYMMETRY_ETA],
+    }
+    code, report = run_json(capsys, ["run", write_scenario(tmp_path, doc)])
+    return code, {tag: (r["verdict"], r.get("worst_node"), r["value"]) for tag, r in report["checks"].items()}
+
+
+@pytest.mark.parametrize("periods", [2, 3, 4])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_tree_report_is_invariant_under_the_fields_symmetries(tmp_path, capsys, seed, periods):
+    # U = -exp(-gamma x + a): a constant c added to every shift, or gamma
+    # scaled by lam with xi over lam and eta times lam, is the same field in
+    # other units (see the tree_verifier docstring). No oracle is needed:
+    # every exit code, verdict and worst_node equals the unmoved run's, on
+    # a solved, a root-perturbed and a randomly shifted field, and every
+    # gap is within the rounding of the two runs. Each level of a sweep or
+    # of the factor recursion rounds at most 32 terms whose size is at most
+    # size = 4 + max|a + c| + |log lam| (the shifts, and log lam through
+    # log gamma and log eta; 4 holds the grids' log eta, the log
+    # probabilities and a step's entropy), and gaps at a start read the
+    # levels below it, so the gaps of the two runs differ by at most
+    # 2 * 32 u size * periods
+    u = 2.0**-53
+    tree = random_tree(seed, periods=periods)
+    field = solved_field(tree, seed)
+    rng = np.random.default_rng(seed)
+    shifts = {
+        "solved": field.a_shift,
+        "root": {**field.a_shift, "r": field.a_shift["r"] + 0.1},
+        "random": {n: a + float(rng.normal(0.0, 0.3)) for n, a in field.a_shift.items()},
+    }
+    for name, a_shift in shifts.items():
+        code, base = _symmetry_run(tmp_path, capsys, tree, field.gamma, a_shift)
+        assert code == (0 if name == "solved" else 1)
+        for lam, c in [(lam, 0.0) for lam in (1e-200, 1e-12, 1e6, 1e9, 1e12, 1e200)] + [(1.0, -50.0), (1.0, 50.0)]:
+            moved_code, moved = _symmetry_run(tmp_path, capsys, tree, field.gamma, a_shift, lam, c)
+            assert moved_code == code, (name, lam, c)
+            assert moved.keys() == base.keys()
+            bound = 64 * u * (4.0 + max(abs(a + c) for a in a_shift.values()) + abs(math.log(lam))) * periods
+            for tag, (verdict, node, value) in base.items():
+                assert moved[tag][:2] == (verdict, node), (name, lam, c, tag)
+                if value is not None:
+                    assert abs(moved[tag][2] - value) <= bound, (name, lam, c, tag)

@@ -30,22 +30,22 @@ def test_golden_section_endpoint_minimum():
 
 def test_minimize_exp_sum_binomial_pin():
     # 0.8 e^{-p} + 0.2 e^{p}: stationary at p = (1/2) log 4, value 0.8
-    p, v = minimize_exp_sum([0.8, 0.2], [-1.0, 1.0])
+    p, v = minimize_exp_sum([math.log(0.8), math.log(0.2)], [-1.0, 1.0])
     assert p == pytest.approx(0.5 * math.log(4.0), abs=1e-10)
-    assert v == pytest.approx(0.8, abs=1e-12)
+    assert v == pytest.approx(math.log(0.8), abs=1e-12)
 
 
 def test_minimize_exp_sum_trinomial_pin():
     # 0.5 e^{-p} + 0.3 + 0.2 e^{p}: value 0.3 + 2 sqrt(0.1)
-    p, v = minimize_exp_sum([0.5, 0.3, 0.2], [-1.0, 0.0, 1.0])
+    p, v = minimize_exp_sum([math.log(0.5), math.log(0.3), math.log(0.2)], [-1.0, 0.0, 1.0])
     assert p == pytest.approx(0.5 * math.log(2.5), abs=1e-10)
-    assert v == pytest.approx(0.3 + 2.0 * math.sqrt(0.1), abs=1e-12)
+    assert v == pytest.approx(math.log(0.3 + 2.0 * math.sqrt(0.1)), abs=1e-12)
 
 
 def test_minimize_exp_sum_all_zero_slopes():
-    p, v = minimize_exp_sum([0.4, 0.6], [0.0, 0.0])
-    assert p == 0.0
-    assert v == 1.0
+    p, v = minimize_exp_sum([math.log(0.4), math.log(0.6)], [0.0, -0.0])
+    assert repr(p) == "0.0"
+    assert v == pytest.approx(0.0, abs=1e-15)
 
 
 def test_minimize_exp_sum_one_sided_raises():
@@ -56,22 +56,27 @@ def test_minimize_exp_sum_one_sided_raises():
 
 
 def test_minimize_exp_sum_input_validation():
-    with pytest.raises(ValueError):
-        minimize_exp_sum([1.0], [1.0, -1.0])
-    with pytest.raises(ValueError):
-        minimize_exp_sum([1.0, -1.0], [1.0, -1.0])
-    with pytest.raises(ValueError):
-        minimize_exp_sum([], [])
+    for log_weights, slopes in [
+        ([0.0], [1.0, -1.0]),
+        ([[0.0, 0.0]], [[1.0, -1.0]]),
+        ([], []),
+        ([-math.inf, 0.0], [1.0, -1.0]),  # a weight of 0
+        ([math.nan, 0.0], [1.0, -1.0]),
+        ([0.0, 0.0], [math.inf, -1.0]),
+        ([0.0, 0.0], [1.0, math.nan]),
+    ]:
+        with pytest.raises(ValueError, match="minimize_exp_sum: "):
+            minimize_exp_sum(log_weights, slopes)
 
 
 def test_minimize_exp_sum_asymmetric():
     # derivative vanishes exactly at the reported point
     w = np.array([0.2, 1.1, 0.7])
     s = np.array([-2.0, 0.5, 1.5])
-    p, v = minimize_exp_sum(w, s)
+    p, v = minimize_exp_sum(np.log(w), s)
     deriv = float(np.sum(w * s * np.exp(s * p)))
     assert abs(deriv) <= 1e-9
-    assert v == pytest.approx(float(np.sum(w * np.exp(s * p))), rel=1e-14)
+    assert v == pytest.approx(math.log(float(np.sum(w * np.exp(s * p)))), abs=1e-14)
 
 
 def _outcome(fn, w, s):
@@ -82,12 +87,11 @@ def _outcome(fn, w, s):
         return type(exc).__name__, str(exc)
 
 
-def test_minimize_exp_sum_matches_numpy_oracle_bit_for_bit():
-    # random programs on 1 to 20 branches (8 or more sum pairwise), with
-    # zero and -0.0 slopes, one-sided slopes and brackets whose ends
-    # overflow exp
+def _random_programs():
+    """1000 random programs on 1 to 20 branches, with zero and -0.0 slopes,
+    one-sided slopes, weights down to 1e-200 and slopes from 1e-6 to 1e300,
+    as (weights, slopes)."""
     rng = np.random.default_rng(3)
-    seen = set()
     for trial in range(1000):
         k = int(rng.integers(1, 21))
         w = 10.0 ** rng.uniform(-200 if trial % 10 == 0 else -4, 3, size=k)
@@ -95,11 +99,55 @@ def test_minimize_exp_sum_matches_numpy_oracle_bit_for_bit():
         s[rng.random(k) < 0.15] = rng.choice([0.0, -0.0])
         if trial % 9 == 0:
             s = np.abs(s)
-        got = _outcome(minimize_exp_sum, w.tolist(), s.tolist())
-        want = _outcome(oracles.numpy_minimize_exp_sum, w, s)
-        assert repr(got) == repr(want), (w, s)
-        seen.add((k >= 8, isinstance(got[0], str)))
-    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+        yield w, s
+
+
+def _oracle_converges(monkeypatch, w, s, outcome):
+    """Whether the numpy oracle's ``outcome`` is a converged solve: ten
+    times its iteration cap returns the same bits, so the loop ended at its
+    bracket test and not at the cap, where it returns its last iterate."""
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_EXP_SUM_MAX_ITER", 10 * solvers._EXP_SUM_MAX_ITER)
+        longer = _outcome(oracles.numpy_minimize_exp_sum, w, s)
+    return repr(longer) == repr(outcome) and 0.0 < outcome[1] < math.inf
+
+
+def test_minimize_exp_sum_matches_the_numpy_oracle_where_it_converges(monkeypatch):
+    # the oracle is the solver before it ran in log units: on weights and
+    # slopes as given, from a bracket step of 1 in p, returning its last
+    # iterate at the cap. Where it converges, the log of its value and the
+    # log value agree within the rounding of their terms: each of the k
+    # terms' exponent l_i + s_i p, with |l_i| = |log w_i|, rounds within
+    # u (|l_i| + |s_i p|) in both, each exponential and product once, and
+    # the sum of k terms k times: B = (2k + 8 + 2 max_i (|l_i| + |s_i p|)) u.
+    # Near the minimum, a value error of B allows a minimiser error of
+    # sqrt(2 B / var), var the variance of s under the tilt at p. Both
+    # refuse the same inputs; every program the new solve refuses, the
+    # oracle refuses too
+    compared = 0
+    for w, s in _random_programs():
+        old = _outcome(oracles.numpy_minimize_exp_sum, w, s)
+        with np.errstate(divide="ignore"):
+            new = _outcome(minimize_exp_sum, np.log(w).tolist(), s.tolist())
+        if isinstance(new[0], str) or isinstance(old[0], str):
+            assert repr(new) == repr(old)
+            continue
+        if not _oracle_converges(monkeypatch, w, s, old):
+            continue
+        compared += 1
+        p, v = old
+        k = len(w)
+        bound = (2 * k + 8 + 2 * max(abs(math.log(x)) + abs(y * p) for x, y in zip(w, s))) * 2.0**-53
+        assert abs(new[1] - math.log(v)) <= bound, (w, s)
+        # the variance in units of max|s|, where it does not overflow; where
+        # it underflows to 0 the bound is infinite
+        scale = float(np.abs(s).max()) or 1.0
+        e = np.log(w) + s * p
+        tilt = np.exp(e - e.max())
+        tilt /= tilt.sum()
+        var = float(tilt @ (s / scale) ** 2 - (tilt @ (s / scale)) ** 2)
+        assert var == 0.0 or abs(new[0] - p) * scale <= math.sqrt(2.0 * bound / var), (w, s)
+    assert compared > 400
 
 
 @pytest.mark.parametrize(
@@ -112,16 +160,76 @@ def test_minimize_exp_sum_matches_numpy_oracle_bit_for_bit():
         ([0.0, 1.0], [0.0, 0.0]),  # weights before the zero-slope answer
         ([0.4, 0.6], [0.0, -0.0]),
         ([0.5, 0.5], [0.0, -1.0]),
-        ([1.0, 2.0], [1e-30, -1e-30]),  # the bracket outgrows 2**60
-        ([1e-200, 1.0], [1e3, -1.0]),  # exp overflows at the bracket's end
+        ([1.0, 2.0], [1e-30, -1e-30]),  # the oracle's bracket outgrows 2**60
+        ([1e-200, 1.0], [1e3, -1.0]),  # exp overflows at the oracle's bracket end
         ([float("nan"), 1.0], [1.0, -1.0]),
         ([1.0, 1.0], [float("nan"), -1.0]),
         ([1.0, 1.0], [1.0, float("nan")]),
         ([1.0] * 9, [-1.0] + [0.0] * 7 + [2.0]),
     ],
 )
-def test_minimize_exp_sum_errors_and_edges_match_numpy_oracle(w, s):
-    assert repr(_outcome(minimize_exp_sum, w, s)) == repr(_outcome(oracles.numpy_minimize_exp_sum, w, s))
+def test_minimize_exp_sum_errors_and_edges_match_numpy_oracle(monkeypatch, w, s):
+    # on log weights: an input the oracle refuses, the solve refuses too,
+    # and where the oracle converges both agree (see the random programs
+    # above). The solve refuses the non-finite inputs the oracle read as
+    # a stationary point at 0, and solves, at the problem's own scale, the
+    # programs whose bracket the oracle could not build; the first-order
+    # condition holds at its answer, relative to the terms' size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = np.log(np.asarray(w, dtype=float)).tolist()
+    new, old = _outcome(minimize_exp_sum, log_w, s), _outcome(oracles.numpy_minimize_exp_sum, w, s)
+    if isinstance(old[0], str):
+        assert isinstance(new[0], str) or "bracket expansion failed" in old[1]
+    elif not (np.isfinite(log_w).all() and np.isfinite(s).all()):
+        assert new == ("ValueError", "minimize_exp_sum: log weights and slopes must be finite")
+    elif _oracle_converges(monkeypatch, w, s, old):
+        assert new[1] == pytest.approx(math.log(old[1]), abs=1e-14)
+        assert new[0] == pytest.approx(old[0], abs=1e-7)
+    if not isinstance(new[0], str):
+        e = np.array(log_w) + np.array(s) * new[0]
+        tilt = np.exp(e - e.max())
+        assert abs(float(tilt @ s)) <= 1e-9 * float(tilt @ np.abs(s))
+        assert new[1] == pytest.approx(e.max() + math.log(float(tilt.sum())), abs=1e-14 * (1.0 + abs(new[1])))
+
+
+def test_minimize_exp_sum_solves_at_the_problems_scale():
+    # programs whose bracket outgrew 2**60 in p, or overflowed exp at its
+    # ends, from a bracket step of 1 in p: each closed-form minimum
+    for log_w, s, (p, v) in [
+        ([0.0, math.log(2.0)], [1e-30, -1e-30], (0.5e30 * math.log(2.0), math.log(2.0 * math.sqrt(2.0)))),
+        ([0.0, -1600.0], [1.0, -1.0], (-800.0, math.log(2.0) - 800.0)),
+        ([0.0, -1600.0], [1e300, -1e300], (-8e-298, math.log(2.0) - 800.0)),
+    ]:
+        got = minimize_exp_sum(log_w, s)
+        assert got[0] == pytest.approx(p, rel=1e-12)
+        assert got[1] == pytest.approx(v, rel=1e-14)
+
+
+@pytest.mark.parametrize("c", [-800.0, -50.0, 50.0, 800.0])
+@pytest.mark.parametrize("lam", [1e-200, 1e-12, 1e6, 1e200])
+def test_minimize_exp_sum_is_invariant_under_its_symmetries(c, lam):
+    # a constant added to every log weight adds itself to the log value, and
+    # slopes times lam divide the minimiser by lam: the solve runs on the
+    # same scaled problem, so the answers agree within the rounding of the
+    # shifted weights and of the scaled slopes, a few u of |c| + 1
+    lw = [math.log(0.3), math.log(0.5), math.log(0.2)]
+    s = [-1.3, 0.4, 1.1]
+    p, v = minimize_exp_sum(lw, s)
+    p2, v2 = minimize_exp_sum([x + c for x in lw], [x * lam for x in s])
+    u = 2.0**-53
+    assert abs(v2 - (v + c)) <= 16 * u * (abs(c) + 1.0)
+    assert abs(p2 * lam - p) <= 1e-12 * (1.0 + abs(p))
+
+
+def test_minimize_exp_sum_fails_at_its_iteration_cap(monkeypatch):
+    # a solve that has not narrowed its bracket after the cap raises,
+    # naming the cap and the bracket's width, where it returned its last
+    # iterate
+    monkeypatch.setattr(solvers, "_EXP_SUM_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match=r"minimize_exp_sum: 2 iterations exhausted at bracket width \d"):
+        minimize_exp_sum([0.0, -1600.0], [1.0, -1.0])
+    monkeypatch.setattr(solvers, "_EXP_SUM_MAX_ITER", 200)
+    assert minimize_exp_sum([0.0, -1600.0], [1.0, -1.0])[0] == pytest.approx(-800.0)
 
 
 # -- barrier solver ------------------------------------------------------

@@ -118,7 +118,9 @@ def test_replicate_infeasible_trinomial():
     res = replicate_inverse_gamma(tree, gamma)
     assert not res.feasible
     assert res.failed_node == "r"
-    assert res.residual == pytest.approx(0.2, abs=1e-12)
+    # 0.2 in units of the largest 1/gamma, 2.5
+    assert res.residual == pytest.approx(0.2 / 2.5, abs=1e-12)
+    assert res.tolerance == tree_verifier._replication_tol(3)
     assert res.psi is None
 
 
@@ -196,16 +198,53 @@ def test_primal_refuses_wealth_outside_the_float_range():
     assert issubclass(WealthRangeError, ValueError)
 
 
-@pytest.mark.parametrize("a", [800.0, -800.0])
-def test_primal_refuses_leaf_shift_outside_the_float_range(a):
-    # the factor e^a at leaf u overflows (or underflows to 0): a package
-    # error naming the node, before any minimisation runs
-    tree = binomial_tree()
-    field = ExponentialFieldParams(const_map(tree, 1.0), {"r": 0.0, "u": a, "d": 0.0})
-    with pytest.raises(ForwardPerfError, match=f"a_shift={a:g} at node 'u'"):
-        primal_value(tree, field, 0.0)
-    # 709 is inside the range
-    primal_value(tree, with_offsets(field, {"u": 709.0 - a}), 0.0)
+@pytest.mark.parametrize("c", [800.0, -800.0])
+def test_primal_reads_a_shift_outside_the_float_range_in_log_units(c):
+    # every shift moved by c, so that the factor e^a is outside the float
+    # range: the recursion runs in log units, so each window's log factor
+    # moves by c, and at wealth c / gamma the utility is the unshifted one
+    # at 0. Each level rounds its log weights and the exponent at its
+    # minimum a few times, on terms of size |c| + 4 at most, so the log
+    # factor is within 16 u (|c| + 4) per level of the shifted one; the
+    # utility adds the rounding of gamma (c / gamma), 2 u |c|. At wealth 0
+    # the utility itself leaves the float range: refused at c = 800,
+    # naming the wealth; at c = -800 it underflows to -0.0
+    u = 2.0**-53
+    tree = random_tree(7, periods=3)
+    field = solved_field(tree, 7)
+    shifted = ExponentialFieldParams(field.gamma, {n: a + c for n, a in field.a_shift.items()})
+    duals, moved = WindowDuals(tree, field.gamma), WindowDuals(tree, field.gamma)
+    for t, T in _window_pairs(tree):
+        starts = tree.nodes_at(t)
+        base = primal_value(tree, field, 0.0, t, T, duals=duals)
+        got = primal_value(tree, shifted, {n: c / field.gamma[n] for n in starts}, t, T, duals=moved)
+        bound = 16 * u * (abs(c) + 4.0) * (T - t)
+        for n in starts:
+            assert abs(got.log_factor[n] - (base.log_factor[n] + c)) <= bound
+            assert abs(got.values[n] / base.values[n] - 1.0) <= 2.0 * (bound + 2 * u * abs(c))
+    if c > 0.0:
+        with pytest.raises(WealthRangeError, match="xi=0 at node 'r': the utility is outside the float range"):
+            primal_value(tree, shifted, 0.0)
+    else:
+        assert primal_value(tree, shifted, 0.0).values["r"] == 0.0
+
+
+def test_primal_self_generates_with_gamma_scaled_by_a_million():
+    # random_tree(3, periods=2) with a replicable gamma times 1e6 and its
+    # solved shift: the factor solve's slopes are about 1e6, so a bracket
+    # step of 1 in pi overshot the minimiser, about 8.1e-7 at the root, by
+    # far; the solve stopped at its iteration cap without error, at 4.4e-4,
+    # and the log factor missed the shift by 371. At its own scale it
+    # converges, and the field self-generates on every window
+    tree = random_tree(3, periods=2)
+    gamma, _ = replicable_gamma(tree, 3)
+    gamma = {n: g * 1e6 for n, g in gamma.items()}
+    field = ExponentialFieldParams(gamma, solve_entropy_shift(tree, gamma, 0.0))
+    xi_grid = [x * 1e-6 for x in (-2.0, -0.5, 0.0, 0.5, 2.0)]
+    rep = check_self_generation_primal(tree, field, _window_pairs(tree), xi_grid)
+    assert rep.all_passed, rep.to_text()
+    assert rep["primal-self-generation"].value <= 1e-14
+    assert primal_value(tree, field, 0.0).policy["r"] == pytest.approx(8.1e-7, rel=0.01)
 
 
 def test_primal_check_refuses_a_slice_outside_the_float_range():
@@ -359,7 +398,7 @@ def test_nonreplicable_gamma_is_a_failing_record_of_the_exponential_conditions(m
         dual["dual-self-generation"],
     ):
         assert (rec.verdict, rec.value, rec.target) == (False, certificate.residual, 0.0)
-        assert (rec.tolerance, rec.worst_node) == (tree_verifier._REPLICATION_TOL, "r")
+        assert (rec.tolerance, rec.worst_node) == (tree_verifier._replication_tol(3), "r")
         assert rec.notes == (tree_verifier._UNREPLICATED,)
 
 
@@ -639,8 +678,9 @@ def test_solve_shift_refuses_2b_violation():
 
 def test_solve_shift_refuses_the_replication_certificate():
     # 1/gamma off a replicable one by 1e-9 at d: the replication residual
-    # is 5e-10, above its 1e-10 tolerance though the binomial vertex keeps
-    # the inverse-gamma mean within 1e-9, so the shift is refused with the
+    # is 5e-10, or 4.5e-10 in units of the largest 1/gamma, 1.1, far above
+    # its rounding tolerance though the binomial vertex keeps the
+    # inverse-gamma mean within 1e-9, so the shift is refused with the
     # certificate's node and residual, before any program is solved
     tree = binomial_tree()
     gamma = {"r": 1.0, "u": 1.0 / 1.1, "d": 1.0 / (0.9 + 1e-9)}
@@ -714,10 +754,11 @@ def _poison(monkeypatch, modes, tree, gamma):
     step is not finite); ``step2``, a NaN gradient away from its start
     (its second step); ``post``, its minimiser and its value turned to NaN
     on the way out of the solver (the check after the solve refuses it).
-    A program's node is known by its children's probabilities and gammas."""
+    A program's node is known by its children's probabilities and gammas
+    in units of its own."""
     duals = WindowDuals(tree, gamma)
     node_of = {
-        tuple((br.prob, gamma[br.child]) for br in tree.branches_of(n)): n
+        tuple((br.prob, gamma[br.child] / gamma[n]) for br in tree.branches_of(n)): n
         for n in tree._dfs_order
         if not tree.is_leaf(n)
     }
@@ -765,11 +806,15 @@ def _refusal_one_program_at_a_time(tree, clean, t, modes):
     one-step program in tree order, solved alone by the scalar solver from
     the child shifts of the unpoisoned sweep ``clean`` (the check at its
     start, the solver, the check after the solve); the first that fails.
-    None when no program fails."""
+    Each program is in units of its node's gamma g, at the children's
+    shifts less their largest, top, and its entropy is read back as
+    (value - top - log g) / g. None when no program fails."""
     for s in range(clean.T - 1, t - 1, -1):
         for n in (n for n in tree.nodes_at(s) if n in modes):
             branches = tree.branches_of(n)
-            data = [[(br.prob, clean.duals.gamma[br.child], clean.shift[br.child]) for br in branches]]
+            g = np.array([clean.duals.gamma[n]])
+            top = max(clean.shift[br.child] for br in branches)
+            data = [[(br.prob, clean.duals.gamma[br.child] / g[0], clean.shift[br.child] - top) for br in branches]]
             objective = tree_verifier._one_step_objective(*np.array(data).transpose(2, 0, 1))(np.arange(1))
             where = f"dual program below node {n!r} on [{s}, {clean.T}]"
 
@@ -777,7 +822,7 @@ def _refusal_one_program_at_a_time(tree, clean, t, modes):
                 return tuple(x[0] for x in objective(q[None]))
 
             def float_range(q):
-                entropy = float(one(q)[0].sum())
+                entropy = float(((one(q)[0].sum() - top - np.log(g)) / g)[0])
                 m = sum(x * clean.inverse_gamma_mean[br.child] for x, br in zip(q.tolist(), branches))
                 if not (math.isfinite(entropy) and math.isfinite(m)):
                     return f"{where} leaves the float range: entropy {entropy!r}, m {m!r}"
@@ -949,10 +994,12 @@ def test_stack_value_is_the_dual_objective_at_the_result(monkeypatch):
     # the value the solver reports per program is the objective's sum at
     # its result, bit for bit, as the whole stack's objective or the
     # program's alone gives it; each window's entropy at a start is the
-    # value of the start's one-step program in the sweep to its end, so
-    # every entropy is a value of some stack; and each program, a node
-    # with its children's shifts, is solved once: one per internal node
-    # on the solved field, where every sweep reads the horizon's programs
+    # value of the start's one-step program in the sweep to its end, read
+    # back in the node's units, (value - top - log g) / g with g its gamma
+    # and top its children's largest shift, so every entropy is a value of
+    # some stack; and each program, a node with its children's shifts, is
+    # solved once: one per internal node on the solved field, where every
+    # sweep reads the horizon's programs
     stacks = []
     original = tree_verifier.barrier_minimize
 
@@ -976,8 +1023,14 @@ def test_stack_value_is_the_dual_objective_at_the_result(monkeypatch):
             for j in rows:
                 assert value[j].tobytes() == phi(rows[j:j + 1])(r[j:j + 1])[0].sum(axis=1).tobytes()
             values += value.tolist()
-        assert {e for res in got for e in res.entropy.values()} <= set(values)
-        assert len(values) == len(_program_keys(tree, field, got))
+        # the store keeps the programs in the order the stacks solved them
+        read_back = []
+        for ((n, bits), outcome), value in zip(duals._programs.items(), values):
+            g = np.array([field.gamma[n]])
+            read_back.append(float(((value - np.frombuffer(bits).max() - np.log(g)) / g)[0]))
+            assert outcome[1] == read_back[-1]
+        assert {e for res in got for e in res.entropy.values()} <= set(read_back)
+        assert len(values) == len(duals._programs) == len(_program_keys(tree, field, got))
         assert (len(values) == internal) == (field is solved)
 
 
@@ -1021,11 +1074,11 @@ def test_one_stack_per_window_end_level_and_shape(monkeypatch):
 
 def _nudged_at_time_2(tree, field):
     """``field`` with the shift of the last child of the first time-1 node
-    moved up by one ulp, and the moved node's ancestors."""
+    moved up by 2^-30, and the moved node's ancestors."""
     parent = tree.nodes_at(1)[0]
     w = tree.children(parent)[-1]
     a_shift = dict(field.a_shift)
-    a_shift[w] = math.nextafter(a_shift[w], math.inf)
+    a_shift[w] += 2.0**-30
     return ExponentialFieldParams(field.gamma, a_shift), [tree.root, parent]
 
 
@@ -1050,7 +1103,7 @@ def test_shared_programs_match_programs_solved_afresh(depth):
 
 def test_a_nudged_shift_solves_only_the_programs_above_it(monkeypatch):
     # on a solved field each program is solved once for every window; a
-    # time-2 shift moved by one ulp changes the children's shifts of its
+    # time-2 shift moved by 2^-30 changes the children's shifts of its
     # parent's program in the sweep to T = 2, and through its implied shift
     # the root's: those two are solved again, nothing else
     tree = random_tree(3, periods=3)
@@ -1442,7 +1495,8 @@ def test_exponential_conditions_flag_perturbation():
 
 def test_exponential_conditions_2b_example():
     # unique martingale measure is (1/2, 1/2); leaves 1/gamma = (2.5, 1.5)
-    # average to 2.0, so root 1/gamma = 2 passes and 4/3 fails by 2/3
+    # average to 2.0, so root 1/gamma = 2 passes and 4/3 fails by 2/3, or
+    # by 1/2 in units of 4/3
     tree = binomial_tree(p_up=0.5)
     zero = const_map(tree, 0.0)
     ok_gamma = {"r": 0.5, "u": 1.0 / 2.5, "d": 1.0 / 1.5}
@@ -1452,7 +1506,7 @@ def test_exponential_conditions_2b_example():
     rep = check_exponential_conditions(tree, ExponentialFieldParams(bad_gamma, zero), [(0, 1)])
     rec = rep["exp-condition-inverse-gamma-martingale[t=0,T=1]"]
     assert not rec.verdict
-    assert rec.value == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert rec.value == pytest.approx(0.5, abs=1e-9)
 
 def test_exponential_conditions_without_windows_pass_at_zero():
     tree = two_period_tree()
