@@ -5,18 +5,21 @@ explicitly, times ``cli.run_tree_scenario`` on the default scenario: all
 six checks, every (t, T) window, the default xi and eta grids. Depth 7
 (1292 nodes) is the slowest and runs at most 3 repeats.
 
-Each source tree runs in a fresh child process. With ``--baseline-src`` a
-second source tree (say, the ``src`` of a checkout of the parent commit)
-is timed too, alternating with this one depth by depth; each row records
-the SHA-256 of the report, and ``reports_identical`` says whether the two
-sides agree byte for byte at every depth. A mismatch at any depth is
-named on stderr and exits 1, after the JSON is written.
+Each repeat runs in a fresh child process, which runs the scenario once
+untimed (imports and first calls) and then times one run. With
+``--baseline-src`` a second source tree (say, the ``src`` of a checkout
+of the parent commit) is timed too, alternating with this one repeat by
+repeat, so that both sides meet the same drift of a noisy machine; each
+row records the SHA-256 of the report, and ``reports_identical`` says
+whether the two sides agree byte for byte at every depth. A mismatch at
+any depth is named on stderr and exits 1, after the JSON is written.
 
 Writes the median and spread (min, max) of the repeats as JSON, and per
-depth the calls per scenario and microseconds per call of the factor
-solve (``minimize_exp_sum``), of the one-step vertex builds
-(``one_step_vertices``), of the forward check's drift step
-(``_forward_drift``) and of the stacked one-step dual solve
+depth, from the first repeat's child of each side, the calls per
+scenario and microseconds per call (median over as many more runs as
+there are repeats) of the factor solve (``minimize_exp_sum``), of the
+one-step vertex builds (``one_step_vertices``), of the forward check's
+drift step (``_forward_drift``) and of the stacked one-step dual solve
 (``barrier_minimize``: its calls are the stacks per scenario). Usage:
 
     PYTHONPATH=src:tests python benchmarks/bench_tree_scenario.py \\
@@ -81,8 +84,10 @@ def kernel_calls(run, repeat):
     return out
 
 
-def measure(depth, repeat):
-    """Time the default scenario at one depth, in this process."""
+def measure(depth, repeat, kernel_repeat=0):
+    """Time the default scenario at one depth, in this process: one untimed
+    run, then ``repeat`` timed ones; with ``kernel_repeat``, the kernel
+    calls over that many more."""
     from forwardperf.cli import run_tree_scenario
     from treegen import random_tree, solved_field
 
@@ -95,12 +100,12 @@ def measure(depth, repeat):
         "gamma": {"mode": "explicit", "values": field.gamma},
         "a_shift": {"mode": "explicit", "values": field.a_shift},
     }
-    reports, times = [], []
+    reports, times = [run_tree_scenario(doc).to_json()], []
     for _ in range(repeat):
         t0 = time.perf_counter()
         reports.append(run_tree_scenario(doc).to_json())
         times.append(time.perf_counter() - t0)
-    return {
+    row = {
         "depth": depth,
         "nodes": len(tree.nodes),
         "windows": depth * (depth + 1) // 2,
@@ -111,21 +116,40 @@ def measure(depth, repeat):
         "all_passed": json.loads(reports[0])["all_passed"],
         "report_sha256": hashlib.sha256(reports[0].encode()).hexdigest(),
         "reports_equal": len(set(reports)) == 1,
-        "kernels": kernel_calls(lambda: run_tree_scenario(doc), repeat),
     }
+    if kernel_repeat:
+        row["kernels"] = kernel_calls(lambda: run_tree_scenario(doc), kernel_repeat)
+    return row
 
 
-def measure_in_child(src, depth, repeat):
-    """``measure`` in a fresh process that imports the package from src."""
+def measure_in_child(src, depth, kernel_repeat):
+    """One timed run of ``measure`` in a fresh process that imports the
+    package from src."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.abspath(src), TESTS]))
     out = subprocess.run(
-        [sys.executable, __file__, "--child", str(depth), str(repeat)],
+        [sys.executable, __file__, "--child", str(depth), str(kernel_repeat)],
         env=env,
         check=True,
         capture_output=True,
         text=True,
     ).stdout
     return json.loads(out)
+
+
+def merge(runs):
+    """One row from the one-run rows of a side's children at one depth."""
+    times = [r["median_s"] for r in runs]
+    return {
+        **{k: runs[0][k] for k in ("depth", "nodes", "windows")},
+        "median_s": statistics.median(times),
+        "min_s": min(times),
+        "max_s": max(times),
+        "repeats": len(runs),
+        "all_passed": all(r["all_passed"] for r in runs),
+        "report_sha256": runs[0]["report_sha256"],
+        "reports_equal": all(r["reports_equal"] and r["report_sha256"] == runs[0]["report_sha256"] for r in runs),
+        "kernels": runs[0]["kernels"],
+    }
 
 
 def main():
@@ -136,7 +160,8 @@ def main():
     parser.add_argument("--child", nargs=2, type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        print(json.dumps(measure(*args.child)))
+        depth, kernel_repeat = args.child
+        print(json.dumps(measure(depth, 1, kernel_repeat)))
         return
 
     import numpy as np
@@ -148,12 +173,16 @@ def main():
     rows = {side: [] for side in sides}
     for depth in DEPTHS:
         repeat = min(args.repeat, REPEAT_CAP.get(depth, args.repeat))
-        order = list(sides) if depth % 2 else list(sides)[::-1]
-        for side in order:
-            row = measure_in_child(sides[side], depth, repeat)
+        runs = {side: [] for side in sides}
+        for r in range(repeat):
+            order = list(sides) if (depth + r) % 2 else list(sides)[::-1]
+            for side in order:
+                runs[side].append(measure_in_child(sides[side], depth, repeat if r == 0 else 0))
+        for side in sides:
+            row = merge(runs[side])
             print(
-                f"d={depth} nodes={row['nodes']} {side}={row['median_s']:.3f}s "
-                f"[{row['min_s']:.3f}, {row['max_s']:.3f}] sha256={row['report_sha256'][:12]}",
+                f"d={depth} nodes={row['nodes']} {side}={row['median_s']:.4f}s "
+                f"[{row['min_s']:.4f}, {row['max_s']:.4f}] sha256={row['report_sha256'][:12]}",
                 flush=True,
             )
             rows[side].append(row)

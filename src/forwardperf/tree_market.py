@@ -18,8 +18,10 @@ subtrees.
 The set of those compositions is rectangular: each node picks its one-step
 measure independently of every other node, so its restricted vertices
 depend only on the node and the window's end T (``_window_vertices``), and
-an extremum over it of a conditional expectation is a backward recursion
-over them, node by node (``vertex_recursion``), at O(nodes x vertices).
+an extremum over it of a conditional expectation, linear in each node's
+measure, is a backward recursion over them, node by node
+(``vertex_recursion``), at O(nodes x vertices); a concave functional,
+such as the forward drift, can peak between the vertices.
 A node's value depends on T and not on the window's start, so the
 recursion runs once per window end, each node once, for every window
 ending there. Listing the products themselves
@@ -28,11 +30,10 @@ uses it: it stays, outside the package namespace, for the brute-force
 oracles of the tests and for perfbench's trace.
 
 No check builds a measure on the whole tree either: the forward records
-read a drift recursion per window end, the worst case by
-``vertex_recursion`` and the one at the entropy minimiser from the sweep
-of one-step dual programs. ``TreeMeasure``, ``density_process`` and
-``measure_from_leaf_masses`` serve only the tests' oracles and
-perfbench's trace.
+read the worst drift from the primal's factor recursion and the drift at
+the entropy minimiser from the sweep of one-step dual programs.
+``TreeMeasure``, ``density_process`` and ``measure_from_leaf_masses``
+serve only the tests' oracles and perfbench's trace.
 """
 
 from __future__ import annotations
@@ -600,7 +601,8 @@ def enumerate_product_measures(
 
     A brute-force and diagnostic tool: the count grows exponentially with
     the window depth and is refused above ``max_count``. The checks do not
-    use it; they run ``vertex_recursion`` over the same vertex sets.
+    use it; the inverse-gamma range runs ``vertex_recursion`` over the same
+    vertex sets.
 
     Nodes that a choice leaves with zero mass get reference conditionals
     (any choice there leaves the induced measure unchanged). Restricted to

@@ -86,6 +86,19 @@ sweep's nested sum_k q_k m_k below c. So q~_k = q_k m_k / m_n at every
 node n, whatever the start, and D(n) is one more value per node of the
 sweep to T (``_Sweep.drift``).
 
+The forward check's worst drift is the factor recursion. With 1/gamma
+replicable, q -> q~ = gamma_n q / gamma maps a node's one-step martingale
+polytope onto {q~ >= 0, sum q~ = 1, sum_c q~_c gamma_c dS_c = 0}, since
+sum_c q_c / gamma_c = 1/gamma_n on it. The drift step
+sum_c q~_c (D_c - log(q~_c / p_c)) is concave in q~; by the Gibbs
+variational principle its maximum there is
+log min over pi of sum_c p_c exp(D_c - gamma_c pi dS_c), with no duality
+gap, as Slater's condition holds at the node's (strictly positive) vertex
+centroid. The step increases in each D_c, so the nested maximum is the
+maximum over product measures, and with D = a at time T it is log C
+(Delbaen et al., Math. Finance 12, 2002; Frittelli, Math. Finance 10,
+2000): the worst drift at n is log C(n) - a_n.
+
 Conjugacy u(xi) = inf over eta of v(eta) + xi eta is read from the same
 eta = 1 value in closed form: the infimum of eta (v(1) + xi) +
 eta log(eta) m is -m e^E, attained at eta = e^E with E = -(v(1) + xi)/m - 1.
@@ -263,10 +276,10 @@ class WindowDuals:
     - per T: the vertex table (``vertices``) and the (max, min) range of
       E^Q[1/gamma_T | node] over the product vertices
       (``inverse_gamma_range``); and, keyed also by the bits of a_shift at
-      the time-T nodes, the log factor (``factors``), the worst forward
-      drift D(node) (``worst_drift``) and the sweep of one-step dual
-      programs to T (``sweep``). Each holds the nodes some window ending at
-      T has needed; they depend on the window's end and not on its start;
+      the time-T nodes, the log factor (``factors``), which the primal and
+      forward checks both read, and the sweep of one-step dual programs to
+      T (``sweep``). Each holds the nodes some window ending at T has
+      needed; they depend on the window's end and not on its start;
     - per (t, T), keyed also by the bits of a_shift at the time-T nodes:
       the window's eta = 1 dual value (``dual``), which ``DualResult.at``
       reads at every eta. A shift moved before T (a perturbed root) reads
@@ -290,7 +303,6 @@ class WindowDuals:
         self._vertices: dict[int, dict[str, tuple]] = {}
         self._factors: dict[tuple[int, bytes], tuple[dict, dict]] = {}
         self._inverse_gamma: dict[int, dict] = {}
-        self._drifts: dict[tuple[int, bytes], dict] = {}
         self._sweeps: dict[tuple[int, bytes], _Sweep] = {}
         self._solved: dict[tuple[int, int, bytes], DualResult] = {}
         self._programs: dict[tuple[str, bytes], tuple] = {}
@@ -340,24 +352,6 @@ class WindowDuals:
         if T not in self._inverse_gamma:
             self._inverse_gamma[T] = {w: (1.0 / self.gamma[w],) * 2 for w in self.tree.nodes_at(T)}
         return vertex_recursion(self.tree, t, T, _inverse_gamma_step, self.vertices(T), self._inverse_gamma[T])
-
-    def worst_drift(self, a_shift: Mapping[str, float], t: int, T: int) -> dict[str, float]:
-        """Per feasible node of levels t..T, its worst forward drift D to T
-        for this a_shift at the time-T nodes (``_worst_drift_step``)."""
-        key = (T, self._shift_key(a_shift, T))
-        if key not in self._drifts:
-            self._drifts[key] = {w: a_shift[w] for w in self.tree.nodes_at(T)}
-        return vertex_recursion(self.tree, t, T, self._worst_drift_step, self.vertices(T), self._drifts[key])
-
-    def _worst_drift_step(self, _nid, kids, verts, kid_values):
-        """max over the vertices v of the forward drift step at weights
-        v_c / gamma_c."""
-        probs = [self.tree.branch_to(c).prob for c in kids]
-        best = -math.inf
-        for vert in verts:
-            weights = [v / self.gamma[c] for v, c in zip(vert, kids)]
-            best = max(best, _forward_drift(weights, probs, kid_values))
-        return best
 
     def sweep(self, a_shift: Mapping[str, float], t: int, T: int) -> _Sweep:
         """The sweep to T for this a_shift at the time-T nodes, solved down
@@ -791,21 +785,22 @@ def check_self_generation_primal(
 ) -> VerificationReport:
     """Per (t, T) and per xi: does the computed value reproduce the slice.
 
-    Each window's primal program is solved once, at xi = 0, and read at
-    every wealth of the grid. The gap is reported in shift units
-    (|log C - a|), which is independent of the wealth argument; the worst
-    raw value difference over the grid is recorded alongside. A gamma that
+    Each window's primal program is solved once, at the grid's first
+    wealth (0 on an empty grid), and read at every wealth of the grid. The
+    gap is reported in shift units (|log C - a|), which is independent of
+    the wealth argument; the worst raw value difference over the grid is
+    recorded alongside. A gamma that
     no portfolio replicates is refused by ``primal_value``. ``duals``
     shares the factor recursion to each T with the other checks.
     """
+    xi_grid = [float(x) for x in xi_grid]
     duals = _window_duals(duals, tree, field.gamma)
     windows = []
     for (t, T) in time_pairs:
-        res = primal_value(tree, field, 0.0, t, T, duals=duals)
+        res = primal_value(tree, field, xi_grid[0] if xi_grid else 0.0, t, T, duals=duals)
         gaps = {n: abs(res.log_factor[n] - field.a_shift[n]) for n in tree.nodes_at(t)}
         value_gap = 0.0
         for x in xi_grid:
-            x = float(x)
             resx = res.at(x)
             for n in tree.nodes_at(t):
                 Ux = _utility(n, x, -field.gamma[n] * x + field.a_shift[n])
@@ -942,12 +937,14 @@ def check_value_conjugacy(
     Each gap is scaled by max(1, |target|), the target being u(xi) on one
     side and the closed-form conjugate on the other, since both sides
     carry the relative rounding error of v(1) and |u| grows with e^a; each
-    record's value is its worst scaled gap. A wealth at which eta_hat or
-    u leaves the float range is refused with ``WealthRangeError`` before
-    the primal is read there, and so is an eta at which the dual gap is
-    not finite. ``duals`` shares the dual value and the
-    factor recursion with the other checks of a scenario. A gamma whose
-    reciprocal no portfolio replicates is refused before anything is solved.
+    record's value is its worst scaled gap. The primal is solved at the
+    grid's first wealth, and refused there with ``WealthRangeError`` if its
+    u leaves the float range; at every wealth, one at which eta_hat or the
+    dual's u leaves it is refused before the primal is read there, and so
+    is an eta at which the dual gap is not finite. ``duals`` shares the
+    dual value and the factor recursion with the other checks of a
+    scenario. A gamma whose reciprocal no portfolio replicates is refused
+    before anything is solved.
     """
     xi_grid = [float(x) for x in xi_grid]
     eta_grid = sorted(float(e) for e in eta_grid)
@@ -958,7 +955,7 @@ def check_value_conjugacy(
     starts = tree.nodes_at(t)
 
     duals = _window_duals(duals, tree, field.gamma)
-    base = primal_value(tree, field, 0.0, t, T, duals=duals)
+    base = primal_value(tree, field, xi_grid[0], t, T, duals=duals)
     unit = duals.dual(field, t, T)
     conjugates = [[_conjugate_read(unit, n, x) for n in starts] for x in xi_grid]
     primals = np.array([_at_nodes(base.at(x).values, starts) for x in xi_grid])
@@ -1072,37 +1069,35 @@ def check_forward_supermartingale(
 ) -> VerificationReport:
     """Forward-measure drift of the shifted log density, per (t, T).
 
-    For every product vertex Q of the window polytope, with Q_g its
-    reweighting by gamma_0/gamma_T, the process a - log Z^{Q_g} must not
-    drift up between any window node and the terminal time; the
-    entropy-minimizing measure must achieve equality. Q_g is a probability
-    for every Q only when 1/gamma keeps its conditional mean under every
-    martingale measure. So, before anything is computed, a field that is
-    not an ``ExponentialFieldParams`` is refused with ``TypeError``, a
-    window that is not 0 <= t < T <= horizon with ``ValueError``, and a
-    gamma that no portfolio replicates with ``ReplicationError``, as the
-    dual value refuses it.
+    For every martingale measure Q of the window, with Q_g its reweighting
+    by gamma_start/gamma_T, the process a - log Z^{Q_g} must not drift up
+    between any window node and the terminal time; the entropy-minimizing
+    measure must achieve equality. Q_g is a probability for every Q only
+    when 1/gamma keeps its conditional mean under every martingale measure.
+    So, before anything is computed, a field that is not an
+    ``ExponentialFieldParams`` is refused with ``TypeError``, a window that
+    is not 0 <= t < T <= horizon with ``ValueError``, and a gamma that no
+    portfolio replicates with ``ReplicationError``, as the dual value
+    refuses it.
 
-    Both records run node by node, without listing the product vertices.
-    With 1/gamma replicable, the reweighting is per edge,
-    q~_c = (v_c / gamma_c) / sum_j (v_j / gamma_j) at a vertex v, so the
-    drift at a node depends only on the choices at and below it, and its
-    worst case over Q is the backward recursion
-
-        D(w) = a_w at time T,
-        D(m) = max over v of sum_c q~_c (D(c) - log(q~_c / p_c)),
-
-    with D(m) - a_m the worst drift at m (``WindowDuals.worst_drift``, one
-    table per window end). At the entropy minimiser the same step
-    (``_forward_drift``) runs at that one measure, q~_k = q_k m_k / m_n (see
-    the module docstring), and |D(m) - a_m| must vanish; composed from
+    Both records run node by node, without listing the measures. With
+    1/gamma replicable the reweighting is per edge, q~_c = gamma_n q_c /
+    gamma_c, and the drift to T is the step D(n) = sum_c q~_c (D(c) -
+    log(q~_c / p_c)) from D = a at time T. Its worst case over every
+    martingale measure is log C(n), the factor recursion (see the module
+    docstring), so the worst drift at m is log C(m) - a_m, read from
+    ``_exponential_factors``, whose table the primal check shares through
+    ``duals``. At the entropy
+    minimiser the step (``_forward_drift``) runs at that one measure,
+    q~_k = q_k m_k / m_n, and |D(m) - a_m| must vanish; composed from
     one-step programs, that gap at m is the entropy-identity gap of
     [time(m), T] at m, a consistency check. It is the sweep's ``drift``.
+    The sweep runs first: it refuses a node of levels t..T-1 with no
+    equivalent one-step measure (``ArbitrageError``) by name, before the
+    factor recursion, whose duality needs one, is read.
 
     Each record takes the largest gap over the window's nodes, start by
-    start, in DFS order (``tree.window_interior``). Every one of them is
-    charged: the sweep refuses a node of levels t..T-1 with no equivalent
-    one-step measure, so every vertex table entry there keeps all children.
+    start, in DFS order (``tree.window_interior``).
     """
     _check_field_type(field)
     for (t, T) in time_pairs:
@@ -1112,14 +1107,14 @@ def check_forward_supermartingale(
     _require_replication(duals.replication(), _FORWARD)
     a_shift, records = field.a_shift, []
     for (t, T) in time_pairs:
-        worst = duals.worst_drift(a_shift, t, T)
         sweep = duals.sweep(a_shift, t, T)
+        log_c, _ = _exponential_factors(duals, field, t, T)
         # the starts' subtrees are disjoint, so each record keys its gaps by node
         window = [m for start in tree.nodes_at(t) for m in tree.window_interior(start, T)]
         records += [
             _gap_record(
                 f"forward-supermartingale[t={t},T={T}]",
-                {m: worst[m] - a_shift[m] for m in window},
+                {m: log_c[m] - a_shift[m] for m in window},
                 tol,
                 notes=("positive drift of the shifted log density violates the bound",),
             ),

@@ -28,7 +28,11 @@ factor solve and the one-step vertices, which the window programs' interior
 points and the product-measure count also read here) the replaced forms on
 numpy arrays, (for the forward check's tables per window end) the walk per
 window and start over the charged nodes and the drift at the minimiser read
-from its leaf masses, as the package ran them before, (for the density and field paths)
+from its leaf masses, as the package ran them before, (for the forward
+check's worst drift) the drift step's largest value over a node's one-step
+vertices, as the package took it before it read the factor recursion, and
+nested golden-section searches over each node's whole one-step polytope,
+with no exp-sum solve, (for the density and field paths)
 one whole-matrix numpy expression per quantity, over increments drawn
 here rather than read from the simulation, (for the path export)
 the CSV written row by row from the whole simulation's matrices, or (for
@@ -1011,8 +1015,9 @@ def worst_forward_drift_by_enumeration(tree, gamma, a_shift, t, T):
 # -- the forward check's walks per window and start -------------------------
 #
 # As the package ran them before it kept one table per window end: the
-# Bellman walk over the charged nodes below each start, and the drift at
-# the entropy minimiser from its reweighted leaf masses.
+# Bellman walk over the charged nodes below each start, the worst drift
+# step over a node's one-step vertices, and the drift at the entropy
+# minimiser from its reweighted leaf masses.
 
 
 def vertex_recursion(tree, t, T, terminal, local, vertices):
@@ -1045,6 +1050,89 @@ def vertex_recursion(tree, t, T, terminal, local, vertices):
     return out
 
 
+def _drift_step(weights, probs, kid_values):
+    """sum_c q~_c (D(c) - log(q~_c / p_c)) over the children of positive
+    weight, q~ the weights normalised."""
+    total = sum(weights)
+    value = 0.0
+    for w, p, d in zip(weights, probs, kid_values):
+        if w > 0.0:
+            q = w / total
+            value += q * (d - math.log(q / p))
+    return value
+
+
+def worst_vertex_drift_step(tree, gamma):
+    """The forward check's worst-case step as the package ran it before it
+    read the factor recursion: the largest drift step over a node's
+    one-step vertices v, at weights v_c / gamma_c, as
+    ``local(node, kids, verts, kid_values)`` for ``vertex_recursion``. It is
+    the largest over the product vertices only; the step is concave along
+    a polytope that is not one point, so the maximum over every measure can
+    lie inside it (``worst_forward_drift_by_golden_section``)."""
+
+    def step(_nid, kids, verts, kid_values):
+        probs = [tree.branch_to(c).prob for c in kids]
+        return max(_drift_step([v / gamma[c] for v, c in zip(vert, kids)], probs, kid_values) for vert in verts)
+
+    return step
+
+
+def _segment_vertices(dprices):
+    """The vertices of {q >= 0, sum q = 1, sum q dS = 0}: the unit mass on a
+    child that does not move the price, and the two-child measure on each
+    pair of opposite moves."""
+    n = len(dprices)
+    verts = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n) if dprices[i] == 0.0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            di, dj = dprices[i], dprices[j]
+            if di * dj < 0.0:
+                v = [0.0] * n
+                v[i], v[j] = dj / (dj - di), -di / (dj - di)
+                verts.append(v)
+    return verts
+
+
+def _hull_max(f, verts):
+    """max of a concave f over the convex hull of ``verts``, by nested
+    golden-section searches: over the hull of v0 and the hull of the rest,
+    max over lam in [0, 1] of the max at (1 - lam) v0 + lam x. The inner
+    maximum is concave in lam, so each search is unimodal."""
+    if len(verts) == 1:
+        return f(verts[0])
+    v0, rest = verts[0], verts[1:]
+
+    def inner(lam):
+        def g(x):
+            return f([(1.0 - lam) * a + lam * b for a, b in zip(v0, x)])
+
+        return -_hull_max(g, rest)
+
+    return -golden_section_min(inner, 0.0, 1.0)[1]
+
+
+def worst_forward_drift_by_golden_section(tree, gamma, a_shift, T):
+    """{node: largest forward drift D to T} over every martingale measure,
+    per node before T: D = a at time T, and at a node the largest drift
+    step, at weights q_c / gamma_c, over its whole one-step polytope, by
+    nested golden-section searches over the polytope's vertices. For trees
+    of at most 3 children per node, where that polytope is a point, a
+    segment or, when no price moves, a triangle."""
+    drift = {w: a_shift[w] for w in tree.nodes_at(T)}
+    for s in range(T - 1, -1, -1):
+        for n in tree.nodes_at(s):
+            branches = tree.branches_of(n)
+            if len(branches) > 3:
+                raise ValueError(f"node {n!r} has more than 3 children")
+            probs = [br.prob for br in branches]
+            kid_values = [drift[br.child] for br in branches]
+            inv = [1.0 / gamma[br.child] for br in branches]
+            verts = _segment_vertices([br.dprice for br in branches])
+            drift[n] = _hull_max(lambda q: _drift_step([x * i for x, i in zip(q, inv)], probs, kid_values), verts)
+    return drift
+
+
 def optimum_gaps(tree, gamma, a_shift, start, T, masses):
     """|D(m) - a_m| per window node m that the minimiser with leaf masses
     ``masses`` reaches, start first, in DFS order: D the forward drift
@@ -1054,16 +1142,11 @@ def optimum_gaps(tree, gamma, a_shift, start, T, masses):
     drift = {}
     interior = tree.window_interior(start, T)
     for m in reversed(interior):
-        kids = tree.children(m)
-        weights = [weight[c] for c in kids]
-        weight[m] = total = sum(weights)
-        value = 0.0
-        for w, br in zip(weights, tree.branches_of(m)):
-            if w > 0.0:
-                q = w / total
-                d = drift[br.child] if br.child in drift else a_shift[br.child]
-                value += q * (d - math.log(q / br.prob))
-        drift[m] = value
+        branches = tree.branches_of(m)
+        weights = [weight[br.child] for br in branches]
+        weight[m] = sum(weights)
+        kid_values = [drift[br.child] if br.child in drift else a_shift[br.child] for br in branches]
+        drift[m] = _drift_step(weights, [br.prob for br in branches], kid_values)
     return {m: abs(drift[m] - a_shift[m]) for m in interior if m == start or weight[m] > 0.0}
 
 

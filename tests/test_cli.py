@@ -281,9 +281,16 @@ def test_tree_scenario_builds_the_field_once_for_the_forward_check(monkeypatch):
 # 5.9e-14 (primal-self-generation) and 6.5e-16 (every other record), the
 # solved shift with them, and the solver evidence in the details; no
 # verdict or worst_node.
+# Re-pinned on purpose again when the forward check's worst drift came to
+# be read from the factor recursion, log C - a, the maximum over every
+# martingale measure, where a pass over the one-step vertices took it over
+# the product vertices only. Only forward-supermartingale values moved:
+# on [0, 1], where the root is trinomial, from -0.0572 to 4.4e-16 (solved)
+# and from -0.157 to -0.1 (root shifted by 0.1); elsewhere by at most
+# 2.0e-14. No verdict or worst_node moved.
 PINNED_TREE_REPORT_SHA256 = {
-    "explicit": "e75ee5f72eec56c5db0cd85b4a4b05a606d7180994f964d4948bfa2410015637",
-    "solve": "ff0bb5d9eb676c2da61aba3f131582e87acb6ddedc7cbc6be1523dfba4403630",
+    "explicit": "58fbd349ee0a11f0bff8c7916d76a66c42ed5d661b5dad8f310dd8184a2924bc",
+    "solve": "7d63f3edb5b3d91e927b9a22b91aed2d51d640438097a8ed3b8edada425d8688",
 }
 PINNED_TREE_SHIFTS = {
     "explicit": lambda tree, field: {"mode": "explicit", "values": field.a_shift},
@@ -623,11 +630,11 @@ def test_tree_scenario_refuses_wealth_outside_the_float_range(tmp_path, capsys):
 def test_tree_scenario_refuses_leaf_shift_outside_the_float_range(tmp_path, capsys, check):
     # a shift of 800 at every node, the leaves' included: the factor e^800
     # overflows a float, but the factor recursion runs in log units. What
-    # leaves the float range is the utility at the grid's wealth 0,
-    # -exp(800 + ...), and the refusal names that wealth. At -800 the
-    # utility underflows to -0.0, which is no refusal: the primal check
-    # reports this constant shift's gap, and the conjugacy check refuses
-    # its optimal dual argument, about e^800
+    # leaves the float range is the utility at the grid's first wealth -2,
+    # where the primal is solved, -exp(800 + ...), and the refusal names
+    # that wealth. At -800 the utility underflows to -0.0, which is no
+    # refusal: the primal check reports this constant shift's gap, and the
+    # conjugacy check refuses its optimal dual argument, about e^800
     tree = binomial_tree()
 
     def doc(a):
@@ -641,7 +648,7 @@ def test_tree_scenario_refuses_leaf_shift_outside_the_float_range(tmp_path, caps
     assert main(["run", write_scenario(tmp_path, doc(800.0))]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: xi=0 at node 'r': the utility is outside the float range\n"
+    assert captured.err == "error: xi=-2 at node 'r': the utility is outside the float range\n"
     code = main(["run", write_scenario(tmp_path, doc(-800.0))])
     err = capsys.readouterr().err
     if check == "conjugacy":
@@ -649,6 +656,26 @@ def test_tree_scenario_refuses_leaf_shift_outside_the_float_range(tmp_path, caps
         assert err.startswith("error: xi=-2 at node 'r': the optimal dual argument or the value is outside")
     else:
         assert (code, err) == (1, "")
+
+
+@pytest.mark.parametrize("check, code", [("primal-self-generation", 1), ("conjugacy", 0)])
+def test_tree_scenario_solves_the_primal_at_the_grids_first_wealth(tmp_path, capsys, check, code):
+    # a shift of 709.9 everywhere: u(0) = -exp(709.9) overflows, u(1) does
+    # not. A grid without 0 is read where it asks, so the primal check
+    # reports this unsolved shift's gap and the conjugacy check passes
+    tree = two_period_tree()
+    doc = tree_doc(
+        a_shift={"mode": "explicit", "values": dict.fromkeys(tree._dfs_order, 709.9)},
+        xi_grid=[1.0],
+        checks=[check],
+    )
+    assert main(["run", write_scenario(tmp_path, doc)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["all_passed"] == (code == 0)
+    if check == "primal-self-generation":
+        assert report["checks"]["primal-self-generation"]["verdict"] == "fail"
 
 
 def overflowing_dual_doc():

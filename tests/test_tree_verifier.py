@@ -1599,6 +1599,7 @@ def _oracle_cases():
 def test_forward_checks_match_enumeration_oracle():
     tol = 1e-6
     rng = np.random.default_rng(4)
+    binomial = missed = 0
     for tree, solved in _oracle_cases():
         pairs = _window_pairs(tree)
         # a gamma drawn at random is not replicable: wide (max, min) ranges
@@ -1612,17 +1613,60 @@ def test_forward_checks_match_enumeration_oracle():
                 assert rec.value == pytest.approx(want, abs=1e-12)
                 assert rec.verdict == (want <= tol)
         for (t, T) in pairs:
-            # the bump below moves a, not gamma: one precondition run covers both
+            # the bumps below move a, not gamma: one precondition run covers all
             oracles.forward_precondition_by_enumeration(tree, solved.gamma, t, T)
-        for field in (solved, with_offsets(solved, {"r": 0.1})):
+        only_binomial = all(len(tree.children(n)) <= 2 for n in tree._dfs_order)
+        binomial += only_binomial
+        step = oracles.worst_vertex_drift_step(tree, solved.gamma)
+        lowered = with_offsets(solved, {"r": -0.1})
+        for field in (solved, with_offsets(solved, {"r": 0.1}), lowered):
             rep_f = check_forward_supermartingale(tree, field, pairs, tol=tol)
-            for (t, T) in pairs:
-                want, _ = oracles.worst_forward_drift_by_enumeration(
-                    tree, field.gamma, field.a_shift, t, T
-                )
-                rec = rep_f[f"forward-supermartingale[t={t},T={T}]"]
-                assert rec.value == pytest.approx(want, abs=1e-12), (tree.horizon, t, T)
-                assert rec.verdict == (want <= tol)
+            a = field.a_shift
+            for T in range(1, tree.horizon + 1):
+                best = oracles.worst_forward_drift_by_golden_section(tree, field.gamma, a, T)
+                table = _window_vertices(tree, T)
+                for t in range(T):
+                    rec = rep_f[f"forward-supermartingale[t={t},T={T}]"]
+                    # the worst product vertex, by the walk per start and (but
+                    # for the lowered twin, to save time) by listing every
+                    # product measure: a lower bound, exact where every
+                    # polytope is a point
+                    walk = oracles.vertex_recursion(tree, t, T, lambda w: a[w], step, table)
+                    vertex = max(d - a[m] for values in walk.values() for m, d in values.items())
+                    if field is not lowered:
+                        listed, _ = oracles.worst_forward_drift_by_enumeration(tree, field.gamma, a, t, T)
+                        assert vertex == pytest.approx(listed, abs=1e-12), (tree.horizon, t, T)
+                    assert rec.value >= vertex - 1e-12, (tree.horizon, t, T)
+                    if only_binomial:
+                        assert rec.value == pytest.approx(vertex, abs=1e-12), (tree.horizon, t, T)
+                    # the worst over every measure, searched over each polytope
+                    want = max(best[m] - a[m] for start in tree.nodes_at(t) for m in tree.window_interior(start, T))
+                    assert abs(rec.value - want) <= 1e-10, (tree.horizon, t, T)
+                    assert rec.verdict == (want <= tol)
+                    missed += rec.verdict != (vertex <= tol)
+    # the suite has binomial-only trees, and windows whose violation lies
+    # inside a polytope, where the worst vertex passes
+    assert binomial > 0 and missed > 0
+
+
+def test_forward_supermartingale_finds_a_violation_inside_the_polytope():
+    # the root of suite_shaped_tree has three children, so its one-step
+    # polytope is a segment. Lowering the solved shift there by 0.1 lets
+    # the shifted log density drift up by 0.1 under some measure inside
+    # that segment, and under neither of its two vertices
+    tree = suite_shaped_tree(5)
+    field = with_offsets(solved_field(tree, 5), {tree.root: -0.1})
+    assert len(tree.children(tree.root)) == 3
+    rep = check_forward_supermartingale(tree, field, _window_pairs(tree))
+    for T in (1, 2):
+        rec = rep[f"forward-supermartingale[t=0,T={T}]"]
+        assert not rec.verdict
+        assert abs(rec.value - 0.1) <= 1e-9
+        assert rec.worst_node == tree.root
+    assert rep["forward-supermartingale[t=1,T=2]"].verdict
+    step = oracles.worst_vertex_drift_step(tree, field.gamma)
+    walk = oracles.vertex_recursion(tree, 0, 1, lambda w: field.a_shift[w], step, _window_vertices(tree, 1))
+    assert walk[tree.root][tree.root] - field.a_shift[tree.root] < 0.0
 
 
 @pytest.mark.parametrize("bumped", [False, True], ids=["solved", "root-bumped"])
@@ -1659,19 +1703,17 @@ def _table_cases():
     rng = np.random.default_rng(37)
     trees = [random_tree(seed, periods=d) for d in (2, 3, 4, 5) for seed in (1, 7)]
     for tree in trees + [starved_tree(), mid_arbitrage_tree()]:
-        drawn = {n: float(rng.uniform(0.5, 2.0)) for n in tree._dfs_order}
-        shift = {n: float(rng.uniform(-1.0, 1.0)) for n in tree._dfs_order}
-        yield tree, drawn, shift
-        yield tree, replicable_gamma(tree, 5)[0], shift
+        yield tree, {n: float(rng.uniform(0.5, 2.0)) for n in tree._dfs_order}
+        yield tree, replicable_gamma(tree, 5)[0]
 
 
 def test_per_window_end_tables_match_the_per_start_walk():
-    # the worst forward drift and the inverse-gamma range, one table per
-    # window end filled down to each window's start level, read bit for bit
-    # as the walk per window and start reads them, at every start and every
-    # charged node; the windows come latest start first, so each fills one
-    # more level, and then earliest first, so each reads a filled table
-    for tree, gamma, a_shift in _table_cases():
+    # the inverse-gamma range, one table per window end filled down to each
+    # window's start level, read bit for bit as the walk per window and
+    # start reads it, at every start and every charged node; the windows
+    # come latest start first, so each fills one more level, and then
+    # earliest first, so each reads a filled table
+    for tree, gamma in _table_cases():
         windows = [(t, T) for T in range(1, tree.horizon + 1) for t in range(T - 1, -1, -1)]
         for order in (windows, sorted(windows)):
             duals = WindowDuals(tree, gamma)
@@ -1679,16 +1721,9 @@ def test_per_window_end_tables_match_the_per_start_walk():
                 table = _window_vertices(tree, T)
                 want = _refusal(oracles.vertex_recursion, tree, t, T, lambda w: 0.0, lambda *args: 0.0, table)
                 if want is not None:
-                    assert _refusal(duals.worst_drift, a_shift, t, T) == want
                     assert _refusal(duals.inverse_gamma_range, t, T) == want
                     continue
-                worst = duals.worst_drift(a_shift, t, T)
                 ranges = duals.inverse_gamma_range(t, T)
-                by_start = oracles.vertex_recursion(
-                    tree, t, T, lambda w: a_shift[w], duals._worst_drift_step, table
-                )
-                for values in by_start.values():
-                    assert all(worst[m] == d for m, d in values.items()), (t, T)
                 by_start = oracles.vertex_recursion(
                     tree, t, T, lambda w: (1.0 / gamma[w],) * 2, tree_verifier._inverse_gamma_step, table
                 )
@@ -1722,33 +1757,35 @@ def test_sweep_drift_matches_the_leaf_mass_oracle(periods):
 
 
 def test_forward_drift_once_per_node_and_window_end(monkeypatch):
-    # a solved scenario on random_tree(3, periods=4), every window: the
-    # worst drift evaluates each feasible node before T once per window end
-    # T, one drift step per vertex, and the sweep to T adds one step per
-    # node at the minimiser; the root-perturbed twin evaluates nothing more
+    # a solved scenario on random_tree(3, periods=4), every window: after
+    # the primal check on the same context, the forward check solves no
+    # factor, as it reads the primal's log C, and the sweep to each window
+    # end T runs one drift step per node before T; the root-perturbed twin
+    # evaluates nothing more
     tree = random_tree(3, periods=4)
     solved = solved_field(tree, 3)
-    evaluated, steps = [], []
-    original_step, original_drift = WindowDuals._worst_drift_step, tree_verifier._forward_drift
+    factors, steps = [], []
+    original_factor, original_drift = tree_verifier.minimize_exp_sum, tree_verifier._forward_drift
 
-    def counted_step(self, nid, kids, verts, kid_values):
-        evaluated.append(nid)
-        return original_step(self, nid, kids, verts, kid_values)
+    def counted_factor(*args):
+        factors.append(1)
+        return original_factor(*args)
 
     def counted_drift(*args):
         steps.append(1)
         return original_drift(*args)
 
-    monkeypatch.setattr(WindowDuals, "_worst_drift_step", counted_step)
+    monkeypatch.setattr(tree_verifier, "minimize_exp_sum", counted_factor)
     monkeypatch.setattr(tree_verifier, "_forward_drift", counted_drift)
     duals = WindowDuals(tree, solved.gamma)
-    tables = {T: _window_vertices(tree, T) for T in range(1, 5)}
-    feasible = sum(len(table) for table in tables.values())
-    vertices = sum(len(rows) for table in tables.values() for _, rows in table.values())
+    pairs = _window_pairs(tree)
+    sweep_nodes = sum(len(tree.nodes_at(s)) for T in range(1, 5) for s in range(T))
     for field in (solved, with_offsets(solved, {tree.root: 0.1})):
-        check_forward_supermartingale(tree, field, _window_pairs(tree), duals=duals)
-        assert len(evaluated) == feasible == sum(len(tree.nodes_at(s)) for T in range(1, 5) for s in range(T))
-        assert len(steps) == vertices + feasible
+        check_self_generation_primal(tree, field, pairs, [0.0], duals=duals)
+        solved_factors = len(factors)
+        check_forward_supermartingale(tree, field, pairs, duals=duals)
+        assert len(factors) == solved_factors == sweep_nodes
+        assert len(steps) == sweep_nodes
 
 
 def _refusal(fn, *args):
@@ -1760,13 +1797,14 @@ def _refusal(fn, *args):
 
 
 def _no_pass(monkeypatch):
-    """Make a vertex pass or a sweep of the forward check fail the test."""
+    """Make a vertex pass, a sweep or the factor recursion fail the test."""
 
     def ran(*args):
-        raise AssertionError("a vertex pass or a sweep ran")
+        raise AssertionError("a vertex pass, a sweep or the factor recursion ran")
 
     monkeypatch.setattr(tree_verifier, "vertex_recursion", ran)
     monkeypatch.setattr(tree_verifier, "_Sweep", ran)
+    monkeypatch.setattr(tree_verifier, "_exponential_factors", ran)
 
 
 def _forward_replication_refusal(tree, gamma):
@@ -1865,7 +1903,11 @@ def test_forward_checks_refuse_infeasible_start():
     want = _refusal(oracles.inverse_gamma_gap_by_enumeration, tree, gamma, 0, 1)
     assert want == (ArbitrageError, "no martingale measure below node 'r'")
     assert _refusal(check_exponential_conditions, tree, ExponentialFieldParams(gamma, a), [(0, 1)]) == want
-    assert _refusal(check_forward_supermartingale, tree, ExponentialFieldParams(gamma, a), [(0, 1)]) == want
+    # the forward check's sweep refuses the node first, before its factor is read
+    assert _refusal(check_forward_supermartingale, tree, ExponentialFieldParams(gamma, a), [(0, 1)]) == (
+        ArbitrageError,
+        "node 'r': no equivalent one-step martingale measure; dual program has no interior point",
+    )
 
 
 # -- grid reads as arrays, against the per-point oracles ------------------
