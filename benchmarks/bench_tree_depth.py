@@ -1,13 +1,15 @@
-"""Depth scaling of the forward checks: per-node recursion against enumeration.
+"""Depth scaling of the forward checks: per-node reads against enumeration.
 
 For ``random_tree(7, periods=d)``, d = 2..6, with its solved field, times
 at the window (0, d):
 
 - ``recursion``: ``check_exponential_conditions`` plus
-  ``check_forward_supermartingale``, as the package runs them;
+  ``check_forward_supermartingale``, as the package runs them, each node
+  once: its one-step inverse-gamma gap, its factor and its one-step dual
+  program, the last two in backward recursions from d;
 - ``enumeration``: the brute-force loops over every product measure that
-  those checks ran before they became per-node recursions (the oracles in
-  ``tests/oracles.py``: inverse-gamma gap, forward precondition, worst
+  those checks ran before they came to read per-node values (the oracles
+  in ``tests/oracles.py``: inverse-gamma gap, forward precondition, worst
   forward drift). The entropy-minimiser parts both versions share are not
   in this figure. Where the window has more product measures than
   ``enumerate_product_measures`` accepts, it is recorded as refused.

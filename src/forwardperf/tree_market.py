@@ -16,15 +16,12 @@ are compositions of one-step choices, and may put mass zero on whole
 subtrees.
 
 The set of those compositions is rectangular: each node picks its one-step
-measure independently of every other node, so its restricted vertices
-depend only on the node and the window's end T (``_window_vertices``), and
-an extremum over it of a conditional expectation, linear in each node's
-measure, is a backward recursion over them, node by node
-(``vertex_recursion``), at O(nodes x vertices); a concave functional,
-such as the forward drift, can peak between the vertices.
-A node's value depends on T and not on the window's start, so the
-recursion runs once per window end, each node once, for every window
-ending there. Listing the products themselves
+measure independently of every other node (Epstein & Schneider,
+"Recursive multiple-priors", JET 2003), with its vertices restricted to
+the children that admit a measure to the window's end T
+(``_window_vertices``). So no check ranges over whole compositions: the
+inverse-gamma records read each node's one-step vertices, one step at a
+time (``tree_verifier``). Listing the products themselves
 (``enumerate_product_measures``) grows exponentially with depth. No check
 uses it: it stays, outside the package namespace, for the brute-force
 oracles of the tests and for perfbench's trace.
@@ -40,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -556,44 +553,6 @@ def _window_vertices(tree: EventTree, T: int) -> dict[str, tuple]:
     return table
 
 
-def vertex_recursion(
-    tree: EventTree,
-    t: int,
-    T: int,
-    local: Callable[..., object],
-    vertices: Mapping[str, tuple],
-    values: dict[str, object],
-) -> dict[str, object]:
-    """Backward recursion over the one-step vertex sets of the windows ending at T.
-
-    A product measure picks one restricted vertex per node, independently,
-    so the extremum over all of them of a conditional expectation is a
-    Bellman recursion over the vertex sets (Epstein & Schneider, "Recursive
-    multiple-priors", JET 2003), at cost O(nodes x vertices). A node's value
-    depends on T and on the vertices below it, not on the window's start,
-    so one table ``values`` serves every window ending at T: it holds the
-    time-T nodes' values and whatever earlier calls filled.
-
-    Each node of levels t..T-1 in the vertex table ``vertices``
-    (``_window_vertices(tree, T)``: the feasible nodes) that ``values``
-    lacks gets ``local(node, kids, verts, kid_values)``, from the values of
-    its charged children ``kids``, level by level from T - 1 down. Returns
-    ``values``. Raises ArbitrageError, before filling anything, when a
-    time-t start admits no martingale measure.
-    """
-    if not (0 <= t <= T <= tree.horizon):
-        raise ValueError(f"bad window [{t}, {T}]")
-    for start in tree.nodes_at(t):
-        if t < T and start not in vertices:
-            raise ArbitrageError(f"no martingale measure below node {start!r}")
-    for s in range(T - 1, t - 1, -1):
-        for nid in tree.nodes_at(s):
-            if nid in vertices and nid not in values:
-                kids, rows = vertices[nid]
-                values[nid] = local(nid, kids, rows, [values[c] for c in kids])
-    return values
-
-
 def enumerate_product_measures(
     tree: EventTree, t: int = 0, T: int | None = None, max_count: int = 200000
 ) -> list[TreeMeasure]:
@@ -601,8 +560,7 @@ def enumerate_product_measures(
 
     A brute-force and diagnostic tool: the count grows exponentially with
     the window depth and is refused above ``max_count``. The checks do not
-    use it; the inverse-gamma range runs ``vertex_recursion`` over the same
-    vertex sets.
+    use it.
 
     Nodes that a choice leaves with zero mass get reference conditionals
     (any choice there leaves the induced measure unchanged). Restricted to

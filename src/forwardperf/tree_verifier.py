@@ -111,6 +111,35 @@ every random variable on a finite tree is integrable; and
 finite. ``check_exponential_conditions`` reports the two that such a
 field can fail: 1/gamma keeps its conditional mean under every martingale
 measure, and the entropy identity.
+
+The inverse-gamma condition holds one step at a time. Write M = 1/gamma.
+The martingale measures of a window compose one-step choices made at
+each node independently, a rectangular set (Epstein & Schneider, JET
+2003), so by the tower property, for such a measure Q and a time-t start n,
+
+    E^Q[M_T | n] - M_n = sum over s = t..T-1 of E^Q[E^Q[M_{s+1} | F_s] - M_s | n],
+
+where at a level-s node k the inner term is sum_c q_c M_c - M_k, q the
+one-step measure Q picks there. That term is linear in q, so its
+extremes over the node's polytope lie at the vertices: with hi_k and
+lo_k the largest and smallest sum_c v_c M_c over them, the node's
+one-step gap, in units of M_k, is
+g_k = gamma_k max(hi_k - M_k, M_k - lo_k) (``_one_step_gap``). Hence the
+gap of [t, T] at n, in units of M_n, is at most
+
+    gamma_n sum over s = t..T-1 of max over the level-s nodes k below n of g_k / gamma_k,
+
+which vanishes when every g_k of levels t..T-1 does. A window with a
+node there that has no equivalent one-step measure is refused, as the
+sweep refuses it (``WindowDuals.centroid``). With one at every node, the
+window's measures reach every node of levels t..T-1 and may pick any
+point of its polytope there, so no g_k is of a node or a vertex the
+window cannot use. The condition then holds on every pair t <= T iff
+every g_k vanishes: the bound gives one direction, and the one-step
+windows [s, s + 1], whose gaps are the g_k, the other. So the record of
+[t, T] reports the largest g_k over its nodes. It can fail where the
+window's own mean holds by cancellation across levels, never where
+every one-step window inside it passes.
 """
 
 from __future__ import annotations
@@ -125,12 +154,7 @@ from .errors import ArbitrageError, ConvergenceError, ReplicationError, WealthRa
 from .fields import ExponentialFieldParams, conjugate_exponential, entropy_kernel
 from .report import CheckRecord, VerificationReport
 from .solvers import barrier_minimize, minimize_exp_sum
-from .tree_market import (
-    EventTree,
-    _window_vertices,
-    node_polytope,
-    vertex_recursion,
-)
+from .tree_market import EventTree, node_polytope
 
 _DUAL_SPLIT = "the dual value is composed from one-step programs"
 _UNREPLICATED = "no portfolio replicates 1/gamma: the dual program does not split, and is not solved"
@@ -271,15 +295,14 @@ class WindowDuals:
 
     - per tree: each node's vertex centroid, refused when the node has no
       equivalent one-step measure (``centroid``), from its one-step
-      polytope, which the tree keeps (``node_polytope``); and the
+      polytope, which the tree keeps (``node_polytope``); each node's
+      one-step inverse-gamma gap (``inverse_gamma_gaps``); and the
       replication of 1/gamma (``replication``);
-    - per T: the vertex table (``vertices``) and the (max, min) range of
-      E^Q[1/gamma_T | node] over the product vertices
-      (``inverse_gamma_range``); and, keyed also by the bits of a_shift at
-      the time-T nodes, the log factor (``factors``), which the primal and
-      forward checks both read, and the sweep of one-step dual programs to
-      T (``sweep``). Each holds the nodes some window ending at T has
-      needed; they depend on the window's end and not on its start;
+    - per T, keyed also by the bits of a_shift at the time-T nodes: the
+      log factor (``factors``), which the primal and forward checks both
+      read, and the sweep of one-step dual programs to T (``sweep``).
+      Each holds the nodes some window ending at T has needed; they
+      depend on the window's end and not on its start;
     - per (t, T), keyed also by the bits of a_shift at the time-T nodes:
       the window's eta = 1 dual value (``dual``), which ``DualResult.at``
       reads at every eta. A shift moved before T (a perturbed root) reads
@@ -300,9 +323,8 @@ class WindowDuals:
         self.gamma = dict(gamma)
         self._centroids: dict[str, np.ndarray | None] = {}
         self._replication: ReplicationResult | None = None
-        self._vertices: dict[int, dict[str, tuple]] = {}
+        self._gaps: dict[str, float] = {}
         self._factors: dict[tuple[int, bytes], tuple[dict, dict]] = {}
-        self._inverse_gamma: dict[int, dict] = {}
         self._sweeps: dict[tuple[int, bytes], _Sweep] = {}
         self._solved: dict[tuple[int, int, bytes], DualResult] = {}
         self._programs: dict[tuple[str, bytes], tuple] = {}
@@ -332,11 +354,6 @@ class WindowDuals:
             self._replication = replicate_inverse_gamma(self.tree, self.gamma)
         return self._replication
 
-    def vertices(self, T: int) -> dict[str, tuple]:
-        if T not in self._vertices:
-            self._vertices[T] = _window_vertices(self.tree, T)
-        return self._vertices[T]
-
     def factors(self, a_shift: Mapping[str, float], T: int) -> tuple[dict, dict]:
         """The (log C, policy) maps of the factor recursion to T that
         ``_exponential_factors`` fills, for this a_shift at the time-T nodes."""
@@ -345,13 +362,20 @@ class WindowDuals:
             self._factors[key] = ({}, {})
         return self._factors[key]
 
-    def inverse_gamma_range(self, t: int, T: int) -> dict[str, tuple]:
-        """Per feasible node of levels t..T, the (max, min) of
-        E^Q[1/gamma_T | node] over the product vertices Q of its window to
-        T (``vertex_recursion``)."""
-        if T not in self._inverse_gamma:
-            self._inverse_gamma[T] = {w: (1.0 / self.gamma[w],) * 2 for w in self.tree.nodes_at(T)}
-        return vertex_recursion(self.tree, t, T, _inverse_gamma_step, self.vertices(T), self._inverse_gamma[T])
+    def inverse_gamma_gaps(self, t: int, T: int) -> dict[str, float]:
+        """The one-step gap (``_one_step_gap``) of each node of levels
+        t..T-1, start by start, in DFS order (``tree.window_interior``);
+        each node's is computed once. A node with no equivalent one-step
+        measure is refused first (``centroid``)."""
+        if not (0 <= t <= T <= self.tree.horizon):
+            raise ValueError(f"bad window [{t}, {T}] for horizon {self.tree.horizon}")
+        window = [m for start in self.tree.nodes_at(t) for m in self.tree.window_interior(start, T)]
+        for m in window:
+            self.centroid(m)
+        for m in window:
+            if m not in self._gaps:
+                self._gaps[m] = _one_step_gap(self.tree, self.gamma, m)
+        return {m: self._gaps[m] for m in window}
 
     def sweep(self, a_shift: Mapping[str, float], t: int, T: int) -> _Sweep:
         """The sweep to T for this a_shift at the time-T nodes, solved down
@@ -990,12 +1014,16 @@ def check_value_conjugacy(
     )
 
 
-def _inverse_gamma_step(_nid, _kids, verts, kid_values):
-    """(max, min) over the vertices of the conditional means of the
-    children's (max, min) ranges."""
-    hi = max(sum(v * c_hi for v, (c_hi, _) in zip(vert, kid_values)) for vert in verts)
-    lo = min(sum(v * c_lo for v, (_, c_lo) in zip(vert, kid_values)) for vert in verts)
-    return hi, lo
+def _one_step_gap(tree, gamma, nid):
+    """gamma_n max(hi - 1/gamma_n, 1/gamma_n - lo) at node n, with hi and lo
+    the largest and smallest sum_c v_c / gamma_c over the vertices v of its
+    one-step polytope: the largest move of the conditional mean of 1/gamma
+    over one step, in units of 1/gamma_n."""
+    kids, rows = node_polytope(tree, nid).charged
+    inv = [1.0 / gamma[c] for c in kids]
+    means = [sum(v * x for v, x in zip(vert, inv)) for vert in rows]
+    inv_n = 1.0 / gamma[nid]
+    return gamma[nid] * max(max(means) - inv_n, inv_n - min(means))
 
 
 def check_exponential_conditions(
@@ -1007,25 +1035,24 @@ def check_exponential_conditions(
 ) -> VerificationReport:
     """The two conditions of the characterization that a validated field
     can fail (see the module docstring), per time pair: preservation of
-    the conditional mean of 1/gamma by every product vertex of the
-    measure polytope, and the entropy identity
-    entropy_kernel(1/gamma) - a/gamma = min entropy.
+    the conditional mean of 1/gamma by every martingale measure, and the
+    entropy identity entropy_kernel(1/gamma) - a/gamma = min entropy.
 
-    The product vertices are not listed: the largest and smallest
-    conditional means of 1/gamma_T over them come from one backward
-    recursion over the one-step vertex sets per window end
-    (``WindowDuals.inverse_gamma_range``), and the gap at a start is the
-    larger distance of either from 1/gamma there, in units of 1/gamma.
-    The entropy minima are the eta = 1 window duals of the field; they and
-    the (max, min) ranges are read from ``duals`` when given.
+    The condition on 1/gamma holds one step at a time (see the module
+    docstring): a window's record is the largest one-step gap, in units of
+    the node's 1/gamma, over its nodes of levels t..T-1, start by start in
+    DFS order (``WindowDuals.inverse_gamma_gaps``). A window with a node
+    there that has no equivalent one-step measure is refused first, with
+    ``ArbitrageError``. A window of no step passes at 0. The entropy minima
+    are the eta = 1 window duals of the field; they and the one-step gaps
+    are read from ``duals`` when given.
     """
     _check_field_type(field)
     duals = _window_duals(duals, tree, field.gamma)
     gamma, a_shift = field.gamma, field.a_shift
     inverse_gamma, entropy = [], []
     for (t, T) in time_pairs:
-        ranges = duals.inverse_gamma_range(t, T)
-        gaps = {n: gamma[n] * max(ranges[n][0] - 1.0 / gamma[n], 1.0 / gamma[n] - ranges[n][1]) for n in tree.nodes_at(t)}
+        gaps = duals.inverse_gamma_gaps(t, T) or dict.fromkeys(tree.nodes_at(t), 0.0)
         inverse_gamma.append(_gap_record(f"exp-condition-inverse-gamma-martingale[t={t},T={T}]", gaps, tol))
         tag = f"exp-condition-entropy-identity[t={t},T={T}]"
         if not duals.replication().feasible:

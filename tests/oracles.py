@@ -32,7 +32,10 @@ from its leaf masses, as the package ran them before, (for the forward
 check's worst drift) the drift step's largest value over a node's one-step
 vertices, as the package took it before it read the factor recursion, and
 nested golden-section searches over each node's whole one-step polytope,
-with no exp-sum solve, (for the density and field paths)
+with no exp-sum solve, (for the inverse-gamma records) the range of the
+conditional mean of 1/gamma over a window's product vertices, by that walk,
+as the package took it before it read one-step gaps, and each node's
+one-step gap over its numpy vertices, (for the density and field paths)
 one whole-matrix numpy expression per quantity, over increments drawn
 here rather than read from the simulation, (for the path export)
 the CSV written row by row from the whole simulation's matrices, or (for
@@ -1076,6 +1079,33 @@ def worst_vertex_drift_step(tree, gamma):
         return max(_drift_step([v / gamma[c] for v, c in zip(vert, kids)], probs, kid_values) for vert in verts)
 
     return step
+
+
+def inverse_gamma_step(_nid, _kids, verts, kid_values):
+    """The inverse-gamma range's step as the package ran it before it read
+    one-step gaps, as ``local(node, kids, verts, kid_values)`` for
+    ``vertex_recursion`` with terminal values (1/gamma_w, 1/gamma_w): the
+    (max, min) over the vertices of the conditional means of the children's
+    (max, min) ranges."""
+    hi = max(sum(v * c_hi for v, (c_hi, _) in zip(vert, kid_values)) for vert in verts)
+    lo = min(sum(v * c_lo for v, (_, c_lo) in zip(vert, kid_values)) for vert in verts)
+    return hi, lo
+
+
+def one_step_inverse_gamma_gaps(tree, gamma):
+    """{node: gamma_n max |sum_c v_c / gamma_c - 1/gamma_n|} over the
+    vertices v of each node's one-step polytope, built by
+    ``numpy_one_step_vertices``, per node before the horizon that has any."""
+    gaps = {}
+    for n in tree._dfs_order:
+        if tree.is_leaf(n):
+            continue
+        branches = tree.branches_of(n)
+        verts = numpy_one_step_vertices([br.dprice for br in branches])
+        if len(verts):
+            means = verts @ np.array([1.0 / gamma[br.child] for br in branches])
+            gaps[n] = float(gamma[n] * np.max(np.abs(means - 1.0 / gamma[n])))
+    return gaps
 
 
 def _segment_vertices(dprices):

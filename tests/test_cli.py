@@ -288,9 +288,15 @@ def test_tree_scenario_builds_the_field_once_for_the_forward_check(monkeypatch):
 # on [0, 1], where the root is trinomial, from -0.0572 to 4.4e-16 (solved)
 # and from -0.157 to -0.1 (root shifted by 0.1); elsewhere by at most
 # 2.0e-14. No verdict or worst_node moved.
+# Re-pinned on purpose again when each exp-condition-inverse-gamma-martingale
+# record came to read the largest one-step gap over its window's nodes,
+# where a backward pass over the one-step vertices took the range of the
+# window's conditional mean over the product vertices. Only those values
+# moved, on windows of two or more steps and in their roll-up: from
+# 3.2e-16 to 2.4e-16 at most, in both reports; no verdict or worst_node.
 PINNED_TREE_REPORT_SHA256 = {
-    "explicit": "58fbd349ee0a11f0bff8c7916d76a66c42ed5d661b5dad8f310dd8184a2924bc",
-    "solve": "7d63f3edb5b3d91e927b9a22b91aed2d51d640438097a8ed3b8edada425d8688",
+    "explicit": "1e0b43f63d76d49d78ec5ba892c2b3badba222b99c192f5949a4f5b418c52f3f",
+    "solve": "90fe5a98ba015659a933dfbc26faeeb567705fc22ed1f12cdca6d2cd4ad90fce",
 }
 PINNED_TREE_SHIFTS = {
     "explicit": lambda tree, field: {"mode": "explicit", "values": field.a_shift},

@@ -19,7 +19,6 @@ from forwardperf.tree_market import (
     one_step_vertices,
     reference_measure,
     validate_tree,
-    vertex_recursion,
 )
 from treegen import (
     binomial_tree,
@@ -376,13 +375,14 @@ def test_density_process_values():
 
 def maximal_support(tree, t, T):
     """Time-T nodes that some martingale measure on [t, T] charges: the
-    terminal nodes below the starts in ``vertex_recursion``'s table."""
+    terminal nodes charged below each start by the walk over the vertex
+    table (``oracles.vertex_recursion``)."""
 
     def local(nid, kids, verts, kid_values):
         return set().union(*kid_values)
 
-    values = vertex_recursion(tree, t, T, local, _window_vertices(tree, T), {w: {w} for w in tree.nodes_at(T)})
-    return set().union(*(values[start] for start in tree.nodes_at(t)))
+    walk = oracles.vertex_recursion(tree, t, T, lambda w: {w}, local, _window_vertices(tree, T))
+    return set().union(*(values[start] for start, values in walk.items()))
 
 
 def test_maximal_support_full_on_nflvr_tree():
@@ -443,6 +443,9 @@ def test_enumerate_product_measures_cap():
 
 
 def test_vertex_recursion_charged_nodes_and_vertices():
+    # the walk over the vertex table (oracles.vertex_recursion) reaches the
+    # nodes charged from each start, and gives each its charged children,
+    # their restricted vertices and their values
     tree = starved_tree()
     calls = []
 
@@ -451,27 +454,26 @@ def test_vertex_recursion_charged_nodes_and_vertices():
         return kids, verts, kid_values
 
     table = _window_vertices(tree, 2)
-    values = {w: w for w in tree.nodes_at(2)}
-    # the window [1, 2] fills level 1 only: u too, though no measure from
-    # the root reaches it
-    assert vertex_recursion(tree, 1, 2, local, table, values) is values
-    assert calls == ["u", "m"]
-    # [0, 2] adds the root, from the level-1 values already there
-    vertex_recursion(tree, 0, 2, local, table, values)
-    assert calls == ["u", "m", "r"]
+    # the window [1, 2] starts at u too, though no measure from the root reaches it
+    walk = oracles.vertex_recursion(tree, 1, 2, lambda w: w, local, table)
+    assert calls == ["u", "m"] and list(walk) == ["u", "m"]
+    # [0, 2] reaches m only, deepest first
+    calls.clear()
+    walk = oracles.vertex_recursion(tree, 0, 2, lambda w: w, local, table)
+    assert calls == ["m", "r"] and list(walk["r"]) == ["r", "m"]
+    values = walk["r"]
     assert values["r"][:2] == (("m",), ((1.0,),))
     kids, verts, kid_values = values["m"]
     assert kids == ("m1", "m2") and kid_values == ["m1", "m2"]
     assert verts == pytest.approx([(0.75, 0.25)], abs=1e-15)
     assert values["r"][2] == [values["m"]]
-    # a window read again, or one of no step, evaluates nothing
-    vertex_recursion(tree, 0, 2, local, table, values)
-    vertex_recursion(tree, 2, 2, local, table, values)
-    assert calls == ["u", "m", "r"]
+    # a window of no step reads the terminal values only
+    assert oracles.vertex_recursion(tree, 2, 2, lambda w: w, local, table) == {w: {w: w} for w in tree.nodes_at(2)}
+    assert calls == ["m", "r"]
     # an infeasible node is never evaluated
     tree = mid_arbitrage_tree()
-    values = vertex_recursion(tree, 0, 2, local, _window_vertices(tree, 2), {w: w for w in tree.nodes_at(2)})
-    assert "a" not in values and values["r"][0] == ("b", "c")
+    walk = oracles.vertex_recursion(tree, 0, 2, lambda w: w, local, _window_vertices(tree, 2))
+    assert "a" not in walk["r"] and walk["r"]["r"][0] == ("b", "c")
 
 
 def test_window_vertices_table():
@@ -503,6 +505,8 @@ def test_window_vertices_table():
 
 
 def test_vertex_recursion_counts_the_enumerated_measures():
+    # the oracles' walk over the vertex table, which the inverse-gamma and
+    # forward tests read, ranges over exactly the listed product measures
     def count(nid, kids, verts, kid_values):
         total = 0
         for v in verts:
@@ -515,16 +519,16 @@ def test_vertex_recursion_counts_the_enumerated_measures():
     for seed in range(6):
         tree = random_tree(seed, periods=3)
         for T in range(4):
-            values = {w: 1 for w in tree.nodes_at(T)}
             for t in range(T, -1, -1):
-                vertex_recursion(tree, t, T, count, _window_vertices(tree, T), values)
+                walk = oracles.vertex_recursion(tree, t, T, lambda w: 1, count, _window_vertices(tree, T))
                 got = 1
-                for start in tree.nodes_at(t):
+                for start, values in walk.items():
                     got *= values[start]
                 assert got == len(enumerate_product_measures(tree, t, T))
 
 
 def test_vertex_recursion_refusals():
+    # the oracles' walk refuses a start that admits no martingale measure
     tree = EventTree.from_dict(
         {
             "horizon": 1,
@@ -535,12 +539,8 @@ def test_vertex_recursion_refusals():
             ],
         }
     )
-    values = {"a": 0.0, "b": 0.0}
     with pytest.raises(ArbitrageError, match="below node 'r'"):
-        vertex_recursion(tree, 0, 1, lambda *args: 0.0, _window_vertices(tree, 1), values)
-    assert values == {"a": 0.0, "b": 0.0}
-    with pytest.raises(ValueError, match="bad window"):
-        vertex_recursion(tree, 1, 0, lambda *args: 0.0, {}, {})
+        oracles.vertex_recursion(tree, 0, 1, lambda w: 0.0, lambda *args: 0.0, _window_vertices(tree, 1))
 
 
 def test_leaf_mass_roundtrip():

@@ -24,6 +24,7 @@ from forwardperf.tree_market import (
     EventTree,
     TreeMeasure,
     _window_vertices,
+    check_nflvr,
     density_process,
     enumerate_product_measures,
     measure_from_leaf_masses,
@@ -1596,22 +1597,114 @@ def _oracle_cases():
         yield tree, solved_field(tree, seed)
 
 
+# gaps of a field whose 1/gamma keeps its mean: a few units in the last place
+ROUNDING = 1e-12
+
+
+def _inverse_gamma_cases():
+    """``_oracle_cases`` with the solved gamma and one drawn at random,
+    which no portfolio replicates (the draws of the enumeration test)."""
+    rng = np.random.default_rng(4)
+    for tree, solved in _oracle_cases():
+        drawn = {n: float(rng.uniform(0.5, 2.0)) for n in tree._dfs_order}
+        for gamma in (solved.gamma, drawn):
+            yield tree, ExponentialFieldParams(gamma, solved.a_shift)
+
+
+def test_inverse_gamma_records_read_the_largest_one_step_gap():
+    # each window's record against the largest one-step gap over the nodes
+    # of its levels t..T-1, built on numpy vertices; a failing record names
+    # a node attaining it
+    for tree, field in _inverse_gamma_cases():
+        want = oracles.one_step_inverse_gamma_gaps(tree, field.gamma)
+        rep = check_exponential_conditions(tree, field, _window_pairs(tree))
+        for t, T in _window_pairs(tree):
+            rec = rep[f"exp-condition-inverse-gamma-martingale[t={t},T={T}]"]
+            worst = max(want[n] for s in range(t, T) for n in tree.nodes_at(s))
+            assert rec.value == pytest.approx(worst, rel=1e-12, abs=1e-13), (t, T)
+            if not rec.verdict:
+                assert want[rec.worst_node] == pytest.approx(worst, rel=1e-12), (t, T)
+
+
+def test_one_step_inverse_gamma_records_keep_their_bits():
+    # on a window of one step the record is the multi-step range's, as the
+    # package took it before it read one-step gaps, bit for bit: the same
+    # polytope entry and the same sums, in the same order
+    for tree, field in _inverse_gamma_cases():
+        gamma = field.gamma
+        rep = check_exponential_conditions(tree, field, [(t, t + 1) for t in range(tree.horizon)])
+        for t in range(tree.horizon):
+            walk = oracles.vertex_recursion(
+                tree, t, t + 1, lambda w: (1.0 / gamma[w],) * 2, oracles.inverse_gamma_step, _window_vertices(tree, t + 1)
+            )
+            gaps = {}
+            for n, values in walk.items():
+                hi, lo = values[n]
+                gaps[n] = gamma[n] * max(hi - 1.0 / gamma[n], 1.0 / gamma[n] - lo)
+            worst = max(gaps.values())
+            rec = rep[f"exp-condition-inverse-gamma-martingale[t={t},T={t + 1}]"]
+            assert rec.value == worst, t
+            assert rec.worst_node == (None if rec.verdict else next(n for n, g in gaps.items() if g == worst))
+
+
+def test_inverse_gamma_records_refuse_a_node_without_an_equivalent_measure(monkeypatch):
+    # a window with such a node at levels t..T-1 is refused before any gap
+    # is read, naming the first in DFS order from each start, whether or
+    # not some measure from the start reaches it (u of starved_tree), as
+    # the sweep refuses it; any other window reads its records
+    def read(*args):
+        raise AssertionError("a one-step gap was read")
+
+    for tree in (starved_tree(), mid_arbitrage_tree()):
+        failing = check_nflvr(tree)[1]["nflvr"].details["failing_nodes"]
+        for gamma in (const_map(tree, 1.0), replicable_gamma(tree, 5)[0]):
+            field = ExponentialFieldParams(gamma, const_map(tree, 0.0))
+            for t, T in _window_pairs(tree):
+                window = [m for start in tree.nodes_at(t) for m in tree.window_interior(start, T)]
+                bad = [m for m in window if m in failing]
+                if not bad:
+                    rep = check_exponential_conditions(tree, field, [(t, T)])
+                    assert f"exp-condition-inverse-gamma-martingale[t={t},T={T}]" in rep
+                    continue
+                with monkeypatch.context() as m:
+                    m.setattr(tree_verifier, "_one_step_gap", read)
+                    assert _refusal(check_exponential_conditions, tree, field, [(t, T)]) == (
+                        ArbitrageError,
+                        f"node {bad[0]!r}: no equivalent one-step martingale measure; dual program has no interior point",
+                    ), (t, T)
+
+
 def test_forward_checks_match_enumeration_oracle():
     tol = 1e-6
     rng = np.random.default_rng(4)
     binomial = missed = 0
     for tree, solved in _oracle_cases():
         pairs = _window_pairs(tree)
-        # a gamma drawn at random is not replicable: wide (max, min) ranges
+        # a gamma drawn at random is not replicable: wide one-step gaps
         drawn = {n: float(rng.uniform(0.5, 2.0)) for n in tree._dfs_order}
         for gamma in (solved.gamma, drawn):
             field = ExponentialFieldParams(gamma, solved.a_shift)
-            rep_e = check_exponential_conditions(tree, field, pairs, tol=tol)
+            duals = WindowDuals(tree, gamma)
+            rep_e = check_exponential_conditions(tree, field, pairs, tol=tol, duals=duals)
             for (t, T) in pairs:
                 want, _ = oracles.inverse_gamma_gap_by_enumeration(tree, gamma, t, T)
                 rec = rep_e[f"exp-condition-inverse-gamma-martingale[t={t},T={T}]"]
-                assert rec.value == pytest.approx(want, abs=1e-12)
+                # the window's gap over every product measure and its
+                # largest one-step gap vanish together, or both fail
+                assert max(rec.value, want) <= ROUNDING or min(rec.value, want) > tol, (t, T)
                 assert rec.verdict == (want <= tol)
+                if T == t + 1:
+                    assert rec.value == pytest.approx(want, abs=ROUNDING)
+                # and the one-step gaps bound the window's (tree_verifier's docstring)
+                gaps = duals.inverse_gamma_gaps(t, T)
+                bound = max(
+                    gamma[n] * sum(
+                        max(gaps[k] / gamma[k] for k in tree.window_interior(n, T) if tree.time_of(k) == s)
+                        for s in range(t, T)
+                    )
+                    for n in tree.nodes_at(t)
+                )
+                assert want <= bound + ROUNDING, (t, T)
         for (t, T) in pairs:
             # the bumps below move a, not gamma: one precondition run covers all
             oracles.forward_precondition_by_enumeration(tree, solved.gamma, t, T)
@@ -1695,42 +1788,6 @@ def test_forward_optimum_matches_density_oracle(periods, bumped):
         assert rec.worst_node == (want_node if want > 1e-6 else None), (t, T)
 
 
-def _table_cases():
-    """Random trees of 2-5 periods with a replicable gamma and a drawn one,
-    and the two trees with arbitrage, where some node before T is
-    infeasible (mid_arbitrage_tree) or feasible but reached by no measure
-    from the root (starved_tree)."""
-    rng = np.random.default_rng(37)
-    trees = [random_tree(seed, periods=d) for d in (2, 3, 4, 5) for seed in (1, 7)]
-    for tree in trees + [starved_tree(), mid_arbitrage_tree()]:
-        yield tree, {n: float(rng.uniform(0.5, 2.0)) for n in tree._dfs_order}
-        yield tree, replicable_gamma(tree, 5)[0]
-
-
-def test_per_window_end_tables_match_the_per_start_walk():
-    # the inverse-gamma range, one table per window end filled down to each
-    # window's start level, read bit for bit as the walk per window and
-    # start reads it, at every start and every charged node; the windows
-    # come latest start first, so each fills one more level, and then
-    # earliest first, so each reads a filled table
-    for tree, gamma in _table_cases():
-        windows = [(t, T) for T in range(1, tree.horizon + 1) for t in range(T - 1, -1, -1)]
-        for order in (windows, sorted(windows)):
-            duals = WindowDuals(tree, gamma)
-            for t, T in order:
-                table = _window_vertices(tree, T)
-                want = _refusal(oracles.vertex_recursion, tree, t, T, lambda w: 0.0, lambda *args: 0.0, table)
-                if want is not None:
-                    assert _refusal(duals.inverse_gamma_range, t, T) == want
-                    continue
-                ranges = duals.inverse_gamma_range(t, T)
-                by_start = oracles.vertex_recursion(
-                    tree, t, T, lambda w: (1.0 / gamma[w],) * 2, tree_verifier._inverse_gamma_step, table
-                )
-                for values in by_start.values():
-                    assert all(ranges[m] == hi_lo for m, hi_lo in values.items()), (t, T)
-
-
 @pytest.mark.parametrize("periods", [2, 3, 4, 5])
 def test_sweep_drift_matches_the_leaf_mass_oracle(periods):
     # the drift at the entropy minimiser, one value per node of the sweep
@@ -1797,12 +1854,12 @@ def _refusal(fn, *args):
 
 
 def _no_pass(monkeypatch):
-    """Make a vertex pass, a sweep or the factor recursion fail the test."""
+    """Make a one-step gap, a sweep or the factor recursion fail the test."""
 
     def ran(*args):
-        raise AssertionError("a vertex pass, a sweep or the factor recursion ran")
+        raise AssertionError("a one-step gap, a sweep or the factor recursion ran")
 
-    monkeypatch.setattr(tree_verifier, "vertex_recursion", ran)
+    monkeypatch.setattr(tree_verifier, "_one_step_gap", ran)
     monkeypatch.setattr(tree_verifier, "_Sweep", ran)
     monkeypatch.setattr(tree_verifier, "_exponential_factors", ran)
 
@@ -1900,14 +1957,15 @@ def test_forward_checks_refuse_infeasible_start():
         }
     )
     gamma, a = const_map(tree, 1.0), const_map(tree, 0.0)
-    want = _refusal(oracles.inverse_gamma_gap_by_enumeration, tree, gamma, 0, 1)
-    assert want == (ArbitrageError, "no martingale measure below node 'r'")
-    assert _refusal(check_exponential_conditions, tree, ExponentialFieldParams(gamma, a), [(0, 1)]) == want
-    # the forward check's sweep refuses the node first, before its factor is read
-    assert _refusal(check_forward_supermartingale, tree, ExponentialFieldParams(gamma, a), [(0, 1)]) == (
+    assert _refusal(oracles.inverse_gamma_gap_by_enumeration, tree, gamma, 0, 1) == (
         ArbitrageError,
-        "node 'r': no equivalent one-step martingale measure; dual program has no interior point",
+        "no martingale measure below node 'r'",
     )
+    # both checks refuse the node as the sweep does: the conditions before
+    # any one-step gap is read, the forward check before its factor is
+    want = (ArbitrageError, "node 'r': no equivalent one-step martingale measure; dual program has no interior point")
+    for check in (check_exponential_conditions, check_forward_supermartingale):
+        assert _refusal(check, tree, ExponentialFieldParams(gamma, a), [(0, 1)]) == want
 
 
 # -- grid reads as arrays, against the per-point oracles ------------------
