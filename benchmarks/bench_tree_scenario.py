@@ -2,8 +2,8 @@
 
 For ``random_tree(7, periods=d)``, d = 2..7, with its solved field given
 explicitly, times ``cli.run_tree_scenario`` on the default scenario: all
-six checks, every (t, T) window, the default xi and eta grids. Depth 7
-(1292 nodes) is the slowest and runs at most 3 repeats.
+five checks, every (t, T) window. Depth 7 (1292 nodes) is the slowest and
+runs at most 3 repeats.
 
 Each repeat runs in a fresh child process, which runs the scenario once
 untimed (imports and first calls) and then times one run. With
@@ -189,7 +189,7 @@ def main():
     doc = {
         "benchmark": "tree_scenario",
         "tree": f"random_tree({SEED}, periods=d), solved_field(tree, {SEED}) given explicitly",
-        "what": "cli.run_tree_scenario on the default scenario: 6 checks, every window",
+        "what": "cli.run_tree_scenario on the default scenario: 5 checks, every window",
         "baseline_src": args.baseline_src,
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),

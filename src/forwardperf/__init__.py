@@ -4,7 +4,8 @@ Two complementary engines share one reporting layer:
 
 - exact checks on finite event trees (backward induction for the primal
   value, one convex program per (window, start) for the dual value,
-  solved at eta = 1, entropy minimization, conjugacy and drift checks);
+  solved at eta = 1, entropy minimization and drift checks, every gap in
+  shift units);
 - Monte Carlo checks on a two-factor diffusion model with piecewise
   constant coefficients, built on a counter-based Gaussian generator and
   fixed-order reductions so every number is reproducible bit for bit

@@ -43,7 +43,6 @@ from .tree_verifier import (
     check_forward_supermartingale,
     check_self_generation_dual,
     check_self_generation_primal,
-    check_value_conjugacy,
     solve_entropy_shift,
 )
 
@@ -53,7 +52,6 @@ TREE_CHECKS = (
     "nflvr",
     "primal-self-generation",
     "dual-self-generation",
-    "conjugacy",
     "exponential-conditions",
     "forward-supermartingale",
 )
@@ -102,10 +100,10 @@ def _seed(obj, source):
     return _integer(obj, source, minimum=0, maximum=U64_MAX)
 
 
-def _number_list(obj, path, min_len=1, strict_min=None):
+def _number_list(obj, path, min_len=1):
     if not isinstance(obj, list) or len(obj) < min_len:
         _fail(path, f"expected a list of at least {min_len} numbers")
-    return [_number(v, f"{path}[{i}]", strict_min=strict_min) for i, v in enumerate(obj)]
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
 
 
 def _integer_list(obj, path, minimum=None):
@@ -277,53 +275,39 @@ def run_tree_scenario(doc, base_dir="."):
             "tree_file",
             "checks",
             "time_pairs",
-            "xi_grid",
-            "eta_grid",
             "tolerance",
         ),
     )
     tree = _tree_from_scenario(doc, base_dir)
     gamma = _gamma_from_scenario(tree, doc["gamma"])
     # one context for the scenario: node data, factor recursions and each
-    # (t, T, eta) dual program are built once, for the shift and all checks
+    # window's eta = 1 dual program are built once, for the shift and all
+    # checks
     duals = WindowDuals(tree, gamma)
     a_shift = _a_shift_from_scenario(tree, gamma, doc["a_shift"], duals)
     field = ExponentialFieldParams(gamma=gamma, a_shift=a_shift)
     checks = _checks_from_scenario(doc, TREE_CHECKS)
     pairs = _time_pairs_from_scenario(doc, tree.horizon)
-    xi_grid = doc.get("xi_grid", [-2.0, -0.5, 0.0, 0.5, 2.0])
-    eta_grid = doc.get("eta_grid", [0.25, 0.5, 1.0, 2.0, 4.0])
-    xi_grid = _number_list(xi_grid, "$.xi_grid")
-    eta_grid = _number_list(eta_grid, "$.eta_grid", strict_min=0)
     tol = _number(doc.get("tolerance", 1e-6), "$.tolerance", strict_min=0.0)
-    windowed = [name for name in checks if name != "nflvr"]
-    if windowed and not pairs:
-        _fail("$.checks", f"{windowed[0]!r} needs a time pair [t, T]; the tree's horizon is 0")
+    # the checks over windows share one signature; each is looked up here,
+    # when the scenario runs, so a binding replaced since import is called
+    windowed = {
+        "primal-self-generation": check_self_generation_primal,
+        "dual-self-generation": check_self_generation_dual,
+        "exponential-conditions": check_exponential_conditions,
+        "forward-supermartingale": check_forward_supermartingale,
+    }
+    needs_pair = [name for name in checks if name in windowed]
+    if needs_pair and not pairs:
+        _fail("$.checks", f"{needs_pair[0]!r} needs a time pair [t, T]; the tree's horizon is 0")
 
     report = VerificationReport()
     for name in checks:
         if name == "nflvr":
             _, rep = check_nflvr(tree)
             report.merge(rep)
-        elif name == "primal-self-generation":
-            report.merge(
-                check_self_generation_primal(tree, field, pairs, xi_grid, tol, duals=duals)
-            )
-        elif name == "dual-self-generation":
-            report.merge(
-                check_self_generation_dual(tree, field, pairs, eta_grid, tol, duals=duals)
-            )
-        elif name == "conjugacy":
-            t1, t2 = pairs[0]
-            report.merge(
-                check_value_conjugacy(
-                    tree, field, t1, t2, xi_grid, eta_grid, tol, duals=duals
-                )
-            )
-        elif name == "exponential-conditions":
-            report.merge(check_exponential_conditions(tree, field, pairs, tol, duals=duals))
-        elif name == "forward-supermartingale":
-            report.merge(check_forward_supermartingale(tree, field, pairs, tol, duals=duals))
+        else:
+            report.merge(windowed[name](tree, field, pairs, tol, duals=duals))
     return report
 
 

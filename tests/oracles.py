@@ -12,9 +12,9 @@ search over that per-eta program and the joint program over unnormalised
 leaf masses the package solved per wealth before it read the infimum from
 the eta = 1 program, (for primal
 self-generation) a fresh ``primal_value`` solve per wealth -- the package's
-own program, so it checks only that one program per window reads the same
-at every wealth -- (for the tree checks' eta and wealth grids) the reads
-one start and one grid point at a time, in 0-d numpy calls and Python
+own program, so it checks only that the gap read once per window, with no
+wealth, is the one every wealth gives -- (for the tree checks' reads) the
+reads one start and one eta at a time, in 0-d numpy calls and Python
 max, as the checks made them before each window's reads became one array
 expression -- (for the per-scenario context of the tree engine) each
 window's primal and dual programs rebuilt by a fresh call, (for the
@@ -704,25 +704,20 @@ def conjugate_primal_by_eta_search(tree, field, t, T, xi_grid, eta_grid, tol=1e-
 
 
 def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6):
-    """``check_self_generation_primal`` as it ran before one primal program
-    per window was read at every wealth: a fresh ``primal_value`` solve at
-    xi = 0 and at each xi of the grid, per window. A record names its worst
-    node only when it fails. Returns the report."""
+    """``check_self_generation_primal``'s records from a fresh
+    ``primal_value`` solve at each wealth of the grid, per window: each
+    start's gap is the largest |log C - a| over the solves, which the
+    check reads once, with no wealth. A record names its worst node only
+    when it fails. Returns the report."""
     report = VerificationReport()
     overall_gap = 0.0
     overall_node = None
     for (t, T) in time_pairs:
-        res = primal_value(tree, field, 0.0, t, T)
-        gaps = {}
-        for n in tree.nodes_at(t):
-            gaps[n] = abs(res.log_factor[n] - field.a_shift[n])
-        value_gap = 0.0
+        gaps = dict.fromkeys(tree.nodes_at(t), 0.0)
         for x in xi_grid:
-            resx = primal_value(tree, field, float(x), t, T)
-            for n in tree.nodes_at(t):
-                ux = resx.values[n]
-                Ux = -math.exp(-field.gamma[n] * float(x) + field.a_shift[n])
-                value_gap = max(value_gap, abs(ux - Ux))
+            res = primal_value(tree, field, float(x), t, T)
+            for n in gaps:
+                gaps[n] = max(gaps[n], abs(res.log_factor[n] - field.a_shift[n]))
         worst_node = max(gaps, key=gaps.get)
         worst = gaps[worst_node]
         if worst > overall_gap:
@@ -735,7 +730,6 @@ def self_generation_primal_per_wealth(tree, field, time_pairs, xi_grid, tol=1e-6
                 target=0.0,
                 tolerance=tol,
                 worst_node=worst_node if worst > tol else None,
-                details={"value_gap": value_gap, "method": "exponential"},
             )
         )
     report.add(
@@ -820,21 +814,16 @@ def entropy_shift_per_node(tree, gamma, terminal_a, duals):
     return a_out
 
 
-def self_generation_dual_per_point(tree, field, time_pairs, eta_grid, duals, tol=1e-6):
-    """``check_self_generation_dual``'s records, read per (eta, start)."""
+def self_generation_dual_per_point(tree, field, time_pairs, duals, tol=1e-6):
+    """``check_self_generation_dual``'s records, with the eta = 1 read and
+    its implied shift taken per start."""
     windows = []
     for (t, T) in time_pairs:
         unit = duals.dual(field, t, T)
-        gaps = {}
-        value_gap = 0.0
-        for e in eta_grid:
-            for n in tree.nodes_at(t):
-                g = field.gamma[n]
-                v = _read_0d(unit, n, e)
-                value_gap = max(value_gap, abs(v - _conjugate_0d(g, field.a_shift[n], e)))
-                if e > 0.0:
-                    a_implied = _implied_shift_0d(g, e, v)
-                    gaps[n] = max(gaps.get(n, 0.0), abs(a_implied - field.a_shift[n]))
+        gaps = {
+            n: abs(_implied_shift_0d(field.gamma[n], 1.0, _read_0d(unit, n, 1.0)) - field.a_shift[n])
+            for n in tree.nodes_at(t)
+        }
         m = unit.inverse_gamma_mean
         windows.append(
             _scalar_gap_record(
@@ -842,7 +831,6 @@ def self_generation_dual_per_point(tree, field, time_pairs, eta_grid, duals, tol
                 gaps,
                 tol,
                 details={
-                    "value_gap": value_gap,
                     "read_certificate": max(abs(m[n] - 1.0 / field.gamma[n]) for n in m),
                     "newton_iterations": unit.newton_iterations,
                     "kkt_residual": unit.kkt_residual,

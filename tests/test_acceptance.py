@@ -156,16 +156,14 @@ def test_criterion_2_one_period_oracles():
 def test_criterion_3_equivalence_suite():
     with criterion(3, "four checks agree on 50 randomized trees"):
         t0 = time.perf_counter()
-        xi_grid = [-1.0, 0.0, 1.0]
-        eta_grid = [0.5, 1.0, 2.0]
         for i, (tree, field) in enumerate(randomized_suite()):
             pairs = [
                 (t1, t2)
                 for t1 in range(tree.horizon)
                 for t2 in range(t1 + 1, tree.horizon + 1)
             ]
-            rep_p = check_self_generation_primal(tree, field, pairs, xi_grid, tol=1e-6)
-            rep_d = check_self_generation_dual(tree, field, pairs, eta_grid, tol=1e-6)
+            rep_p = check_self_generation_primal(tree, field, pairs, tol=1e-6)
+            rep_d = check_self_generation_dual(tree, field, pairs, tol=1e-6)
             rep_e = check_exponential_conditions(tree, field, pairs, tol=1e-6)
             assert rep_p.all_passed, f"tree {i}: {rep_p.to_text()}"
             assert rep_d.all_passed, f"tree {i}: {rep_d.to_text()}"
@@ -174,8 +172,8 @@ def test_criterion_3_equivalence_suite():
             assert rep_f.all_passed, f"tree {i}: {rep_f.to_text()}"
 
             bumped = with_offsets(field, {"r": 0.1})
-            rep_p = check_self_generation_primal(tree, bumped, pairs, xi_grid, tol=1e-6)
-            rep_d = check_self_generation_dual(tree, bumped, pairs, eta_grid, tol=1e-6)
+            rep_p = check_self_generation_primal(tree, bumped, pairs, tol=1e-6)
+            rep_d = check_self_generation_dual(tree, bumped, pairs, tol=1e-6)
             rep_e = check_exponential_conditions(tree, bumped, pairs, tol=1e-6)
             rep_f = check_forward_supermartingale(tree, bumped, [(0, tree.horizon)], tol=1e-6)
             assert not rep_p.all_passed, f"tree {i}: perturbation missed (primal)"

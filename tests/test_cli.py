@@ -148,12 +148,12 @@ def test_tree_scenario_solves_each_window_dual_once(monkeypatch):
     # each of the 3 windows once, at eta = 1, across the shift and the
     # checks: solve_entropy_shift reads the sweep to the horizon and no
     # window, so the dual self-generation check reads the 3 first, in its
-    # order, and the conjugacy eta grid and the entropy minima of the
-    # exponential-condition and forward checks read them again
+    # order, and the entropy minima of the exponential-condition and
+    # forward checks read them again
     assert calls == [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 
 
-def test_tree_scenario_conjugacy_adds_no_solve(monkeypatch):
+def test_tree_scenario_solves_each_one_step_program_once(monkeypatch):
     programs = []
     original = tree_verifier.barrier_minimize
 
@@ -167,9 +167,8 @@ def test_tree_scenario_conjugacy_adds_no_solve(monkeypatch):
     # on the solved field each one-step program is solved once for the
     # whole scenario, a row of a stack: the sweep to the horizon solves one
     # per internal node, and every sweep to an earlier T reads them, as its
-    # shifts at T are the horizon sweep's implied shifts; the conjugacy
-    # check reads both of its directions from the sweep of its window. The
-    # root-perturbed twin moves no shift a sweep reads, so it adds none
+    # shifts at T are the horizon sweep's implied shifts. The root-perturbed
+    # twin moves no shift a sweep reads, so it adds none
     for doc in (tree_doc(), tree_doc(a_shift={"mode": "solve", "terminal": 0.0, "offsets": {"r": 0.1}})):
         programs.clear()
         report = cli.run_tree_scenario(doc)
@@ -294,9 +293,16 @@ def test_tree_scenario_builds_the_field_once_for_the_forward_check(monkeypatch):
 # window's conditional mean over the product vertices. Only those values
 # moved, on windows of two or more steps and in their roll-up: from
 # 3.2e-16 to 2.4e-16 at most, in both reports; no verdict or worst_node.
+# Re-pinned on purpose again when the tree reports came to be in shift
+# units only: the conjugacy check and its two record families left, the
+# primal records lost their value_gap and method details and the dual
+# records their value_gap, and each dual gap is read at eta = 1 only,
+# where it was the largest over the eta grid. The dual-self-generation
+# values moved by at most 1.6e-15; no other value, and no verdict or
+# worst_node, moved.
 PINNED_TREE_REPORT_SHA256 = {
-    "explicit": "1e0b43f63d76d49d78ec5ba892c2b3badba222b99c192f5949a4f5b418c52f3f",
-    "solve": "90fe5a98ba015659a933dfbc26faeeb567705fc22ed1f12cdca6d2cd4ad90fce",
+    "explicit": "159909d0bc6047cc06906d568cdc974456563ede5bf1ce132ff4284e1c04aa14",
+    "solve": "b06ee5335fcd5867983d13ecded32efa6a72a1e3182b0845af1e459e29832c52",
 }
 PINNED_TREE_SHIFTS = {
     "explicit": lambda tree, field: {"mode": "explicit", "values": field.a_shift},
@@ -327,6 +333,23 @@ def test_tree_report_bytes_match_programs_solved_afresh(monkeypatch, a_shift):
     shared = cli.run_tree_scenario(doc).to_json()
     monkeypatch.setattr(cli, "WindowDuals", unshared_duals)
     assert cli.run_tree_scenario(doc).to_json() == shared
+
+
+@pytest.mark.parametrize("a_shift", [*PINNED_TREE_SHIFTS.values(), _randomly_shifted], ids=[*PINNED_TREE_SHIFTS, "random"])
+def test_dual_and_entropy_identity_records_read_one_gap(a_shift):
+    # at eta = 1 the dual self-generation gap is the entropy identity's:
+    # the shift the window's dual value implies against the field's. One
+    # expression under two tags, which the scenario benchmark's judge both
+    # reads: value, verdict and worst_node are equal on every window
+    report = cli.run_tree_scenario(random_tree_doc(a_shift))
+    dual, identity = (
+        {rec.check_tag[len(family):]: rec for rec in report.records() if rec.check_tag.startswith(family)}
+        for family in ("dual-self-generation", "exp-condition-entropy-identity")
+    )
+    assert dual.keys() == identity.keys() and len(dual) == 1 + 10
+    for window, rec in dual.items():
+        other = identity[window]
+        assert (rec.verdict, rec.value, rec.worst_node) == (other.verdict, other.value, other.worst_node), window
 
 
 def test_tree_report_names_a_node_only_on_failing_gap_records():
@@ -381,9 +404,6 @@ def test_every_tree_record_family_fails_in_some_scenario():
             a_shift={"mode": "explicit", "values": dict.fromkeys(arbitrage._dfs_order, 0.0)},
             checks=["nflvr"],
         ),
-        # the conjugacy records compare two computations of one value: they
-        # fail at a tolerance below the rounding between them
-        {**solved, "checks": ["conjugacy"], "tolerance": 1e-300},
     ]
     failing = {
         _family(rec.check_tag)
@@ -464,60 +484,6 @@ def test_tree_scenario_builds_no_whole_tree_measure(monkeypatch, case):
     report = cli.run_tree_scenario(random_tree_doc(PINNED_TREE_SHIFTS[case], periods=3))
     assert "forward-martingale-at-optimum[t=0,T=3]" in report
     assert calls == []
-
-
-def test_tree_scenario_refuses_xi_beyond_float_range(tmp_path, capsys):
-    # at xi = 1000 the optimal dual argument underflows: exit 2, no traceback
-    path = write_scenario(tmp_path, tree_doc(xi_grid=[1000.0], checks=["conjugacy"]))
-    assert main(["run", path]) == 2
-    assert "outside the float range" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "eta_grid, checks, bad",
-    [
-        ([0.0], ["dual-self-generation"], 0),
-        ([-1.0, 1.0], None, 0),
-        ([0.0, 1.0], None, 0),
-        ([1.0, 2.0, -0.5], None, 2),
-    ],
-)
-def test_tree_scenario_refuses_nonpositive_eta(tmp_path, capsys, eta_grid, checks, bad):
-    doc = tree_doc(eta_grid=eta_grid)
-    if checks is not None:
-        doc["checks"] = checks
-    assert main(["run", write_scenario(tmp_path, doc)]) == 2
-    assert f"$.eta_grid[{bad}]: must be > 0" in capsys.readouterr().err
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize(
-    "eta, offsets, checks",
-    [
-        # passed with value 0: the NaN gaps of the dual reads were skipped
-        (1e308, {"r": 0.1}, ["dual-self-generation"]),
-        # a traceback: the dual self-generation check passed, and the
-        # conjugacy record met a NaN gap
-        (1e308, None, None),
-        (1e308, None, ["conjugacy"]),
-        # a traceback: the implied shift is infinite, and the report writer
-        # refused the record
-        (5e-324, None, None),
-    ],
-)
-def test_tree_scenario_refuses_an_eta_outside_the_float_range(tmp_path, capsys, eta, offsets, checks):
-    doc = tree_doc(eta_grid=[eta])
-    if offsets is not None:
-        doc["a_shift"]["offsets"] = offsets
-    if checks is not None:
-        doc["checks"] = checks
-    assert main(["run", write_scenario(tmp_path, doc)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: eta={eta:g} at node 'r': the dual value, its closed-form target "
-        "or the shift it implies is outside the float range\n"
-    )
 
 
 ITO_OUT_OF_RANGE = "its mean, closed-form target or band is outside the float range"
@@ -618,72 +584,6 @@ def nonreplicable_doc(**overrides):
     )
 
 
-def test_tree_scenario_refuses_wealth_outside_the_float_range(tmp_path, capsys):
-    # u(-800) = -exp(800 gamma) C overflows a float
-    doc = tree_doc(
-        tree=binomial_tree().to_dict(),
-        gamma={"mode": "replicate", "gamma0": 1.0, "psi": {"r": 0.1}},
-        xi_grid=[-800.0],
-        checks=["primal-self-generation"],
-    )
-    assert main(["run", write_scenario(tmp_path, doc)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: xi=-800 at node 'r'")
-    assert "outside the float range" in err
-
-
-@pytest.mark.parametrize("check", ["primal-self-generation", "conjugacy"])
-def test_tree_scenario_refuses_leaf_shift_outside_the_float_range(tmp_path, capsys, check):
-    # a shift of 800 at every node, the leaves' included: the factor e^800
-    # overflows a float, but the factor recursion runs in log units. What
-    # leaves the float range is the utility at the grid's first wealth -2,
-    # where the primal is solved, -exp(800 + ...), and the refusal names
-    # that wealth. At -800 the utility underflows to -0.0, which is no
-    # refusal: the primal check reports this constant shift's gap, and the
-    # conjugacy check refuses its optimal dual argument, about e^800
-    tree = binomial_tree()
-
-    def doc(a):
-        return tree_doc(
-            tree=tree.to_dict(),
-            gamma={"mode": "replicate", "gamma0": 1.0, "psi": {"r": 0.1}},
-            a_shift={"mode": "explicit", "values": dict.fromkeys(tree._dfs_order, a)},
-            checks=[check],
-        )
-
-    assert main(["run", write_scenario(tmp_path, doc(800.0))]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: xi=-2 at node 'r': the utility is outside the float range\n"
-    code = main(["run", write_scenario(tmp_path, doc(-800.0))])
-    err = capsys.readouterr().err
-    if check == "conjugacy":
-        assert code == 2
-        assert err.startswith("error: xi=-2 at node 'r': the optimal dual argument or the value is outside")
-    else:
-        assert (code, err) == (1, "")
-
-
-@pytest.mark.parametrize("check, code", [("primal-self-generation", 1), ("conjugacy", 0)])
-def test_tree_scenario_solves_the_primal_at_the_grids_first_wealth(tmp_path, capsys, check, code):
-    # a shift of 709.9 everywhere: u(0) = -exp(709.9) overflows, u(1) does
-    # not. A grid without 0 is read where it asks, so the primal check
-    # reports this unsolved shift's gap and the conjugacy check passes
-    tree = two_period_tree()
-    doc = tree_doc(
-        a_shift={"mode": "explicit", "values": dict.fromkeys(tree._dfs_order, 709.9)},
-        xi_grid=[1.0],
-        checks=[check],
-    )
-    assert main(["run", write_scenario(tmp_path, doc)]) == code
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    report = json.loads(captured.out)
-    assert report["all_passed"] == (code == 0)
-    if check == "primal-self-generation":
-        assert report["checks"]["primal-self-generation"]["verdict"] == "fail"
-
-
 def overflowing_dual_doc():
     # gamma = 1e-306 is valid, but the eta = 1 program's objective
     # overflows: its entropy is not finite
@@ -741,34 +641,44 @@ def test_tree_scenario_runs_a_factor_recursion_at_a_gamma_of_1e_300(tmp_path, ca
     assert report["checks"].keys() == run_json(capsys, ["run", write_scenario(tmp_path, tree_doc())])[1]["checks"].keys()
 
 
-def refuses_without_replication(tmp_path, capsys, monkeypatch, check):
-    # 1/gamma is not replicable, so the primal value has no factor
-    # recursion and the dual value no read at eta other than 1: the check
-    # is refused before anything is solved
+def fail_if_solved(monkeypatch):
+    """Make the primal factor recursion and every dual program fail."""
+
     def fail(*args, **kwargs):
-        raise AssertionError("the primal factor recursion ran")
+        raise AssertionError("a program was solved")
 
     monkeypatch.setattr(tree_verifier, "_exponential_factors", fail)
     monkeypatch.setattr(tree_verifier, "barrier_minimize", fail)
-    doc = nonreplicable_doc(checks=[check])
+
+
+def test_tree_scenario_refuses_primal_without_replication(tmp_path, capsys, monkeypatch):
+    # 1/gamma is not replicable, so the primal value has no factor
+    # recursion: the check is refused before anything is solved
+    fail_if_solved(monkeypatch)
+    doc = nonreplicable_doc(checks=["primal-self-generation"])
     assert main(["run", write_scenario(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "replicates 1/gamma at node 'r'" in err
 
 
-def test_tree_scenario_refuses_conjugacy_without_replication(tmp_path, capsys, monkeypatch):
-    refuses_without_replication(tmp_path, capsys, monkeypatch, "conjugacy")
-
-
-def test_tree_scenario_refuses_primal_without_replication(tmp_path, capsys, monkeypatch):
-    refuses_without_replication(tmp_path, capsys, monkeypatch, "primal-self-generation")
-
-
-def test_tree_scenario_refuses_dual_without_replication(tmp_path, capsys, monkeypatch):
-    # the eta grid is read from each window's eta = 1 program, exact only
-    # when 1/gamma is replicable
-    refuses_without_replication(tmp_path, capsys, monkeypatch, "dual-self-generation")
+def test_tree_scenario_fails_dual_records_without_replication(tmp_path, capsys, monkeypatch):
+    # the dual program splits into one-step programs only when 1/gamma is
+    # replicable; without, the field cannot self-generate, and every dual
+    # record fails with the replication certificate, solving nothing. This
+    # exited 2 while the check read an eta grid, which needs the split
+    fail_if_solved(monkeypatch)
+    doc = nonreplicable_doc(checks=["dual-self-generation"])
+    code, report = run_json(capsys, ["run", write_scenario(tmp_path, doc)])
+    assert code == 1
+    tree = trinomial_tree()
+    certificate = tree_verifier.replicate_inverse_gamma(tree, doc["gamma"]["values"])
+    assert not certificate.feasible
+    assert set(report["checks"]) == {"dual-self-generation", "dual-self-generation[t=0,T=1]"}
+    for rec in report["checks"].values():
+        assert (rec["verdict"], rec["value"], rec["worst_node"]) == ("fail", certificate.residual, "r")
+        assert rec["tolerance"] == certificate.tolerance
+        assert rec["notes"] == [tree_verifier._UNREPLICATED]
 
 
 def test_tree_file_reference(tmp_path, capsys):
@@ -828,6 +738,29 @@ def test_unknown_key_reports_json_path(tmp_path, capsys):
     assert main(["run", path]) == 2
     err = capsys.readouterr().err
     assert "$.xi_gird" in err and "unknown key" in err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"xi_grid": [0.0]}, "$.xi_grid: unknown key"),
+        ({"eta_grid": [1.0]}, "$.eta_grid: unknown key"),
+        (
+            {"checks": ["nflvr", "conjugacy"]},
+            "$.checks[1]: unknown check 'conjugacy'; known: nflvr, primal-self-generation, "
+            "dual-self-generation, exponential-conditions, forward-supermartingale",
+        ),
+    ],
+    ids=["xi_grid", "eta_grid", "conjugacy"],
+)
+def test_tree_scenario_refuses_the_wealth_and_eta_grids_and_conjugacy(tmp_path, capsys, overrides, message):
+    # every tree gap is in shift units, which no wealth or dual argument
+    # moves, and the conjugacy records compared two computations of one
+    # value, which no field fails: the three are unknown, by JSON path
+    assert main(["run", write_scenario(tmp_path, tree_doc(**overrides))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_schema_version_gate(tmp_path, capsys):
@@ -923,12 +856,15 @@ def test_bad_time_pairs(tmp_path, capsys):
 
 def test_horizon_0_tree_refuses_checks_that_need_a_time_pair(tmp_path, capsys):
     # a tree of horizon 0 has no time pair [t, T]: a check over windows would
-    # pass on none, and the conjugacy check reads the first
+    # pass on none
     doc = tree_doc(
         tree={"horizon": 0, "nodes": [{"id": "r", "time": 0}]},
         gamma={"mode": "explicit", "values": {"r": 1.0}},
     )
-    for checks, name in ((None, "primal-self-generation"), (["nflvr", "conjugacy"], "conjugacy")):
+    for checks, name in (
+        (None, "primal-self-generation"),
+        (["nflvr", "forward-supermartingale"], "forward-supermartingale"),
+    ):
         if checks:
             doc["checks"] = checks
         assert main(["run", write_scenario(tmp_path, doc)]) == 2
@@ -1896,22 +1832,15 @@ def test_console_script_installed():
 
 # -- symmetries of the field ---------------------------------------------
 
-SYMMETRY_XI = [-2.0, -0.5, 0.0, 0.5, 2.0]
-SYMMETRY_ETA = [0.25, 0.5, 1.0, 2.0, 4.0]
-
-
 def _symmetry_run(tmp_path, capsys, tree, gamma, a_shift, lam=1.0, c=0.0):
-    """The default scenario with gamma times lam, every shift plus c, the
-    xi grid over lam and the eta grid times lam: its exit code and
-    {tag: (verdict, worst_node, value)}."""
+    """The default scenario with gamma times lam and every shift plus c: its
+    exit code and {tag: (verdict, worst_node, value)}."""
     doc = {
         "schema_version": 1,
         "kind": "tree-verify",
         "tree": tree.to_dict(),
         "gamma": {"mode": "explicit", "values": {n: g * lam for n, g in gamma.items()}},
         "a_shift": {"mode": "explicit", "values": {n: a + c for n, a in a_shift.items()}},
-        "xi_grid": [x / lam for x in SYMMETRY_XI],
-        "eta_grid": [e * lam for e in SYMMETRY_ETA],
     }
     code, report = run_json(capsys, ["run", write_scenario(tmp_path, doc)])
     return code, {tag: (r["verdict"], r.get("worst_node"), r["value"]) for tag, r in report["checks"].items()}
@@ -1921,17 +1850,18 @@ def _symmetry_run(tmp_path, capsys, tree, gamma, a_shift, lam=1.0, c=0.0):
 @pytest.mark.parametrize("seed", [1, 7])
 def test_tree_report_is_invariant_under_the_fields_symmetries(tmp_path, capsys, seed, periods):
     # U = -exp(-gamma x + a): a constant c added to every shift, or gamma
-    # scaled by lam with xi over lam and eta times lam, is the same field in
-    # other units (see the tree_verifier docstring). No oracle is needed:
-    # every exit code, verdict and worst_node equals the unmoved run's, on
-    # a solved, a root-perturbed and a randomly shifted field, and every
-    # gap is within the rounding of the two runs. Each level of a sweep or
-    # of the factor recursion rounds at most 32 terms whose size is at most
+    # scaled by lam, is the same field in other units (see the
+    # tree_verifier docstring), and every gap is in shift units, which
+    # neither moves. No oracle is needed: every exit code, verdict and
+    # worst_node equals the unmoved run's, on a solved, a root-perturbed
+    # and a randomly shifted field, and every gap is within the rounding of
+    # the two runs. c = +-800 puts e^a outside the float range, which no
+    # check evaluates. Each level of a sweep or of the factor recursion
+    # rounds at most 32 terms whose size is at most
     # size = 4 + max|a + c| + |log lam| (the shifts, and log lam through
-    # log gamma and log eta; 4 holds the grids' log eta, the log
-    # probabilities and a step's entropy), and gaps at a start read the
-    # levels below it, so the gaps of the two runs differ by at most
-    # 2 * 32 u size * periods
+    # log gamma; 4 holds the log probabilities and a step's entropy), and
+    # gaps at a start read the levels below it, so the gaps of the two runs
+    # differ by at most 2 * 32 u size * periods
     u = 2.0**-53
     tree = random_tree(seed, periods=periods)
     field = solved_field(tree, seed)
@@ -1941,10 +1871,12 @@ def test_tree_report_is_invariant_under_the_fields_symmetries(tmp_path, capsys, 
         "root": {**field.a_shift, "r": field.a_shift["r"] + 0.1},
         "random": {n: a + float(rng.normal(0.0, 0.3)) for n, a in field.a_shift.items()},
     }
+    moves = [(lam, 0.0) for lam in (1e-200, 1e-12, 1e6, 1e9, 1e12, 1e200)]
+    moves += [(1.0, c) for c in (-800.0, -50.0, 50.0, 800.0)]
     for name, a_shift in shifts.items():
         code, base = _symmetry_run(tmp_path, capsys, tree, field.gamma, a_shift)
         assert code == (0 if name == "solved" else 1)
-        for lam, c in [(lam, 0.0) for lam in (1e-200, 1e-12, 1e6, 1e9, 1e12, 1e200)] + [(1.0, -50.0), (1.0, 50.0)]:
+        for lam, c in moves:
             moved_code, moved = _symmetry_run(tmp_path, capsys, tree, field.gamma, a_shift, lam, c)
             assert moved_code == code, (name, lam, c)
             assert moved.keys() == base.keys()
