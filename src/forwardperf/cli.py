@@ -168,6 +168,13 @@ def _tree_from_scenario(doc, base_dir):
     return EventTree.from_json(path)
 
 
+def _require_gamma_range(path, nid, gamma, inverse):
+    """Refuse a positive gamma when it or its reciprocal ``inverse`` is not
+    finite (gamma below 2^-1024, say): no check can read its field."""
+    if not (math.isfinite(gamma) and math.isfinite(inverse)):
+        _fail(path, f"gamma {gamma!r} at {nid!r} is outside the float range: gamma and 1/gamma must be finite")
+
+
 def _gamma_from_scenario(tree, spec):
     _check_keys(spec, "$.gamma", ("mode",), ("values", "gamma0", "psi"))
     mode = spec["mode"]
@@ -180,11 +187,13 @@ def _gamma_from_scenario(tree, spec):
                 _fail("$.gamma.values", f"no value for node {nid!r}")
             if gamma[nid] <= 0.0:
                 _fail("$.gamma.values", f"gamma must be positive at {nid!r}")
+            _require_gamma_range("$.gamma.values", nid, gamma[nid], 1.0 / gamma[nid])
         return gamma
     if mode == "replicate":
         if "gamma0" not in spec or "psi" not in spec:
             _fail("$.gamma", "replicate mode needs 'gamma0' and 'psi'")
         g0 = _number(spec["gamma0"], "$.gamma.gamma0", strict_min=0.0)
+        _require_gamma_range("$.gamma.gamma0", tree.root, g0, 1.0 / g0)
         psi = _number_map(spec["psi"], "$.gamma.psi")
         inv = {tree.root: 1.0 / g0}
         for nid in tree._dfs_order:
@@ -199,6 +208,7 @@ def _gamma_from_scenario(tree, spec):
                         "$.gamma.psi",
                         f"replicated 1/gamma becomes nonpositive at {br.child!r}",
                     )
+                _require_gamma_range("$.gamma.psi", br.child, 1.0 / val, val)
                 inv[br.child] = val
         return {nid: 1.0 / inv[nid] for nid in inv}
     _fail("$.gamma.mode", f"unknown mode {mode!r}")

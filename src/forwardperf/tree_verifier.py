@@ -54,13 +54,15 @@ children, each child's a its implied shift (c_k = h(m_k) - a m_k). A
 window's value at its start is c_start, and its minimiser is the product
 of the one-step minimisers along each path. So every window ending at T
 is read from one sweep of the one-step programs before T
-(``WindowDuals.sweep``). Error bound: a child's value enters its parent's
-objective as sum_k q_k c_k, a convex combination, so errors of at most e_k
-in the c_k move the parent's minimum by at most max_k e_k: a window's
-entropy is within the largest sum of node bounds (gap bound plus equality
-residual) along a path from its start (``kkt_residual``). Without
-replicability the field cannot self-generate: the dual value refuses it,
-and the dual records fail with the replication certificate.
+(``WindowDuals.sweep``), which carries the shift each c_n implies, read
+off its program in the node's units (``_Sweep._solve``). Error bound, in
+shift units: a child's shift enters its parent's objective through the
+weights q_k gamma_n / gamma_k, a convex combination, so errors of at most
+e_k in the children's shifts move the parent's by at most max_k e_k: a
+window's implied shift is within the largest sum of node bounds (gap bound
+plus equality residual) along a path from its start (``kkt_residual``).
+Without replicability the field cannot self-generate: the dual value
+refuses it, and the dual records fail with the replication certificate.
 
 A one-step program's other inputs (its node's branch probabilities,
 price moves and children's gammas, and the node's vertex centroid where
@@ -151,7 +153,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArbitrageError, ConvergenceError, ReplicationError, WealthRangeError
-from .fields import ExponentialFieldParams, conjugate_exponential, entropy_kernel
+from .fields import ExponentialFieldParams, conjugate_exponential
 from .report import CheckRecord, VerificationReport
 from .solvers import barrier_minimize, minimize_exp_sum
 from .tree_market import EventTree, node_polytope
@@ -190,10 +192,11 @@ class DualResult:
     T: int
     values: dict[str, float]
     eta: Mapping[str, float]
-    # per start, the window's eta = 1 value that .at reads (the minimal
-    # conditional entropy), m = sum_w r*_w / gamma_w at its minimiser r*, r*
-    # as {time-T node: mass given the start}, and the sweep's evidence
+    # per start: the eta = 1 value .at reads (the minimal entropy), its
+    # implied shift, m = sum_w r*_w / gamma_w at the minimiser r*, r* as
+    # {time-T node: mass given the start}, and the sweep's evidence
     entropy: dict[str, float]
+    shift: dict[str, float]
     inverse_gamma_mean: dict[str, float]
     leaf_masses: dict[str, dict[str, float]]
     kkt_residual: dict[str, float]
@@ -208,10 +211,7 @@ class DualResult:
         eta_by_node = _eta_by_node(eta, self.eta)
         nodes = list(eta_by_node)
         values = _dual_read(self, nodes, np.array(list(eta_by_node.values())))
-        return DualResult(
-            self.t, self.T, dict(zip(nodes, values.tolist())), eta_by_node, self.entropy,
-            self.inverse_gamma_mean, self.leaf_masses, self.kkt_residual, self.near_boundary, self.newton_iterations,
-        )
+        return replace(self, values=dict(zip(nodes, values.tolist())), eta=eta_by_node)
 
 
 @dataclass
@@ -247,10 +247,11 @@ def _dual_read(unit, nodes, eta):
     """v(eta) = eta v(1) + eta log(eta) m at ``nodes`` from the eta = 1
     program ``unit``, elementwise over an array ``eta`` that broadcasts
     against them (one eta per node, or a column of grid points), with
-    eta log(eta) taken per eta by ``math.log`` and 0 at eta = 0."""
+    eta log(eta) taken per eta by ``math.log``; 0 at eta = 0, v(1) inf too."""
     eta_log_eta = [e * math.log(e) if e > 0.0 else 0.0 for e in eta.ravel().tolist()]
     m = _at_nodes(unit.inverse_gamma_mean, nodes)
-    return eta * _at_nodes(unit.entropy, nodes) + np.reshape(eta_log_eta, eta.shape) * m
+    with np.errstate(invalid="ignore"):
+        return np.where(eta > 0.0, eta * _at_nodes(unit.entropy, nodes) + np.reshape(eta_log_eta, eta.shape) * m, 0.0)
 
 
 def _require_finite(eta, starts, gaps):
@@ -310,10 +311,10 @@ class WindowDuals:
       the sweeps of the shift construction; one moved at a time-T node
       builds a new sweep;
     - per node, keyed also by the bits of its children's shifts: the
-      outcome of its one-step dual program (minimiser, value, gap bound
-      plus equality residual, iterations and failure), which every sweep
-      meeting those shifts reads (``_Sweep.extend``). A sweep with a
-      moved shift solves only the programs above the move.
+      outcome of its one-step dual program (minimiser, implied shift, its
+      bound, iterations and failure), which every sweep meeting those
+      shifts reads (``_Sweep.extend``). A sweep with a moved shift solves
+      only the programs above the move.
 
     Every entry is what a fresh call returns, bit for bit. The gamma is
     fixed: a check given the context of another tree or gamma refuses it.
@@ -585,12 +586,12 @@ def _one_step_objective(p, gam, ash):
 class _Sweep:
     """The one-step dual programs before T for one a_shift at the time-T
     nodes, solved level by level from T - 1 down (``extend``). Per solved
-    node: its minimiser ``q`` as (child, mass) pairs; the ``entropy`` and m
-    (sum_k q_k m_k) of the window [time(node), T] at it; the ``shift`` its
-    parent reads (implied by that entropy; a_shift at time T); the forward
-    ``drift`` D at the minimiser (``_forward_drift`` at weights q_k m_k;
-    a_shift at time T); the largest sum of node bounds along a path below
-    it (``kkt``) and the Newton iterations summed below it (``newton``)."""
+    node: its minimiser ``q`` as (child, mass) pairs; the ``shift`` the
+    eta = 1 value of [time(node), T] implies there, which its parent's
+    program reads; m (sum_k q_k m_k); the forward ``drift`` D at the
+    minimiser (``_forward_drift`` at weights q_k m_k); the largest sum of
+    node bounds along a path below it (``kkt``) and the Newton iterations
+    summed below it (``newton``). At time T, shift and drift are a_shift."""
 
     def __init__(self, duals, a_shift, T):
         self.duals, self.T, self.level = duals, T, T
@@ -598,24 +599,17 @@ class _Sweep:
         self.shift = {w: float(a_shift[w]) for w in ends}
         self.drift = dict(self.shift)
         self.inverse_gamma_mean = {w: 1.0 / duals.gamma[w] for w in ends}
-        self.kkt, self.newton = dict.fromkeys(ends, 0.0), dict.fromkeys(ends, 0)
-        self.q, self.entropy = {}, {}
+        self.kkt, self.newton, self.q = dict.fromkeys(ends, 0.0), dict.fromkeys(ends, 0), {}
 
     def extend(self, t):
-        """Solve the levels below the lowest solved one down to t; at t = T,
-        the windows of no step read h(m) - a m. A level's programs that the
-        scenario has not solved for their node and children's shifts
-        (``WindowDuals``) are solved as one ``barrier_minimize`` stack per
-        shape (children, and whether a price moves) and kept; then each
-        node's sums are read from its program. A level with a failing
-        program is refused with ConvergenceError, naming the first in tree
-        order."""
+        """Solve the levels below the lowest solved one down to t. A level's
+        programs that the scenario has not solved for their node and
+        children's shifts (``WindowDuals``) are solved as one
+        ``barrier_minimize`` stack per shape (children, and whether a price
+        moves) and kept; then each node's sums are read from its program. A
+        level with a failing program is refused with ConvergenceError,
+        naming the first in tree order."""
         tree, programs = self.duals.tree, self.duals._programs
-        if t == self.T:
-            ends = tree.nodes_at(t)
-            m, a = _at_nodes(self.inverse_gamma_mean, ends), _at_nodes(self.shift, ends)
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.entropy.update(zip(ends, (entropy_kernel(m) - a * m).tolist()))
         for s in range(self.level - 1, t - 1, -1):
             level, groups, failed = tree.nodes_at(s), {}, []
             keys = {n: (n, _at_nodes(self.shift, tree.children(n)).tobytes()) for n in level}
@@ -626,7 +620,7 @@ class _Sweep:
             for nodes in groups.values():
                 programs.update(zip([keys[n] for n in nodes], self._solve(nodes)))
             for n in level:
-                qn, value, bound, iterations, failure = programs[keys[n]]
+                qn, shift, bound, iterations, failure = programs[keys[n]]
                 branches = tree.branches_of(n)
                 pairs = [(br.child, x) for br, x in zip(branches, qn)]
                 weights = [x * self.inverse_gamma_mean[k] for k, x in pairs]
@@ -634,30 +628,28 @@ class _Sweep:
                 where = f"dual program below node {n!r} on [{s}, {self.T}]"
                 if failure is not None and iterations:
                     failed.append(f"{where}: {failure}")
-                elif failure is not None or not (math.isfinite(value) and math.isfinite(m)):
+                elif failure is not None or not (math.isfinite(shift) and math.isfinite(m)):
                     # a failure at the start is an objective out of the float range
-                    failed.append(f"{where} leaves the float range: entropy {value!r}, m {m!r}")
+                    failed.append(f"{where} leaves the float range: shift {shift!r}, m {m!r}")
                 else:
                     kid_drifts = [self.drift[k] for k, _ in pairs]
                     self.drift[n] = _forward_drift(weights, [br.prob for br in branches], kid_drifts)
-                self.q[n], self.entropy[n], self.inverse_gamma_mean[n] = pairs, value, m
+                self.q[n], self.shift[n], self.inverse_gamma_mean[n] = pairs, shift, m
                 self.kkt[n] = bound + max(self.kkt[k] for k, _ in pairs)
                 self.newton[n] = iterations + sum(self.newton[k] for k, _ in pairs)
             if failed:
                 raise ConvergenceError(failed[0])
-            shift = _implied_shift(_at_nodes(self.duals.gamma, level), 1.0, _at_nodes(self.entropy, level))
-            self.shift.update(zip(level, shift.tolist()))
             self.level = s
 
     def _solve(self, nodes):
         """One stack from the nodes' vertex centroids, with rows [1; dprice];
-        per program, its minimiser, value, gap bound plus equality residual,
-        iterations and failure. Each program runs in its node's own scale,
-        at gammas gamma / g (g = gamma_node) and shifts a - top (top their
-        largest): as sum_k q_k g / gamma_k = 1 on the feasible set, that
-        objective is the node's times g, plus log g + top. So it does not
-        change when gamma is scaled or a constant is added to a, and the
-        gap bound is relative to the objective's size, 1/gamma."""
+        per program, its minimiser, implied shift, gap bound plus equality
+        residual, iterations and failure. Each program runs in its node's
+        own scale, at gammas gamma / g (g = gamma_node) and shifts a - top
+        (top their largest): as sum_k q_k g / gamma_k = 1 on the feasible
+        set, its value V' is g c + log g + top, c the node's, so the shift
+        g (h(1/g) - c) is top - 1 - V', free of the scale of gamma and of a,
+        and the program's own bound bounds it."""
         tree, gamma = self.duals.tree, self.duals.gamma
         data = [[(br.prob, gamma[br.child], self.shift[br.child], br.dprice) for br in tree.branches_of(n)] for n in nodes]
         p, gam, ash, dprice = np.array(data).transpose(2, 0, 1)
@@ -670,9 +662,9 @@ class _Sweep:
         # the overflows on the way print no warning
         with np.errstate(over="ignore", invalid="ignore"):
             q, _, info = barrier_minimize(_one_step_objective(p, gam / g_node[:, None], ash - top[:, None]), A, b, r0)
-            value = (info["value"] - top - np.log(g_node)) / g_node
-        kkt = (info["gap_bound"] / g_node + info["eq_residual"]).tolist()
-        return zip(q.tolist(), value.tolist(), kkt, info["iterations"].tolist(), info["failure"])
+            shift = top - 1.0 - info["value"]
+        kkt = (info["gap_bound"] + info["eq_residual"]).tolist()
+        return zip(q.tolist(), shift.tolist(), kkt, info["iterations"].tolist(), info["failure"])
 
     def leaf_masses(self, start):
         """The minimiser's mass on each time-T node below ``start``, in DFS
@@ -718,21 +710,19 @@ def dual_value(
     _require_replication(duals.replication(), _DUAL_SPLIT)
     sweep = duals.sweep(field.a_shift, t, T)
     masses = {s: sweep.leaf_masses(s) for s in starts}
-    entropy, m, kkt, newton = (
-        {s: x[s] for s in starts} for x in (sweep.entropy, sweep.inverse_gamma_mean, sweep.kkt, sweep.newton)
+    shift, m, kkt, newton = (
+        {s: x[s] for s in starts} for x in (sweep.shift, sweep.inverse_gamma_mean, sweep.kkt, sweep.newton)
     )
+    g = _at_nodes(field.gamma, starts)
+    # v(1) = h(1/g) - a/g = (h(1) - a - log g) / g: inf, never NaN, past the float range
+    with np.errstate(over="ignore"):
+        entropy = conjugate_exponential(1.0, _at_nodes(shift, starts) + np.log(g), 1.0) / g
+    entropy = dict(zip(starts, entropy.tolist()))
     near = {s: min(x.values()) < 1e-7 for s, x in masses.items()}
-    return DualResult(t, T, {}, dict.fromkeys(starts, 1.0), entropy, m, masses, kkt, near, newton).at(eta_by_node)
+    return DualResult(t, T, {}, dict.fromkeys(starts, 1.0), entropy, shift, m, masses, kkt, near, newton).at(eta_by_node)
 
 
 # -- entropy -------------------------------------------------------------
-
-
-def _implied_shift(g, eta, v):
-    """The shift a whose exponential slice at risk aversion ``g`` has the
-    dual value ``v`` at ``eta`` > 0: v = entropy_kernel(eta/g) - (eta/g) a
-    solved for a, a = (g/eta) (entropy_kernel(eta/g) - v)."""
-    return (g / eta) * (entropy_kernel(eta / g) - v)
 
 
 def solve_entropy_shift(
@@ -748,13 +738,15 @@ def solve_entropy_shift(
     conditional mean of 1/gamma); else the construction is refused with a
     ``ValueError`` naming the node and the residual. Then sets, level by level,
 
-        a[node] = gamma * (entropy_kernel(1/gamma) - min entropy to horizon).
+        a[node] = top - 1 - V',
 
-    That is the sweep to the horizon (``WindowDuals.sweep``), whose implied
-    shifts are consistent over every window by the dynamic-programming
-    principle of the entropy minimum; it refuses a node with no equivalent
-    one-step measure with ``ArbitrageError``. Through ``duals`` the checks
-    of the scenario read that sweep too.
+    V' the node's one-step program in its units and top its children's
+    largest shift (``_Sweep._solve``): gamma (h(1/gamma) - min entropy to
+    horizon). That is the sweep to the horizon (``WindowDuals.sweep``),
+    whose implied shifts are consistent over every window by the
+    dynamic-programming principle of the entropy minimum; it refuses a node
+    with no equivalent one-step measure with ``ArbitrageError``. Through
+    ``duals`` the checks of the scenario read that sweep too.
     """
     a_term = _per_node(terminal_a, tree.leaves(), "terminal_a")
     for nid in tree._dfs_order:
@@ -808,12 +800,10 @@ def _overall_record(tag, records, tol):
 def _shift_gaps(tree, field, unit, t):
     """|a_implied - a| at each time-t start, in DFS order, with a_implied
     the shift that the window's eta = 1 dual value ``unit`` implies
-    (``_implied_shift``). It vanishes iff the entropy identity holds there,
-    and it is the dual self-generation gap in shift units: v(eta) is read
-    from eta = 1 in closed form, so every eta implies this shift."""
-    starts = tree.nodes_at(t)
-    implied = _implied_shift(_at_nodes(field.gamma, starts), 1.0, _at_nodes(unit.entropy, starts))
-    return dict(zip(starts, np.abs(implied - _at_nodes(field.a_shift, starts)).tolist()))
+    (``DualResult.shift``). It vanishes iff the entropy identity holds
+    there, and it is the dual self-generation gap in shift units: v(eta) is
+    read from eta = 1 in closed form, so every eta implies this shift."""
+    return {n: abs(unit.shift[n] - field.a_shift[n]) for n in tree.nodes_at(t)}
 
 
 def check_self_generation_primal(

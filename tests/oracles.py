@@ -768,7 +768,10 @@ def entropy_kernel(y):
 # entropy kernel (np.log, not math.log), math.log for eta log eta, and
 # Python's max, under which a NaN never replaces the running maximum. The
 # eta = 1 programs and the primal reads are the package's own; only the
-# grid arithmetic and the reductions are redone here.
+# grid arithmetic and the reductions are redone here. The shift a window's
+# eta = 1 value implies is read as the package read it before its dual
+# sweep carried shifts: gamma (h(1/gamma) - v(1)), from the value
+# (``_implied_shift_0d``), where the package reads the sweep's shift.
 
 
 def _conjugate_0d(g, a, e):
@@ -777,6 +780,8 @@ def _conjugate_0d(g, a, e):
 
 
 def _implied_shift_0d(g, e, v):
+    """The shift a whose exponential slice at risk aversion ``g`` has the
+    dual value ``v`` at ``e`` > 0: v = h(e/g) - (e/g) a solved for a."""
     return (g / e) * (entropy_kernel(e / g) - v)
 
 
@@ -802,9 +807,9 @@ def _scalar_overall(tag, records, tol):
 
 
 def entropy_shift_per_node(tree, gamma, terminal_a, duals):
-    """``solve_entropy_shift``'s levels node by node, from the eta = 1
-    programs to the horizon in ``duals``; ``terminal_a`` maps each leaf to
-    its shift."""
+    """``solve_entropy_shift``'s levels node by node, each shift read from
+    the eta = 1 value of its window to the horizon in ``duals``;
+    ``terminal_a`` maps each leaf to its shift."""
     a_out = {w: float(terminal_a[w]) for w in tree.leaves()}
     terminal = ExponentialFieldParams(gamma, {n: a_out.get(n, 0.0) for n in gamma})
     for t in range(tree.horizon - 1, -1, -1):
@@ -816,7 +821,7 @@ def entropy_shift_per_node(tree, gamma, terminal_a, duals):
 
 def self_generation_dual_per_point(tree, field, time_pairs, duals, tol=1e-6):
     """``check_self_generation_dual``'s records, with the eta = 1 read and
-    its implied shift taken per start."""
+    the shift it implies taken per start."""
     windows = []
     for (t, T) in time_pairs:
         unit = duals.dual(field, t, T)
@@ -886,7 +891,8 @@ def value_conjugacy_per_point(tree, field, t, T, xi_grid, eta_grid, duals, tol=1
 
 def entropy_identity_per_node(tree, gamma, a_shift, time_pairs, duals, tol=1e-6):
     """``check_exponential_conditions``' entropy-identity records, per
-    window and the roll-up, with the gap taken per start."""
+    window and the roll-up, with the gap taken per start from the shift
+    the eta = 1 value implies."""
     field = ExponentialFieldParams(gamma, a_shift)
     records = []
     for (t, T) in time_pairs:

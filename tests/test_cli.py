@@ -4,7 +4,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import shutil
 import subprocess
@@ -300,9 +299,17 @@ def test_tree_scenario_builds_the_field_once_for_the_forward_check(monkeypatch):
 # where it was the largest over the eta grid. The dual-self-generation
 # values moved by at most 1.6e-15; no other value, and no verdict or
 # worst_node, moved.
+# Re-pinned on purpose again when the dual sweep came to carry each node's
+# implied shift, top - 1 - V' of its program in the node's units, where it
+# carried the entropy and read the shift back from it, and kkt_residual
+# came to be in shift units. The solved shift moved in its last bits, and
+# the programs that read it with it. Values moved by at most 7.8e-16 in
+# both reports (the primal, dual, entropy-identity and both forward
+# families), the kkt_residual and read_certificate details with them; no
+# verdict or worst_node.
 PINNED_TREE_REPORT_SHA256 = {
-    "explicit": "159909d0bc6047cc06906d568cdc974456563ede5bf1ce132ff4284e1c04aa14",
-    "solve": "b06ee5335fcd5867983d13ecded32efa6a72a1e3182b0845af1e459e29832c52",
+    "explicit": "5934fd534cd3a7c0f243ecf8448c012a1accd148dfd13538b98295e431d60ed0",
+    "solve": "d88b4b08777c53ba497dad65a68bd18c48f18711f31951604e5a2a9791c6039e",
 }
 PINNED_TREE_SHIFTS = {
     "explicit": lambda tree, field: {"mode": "explicit", "values": field.a_shift},
@@ -584,26 +591,70 @@ def nonreplicable_doc(**overrides):
     )
 
 
-def overflowing_dual_doc():
-    # gamma = 1e-306 is valid, but the eta = 1 program's objective
-    # overflows: its entropy is not finite
-    tree = binomial_tree()
+def constant_gamma_doc(tree, g, a_shift=None):
+    """The default scenario on ``tree`` at the constant gamma ``g``, with the
+    solved shift of terminal 0, or the explicit shift ``a_shift`` at every
+    node."""
+    shift = {"mode": "solve", "terminal": 0.0}
+    if a_shift is not None:
+        shift = {"mode": "explicit", "values": dict.fromkeys(tree._dfs_order, a_shift)}
     return tree_doc(
         tree=tree.to_dict(),
-        gamma={"mode": "explicit", "values": {n: 1e-306 for n in tree._dfs_order}},
-        a_shift={"mode": "solve", "terminal": 0.0},
+        gamma={"mode": "explicit", "values": dict.fromkeys(tree._dfs_order, g)},
+        a_shift=shift,
     )
 
 
+def overflowing_dual_doc():
+    # shifts of 1e308 and -1e308 below the root: their difference, which
+    # the root's one-step program reads in its node's units, overflows, so
+    # the program's objective leaves the float range at its start
+    doc = constant_gamma_doc(binomial_tree(), 1.0, 0.0)
+    doc["a_shift"]["values"].update(u=1e308, d=-1e308)
+    return dict(doc, checks=["dual-self-generation"])
+
+
 OVERFLOWING_DUAL_ERROR = (
-    "error: dual program below node 'r' on [0, 1] leaves the float range: entropy inf, m 1e+306\n"
+    "error: dual program below node 'r' on [0, 1] leaves the float range: shift -inf, m 1.0\n"
 )
+
+
+def run_with_warnings_printed(tmp_path, doc):
+    """``forwardperf run`` on ``doc`` in a process of its own, where
+    warnings print to stderr."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(forwardperf.__file__).parents[1]),
+        PYTHONWARNINGS="default",
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "forwardperf", "run", write_scenario(tmp_path, doc)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("g", [1e-306, 1e-307, 1e-308])
+@pytest.mark.parametrize("tree", [binomial_tree, two_period_tree])
+def test_tree_scenario_runs_a_gamma_at_the_float_range_end(tmp_path, capsys, tree, g):
+    # the dual sweep carries shifts, in each node's units, so a gamma down
+    # to the float range's end runs, where the eta = 1 value h(1/gamma) -
+    # a/gamma overflows: the solved shift passes every check, and a = 0
+    # fails with a report; neither warns
+    tree = tree()
+    code, report = run_json(capsys, ["run", write_scenario(tmp_path, constant_gamma_doc(tree, g))])
+    assert (code, report["all_passed"]) == (0, True)
+    code, report = run_json(capsys, ["run", write_scenario(tmp_path, constant_gamma_doc(tree, g, 0.0))])
+    assert (code, report["all_passed"]) == (1, False)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tree_scenario_refuses_a_dual_program_outside_the_float_range(tmp_path, capsys):
-    # the shift solve is refused with exit 2 where it used to end in a
-    # traceback, and the program's overflows warn nothing
+    # refused with exit 2, and the program's overflows warn nothing
     assert main(["run", write_scenario(tmp_path, overflowing_dual_doc())]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -611,22 +662,43 @@ def test_tree_scenario_refuses_a_dual_program_outside_the_float_range(tmp_path, 
 
 
 def test_refused_dual_program_prints_only_its_error_line(tmp_path):
-    # in a process of its own, where warnings print to stderr
-    env = dict(
-        os.environ,
-        PYTHONPATH=str(Path(forwardperf.__file__).parents[1]),
-        PYTHONWARNINGS="default",
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "forwardperf", "run", write_scenario(tmp_path, overflowing_dual_doc())],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == OVERFLOWING_DUAL_ERROR
+    proc = run_with_warnings_printed(tmp_path, overflowing_dual_doc())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", OVERFLOWING_DUAL_ERROR)
+
+
+def test_gamma_at_the_float_range_end_prints_no_warning(tmp_path):
+    proc = run_with_warnings_printed(tmp_path, constant_gamma_doc(two_period_tree(), 1e-308))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["all_passed"] is True
+
+
+def _replicated(gamma0, psi):
+    return {"mode": "replicate", "gamma0": gamma0, "psi": {"r": psi}}
+
+
+@pytest.mark.parametrize(
+    "gamma, a_shift, error",
+    [
+        # 1/gamma overflows, with the solved shift and with a = 0
+        (1e-310, None, "$.gamma.values: gamma 1e-310 at 'r'"),
+        (5e-324, 0.0, "$.gamma.values: gamma 5e-324 at 'r'"),
+        # a replicated 1/gamma of 1e-310 at a child: its gamma overflows
+        (_replicated(1e308, -0.99e-308), 0.0, "$.gamma.psi: gamma inf at 'u'"),
+        # the replicated 1/gamma overflows, and the gamma underflows to 0
+        (_replicated(1e-308, 1e308), 0.0, "$.gamma.psi: gamma 0.0 at 'u'"),
+        (_replicated(1e-310, 0.0), 0.0, "$.gamma.gamma0: gamma 1e-310 at 'r'"),
+    ],
+    ids=["explicit-1e-310", "explicit-5e-324", "replicated-gamma-inf", "replicated-gamma-0", "gamma0-1e-310"],
+)
+def test_tree_scenario_refuses_a_gamma_outside_the_float_range(tmp_path, gamma, a_shift, error):
+    # refused as the scenario is read, with one error line, naming the
+    # JSON path and the node, and no warning
+    tree = binomial_tree()
+    doc = constant_gamma_doc(tree, 1.0, a_shift)
+    doc["gamma"] = gamma if isinstance(gamma, dict) else constant_gamma_doc(tree, gamma)["gamma"]
+    proc = run_with_warnings_printed(tmp_path, doc)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {error} is outside the float range: gamma and 1/gamma must be finite\n"
 
 
 def test_tree_scenario_runs_a_factor_recursion_at_a_gamma_of_1e_300(tmp_path, capsys):
@@ -1856,12 +1928,14 @@ def test_tree_report_is_invariant_under_the_fields_symmetries(tmp_path, capsys, 
     # worst_node equals the unmoved run's, on a solved, a root-perturbed
     # and a randomly shifted field, and every gap is within the rounding of
     # the two runs. c = +-800 puts e^a outside the float range, which no
-    # check evaluates. Each level of a sweep or of the factor recursion
-    # rounds at most 32 terms whose size is at most
-    # size = 4 + max|a + c| + |log lam| (the shifts, and log lam through
-    # log gamma; 4 holds the log probabilities and a step's entropy), and
-    # gaps at a start read the levels below it, so the gaps of the two runs
-    # differ by at most 2 * 32 u size * periods
+    # check evaluates, and lam = 1e-306 puts the eta = 1 value
+    # h(1/gamma) - a/gamma there, which no check reads. Each level of a
+    # sweep or of the factor recursion rounds at most 32 terms whose size
+    # is at most size = 4 + max|a + c| (the shifts; 4 holds the log
+    # probabilities and a step's entropy; each program runs in its node's
+    # units, so no log gamma, and no log lam, enters), and gaps at a start
+    # read the levels below it, so the gaps of the two runs differ by at
+    # most 2 * 32 u size * periods
     u = 2.0**-53
     tree = random_tree(seed, periods=periods)
     field = solved_field(tree, seed)
@@ -1871,7 +1945,7 @@ def test_tree_report_is_invariant_under_the_fields_symmetries(tmp_path, capsys, 
         "root": {**field.a_shift, "r": field.a_shift["r"] + 0.1},
         "random": {n: a + float(rng.normal(0.0, 0.3)) for n, a in field.a_shift.items()},
     }
-    moves = [(lam, 0.0) for lam in (1e-200, 1e-12, 1e6, 1e9, 1e12, 1e200)]
+    moves = [(lam, 0.0) for lam in (1e-306, 1e-200, 1e-12, 1e6, 1e9, 1e12, 1e200, 1e306)]
     moves += [(1.0, c) for c in (-800.0, -50.0, 50.0, 800.0)]
     for name, a_shift in shifts.items():
         code, base = _symmetry_run(tmp_path, capsys, tree, field.gamma, a_shift)
@@ -1880,7 +1954,7 @@ def test_tree_report_is_invariant_under_the_fields_symmetries(tmp_path, capsys, 
             moved_code, moved = _symmetry_run(tmp_path, capsys, tree, field.gamma, a_shift, lam, c)
             assert moved_code == code, (name, lam, c)
             assert moved.keys() == base.keys()
-            bound = 64 * u * (4.0 + max(abs(a + c) for a in a_shift.values()) + abs(math.log(lam))) * periods
+            bound = 64 * u * (4.0 + max(abs(a + c) for a in a_shift.values())) * periods
             for tag, (verdict, node, value) in base.items():
                 assert moved[tag][:2] == (verdict, node), (name, lam, c, tag)
                 if value is not None:
