@@ -1,21 +1,34 @@
-"""Monte Carlo statistics: time and minor page faults of ``gather`` and ``reduce``.
+"""Monte Carlo statistics: time, page faults and memory of ``gather`` and ``reduce``.
 
-Runs the default ``ito-verify`` suite's Monte Carlo checks on the README
-model (antithetic paths x 64 steps, seed 77) at 50k, 100k and 400k paths,
-one ``MonteCarloPass`` per point, simulated in runs of at most
-``cli.DRAW_BUDGET`` stream-intervals as ``cli.run_ito_scenario`` does.
-Every repeat runs in a fresh process, so the page faults are the ones a
-command-line run takes: it records the wall time and the minor page
-faults (``ru_minflt``, from ``getrusage`` in the same process) of the
-``gather`` calls with the fields they read (summed over the runs, without
-the simulation) and of ``reduce``, and the SHA-256 of the report, which
-must not change between repeats. A pass that builds the fields itself
-does so inside ``gather``; for a source tree whose ``gather`` is handed
-them, the ``build_forward_exponential`` call is timed with it.
+Runs ``MonteCarloPass`` once per point, simulated in runs of at most
+``cli.DRAW_BUDGET`` stream-intervals as ``cli.run_ito_scenario`` does,
+64 steps, seed 77, at these points:
+
+- the default suite of Monte Carlo checks on the README model
+  (antithetic paths, delta = 0) at 50k, 100k and 400k paths;
+- the same at 100k paths on the README model with delta = 0.2 on its
+  first piece, where 1/gamma varies by path and the pass keeps it per
+  path;
+- ``inverse-gamma-mean`` alone on the README model at 100k plain paths,
+  as the chunked benchmark workload runs it.
+
+Every repeat runs in a fresh process, so the page faults and the peak
+resident set are the ones a command-line run takes. The process makes
+two passes over the same simulation. The first records the wall time and
+the minor page faults (``ru_minflt``, from ``getrusage`` in the same
+process) of the ``gather`` calls (summed over the runs, without the
+simulation) and of ``reduce``, and then the process's peak resident set
+(``ru_maxrss``). The second runs under ``tracemalloc`` and records the
+traced peak of each ``gather`` call above the memory traced when it
+starts (the largest over the runs; the first run's allocates the pass's
+arrays), the memory the pass holds once the last run's bundle is
+dropped, and the traced peak of ``reduce`` above that. Both passes must
+write the same report, and its SHA-256 must not change between repeats.
 
 With ``--baseline-src`` a second source tree (say, the ``src`` of a
 checkout of the parent commit) is measured too, alternating with this one
-point by point, into ``baseline_rows``.
+point by point, into ``baseline_rows``. Each tree is recorded by the
+SHA-256 of its sources (``provenance.source_sha256``), not by its path.
 
 In this process it also times, in the same session, the kernels the
 statistics run on against the ones they replaced, kept in
@@ -32,7 +45,6 @@ Writes the median and spread (min, max) of the repeats as JSON. Usage:
 import argparse
 import datetime
 import hashlib
-import inspect
 import json
 import os
 import platform
@@ -41,13 +53,13 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
-POINTS = (50_000, 100_000, 400_000)
 SEED = 77
 N_STEPS = 64
-MODEL = dict(
+README = dict(
     horizon=1.0,
     breakpoints=(0.0, 0.5),
     theta=(0.5, 0.5),
@@ -55,83 +67,108 @@ MODEL = dict(
     phi=(0.3, 0.0),
     rho=(0.1, 0.1),
 )
+MODELS = {"readme": README, "readme+delta": dict(README, delta=(0.2, 0.0))}
+# checks -> antithetic pairing; "suite" is every Monte Carlo check
+CHECKS = {"suite": True, "inverse-gamma-mean": False}
+POINTS = (
+    ("readme", "suite", 50_000),
+    ("readme", "suite", 100_000),
+    ("readme", "suite", 400_000),
+    ("readme+delta", "suite", 100_000),
+    ("readme", "inverse-gamma-mean", 100_000),
+)
 
 
 def _minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def child(n_paths):
-    """One pass over ``n_paths`` antithetic paths, printed as a JSON line."""
+def child(n_paths, model, checks):
+    """Two passes over ``n_paths`` paths of ``model``, printed as a JSON
+    line: timed and counted, then traced."""
     from forwardperf import cli
-    from forwardperf.ito_engine import (
-        CoefficientSpec,
-        build_forward_exponential,
-        simulate_paths,
-    )
+    from forwardperf.ito_engine import CoefficientSpec, simulate_paths
     from forwardperf.kernels import Workspace
     from forwardperf.mc_verifier import MC_CHECKS, MonteCarloPass
 
-    spec = CoefficientSpec(**MODEL)
-    params = inspect.signature(MonteCarloPass).parameters
-    builds_fields = "gamma0" in params
-    if builds_fields:
-        mc = MonteCarloPass(spec, N_STEPS, n_paths, MC_CHECKS, 1.0, 0.0, True)
-    elif "n_paths" in params:  # a source tree from before the pass built the fields
-        mc = MonteCarloPass(spec, N_STEPS, n_paths, MC_CHECKS)
-    else:  # a source tree from before the pass was told its path count
-        mc = MonteCarloPass(spec, N_STEPS, MC_CHECKS)
-    columns = mc.simulated_columns
-    work = Workspace()
-    gather_s = 0.0
-    gather_minflt = 0
-    runs = cli._stream_runs([(0, n_paths // 2)], len(columns) - 1)
-    for lo, hi in runs:
-        bundle = simulate_paths(
-            spec, N_STEPS, 2 * (hi - lo), SEED, stream_offset=lo, work=work, columns=columns
-        )
+    spec = CoefficientSpec(**MODELS[model])
+    antithetic = CHECKS[checks]
+    names = MC_CHECKS if checks == "suite" else [checks]
+    per = 2 if antithetic else 1  # paths per stream
+
+    def one_pass(gathered):
+        """The pass with every run gathered, and its run count;
+        ``gathered(call)`` makes each ``gather`` call."""
+        mc = MonteCarloPass(spec, N_STEPS, n_paths, names, 1.0, 0.0, antithetic)
+        columns = mc.simulated_columns
+        work = Workspace()
+        runs = cli._stream_runs([(0, n_paths // per)], len(columns) - 1)
+        for lo, hi in runs:
+            bundle = simulate_paths(
+                spec, N_STEPS, per * (hi - lo), SEED, antithetic=antithetic, stream_offset=lo,
+                work=work, columns=columns,
+            )
+            gathered(lambda: mc.gather(bundle))
+        del bundle, work
+        return mc, len(runs)
+
+    row = {"gather_s": 0.0, "gather_minflt": 0}
+
+    def timed(call):
         faults = _minflt()
         t0 = time.perf_counter()
-        if builds_fields:
-            mc.gather(bundle)
-        else:
-            mc.gather(bundle, build_forward_exponential(spec, 1.0, 0.0, bundle, mc.columns))
-        gather_s += time.perf_counter() - t0
-        gather_minflt += _minflt() - faults
-    del bundle, work
+        call()
+        row["gather_s"] += time.perf_counter() - t0
+        row["gather_minflt"] += _minflt() - faults
+
+    mc, row["runs"] = one_pass(timed)
     faults = _minflt()
     t0 = time.perf_counter()
     report = mc.reduce()
-    reduce_s = time.perf_counter() - t0
-    reduce_minflt = _minflt() - faults
+    row["reduce_s"] = time.perf_counter() - t0
+    row["reduce_minflt"] = _minflt() - faults
+    row["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     text = report.to_json()
-    print(
-        json.dumps(
-            {
-                "gather_s": gather_s,
-                "gather_minflt": gather_minflt,
-                "reduce_s": reduce_s,
-                "reduce_minflt": reduce_minflt,
-                "runs": len(runs),
-                "records": len(report),
-                "report_sha256": hashlib.sha256(text.encode()).hexdigest(),
-            }
-        )
-    )
+    del mc, report
+
+    row["gather_peak_kb"] = 0.0
+
+    def traced(call):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - held
+        row["gather_peak_kb"] = max(row["gather_peak_kb"], peak / 1024.0)
+
+    tracemalloc.start()
+    try:
+        mc, _ = one_pass(traced)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = mc.reduce()
+        row["reduce_peak_kb"] = (tracemalloc.get_traced_memory()[1] - held) / 1024.0
+    finally:
+        tracemalloc.stop()
+    row["held_kb"] = held / 1024.0
+    if report.to_json() != text:
+        raise RuntimeError("the traced pass wrote another report")
+    row["records"] = len(report)
+    row["report_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    print(json.dumps(row))
 
 
 def _spread(values):
     return {"median": statistics.median(values), "min": min(values), "max": max(values)}
 
 
-def measure(src, n_paths, repeat):
+def measure(src, n_paths, repeat, model="readme", checks="suite"):
     """One point in ``repeat`` fresh processes that import the package
     from ``src``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     samples = []
     for _ in range(repeat):
         out = subprocess.run(
-            [sys.executable, __file__, "--child", str(n_paths)],
+            [sys.executable, __file__, "--child", str(n_paths), model, checks],
             env=env,
             check=True,
             capture_output=True,
@@ -140,9 +177,19 @@ def measure(src, n_paths, repeat):
         samples.append(json.loads(out.stdout))
     digests = {r["report_sha256"] for r in samples}
     if len(digests) != 1:
-        raise RuntimeError(f"reports differ between repeats at {n_paths} paths")
-    row = {"n_paths": n_paths, "runs": samples[0]["runs"], "repeats": repeat}
-    for key in ("gather_s", "gather_minflt", "reduce_s", "reduce_minflt"):
+        raise RuntimeError(f"reports differ between repeats at {model}, {checks}, {n_paths} paths")
+    row = {
+        "model": model,
+        "checks": checks,
+        "antithetic": CHECKS[checks],
+        "n_paths": n_paths,
+        "runs": samples[0]["runs"],
+        "repeats": repeat,
+    }
+    for key in (
+        "gather_s", "gather_minflt", "reduce_s", "reduce_minflt", "maxrss_mb",
+        "gather_peak_kb", "held_kb", "reduce_peak_kb",
+    ):
         row[key] = _spread([r[key] for r in samples])
     row["records"] = samples[0]["records"]
     row["report_sha256"] = digests.pop()
@@ -199,40 +246,51 @@ def main():
     parser.add_argument("--repeat", type=int, default=5, help="fresh processes per point")
     parser.add_argument("--baseline-src", help="a second source tree to measure beside this one")
     parser.add_argument("--out", default="BENCH_mc_reduce.json", help="JSON output path")
-    parser.add_argument("--child", type=int, metavar="N_PATHS", help=argparse.SUPPRESS)
+    parser.add_argument(
+        "--child", nargs=3, metavar=("N_PATHS", "MODEL", "CHECKS"), help=argparse.SUPPRESS
+    )
     args = parser.parse_args()
     if args.child:
-        child(args.child)
+        n_paths, model, checks = args.child
+        child(int(n_paths), model, checks)
         return
 
     from forwardperf import kernels
+    from provenance import source_sha256
 
     sides = {"rows": os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")}
     if args.baseline_src:
         sides["baseline_rows"] = args.baseline_src
     rows = {side: [] for side in sides}
-    for k, n_paths in enumerate(POINTS):
+    for k, (model, checks, n_paths) in enumerate(POINTS):
         for side in list(sides) if k % 2 else list(sides)[::-1]:
-            row = measure(sides[side], n_paths, args.repeat)
+            row = measure(sides[side], n_paths, args.repeat, model, checks)
             print(
-                f"{side} n_paths={n_paths} runs={row['runs']} "
+                f"{side} {model} {checks} n_paths={n_paths} runs={row['runs']} "
                 f"gather={row['gather_s']['median']:.4f}s "
-                f"({row['gather_minflt']['median']} faults) "
+                f"({row['gather_minflt']['median']} faults, "
+                f"{row['gather_peak_kb']['median']:.0f} KB peak) "
                 f"reduce={row['reduce_s']['median']:.4f}s "
-                f"({row['reduce_minflt']['median']} faults)",
+                f"({row['reduce_minflt']['median']} faults, "
+                f"{row['reduce_peak_kb']['median']:.0f} KB peak) "
+                f"held={row['held_kb']['median']:.0f} KB "
+                f"maxrss={row['maxrss_mb']['median']:.2f} MB",
                 flush=True,
             )
             rows[side].append(row)
     doc = {
         "benchmark": "mc_reduce",
-        "scenario": "MonteCarloPass with every Monte Carlo check, README model, antithetic "
-        f"paths x {N_STEPS} steps, seed {SEED}, runs of at most cli.DRAW_BUDGET "
-        "stream-intervals",
-        "what": "wall time and minor page faults (ru_minflt) of gather with the fields it "
-        "reads (summed over the runs) and of reduce, in a fresh process per repeat; "
-        "kernels: the replaced kernels of tests/oracles.py against the package's, seconds "
-        "per call",
-        "baseline_src": args.baseline_src,
+        "scenario": f"MonteCarloPass, {N_STEPS} steps, seed {SEED}, runs of at most "
+        "cli.DRAW_BUDGET stream-intervals: the default suite on the README model (antithetic, "
+        "delta 0) and on it with delta (0.2, 0.0), and inverse-gamma-mean alone on plain paths",
+        "what": "first pass: wall time and minor page faults (ru_minflt) of gather (summed "
+        "over the runs) and of reduce, then the process's peak RSS (ru_maxrss); second pass, "
+        "under tracemalloc: the largest traced peak of a gather call above the memory traced "
+        "at its start, the memory the pass holds after the last run, and the traced peak of "
+        "reduce above that; a fresh process per repeat; kernels: the replaced kernels of "
+        "tests/oracles.py against the package's, seconds per call",
+        "src_sha256": source_sha256(sides["rows"]),
+        "baseline_src_sha256": source_sha256(args.baseline_src) if args.baseline_src else None,
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),
         "kernel_backend": kernels.BACKEND,

@@ -22,7 +22,8 @@ timing starts.
 With ``--baseline-src`` a second source tree (say, the ``src`` of a
 checkout of the parent commit) is timed too, alternating with this one
 repeat by repeat; the report digests show whether the two agree byte for
-byte. Usage:
+byte. Each tree is recorded by the SHA-256 of its sources
+(``provenance.source_sha256``), not by its path. Usage:
 
     PYTHONPATH=src:tests python benchmarks/bench_startup.py \\
         [--repeat 9] [--baseline-src OTHER/src] [--out BENCH_startup.json]
@@ -142,6 +143,7 @@ def main():
     import numpy as np
 
     from forwardperf import kernels
+    from provenance import source_sha256
 
     sides = {"rows": os.path.join(HERE, "..", "src")}
     if args.baseline_src:
@@ -186,7 +188,8 @@ def main():
         "tree": f"random_tree({SEED}, periods=2), solved_field(tree, {SEED}), default checks",
         "ito": "README model (theta 0.5, phi 0.3), 2000 antithetic paths x 16 steps, seed 42, "
         "default suite",
-        "baseline_src": args.baseline_src,
+        "src_sha256": source_sha256(sides["rows"]),
+        "baseline_src_sha256": source_sha256(args.baseline_src) if args.baseline_src else None,
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),
         "numpy": np.__version__,

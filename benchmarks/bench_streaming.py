@@ -13,7 +13,8 @@ SHA-256 of its report, which must not change between repeats.
 
 With ``--baseline-src`` a second source tree (say, the ``src`` of a
 checkout of the parent commit) is measured too, alternating with this one
-point by point, into ``baseline_rows``.
+point by point, into ``baseline_rows``. Each tree is recorded by the
+SHA-256 of its sources (``provenance.source_sha256``), not by its path.
 
 Writes the median and spread (min, max) of the repeats as JSON. Usage:
 
@@ -144,6 +145,7 @@ def main():
         return
 
     from forwardperf import kernels
+    from provenance import source_sha256
 
     sides = {"rows": os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")}
     if args.baseline_src:
@@ -167,7 +169,8 @@ def main():
         "what": "peak RSS (ru_maxrss), wall time and minor page faults (ru_minflt) "
         "of run_ito_scenario in a fresh process per repeat; baseline_mb is the RSS "
         "after importing forwardperf; runs counts its simulate_paths calls",
-        "baseline_src": args.baseline_src,
+        "src_sha256": source_sha256(sides["rows"]),
+        "baseline_src_sha256": source_sha256(args.baseline_src) if args.baseline_src else None,
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),
         "kernel_backend": kernels.BACKEND,

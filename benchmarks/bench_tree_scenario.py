@@ -13,6 +13,8 @@ repeat, so that both sides meet the same drift of a noisy machine; each
 row records the SHA-256 of the report, and ``reports_identical`` says
 whether the two sides agree byte for byte at every depth. A mismatch at
 any depth is named on stderr and exits 1, after the JSON is written.
+Each tree is recorded by the SHA-256 of its sources
+(``provenance.source_sha256``), not by its path.
 
 Writes the median and spread (min, max) of the repeats as JSON, and per
 depth, from the first repeat's child of each side, the calls per
@@ -166,6 +168,7 @@ def main():
 
     import numpy as np
     from forwardperf import kernels
+    from provenance import source_sha256
 
     sides = {"rows": os.path.join(HERE, "..", "src")}
     if args.baseline_src:
@@ -190,7 +193,8 @@ def main():
         "benchmark": "tree_scenario",
         "tree": f"random_tree({SEED}, periods=d), solved_field(tree, {SEED}) given explicitly",
         "what": "cli.run_tree_scenario on the default scenario: 5 checks, every window",
-        "baseline_src": args.baseline_src,
+        "src_sha256": source_sha256(sides["rows"]),
+        "baseline_src_sha256": source_sha256(args.baseline_src) if args.baseline_src else None,
         "date": datetime.date.today().isoformat(),
         "nproc": os.cpu_count(),
         "kernel_backend": kernels.BACKEND,

@@ -91,6 +91,8 @@ class ExponentialFieldParams:
         for node, g in self.gamma.items():
             if not (g > 0.0) or not math.isfinite(g):
                 raise ValueError(f"gamma must be positive and finite at node {node!r}, got {g}")
+            if not math.isfinite(1.0 / float(g)):
+                raise ValueError(f"1/gamma must be finite at node {node!r}, got gamma {g}")
         for node, a in self.a_shift.items():
             if not math.isfinite(a):
                 raise ValueError(f"a_shift must be finite at node {node!r}, got {a}")

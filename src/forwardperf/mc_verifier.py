@@ -51,23 +51,26 @@ pair of loads (nu1 on B, nu2 on W), compared bit for bit, and builds it
 once, at the union of the columns its readers need: the family's loads,
 the optimum load phi and the forward check's z~ (B-load theta - delta)
 share a density whenever their loads agree, and the densities of a run
-share one B integral (``density_path``). It builds 1/gamma at
-``mc.columns`` and the shift only at ``mc.shift_columns``, where a
-requested check reads it (``build_forward_exponential``). Nothing is
-built at grid index 0, where every path is at its start (Z_0 = 1,
-1/gamma_0 = 1/gamma0, a_0 = a0); the statistics read those constants
-there, with the kernels' bits. The bundle is read-only, so the
-``check_*`` wrappers, which run one check each, report the same bytes on
-a shared simulation as on a fresh one at the same columns.
+share one B integral (``density_path``). It reads 1/gamma at
+``mc.columns`` and builds the shift only at ``mc.shift_columns``, where
+a requested check reads it (``build_forward_exponential``). A column that
+is the same on every path is held once: grid index 0, where every path
+is at its start (Z_0 = 1, 1/gamma_0 = 1/gamma0, a_0 = a0), and every
+1/gamma column when delta vanishes, so that 1/gamma = 1/gamma0 on every
+path; the statistics read those constants, with the kernels' bits. The
+bundle is read-only, so the ``check_*`` wrappers, which run one check
+each, report the same bytes on a shared simulation as on a fresh one at
+the same columns.
 
 To bound memory, the same pass takes the simulation one stream range at a
 time, a run, and keeps only a few per-path columns of each. The pass is
 told its whole simulation and owns every array it reads: ``gather``
 builds each run's densities, 1/gamma and shift straight into the run's
-path slice of them and keeps nothing of the bundle, so the runs can share
-one ``Workspace``, each overwriting the last. ``cli.run_ito_scenario``
-sizes the runs by its draw budget alone; any split into consecutive
-ranges gives the same report::
+path slice of them (a 1/gamma held once only into scratch of the run's
+size, for the shift's division) and keeps nothing of the bundle, so the
+runs can share one ``Workspace``, each overwriting the last.
+``cli.run_ito_scenario`` sizes the runs by its draw budget alone; any
+split into consecutive ranges gives the same report::
 
     mc = MonteCarloPass(spec, n_steps, n_paths, checks, gamma0, a0, antithetic)
     work = Workspace()
@@ -406,14 +409,22 @@ class MonteCarloPass:
     checks requested, so a check reads the same draws alone as in the
     full suite. ``columns`` lists the grid indices above 0 the requested
     checks read: ``time_indices`` and the horizon (the optimum's indices
-    are among them); the pass builds 1/gamma there. ``shift_columns``
+    are among them); the checks read 1/gamma there. ``shift_columns``
     lists those at which a check reads the shift: the time indices above
     0 for the dual checks and the horizon for the forward drift, none for
     ``inverse-gamma-mean`` alone. A dual check with no time index above 0
-    would test nothing and is refused. Index 0 is never built: every path
-    starts at Z_0 = 1, 1/gamma_0 = 1/gamma0 and a_0 = a0 + 0.0, the
-    kernels' bits there, and ``reduce`` reads those as one-entry arrays
-    that broadcast.
+    would test nothing and is refused.
+
+    A column that is the same on every path is held once, as one entry
+    that ``reduce`` broadcasts, with the bits the kernels give on every
+    path. Index 0 is such a column: every path starts at Z_0 = 1,
+    1/gamma_0 = 1/gamma0 and a_0 = a0 + 0.0, so nothing is built there.
+    So is every 1/gamma column when delta is 0 at every grid step
+    (``per_path_inv_gamma`` false): 1/gamma is the stochastic exponential
+    of delta dS, which the kernels give as exp(+-0) / gamma0, exactly
+    1.0 / gamma0 on every path. ``gather`` then builds 1/gamma only at
+    ``shift_columns``, in scratch of the run's size that the shift divides
+    by, and keeps none of it.
 
     ``densities`` is the plan: one (nu1, nu2, columns) per distinct pair
     of per-step loads, compared bit for bit, at the union of the columns
@@ -422,7 +433,8 @@ class MonteCarloPass:
     horizon (nu1 = theta - delta, which is theta when delta = 0) and the
     optimum load phi at its indices. On the first ``gather`` the pass
     allocates one time-major (len(columns), n_paths) array per planned
-    density, for 1/gamma and for the shift, and each run writes its paths,
+    density, for the shift and, when it varies by path, for 1/gamma, and
+    each run writes its paths,
     ``bundle.first_path`` onwards, into those arrays in place
     (``density_path(..., out=)``, ``build_forward_exponential(..., out=)``);
     the bundle can then be dropped or overwritten. A run that does not
@@ -437,6 +449,9 @@ class MonteCarloPass:
     deviations, the dual values and the reductions' buffers in one
     ``Workspace`` local to the call, so the scratch lives for one
     reduction; the report it returns holds plain numbers and none of it.
+    A buffer is taken where a statistic first writes it, so a pass takes
+    only the buffers its checks write: ``inverse-gamma-mean`` alone takes
+    the forward weight's and none for a difference or a log.
 
     ``roundings`` bounds the rounded operations that build a sample from
     the running sums, for ``mc_mean_test``'s rounding floor. On m grid
@@ -492,6 +507,8 @@ class MonteCarloPass:
             (set(self.idx) | ({n_steps} if self.forward else set())) - {0}
         )
         coeffs = spec.per_step_values(n_steps)
+        # with delta = 0 at every step, 1/gamma is 1/gamma0 on every path
+        self.per_path_inv_gamma = bool(coeffs["delta"].any())
         if nu_family is None:
             nu_family = _nu_family(coeffs["phi"])
         loads = {
@@ -536,8 +553,9 @@ class MonteCarloPass:
         self.eta_list = [float(eta) for eta in eta_list]
         self.confidence = confidence
         self.t_label = dict(zip(all_idx, time_labels(spec.horizon, n_steps, all_idx)))
-        # 1/gamma, the shift and each planned density, one time-major
-        # (len(columns), n_paths) array each, and the paths built into them
+        # 1/gamma (of no columns when it is held once), the shift and each
+        # planned density, one time-major (len(columns), n_paths) array
+        # each, and the paths built into them
         self._arrays: list[np.ndarray] | None = None
         self._filled = 0
 
@@ -569,12 +587,19 @@ class MonteCarloPass:
                 f"holds {self.n_paths}, and the chunk starts at path {lo}"
             )
         if self._arrays is None:
-            readers = [self.columns, self.shift_columns, *(c for _, _, c in self.densities)]
+            kept = self.columns if self.per_path_inv_gamma else []
+            readers = [kept, self.shift_columns, *(c for _, _, c in self.densities)]
             self._arrays = [np.empty((len(columns), self.n_paths)) for columns in readers]
         # the run's paths are a slice of each time-major array
         inv_gamma, a_shift, *z_arrays = [arr[:, lo:hi].T for arr in self._arrays]
+        inv_columns = self.columns
+        if not self.per_path_inv_gamma:
+            # 1/gamma is held once: built only for the shift to divide by,
+            # in scratch of the run's size
+            inv_columns = self.shift_columns
+            inv_gamma = np.empty((len(inv_columns), hi - lo)).T
         build_forward_exponential(
-            self.spec, self.gamma0, self.a0, bundle, self.columns, self.shift_columns,
+            self.spec, self.gamma0, self.a0, bundle, inv_columns, self.shift_columns,
             out=(inv_gamma, a_shift),
         )
         for (nu1, nu2, columns), z in zip(self.densities, z_arrays):
@@ -596,10 +621,12 @@ class MonteCarloPass:
         work = Workspace()
         # grid index 0 as one entry for every path, the bits the kernels
         # give there: S_B(0) = S_W(0) = 0, so exp(+-0) = 1 and the shift's
-        # partner -0 vanishes in a0 + 0.0
-        cols = {("inv_gamma", 0): np.array([1.0 / gamma0]), ("a_shift", 0): np.array([a0 + 0.0])}
+        # partner -0 vanishes in a0 + 0.0; with delta = 0, 1/gamma keeps
+        # that entry at every column
+        start = np.array([1.0 / gamma0])
+        cols = {("inv_gamma", 0): start, ("a_shift", 0): np.array([a0 + 0.0])}
         for k, i in enumerate(self.columns):
-            cols["inv_gamma", i] = inv_gamma[k]
+            cols["inv_gamma", i] = inv_gamma[k] if self.per_path_inv_gamma else start
         for k, i in enumerate(self.shift_columns):
             cols["a_shift", i] = a_shift[k]
         for d, (_, _, columns) in enumerate(self.densities):
@@ -611,7 +638,7 @@ class MonteCarloPass:
             d = self._density_of[reader]
             return {0: np.ones(1), **{i: cols["z", d, i] for i in self.densities[d][2]}}
 
-        sample, weight = work.take("sample", (n,)), work.take("weight", (n,))
+        # "sample" and "weight" are taken where a statistic first writes one
         pairs = work.take("pairs", (n // 2,)) if antithetic else None
         idx, terminal = self.idx, self.n_steps
         report = VerificationReport()
@@ -650,7 +677,7 @@ class MonteCarloPass:
                 for i1 in indices[:pos] if step_tag else ():
                     add_test(
                         step_tag(label[i1], label[i2]),
-                        np.subtract(vals[i2], vals[i1], out=sample),
+                        np.subtract(vals[i2], vals[i1], out=work.take("sample", (n,))),
                         rate * (gap[i2] - gap[i1]), notes, size[i1] + size[i2], eta,
                     )
                 if i2 > 0:
@@ -675,14 +702,16 @@ class MonteCarloPass:
                 # the forward weight ((1/gamma_T) gamma0) z_T, then (a_T -
                 # log z~_T) w: the order of operations that fixes the
                 # statistics' rounding
-                w = np.multiply(cols["inv_gamma", terminal], gamma0, out=weight)
+                w = work.take("weight", (n,))
+                np.multiply(cols["inv_gamma", terminal], gamma0, out=w)
                 w *= z[terminal]
             if self.inverse_gamma:
                 # E[Z_T / gamma_T] = 1 / gamma0 in units of gamma0
                 add_test(f"inverse-gamma-mean[nu={label}]", w, 1.0, _TERMINAL_NOTE)
             if self.forward:
                 a_t = cols["a_shift", terminal]
-                drift = np.log(density(("z_tilde", label))[terminal], out=sample)
+                drift = work.take("sample", (n,))
+                np.log(density(("z_tilde", label))[terminal], out=drift)
                 # the sizes of the terms w a_T and w log z~_T
                 scratch = work.take("dual-arg", w.shape)
                 scale = largest_size(np.multiply(a_t, w, out=scratch))

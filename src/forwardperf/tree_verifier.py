@@ -447,7 +447,7 @@ def replicate_inverse_gamma(tree: EventTree, gamma: Mapping[str, float]) -> Repl
         residual = float(np.max(np.abs(coeff * d - rhs))) / max(float(inv.max()), 1.0 / gamma[nid])
         worst = max(worst, residual)
         tol = _replication_tol(len(branches))
-        if residual > tol:
+        if not residual <= tol:  # NaN too: an infinite 1/gamma gives inf - inf
             return ReplicationResult(feasible=False, psi=None, failed_node=nid, residual=residual, tolerance=tol)
         psi[nid] = coeff
     return ReplicationResult(feasible=True, psi=psi, failed_node=None, residual=worst)
@@ -750,8 +750,8 @@ def solve_entropy_shift(
     """
     a_term = _per_node(terminal_a, tree.leaves(), "terminal_a")
     for nid in tree._dfs_order:
-        if not (gamma[nid] > 0.0):
-            raise ValueError(f"gamma must be positive, node {nid!r}")
+        if not (gamma[nid] > 0.0 and math.isfinite(1.0 / float(gamma[nid]))):
+            raise ValueError(f"gamma must be positive, with 1/gamma finite, node {nid!r}")
     duals = _window_duals(duals, tree, gamma)
     rep = duals.replication()
     if not rep.feasible:

@@ -6,6 +6,7 @@ the package from ``src``. An API change that breaks a script fails here,
 not at its next timing run."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,19 @@ def test_ito_benchmark_measures_two_thousand_paths(name):
     assert len(row["report_sha256"]) == 64
     if name == "bench_mc_reduce":
         assert row["records"] == 64  # the default suite's mean tests
+
+
+def test_a_source_tree_is_recorded_by_the_digest_of_its_sources(tmp_path):
+    # the digest reads the .py files and their relative paths alone: a
+    # copy elsewhere with a bytecode cache gives the same digest, and an
+    # edit to one byte does not
+    digest = load("provenance").source_sha256
+    copy = tmp_path / "src"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert digest(copy) == digest(SRC)
+    (copy / "forwardperf" / "__pycache__").mkdir(exist_ok=True)
+    (copy / "forwardperf" / "__pycache__" / "cli.cpython-311.pyc").write_bytes(b"\0")
+    assert digest(copy) == digest(SRC)
+    init = copy / "forwardperf" / "__init__.py"
+    init.write_bytes(init.read_bytes() + b"\n")
+    assert digest(copy) != digest(SRC)

@@ -393,15 +393,11 @@ def test_reduce_holds_only_its_scratch_above_the_gathered_columns():
     assert report.all_passed
 
 
-def gathered_growth(mc, n):
-    """The bytes one gather of ``n`` antithetic paths leaves allocated once
-    the run's bundle (and the B integral its densities share) is dropped,
-    as the next run's simulation drops it, and the bytes the pass keeps:
-    its density arrays (each planned density's columns x n_paths), 1/gamma
-    at each read index and the shift at each index a check reads it."""
-    bundle = simulate_paths(CLEAN, 8, n, seed=31, columns=mc.simulated_columns)
-    n_columns = sum(len(cols) for _, _, cols in mc.densities)
-    kept = 8 * n * (n_columns + len(mc.columns) + len(mc.shift_columns))
+def gathered_growth(spec, mc, n):
+    """The bytes one gather of ``n`` antithetic paths of ``spec`` leaves
+    allocated once the run's bundle (and the B integral its densities
+    share) is dropped, as the next run's simulation drops it."""
+    bundle = simulate_paths(spec, 8, n, seed=31, columns=mc.simulated_columns)
     tracemalloc.start()
     try:
         mc.gather(bundle)
@@ -409,31 +405,75 @@ def gathered_growth(mc, n):
         growth = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    return growth, kept
+    return growth
 
 
-def test_gather_keeps_the_planned_densities_and_the_field_columns():
-    # one gather keeps the pass's density arrays and the field columns, all
-    # above 0: a density built once per reader, a column at t = 0 or a
-    # log z~ column would exceed the bound
+def assert_gather_keeps(spec, per_path_inv_gamma, n_columns):
+    """One gather of the full suite on ``spec`` keeps ``n_columns`` per-path
+    columns, and 1/gamma per path exactly when ``per_path_inv_gamma``."""
     n = 20_000
-    mc = MonteCarloPass(CLEAN, 8, n, list(MC_CHECKS), 1.0, 0.0, True)
+    mc = MonteCarloPass(spec, 8, n, list(MC_CHECKS), 1.0, 0.0, True)
     assert mc.columns == mc.shift_columns == [4, 8]
-    assert len(mc.densities) == len(mc.nu_family)
-    growth, kept = gathered_growth(mc, n)
+    assert mc.per_path_inv_gamma == per_path_inv_gamma
+    kept = 8 * n * n_columns
+    assert kept == 8 * n * (
+        sum(len(cols) for _, _, cols in mc.densities)
+        + len(mc.shift_columns)
+        + (len(mc.columns) if per_path_inv_gamma else 0)
+    )
+    growth = gathered_growth(spec, mc, n)
     assert kept <= growth <= kept + 64 * 1024, (growth, kept)
 
 
+def test_gather_keeps_the_planned_densities_and_the_field_columns():
+    # one gather keeps the pass's density arrays and the shift columns, all
+    # above 0: each load's density at 4 and 8 (z~ is z when delta = 0) and
+    # the shift at 4 and 8. A density built once per reader, a column at
+    # t = 0, a log z~ column or a per-path 1/gamma, which delta = 0 makes
+    # 1/gamma0 on every path, would exceed the bound
+    assert_gather_keeps(CLEAN, False, 5 * 2 + 2)
+
+
+def test_gather_keeps_a_per_path_inverse_gamma_where_delta_moves_it():
+    # delta = 0.2: 1/gamma varies by path, so the pass keeps it at 4 and 8,
+    # and each load's z~ (B-load theta - delta) at 8 is a density of its own
+    assert_gather_keeps(SHIFTED_GAMMA, True, 5 * 2 + 5 + 2 + 2)
+
+
 def test_gather_keeps_no_shift_for_inverse_gamma_mean_alone():
-    # no requested check reads the shift, so the fields hold none and the
-    # pass keeps each load's terminal density and 1/gamma at the horizon
+    # no requested check reads the shift, so the fields hold none; with
+    # delta = 0, 1/gamma is 1/gamma0 on every path and held once, so the
+    # pass keeps each load's terminal density alone
     n = 20_000
     mc = MonteCarloPass(CLEAN, 8, n, ["inverse-gamma-mean"], 1.0, 0.0, True)
     assert mc.columns == [8] and mc.shift_columns == []
     assert [cols for _, _, cols in mc.densities] == [[8]] * 5
-    growth, kept = gathered_growth(mc, n)
-    assert kept == 8 * n * 6
+    kept = 8 * n * 5
+    growth = gathered_growth(CLEAN, mc, n)
     assert kept <= growth <= kept + 64 * 1024, (growth, kept)
+
+
+def test_inverse_gamma_mean_alone_reduces_without_a_sample_buffer():
+    # the record reads the forward weight, so reduce takes its buffer and
+    # the mean test's, and none for a difference or a log: a "sample"
+    # buffer of n paths would exceed the bound
+    n = 20_000  # plain paths, one sample each, as the chunked workload runs
+    mc = MonteCarloPass(CLEAN, 8, n, ["inverse-gamma-mean"], 1.0, 0.0, False)
+    mc.gather(simulate_paths(CLEAN, 8, n, seed=31, antithetic=False, columns=mc.simulated_columns))
+    scratch = 8 * (
+        2 * n  # "weight" and "deviations"
+        + (n // 2 + n // 4)  # "pairwise": levels of the n samples
+    )
+    bound = scratch + 64 * 1024  # and the records' Python objects
+    assert bound < scratch + 8 * n
+    tracemalloc.start()
+    try:
+        report = mc.reduce()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
+    assert len(report) == 5 and report.all_passed
 
 
 @pytest.mark.parametrize(

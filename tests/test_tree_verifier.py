@@ -502,6 +502,23 @@ def test_dual_value_past_the_float_range_reads_its_shift():
     assert res.at(2.0).values == {"r": math.inf}
 
 
+def test_library_refuses_a_gamma_whose_reciprocal_leaves_the_float_range():
+    # at gamma 1e-310, 1/gamma is inf: the field and the shift construction
+    # refuse it naming the root, as the scenario parser does, and the
+    # replication's residual inf - inf = NaN is no certificate of
+    # feasibility (the field was accepted, and replication passed at 0.0)
+    tree = two_period_tree()
+    gamma = const_map(tree, 1e-310)
+    with pytest.raises(ValueError, match="1/gamma must be finite at node 'r', got gamma 1e-310"):
+        ExponentialFieldParams(gamma, dict.fromkeys(gamma, 0.0))
+    terminal = dict.fromkeys(tree.leaves(), 0.0)
+    with pytest.raises(ValueError, match="with 1/gamma finite, node 'r'"):
+        solve_entropy_shift(tree, gamma, terminal)
+    with np.errstate(invalid="ignore"):
+        rep = replicate_inverse_gamma(tree, gamma)
+    assert not rep.feasible and rep.failed_node == "r" and math.isnan(rep.residual)
+
+
 def test_dual_near_boundary_flag():
     # huge shifts on the outer leaves pull the minimizer to the (1/2, 0, 1/2) vertex
     tree = uniform_trinomial_tree()
