@@ -144,9 +144,9 @@ class PathBundle:
     (n_steps,). Row 0 draws from stream ``stream_offset``, so it is path
     ``first_path`` of the simulation that starts at stream 0.
 
-    ``b_integrals`` is ``density_path``'s memo of the B integrals it has
-    built on this bundle, keyed by the bits of the B-load and the columns:
-    a scenario's densities all load theta on B, so they share one.
+    ``b_integrals`` is ``drawn_log_density``'s memo of the B integrals it
+    has built on this bundle, keyed by the bits of the B-load and the
+    columns: a scenario's densities all load theta on B, so they share one.
     """
 
     spec: CoefficientSpec
@@ -390,6 +390,66 @@ def _out(out, shape) -> np.ndarray:
     return out
 
 
+def density_drift(nu1: np.ndarray, nu2: np.ndarray, dt: float) -> np.ndarray:
+    """(1/2) integral (nu1^2 + nu2^2) dt at every column of a uniform grid
+    of step dt, 0 at column 0, from the per-step loads: the deterministic
+    part of a density's log, which ``expand_density`` subtracts."""
+    return _cumulative(0.5 * (nu1**2 + nu2**2) * dt)
+
+
+def drawn_log_density(bundle: PathBundle, nu1, nu2, columns=None, out=None) -> np.ndarray:
+    """The drawn part of the log-density with loads (nu1 on B, nu2 on W),
+    integral(-nu1 dB) + integral(-nu2 dW), one row per drawn stream: shape
+    (n_streams, len(bundle.columns)), or (n_streams, len(columns)) at the
+    grid ``columns``, written into ``out`` (a float64 array of that shape)
+    when given. This is the first stage of ``density_path``.
+
+    Each stochastic integral is read from the bundle's running sums (see
+    ``_integral``). The B integral is built once per bundle for each
+    B-load and columns and shared by the densities that load the same
+    (``PathBundle.b_integrals``); each density adds its own W integral to
+    it, I_W + I_B being I_B + I_W bit for bit. With antithetic pairing a
+    row is the even path of its pair; ``expand_density`` gives the odd one
+    the negated row.
+    """
+    nu1 = _per_step(bundle.n_steps, nu1, "nu1")
+    nu2 = _per_step(bundle.n_steps, nu2, "nu2")
+    cols = _bundle_columns(bundle, columns)
+    n_streams = bundle.n_paths // 2 if bundle.antithetic else bundle.n_paths
+    out = _out(out, (n_streams, cols.size))
+    drawn = out.T  # time-major
+    _integral(bundle, bundle.sum_dW, -nu2, cols, out=drawn)
+    drawn += _b_integral(bundle, nu1, cols)
+    return out
+
+
+def expand_density(drawn: np.ndarray, drift: np.ndarray, antithetic: bool, out=None) -> np.ndarray:
+    """The density's path values from its drawn log-density, the second
+    stage of ``density_path``: ``drawn`` is ``drawn_log_density``'s
+    (n_streams, n_columns) array and ``drift`` the deterministic part at
+    its columns (``density_drift``), shape (n_columns,).
+
+    Without pairing each row is a path; with it, path 2i reads row i and
+    path 2i + 1 the negated row: being odd in the sums, that is what the
+    partner's own sums would give, bit for bit, since rounding is
+    symmetric under negation. Then the drift is subtracted and ``exp``
+    taken, in place in ``out``, a float64 array of shape
+    (n_paths, n_columns) (fresh by default), which is returned. ``drawn``
+    may be ``out`` itself without pairing, or ``out[0::2]`` with it: the
+    copy of a view onto itself is skipped, so the density is expanded in
+    place.
+    """
+    n_streams, n_columns = drawn.shape
+    out = _out(out, ((2 if antithetic else 1) * n_streams, n_columns))
+    if antithetic:
+        np.negative(drawn, out=out[1::2])
+    np.copyto(out[0::2] if antithetic else out, drawn)
+    log_z = out.T  # time-major
+    log_z -= drift[:, None]
+    np.exp(log_z, out=log_z)
+    return out
+
+
 def density_path(bundle: PathBundle, nu1, nu2, columns=None, out=None) -> np.ndarray:
     """Exponential local-martingale density with loads (nu1 on B, nu2 on W).
 
@@ -401,32 +461,22 @@ def density_path(bundle: PathBundle, nu1, nu2, columns=None, out=None) -> np.nda
     otherwise. Piecewise-constant
     loads make this the exact stochastic exponential at grid times:
     log z = integral(-nu1 dB) + integral(-nu2 dW) - (1/2) integral
-    (nu1^2 + nu2^2) dt, each stochastic integral read from the bundle's
-    running sums (see ``_integral``). The B integral is built once per
-    bundle for each B-load and columns and shared by the densities that
-    load the same (``PathBundle.b_integrals``); each density adds its own
-    W integral to it, I_W + I_B being I_B + I_W bit for bit.
+    (nu1^2 + nu2^2) dt.
 
-    The integrals are built per drawn stream, in the even paths with
-    antithetic pairing, and negated into the odd paths: being odd in the
-    sums, that is what the partners' own sums would give, bit for bit,
-    since rounding is symmetric under negation.
-    ``build_forward_exponential`` pairs its integrals the same way.
+    It is the composition of two stages: ``drawn_log_density`` builds the
+    stochastic part once per drawn stream, in the even paths with
+    antithetic pairing, and ``expand_density`` negates it into the odd
+    paths, subtracts the drift (``density_drift``) and takes ``exp``. A
+    ``MonteCarloPass`` holds the first stage's rows and runs the second
+    where a check reads the density. ``build_forward_exponential`` pairs
+    its integrals the same way.
     """
     nu1 = _per_step(bundle.n_steps, nu1, "nu1")
     nu2 = _per_step(bundle.n_steps, nu2, "nu2")
     cols = _bundle_columns(bundle, columns)
     out = _out(out, (bundle.n_paths, cols.size))
-    log_z = out.T  # time-major
-    drift = _cumulative(0.5 * (nu1**2 + nu2**2) * bundle.dt)
-    drawn = log_z[:, 0::2] if bundle.antithetic else log_z
-    _integral(bundle, bundle.sum_dW, -nu2, cols, out=drawn)
-    drawn += _b_integral(bundle, nu1, cols)
-    if bundle.antithetic:
-        np.negative(drawn, out=log_z[:, 1::2])
-    log_z -= drift[cols][:, None]
-    np.exp(log_z, out=log_z)
-    return out
+    drawn = drawn_log_density(bundle, nu1, nu2, cols, out[0::2] if bundle.antithetic else out)
+    return expand_density(drawn, density_drift(nu1, nu2, bundle.dt)[cols], bundle.antithetic, out)
 
 
 def martingale_density(bundle: PathBundle, nu2, columns=None) -> np.ndarray:
@@ -463,8 +513,12 @@ def build_forward_exponential(
     exact at grid times for piecewise-constant coefficients. 1/gamma holds
     every simulated column of ``bundle``; with ``columns``, only those
     grid columns, bit for bit the same values. The shift holds the grid
-    columns ``shift_columns``, which must be among those (by default the
-    same columns); an empty list builds no shift.
+    columns ``shift_columns`` (by default the same columns); an empty list
+    builds no shift. The shift is divided by 1/gamma, so its columns must
+    be among ``columns``, unless delta is 0 at every grid step: 1/gamma is
+    then exp(+-0) / gamma0, exactly 1.0 / gamma0 on every path, and the
+    shift is divided by that number at every column, whatever ``columns``
+    holds (none, say), with the bits of a division by the built column.
 
     With ``out``, a pair of float64 arrays of the shapes of ``inv_gamma``
     and ``a_shift``, (n_paths, len(columns)) and
@@ -476,30 +530,37 @@ def build_forward_exponential(
         raise ValueError("gamma0 must be positive")
     cols = _bundle_columns(bundle, columns)
     shift_cols = cols if shift_columns is None else _grid_columns(bundle.n_steps, shift_columns)
+    held_once = not bundle.delta.any()
     pos = {c: k for k, c in enumerate(cols.tolist())}
     outside = sorted(set(shift_cols.tolist()) - set(pos))
-    if outside:
+    if outside and not held_once:
         raise ValueError(f"shift columns {outside} are not among the columns {cols.tolist()}")
     out_inv, out_shift = (None, None) if out is None else out
     out_inv = _out(out_inv, (bundle.n_paths, cols.size))
     out_shift = _out(out_shift, (bundle.n_paths, shift_cols.size))
     inv_gamma, a_shift = out_inv.T, out_shift.T  # time-major
-    # the rows of 1/gamma the shift divides by: all of them, as a view, when
-    # the columns agree
-    same = np.array_equal(shift_cols, cols)
-    shift_rows = slice(None) if same else [pos[c] for c in shift_cols.tolist()]
     dt = bundle.dt
     theta, delta, phi, rho = bundle.theta, bundle.delta, bundle.phi, bundle.rho
-    # log(1/gamma) = integral delta dS - (1/2) integral delta^2 dt; each
-    # integral is paired as in density_path
-    drawn = inv_gamma[:, 0::2] if bundle.antithetic else inv_gamma
-    _integral(bundle, bundle.sum_dB, delta, cols, out=drawn)
-    if bundle.antithetic:
-        np.negative(drawn, out=inv_gamma[:, 1::2])
-    inv_gamma += _cumulative(delta * theta * dt - 0.5 * delta**2 * dt)[cols][:, None]
-    np.exp(inv_gamma, out=inv_gamma)
-    inv_gamma /= gamma0
+    if cols.size:
+        # log(1/gamma) = integral delta dS - (1/2) integral delta^2 dt; each
+        # integral is paired as in density_path
+        drawn = inv_gamma[:, 0::2] if bundle.antithetic else inv_gamma
+        _integral(bundle, bundle.sum_dB, delta, cols, out=drawn)
+        if bundle.antithetic:
+            np.negative(drawn, out=inv_gamma[:, 1::2])
+        inv_gamma += _cumulative(delta * theta * dt - 0.5 * delta**2 * dt)[cols][:, None]
+        np.exp(inv_gamma, out=inv_gamma)
+        inv_gamma /= gamma0
     if shift_cols.size:
+        # what the shift divides by: 1/gamma0 when it is that on every path,
+        # else the rows of 1/gamma at the shift columns (all of them, as a
+        # view, when the columns agree)
+        if held_once:
+            divisor = 1.0 / gamma0
+        elif np.array_equal(shift_cols, cols):
+            divisor = inv_gamma
+        else:
+            divisor = inv_gamma[[pos[c] for c in shift_cols.tolist()]]
         # integral rho dS / inv_gamma, then the deterministic drift
         # a0 + (1/2) integral ((theta - delta)^2 - phi^2) dt, then - integral phi dW
         drawn = a_shift[:, 0::2] if bundle.antithetic else a_shift
@@ -507,7 +568,7 @@ def build_forward_exponential(
         if bundle.antithetic:
             np.negative(drawn, out=a_shift[:, 1::2])
         a_shift += _cumulative(rho * theta * dt)[shift_cols][:, None]
-        a_shift /= inv_gamma[shift_rows]
+        a_shift /= divisor
         drift = a0 + _cumulative(0.5 * (theta - delta) ** 2 * dt - 0.5 * phi**2 * dt)
         a_shift += drift[shift_cols][:, None]
         # - integral phi dW in place on each path's row; a partner's integral is

@@ -57,18 +57,21 @@ a requested check reads it (``build_forward_exponential``). A column that
 is the same on every path is held once: grid index 0, where every path
 is at its start (Z_0 = 1, 1/gamma_0 = 1/gamma0, a_0 = a0), and every
 1/gamma column when delta vanishes, so that 1/gamma = 1/gamma0 on every
-path; the statistics read those constants, with the kernels' bits. The
-bundle is read-only, so the ``check_*`` wrappers, which run one check
-each, report the same bytes on a shared simulation as on a fresh one at
-the same columns.
+path; the statistics read those constants, with the kernels' bits. A
+density is held as its drawn log-density, once per drawn stream (per
+antithetic pair with pairing), and ``reduce`` turns it into path values
+where a check reads it. The bundle is read-only, so the ``check_*``
+wrappers, which run one check each, report the same bytes on a shared
+simulation as on a fresh one at the same columns.
 
 To bound memory, the same pass takes the simulation one stream range at a
-time, a run, and keeps only a few per-path columns of each. The pass is
-told its whole simulation and owns every array it reads: ``gather``
-builds each run's densities, 1/gamma and shift straight into the run's
-path slice of them (a 1/gamma held once only into scratch of the run's
-size, for the shift's division) and keeps nothing of the bundle, so the
-runs can share one ``Workspace``, each overwriting the last.
+time, a run, and keeps only a few columns of each. The pass is told its
+whole simulation and owns every array it reads: ``gather`` builds each
+run's drawn log-densities straight into the run's stream slice of them,
+and its 1/gamma and shift into its path slice (a 1/gamma held once is
+not built: the shift divides by 1/gamma0), and keeps nothing of the
+bundle, so the runs can share one ``Workspace``, each overwriting the
+last.
 ``cli.run_ito_scenario`` sizes the runs by its draw budget alone; any
 split into consecutive ranges gives the same report::
 
@@ -106,7 +109,9 @@ from .ito_engine import (
     PathBundle,
     _per_step,
     build_forward_exponential,
-    density_path,
+    density_drift,
+    drawn_log_density,
+    expand_density,
     load_gap_integral,
 )
 from .kernels import Workspace, pairwise_sum
@@ -334,9 +339,8 @@ def time_labels(horizon: float, n_steps: int, indices) -> list[str]:
 
 def _time_indices(n_steps: int, time_indices) -> list[int]:
     if time_indices is None:
-        idx = [0, n_steps // 2, n_steps]
-    else:
-        idx = sorted(set(int(i) for i in time_indices))
+        time_indices = (0, n_steps // 2, n_steps)
+    idx = sorted(set(int(i) for i in time_indices))
     for i in idx:
         if not (0 <= i <= n_steps):
             raise ValueError(f"time index {i} outside the grid")
@@ -402,12 +406,12 @@ class MonteCarloPass:
     grid, path count, field start (gamma0, a0) and pairing. It validates
     the request, so a refusal costs no paths. ``simulated_columns``
     lists the grid columns any check can read on this scenario: 0, the
-    horizon, ``time_indices`` (by default 0, n_steps // 2 and n_steps),
-    and every change point of theta, delta, phi, rho, theta - delta and
-    of each load of the family. A run must be simulated at least there
-    (``simulate_paths(columns=...)``); the set does not depend on the
-    checks requested, so a check reads the same draws alone as in the
-    full suite. ``columns`` lists the grid indices above 0 the requested
+    horizon, ``time_indices`` (by default 0, n_steps // 2 and n_steps,
+    each once), and every change point of theta, delta, phi, rho,
+    theta - delta and of each load of the family. A run must be simulated
+    at least there (``simulate_paths(columns=...)``); the set does not
+    depend on the checks requested, so a check reads the same draws alone
+    as in the full suite. ``columns`` lists the grid indices above 0 the requested
     checks read: ``time_indices`` and the horizon (the optimum's indices
     are among them); the checks read 1/gamma there. ``shift_columns``
     lists those at which a check reads the shift: the time indices above
@@ -422,9 +426,10 @@ class MonteCarloPass:
     So is every 1/gamma column when delta is 0 at every grid step
     (``per_path_inv_gamma`` false): 1/gamma is the stochastic exponential
     of delta dS, which the kernels give as exp(+-0) / gamma0, exactly
-    1.0 / gamma0 on every path. ``gather`` then builds 1/gamma only at
-    ``shift_columns``, in scratch of the run's size that the shift divides
-    by, and keeps none of it.
+    1.0 / gamma0 on every path. ``gather`` then builds no 1/gamma at all:
+    ``build_forward_exponential`` divides the shift by 1.0 / gamma0, with
+    the bits of the division by the built column, and is not called when
+    no check reads the shift (``inverse-gamma-mean`` alone).
 
     ``densities`` is the plan: one (nu1, nu2, columns) per distinct pair
     of per-step loads, compared bit for bit, at the union of the columns
@@ -432,23 +437,36 @@ class MonteCarloPass:
     ``columns`` (nu1 = theta), the forward check's z~ of each load at the
     horizon (nu1 = theta - delta, which is theta when delta = 0) and the
     optimum load phi at its indices. On the first ``gather`` the pass
-    allocates one time-major (len(columns), n_paths) array per planned
-    density, for the shift and, when it varies by path, for 1/gamma, and
-    each run writes its paths,
-    ``bundle.first_path`` onwards, into those arrays in place
-    (``density_path(..., out=)``, ``build_forward_exponential(..., out=)``);
-    the bundle can then be dropped or overwritten. A run that does not
-    start at the next path to fill, or that would go past ``n_paths``, is
+    allocates one time-major (len(columns), n_streams) array per planned
+    density, n_streams being n_paths // 2 with antithetic pairing and
+    n_paths without, and one (len(columns), n_paths) array for the shift
+    and, when it varies by path, for 1/gamma. Each run writes its
+    streams' drawn log-densities (``drawn_log_density(..., out=)``), the
+    first stage of ``density_path``, and its paths' fields
+    (``build_forward_exponential(..., out=)``), ``bundle.first_path``
+    onwards, into those arrays in place; the bundle can then be dropped or
+    overwritten. A paired density so takes half the bytes of its path
+    values: a partner's row is the negated one. A run that does not start
+    at the next path to fill, or that would go past ``n_paths``, is
     refused; being stream ranges, runs never split an antithetic pair.
     ``reduce`` refuses a pass that holds fewer than ``n_paths`` paths,
     reads each column as a contiguous row of the pass's arrays and runs
     every mean test once, on exactly the samples one whole-simulation run
     would give, so the report does not depend on the runs.
 
+    ``reduce`` turns a density into path values once, where a check first
+    reads it, with ``expand_density``, the second stage of
+    ``density_path``: odd partners negated, the drift subtracted, ``exp``.
+    So the values have the bits ``density_path`` gives, and the ``exp``
+    count is one per density. On plain paths the rows expand in place; on
+    paired ones into one scratch of a label's columns, which holds the
+    density last read, so a label's densities are expanded one at a time.
+
     ``reduce`` builds each test's samples, their pair means and squared
-    deviations, the dual values and the reductions' buffers in one
-    ``Workspace`` local to the call, so the scratch lives for one
-    reduction; the report it returns holds plain numbers and none of it.
+    deviations, the dual values, a paired density's path values and the
+    reductions' buffers in one ``Workspace`` local to the call, so the
+    scratch lives for one reduction; the report it returns holds plain
+    numbers and none of it.
     A buffer is taken where a statistic first writes it, so a pass takes
     only the buffers its checks write: ``inverse-gamma-mean`` alone takes
     the forward weight's and none for a difference or a log.
@@ -548,6 +566,8 @@ class MonteCarloPass:
         if self.at_optimum:
             plan("z_opt", coeffs["theta"], coeffs["phi"], self.opt_idx)
         self.densities = [(nu1, nu2, sorted(cols)) for nu1, nu2, cols in plans]
+        # each density's deterministic log part at its columns
+        self._drifts = [density_drift(nu1, nu2, dt)[cols] for nu1, nu2, cols in self.densities]
         self.spec, self.n_steps, self.n_paths = spec, n_steps, int(n_paths)
         self.gamma0, self.a0, self.antithetic = float(gamma0), float(a0), bool(antithetic)
         self.eta_list = [float(eta) for eta in eta_list]
@@ -563,8 +583,9 @@ class MonteCarloPass:
     # is refused at its first record (``_require_finite``), without warnings
     @np.errstate(all="ignore")
     def gather(self, bundle: PathBundle) -> None:
-        """Build this run's 1/gamma, shift and densities straight into the
-        pass's arrays, at its paths' slice. A run of another spec, grid or
+        """Build this run's 1/gamma and shift straight into the pass's
+        arrays, at its paths' slice, and its drawn log-densities at its
+        streams' slice. A run of another spec, grid or
         pairing, not simulated at every one of ``simulated_columns``, or
         that does not start at the next path to fill or would go past
         ``n_paths``, is refused and leaves the pass as it was."""
@@ -586,24 +607,24 @@ class MonteCarloPass:
                 f"chunk has {bundle.n_paths} paths after the {self._filled} gathered; the pass "
                 f"holds {self.n_paths}, and the chunk starts at path {lo}"
             )
+        per = 2 if self.antithetic else 1  # paths per stream
+        kept = self.columns if self.per_path_inv_gamma else []
         if self._arrays is None:
-            kept = self.columns if self.per_path_inv_gamma else []
-            readers = [kept, self.shift_columns, *(c for _, _, c in self.densities)]
-            self._arrays = [np.empty((len(columns), self.n_paths)) for columns in readers]
-        # the run's paths are a slice of each time-major array
-        inv_gamma, a_shift, *z_arrays = [arr[:, lo:hi].T for arr in self._arrays]
-        inv_columns = self.columns
-        if not self.per_path_inv_gamma:
-            # 1/gamma is held once: built only for the shift to divide by,
-            # in scratch of the run's size
-            inv_columns = self.shift_columns
-            inv_gamma = np.empty((len(inv_columns), hi - lo)).T
-        build_forward_exponential(
-            self.spec, self.gamma0, self.a0, bundle, inv_columns, self.shift_columns,
-            out=(inv_gamma, a_shift),
-        )
-        for (nu1, nu2, columns), z in zip(self.densities, z_arrays):
-            density_path(bundle, nu1, nu2, columns, out=z)
+            n_streams = self.n_paths // per
+            fields = [np.empty((len(c), self.n_paths)) for c in (kept, self.shift_columns)]
+            draws = [np.empty((len(c), n_streams)) for _, _, c in self.densities]
+            self._arrays = fields + draws
+        # the run's paths, and its streams, are a slice of each time-major array
+        inv_gamma, a_shift = [arr[:, lo:hi].T for arr in self._arrays[:2]]
+        draws = [arr[:, lo // per : hi // per].T for arr in self._arrays[2:]]
+        if kept or self.shift_columns:
+            # with 1/gamma held once the shift divides by 1.0 / gamma0
+            build_forward_exponential(
+                self.spec, self.gamma0, self.a0, bundle, kept, self.shift_columns,
+                out=(inv_gamma, a_shift),
+            )
+        for (nu1, nu2, columns), drawn in zip(self.densities, draws):
+            drawn_log_density(bundle, nu1, nu2, columns, out=drawn)
         self._filled = hi
 
     @np.errstate(all="ignore")
@@ -615,7 +636,7 @@ class MonteCarloPass:
             raise ValueError(
                 f"the pass gathered {self._filled} paths of the {self.n_paths} it holds"
             )
-        (inv_gamma, a_shift, *z_arrays), self._arrays = self._arrays, None
+        (inv_gamma, a_shift, *draws), self._arrays = self._arrays, None
         self._filled = 0
         gamma0, a0, antithetic = self.gamma0, self.a0, self.antithetic
         work = Workspace()
@@ -629,14 +650,26 @@ class MonteCarloPass:
             cols["inv_gamma", i] = inv_gamma[k] if self.per_path_inv_gamma else start
         for k, i in enumerate(self.shift_columns):
             cols["a_shift", i] = a_shift[k]
-        for d, (_, _, columns) in enumerate(self.densities):
-            for k, i in enumerate(columns):
-                cols["z", d, i] = z_arrays[d][k]
         n = self.n_paths
+        # density index -> its path values, time-major: in place of its
+        # drawn log-density on plain paths, and in one scratch of the
+        # largest density's size on paired ones, which holds the last
+        # density read
+        expanded: dict[int, np.ndarray] = {}
 
         def density(reader):
+            """``reader``'s density by grid index. On paired paths the values
+            hold until another density is read."""
             d = self._density_of[reader]
-            return {0: np.ones(1), **{i: cols["z", d, i] for i in self.densities[d][2]}}
+            columns = self.densities[d][2]
+            if d not in expanded:
+                z = draws[d]
+                if antithetic:
+                    expanded.clear()
+                    z = work.take("density", (len(self.columns), n))[: len(columns)]
+                expand_density(draws[d].T, self._drifts[d], antithetic, out=z.T)
+                expanded[d] = z
+            return {0: np.ones(1), **dict(zip(columns, expanded[d]))}
 
         # "sample" and "weight" are taken where a statistic first writes one
         pairs = work.take("pairs", (n // 2,)) if antithetic else None
@@ -687,7 +720,6 @@ class MonteCarloPass:
                     )
 
         for label in self.nu_family:
-            z = density(("z", label))
             gap = self.gaps[label]
             if self.submartingale:
                 for eta in self.eta_list:
@@ -704,7 +736,7 @@ class MonteCarloPass:
                 # statistics' rounding
                 w = work.take("weight", (n,))
                 np.multiply(cols["inv_gamma", terminal], gamma0, out=w)
-                w *= z[terminal]
+                w *= density(("z", label))[terminal]
             if self.inverse_gamma:
                 # E[Z_T / gamma_T] = 1 / gamma0 in units of gamma0
                 add_test(f"inverse-gamma-mean[nu={label}]", w, 1.0, _TERMINAL_NOTE)

@@ -6,6 +6,7 @@ the package from ``src``. An API change that breaks a script fails here,
 not at its next timing run."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -54,3 +55,30 @@ def test_a_source_tree_is_recorded_by_the_digest_of_its_sources(tmp_path):
     init = copy / "forwardperf" / "__init__.py"
     init.write_bytes(init.read_bytes() + b"\n")
     assert digest(copy) != digest(SRC)
+
+
+def test_report_diff_runs_two_imports_of_a_tree_side_by_side(tmp_path):
+    # the package imported twice under two aliases gives two module sets
+    # that write the same bytes; a moved record is named by its tag
+    diff = load("report_diff")
+    one = diff.load_cli(str(SRC), "forwardperf_diff_one")
+    two = diff.load_cli(str(SRC), "forwardperf_diff_two")
+    assert one is not two and one.MonteCarloPass is not two.MonteCarloPass
+    doc = {
+        "schema_version": 1,
+        "kind": "ito-verify",
+        "model": diff.README_MODEL,
+        "gamma0": 1.0,
+        "n_steps": 16,
+        "n_paths": 2000,
+        "seed": 5,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, text = diff.run(one, str(path), str(tmp_path / "one.json"))
+    assert code in (0, 1) and text
+    assert diff.run(two, str(path), str(tmp_path / "two.json")) == (code, text)
+    moved = json.loads(text)
+    tag = list(moved["checks"])[3]
+    moved["checks"][tag]["value"] += 1.0
+    assert diff.first_difference(text, json.dumps(moved)) == tag

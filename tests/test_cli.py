@@ -1158,6 +1158,19 @@ def test_ito_repeated_time_index_collapses():
     assert run_ito_scenario({**doc, "time_indices": [8, 4, 8]}).to_json() == once
 
 
+def test_ito_one_step_grid_runs_every_check(tmp_path, capsys):
+    # the default time indices 0, n_steps // 2 and n_steps are 0, 0 and 1
+    # on a one-step grid: one time pair, each record once
+    doc = ito_doc(n_steps=1, checks=list(mc_verifier.MC_CHECKS))
+    code, out = run_json(capsys, ["run", write_scenario(tmp_path, doc)])
+    assert code in (0, 1)
+    tags = list(out["checks"])
+    steps = [tag for tag in tags if tag.startswith("dual-submartingale[")]
+    assert len(steps) == 5 * 2 and all(tag.endswith(",t1=0,t2=1]") for tag in steps)
+    for check in mc_verifier.MC_CHECKS:
+        assert any(tag.startswith(f"{check}[") for tag in tags), check
+
+
 @pytest.mark.parametrize("checks, n_sim", [(None, 1), (["regularity"], 0)])
 def test_ito_scenario_simulates_once(monkeypatch, checks, n_sim):
     calls = {"simulate_paths": 0, "build_forward_exponential": 0}
@@ -1188,16 +1201,17 @@ def test_ito_scenario_simulates_once(monkeypatch, checks, n_sim):
 
 
 def density_builds(monkeypatch, doc):
-    """``doc``'s report and the number of densities its pass built."""
+    """``doc``'s report and the number of densities its pass built: the
+    drawn log-densities, the first stage of ``density_path``."""
     calls = []
-    original = ito_engine.density_path
+    original = ito_engine.drawn_log_density
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
     for module in (ito_engine, mc_verifier):
-        monkeypatch.setattr(module, "density_path", counted)
+        monkeypatch.setattr(module, "drawn_log_density", counted)
     return run_ito_scenario(doc), len(calls)
 
 

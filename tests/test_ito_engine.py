@@ -14,7 +14,10 @@ from forwardperf.ito_engine import (
     CoefficientSpec,
     build_forward_exponential,
     chunk_bounds,
+    density_drift,
     density_path,
+    drawn_log_density,
+    expand_density,
     load_gap_integral,
     martingale_density,
     path_table,
@@ -520,6 +523,49 @@ def test_density_path_writes_into_out(antithetic):
     for bad in (np.empty((10, 2)), np.empty((3, 10)).T[:, :2], np.empty((10, 3), np.float32)):
         with pytest.raises(ValueError, match=r"out must be a float64 array of shape \(10, 3\)"):
             density_path(bundle, 0.1, 0.2, cols, out=bad)
+
+
+@pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+def test_density_is_its_drawn_log_density_expanded(antithetic):
+    # the two stages of density_path: the drawn log-density, one row per
+    # stream, written into a stream slice of a larger time-major array as
+    # a Monte Carlo pass holds it, then expanded into path values, into a
+    # fresh array or in place of the rows without pairing
+    bundle = simulate_paths(KERNEL_SPEC, 16, 10, seed=41, antithetic=antithetic, stream_offset=3)
+    n_streams = 5 if antithetic else 10
+    cols = [12, 4, 16]
+    ramp = np.linspace(-0.4, 0.6, 16)
+    want = density_path(bundle, bundle.theta, ramp, cols)
+    held = np.full((len(cols), 20), np.nan)
+    out = held[:, 4 : 4 + n_streams].T
+    drawn = drawn_log_density(bundle, bundle.theta, ramp, cols, out=out)
+    assert drawn is out
+    assert np.isnan(held[:, :4]).all() and np.isnan(held[:, 4 + n_streams :]).all()
+    drift = density_drift(bundle.theta, ramp, bundle.dt)[cols]
+    np.testing.assert_array_equal(bits(expand_density(drawn, drift, antithetic)), bits(want))
+    if not antithetic:
+        assert expand_density(drawn, drift, False, out=drawn) is drawn
+        np.testing.assert_array_equal(bits(drawn), bits(want))
+    with pytest.raises(ValueError, match=r"out must be a float64 array of shape"):
+        drawn_log_density(bundle, 0.1, 0.2, cols, out=np.empty((10 + n_streams, 3)))
+
+
+@pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+def test_fields_divide_a_delta_zero_shift_by_inverse_gamma0(antithetic):
+    # with delta 0 at every step 1/gamma is 1.0 / gamma0 on every path, so
+    # the shift may sit at columns where no 1/gamma is built, none say,
+    # with the bits of the full build; with delta != 0 it may not
+    spec = CoefficientSpec.constant(1.0, theta=-0.5, phi=0.3, rho=0.1)
+    bundle = simulate_paths(spec, 16, 14, seed=31, antithetic=antithetic)
+    full = build_forward_exponential(spec, 1.3, 0.2, bundle)
+    assert (bits(full.inv_gamma) == bits(np.array(1.0 / 1.3))).all()
+    for cols, shift_cols in (([], [16, 4]), ([8], [3, 16]), ([16, 4], [16, 4])):
+        fields = build_forward_exponential(spec, 1.3, 0.2, bundle, cols, shift_cols)
+        assert fields.inv_gamma.shape == (14, len(cols))
+        np.testing.assert_array_equal(bits(fields.a_shift), bits(full.a_shift[:, shift_cols]))
+    moved = simulate_paths(KERNEL_SPEC, 16, 14, seed=31, antithetic=antithetic)
+    with pytest.raises(ValueError, match=r"shift columns \[4, 16\] are not among the columns \[\]"):
+        build_forward_exponential(KERNEL_SPEC, 1.3, 0.2, moved, [], [16, 4])
 
 
 @pytest.mark.parametrize("shift_cols", [[16, 4], []], ids=["shift", "no-shift"])

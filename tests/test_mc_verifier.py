@@ -352,37 +352,51 @@ def test_forward_mass_band_miss_on_extreme_load():
 
 def test_reports_chunk_invariant():
     # the pass fed four uneven stream ranges reports what it reports on the
-    # whole simulation
+    # whole simulation: each run fills its paths' slice of the fields and
+    # its streams' slice of the densities, on either pairing, with 1/gamma
+    # held once (CLEAN) or per path (SHIFTED_GAMMA)
     checks = list(MC_CHECKS)
-    whole = run_mc_checks(*simulated(CLEAN, 1.0, 0.0, 32, 2002, seed=709), checks)
-    mc = MonteCarloPass(CLEAN, 32, 2002, checks, 1.0, 0.0, True)
-    for lo, hi in chunk_bounds(1001, 4):
-        mc.gather(simulated(CLEAN, 1.0, 0.0, 32, 2 * (hi - lo), seed=709, stream_offset=lo)[0])
-    assert mc.reduce().to_json() == whole.to_json()
+    for spec in (CLEAN, SHIFTED_GAMMA):
+        for antithetic in (True, False):
+            per = 2 if antithetic else 1
+            whole = run_mc_checks(
+                *simulated(spec, 1.0, 0.0, 32, 2002, seed=709, antithetic=antithetic), checks
+            )
+            mc = MonteCarloPass(spec, 32, 2002, checks, 1.0, 0.0, antithetic)
+            for lo, hi in chunk_bounds(2002 // per, 4):
+                bundle, _, _ = simulated(
+                    spec, 1.0, 0.0, 32, per * (hi - lo), seed=709, antithetic=antithetic,
+                    stream_offset=lo,
+                )
+                mc.gather(bundle)
+            assert mc.reduce().to_json() == whole.to_json(), (spec, antithetic)
 
 
 def test_reduce_holds_only_its_scratch_above_the_gathered_columns():
     # reduce reads the gathered columns where they are and builds every
     # statistic in the pass's scratch, so what it allocates is bounded by
-    # that scratch, not by the columns: joining them into fresh arrays,
-    # or one fresh array per statistic, would exceed the bound
+    # that scratch, not by the columns. A paired density is held once per
+    # stream and turned into its path values in one scratch of a label's
+    # columns, one density at a time: expanding two at once, joining the
+    # columns into fresh arrays, or one fresh array per statistic, would
+    # exceed the bound
     n = 20_000  # antithetic paths: n // 2 samples per test
     mc = MonteCarloPass(CLEAN, 8, n, list(MC_CHECKS), 1.0, 0.0, True)
     mc.gather(simulate_paths(CLEAN, 8, n, seed=31, columns=mc.simulated_columns))
     n_dual = max(len(mc.idx), len(mc.opt_idx))
     # each planned density at its columns (here the loads', which the
-    # optimum and z~ share), and 1/gamma and the shift per pass column
-    n_columns = sum(len(cols) for _, _, cols in mc.densities)
-    gathered = 8 * n * (n_columns + 2 * len(mc.columns))
+    # optimum and z~ share): the largest at every pass column
+    assert max(len(cols) for _, _, cols in mc.densities) == len(mc.columns)
+    expansion = 8 * n * len(mc.columns)
     scratch = 8 * (
         n * (3 + n_dual)  # "sample", "weight", "dual-arg" and the ("dual", k) values
         + 2 * (n // 2)  # "pairs" and "deviations"
         + (n // 4 + n // 8)  # "pairwise": levels of the n // 2 pair means
     )
     masks = 2 * n  # entropy_kernel's y >= 0 and y > 0, one byte a path
-    bound = scratch + masks + 64 * 1024  # and the records' Python objects
-    # so a join of the kept columns into fresh arrays would break the bound
-    assert bound < gathered
+    bound = scratch + masks + expansion + 64 * 1024  # and the records' Python objects
+    # so a second density's expansion would break the bound
+    assert bound < scratch + masks + 2 * expansion
     tracemalloc.start()
     try:
         report = mc.reduce()
@@ -394,10 +408,13 @@ def test_reduce_holds_only_its_scratch_above_the_gathered_columns():
 
 
 def gathered_growth(spec, mc, n):
-    """The bytes one gather of ``n`` antithetic paths of ``spec`` leaves
-    allocated once the run's bundle (and the B integral its densities
-    share) is dropped, as the next run's simulation drops it."""
-    bundle = simulate_paths(spec, 8, n, seed=31, columns=mc.simulated_columns)
+    """The bytes one gather of ``n`` paths of ``spec``, paired as ``mc``
+    pairs them, leaves allocated once the run's bundle (and the B integral
+    its densities share) is dropped, as the next run's simulation drops
+    it."""
+    bundle = simulate_paths(
+        spec, 8, n, seed=31, antithetic=mc.antithetic, columns=mc.simulated_columns
+    )
     tracemalloc.start()
     try:
         mc.gather(bundle)
@@ -408,19 +425,21 @@ def gathered_growth(spec, mc, n):
     return growth
 
 
-def assert_gather_keeps(spec, per_path_inv_gamma, n_columns):
-    """One gather of the full suite on ``spec`` keeps ``n_columns`` per-path
-    columns, and 1/gamma per path exactly when ``per_path_inv_gamma``."""
+def assert_gather_keeps(spec, per_path_inv_gamma, density_columns, field_columns, antithetic=True):
+    """One gather of the full suite on ``spec`` keeps ``density_columns``
+    density columns, one value per drawn stream (per antithetic pair with
+    pairing), and ``field_columns`` per-path field columns: the shift's,
+    and 1/gamma's exactly when ``per_path_inv_gamma``."""
     n = 20_000
-    mc = MonteCarloPass(spec, 8, n, list(MC_CHECKS), 1.0, 0.0, True)
+    n_streams = n // 2 if antithetic else n
+    mc = MonteCarloPass(spec, 8, n, list(MC_CHECKS), 1.0, 0.0, antithetic)
     assert mc.columns == mc.shift_columns == [4, 8]
     assert mc.per_path_inv_gamma == per_path_inv_gamma
-    kept = 8 * n * n_columns
-    assert kept == 8 * n * (
-        sum(len(cols) for _, _, cols in mc.densities)
-        + len(mc.shift_columns)
-        + (len(mc.columns) if per_path_inv_gamma else 0)
+    assert density_columns == sum(len(cols) for _, _, cols in mc.densities)
+    assert field_columns == len(mc.shift_columns) + (
+        len(mc.columns) if per_path_inv_gamma else 0
     )
+    kept = 8 * (n_streams * density_columns + n * field_columns)
     growth = gathered_growth(spec, mc, n)
     assert kept <= growth <= kept + 64 * 1024, (growth, kept)
 
@@ -431,24 +450,36 @@ def test_gather_keeps_the_planned_densities_and_the_field_columns():
     # the shift at 4 and 8. A density built once per reader, a column at
     # t = 0, a log z~ column or a per-path 1/gamma, which delta = 0 makes
     # 1/gamma0 on every path, would exceed the bound
-    assert_gather_keeps(CLEAN, False, 5 * 2 + 2)
+    assert_gather_keeps(CLEAN, False, 5 * 2, 2)
 
 
 def test_gather_keeps_a_per_path_inverse_gamma_where_delta_moves_it():
     # delta = 0.2: 1/gamma varies by path, so the pass keeps it at 4 and 8,
     # and each load's z~ (B-load theta - delta) at 8 is a density of its own
-    assert_gather_keeps(SHIFTED_GAMMA, True, 5 * 2 + 5 + 2 + 2)
+    assert_gather_keeps(SHIFTED_GAMMA, True, 5 * 2 + 5, 2 + 2)
+
+
+@pytest.mark.parametrize("spec", [CLEAN, SHIFTED_GAMMA], ids=["clean", "shifted-gamma"])
+def test_paired_pass_holds_each_density_once_per_stream(spec):
+    # a pair's partner reads the negated drawn log-density of its stream,
+    # so a paired pass holds each density once per pair, half the density
+    # bytes of a plain pass of as many paths; the fields stay per path.
+    # Densities kept per path would exceed the paired bound
+    densities = 5 * 2 + (5 if spec is SHIFTED_GAMMA else 0)
+    fields = 2 + (2 if spec is SHIFTED_GAMMA else 0)
+    for antithetic in (True, False):
+        assert_gather_keeps(spec, spec is SHIFTED_GAMMA, densities, fields, antithetic)
 
 
 def test_gather_keeps_no_shift_for_inverse_gamma_mean_alone():
     # no requested check reads the shift, so the fields hold none; with
     # delta = 0, 1/gamma is 1/gamma0 on every path and held once, so the
-    # pass keeps each load's terminal density alone
+    # pass keeps each load's terminal density alone, once per pair
     n = 20_000
     mc = MonteCarloPass(CLEAN, 8, n, ["inverse-gamma-mean"], 1.0, 0.0, True)
     assert mc.columns == [8] and mc.shift_columns == []
     assert [cols for _, _, cols in mc.densities] == [[8]] * 5
-    kept = 8 * n * 5
+    kept = 8 * (n // 2) * 5
     growth = gathered_growth(CLEAN, mc, n)
     assert kept <= growth <= kept + 64 * 1024, (growth, kept)
 
@@ -549,26 +580,29 @@ def test_pass_refuses_chunks_that_do_not_continue_the_simulation():
 
 def test_pass_reads_the_shift_only_where_its_checks_do(monkeypatch):
     # the dual checks read the shift at their time indices above 0 and the
-    # forward drift at the horizon; inverse-gamma-mean alone reads none, so
-    # the pass builds none for it
+    # forward drift at the horizon; inverse-gamma-mean alone reads none.
+    # With delta = 0, 1/gamma is held once and the shift divides by
+    # 1/gamma0, so the fields build no 1/gamma column, and nothing at all
+    # for inverse-gamma-mean alone
     built = []
     original = mc_verifier.build_forward_exponential
 
     def recorded(*args, **kwargs):
         fields = original(*args, **kwargs)
-        built.append(fields.shift_columns)
+        built.append((fields.columns, fields.shift_columns))
         return fields
 
     monkeypatch.setattr(mc_verifier, "build_forward_exponential", recorded)
     bundle = simulate_paths(CLEAN, 8, 200, seed=5)
     shifts = (
-        (["forward-drift"], (8,)), (["dual-submartingale"], (4, 8)), (["inverse-gamma-mean"], ())
+        (["forward-drift"], [8]), (["dual-submartingale"], [4, 8]), (["inverse-gamma-mean"], [])
     )
     for checks, shift_columns in shifts:
         mc = MonteCarloPass(CLEAN, 8, 200, checks, 1.0, 0.0, True)
-        assert mc.shift_columns == list(shift_columns)
+        assert mc.shift_columns == shift_columns
         run_mc_checks(bundle, 1.0, 0.0, checks)
-        assert built.pop() == shift_columns
+        assert built == ([((), tuple(shift_columns))] if shift_columns else [])
+        built.clear()
 
 
 def test_pass_holds_exactly_its_path_count():
@@ -590,14 +624,15 @@ def test_pass_holds_exactly_its_path_count():
 
 
 @pytest.mark.parametrize(
-    "checks, per_run", [(None, {"B": 3, "W": 6}), (["inverse-gamma-mean"], {"B": 2, "W": 5})],
+    "checks, per_run", [(None, {"B": 2, "W": 6}), (["inverse-gamma-mean"], {"B": 1, "W": 5})],
     ids=["suite", "inverse-gamma-mean"],
 )
 def test_each_run_builds_one_b_integral_for_its_densities(monkeypatch, checks, per_run):
     # on the README model every density loads theta on B (delta = 0), so a
-    # run builds one B integral for its five densities, plus 1/gamma's; the
-    # shift's B and W integrals only when a check reads the shift. Each
-    # load's density has a W integral of its own
+    # run builds one B integral for its five densities; the shift's B and W
+    # integrals only when a check reads the shift, and none for 1/gamma,
+    # which delta = 0 makes 1/gamma0 on every path. Each load's density has
+    # a W integral of its own
     doc = {
         "schema_version": 1,
         "kind": "ito-verify",
@@ -642,14 +677,14 @@ def test_pass_builds_only_its_columns(monkeypatch):
     # is built once: with delta = 0 and phi a load of the family, the
     # optimum and the forward check's z~ read the loads' columns
     calls = []
-    original = ito_engine.density_path
+    original = ito_engine.drawn_log_density
 
     def recorded(*args, **kwargs):
         calls.append(args[1:])
         return original(*args, **kwargs)
 
     for module in (ito_engine, mc_verifier):
-        monkeypatch.setattr(module, "density_path", recorded)
+        monkeypatch.setattr(module, "drawn_log_density", recorded)
     mc = MonteCarloPass(CLEAN, 8, 400, list(MC_CHECKS), 1.0, 0.0, True, time_indices=[6, 0, 2])
     assert mc.columns == [2, 6, 8]
     assert MonteCarloPass(CLEAN, 8, 400, ["inverse-gamma-mean"], 1.0, 0.0, True).columns == [8]
