@@ -20,9 +20,9 @@ Writes the median and spread (min, max) of the repeats as JSON, and per
 depth, from the first repeat's child of each side, the calls per
 scenario and microseconds per call (median over as many more runs as
 there are repeats) of the factor solve (``minimize_exp_sum``), of the
-one-step vertex builds (``one_step_vertices``), of the forward check's
-drift step (``_forward_drift``) and of the stacked one-step dual solve
-(``barrier_minimize``: its calls are the stacks per scenario). Usage:
+one-step vertex builds (``one_step_vertices``) and of the stacked
+one-step dual solve (``barrier_minimize``: its calls are the stacks per
+scenario). Usage:
 
     PYTHONPATH=src:tests python benchmarks/bench_tree_scenario.py \\
         [--repeat 5] [--baseline-src OTHER/src] [--out BENCH_tree_scenario.json]
@@ -51,7 +51,6 @@ TESTS = os.path.join(HERE, "..", "tests")
 KERNELS = {
     "minimize_exp_sum": ("forwardperf.tree_verifier", "minimize_exp_sum"),
     "one_step_vertices": ("forwardperf.tree_market", "one_step_vertices"),
-    "_forward_drift": ("forwardperf.tree_verifier", "_forward_drift"),
     "barrier_minimize": ("forwardperf.tree_verifier", "barrier_minimize"),
 }
 

@@ -69,7 +69,7 @@ price moves and children's gammas, and the node's vertex centroid where
 the solve starts) are fixed for the scenario, so the program is fixed by
 its node and the bits of its children's shifts: every sweep that meets
 those bits shares one solve (``WindowDuals``), and adds its own sums
-over it (m, D and the bounds along paths to its T). ``barrier_minimize``
+over it (m and the bounds along paths to its T). ``barrier_minimize``
 solves each program of a stack as it would alone, so a shared outcome
 has the bits of a fresh one. For the shift ``solve_entropy_shift``
 builds, the shift at a time-T node is, bit for bit, the one the sweep to
@@ -77,16 +77,28 @@ the horizon implies there; by induction up the levels, the sweep to T
 then meets the horizon sweep's children's shifts at every node and reads
 its programs, so the scenario solves one program per internal node.
 
-The forward check's equality runs the drift step
+The forward check's equality is the drift recursion
 D(n) = sum_k q~_k (D(k) - log(q~_k / p_k)), D = a at time T, at the
 minimiser r* of a window [t, T] reweighted by gamma_start / gamma_w: a
 node c of the window gets the weight sum_w r*_w gamma_start / gamma_w over
 its time-T descendants w, and q~ at a node is its children's weights
 normalised. With r*_w the product of the one-step minimisers q along the
 path, that weight is (prod of q along start -> c) gamma_start m_c, m_c the
-sweep's nested sum_k q_k m_k below c. So q~_k = q_k m_k / m_n at every
-node n, whatever the start, and D(n) is one more value per node of the
-sweep to T (``_Sweep.drift``).
+nested sum_k q_k m_k below c, which is 1/gamma_c by replicability. So
+q~_k = q_k m_k / m_n at every node n, whatever the start, and the
+recursion runs on the sweep's one-step minimisers alone. It is the
+recursion of the implied shifts: with c_k = h(m_k) - s_k m_k, s_k the
+child's implied shift, and sum_k q_k m_k = m_n, the one-step objective is
+
+    sum_k q_k (m_k log(q_k / p_k) + c_k)
+        = h(m_n) - m_n sum_k q~_k (s_k - log(q~_k / p_k)),
+
+and its value at the minimiser is c_n = h(m_n) - s_n m_n, so
+s_n = sum_k q~_k (s_k - log(q~_k / p_k)): the drift step at the
+children's shifts. From s = a at time T, D(n) = s_n at every node, for
+every field, self-generating or not. The equality's gap at m, |D(m) - a_m|,
+is the sweep's |shift(m) - a_m|, the entropy-identity gap of
+[time(m), T] at m, and the check reads it there.
 
 The forward check's worst drift is the factor recursion. With 1/gamma
 replicable, q -> q~ = gamma_n q / gamma maps a node's one-step martingale
@@ -588,16 +600,16 @@ class _Sweep:
     nodes, solved level by level from T - 1 down (``extend``). Per solved
     node: its minimiser ``q`` as (child, mass) pairs; the ``shift`` the
     eta = 1 value of [time(node), T] implies there, which its parent's
-    program reads; m (sum_k q_k m_k); the forward ``drift`` D at the
-    minimiser (``_forward_drift`` at weights q_k m_k); the largest sum of
-    node bounds along a path below it (``kkt``) and the Newton iterations
-    summed below it (``newton``). At time T, shift and drift are a_shift."""
+    program reads, and which is the forward drift at the minimiser (see
+    the module docstring); m (sum_k q_k m_k, ``inverse_gamma_mean``); the
+    largest sum of node bounds along a path below it (``kkt``) and the
+    Newton iterations summed below it (``newton``). At time T, the shift is
+    a_shift."""
 
     def __init__(self, duals, a_shift, T):
         self.duals, self.T, self.level = duals, T, T
         ends = duals.tree.nodes_at(T)
         self.shift = {w: float(a_shift[w]) for w in ends}
-        self.drift = dict(self.shift)
         self.inverse_gamma_mean = {w: 1.0 / duals.gamma[w] for w in ends}
         self.kkt, self.newton, self.q = dict.fromkeys(ends, 0.0), dict.fromkeys(ends, 0), {}
 
@@ -621,19 +633,14 @@ class _Sweep:
                 programs.update(zip([keys[n] for n in nodes], self._solve(nodes)))
             for n in level:
                 qn, shift, bound, iterations, failure = programs[keys[n]]
-                branches = tree.branches_of(n)
-                pairs = [(br.child, x) for br, x in zip(branches, qn)]
-                weights = [x * self.inverse_gamma_mean[k] for k, x in pairs]
-                m = sum(weights)
+                pairs = [(br.child, x) for br, x in zip(tree.branches_of(n), qn)]
+                m = sum(x * self.inverse_gamma_mean[k] for k, x in pairs)
                 where = f"dual program below node {n!r} on [{s}, {self.T}]"
                 if failure is not None and iterations:
                     failed.append(f"{where}: {failure}")
                 elif failure is not None or not (math.isfinite(shift) and math.isfinite(m)):
                     # a failure at the start is an objective out of the float range
                     failed.append(f"{where} leaves the float range: shift {shift!r}, m {m!r}")
-                else:
-                    kid_drifts = [self.drift[k] for k, _ in pairs]
-                    self.drift[n] = _forward_drift(weights, [br.prob for br in branches], kid_drifts)
                 self.q[n], self.shift[n], self.inverse_gamma_mean[n] = pairs, shift, m
                 self.kkt[n] = bound + max(self.kkt[k] for k, _ in pairs)
                 self.newton[n] = iterations + sum(self.newton[k] for k, _ in pairs)
@@ -1050,20 +1057,6 @@ def check_exponential_conditions(
     )
 
 
-def _forward_drift(weights, probs, kid_values):
-    """One step of the forward drift recursion at a node:
-    sum_c q~_c (D(c) - log(q~_c / p_c)) over the children c of positive
-    weight, with q~ the weights normalised, p the reference conditionals
-    and D(c) in ``kid_values``."""
-    total = sum(weights)
-    value = 0.0
-    for w, p, d in zip(weights, probs, kid_values):
-        if w > 0.0:
-            q = w / total
-            value += q * (d - math.log(q / p))
-    return value
-
-
 def check_forward_supermartingale(
     tree: EventTree,
     field: ExponentialFieldParams,
@@ -1091,14 +1084,13 @@ def check_forward_supermartingale(
     martingale measure is log C(n), the factor recursion (see the module
     docstring), so the worst drift at m is log C(m) - a_m, read from
     ``_exponential_factors``, whose table the primal check shares through
-    ``duals``. At the entropy
-    minimiser the step (``_forward_drift``) runs at that one measure,
-    q~_k = q_k m_k / m_n, and |D(m) - a_m| must vanish; composed from
-    one-step programs, that gap at m is the entropy-identity gap of
-    [time(m), T] at m, a consistency check. It is the sweep's ``drift``.
-    The sweep runs first: it refuses a node of levels t..T-1 with no
-    equivalent one-step measure (``ArbitrageError``) by name, before the
-    factor recursion, whose duality needs one, is read.
+    ``duals``. At the entropy minimiser the drift is the sweep's implied
+    shift at every node (see the module docstring), so the equality's gap
+    at m is |shift(m) - a_m|, the entropy-identity gap of [time(m), T] at
+    m, read from the sweep to T. The sweep runs first: it refuses a node
+    of levels t..T-1 with no equivalent one-step measure
+    (``ArbitrageError``) by name, before the factor recursion, whose
+    duality needs one, is read.
 
     Each record takes the largest gap over the window's nodes, start by
     start, in DFS order (``tree.window_interior``).
@@ -1124,7 +1116,7 @@ def check_forward_supermartingale(
             ),
             _gap_record(
                 f"forward-martingale-at-optimum[t={t},T={T}]",
-                {m: abs(sweep.drift[m] - a_shift[m]) for m in window},
+                {m: abs(sweep.shift[m] - a_shift[m]) for m in window},
                 tol,
             ),
         ]

@@ -29,6 +29,9 @@ points and the product-measure count also read here) the replaced forms on
 numpy arrays, (for the forward check's tables per window end) the walk per
 window and start over the charged nodes and the drift at the minimiser read
 from its leaf masses, as the package ran them before, (for the forward
+check's equality at the minimiser) the drift recursion over a sweep's
+one-step minimisers, which the package ran beside each program before it
+read the sweep's implied shift in its place, (for the forward
 check's worst drift) the drift step's largest value over a node's one-step
 vertices, as the package took it before it read the factor recursion, and
 nested golden-section searches over each node's whole one-step polytope,
@@ -1154,6 +1157,23 @@ def worst_forward_drift_by_golden_section(tree, gamma, a_shift, T):
             inv = [1.0 / gamma[br.child] for br in branches]
             verts = _segment_vertices([br.dprice for br in branches])
             drift[n] = _hull_max(lambda q: _drift_step([x * i for x, i in zip(q, inv)], probs, kid_values), verts)
+    return drift
+
+
+def sweep_drift(tree, sweep):
+    """{node: D} over the nodes a sweep to T has solved and its time-T
+    nodes: the forward drift recursion at the entropy minimiser, D = a at
+    time T and at a solved node the drift step at weights q_k m_k, q the
+    sweep's one-step minimiser and m its ``inverse_gamma_mean``, level by
+    level from T - 1 down. This is how the package ran it beside each
+    one-step program before it read the drift as the implied shift."""
+    drift = {w: sweep.shift[w] for w in tree.nodes_at(sweep.T)}
+    for s in range(sweep.T - 1, sweep.level - 1, -1):
+        for n in tree.nodes_at(s):
+            pairs = sweep.q[n]
+            weights = [x * sweep.inverse_gamma_mean[k] for k, x in pairs]
+            probs = [tree.branch_to(k).prob for k, _ in pairs]
+            drift[n] = _drift_step(weights, probs, [drift[k] for k, _ in pairs])
     return drift
 
 

@@ -1827,18 +1827,24 @@ def test_forward_optimum_matches_density_oracle(periods, bumped):
         assert rec.worst_node == (want_node if want > 1e-6 else None), (t, T)
 
 
+def _sweep_fields(tree, seed, rng):
+    """The solved field, its root bumped by 0.1, and a shift drawn at
+    random on the same gamma."""
+    solved = solved_field(tree, seed)
+    drawn = {n: float(rng.uniform(-1.0, 1.0)) for n in tree._dfs_order}
+    return [solved, with_offsets(solved, {tree.root: 0.1}), ExponentialFieldParams(solved.gamma, drawn)]
+
+
 @pytest.mark.parametrize("periods", [2, 3, 4, 5])
 def test_sweep_drift_matches_the_leaf_mass_oracle(periods):
-    # the drift at the entropy minimiser, one value per node of the sweep
-    # (weights q_k m_k), against the recursion read from the minimiser's
+    # the drift at the entropy minimiser is the sweep's implied shift, one
+    # value per node, against the recursion read from the minimiser's
     # reweighted leaf masses per window and start: solved, root-bumped and
     # random shifts, every window; the minimiser reaches every window node
     rng = np.random.default_rng(periods)
     for seed in (3, 7):
         tree = random_tree(seed, periods=periods)
-        solved = solved_field(tree, seed)
-        drawn = {n: float(rng.uniform(-1.0, 1.0)) for n in tree._dfs_order}
-        for field in (solved, with_offsets(solved, {tree.root: 0.1}), ExponentialFieldParams(solved.gamma, drawn)):
+        for field in _sweep_fields(tree, seed, rng):
             duals = WindowDuals(tree, field.gamma)
             for t, T in _window_pairs(tree):
                 res = duals.dual(field, t, T)
@@ -1849,30 +1855,103 @@ def test_sweep_drift_matches_the_leaf_mass_oracle(periods):
                     )
                     assert list(want) == list(tree.window_interior(start, T))
                     for m, gap in want.items():
-                        assert abs(abs(sweep.drift[m] - field.a_shift[m]) - gap) <= 1e-12, (t, T, m)
+                        assert abs(abs(sweep.shift[m] - field.a_shift[m]) - gap) <= 1e-12, (t, T, m)
+
+
+def _drift_rounding_bound(tree, gamma, sweep):
+    """{node: bound on |D - shift|} over a sweep's solved nodes, D the drift
+    recursion (``oracles.sweep_drift``). At a node of K children with
+    weights w_k = q_k gamma_n / gamma_k, both sides are K-term sums of
+    w_k (s_k - log(w_k / p_k)) (``tree_verifier``'s module docstring), each
+    within 2 (K + 1) u of the magnitude S = 1 + max |s_k| +
+    sum_k w_k (|s_k| + |log(w_k / p_k)|), u the unit roundoff. The drift
+    normalises the weights by their sum, where the program's shift reads
+    them as summing to 1, which moves the two apart by at most
+    |sum w - 1| S. A child's error enters its parent's value through a
+    convex combination, so the bounds add along paths."""
+    u = 2.0**-53
+    bound = dict.fromkeys(tree.nodes_at(sweep.T), 0.0)
+    for s in range(sweep.T - 1, sweep.level - 1, -1):
+        for n in tree.nodes_at(s):
+            pairs = [(k, x * gamma[n] / gamma[k]) for k, x in sweep.q[n]]
+            terms = sum(
+                w * (abs(sweep.shift[k]) + abs(math.log(w / tree.branch_to(k).prob)))
+                for k, w in pairs
+                if w > 0.0
+            )
+            magnitude = 1.0 + max(abs(sweep.shift[k]) for k, _ in pairs) + terms
+            residual = abs(sum(w for _, w in pairs) - 1.0)
+            local = (4.0 * (len(pairs) + 1) * u + residual) * magnitude
+            bound[n] = local + max(bound[k] for k, _ in pairs)
+    return bound
+
+
+@pytest.mark.parametrize("periods", [2, 3, 4, 5])
+def test_the_drift_at_the_minimiser_is_the_sweeps_implied_shift(periods):
+    # the forward drift recursion at the sweep's one-step minimisers and
+    # the shift each program implies are one value (the module docstring),
+    # for every field: solved, root-bumped and random shifts, and gamma
+    # scaled by 1e300 and 1e-300, at every node of the sweep to each window
+    # end, so of every window
+    rng = np.random.default_rng(100 + periods)
+    for seed in (3, 7):
+        tree = random_tree(seed, periods=periods)
+        fields = _sweep_fields(tree, seed, rng)
+        for scale in (1e300, 1e-300):
+            fields += [ExponentialFieldParams({n: g * scale for n, g in f.gamma.items()}, f.a_shift) for f in fields[:3]]
+        for field in fields:
+            duals = WindowDuals(tree, field.gamma)
+            for T in range(1, tree.horizon + 1):
+                sweep = duals.sweep(field.a_shift, 0, T)
+                drift = oracles.sweep_drift(tree, sweep)
+                bound = _drift_rounding_bound(tree, field.gamma, sweep)
+                assert drift.keys() == sweep.shift.keys()
+                for n, d in drift.items():
+                    assert abs(d - sweep.shift[n]) <= bound[n], (T, n, d - sweep.shift[n], bound[n])
+
+
+@pytest.mark.parametrize("periods", [2, 3, 4])
+def test_forward_optimum_record_reads_the_sweeps_shift(periods):
+    # each forward-martingale-at-optimum[t,T] value is, bit for bit, the
+    # largest |shift - a| over the window's nodes, start by start in DFS
+    # order, with the shift of a fresh sweep to T; a failing record names
+    # the first node attaining it
+    rng = np.random.default_rng(200 + periods)
+    for seed in (3, 7):
+        tree = random_tree(seed, periods=periods)
+        for field in _sweep_fields(tree, seed, rng):
+            rep = check_forward_supermartingale(tree, field, _window_pairs(tree))
+            duals = WindowDuals(tree, field.gamma)
+            for t, T in _window_pairs(tree):
+                shift = duals.sweep(field.a_shift, t, T).shift
+                gaps = {
+                    m: abs(shift[m] - field.a_shift[m])
+                    for start in tree.nodes_at(t)
+                    for m in tree.window_interior(start, T)
+                }
+                worst = max(gaps.values())
+                rec = rep[f"forward-martingale-at-optimum[t={t},T={T}]"]
+                assert rec.value == worst, (t, T, rec.value - worst)
+                assert rec.verdict == (worst <= 1e-6)
+                want_node = None if rec.verdict else next(m for m, g in gaps.items() if g == worst)
+                assert rec.worst_node == want_node, (t, T)
 
 
 def test_forward_drift_once_per_node_and_window_end(monkeypatch):
     # a solved scenario on random_tree(3, periods=4), every window: after
     # the primal check on the same context, the forward check solves no
-    # factor, as it reads the primal's log C, and the sweep to each window
-    # end T runs one drift step per node before T; the root-perturbed twin
+    # factor, as it reads the primal's log C; the root-perturbed twin
     # evaluates nothing more
     tree = random_tree(3, periods=4)
     solved = solved_field(tree, 3)
-    factors, steps = [], []
-    original_factor, original_drift = tree_verifier.minimize_exp_sum, tree_verifier._forward_drift
+    factors = []
+    original_factor = tree_verifier.minimize_exp_sum
 
     def counted_factor(*args):
         factors.append(1)
         return original_factor(*args)
 
-    def counted_drift(*args):
-        steps.append(1)
-        return original_drift(*args)
-
     monkeypatch.setattr(tree_verifier, "minimize_exp_sum", counted_factor)
-    monkeypatch.setattr(tree_verifier, "_forward_drift", counted_drift)
     duals = WindowDuals(tree, solved.gamma)
     pairs = _window_pairs(tree)
     sweep_nodes = sum(len(tree.nodes_at(s)) for T in range(1, 5) for s in range(T))
@@ -1881,7 +1960,6 @@ def test_forward_drift_once_per_node_and_window_end(monkeypatch):
         solved_factors = len(factors)
         check_forward_supermartingale(tree, field, pairs, duals=duals)
         assert len(factors) == solved_factors == sweep_nodes
-        assert len(steps) == sweep_nodes
 
 
 def _refusal(fn, *args):
