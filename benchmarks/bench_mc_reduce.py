@@ -22,8 +22,12 @@ simulation) and of ``reduce``, and then the process's peak resident set
 traced peak of each ``gather`` call above the memory traced when it
 starts (the largest over the runs; the first run's allocates the pass's
 arrays), the memory the pass holds once the last run's bundle is
-dropped, and the traced peak of ``reduce`` above that. Both passes must
-write the same report, and its SHA-256 must not change between repeats.
+dropped, and the traced peak of ``reduce`` above that. It also records
+each phase's absolute traced peak, all that the pass traces since its
+start: ``simulate`` and ``gather`` (the largest over the runs, the run's
+workspace alive) and ``reduce``; the largest of the three is the phase
+that sets the peak resident set. Both passes must write the same report,
+and its SHA-256 must not change between repeats.
 
 With ``--baseline-src`` a second source tree (say, the ``src`` of a
 checkout of the parent commit) is measured too, alternating with this one
@@ -96,30 +100,33 @@ def child(n_paths, model, checks):
     names = MC_CHECKS if checks == "suite" else [checks]
     per = 2 if antithetic else 1  # paths per stream
 
-    def one_pass(gathered):
+    def one_pass(phase):
         """The pass with every run gathered, and its run count;
-        ``gathered(call)`` makes each ``gather`` call."""
+        ``phase(name, call)`` makes each ``simulate`` and ``gather`` call
+        and returns what it returns."""
         mc = MonteCarloPass(spec, N_STEPS, n_paths, names, 1.0, 0.0, antithetic)
         columns = mc.simulated_columns
         work = Workspace()
         runs = cli._stream_runs([(0, n_paths // per)], len(columns) - 1)
         for lo, hi in runs:
-            bundle = simulate_paths(
+            bundle = phase("simulate", lambda: simulate_paths(
                 spec, N_STEPS, per * (hi - lo), SEED, antithetic=antithetic, stream_offset=lo,
                 work=work, columns=columns,
-            )
-            gathered(lambda: mc.gather(bundle))
+            ))
+            phase("gather", lambda: mc.gather(bundle))
         del bundle, work
         return mc, len(runs)
 
     row = {"gather_s": 0.0, "gather_minflt": 0}
 
-    def timed(call):
+    def timed(name, call):
         faults = _minflt()
         t0 = time.perf_counter()
-        call()
-        row["gather_s"] += time.perf_counter() - t0
-        row["gather_minflt"] += _minflt() - faults
+        result = call()
+        if name == "gather":
+            row["gather_s"] += time.perf_counter() - t0
+            row["gather_minflt"] += _minflt() - faults
+        return result
 
     mc, row["runs"] = one_pass(timed)
     faults = _minflt()
@@ -131,14 +138,17 @@ def child(n_paths, model, checks):
     text = report.to_json()
     del mc, report
 
-    row["gather_peak_kb"] = 0.0
+    row.update(gather_peak_kb=0.0, simulate_abs_kb=0.0, gather_abs_kb=0.0)
 
-    def traced(call):
+    def traced(name, call):
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        call()
-        peak = tracemalloc.get_traced_memory()[1] - held
-        row["gather_peak_kb"] = max(row["gather_peak_kb"], peak / 1024.0)
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+        row[f"{name}_abs_kb"] = max(row[f"{name}_abs_kb"], peak / 1024.0)
+        if name == "gather":
+            row["gather_peak_kb"] = max(row["gather_peak_kb"], (peak - held) / 1024.0)
+        return result
 
     tracemalloc.start()
     try:
@@ -146,7 +156,9 @@ def child(n_paths, model, checks):
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         report = mc.reduce()
-        row["reduce_peak_kb"] = (tracemalloc.get_traced_memory()[1] - held) / 1024.0
+        peak = tracemalloc.get_traced_memory()[1]
+        row["reduce_peak_kb"] = (peak - held) / 1024.0
+        row["reduce_abs_kb"] = peak / 1024.0
     finally:
         tracemalloc.stop()
     row["held_kb"] = held / 1024.0
@@ -188,7 +200,8 @@ def measure(src, n_paths, repeat, model="readme", checks="suite"):
     }
     for key in (
         "gather_s", "gather_minflt", "reduce_s", "reduce_minflt", "maxrss_mb",
-        "gather_peak_kb", "held_kb", "reduce_peak_kb",
+        "gather_peak_kb", "held_kb", "reduce_peak_kb", "simulate_abs_kb", "gather_abs_kb",
+        "reduce_abs_kb",
     ):
         row[key] = _spread([r[key] for r in samples])
     row["records"] = samples[0]["records"]
@@ -274,6 +287,8 @@ def main():
                 f"({row['reduce_minflt']['median']} faults, "
                 f"{row['reduce_peak_kb']['median']:.0f} KB peak) "
                 f"held={row['held_kb']['median']:.0f} KB "
+                f"absolute simulate/gather/reduce={row['simulate_abs_kb']['median']:.0f}/"
+                f"{row['gather_abs_kb']['median']:.0f}/{row['reduce_abs_kb']['median']:.0f} KB "
                 f"maxrss={row['maxrss_mb']['median']:.2f} MB",
                 flush=True,
             )
@@ -287,7 +302,8 @@ def main():
         "over the runs) and of reduce, then the process's peak RSS (ru_maxrss); second pass, "
         "under tracemalloc: the largest traced peak of a gather call above the memory traced "
         "at its start, the memory the pass holds after the last run, and the traced peak of "
-        "reduce above that; a fresh process per repeat; kernels: the replaced kernels of "
+        "reduce above that; the absolute traced peak of each phase (simulate, gather with the "
+        "run's workspace alive, reduce); a fresh process per repeat; kernels: the replaced kernels of "
         "tests/oracles.py against the package's, seconds per call",
         "src_sha256": source_sha256(sides["rows"]),
         "baseline_src_sha256": source_sha256(args.baseline_src) if args.baseline_src else None,

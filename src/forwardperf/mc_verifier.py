@@ -111,7 +111,6 @@ from .ito_engine import (
     build_forward_exponential,
     density_drift,
     drawn_log_density,
-    expand_density,
     load_gap_integral,
 )
 from .kernels import Workspace, pairwise_sum
@@ -228,17 +227,21 @@ def z_critical(confidence: float) -> float:
 
 
 def collapse_pairs(values: np.ndarray, antithetic: bool, out=None) -> np.ndarray:
-    """Average antithetic partners (paths 2i, 2i+1) into one sample each,
-    0.5 * (v[2i] + v[2i+1]), written into ``out`` when given (a float64
-    array of half the paths, not overlapping ``values``), else a fresh
-    array. Without pairing the values are the samples, returned as they
-    are."""
+    """Average antithetic partners into one sample each, 0.5 * (even +
+    odd), written into ``out`` when given (a float64 array of one entry a
+    pair, not overlapping ``values``), else a fresh array. ``values`` holds
+    the paths in order (partners 2i, 2i + 1) or, as ``reduce`` builds them,
+    as halves: a row of the even partners and a row of the odd ones, added
+    as two contiguous rows. Without pairing the values are the samples,
+    returned as one vector."""
     values = np.asarray(values, dtype=float)
     if not antithetic:
-        return values
-    if values.shape[0] % 2 != 0:
-        raise ValueError("antithetic collapse needs an even number of paths")
-    out = np.add(values[0::2], values[1::2], out=out)
+        return values.reshape(-1)
+    if values.ndim == 1:
+        if values.shape[0] % 2 != 0:
+            raise ValueError("antithetic collapse needs an even number of paths")
+        values = values.reshape(-1, 2).T
+    out = np.add(values[0], values[1], out=out)
     out *= 0.5
     return out
 
@@ -261,6 +264,7 @@ def mc_mean_test(
     work: Workspace | None = None,
     scale: float | None = None,
     roundings: int = 0,
+    deviations: np.ndarray | None = None,
 ) -> CheckRecord:
     """Two-sided normal test of a sample mean against a target, as its
     check record. Samples must already be independent.
@@ -280,9 +284,10 @@ def mc_mean_test(
     variance the band is the floor alone, and the z-score, the miss over
     a standard error of 0, is None. The floor is in ``details``.
 
-    The squared deviations and the reduction's scratch are the
-    ``Workspace`` ``work``'s "deviations" and "pairwise" buffers (fresh
-    arrays by default), so ``samples`` must not be one of them.
+    The squared deviations are written into ``deviations``, a float64
+    array of the samples' shape that does not overlap them, and the
+    reduction's scratch is the ``Workspace`` ``work``'s "pairwise" buffer
+    (fresh arrays by default).
     """
     samples, target = np.asarray(samples, dtype=float), float(target)
     n = samples.shape[0]
@@ -290,8 +295,7 @@ def mc_mean_test(
         # below this the normal band is not trustworthy
         raise ValueError(f"mean test needs at least 100 samples, got {n}")
     mean = pairwise_sum(samples, work=work) / n
-    dev = None if work is None else work.take("deviations", samples.shape)
-    dev = np.subtract(samples, mean, out=dev)
+    dev = np.subtract(samples, mean, out=deviations)
     np.square(dev, out=dev)
     var = pairwise_sum(dev, work=work) / (n - 1)
     se = math.sqrt(var / n)
@@ -352,16 +356,34 @@ def _change_points(v: np.ndarray) -> set[int]:
     return set((np.flatnonzero(v[1:] != v[:-1]) + 1).tolist())
 
 
+def _expand_halves(drawn, drift, antithetic, work):
+    """The halves of a density's path values from its time-major drawn
+    log-density ``drawn`` and ``drift`` at its columns: with pairing the
+    odd partners', exp(-drawn - drift), in the ``work`` buffer
+    "odd-density", then exp(drawn - drift) in place of ``drawn``: [even,
+    odd], or [every path]. These are ``density_path``'s bits."""
+    halves = [drawn]
+    if antithetic:
+        halves.append(np.negative(drawn, out=work.take("odd-density", drawn.shape)))
+    for log_z in halves:
+        log_z -= drift[:, None]
+        np.exp(log_z, out=log_z)
+    return halves
+
+
 def _dual_path_values(cols, z, eta, idx, work):
-    """V(t, eta Z_t) per path at the chosen grid indices, the k-th in the
-    ``work`` buffer ("dual", k); ``z`` maps each index to its density
-    column, ``cols`` holds the field columns (at index 0, one entry that
-    holds for every path). Each value is
-    entropy_kernel(arg) - arg * a with arg = eta * z * (1/gamma), built in
-    place with that rounding."""
+    """V(t, eta Z_t) per path at the chosen grid indices, as halves (a
+    row of even and one of odd partners with pairing), the k-th index
+    above 0 in the ``work`` buffer ("dual", k) and index 0 in ("dual",
+    -1); ``z`` maps each index to its density column's halves, ``cols``
+    holds the field columns (at index 0, one entry that holds for every
+    path). Each value is entropy_kernel(arg) - arg * a with arg = eta * z
+    * (1/gamma), built in place in "dual-arg" with that rounding."""
     out = {}
-    for k, i in enumerate(idx):
-        arg = np.multiply(z[i], eta, out=work.take("dual-arg", z[i].shape))
+    for k, i in enumerate(idx, -(0 in idx)):  # idx is sorted
+        arg = work.take("dual-arg", (len(z[i]), z[i][0].size))
+        for half, z_half in zip(arg, z[i]):
+            np.multiply(z_half, eta, out=half)
         arg *= cols["inv_gamma", i]
         vals = out[i] = entropy_kernel(arg, out=work.take(("dual", k), arg.shape))
         arg *= cols["a_shift", i]
@@ -450,26 +472,28 @@ class MonteCarloPass:
     at the next path to fill, or that would go past ``n_paths``, is
     refused; being stream ranges, runs never split an antithetic pair.
     ``reduce`` refuses a pass that holds fewer than ``n_paths`` paths,
-    reads each column as a contiguous row of the pass's arrays and runs
+    reads each column in place in the pass's arrays and runs
     every mean test once, on exactly the samples one whole-simulation run
     would give, so the report does not depend on the runs.
 
-    ``reduce`` turns a density into path values once, where a check first
-    reads it, with ``expand_density``, the second stage of
-    ``density_path``: odd partners negated, the drift subtracted, ``exp``.
-    So the values have the bits ``density_path`` gives, and the ``exp``
-    count is one per density. On plain paths the rows expand in place; on
-    paired ones into one scratch of a label's columns, which holds the
-    density last read, so a label's densities are expanded one at a time.
+    ``reduce`` expands each density once, with the bits of
+    ``density_path``'s second stage and one ``exp`` a column
+    (``_expand_halves``): the even partners (every path without pairing)
+    in place of the drawn rows, the odd ones into one scratch of n_streams
+    entries a column. Every per-path column and statistic is read as the
+    same halves, so ``collapse_pairs`` adds two contiguous rows. A
+    density's readers are grouped (the loads that share it, z~ after z,
+    the optimum with phi's load), so the scratch holds one density at a
+    time; the report is keyed, so the order does not show in it.
 
-    ``reduce`` builds each test's samples, their pair means and squared
-    deviations, the dual values, a paired density's path values and the
-    reductions' buffers in one ``Workspace`` local to the call, so the
-    scratch lives for one reduction; the report it returns holds plain
-    numbers and none of it.
-    A buffer is taken where a statistic first writes it, so a pass takes
-    only the buffers its checks write: ``inverse-gamma-mean`` alone takes
-    the forward weight's and none for a difference or a log.
+    The scratch lives in one ``Workspace`` local to the call, and the
+    report holds none of it. Buffers are shared by lifetime: "dual-arg"
+    takes a dual argument, then its increments, log z~ and the forward
+    statistic; ("dual", 0) and ("dual", 1), the dual values at the first
+    two indices above 0, then the forward weight and the scale products;
+    the squared deviations go to the dead "dual-arg" with pairing, to
+    "pairs" without. A buffer is taken where a statistic first writes it,
+    so ``inverse-gamma-mean`` alone takes the weight's and the mean test's.
 
     ``roundings`` bounds the rounded operations that build a sample from
     the running sums, for ``mc_mean_test``'s rounding floor. On m grid
@@ -639,6 +663,10 @@ class MonteCarloPass:
         (inv_gamma, a_shift, *draws), self._arrays = self._arrays, None
         self._filled = 0
         gamma0, a0, antithetic = self.gamma0, self.a0, self.antithetic
+        per = 2 if antithetic else 1
+        m = self.n_paths // per  # samples per test
+        # each per-path column as halves, (even, odd) partners with pairing
+        inv_gamma, a_shift = (f.reshape(len(f), m, per).swapaxes(1, 2) for f in (inv_gamma, a_shift))
         work = Workspace()
         # grid index 0 as one entry for every path, the bits the kernels
         # give there: S_B(0) = S_W(0) = 0, so exp(+-0) = 1 and the shift's
@@ -650,29 +678,20 @@ class MonteCarloPass:
             cols["inv_gamma", i] = inv_gamma[k] if self.per_path_inv_gamma else start
         for k, i in enumerate(self.shift_columns):
             cols["a_shift", i] = a_shift[k]
-        n = self.n_paths
-        # density index -> its path values, time-major: in place of its
-        # drawn log-density on plain paths, and in one scratch of the
-        # largest density's size on paired ones, which holds the last
-        # density read
-        expanded: dict[int, np.ndarray] = {}
+        expanded: dict[int, dict] = {}  # the density read last: its columns' halves
 
         def density(reader):
-            """``reader``'s density by grid index. On paired paths the values
-            hold until another density is read."""
+            """``reader``'s density by grid index, as halves, until another
+            density is read."""
             d = self._density_of[reader]
-            columns = self.densities[d][2]
             if d not in expanded:
-                z = draws[d]
-                if antithetic:
-                    expanded.clear()
-                    z = work.take("density", (len(self.columns), n))[: len(columns)]
-                expand_density(draws[d].T, self._drifts[d], antithetic, out=z.T)
-                expanded[d] = z
-            return {0: np.ones(1), **dict(zip(columns, expanded[d]))}
+                expanded.clear()
+                halves = _expand_halves(draws[d], self._drifts[d], antithetic, work)
+                expanded[d] = {0: (np.ones(1),), **dict(zip(self.densities[d][2], zip(*halves)))}
+            return expanded[d]
 
-        # "sample" and "weight" are taken where a statistic first writes one
-        pairs = work.take("pairs", (n // 2,)) if antithetic else None
+        # the pair means; without pairing, the squared deviations
+        pairs = work.take("pairs", (m,))
         idx, terminal = self.idx, self.n_steps
         report = VerificationReport()
 
@@ -687,6 +706,7 @@ class MonteCarloPass:
                 work=work,
                 scale=scale,
                 roundings=self.roundings,
+                deviations=work.take("dual-arg", (m,)) if antithetic else pairs,
             )
             report.add(_require_finite(record, samples, gamma0, eta))
             return record
@@ -698,8 +718,8 @@ class MonteCarloPass:
             """Tests of the dual value V(t, eta Z_t) on ``reader``'s density
             against its closed-form mean: its level at each index above 0
             (tag ``level_tag(t)``) and, with a ``step_tag(t1, t2)``, its
-            increments between the indices. ``gap`` is the load's
-            integral_0^t (nu - phi)^2."""
+            increments between the indices, in "dual-arg". ``gap`` is the
+            load's integral_0^t (nu - phi)^2."""
             vals = _dual_path_values(cols, density(reader), eta, indices, work)
             level = levels[self._density_of[reader], eta] = {}
             size = {i: largest_size(v) for i, v in vals.items()}
@@ -710,7 +730,7 @@ class MonteCarloPass:
                 for i1 in indices[:pos] if step_tag else ():
                     add_test(
                         step_tag(label[i1], label[i2]),
-                        np.subtract(vals[i2], vals[i1], out=work.take("sample", (n,))),
+                        np.subtract(vals[i2], vals[i1], out=work.take("dual-arg", vals[i2].shape)),
                         rate * (gap[i2] - gap[i1]), notes, size[i1] + size[i2], eta,
                     )
                 if i2 > 0:
@@ -719,47 +739,28 @@ class MonteCarloPass:
                         eta,
                     )
 
+        # readers grouped by density, so that each is expanded once: the
+        # loads that share one (z and z~ with it), phi's with the optimum's
+        classes: dict[int, list[str]] = {}
         for label in self.nu_family:
-            gap = self.gaps[label]
-            if self.submartingale:
+            classes.setdefault(self._density_of["z", label], []).append(label)
+        if self.at_optimum:
+            classes.setdefault(self._density_of["z_opt"], [])
+        for d, labels in classes.items():
+            for label in labels if self.submartingale else ():
                 for eta in self.eta_list:
                     head = f"nu={label},eta={tag_number(eta)}"
                     dual_tests(
-                        ("z", label), eta, gap, idx,
+                        ("z", label), eta, self.gaps[label], idx,
                         lambda t: f"dual-above-start[{head},t={t}]",
                         lambda t1, t2: f"dual-submartingale[{head},t1={t1},t2={t2}]",
                         _DUAL_NOTE,
                     )
-            if self.inverse_gamma or self.forward:
-                # the forward weight ((1/gamma_T) gamma0) z_T, then (a_T -
-                # log z~_T) w: the order of operations that fixes the
-                # statistics' rounding
-                w = work.take("weight", (n,))
-                np.multiply(cols["inv_gamma", terminal], gamma0, out=w)
-                w *= density(("z", label))[terminal]
-            if self.inverse_gamma:
-                # E[Z_T / gamma_T] = 1 / gamma0 in units of gamma0
-                add_test(f"inverse-gamma-mean[nu={label}]", w, 1.0, _TERMINAL_NOTE)
-            if self.forward:
-                a_t = cols["a_shift", terminal]
-                drift = work.take("sample", (n,))
-                np.log(density(("z_tilde", label))[terminal], out=drift)
-                # the sizes of the terms w a_T and w log z~_T
-                scratch = work.take("dual-arg", w.shape)
-                scale = largest_size(np.multiply(a_t, w, out=scratch))
-                scale += largest_size(np.multiply(drift, w, out=scratch))
-                np.subtract(a_t, drift, out=drift)
-                drift *= w
-                add_test(
-                    f"forward-drift[nu={label}]", drift, a0 - 0.5 * gap[terminal],
-                    _TERMINAL_NOTE, scale,
-                )
-        if self.at_optimum:
             # nu = phi: the gap is 0 at every column, so on the density of a
             # load of the family the optimum's tests are its level tests
-            for eta in self.eta_list:
+            for eta in self.eta_list if self.at_optimum and d == self._density_of["z_opt"] else ():
                 head = f"dual-martingale-at-optimum[eta={tag_number(eta)}"
-                known = levels.get((self._density_of["z_opt"], eta))
+                known = levels.get((d, eta))
                 if known is None:
                     dual_tests(
                         "z_opt", eta, np.zeros(terminal + 1), self.opt_idx,
@@ -772,6 +773,32 @@ class MonteCarloPass:
                             known[i], check_tag=f"{head},t={self.t_label[i]}]", notes=_OPTIMUM_NOTE
                         )
                     )
+            if labels and (self.inverse_gamma or self.forward):
+                # the forward weight ((1/gamma_T) gamma0) z_T, then (a_T -
+                # log z~_T) w: the order of operations that fixes the
+                # statistics' rounding
+                w = work.take(("dual", 0), (per, m))
+                np.multiply(cols["inv_gamma", terminal], gamma0, out=w)
+                for w_half, z_half in zip(w, density(("z", labels[0]))[terminal]):
+                    w_half *= z_half
+            for label in labels if self.inverse_gamma else ():
+                # E[Z_T / gamma_T] = 1 / gamma0 in units of gamma0
+                add_test(f"inverse-gamma-mean[nu={label}]", w, 1.0, _TERMINAL_NOTE)
+            for label in labels if self.forward else ():
+                a_t = cols["a_shift", terminal]
+                drift = work.take("dual-arg", w.shape)
+                for log_half, z_half in zip(drift, density(("z_tilde", label))[terminal]):
+                    np.log(z_half, out=log_half)
+                # the sizes of the terms w a_T and w log z~_T
+                scratch = work.take(("dual", 1), w.shape)
+                scale = largest_size(np.multiply(a_t, w, out=scratch))
+                scale += largest_size(np.multiply(drift, w, out=scratch))
+                np.subtract(a_t, drift, out=drift)
+                drift *= w
+                add_test(
+                    f"forward-drift[nu={label}]", drift, a0 - 0.5 * self.gaps[label][terminal],
+                    _TERMINAL_NOTE, scale,
+                )
         return report
 
 

@@ -17,6 +17,7 @@ import pytest
 import forwardperf
 import forwardperf.cli as cli
 import forwardperf.ito_engine as ito_engine
+import forwardperf.kernels as kernels
 import forwardperf.mc_verifier as mc_verifier
 import forwardperf.tree_market as tree_market
 import forwardperf.tree_verifier as tree_verifier
@@ -1442,22 +1443,54 @@ def test_ito_output_independent_of_chunking(tmp_path, capsys, monkeypatch, case)
         assert code == 0 and err == ""
 
 
-# 7.14 MiB, the 8-chunk peak when n_chunks alone bounded memory (the 1-chunk
-# peak was 49.06 MiB), plus a margin of 0.86 MiB
-ITO_PEAK_BOUND = 8 * 2**20
+def ito_peak_bound(n_streams, n_paths, n_intervals, density_columns, field_columns, b_columns):
+    """A bound on the traced peak of an ito-verify run, which is its gather
+    phase: what the pass holds, one value a drawn stream for each density
+    column and one a path for each field column, plus a run's scratch,
+    which cli.DRAW_BUDGET bounds: the running sums of dB and dW over the
+    simulated intervals, on at most DRAW_BUDGET // n_intervals streams, the
+    draws' tile (its Philox blocks and uniforms, 4 words a block each) and
+    the B integral the run's densities share, ``b_columns`` columns.
+    reduce's scratch stays below that run scratch. 384 KiB more covers the
+    Python objects and the modules numpy imports on first use."""
+    run = min(n_streams, cli.DRAW_BUDGET // n_intervals)
+    held = 8 * (n_streams * density_columns + n_paths * field_columns)
+    scratch = 8 * ((2 * (n_intervals + 1) + b_columns) * run + 2 * 4 * kernels.TILE_BLOCKS)
+    return held + scratch + 384 * 2**10
 
 
-def test_ito_chunks_bound_memory():
-    # the simulation runs in at most DRAW_BUDGET stream-intervals at a time,
-    # on reused buffers, so the peak stays bounded
+def assert_ito_peak_bounded(checks, n_intervals, density_columns, field_columns, b_columns):
+    """The test model at 20k paired paths x 64 steps runs the ``checks``
+    (the default suite for None) within ``ito_peak_bound``."""
+    doc = ito_doc(n_paths=20_000, n_steps=64, checks=checks)
+    if checks is None:
+        del doc["checks"]
     tracemalloc.start()
     try:
-        report = run_ito_scenario(ito_doc(n_paths=20_000, n_steps=64))
+        report = run_ito_scenario(doc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.all_passed, report.to_text()
-    assert peak < ITO_PEAK_BOUND, peak
+    bound = ito_peak_bound(
+        10_000, 20_000, n_intervals, density_columns, field_columns, b_columns
+    )
+    assert peak < bound, (peak, bound)
+
+
+def test_ito_chunks_bound_memory():
+    # the simulation runs in at most DRAW_BUDGET stream-intervals at a time,
+    # on reused buffers, so the peak stays bounded: one interval, each
+    # load's terminal density, no shift, and every density loads theta on
+    # B (1.44 MiB traced)
+    assert_ito_peak_bounded(["inverse-gamma-mean"], 1, 5, 0, 1)
+
+
+def test_ito_suite_reduce_stays_below_a_run():
+    # the default suite: two intervals, each load's density at 32 and 64
+    # and the shift there (2.20 MiB traced); reduce's statistics, dual
+    # values and paired densities fit below one run's scratch
+    assert_ito_peak_bounded(None, 2, 5 * 2, 2, 2)
 
 
 def test_n_chunks_has_no_effect(tmp_path, capsys, monkeypatch):
@@ -1920,6 +1953,21 @@ def test_console_script_installed():
         text=True,
     )
     assert proc.returncode == 0
+    assert proc.stdout.startswith("eta,dual_value,argmax_x")
+
+
+def test_module_entry_point_runs_uninstalled():
+    # the console script's command through python -m, with the package on
+    # PYTHONPATH: how an uninstalled checkout runs the program
+    env = dict(os.environ, PYTHONPATH=str(Path(forwardperf.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "forwardperf", "conjugate", "--gamma", "1", "--eta", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("eta,dual_value,argmax_x")
 
 

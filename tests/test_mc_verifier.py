@@ -87,6 +87,10 @@ def test_collapse_pairs():
     np.testing.assert_array_equal(out, [2.0, 3.0])
     with pytest.raises(ValueError, match="even"):
         collapse_pairs(np.ones(3), True)
+    # as halves: the even partners' row, then the odd partners'
+    halves = np.array([[1.0, 10.0], [3.0, -4.0]])
+    np.testing.assert_array_equal(collapse_pairs(halves, True), [2.0, 3.0])
+    np.testing.assert_array_equal(collapse_pairs(v[None, :], False), v)
 
 
 def test_mean_test_two_sided(rng):
@@ -167,11 +171,12 @@ def test_mean_test_to_record(rng):
     assert rec.details["n_samples"] == 400
     assert rec.details["z_score"] == (rec.value - rec.target) / rec.std_error
     assert rec.notes == ("context",)
-    # on a workspace: the same record, bit for bit
-    work = Workspace()
+    # on a workspace and a deviations buffer: the same record, bit for bit
+    work, dev = Workspace(), np.empty(400)
     for _ in range(2):
-        again = mc_mean_test(samples, 0.0, "demo", notes=("context",), work=work)
+        again = mc_mean_test(samples, 0.0, "demo", notes=("context",), work=work, deviations=dev)
         assert again == rec
+    np.testing.assert_array_equal(dev, (samples - rec.value) ** 2)
 
 
 def test_default_nu_family_labels():
@@ -375,28 +380,32 @@ def test_reports_chunk_invariant():
 def test_reduce_holds_only_its_scratch_above_the_gathered_columns():
     # reduce reads the gathered columns where they are and builds every
     # statistic in the pass's scratch, so what it allocates is bounded by
-    # that scratch, not by the columns. A paired density is held once per
-    # stream and turned into its path values in one scratch of a label's
-    # columns, one density at a time: expanding two at once, joining the
-    # columns into fresh arrays, or one fresh array per statistic, would
-    # exceed the bound
+    # that scratch, not by the columns. A paired density's even partners
+    # are expanded in place of its drawn rows and its odd ones into one
+    # scratch of n // 2 paths a column, one density at a time; the dual
+    # increments, forward weight, log z~ and scale products reuse the dual
+    # buffers, and the squared deviations the dead difference buffer. A
+    # path-length density scratch, a second density's odd half, a separate
+    # sample, weight or deviations buffer, or one fresh array per
+    # statistic would exceed the bound
     n = 20_000  # antithetic paths: n // 2 samples per test
     mc = MonteCarloPass(CLEAN, 8, n, list(MC_CHECKS), 1.0, 0.0, True)
     mc.gather(simulate_paths(CLEAN, 8, n, seed=31, columns=mc.simulated_columns))
-    n_dual = max(len(mc.idx), len(mc.opt_idx))
+    # per-path dual values: one buffer for each index above 0
+    n_dual = len(mc.opt_idx)
     # each planned density at its columns (here the loads', which the
     # optimum and z~ share): the largest at every pass column
     assert max(len(cols) for _, _, cols in mc.densities) == len(mc.columns)
-    expansion = 8 * n * len(mc.columns)
+    odd_half = 8 * (n // 2) * len(mc.columns)
     scratch = 8 * (
-        n * (3 + n_dual)  # "sample", "weight", "dual-arg" and the ("dual", k) values
-        + 2 * (n // 2)  # "pairs" and "deviations"
+        n * (1 + n_dual)  # "dual-arg" and the ("dual", k) values
+        + n // 2  # "pairs"
         + (n // 4 + n // 8)  # "pairwise": levels of the n // 2 pair means
     )
     masks = 2 * n  # entropy_kernel's y >= 0 and y > 0, one byte a path
-    bound = scratch + masks + expansion + 64 * 1024  # and the records' Python objects
-    # so a second density's expansion would break the bound
-    assert bound < scratch + masks + 2 * expansion
+    bound = scratch + masks + odd_half + 64 * 1024  # and the records' Python objects
+    # the smallest buffer that could come back, the deviations, breaks it
+    assert bound < scratch + masks + odd_half + 8 * (n // 2)
     tracemalloc.start()
     try:
         report = mc.reduce()
@@ -405,6 +414,76 @@ def test_reduce_holds_only_its_scratch_above_the_gathered_columns():
         tracemalloc.stop()
     assert peak <= bound, (peak, bound)
     assert report.all_passed
+
+
+EXPANSION_CASES = {
+    "suite": (CLEAN, list(MC_CHECKS), None),
+    "shifted-gamma": (SHIFTED_GAMMA, list(MC_CHECKS), None),
+    # phi is read by the weight before the optimum, without the level tests
+    "optimum-and-weight": (CLEAN, ["dual-martingale-at-optimum", "inverse-gamma-mean"], None),
+    # loads that share their densities, z and z~ apart
+    "shared-loads": (
+        SHIFTED_GAMMA,
+        list(MC_CHECKS),
+        {"a": np.full(8, 0.2), "b": np.full(8, 0.5), "c": np.full(8, 0.2)},
+    ),
+}
+
+
+def recorded_expansions(monkeypatch, case, antithetic):
+    """Reduce the pass of ``EXPANSION_CASES[case]`` on 400 paths, recording
+    each call of ``_expand_halves``: (the drawn rows it expanded, a copy of
+    the halves it returned). Returns the pass's drawn arrays, the calls,
+    the bundle, the pass and its report's bytes."""
+    spec, checks, family = EXPANSION_CASES[case]
+    bundle = simulate_paths(spec, 8, 400, seed=17, antithetic=antithetic)
+    mc = MonteCarloPass(spec, 8, 400, checks, 1.0, 0.0, antithetic, nu_family=family)
+    mc.gather(bundle)
+    draws = mc._arrays[2:]
+    calls = []
+    original = mc_verifier._expand_halves
+
+    def recorded(drawn, *args):
+        halves = original(drawn, *args)
+        calls.append((drawn, [h.copy() for h in halves]))
+        return halves
+
+    monkeypatch.setattr(mc_verifier, "_expand_halves", recorded)
+    text = mc.reduce().to_json()
+    return draws, calls, bundle, mc, text
+
+
+@pytest.mark.parametrize("case", sorted(EXPANSION_CASES))
+@pytest.mark.parametrize("antithetic", [True, False], ids=["paired", "plain"])
+def test_reduce_expands_each_planned_density_once(monkeypatch, case, antithetic):
+    # readers are grouped by density, so every planned density is expanded
+    # exactly once, however its readers interleave in the checks, and the
+    # report keeps the bytes of the checks run one by one
+    draws, calls, bundle, mc, text = recorded_expansions(monkeypatch, case, antithetic)
+    assert len(draws) == len(mc.densities)
+    assert sorted(id(drawn) for drawn, _ in calls) == sorted(map(id, draws))
+    spec, checks, family = EXPANSION_CASES[case]
+    alone = VerificationReport()
+    for check in checks:
+        alone.merge(run_mc_checks(bundle, 1.0, 0.0, [check], nu_family=family))
+    assert text == alone.to_json()
+
+
+@pytest.mark.parametrize("case", sorted(EXPANSION_CASES))
+@pytest.mark.parametrize("antithetic", [True, False], ids=["paired", "plain"])
+def test_reduce_reads_density_path_halves_bit_for_bit(monkeypatch, case, antithetic):
+    # the halves reduce reads, the even partners in place of the drawn
+    # rows and the odd ones in scratch, are density_path's even and odd
+    # rows bit for bit (every row without pairing): density_path stays the
+    # reference for the pass's expansion
+    draws, calls, bundle, mc, _ = recorded_expansions(monkeypatch, case, antithetic)
+    for drawn, halves in calls:
+        nu1, nu2, columns = mc.densities[[id(a) for a in draws].index(id(drawn))]
+        want = ito_engine.density_path(bundle, nu1, nu2, columns)
+        rows = [want[0::2], want[1::2]] if antithetic else [want]
+        assert len(halves) == len(rows)
+        for half, row in zip(halves, rows):
+            assert half.tobytes() == np.ascontiguousarray(row.T).tobytes()
 
 
 def gathered_growth(spec, mc, n):
