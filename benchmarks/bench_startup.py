@@ -4,83 +4,42 @@ Times fresh interpreters, each started as its own child process:
 
 - ``pass``: ``python -c pass``, the bare interpreter;
 - ``import numpy``: ``python -c "import numpy"``;
-- ``import forwardperf.cli``: the import every CLI call pays;
-- ``run tree``: ``python -m forwardperf run`` on a small ``tree-verify``
-  scenario (``random_tree(7, periods=2)`` with its solved field, all
-  default checks);
-- ``run ito``: the same on a small ``ito-verify`` scenario (the README
-  model, 2000 antithetic paths x 16 steps, the default suite).
+- ``import forwardperf.cli``: the import every CLI call pays.
 
 A small launcher interpreter forks each child and times it from fork to
 exit. Each row records the median and spread (min, max) of the wall
 times, the child's peak resident set (``ru_maxrss``, median and max; it
-never reads below the launcher's own, about a bare interpreter's) and,
-for the run rows, the SHA-256 of the report it wrote. Every side runs
-each row once untimed first, so compiled bytecode is on disk before
-timing starts.
+never reads below the launcher's own, about a bare interpreter's).
+Every side runs each row once untimed first, so compiled bytecode is on
+disk before timing starts. Scenario runs are timed by
+``bench_tree_scenario.py``, ``bench_mc_reduce.py`` and
+``bench_streaming.py``, with the clock inside the process: the spread of
+a whole child's start-up hides a 10% change in a run that short.
 
 With ``--baseline-src`` a second source tree (say, the ``src`` of a
 checkout of the parent commit) is timed too, alternating with this one
-repeat by repeat; the report digests show whether the two agree byte for
-byte. Each tree is recorded by the SHA-256 of its sources
+repeat by repeat. Each tree is recorded by the SHA-256 of its sources
 (``provenance.source_sha256``), not by its path. Usage:
 
-    PYTHONPATH=src:tests python benchmarks/bench_startup.py \\
+    PYTHONPATH=src python benchmarks/bench_startup.py \\
         [--repeat 9] [--baseline-src OTHER/src] [--out BENCH_startup.json]
 """
 
 import argparse
 import datetime
-import hashlib
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 
-SEED = 7
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROWS = {
     "pass": ["-c", "pass"],
     "import numpy": ["-c", "import numpy"],
     "import forwardperf.cli": ["-c", "import forwardperf.cli"],
-    "run tree": ["-m", "forwardperf", "run", "{tree}", "--out", "{report}"],
-    "run ito": ["-m", "forwardperf", "run", "{ito}", "--out", "{report}"],
 }
-
-
-def write_scenarios(tmp):
-    """The two scenario files the run rows read."""
-    from treegen import random_tree, solved_field
-
-    tree = random_tree(SEED, periods=2)
-    field = solved_field(tree, SEED)
-    docs = {
-        "tree": {
-            "schema_version": 1,
-            "kind": "tree-verify",
-            "tree": tree.to_dict(),
-            "gamma": {"mode": "explicit", "values": field.gamma},
-            "a_shift": {"mode": "explicit", "values": field.a_shift},
-        },
-        "ito": {
-            "schema_version": 1,
-            "kind": "ito-verify",
-            "model": {"horizon": 1.0, "theta": 0.5, "phi": 0.3},
-            "gamma0": 1.0,
-            "n_steps": 16,
-            "n_paths": 2000,
-            "seed": 42,
-        },
-    }
-    paths = {}
-    for name, doc in docs.items():
-        paths[name] = os.path.join(tmp, f"{name}.json")
-        with open(paths[name], "w") as fh:
-            json.dump(doc, fh)
-    return paths
 
 
 # Forks and execs one command, then prints its wall time, exit code and
@@ -115,10 +74,10 @@ def time_child(src, argv):
     return float(elapsed), int(maxrss_kib) / 1024.0
 
 
-def summarise(name, runs, report_digests):
+def summarise(name, runs):
     times = [t for t, _ in runs]
     rss = [r for _, r in runs]
-    row = {
+    return {
         "row": name,
         "median_s": statistics.median(times),
         "min_s": min(times),
@@ -127,10 +86,6 @@ def summarise(name, runs, report_digests):
         "maxrss_mb_median": statistics.median(rss),
         "maxrss_mb_max": max(rss),
     }
-    if report_digests:
-        row["report_sha256"] = report_digests[0]
-        row["reports_equal"] = len(set(report_digests)) == 1
-    return row
 
 
 def main():
@@ -149,45 +104,27 @@ def main():
     if args.baseline_src:
         sides["baseline_rows"] = args.baseline_src
     runs = {side: {name: [] for name in ROWS} for side in sides}
-    digests = {side: {name: [] for name in ROWS} for side in sides}
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = write_scenarios(tmp)
-        report = os.path.join(tmp, "report.json")
-
-        def argv_of(name):
-            return [a.format(report=report, **paths) for a in ROWS[name]]
-
-        for side in sides:
-            for name in ROWS:
-                time_child(sides[side], argv_of(name))
-        for rep in range(args.repeat):
-            order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
-            for side in order:
-                for name in ROWS:
-                    if os.path.exists(report):
-                        os.remove(report)
-                    runs[side][name].append(time_child(sides[side], argv_of(name)))
-                    if "{report}" in ROWS[name]:
-                        with open(report, "rb") as fh:
-                            digests[side][name].append(hashlib.sha256(fh.read()).hexdigest())
+    for side in sides:
+        for argv in ROWS.values():
+            time_child(sides[side], argv)
+    for rep in range(args.repeat):
+        order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
+        for side in order:
+            for name, argv in ROWS.items():
+                runs[side][name].append(time_child(sides[side], argv))
     rows = {}
     for side in sides:
-        rows[side] = [summarise(name, runs[side][name], digests[side][name]) for name in ROWS]
+        rows[side] = [summarise(name, runs[side][name]) for name in ROWS]
         for row in rows[side]:
-            sha = row.get("report_sha256", "")[:12]
             print(
                 f"{side:13s} {row['row']:22s} {row['median_s']:.3f}s "
                 f"[{row['min_s']:.3f}, {row['max_s']:.3f}] "
-                f"rss={row['maxrss_mb_median']:.1f}MB {sha}",
+                f"rss={row['maxrss_mb_median']:.1f}MB",
                 flush=True,
             )
     doc = {
         "benchmark": "startup",
-        "what": "fresh interpreters: python -c pass, import numpy, import forwardperf.cli, "
-        "python -m forwardperf run on a small tree-verify and a small ito-verify scenario",
-        "tree": f"random_tree({SEED}, periods=2), solved_field(tree, {SEED}), default checks",
-        "ito": "README model (theta 0.5, phi 0.3), 2000 antithetic paths x 16 steps, seed 42, "
-        "default suite",
+        "what": "fresh interpreters: python -c pass, import numpy, import forwardperf.cli",
         "src_sha256": source_sha256(sides["rows"]),
         "baseline_src_sha256": source_sha256(args.baseline_src) if args.baseline_src else None,
         "date": datetime.date.today().isoformat(),

@@ -112,10 +112,19 @@ def _integer_list(obj, path, minimum=None):
     return [_integer(v, f"{path}[{i}]", minimum=minimum) for i, v in enumerate(obj)]
 
 
-def _number_map(obj, path):
+def _node_map(obj, path, nodes, kind="node", complete=True):
+    """The ``{node: number}`` object at ``path``: refuses an id not in ``nodes``
+    (each a ``kind`` of the tree) and, when ``complete``, a node it leaves out."""
     if not isinstance(obj, dict):
         _fail(path, "expected an object of node: number")
-    return {str(k): _number(v, f"{path}.{k}") for k, v in obj.items()}
+    known = set(nodes)
+    for nid in obj:
+        if nid not in known:
+            _fail(path, f"unknown {kind} {nid!r}")
+    for nid in nodes if complete else ():
+        if nid not in obj:
+            _fail(path, f"no value for {kind} {nid!r}")
+    return {nid: _number(v, f"{path}.{nid}") for nid, v in obj.items()}
 
 
 def load_scenario(path: str) -> dict:
@@ -138,7 +147,8 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(f"scenario {path!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("$: scenario must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    # not a plain comparison: 1.0 and true compare equal to 1
+    if _integer(doc.get("schema_version"), "$.schema_version") != SCHEMA_VERSION:
         _fail("$.schema_version", f"expected {SCHEMA_VERSION}")
     if "kind" not in doc:
         _fail("$.kind", "missing")
@@ -181,10 +191,8 @@ def _gamma_from_scenario(tree, spec):
     if mode == "explicit":
         if "values" not in spec:
             _fail("$.gamma.values", "missing for explicit mode")
-        gamma = _number_map(spec["values"], "$.gamma.values")
+        gamma = _node_map(spec["values"], "$.gamma.values", tree._dfs_order)
         for nid in tree._dfs_order:
-            if nid not in gamma:
-                _fail("$.gamma.values", f"no value for node {nid!r}")
             if gamma[nid] <= 0.0:
                 _fail("$.gamma.values", f"gamma must be positive at {nid!r}")
             _require_gamma_range("$.gamma.values", nid, gamma[nid], 1.0 / gamma[nid])
@@ -194,13 +202,10 @@ def _gamma_from_scenario(tree, spec):
             _fail("$.gamma", "replicate mode needs 'gamma0' and 'psi'")
         g0 = _number(spec["gamma0"], "$.gamma.gamma0", strict_min=0.0)
         _require_gamma_range("$.gamma.gamma0", tree.root, g0, 1.0 / g0)
-        psi = _number_map(spec["psi"], "$.gamma.psi")
+        inner = [nid for nid in tree._dfs_order if not tree.is_leaf(nid)]
+        psi = _node_map(spec["psi"], "$.gamma.psi", inner, kind="non-leaf node")
         inv = {tree.root: 1.0 / g0}
-        for nid in tree._dfs_order:
-            if tree.is_leaf(nid):
-                continue
-            if nid not in psi:
-                _fail("$.gamma.psi", f"no value for node {nid!r}")
+        for nid in inner:
             for br in tree.branches_of(nid):
                 val = inv[nid] + psi[nid] * br.dprice
                 if val <= 0.0:
@@ -220,24 +225,18 @@ def _a_shift_from_scenario(tree, gamma, spec, duals):
     if mode == "explicit":
         if "values" not in spec:
             _fail("$.a_shift.values", "missing for explicit mode")
-        a = _number_map(spec["values"], "$.a_shift.values")
-        for nid in tree._dfs_order:
-            if nid not in a:
-                _fail("$.a_shift.values", f"no value for node {nid!r}")
-        return a
+        return _node_map(spec["values"], "$.a_shift.values", tree._dfs_order)
     if mode == "solve":
         if "terminal" not in spec:
             _fail("$.a_shift.terminal", "missing for solve mode")
         term = spec["terminal"]
         if isinstance(term, dict):
-            terminal = _number_map(term, "$.a_shift.terminal")
+            terminal = _node_map(term, "$.a_shift.terminal", tree.leaves(), kind="leaf")
         else:
             terminal = _number(term, "$.a_shift.terminal")
         a = solve_entropy_shift(tree, gamma, terminal, duals=duals)
         if "offsets" in spec:
-            for nid, off in _number_map(spec["offsets"], "$.a_shift.offsets").items():
-                if nid not in a:
-                    _fail("$.a_shift.offsets", f"unknown node {nid!r}")
+            for nid, off in _node_map(spec["offsets"], "$.a_shift.offsets", tree._dfs_order, complete=False).items():
                 a[nid] += off
         return a
     _fail("$.a_shift.mode", f"unknown mode {mode!r}")

@@ -1218,15 +1218,6 @@ def measures_below(tree, nid, T):
     return total
 
 
-def product_measure_count(tree, t, T):
-    """Number of product measures on [t, T], counted without listing them:
-    the product over the time-t starts of ``measures_below``."""
-    total = 1
-    for start in tree.nodes_at(t):
-        total *= measures_below(tree, start, T)
-    return total
-
-
 # -- tree measures --------------------------------------------------------
 
 

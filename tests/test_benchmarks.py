@@ -1,9 +1,9 @@
-"""The benchmark scripts run against today's package: each tree script's
-``measure`` on the depth-2 tree with one repeat, in this process, with
-``tests/`` on the path as the scripts' usage lines put it, and each Itô
-script's ``measure`` on 2000 paths in one fresh child process that imports
-the package from ``src``. An API change that breaks a script fails here,
-not at its next timing run."""
+"""The benchmark scripts run against today's package: every script loads,
+the tree script's ``measure`` runs on the depth-2 tree with one repeat, in
+this process, with ``tests/`` on the path as its usage line puts it, and
+each Itô script's ``measure`` on 2000 paths in one fresh child process
+that imports the package from ``src``. An API change that breaks a script
+fails here, not at its next timing run."""
 
 import importlib.util
 import json
@@ -23,17 +23,25 @@ def load(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["bench_tree_depth", "bench_tree_scenario", "bench_conjugacy"])
+def test_every_benchmark_file_is_written_by_a_script_that_loads():
+    # a root BENCH_<name>.json names its benchmark, and the script that
+    # writes it is benchmarks/bench_<name>.py
+    for path in sorted(BENCHMARKS.parent.glob("BENCH_*.json")):
+        name = path.stem.removeprefix("BENCH_")
+        assert json.loads(path.read_text())["benchmark"] == name, path.name
+        assert (BENCHMARKS / f"bench_{name}.py").is_file(), path.name
+    for script in sorted(BENCHMARKS.glob("bench_*.py")):
+        assert callable(load(script.stem).main), script.name
+
+
+@pytest.mark.parametrize("name", ["bench_tree_scenario"])
 def test_benchmark_measures_the_depth_two_tree(name):
-    if name == "bench_tree_scenario":
-        # one kernel repeat, so that a kernel name the package lost fails here
-        bench = load(name)
-        row = bench.measure(2, 1, 1)
-        assert row["all_passed"] and row["reports_equal"]
-        assert row["kernels"].keys() == bench.KERNELS.keys()
-    else:
-        row = load(name).measure(2, 1)
+    # one kernel repeat, so that a kernel name the package lost fails here
+    bench = load(name)
+    row = bench.measure(2, 1, 1)
     assert row["depth"] == 2
+    assert row["all_passed"] and row["reports_equal"]
+    assert row["kernels"].keys() == bench.KERNELS.keys()
 
 
 @pytest.mark.parametrize("name", ["bench_mc_reduce", "bench_streaming"])

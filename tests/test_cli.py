@@ -230,9 +230,10 @@ def test_tree_scenario_builds_the_field_once_for_the_forward_check(monkeypatch):
     assert len(builds) == 1
 
 
-# SHA-256 of two tree-verify reports: "explicit" is the scenario of
-# BENCH_tree_scenario.json at d = 4, "solve" builds the shift from the same
-# terminal values and moves the root by 0.1. Re-pinned on purpose when each
+# SHA-256 of two tree-verify reports: "explicit" is the default scenario on
+# random_tree(7, periods=4) with solved_field(tree, 7) given explicitly,
+# "solve" builds the shift from the same terminal values and moves the root
+# by 0.1. Re-pinned on purpose when each
 # window's dual program came to be solved once, at eta = 1, and read at
 # every eta: the dual-self-generation and conjugacy-dual-from-primal
 # values moved in their last digits (at most 3.6e-13), some passing
@@ -844,10 +845,57 @@ def test_tree_scenario_refuses_the_wealth_and_eta_grids_and_conjugacy(tmp_path, 
 
 
 def test_schema_version_gate(tmp_path, capsys):
-    doc = tree_doc(schema_version=99)
-    path = write_scenario(tmp_path, doc)
-    assert main(["run", path]) == 2
-    assert "$.schema_version" in capsys.readouterr().err
+    # true and 1.0 compare equal to 1, but only the integer 1 is version 1
+    for version, error in (
+        (99, "expected 1"),
+        (True, "expected an integer, got bool"),
+        (1.0, "expected an integer, got float"),
+    ):
+        path = write_scenario(tmp_path, tree_doc(schema_version=version))
+        assert main(["run", path]) == 2
+        assert f"$.schema_version: {error}" in capsys.readouterr().err
+
+
+def _full_node_map_doc(section, key):
+    """tree_doc on two_period_tree (root r, then a and b, leaves a1, a2, b1
+    and b2) with the node map at ``$.section.key`` given at every node it
+    takes."""
+    tree = two_period_tree()
+    nodes, inner = tree._dfs_order, [n for n in tree._dfs_order if not tree.is_leaf(n)]
+    spec = {
+        ("gamma", "values"): {"mode": "explicit", "values": dict.fromkeys(nodes, 1.0)},
+        ("gamma", "psi"): {"mode": "replicate", "gamma0": 1.0, "psi": dict.fromkeys(inner, 0.0)},
+        ("a_shift", "values"): {"mode": "explicit", "values": dict.fromkeys(nodes, 0.0)},
+        ("a_shift", "terminal"): {"mode": "solve", "terminal": dict.fromkeys(tree.leaves(), 0.0)},
+        ("a_shift", "offsets"): {"mode": "solve", "terminal": 0.0, "offsets": {"r": 0.1}},
+    }[section, key]
+    return tree_doc(**{section: spec})
+
+
+@pytest.mark.parametrize(
+    "section, key, kind, stray, missing",
+    [
+        ("gamma", "values", "node", "x", "b1"),
+        ("gamma", "psi", "non-leaf node", "a1", "a"),
+        ("a_shift", "values", "node", "x", "b1"),
+        ("a_shift", "terminal", "leaf", "a", "b1"),
+        ("a_shift", "offsets", "node", "x", None),
+    ],
+    ids=["gamma.values", "gamma.psi", "a_shift.values", "a_shift.terminal", "a_shift.offsets"],
+)
+def test_node_maps_refuse_nodes_the_tree_does_not_have(tmp_path, capsys, section, key, kind, stray, missing):
+    # refused with their path, not ignored; a leaf left out of the terminal
+    # shift must not escape as a ValueError traceback
+    doc = _full_node_map_doc(section, key)
+    assert main(["run", write_scenario(tmp_path, doc)]) in (0, 1)
+    capsys.readouterr()
+    doc[section][key][stray] = 0.5
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    assert f"$.{section}.{key}: unknown {kind} {stray!r}" in capsys.readouterr().err
+    if missing is not None:
+        del doc[section][key][stray], doc[section][key][missing]
+        assert main(["run", write_scenario(tmp_path, doc)]) == 2
+        assert f"$.{section}.{key}: no value for {kind} {missing!r}" in capsys.readouterr().err
 
 
 def test_invalid_json_diagnostics(tmp_path, capsys):
