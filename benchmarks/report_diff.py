@@ -28,8 +28,9 @@ every ``--draw-budget`` given (1000 by default), set on both sides; a
 runs, a summary per corpus family (the name up to its first ``/``) counts
 the reports that differ and the exit codes that moved, and one per record
 family (the tag up to its first ``[``) counts the records that moved (and
-of them those on one side only), the largest |change| of a value, and the
-verdicts and ``worst_node`` entries that moved. The exit status is 1 when
+of them those only at the commit, removed, and those only in the working
+tree, added), the largest |change| of a value, and the verdicts and
+``worst_node`` entries that moved. The exit status is 1 when
 any document differs. Usage:
 
     python benchmarks/report_diff.py [--rev HEAD] [--draw-budget 1000]
@@ -199,13 +200,15 @@ def first_difference(a, b):
 
 class Summary:
     """Moves per corpus family (reports differing, exit codes) and per
-    record family (records, records on one side only, largest |change| of
-    a value, verdicts, ``worst_node`` entries)."""
+    record family (records, records only at ``rev`` and only in the
+    working tree, largest |change| of a value, verdicts, ``worst_node``
+    entries)."""
 
-    def __init__(self):
+    def __init__(self, rev="HEAD"):
+        self.rev = rev
         self.docs = defaultdict(lambda: {"runs": 0, "reports": 0, "exit": 0})
         self.families = defaultdict(
-            lambda: {"records": 0, "one side only": 0, "value": 0.0, "verdict": 0, "worst_node": 0}
+            lambda: {"records": 0, "removed": 0, "added": 0, "value": 0.0, "verdict": 0, "worst_node": 0}
         )
 
     def add(self, name, base, tree):
@@ -222,7 +225,7 @@ class Summary:
             moved = self.families[tag.split("[")[0]]
             moved["records"] += 1
             if a is None or b is None:
-                moved["one side only"] += 1
+                moved["added" if a is None else "removed"] += 1
                 continue
             va, vb = a.get("value"), b.get("value")
             if isinstance(va, (int, float)) and isinstance(vb, (int, float)) and va != vb:
@@ -235,12 +238,13 @@ class Summary:
         for name, doc in self.docs.items():
             out.append(f"  {name}: {doc['runs']} runs, {doc['reports']} differ, {doc['exit']} exit moves")
         out.append(
-            "record family: records moved, on one side only, largest |change| of a value, "
-            "verdict moves, worst_node moves"
+            f"record family: records moved, only at {self.rev}, only in the working tree, "
+            "largest |change| of a value, verdict moves, worst_node moves"
         )
         for name, moved in sorted(self.families.items()):
             out.append(
-                f"  {name}: {moved['records']} moved, {moved['one side only']} on one side only, "
+                f"  {name}: {moved['records']} moved, {moved['removed']} only at {self.rev}, "
+                f"{moved['added']} only in the working tree, "
                 f"|change| <= {moved['value']:.3g}, "
                 f"{moved['verdict']} verdict moves, {moved['worst_node']} worst_node moves"
             )
@@ -265,7 +269,7 @@ def main():
         }
         default = {side: cli.DRAW_BUDGET for side, cli in sides.items()}
         n_diff = n_runs = 0
-        summary = Summary()
+        summary = Summary(args.rev)
         for name, doc in corpus():
             path = os.path.join(tmp, "scenario.json")
             with open(path, "w") as fh:

@@ -289,8 +289,8 @@ def run_tree_scenario(doc, base_dir="."):
     )
     tree = _tree_from_scenario(doc, base_dir)
     gamma = _gamma_from_scenario(tree, doc["gamma"])
-    # one context for the scenario: node data, factor recursions and each
-    # window's eta = 1 dual program are built once, for the shift and all
+    # one context for the scenario: node data, factor recursions and the
+    # dual sweep to each window end are built once, for the shift and all
     # checks
     duals = WindowDuals(tree, gamma)
     a_shift = _a_shift_from_scenario(tree, gamma, doc["a_shift"], duals)

@@ -97,8 +97,9 @@ and its value at the minimiser is c_n = h(m_n) - s_n m_n, so
 s_n = sum_k q~_k (s_k - log(q~_k / p_k)): the drift step at the
 children's shifts. From s = a at time T, D(n) = s_n at every node, for
 every field, self-generating or not. The equality's gap at m, |D(m) - a_m|,
-is the sweep's |shift(m) - a_m|, the entropy-identity gap of
-[time(m), T] at m, and the check reads it there.
+is the sweep's |shift(m) - a_m|, the entropy-identity gap of [time(m), T]
+at m. The check reads it there, and reports it as one roll-up over its
+windows: a per-window record would restate entropy-identity gaps.
 
 The forward check's worst drift is the factor recursion. With 1/gamma
 replicable, q -> q~ = gamma_n q / gamma maps a node's one-step martingale
@@ -314,14 +315,12 @@ class WindowDuals:
       replication of 1/gamma (``replication``);
     - per T, keyed also by the bits of a_shift at the time-T nodes: the
       log factor (``factors``), which the primal and forward checks both
-      read, and the sweep of one-step dual programs to T (``sweep``).
-      Each holds the nodes some window ending at T has needed; they
-      depend on the window's end and not on its start;
-    - per (t, T), keyed also by the bits of a_shift at the time-T nodes:
-      the window's eta = 1 dual value (``dual``), which ``DualResult.at``
-      reads at every eta. A shift moved before T (a perturbed root) reads
-      the sweeps of the shift construction; one moved at a time-T node
-      builds a new sweep;
+      read, and the sweep of one-step dual programs to T (``sweep``),
+      which every dual read of a window ending at T composes. Each holds
+      the nodes some window ending at T has needed; they depend on the
+      window's end and not on its start. A shift moved before T (a
+      perturbed root) reads the sweeps of the shift construction; one
+      moved at a time-T node builds a new sweep;
     - per node, keyed also by the bits of its children's shifts: the
       outcome of its one-step dual program (minimiser, implied shift, its
       bound, iterations and failure), which every sweep meeting those
@@ -340,7 +339,6 @@ class WindowDuals:
         self._gaps: dict[str, float] = {}
         self._factors: dict[tuple[int, bytes], tuple[dict, dict]] = {}
         self._sweeps: dict[tuple[int, bytes], _Sweep] = {}
-        self._solved: dict[tuple[int, int, bytes], DualResult] = {}
         self._programs: dict[tuple[str, bytes], tuple] = {}
 
     def _shift_key(self, a_shift, T):
@@ -399,14 +397,6 @@ class WindowDuals:
             self._sweeps[key] = _Sweep(self, a_shift, T)
         self._sweeps[key].extend(t)
         return self._sweeps[key]
-
-    def dual(self, field: ExponentialFieldParams, t: int, T: int) -> DualResult:
-        """``dual_value(tree, field, 1.0, t, T)``, read once; ``.at(eta)``
-        reads it at another eta."""
-        key = (t, T, self._shift_key(field.a_shift, T))
-        if key not in self._solved:
-            self._solved[key] = dual_value(self.tree, field, 1.0, t, T, duals=self)
-        return self._solved[key]
 
 
 def _window_duals(duals, tree, gamma):
@@ -804,15 +794,6 @@ def _overall_record(tag, records, tol):
     return CheckRecord(tag, r.verdict, r.value, r.target, r.tolerance, r.std_error, r.worst_node, r.notes)
 
 
-def _shift_gaps(tree, field, unit, t):
-    """|a_implied - a| at each time-t start, in DFS order, with a_implied
-    the shift that the window's eta = 1 dual value ``unit`` implies
-    (``DualResult.shift``). It vanishes iff the entropy identity holds
-    there, and it is the dual self-generation gap in shift units: v(eta) is
-    read from eta = 1 in closed form, so every eta implies this shift."""
-    return {n: abs(unit.shift[n] - field.a_shift[n]) for n in tree.nodes_at(t)}
-
-
 def check_self_generation_primal(
     tree: EventTree,
     field: ExponentialFieldParams,
@@ -851,13 +832,14 @@ def check_self_generation_dual(
 ) -> VerificationReport:
     """Per (t, T): does the dual value reproduce the dual slice.
 
-    The gap at a start is the shift the window's eta = 1 dual value
-    implies against the field's (``_shift_gaps``), so a root perturbation
-    of the field shows up at exactly its own size. Without replication of
-    1/gamma every record fails with the replication certificate, and
-    nothing is solved. A record carries the read's certificate, max over
+    The gap at a start is |a_implied - a|, a_implied the shift the
+    window's eta = 1 dual value implies (``DualResult.shift``): v(eta) is
+    read from eta = 1 in closed form, so every eta implies it, and a root
+    perturbation of the field shows up at exactly its own size. Without
+    replication of 1/gamma every record fails with the replication
+    certificate, and nothing is solved. A record carries the read's certificate, max over
     starts of |m - 1/gamma|, and per start the window's Newton iterations,
-    KKT residual and near-boundary flag. ``duals`` shares the dual solves
+    KKT residual and near-boundary flag. ``duals`` shares the sweeps
     with the other checks of a scenario.
     """
     duals = _window_duals(duals, tree, field.gamma)
@@ -868,12 +850,12 @@ def check_self_generation_dual(
         if not rep.feasible:
             windows.append(_unreplicated_record(tag, rep))
             continue
-        unit = duals.dual(field, t, T)
+        unit = dual_value(tree, field, 1.0, t, T, duals=duals)
         m = unit.inverse_gamma_mean
         windows.append(
             _gap_record(
                 tag,
-                _shift_gaps(tree, field, unit, t),
+                {n: abs(unit.shift[n] - field.a_shift[n]) for n in tree.nodes_at(t)},
                 tol,
                 details={
                     "read_certificate": max(abs(m[n] - 1.0 / field.gamma[n]) for n in m),
@@ -969,7 +951,7 @@ def check_value_conjugacy(
 
     duals = _window_duals(duals, tree, field.gamma)
     base = primal_value(tree, field, xi_grid[0], t, T, duals=duals)
-    unit = duals.dual(field, t, T)
+    unit = dual_value(tree, field, 1.0, t, T, duals=duals)
     conjugates = [[_conjugate_read(unit, n, x) for n in starts] for x in xi_grid]
     primals = np.array([_at_nodes(base.at(x).values, starts) for x in xi_grid])
     # per (wealth, start) and per (eta, start); each start's worst over its grid
@@ -1032,28 +1014,30 @@ def check_exponential_conditions(
     the node's 1/gamma, over its nodes of levels t..T-1, start by start in
     DFS order (``WindowDuals.inverse_gamma_gaps``). A window with a node
     there that has no equivalent one-step measure is refused first, with
-    ``ArbitrageError``. A window of no step passes at 0. The entropy minima
-    are the eta = 1 window duals of the field; they and the one-step gaps
-    are read from ``duals`` when given.
+    ``ArbitrageError``. A window of no step passes at 0.
+
+    The entropy identity is one record, the first window with the largest
+    gap; its gap at a start is |a_implied - a|, a_implied the shift of the
+    window's eta = 1 dual value, read from the sweep to T. Per window that
+    is the ``dual-self-generation`` gap. Without replication of 1/gamma it
+    fails with the replication certificate, and nothing is solved. The
+    one-step gaps and the sweeps are read from ``duals`` when given.
     """
     _check_field_type(field)
     duals = _window_duals(duals, tree, field.gamma)
+    a_shift, rep, tag = field.a_shift, duals.replication(), "exp-condition-entropy-identity"
     inverse_gamma, entropy = [], []
     for (t, T) in time_pairs:
         gaps = duals.inverse_gamma_gaps(t, T) or dict.fromkeys(tree.nodes_at(t), 0.0)
         inverse_gamma.append(_gap_record(f"exp-condition-inverse-gamma-martingale[t={t},T={T}]", gaps, tol))
-        tag = f"exp-condition-entropy-identity[t={t},T={T}]"
-        if not duals.replication().feasible:
-            entropy.append(_unreplicated_record(tag, duals.replication()))
+        if not rep.feasible:
+            entropy.append(_unreplicated_record(tag, rep))
             continue
-        entropy.append(_gap_record(tag, _shift_gaps(tree, field, duals.dual(field, t, T), t), tol))
+        shift = duals.sweep(a_shift, t, T).shift
+        entropy.append(_gap_record(tag, {n: abs(shift[n] - a_shift[n]) for n in tree.nodes_at(t)}, tol))
     return VerificationReport(
         inverse_gamma
-        + entropy
-        + [
-            _overall_record("exp-condition-inverse-gamma-martingale", inverse_gamma, tol),
-            _overall_record("exp-condition-entropy-identity", entropy, tol),
-        ]
+        + [_overall_record("exp-condition-inverse-gamma-martingale", inverse_gamma, tol), _overall_record(tag, entropy, tol)]
     )
 
 
@@ -1092,8 +1076,12 @@ def check_forward_supermartingale(
     (``ArbitrageError``) by name, before the factor recursion, whose
     duality needs one, is read.
 
-    Each record takes the largest gap over the window's nodes, start by
-    start, in DFS order (``tree.window_interior``).
+    Each window's gap is the largest over its nodes, start by start, in
+    DFS order (``tree.window_interior``). The drift's sign is its own
+    record per window (``forward-supermartingale[t,T]``); the equality,
+    whose gaps are entropy-identity gaps, is one roll-up
+    (``forward-martingale-at-optimum``): the first window with the
+    largest gap.
     """
     _check_field_type(field)
     for (t, T) in time_pairs:
@@ -1101,23 +1089,19 @@ def check_forward_supermartingale(
             raise ValueError(f"need a nondegenerate window, got [{t}, {T}]")
     duals = _window_duals(duals, tree, field.gamma)
     _require_replication(duals.replication(), _FORWARD)
-    a_shift, records = field.a_shift, []
+    a_shift, tag, drifts, equalities = field.a_shift, "forward-martingale-at-optimum", [], []
     for (t, T) in time_pairs:
-        sweep = duals.sweep(a_shift, t, T)
+        shift = duals.sweep(a_shift, t, T).shift
         log_c, _ = _exponential_factors(duals, field, t, T)
         # the starts' subtrees are disjoint, so each record keys its gaps by node
         window = [m for start in tree.nodes_at(t) for m in tree.window_interior(start, T)]
-        records += [
+        drifts.append(
             _gap_record(
                 f"forward-supermartingale[t={t},T={T}]",
                 {m: log_c[m] - a_shift[m] for m in window},
                 tol,
                 notes=("positive drift of the shifted log density violates the bound",),
-            ),
-            _gap_record(
-                f"forward-martingale-at-optimum[t={t},T={T}]",
-                {m: abs(sweep.shift[m] - a_shift[m]) for m in window},
-                tol,
-            ),
-        ]
-    return VerificationReport(records)
+            )
+        )
+        equalities.append(_gap_record(tag, {m: abs(shift[m] - a_shift[m]) for m in window}, tol))
+    return VerificationReport(drifts + [_overall_record(tag, equalities, tol)])

@@ -65,7 +65,7 @@ from forwardperf.tree_market import (
     enumerate_product_measures,
     measure_from_leaf_masses,
 )
-from forwardperf.tree_verifier import _conjugate_read, primal_value
+from forwardperf.tree_verifier import _conjugate_read, dual_value, primal_value
 
 
 def cond_prob(tree, ancestor, nid):
@@ -816,7 +816,7 @@ def entropy_shift_per_node(tree, gamma, terminal_a, duals):
     a_out = {w: float(terminal_a[w]) for w in tree.leaves()}
     terminal = ExponentialFieldParams(gamma, {n: a_out.get(n, 0.0) for n in gamma})
     for t in range(tree.horizon - 1, -1, -1):
-        ent = duals.dual(terminal, t, tree.horizon)
+        ent = dual_value(tree, terminal, 1.0, t, tree.horizon, duals=duals)
         for nid in tree.nodes_at(t):
             a_out[nid] = _implied_shift_0d(gamma[nid], 1.0, ent.values[nid])
     return a_out
@@ -827,7 +827,7 @@ def self_generation_dual_per_point(tree, field, time_pairs, duals, tol=1e-6):
     the shift it implies taken per start."""
     windows = []
     for (t, T) in time_pairs:
-        unit = duals.dual(field, t, T)
+        unit = dual_value(tree, field, 1.0, t, T, duals=duals)
         gaps = {
             n: abs(_implied_shift_0d(field.gamma[n], 1.0, _read_0d(unit, n, 1.0)) - field.a_shift[n])
             for n in tree.nodes_at(t)
@@ -860,7 +860,7 @@ def value_conjugacy_per_point(tree, field, t, T, xi_grid, eta_grid, duals, tol=1
     eta_grid = sorted(float(e) for e in eta_grid)
     starts = tree.nodes_at(t)
     base = primal_value(tree, field, 0.0, t, T, duals=duals)
-    unit = duals.dual(field, t, T)
+    unit = dual_value(tree, field, 1.0, t, T, duals=duals)
     conjugates = [{n: _conjugate_read(unit, n, x) for n in starts} for x in xi_grid]
     primals = [base.at(x).values for x in xi_grid]
     primal_gaps = {
@@ -892,25 +892,23 @@ def value_conjugacy_per_point(tree, field, t, T, xi_grid, eta_grid, duals, tol=1
     )
 
 
+def implied_shift_per_start(tree, field, t, T, duals):
+    """{start: the shift a} that the window's eta = 1 value implies at each
+    time-t start, read per start from ``dual_value``."""
+    unit = dual_value(tree, field, 1.0, t, T, duals=duals)
+    return {n: _implied_shift_0d(field.gamma[n], 1.0, unit.values[n]) for n in tree.nodes_at(t)}
+
+
 def entropy_identity_per_node(tree, gamma, a_shift, time_pairs, duals, tol=1e-6):
-    """``check_exponential_conditions``' entropy-identity records, per
-    window and the roll-up, with the gap taken per start from the shift
-    the eta = 1 value implies."""
+    """``check_exponential_conditions``' entropy-identity roll-up: the first
+    window with the largest gap, the gap taken per start from the shift the
+    eta = 1 value implies (``implied_shift_per_start``)."""
     field = ExponentialFieldParams(gamma, a_shift)
-    records = []
+    windows = []
     for (t, T) in time_pairs:
-        ent = duals.dual(field, t, T)
-        records.append(
-            _scalar_gap_record(
-                f"exp-condition-entropy-identity[t={t},T={T}]",
-                {
-                    n: abs(_implied_shift_0d(gamma[n], 1.0, ent.values[n]) - a_shift[n])
-                    for n in tree.nodes_at(t)
-                },
-                tol,
-            )
-        )
-    return records + [_scalar_overall("exp-condition-entropy-identity", records, tol)]
+        implied = implied_shift_per_start(tree, field, t, T, duals)
+        windows.append(_scalar_gap_record("", {n: abs(s - a_shift[n]) for n, s in implied.items()}, tol))
+    return _scalar_overall("exp-condition-entropy-identity", windows, tol)
 
 
 def window_programs_rebuilt(tree, field, windows, eta_grid):

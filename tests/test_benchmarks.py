@@ -99,21 +99,27 @@ def test_report_diff_runs_two_imports_of_a_tree_side_by_side(tmp_path):
     moved["checks"][tag]["value"] += 1.0
     assert diff.first_difference(text, json.dumps(moved)) == tag
     # a tree document, the pinned root-shifted scenario, runs on both sides
-    # alike too; a moved value and verdict are summed by record family
+    # alike too; a moved value and verdict are summed by record family, and
+    # a record on one side only by the side it is on
     name, doc = dict((n.split("/")[1], (n, d)) for n, d in diff.pinned_tree_docs())["solve"]
     path.write_text(json.dumps(doc))
     code, text = diff.run(one, str(path), str(tmp_path / "one.json"))
     assert code == 1 and text
     assert diff.run(two, str(path), str(tmp_path / "two.json")) == (code, text)
     moved = json.loads(text)
-    tag = "forward-martingale-at-optimum[t=0,T=2]"
+    tag = "forward-supermartingale[t=0,T=2]"
     moved["checks"][tag]["value"] += 0.5
     moved["checks"][tag]["verdict"] = not moved["checks"][tag]["verdict"]
-    summary = diff.Summary()
+    summary = diff.Summary("base")
     summary.add(name, (code, text), (code, text))
     summary.add(name, (code, text), (0, json.dumps(moved)))
     assert summary.docs["pinned"] == {"runs": 2, "reports": 1, "exit": 1}
-    assert list(summary.families) == ["forward-martingale-at-optimum"]
-    family = summary.families["forward-martingale-at-optimum"]
+    assert list(summary.families) == ["forward-supermartingale"]
+    family = summary.families["forward-supermartingale"]
     assert family["value"] == pytest.approx(0.5)
-    assert family == dict(family, records=1, verdict=1, worst_node=0, **{"one side only": 0})
+    assert family == dict(family, records=1, verdict=1, worst_node=0, removed=0, added=0)
+    before = dict(family)
+    moved["checks"]["forward-supermartingale[t=9,T=9]"] = moved["checks"].pop(tag)
+    summary.add(name, (code, text), (code, json.dumps(moved)))
+    assert summary.families["forward-supermartingale"] == dict(before, records=3, removed=1, added=1)
+    assert "  forward-supermartingale: 3 moved, 1 only at base, 1 only in the working tree," in "\n".join(summary.lines())

@@ -370,8 +370,8 @@ def test_primal_refuses_nonreplicable_gamma_before_solving(monkeypatch):
 
 def test_nonreplicable_gamma_is_a_failing_record_of_the_exponential_conditions(monkeypatch):
     # the conditions and the dual check report the failure instead of
-    # raising: the window records carry the replication certificate, and no
-    # program is solved
+    # raising: the dual window records and both roll-ups carry the
+    # replication certificate, and no program is solved
     tree, field = nonreplicable_trinomial_field()
 
     def solved(*args):
@@ -384,7 +384,6 @@ def test_nonreplicable_gamma_is_a_failing_record_of_the_exponential_conditions(m
     certificate = replicate_inverse_gamma(tree, field.gamma)
     dual = check_self_generation_dual(tree, field, [(0, 1)])
     for rec in (
-        rep["exp-condition-entropy-identity[t=0,T=1]"],
         rep["exp-condition-entropy-identity"],
         dual["dual-self-generation[t=0,T=1]"],
         dual["dual-self-generation"],
@@ -1165,7 +1164,7 @@ def test_primal_and_dual_agree_in_shift_units_on_every_window(periods):
             size = 4.0 + max(abs(a) for a in field.a_shift.values())
             for t, T in _window_pairs(tree):
                 log_factor = primal_value(tree, field, 0.0, t, T, duals=duals).log_factor
-                unit = duals.dual(field, t, T)
+                unit = dual_value(tree, field, 1.0, t, T, duals=duals)
                 for n in tree.nodes_at(t):
                     bound = unit.kkt_residual[n] + 64 * u * size * (T - t)
                     assert abs(log_factor[n] - unit.shift[n]) <= bound, (seed, t, T, n)
@@ -1383,8 +1382,12 @@ def test_window_duals_share_and_refuse_another_field():
     tree = two_period_tree()
     field = solved_field(tree, seed=23)
     duals = WindowDuals(tree, field.gamma)
-    unit = duals.dual(field, 0, 2)
-    assert duals.dual(field, 0, 2) is unit
+    unit = dual_value(tree, field, 1.0, 0, 2, duals=duals)
+    # a second read of the window composes it from the same sweep
+    (sweep,) = duals._sweeps.values()
+    again = dual_value(tree, field, 1.0, 0, 2, duals=duals)
+    assert (again.values, again.leaf_masses) == (unit.values, unit.leaf_masses)
+    assert list(duals._sweeps.values()) == [sweep]
     # eta = 1 is the window's one program, bit for bit; eta = 2 is read
     # from it, as dual_value reads it, and matches the program at eta = 2
     read = unit.at(2.0)
@@ -1394,23 +1397,24 @@ def test_window_duals_share_and_refuse_another_field():
     per_eta = oracles.dual_by_eta(tree, field, 2.0, 0, 2)
     for n, v in read.values.items():
         assert abs(v - per_eta.values[n]) <= 1e-10 * max(1.0, abs(v))
-    # the exponential checks read the eta = 1 window duals they are given
+    # the exponential checks read the sweep to 2 they are given
     pairs = [(0, 2)]
     for check in (
         lambda d: check_exponential_conditions(tree, field, pairs, duals=d),
         lambda d: check_forward_supermartingale(tree, field, pairs, duals=d),
     ):
         assert check(duals).to_json() == check(None).to_json()
-    assert [key[:2] for key in duals._solved] == [(0, 2)]
+    assert list(duals._sweeps.values()) == [sweep]
     # the window [0, 2] reads the shift at time 2 only: a shift moved at
-    # time 1 reads the same entry, one moved at a leaf gets its own
+    # time 1 reads the same sweep, one moved at a leaf gets its own
     moved_before = with_offsets(field, {"a": 0.1})
-    assert duals.dual(moved_before, 0, 2) is duals.dual(field, 0, 2)
+    assert dual_value(tree, moved_before, 1.0, 0, 2, duals=duals).shift == unit.shift
+    assert list(duals._sweeps.values()) == [sweep]
     moved_leaf = with_offsets(field, {"a1": 0.1})
     fresh = dual_value(tree, moved_leaf, 1.0, 0, 2)
-    assert duals.dual(moved_leaf, 0, 2).values == fresh.values
-    assert fresh.values != duals.dual(field, 0, 2).values
-    assert len(duals._solved) == 2
+    assert dual_value(tree, moved_leaf, 1.0, 0, 2, duals=duals).values == fresh.values
+    assert fresh.values != unit.values
+    assert len(duals._sweeps) == 2
     # a context belongs to one tree and one gamma
     other = ExponentialFieldParams({n: 2.0 * g for n, g in field.gamma.items()}, field.a_shift)
     with pytest.raises(ValueError, match="another tree or gamma"):
@@ -1441,20 +1445,20 @@ def test_window_duals_resolve_a_window_whose_leaf_shift_moved():
     duals, field = shifted_context(tree, 7, {tree.leaves()[0]: 0.1})
     # the shift construction solved one sweep, to the horizon, and no window
     (stale,) = duals._sweeps.values()
-    assert (stale.T, stale.level, duals._solved) == (3, 0, {})
+    assert (stale.T, stale.level) == (3, 0)
     for t in (0, 1, 2):
         # not the shift construction's sweep, which read the unmoved leaf,
         # but the one a fresh dual_value reads
-        got = duals.dual(field, t, 3)
+        got = dual_value(tree, field, 1.0, t, 3, duals=duals)
         fresh = dual_value(tree, field, 1.0, t, 3)
         assert got.shift != {n: stale.shift[n] for n in tree.nodes_at(t)}
         assert (got.values, got.leaf_masses) == (fresh.values, fresh.leaf_masses)
-    assert len(duals._sweeps) == 2 and len(duals._solved) == 3
+    assert len(duals._sweeps) == 2
     # moved at the root instead, the windows to the horizon read the shift's sweep
     duals, field = shifted_context(tree, 7, {tree.root: 0.1})
     (stale,) = duals._sweeps.values()
     for t in (0, 1, 2):
-        assert duals.dual(field, t, 3).shift == {n: stale.shift[n] for n in tree.nodes_at(t)}
+        assert dual_value(tree, field, 1.0, t, 3, duals=duals).shift == {n: stale.shift[n] for n in tree.nodes_at(t)}
     assert list(duals._sweeps.values()) == [stale]
 
 
@@ -1473,7 +1477,7 @@ def test_shared_context_matches_per_window_rebuild(offsets):
             assert primal.log_factor == log_factor[(t, T)]
             fresh = dual_value(tree, field, 1.0, t, T)
             for e in etas:
-                got, want = duals.dual(field, t, T).at(e), rebuilt[(t, T, e)]
+                got, want = dual_value(tree, field, 1.0, t, T, duals=duals).at(e), rebuilt[(t, T, e)]
                 assert got.near_boundary == want.near_boundary
                 if e == 1.0:
                     # the shared sweep is a fresh one, bit for bit, and
@@ -1487,8 +1491,8 @@ def test_shared_context_matches_per_window_rebuild(offsets):
                 for n, v in got.values.items():
                     assert abs(v - want.values[n]) <= 1e-10 * max(1.0, abs(v))
         if field is solved:
-            # one program per window, whatever the eta
-            assert sorted(key[:2] for key in duals._solved) == sorted(windows)
+            # one sweep per window end, whatever the start and the eta
+            assert sorted(T for T, _ in duals._sweeps) == sorted({T for _, T in windows})
 
 
 def test_weak_duality_any_field():
@@ -1526,8 +1530,8 @@ def test_exponential_conditions_flag_perturbation():
     field = with_offsets(solved_field(tree, seed=26), {"r": 0.1})
     rep = check_exponential_conditions(tree, field, [(0, 2)])
     assert not rep.all_passed
-    rec = rep["exp-condition-entropy-identity[t=0,T=2]"]
-    assert not rec.verdict
+    rec = rep["exp-condition-entropy-identity"]
+    assert (rec.verdict, rec.worst_node) == (False, "r")
     assert rec.value == pytest.approx(0.1, abs=1e-7)
     # the 1/gamma martingale condition does not see shifts
     assert rep["exp-condition-inverse-gamma-martingale[t=0,T=2]"].verdict
@@ -1568,9 +1572,8 @@ def test_forward_supermartingale_clean():
     pairs = [(0, 1), (0, 2), (1, 2)]
     rep = check_forward_supermartingale(tree, field, pairs)
     assert rep.all_passed, rep.to_text()
-    assert len(rep) == 2 * len(pairs)
-    for (t, T) in pairs:
-        assert rep[f"forward-martingale-at-optimum[t={t},T={T}]"].value <= 1e-8
+    assert len(rep) == len(pairs) + 1
+    assert rep["forward-martingale-at-optimum"].value <= 1e-8
 
 
 def test_forward_supermartingale_perturbation():
@@ -1580,8 +1583,8 @@ def test_forward_supermartingale_perturbation():
     # the inequality direction still holds; only the equality at the
     # entropy minimizer breaks, by exactly the perturbation
     assert rep["forward-supermartingale[t=0,T=2]"].verdict
-    rec = rep["forward-martingale-at-optimum[t=0,T=2]"]
-    assert not rec.verdict
+    rec = rep["forward-martingale-at-optimum"]
+    assert (rec.verdict, rec.worst_node) == (False, "r")
     assert rec.value == pytest.approx(0.1, abs=1e-7)
 
 
@@ -1804,27 +1807,31 @@ def test_forward_supermartingale_finds_a_violation_inside_the_polytope():
 @pytest.mark.parametrize("bumped", [False, True], ids=["solved", "root-bumped"])
 @pytest.mark.parametrize("periods", [2, 3, 4, 5])
 def test_forward_optimum_matches_density_oracle(periods, bumped):
-    # the drift recursion at the entropy minimiser against the gaps read
-    # from the whole-tree density process of its forward reweighting
+    # the gaps the forward equality reads, the sweep's |shift - a| per
+    # node, against those read from the whole-tree density process of the
+    # entropy minimiser's forward reweighting, window by window; and the
+    # roll-up against the largest of the oracle's gaps
     tree = random_tree(7, periods=periods)
     field = solved_field(tree, 7)
     if bumped:
         field = with_offsets(field, {tree.root: 0.1})
     duals = WindowDuals(tree, field.gamma)
     rep = check_forward_supermartingale(tree, field, _window_pairs(tree), duals=duals)
+    want, want_node = 0.0, None
     for (t, T) in _window_pairs(tree):
-        rec = rep[f"forward-martingale-at-optimum[t={t},T={T}]"]
-        res = duals.dual(field, t, T)
-        want, want_node = 0.0, None
+        res = dual_value(tree, field, 1.0, t, T, duals=duals)
+        shift = duals.sweep(field.a_shift, t, T).shift
         for start in tree.nodes_at(t):
             q = measure_from_leaf_masses(tree, start, T, res.leaf_masses[start])
             gaps = oracles.forward_gaps_by_density(tree, field.gamma, field.a_shift, q, start, T)
             for m, gap in gaps.items():
+                assert abs(abs(shift[m] - field.a_shift[m]) - abs(gap)) <= 1e-12, (t, T, m)
                 if abs(gap) > want:
                     want, want_node = abs(gap), m
-        assert abs(rec.value - want) <= 1e-12, (t, T)
-        # only a failing record names its worst node
-        assert rec.worst_node == (want_node if want > 1e-6 else None), (t, T)
+    rec = rep["forward-martingale-at-optimum"]
+    assert abs(rec.value - want) <= 1e-12
+    # only a failing record names its worst node
+    assert rec.worst_node == (want_node if want > 1e-6 else None)
 
 
 def _sweep_fields(tree, seed, rng):
@@ -1847,7 +1854,7 @@ def test_sweep_drift_matches_the_leaf_mass_oracle(periods):
         for field in _sweep_fields(tree, seed, rng):
             duals = WindowDuals(tree, field.gamma)
             for t, T in _window_pairs(tree):
-                res = duals.dual(field, t, T)
+                res = dual_value(tree, field, 1.0, t, T, duals=duals)
                 sweep = duals.sweep(field.a_shift, t, T)
                 for start in tree.nodes_at(t):
                     want = oracles.optimum_gaps(
@@ -1912,29 +1919,50 @@ def test_the_drift_at_the_minimiser_is_the_sweeps_implied_shift(periods):
 
 @pytest.mark.parametrize("periods", [2, 3, 4])
 def test_forward_optimum_record_reads_the_sweeps_shift(periods):
-    # each forward-martingale-at-optimum[t,T] value is, bit for bit, the
-    # largest |shift - a| over the window's nodes, start by start in DFS
-    # order, with the shift of a fresh sweep to T; a failing record names
-    # the first node attaining it
+    # the forward-martingale-at-optimum value is, bit for bit, the largest
+    # |shift - a| over the windows' nodes, start by start in DFS order, with
+    # the shift of a fresh sweep to each T; a failing record names the first
+    # node attaining it in the first window that does. On every window, and
+    # on the windows from the root only, which skip the starts after 0
     rng = np.random.default_rng(200 + periods)
     for seed in (3, 7):
         tree = random_tree(seed, periods=periods)
         for field in _sweep_fields(tree, seed, rng):
-            rep = check_forward_supermartingale(tree, field, _window_pairs(tree))
-            duals = WindowDuals(tree, field.gamma)
-            for t, T in _window_pairs(tree):
-                shift = duals.sweep(field.a_shift, t, T).shift
-                gaps = {
-                    m: abs(shift[m] - field.a_shift[m])
-                    for start in tree.nodes_at(t)
-                    for m in tree.window_interior(start, T)
-                }
-                worst = max(gaps.values())
-                rec = rep[f"forward-martingale-at-optimum[t={t},T={T}]"]
-                assert rec.value == worst, (t, T, rec.value - worst)
+            for pairs in (_window_pairs(tree), [(0, T) for T in range(1, periods + 1)]):
+                rep = check_forward_supermartingale(tree, field, pairs)
+                duals = WindowDuals(tree, field.gamma)
+                windows = []
+                for t, T in pairs:
+                    shift = duals.sweep(field.a_shift, t, T).shift
+                    windows.append(
+                        {
+                            m: abs(shift[m] - field.a_shift[m])
+                            for start in tree.nodes_at(t)
+                            for m in tree.window_interior(start, T)
+                        }
+                    )
+                worst = max(max(gaps.values()) for gaps in windows)
+                rec = rep["forward-martingale-at-optimum"]
+                assert rec.value == worst, (pairs, rec.value - worst)
                 assert rec.verdict == (worst <= 1e-6)
+                gaps = next(gaps for gaps in windows if max(gaps.values()) == worst)
                 want_node = None if rec.verdict else next(m for m, g in gaps.items() if g == worst)
-                assert rec.worst_node == want_node, (t, T)
+                assert rec.worst_node == want_node, pairs
+
+
+def test_forward_optimum_reads_the_levels_the_windows_skip():
+    # with the window [0, 2] alone, the entropy identity and the dual
+    # self-generation read the root, whose implied shift a moved level-1
+    # shift does not reach; the forward equality reads every node of levels
+    # 0..1, so it alone sees the move
+    tree = two_period_tree()
+    field = with_offsets(solved_field(tree, seed=28), {"a": 0.1})
+    pairs = [(0, 2)]
+    assert check_exponential_conditions(tree, field, pairs).all_passed
+    assert check_self_generation_dual(tree, field, pairs).all_passed
+    rec = check_forward_supermartingale(tree, field, pairs)["forward-martingale-at-optimum"]
+    assert (rec.verdict, rec.worst_node) == (False, "a")
+    assert rec.value == pytest.approx(0.1, abs=1e-7)
 
 
 def test_forward_drift_once_per_node_and_window_end(monkeypatch):
@@ -2051,7 +2079,7 @@ def test_forward_checks_have_no_product_measure_cap():
     assert rep.all_passed, rep.to_text()
     bumped = with_offsets(field, {"r": 0.1})
     rep = check_forward_supermartingale(tree, bumped, [(0, 6)])
-    assert rep["forward-martingale-at-optimum[t=0,T=6]"].value == pytest.approx(0.1, abs=1e-7)
+    assert rep["forward-martingale-at-optimum"].value == pytest.approx(0.1, abs=1e-7)
 
 
 def test_forward_checks_refuse_infeasible_start():
@@ -2140,8 +2168,11 @@ def test_grid_reads_match_the_per_point_oracles(tree, field):
     # 5 u S; their difference, a in size, and the product by gamma round
     # twice more, 2 u S. So each read is within 11 u S of the sweep's
     # shift, and so is each gap and each record's largest gap; S takes the
-    # field's largest |a| plus the root offset of 0.1. The conjugacy reads
-    # are the same reads of v per point, bit for bit
+    # field's largest |a| plus the root offset of 0.1. The entropy
+    # identity's oracle reads each start's implied shift so, against the
+    # sweep's shift table node by node, and its roll-up against the
+    # check's. The conjugacy reads are the same reads of v per point, bit
+    # for bit
     u = 2.0**-53
     size = 1.1 + max(abs(a) for a in field.a_shift.values()) + max(abs(math.log(g)) for g in field.gamma.values())
     bound = 11 * u * size
@@ -2155,11 +2186,13 @@ def test_grid_reads_match_the_per_point_oracles(tree, field):
     got = check_self_generation_dual(tree, field, pairs, duals=duals)
     want = oracles.self_generation_dual_per_point(tree, field, pairs, duals)
     _records_within(got.records(), want.records(), bound)
+    for t, T in pairs:
+        shift = duals.sweep(field.a_shift, t, T).shift
+        for n, implied in oracles.implied_shift_per_start(tree, field, t, T, duals).items():
+            assert abs(shift[n] - implied) <= bound, (t, T, n)
     got = check_exponential_conditions(tree, field, pairs, duals=duals)
     want = oracles.entropy_identity_per_node(tree, field.gamma, field.a_shift, pairs, duals)
-    _records_within(
-        [r for r in got.records() if "entropy-identity" in r.check_tag], sorted(want, key=lambda r: r.check_tag), bound
-    )
+    _records_within([got["exp-condition-entropy-identity"]], [want], bound)
     for t, T in pairs:
         args = (tree, field, t, T, [-1.0, 0.0, 2.0], ORACLE_ETAS[1:])
         try:
