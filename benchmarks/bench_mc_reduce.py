@@ -30,36 +30,32 @@ that sets the peak resident set. Both passes must write the same report,
 and its SHA-256 must not change between repeats.
 
 With ``--baseline-src`` a second source tree (say, the ``src`` of a
-checkout of the parent commit) is measured too, alternating with this one
-point by point, into ``baseline_rows``. Each tree is recorded by the
-SHA-256 of its sources (``provenance.source_sha256``), not by its path.
+checkout of the parent commit) is measured too, into ``baseline_rows``,
+the two sides alternating repeat by repeat (``ab``); the current rows'
+``paired`` holds the median ratio baseline/current of the times and the
+peak RSS, with its 95% interval.
 
 In this process it also times, in the same session, the kernels the
 statistics run on against the ones they replaced, kept in
 ``tests/oracles.py``: ``entropy_kernel`` on 100k values (a seventh of
 them 0) and on a 0-d array, and ``pairwise_sum`` on 25k and 50k values;
-each pair must agree bit for bit.
-
-Writes the median and spread (min, max) of the repeats as JSON. Usage:
+each pair must agree bit for bit, and the two alternate (``ab.race``).
+Usage:
 
     PYTHONPATH=src:tests python benchmarks/bench_mc_reduce.py \\
-        [--repeat 5] [--baseline-src OTHER/src] [--out BENCH_mc_reduce.json]
+        [--repeat 6] [--baseline-src OTHER/src] [--out BENCH_mc_reduce.json]
 """
 
 import argparse
-import datetime
 import hashlib
 import json
-import os
-import platform
 import resource
-import statistics
-import subprocess
-import sys
 import time
 import tracemalloc
 
 import numpy as np
+
+import ab
 
 SEED = 77
 N_STEPS = 64
@@ -169,59 +165,40 @@ def child(n_paths, model, checks):
     print(json.dumps(row))
 
 
-def _spread(values):
-    return {"median": statistics.median(values), "min": min(values), "max": max(values)}
+KEYS = (
+    "gather_s", "gather_minflt", "reduce_s", "reduce_minflt", "maxrss_mb",
+    "gather_peak_kb", "held_kb", "reduce_peak_kb", "simulate_abs_kb", "gather_abs_kb",
+    "reduce_abs_kb",
+)
 
 
-def measure(src, n_paths, repeat, model="readme", checks="suite"):
-    """One point in ``repeat`` fresh processes that import the package
-    from ``src``."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    samples = []
-    for _ in range(repeat):
-        out = subprocess.run(
-            [sys.executable, __file__, "--child", str(n_paths), model, checks],
-            env=env,
-            check=True,
-            capture_output=True,
-            text=True,
-        )
-        samples.append(json.loads(out.stdout))
-    digests = {r["report_sha256"] for r in samples}
-    if len(digests) != 1:
-        raise RuntimeError(f"reports differ between repeats at {model}, {checks}, {n_paths} paths")
-    row = {
-        "model": model,
-        "checks": checks,
-        "antithetic": CHECKS[checks],
-        "n_paths": n_paths,
-        "runs": samples[0]["runs"],
-        "repeats": repeat,
+def measure(srcs, n_paths, repeat, model="readme", checks="suite"):
+    """{side: row} of one point, each side importing the package from its
+    source tree ({side: src}), in a fresh process per repeat and side, the
+    sides alternating."""
+    samples = ab.alternate(
+        {side: lambda src=src: ab.child(__file__, src, n_paths, model, checks) for side, src in srcs.items()},
+        repeat,
+    )
+    summary = ab.summarise(samples, KEYS, ("gather_s", "reduce_s", "maxrss_mb"))
+    return {
+        side: {
+            "model": model,
+            "checks": checks,
+            "antithetic": CHECKS[checks],
+            "n_paths": n_paths,
+            "runs": runs[0]["runs"],
+            **summary[side],
+            "records": runs[0]["records"],
+            "report_sha256": ab.one_digest(runs, f"{side} {model}, {checks}, {n_paths} paths"),
+        }
+        for side, runs in samples.items()
     }
-    for key in (
-        "gather_s", "gather_minflt", "reduce_s", "reduce_minflt", "maxrss_mb",
-        "gather_peak_kb", "held_kb", "reduce_peak_kb", "simulate_abs_kb", "gather_abs_kb",
-        "reduce_abs_kb",
-    ):
-        row[key] = _spread([r[key] for r in samples])
-    row["records"] = samples[0]["records"]
-    row["report_sha256"] = digests.pop()
-    return row
-
-
-def _time(fn, number, repeat):
-    times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        for _ in range(number):
-            fn()
-        times.append((time.perf_counter() - t0) / number)
-    return {"median_s": statistics.median(times), "min_s": min(times), "max_s": max(times),
-            "calls": number, "repeats": repeat}
 
 
 def kernel_rows(repeat):
-    """The replaced kernels against the package's, bit for bit, then timed."""
+    """The replaced kernels against the package's, bit for bit, then timed
+    over ``calls`` calls a run."""
     import oracles
     from forwardperf.fields import entropy_kernel
     from forwardperf.kernels import pairwise_sum
@@ -241,24 +218,22 @@ def kernel_rows(repeat):
     for name, (old, new, arg, number) in cases.items():
         if np.asarray(old(arg)).tobytes() != np.asarray(new(arg)).tobytes():
             raise SystemExit(f"{name}: replaced and new kernels differ")
-        rows[name] = {
-            "replaced": _time(lambda: old(arg), number, repeat),
-            "new": _time(lambda: new(arg), number, repeat),
-            "bit_identical": True,
+        calls = {
+            "new": lambda: [new(arg) for _ in range(number)],
+            "replaced": lambda: [old(arg) for _ in range(number)],
         }
+        rows[name] = {"calls": number, **ab.race(calls, repeat), "bit_identical": True}
         print(
-            f"{name}: replaced={rows[name]['replaced']['median_s'] * 1e6:.1f}us "
-            f"new={rows[name]['new']['median_s'] * 1e6:.1f}us",
+            f"{name}: replaced={rows[name]['replaced']['median'] / number * 1e6:.1f}us "
+            f"new={rows[name]['new']['median'] / number * 1e6:.1f}us "
+            f"replaced/new={ab.ratio_text(rows[name]['paired']['replaced'])}",
             flush=True,
         )
     return rows
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=5, help="fresh processes per point")
-    parser.add_argument("--baseline-src", help="a second source tree to measure beside this one")
-    parser.add_argument("--out", default="BENCH_mc_reduce.json", help="JSON output path")
+    parser = ab.parser(__doc__, "mc_reduce", 6)
     parser.add_argument(
         "--child", nargs=3, metavar=("N_PATHS", "MODEL", "CHECKS"), help=argparse.SUPPRESS
     )
@@ -268,16 +243,10 @@ def main():
         child(int(n_paths), model, checks)
         return
 
-    from forwardperf import kernels
-    from provenance import source_sha256
-
-    sides = {"rows": os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")}
-    if args.baseline_src:
-        sides["baseline_rows"] = args.baseline_src
-    rows = {side: [] for side in sides}
-    for k, (model, checks, n_paths) in enumerate(POINTS):
-        for side in list(sides) if k % 2 else list(sides)[::-1]:
-            row = measure(sides[side], n_paths, args.repeat, model, checks)
+    srcs = ab.sides(args)
+    rows = {side: [] for side in srcs}
+    for model, checks, n_paths in POINTS:
+        for side, row in measure(srcs, n_paths, args.repeat, model, checks).items():
             print(
                 f"{side} {model} {checks} n_paths={n_paths} runs={row['runs']} "
                 f"gather={row['gather_s']['median']:.4f}s "
@@ -293,33 +262,24 @@ def main():
                 flush=True,
             )
             rows[side].append(row)
-    doc = {
-        "benchmark": "mc_reduce",
-        "scenario": f"MonteCarloPass, {N_STEPS} steps, seed {SEED}, runs of at most "
+    doc = ab.header(
+        "mc_reduce",
+        srcs,
+        scenario=f"MonteCarloPass, {N_STEPS} steps, seed {SEED}, runs of at most "
         "cli.DRAW_BUDGET stream-intervals: the default suite on the README model (antithetic, "
         "delta 0) and on it with delta (0.2, 0.0), and inverse-gamma-mean alone on plain paths",
-        "what": "first pass: wall time and minor page faults (ru_minflt) of gather (summed "
+        what="first pass: wall time and minor page faults (ru_minflt) of gather (summed "
         "over the runs) and of reduce, then the process's peak RSS (ru_maxrss); second pass, "
         "under tracemalloc: the largest traced peak of a gather call above the memory traced "
         "at its start, the memory the pass holds after the last run, and the traced peak of "
         "reduce above that; the absolute traced peak of each phase (simulate, gather with the "
-        "run's workspace alive, reduce); a fresh process per repeat; kernels: the replaced kernels of "
-        "tests/oracles.py against the package's, seconds per call",
-        "src_sha256": source_sha256(sides["rows"]),
-        "baseline_src_sha256": source_sha256(args.baseline_src) if args.baseline_src else None,
-        "date": datetime.date.today().isoformat(),
-        "nproc": os.cpu_count(),
-        "kernel_backend": kernels.BACKEND,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "kernels": kernel_rows(args.repeat),
+        "run's workspace alive, reduce); a fresh process per repeat, the sides alternating; "
+        "kernels: the replaced kernels of tests/oracles.py against the package's, seconds per "
+        "run of `calls` calls, in ABBA rounds",
+        kernels=kernel_rows(args.repeat),
         **rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {args.out}", file=sys.stderr)
+    )
+    ab.write(doc, args.out)
 
 
 if __name__ == "__main__":

@@ -12,29 +12,22 @@ number of runs (``simulate_paths`` calls). Each point also records the
 SHA-256 of its report, which must not change between repeats.
 
 With ``--baseline-src`` a second source tree (say, the ``src`` of a
-checkout of the parent commit) is measured too, alternating with this one
-point by point, into ``baseline_rows``. Each tree is recorded by the
-SHA-256 of its sources (``provenance.source_sha256``), not by its path.
-
-Writes the median and spread (min, max) of the repeats as JSON. Usage:
+checkout of the parent commit) is measured too, into ``baseline_rows``,
+the two sides alternating repeat by repeat (``ab``); the current rows'
+``paired`` holds the median ratio baseline/current of the peak RSS and
+the wall time, with its 95% interval. Usage:
 
     PYTHONPATH=src python benchmarks/bench_streaming.py \\
-        [--repeat 3] [--baseline-src OTHER/src] [--out BENCH_streaming.json]
+        [--repeat 6] [--baseline-src OTHER/src] [--out BENCH_streaming.json]
 """
 
 import argparse
-import datetime
 import hashlib
 import json
-import os
-import platform
 import resource
-import statistics
-import subprocess
-import sys
 import time
 
-import numpy as np
+import ab
 
 POINTS = (100_000, 400_000)
 SEED = 77
@@ -100,60 +93,39 @@ def child(n_paths):
     )
 
 
-def _spread(values):
-    return {"median": statistics.median(values), "min": min(values), "max": max(values)}
-
-
-def measure(src, n_paths, repeat):
-    """One point in ``repeat`` fresh processes that import the package
-    from ``src``."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    samples = []
-    for _ in range(repeat):
-        out = subprocess.run(
-            [sys.executable, __file__, "--child", str(n_paths)],
-            env=env,
-            check=True,
-            capture_output=True,
-            text=True,
-        )
-        samples.append(json.loads(out.stdout))
-    digests = {r["report_sha256"] for r in samples}
-    if len(digests) != 1:
-        raise RuntimeError(f"reports differ between repeats at {n_paths} paths")
+def measure(srcs, n_paths, repeat):
+    """{side: row} of one point, each side importing the package from its
+    source tree ({side: src}), in a fresh process per repeat and side, the
+    sides alternating."""
+    samples = ab.alternate(
+        {side: lambda src=src: ab.child(__file__, src, n_paths) for side, src in srcs.items()}, repeat
+    )
+    summary = ab.summarise(
+        samples, ("peak_rss_mb", "wall_s", "minflt", "baseline_mb"), ("peak_rss_mb", "wall_s")
+    )
     return {
-        "n_paths": n_paths,
-        "runs": samples[0]["runs"],
-        "repeats": repeat,
-        "peak_rss_mb": _spread([r["peak_rss_mb"] for r in samples]),
-        "wall_s": _spread([r["wall_s"] for r in samples]),
-        "minflt": _spread([r["minflt"] for r in samples]),
-        "baseline_mb": _spread([r["baseline_mb"] for r in samples]),
-        "report_sha256": digests.pop(),
+        side: {
+            "n_paths": n_paths,
+            "runs": runs[0]["runs"],
+            **summary[side],
+            "report_sha256": ab.one_digest(runs, f"{side} {n_paths} paths"),
+        }
+        for side, runs in samples.items()
     }
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=3, help="fresh processes per point")
-    parser.add_argument("--baseline-src", help="a second source tree to measure beside this one")
-    parser.add_argument("--out", default="BENCH_streaming.json", help="JSON output path")
+    parser = ab.parser(__doc__, "streaming", 6)
     parser.add_argument("--child", type=int, metavar="N_PATHS", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
         child(args.child)
         return
 
-    from forwardperf import kernels
-    from provenance import source_sha256
-
-    sides = {"rows": os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")}
-    if args.baseline_src:
-        sides["baseline_rows"] = args.baseline_src
-    rows = {side: [] for side in sides}
-    for k, n_paths in enumerate(POINTS):
-        for side in list(sides) if k % 2 else list(sides)[::-1]:
-            row = measure(sides[side], n_paths, args.repeat)
+    srcs = ab.sides(args)
+    rows = {side: [] for side in srcs}
+    for n_paths in POINTS:
+        for side, row in measure(srcs, n_paths, args.repeat).items():
             print(
                 f"{side} n_paths={n_paths} runs={row['runs']} "
                 f"peak_rss={row['peak_rss_mb']['median']:.1f}MB "
@@ -162,27 +134,17 @@ def main():
                 flush=True,
             )
             rows[side].append(row)
-    doc = {
-        "benchmark": "streaming",
-        "scenario": "ito-verify, README model, plain paths x 64 steps, seed "
+    doc = ab.header(
+        "streaming",
+        srcs,
+        scenario="ito-verify, README model, plain paths x 64 steps, seed "
         f"{SEED}, checks [inverse-gamma-mean]",
-        "what": "peak RSS (ru_maxrss), wall time and minor page faults (ru_minflt) "
-        "of run_ito_scenario in a fresh process per repeat; baseline_mb is the RSS "
-        "after importing forwardperf; runs counts its simulate_paths calls",
-        "src_sha256": source_sha256(sides["rows"]),
-        "baseline_src_sha256": source_sha256(args.baseline_src) if args.baseline_src else None,
-        "date": datetime.date.today().isoformat(),
-        "nproc": os.cpu_count(),
-        "kernel_backend": kernels.BACKEND,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        what="peak RSS (ru_maxrss), wall time and minor page faults (ru_minflt) "
+        "of run_ito_scenario in a fresh process per repeat, the sides alternating; baseline_mb "
+        "is the RSS after importing forwardperf; runs counts its simulate_paths calls",
         **rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {args.out}", file=sys.stderr)
+    )
+    ab.write(doc, args.out)
 
 
 if __name__ == "__main__":
