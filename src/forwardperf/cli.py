@@ -34,7 +34,7 @@ from .ito_engine import (
     write_paths_csv,
 )
 from .kernels import U64_MAX, Workspace
-from .mc_verifier import MC_CHECKS, MonteCarloPass, tag_number, time_labels
+from .mc_verifier import MC_CHECKS, MonteCarloPass, tag_number, time_labels, z_critical
 from .report import CheckRecord, VerificationReport
 from .tree_market import EventTree, check_nflvr, json_float
 from .tree_verifier import (
@@ -178,11 +178,12 @@ def _tree_from_scenario(doc, base_dir):
     return EventTree.from_json(path)
 
 
-def _require_gamma_range(path, nid, gamma, inverse):
-    """Refuse a positive gamma when it or its reciprocal ``inverse`` is not
-    finite (gamma below 2^-1024, say): no check can read its field."""
+def _require_gamma_range(path, gamma, inverse, where=""):
+    """Refuse a positive gamma (at the node ``where`` names) when it or its
+    reciprocal ``inverse`` is not finite (gamma below 2^-1024, say): no
+    check can read its field."""
     if not (math.isfinite(gamma) and math.isfinite(inverse)):
-        _fail(path, f"gamma {gamma!r} at {nid!r} is outside the float range: gamma and 1/gamma must be finite")
+        _fail(path, f"gamma {gamma!r}{where} is outside the float range: gamma and 1/gamma must be finite")
 
 
 def _gamma_from_scenario(tree, spec):
@@ -195,13 +196,13 @@ def _gamma_from_scenario(tree, spec):
         for nid in tree._dfs_order:
             if gamma[nid] <= 0.0:
                 _fail("$.gamma.values", f"gamma must be positive at {nid!r}")
-            _require_gamma_range("$.gamma.values", nid, gamma[nid], 1.0 / gamma[nid])
+            _require_gamma_range("$.gamma.values", gamma[nid], 1.0 / gamma[nid], f" at {nid!r}")
         return gamma
     if mode == "replicate":
         if "gamma0" not in spec or "psi" not in spec:
             _fail("$.gamma", "replicate mode needs 'gamma0' and 'psi'")
         g0 = _number(spec["gamma0"], "$.gamma.gamma0", strict_min=0.0)
-        _require_gamma_range("$.gamma.gamma0", tree.root, g0, 1.0 / g0)
+        _require_gamma_range("$.gamma.gamma0", g0, 1.0 / g0, f" at {tree.root!r}")
         inner = [nid for nid in tree._dfs_order if not tree.is_leaf(nid)]
         psi = _node_map(spec["psi"], "$.gamma.psi", inner, kind="non-leaf node")
         inv = {tree.root: 1.0 / g0}
@@ -213,7 +214,7 @@ def _gamma_from_scenario(tree, spec):
                         "$.gamma.psi",
                         f"replicated 1/gamma becomes nonpositive at {br.child!r}",
                     )
-                _require_gamma_range("$.gamma.psi", br.child, 1.0 / val, val)
+                _require_gamma_range("$.gamma.psi", 1.0 / val, val, f" at {br.child!r}")
                 inv[br.child] = val
         return {nid: 1.0 / inv[nid] for nid in inv}
     _fail("$.gamma.mode", f"unknown mode {mode!r}")
@@ -386,6 +387,7 @@ def _simulation_inputs(doc, seed_override, min_paths):
     no other effect; export-paths documents carry no such key."""
     spec = _coefficient_spec(doc)
     gamma0 = _number(doc["gamma0"], "$.gamma0", strict_min=0.0)
+    _require_gamma_range("$.gamma0", gamma0, 1.0 / gamma0)
     a0 = _number(doc.get("a0", 0.0), "$.a0")
     n_steps = _integer(doc["n_steps"], "$.n_steps", minimum=1)
     n_paths = _integer(doc["n_paths"], "$.n_paths", minimum=min_paths)
@@ -460,6 +462,8 @@ def run_ito_scenario(doc, seed_override=None):
     confidence = _number(doc.get("confidence", 0.997), "$.confidence", strict_min=0.0)
     if confidence >= 1.0:
         _fail("$.confidence", "must be < 1")
+    if not math.isfinite(z_critical(confidence)):
+        _fail("$.confidence", f"{confidence!r} is too close to 1: its critical value is not finite")
     eta_list = _number_list(doc.get("eta_list", [1.0, 2.0]), "$.eta_list")
     for i, eta in enumerate(eta_list):
         if eta < 0.0:
@@ -527,6 +531,7 @@ def run_conjugate_table(doc, out_path):
         ("eta_values", "eta_range"),
     )
     gamma = _number(doc["gamma"], "$.gamma", strict_min=0.0)
+    _require_gamma_range("$.gamma", gamma, 1.0 / gamma)
     a = _number(doc["a"], "$.a")
     if ("eta_values" in doc) == ("eta_range" in doc):
         _fail("$", "give exactly one of 'eta_values' or 'eta_range'")
@@ -538,31 +543,32 @@ def run_conjugate_table(doc, out_path):
         start = _number(rng["start"], "$.eta_range.start", minimum=0.0)
         stop = _number(rng["stop"], "$.eta_range.stop", strict_min=0.0)
         count = _integer(rng["count"], "$.eta_range.count", minimum=2)
-        etas = list(np.linspace(start, stop, count))
+        etas = np.linspace(start, stop, count).tolist()
+    # every row is computed before any is written, so a refused table
+    # writes nothing
+    rows = [["eta", "dual_value", "argmax_x"]]
     for i, e in enumerate(etas):
+        path = f"$.eta_values[{i}]" if "eta_values" in doc else "$.eta_range"
         if e < 0.0:
-            _fail(f"$.eta_values[{i}]", "dual arguments must be nonnegative")
-
-    def rows():
-        yield ["eta", "dual_value", "argmax_x"]
-        for e in etas:
-            if e == 0.0:
-                # closed at the origin by continuity; no finite maximizer
-                yield ["0", "0", "0"]
-                continue
+            _fail(path, "dual arguments must be nonnegative")
+        if e == 0.0:
+            # closed at the origin by continuity; no finite maximizer
+            rows.append(["0", "0", "0"])
+            continue
+        if e / gamma == 0.0:
+            _fail(path, f"eta {e!r} over gamma {gamma!r} underflows to 0")
+        with np.errstate(over="ignore", invalid="ignore"):
             val = conjugate_exponential(gamma, a, e)
-            x_star = (a - math.log(e / gamma)) / gamma
-            yield [f"{e:.12g}", f"{val:.12g}", f"{x_star:.12g}"]
+        x_star = (a - math.log(e / gamma)) / gamma
+        if not (math.isfinite(val) and math.isfinite(x_star)):
+            _fail(path, f"eta {e!r} gives dual value {val!r} and maximizer {x_star!r}: both must be finite")
+        rows.append([f"{e:.12g}", f"{val:.12g}", f"{x_star:.12g}"])
 
     if out_path is None:
-        writer = csv.writer(sys.stdout)
-        for row in rows():
-            writer.writerow(row)
+        csv.writer(sys.stdout).writerows(rows)
     else:
         with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in rows():
-                writer.writerow(row)
+            csv.writer(fh).writerows(rows)
     return VerificationReport()
 
 

@@ -69,10 +69,12 @@ def minimize_exp_sum(log_weights, slopes):
     g0 = sums(0.0)[1]
     if g0 != 0.0:
         down, edge, step = 1.0 if g0 > 0.0 else -1.0, 0.0, 1.0
-        while down * sums(edge := edge - down * step)[1] > 0.0:
+        while down * (g := sums(edge := edge - down * step)[1]) > 0.0:
             step *= 2.0
-            if math.isinf(edge):
-                raise ConvergenceError("minimize_exp_sum: bracket expansion failed")
+        # past the float range the derivative is NaN, or 0 on a slope
+        # that scaling rounded to 0, and the loop ends on no sign change
+        if not (math.isfinite(edge) and math.isfinite(g)):
+            raise ConvergenceError("minimize_exp_sum: bracket expansion failed")
         lo, hi = (edge, 0.0) if down > 0.0 else (0.0, edge)
 
     # Newton on the derivative of log g, safeguarded by the bracket: a step

@@ -40,6 +40,7 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
 
 import numpy as np
 
@@ -103,37 +104,34 @@ class EventTree:
             raise TreeStructureError(f"expected a unique root, found {roots!r}")
         self.root = roots[0]
 
-        # reachability doubles as the cycle check: parent linkage is
-        # single-valued, so unreachable nodes mean detached cycles
-        order = []
-        stack = [self.root]
-        while stack:
-            nid = stack.pop()
-            order.append(nid)
-            for br in reversed(self.nodes[nid].branches):
-                stack.append(br.child)
-        if len(order) != len(self.nodes):
-            missing = set(self.nodes) - set(order)
-            raise TreeStructureError(f"nodes not reachable from root: {sorted(missing)!r}")
-        self._dfs_order = tuple(order)
-
-        for nid in self.nodes:
-            t_expect = 0 if nid == self.root else self.nodes[self.parent[nid]].time + 1
-            if self.nodes[nid].time != t_expect:
-                raise TreeStructureError(
-                    f"node {nid!r} has time {self.nodes[nid].time}, expected {t_expect}"
-                )
-        for nid, node in self.nodes.items():
-            if not node.branches and node.time != self.horizon:
-                raise TreeStructureError(f"leaf {nid!r} at time {node.time} != horizon")
-            if node.branches and node.time >= self.horizon:
-                raise TreeStructureError(f"node {nid!r} at the horizon has children")
+        # one walk from the root lays the tree out: the DFS order and each
+        # node's time, position and subtree end in it, and the levels. Parent
+        # linkage is single-valued, so nodes the walk misses form detached cycles
+        order, times, self._pos, self._end = [], [], {}, {}
         levels: list[list[str]] = [[] for _ in range(self.horizon + 1)]
-        for nid in order:
-            levels[self.nodes[nid].time].append(nid)
+        stack = [(self.root, 0)]
+        while stack:
+            nid, t = stack.pop()
+            if nid in self._pos:  # back at nid: its subtree is laid out
+                self._end[nid] = len(order)
+                continue
+            node = self.nodes[nid]
+            if node.time != t:
+                raise TreeStructureError(f"node {nid!r} has time {node.time}, expected {t}")
+            if not node.branches and t != self.horizon:
+                raise TreeStructureError(f"leaf {nid!r} at time {t} != horizon")
+            if node.branches and t >= self.horizon:
+                raise TreeStructureError(f"node {nid!r} at the horizon has children")
+            self._pos[nid] = len(order)
+            order.append(nid)
+            times.append(t)
+            levels[t].append(nid)
+            stack.append((nid, t))
+            stack += [(br.child, t + 1) for br in reversed(node.branches)]
+        if len(order) != len(self.nodes):
+            raise TreeStructureError(f"nodes not reachable from root: {sorted(set(self.nodes) - set(order))!r}")
+        self._dfs_order, self._times = tuple(order), tuple(times)
         self._levels = tuple(tuple(level) for level in levels)
-
-        self._path_cache: dict[str, tuple[str, ...]] = {}
         self._polytopes = {}  # node_polytope's, by (node, allowed children)
 
     # -- basic queries ---------------------------------------------------
@@ -158,45 +156,30 @@ class EventTree:
         return self.nodes_at(self.horizon)
 
     def path_from_root(self, nid: str) -> tuple[str, ...]:
-        cached = self._path_cache.get(nid)
-        if cached is not None:
-            return cached
         path = [nid]
-        cur = nid
-        while cur != self.root:
-            cur = self.parent[cur]
-            path.append(cur)
-        out = tuple(reversed(path))
-        self._path_cache[nid] = out
-        return out
+        while path[-1] != self.root:
+            path.append(self.parent[path[-1]])
+        return tuple(reversed(path))
+
+    def _levels_below(self, nid: str, t: int, T: int) -> tuple[str, ...]:
+        """Nodes of levels t..T-1 in nid's subtree, nid included, in DFS order."""
+        lo, hi = self._pos[nid], self._end[nid]
+        return tuple(compress(self._dfs_order[lo:hi], map(range(t, T).__contains__, self._times[lo:hi])))
 
     def descendants_at(self, nid: str, t: int) -> tuple[str, ...]:
         """Descendants of nid at time t, in canonical DFS order."""
         if self.nodes[nid].time > t:
             raise ValueError(f"node {nid!r} is later than time {t}")
-        out = []
-        stack = [nid]
-        while stack:
-            cur = stack.pop()
-            if self.nodes[cur].time == t:
-                out.append(cur)
-                continue
-            for br in reversed(self.nodes[cur].branches):
-                stack.append(br.child)
-        return tuple(out)
+        return self._levels_below(nid, t, t + 1)
 
     def window_interior(self, nid: str, T: int) -> tuple[str, ...]:
         """Nodes strictly inside [time(nid), T) below nid, DFS order, nid first."""
-        out = []
-        stack = [nid]
-        while stack:
-            cur = stack.pop()
-            if self.nodes[cur].time >= T:
-                continue
-            out.append(cur)
-            for br in reversed(self.nodes[cur].branches):
-                stack.append(br.child)
-        return tuple(out)
+        return self._levels_below(nid, self.nodes[nid].time, T)
+
+    def window_nodes(self, t: int, T: int) -> tuple[str, ...]:
+        """Nodes of levels t..T-1 in DFS order: each time-t node's ``window_interior`` in turn."""
+        levels = chain.from_iterable(map(self.nodes_at, range(t, T)))
+        return tuple(sorted(levels, key=self._pos.__getitem__))
 
     def branch_to(self, child: str) -> Branch:
         par = self.parent[child]

@@ -376,12 +376,12 @@ class WindowDuals:
 
     def inverse_gamma_gaps(self, t: int, T: int) -> dict[str, float]:
         """The one-step gap (``_one_step_gap``) of each node of levels
-        t..T-1, start by start, in DFS order (``tree.window_interior``);
+        t..T-1, start by start, in DFS order (``tree.window_nodes``);
         each node's is computed once. A node with no equivalent one-step
         measure is refused first (``centroid``)."""
         if not (0 <= t <= T <= self.tree.horizon):
             raise ValueError(f"bad window [{t}, {T}] for horizon {self.tree.horizon}")
-        window = [m for start in self.tree.nodes_at(t) for m in self.tree.window_interior(start, T)]
+        window = self.tree.window_nodes(t, T)
         for m in window:
             self.centroid(m)
         for m in window:
@@ -444,8 +444,9 @@ def replicate_inverse_gamma(tree: EventTree, gamma: Mapping[str, float]) -> Repl
         d = np.array([br.dprice for br in branches])
         inv = np.array([1.0 / gamma[br.child] for br in branches])
         rhs = inv - 1.0 / gamma[nid]
-        denom = float(d @ d)
-        coeff = float(d @ rhs) / denom if denom > 0.0 else 0.0
+        with np.errstate(over="ignore"):  # increments past 1e154: psi reads 0, judged by the residual
+            denom, num = float(d @ d), float(d @ rhs)
+        coeff = num / denom if denom > 0.0 else 0.0
         residual = float(np.max(np.abs(coeff * d - rhs))) / max(float(inv.max()), 1.0 / gamma[nid])
         worst = max(worst, residual)
         tol = _replication_tol(len(branches))
@@ -1077,7 +1078,7 @@ def check_forward_supermartingale(
     duality needs one, is read.
 
     Each window's gap is the largest over its nodes, start by start, in
-    DFS order (``tree.window_interior``). The drift's sign is its own
+    DFS order (``tree.window_nodes``). The drift's sign is its own
     record per window (``forward-supermartingale[t,T]``); the equality,
     whose gaps are entropy-identity gaps, is one roll-up
     (``forward-martingale-at-optimum``): the first window with the
@@ -1094,7 +1095,7 @@ def check_forward_supermartingale(
         shift = duals.sweep(a_shift, t, T).shift
         log_c, _ = _exponential_factors(duals, field, t, T)
         # the starts' subtrees are disjoint, so each record keys its gaps by node
-        window = [m for start in tree.nodes_at(t) for m in tree.window_interior(start, T)]
+        window = tree.window_nodes(t, T)
         drifts.append(
             _gap_record(
                 f"forward-supermartingale[t={t},T={T}]",

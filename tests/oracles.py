@@ -43,7 +43,10 @@ one whole-matrix numpy expression per quantity, over increments drawn
 here rather than read from the simulation, (for the path export)
 the CSV written row by row from the whole simulation's matrices, or (for
 the closed-form conjugate of an exponential utility) bracketing and
-bisection on the marginal of a utility given only as callables.
+bisection on the marginal of a utility given only as callables, or (for
+the event tree's layout) the stack walks from each node and the cached
+walk up to the root that the tree ran before one walk from the root laid
+it out in DFS ranges.
 Deliberate duplication -- an oracle that shares code with the
 implementation checks nothing.
 """
@@ -1214,6 +1217,78 @@ def measures_below(tree, nid, T):
                 n *= kids[c]
         total += n
     return total
+
+
+# -- the event tree's layout, by walks -------------------------------------
+
+
+def dfs_order(tree):
+    """The tree's nodes in DFS order, by a stack walk from the root over
+    ``nodes`` alone."""
+    order, stack = [], [tree.root]
+    while stack:
+        nid = stack.pop()
+        order.append(nid)
+        stack.extend(br.child for br in reversed(tree.nodes[nid].branches))
+    return tuple(order)
+
+
+def nodes_at(tree, t):
+    """The nodes at time t, in ``dfs_order``."""
+    return tuple(n for n in dfs_order(tree) if tree.nodes[n].time == t)
+
+
+def descendants_at(tree, nid, t):
+    """Descendants of nid at time t, DFS order, by a stack walk that
+    stops at time t."""
+    if tree.nodes[nid].time > t:
+        raise ValueError(f"node {nid!r} is later than time {t}")
+    out = []
+    stack = [nid]
+    while stack:
+        cur = stack.pop()
+        if tree.nodes[cur].time == t:
+            out.append(cur)
+            continue
+        for br in reversed(tree.nodes[cur].branches):
+            stack.append(br.child)
+    return tuple(out)
+
+
+def window_interior(tree, nid, T):
+    """Nodes strictly inside [time(nid), T) below nid, DFS order, nid
+    first, by a stack walk that stops at time T."""
+    out = []
+    stack = [nid]
+    while stack:
+        cur = stack.pop()
+        if tree.nodes[cur].time >= T:
+            continue
+        out.append(cur)
+        for br in reversed(tree.nodes[cur].branches):
+            stack.append(br.child)
+    return tuple(out)
+
+
+def window_nodes(tree, t, T):
+    """The nodes of levels t..T-1, start by start: the per-start
+    comprehension the checks built for each window."""
+    return tuple(m for start in nodes_at(tree, t) for m in window_interior(tree, start, T))
+
+
+def path_from_root(tree, nid, cache):
+    """The path root..nid up ``parent``, memoised in ``cache``."""
+    cached = cache.get(nid)
+    if cached is not None:
+        return cached
+    path = [nid]
+    cur = nid
+    while cur != tree.root:
+        cur = tree.parent[cur]
+        path.append(cur)
+    out = tuple(reversed(path))
+    cache[nid] = out
+    return out
 
 
 # -- tree measures --------------------------------------------------------

@@ -785,6 +785,27 @@ def test_tree_scenario_refuses_a_gamma_outside_the_float_range(tmp_path, gamma, 
     assert proc.stderr == f"error: {error} is outside the float range: gamma and 1/gamma must be finite\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "dprices, shifts",
+    [((1.0, -1.0), (1e308, -1e308)), ((1.0, -1.0), (-1e308, 1e308)), ((1e300, -1e-300), (1e308, -1e308))],
+    ids=["edge-nan", "edge-mirror", "edge-zero-slope"],
+)
+def test_tree_scenario_refuses_a_factor_bracket_past_the_float_range(tmp_path, capsys, dprices, shifts):
+    # the root's factor solve brackets its minimiser only past the float
+    # range. It escaped as a StopIteration from the gap record, or spent
+    # its Newton steps on an infinite bracket; the large increments also
+    # overflowed the replication's least squares with a RuntimeWarning
+    tree = binomial_tree(p_up=0.5, d=dprices)
+    doc = constant_gamma_doc(tree, 1.0, 0.0)
+    doc["a_shift"]["values"].update(u=shifts[0], d=shifts[1])
+    doc["checks"] = ["primal-self-generation"]
+    assert main(["run", write_scenario(tmp_path, doc)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: factor recursion at node 'r' on [0, 1]: minimize_exp_sum: bracket expansion failed\n"
+    )
+
+
 def test_tree_scenario_runs_a_factor_recursion_at_a_gamma_of_1e_300(tmp_path, capsys):
     # a constant gamma of 1e-300 makes the slopes of the primal factor
     # recursion about 1e-300, where a bracket step of 1 in pi could not
@@ -1755,6 +1776,30 @@ def test_conjugate_table_scenario_range(tmp_path, capsys):
     assert lines[1] == "0,0,0"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        # the dual value overflows: it wrote inf with a RuntimeWarning
+        (
+            ["--gamma", "1", "--eta", "1", "1e308"],
+            "$.eta_values[1]: eta 1e+308 gives dual value inf and maximizer -709.1962086421661: both must be finite",
+        ),
+        # 1/gamma overflows: it wrote nan and -inf
+        (["--gamma", "1e-320", "--eta", "1"], "$.gamma: gamma 1e-320 is outside the float range: gamma and 1/gamma must be finite"),
+        # eta/gamma underflows to 0: a math domain error after the header
+        (["--gamma", "1e300", "--a", "1e300", "--eta", "1e-300"], "$.eta_values[0]: eta 1e-300 over gamma 1e+300 underflows to 0"),
+    ],
+    ids=["value-overflows", "gamma-subnormal", "ratio-underflows"],
+)
+def test_conjugate_table_refuses_a_row_outside_the_float_range_and_writes_nothing(tmp_path, capsys, args, error):
+    out = tmp_path / "table.csv"
+    assert main(["conjugate", *args]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert main(["conjugate", *args, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_conjugate_table_scenario_exclusive(tmp_path, capsys):
     doc = {
         "schema_version": 1,
@@ -1953,6 +1998,36 @@ def test_export_paths_bad_inputs_rejected_before_simulating(
     assert main(["export-paths", path, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {json_path}: ") and message in err
+
+
+GAMMA0_OUT_OF_RANGE = "$.gamma0: gamma 1e-320 is outside the float range: gamma and 1/gamma must be finite"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, doc, error",
+    [
+        # export-paths wrote inf in every inv_gamma cell with a
+        # RuntimeWarning; ito-verify refused only at its first record
+        ("export-paths", export_doc(gamma0=1e-320), GAMMA0_OUT_OF_RANGE),
+        ("run", ito_doc(gamma0=1e-320), GAMMA0_OUT_OF_RANGE),
+        # 1 - 2**-53 < 1, but its critical value is inf: refused only after
+        # simulating, at its first record
+        (
+            "run",
+            ito_doc(confidence=1.0 - 2.0**-53),
+            "$.confidence: 0.9999999999999999 is too close to 1: its critical value is not finite",
+        ),
+    ],
+    ids=["export-gamma0", "ito-gamma0", "ito-confidence"],
+)
+def test_ito_inputs_outside_the_float_range_refused_before_simulating(
+    tmp_path, capsys, no_simulation, command, doc, error
+):
+    out = tmp_path / "x.csv"
+    assert main([command, write_scenario(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
 
 
 def test_export_paths_kind_mismatch(tmp_path, capsys):

@@ -232,6 +232,25 @@ def test_minimize_exp_sum_fails_at_its_iteration_cap(monkeypatch):
     assert minimize_exp_sum([0.0, -1600.0], [1.0, -1.0])[0] == pytest.approx(-800.0)
 
 
+@pytest.mark.parametrize(
+    "log_w, s",
+    [
+        # the derivative's sign turns only past the float range: the edge
+        # overflows to inf, where the derivative is NaN
+        ([1e308, -1e308], [-1.0, 1.0]),
+        ([-1e308, 1e308], [-1.0, 1.0]),
+        # scaling rounds the small slope to 0, so the derivative at an
+        # infinite edge is 0
+        ([1e308, -1e308], [-1e300, 1e-300]),
+    ],
+)
+def test_minimize_exp_sum_refuses_a_bracket_past_the_float_range(log_w, s):
+    # the first returned (inf, nan) and the second ran out its Newton steps
+    # on an infinite bracket
+    with pytest.raises(ConvergenceError, match=r"^minimize_exp_sum: bracket expansion failed$"):
+        minimize_exp_sum(log_w, s)
+
+
 # -- barrier solver ------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Event trees: structure, polytopes, measures, densities, and supports."""
 
+import itertools
 import math
 
 import numpy as np
@@ -115,6 +116,59 @@ def test_leaf_off_horizon_rejected():
                 "nodes": [node("r", 0, [br("x", 1.0, 0.0)]), node("x", 1)],
             }
         )
+
+
+def test_structural_faults_are_named_in_dfs_order_with_detached_cycles_last():
+    # one walk from the root checks each node's time and leaf rule as it
+    # reaches it, so of several faults the first in DFS order is named,
+    # and nodes the walk never reaches only after it: here a leaf off the
+    # horizon, at 'b', before a detached cycle and before a wrong time
+    # below 'a', which comes later in DFS order though earlier in the list
+    leaf_off_horizon = node("b", 1)
+    cycle = [node("x", 1, [br("y", 1.0, 0.0)]), node("y", 2, [br("x", 1.0, 0.0)])]
+    r = node("r", 0, [br("b", 0.5, 1.0), br("a", 0.5, -1.0)])
+    docs = [
+        [r, node("a", 1, [br("a1", 1.0, 0.0)]), node("a1", 2), leaf_off_horizon, *cycle],
+        [r, node("a1", 3), node("a", 1, [br("a1", 1.0, 0.0)]), leaf_off_horizon],
+    ]
+    for nodes in docs:
+        with pytest.raises(TreeStructureError) as raised:
+            EventTree.from_dict({"horizon": 2, "nodes": nodes}, validate=False)
+        assert str(raised.value) == "leaf 'b' at time 1 != horizon"
+
+
+LAYOUT_TREES = {
+    **{f"random-{seed}-d{d}": (random_tree, seed, d) for d in range(1, 6) for seed in range(3)},
+    **{f.__name__: (f,) for f in (two_period_tree, starved_tree, mid_arbitrage_tree)},
+}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", LAYOUT_TREES)
+def test_layout_queries_match_their_walks(case):
+    # every query that reads the one walk's DFS ranges returns what the
+    # stack walk it replaced returns, at every node, level and window
+    make, *args = LAYOUT_TREES[case]
+    tree = make(*args)
+    levels = range(-1, tree.horizon + 2)
+    assert tree._dfs_order == oracles.dfs_order(tree)
+    cache = {}
+    for nid in tree._dfs_order:
+        assert tree.path_from_root(nid) == oracles.path_from_root(tree, nid, cache)
+        for t in levels:
+            got = _outcome(tree.descendants_at, nid, t)
+            assert got == _outcome(oracles.descendants_at, tree, nid, t)
+            assert tree.window_interior(nid, t) == oracles.window_interior(tree, nid, t)
+    for t in levels:
+        assert tree.nodes_at(t) == oracles.nodes_at(tree, t)
+    for t, T in itertools.combinations_with_replacement(range(tree.horizon + 2), 2):
+        assert tree.window_nodes(t, T) == oracles.window_nodes(tree, t, T)
 
 
 def test_schema_unknown_keys_rejected():
