@@ -104,11 +104,11 @@ class EventTree:
             raise TreeStructureError(f"expected a unique root, found {roots!r}")
         self.root = roots[0]
 
-        # one walk from the root lays the tree out: the DFS order and each
-        # node's time, position and subtree end in it, and the levels. Parent
-        # linkage is single-valued, so nodes the walk misses form detached cycles
-        order, times, self._pos, self._end = [], [], {}, {}
-        levels: list[list[str]] = [[] for _ in range(self.horizon + 1)]
+        # one walk from the root lays the tree out: the DFS order, each node's
+        # time, position and subtree end in it, and the levels, which nothing
+        # sizes by the horizon before the walk has checked it. Parent linkage
+        # is single-valued, so nodes the walk misses form detached cycles
+        order, times, self._pos, self._end, levels = [], [], {}, {}, {}
         stack = [(self.root, 0)]
         while stack:
             nid, t = stack.pop()
@@ -125,13 +125,13 @@ class EventTree:
             self._pos[nid] = len(order)
             order.append(nid)
             times.append(t)
-            levels[t].append(nid)
+            levels.setdefault(t, []).append(nid)
             stack.append((nid, t))
             stack += [(br.child, t + 1) for br in reversed(node.branches)]
         if len(order) != len(self.nodes):
             raise TreeStructureError(f"nodes not reachable from root: {sorted(set(self.nodes) - set(order))!r}")
         self._dfs_order, self._times = tuple(order), tuple(times)
-        self._levels = tuple(tuple(level) for level in levels)
+        self._levels = tuple(tuple(levels[s]) for s in range(self.horizon + 1))
         self._polytopes = {}  # node_polytope's, by (node, allowed children)
 
     # -- basic queries ---------------------------------------------------

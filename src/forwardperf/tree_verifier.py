@@ -314,10 +314,10 @@ class WindowDuals:
       one-step inverse-gamma gap (``inverse_gamma_gaps``); and the
       replication of 1/gamma (``replication``);
     - per T, keyed also by the bits of a_shift at the time-T nodes: the
-      log factor (``factors``), which the primal and forward checks both
-      read, and the sweep of one-step dual programs to T (``sweep``),
-      which every dual read of a window ending at T composes. Each holds
-      the nodes some window ending at T has needed; they depend on the
+      sweep to T (``sweep``), holding the factor recursion, which the
+      primal and forward checks read, and the one-step dual programs,
+      which every dual read of a window ending at T composes, each solved
+      as far as some window ending at T has needed; they depend on the
       window's end and not on its start. A shift moved before T (a
       perturbed root) reads the sweeps of the shift construction; one
       moved at a time-T node builds a new sweep;
@@ -337,7 +337,6 @@ class WindowDuals:
         self._centroids: dict[str, np.ndarray | None] = {}
         self._replication: ReplicationResult | None = None
         self._gaps: dict[str, float] = {}
-        self._factors: dict[tuple[int, bytes], tuple[dict, dict]] = {}
         self._sweeps: dict[tuple[int, bytes], _Sweep] = {}
         self._programs: dict[tuple[str, bytes], tuple] = {}
 
@@ -366,14 +365,6 @@ class WindowDuals:
             self._replication = replicate_inverse_gamma(self.tree, self.gamma)
         return self._replication
 
-    def factors(self, a_shift: Mapping[str, float], T: int) -> tuple[dict, dict]:
-        """The (log C, policy) maps of the factor recursion to T that
-        ``_exponential_factors`` fills, for this a_shift at the time-T nodes."""
-        key = (T, self._shift_key(a_shift, T))
-        if key not in self._factors:
-            self._factors[key] = ({}, {})
-        return self._factors[key]
-
     def inverse_gamma_gaps(self, t: int, T: int) -> dict[str, float]:
         """The one-step gap (``_one_step_gap``) of each node of levels
         t..T-1, start by start, in DFS order (``tree.window_nodes``);
@@ -389,13 +380,12 @@ class WindowDuals:
                 self._gaps[m] = _one_step_gap(self.tree, self.gamma, m)
         return {m: self._gaps[m] for m in window}
 
-    def sweep(self, a_shift: Mapping[str, float], t: int, T: int) -> _Sweep:
-        """The sweep to T for this a_shift at the time-T nodes, solved down
-        to level t (``_Sweep.extend``)."""
+    def sweep(self, a_shift: Mapping[str, float], T: int) -> _Sweep:
+        """The sweep to T for this a_shift at the time-T nodes, as far as
+        it is solved; ``extend`` and ``factors`` solve it further."""
         key = (T, self._shift_key(a_shift, T))
         if key not in self._sweeps:
             self._sweeps[key] = _Sweep(self, a_shift, T)
-        self._sweeps[key].extend(t)
         return self._sweeps[key]
 
 
@@ -441,44 +431,24 @@ def replicate_inverse_gamma(tree: EventTree, gamma: Mapping[str, float]) -> Repl
         if gamma[nid] <= 0.0:
             raise ValueError(f"gamma must be positive, node {nid!r}")
         branches = tree.branches_of(nid)
-        d = np.array([br.dprice for br in branches])
+        # the increments over a power of two above the largest: exact, and d @ d stays in range
+        exponent = math.frexp(max(abs(br.dprice) for br in branches))[1]
+        d = np.array([math.ldexp(br.dprice, -exponent) for br in branches])
         inv = np.array([1.0 / gamma[br.child] for br in branches])
         rhs = inv - 1.0 / gamma[nid]
-        with np.errstate(over="ignore"):  # increments past 1e154: psi reads 0, judged by the residual
+        with np.errstate(over="ignore"):  # a 1/gamma past the float range: judged by the residual
             denom, num = float(d @ d), float(d @ rhs)
         coeff = num / denom if denom > 0.0 else 0.0
+        try:
+            psi[nid] = math.ldexp(coeff, -exponent)
+        except OverflowError:  # increments so small that psi is past the float range
+            psi[nid] = math.copysign(math.inf, coeff)
         residual = float(np.max(np.abs(coeff * d - rhs))) / max(float(inv.max()), 1.0 / gamma[nid])
         worst = max(worst, residual)
         tol = _replication_tol(len(branches))
         if not residual <= tol:  # NaN too: an infinite 1/gamma gives inf - inf
             return ReplicationResult(feasible=False, psi=None, failed_node=nid, residual=residual, tolerance=tol)
-        psi[nid] = coeff
     return ReplicationResult(feasible=True, psi=psi, failed_node=None, residual=worst)
-
-
-def _exponential_factors(duals, field, t, T):
-    """The factor recursion in log units, log C, plus the one-step base
-    policy per node of the window [t, T], levels t..T (see the module
-    docstring). log C(node) depends on T and not on t, so the nodes an
-    earlier window to T solved are read from ``duals``."""
-    tree = duals.tree
-    log_c, policy = duals.factors(field.a_shift, T)
-    for w in tree.nodes_at(T):
-        log_c.setdefault(w, float(field.a_shift[w]))
-    order = [n for s in range(T - 1, t - 1, -1) for n in tree.nodes_at(s)]
-    for nid in order:
-        if nid in log_c:
-            continue
-        branches = tree.branches_of(nid)
-        log_weights = [math.log(br.prob) + log_c[br.child] for br in branches]
-        slopes = [-field.gamma[br.child] * br.dprice for br in branches]
-        try:
-            policy[nid], log_c[nid] = minimize_exp_sum(log_weights, slopes)
-        except ValueError as exc:
-            raise ArbitrageError(f"node {nid!r}: {exc}") from exc
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"factor recursion at node {nid!r} on [{t}, {T}]: {exc}") from exc
-    return log_c, {n: policy[n] for n in order}
 
 
 def _check_field_type(field):
@@ -540,7 +510,8 @@ def primal_value(
     xi_by_node = _per_node(xi, starts, "xi")
     duals = _window_duals(duals, tree, field.gamma)
     _require_replication(duals.replication(), _PRIMAL)
-    log_c, policy = _exponential_factors(duals, field, t, T)
+    sweep = duals.sweep(field.a_shift, T)
+    log_c = sweep.factors(t)
     gamma = {n: field.gamma[n] for n in starts}
     log_factor = {n: log_c[n] for n in starts}
     return PrimalResult(
@@ -549,7 +520,7 @@ def primal_value(
         values=_primal_values(gamma, log_factor, xi_by_node),
         xi=xi_by_node,
         log_factor=log_factor,
-        policy=policy,
+        policy={n: sweep.policy[n] for s in range(T - 1, t - 1, -1) for n in tree.nodes_at(s)},
         replication=duals.replication().psi,
         gamma=gamma,
     )
@@ -587,20 +558,22 @@ def _one_step_objective(p, gam, ash):
 
 
 class _Sweep:
-    """The one-step dual programs before T for one a_shift at the time-T
-    nodes, solved level by level from T - 1 down (``extend``). Per solved
-    node: its minimiser ``q`` as (child, mass) pairs; the ``shift`` the
-    eta = 1 value of [time(node), T] implies there, which its parent's
-    program reads, and which is the forward drift at the minimiser (see
-    the module docstring); m (sum_k q_k m_k, ``inverse_gamma_mean``); the
-    largest sum of node bounds along a path below it (``kkt``) and the
-    Newton iterations summed below it (``newton``). At time T, the shift is
-    a_shift."""
+    """The factor recursion (``factors``, to ``factor_level``) and the
+    one-step dual programs (``extend``, to ``level``) before T for one
+    a_shift at the time-T nodes, each solved level by level from T - 1
+    down. Per node: ``log_c`` and the base ``policy``; the programs'
+    minimiser ``q`` as (child, mass) pairs; the ``shift`` the eta = 1 value
+    of [time(node), T] implies there, which its parent's program reads, and
+    which is the forward drift at the minimiser (see the module docstring);
+    m (sum_k q_k m_k, ``inverse_gamma_mean``); the largest sum of node
+    bounds along a path below it (``kkt``) and the Newton iterations summed
+    below it (``newton``). At time T, log C and the shift are a_shift."""
 
     def __init__(self, duals, a_shift, T):
-        self.duals, self.T, self.level = duals, T, T
+        self.duals, self.T, self.level, self.factor_level = duals, T, T, T
         ends = duals.tree.nodes_at(T)
         self.shift = {w: float(a_shift[w]) for w in ends}
+        self.log_c, self.policy = dict(self.shift), {}
         self.inverse_gamma_mean = {w: 1.0 / duals.gamma[w] for w in ends}
         self.kkt, self.newton, self.q = dict.fromkeys(ends, 0.0), dict.fromkeys(ends, 0), {}
 
@@ -611,7 +584,7 @@ class _Sweep:
         ``barrier_minimize`` stack per shape (children, and whether a price
         moves) and kept; then each node's sums are read from its program. A
         level with a failing program is refused with ConvergenceError,
-        naming the first in tree order."""
+        naming the first in tree order. Returns the sweep."""
         tree, programs = self.duals.tree, self.duals._programs
         for s in range(self.level - 1, t - 1, -1):
             level, groups, failed = tree.nodes_at(s), {}, []
@@ -638,6 +611,25 @@ class _Sweep:
             if failed:
                 raise ConvergenceError(failed[0])
             self.level = s
+        return self
+
+    def factors(self, t):
+        """log C, solved down to level t (see the module docstring): one-sided
+        slopes raise ArbitrageError, a failed solve ConvergenceError."""
+        tree, gamma = self.duals.tree, self.duals.gamma
+        for s in range(self.factor_level - 1, t - 1, -1):
+            for nid in tree.nodes_at(s):
+                branches = tree.branches_of(nid)
+                log_weights = [math.log(br.prob) + self.log_c[br.child] for br in branches]
+                slopes = [-gamma[br.child] * br.dprice for br in branches]
+                try:
+                    self.policy[nid], self.log_c[nid] = minimize_exp_sum(log_weights, slopes)
+                except ValueError as exc:
+                    raise ArbitrageError(f"node {nid!r}: {exc}") from exc
+                except ConvergenceError as exc:
+                    raise ConvergenceError(f"factor recursion at node {nid!r} on [{t}, {self.T}]: {exc}") from exc
+            self.factor_level = s
+        return self.log_c
 
     def _solve(self, nodes):
         """One stack from the nodes' vertex centroids, with rows [1; dprice];
@@ -706,7 +698,7 @@ def dual_value(
     duals = _window_duals(duals, tree, field.gamma)
     eta_by_node = _eta_by_node(eta, starts)
     _require_replication(duals.replication(), _DUAL_SPLIT)
-    sweep = duals.sweep(field.a_shift, t, T)
+    sweep = duals.sweep(field.a_shift, T).extend(t)
     masses = {s: sweep.leaf_masses(s) for s in starts}
     shift, m, kkt, newton = (
         {s: x[s] for s in starts} for x in (sweep.shift, sweep.inverse_gamma_mean, sweep.kkt, sweep.newton)
@@ -757,7 +749,7 @@ def solve_entropy_shift(
             f"inverse-gamma conditional mean violated at node {rep.failed_node!r} "
             f"(replication residual {rep.residual:.3g})"
         )
-    return dict(duals.sweep(a_term, 0, tree.horizon).shift)
+    return dict(duals.sweep(a_term, tree.horizon).extend(0).shift)
 
 
 # -- checks --------------------------------------------------------------
@@ -806,19 +798,19 @@ def check_self_generation_primal(
 
     u(xi) = -exp(-gamma xi + log C) reproduces U(xi) = -exp(-gamma xi + a)
     at every wealth iff log C = a, so the gap at a start is |log C - a| in
-    shift units, read from the factor recursion (``_exponential_factors``)
-    with no utility evaluated. A window is refused as ``primal_value``
-    refuses it: a field that is not exponential, a window outside the
-    tree, a node of levels t..T without field data, or a gamma that no
-    portfolio replicates (``ReplicationError``). ``duals`` shares the
-    factor recursion to each T with the other checks.
+    shift units, read from the sweep to T's factor recursion
+    (``_Sweep.factors``) with no utility evaluated. A window is refused as
+    ``primal_value`` refuses it: a field that is not exponential, a window
+    outside the tree, a node of levels t..T without field data, or a gamma
+    that no portfolio replicates (``ReplicationError``). ``duals`` shares
+    the sweep to each T with the other checks.
     """
     duals = _window_duals(duals, tree, field.gamma)
     windows = []
     for (t, T) in time_pairs:
         _require_window_data(tree, field, t, T)
         _require_replication(duals.replication(), _PRIMAL)
-        log_c, _ = _exponential_factors(duals, field, t, T)
+        log_c = duals.sweep(field.a_shift, T).factors(t)
         gaps = {n: abs(log_c[n] - field.a_shift[n]) for n in tree.nodes_at(t)}
         windows.append(_gap_record(f"primal-self-generation[t={t},T={T}]", gaps, tol))
     return VerificationReport(windows + [_overall_record("primal-self-generation", windows, tol)])
@@ -1034,7 +1026,7 @@ def check_exponential_conditions(
         if not rep.feasible:
             entropy.append(_unreplicated_record(tag, rep))
             continue
-        shift = duals.sweep(a_shift, t, T).shift
+        shift = duals.sweep(a_shift, T).extend(t).shift
         entropy.append(_gap_record(tag, {n: abs(shift[n] - a_shift[n]) for n in tree.nodes_at(t)}, tol))
     return VerificationReport(
         inverse_gamma
@@ -1067,15 +1059,13 @@ def check_forward_supermartingale(
     gamma_c, and the drift to T is the step D(n) = sum_c q~_c (D(c) -
     log(q~_c / p_c)) from D = a at time T. Its worst case over every
     martingale measure is log C(n), the factor recursion (see the module
-    docstring), so the worst drift at m is log C(m) - a_m, read from
-    ``_exponential_factors``, whose table the primal check shares through
-    ``duals``. At the entropy minimiser the drift is the sweep's implied
-    shift at every node (see the module docstring), so the equality's gap
-    at m is |shift(m) - a_m|, the entropy-identity gap of [time(m), T] at
-    m, read from the sweep to T. The sweep runs first: it refuses a node
-    of levels t..T-1 with no equivalent one-step measure
-    (``ArbitrageError``) by name, before the factor recursion, whose
-    duality needs one, is read.
+    docstring), so the worst drift at m is log C(m) - a_m. At the entropy
+    minimiser the drift is the sweep's implied shift at every node (see
+    the module docstring), so the equality's gap at m is |shift(m) - a_m|,
+    the entropy-identity gap of [time(m), T] at m. Both are read from the
+    sweep to T: its programs first, which refuse a node of levels t..T-1
+    with no equivalent one-step measure (``ArbitrageError``) by name, then
+    its factor recursion, whose duality needs one.
 
     Each window's gap is the largest over its nodes, start by start, in
     DFS order (``tree.window_nodes``). The drift's sign is its own
@@ -1092,8 +1082,8 @@ def check_forward_supermartingale(
     _require_replication(duals.replication(), _FORWARD)
     a_shift, tag, drifts, equalities = field.a_shift, "forward-martingale-at-optimum", [], []
     for (t, T) in time_pairs:
-        shift = duals.sweep(a_shift, t, T).shift
-        log_c, _ = _exponential_factors(duals, field, t, T)
+        sweep = duals.sweep(a_shift, T).extend(t)
+        shift, log_c = sweep.shift, sweep.factors(t)
         # the starts' subtrees are disjoint, so each record keys its gaps by node
         window = tree.window_nodes(t, T)
         drifts.append(

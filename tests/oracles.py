@@ -46,7 +46,9 @@ the closed-form conjugate of an exponential utility) bracketing and
 bisection on the marginal of a utility given only as callables, or (for
 the event tree's layout) the stack walks from each node and the cached
 walk up to the root that the tree ran before one walk from the root laid
-it out in DFS ranges.
+it out in DFS ranges, or (for the factor recursion's table per window
+end) the recursion run per window on fresh tables, as the package ran it
+before the sweep to T carried it.
 Deliberate duplication -- an oracle that shares code with the
 implementation checks nothing.
 """
@@ -465,6 +467,30 @@ def numpy_one_step_vertices(dprices):
     if not verts:
         return np.empty((0, m))
     return np.vstack(verts)
+
+
+# -- the factor recursion, per window -----------------------------------------
+
+
+def exponential_factors(tree, field, t, T):
+    """(log C, policy) of the factor recursion over the window [t, T]: log
+    C at levels t..T and the one-step base policy at levels t..T-1, solved
+    from log C = a at time T up, level by level in tree order, on tables of
+    its own. As ``tree_verifier`` ran it before the sweep to T kept one
+    table per window end, with the same refusals."""
+    log_c = {w: float(field.a_shift[w]) for w in tree.nodes_at(T)}
+    policy = {}
+    for nid in (n for s in range(T - 1, t - 1, -1) for n in tree.nodes_at(s)):
+        branches = tree.branches_of(nid)
+        log_weights = [math.log(br.prob) + log_c[br.child] for br in branches]
+        slopes = [-field.gamma[br.child] * br.dprice for br in branches]
+        try:
+            policy[nid], log_c[nid] = solvers.minimize_exp_sum(log_weights, slopes)
+        except ValueError as exc:
+            raise ArbitrageError(f"node {nid!r}: {exc}") from exc
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"factor recursion at node {nid!r} on [{t}, {T}]: {exc}") from exc
+    return log_c, policy
 
 
 # -- the barrier solver, one program at a time ------------------------------

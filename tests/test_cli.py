@@ -818,13 +818,30 @@ def test_tree_scenario_runs_a_factor_recursion_at_a_gamma_of_1e_300(tmp_path, ca
     assert report["checks"].keys() == run_json(capsys, ["run", write_scenario(tmp_path, tree_doc())])[1]["checks"].keys()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tree_scenario_replicates_a_gamma_over_increments_past_1e154(tmp_path, capsys):
+    # price moves of +-1e200 and psi 0.5e-200, so 1/gamma is exactly 1.5
+    # and 0.5 at the children: d @ d of the raw increments overflowed, and
+    # the primal check was refused for a gamma it replicates. It runs, and
+    # fails with a report: a = 0 is not the solved shift
+    doc = constant_gamma_doc(binomial_tree(p_up=0.5, d=(1e200, -1e200)), 1.0, 0.0)
+    doc["gamma"] = _replicated(1.0, 0.5e-200)
+    doc["checks"] = ["nflvr", "primal-self-generation"]
+    code, report = run_json(capsys, ["run", write_scenario(tmp_path, doc)])
+    assert (code, capsys.readouterr().err) == (1, "")
+    assert report["checks"]["nflvr"]["verdict"] == "pass"
+    rec = report["checks"]["primal-self-generation[t=0,T=1]"]
+    assert (rec["verdict"], rec["worst_node"]) == ("fail", "r")
+    assert rec["value"] == pytest.approx(0.1308, abs=1e-4)
+
+
 def fail_if_solved(monkeypatch):
     """Make the primal factor recursion and every dual program fail."""
 
     def fail(*args, **kwargs):
         raise AssertionError("a program was solved")
 
-    monkeypatch.setattr(tree_verifier, "_exponential_factors", fail)
+    monkeypatch.setattr(tree_verifier, "minimize_exp_sum", fail)
     monkeypatch.setattr(tree_verifier, "barrier_minimize", fail)
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +118,24 @@ def test_leaf_off_horizon_rejected():
                 "nodes": [node("r", 0, [br("x", 1.0, 0.0)]), node("x", 1)],
             }
         )
+
+
+@pytest.mark.parametrize("horizon", [10**6, 10**12])
+def test_a_horizon_past_the_node_count_is_refused_before_its_levels_are_built(horizon):
+    # the levels are built after the walk has checked every node's time,
+    # so a one-node tree, whose leaf is off such a horizon, is refused
+    # before anything of the horizon's size is allocated
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TreeStructureError) as raised:
+            EventTree.from_dict({"horizon": horizon, "nodes": [node("r", 0)]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == "leaf 'r' at time 0 != horizon"
+    assert peak < 2**20
+    assert time.perf_counter() - start < 1.0
 
 
 def test_structural_faults_are_named_in_dfs_order_with_detached_cycles_last():

@@ -116,6 +116,18 @@ def test_replicate_binomial_pin():
     assert res.psi["r"] == pytest.approx(0.5, abs=1e-14)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**1000, 1.7e308, 3e-310])
+def test_replicate_increments_whose_squares_leave_the_float_range(scale):
+    # 1/gamma of 1 at the root and 1.5, 0.5 at its children over price
+    # moves of +-scale: d @ d of the raw increments overflows or underflows,
+    # and the replicable 1/gamma was refused. Scaled by a power of two
+    # first, the solve is exact, and psi is 0.5 / scale, inf past the float
+    # range
+    tree = binomial_tree(p_up=0.5, d=(scale, -scale))
+    res = replicate_inverse_gamma(tree, {"r": 1.0, "u": 1.0 / 1.5, "d": 1.0 / 0.5})
+    assert (res.feasible, res.residual, res.psi) == (True, 0.0, {"r": 0.5 / scale})
+
+
 def test_replicate_infeasible_trinomial():
     tree = trinomial_tree()  # d = (1, 0, -1)
     gamma = {"r": 0.5, "u": 1.0 / 2.5, "m": 1.0 / 2.2, "d": 1.0 / 1.5}
@@ -354,7 +366,7 @@ def test_primal_refuses_nonreplicable_gamma_before_solving(monkeypatch):
     def solved(*args):
         raise AssertionError("a program was solved for a non-replicable gamma")
 
-    monkeypatch.setattr(tree_verifier, "_exponential_factors", solved)
+    monkeypatch.setattr(tree_verifier, "minimize_exp_sum", solved)
     monkeypatch.setattr(tree_verifier, "barrier_minimize", solved)
     # the dual program splits into one-step programs only when 1/gamma is
     # replicable, so the dual value is refused at every eta
@@ -422,17 +434,62 @@ def test_primal_check_matches_per_wealth_oracle(case):
 
 def test_primal_check_solves_each_window_once(monkeypatch):
     calls = []
-    run = tree_verifier._exponential_factors
+    run = tree_verifier._Sweep.factors
 
-    def counted(duals, field, t, T):
-        calls.append((t, T))
-        return run(duals, field, t, T)
+    def counted(sweep, t):
+        calls.append((t, sweep.T))
+        return run(sweep, t)
 
-    monkeypatch.setattr(tree_verifier, "_exponential_factors", counted)
+    monkeypatch.setattr(tree_verifier._Sweep, "factors", counted)
     pairs = [(0, 1), (0, 2), (1, 2)]
     tree = two_period_tree()
     check_self_generation_primal(tree, solved_field(tree, seed=21), pairs)
     assert sorted(calls) == pairs
+
+
+FACTOR_TREES = {
+    **{f"random-{p}": lambda p=p: random_tree(p, periods=p) for p in range(1, 6)},
+    "two-period": two_period_tree,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_TREES))
+def test_factor_table_per_window_end_matches_the_per_window_recursion(case):
+    # one context serves every window in a shuffled order, so a window
+    # reads the nodes an earlier window to its T solved: the log C of
+    # levels t..T and the primal's policy of levels t..T-1 are the
+    # recursion's on fresh tables, bit for bit; solved, root-moved and
+    # leaf-moved shifts
+    tree = FACTOR_TREES[case]()
+    solved = solved_field(tree, 7)
+    rng = np.random.default_rng(len(tree.nodes))
+    windows = _window_pairs(tree)
+    for field in (solved, with_offsets(solved, {tree.root: 0.1}), with_offsets(solved, {tree.leaves()[0]: 0.1})):
+        want = {(t, T): oracles.exponential_factors(tree, field, t, T) for t, T in windows}
+        for _ in range(3):
+            duals = WindowDuals(tree, field.gamma)
+            for i in rng.permutation(len(windows)):
+                t, T = windows[i]
+                log_c, policy = want[(t, T)]
+                got = duals.sweep(field.a_shift, T).factors(t)
+                assert [(n, got[n]) for n in log_c] == list(log_c.items()), (t, T)
+                assert list(primal_value(tree, field, 0.0, t, T, duals=duals).policy.items()) == list(policy.items())
+
+
+def test_factor_table_refuses_as_the_per_window_recursion():
+    # node a's increments are one-sided: every window through level 1 is
+    # refused, in any order through one context, as the recursion refuses
+    # it on fresh tables
+    tree = mid_arbitrage_tree()
+    field = constant_field(tree)
+    windows = _window_pairs(tree)
+    want = {(t, T): _refusal(oracles.exponential_factors, tree, field, t, T) for t, T in windows}
+    assert want[(0, 2)] == want[(1, 2)] and want[(0, 2)][0] is ArbitrageError
+    assert want[(0, 1)] is None
+    for order in (windows, windows[::-1]):
+        duals = WindowDuals(tree, field.gamma)
+        for t, T in order:
+            assert _refusal(duals.sweep(field.a_shift, T).factors, t) == want[(t, T)], (t, T)
 
 
 # -- dual values ---------------------------------------------------------
@@ -880,7 +937,7 @@ def test_dual_value_refuses_the_first_failing_start(monkeypatch, tree, T, modes,
     # gives alone
     tree = random_tree(7, periods=3) if tree == "random" else suite_shaped_tree(7)
     field = solved_field(tree, 7)
-    clean = WindowDuals(tree, field.gamma).sweep(field.a_shift, 1, T)
+    clean = WindowDuals(tree, field.gamma).sweep(field.a_shift, T).extend(1)
     _poison(monkeypatch, modes, tree, field.gamma)
     want = _refusal_one_program_at_a_time(tree, clean, 1, modes)
     assert want.startswith(f"dual program below node {first!r} on [{tree.time_of(first)}, {T}]")
@@ -897,7 +954,7 @@ def test_dual_value_refuses_from_one_solve_per_shape(monkeypatch):
     # first
     tree = suite_shaped_tree(7)
     field = solved_field(tree, 7)
-    clean = WindowDuals(tree, field.gamma).sweep(field.a_shift, 1, 2)
+    clean = WindowDuals(tree, field.gamma).sweep(field.a_shift, 2).extend(1)
     modes = {"n3": "step1", "n2": "step2"}
     _poison(monkeypatch, modes, tree, field.gamma)
     poisoned = tree_verifier.barrier_minimize
@@ -1820,7 +1877,7 @@ def test_forward_optimum_matches_density_oracle(periods, bumped):
     want, want_node = 0.0, None
     for (t, T) in _window_pairs(tree):
         res = dual_value(tree, field, 1.0, t, T, duals=duals)
-        shift = duals.sweep(field.a_shift, t, T).shift
+        shift = duals.sweep(field.a_shift, T).extend(t).shift
         for start in tree.nodes_at(t):
             q = measure_from_leaf_masses(tree, start, T, res.leaf_masses[start])
             gaps = oracles.forward_gaps_by_density(tree, field.gamma, field.a_shift, q, start, T)
@@ -1855,7 +1912,7 @@ def test_sweep_drift_matches_the_leaf_mass_oracle(periods):
             duals = WindowDuals(tree, field.gamma)
             for t, T in _window_pairs(tree):
                 res = dual_value(tree, field, 1.0, t, T, duals=duals)
-                sweep = duals.sweep(field.a_shift, t, T)
+                sweep = duals.sweep(field.a_shift, T).extend(t)
                 for start in tree.nodes_at(t):
                     want = oracles.optimum_gaps(
                         tree, field.gamma, field.a_shift, start, T, res.leaf_masses[start]
@@ -1909,7 +1966,7 @@ def test_the_drift_at_the_minimiser_is_the_sweeps_implied_shift(periods):
         for field in fields:
             duals = WindowDuals(tree, field.gamma)
             for T in range(1, tree.horizon + 1):
-                sweep = duals.sweep(field.a_shift, 0, T)
+                sweep = duals.sweep(field.a_shift, T).extend(0)
                 drift = oracles.sweep_drift(tree, sweep)
                 bound = _drift_rounding_bound(tree, field.gamma, sweep)
                 assert drift.keys() == sweep.shift.keys()
@@ -1933,7 +1990,7 @@ def test_forward_optimum_record_reads_the_sweeps_shift(periods):
                 duals = WindowDuals(tree, field.gamma)
                 windows = []
                 for t, T in pairs:
-                    shift = duals.sweep(field.a_shift, t, T).shift
+                    shift = duals.sweep(field.a_shift, T).extend(t).shift
                     windows.append(
                         {
                             m: abs(shift[m] - field.a_shift[m])
@@ -2006,7 +2063,7 @@ def _no_pass(monkeypatch):
 
     monkeypatch.setattr(tree_verifier, "_one_step_gap", ran)
     monkeypatch.setattr(tree_verifier, "_Sweep", ran)
-    monkeypatch.setattr(tree_verifier, "_exponential_factors", ran)
+    monkeypatch.setattr(tree_verifier, "minimize_exp_sum", ran)
 
 
 def _forward_replication_refusal(tree, gamma):
@@ -2187,7 +2244,7 @@ def test_grid_reads_match_the_per_point_oracles(tree, field):
     want = oracles.self_generation_dual_per_point(tree, field, pairs, duals)
     _records_within(got.records(), want.records(), bound)
     for t, T in pairs:
-        shift = duals.sweep(field.a_shift, t, T).shift
+        shift = duals.sweep(field.a_shift, T).extend(t).shift
         for n, implied in oracles.implied_shift_per_start(tree, field, t, T, duals).items():
             assert abs(shift[n] - implied) <= bound, (t, T, n)
     got = check_exponential_conditions(tree, field, pairs, duals=duals)
