@@ -165,12 +165,26 @@ def one_digest(runs, where):
     return digests.pop()
 
 
+def numpy_simd():
+    """numpy's SIMD dispatch targets active here, comma-separated: those it
+    was built for that the CPU has and ``NPY_DISABLE_CPU_FEATURES`` leaves
+    on. Its float64 exp and log round differently under X86_V4."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return ",".join(target for target in __cpu_dispatch__ if __cpu_features__.get(target))
+
+
 def header(benchmark, srcs, **fields):
-    """The fields every BENCH file opens with, then ``fields``."""
+    """The fields every BENCH file opens with, then ``fields``: numpy's
+    active SIMD dispatch targets, and the forced OpenBLAS core type when
+    ``OPENBLAS_CORETYPE`` is set, beside the numpy version and nproc."""
     import numpy as np
 
     from forwardperf import kernels
 
+    core = os.environ.get("OPENBLAS_CORETYPE")
     return {
         "benchmark": benchmark,
         "src_sha256": source_sha256(srcs[CURRENT]),
@@ -179,6 +193,8 @@ def header(benchmark, srcs, **fields):
         "nproc": os.cpu_count(),
         "kernel_backend": kernels.BACKEND,
         "numpy": np.__version__,
+        "numpy_simd": numpy_simd(),
+        **({"openblas_coretype": core} if core else {}),
         "python": platform.python_version(),
         "machine": platform.machine(),
         **fields,

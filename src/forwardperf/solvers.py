@@ -104,69 +104,69 @@ def minimize_exp_sum(log_weights, slopes):
     return y / scale, top + math.log(v)
 
 
-def barrier_minimize(phi, A, b, r0):
-    """Minimize sum_i phi_i(r_i) over {r > 0, A r = b} by a log-barrier
-    method, for a stack of programs of one shape at once.
+def barrier_minimize(phi, r0, price=None):
+    """Minimize sum_i phi_i(r_i) over {r > 0, sum_i r_i = 1, sum_i d_i r_i = 0}
+    by a log-barrier method, for a stack of programs of one shape at once.
 
-    Program j of the stack minimises over its own r_j, with A[j] r_j = b[j],
-    from the strictly positive feasible start r0[j]: ``A`` is (B, k, m),
-    ``b`` (B, k) and ``r0`` (B, m). ``phi(rows)`` returns the objective of
-    the programs ``rows`` (an index array into the stack): a function from
+    Program j of the stack minimises over its own r_j, from the strictly
+    positive feasible start r0[j], with ``r0`` (B, m). Its price row d is
+    ``price[j]``, a (B, m) array, or, when ``price`` is None, it has the
+    unit-mass row alone. ``phi(rows)`` returns the objective of the
+    programs ``rows`` (an index array into the stack): a function from
     their iterates, a (len(rows), m) array, to their (values, gradients,
     second derivatives) in that shape, each phi_i convex, computed row by
-    row. All-zero rows of A (vacuous constraints) are dropped per program,
-    and every program must keep as many rows. Damped Newton steps, kept
-    strictly inside the positive orthant by the line search, solve the
-    equality-constrained barrier problem through the Schur complement at
-    the single barrier parameter mu = _BARRIER_GAP_TOL / m. The duality-gap
+    row. Damped Newton steps, kept strictly inside the positive orthant by
+    the line search, solve the equality-constrained barrier problem at the
+    single barrier parameter mu = _BARRIER_GAP_TOL / m. The duality-gap
     bound m*mu holds at the central point for any mu, so no continuation
     over a decreasing mu is needed (Boyd & Vandenberghe, Convex
     Optimization, 11.2.2).
 
+    Each Newton step solves the Schur system of the two rows, of matrix
+    [[sum 1/h, sum d/h], [sum d/h, sum d^2/h]] (h the barrier Hessian, the
+    sums along the program's row), by formula: eliminating the unit-mass
+    multiplier leaves sum 1/h times the 1/h-weighted variance of d, a sum
+    of squares about the weighted mean. That is the Cauchy-Binet
+    determinant sum over i < j of (d_i - d_j)^2 / (h_i h_j), over sum 1/h,
+    so it cannot cancel where one child's 1/h dominates. Every operation
+    is elementwise or a sum along a program's row, in an order numpy's
+    source fixes: there is no BLAS or LAPACK call, whose kernel the CPU
+    would pick.
+
     Each program takes the iterates, line-search halvings, stop and
     iteration count it takes alone, bit for bit, and leaves the stack when
     it stops or fails: at a start where its objective is not finite, at a
-    Newton step that is not finite, or at the iteration cap,
+    Newton step that is not finite (an all-zero price row, whose Schur
+    system is singular, gives one), or at the iteration cap,
     ``_BARRIER_MAX_NEWTON``. Returns (r, multipliers, info): r (B, m)
-    holds each program's iterate when it left; info carries the gap
-    bound, ``newton_iterations`` (the stack's total, an int) and per
-    program ``iterations`` (0 for a failure at the start), ``eq_residual``
-    (the max equality residual), ``value`` (the objective's sum at r) and
+    holds each program's iterate when it left and the multipliers (B, k)
+    those of its k rows, unit mass first; info carries the gap bound,
+    ``newton_iterations`` (the stack's total, an int) and per program
+    ``iterations`` (0 for a failure at the start), ``eq_residual`` (the
+    max equality residual), ``value`` (the objective's sum at r) and
     ``failure`` (None, or why it failed).
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     r = np.array(r0, dtype=float)
-    if r.ndim != 2 or A.ndim != 3 or A.shape[::2] != r.shape or b.shape != A.shape[:2]:
+    d = None if price is None else np.asarray(price, dtype=float)
+    if r.ndim != 2 or (d is not None and d.shape != r.shape):
         raise ValueError("barrier_minimize: constraint shape mismatch")
     n, m = r.shape
     if not r.size:
         raise ValueError("barrier_minimize: need a nonempty stack of nonempty programs")
     if (r <= 0.0).any():
         raise ValueError("barrier_minimize: start must be strictly positive")
-    # drop all-zero rows (vacuous constraints) once, keeping determinism
-    keep = (A != 0.0).any(axis=2)
-    if not keep.all():
-        if (np.abs(b[~keep]) > 1e-12).any():
-            raise ValueError("barrier_minimize: infeasible zero row")
-        kept = keep.sum(axis=1)
-        if (kept != kept[0]).any():
-            raise ValueError("barrier_minimize: the programs keep different numbers of rows")
-        A = A[keep].reshape(n, int(kept[0]), m)
-        b = b[keep].reshape(n, int(kept[0]))
-    k = A.shape[1]
+    k = 1 if d is None else 2
     lam, iterations, value = np.zeros((n, k)), np.zeros(n, dtype=np.int64), np.zeros(n)
     mu = _BARRIER_GAP_TOL / m
 
     def barrier_val(rv, v):
         return v.sum(axis=1) - mu * np.log(rv).sum(axis=1)
 
-    # the programs still iterating: their indices, objective and rows of A,
+    # the programs still iterating: their indices, objective and price rows,
     # and (iterate, gradient, curvature, barrier value, objective values)
     # at their current iterate and at their next
     rows = np.arange(n)
-    f, Ar = phi(rows), A
-    AT = Ar.transpose(0, 2, 1)
+    f, price_rows = phi(rows), d
     v, grad, hess = f(r)
     here = ahead = (r, grad, hess, barrier_val(r, v), v)
     go = np.isfinite(here[3]).tolist()
@@ -174,25 +174,24 @@ def barrier_minimize(phi, A, b, r0):
         None if ok else f"barrier_minimize: the objective is not finite at the start (barrier objective {x!r})"
         for ok, x in zip(go, here[3].tolist())
     ]
-    lr = lam[:, :, None]  # multipliers, 0 before any step
+    lr = lam  # the iterating programs' multipliers, 0 before any step
     newton_used = 0
     while True:
         # programs whose outcome is decided leave, at their current iterate
         if not all(go):
             if len(rows) == n and not any(go):  # the whole stack leaves at once
-                iterations[:], r, lam, value = newton_used, here[0], lr[:, :, 0], here[4].sum(axis=1)
+                iterations[:], r, lam, value = newton_used, here[0], lr, here[4].sum(axis=1)
                 break
             keep = np.array(go)
             out = ~keep
             done = rows[out]
             iterations[done] = newton_used
-            r[done], lam[done] = here[0][out], lr[out, :, 0]
+            r[done], lam[done] = here[0][out], lr[out]
             value[done] = here[4][out].sum(axis=1)
             rows = rows[keep]
             if not rows.size:
                 break
-            f, Ar = phi(rows), Ar[keep]
-            AT = Ar.transpose(0, 2, 1)
+            f, price_rows = phi(rows), None if d is None else price_rows[keep]
             ahead = tuple(x[keep] for x in ahead)
         here = ahead
         rr, grad, hess, f_cur, _ = here
@@ -200,20 +199,26 @@ def barrier_minimize(phi, A, b, r0):
         g = grad - mu / rr
         h = hess + mu / (rr * rr)
         hinv = 1.0 / h
-        # Schur system for the equality multipliers
-        AH = Ar * hinv[:, None, :]
-        S = AH @ AT
-        rhs = -AH @ g[:, :, None]
-        try:
-            lr = np.linalg.solve(S, rhs)
-        except np.linalg.LinAlgError:
-            lr = np.array([_schur_solve(Sj, rj) for Sj, rj in zip(S, rhs)])
-        q = g + (AT @ lr)[:, :, 0]
+        # the Schur system by formula: the unit-mass multiplier is minus the
+        # h^-1-weighted mean of g + lam_d d, and the price multiplier lam_d
+        # minus the weighted covariance of d and g over the variance of d
+        weight = hinv.sum(axis=1)[:, None]
+        g_mean = (hinv * g).sum(axis=1)[:, None] / weight
+        q = g - g_mean
+        if d is None:
+            lr = -g_mean
+        else:
+            d_mean = (hinv * price_rows).sum(axis=1)[:, None] / weight
+            dc = price_rows - d_mean
+            hd = hinv * dc
+            lam_d = -(hd * q).sum(axis=1)[:, None] / (hd * dc).sum(axis=1)[:, None]
+            q += lam_d * dc
+            lr = np.hstack((-(g_mean + lam_d * d_mean), lam_d))
         dr = -hinv * q
-        # Newton decrement squared = dr' H dr = -(g + A'lam)' dr. Each
+        # Newton decrement squared = dr' H dr = -q' dr. Each
         # program's stop test and step length in Python floats, as alone
         f_row = f_cur.tolist()
-        slope = (q[:, None, :] @ dr[:, :, None])[:, 0, 0].tolist()
+        slope = (q * dr).sum(axis=1).tolist()
         searching = [j for j, (fc, s) in enumerate(zip(f_row, slope)) if not -s < 1e-13 * (1.0 + abs(fc))]
         # no line search repairs a step that is not finite; its slope, a
         # sum of -q_i^2 / h_i, is not finite either
@@ -227,7 +232,7 @@ def barrier_minimize(phi, A, b, r0):
         if searching:
             # keep strictly inside the positive orthant
             alpha = [
-                min([1.0] + [0.99 * (-x / d) for x, d in zip(xs, ds) if d < 0.0])
+                min([1.0] + [0.99 * (-x / dx) for x, dx in zip(xs, ds) if dx < 0.0])
                 for xs, ds in zip(rr.tolist(), dr.tolist())
             ]
             searching = [j for j in searching if alpha[j] > 1e-14]
@@ -270,21 +275,15 @@ def barrier_minimize(phi, A, b, r0):
                     f"at gap bound {m * mu:.3e}"
                 )
             go = [False] * len(rows)
+    residual = np.abs(r.sum(axis=1) - 1.0)
+    if d is not None:
+        residual = np.maximum(residual, np.abs((d * r).sum(axis=1)))
     info = {
         "gap_bound": m * mu,
         "newton_iterations": int(iterations.sum()),
         "iterations": iterations,
-        # 0 with no rows
-        "eq_residual": np.abs((A @ r[:, :, None])[:, :, 0] - b).max(axis=1, initial=0.0),
+        "eq_residual": residual,
         "value": value,
         "failure": failure,
     }
     return r, lam, info
-
-
-def _schur_solve(S, rhs):
-    """One program's Schur system, by least squares when it is singular."""
-    try:
-        return np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(S, rhs, rcond=None)[0]

@@ -431,13 +431,13 @@ def replicate_inverse_gamma(tree: EventTree, gamma: Mapping[str, float]) -> Repl
         if gamma[nid] <= 0.0:
             raise ValueError(f"gamma must be positive, node {nid!r}")
         branches = tree.branches_of(nid)
-        # the increments over a power of two above the largest: exact, and d @ d stays in range
+        # the increments over a power of two above the largest: exact, and d'd stays in range
         exponent = math.frexp(max(abs(br.dprice) for br in branches))[1]
         d = np.array([math.ldexp(br.dprice, -exponent) for br in branches])
         inv = np.array([1.0 / gamma[br.child] for br in branches])
         rhs = inv - 1.0 / gamma[nid]
         with np.errstate(over="ignore"):  # a 1/gamma past the float range: judged by the residual
-            denom, num = float(d @ d), float(d @ rhs)
+            denom, num = float((d * d).sum()), float((d * rhs).sum())
         coeff = num / denom if denom > 0.0 else 0.0
         try:
             psi[nid] = math.ldexp(coeff, -exponent)
@@ -632,26 +632,25 @@ class _Sweep:
         return self.log_c
 
     def _solve(self, nodes):
-        """One stack from the nodes' vertex centroids, with rows [1; dprice];
-        per program, its minimiser, implied shift, gap bound plus equality
-        residual, iterations and failure. Each program runs in its node's
-        own scale, at gammas gamma / g (g = gamma_node) and shifts a - top
-        (top their largest): as sum_k q_k g / gamma_k = 1 on the feasible
-        set, its value V' is g c + log g + top, c the node's, so the shift
-        g (h(1/g) - c) is top - 1 - V', free of the scale of gamma and of a,
-        and the program's own bound bounds it."""
+        """One stack from the nodes' vertex centroids, with the price row
+        where prices move; per program, its minimiser, implied shift, gap
+        bound plus equality residual, iterations and failure. Each program
+        runs in its node's own scale, at gammas gamma / g (g = gamma_node),
+        shifts a - top (top their largest) and price moves over a power of
+        two above the largest (exact): as sum_k q_k g / gamma_k = 1 on the
+        feasible set, its value V' is g c + log g + top, c the node's, so
+        the shift g (h(1/g) - c) is top - 1 - V', free of the scale of gamma,
+        of a and of the prices, and the program's own bound bounds it (its
+        equality residual relative to the node's largest price move)."""
         tree, gamma = self.duals.tree, self.duals.gamma
         data = [[(br.prob, gamma[br.child], self.shift[br.child], br.dprice) for br in tree.branches_of(n)] for n in nodes]
         p, gam, ash, dprice = np.array(data).transpose(2, 0, 1)
         g_node, top = _at_nodes(gamma, nodes), ash.max(axis=1)
-        A = np.ones((len(nodes), 2, dprice.shape[1]))
-        A[:, 1] = dprice
-        b = np.zeros((len(nodes), 2))
-        b[:, 0] = 1.0
+        price = np.ldexp(dprice, -np.frexp(np.abs(dprice).max(axis=1))[1][:, None]) if dprice.any() else None
         r0 = np.array([self.duals.centroid(n) for n in nodes])
         # the overflows on the way print no warning
         with np.errstate(over="ignore", invalid="ignore"):
-            q, _, info = barrier_minimize(_one_step_objective(p, gam / g_node[:, None], ash - top[:, None]), A, b, r0)
+            q, _, info = barrier_minimize(_one_step_objective(p, gam / g_node[:, None], ash - top[:, None]), r0, price)
             shift = top - 1.0 - info["value"]
         kkt = (info["gap_bound"] + info["eq_residual"]).tolist()
         return zip(q.tolist(), shift.tolist(), kkt, info["iterations"].tolist(), info["failure"])

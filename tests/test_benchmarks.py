@@ -77,6 +77,19 @@ def test_every_benchmark_file_carries_the_header_and_spreads():
             assert all("paired" in row for row in doc["rows"]), path.name
 
 
+def test_header_records_numpy_dispatch_and_a_forced_blas_core(monkeypatch):
+    # the report bytes follow numpy's float64 exp/log dispatch, so every
+    # BENCH file records its active targets, and a forced OpenBLAS core
+    ab = load("ab")
+    srcs = {ab.CURRENT: str(SRC)}
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    doc = ab.header("x", srcs)
+    assert set(HEADER) | {"numpy_simd"} == doc.keys()
+    assert isinstance(doc["numpy_simd"], str)
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    assert ab.header("x", srcs)["openblas_coretype"] == "Haswell"
+
+
 def test_paired_interval_reads_the_exact_binomial_tails():
     ab = load("ab")
     for n in range(1, 41):

@@ -268,41 +268,72 @@ def entropy_phi(r):
     return r * np.log(r) - r, np.log(r), 1.0 / r
 
 
-def solve_one(phi_one, A, b, r0):
+def solve_one(phi_one, r0, price=None):
     """``barrier_minimize`` on a stack of one program, as one program's
     (r, multipliers, info)."""
-    r, lam, info = barrier_minimize(stacked(phi_one), A[None], b[None], r0[None])
+    r, lam, info = barrier_minimize(stacked(phi_one), r0[None], None if price is None else price[None])
     return r[0], lam[0], {**info, "eq_residual": float(info["eq_residual"][0])}
 
 
-def assert_rows_match_the_scalar_oracle(phi, phi_rows, A, b, r0):
-    """Every program of the stack, solved as one, has the scalar solver's
-    minimiser, multipliers, Newton count and equality residual, and its
-    objective's sum there, bit for bit; returns the stack's info."""
-    r, lam, info = barrier_minimize(phi, A, b, r0)
+def oracle_rows(m, price_row):
+    """The scalar oracle's constraint rows and right-hand side: unit mass,
+    and the price row when there is one, with target 0."""
+    if price_row is None:
+        return np.ones((1, m)), np.array([1.0])
+    return np.array([np.ones(m), price_row]), np.array([1.0, 0.0])
+
+
+def assert_within_the_oracle_bound(phi_one, r0, price_row, r, value, iterations):
+    """One program's minimiser and objective against the scalar oracle,
+    which solves the same barrier problem by LAPACK. Each solver stops at a
+    Newton decrement lambda with lambda^2 < tol = 1e-13 (1 + |f|), f its
+    barrier value, so each barrier value is within tol of the central
+    point's and each iterate within about lambda of it in the norm of the
+    barrier Hessian H: |dr_i| <= 4 sqrt(tol / H_ii) covers both with a
+    factor two to spare. The Newton counts differ by at most the one step
+    that a stop test at the rounding floor can go either way."""
+    A, b = oracle_rows(len(r0), price_row)
+    r1, _, info1 = oracles.scalar_barrier_minimize(phi_one, A, b, r0)
+    mu = solvers._BARRIER_GAP_TOL / len(r0)
+    v, _, hess = phi_one(r1)
+    barrier = float(v.sum()) - mu * float(np.log(r1).sum())
+    tol = 1e-13 * (1.0 + abs(barrier))
+    assert abs(float(value) - float(v.sum())) <= 2.0 * tol
+    assert (np.abs(r - r1) <= 4.0 * np.sqrt(tol / (hess + mu / (r1 * r1)))).all()
+    assert abs(int(iterations) - info1["newton_iterations"]) <= 1
+
+
+def assert_rows_solve_as_alone(phi, phi_rows, r0, price=None):
+    """Every program of the stack has the minimiser, multipliers, Newton
+    count, equality residual, objective's sum and failure of a stack of
+    that program alone, bit for bit, and each that solves is within the
+    scalar oracle's bound; returns the stack's (r, multipliers, info)."""
+    r, lam, info = barrier_minimize(phi, r0, price)
     assert info["newton_iterations"] == int(info["iterations"].sum())
     assert isinstance(info["newton_iterations"], int)
     for j in range(len(r0)):
-        r1, lam1, info1 = oracles.scalar_barrier_minimize(phi_rows[j], A[j], b[j], r0[j])
-        assert info["failure"][j] is None, j
+        price_row = None if price is None else price[j]
+        r1, lam1, info1 = solve_one(phi_rows[j], r0[j], price_row)
         assert r[j].tobytes() == r1.tobytes(), j
         assert lam[j].tobytes() == lam1.tobytes(), j
-        assert int(info["iterations"][j]) == info1["newton_iterations"], j
+        assert info["iterations"][j] == info1["iterations"][0], j
         assert float(info["eq_residual"][j]) == info1["eq_residual"], j
-        assert info["value"][j] == phi_rows[j](r1)[0].sum(), j
+        assert info["value"][j].tobytes() == info1["value"][0].tobytes(), j
+        assert info["failure"][j] == info1["failure"][0], j
         assert info["gap_bound"] == info1["gap_bound"]
-    return info
+        if info["failure"][j] is None:
+            assert_within_the_oracle_bound(phi_rows[j], r0[j], price_row, r[j], info["value"][j], info["iterations"][j])
+    return r, lam, info
 
 
 def test_barrier_entropy_over_simplex():
     # min sum h(r_i) over the simplex: uniform by symmetry
-    A = np.ones((1, 3))
-    b = np.array([1.0])
-    r, lam, info = solve_one(entropy_phi, A, b, np.array([0.5, 0.3, 0.2]))
+    r, lam, info = solve_one(entropy_phi, np.array([0.5, 0.3, 0.2]))
     assert np.allclose(r, 1.0 / 3.0, atol=1e-6)
     assert info["eq_residual"] <= 1e-9
     assert info["gap_bound"] <= 1e-10
     # KKT: log r + lambda = 0 componentwise
+    assert lam.shape == (1,)
     assert np.max(np.abs(np.log(r) + lam[0])) <= 1e-6
 
 
@@ -313,19 +344,18 @@ def test_barrier_weighted_target():
     def phi(r):
         return c * r + r * np.log(r) - r, c + np.log(r), 1.0 / r
 
-    A = np.ones((1, 3))
-    r, _, _ = solve_one(phi, A, np.array([1.0]), np.full(3, 1.0 / 3.0))
+    r, _, _ = solve_one(phi, np.full(3, 1.0 / 3.0))
     want = np.exp(-c) / np.exp(-c).sum()
     assert np.allclose(r, want, atol=1e-7)
 
 
 def test_barrier_two_constraints():
-    # add a mean-zero constraint: min entropy over {sum r = 1, r1 - r3 = 0}
-    A = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]])
-    b = np.array([1.0, 0.0])
-    r, _, info = solve_one(entropy_phi, A, b, np.array([0.3, 0.4, 0.3]))
+    # add a price row: min entropy over {sum r = 1, r1 - r3 = 0}
+    r, lam, info = solve_one(entropy_phi, np.array([0.3, 0.4, 0.3]), np.array([1.0, 0.0, -1.0]))
     assert r[0] == pytest.approx(r[2], abs=1e-8)
     assert info["eq_residual"] <= 1e-9
+    # KKT: log r + lambda_1 + lambda_2 d = 0 componentwise
+    assert np.max(np.abs(np.log(r) + lam[0] + lam[1] * np.array([1.0, 0.0, -1.0]))) <= 1e-6
 
 
 def test_barrier_iteration_cap_fails_the_programs_still_iterating(monkeypatch):
@@ -333,68 +363,62 @@ def test_barrier_iteration_cap_fails_the_programs_still_iterating(monkeypatch):
     # the program at the optimum stops at its first, so only the second fails
     monkeypatch.setattr(solvers, "_BARRIER_MAX_NEWTON", 1)
     r0 = np.array([np.full(3, 1.0 / 3.0), [0.8, 0.1, 0.1]])
-    _, _, info = barrier_minimize(stacked(entropy_phi), np.ones((2, 1, 3)), np.ones((2, 1)), r0)
+    _, _, info = barrier_minimize(stacked(entropy_phi), r0)
     assert info["failure"][0] is None
     assert info["failure"][1].startswith("barrier_minimize: 1 Newton iterations exhausted")
     assert info["iterations"].tolist() == [1, 1]
 
 
 def test_barrier_rejects_bad_start():
-    A = np.ones((1, 2))
-    with pytest.raises(ValueError):
-        solve_one(entropy_phi, A, np.array([1.0]), np.array([0.5, -0.5]))
-    with pytest.raises(ValueError):
-        solve_one(entropy_phi, np.ones((1, 3)), np.array([1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="strictly positive"):
+        solve_one(entropy_phi, np.array([0.5, -0.5]))
     with pytest.raises(ValueError, match="shape mismatch"):
-        barrier_minimize(stacked(entropy_phi), A, np.array([1.0]), np.array([0.5, 0.5]))
+        solve_one(entropy_phi, np.array([0.5, 0.5]), np.array([1.0, 0.0, -1.0]))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        barrier_minimize(stacked(entropy_phi), np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="nonempty"):
-        barrier_minimize(stacked(entropy_phi), np.ones((0, 1, 2)), np.ones((0, 1)), np.ones((0, 2)))
+        barrier_minimize(stacked(entropy_phi), np.ones((0, 2)))
 
 
-def test_barrier_drops_vacuous_rows():
-    A = np.array([[1.0, 1.0], [0.0, 0.0]])
-    b = np.array([1.0, 0.0])
-    r, _, _ = solve_one(entropy_phi, A, b, np.array([0.6, 0.4]))
-    assert np.allclose(r, 0.5, atol=1e-6)
-    with pytest.raises(ValueError, match="infeasible zero row"):
-        solve_one(entropy_phi, A, np.array([1.0, 0.5]), np.array([0.6, 0.4]))
-    # each program drops its own zero rows; the stack keeps as many per program
-    two = np.array([A, A[::-1]])
-    r0 = np.array([[0.6, 0.4], [0.3, 0.7]])
-    info = assert_rows_match_the_scalar_oracle(
-        stacked(entropy_phi), [entropy_phi] * 2, two, np.array([b, b[::-1]]), r0
-    )
-    assert info["eq_residual"].shape == (2,)
-    uneven = np.array([A, np.ones((2, 2))])
-    with pytest.raises(ValueError, match="different numbers of rows"):
-        barrier_minimize(stacked(entropy_phi), uneven, np.array([b, [1.0, 1.0]]), r0)
-
-
-def test_barrier_fails_a_program_whose_start_is_not_finite(monkeypatch):
+def test_barrier_fails_a_program_whose_start_is_not_finite():
     # gamma 1e-306 on the one-step binomial tree: the dual objective
-    # overflows at the start, so the program fails there, at its start and
-    # before any Schur solve, instead of returning the start point unsolved
+    # overflows at the start, so the program fails there, before any
+    # Newton step, instead of returning the start point unsolved
     tree = binomial_tree()
     gamma = dict.fromkeys(["r", "u", "d"], 1e-306)
     start = WindowDuals(tree, gamma).centroid("r")
-    A = np.array([[[1.0, 1.0], [br.dprice for br in tree.branches_of("r")]]])
-    b = np.array([[1.0, 0.0]])
+    price = np.array([[br.dprice for br in tree.branches_of("r")]])
     p = np.array([[br.prob for br in tree.branches_of("r")]])
     phi = _one_step_objective(p, np.full((1, 2), 1e-306), np.zeros((1, 2)))
-
-    def solve(*args):
-        raise AssertionError("a Schur system was solved")
-
-    monkeypatch.setattr(np.linalg, "solve", solve)
     with np.errstate(all="ignore"):
-        r, _, info = barrier_minimize(phi, A, b, start[None])
+        r, _, info = barrier_minimize(phi, start[None], price)
     assert info["failure"][0].startswith("barrier_minimize: the objective is not finite at the start")
     assert info["iterations"].tolist() == [0]
     assert r[0].tobytes() == start.tobytes()
     assert not np.isfinite(info["value"][0])
 
 
-# -- stacks of programs, against the scalar oracle --------------------------
+def test_barrier_near_the_boundary_is_within_the_oracle_bound():
+    # the middle child barely moves the price and the objective shuns the
+    # first, so the minimiser puts mass about 1e-6 on the third and about
+    # 2e-12, near the barrier's floor, on the first: the first child's
+    # h^-1 is some 1e12 times below the middle one's. The formula's
+    # variance of d is a sum of squares, so the step loses nothing to
+    # cancellation there
+    c = np.array([60.0, 0.0, 0.0])
+    one = weighted_entropy(c, np.ones(3))
+    price = np.array([[1.0, 1e-6, -1.0]])
+    # the start is the centroid of the two vertices, on children 1 and 3
+    # and on children 2 and 3
+    r0 = np.array([[0.25, 0.5 / (1.0 + 1e-6), 0.25 + 0.5e-6 / (1.0 + 1e-6)]])
+    r, _, info = assert_rows_solve_as_alone(stack_of([one]), [one], r0, price)
+    assert r[0, 0] < 1e-11 and 1e-7 < r[0, 2] < 1e-5
+    hinv = 1.0 / (1.0 / r[0] + solvers._BARRIER_GAP_TOL / 3 / r[0] ** 2)
+    assert hinv[0] < 1e-11 * hinv[1]
+    assert info["eq_residual"][0] <= 1e-15
+
+
+# -- stacks of programs, one at a time and against the scalar oracle --------
 
 
 def weighted_entropy(c, w):
@@ -422,9 +446,8 @@ def test_barrier_stack_rows_stop_at_their_own_iterations():
     c = np.array([0.3, -0.1, 1.2, 0.0])
     ones = [weighted_entropy(np.zeros(4), np.ones(4))] * 3 + [weighted_entropy(c, np.full(4, 0.5))]
     r0 = np.array([np.full(4, 0.25), [0.7, 0.1, 0.1, 0.1], [0.97, 0.01, 0.01, 0.01], np.full(4, 0.25)])
-    A = np.array([[[1.0, 1.0, 1.0, 1.0], [1.0, 0.0, -1.0, 0.0]]] * 4)
-    b = np.array([[1.0, 0.0]] * 4)
-    info = assert_rows_match_the_scalar_oracle(stack_of(ones), ones, A, b, r0)
+    price = np.array([[1.0, 0.0, -1.0, 0.0]] * 4)
+    _, _, info = assert_rows_solve_as_alone(stack_of(ones), ones, r0, price)
     assert len(set(info["iterations"].tolist())) >= 3
 
 
@@ -441,43 +464,36 @@ def test_barrier_stack_row_at_the_line_search_floor():
     # uniform point, so its Newton decrement does not stop it
     objectives = [good, misleading, good]
     r0 = np.array([[0.3, 0.4, 0.3], [0.5, 0.3, 0.2], [0.2, 0.2, 0.6]])
-    A, b = np.ones((3, 1, 3)), np.ones((3, 1))
-    info = assert_rows_match_the_scalar_oracle(stack_of(objectives), objectives, A, b, r0)
-    r, _, _ = barrier_minimize(stack_of(objectives), A, b, r0)
+    r, _, info = assert_rows_solve_as_alone(stack_of(objectives), objectives, r0)
     assert r[1].tobytes() == r0[1].tobytes()
     assert info["iterations"][1] == 1 and info["iterations"][0] > 1
 
 
 def test_barrier_stack_row_with_a_singular_schur_system():
-    # twice the unit-mass row: the Schur matrix of the second program is
-    # singular and its multipliers come from least squares; the first
-    # program's system is solved alone, with the bits a batched solve gives
-    A = np.array([[[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]])
-    b = np.array([[1.0, 0.0], [1.0, 2.0]])
-    r0 = np.array([[0.3, 0.4, 0.3], [0.5, 0.3, 0.2]])
-    objectives = [entropy_phi, entropy_phi]
-    calls = []
-    original = np.linalg.lstsq
-
-    def lstsq(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    assert_rows_match_the_scalar_oracle(stack_of(objectives), objectives, A, b, r0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "lstsq", lstsq)
-        r, _, info = barrier_minimize(stack_of(objectives), A, b, r0)
-    # one least-squares solve per Newton step of the singular program
-    assert len(calls) == info["iterations"][1] > 1
-    assert np.allclose(r[1], 1.0 / 3.0, atol=1e-6)
+    # a price row that moves nothing, or moves every child alike by a
+    # power of two, is an exact multiple of the unit-mass row: its
+    # program's Schur system is singular, the weighted variance of d is
+    # exactly 0 and the Newton step is not finite, so the program fails at
+    # its first step. Its neighbours solve with the bits they have alone
+    price = np.array([[1.0, 0.0, -1.0], [2.0, 2.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.5, -1.0]])
+    r0 = np.array([[0.3, 0.4, 0.3], [0.5, 0.3, 0.2], [0.6, 0.3, 0.1], [0.4, 0.4, 0.2]])
+    objectives = [entropy_phi] * 4
+    with np.errstate(invalid="ignore"):
+        r, _, info = assert_rows_solve_as_alone(stack_of(objectives), objectives, r0, price)
+    for j in (1, 2):
+        assert info["failure"][j].startswith("barrier_minimize: Newton step 1 is not finite")
+        assert r[j].tobytes() == r0[j].tobytes()
+    assert info["failure"][0] is info["failure"][3] is None
+    assert np.allclose(r[0], 1.0 / 3.0, atol=1e-6)
 
 
 def test_barrier_stack_reports_each_programs_outcome(monkeypatch):
     # programs that fail at their start, at their second Newton step and
     # at the iteration cap sit between programs that solve, one of them at
-    # the cap's step: each solving program keeps the scalar solver's bits
-    # and Newton count, and each failing one reports the error the scalar
-    # solver raises, at the iterate where it failed
+    # the cap's step: each keeps the bits, Newton count and failure it has
+    # alone, each solving one is within the scalar oracle's bound, and each
+    # failing one fails where the scalar oracle raises, at the iterate
+    # where it failed
     monkeypatch.setattr(solvers, "_BARRIER_MAX_NEWTON", 5)
     good = weighted_entropy(np.zeros(3), np.ones(3))
 
@@ -493,22 +509,18 @@ def test_barrier_stack_reports_each_programs_outcome(monkeypatch):
     # needs 6 from [0.98, 0.01, 0.01]
     objectives = [good, infinite, good, nan_away_from_start, good, good]
     r0 = np.array([[0.34, 0.33, 0.33], *[[0.5, 0.3, 0.2]] * 3, [0.98, 0.01, 0.01], [0.6, 0.3, 0.1]])
-    A, b = np.ones((6, 1, 3)), np.ones((6, 1))
     with np.errstate(invalid="ignore"):
-        r, lam, info = barrier_minimize(stack_of(objectives), A, b, r0)
+        r, _, info = assert_rows_solve_as_alone(stack_of(objectives), objectives, r0)
     failed = {1: 0, 3: 2, 4: 5}  # program: the Newton steps it took
     for j, objective in enumerate(objectives):
         assert info["value"][j].tobytes() == objective(r[j])[0].sum().tobytes(), j
         if j in failed:
             with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError) as want:
-                oracles.scalar_barrier_minimize(objective, A[j], b[j], r0[j])
-            assert (info["failure"][j], info["iterations"][j]) == (str(want.value), failed[j])
-            continue
-        r1, lam1, info1 = oracles.scalar_barrier_minimize(objective, A[j], b[j], r0[j])
-        assert info["failure"][j] is None
-        assert (r[j].tobytes(), lam[j].tobytes()) == (r1.tobytes(), lam1.tobytes()), j
-        assert info["iterations"][j] == info1["newton_iterations"], j
-        assert info["eq_residual"][j] == info1["eq_residual"], j
+                oracles.scalar_barrier_minimize(objective, *oracle_rows(3, None), r0[j])
+            # the message up to the barrier objective, which the oracle
+            # evaluates in its own arithmetic after the first step
+            assert info["failure"][j].split(" (")[0] == str(want.value).split(" (")[0], j
+            assert info["iterations"][j] == failed[j], j
     assert info["iterations"].tolist() == [3, 0, 4, 2, 5, 5]
     assert info["failure"][1].startswith("barrier_minimize: the objective is not finite at the start")
     assert info["failure"][3].startswith("barrier_minimize: Newton step 2 is not finite")
@@ -538,10 +550,12 @@ def test_barrier_stack_rows_accept_steps_after_different_halvings():
 
         return counted
 
-    A = np.array([[[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]]] * 3)
-    b = np.array([[1.0, 0.1]] * 3)
+    # r1 - r3 = 0.1 on the unit mass, as a homogeneous price row
+    price = np.array([[0.9, -0.1, -1.1]] * 3)
     r0 = np.array([[0.45, 0.2, 0.35], [0.5, 0.1, 0.4], [0.3, 0.5, 0.2]])
-    info = assert_rows_match_the_scalar_oracle(phi, objectives, A, b, r0)
-    assert info["iterations"].tolist() == [4, 14, 4]
+    evaluations.clear()
+    _, _, info = barrier_minimize(phi, r0, price)
     # one evaluation at the start and one per Newton step would be 15
     assert len(evaluations) > 2 * 15
+    assert info["iterations"].tolist() == [4, 14, 4]
+    assert_rows_solve_as_alone(phi, objectives, r0, price)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import forwardperf.solvers as solvers
 import forwardperf.tree_verifier as tree_verifier
 import oracles
 from forwardperf.errors import (
@@ -854,8 +855,8 @@ def _poison(monkeypatch, modes, tree, gamma):
 
         return poisoned_phi
 
-    def poisoned_barrier_minimize(phi, A, b, r0):
-        r, lam, info = barrier_minimize(phi, A, b, r0)
+    def poisoned_barrier_minimize(phi, r0, price=None):
+        r, lam, info = barrier_minimize(phi, r0, price)
         for j, n in enumerate(stacks[-1]):
             if modes.get(n) == "post":
                 r[j] = info["value"][j] = np.nan
@@ -868,12 +869,13 @@ def _poison(monkeypatch, modes, tree, gamma):
 def _refusal_one_program_at_a_time(tree, clean, t, modes):
     """The refusal ``dual_value`` on [t, clean.T] owes under ``_poison``:
     level by level from clean.T - 1 down to t, each poisoned node's
-    one-step program in tree order, solved alone by the scalar solver from
-    the child shifts of the unpoisoned sweep ``clean`` (the check at its
-    start, the solver, the check after the solve); the first that fails.
-    Each program is in units of its node's gamma g, at the children's
-    shifts less their largest, top, and the shift it implies is read back
-    as top - 1 - value. None when no program fails."""
+    one-step program in tree order, solved on a stack of its own from the
+    child shifts of the unpoisoned sweep ``clean`` (the check at its
+    start, the solver, the check after the solve); the first that fails. Each program is in units of its
+    node's gamma g, at the children's shifts less their largest, top, with
+    its price moves over a power of two above the largest, and the shift
+    it implies is read back as top - 1 - value. None when no program
+    fails."""
     for s in range(clean.T - 1, t - 1, -1):
         for n in (n for n in tree.nodes_at(s) if n in modes):
             branches = tree.branches_of(n)
@@ -891,16 +893,17 @@ def _refusal_one_program_at_a_time(tree, clean, t, modes):
                 if not (math.isfinite(shift) and math.isfinite(m)):
                     return f"{where} leaves the float range: shift {shift!r}, m {m!r}"
 
-            A = np.array([[1.0] * len(branches), [br.dprice for br in branches]])
+            dprice = [br.dprice for br in branches]
+            price = np.array([[math.ldexp(x, -math.frexp(max(map(abs, dprice)))[1]) for x in dprice]])
             q0 = clean.duals.centroid(n)
             with np.errstate(all="ignore"):
                 refused = float_range(q0)
                 if not refused:
-                    try:
-                        q, _, _ = oracles.scalar_barrier_minimize(one, A, np.array([1.0, 0.0]), q0)
-                        refused = float_range(np.full_like(q, np.nan) if modes[n] == "post" else q)
-                    except ConvergenceError as exc:
-                        refused = f"{where}: {exc}"
+                    q, _, info = solvers.barrier_minimize(lambda rows: objective, q0[None], price)
+                    if info["failure"][0] is not None:
+                        refused = f"{where}: {info['failure'][0]}"
+                    else:
+                        refused = float_range(np.full_like(q[0], np.nan) if modes[n] == "post" else q[0])
             if refused:
                 return refused
     return None
@@ -960,9 +963,9 @@ def test_dual_value_refuses_from_one_solve_per_shape(monkeypatch):
     poisoned = tree_verifier.barrier_minimize
     stacks = []
 
-    def counted(phi, A, b, r0):
+    def counted(phi, r0, price=None):
         stacks.append(len(r0))
-        return poisoned(phi, A, b, r0)
+        return poisoned(phi, r0, price)
 
     monkeypatch.setattr(tree_verifier, "barrier_minimize", counted)
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
@@ -975,9 +978,10 @@ def test_dual_value_refuses_from_one_solve_per_shape(monkeypatch):
 
 
 def test_windows_with_a_node_that_moves_no_price(monkeypatch):
-    # u's branches move no price, so its martingale row is all zero and the
-    # solver drops it: u and d, two children each, are solved in different
-    # stacks, and every window is within its joint program's bound
+    # u's branches move no price, so its program has the unit-mass row
+    # alone: u and d, two children each, are solved in different stacks,
+    # each price row over a power of two above its largest move, and every
+    # window is within its joint program's bound
     def node(nid, t, branches=()):
         return {"id": nid, "time": t, "branches": [{"child": c, "prob": p, "dprice": d} for c, p, d in branches]}
 
@@ -996,16 +1000,16 @@ def test_windows_with_a_node_that_moves_no_price(monkeypatch):
     stacks = []
     original = tree_verifier.barrier_minimize
 
-    def recorded(phi, A, b, r0):
-        stacks.append((len(r0), A[0, 1].tolist()))
-        return original(phi, A, b, r0)
+    def recorded(phi, r0, price=None):
+        stacks.append((len(r0), None if price is None else price[0].tolist()))
+        return original(phi, r0, price)
 
     monkeypatch.setattr(tree_verifier, "barrier_minimize", recorded)
     duals = WindowDuals(tree, field.gamma)
     for t, T in _window_pairs(tree):
         within_the_joint_bound(tree, field, dual_value(tree, field, 1.0, t, T, duals=duals))
     # to T = 1, the root; to T = 2, u, then d, then the root
-    assert stacks == [(1, [1.0, -1.0]), (1, [0.0, 0.0]), (1, [1.0, -2.0]), (1, [1.0, -1.0])]
+    assert stacks == [(1, [0.5, -0.5]), (1, None), (1, [0.25, -0.5]), (1, [0.5, -0.5])]
 
 
 def _perturbed(field, seed):
@@ -1065,8 +1069,8 @@ def test_stack_value_is_the_dual_objective_at_the_result(monkeypatch):
     stacks = []
     original = tree_verifier.barrier_minimize
 
-    def recorded(phi, A, b, r0):
-        out = original(phi, A, b, r0)
+    def recorded(phi, r0, price=None):
+        out = original(phi, r0, price)
         stacks.append((phi, out[0], out[2]["value"]))
         return out
 
@@ -1105,9 +1109,9 @@ def test_one_stack_per_window_end_level_and_shape(monkeypatch):
     stacks = []
     original = tree_verifier.barrier_minimize
 
-    def counted(phi, A, b, r0):
+    def counted(phi, r0, price=None):
         stacks.append(len(r0))
-        return original(phi, A, b, r0)
+        return original(phi, r0, price)
 
     monkeypatch.setattr(tree_verifier, "barrier_minimize", counted)
     duals = WindowDuals(tree, solved.gamma)
@@ -1173,9 +1177,9 @@ def test_a_nudged_shift_solves_only_the_programs_above_it(monkeypatch):
     programs = []
     original = tree_verifier.barrier_minimize
 
-    def counted(phi, A, b, r0):
+    def counted(phi, r0, price=None):
         programs.append(len(r0))
-        return original(phi, A, b, r0)
+        return original(phi, r0, price)
 
     monkeypatch.setattr(tree_verifier, "barrier_minimize", counted)
     nudged, above = _nudged_at_time_2(tree, solved)
