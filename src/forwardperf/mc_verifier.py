@@ -372,15 +372,15 @@ def _expand_halves(drawn, drift, antithetic, work):
 
 
 def _dual_path_values(cols, z, eta, idx, work):
-    """V(t, eta Z_t) per path at the chosen grid indices, as halves (a
-    row of even and one of odd partners with pairing), the k-th index
-    above 0 in the ``work`` buffer ("dual", k) and index 0 in ("dual",
-    -1); ``z`` maps each index to its density column's halves, ``cols``
-    holds the field columns (at index 0, one entry that holds for every
-    path). Each value is entropy_kernel(arg) - arg * a with arg = eta * z
-    * (1/gamma), built in place in "dual-arg" with that rounding."""
+    """V(t, eta Z_t) per path at the chosen grid indices, all above 0, as
+    halves (a row of even and one of odd partners with pairing), the k-th
+    index in the ``work`` buffer ("dual", k); ``z`` maps each index to its
+    density column's halves, ``cols`` holds the field columns (1/gamma
+    as one entry for every path when it is held once). Each value is
+    entropy_kernel(arg) - arg * a with arg = eta * z * (1/gamma), built in
+    place in "dual-arg" with that rounding."""
     out = {}
-    for k, i in enumerate(idx, -(0 in idx)):  # idx is sorted
+    for k, i in enumerate(idx):
         arg = work.take("dual-arg", (len(z[i]), z[i][0].size))
         for half, z_half in zip(arg, z[i]):
             np.multiply(z_half, eta, out=half)
@@ -540,14 +540,14 @@ class MonteCarloPass:
         dual = self.submartingale or self.at_optimum
         if dual and not any(all_idx):
             raise ValueError(f"the dual checks need a time index above 0, got {all_idx}")
-        self.idx = all_idx if dual else []
-        self.opt_idx = [i for i in self.idx if i > 0] if self.at_optimum else []
-        # reduce reads index 0 as the start values: nothing is built there
-        self.columns = sorted((set(self.idx) | {n_steps}) - {0})
+        # Y_0 = V(0, eta) on every path (Z_0 = 1), so an increment from
+        # index 0 restates the level test: the dual checks read the indices
+        # above 0 alone
+        self.idx = [i for i in all_idx if i > 0] if dual else []
+        self.opt_idx = self.idx if self.at_optimum else []
+        self.columns = sorted(set(self.idx) | {n_steps})
         # the shift is read by the dual values and by the forward drift
-        self.shift_columns = sorted(
-            (set(self.idx) | ({n_steps} if self.forward else set())) - {0}
-        )
+        self.shift_columns = sorted(set(self.idx) | ({n_steps} if self.forward else set()))
         coeffs = spec.per_step_values(n_steps)
         # with delta = 0 at every step, 1/gamma is 1/gamma0 on every path
         self.per_path_inv_gamma = bool(coeffs["delta"].any())
@@ -596,7 +596,7 @@ class MonteCarloPass:
         self.gamma0, self.a0, self.antithetic = float(gamma0), float(a0), bool(antithetic)
         self.eta_list = [float(eta) for eta in eta_list]
         self.confidence = confidence
-        self.t_label = dict(zip(all_idx, time_labels(spec.horizon, n_steps, all_idx)))
+        self.t_label = dict(zip(self.idx, time_labels(spec.horizon, n_steps, self.idx)))
         # 1/gamma (of no columns when it is held once), the shift and each
         # planned density, one time-major (len(columns), n_paths) array
         # each, and the paths built into them
@@ -668,14 +668,12 @@ class MonteCarloPass:
         # each per-path column as halves, (even, odd) partners with pairing
         inv_gamma, a_shift = (f.reshape(len(f), m, per).swapaxes(1, 2) for f in (inv_gamma, a_shift))
         work = Workspace()
-        # grid index 0 as one entry for every path, the bits the kernels
-        # give there: S_B(0) = S_W(0) = 0, so exp(+-0) = 1 and the shift's
-        # partner -0 vanishes in a0 + 0.0; with delta = 0, 1/gamma keeps
-        # that entry at every column
-        start = np.array([1.0 / gamma0])
-        cols = {("inv_gamma", 0): start, ("a_shift", 0): np.array([a0 + 0.0])}
+        # with delta = 0, 1/gamma is one entry for every path at every
+        # column, the kernels' bits there: exp(+-0) / gamma0 = 1.0 / gamma0
+        held = np.array([1.0 / gamma0])
+        cols = {}
         for k, i in enumerate(self.columns):
-            cols["inv_gamma", i] = inv_gamma[k] if self.per_path_inv_gamma else start
+            cols["inv_gamma", i] = inv_gamma[k] if self.per_path_inv_gamma else held
         for k, i in enumerate(self.shift_columns):
             cols["a_shift", i] = a_shift[k]
         expanded: dict[int, dict] = {}  # the density read last: its columns' halves
@@ -687,7 +685,7 @@ class MonteCarloPass:
             if d not in expanded:
                 expanded.clear()
                 halves = _expand_halves(draws[d], self._drifts[d], antithetic, work)
-                expanded[d] = {0: (np.ones(1),), **dict(zip(self.densities[d][2], zip(*halves)))}
+                expanded[d] = dict(zip(self.densities[d][2], zip(*halves)))
             return expanded[d]
 
         # the pair means; without pairing, the squared deviations
@@ -716,10 +714,10 @@ class MonteCarloPass:
 
         def dual_tests(reader, eta, gap, indices, level_tag, step_tag, notes):
             """Tests of the dual value V(t, eta Z_t) on ``reader``'s density
-            against its closed-form mean: its level at each index above 0
-            (tag ``level_tag(t)``) and, with a ``step_tag(t1, t2)``, its
-            increments between the indices, in "dual-arg". ``gap`` is the
-            load's integral_0^t (nu - phi)^2."""
+            against its closed-form mean: its level at each of ``indices``,
+            all above 0 (tag ``level_tag(t)``) and, with a ``step_tag(t1,
+            t2)``, its increments between them, in "dual-arg". ``gap`` is
+            the load's integral_0^t (nu - phi)^2."""
             vals = _dual_path_values(cols, density(reader), eta, indices, work)
             level = levels[self._density_of[reader], eta] = {}
             size = {i: largest_size(v) for i, v in vals.items()}
@@ -733,11 +731,9 @@ class MonteCarloPass:
                         np.subtract(vals[i2], vals[i1], out=work.take("dual-arg", vals[i2].shape)),
                         rate * (gap[i2] - gap[i1]), notes, size[i1] + size[i2], eta,
                     )
-                if i2 > 0:
-                    level[i2] = add_test(
-                        level_tag(label[i2]), vals[i2], start + rate * gap[i2], notes, size[i2],
-                        eta,
-                    )
+                level[i2] = add_test(
+                    level_tag(label[i2]), vals[i2], start + rate * gap[i2], notes, size[i2], eta,
+                )
 
         # readers grouped by density, so that each is expanded once: the
         # loads that share one (z and z~ with it), phi's with the optimum's

@@ -48,7 +48,10 @@ the event tree's layout) the stack walks from each node and the cached
 walk up to the root that the tree ran before one walk from the root laid
 it out in DFS ranges, or (for the factor recursion's table per window
 end) the recursion run per window on fresh tables, as the package ran it
-before the sweep to T carried it.
+before the sweep to T carried it, or (for the dual increments from time
+0) the mean test of Y_t - Y_0 on the full-matrix density and field
+paths, with numpy's mean and variance and scipy's normal quantile, as
+the package ran it before its dual checks read only the times above 0.
 Deliberate duplication -- an oracle that shares code with the
 implementation checks nothing.
 """
@@ -60,6 +63,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
+from scipy.stats import norm
 
 from forwardperf import kernels, solvers
 from forwardperf.errors import ArbitrageError, ConvergenceError, ReplicationError
@@ -1673,3 +1677,48 @@ def export_paths(bundle, dB, fields, densities, path, path_indices):
                 writer.writerow([i] + [f"{float(v):.12g}" for v in row])
                 n += 1
     return n
+
+
+# -- the dual increments from time 0 -----------------------------------------
+
+
+def dual_increment_from_start(bundle, seed, gamma0, a0, label, nu, eta, t_index, confidence=0.997):
+    """The record ``dual-submartingale[nu=label,eta=eta,t1=0,t2=t]`` the
+    package wrote before its dual checks read only the time indices above
+    0: the two-sided test of the mean of Y_t - Y_0, Y = V(t, eta Z) =
+    R log R - R - R a with R = eta Z / gamma, against (1/2)(eta / gamma0)
+    integral_0^t (nu - phi)^2 ds.
+
+    Y is built on the whole simulation ``bundle``, drawn from ``seed``,
+    from the full-matrix density (theta on B, the per-step load ``nu`` on
+    W) and field paths, and Y_0 is read at their column 0, path by path.
+    Antithetic partners are averaged into one sample. The band is z se
+    plus the package's rounding floor, (30 n_steps + 71 + ceil(log2 n) +
+    1) u (max |Y_0| + max |Y_t|), u = 2**-53."""
+    draws = increments(bundle, seed)
+    cols = [0, t_index]
+    z = density_path_full(bundle, draws, bundle.theta, nu)[:, cols]
+    inv_gamma, a_shift = (f[:, cols] for f in forward_exponential_full(gamma0, a0, bundle, draws))
+    r = eta * z * inv_gamma
+    y = entropy_kernel(r) - r * a_shift
+    samples = y[:, 1] - y[:, 0]
+    if bundle.antithetic:
+        samples = 0.5 * (samples[0::2] + samples[1::2])
+    n = samples.size
+    mean = float(np.mean(samples))
+    se = float(np.std(samples, ddof=1)) / math.sqrt(n)
+    gap = np.sum((np.asarray(nu, dtype=float) - bundle.phi)[:t_index] ** 2) * bundle.dt
+    target = 0.5 * eta / gamma0 * float(gap)
+    scale = float(np.max(np.abs(y[:, 0])) + np.max(np.abs(y[:, 1])))
+    floor = (30 * bundle.n_steps + 71 + (n - 1).bit_length() + 1) * 2.0**-53 * scale
+    band = float(norm.ppf(0.5 * (1.0 + confidence))) * se + floor
+    t = t_index * bundle.spec.horizon / bundle.n_steps
+    return CheckRecord(
+        check_tag=f"dual-submartingale[nu={label},eta={eta:g},t1=0,t2={t:g}]",
+        verdict=abs(mean - target) <= band,
+        value=mean,
+        target=target,
+        tolerance=band,
+        std_error=se,
+        details={"n_samples": n, "rounding_floor": floor},
+    )

@@ -158,7 +158,7 @@ def test_ito_benchmark_measures_two_thousand_paths(name):
     # one report, whose digest the script checks across its repeats
     assert len(row["report_sha256"]) == 64
     if name == "bench_mc_reduce":
-        assert row["records"] == 64  # the default suite's mean tests
+        assert row["records"] == 44  # the default suite's mean tests
         # each phase's absolute traced peak, beside reduce's above the pass
         peaks = [row[f"{phase}_abs_kb"]["median"] for phase in ("simulate", "gather", "reduce")]
         assert min(peaks) > 0 and row["reduce_abs_kb"]["median"] >= row["reduce_peak_kb"]["median"]

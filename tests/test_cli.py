@@ -670,11 +670,11 @@ ITO_UNDERFLOW = "its variance underflows on samples that differ"
     "eta, checks, record",
     [
         # eta Z / gamma overflows: the dual values are NaN
-        (1e308, None, "dual-submartingale[nu=0,eta=1e+308,t1=0,t2=0.5]"),
+        (1e308, None, "dual-above-start[nu=0,eta=1e+308,t=0.5]"),
         (1e308, ["dual-martingale-at-optimum"], "dual-martingale-at-optimum[eta=1e+308,t=0.5]"),
         # subnormal dual values: the standard error and the rounding floor
         # underflow to 0 on samples that differ
-        (5e-324, None, "dual-submartingale[nu=0,eta=4.94066e-324,t1=0,t2=0.5]"),
+        (5e-324, None, "dual-above-start[nu=0,eta=4.94066e-324,t=0.5]"),
     ],
 )
 def test_ito_scenario_refuses_an_eta_outside_the_float_range(tmp_path, capsys, eta, checks, record):
@@ -717,9 +717,9 @@ def test_ito_terminal_records_run_at_any_scale_of_gamma0(tmp_path, capsys, gamma
             f"gamma0=1e-308 at inverse-gamma-mean[nu=0]: {ITO_OUT_OF_RANGE}",
         ),
         # eta Z / gamma is of order 1e-300: the dual values' variance underflows
-        (1e300, {}, f"gamma0=1e+300, eta=1 at dual-submartingale[nu=0,eta=1,t1=0,t2=0.5]: {ITO_UNDERFLOW}"),
+        (1e300, {}, f"gamma0=1e+300, eta=1 at dual-above-start[nu=0,eta=1,t=0.5]: {ITO_UNDERFLOW}"),
         # of order 1e308: the dual values overflow
-        (1e-308, {}, f"gamma0=1e-308, eta=1 at dual-submartingale[nu=0,eta=1,t1=0,t2=0.5]: {ITO_OUT_OF_RANGE}"),
+        (1e-308, {}, f"gamma0=1e-308, eta=1 at dual-above-start[nu=0,eta=1,t=0.5]: {ITO_OUT_OF_RANGE}"),
     ],
     ids=["delta-inverse-gamma-mean", "1e300-default", "1e-308-default"],
 )
@@ -1430,14 +1430,17 @@ def test_ito_repeated_time_index_collapses():
 
 def test_ito_one_step_grid_runs_every_check(tmp_path, capsys):
     # the default time indices 0, n_steps // 2 and n_steps are 0, 0 and 1
-    # on a one-step grid: one time pair, each record once
+    # on a one-step grid: one time above 0, so the dual-submartingale check
+    # writes its level records alone, each once (an increment from 0
+    # would restate them), and every other check its own records
     doc = ito_doc(n_steps=1, checks=list(mc_verifier.MC_CHECKS))
     code, out = run_json(capsys, ["run", write_scenario(tmp_path, doc)])
     assert code in (0, 1)
     tags = list(out["checks"])
-    steps = [tag for tag in tags if tag.startswith("dual-submartingale[")]
-    assert len(steps) == 5 * 2 and all(tag.endswith(",t1=0,t2=1]") for tag in steps)
-    for check in mc_verifier.MC_CHECKS:
+    assert not [tag for tag in tags if tag.startswith("dual-submartingale[")]
+    levels = [tag for tag in tags if tag.startswith("dual-above-start[")]
+    assert len(levels) == 5 * 2 and all(tag.endswith(",t=1]") for tag in levels)
+    for check in [c for c in mc_verifier.MC_CHECKS if c != "dual-submartingale"]:
         assert any(tag.startswith(f"{check}[") for tag in tags), check
 
 
@@ -1533,11 +1536,15 @@ def test_ito_scenario_builds_each_distinct_density_once(monkeypatch, overrides, 
 # records and the forward-mass records (the inverse-gamma-mean statistic
 # in units of gamma0) left the report, and the expected-false-failure
 # count went from 69 mean tests to 64; at gamma0 = 1 every other record
-# kept its bytes. The second digest, here and below, is numpy's path
-# without X86_V4, where float64 exp and log round differently
+# kept its bytes. Re-pinned once more when the dual-submartingale check
+# stopped testing increments from time 0, which restate dual-above-start
+# (Y_0 = V(0, eta) on every path): those records left the report and the
+# count went from 64 mean tests to 44; every other record kept its bytes.
+# The second digest, here and below, is numpy's path without X86_V4, where
+# float64 exp and log round differently
 PINNED_ITO_REPORT_SHA256 = on_this_dispatch(
-    "1f5fc6519af29d954894201977407a423ade35a43d8f1604f7681cbd50d56834",
-    "1de8421b641aa24ffd82b2cec7cc3d58d2b9cd92fbcd591e4d2e272941d6fb2a",
+    "dd1d272222288115a3bbaff733cd5bbc2e63bf6de97e7c975e510cf3bbedea57",
+    "6c14ef938028fdf155996dfd1ccc1c5b119adae0b8d2b65708aa21ffcf6eb8c1",
 )
 
 
@@ -1579,8 +1586,9 @@ def test_ito_report_bytes_pinned(monkeypatch):
 # default-suite reports, taken before ito-verify simulated fewer columns
 # than the grid: a full-grid run keeps its bytes. Re-pinned with the
 # report above, when the mean records became two-sided against their
-# closed-form means, and again when the regularity and forward-mass
-# records left the report, for the same reasons
+# closed-form means, again when the regularity and forward-mass records
+# left the report, and "every-time-index" again when the increments from
+# time 0 left it, for the same reasons
 FULL_GRID_DOCS = {
     "every-time-index": {"n_paths": 2000, "n_steps": 8, "time_indices": list(range(9))},
     "ramp-load": {
@@ -1594,8 +1602,8 @@ FULL_GRID_DOCS = {
 }
 PINNED_FULL_GRID_SHA256 = {
     "every-time-index": on_this_dispatch(
-        "c104cf153a991b86fe01a26d6f7edd65222e8dae8427d7fbb223482d50dbf80f",
-        "6eded4ac6738b586897e276905b02f158a501a7c805757c198ddd5e8fd1c3c3a",
+        "6eac646bf07ea056f02cd85da08d7ab2372132fb24af8798ad2bbba0a02e362d",
+        "905dfd8226cf307d3d968c1fe395f066a836dcdedaf87511f89118abb941d88a",
     ),
     "ramp-load": on_this_dispatch(
         "eb8a303c0a7bc8a35d98dd8c9f1e446d6e8a434c523485f0c791f967a2be995b",

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 from scipy.special import ndtri
 from scipy.stats import norm
@@ -192,14 +193,17 @@ def test_default_nu_family_labels():
 def test_submartingale_clean_spec_passes():
     rep = check_dual_submartingale(*simulated(CLEAN, 1.0, 0.0, 32, 4000, seed=101))
     assert rep.all_passed, rep.to_text()
-    rec = rep["dual-submartingale[nu=0,eta=1,t1=0,t2=1]"]
+    rec = rep["dual-submartingale[nu=0,eta=1,t1=0.5,t2=1]"]
     assert rec.std_error is not None
     assert any("conditional drift not tested" in n for n in rec.notes)
     # a suboptimal load's increment has the closed-form mean
-    # (1/2)(eta / gamma0) integral (nu - phi)^2, here 0.045, visible at
-    # this size
-    assert rec.target == pytest.approx(0.045, abs=1e-15)
+    # (1/2)(eta / gamma0) integral (nu - phi)^2, here 0.0225 over [0.5, 1],
+    # visible at this size
+    assert rec.target == pytest.approx(0.0225, abs=1e-15)
     assert rec.value > 0
+    # an increment from 0 would restate the level test: Y_0 = V(0, eta)
+    # on every path
+    assert not [rec for rec in rep.records() if ",t1=0," in rec.check_tag]
 
 
 def test_submartingale_time_index_validation():
@@ -249,6 +253,42 @@ def test_optimum_equality_and_chain_consistency():
             assert a.verdict and b.verdict
 
 
+# the README model, with delta = 0 and with delta = 0.2 on [0, 0.5)
+README_MODELS = {
+    delta: CoefficientSpec(
+        horizon=1.0, breakpoints=(0.0, 0.5), theta=(0.5, 0.5), delta=delta,
+        phi=(0.3, 0.0), rho=(0.1, 0.1),
+    )
+    for delta in ((0.0, 0.0), (0.2, 0.0))
+}
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+@pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+@pytest.mark.parametrize("delta", list(README_MODELS), ids=["delta-0", "delta-0.2-0"])
+def test_dual_above_start_is_the_increment_from_time_0(delta, antithetic, seed):
+    # Y_0 = V(0, eta) on every path (Z_0 = 1), so the increment from time
+    # 0 is the level less a constant, tested against the same drift: each
+    # dual-above-start record has the oracle's increment record's verdict,
+    # and its miss and standard error within the record's rounding floor
+    spec, n_steps = README_MODELS[delta], 16
+    mc = MonteCarloPass(spec, n_steps, 4000, ["dual-submartingale"], 1.0, 0.0, antithetic)
+    bundle = simulate_paths(spec, n_steps, 4000, seed, antithetic, columns=mc.simulated_columns)
+    rep = run_mc_checks(bundle, 1.0, 0.0, ["dual-submartingale"])
+    assert len(rep.records()) == 5 * 2 * 3
+    for label, nu in mc.nu_family.items():
+        for eta in (1.0, 2.0):
+            for t_index in (8, 16):
+                old = oracles.dual_increment_from_start(bundle, seed, 1.0, 0.0, label, nu, eta, t_index)
+                assert old.check_tag not in rep
+                level = rep[f"dual-above-start[nu={label},eta={eta:g},t={t_index / n_steps:g}]"]
+                floor = level.details["rounding_floor"]
+                assert old.verdict == level.verdict
+                miss = level.value - level.target
+                assert abs((old.value - old.target) - miss) <= floor, (old, level)
+                assert abs(old.std_error - level.std_error) <= floor, (old, level)
+
+
 # (theta, delta, phi, rho): risk-aversion volatility with and without shift
 # volatility, all four at once, a piecewise spec, and the degenerate
 # delta = theta with no shift volatility, where R = eta Z / gamma and the
@@ -269,19 +309,20 @@ DELTA_MODELS = {
 def test_dual_records_hold_for_every_delta(model):
     # the dual drift (1/2) R (nu - phi)^2 holds for every delta, phi and rho:
     # every record passes two-sided against its closed-form mean, with no
-    # refusal and no disclosure. 64 records: at confidence 0.9999 a band
-    # miss is expected once in 156 runs
+    # refusal and no disclosure. 44 records: at confidence 0.9999 a band
+    # miss is expected once in 227 runs
     spec = DELTA_MODELS[model]
     rep = run_mc_checks(
         *simulated(spec, 1.5, 0.1, 16, 20_000, seed=1), list(MC_CHECKS), confidence=0.9999
     )
-    assert len(rep.records()) == 64
+    assert len(rep.records()) == 44
     assert rep.all_passed, [r.check_tag for r in rep.records() if not r.verdict]
     # (1/2)(eta / gamma0) integral_0^1 (0.8 - phi)^2 dt, piece by piece
     pieces = np.diff([*spec.breakpoints, spec.horizon])
     gap = sum((0.8 - phi) ** 2 * length for phi, length in zip(spec.phi, pieces))
-    increment = rep["dual-submartingale[nu=0.8,eta=2,t1=0,t2=1]"]
-    assert increment.target == pytest.approx(0.5 * (2.0 / 1.5) * gap, rel=1e-14)
+    level = rep["dual-above-start[nu=0.8,eta=2,t=1]"]
+    start = conjugate_exponential(1.5, 0.1, 2.0)
+    assert level.target == pytest.approx(start + 0.5 * (2.0 / 1.5) * gap, rel=1e-14)
     assert all(rec.notes in (_DUAL, _TERMINAL, _OPTIMUM) for rec in rep.records())
 
 
@@ -827,7 +868,7 @@ def test_simulated_columns_agree_with_the_full_grid():
     sparse = run_ito_scenario(doc)
     full = run_ito_scenario({**doc, "seed": 62, "time_indices": list(range(9))})
     means = [rec for rec in sparse.records() if rec.std_error is not None]
-    assert len(means) == 64
+    assert len(means) == 44
     for rec in means:
         other = full[rec.check_tag]
         se = math.hypot(rec.std_error, other.std_error)
