@@ -22,6 +22,7 @@ _EXP_SUM_MAX_ITER = 200
 # the cap on its Newton steps (a program that reaches it fails)
 _BARRIER_GAP_TOL = 1e-10
 _BARRIER_MAX_NEWTON = 200
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def minimize_exp_sum(log_weights, slopes):
@@ -122,6 +123,20 @@ def barrier_minimize(phi, r0, price=None):
     over a decreasing mu is needed (Boyd & Vandenberghe, Convex
     Optimization, 11.2.2).
 
+    A start is feasible up to rounding when its residuals are at most m
+    (m + 1) u, u = 2^-53, times the sizes of their terms: |sum r0 - 1| <=
+    m (m + 1) u sum r0 and |sum d r0| <= m (m + 1) u sum |d r0|. To first
+    order that bounds the residuals, as summed here, of a start whose
+    entries are each within m^2 u, relative, of a feasible point: m^2 u
+    covers the residual itself and m u the sum that evaluates it. The tree
+    engine's start, a node's vertex centroid, is one: each of its V <=
+    max(m, m^2 / 4) vertices has entries from two roundings (a difference
+    and a quotient), and their mean adds V, so its entries are within (V +
+    2) u <= m^2 u of their exact values for m >= 2 (a one-child node's
+    one vertex is exact). The Newton steps keep a start's residuals, so
+    from a start past either bound they would solve another program: it is
+    refused with ValueError, and so is the stack.
+
     Each Newton step solves the Schur system of the two rows, of matrix
     [[sum 1/h, sum d/h], [sum d/h, sum d^2/h]] (h the barrier Hessian, the
     sums along the program's row), by formula: eliminating the unit-mass
@@ -155,6 +170,16 @@ def barrier_minimize(phi, r0, price=None):
         raise ValueError("barrier_minimize: need a nonempty stack of nonempty programs")
     if (r <= 0.0).any():
         raise ValueError("barrier_minimize: start must be strictly positive")
+    allowed = m * (m + 1) * _UNIT_ROUNDOFF
+    feasible = np.abs(r.sum(axis=1) - 1.0) <= allowed * r.sum(axis=1)
+    if d is not None:
+        feasible &= np.abs((d * r).sum(axis=1)) <= allowed * np.abs(d * r).sum(axis=1)
+    if not feasible.all():
+        j = int(np.flatnonzero(~feasible)[0])
+        raise ValueError(
+            f"barrier_minimize: the start of program {j} is not feasible: its residuals pass "
+            f"{m * (m + 1)} u times the sizes of their terms"
+        )
     k = 1 if d is None else 2
     lam, iterations, value = np.zeros((n, k)), np.zeros(n, dtype=np.int64), np.zeros(n)
     mu = _BARRIER_GAP_TOL / m

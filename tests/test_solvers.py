@@ -9,6 +9,7 @@ import pytest
 import forwardperf.solvers as solvers
 from forwardperf.errors import ConvergenceError
 from forwardperf.solvers import barrier_minimize, minimize_exp_sum
+from forwardperf.tree_market import one_step_vertices
 from forwardperf.tree_verifier import WindowDuals, _one_step_objective
 import oracles
 from oracles import golden_section_min
@@ -380,6 +381,43 @@ def test_barrier_rejects_bad_start():
         barrier_minimize(stacked(entropy_phi), np.ones((0, 2)))
 
 
+def test_barrier_refuses_a_start_off_its_constraints():
+    # every child moves the price alike by 0.7: no start is feasible. The
+    # Newton steps keep a start's residuals, so such a program came back
+    # solved, with no failure and a residual above 1e-3, 5 times in these
+    # 600 (m = 2-7, Dirichlet starts); each is now refused at its start
+    rng = np.random.default_rng(0)
+    for _ in range(600):
+        m = int(rng.integers(2, 8))
+        r0 = rng.dirichlet(np.ones(m))[None]
+        with pytest.raises(ValueError, match="the start of program 0 is not feasible"):
+            barrier_minimize(stacked(entropy_phi), r0, np.full((1, m), 0.7))
+    # so is a start off the unit mass, with or without a price row
+    with pytest.raises(ValueError, match="the start of program 1 is not feasible"):
+        barrier_minimize(stacked(entropy_phi), np.array([[0.5, 0.5], [0.5, 0.6]]))
+
+
+def test_barrier_takes_vertex_centroids_as_feasible_starts():
+    # the tree engine's start is its node's vertex centroid, whose entries
+    # are within (V + 2) u <= m^2 u of their exact values: its residuals
+    # stay within the bound of m (m + 1) u times their terms' sizes, and
+    # the start is taken. A start whose mass is off by twice the bound is
+    # refused
+    rng = np.random.default_rng(5)
+    u = 2.0**-53
+    for _ in range(300):
+        m = int(rng.integers(2, 8))
+        d = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3) * (rng.random(m) > 0.2)
+        d[0], d[-1] = abs(d[0]) + 0.1, -abs(d[-1]) - 0.1  # both signs: an interior point
+        r0 = one_step_vertices(d).mean(axis=0)
+        assert abs(r0.sum() - 1.0) <= m * (m + 1) * u * r0.sum()
+        assert abs((d * r0).sum()) <= m * (m + 1) * u * np.abs(d * r0).sum()
+        with np.errstate(all="ignore"):
+            barrier_minimize(stacked(entropy_phi), r0[None], d[None])
+        with pytest.raises(ValueError, match="not feasible"):
+            barrier_minimize(stacked(entropy_phi), r0[None] * (1.0 + 2.0 * m * (m + 1) * u))
+
+
 def test_barrier_fails_a_program_whose_start_is_not_finite():
     # gamma 1e-306 on the one-step binomial tree: the dual objective
     # overflows at the start, so the program fails there, before any
@@ -441,11 +479,12 @@ def stack_of(objectives):
 
 
 def test_barrier_stack_rows_stop_at_their_own_iterations():
-    # the same simplex program from starts near and far from its optimum,
-    # and a weighted one: each row takes the iterations it takes alone
+    # the same simplex program from feasible starts near and far from its
+    # optimum, and a weighted one: each row takes the iterations it takes
+    # alone
     c = np.array([0.3, -0.1, 1.2, 0.0])
     ones = [weighted_entropy(np.zeros(4), np.ones(4))] * 3 + [weighted_entropy(c, np.full(4, 0.5))]
-    r0 = np.array([np.full(4, 0.25), [0.7, 0.1, 0.1, 0.1], [0.97, 0.01, 0.01, 0.01], np.full(4, 0.25)])
+    r0 = np.array([np.full(4, 0.25), [0.1, 0.7, 0.1, 0.1], [0.01, 0.97, 0.01, 0.01], np.full(4, 0.25)])
     price = np.array([[1.0, 0.0, -1.0, 0.0]] * 4)
     _, _, info = assert_rows_solve_as_alone(stack_of(ones), ones, r0, price)
     assert len(set(info["iterations"].tolist())) >= 3
@@ -470,21 +509,25 @@ def test_barrier_stack_row_at_the_line_search_floor():
 
 
 def test_barrier_stack_row_with_a_singular_schur_system():
-    # a price row that moves nothing, or moves every child alike by a
-    # power of two, is an exact multiple of the unit-mass row: its
-    # program's Schur system is singular, the weighted variance of d is
-    # exactly 0 and the Newton step is not finite, so the program fails at
-    # its first step. Its neighbours solve with the bits they have alone
-    price = np.array([[1.0, 0.0, -1.0], [2.0, 2.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.5, -1.0]])
-    r0 = np.array([[0.3, 0.4, 0.3], [0.5, 0.3, 0.2], [0.6, 0.3, 0.1], [0.4, 0.4, 0.2]])
-    objectives = [entropy_phi] * 4
+    # a price row that moves nothing is an exact multiple of the unit-mass
+    # row: its program's Schur system is singular, the weighted variance of
+    # d is exactly 0 and the Newton step is not finite, so the program
+    # fails at its first step. Its neighbours solve with the bits they
+    # have alone
+    price = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.5, -1.0]])
+    r0 = np.array([[0.3, 0.4, 0.3], [0.6, 0.3, 0.1], [0.2, 0.4, 0.4]])
+    objectives = [entropy_phi] * 3
     with np.errstate(invalid="ignore"):
         r, _, info = assert_rows_solve_as_alone(stack_of(objectives), objectives, r0, price)
-    for j in (1, 2):
-        assert info["failure"][j].startswith("barrier_minimize: Newton step 1 is not finite")
-        assert r[j].tobytes() == r0[j].tobytes()
-    assert info["failure"][0] is info["failure"][3] is None
+    assert info["failure"][1].startswith("barrier_minimize: Newton step 1 is not finite")
+    assert r[1].tobytes() == r0[1].tobytes()
+    assert info["failure"][0] is info["failure"][2] is None
     assert np.allclose(r[0], 1.0 / 3.0, atol=1e-6)
+    # one that moves every child alike, by a power of two or not, is a
+    # nonzero multiple of it: no start is feasible, so the stack is refused
+    for move in (2.0, 0.7):
+        with pytest.raises(ValueError, match="the start of program 1 is not feasible"):
+            barrier_minimize(stack_of(objectives), r0, np.array([price[0], np.full(3, move), price[2]]))
 
 
 def test_barrier_stack_reports_each_programs_outcome(monkeypatch):
