@@ -6,15 +6,20 @@ given explicitly, times ``cli.run_tree_scenario`` and the report's
 window. These are the depths a tree performance claim is measured at.
 
 Both sides run in this process, each imported under a package alias of
-its own (``report_diff.load_cli``). Per depth, each side runs the
+its own (``report_diff.load_cli``), and each builds its field with its
+own package's entropy-shift construction (``scenario``): the shifts'
+last bits key the scenario's cache of one-step programs, so a side given
+another package's field would solve afresh the programs its own sweeps
+meet. Per depth, each side runs the
 scenario once untimed (first calls), then the sides run ``--repeat``
 timed pairs in ABBA order, with ``gc`` collected and then disabled around
 each run (``ab``). Each row records the spread of its times and the
 SHA-256 of its report, which must not change between runs. Beside a
 baseline, the current row's ``paired`` holds the median ratio
 baseline/current and its 95% interval, and ``reports_identical`` says
-whether the two sides wrote the same bytes at every depth; a mismatch at
-any depth is named on stderr and exits 1, after the JSON is written.
+whether the two sides wrote the same bytes at every depth, each on its
+own field; a mismatch at any depth is named on stderr and exits 1, after
+the JSON is written.
 
 Each row also counts, over ``KERNEL_REPEAT`` more runs of its side, the
 calls per scenario and the microseconds per call of the factor solve
@@ -79,16 +84,18 @@ def kernel_calls(cli, doc, repeat):
     return out
 
 
-def measure(clis, depth, repeat, kernel_repeat=KERNEL_REPEAT):
-    """{side: row} of the default scenario at one depth, run by each of
-    ``clis`` ({side: cli module}): one untimed run each, then ``repeat``
-    timed ABBA pairs; with ``kernel_repeat``, the kernel calls over that
-    many more runs per side."""
-    from treegen import random_tree, solved_field
+def scenario(cli, tree):
+    """The default scenario on ``tree`` with ``solved_field(tree, SEED)``
+    given explicitly, the field built by the package ``cli`` belongs to:
+    the tree read by its ``EventTree``, the shift solved by its
+    ``solve_entropy_shift``."""
+    from treegen import solved_field
 
-    tree = random_tree(SEED, periods=depth)
-    field = solved_field(tree, SEED)
-    doc = {
+    package = cli.__name__.rpartition(".")[0]
+    own = importlib.import_module(f"{package}.tree_market").EventTree.from_dict(tree.to_dict())
+    solve = importlib.import_module(f"{package}.tree_verifier").solve_entropy_shift
+    field = solved_field(own, SEED, solve=solve)
+    return {
         "schema_version": 1,
         "kind": "tree-verify",
         "tree": tree.to_dict(),
@@ -96,15 +103,28 @@ def measure(clis, depth, repeat, kernel_repeat=KERNEL_REPEAT):
         "a_shift": {"mode": "explicit", "values": field.a_shift},
     }
 
+
+def measure(clis, depth, repeat, kernel_repeat=KERNEL_REPEAT):
+    """{side: row} of the default scenario at one depth, run by each of
+    ``clis`` ({side: cli module}) on its own field: one untimed run each,
+    then ``repeat`` timed ABBA pairs; with ``kernel_repeat``, the kernel
+    calls over that many more runs per side."""
+    from treegen import random_tree
+
+    tree = random_tree(SEED, periods=depth)
+    docs = {side: scenario(cli, tree) for side, cli in clis.items()}
+
     def digest(text):
         return {"report_sha256": hashlib.sha256(text.encode()).hexdigest()}
 
-    def run(cli):
+    def run(cli, doc):
         text, seconds = ab.timed(lambda: cli.run_tree_scenario(doc).to_json())
         return {"time_s": seconds, **digest(text)}
 
-    first = {side: cli.run_tree_scenario(doc).to_json() for side, cli in clis.items()}
-    samples = ab.alternate({side: lambda cli=cli: run(cli) for side, cli in clis.items()}, repeat)
+    first = {side: cli.run_tree_scenario(docs[side]).to_json() for side, cli in clis.items()}
+    samples = ab.alternate(
+        {side: lambda cli=cli, doc=docs[side]: run(cli, doc) for side, cli in clis.items()}, repeat
+    )
     summary = ab.summarise(samples, ["time_s"], ["time_s"])
     rows = {}
     for side, cli in clis.items():
@@ -117,7 +137,7 @@ def measure(clis, depth, repeat, kernel_repeat=KERNEL_REPEAT):
             "report_sha256": ab.one_digest([digest(first[side]), *samples[side]], f"d={depth} {side}"),
         }
         if kernel_repeat:
-            rows[side]["kernels"] = kernel_calls(cli, doc, kernel_repeat)
+            rows[side]["kernels"] = kernel_calls(cli, docs[side], kernel_repeat)
     return rows
 
 
@@ -140,7 +160,8 @@ def main():
     doc = ab.header(
         "tree_scenario",
         srcs,
-        tree=f"random_tree({SEED}, periods=d), solved_field(tree, {SEED}) given explicitly",
+        tree=f"random_tree({SEED}, periods=d), solved_field(tree, {SEED}) given explicitly, "
+        "each side's built by its own package",
         what="cli.run_tree_scenario and to_json on the default scenario: 5 checks, every window; "
         "both sides in one process, ABBA pairs, gc collected and disabled around each run",
         **rows,

@@ -133,6 +133,31 @@ def test_benchmark_measures_the_depth_two_tree(name):
     assert all(kernel["calls"] > 0 for kernel in row["kernels"].values())
 
 
+def test_each_side_solves_its_own_field(monkeypatch):
+    # each side's shift comes from its own package's entropy-shift
+    # construction, so a change that moves the solved field's last bits
+    # leaves each side's program cache keyed by the bits its sweeps meet.
+    # A/A at depth 3: each side's construction runs once, and the two
+    # sides make the same kernel calls and write the same bytes
+    bench = load("bench_tree_scenario")
+    aliases = {side: f"forwardperf_own_field_{side}" for side in ("rows", "baseline_rows")}
+    clis = {side: bench.load_cli(str(SRC), alias) for side, alias in aliases.items()}
+    solved = []
+    for side, alias in aliases.items():
+        module = sys.modules[f"{alias}.tree_verifier"]
+
+        def counted(*args, side=side, original=module.solve_entropy_shift):
+            solved.append(side)
+            return original(*args)
+
+        monkeypatch.setattr(module, "solve_entropy_shift", counted)
+    rows = bench.measure(clis, 3, 1, 1)
+    assert solved == list(aliases)
+    calls = [{name: k["calls"] for name, k in rows[side]["kernels"].items()} for side in aliases]
+    assert calls[0] == calls[1] and calls[0]["barrier_minimize"] > 0
+    assert rows["rows"]["report_sha256"] == rows["baseline_rows"]["report_sha256"]
+
+
 def test_in_process_a_a_pairs_bracket_one(monkeypatch):
     # the same src on both sides, 6 ABBA pairs at depth 2. The clock
     # advances one tick a reading, so every timed run lasts one tick: a

@@ -220,14 +220,16 @@ def replicable_gamma(tree, seed, gamma0=None):
     return {nid: 1.0 / inv[nid] for nid in inv}, psi
 
 
-def solved_field(tree, seed, gamma0=None, terminal_scale=1.0):
-    """Replicable gamma plus the entropy-consistent shift, as field params."""
+def solved_field(tree, seed, gamma0=None, terminal_scale=1.0, solve=solve_entropy_shift):
+    """Replicable gamma plus the entropy-consistent shift, as field params;
+    ``solve`` is the entropy-shift construction, this package's by
+    default."""
     gamma, _ = replicable_gamma(tree, seed, gamma0=gamma0)
     rng = np.random.default_rng(seed + 10_000)
     terminal = {
         w: float(rng.uniform(-terminal_scale, terminal_scale)) for w in tree.leaves()
     }
-    a_shift = solve_entropy_shift(tree, gamma, terminal)
+    a_shift = solve(tree, gamma, terminal)
     return ExponentialFieldParams(gamma=gamma, a_shift=a_shift)
 
 
