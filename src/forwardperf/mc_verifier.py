@@ -53,11 +53,14 @@ the optimum load phi and the forward check's z~ (B-load theta - delta)
 share a density whenever their loads agree, and the densities of a run
 share one B integral (``density_path``). It reads 1/gamma at
 ``mc.columns`` and builds the shift only at ``mc.shift_columns``, where
-a requested check reads it (``build_forward_exponential``). A column that
-is the same on every path is held once: grid index 0, where every path
-is at its start (Z_0 = 1, 1/gamma_0 = 1/gamma0, a_0 = a0), and every
-1/gamma column when delta vanishes, so that 1/gamma = 1/gamma0 on every
-path; the statistics read those constants, with the kernels' bits. A
+a requested check reads it (``build_forward_exponential``). No statistic
+reads grid index 0: every path starts at Z_0 = 1, 1/gamma_0 = 1/gamma0
+and a_0 = a0, so Y_0 = V(0, eta) is one number on every path, and an
+increment Y_t - Y_0 is the level Y_t less a constant, tested against the
+same drift. The dual checks test each level against V(0, eta) plus its
+drift and the increments between times above 0 alone. A 1/gamma column
+is held once when delta vanishes, so that 1/gamma = 1/gamma0 on every
+path; the statistics read that constant, with the kernels' bits. A
 density is held as its drawn log-density, once per drawn stream (per
 antithetic pair with pairing), and ``reduce`` turns it into path values
 where a check reads it. The bundle is read-only, so the ``check_*``
@@ -433,22 +436,23 @@ class MonteCarloPass:
     theta - delta and of each load of the family. A run must be simulated
     at least there (``simulate_paths(columns=...)``); the set does not
     depend on the checks requested, so a check reads the same draws alone
-    as in the full suite. ``columns`` lists the grid indices above 0 the requested
-    checks read: ``time_indices`` and the horizon (the optimum's indices
-    are among them); the checks read 1/gamma there. ``shift_columns``
-    lists those at which a check reads the shift: the time indices above
-    0 for the dual checks and the horizon for the forward drift, none for
-    ``inverse-gamma-mean`` alone. A dual check with no time index above 0
-    would test nothing and is refused.
+    as in the full suite. With a dual check requested, ``idx`` lists the
+    time indices above 0, which the dual checks read: Y_0 = V(0, eta) on
+    every path, so they test the level at each and the increments between
+    them, never one from 0.
+    ``columns`` lists the grid indices the requested checks read: ``idx``
+    and the horizon (the optimum's indices are among them); the checks
+    read 1/gamma there. ``shift_columns`` lists those at which a check
+    reads the shift: ``idx`` for the dual checks and the horizon for the
+    forward drift, none for ``inverse-gamma-mean`` alone. A dual check
+    with no time index above 0 would test nothing and is refused.
 
-    A column that is the same on every path is held once, as one entry
-    that ``reduce`` broadcasts, with the bits the kernels give on every
-    path. Index 0 is such a column: every path starts at Z_0 = 1,
-    1/gamma_0 = 1/gamma0 and a_0 = a0 + 0.0, so nothing is built there.
-    So is every 1/gamma column when delta is 0 at every grid step
-    (``per_path_inv_gamma`` false): 1/gamma is the stochastic exponential
-    of delta dS, which the kernels give as exp(+-0) / gamma0, exactly
-    1.0 / gamma0 on every path. ``gather`` then builds no 1/gamma at all:
+    Nothing is built or read at index 0. A 1/gamma column is the same on
+    every path when delta is 0 at every grid step (``per_path_inv_gamma``
+    false), and is then held once, as one entry that ``reduce``
+    broadcasts, with the bits the kernels give on every path: 1/gamma is
+    the stochastic exponential of delta dS, which the kernels give as
+    exp(+-0) / gamma0, exactly 1.0 / gamma0 on every path. ``gather`` then builds no 1/gamma at all:
     ``build_forward_exponential`` divides the shift by 1.0 / gamma0, with
     the bits of the division by the built column, and is not called when
     no check reads the shift (``inverse-gamma-mean`` alone).
@@ -490,7 +494,7 @@ class MonteCarloPass:
     report holds none of it. Buffers are shared by lifetime: "dual-arg"
     takes a dual argument, then its increments, log z~ and the forward
     statistic; ("dual", 0) and ("dual", 1), the dual values at the first
-    two indices above 0, then the forward weight and the scale products;
+    two indices of ``idx``, then the forward weight and the scale products;
     the squared deviations go to the dead "dual-arg" with pairing, to
     "pairs" without. A buffer is taken where a statistic first writes it,
     so ``inverse-gamma-mean`` alone takes the weight's and the mean test's.
@@ -820,11 +824,15 @@ def run_mc_checks(
     each. This is the one-run case of ``MonteCarloPass``. The checks:
 
     - ``dual-submartingale``: for each load nu and dual argument eta, the
-      mean of V(t2, eta Z_t2) - V(t1, eta Z_t1) against (1/2)(eta /
-      gamma0) integral_t1^t2 (nu - phi)^2 ds (``dual-submartingale``
-      records), and of V(t, eta Z_t) against V(0, eta) + (1/2)(eta /
-      gamma0) integral_0^t (nu - phi)^2 ds (``dual-above-start``), for
-      every delta, phi and rho (module docstring).
+      mean of V(t, eta Z_t) against V(0, eta) + (1/2)(eta / gamma0)
+      integral_0^t (nu - phi)^2 ds at each selected t > 0
+      (``dual-above-start`` records), and of V(t2, eta Z_t2) - V(t1, eta
+      Z_t1) against (1/2)(eta / gamma0) integral_t1^t2 (nu - phi)^2 ds
+      for each pair of them, 0 < t1 < t2 (``dual-submartingale``
+      records), for every delta, phi and rho (module docstring). From t1
+      = 0 the increment is the level less V(0, eta), the same on every
+      path, so it has no record of its own: with only 0 and T selected,
+      the check writes ``dual-above-start`` records alone.
     - ``dual-martingale-at-optimum``: at nu = phi, E[V(t, eta Z_t)] =
       V(0, eta) at every selected t > 0; on the density of a load of the
       family these are that load's ``dual-above-start`` tests.

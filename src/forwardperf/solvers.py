@@ -171,9 +171,11 @@ def barrier_minimize(phi, r0, price=None):
     if (r <= 0.0).any():
         raise ValueError("barrier_minimize: start must be strictly positive")
     allowed = m * (m + 1) * _UNIT_ROUNDOFF
-    feasible = np.abs(r.sum(axis=1) - 1.0) <= allowed * r.sum(axis=1)
+    mass = r.sum(axis=1)
+    feasible = np.abs(mass - 1.0) <= allowed * mass
     if d is not None:
-        feasible &= np.abs((d * r).sum(axis=1)) <= allowed * np.abs(d * r).sum(axis=1)
+        moved = d * r
+        feasible &= np.abs(moved.sum(axis=1)) <= allowed * np.abs(moved).sum(axis=1)
     if not feasible.all():
         j = int(np.flatnonzero(~feasible)[0])
         raise ValueError(
