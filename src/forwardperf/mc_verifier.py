@@ -437,13 +437,12 @@ class MonteCarloPass:
     at least there (``simulate_paths(columns=...)``); the set does not
     depend on the checks requested, so a check reads the same draws alone
     as in the full suite. With a dual check requested, ``idx`` lists the
-    time indices above 0, which the dual checks read: Y_0 = V(0, eta) on
+    time indices above 0, which both dual checks read: Y_0 = V(0, eta) on
     every path, so they test the level at each and the increments between
-    them, never one from 0.
-    ``columns`` lists the grid indices the requested checks read: ``idx``
-    and the horizon (the optimum's indices are among them); the checks
-    read 1/gamma there. ``shift_columns`` lists those at which a check
-    reads the shift: ``idx`` for the dual checks and the horizon for the
+    them, never one from 0. ``columns`` lists the grid indices the
+    requested checks read, ``idx`` and the horizon; the checks read
+    1/gamma there. ``shift_columns`` lists those at which a check reads
+    the shift: ``idx`` for the dual checks and the horizon for the
     forward drift, none for ``inverse-gamma-mean`` alone. A dual check
     with no time index above 0 would test nothing and is refused.
 
@@ -452,10 +451,11 @@ class MonteCarloPass:
     false), and is then held once, as one entry that ``reduce``
     broadcasts, with the bits the kernels give on every path: 1/gamma is
     the stochastic exponential of delta dS, which the kernels give as
-    exp(+-0) / gamma0, exactly 1.0 / gamma0 on every path. ``gather`` then builds no 1/gamma at all:
-    ``build_forward_exponential`` divides the shift by 1.0 / gamma0, with
-    the bits of the division by the built column, and is not called when
-    no check reads the shift (``inverse-gamma-mean`` alone).
+    exp(+-0) / gamma0, exactly 1.0 / gamma0 on every path. ``gather``
+    then builds no 1/gamma at all: ``build_forward_exponential`` divides
+    the shift by 1.0 / gamma0, with the bits of the division by the built
+    column, and is not called when no check reads the shift
+    (``inverse-gamma-mean`` alone).
 
     ``densities`` is the plan: one (nu1, nu2, columns) per distinct pair
     of per-step loads, compared bit for bit, at the union of the columns
@@ -544,11 +544,8 @@ class MonteCarloPass:
         dual = self.submartingale or self.at_optimum
         if dual and not any(all_idx):
             raise ValueError(f"the dual checks need a time index above 0, got {all_idx}")
-        # Y_0 = V(0, eta) on every path (Z_0 = 1), so an increment from
-        # index 0 restates the level test: the dual checks read the indices
-        # above 0 alone
+        # an increment from index 0 restates a level test (module docstring)
         self.idx = [i for i in all_idx if i > 0] if dual else []
-        self.opt_idx = self.idx if self.at_optimum else []
         self.columns = sorted(set(self.idx) | {n_steps})
         # the shift is read by the dual values and by the forward drift
         self.shift_columns = sorted(set(self.idx) | ({n_steps} if self.forward else set()))
@@ -592,7 +589,7 @@ class MonteCarloPass:
             if self.forward:
                 plan(("z_tilde", label), shifted, loads[label], [n_steps])
         if self.at_optimum:
-            plan("z_opt", coeffs["theta"], coeffs["phi"], self.opt_idx)
+            plan("z_opt", coeffs["theta"], coeffs["phi"], self.idx)
         self.densities = [(nu1, nu2, sorted(cols)) for nu1, nu2, cols in plans]
         # each density's deterministic log part at its columns
         self._drifts = [density_drift(nu1, nu2, dt)[cols] for nu1, nu2, cols in self.densities]
@@ -763,11 +760,11 @@ class MonteCarloPass:
                 known = levels.get((d, eta))
                 if known is None:
                     dual_tests(
-                        "z_opt", eta, np.zeros(terminal + 1), self.opt_idx,
+                        "z_opt", eta, np.zeros(terminal + 1), idx,
                         lambda t: f"{head},t={t}]", None, _OPTIMUM_NOTE,
                     )
                     continue
-                for i in self.opt_idx:
+                for i in idx:
                     report.add(
                         dataclasses.replace(
                             known[i], check_tag=f"{head},t={self.t_label[i]}]", notes=_OPTIMUM_NOTE

@@ -433,7 +433,7 @@ def test_reduce_holds_only_its_scratch_above_the_gathered_columns():
     mc = MonteCarloPass(CLEAN, 8, n, list(MC_CHECKS), 1.0, 0.0, True)
     mc.gather(simulate_paths(CLEAN, 8, n, seed=31, columns=mc.simulated_columns))
     # per-path dual values: one buffer for each index above 0
-    n_dual = len(mc.opt_idx)
+    n_dual = len(mc.idx)
     # each planned density at its columns (here the loads', which the
     # optimum and z~ share): the largest at every pass column
     assert max(len(cols) for _, _, cols in mc.densities) == len(mc.columns)
