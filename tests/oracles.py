@@ -63,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from forwardperf import kernels, solvers
 from forwardperf.errors import ArbitrageError, ConvergenceError, ReplicationError
@@ -1711,7 +1711,7 @@ def dual_increment_from_start(bundle, seed, gamma0, a0, label, nu, eta, t_index,
     target = 0.5 * eta / gamma0 * float(gap)
     scale = float(np.max(np.abs(y[:, 0])) + np.max(np.abs(y[:, 1])))
     floor = (30 * bundle.n_steps + 71 + (n - 1).bit_length() + 1) * 2.0**-53 * scale
-    band = float(norm.ppf(0.5 * (1.0 + confidence))) * se + floor
+    band = float(ndtri(0.5 * (1.0 + confidence))) * se + floor
     t = t_index * bundle.spec.horizon / bundle.n_steps
     return CheckRecord(
         check_tag=f"dual-submartingale[nu={label},eta={eta:g},t1=0,t2={t:g}]",

@@ -201,9 +201,6 @@ def test_submartingale_clean_spec_passes():
     # visible at this size
     assert rec.target == pytest.approx(0.0225, abs=1e-15)
     assert rec.value > 0
-    # an increment from 0 would restate the level test: Y_0 = V(0, eta)
-    # on every path
-    assert not [rec for rec in rep.records() if ",t1=0," in rec.check_tag]
 
 
 def test_submartingale_time_index_validation():
