@@ -16,6 +16,8 @@ The corpus:
 - the README model with delta 0 and with delta (0.2, 0), 20k paths x 64
   steps, with each Monte Carlo check alone and with all four, on
   antithetic and on plain paths;
+- the README model with phi 0, the default suite on antithetic paths,
+  where the default loads "0" and "phi" are one load;
 - the pinned ``tree-verify`` scenarios of ``tests/test_cli.py``
   (``explicit``, ``solve`` and ``random`` on ``random_tree(7,
   periods=4)``), built by ``tests/treegen.py`` with the working tree's
@@ -121,26 +123,33 @@ def pinned_tree_docs():
     ]
 
 
+def readme_doc(model, checks, antithetic):
+    """An ``ito-verify`` document of 20k paths x 64 steps on ``model``."""
+    return {
+        "schema_version": 1,
+        "kind": "ito-verify",
+        "model": model,
+        "gamma0": 1.0,
+        "a0": 0.0,
+        "n_steps": 64,
+        "n_paths": 20_000,
+        "seed": 1234,
+        "antithetic": antithetic,
+        "checks": checks,
+    }
+
+
 def corpus():
     """The (name, document) pairs, in run order."""
     docs = perfbench_docs(("ito-suite", "ito-chunked"))
     for delta in (0.0, [0.2, 0.0]):
         for checks in [[c] for c in MC_CHECKS] + [list(MC_CHECKS)]:
             for antithetic in (True, False):
-                doc = {
-                    "schema_version": 1,
-                    "kind": "ito-verify",
-                    "model": dict(README_MODEL, delta=delta),
-                    "gamma0": 1.0,
-                    "a0": 0.0,
-                    "n_steps": 64,
-                    "n_paths": 20_000,
-                    "seed": 1234,
-                    "antithetic": antithetic,
-                    "checks": checks,
-                }
+                doc = readme_doc(dict(README_MODEL, delta=delta), checks, antithetic)
                 label = "suite" if len(checks) > 1 else checks[0]
                 docs.append((f"readme/delta={delta}/{label}/antithetic={antithetic}", doc))
+    phi_0 = readme_doc(dict(README_MODEL, phi=0.0), list(MC_CHECKS), True)
+    docs.append(("readme/phi=0/suite/antithetic=True", phi_0))
     return docs + pinned_tree_docs() + perfbench_docs(("tree-suite", "tree-deep"))
 
 

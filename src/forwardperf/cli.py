@@ -34,7 +34,9 @@ from .ito_engine import (
     write_paths_csv,
 )
 from .kernels import U64_MAX, Workspace
-from .mc_verifier import MC_CHECKS, MonteCarloPass, tag_number, time_labels, z_critical
+from .mc_verifier import (
+    MC_CHECKS, MonteCarloPass, repeated_load, tag_number, time_labels, z_critical,
+)
 from .report import CheckRecord, VerificationReport
 from .tree_market import EventTree, check_nflvr, json_float
 from .tree_verifier import (
@@ -376,6 +378,8 @@ def _nu_family_from_scenario(doc, n_steps):
             fam[str(label)] = np.asarray(vals)
         else:
             fam[str(label)] = np.full(n_steps, _number(val, f"$.nu.{label}"))
+    if repeated := repeated_load(fam):
+        _fail("$.nu", "loads {!r} and {!r} are equal at every step".format(*repeated))
     return fam
 
 

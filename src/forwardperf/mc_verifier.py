@@ -47,25 +47,28 @@ once, at those columns, and run the checks in one pass::
 which is ``run_mc_checks(bundle, gamma0, a0, checks)``. A bundle of more
 columns (the full grid, say) is read the same way; one that lacks a
 simulated column is refused. The pass plans one density per distinct
-pair of loads (nu1 on B, nu2 on W), compared bit for bit, and builds it
-once, at the union of the columns its readers need: the family's loads,
-the optimum load phi and the forward check's z~ (B-load theta - delta)
-share a density whenever their loads agree, and the densities of a run
+pair of loads (nu1 on B, nu2 on W), compared bit for bit, built once at
+the union of the columns its readers need (a load's, the optimum's and
+the forward check's z~, B-load theta - delta); the densities of a run
 share one B integral (``density_path``). It reads 1/gamma at
 ``mc.columns`` and builds the shift only at ``mc.shift_columns``, where
-a requested check reads it (``build_forward_exponential``). No statistic
-reads grid index 0: every path starts at Z_0 = 1, 1/gamma_0 = 1/gamma0
-and a_0 = a0, so Y_0 = V(0, eta) is one number on every path, and an
-increment Y_t - Y_0 is the level Y_t less a constant, tested against the
-same drift. The dual checks test each level against V(0, eta) plus its
-drift and the increments between times above 0 alone. A 1/gamma column
-is held once when delta vanishes, so that 1/gamma = 1/gamma0 on every
-path; the statistics read that constant, with the kernels' bits. A
-density is held as its drawn log-density, once per drawn stream (per
-antithetic pair with pairing), and ``reduce`` turns it into path values
-where a check reads it. The bundle is read-only, so the ``check_*``
-wrappers, which run one check each, report the same bytes on a shared
-simulation as on a fresh one at the same columns.
+a requested check reads it (``build_forward_exponential``).
+
+Each mean test has one record, and the family's loads differ at some
+step. Every path starts at Z_0 = 1, 1/gamma_0 = 1/gamma0 and a_0 = a0,
+so Y_0 = V(0, eta) is one number on every path, and an increment Y_t -
+Y_0 is the level Y_t less a constant, tested against the same drift: the
+dual checks test each level and the increments between times above 0
+alone, and no statistic reads grid index 0. At nu = phi the drift is 0,
+so where phi is a load of the family the optimum's tests are that load's
+level tests. A 1/gamma column is held once when delta vanishes, so that
+1/gamma = 1/gamma0 on every path; the statistics read that constant,
+with the kernels' bits. A density is held as its drawn log-density, once
+per drawn stream (per antithetic pair with pairing), and ``reduce``
+turns it into path values where a check reads it. The bundle is
+read-only, so the ``check_*`` wrappers, which run one check each, report
+the same bytes on a shared simulation as on a fresh one at the same
+columns.
 
 To bound memory, the same pass takes the simulation one stream range at a
 time, a run, and keeps only a few columns of each. The pass is told its
@@ -88,16 +91,10 @@ split into consecutive ranges gives the same report::
         )
         mc.gather(bundle)
     report = mc.reduce()
-
-``gather`` refuses a run of another spec, grid or pairing than the
-pass's, one not simulated at every one of ``simulated_columns``, and one
-that does not start at the next path to fill or would go past
-``n_paths``; ``reduce`` refuses a pass short of ``n_paths``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import operator
@@ -322,14 +319,29 @@ def mc_mean_test(
 # -- candidate load families --------------------------------------------
 
 
+def repeated_load(family: dict[str, np.ndarray]) -> tuple[str, str] | None:
+    """The labels (earlier, later) of the first two per-step loads of
+    ``family`` equal bit for bit, as the density planner compares them."""
+    first: dict[bytes, str] = {}
+    for label, nu in family.items():
+        if (earlier := first.setdefault(nu.tobytes(), label)) != label:
+            return earlier, label
+    return None
+
+
 def _nu_family(phi: np.ndarray) -> dict[str, np.ndarray]:
-    return {
+    """The default loads at the per-step ``phi``, each once: a load equal to
+    an earlier one at every step ("phi" at phi = 0) is left out."""
+    family = {
         "0": np.zeros(phi.shape[0]),
         "phi": phi.copy(),
         "phi+0.4": phi + 0.4,
         "phi-0.4": phi - 0.4,
         "0.8": np.full(phi.shape[0], 0.8),
     }
+    while repeated := repeated_load(family):
+        del family[repeated[1]]
+    return family
 
 
 def tag_number(x: float) -> str:
@@ -421,6 +433,7 @@ MC_CHECKS = (
 _TERMINAL_NOTE = ("terminal-time consequence of the conditional statement",)
 _DUAL_NOTE = ("unconditional mean at grid times; conditional drift not tested",)
 _OPTIMUM_NOTE = ("unconditional mean equality at grid times",)
+_PHI_NOTE = "nu = phi, the optimum: the dual-martingale-at-optimum test at this eta and t"
 
 
 class MonteCarloPass:
@@ -429,22 +442,22 @@ class MonteCarloPass:
 
     The constructor is told the whole simulation but its seed: the model,
     grid, path count, field start (gamma0, a0) and pairing. It validates
-    the request, so a refusal costs no paths. ``simulated_columns``
-    lists the grid columns any check can read on this scenario: 0, the
-    horizon, ``time_indices`` (by default 0, n_steps // 2 and n_steps,
-    each once), and every change point of theta, delta, phi, rho,
-    theta - delta and of each load of the family. A run must be simulated
-    at least there (``simulate_paths(columns=...)``); the set does not
-    depend on the checks requested, so a check reads the same draws alone
-    as in the full suite. With a dual check requested, ``idx`` lists the
-    time indices above 0, which both dual checks read: Y_0 = V(0, eta) on
-    every path, so they test the level at each and the increments between
-    them, never one from 0. ``columns`` lists the grid indices the
-    requested checks read, ``idx`` and the horizon; the checks read
-    1/gamma there. ``shift_columns`` lists those at which a check reads
-    the shift: ``idx`` for the dual checks and the horizon for the
-    forward drift, none for ``inverse-gamma-mean`` alone. A dual check
-    with no time index above 0 would test nothing and is refused.
+    the request, so a refusal costs no paths; two loads of the family
+    equal at every step are refused. ``simulated_columns`` lists the grid
+    columns any check can read on this scenario: 0, the horizon,
+    ``time_indices`` (by default 0, n_steps // 2 and n_steps, each once),
+    and every change point of theta, delta, phi, rho, theta - delta and
+    of each load of the family. A run must be simulated at least there
+    (``simulate_paths(columns=...)``); the set does not depend on the
+    checks requested, so a check reads the same draws alone as in the
+    full suite. With a dual check requested, ``idx`` lists the time
+    indices above 0, which both dual checks read (module docstring).
+    ``columns`` lists the grid indices the requested checks read, ``idx``
+    and the horizon; the checks read 1/gamma there. ``shift_columns``
+    lists those at which a check reads the shift: ``idx`` for the dual
+    checks and the horizon for the forward drift, none for
+    ``inverse-gamma-mean`` alone. A dual check with no time index above 0
+    would test nothing and is refused.
 
     Nothing is built or read at index 0. A 1/gamma column is the same on
     every path when delta is 0 at every grid step (``per_path_inv_gamma``
@@ -472,13 +485,11 @@ class MonteCarloPass:
     (``build_forward_exponential(..., out=)``), ``bundle.first_path``
     onwards, into those arrays in place; the bundle can then be dropped or
     overwritten. A paired density so takes half the bytes of its path
-    values: a partner's row is the negated one. A run that does not start
-    at the next path to fill, or that would go past ``n_paths``, is
-    refused; being stream ranges, runs never split an antithetic pair.
-    ``reduce`` refuses a pass that holds fewer than ``n_paths`` paths,
-    reads each column in place in the pass's arrays and runs
-    every mean test once, on exactly the samples one whole-simulation run
-    would give, so the report does not depend on the runs.
+    values: a partner's row is the negated one. Being stream ranges, runs
+    never split an antithetic pair. ``reduce`` reads each column in place
+    in the pass's arrays and runs every mean test once, on exactly the
+    samples one whole-simulation run would give, so the report does not
+    depend on the runs.
 
     ``reduce`` expands each density once, with the bits of
     ``density_path``'s second stage and one ``exp`` a column
@@ -486,9 +497,9 @@ class MonteCarloPass:
     in place of the drawn rows, the odd ones into one scratch of n_streams
     entries a column. Every per-path column and statistic is read as the
     same halves, so ``collapse_pairs`` adds two contiguous rows. A
-    density's readers are grouped (the loads that share it, z~ after z,
-    the optimum with phi's load), so the scratch holds one density at a
-    time; the report is keyed, so the order does not show in it.
+    density's readers are grouped (a load's z, then its z~; the optimum
+    with phi's load), so the scratch holds one density at a time; the
+    report is keyed, so the order does not show in it.
 
     The scratch lives in one ``Workspace`` local to the call, and the
     report holds none of it. Buffers are shared by lifetime: "dual-arg"
@@ -557,6 +568,8 @@ class MonteCarloPass:
         loads = {
             label: _per_step(n_steps, nu, f"load {label!r}") for label, nu in nu_family.items()
         }
+        if repeated := repeated_load(loads):
+            raise ValueError(f"loads {repeated[0]!r} and {repeated[1]!r} are equal at every step")
         shifted = coeffs["theta"] - coeffs["delta"]
         integrated = [*coeffs.values(), shifted, *loads.values()]
         self.simulated_columns = sorted(
@@ -708,80 +721,64 @@ class MonteCarloPass:
                 deviations=work.take("dual-arg", (m,)) if antithetic else pairs,
             )
             report.add(_require_finite(record, samples, gamma0, eta))
-            return record
 
-        # (density, eta) -> {index: record of the level test there}
-        levels: dict[tuple[int, float], dict[int, CheckRecord]] = {}
-
-        def dual_tests(reader, eta, gap, indices, level_tag, step_tag, notes):
-            """Tests of the dual value V(t, eta Z_t) on ``reader``'s density
-            against its closed-form mean: its level at each of ``indices``,
-            all above 0 (tag ``level_tag(t)``) and, with a ``step_tag(t1,
-            t2)``, its increments between them, in "dual-arg". ``gap`` is
-            the load's integral_0^t (nu - phi)^2."""
-            vals = _dual_path_values(cols, density(reader), eta, indices, work)
-            level = levels[self._density_of[reader], eta] = {}
+        def dual_tests(reader, eta, gap, level_tag, level_notes, step_tag=None):
+            """Tests of V(t, eta Z_t) on ``reader``'s density against its
+            closed-form mean, ``gap`` being the load's integral_0^t (nu -
+            phi)^2: the level at each index of ``idx`` (tag ``level_tag(t)``)
+            and, with a ``step_tag(t1, t2)``, the increments between them."""
+            vals = _dual_path_values(cols, density(reader), eta, idx, work)
             size = {i: largest_size(v) for i, v in vals.items()}
             rate = 0.5 * eta / gamma0
             start = conjugate_exponential(gamma0, a0, eta)
             label = self.t_label
-            for pos, i2 in enumerate(indices):
-                for i1 in indices[:pos] if step_tag else ():
+            for pos, i2 in enumerate(idx):
+                for i1 in idx[:pos] if step_tag else ():
                     add_test(
                         step_tag(label[i1], label[i2]),
                         np.subtract(vals[i2], vals[i1], out=work.take("dual-arg", vals[i2].shape)),
-                        rate * (gap[i2] - gap[i1]), notes, size[i1] + size[i2], eta,
+                        rate * (gap[i2] - gap[i1]), _DUAL_NOTE, size[i1] + size[i2], eta,
                     )
-                level[i2] = add_test(
-                    level_tag(label[i2]), vals[i2], start + rate * gap[i2], notes, size[i2], eta,
+                add_test(
+                    level_tag(label[i2]), vals[i2], start + rate * gap[i2], level_notes, size[i2], eta,
                 )
 
-        # readers grouped by density, so that each is expanded once: the
-        # loads that share one (z and z~ with it), phi's with the optimum's
-        classes: dict[int, list[str]] = {}
-        for label in self.nu_family:
-            classes.setdefault(self._density_of["z", label], []).append(label)
-        if self.at_optimum:
-            classes.setdefault(self._density_of["z_opt"], [])
-        for d, labels in classes.items():
-            for label in labels if self.submartingale else ():
-                for eta in self.eta_list:
-                    head = f"nu={label},eta={tag_number(eta)}"
-                    dual_tests(
-                        ("z", label), eta, self.gaps[label], idx,
-                        lambda t: f"dual-above-start[{head},t={t}]",
-                        lambda t1, t2: f"dual-submartingale[{head},t1={t1},t2={t2}]",
-                        _DUAL_NOTE,
-                    )
-            # nu = phi: the gap is 0 at every column, so on the density of a
-            # load of the family the optimum's tests are its level tests
-            for eta in self.eta_list if self.at_optimum and d == self._density_of["z_opt"] else ():
+        # readers grouped by density, so that each is expanded once: a load's
+        # (z, then z~), and the optimum's with the load of its density
+        optimum = self._density_of.get("z_opt")
+        groups = {self._density_of["z", label]: label for label in self.nu_family}
+        # the level tests of phi's load are the optimum's (module docstring)
+        phi_label = groups.get(optimum) if self.submartingale else None
+        if optimum is not None:
+            groups.setdefault(optimum, None)
+        for d, label in groups.items():
+            for eta in self.eta_list if d == optimum and phi_label is None else ():
                 head = f"dual-martingale-at-optimum[eta={tag_number(eta)}"
-                known = levels.get((d, eta))
-                if known is None:
-                    dual_tests(
-                        "z_opt", eta, np.zeros(terminal + 1), idx,
-                        lambda t: f"{head},t={t}]", None, _OPTIMUM_NOTE,
-                    )
-                    continue
-                for i in idx:
-                    report.add(
-                        dataclasses.replace(
-                            known[i], check_tag=f"{head},t={self.t_label[i]}]", notes=_OPTIMUM_NOTE
-                        )
-                    )
-            if labels and (self.inverse_gamma or self.forward):
+                dual_tests(
+                    "z_opt", eta, np.zeros(terminal + 1), lambda t: f"{head},t={t}]", _OPTIMUM_NOTE
+                )
+            if label is None:
+                continue
+            notes = (*_DUAL_NOTE, _PHI_NOTE) if label == phi_label else _DUAL_NOTE
+            for eta in self.eta_list if self.submartingale else ():
+                head = f"nu={label},eta={tag_number(eta)}"
+                dual_tests(
+                    ("z", label), eta, self.gaps[label],
+                    lambda t: f"dual-above-start[{head},t={t}]", notes,
+                    lambda t1, t2: f"dual-submartingale[{head},t1={t1},t2={t2}]",
+                )
+            if self.inverse_gamma or self.forward:
                 # the forward weight ((1/gamma_T) gamma0) z_T, then (a_T -
                 # log z~_T) w: the order of operations that fixes the
                 # statistics' rounding
                 w = work.take(("dual", 0), (per, m))
                 np.multiply(cols["inv_gamma", terminal], gamma0, out=w)
-                for w_half, z_half in zip(w, density(("z", labels[0]))[terminal]):
+                for w_half, z_half in zip(w, density(("z", label))[terminal]):
                     w_half *= z_half
-            for label in labels if self.inverse_gamma else ():
+            if self.inverse_gamma:
                 # E[Z_T / gamma_T] = 1 / gamma0 in units of gamma0
                 add_test(f"inverse-gamma-mean[nu={label}]", w, 1.0, _TERMINAL_NOTE)
-            for label in labels if self.forward else ():
+            if self.forward:
                 a_t = cols["a_shift", terminal]
                 drift = work.take("dual-arg", w.shape)
                 for log_half, z_half in zip(drift, density(("z_tilde", label))[terminal]):
@@ -809,16 +806,13 @@ def run_mc_checks(
     time_indices: Sequence[int] | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> VerificationReport:
-    """Run the named checks of ``MC_CHECKS`` in one pass over the loads.
-
-    Each distinct density is built once, and only at the columns above 0
-    the checks read (``time_indices`` and the terminal time); the optimum
-    load ``bundle.phi`` reads the family's density when phi is one of its
-    loads. The densities share the bundle's B integral of each B-load,
-    and the shift is built only at the pass's ``shift_columns``. Every
-    check turns those columns into per-path statistics with a target, and
-    one reducer collapses antithetic pairs and runs ``mc_mean_test`` on
-    each. This is the one-run case of ``MonteCarloPass``. The checks:
+    """Run the named checks of ``MC_CHECKS`` in one pass over the loads,
+    the one-run case of ``MonteCarloPass``: each distinct density is built
+    once, at the columns the checks read, each check turns them into
+    per-path statistics with a target, and one reducer collapses
+    antithetic pairs and runs ``mc_mean_test`` on each. The loads of
+    ``nu_family`` must differ at some step; the default family leaves out
+    a load equal to an earlier one. The checks:
 
     - ``dual-submartingale``: for each load nu and dual argument eta, the
       mean of V(t, eta Z_t) against V(0, eta) + (1/2)(eta / gamma0)
@@ -826,13 +820,13 @@ def run_mc_checks(
       (``dual-above-start`` records), and of V(t2, eta Z_t2) - V(t1, eta
       Z_t1) against (1/2)(eta / gamma0) integral_t1^t2 (nu - phi)^2 ds
       for each pair of them, 0 < t1 < t2 (``dual-submartingale``
-      records), for every delta, phi and rho (module docstring). From t1
-      = 0 the increment is the level less V(0, eta), the same on every
-      path, so it has no record of its own: with only 0 and T selected,
-      the check writes ``dual-above-start`` records alone.
+      records), for every delta, phi and rho; none from t1 = 0 (module
+      docstring), so with only 0 and T selected the check writes
+      ``dual-above-start`` records alone.
     - ``dual-martingale-at-optimum``: at nu = phi, E[V(t, eta Z_t)] =
-      V(0, eta) at every selected t > 0; on the density of a load of the
-      family these are that load's ``dual-above-start`` tests.
+      V(0, eta) at every selected t > 0. With ``dual-submartingale``, on a
+      load of the family equal to phi these are that load's
+      ``dual-above-start`` tests, written once, with a note naming it.
     - ``inverse-gamma-mean``: E[Z_T / gamma_T] = 1/gamma_0 per load, in
       units of gamma_0: the forward weight w = (gamma_0/gamma_T) Z_T has
       unit mass, E[w] = 1 (module docstring), so the record reads the

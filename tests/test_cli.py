@@ -1339,15 +1339,21 @@ DELTA_SCENARIOS = {
 def test_ito_delta_models_run_and_pass(tmp_path, capsys, case):
     # the dual drift's closed form holds for every delta, so every
     # requested check runs, the optimum included, and passes: nothing is
-    # refused or skipped. A default suite holds 64 mean records; at
-    # confidence 0.9999 one of them misses its band once in 156 runs
+    # refused or skipped. A default suite holds 40 mean records (32 at phi
+    # = 0, where the default family holds 4 loads), among them the
+    # optimum's, which are the level tests of the load phi and name it in
+    # a note; at confidence 0.9999 one of them misses its band once in 250
+    # runs
     model, checks = DELTA_SCENARIOS[case]
     doc = ito_doc(model=model, n_paths=2000, n_steps=16, checks=checks, confidence=0.9999)
     if checks is None:
         del doc["checks"]
     code, rep = run_json(capsys, ["run", write_scenario(tmp_path, doc)])
     assert code == 0, [tag for tag, rec in rep["checks"].items() if rec["verdict"] != "pass"]
-    optimum = [rec for tag, rec in rep["checks"].items() if "at-optimum" in tag]
+    optimum = [
+        rec for tag, rec in rep["checks"].items()
+        if "at-optimum" in tag or any("dual-martingale-at-optimum" in n for n in rec["notes"])
+    ]
     assert len(optimum) == 4 and all(rec["std_error"] is not None for rec in optimum)
     assert not any("skipped" in note for rec in rep["checks"].values() for note in rec["notes"])
 
@@ -1400,6 +1406,8 @@ def no_simulation(monkeypatch):
         # a dual check with no time above 0 has nothing to test
         ({"time_indices": []}, "$.time_indices", "'dual-submartingale' needs a time index above 0"),
         ({"time_indices": [0, 0]}, "$.time_indices", "needs a time index above 0"),
+        # a load given twice would run each of its tests twice
+        ({"nu": {"a": 0.3, "b": 0.3}}, "$.nu", "loads 'a' and 'b' are equal at every step"),
     ],
 )
 def test_ito_bad_inputs_rejected_before_simulating(
@@ -1432,7 +1440,8 @@ def test_ito_one_step_grid_runs_every_check(tmp_path, capsys):
     # the default time indices 0, n_steps // 2 and n_steps are 0, 0 and 1
     # on a one-step grid: one time above 0, so the dual-submartingale check
     # writes its level records alone, each once (an increment from 0
-    # would restate them), and every other check its own records
+    # would restate them), the optimum's tests are those of the load phi,
+    # and the terminal checks write their own records
     doc = ito_doc(n_steps=1, checks=list(mc_verifier.MC_CHECKS))
     code, out = run_json(capsys, ["run", write_scenario(tmp_path, doc)])
     assert code in (0, 1)
@@ -1440,8 +1449,68 @@ def test_ito_one_step_grid_runs_every_check(tmp_path, capsys):
     assert not [tag for tag in tags if tag.startswith("dual-submartingale[")]
     levels = [tag for tag in tags if tag.startswith("dual-above-start[")]
     assert len(levels) == 5 * 2 and all(tag.endswith(",t=1]") for tag in levels)
-    for check in [c for c in mc_verifier.MC_CHECKS if c != "dual-submartingale"]:
+    optimum = [tag for tag in levels if len(out["checks"][tag]["notes"]) == 2]
+    assert optimum == ["dual-above-start[nu=phi,eta=1,t=1]", "dual-above-start[nu=phi,eta=2,t=1]"]
+    for check in ("inverse-gamma-mean", "forward-drift"):
         assert any(tag.startswith(f"{check}[") for tag in tags), check
+
+
+README_MODEL = {
+    "horizon": 1.0, "breakpoints": [0.0, 0.5], "theta": [0.5, 0.5], "delta": 0.0,
+    "phi": [0.3, 0.0], "rho": 0.1,
+}
+# the default suite (or the checks given) where the default family holds
+# phi, where its loads coincide, and where the family misses phi
+ONE_TEST_DOCS = {
+    "readme-suite": {"model": README_MODEL},
+    "readme-optimum": {"model": README_MODEL, "checks": ["dual-martingale-at-optimum"]},
+    "phi=0.3": {},
+    # phi is not a load of the family, as in acceptance criterion 6(a)
+    "family-0-0.7": {"nu": {"0": 0.0, "0.7": 0.7}},
+    # the default load "phi" is the load "0"
+    "phi=0": {"model": {"horizon": 1.0, "theta": 0.5, "phi": 0.0}},
+    # "phi-0.4" is the load "0", and "phi+0.4" the load "0.8"
+    "phi=0.4": {"model": {"horizon": 1.0, "theta": 0.5, "phi": 0.4}},
+}
+
+
+def one_test_doc(case, antithetic):
+    doc = ito_doc(antithetic=antithetic, **ONE_TEST_DOCS[case])
+    if "checks" not in ONE_TEST_DOCS[case]:
+        del doc["checks"]
+    return doc
+
+
+@pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+@pytest.mark.parametrize("case", list(ONE_TEST_DOCS))
+def test_expected_false_failures_count_the_mean_tests_run(monkeypatch, case, antithetic):
+    # every record of the pass is one mean test, so the count the report
+    # discloses is the number of tests run
+    calls = []
+    original = mc_verifier.mc_mean_test
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["check_tag"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mc_verifier, "mc_mean_test", counted)
+    report = run_ito_scenario(one_test_doc(case, antithetic))
+    (note,) = report["mc-expected-false-failures"].notes
+    assert note.startswith(f"{len(calls)} statistical checks at confidence "), (len(calls), note)
+
+
+@pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+@pytest.mark.parametrize("case", list(ONE_TEST_DOCS))
+def test_no_two_ito_records_restate_one_test(case, antithetic):
+    # a repeated load, or the optimum beside the level tests of the load
+    # phi, would give two records of one statistic against one target
+    report = run_ito_scenario(one_test_doc(case, antithetic))
+    seen = {}
+    for rec in report.records():
+        if rec.std_error is not None:
+            key = (rec.value, rec.target, rec.tolerance, rec.std_error)
+            assert key not in seen, (seen.get(key), rec.check_tag)
+            seen[key] = rec.check_tag
 
 
 @pytest.mark.parametrize("checks, n_sim", [(None, 1), (["regularity"], 0)])
@@ -1540,11 +1609,15 @@ def test_ito_scenario_builds_each_distinct_density_once(monkeypatch, overrides, 
 # stopped testing increments from time 0, which restate dual-above-start
 # (Y_0 = V(0, eta) on every path): those records left the report and the
 # count went from 64 mean tests to 44; every other record kept its bytes.
+# Re-pinned once more when the pass stopped writing the optimum's records
+# as copies of the level tests of the load phi: the copies left the
+# report, those level records gained a note naming the optimum, and the
+# count went from 44 mean tests to 40; every other record kept its bytes.
 # The second digest, here and below, is numpy's path without X86_V4, where
 # float64 exp and log round differently
 PINNED_ITO_REPORT_SHA256 = on_this_dispatch(
-    "dd1d272222288115a3bbaff733cd5bbc2e63bf6de97e7c975e510cf3bbedea57",
-    "6c14ef938028fdf155996dfd1ccc1c5b119adae0b8d2b65708aa21ffcf6eb8c1",
+    "54fe719b7fa8459340dd7d87bb9f0182392ee4cbfd8012575953782d12eec118",
+    "f644803b9b2432d410de89a062b082fe41b9a46fcb088089ca3c057c0f66a6a3",
 )
 
 
@@ -1588,7 +1661,8 @@ def test_ito_report_bytes_pinned(monkeypatch):
 # report above, when the mean records became two-sided against their
 # closed-form means, again when the regularity and forward-mass records
 # left the report, and "every-time-index" again when the increments from
-# time 0 left it, for the same reasons
+# time 0 left it and when the optimum's copies left it, for the same
+# reasons
 FULL_GRID_DOCS = {
     "every-time-index": {"n_paths": 2000, "n_steps": 8, "time_indices": list(range(9))},
     "ramp-load": {
@@ -1602,8 +1676,8 @@ FULL_GRID_DOCS = {
 }
 PINNED_FULL_GRID_SHA256 = {
     "every-time-index": on_this_dispatch(
-        "6eac646bf07ea056f02cd85da08d7ab2372132fb24af8798ad2bbba0a02e362d",
-        "905dfd8226cf307d3d968c1fe395f066a836dcdedaf87511f89118abb941d88a",
+        "00971813b7384e499354e952262a9728e355462bfb1c3a16625fbe42d07e2b2f",
+        "4bc2a4d4d975bb100515c4d797b119bfdfbb2c321182738fd4a58499e80e7fc3",
     ),
     "ramp-load": on_this_dispatch(
         "eb8a303c0a7bc8a35d98dd8c9f1e446d6e8a434c523485f0c791f967a2be995b",
@@ -2131,6 +2205,7 @@ def test_export_paths_index_out_of_range(tmp_path, capsys):
         ({"paths": [0, 6]}, "$.paths", "path index 6 out of range"),
         ({"paths": 2}, "$.paths", "expected a list of integers, got int"),
         ({"paths": "01"}, "$.paths", "expected a list of integers, got str"),
+        ({"nu": {"a": [0.3] * 4, "b": 0.3}}, "$.nu", "loads 'a' and 'b' are equal at every step"),
     ],
 )
 def test_export_paths_bad_inputs_rejected_before_simulating(
