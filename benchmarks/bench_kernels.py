@@ -18,13 +18,16 @@ time-major arrays, in runs of 1024 streams, on one workspace: the runs
 ``cli.DRAW_BUDGET``, is 1024 x 64 stream-intervals), with
 
 - ``kernel``: ``kernels.gaussian_field``, four normals per block (the full
-  Box-Muller pair);
-- ``two_normals``: the replaced kernel kept in ``tests/oracles.py``, two
-  normals per block (the cos legs alone), so twice the blocks.
+  Box-Muller pair), the angle legs from a table and short polynomials;
+- ``glibc_angles``: the replaced four-normal kernel kept in
+  ``tests/oracles.py``, the angle legs by numpy's cos and sin;
+- ``two_normals``: the two-normal kernel replaced before it, kept there
+  too, two normals per block (the cos legs alone), so twice the blocks.
 
 Every run of the kernel must equal ``oracles.gaussian_field_whole`` bit for
-bit. The package's kernels are imported from ``src`` under a package
-alias (``report_diff.load_cli``); with ``--baseline-src`` the baseline's
+bit, and the four-normal others must equal it within rounding. The
+package's kernels are imported from ``src`` under a package alias
+(``report_diff.load_cli``); with ``--baseline-src`` the baseline's
 generator and kernel (``baseline``) are timed beside them. Per row, the
 calls run once untimed and then in ABBA rounds (``ab.race``); ``paired``
 holds each one's median ratio to the generator or kernel, with its 95%
@@ -68,6 +71,12 @@ def measure(n_steps, repeat, packages):
             **ab.race(calls, repeat)}
 
 
+def within_rounding(field, want):
+    """Normals of other angle legs: below 9 in size, their legs within
+    1.5e-15 of the kernel's, and each rounded once more."""
+    return np.allclose(field, want, rtol=2**-52, atol=9 * 1.5e-15)
+
+
 def measure_field(repeat, packages):
     """Both fields of FIELD_STREAMS x FIELD_STEPS, drawn run by run into one
     time-major pair on one workspace."""
@@ -80,7 +89,11 @@ def measure_field(repeat, packages):
         for lo, hi in runs:
             draw(SEED, hi - lo, FIELD_STEPS, lo, out=(fields[0][lo:hi], fields[1][lo:hi]), work=work)
 
-    draws = {"kernel": kernels.gaussian_field, "two_normals": oracles.gaussian_field_two_normals}
+    draws = {
+        "kernel": kernels.gaussian_field,
+        "glibc_angles": oracles.gaussian_field_glibc_angles,
+        "two_normals": oracles.gaussian_field_two_normals,
+    }
     if ab.BASELINE in packages:
         draws["baseline"] = packages[ab.BASELINE].gaussian_field
     row = ab.race({name: lambda draw=draw: draw_all(draw) for name, draw in draws.items()}, repeat)
@@ -90,7 +103,8 @@ def measure_field(repeat, packages):
         draw_all(draw)
         for lo, hi in runs:
             want = oracles.gaussian_field_whole(SEED, hi - lo, FIELD_STEPS, lo)
-            if not all(np.array_equal(f[lo:hi], w) for f, w in zip(fields, want)):
+            same = np.array_equal if name == "kernel" else within_rounding
+            if not all(same(f[lo:hi], w) for f, w in zip(fields, want)):
                 raise SystemExit(f"gaussian_field ({name}): streams {lo}..{hi} differ from the oracle")
     return {"n_streams": FIELD_STREAMS, "n_steps": FIELD_STEPS, "run_streams": FIELD_RUN,
             "bit_identical": True, **row}
@@ -125,10 +139,14 @@ def main():
             "oracle": "tests/oracles.py philox_field_blocks: Philox rounds in numpy, "
             "32-bit limbs, all counters at once",
             "gaussian_field.kernel": "kernels.gaussian_field: one block per stream and step "
-            "pair, four normals per block",
+            "pair, four normals per block, the angle legs from a table and polynomials",
+            "gaussian_field.glibc_angles": "tests/oracles.py gaussian_field_glibc_angles: "
+            "the replaced four-normal kernel, the angle legs by numpy's cos and sin",
             "gaussian_field.two_normals": "tests/oracles.py gaussian_field_two_normals: "
             "the replaced kernel, one block per stream and step, two normals per block",
             "baseline": "the baseline source tree's philox4x64 or gaussian_field",
+            "bit_identical": "the generator's blocks and the kernel's fields equal the oracles' "
+            "bit for bit; the other four-normal fields equal them within rounding",
             "paired": "per name, its median time ratio to the generator or kernel over ABBA "
             "rounds, with a sign-test 95% interval",
         },

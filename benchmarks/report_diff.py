@@ -31,7 +31,8 @@ runs, a summary per corpus family (the name up to its first ``/``) counts
 the reports that differ and the exit codes that moved, and one per record
 family (the tag up to its first ``[``) counts the records that moved (and
 of them those only at the commit, removed, and those only in the working
-tree, added), the largest |change| of a value, and the verdicts and
+tree, added), the largest |change| of a value, absolute and relative to
+the commit's value, and the verdicts and
 ``worst_node`` entries that moved. The exit status is 1 when
 any document differs. Usage:
 
@@ -210,14 +211,15 @@ def first_difference(a, b):
 class Summary:
     """Moves per corpus family (reports differing, exit codes) and per
     record family (records, records only at ``rev`` and only in the
-    working tree, largest |change| of a value, verdicts, ``worst_node``
-    entries)."""
+    working tree, largest |change| of a value, absolute and relative to the
+    value at ``rev``, verdicts, ``worst_node`` entries)."""
 
     def __init__(self, rev="HEAD"):
         self.rev = rev
         self.docs = defaultdict(lambda: {"runs": 0, "reports": 0, "exit": 0})
         self.families = defaultdict(
-            lambda: {"records": 0, "removed": 0, "added": 0, "value": 0.0, "verdict": 0, "worst_node": 0}
+            lambda: {"records": 0, "removed": 0, "added": 0, "value": 0.0, "relative": 0.0,
+                     "verdict": 0, "worst_node": 0}
         )
 
     def add(self, name, base, tree):
@@ -239,6 +241,8 @@ class Summary:
             va, vb = a.get("value"), b.get("value")
             if isinstance(va, (int, float)) and isinstance(vb, (int, float)) and va != vb:
                 moved["value"] = max(moved["value"], abs(va - vb))
+                relative = abs(va - vb) / abs(va) if va else float("inf")
+                moved["relative"] = max(moved["relative"], relative)
             moved["verdict"] += a.get("verdict") != b.get("verdict")
             moved["worst_node"] += a.get("worst_node") != b.get("worst_node")
 
@@ -248,13 +252,13 @@ class Summary:
             out.append(f"  {name}: {doc['runs']} runs, {doc['reports']} differ, {doc['exit']} exit moves")
         out.append(
             f"record family: records moved, only at {self.rev}, only in the working tree, "
-            "largest |change| of a value, verdict moves, worst_node moves"
+            "largest |change| of a value (absolute, relative), verdict moves, worst_node moves"
         )
         for name, moved in sorted(self.families.items()):
             out.append(
                 f"  {name}: {moved['records']} moved, {moved['removed']} only at {self.rev}, "
                 f"{moved['added']} only in the working tree, "
-                f"|change| <= {moved['value']:.3g}, "
+                f"|change| <= {moved['value']:.3g} (relative {moved['relative']:.3g}), "
                 f"{moved['verdict']} verdict moves, {moved['worst_node']} worst_node moves"
             )
         if not self.families:

@@ -47,7 +47,7 @@ once, at those columns, and run the checks in one pass::
 which is ``run_mc_checks(bundle, gamma0, a0, checks)``. A bundle of more
 columns (the full grid, say) is read the same way; one that lacks a
 simulated column is refused. The pass plans one density per distinct
-pair of loads (nu1 on B, nu2 on W), compared bit for bit, built once at
+pair of loads (nu1 on B, nu2 on W), compared by value, built once at
 the union of the columns its readers need (a load's, the optimum's and
 the forward check's z~, B-load theta - delta); the densities of a run
 share one B integral (``density_path``). It reads 1/gamma at
@@ -319,12 +319,19 @@ def mc_mean_test(
 # -- candidate load families --------------------------------------------
 
 
+def _load_key(nu: np.ndarray) -> bytes:
+    """The bytes of a per-step load with every -0.0 made +0.0 (nu + 0.0),
+    so that two loads equal at every step have one key."""
+    return (nu + 0.0).tobytes()
+
+
 def repeated_load(family: dict[str, np.ndarray]) -> tuple[str, str] | None:
     """The labels (earlier, later) of the first two per-step loads of
-    ``family`` equal bit for bit, as the density planner compares them."""
+    ``family`` equal at every step, as the density planner compares them:
+    bit for bit, but with -0.0 read as +0.0 (``_load_key``)."""
     first: dict[bytes, str] = {}
     for label, nu in family.items():
-        if (earlier := first.setdefault(nu.tobytes(), label)) != label:
+        if (earlier := first.setdefault(_load_key(nu), label)) != label:
             return earlier, label
     return None
 
@@ -471,8 +478,8 @@ class MonteCarloPass:
     (``inverse-gamma-mean`` alone).
 
     ``densities`` is the plan: one (nu1, nu2, columns) per distinct pair
-    of per-step loads, compared bit for bit, at the union of the columns
-    its readers need. The readers are each load of the family at
+    of per-step loads, compared by value (``_load_key``), at the union of
+    the columns its readers need. The readers are each load of the family at
     ``columns`` (nu1 = theta), the forward check's z~ of each load at the
     horizon (nu1 = theta - delta, which is theta when delta = 0) and the
     optimum load phi at its indices. On the first ``gather`` the pass
@@ -584,13 +591,13 @@ class MonteCarloPass:
         }
         self.roundings = 30 * n_steps + 71
         # one density per distinct pair (nu1 on B, nu2 on W) of per-step
-        # loads, compared bit for bit, at the union of its readers' columns
+        # loads, compared by value, at the union of its readers' columns
         plans: list[tuple[np.ndarray, np.ndarray, set[int]]] = []
         planned: dict[tuple[bytes, bytes], int] = {}
         self._density_of: dict = {}  # reader -> index into self.densities
 
         def plan(reader, nu1, nu2, columns):
-            key = (nu1.tobytes(), nu2.tobytes())
+            key = (_load_key(nu1), _load_key(nu2))
             if key not in planned:
                 planned[key] = len(plans)
                 plans.append((nu1, nu2, set()))

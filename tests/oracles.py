@@ -21,8 +21,9 @@ window's primal and dual programs rebuilt by a fresh call, (for the
 conditional entropy and the martingale
 property of a tree measure) sums over leaves and nodes from their
 definitions, (for the random kernels) the Philox rounds and the reduction
-tree computed from their definitions, with the replaced two-normal
-Gaussian kernel and zero-padded pairwise sum kept beside them as they
+tree computed from their definitions, the angle legs from their own
+table and whole-array polynomials, with the replaced two-normal and
+glibc-angle Gaussian kernels and zero-padded pairwise sum kept as they
 were, (for the entropy kernel) the replaced ``np.where`` form, (for the
 factor solve and the one-step vertices, which the window programs' interior
 points and the product-measure count also read here) the replaced forms on
@@ -1422,23 +1423,105 @@ def philox_field_blocks(seed, n_streams, n_steps, stream_offset=0, step_offset=0
     return philox4x64(seed, 0, c0, c1)
 
 
+def angle_table(bits):
+    """cos and sin of 2 pi k / 2**bits, one point at a time: a point of the
+    first octant from math.cos and math.sin, one of the second from its
+    reflection in pi / 4, and any other from its quarter turns of a point
+    of the first quadrant, each mapping (cos, sin) to (0.0 - sin, cos)."""
+    n = 2**bits
+    q = n // 4
+    cos, sin = np.empty(n), np.empty(n)
+    for k in range(n):
+        turns, j = divmod(k, q)
+        if 2 * j <= q:
+            t = 2.0 * math.pi * (j / n)
+            c, s = math.cos(t), math.sin(t)
+        else:
+            t = 2.0 * math.pi * ((q - j) / n)
+            c, s = math.sin(t), math.cos(t)
+        for _ in range(turns):
+            c, s = 0.0 - s, c
+        cos[k], sin[k] = c, s
+    return cos, sin
+
+
+def angle_legs(words, bits=kernels.ANGLE_BITS):
+    """cos and sin of the Box-Muller angle 2 pi ((w >> 11) + 1/2) 2**-53 of
+    each uint64 word, by the table and polynomials the kernel evaluates,
+    over whole arrays and out of place: the word's top ``bits`` bits pick
+    the table point, the 53 - bits below them (plus 1/2) times
+    2 pi 2**-53 give the residual angle delta."""
+    m = words >> np.uint64(11)
+    k = (m >> np.uint64(53 - bits)).astype(np.intp)
+    low = (m & np.uint64(2 ** (53 - bits) - 1)).astype(np.float64) + 0.5
+    delta = low * (2.0 * np.pi * 2.0**-53)
+    cos_t, sin_t = angle_table(bits)
+    c, s = cos_t[k], sin_t[k]
+    z = delta * delta
+    sin_delta = ((z * (1.0 / 120.0) - 1.0 / 6.0) * z) * delta + delta
+    cos_delta_m1 = ((z * (-1.0 / 720.0) + 1.0 / 24.0) * z - 0.5) * z
+    return (
+        c + (c * cos_delta_m1 - s * sin_delta),
+        s + (s * cos_delta_m1 + c * sin_delta),
+    )
+
+
 def gaussian_field_whole(seed, n_streams, n_steps, stream_offset=0):
     """Full Box-Muller on the oracle's blocks, over whole arrays and out of
     place: the formula the tiled, in-place kernel must match bit for bit.
     The block at step j serves steps 2j (r cos) and 2j + 1 (r sin); an odd
-    last step keeps only the cos legs."""
+    last step keeps only the cos legs. The radius reads the word's uniform,
+    the angle legs come from ``angle_legs``."""
     n_pairs = (n_steps + 1) // 2
     blocks = philox_field_blocks(seed, n_streams, n_pairs, stream_offset)
     u = ((blocks >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     fields = []
     for w in (0, 2):
         r = np.sqrt(-2.0 * np.log(u[:, w]))
-        angle = (2.0 * np.pi) * u[:, w + 1]
-        legs = np.stack([r * np.cos(angle), r * np.sin(angle)])
+        legs = np.stack([r * leg for leg in angle_legs(blocks[:, w + 1])])
         # (pair, leg, stream) -> step 2 * pair + leg
         steps = legs.reshape(2, n_pairs, n_streams).transpose(1, 0, 2)
         fields.append(steps.reshape(2 * n_pairs, n_streams)[:n_steps].T)
     return tuple(fields)
+
+
+def gaussian_field_glibc_angles(seed, n_streams, n_steps, stream_offset=0, out=None, work=None):
+    """The replaced four-normal kernel, kept as it was: the angle legs by
+    numpy's sin and cos of 2 pi u, u the angle word's uniform, tiled and
+    in place. Its fields differ from ``kernels.gaussian_field``'s by
+    rounding only. ``benchmarks/bench_kernels.py`` times
+    ``gaussian_field`` against it."""
+    if out is None:
+        out = (np.empty((n_streams, n_steps)), np.empty((n_streams, n_steps)))
+    if work is None:
+        work = kernels.Workspace()
+    n_pairs = (n_steps + 1) // 2
+    width = max(1, min(n_streams, kernels.TILE_BLOCKS))
+    depth = max(1, kernels.TILE_BLOCKS // width)
+    for i0 in range(0, n_streams, width):
+        i1 = min(i0 + width, n_streams)
+        m = i1 - i0
+        for j0 in range(0, n_pairs, depth):
+            j1 = min(j0 + depth, n_pairs)
+            nj = j1 - j0
+            blocks = kernels.philox4x64(
+                seed, m, nj, int(stream_offset) + i0, j0,
+                out=work.take("blocks", (nj * m, 4), np.uint64),
+            )
+            u = kernels.uniform_open(blocks.T, out=work.take("uniforms", (4, nj * m)))
+            u = u.reshape(4, nj, m)
+            for z, (r, a) in zip(out, (u[:2], u[2:])):
+                np.log(r, out=r)
+                r *= -2.0
+                np.sqrt(r, out=r)
+                a *= 2.0 * np.pi
+                steps = z[i0:i1, 2 * j0 : min(2 * j1, n_steps)].T
+                odd = steps[1::2]
+                np.sin(a[: len(odd)], out=odd)
+                odd *= r[: len(odd)]
+                np.cos(a, out=a)
+                np.multiply(r, a, out=steps[0::2])
+    return out
 
 
 def gaussian_field_two_normals(seed, n_streams, n_steps, stream_offset=0, out=None, work=None):

@@ -249,6 +249,7 @@ def test_report_diff_runs_two_imports_of_a_tree_side_by_side(tmp_path):
     assert list(summary.families) == ["forward-supermartingale"]
     family = summary.families["forward-supermartingale"]
     assert family["value"] == pytest.approx(0.5)
+    assert family["relative"] == pytest.approx(0.5 / abs(json.loads(text)["checks"][tag]["value"]))
     assert family == dict(family, records=1, verdict=1, worst_node=0, removed=0, added=0)
     before = dict(family)
     moved["checks"]["forward-supermartingale[t=9,T=9]"] = moved["checks"].pop(tag)

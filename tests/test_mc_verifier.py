@@ -228,6 +228,12 @@ def test_pass_refuses_a_repeated_load():
             CLEAN, 8, 200, ["inverse-gamma-mean"], 1.0, 0.0, True,
             nu_family={"a": 0.3, "0": 0.0, "b": np.full(8, 0.3)},
         )
+    # -0.0 and +0.0 are one load, though their bytes differ
+    with pytest.raises(ValueError, match=r"^loads 'a' and 'b' are equal at every step$"):
+        MonteCarloPass(
+            CLEAN, 8, 200, ["inverse-gamma-mean"], 1.0, 0.0, True,
+            nu_family={"a": np.zeros(8), "b": np.where(np.arange(8) % 2, -0.0, 0.0)},
+        )
 
 
 @pytest.mark.parametrize("time_indices", [[], [0], [0, 0]])
