@@ -22,7 +22,10 @@ The corpus:
   (``explicit``, ``solve`` and ``random`` on ``random_tree(7,
   periods=4)``), built by ``tests/treegen.py`` with the working tree's
   package;
-- perfbench's ``tree-suite`` and ``tree-deep`` scenarios of seeds 1-10.
+- perfbench's ``tree-suite`` and ``tree-deep`` scenarios of seeds 1-10;
+- two lopsided ``tree-verify`` scenarios (``tests/treegen.py``'s
+  ``lopsided_scenario``): root moves 1 and -1e-13, whose ratio passes
+  1e12, and root moves 1e308 and -1e308, whose difference overflows.
 
 An ``ito-verify`` document runs at the default ``cli.DRAW_BUDGET`` and at
 every ``--draw-budget`` given (1000 by default), set on both sides; a
@@ -81,6 +84,17 @@ def perfbench_docs(names):
     return docs
 
 
+def import_treegen():
+    """``tests/treegen.py``, which builds its trees with the working tree's
+    package."""
+    for path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    import treegen
+
+    return treegen
+
+
 def pinned_tree_docs():
     """The pinned ``tree-verify`` scenarios of ``tests/test_cli.py``: the
     default scenario on random_tree(7, periods=4) with the gamma of
@@ -88,14 +102,11 @@ def pinned_tree_docs():
     shift solved from the same terminal values with the root moved by 0.1
     (``solve``), and at the solved shift plus normal noise of scale 0.3
     (``random``)."""
-    for path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")):
-        if path not in sys.path:
-            sys.path.insert(0, path)
     import numpy as np
-    from treegen import random_tree, solved_field
 
-    tree = random_tree(7, periods=4)
-    field = solved_field(tree, 7)
+    treegen = import_treegen()
+    tree = treegen.random_tree(7, periods=4)
+    field = treegen.solved_field(tree, 7)
     rng = np.random.default_rng(74)
     shifts = {
         "explicit": {"mode": "explicit", "values": field.a_shift},
@@ -121,6 +132,16 @@ def pinned_tree_docs():
             },
         )
         for case, a_shift in shifts.items()
+    ]
+
+
+def lopsided_tree_docs():
+    """The lopsided ``tree-verify`` scenarios: root moves whose ratio is
+    1e13, and root moves of +-1e308."""
+    lopsided_scenario = import_treegen().lopsided_scenario
+    return [
+        ("lopsided/ratio=1e13", lopsided_scenario(1.0, -1e-13)),
+        ("lopsided/moves=1e308", lopsided_scenario(1e308, -1e308, 0.0)),
     ]
 
 
@@ -151,7 +172,7 @@ def corpus():
                 docs.append((f"readme/delta={delta}/{label}/antithetic={antithetic}", doc))
     phi_0 = readme_doc(dict(README_MODEL, phi=0.0), list(MC_CHECKS), True)
     docs.append(("readme/phi=0/suite/antithetic=True", phi_0))
-    return docs + pinned_tree_docs() + perfbench_docs(("tree-suite", "tree-deep"))
+    return docs + pinned_tree_docs() + perfbench_docs(("tree-suite", "tree-deep")) + lopsided_tree_docs()
 
 
 def load_cli(src, alias):

@@ -107,7 +107,8 @@ def philox4x64(seed, n_streams, n_steps, stream_offset=0, step_offset=0, out=Non
     (s-1, k, 0, 0), or for s = 0 at (2**64-1, k-1, 0, 0), or at all ones
     for s = k = 0, where the increment carries through every word. With
     the buffer emptied, one ``random_raw`` call then yields the step's
-    blocks in stream order.
+    blocks in stream order. ``random_raw`` takes no output array, so
+    each step's words are allocated afresh and copied into ``out``.
     """
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     state = bitgen.state
@@ -165,12 +166,14 @@ def pairwise_sum(x, work=None):
 
 
 def uniform_open(blocks, out=None):
-    """Map uint64 words to float64 in (0, 1]: ((w >> 11) + 0.5) * 2**-53.
+    """Map uint64 words to float64 in (0, 1]: fl(m + 0.5) * 2**-53, m = w >> 11.
 
-    Never returns 0, so log() downstream is always finite. The shifted
-    words are written straight into the one float64 result (exact, being
-    below 2**53), ``out`` when given, which is then finished in place;
-    ``blocks`` is unchanged.
+    m + 0.5 is exact below 2**52; from there it is a tie, rounded to the
+    even of m and m + 1, and the all-ones word gives 1.0. Never returns 0,
+    so log() downstream is always finite. The shifted words are written
+    straight into the one float64 result (exact, being below 2**53),
+    ``out`` when given, which is then finished in place; ``blocks`` is
+    unchanged.
     """
     u = np.empty(blocks.shape, dtype=np.float64) if out is None else out
     _check_out(u, blocks.shape, np.float64)
@@ -185,8 +188,9 @@ def _angle_legs(a, cos_out, scratch, n_sin):
     each 53-bit integer m (a word's top 53 bits) held in the float64 array
     ``a``: cos into ``cos_out``, sin in place in the first ``n_sin`` rows
     of ``a``. ``scratch`` holds four float64 arrays of a's shape, which
-    are overwritten; nothing is allocated. The legs use only numpy's
-    +, -, *, floor, casts and ``take``, which round alike on every CPU.
+    are overwritten; the legs allocate no array, but numpy buffers their
+    writes into a strided ``cos_out``. They use only numpy's +, -, *,
+    floor, casts and ``take``, which round alike on every CPU.
 
     With b = ANGLE_BITS and N = 2**b, m 2**(b - 53) = k + f splits
     exactly: k is m's top b bits and f < 1 the rest. So
@@ -289,7 +293,9 @@ def gaussian_field(seed, n_streams, n_steps, stream_offset=0, out=None, work=Non
     even-step rows and is scaled there by r, then r sin in the odd-step
     rows. The tile's blocks and rows live in the ``Workspace`` ``work``
     (a fresh one by default), so repeated calls on one workspace allocate
-    nothing.
+    no tile buffer; but ``philox4x64`` takes each step pair's words afresh
+    (256 KB at ``TILE_BLOCKS`` streams), and numpy buffers its casts and,
+    in tiles of several step pairs, its writes into the strided rows.
     """
     if n_streams < 0 or n_steps <= 0:
         raise ValueError("need n_streams >= 0 and n_steps >= 1")

@@ -11,9 +11,12 @@ One-step martingale measures at a node form the polytope
 
 described exactly by its vertices: basic feasible solutions have support of
 size <= 2, so closed-form enumeration over singletons and pairs replaces an
-LP and is exact. Absolutely continuous martingale measures over a window
-are compositions of one-step choices, and may put mass zero on whole
-subtrees.
+LP and is exact. A child can carry mass iff some vertex gives it positive
+mass: iff its increment is zero or another child's has the opposite sign,
+wherever the pair masses are representable (the increments' ratio below
+about 2**1074). No tolerance decides it. Absolutely continuous martingale
+measures over a window are compositions of one-step choices, and may put
+mass zero on whole subtrees.
 
 The set of those compositions is rectangular: each node picks its one-step
 measure independently of every other node (Epstein & Schneider,
@@ -47,7 +50,6 @@ import numpy as np
 from .errors import ArbitrageError, ScenarioError, TreeStructureError
 from .report import CheckRecord, VerificationReport
 
-_VERTEX_TOL = 1e-12
 _PROB_SUM_TOL = 1e-9  # |sum of branch probabilities - 1| that validate_tree allows
 _MASS_TOL = 1e-15  # window nodes at or below this mass keep reference conditionals
 _MEASURE_TOL = 1e-9  # negative entries and |sum - 1| that TreeMeasure.validate allows
@@ -325,36 +327,23 @@ def one_step_vertices(dprices) -> np.ndarray:
     """Vertices of {q >= 0, sum q = 1, sum q*d = 0} as an (n_vertices, m) array.
 
     Basic feasible solutions have support <= 2 (two equality constraints):
-    singletons need d = 0, pairs need increments of opposite sign. Exact
-    closed forms on Python floats, deterministic order (singletons by
-    index, then pairs lexicographically), duplicates dropped.
+    a singleton at each zero increment, by index, then a pair at each two
+    increments of opposite sign, i < j, in closed form. No two share a
+    support, so nothing repeats. Each pair works on its increments over a
+    power of two above the larger, which is exact while the smaller stays
+    normal and keeps their difference finite.
     """
     d = [float(x) for x in dprices]
     m = len(d)
-    verts = []
-
-    def _push(v):
-        if not any(all(abs(x - y) <= _VERTEX_TOL for x, y in zip(seen, v)) for seen in verts):
-            verts.append(v)
-
-    for j in range(m):
-        if d[j] == 0.0:
-            v = [0.0] * m
-            v[j] = 1.0
-            _push(v)
+    verts = [[float(k == j) for k in range(m)] for j in range(m) if d[j] == 0.0]
     for i in range(m):
         for j in range(i + 1, m):
-            den = d[j] - d[i]
-            if den == 0.0:
-                continue
-            qi = d[j] / den
-            qj = -d[i] / den
-            if qi < 0.0 or qj < 0.0:
-                continue
-            v = [0.0] * m
-            v[i] = qi
-            v[j] = qj
-            _push(v)
+            if d[i] < 0.0 < d[j] or d[j] < 0.0 < d[i]:
+                e = -math.frexp(max(abs(d[i]), abs(d[j])))[1]
+                di, dj = math.ldexp(d[i], e), math.ldexp(d[j], e)
+                v = [0.0] * m
+                v[i], v[j] = dj / (dj - di), -di / (dj - di)
+                verts.append(v)
     return np.array(verts) if verts else np.empty((0, m))
 
 
@@ -382,14 +371,11 @@ class NodePolytope:
 
     @cached_property
     def charged(self):
-        """``(kids, rows)``: the children some vertex gives mass above the
-        vertex tolerance, and the vertices' masses on them, zero at or below it."""
+        """``(kids, rows)``: the children some vertex gives positive mass,
+        and the vertices' masses on them."""
         rows = self.vertices.tolist()
-        cols = [j for j in range(len(self.children)) if max(v[j] for v in rows) > _VERTEX_TOL]
-        return (
-            tuple(self.children[j] for j in cols),
-            tuple(tuple(v[j] if v[j] > _VERTEX_TOL else 0.0 for j in cols) for v in rows),
-        )
+        cols = [j for j in range(len(self.children)) if any(v[j] for v in rows)]
+        return tuple(self.children[j] for j in cols), tuple(tuple(v[j] for j in cols) for v in rows)
 
 
 def node_polytope(tree: EventTree, nid: str, allowed=None) -> NodePolytope:
@@ -524,8 +510,8 @@ def _window_vertices(tree: EventTree, T: int) -> dict[str, tuple]:
     Maps each node before T that some measure on [time(node), T] gives full
     mass (a feasible node) to ``(kids, rows)``: its one-step vertices
     restricted to feasible children, as tuples aligned with ``kids``, the
-    children some vertex gives mass above the vertex tolerance, with masses
-    at or below it set to zero. Time-T nodes are feasible.
+    children some vertex gives positive mass (``NodePolytope.charged``).
+    Time-T nodes are feasible.
     """
     table: dict[str, tuple] = {}
     for s in range(T - 1, -1, -1):
@@ -569,7 +555,7 @@ def enumerate_product_measures(
         for v in verts:
             partials: list[dict[str, tuple[float, ...]]] = [{nid: tuple(float(x) for x in v)}]
             for j, child in enumerate(children):
-                if v[j] <= _VERTEX_TOL:
+                if not v[j]:
                     continue
                 child_choices = expand(child)
                 partials = [

@@ -648,8 +648,8 @@ class _Sweep:
         g_node, top = _at_nodes(gamma, nodes), ash.max(axis=1)
         price = np.ldexp(dprice, -np.frexp(np.abs(dprice).max(axis=1))[1][:, None]) if dprice.any() else None
         r0 = np.array([self.duals.centroid(n) for n in nodes])
-        # the overflows on the way print no warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the overflows and divisions by zero on the way print no warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             q, _, info = barrier_minimize(_one_step_objective(p, gam / g_node[:, None], ash - top[:, None]), r0, price)
             shift = top - 1.0 - info["value"]
         kkt = (info["gap_bound"] + info["eq_residual"]).tolist()

@@ -438,9 +438,12 @@ def numpy_minimize_exp_sum(weights, slopes):
 
 
 def numpy_one_step_vertices(dprices):
-    """``tree_market.one_step_vertices`` as the package built it on numpy
-    arrays: singletons at zero increments, then pairs of opposite sign,
-    each row dropped when within 1e-12 of an earlier one in every entry."""
+    """The replaced ``tree_market.one_step_vertices``, on numpy arrays:
+    singletons at zero increments, then pairs of opposite sign on the raw
+    increments, each row dropped when within 1e-12 of an earlier one in
+    every entry. The package's exact vertices drop nothing and scale each
+    pair; they agree bit for bit where the increments' opposite-sign
+    ratios are below 1e12 - 1 and no pair's difference overflows."""
     d = np.asarray(dprices, dtype=float)
     m = d.size
     verts = []

@@ -29,6 +29,7 @@ from forwardperf.cli import main, run_ito_scenario
 from forwardperf.errors import ScenarioError
 from treegen import (
     binomial_tree,
+    lopsided_scenario,
     mid_arbitrage_tree,
     random_tree,
     solved_field,
@@ -936,6 +937,37 @@ def test_tree_scenario_solves_dual_programs_over_increments_past_1e154(tmp_path,
     assert (got, capsys.readouterr().err, report["all_passed"]) == (code, "", code == 0)
     dual = report["checks"]["dual-self-generation[t=0,T=1]"]
     assert dual["verdict"] == ("pass" if code == 0 else "fail")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "up, down, psi_root", [(1.0, -1e-13, 0.25), (1e308, -1e308, 0.0)], ids=["ratio-1e13", "moves-1e308"]
+)
+def test_tree_scenario_runs_lopsided_root_moves(tmp_path, capsys, up, down, psi_root):
+    # root moves whose ratio is 1e13, or whose difference overflows: a
+    # vertex tolerance of 1e-12 gave the small move's child no mass, and
+    # the overflowing pair was the vertex [0, 0], so the tree was refused
+    # as arbitrage (exit 2). Exact vertices charge both children
+    code = main(["run", write_scenario(tmp_path, lopsided_scenario(up, down, psi_root))])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert (code, err, report["all_passed"]) == (0, "", True)
+    assert report["checks"]["nflvr"]["verdict"] == "pass"
+    assert {rec["verdict"] for rec in report["checks"].values()} == {"pass"}
+
+
+@pytest.mark.parametrize("rho", [1e170, 1e300])
+def test_tree_scenario_refuses_a_root_program_past_the_barrier_range(tmp_path, rho):
+    # root moves 1 and -1/rho: the root's vertex centroid gives the move 1
+    # a mass of about 1/rho, whose square underflows in barrier_minimize
+    # from rho of about 1e160. The sweep refuses the program with one
+    # error line; a division by zero there printed a RuntimeWarning first
+    proc = run_with_warnings_printed(tmp_path, lopsided_scenario(1.0, -1.0 / rho))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(
+        "error: dual program below node 'r' on [0, 2]: barrier_minimize: Newton step 1 is not finite"
+    )
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 def fail_if_solved(monkeypatch):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,15 @@ def test_uniform_open_bounds_exact():
     # the range is (0, 1], never 0, and log() stays finite
     assert hi[0] == 1.0
     assert lo[0] > 0.0
+
+
+def test_uniform_open_rounds_its_ties_to_even():
+    # m + 0.5 is exact below m = 2**52; from there it is a tie between m
+    # and m + 1, which rounds to the even one
+    m = np.array([2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1], dtype=np.uint64)
+    u = uniform_open(m << np.uint64(11))
+    assert u.tolist() == [(2**52 - 0.5) * 2.0**-53, 0.5, 0.5 + 2.0**-52, 1.0]
+    assert uniform_open(np.array([U64_MAX], dtype=np.uint64)).tolist() == [1.0]
 
 
 def test_uniform_open_never_zero():
@@ -294,6 +304,23 @@ def test_gaussian_field_runs_split_by_the_stream_budget():
         got = gaussian_field(23, hi - lo, 4, lo, work=work)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w[lo - 3 : hi - 3])
+
+
+def test_gaussian_field_warm_call_peaks_at_one_step_of_words():
+    # on a warm workspace the tiles allocate no buffer of their own; the
+    # peak is philox4x64's fresh words for one step pair of a full-width
+    # tile (random_raw takes no output array), plus a few KB of numpy's
+    out = (np.empty((100_000, 2)), np.empty((100_000, 2)))
+    work = Workspace()
+    gaussian_field(3, 100_000, 2, out=out, work=work)
+    tracemalloc.start()
+    try:
+        gaussian_field(3, 100_000, 2, out=out, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words = 4 * TILE_BLOCKS * 8
+    assert words <= peak <= words + 16_384
 
 
 def test_gaussian_field_moments():

@@ -4,6 +4,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -311,7 +312,8 @@ def test_vertices_zero_singleton():
 
 def _vertex_increments(rng):
     """Increments with zeros of both signs, opposite-sign pairs, and
-    near-duplicates that make pairs land within the vertex tolerance."""
+    near-duplicates that made pairs land within the replaced 1e-12 vertex
+    tolerance."""
     kind = rng.integers(4)
     m = int(rng.integers(1, 7))
     d = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3, size=m)
@@ -319,25 +321,83 @@ def _vertex_increments(rng):
         d[rng.random(m) < 0.4] = rng.choice([0.0, -0.0])
     elif kind == 2:
         # a tiny increment against others of one sign: the pairs through
-        # it are all near the singleton at it, and only the first stays
+        # it are all near the singleton at it
         d = np.concatenate([[1e-14 * rng.choice([-1.0, 1.0])], -np.abs(d), np.abs(d[:2])])
     elif kind == 3:
         d = np.concatenate([d, d + 1e-13, -d])
     return d.tolist()
 
 
+def _opposite_sign_ratio(d):
+    """The largest ratio |d_i| / |d_j| over increments of opposite sign (0
+    when there are none)."""
+    return max((abs(x) / abs(y) for x in d for y in d if min(x, y) < 0.0 < max(x, y)), default=0.0)
+
+
 def test_vertices_match_numpy_oracle_bit_for_bit():
+    # the replaced build dropped a vertex within 1e-12 of an earlier one.
+    # A pair through a zero increment is that increment's singleton, and
+    # two opposite-sign pairs have other supports, so they agree within
+    # 1e-12 only where both give their shared child mass >= 1 - 1e-12,
+    # which needs a ratio of at least 1e12 - 1 between its increment and
+    # the other's: below it the builds agree bit for bit, and above it
+    # the replaced build's rows are some of the exact rows, in order
     rng = np.random.default_rng(12)
     near = 0
     for _ in range(800):
         d = _vertex_increments(rng)
         got, want = one_step_vertices(d), oracles.numpy_one_step_vertices(d)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes(), d
-        # without zeros, each opposite-sign pair is a vertex; fewer rows
-        # means near-duplicates were dropped
-        near += 0.0 not in d and got.shape[0] < sum(x * y < 0.0 for i, x in enumerate(d) for y in d[i + 1 :])
+        assert got.dtype == want.dtype and got.shape[1] == want.shape[1]
+        if _opposite_sign_ratio(d) < 1e12 - 1:
+            assert got.tobytes() == want.tobytes(), d
+            continue
+        near += 1
+        rows = [r.tobytes() for r in want]
+        assert [r for r in (r.tobytes() for r in got) if r in rows] == rows, d
     assert near > 50
+
+
+def _wide_increments(rng):
+    """Increments of one to six children, zeros among them, spread over
+    up to 300 decades (+-1e308 and the largest float included)."""
+    m = int(rng.integers(1, 7))
+    top = rng.choice([308.0, float(rng.uniform(-7.0, 308.0))])
+    d = rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(top - 300.0, top, size=m)
+    if top == 308.0:
+        extremes = [-1e308, 1e308, -np.finfo(float).max, np.finfo(float).max]
+        d[rng.random(m) < 0.3] = rng.choice(extremes)
+    d[rng.random(m) < 0.2] = 0.0
+    return d.tolist()
+
+
+def test_vertices_are_exact_and_distinct():
+    # a pair's masses are b / D and -a / D, with a and b its increments
+    # over a power of two above the larger and D = fl(b - a): each has
+    # one rounding after D's, so (exactly, in fractions) |sum q - 1| and
+    # |sum q s| / min(|a|, |b|) are within 2u / (1 - u), u = 2**-53
+    u = 2.0**-53
+    bound = Fraction(2 * u) / (1 - Fraction(u))
+    rng = np.random.default_rng(64)
+    for _ in range(3000):
+        d = _wide_increments(rng)
+        verts = one_step_vertices(d)
+        assert verts.shape[0] == d.count(0.0) + sum(x < 0.0 for x in d) * sum(x > 0.0 for x in d)
+        supports = [tuple(np.flatnonzero(v)) for v in verts]
+        assert len(set(supports)) == len(supports), d
+        for v, support in zip(verts, supports):
+            if len(support) == 1:
+                assert d[support[0]] == 0.0 and v[support[0]] == 1.0
+                continue
+            i, j = support
+            assert min(d[i], d[j]) < 0.0 < max(d[i], d[j])
+            e = -math.frexp(max(abs(d[i]), abs(d[j])))[1]
+            a, b = Fraction(math.ldexp(d[i], e)), Fraction(math.ldexp(d[j], e))
+            qi, qj = Fraction(v[i]), Fraction(v[j])
+            assert abs(qi + qj - 1) <= bound, d
+            assert abs(qi * a + qj * b) <= bound * min(abs(a), abs(b)), d
+    big = np.finfo(float).max
+    for x in (1e308, big):
+        assert one_step_vertices([x, -x]).tolist() == [[0.5, 0.5]]
 
 
 def test_nflvr_passes_on_standard_trees():

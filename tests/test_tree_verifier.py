@@ -48,6 +48,7 @@ from treegen import (
     binomial_tree,
     constant_field,
     ito_tree,
+    lopsided_scenario,
     mid_arbitrage_tree,
     random_tree,
     replicable_gamma,
@@ -1843,6 +1844,37 @@ def test_forward_checks_match_enumeration_oracle():
     # the suite has binomial-only trees, and windows whose violation lies
     # inside a polytope, where the worst vertex passes
     assert binomial > 0 and missed > 0
+
+
+def test_lopsided_root_records_match_enumeration_oracles():
+    # root moves 1 and -1e-13: a vertex tolerance of 1e-12 gave u no mass
+    # and refused the tree as arbitrage. With exact vertices the
+    # inverse-gamma and forward records agree with the oracles that list
+    # every product measure. Every node has two children, so each one-step
+    # polytope is a point and the forward records are the listed worst
+    tol = 1e-6
+    tree = EventTree.from_dict(lopsided_scenario(1.0, -1e-13)["tree"])
+    assert check_nflvr(tree)[0]
+    solved = solved_field(tree, 3)
+    pairs = _window_pairs(tree)
+    rng = np.random.default_rng(13)
+    drawn = {n: float(rng.uniform(0.5, 2.0)) for n in tree._dfs_order}
+    for gamma in (solved.gamma, drawn):
+        rep = check_exponential_conditions(tree, ExponentialFieldParams(gamma, solved.a_shift), pairs, tol=tol)
+        for t, T in pairs:
+            want, _ = oracles.inverse_gamma_gap_by_enumeration(tree, gamma, t, T)
+            rec = rep[f"exp-condition-inverse-gamma-martingale[t={t},T={T}]"]
+            assert max(rec.value, want) <= ROUNDING or min(rec.value, want) > tol, (t, T)
+            assert rec.verdict == (want <= tol)
+            if T == t + 1:
+                assert rec.value == pytest.approx(want, abs=ROUNDING)
+    for field in (solved, with_offsets(solved, {"r": 0.1}), with_offsets(solved, {"r": -0.1})):
+        rep = check_forward_supermartingale(tree, field, pairs, tol=tol)
+        for t, T in pairs:
+            want, _ = oracles.worst_forward_drift_by_enumeration(tree, field.gamma, field.a_shift, t, T)
+            rec = rep[f"forward-supermartingale[t={t},T={T}]"]
+            assert rec.value == pytest.approx(want, abs=1e-12), (t, T)
+            assert rec.verdict == (want <= tol)
 
 
 def test_forward_supermartingale_finds_a_violation_inside_the_polytope():

@@ -151,6 +151,38 @@ def mid_arbitrage_tree():
     )
 
 
+def lopsided_scenario(up, down, psi_root=0.25):
+    """The default ``tree-verify`` scenario on two periods: root
+    increments ``up`` and ``down``, then +1 and -1 below each child, with
+    1/gamma replicated from gamma0 1 (psi ``psi_root`` at the root, 0.25
+    below it) and the shift solved from terminal 0. At up = 1 and
+    down = -1/rho the root's opposite-sign moves have the ratio rho."""
+
+    def node(nid, t, branches=()):
+        return {
+            "id": nid,
+            "time": t,
+            "branches": [{"child": c, "prob": 0.5, "dprice": d} for c, d in branches],
+        }
+
+    tree = {
+        "horizon": 2,
+        "nodes": [
+            node("r", 0, [("u", up), ("d", down)]),
+            node("u", 1, [("u1", 1.0), ("u2", -1.0)]),
+            node("d", 1, [("d1", 1.0), ("d2", -1.0)]),
+            *(node(w, 2) for w in ("u1", "u2", "d1", "d2")),
+        ],
+    }
+    return {
+        "schema_version": 1,
+        "kind": "tree-verify",
+        "tree": tree,
+        "gamma": {"mode": "replicate", "gamma0": 1.0, "psi": {"r": psi_root, "u": 0.25, "d": 0.25}},
+        "a_shift": {"mode": "solve", "terminal": 0.0},
+    }
+
+
 def random_tree(seed, periods=2, max_branching=3, branching=None):
     """Random tree, <= max_branching branches, both-sign increments per node.
 
